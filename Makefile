@@ -18,7 +18,7 @@ vet:
 ## lint: formatting plus the two static-analysis gates — stock go vet and
 ## the repo's own flvet suite (determinism, map-order, reduction-order,
 ## goroutine-policy, wire-allocation, nil-sink, checkpoint-completeness,
-## and allocation-free hot-path invariants; see DESIGN.md §11 and §16).
+## and allocation-free hot-path invariants; see DESIGN.md §11 and §13).
 ## flvet runs against the committed baseline ratchet: accepted debt in
 ## analysis_baseline.json passes, new findings fail, fixed findings
 ## shrink the file.
@@ -103,7 +103,7 @@ recover:
 	$(GO) test -count=1 ./internal/checkpoint/... || exit 1
 	$(GO) test -count=1 ./internal/core/... ./internal/baseline/... -run 'Resume' || exit 1
 	$(GO) test -count=1 ./internal/cluster/... \
-		-run 'TestCluster(InterruptResume|CrashRestartMatchesParticipation|WorkerRestartRejoins)' || exit 1
+		-run 'TestCluster(InterruptResume|CrashRestartMatchesParticipation|WorkerRestartRejoins)|TestTreeRestartSupervisor' || exit 1
 	$(GO) test -count=1 ./cmd/flnode/ -run 'TestMultiProcessKillRestart' || exit 1
 	$(GO) test -count=1 ./cmd/flcluster/ -run 'TestSigterm|TestDoubleSignal'
 

@@ -51,10 +51,13 @@
 //	flcluster -attack-plan "noise:worker-1-0@2-6=0.5" \
 //	    -aggregator edge=trimmed,cloud=mean -trim 0.2
 //
-// N-tier topologies: -topology replaces the built-in cloud/edge/worker
-// triple with an arbitrary aggregation tree — depth, fan-out, per-level
-// sync periods τℓ, and per-level aggregation rules all come from the spec;
-// the training leaves regroup the workload's worker shards in order:
+// N-tier topologies: by default the aggregation tree is the workload's
+// cloud/edge/worker hierarchy; -topology runs the same runtime over an
+// arbitrary tree — depth, fan-out, per-level sync periods τℓ, and per-level
+// aggregation rules all come from the spec; the training leaves regroup the
+// workload's worker shards in order. Every flag above composes with it
+// (-aggregator sets the default rule of the level above the workers and of
+// the root; churn plans name leaves worker-<parent>-<position>):
 //
 //	flcluster -model logistic \
 //	    -topology "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"
@@ -151,7 +154,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		clipNorm   = fs.Float64("clip", 10, "max L2 deviation norm for -aggregator clip")
 		cosMin     = fs.Float64("cos-min", 0, "minimum cosine against the cohort's median deviation for -aggregator cosine, in [-1, 1]")
 
-		topologySpec = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker" (empty = the built-in cloud/edge/worker triple; the tree's leaf count must equal the workload's workers)`)
+		topologySpec = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker" (empty = the workload's cloud/edge/worker hierarchy; the tree's leaf count must equal the workload's workers)`)
 
 		churnSpec   = fs.String("churn-plan", "", `churn trace file, or inline spec like "join:worker-0-1@3,leave:worker-1-0@9"`)
 		retierEvery = fs.Int("retier-every", 0, "re-tier workers across edges every this many cloud syncs (0 disables)")
@@ -177,7 +180,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		}
 	}
 	if *verify && (*dropRate > 0 || len(crashes) > 0) {
-		return fmt.Errorf("-verify requires a fault-free run: bit-equivalence with the simulation only holds without drops or crashes")
+		return fmt.Errorf("-verify requires a fault-free run: the in-process simulation does not model message drops or crashes yet")
 	}
 	churnPlan, err := loadChurnPlan(*churnSpec)
 	if err != nil {
@@ -188,7 +191,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		return err
 	}
 	if *verify && (churnPlan != nil || *retierEvery > 0) {
-		return fmt.Errorf("-verify requires a static hierarchy: the in-process simulation has no membership dynamics to compare against")
+		return fmt.Errorf("-verify requires a static hierarchy: the in-process simulation does not model dynamic membership yet")
 	}
 	attackPlan, err := robust.ParsePlan(*attackSpec, *attackSeed)
 	if err != nil {
@@ -199,7 +202,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		return err
 	}
 	if *verify && (attackPlan != nil || edgeAgg.Robust() || cloudAgg.Robust()) {
-		return fmt.Errorf("-verify requires an undefended honest run: the in-process simulation has no attackers or robust aggregation to compare against")
+		return fmt.Errorf("-verify requires an undefended honest run: the in-process simulation does not model attackers or robust aggregation yet")
 	}
 	var topo *topology.Topology
 	if *topologySpec != "" {
@@ -207,7 +210,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 			return err
 		}
 		if *verify {
-			return fmt.Errorf("-verify only covers the built-in 3-tier runtime: the in-process simulation has no N-tier tree to compare against")
+			return fmt.Errorf("-verify requires the config-derived hierarchy: the in-process simulation does not model -topology trees yet")
 		}
 	}
 

@@ -1,6 +1,9 @@
-// Command flnode runs ONE node of a multi-process HierAdMo deployment: a
-// cloud, an edge, or a worker, addressed through a shared JSON registry
-// mapping node IDs to host:port. Every process regenerates the identical
+// Command flnode runs ONE node of a multi-process HierAdMo deployment,
+// addressed through a shared JSON registry mapping node IDs to host:port.
+// Every node is the same level-parametric runtime node; -role cloud, edge
+// and worker are shorthands for its (level, index) address in the
+// workload's cloud/edge/worker hierarchy, -role tier names an address in a
+// -topology tree directly. Every process regenerates the identical
 // synthetic workload deterministically from the shared seed, so no training
 // data crosses the wire — only models, momenta, and interval accumulators,
 // exactly as Algorithm 1 prescribes.
@@ -46,7 +49,8 @@
 // N-tier topologies: give every node the same -topology spec and launch one
 // "tier" role process per tree node, addressed by -level/-index; registry
 // keys are the spec's node IDs (name-index). Level 0 prints the result,
-// level depth-1 trains a leaf shard:
+// level depth-1 trains a leaf shard. The churn, attack and aggregator flags
+// apply to such trees unchanged:
 //
 //	flnode -role tier -level 0 -index 0 -registry reg.json \
 //	    -topology "cloud:tau=20/edge*2:tau=10/worker*2"     # the root
@@ -65,7 +69,6 @@ import (
 
 	"hieradmo/internal/cluster"
 	"hieradmo/internal/experiment"
-	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
@@ -253,7 +256,11 @@ func run(args []string, interrupt <-chan struct{}) error {
 		return ep, nil
 	}
 
-	if *topologySpec != "" {
+	// Every role resolves to one (level, index) address in the run's tree
+	// and one transport ID; the node itself is the same for all of them.
+	level, idx, id := *levelIdx, *workerIdx, ""
+	switch {
+	case *topologySpec != "":
 		if *role != "tier" {
 			return fmt.Errorf("-topology deployments use -role tier (got %q)", *role)
 		}
@@ -262,59 +269,35 @@ func run(args []string, interrupt <-chan struct{}) error {
 			return err
 		}
 		opts.Topology = topo
-		if *levelIdx < 0 || *levelIdx >= topo.Depth() || *workerIdx < 0 || *workerIdx >= topo.Width(*levelIdx) {
-			return fmt.Errorf("no node at level %d index %d in topology %q", *levelIdx, *workerIdx, topo)
+		if level < 0 || level >= topo.Depth() || idx < 0 || idx >= topo.Width(level) {
+			return fmt.Errorf("no node at level %d index %d in topology %q", level, idx, topo)
 		}
-		ep, err := listen(topo.NodeID(*levelIdx, *workerIdx))
-		if err != nil {
-			return err
+		id = topo.NodeID(level, idx)
+	case *role == "cloud":
+		level, idx, id = 0, 0, cluster.CloudID
+	case *role == "edge":
+		level, idx, id = 1, *edgeIdx, cluster.EdgeID(*edgeIdx)
+	case *role == "worker":
+		if *edgeIdx < 0 || *edgeIdx >= cfg.NumEdges() || idx < 0 || idx >= len(cfg.Edges[*edgeIdx]) {
+			return fmt.Errorf("no worker {%d,%d} in the workload's hierarchy", idx, *edgeIdx)
 		}
-		defer ep.Close()
-		res, err := cluster.RunTreeNode(cfg, *levelIdx, *workerIdx, ep, opts)
-		if err != nil {
-			return err
+		// Workers are the tree's last level, in cfg.Edges order.
+		level, id = 2, cluster.WorkerID(*edgeIdx, idx)
+		for _, edge := range cfg.Edges[:*edgeIdx] {
+			idx += len(edge)
 		}
-		if res != nil {
-			fmt.Println(res)
-			if res.AttackReport != nil {
-				fmt.Println(res.AttackReport)
-			}
-		}
-		return nil
-	}
-
-	switch *role {
-	case "cloud":
-		return runCloud(cfg, listen, opts)
-	case "edge":
-		ep, err := listen(cluster.EdgeID(*edgeIdx))
-		if err != nil {
-			return err
-		}
-		defer ep.Close()
-		return cluster.RunEdgeNode(cfg, *edgeIdx, ep, opts)
-	case "worker":
-		ep, err := listen(cluster.WorkerID(*edgeIdx, *workerIdx))
-		if err != nil {
-			return err
-		}
-		defer ep.Close()
-		return cluster.RunWorkerNode(cfg, *edgeIdx, *workerIdx, ep, opts)
-	case "tier":
+	case *role == "tier":
 		return fmt.Errorf("-role tier requires -topology")
 	default:
 		return fmt.Errorf("unknown role %q (want cloud, edge, worker, or tier)", *role)
 	}
-}
-
-func runCloud(cfg *fl.Config, listen func(string) (transport.Endpoint, error), opts cluster.Options) error {
-	ep, err := listen(cluster.CloudID)
+	ep, err := listen(id)
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
-	res, err := cluster.RunCloudNode(cfg, ep, opts)
-	if err != nil {
+	res, err := cluster.RunNode(cfg, level, idx, ep, opts)
+	if err != nil || res == nil {
 		return err
 	}
 	fmt.Println(res)

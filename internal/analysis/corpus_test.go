@@ -287,7 +287,6 @@ func TestDefaultPolicyTable(t *testing.T) {
 	wantHot := []string{
 		"(*hieradmo/internal/core.workerState).step",
 		"(*hieradmo/internal/core.HierAdMo).edgeUpdate",
-		"(*hieradmo/internal/cluster.workerNode).step",
 		"(*hieradmo/internal/cluster.treeLeaf).step",
 		"hieradmo/internal/tensor.GEMMBias",
 		"hieradmo/internal/tensor.GEMMAddTransB",

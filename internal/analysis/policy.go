@@ -4,7 +4,7 @@ package analysis
 // checker-specific tables: the nilsink type list, the checkpoint-registry
 // types ckptstate keys on, and the pinned allocation-free hot-path roots
 // for allocfree. The zero policy runs nothing; DefaultPolicy encodes the
-// repo's package table (documented in DESIGN.md §11 and §16).
+// repo's package table (documented in DESIGN.md §11 and §13).
 type Policy struct {
 	// Rules maps a checker name to the predicate deciding whether it runs
 	// on a package import path. A missing entry disables the checker.
@@ -123,8 +123,7 @@ func DefaultPolicy(modulePath string) Policy {
 			// steady-state inner loops (slab arenas, PR 7).
 			"(*" + in("internal/core") + ".workerState).step",
 			"(*" + in("internal/core") + ".HierAdMo).edgeUpdate",
-			// The distributed runtime's equivalents.
-			"(*" + in("internal/cluster") + ".workerNode).step",
+			// The distributed runtime's equivalent.
 			"(*" + in("internal/cluster") + ".treeLeaf).step",
 			// The GEMM kernels every dense/conv layer reduces to.
 			in("internal/tensor") + ".GEMMBias",

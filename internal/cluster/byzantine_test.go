@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"hieradmo/internal/fl"
@@ -179,8 +178,8 @@ func TestClusterAttackDeterministic(t *testing.T) {
 }
 
 // TestClusterAttackAcrossProcessEntryPoints replays a Byzantine scenario
-// through the per-role multi-process entry points (static TCP registry,
-// every role its own config and harness) and checks bit-equality with the
+// through the per-node multi-process entry point (static TCP registry,
+// every node its own harness and tree spec) and checks bit-equality with the
 // single-process run — the attack RNG and aggregator state are pure
 // functions of the shared flags, never of process layout.
 func TestClusterAttackAcrossProcessEntryPoints(t *testing.T) {
@@ -196,75 +195,7 @@ func TestClusterAttackAcrossProcessEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ids := []string{CloudID, EdgeID(0), EdgeID(1),
-		WorkerID(0, 0), WorkerID(0, 1), WorkerID(1, 0), WorkerID(1, 1)}
-	ports := freePorts(t, len(ids))
-	registry := make(map[string]string, len(ids))
-	for i, id := range ids {
-		registry[id] = ports[i]
-	}
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		errs   []error
-		result = make(chan *fl.Result, 1)
-	)
-	fail := func(err error) {
-		if err == nil {
-			return
-		}
-		mu.Lock()
-		errs = append(errs, err)
-		mu.Unlock()
-	}
-	for l := 0; l < 2; l++ {
-		for i := 0; i < 2; i++ {
-			l, i := l, i
-			ep, err := transport.ListenStatic(WorkerID(l, i), registry)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer ep.Close()
-				fail(RunWorkerNode(cfg, l, i, ep, opts))
-			}()
-		}
-		l := l
-		ep, err := transport.ListenStatic(EdgeID(l), registry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer ep.Close()
-			fail(RunEdgeNode(cfg, l, ep, opts))
-		}()
-	}
-	cloudEP, err := transport.ListenStatic(CloudID, registry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer cloudEP.Close()
-		res, err := RunCloudNode(cfg, cloudEP, opts)
-		fail(err)
-		result <- res
-	}()
-	wg.Wait()
-	mu.Lock()
-	for _, err := range errs {
-		t.Error(err)
-	}
-	mu.Unlock()
-	res := <-result
-	if res == nil {
-		t.Fatal("cloud node returned no result")
-	}
+	res := runStaticNodes(t, cfg, opts)
 	sameResult(t, "multi-process", res, ref)
 	if res.AttackReport == nil {
 		t.Fatal("robust multi-process run returned no attack report")

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -136,12 +134,12 @@ func TestClusterEmptyChurnPlanIsStatic(t *testing.T) {
 		t.Fatal("empty plan with retier-every=0 counts as churn-enabled")
 	}
 	cfg := buildConfig(t, 51, 2)
-	memb, err := newMembership(*cfg, opts)
+	ts, err := newTreeSpec(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memb != nil {
-		t.Fatal("empty plan built membership state")
+	if ts.sched != nil || len(ts.epochs) != 1 {
+		t.Fatal("empty plan built a membership schedule")
 	}
 	res, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
@@ -206,34 +204,8 @@ func TestClusterChurnInterruptResume(t *testing.T) {
 		t.Fatalf("membership report %+v: resume test needs an effective re-tiering", ref.Membership)
 	}
 
-	interrupt := make(chan struct{})
-	stop := make(chan struct{})
-	var watch sync.WaitGroup
-	watch.Add(1)
-	go func() {
-		defer watch.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-			if files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(files) > 0 {
-				close(interrupt)
-				return
-			}
-		}
-	}()
-	iopts := opts
-	iopts.Interrupt = interrupt
-	net := transport.NewFaultyNetwork(transport.NewMemoryNetwork(),
-		transport.FaultPlan{Seed: 4, MaxDelay: 2 * time.Millisecond})
-	_, err = Run(cfg, net, iopts)
-	close(stop)
-	watch.Wait()
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run failed with %v, want wrapped ErrInterrupted", err)
-	}
+	interruptRun(t, cfg, opts, transport.NewFaultyNetwork(transport.NewMemoryNetwork(),
+		transport.FaultPlan{Seed: 4, MaxDelay: 2 * time.Millisecond}))
 
 	ropts := opts
 	ropts.Resume = true
@@ -309,14 +281,14 @@ func TestClusterChurnMetricsMatchTrace(t *testing.T) {
 
 	// Migrations: one per (edge, epoch boundary) with a changed cohort,
 	// computed from the same schedule the nodes used.
-	memb, err := newMembership(*cfg, churnOptions(t))
+	ts, err := newTreeSpec(cfg, churnOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantMigrations := 0
-	for k := 2; k <= memb.sched.K; k++ {
-		for l := 0; l < memb.sched.NumEdges; l++ {
-			if _, changed := memb.sched.Overlap(k, l); changed {
+	for k := 2; k <= ts.sched.K; k++ {
+		for l := 0; l < ts.sched.NumEdges; l++ {
+			if _, changed := ts.sched.Overlap(k, l); changed {
 				wantMigrations++
 			}
 		}

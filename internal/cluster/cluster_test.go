@@ -54,28 +54,8 @@ func buildConfig(t *testing.T, seed uint64, classesPerWorker int) *fl.Config {
 }
 
 func TestProtocolIDs(t *testing.T) {
-	if EdgeID(3) != "edge-3" || WorkerID(2, 5) != "worker-2-5" {
+	if CloudID != "cloud" || EdgeID(3) != "edge-3" || WorkerID(2, 5) != "worker-2-5" {
 		t.Error("ID formats wrong")
-	}
-	i, err := parseWorkerIndex("worker-1-7")
-	if err != nil || i != 7 {
-		t.Errorf("parseWorkerIndex = %d, %v", i, err)
-	}
-	if _, err := parseWorkerIndex("bogus"); err == nil {
-		t.Error("accepted malformed worker id")
-	}
-	if _, err := parseWorkerIndex("worker-a-b"); err == nil {
-		t.Error("accepted non-numeric worker id")
-	}
-	l, err := parseEdgeIndex("edge-4")
-	if err != nil || l != 4 {
-		t.Errorf("parseEdgeIndex = %d, %v", l, err)
-	}
-	if _, err := parseEdgeIndex("edge-x"); err == nil {
-		t.Error("accepted non-numeric edge id")
-	}
-	if _, err := parseEdgeIndex("worker-1-1"); err == nil {
-		t.Error("accepted worker id as edge id")
 	}
 }
 

@@ -36,52 +36,11 @@ func newFaultRecorder(sink *telemetry.Sink) *faultRecorder {
 	}
 }
 
-// missingWorkers records that an edge quorum at iteration t proceeded
-// without n of its workers.
-func (r *faultRecorder) missingWorkers(t, n int) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.rep.MissingWorkers[t] += n
-	r.mu.Unlock()
-	m := r.sink.M()
-	m.QuorumMet.Inc()
-	m.QuorumMissingWorkers.Add(int64(n))
-	if r.sink.Tracing() {
-		r.sink.Emit("quorum",
-			telemetry.String("tier", "edge"),
-			telemetry.Int("t", t),
-			telemetry.Int("missing", n))
-	}
-}
-
-// missingEdges records that the cloud sync at iteration t substituted n
-// edges' reports with their last known state.
-func (r *faultRecorder) missingEdges(t, n int) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.rep.MissingEdges[t] += n
-	r.mu.Unlock()
-	m := r.sink.M()
-	m.QuorumMet.Inc()
-	m.QuorumMissingEdges.Add(int64(n))
-	if r.sink.Tracing() {
-		r.sink.Emit("quorum",
-			telemetry.String("tier", "cloud"),
-			telemetry.Int("t", t),
-			telemetry.Int("missing", n))
-	}
-}
-
-// missingTier records an N-tier aggregation at iteration t proceeding
-// without n of its children: leaf-parent quorums forfeit stragglers (the
-// edge semantics, counted under MissingWorkers), every other level
-// substitutes last reports (the cloud semantics, counted under
-// MissingEdges). The quorum trace event carries the level name and tier
-// index so depth-parametric runs stay attributable.
+// missingTier records an aggregation at iteration t proceeding without n of
+// its children: leaf-parent quorums forfeit stragglers (counted under
+// MissingWorkers), every other level substitutes last reports (counted
+// under MissingEdges). The quorum trace event carries the level name and
+// tier index so runs of any depth stay attributable.
 func (r *faultRecorder) missingTier(level string, tier, t, n int, leaf bool) {
 	if r == nil || n == 0 {
 		return
@@ -258,58 +217,11 @@ func (r *faultRecorder) injected(node string, t int, kind string) {
 	}
 }
 
-// robust records what one robust aggregation did at node (an edge or the
-// cloud) for iteration t: every rejected reporter and every clipped
-// update becomes a counter bump and a trace event, so the telemetry
-// totals match the AttackReport exactly. ids maps the aggregation's
-// reporter slots to node IDs.
-func (r *faultRecorder) robust(node, tier string, t int, st robust.Stats, ids []string) {
-	if r == nil || (len(st.Rejected) == 0 && len(st.Clipped) == 0) {
-		return
-	}
-	r.mu.Lock()
-	if tier == "cloud" {
-		r.att.RejectedCloud += len(st.Rejected)
-	} else {
-		r.att.RejectedEdge += len(st.Rejected)
-	}
-	r.att.Clipped += len(st.Clipped)
-	r.mu.Unlock()
-	m := r.sink.M()
-	m.RobustRejected.Add(int64(len(st.Rejected)))
-	m.RobustClipped.Add(int64(len(st.Clipped)))
-	if len(st.Clipped) > 0 {
-		m.RobustClipNorm.Set(st.MaxNorm)
-	}
-	if !r.sink.Tracing() {
-		return
-	}
-	slot := func(j int) string {
-		if j < len(ids) {
-			return ids[j]
-		}
-		return ""
-	}
-	for _, j := range st.Rejected {
-		r.sink.Emit("robust_reject",
-			telemetry.String("node", node),
-			telemetry.String("tier", tier),
-			telemetry.Int("t", t),
-			telemetry.String("from", slot(j)))
-	}
-	for _, j := range st.Clipped {
-		r.sink.Emit("robust_clip",
-			telemetry.String("node", node),
-			telemetry.String("tier", tier),
-			telemetry.Int("t", t),
-			telemetry.String("from", slot(j)),
-			telemetry.Float("max_norm", st.MaxNorm))
-	}
-}
-
-// robustTier records what one robust aggregation did at a tree node: like
-// robust, but attributed to the node's tier index (and level name) instead
-// of the edge/cloud pair.
+// robustTier records what one robust aggregation did at node for iteration
+// t, attributed to the node's tier index (and level name): every rejected
+// reporter and every clipped update becomes a counter bump and a trace
+// event, so the telemetry totals match the AttackReport exactly. ids maps
+// the aggregation's reporter slots to node IDs.
 func (r *faultRecorder) robustTier(node, level string, tier, t int, st robust.Stats, ids []string) {
 	if r == nil || (len(st.Rejected) == 0 && len(st.Clipped) == 0) {
 		return
@@ -401,38 +313,20 @@ func (r *faultRecorder) report() *fl.FaultReport {
 }
 
 // attackReport returns the accumulated Byzantine-scenario report, or nil
-// for runs where the robust layer never engaged (no attacks injected,
-// nothing rejected or clipped, mean aggregation everywhere).
-func (r *faultRecorder) attackReport(opts Options) *fl.AttackReport {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.att.Any() && !opts.robustEnabled() {
-		return nil
-	}
-	rep := r.att
-	rep.EdgeAggregator = opts.EdgeAggregator.String()
-	rep.CloudAggregator = opts.CloudAggregator.String()
-	return &rep
-}
-
-// attackReportTree is the N-tier counterpart of attackReport: activity is
-// attributed by tier index and the per-level rules come from the topology
-// spec. Returns nil when no attack was injected and every level aggregates
-// with plain mean.
-func (r *faultRecorder) attackReportTree(opts Options) *fl.AttackReport {
+// for runs where the robust layer never engaged (no attack plan, nothing
+// rejected or clipped, mean aggregation at every level). Explicit
+// topologies report activity by tier index and list every level's rule; the
+// config-derived shape folds its two tiers into the report's edge/cloud
+// fields.
+func (r *faultRecorder) attackReport(opts Options, ts *treeSpec) *fl.AttackReport {
 	if r == nil {
 		return nil
 	}
 	robustLevel := false
-	aggs := make([]string, 0, opts.Topology.Depth()-1)
-	for _, lv := range opts.Topology.Levels[:opts.Topology.Depth()-1] {
-		aggs = append(aggs, lv.Agg.String())
-		if lv.Agg.Robust() {
-			robustLevel = true
-		}
+	aggs := make([]string, len(ts.agg))
+	for i, spec := range ts.agg {
+		aggs[i] = spec.String()
+		robustLevel = robustLevel || spec.Robust()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -440,6 +334,13 @@ func (r *faultRecorder) attackReportTree(opts Options) *fl.AttackReport {
 		return nil
 	}
 	rep := r.att
-	rep.TierAggregators = aggs
+	if opts.Topology != nil {
+		rep.TierAggregators = aggs
+		return &rep
+	}
+	rep.RejectedCloud, rep.RejectedEdge = rep.RejectedByTier[0], rep.RejectedByTier[1]
+	rep.Clipped = rep.ClippedByTier[0] + rep.ClippedByTier[1]
+	rep.CloudAggregator, rep.EdgeAggregator = aggs[0], aggs[1]
+	rep.RejectedByTier, rep.ClippedByTier = nil, nil
 	return &rep
 }

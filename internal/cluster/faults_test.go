@@ -55,6 +55,20 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// edgeUnderTest builds edge-0 of cfg's derived tree as a bare tierNode, for
+// tests that drive collect/update directly.
+func edgeUnderTest(t *testing.T, cfg *fl.Config, hn *fl.Harness, ep transport.Endpoint, opts Options) *tierNode {
+	t.Helper()
+	opts = opts.withDefaults()
+	ts, err := newTreeSpec(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTierNode(cfg, hn, ts, 1, 0, hn.InitParams(), ep, opts)
+	e.rec = newFaultRecorder(nil)
+	return e
+}
+
 // TestEdgeDuplicateReportRejected regression-tests the collection bug where a
 // duplicate report overwrote its slot while inflating the reporter count,
 // leaving a zero-valued Message (nil vectors) in the aggregation.
@@ -80,14 +94,13 @@ func TestEdgeDuplicateReportRejected(t *testing.T) {
 	}
 
 	x0 := hn.InitParams()
-	e := newEdgeNode(cfg, hn, 0, x0, edgeEP, Options{}.withDefaults())
-	e.rec = newFaultRecorder(nil)
+	e := edgeUnderTest(t, cfg, hn, edgeEP, Options{})
 
 	report := func(ep transport.Endpoint) {
 		t.Helper()
 		v := x0.Clone()
 		msg := transport.Message{
-			Kind:    KindEdgeReport,
+			Kind:    KindTierReport,
 			Round:   cfg.Tau,
 			Vectors: [][]float64{v, v.Clone(), v.Clone(), v.Clone()},
 			Scalars: map[string]float64{ScalarLoss: 1},
@@ -100,7 +113,7 @@ func TestEdgeDuplicateReportRejected(t *testing.T) {
 	report(w0) // duplicate: must not count as a second distinct reporter
 	report(w1)
 
-	reports, idx, adopted, err := e.collectReports(1)
+	adopted, reports, idx, err := e.collect(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,9 +432,8 @@ func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 		MinQuorum:         0.5,
 		StragglerDeadline: 50 * time.Millisecond,
 		RecvTimeout:       2 * time.Second,
-	}.withDefaults()
-	e := newEdgeNode(cfg, hn, 0, x0, edgeEP, opts)
-	e.rec = newFaultRecorder(nil)
+	}
+	e := edgeUnderTest(t, cfg, hn, edgeEP, opts)
 
 	// The cloud finished the second sync (round 2τπ) while this edge never
 	// saw a single round-τ report.
@@ -431,7 +443,7 @@ func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 	x := x0.Clone()
 	x[0] += 2
 	update := transport.Message{
-		Kind:    KindCloudUpdate,
+		Kind:    KindTierUpdate,
 		Round:   want,
 		Vectors: [][]float64{y, x},
 	}
@@ -439,7 +451,7 @@ func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, adopted, err := e.collectReports(1)
+	adopted, _, _, err := e.collect(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,14 +466,11 @@ func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 	// Strict mode must keep discarding out-of-band cloud updates as stale:
 	// strict edges never give up on a sync, so such an update cannot be a
 	// legitimate fast-forward signal mid-collect.
-	strict := newEdgeNode(cfg, hn, 0, x0, edgeEP, Options{
-		RecvTimeout: 200 * time.Millisecond,
-	}.withDefaults())
-	strict.rec = newFaultRecorder(nil)
+	strict := edgeUnderTest(t, cfg, hn, edgeEP, Options{RecvTimeout: 200 * time.Millisecond})
 	if err := cloudEP.Send(EdgeID(0), update); err != nil {
 		t.Fatal(err)
 	}
-	_, _, adopted, err = strict.collectReports(1)
+	adopted, _, _, err = strict.collect(1)
 	if !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("strict collect: adopted=%d err=%v, want timeout", adopted, err)
 	}

@@ -1,0 +1,374 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+
+	"hieradmo/internal/checkpoint"
+	"hieradmo/internal/dataset"
+	"hieradmo/internal/fl"
+	"hieradmo/internal/rng"
+	"hieradmo/internal/robust"
+	"hieradmo/internal/tensor"
+	"hieradmo/internal/transport"
+)
+
+// treeLeaf is one training leaf: it runs the NAG iterations of Algorithm 1
+// lines 5–6 on its own shard and reports its interval state to its parent
+// every leaf-parent period. It performs exactly the same floating-point
+// operations, in the same order, as the in-process simulation.
+//
+// In quorum mode a leaf whose redistributed update never arrives keeps
+// training on its local state and rejoins at a later aggregation — the
+// distributed counterpart of a non-participant in the simulation's
+// partial-participation path.
+type treeLeaf struct {
+	cfg     *fl.Config
+	ts      *treeSpec
+	j       int // index within the leaf level
+	shard   *dataset.Dataset
+	ep      transport.Endpoint
+	opts    Options
+	rec     *faultRecorder
+	reg     *checkpoint.Registry
+	sampler *rng.RNG
+	// att mutates this leaf's boundary reports when the run's attack plan
+	// marks it Byzantine; nil for honest leaves.
+	att *robust.Attacker
+
+	x, y          tensor.Vector
+	gradSum, ySum tensor.Vector
+	grad          tensor.Vector //flvet:allow ckptstate -- per-step scratch, overwritten by LossGrad before use
+	// yPrev is per-iteration scratch for the NAG extrapolation,
+	// preallocated so step never clones a model-sized vector.
+	yPrev    tensor.Vector //flvet:allow ckptstate -- per-step scratch, refilled from y before use
+	lastLoss float64
+	// syncedThrough is the round of the last adopted update. When an update
+	// arrives for a round ahead of this leaf's own iteration count (the
+	// parent fast-forwarded past syncs a quorum completed without it), the
+	// leaf trains straight through to that round before reporting again —
+	// the parent no longer wants the intervening rounds.
+	syncedThrough int
+}
+
+func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *treeLeaf {
+	return &treeLeaf{
+		cfg:     cfg,
+		ts:      ts,
+		j:       j,
+		shard:   ts.shards[j],
+		ep:      ep,
+		opts:    opts,
+		sampler: ts.leafSampler(j),
+		att:     opts.attackerFor(ts.ids[ts.depth()-1][j], 4, len(x0)),
+		x:       x0.Clone(),
+		y:       x0.Clone(),
+		gradSum: tensor.NewVector(len(x0)),
+		ySum:    tensor.NewVector(len(x0)),
+		grad:    tensor.NewVector(len(x0)),
+		yPrev:   tensor.NewVector(len(x0)),
+	}
+}
+
+func (w *treeLeaf) id() string { return w.ts.ids[w.ts.depth()-1][w.j] }
+
+// initCheckpoint binds the leaf's complete mid-run state — model, momentum,
+// interval accumulators, batch-sampler stream, and resync cursor — to its
+// snapshot registry and applies the Resume option. It returns the iteration
+// the run should continue after (0 for a fresh start).
+func (w *treeLeaf) initCheckpoint() (int, error) {
+	reg, err := nodeRegistry(w.cfg, w.opts, w.ts, w.id())
+	if err != nil || reg == nil {
+		return 0, err
+	}
+	reg.Vector("x", w.x)
+	reg.Vector("y", w.y)
+	reg.Vector("gradSum", w.gradSum)
+	reg.Vector("ySum", w.ySum)
+	reg.RNG("sampler", w.sampler)
+	reg.Float("lastLoss", &w.lastLoss)
+	reg.Int("syncedThrough", &w.syncedThrough)
+	if w.att != nil {
+		// The replay stash is the attacker's only mutable state; with it in
+		// the snapshot a resumed Byzantine leaf re-sends exactly the bytes
+		// the uninterrupted run would have (the noise/flip/scale draws are
+		// already pure functions of seed, node, and round).
+		for ci, v := range w.att.PrevVectors() {
+			reg.Vector(fmt.Sprintf("attackPrev%d", ci), v)
+		}
+		reg.Int("attackPrevRound", w.att.PrevRoundPtr())
+	}
+	w.reg = reg
+	return restoreOrClear(reg, w.opts.Resume, w.opts.Telemetry, w.id())
+}
+
+// parentAt returns the transport ID of the node this leaf reports to in
+// leaf-parent round k: its natal parent, or whatever the membership
+// schedule assigns for the round.
+func (w *treeLeaf) parentAt(k int) (string, error) {
+	lp := w.ts.leafParent()
+	p := w.ts.parent[lp+1][w.j]
+	if w.ts.sched != nil {
+		var ok bool
+		if p, ok = w.ts.sched.EdgeOf(k, w.ts.ref(w.j)); !ok {
+			return "", fmt.Errorf("cluster: %s has no parent at round %d: membership schedule divergence", w.id(), k)
+		}
+	}
+	return w.ts.ids[lp][p], nil
+}
+
+func (w *treeLeaf) run() error {
+	start, err := w.initCheckpoint()
+	if err != nil {
+		return fmt.Errorf("cluster: %s: %w", w.id(), err)
+	}
+	bTau := w.ts.tau(w.ts.leafParent())
+	// With dynamic membership the leaf's lifetime is its scheduled span: a
+	// late joiner idles until its natal parent ADMITs it with fresh state,
+	// and a planned leaver trains only through its final round.
+	T := w.cfg.T
+	if w.ts.sched != nil {
+		join, last, ok := w.ts.sched.Span(w.ts.ref(w.j))
+		if !ok {
+			return nil
+		}
+		T = last * bTau
+		if start == 0 && join > 1 {
+			if start, err = w.awaitAdmit(join); err != nil {
+				return err
+			}
+			// Persist the adopted state so a crash between admission and the
+			// first boundary resumes from the join, not from scratch.
+			if err := saveSnapshot(w.reg, start, w.opts.Telemetry, w.id()); err != nil {
+				return fmt.Errorf("cluster: %s: %w", w.id(), err)
+			}
+		}
+	}
+	for t := start + 1; t <= T; t++ {
+		if interrupted(w.opts.Interrupt) {
+			// Graceful shutdown: persist the state as of the last completed
+			// iteration. A resumed run replays the rest of the interval from
+			// here — deterministically, since the sampler position is part of
+			// the snapshot — and re-sends the interval report.
+			if err := saveSnapshot(w.reg, t-1, w.opts.Telemetry, w.id()); err != nil {
+				return fmt.Errorf("cluster: %s: %w", w.id(), err)
+			}
+			return fmt.Errorf("cluster: %s: %w", w.id(), ErrInterrupted)
+		}
+		if err := w.step(); err != nil {
+			return fmt.Errorf("cluster: %s t=%d: %w", w.id(), t, err)
+		}
+		if t%bTau != 0 {
+			continue
+		}
+		if t <= w.syncedThrough {
+			// The last adopted update already covers this round: the parent
+			// would reject a report for it as stale. Keep training until the
+			// local iteration count catches up with the adopted state.
+			if err := saveSnapshot(w.reg, t, w.opts.Telemetry, w.id()); err != nil {
+				return fmt.Errorf("cluster: %s: %w", w.id(), err)
+			}
+			continue
+		}
+		// Lines 9/14–15: report interval state, receive the redistributed
+		// momentum and model.
+		parent, err := w.parentAt(t / bTau)
+		if err != nil {
+			return err
+		}
+		vecs := [][]float64{w.y, w.x, w.gradSum, w.ySum}
+		if w.att != nil {
+			// Byzantine boundary: the attack mutates only what goes on the
+			// wire — local training state stays honest, matching the
+			// compromised-client threat model (DESIGN.md §7.5).
+			mut, kind, hit, err := w.att.Apply(t/bTau, []tensor.Vector{w.y, w.x, w.gradSum, w.ySum})
+			if err != nil {
+				return fmt.Errorf("cluster: %s attack: %w", w.id(), err)
+			}
+			if hit {
+				w.rec.injected(w.id(), t, kind)
+				vecs = [][]float64{mut[0], mut[1], mut[2], mut[3]}
+			}
+		}
+		report := transport.Message{
+			Kind:    KindTierReport,
+			Round:   t,
+			Vectors: vecs,
+			Scalars: map[string]float64{ScalarLoss: w.lastLoss},
+		}
+		if err := w.ep.Send(parent, report); err != nil {
+			return fmt.Errorf("cluster: %s report: %w", w.id(), err)
+		}
+		if t == T && T < w.cfg.T {
+			// Planned permanent leave: the final report is aggregated, then
+			// the parent acknowledges with RETIRE and this leaf exits.
+			err = w.awaitRetire()
+		} else {
+			err = w.awaitUpdate(t)
+		}
+		if err != nil {
+			return err
+		}
+		// Snapshot after the boundary settles (update adopted or ridden out).
+		// An interrupt inside awaitUpdate deliberately skips this save: the
+		// resumed leaf then replays the interval from the previous snapshot
+		// and re-sends the report, which keeps it bit-identical to a run that
+		// was never interrupted (the parent discards the duplicate as stale
+		// if it already processed the original).
+		if err := saveSnapshot(w.reg, t, w.opts.Telemetry, w.id()); err != nil {
+			return fmt.Errorf("cluster: %s: %w", w.id(), err)
+		}
+	}
+	return nil
+}
+
+// await receives messages for up to RecvTimeout, handing each to handle
+// until it reports the wait settled. A timeout is ridden out in quorum mode
+// when rideOut is set — the leaf keeps its local state and carries on, like
+// a simulation non-participant — and is an error otherwise.
+func (w *treeLeaf) await(what string, rideOut bool, handle func(transport.Message) (bool, error)) error {
+	deadline := w.opts.now().Add(w.opts.RecvTimeout)
+	for {
+		wait := deadline.Sub(w.opts.now())
+		if wait <= 0 {
+			if rideOut && w.opts.tolerant() {
+				w.rec.timeout(w.id())
+				return nil
+			}
+			return fmt.Errorf("cluster: %s await %s: %w", w.id(), what, transport.ErrTimeout)
+		}
+		msg, err := recvInterruptible(w.ep, wait, w.opts)
+		if err != nil {
+			if errors.Is(err, transport.ErrTimeout) {
+				continue
+			}
+			return fmt.Errorf("cluster: %s await %s: %w", w.id(), what, err)
+		}
+		if done, err := handle(msg); done || err != nil {
+			return err
+		}
+	}
+}
+
+// adopt takes over the [y, x] of an update or ADMIT and restarts the
+// interval accumulators.
+func (w *treeLeaf) adopt(msg transport.Message) error {
+	if len(msg.Vectors) != 2 {
+		return fmt.Errorf("cluster: %s %s carries %d vectors, want 2", w.id(), msg.Kind, len(msg.Vectors))
+	}
+	if err := w.y.CopyFrom(msg.Vectors[0]); err != nil {
+		return err
+	}
+	if err := w.x.CopyFrom(msg.Vectors[1]); err != nil {
+		return err
+	}
+	w.gradSum.Zero()
+	w.ySum.Zero()
+	w.syncedThrough = msg.Round
+	return nil
+}
+
+// awaitUpdate blocks for the parent's redistributed [y, x] after the report
+// at iteration t. Updates for an earlier round are stale leftovers and are
+// skipped; an update for a later round means this leaf was left behind by a
+// quorum and resynchronizes to the newer state.
+func (w *treeLeaf) awaitUpdate(t int) error {
+	return w.await("update", true, func(msg transport.Message) (bool, error) {
+		// A leaf reassigned to a new parent by re-tiering receives its
+		// boundary update from that parent as an ADMIT; the payload is the
+		// same as a regular update.
+		if !(w.ts.sched != nil && msg.Kind == KindAdmit) {
+			if err := expectKind(msg, KindTierUpdate); err != nil {
+				return false, err
+			}
+		}
+		if msg.Round < t {
+			w.rec.stale(w.id())
+			return false, nil
+		}
+		if msg.Round > t {
+			// A quorum moved on without this leaf; it resynchronizes to the
+			// newer state and trains straight through to the adopted round.
+			w.rec.fastforward(w.id(), t, msg.Round)
+		}
+		return true, w.adopt(msg)
+	})
+}
+
+// awaitAdmit blocks a late joiner until its natal parent admits it into the
+// cohort of its join round, carrying the parent's current [y, x] as starting
+// state. It returns the adopted round (the leaf trains from there). A parent
+// that fast-forwarded past the join round admits with a later round; a plain
+// update covering the join also counts (the parent considered this leaf a
+// member already after a resync).
+func (w *treeLeaf) awaitAdmit(join int) (int, error) {
+	want := (join - 1) * w.ts.tau(w.ts.leafParent())
+	err := w.await("admit", false, func(msg transport.Message) (bool, error) {
+		if msg.Kind != KindAdmit && msg.Kind != KindTierUpdate {
+			return false, fmt.Errorf("cluster: %s got %q from %q while awaiting admit", w.id(), msg.Kind, msg.From)
+		}
+		if msg.Round < want {
+			w.rec.stale(w.id())
+			return false, nil
+		}
+		return true, w.adopt(msg)
+	})
+	return w.syncedThrough, err
+}
+
+// awaitRetire blocks a planned leaver until its parent acknowledges that the
+// final report was aggregated. Leftover redistribution traffic is skipped;
+// in quorum mode a missing RETIRE is ridden out (the leaf has nothing left
+// to do either way).
+func (w *treeLeaf) awaitRetire() error {
+	return w.await("retire", true, func(msg transport.Message) (bool, error) {
+		switch msg.Kind {
+		case KindRetire:
+			return true, nil
+		case KindTierUpdate, KindAdmit:
+			w.rec.stale(w.id())
+			return false, nil
+		}
+		return false, fmt.Errorf("cluster: %s got %q from %q while awaiting retire", w.id(), msg.Kind, msg.From)
+	})
+}
+
+// step performs one NAG iteration (Algorithm 1 lines 5–6).
+func (w *treeLeaf) step() error {
+	batch, err := w.shard.Batch(w.sampler, w.cfg.BatchSize)
+	if err != nil {
+		return err
+	}
+	//flvet:allow allocfree -- workspace pool miss only; steady-state gradient calls reuse pooled buffers
+	loss, err := w.cfg.Model.LossGrad(w.x, batch, w.grad)
+	if err != nil {
+		return err
+	}
+	w.lastLoss = loss
+	if err := w.gradSum.Add(w.grad); err != nil {
+		return err
+	}
+	if err := w.yPrev.CopyFrom(w.y); err != nil {
+		return err
+	}
+	if err := w.y.CopyFrom(w.x); err != nil {
+		return err
+	}
+	if err := w.y.AXPY(-w.cfg.Eta, w.grad); err != nil {
+		return err
+	}
+	if err := w.ySum.Add(w.y); err != nil {
+		return err
+	}
+	if err := w.x.CopyFrom(w.y); err != nil {
+		return err
+	}
+	if err := w.x.AXPY(w.cfg.Gamma, w.y); err != nil {
+		return err
+	}
+	if err := w.x.AXPY(-w.cfg.Gamma, w.yPrev); err != nil {
+		return err
+	}
+	w.opts.Telemetry.M().WorkerSteps.Inc()
+	return nil
+}

@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"testing"
 
 	"hieradmo/internal/core"
+	"hieradmo/internal/fl"
 	"hieradmo/internal/transport"
 )
 
@@ -30,44 +30,32 @@ func freePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestStaticNodesMatchSimulation drives the multi-process deployment path
-// (per-role entry points + static registry TCP endpoints, each role building
-// its own config and harness) and checks bit-equality with the simulation.
-func TestStaticNodesMatchSimulation(t *testing.T) {
-	cfg := buildConfig(t, 107, 2)
-	sim, err := core.New().Run(cfg)
+// runStaticNodes drives the multi-process deployment path: every node of the
+// run's tree is its own RunNode call with its own harness and tree spec, on
+// a static-registry TCP endpoint. It returns the root's result.
+func runStaticNodes(t *testing.T, cfg *fl.Config, opts Options) *fl.Result {
+	t.Helper()
+	ts, err := newTreeSpec(cfg, opts.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ids := []string{CloudID, EdgeID(0), EdgeID(1),
-		WorkerID(0, 0), WorkerID(0, 1), WorkerID(1, 0), WorkerID(1, 1)}
+	var ids []string
+	for _, lvl := range ts.ids {
+		ids = append(ids, lvl...)
+	}
 	ports := freePorts(t, len(ids))
 	registry := make(map[string]string, len(ids))
 	for i, id := range ids {
 		registry[id] = ports[i]
 	}
-
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
-		errs   []error
-		result = make(chan error, 1)
+		result *fl.Result
 	)
-	fail := func(err error) {
-		if err == nil {
-			return
-		}
-		mu.Lock()
-		errs = append(errs, err)
-		mu.Unlock()
-	}
-	opts := Options{Adaptive: true}
-
-	for l := 0; l < 2; l++ {
-		for i := 0; i < 2; i++ {
-			l, i := l, i
-			ep, err := transport.ListenStatic(WorkerID(l, i), registry)
+	for level, lvl := range ts.ids {
+		for idx, id := range lvl {
+			ep, err := transport.ListenStatic(id, registry)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,50 +63,37 @@ func TestStaticNodesMatchSimulation(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				defer ep.Close()
-				fail(RunWorkerNode(cfg, l, i, ep, opts))
+				res, err := RunNode(cfg, level, idx, ep, opts)
+				mu.Lock()
+				defer mu.Unlock()
+				if err != nil {
+					t.Errorf("%s: %v", id, err)
+				}
+				if level == 0 {
+					result = res
+				}
 			}()
 		}
-		l := l
-		ep, err := transport.ListenStatic(EdgeID(l), registry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer ep.Close()
-			fail(RunEdgeNode(cfg, l, ep, opts))
-		}()
 	}
+	wg.Wait()
+	if result == nil {
+		t.Fatal("root node returned no result")
+	}
+	return result
+}
 
-	cloudEP, err := transport.ListenStatic(CloudID, registry)
+// TestStaticNodesMatchSimulation checks the per-node entry point against the
+// simulation bit for bit, on the config-derived shape and its cloud / edge-ℓ
+// / worker-ℓ-i registry keys.
+func TestStaticNodesMatchSimulation(t *testing.T) {
+	cfg := buildConfig(t, 107, 2)
+	sim, err := core.New().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer cloudEP.Close()
-		res, err := RunCloudNode(cfg, cloudEP, opts)
-		if err != nil {
-			result <- err
-			return
-		}
-		if res.FinalAcc != sim.FinalAcc {
-			result <- fmt.Errorf("static nodes %v != simulation %v", res.FinalAcc, sim.FinalAcc)
-			return
-		}
-		result <- nil
-	}()
-
-	wg.Wait()
-	mu.Lock()
-	for _, err := range errs {
-		t.Error(err)
-	}
-	mu.Unlock()
-	if err := <-result; err != nil {
-		t.Error(err)
+	res := runStaticNodes(t, cfg, Options{Adaptive: true})
+	if res.FinalAcc != sim.FinalAcc {
+		t.Errorf("static nodes %v != simulation %v", res.FinalAcc, sim.FinalAcc)
 	}
 }
 
@@ -130,22 +105,18 @@ func TestNodeEntryPointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunWorkerNode(cfg, 9, 0, ep, Options{}); err == nil {
-		t.Error("out-of-range edge accepted")
-	}
-	if err := RunWorkerNode(cfg, 0, 9, ep, Options{}); err == nil {
-		t.Error("out-of-range worker accepted")
-	}
-	if err := RunEdgeNode(cfg, -1, ep, Options{}); err == nil {
-		t.Error("negative edge accepted")
+	for _, addr := range [][2]int{{1, 9}, {2, 9}, {1, -1}, {3, 0}, {-1, 0}} {
+		if _, err := RunNode(cfg, addr[0], addr[1], ep, Options{}); err == nil {
+			t.Errorf("node (%d, %d) outside the tree accepted", addr[0], addr[1])
+		}
 	}
 	bad := *cfg
 	bad.T = 7
-	if err := RunWorkerNode(&bad, 0, 0, ep, Options{}); err == nil {
-		t.Error("invalid config accepted by worker node")
+	if _, err := RunNode(&bad, 2, 0, ep, Options{}); err == nil {
+		t.Error("invalid config accepted by a leaf")
 	}
-	if _, err := RunCloudNode(&bad, ep, Options{}); err == nil {
-		t.Error("invalid config accepted by cloud node")
+	if _, err := RunNode(&bad, 0, 0, ep, Options{}); err == nil {
+		t.Error("invalid config accepted by the root")
 	}
 }
 

@@ -1,8 +1,20 @@
 // Package cluster executes HierAdMo (Algorithm 1) as an actual distributed
-// protocol: one goroutine-hosted node per worker, edge, and cloud,
-// exchanging models, momenta, and interval accumulators as messages over a
-// transport (in-memory for tests and single-machine runs, TCP for real
-// sockets).
+// protocol over an aggregation tree: one goroutine-hosted node per training
+// leaf and per aggregating node, exchanging models, momenta, and interval
+// accumulators as messages over a transport (in-memory for tests and
+// single-machine runs, TCP for real sockets).
+//
+// There is one runtime. Every run — the paper's cloud/edge/worker hierarchy
+// derived from an fl.Config, or an explicit N-tier topology.Topology — is a
+// treeSpec (who are my children this round, with what weights, under what
+// transport IDs) executed by two node types: treeLeaf, the worker NAG step,
+// and tierNode, a level-parametric aggregator. What varies by level is
+// configuration: the leaf-parent level renormalizes over a quorum of
+// survivors, adapts γℓ from the leaves' accumulators and hosts dynamic
+// membership; every other level substitutes a missing child's last report;
+// the root records the curve and returns the Result. Fault tolerance,
+// checkpoint/resume, churn, Byzantine attacks and robust aggregation all
+// compose on that one path.
 //
 // The in-process simulation in internal/core is the reference semantics:
 // the cluster performs the same floating-point operations in the same
@@ -13,53 +25,38 @@ package cluster
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"hieradmo/internal/transport"
 )
 
 // Protocol message kinds.
 const (
-	// KindEdgeReport is worker → edge at t = kτ, carrying
-	// [y, x, Σ∇F, Σy] and the worker's latest mini-batch loss.
-	KindEdgeReport = "edge-report"
-	// KindEdgeUpdate is edge → worker after an edge (or cloud) update,
-	// carrying [y_ℓ−, x_ℓ+].
-	KindEdgeUpdate = "edge-update"
-	// KindCloudReport is edge → cloud at t = pτπ, carrying [y_ℓ−, x_ℓ+]
-	// and the edge's weighted loss.
-	KindCloudReport = "cloud-report"
-	// KindCloudUpdate is cloud → edge, carrying the cloud-aggregated [y, x].
-	KindCloudUpdate = "cloud-update"
-
-	// Dynamic-membership control messages. ADMIT and RETIRE are edge →
-	// worker; REASSIGN is cloud → edge. None of them carries a membership
-	// *decision* — every node derives the same schedule from the churn plan,
-	// so the messages only synchronize when a transition takes effect.
-
-	// KindAdmit is edge → worker, admitting a joining or reassigned-in
-	// worker into the edge's cohort. It carries the same [y_ℓ−, x_ℓ+]
-	// payload as KindEdgeUpdate, giving the newcomer its starting state.
-	KindAdmit = "admit"
-	// KindRetire is edge → worker, acknowledging a planned permanent leave
-	// after the worker's final report was aggregated. No payload.
-	KindRetire = "retire"
-	// KindReassign is cloud → edge after a re-tiering step, carrying the
-	// flattened (edge, index, newEdge) triples of moved workers so edges
-	// can cross-check their locally computed schedule.
-	KindReassign = "reassign"
-
-	// N-tier tree protocol (Options.Topology). The default 3-tier runtime
-	// keeps the kinds above untouched, so unchanged configs speak the exact
-	// pre-tree wire protocol.
-
 	// KindTierReport is child → parent at the child's parent-sync boundary:
-	// training leaves send [y, x, Σ∇F, Σy] and their latest mini-batch loss;
-	// aggregating levels send [y_ℓ−, x_ℓ+] and their weighted loss.
+	// training leaves send [y, x, Σ∇F, Σy] and their latest mini-batch loss
+	// at t = kτ; aggregating levels send [y_ℓ−, x_ℓ+] and their weighted
+	// loss.
 	KindTierReport = "tier-report"
 	// KindTierUpdate is parent → child after an aggregation, carrying the
 	// level's [y_ℓ−, x_ℓ+].
 	KindTierUpdate = "tier-update"
+
+	// Dynamic-membership control messages. ADMIT and RETIRE are leaf-parent
+	// → leaf; REASSIGN is root → leaf-parent. None of them carries a
+	// membership *decision* — every node derives the same schedule from the
+	// churn plan, so the messages only synchronize when a transition takes
+	// effect.
+
+	// KindAdmit admits a joining or reassigned-in leaf into its new parent's
+	// cohort. It carries the same [y_ℓ−, x_ℓ+] payload as KindTierUpdate,
+	// giving the newcomer its starting state.
+	KindAdmit = "admit"
+	// KindRetire acknowledges a planned permanent leave after the leaf's
+	// final report was aggregated. No payload.
+	KindRetire = "retire"
+	// KindReassign follows a re-tiering step, carrying the flattened
+	// (parent, index, newParent) triples of moved leaves so leaf-parents can
+	// cross-check their locally computed schedule.
+	KindReassign = "reassign"
 )
 
 // Scalar keys used in messages.
@@ -67,6 +64,10 @@ const (
 	// ScalarLoss carries a (weighted) training loss.
 	ScalarLoss = "loss"
 )
+
+// Node IDs of the config-derived cloud/edge/worker shape (explicit
+// topologies name nodes "<level>-<index>" instead). Fault, churn and attack
+// plans, per-node noise streams and checkpoint files are keyed by them.
 
 // CloudID is the cloud node's transport ID.
 const CloudID = "cloud"
@@ -77,32 +78,6 @@ func EdgeID(l int) string { return "edge-" + strconv.Itoa(l) }
 // WorkerID returns the transport ID of worker {i,ℓ}.
 func WorkerID(l, i int) string {
 	return "worker-" + strconv.Itoa(l) + "-" + strconv.Itoa(i)
-}
-
-// parseWorkerIndex extracts the worker index i from a WorkerID.
-func parseWorkerIndex(id string) (int, error) {
-	parts := strings.Split(id, "-")
-	if len(parts) != 3 || parts[0] != "worker" {
-		return 0, fmt.Errorf("cluster: malformed worker id %q", id)
-	}
-	i, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return 0, fmt.Errorf("cluster: malformed worker id %q: %w", id, err)
-	}
-	return i, nil
-}
-
-// parseEdgeIndex extracts the edge index ℓ from an EdgeID.
-func parseEdgeIndex(id string) (int, error) {
-	parts := strings.Split(id, "-")
-	if len(parts) != 2 || parts[0] != "edge" {
-		return 0, fmt.Errorf("cluster: malformed edge id %q", id)
-	}
-	l, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, fmt.Errorf("cluster: malformed edge id %q: %w", id, err)
-	}
-	return l, nil
 }
 
 // expectKind validates an incoming message's type.

@@ -66,7 +66,7 @@ func recvInterruptible(ep transport.Endpoint, wait time.Duration, opts Options) 
 // nodeRegistry builds the checkpoint registry of one cluster node, keyed by
 // its transport ID so every node of a deployment can share one directory.
 // Returns nil (no checkpointing) when no directory is configured.
-func nodeRegistry(cfg *fl.Config, opts Options, nodeID string) (*checkpoint.Registry, error) {
+func nodeRegistry(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*checkpoint.Registry, error) {
 	if opts.CheckpointDir == "" {
 		return nil, nil
 	}
@@ -75,12 +75,14 @@ func nodeRegistry(cfg *fl.Config, opts Options, nodeID string) (*checkpoint.Regi
 		return nil, err
 	}
 	// The fingerprint covers everything that shapes the distributed
-	// trajectory: the full run config plus the algorithm options. Timeouts
+	// trajectory: the full run config, the algorithm options, and the tree's
+	// canonical shape — depth, fan-out, per-level periods, rules, and
+	// momentum — so a snapshot can never be resumed under a different tree
+	// (or read by a build that laid node state out differently). Timeouts
 	// and quorum are operational knobs a restarted deployment may
-	// legitimately change, so they stay out. Static runs keep the exact
-	// pre-churn fingerprint so existing snapshot families stay valid.
-	fp := cfg.Fingerprint("cluster/hieradmo") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g", opts.Adaptive, opts.Signal, opts.Ceiling)
+	// legitimately change, so they stay out.
+	fp := cfg.Fingerprint("cluster/tier") +
+		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, opts.Ceiling, ts.shape)
 	if opts.churnEnabled() {
 		plan := membership.Plan{}
 		if opts.ChurnPlan != nil {
@@ -92,18 +94,9 @@ func nodeRegistry(cfg *fl.Config, opts Options, nodeID string) (*checkpoint.Regi
 	if opts.robustEnabled() {
 		// Attack plan and aggregator choices shape the trajectory just
 		// like the algorithm options: resuming a Byzantine run under a
-		// different scenario is refused (checkpoint.ErrMismatch). The
-		// suffix is only added when the robust layer engages, so
-		// baseline snapshot families stay valid.
+		// different scenario is refused (checkpoint.ErrMismatch).
 		fp += fmt.Sprintf(" attack=%s agg-edge=%s agg-cloud=%s",
 			opts.AttackPlan.Signature(), opts.EdgeAggregator, opts.CloudAggregator)
-	}
-	if opts.Topology != nil {
-		// The canonical spec string pins the whole tree shape — depth,
-		// fan-out, per-level periods, rules, and momentum — so a snapshot
-		// can never be resumed under a different topology. Default 3-tier
-		// runs (nil Topology) keep their exact pre-tree fingerprints.
-		fp += " topology=" + opts.Topology.String()
 	}
 	return checkpoint.NewRegistry(mgr, fp), nil
 }
@@ -152,18 +145,18 @@ func saveSnapshot(reg *checkpoint.Registry, seq int, sink *telemetry.Sink, node 
 }
 
 // encodePending flattens a ride-ahead report stash for snapshotting: one
-// record per message, laid out as [round, senderIndex, loss, nv·dim vector
-// elements]. Messages that do not carry exactly nv model-sized vectors or a
-// parseable sender are dropped here — admission would reject them after the
-// resume anyway.
-func encodePending(msgs []transport.Message, nv, dim int, index func(string) (int, error)) []float64 {
+// record per message, laid out as [round, sender, loss, nv·dim vector
+// elements], where sender is the reporting child's index in its level as
+// resolved by index. Messages that do not carry exactly nv model-sized
+// vectors or a resolvable sender are dropped here — admission would reject
+// them after the resume anyway.
+func encodePending(msgs []transport.Message, nv, dim int, index func(from string) (int, bool)) []float64 {
 	out := make([]float64, 0, len(msgs)*(3+nv*dim))
 	for _, msg := range msgs {
-		i, err := index(msg.From)
-		if err != nil || len(msg.Vectors) != nv {
+		i, ok := index(msg.From)
+		if !ok || len(msg.Vectors) != nv {
 			continue
 		}
-		ok := true
 		for _, v := range msg.Vectors {
 			if len(v) != dim {
 				ok = false
@@ -181,9 +174,9 @@ func encodePending(msgs []transport.Message, nv, dim int, index func(string) (in
 	return out
 }
 
-// decodePending rebuilds a stash serialized by encodePending; id maps a
+// decodePending rebuilds a stash serialized by encodePending; ids maps a
 // sender index back to its node ID.
-func decodePending(flat []float64, nv, dim int, kind string, id func(int) string) ([]transport.Message, error) {
+func decodePending(flat []float64, nv, dim int, kind string, ids []string) ([]transport.Message, error) {
 	rec := 3 + nv*dim
 	if len(flat)%rec != 0 {
 		return nil, fmt.Errorf("pending stash holds %d values, not a multiple of the %d-value record", len(flat), rec)
@@ -191,8 +184,8 @@ func decodePending(flat []float64, nv, dim int, kind string, id func(int) string
 	var msgs []transport.Message
 	for off := 0; off < len(flat); off += rec {
 		round, idx := int(flat[off]), int(flat[off+1])
-		if float64(round) != flat[off] || float64(idx) != flat[off+1] || round < 0 || idx < 0 {
-			return nil, fmt.Errorf("pending stash record at %d has non-integral round/sender %v/%v",
+		if float64(round) != flat[off] || float64(idx) != flat[off+1] || round < 0 || idx < 0 || idx >= len(ids) {
+			return nil, fmt.Errorf("pending stash record at %d has a bad round/sender %v/%v",
 				off, flat[off], flat[off+1])
 		}
 		vecs := make([][]float64, nv)
@@ -201,7 +194,7 @@ func decodePending(flat []float64, nv, dim int, kind string, id func(int) string
 			vecs[v] = append([]float64(nil), flat[lo:lo+dim]...)
 		}
 		msgs = append(msgs, transport.Message{
-			From:    id(idx),
+			From:    ids[idx],
 			Kind:    kind,
 			Round:   round,
 			Vectors: vecs,

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -29,25 +28,33 @@ func TestPendingStashRoundtrip(t *testing.T) {
 	v := func(base float64) []float64 { return []float64{base, base + 1, base + 2} }
 	msgs := []transport.Message{
 		{
-			From: WorkerID(0, 2), Kind: KindEdgeReport, Round: 6,
+			From: WorkerID(0, 2), Kind: KindTierReport, Round: 6,
 			Vectors: [][]float64{v(1), v(10), v(20), v(30)},
 			Scalars: map[string]float64{ScalarLoss: 0.5},
 		},
-		{From: "bogus", Kind: KindEdgeReport, Round: 6, Vectors: [][]float64{v(0), v(0), v(0), v(0)}},
-		{From: WorkerID(0, 1), Kind: KindEdgeReport, Round: 8, Vectors: [][]float64{v(2), v(3)}}, // wrong arity
+		{From: "bogus", Kind: KindTierReport, Round: 6, Vectors: [][]float64{v(0), v(0), v(0), v(0)}},
+		{From: WorkerID(0, 1), Kind: KindTierReport, Round: 8, Vectors: [][]float64{v(2), v(3)}}, // wrong arity
 		{
-			From: WorkerID(0, 0), Kind: KindEdgeReport, Round: 8,
+			From: WorkerID(0, 0), Kind: KindTierReport, Round: 8,
 			Vectors: [][]float64{v(4), v(5), v(6), v(7)},
 			Scalars: map[string]float64{ScalarLoss: 1.25},
 		},
 	}
-	flat := encodePending(msgs, 4, dim, parseWorkerIndex)
+	ids := []string{WorkerID(0, 0), WorkerID(0, 1), WorkerID(0, 2)}
+	flat := encodePending(msgs, 4, dim, func(from string) (int, bool) {
+		for i, id := range ids {
+			if id == from {
+				return i, true
+			}
+		}
+		return 0, false
+	})
 	// Two well-formed records survive; the malformed sender and wrong-arity
 	// messages are dropped, as admission would drop them after a resume.
 	if wantLen := 2 * (3 + 4*dim); len(flat) != wantLen {
 		t.Fatalf("encoded length %d, want %d", len(flat), wantLen)
 	}
-	out, err := decodePending(flat, 4, dim, KindEdgeReport, func(i int) string { return WorkerID(0, i) })
+	out, err := decodePending(flat, 4, dim, KindTierReport, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +68,7 @@ func TestPendingStashRoundtrip(t *testing.T) {
 		t.Errorf("second record = %+v", out[1])
 	}
 	for r, msg := range out {
-		if msg.Kind != KindEdgeReport || len(msg.Vectors) != 4 {
+		if msg.Kind != KindTierReport || len(msg.Vectors) != 4 {
 			t.Fatalf("record %d malformed: %+v", r, msg)
 		}
 	}
@@ -69,13 +76,16 @@ func TestPendingStashRoundtrip(t *testing.T) {
 		t.Errorf("vector payloads scrambled: %v / %v", out[0].Vectors[3], out[1].Vectors[0])
 	}
 
-	if _, err := decodePending(flat[:len(flat)-1], 4, dim, KindEdgeReport, EdgeID); err == nil {
+	if _, err := decodePending(flat[:len(flat)-1], 4, dim, KindTierReport, ids); err == nil {
 		t.Error("truncated stash accepted")
 	}
 	bad := append([]float64(nil), flat...)
 	bad[0] = 6.5 // non-integral round
-	if _, err := decodePending(bad, 4, dim, KindEdgeReport, EdgeID); err == nil {
+	if _, err := decodePending(bad, 4, dim, KindTierReport, ids); err == nil {
 		t.Error("non-integral round accepted")
+	}
+	if _, err := decodePending(flat, 4, dim, KindTierReport, ids[:2]); err == nil {
+		t.Error("sender index outside the child level accepted")
 	}
 }
 
@@ -95,40 +105,10 @@ func TestClusterInterruptResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupt as soon as any node has written a snapshot. Sender-side
-	// delays stretch the run so the shutdown lands mid-protocol, not at the
-	// finish line.
-	interrupt := make(chan struct{})
-	stop := make(chan struct{})
-	var watch sync.WaitGroup
-	watch.Add(1)
-	go func() {
-		defer watch.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-			if files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(files) > 0 {
-				close(interrupt)
-				return
-			}
-		}
-	}()
-	iopts := opts
-	iopts.Interrupt = interrupt
-	net := transport.NewFaultyNetwork(transport.NewMemoryNetwork(),
-		transport.FaultPlan{Seed: 4, MaxDelay: 2 * time.Millisecond})
-	_, err = Run(cfg, net, iopts)
-	close(stop)
-	watch.Wait()
-	if err == nil {
-		t.Fatal("interrupted run succeeded; the shutdown request was ignored")
-	}
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run failed with %v, want wrapped ErrInterrupted", err)
-	}
+	// Interrupt as soon as any node has written a snapshot; the run must fail
+	// with a wrapped ErrInterrupted.
+	interruptRun(t, cfg, opts, transport.NewFaultyNetwork(transport.NewMemoryNetwork(),
+		transport.FaultPlan{Seed: 4, MaxDelay: 2 * time.Millisecond}))
 	if files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(files) == 0 {
 		t.Fatal("interrupted run left no snapshots behind")
 	}

@@ -3,163 +3,37 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/core"
-	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
+	"hieradmo/internal/membership"
 	"hieradmo/internal/model"
-	"hieradmo/internal/rng"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
-	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
-// treeSpec is the precomputed static shape of an N-tier run, shared by every
-// node: the validated topology, the flattened leaf shards, the data-size
-// child weights of every aggregating node, and each level's resolved
-// momentum configuration. It is pure derived data — building one performs no
-// I/O and every process of a multi-process deployment derives the identical
-// spec from the shared config and topology.
-type treeSpec struct {
-	topo *topology.Topology
-	cfg  *fl.Config
-	// shards holds the training leaves' datasets, cfg.Edges flattened in
-	// order: the tree regroups the same shards under its own fanout.
-	shards []*dataset.Dataset
-	// weights[i][j][c] is the data weight of child c under node j of
-	// aggregating level i: the child subtree's sample count over the
-	// node's. At the leaf-parent these are exactly the harness
-	// WorkerWeights (D(i,ℓ)/Dℓ), and at the root over a 3-tier shape
-	// exactly the EdgeWeights (Dℓ/D), so matched shapes aggregate with
-	// bit-identical coefficients.
-	weights [][][]float64
-	// gamma[i]/adapt[i] are level i's resolved momentum factor and
-	// adaptive-γℓ toggle; momentum[i] marks levels that execute the
-	// Algorithm 1 line-13 momentum update at all. Non-momentum levels
-	// (γℓ = 0, not adaptive) keep the plain-average arithmetic of the
-	// original cloud, bit for bit.
-	gamma    []float64
-	adapt    []bool
-	momentum []bool
-}
-
-// newTreeSpec validates a topology against the run config and resolves the
-// per-level configuration.
-func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
-	topo := opts.Topology
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
-	if err := topo.AlignsWith(cfg.T); err != nil {
-		return nil, err
-	}
-	if topo.NumLeaves() != cfg.NumWorkers() {
-		return nil, fmt.Errorf("cluster: topology %q has %d leaves for %d configured workers",
-			topo, topo.NumLeaves(), cfg.NumWorkers())
-	}
-	ts := &treeSpec{topo: topo, cfg: cfg}
-	for _, edge := range cfg.Edges {
-		ts.shards = append(ts.shards, edge...)
-	}
-	depth := topo.Depth()
-	// Subtree sample counts, integer-exact, leaves up.
-	sizes := make([][]int, depth)
-	sizes[depth-1] = make([]int, len(ts.shards))
-	for j, shard := range ts.shards {
-		sizes[depth-1][j] = shard.Len()
-	}
-	for i := depth - 2; i >= 0; i-- {
-		fan := topo.Levels[i+1].Fanout
-		sizes[i] = make([]int, topo.Width(i))
-		for j := range sizes[i] {
-			for c := 0; c < fan; c++ {
-				sizes[i][j] += sizes[i+1][j*fan+c]
-			}
-		}
-	}
-	ts.weights = make([][][]float64, depth-1)
-	for i := 0; i < depth-1; i++ {
-		fan := topo.Levels[i+1].Fanout
-		ts.weights[i] = make([][]float64, topo.Width(i))
-		for j := range ts.weights[i] {
-			if sizes[i][j] == 0 {
-				return nil, fmt.Errorf("cluster: topology node %s covers no samples", topo.NodeID(i, j))
-			}
-			w := make([]float64, fan)
-			for c := range w {
-				w[c] = float64(sizes[i+1][j*fan+c]) / float64(sizes[i][j])
-			}
-			ts.weights[i][j] = w
-		}
-	}
-	lp := topo.LeafParent()
-	ts.gamma = make([]float64, depth-1)
-	ts.adapt = make([]bool, depth-1)
-	ts.momentum = make([]bool, depth-1)
-	for i := 0; i < depth-1; i++ {
-		lv := topo.Levels[i]
-		if lv.HasGamma {
-			ts.gamma[i] = lv.Gamma
-		} else if i == lp {
-			ts.gamma[i] = cfg.GammaEdge
-		}
-		if i == lp {
-			if lv.HasAdapt {
-				ts.adapt[i] = lv.Adapt
-			} else {
-				ts.adapt[i] = opts.Adaptive
-			}
-		}
-		ts.momentum[i] = ts.adapt[i] || ts.gamma[i] != 0
-	}
-	return ts, nil
-}
-
-func (ts *treeSpec) depth() int      { return ts.topo.Depth() }
-func (ts *treeSpec) leafParent() int { return ts.topo.LeafParent() }
-func (ts *treeSpec) tau(i int) int   { return ts.topo.Levels[i].Tau }
-
-// fanout returns the number of children per node at aggregating level i.
-func (ts *treeSpec) fanout(i int) int { return ts.topo.Levels[i+1].Fanout }
-
-// childID returns the transport ID of child c of node j at level i.
-func (ts *treeSpec) childID(i, j, c int) string {
-	return ts.topo.NodeID(i+1, j*ts.fanout(i)+c)
-}
-
-// parentID returns the transport ID of the parent of node j at level i.
-func (ts *treeSpec) parentID(i, j int) string {
-	return ts.topo.NodeID(i-1, j/ts.topo.Levels[i].Fanout)
-}
-
-// leafSampler keys the training leaf's mini-batch stream by its (parent,
-// position) coordinates, the tree generalization of the harness's (edge,
-// worker) keying: a 3-tier topology matching the config shape reproduces the
-// simulation's exact batch sequences.
-func (ts *treeSpec) leafSampler(j int) *rng.RNG {
-	fan := ts.fanout(ts.leafParent())
-	return fl.WorkerSampler(ts.cfg.Seed, j/fan, j%fan)
-}
-
-// tierNode is one aggregating node of an N-tier run, parameterized by its
-// level: it collects child reports every τℓ iterations, applies the level's
+// tierNode is one aggregating node of a run, parameterized by its level: it
+// collects child reports every τℓ iterations, applies the level's
 // aggregation rule and momentum update, redistributes the result, and — on
 // every level but the root — synchronizes with its own parent every
 // τ_{ℓ−1}/τℓ rounds. The root additionally owns the accuracy curve and the
 // run Result.
 //
-// Two collection semantics exist, chosen by what the children are. The
-// leaf-parent level collects training-leaf reports and renormalizes data
-// weights over the survivors of a partial round — the original edge
-// behavior. Every other level's children are aggregators with durable state,
-// so a missing child's last report is substituted for at most one
-// consecutive round — the original cloud behavior. Matched 3-tier shapes
-// therefore execute the exact arithmetic of the role-specific cloud/edge
-// implementations, bit for bit.
+// What varies by level is what the children are. The leaf-parent level
+// collects training-leaf reports, renormalizes data weights over the
+// survivors of a partial round exactly like the simulation's
+// partial-participation path (a matched cohort is bit-identical to
+// core.WithParticipation), adapts γℓ (eq. (6)–(7)), and — under dynamic
+// membership — admits, retires and migrates across cohort changes. Every
+// other level's children are aggregators with durable state, so a missing
+// child's last report is substituted for at most one consecutive round
+// before the run fails fast. On the config-derived cloud/edge/worker shape
+// these are Algorithm 1's edge (lines 10–15) and cloud (lines 17–23).
 type tierNode struct {
 	cfg  *fl.Config
 	hn   *fl.Harness
@@ -171,18 +45,23 @@ type tierNode struct {
 	rec  *faultRecorder
 	reg  *checkpoint.Registry
 
-	//flvet:allow ckptstate -- yPlusNext is per-sync scratch, overwritten by WeightedSum before use
+	//flvet:allow ckptstate -- yPlusNext is per-sync scratch, overwritten by the round's reduction before use
 	yMinus, yPlus, yPlusNext, xPlus tensor.Vector
 	// lastY is the state most recently redistributed to the children, the
 	// velocity-signal reference and the robust deviation reference at
 	// momentum levels.
 	lastY tensor.Vector
 	// x0 is the shared initialization, the gauge reference for the Σy
-	// adaptation signal.
+	// adaptation signal (see internal/core).
 	x0 tensor.Vector
-	// lastLosses holds each child's most recently reported loss.
-	lastLosses []float64
-	// pending stashes reports from children running ahead of this node.
+	// losses holds each child's most recently reported loss by the child's
+	// index in its level (cohorts change between rounds under dynamic
+	// membership, so positions are not stable keys), keeping the weighted
+	// loss well-defined when stragglers miss a round.
+	losses map[int]float64
+	// pending stashes reports from children running ahead of this node (a
+	// child that rode out a lost update keeps going) until the node's own
+	// round catches up with them.
 	pending []transport.Message
 	// agg is the level's robust aggregation rule, nil for plain mean (the
 	// bit-exact WeightedSum path). prevY/prevX are the deviation references
@@ -197,6 +76,10 @@ type tierNode struct {
 	lastYRep, lastXRep []tensor.Vector
 	missStreak         []int
 
+	// epoch is the membership epoch of the last snapshotted round, persisted
+	// so a resume can verify it restores the adapted tree.
+	epoch int
+
 	// res and weightedLoss live on the root (res == nil elsewhere).
 	res          *fl.Result
 	weightedLoss float64
@@ -204,23 +87,23 @@ type tierNode struct {
 
 func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *tierNode {
 	n := &tierNode{
-		cfg:        cfg,
-		hn:         hn,
-		ts:         ts,
-		lvl:        lvl,
-		idx:        idx,
-		ep:         ep,
-		opts:       opts,
-		yMinus:     x0.Clone(),
-		yPlus:      x0.Clone(),
-		yPlusNext:  tensor.NewVector(len(x0)),
-		xPlus:      x0.Clone(),
-		lastY:      x0.Clone(),
-		x0:         x0.Clone(),
-		lastLosses: make([]float64, ts.fanout(lvl)),
+		cfg:       cfg,
+		hn:        hn,
+		ts:        ts,
+		lvl:       lvl,
+		idx:       idx,
+		ep:        ep,
+		opts:      opts,
+		yMinus:    x0.Clone(),
+		yPlus:     x0.Clone(),
+		yPlusNext: tensor.NewVector(len(x0)),
+		xPlus:     x0.Clone(),
+		lastY:     x0.Clone(),
+		x0:        x0.Clone(),
+		losses:    make(map[int]float64),
 	}
-	if lvl != ts.leafParent() {
-		fan := ts.fanout(lvl)
+	if !n.leafParent() {
+		fan := len(ts.kids[lvl][idx])
 		n.lastYRep = make([]tensor.Vector, fan)
 		n.lastXRep = make([]tensor.Vector, fan)
 		n.missStreak = make([]int, fan)
@@ -229,46 +112,37 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 			n.lastXRep[c] = x0.Clone()
 		}
 	}
-	if n.agg = newAggregator(ts.topo.Levels[lvl].Agg); n.agg != nil && !ts.momentum[lvl] {
+	if n.agg = newAggregator(ts.agg[lvl]); n.agg != nil && !ts.momentum[lvl] {
 		n.prevY = tensor.NewVector(len(x0))
 		n.prevX = tensor.NewVector(len(x0))
 	}
 	return n
 }
 
-func (n *tierNode) id() string { return n.ts.topo.NodeID(n.lvl, n.idx) }
+func (n *tierNode) id() string       { return n.ts.ids[n.lvl][n.idx] }
+func (n *tierNode) leafParent() bool { return n.lvl == n.ts.leafParent() }
+func (n *tierNode) tau() int         { return n.ts.tau(n.lvl) }
 
-// childSlot resolves a sender ID to its position under this node.
-func (n *tierNode) childSlot(from string) (int, error) {
-	lvl, idx, err := n.ts.topo.ParseNodeID(from)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: %v", err)
-	}
-	if lvl != n.lvl+1 {
-		return 0, fmt.Errorf("cluster: %s got a report from %q of level %d, want level %d",
-			n.id(), from, lvl, n.lvl+1)
-	}
-	pos := idx - n.idx*n.ts.fanout(n.lvl)
-	if pos < 0 || pos >= n.ts.fanout(n.lvl) {
-		return 0, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), from)
-	}
-	return pos, nil
-}
+// churning reports whether this node's cohort can change between rounds:
+// dynamic membership acts at the leaf-parent level only.
+func (n *tierNode) churning() bool { return n.ts.sched != nil && n.leafParent() }
 
 // nvPerReport is the vector count a child report carries: training leaves
 // send their two accumulators alongside [y, x].
 func (n *tierNode) nvPerReport() int {
-	if n.lvl == n.ts.leafParent() {
+	if n.leafParent() {
 		return 4
 	}
 	return 2
 }
 
-// initCheckpoint binds the node's aggregation state to its snapshot registry
-// (the topology string is part of the fingerprint, so snapshots never cross
-// tree shapes) and applies the Resume option.
+// initCheckpoint binds the node's aggregation state — both momenta, the
+// model, the velocity-signal reference, the per-child loss cache, the
+// substitution ledgers, the ride-ahead stash and, on the root, the accuracy
+// curve — to its snapshot registry and applies the Resume option. It returns
+// the aggregation round to continue after.
 func (n *tierNode) initCheckpoint() (int, error) {
-	reg, err := nodeRegistry(n.cfg, n.opts, n.id())
+	reg, err := nodeRegistry(n.cfg, n.opts, n.ts, n.id())
 	if err != nil || reg == nil {
 		return 0, err
 	}
@@ -276,11 +150,14 @@ func (n *tierNode) initCheckpoint() (int, error) {
 	reg.Vector("yPlus", n.yPlus)
 	reg.Vector("xPlus", n.xPlus)
 	reg.Vector("lastY", n.lastY)
-	reg.Vector("lastLosses", n.lastLosses)
+	reg.Dynamic("losses", n.encodeLosses, n.decodeLosses)
 	for c := range n.lastYRep {
 		reg.Vector(fmt.Sprintf("lastY/%d", c), n.lastYRep[c])
 		reg.Vector(fmt.Sprintf("lastX/%d", c), n.lastXRep[c])
 		reg.Int(fmt.Sprintf("missStreak/%d", c), &n.missStreak[c])
+	}
+	if n.ts.sched != nil {
+		reg.Int("membEpoch", &n.epoch)
 	}
 	if n.res != nil {
 		res := n.res
@@ -309,34 +186,169 @@ func (n *tierNode) initCheckpoint() (int, error) {
 				return nil
 			})
 	}
-	nv, dim := n.nvPerReport(), len(n.x0)
-	reg.Dynamic("pending",
-		func() []float64 {
-			return encodePending(n.pending, nv, dim, func(id string) (int, error) { return n.childSlot(id) })
-		},
-		func(flat []float64) error {
-			msgs, err := decodePending(flat, nv, dim, KindTierReport,
-				func(c int) string { return n.ts.childID(n.lvl, n.idx, c) })
-			if err != nil {
-				return err
-			}
-			n.pending = msgs
-			return nil
-		})
+	reg.Dynamic("pending", n.stashPending, n.unstashPending)
 	n.reg = reg
 	return restoreOrClear(reg, n.opts.Resume, n.opts.Telemetry, n.id())
 }
 
-// redistribute sends the round-k update to every child.
-func (n *tierNode) redistribute(k int) error {
+// stashPending snapshots the ride-ahead stash, keying senders by their index
+// in the child level.
+func (n *tierNode) stashPending() []float64 {
+	return encodePending(n.pending, n.nvPerReport(), len(n.x0), func(from string) (int, bool) {
+		a, ok := n.ts.index[from]
+		return a.idx, ok && a.lvl == n.lvl+1
+	})
+}
+
+func (n *tierNode) unstashPending(flat []float64) error {
+	msgs, err := decodePending(flat, n.nvPerReport(), len(n.x0), KindTierReport, n.ts.ids[n.lvl+1])
+	if err != nil {
+		return err
+	}
+	n.pending = msgs
+	return nil
+}
+
+// encodeLosses flattens the loss cache as [child, loss] pairs in child
+// order for snapshotting.
+func (n *tierNode) encodeLosses() []float64 {
+	kids := make([]int, 0, len(n.losses))
+	for c := range n.losses {
+		kids = append(kids, c)
+	}
+	sort.Ints(kids)
+	out := make([]float64, 0, 2*len(kids))
+	for _, c := range kids {
+		out = append(out, float64(c), n.losses[c])
+	}
+	return out
+}
+
+func (n *tierNode) decodeLosses(flat []float64) error {
+	if len(flat)%2 != 0 {
+		return fmt.Errorf("loss cache holds %d values, not pairs", len(flat))
+	}
+	clear(n.losses)
+	for off := 0; off < len(flat); off += 2 {
+		n.losses[int(flat[off])] = flat[off+1]
+	}
+	return nil
+}
+
+// redistribute sends the round-k update to the children (lines 14–15, and
+// 20–23 after a parent round). Stragglers that missed the aggregation
+// resynchronize from it, mirroring how non-participants rejoin in the
+// simulation. resend marks a resume's repeat of the snapshotted round:
+// membership transitions are then re-announced but not re-counted.
+//
+// The update goes to the round-k+1 cohort. Under dynamic membership its
+// newcomers — planned joiners and reassigned-in workers — get it as an ADMIT
+// carrying their starting state, planned leavers whose final report was
+// just aggregated get a RETIRE, and the root follows a re-tiering sync with
+// the REASSIGN announcement.
+func (n *tierNode) redistribute(k int, resend bool) error {
+	t := k * n.tau()
 	update := transport.Message{
 		Kind:    KindTierUpdate,
-		Round:   k * n.ts.tau(n.lvl),
+		Round:   t,
 		Vectors: [][]float64{n.yMinus, n.xPlus},
 	}
-	for c := 0; c < n.ts.fanout(n.lvl); c++ {
-		if err := n.ep.Send(n.ts.childID(n.lvl, n.idx, c), update); err != nil {
-			return fmt.Errorf("cluster: %s redistribute to child %d: %w", n.id(), c, err)
+	next := min(k+1, n.cfg.T/n.tau())
+	prev, _ := n.ts.children(n.lvl, n.idx, k)
+	cohort, _ := n.ts.children(n.lvl, n.idx, next)
+	childIDs := n.ts.ids[n.lvl+1]
+	for _, c := range cohort {
+		msg := update
+		if _, member := position(prev, c); !member {
+			msg.Kind = KindAdmit
+			if !resend {
+				n.rec.joined(childIDs[c], t, !refIn(n.ts.sched.JoinsAt(next), n.ts.ref(c)))
+			}
+		}
+		if err := n.ep.Send(childIDs[c], msg); err != nil {
+			return fmt.Errorf("cluster: %s redistribute to %s: %w", n.id(), childIDs[c], err)
+		}
+	}
+	if n.churning() {
+		retire := transport.Message{Kind: KindRetire, Round: t}
+		for _, ref := range n.ts.sched.LeavesAfter(k) {
+			if l, ok := n.ts.sched.EdgeOf(k, ref); !ok || l != n.idx {
+				continue
+			}
+			leaver := childIDs[n.ts.leafOf(ref)]
+			if !resend {
+				n.rec.left(leaver, t)
+			}
+			if err := n.ep.Send(leaver, retire); err != nil {
+				return fmt.Errorf("cluster: %s retire %s: %w", n.id(), leaver, err)
+			}
+		}
+	}
+	if n.lvl == 0 && n.ts.sched != nil {
+		return n.announceRetier(k, resend)
+	}
+	return nil
+}
+
+// announceRetier broadcasts the REASSIGN control message to every
+// leaf-parent after the root's sync-k redistribution when a re-tiering takes
+// effect at the next leaf-parent round. The message carries the moved
+// workers' (parent, index, newParent) triples; leaf-parents cross-check it
+// against their own schedule, so it can never *cause* a reassignment — only
+// surface a configuration divergence.
+func (n *tierNode) announceRetier(k int, resend bool) error {
+	sched, lp := n.ts.sched, n.ts.leafParent()
+	r := k * n.tau() / n.ts.tau(lp)
+	if r >= sched.K {
+		return nil
+	}
+	if next := sched.EpochAt(r + 1); !next.Retier || next.Start != r+1 {
+		return nil
+	}
+	moved := sched.ReassignedAt(r + 1)
+	flat := make([]float64, 0, 3*len(moved))
+	for _, ref := range moved {
+		to, ok := sched.EdgeOf(r+1, ref)
+		if !ok {
+			return fmt.Errorf("cluster: %s: reassigned worker %s has no parent at round %d", n.id(), ref.NodeID(), r+1)
+		}
+		flat = append(flat, float64(ref.Edge), float64(ref.Index), float64(to))
+	}
+	msg := transport.Message{
+		Kind:    KindReassign,
+		Round:   k * n.tau(),
+		Vectors: [][]float64{flat},
+	}
+	for _, to := range n.ts.ids[lp] {
+		if err := n.ep.Send(to, msg); err != nil {
+			return fmt.Errorf("cluster: %s reassign to %s: %w", n.id(), to, err)
+		}
+	}
+	if !resend {
+		n.rec.retier(k*n.tau(), len(moved))
+	}
+	return nil
+}
+
+// checkReassign cross-checks a REASSIGN announcement against the locally
+// computed schedule. Reassignment is never *decided* by messages — every
+// node derives the same schedule — so any disagreement means the nodes were
+// started with different churn configurations.
+func (n *tierNode) checkReassign(msg transport.Message) error {
+	if !n.churning() {
+		return fmt.Errorf("cluster: %s got reassign without dynamic membership", n.id())
+	}
+	if len(msg.Vectors) != 1 || len(msg.Vectors[0])%3 != 0 {
+		return fmt.Errorf("cluster: %s: malformed reassign payload", n.id())
+	}
+	k := msg.Round / n.tau()
+	flat := msg.Vectors[0]
+	for off := 0; off < len(flat); off += 3 {
+		ref := membership.Ref{Edge: int(flat[off]), Index: int(flat[off+1])}
+		to := int(flat[off+2])
+		if l, ok := n.ts.sched.EdgeOf(k+1, ref); !ok || l != to {
+			return fmt.Errorf("cluster: %s: reassign of %s to parent %d at round %d disagrees with the local schedule: membership schedule divergence",
+				n.id(), ref.NodeID(), to, k+1)
 		}
 	}
 	return nil
@@ -345,12 +357,12 @@ func (n *tierNode) redistribute(k int) error {
 // run executes the node until T. The root returns the run Result; every
 // other level returns (nil, nil) on success.
 func (n *tierNode) run() (*fl.Result, error) {
-	tau := n.ts.tau(n.lvl)
+	tau := n.tau()
 	numRounds := n.cfg.T / tau
 	if n.lvl == 0 {
-		name := "HierAdMo/tree"
+		name := "HierAdMo/cluster"
 		if !n.ts.adapt[n.ts.leafParent()] {
-			name = "HierAdMo-R/tree"
+			name = "HierAdMo-R/cluster"
 		}
 		n.res = n.hn.NewResult(name)
 	}
@@ -359,10 +371,16 @@ func (n *tierNode) run() (*fl.Result, error) {
 		return nil, fmt.Errorf("cluster: %s: %w", n.id(), err)
 	}
 	if start > 0 {
-		// The snapshot precedes its round's redistribution, so re-send that
-		// round's update on resume: children already past it discard the
-		// duplicate as stale, children still waiting adopt it and catch up.
-		if err := n.redistribute(start); err != nil {
+		if want := n.ts.epochAt(n.lvl, start); n.epoch != want {
+			return nil, fmt.Errorf("cluster: %s resume at round %d: snapshot epoch %d, schedule says %d: membership schedule divergence",
+				n.id(), start, n.epoch, want)
+		}
+		// The snapshot was taken before the round's redistribution, so a crash
+		// can land between the two. Re-send the snapshotted round's update:
+		// children already past it discard the duplicate as stale, children
+		// still waiting on it adopt it (directly or via the mid-collect
+		// fast-forward) and catch up.
+		if err := n.redistribute(start, true); err != nil {
 			return nil, fmt.Errorf("cluster: %s resume: %w", n.id(), err)
 		}
 	}
@@ -377,19 +395,25 @@ func (n *tierNode) run() (*fl.Result, error) {
 		if adopted > 0 {
 			// The parent completed round `adopted` while this node was still
 			// collecting: the adopted state supersedes this round's local
-			// aggregation, so rejoin at the adopted round.
+			// aggregation, so skip it (and the sync the parent already closed)
+			// and rejoin at the adopted round.
 			n.rec.fastforward(n.id(), k*tau, adopted)
 			k = adopted / tau
 		} else {
 			if err := n.update(reports, idx, k); err != nil {
 				return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
 			}
-			if n.lvl > 0 && k%n.ts.topo.SyncsPerParent(n.lvl) == 0 {
+			if n.lvl > 0 && k%n.ts.syncsPerParent(n.lvl) == 0 {
 				adopted, err := n.parentSync(k)
 				if err != nil {
 					return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
 				}
 				if r := adopted / tau; r > k {
+					// The parent moved on without this node (a lost update or
+					// report left it a sync behind); jump to the adopted round
+					// so the node rejoins the parent's cadence instead of
+					// trailing — and having every report rejected as stale —
+					// forever.
 					n.rec.fastforward(n.id(), k*tau, adopted)
 					k = r
 				}
@@ -407,17 +431,19 @@ func (n *tierNode) run() (*fl.Result, error) {
 				n.recordEval(k*tau, acc, n.weightedLoss, false)
 			}
 		}
-		// Settle lastY and snapshot BEFORE the redistribution, mirroring the
-		// 3-tier runtime: a resumed node re-sends the snapshotted round's
-		// update, so children can never be stranded waiting on one that died
-		// with this process.
+		// Settle the round's remaining state and snapshot it BEFORE the
+		// redistribution: a resumed node then re-sends the snapshotted round's
+		// update, so children can never be stranded waiting for an update that
+		// died with this process. (lastY only feeds the next round's velocity
+		// signal, so refreshing it ahead of the sends changes no message.)
 		if err := n.lastY.CopyFrom(n.yMinus); err != nil {
 			return nil, err
 		}
+		n.epoch = n.ts.epochAt(n.lvl, k)
 		if err := saveSnapshot(n.reg, k, n.opts.Telemetry, n.id()); err != nil {
 			return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
 		}
-		if err := n.redistribute(k); err != nil {
+		if err := n.redistribute(k, false); err != nil {
 			return nil, err
 		}
 	}
@@ -451,54 +477,44 @@ func (n *tierNode) recordEval(t int, acc, loss float64, final bool) {
 	}
 }
 
-// collect gathers the round-k child reports under the level's semantics. The
-// third/fourth results (report slots and sorted present indices) are only
-// used at the leaf-parent level; substitution levels adopt reports into
-// their standing lastYRep/lastXRep buffers instead. A positive first result
-// is the round of a parent update adopted mid-collect (the parent moved on
-// without this node); the caller fast-forwards to it.
+// collect gathers the round-k child reports, slotted by the sender's
+// position in the round's cohort so aggregation order (and hence
+// floating-point results) is deterministic regardless of arrival order.
+//
+// Strict mode (MinQuorum == 1) requires the full cohort within RecvTimeout.
+// Quorum mode grants stragglers a grace period measured from the moment the
+// quorum-th report arrives, then proceeds without them; below quorum it
+// keeps waiting until RecvTimeout before failing. (Anchoring the grace at
+// quorum attainment rather than collection start keeps the window from being
+// consumed by upstream tiers' own waits.) Under dynamic membership the
+// denominator is the round's live cohort. Duplicate reports and stale rounds
+// are rejected (and counted) in both modes. A report for a future round — a
+// child that rode out a lost update and ran ahead — is stashed for the round
+// it belongs to in quorum mode and is a protocol error in strict mode
+// (strict children never ride out).
+//
+// What a partial round means depends on the level. At the leaf-parent the
+// stragglers are forfeited: the results are the report slots and the sorted
+// positions of the children that reported. At every other level fresh
+// reports land in the standing lastYRep/lastXRep buffers and a missing
+// child's previous state is substituted for at most one consecutive round
+// before the run fails fast.
+//
+// In quorum mode a parent update for this round or later arriving
+// mid-collect means the parent already completed a sync without this node;
+// it is adopted on the spot and its round returned (first result) so the
+// caller fast-forwards instead of timing out on a round the protocol moved
+// past.
 func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
-	if n.lvl == n.ts.leafParent() {
-		return n.collectLeafReports(k)
-	}
-	adopted, err := n.collectSubstituted(k)
-	return adopted, nil, nil, err
-}
-
-// adoptParentUpdate handles a KindTierUpdate arriving while this node
-// collects child reports. An update for the current round or later means the
-// parent already completed a sync without this node: adopt it (tolerant mode
-// only) and return its round. Stale updates are counted and skipped.
-func (n *tierNode) adoptParentUpdate(msg transport.Message, want int) (int, error) {
-	if n.lvl > 0 && n.opts.tolerant() && msg.Round >= want && len(msg.Vectors) == 2 {
-		if err := n.yMinus.CopyFrom(msg.Vectors[0]); err != nil {
-			return 0, err
-		}
-		if err := n.xPlus.CopyFrom(msg.Vectors[1]); err != nil {
-			return 0, err
-		}
-		return msg.Round, nil
-	}
-	n.rec.stale(n.id())
-	return 0, nil
-}
-
-// collectLeafReports is the leaf-parent collection: the original edge
-// behavior. Strict mode requires the full cohort within RecvTimeout; quorum
-// mode grants stragglers StragglerDeadline of grace from quorum attainment,
-// then proceeds with the survivors. Duplicates and stale rounds are rejected
-// and counted; future-round reports (leaves that rode out a lost update) are
-// stashed in quorum mode.
-func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, error) {
-	numChildren := n.ts.fanout(n.lvl)
-	want := k * n.ts.tau(n.lvl)
-	quorum := numChildren
+	kids, _ := n.ts.children(n.lvl, n.idx, k)
+	want := k * n.tau()
+	quorum := len(kids)
 	if n.opts.tolerant() {
-		quorum = quorumCount(n.opts.MinQuorum, numChildren)
+		quorum = quorumCount(n.opts.MinQuorum, len(kids))
 	}
-	reports := make([]transport.Message, numChildren)
-	seen := make([]bool, numChildren)
+	reports := make([]transport.Message, len(kids))
 	got := 0
+	// Drain reports stashed by earlier rounds.
 	if len(n.pending) > 0 {
 		keep := n.pending[:0]
 		for _, msg := range n.pending {
@@ -508,7 +524,7 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 			case msg.Round < want:
 				n.rec.stale(n.id())
 			default:
-				ok, err := n.admitLeafReport(msg, reports, seen)
+				ok, err := n.admit(msg, kids, reports)
 				if err != nil {
 					return 0, nil, nil, err
 				}
@@ -521,14 +537,25 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 	}
 	deadline := n.opts.now().Add(n.opts.RecvTimeout)
 	if n.opts.tolerant() {
+		// A silent cohort may be riding out a lost update for up to a full
+		// RecvTimeout of its own; wait one straggler grace beyond that
+		// horizon so their recovery reports are not missed by a hair.
 		deadline = deadline.Add(n.opts.StragglerDeadline)
 	}
+	grace := n.opts.StragglerDeadline
+	if !n.leafParent() {
+		// Each child round between this node's syncs can burn a full
+		// straggler grace one tier down before the child reports, so the
+		// window budgets one grace period per intervening child round on top
+		// of this node's own.
+		grace *= time.Duration(n.tau()/n.ts.tau(n.lvl+1) + 1)
+	}
 	var stragglerBy time.Time
-	for got < numChildren {
+	for got < len(kids) {
 		var wait time.Duration
 		if got >= quorum {
 			if stragglerBy.IsZero() {
-				stragglerBy = n.opts.now().Add(n.opts.StragglerDeadline)
+				stragglerBy = n.opts.now().Add(grace)
 			}
 			wait = stragglerBy.Sub(n.opts.now())
 			if wait <= 0 {
@@ -538,21 +565,34 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 			wait = deadline.Sub(n.opts.now())
 			if wait <= 0 {
 				return 0, nil, nil, fmt.Errorf("%d/%d reports (quorum %d): %w",
-					got, numChildren, quorum, transport.ErrTimeout)
+					got, len(kids), quorum, transport.ErrTimeout)
 			}
 		}
 		msg, err := recvInterruptible(n.ep, wait, n.opts)
 		if err != nil {
 			if errors.Is(err, transport.ErrTimeout) {
-				continue
+				continue // the loop re-evaluates quorum and deadlines
 			}
 			return 0, nil, nil, err
 		}
-		if msg.Kind == KindTierUpdate {
-			adopted, err := n.adoptParentUpdate(msg, want)
-			if err != nil || adopted > 0 {
-				return adopted, nil, nil, err
+		if msg.Kind == KindReassign {
+			if err := n.checkReassign(msg); err != nil {
+				return 0, nil, nil, err
 			}
+			continue
+		}
+		if msg.Kind == KindTierUpdate {
+			if n.lvl > 0 && n.opts.tolerant() && msg.Round >= want && len(msg.Vectors) == 2 {
+				// The parent completed this round's sync (or a later one)
+				// without this node — its update supersedes anything the
+				// current collect could aggregate.
+				if err := n.yMinus.CopyFrom(msg.Vectors[0]); err != nil {
+					return 0, nil, nil, err
+				}
+				return msg.Round, nil, nil, n.xPlus.CopyFrom(msg.Vectors[1])
+			}
+			// A parent update from a sync this node already gave up on.
+			n.rec.stale(n.id())
 			continue
 		}
 		if err := expectKind(msg, KindTierReport); err != nil {
@@ -570,7 +610,7 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 			return 0, nil, nil, fmt.Errorf("cluster: report from %q for future round %d (want %d)",
 				msg.From, msg.Round, want)
 		}
-		ok, err := n.admitLeafReport(msg, reports, seen)
+		ok, err := n.admit(msg, kids, reports)
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -578,200 +618,102 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 			got++
 		}
 	}
-	idx := make([]int, 0, got)
-	for i, ok := range seen {
-		if ok {
-			idx = append(idx, i)
-		}
-	}
-	n.rec.missingTier(n.ts.topo.Levels[n.lvl].Name, n.lvl, want, numChildren-got, true)
-	return 0, reports, idx, nil
-}
-
-// admitLeafReport validates one current-round leaf report and slots it.
-func (n *tierNode) admitLeafReport(msg transport.Message, reports []transport.Message, seen []bool) (bool, error) {
-	i, err := n.childSlot(msg.From)
-	if err != nil {
-		return false, err
-	}
-	if len(msg.Vectors) != 4 {
-		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want 4",
-			msg.From, len(msg.Vectors))
-	}
-	if seen[i] {
-		n.rec.duplicate(n.id())
-		return false, nil
-	}
-	seen[i] = true
-	reports[i] = msg
-	n.lastLosses[i] = msg.Scalars[ScalarLoss]
-	return true, nil
-}
-
-// collectSubstituted is the collection at levels whose children are
-// aggregators: the original cloud behavior. Fresh reports land in the
-// standing lastYRep/lastXRep buffers; a missing child's previous state is
-// substituted for at most one consecutive round before the run fails fast.
-// The straggler window budgets one grace period per intervening child round
-// plus this node's own.
-func (n *tierNode) collectSubstituted(k int) (int, error) {
-	numChildren := n.ts.fanout(n.lvl)
-	want := k * n.ts.tau(n.lvl)
-	quorum := numChildren
-	if n.opts.tolerant() {
-		quorum = quorumCount(n.opts.MinQuorum, numChildren)
-	}
-	fresh := make([]bool, numChildren)
-	got := 0
-	if len(n.pending) > 0 {
-		keep := n.pending[:0]
-		for _, msg := range n.pending {
-			switch {
-			case msg.Round > want:
-				keep = append(keep, msg)
-			case msg.Round < want:
-				n.rec.stale(n.id())
-			default:
-				ok, err := n.admitSubReport(msg, fresh)
-				if err != nil {
-					return 0, err
-				}
-				if ok {
-					got++
-				}
+	name := n.ts.levels[n.lvl].Name
+	if n.leafParent() {
+		idx := make([]int, 0, got)
+		for pos := range reports {
+			if reports[pos].Vectors != nil {
+				idx = append(idx, pos)
 			}
 		}
-		n.pending = keep
+		n.rec.missingTier(name, n.lvl, want, len(kids)-got, true)
+		return 0, reports, idx, nil
 	}
-	deadline := n.opts.now().Add(n.opts.RecvTimeout)
-	if n.opts.tolerant() {
-		deadline = deadline.Add(n.opts.StragglerDeadline)
-	}
-	childRounds := n.ts.tau(n.lvl) / n.ts.tau(n.lvl+1)
-	var stragglerBy time.Time
-	for got < numChildren {
-		var wait time.Duration
-		if got >= quorum {
-			if stragglerBy.IsZero() {
-				stragglerBy = n.opts.now().Add(time.Duration(childRounds+1) * n.opts.StragglerDeadline)
+	for pos := range reports {
+		if msg := reports[pos]; msg.Vectors != nil {
+			// Copy into the standing buffers instead of rebinding the slots:
+			// the checkpoint registry captures them by reference, so the
+			// backing arrays registered at startup must keep holding the live
+			// state.
+			if err := n.lastYRep[pos].CopyFrom(msg.Vectors[0]); err != nil {
+				return 0, nil, nil, err
 			}
-			wait = stragglerBy.Sub(n.opts.now())
-			if wait <= 0 {
-				break
+			if err := n.lastXRep[pos].CopyFrom(msg.Vectors[1]); err != nil {
+				return 0, nil, nil, err
 			}
-		} else {
-			wait = deadline.Sub(n.opts.now())
-			if wait <= 0 {
-				return 0, fmt.Errorf("%d/%d child reports (quorum %d): %w",
-					got, numChildren, quorum, transport.ErrTimeout)
-			}
-		}
-		msg, err := recvInterruptible(n.ep, wait, n.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
-			return 0, err
-		}
-		if msg.Kind == KindTierUpdate {
-			adopted, err := n.adoptParentUpdate(msg, want)
-			if err != nil || adopted > 0 {
-				return adopted, err
-			}
+			n.missStreak[pos] = 0
 			continue
 		}
-		if err := expectKind(msg, KindTierReport); err != nil {
-			return 0, err
+		n.missStreak[pos]++
+		if n.missStreak[pos] > 1 {
+			return 0, nil, nil, fmt.Errorf("cluster: child %s missed %d consecutive rounds of %s: quorum unreachable: %w",
+				n.ts.ids[n.lvl+1][kids[pos]], n.missStreak[pos], n.id(), transport.ErrTimeout)
 		}
-		if msg.Round < want {
+	}
+	n.rec.missingTier(name, n.lvl, want, len(kids)-got, false)
+	return 0, nil, nil, nil
+}
+
+// admit validates one current-round report and slots it into reports;
+// shared by live receives and the ride-ahead stash. It returns whether the
+// report counted as a new distinct reporter.
+func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.Message) (bool, error) {
+	from, ok := n.ts.index[msg.From]
+	if !ok || from.lvl != n.lvl+1 {
+		return false, fmt.Errorf("cluster: %s got a report from %q, not a level-%d node", n.id(), msg.From, n.lvl+1)
+	}
+	pos, ok := position(kids, from.idx)
+	if !ok {
+		if n.churning() {
+			// A worker not in this round's cohort (e.g. a just-reassigned
+			// worker's report that crossed the boundary) has nothing to
+			// contribute here.
 			n.rec.stale(n.id())
-			continue
+			return false, nil
 		}
-		if msg.Round > want {
-			if n.opts.tolerant() {
-				n.pending = append(n.pending, msg)
-				continue
-			}
-			return 0, fmt.Errorf("cluster: report from %q for future round %d (want %d)",
-				msg.From, msg.Round, want)
-		}
-		ok, err := n.admitSubReport(msg, fresh)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			got++
-		}
+		return false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
 	}
-	missing := 0
-	for c, ok := range fresh {
-		if ok {
-			n.missStreak[c] = 0
-			continue
-		}
-		missing++
-		n.missStreak[c]++
-		if n.missStreak[c] > 1 {
-			return 0, fmt.Errorf("cluster: child %s missed %d consecutive rounds of %s: quorum unreachable: %w",
-				n.ts.childID(n.lvl, n.idx, c), n.missStreak[c], n.id(), transport.ErrTimeout)
-		}
+	if len(msg.Vectors) != n.nvPerReport() {
+		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d",
+			msg.From, len(msg.Vectors), n.nvPerReport())
 	}
-	n.rec.missingTier(n.ts.topo.Levels[n.lvl].Name, n.lvl, want, missing, false)
-	return 0, nil
-}
-
-// admitSubReport validates one current-round aggregator report and adopts
-// its state into the standing buffers (they are checkpoint-registered by
-// reference, so the backing arrays must keep holding the live state).
-func (n *tierNode) admitSubReport(msg transport.Message, fresh []bool) (bool, error) {
-	c, err := n.childSlot(msg.From)
-	if err != nil {
-		return false, err
-	}
-	if len(msg.Vectors) != 2 {
-		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want 2",
-			msg.From, len(msg.Vectors))
-	}
-	if fresh[c] {
+	if reports[pos].Vectors != nil {
+		// A duplicate must not overwrite the slot twice while inflating the
+		// reporter count: reject it and keep counting distinct reporters only.
 		n.rec.duplicate(n.id())
 		return false, nil
 	}
-	fresh[c] = true
-	if err := n.lastYRep[c].CopyFrom(msg.Vectors[0]); err != nil {
-		return false, err
-	}
-	if err := n.lastXRep[c].CopyFrom(msg.Vectors[1]); err != nil {
-		return false, err
-	}
-	n.lastLosses[c] = msg.Scalars[ScalarLoss]
+	reports[pos] = msg
+	n.losses[from.idx] = msg.Scalars[ScalarLoss]
 	return true, nil
 }
 
 // update executes the level's aggregation for round k: the Algorithm 1
-// line 10–13 update at momentum levels (with optional γℓ adaptation at the
-// leaf-parent), or the plain line 18–19 average at non-momentum levels —
-// each the exact arithmetic of the original role it generalizes.
+// line 10–13 update at momentum levels (with γℓ adaptation and migration at
+// the leaf-parent), or the plain line 18–19 average at non-momentum levels.
+// At the leaf-parent it reduces the reports of the children in idx (the full
+// cohort in fault-free rounds); with survivors missing, the data weights are
+// renormalized over idx in exactly the order and arithmetic of the
+// simulation's partial-participation path.
 func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	sink := n.opts.Telemetry
 	var aggStart time.Time
 	if sink != nil {
 		aggStart = time.Now()
 	}
-	full := n.ts.weights[n.lvl][n.idx]
-	leafP := n.lvl == n.ts.leafParent()
-	var (
-		weights         []float64
-		ys, xs          []tensor.Vector
-		gradSums, ySums []tensor.Vector
-		participants    int
-	)
+	kids, full := n.ts.children(n.lvl, n.idx, k)
+	leafP := n.leafParent()
+	t := k * n.tau()
+	weights := full
+	ys, xs := n.lastYRep, n.lastXRep
+	var gradSums, ySums []tensor.Vector
 	if leafP {
 		weights = make([]float64, len(idx))
 		for j, i := range idx {
 			weights[j] = full[i]
 		}
-		// Renormalize only under a partial cohort: at full strength the
-		// data weights are used verbatim, bit-identical to the simulation.
+		// Renormalize only under a partial cohort: at full strength the data
+		// weights are used verbatim, bit-identical to the simulation.
 		if len(idx) < len(full) {
 			var wsum float64
 			for _, w := range weights {
@@ -787,16 +729,8 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		ySums = make([]tensor.Vector, len(idx))
 		for j, i := range idx {
 			msg := reports[i]
-			ys[j] = msg.Vectors[0]
-			xs[j] = msg.Vectors[1]
-			gradSums[j] = msg.Vectors[2]
-			ySums[j] = msg.Vectors[3]
+			ys[j], xs[j], gradSums[j], ySums[j] = msg.Vectors[0], msg.Vectors[1], msg.Vectors[2], msg.Vectors[3]
 		}
-		participants = len(idx)
-	} else {
-		weights = full
-		ys, xs = n.lastYRep, n.lastXRep
-		participants = len(full)
 	}
 
 	gamma := n.ts.gamma[n.lvl]
@@ -817,7 +751,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 			// simulation's gauge (see internal/core).
 			for j := range ySums {
 				centered := ySums[j].Clone()
-				if err := centered.AXPY(-float64(n.ts.tau(n.lvl)), n.x0); err != nil {
+				if err := centered.AXPY(-float64(n.tau()), n.x0); err != nil {
 					return err
 				}
 				signals[j] = centered
@@ -834,9 +768,30 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		}
 		sink.M().EdgeCosine.Set(cos)
 	}
+	// γℓ migration: on the first aggregation after this node's cohort changed
+	// (join, leave, or re-tiering), the momentum factor carried from the old
+	// cohort is migrated per the configured policy. Zeroing — the default —
+	// mirrors the paper's obtuse-angle reset: with γℓ = 0 line 13 collapses
+	// to the plain average, refreshing the momentum base.
+	if n.churning() {
+		if frac, changed := n.ts.sched.Overlap(k, n.idx); changed {
+			switch n.ts.policy {
+			case membership.MigrateZero:
+				gamma = 0
+			case membership.MigrateRescale:
+				gamma *= frac
+			}
+			n.rec.migrated(n.id(), t, n.ts.policy.String(), gamma)
+		}
+	}
 	if n.lvl == 0 {
 		sink.M().CloudSyncs.Inc()
-		sink.M().Round.Set(float64(k * n.ts.tau(0)))
+		sink.M().Round.Set(float64(t))
+		if sched := n.ts.sched; sched != nil {
+			r := t / n.ts.tau(n.ts.leafParent())
+			sink.M().MembershipEpoch.Set(float64(sched.EpochIndex(r)))
+			sink.M().LiveWorkers.Set(float64(sched.LiveCount(r)))
+		}
 	} else {
 		sink.M().EdgeAggregations.Inc()
 	}
@@ -845,11 +800,11 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	}
 	if sink.Tracing() {
 		fields := []telemetry.Field{
-			telemetry.Int("t", k*n.ts.tau(n.lvl)),
+			telemetry.Int("t", t),
 			telemetry.Int("tier", n.lvl),
-			telemetry.String("level", n.ts.topo.Levels[n.lvl].Name),
+			telemetry.String("level", n.ts.levels[n.lvl].Name),
 			telemetry.String("node", n.id()),
-			telemetry.Int("participants", participants),
+			telemetry.Int("participants", len(weights)),
 			telemetry.Float("gamma", gamma),
 		}
 		if adaptive {
@@ -859,10 +814,10 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	}
 
 	if n.agg == nil {
-		if err := tensor.WeightedSum(n.yMinus, weights, ys); err != nil {
+		if err := tensor.WeightedSum(n.yMinus, weights, ys); err != nil { // line 11 / 18
 			return err
 		}
-		if err := tensor.WeightedSum(n.yPlusNext, weights, xs); err != nil {
+		if err := tensor.WeightedSum(n.yPlusNext, weights, xs); err != nil { // line 12 / 19
 			return err
 		}
 	} else {
@@ -892,21 +847,19 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 				n.id(), n.agg.Name(), k, err)
 		}
 		if len(st.Rejected) > 0 || len(st.Clipped) > 0 {
+			// Map the aggregation's reporter slots back to node IDs.
 			ids := make([]string, len(ys))
-			if leafP {
-				for j, i := range idx {
-					ids[j] = n.ts.childID(n.lvl, n.idx, i)
+			for j := range ids {
+				pos := j
+				if leafP {
+					pos = idx[j]
 				}
-			} else {
-				for c := range ids {
-					ids[c] = n.ts.childID(n.lvl, n.idx, c)
-				}
+				ids[j] = n.ts.ids[n.lvl+1][kids[pos]]
 			}
-			n.rec.robustTier(n.id(), n.ts.topo.Levels[n.lvl].Name, n.lvl,
-				k*n.ts.tau(n.lvl), st, ids)
+			n.rec.robustTier(n.id(), n.ts.levels[n.lvl].Name, n.lvl, t, st, ids)
 		}
 	}
-	if err := n.xPlus.CopyFrom(n.yPlusNext); err != nil {
+	if err := n.xPlus.CopyFrom(n.yPlusNext); err != nil { // line 13
 		return err
 	}
 	if n.ts.momentum[n.lvl] {
@@ -921,10 +874,10 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		return err
 	}
 	// The weighted loss over the full child weights: stragglers contribute
-	// their most recently reported value, exactly like the original tiers.
+	// their most recently reported value.
 	n.weightedLoss = 0
-	for c, loss := range n.lastLosses {
-		n.weightedLoss += full[c] * loss
+	for pos, c := range kids {
+		n.weightedLoss += full[pos] * n.losses[c]
 	}
 	if sink != nil {
 		if n.lvl == 0 {
@@ -937,18 +890,21 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 }
 
 // parentSync reports [y_ℓ−, x_ℓ+] and the level's weighted loss to the
-// parent at a boundary round, then adopts the parent's update. In quorum
-// mode a lost update is ridden out, or — if a later round's update arrives —
-// adopted from there; the returned round lets the caller fast-forward.
+// parent at a boundary round, then adopts the parent's update (lines 17–23,
+// child side). In quorum mode a lost update is ridden out — the node keeps
+// its own state for this sync — or, if a later sync's update arrives
+// meanwhile, adopted from there. It returns the round of the update actually
+// adopted (0 on a ride-out) so the caller can fast-forward past syncs the
+// parent already completed.
 func (n *tierNode) parentSync(k int) (int, error) {
-	want := k * n.ts.tau(n.lvl)
+	want := k * n.tau()
 	report := transport.Message{
 		Kind:    KindTierReport,
 		Round:   want,
 		Vectors: [][]float64{n.yMinus, n.xPlus},
 		Scalars: map[string]float64{ScalarLoss: n.weightedLoss},
 	}
-	parent := n.ts.parentID(n.lvl, n.idx)
+	parent := n.ts.ids[n.lvl-1][n.ts.parent[n.lvl][n.idx]]
 	if err := n.ep.Send(parent, report); err != nil {
 		return 0, err
 	}
@@ -972,10 +928,18 @@ func (n *tierNode) parentSync(k int) (int, error) {
 			}
 			return 0, err
 		}
-		// Straggler reports from the round this node already closed can
-		// still trickle in while it waits on its parent.
-		if msg.Kind == KindTierReport {
+		switch msg.Kind {
+		case KindTierReport:
+			// Straggler reports from the round this node already closed can
+			// still trickle in while it waits on its parent.
 			n.rec.stale(n.id())
+			continue
+		case KindReassign:
+			// A REASSIGN from an earlier sync can arrive out of order on a
+			// delaying transport; it is validation-only, so handle it here too.
+			if err := n.checkReassign(msg); err != nil {
+				return 0, err
+			}
 			continue
 		}
 		if err := expectKind(msg, KindTierUpdate); err != nil {
@@ -995,224 +959,12 @@ func (n *tierNode) parentSync(k int) (int, error) {
 	}
 }
 
-// treeLeaf is one training leaf of an N-tier run: the exact worker NAG of
-// the 3-tier runtime (Algorithm 1 lines 5–6), reporting its interval state
-// to its parent every leaf-parent period.
-type treeLeaf struct {
-	cfg     *fl.Config
-	ts      *treeSpec
-	j       int // global leaf index
-	shard   *dataset.Dataset
-	ep      transport.Endpoint
-	opts    Options
-	rec     *faultRecorder
-	reg     *checkpoint.Registry
-	sampler *rng.RNG
-	att     *robust.Attacker
-
-	x, y          tensor.Vector
-	gradSum, ySum tensor.Vector
-	grad          tensor.Vector //flvet:allow ckptstate -- per-step scratch, overwritten by LossGrad before use
-	// yPrev is per-iteration scratch for the NAG extrapolation,
-	// preallocated so step never clones a model-sized vector.
-	yPrev         tensor.Vector //flvet:allow ckptstate -- per-step scratch, refilled from y before use
-	lastLoss      float64
-	syncedThrough int
-}
-
-func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *treeLeaf {
-	return &treeLeaf{
-		cfg:     cfg,
-		ts:      ts,
-		j:       j,
-		shard:   ts.shards[j],
-		ep:      ep,
-		opts:    opts,
-		sampler: ts.leafSampler(j),
-		att:     opts.attackerFor(ts.topo.NodeID(ts.depth()-1, j), 4, len(x0)),
-		x:       x0.Clone(),
-		y:       x0.Clone(),
-		gradSum: tensor.NewVector(len(x0)),
-		ySum:    tensor.NewVector(len(x0)),
-		grad:    tensor.NewVector(len(x0)),
-		yPrev:   tensor.NewVector(len(x0)),
-	}
-}
-
-func (w *treeLeaf) id() string { return w.ts.topo.NodeID(w.ts.depth()-1, w.j) }
-
-func (w *treeLeaf) initCheckpoint() (int, error) {
-	reg, err := nodeRegistry(w.cfg, w.opts, w.id())
-	if err != nil || reg == nil {
-		return 0, err
-	}
-	reg.Vector("x", w.x)
-	reg.Vector("y", w.y)
-	reg.Vector("gradSum", w.gradSum)
-	reg.Vector("ySum", w.ySum)
-	reg.RNG("sampler", w.sampler)
-	reg.Float("lastLoss", &w.lastLoss)
-	reg.Int("syncedThrough", &w.syncedThrough)
-	if w.att != nil {
-		for ci, v := range w.att.PrevVectors() {
-			reg.Vector(fmt.Sprintf("attackPrev%d", ci), v)
-		}
-		reg.Int("attackPrevRound", w.att.PrevRoundPtr())
-	}
-	w.reg = reg
-	return restoreOrClear(reg, w.opts.Resume, w.opts.Telemetry, w.id())
-}
-
-func (w *treeLeaf) run() error {
-	start, err := w.initCheckpoint()
-	if err != nil {
-		return fmt.Errorf("cluster: %s: %w", w.id(), err)
-	}
-	bTau := w.ts.tau(w.ts.leafParent())
-	parent := w.ts.parentID(w.ts.depth()-1, w.j)
-	for t := start + 1; t <= w.cfg.T; t++ {
-		if interrupted(w.opts.Interrupt) {
-			if err := saveSnapshot(w.reg, t-1, w.opts.Telemetry, w.id()); err != nil {
-				return fmt.Errorf("cluster: %s: %w", w.id(), err)
-			}
-			return fmt.Errorf("cluster: %s: %w", w.id(), ErrInterrupted)
-		}
-		if err := w.step(); err != nil {
-			return fmt.Errorf("cluster: %s t=%d: %w", w.id(), t, err)
-		}
-		if t%bTau != 0 {
-			continue
-		}
-		if t <= w.syncedThrough {
-			// The last adopted update already covers this round; the parent
-			// would reject a report for it as stale.
-			if err := saveSnapshot(w.reg, t, w.opts.Telemetry, w.id()); err != nil {
-				return fmt.Errorf("cluster: %s: %w", w.id(), err)
-			}
-			continue
-		}
-		vecs := [][]float64{w.y, w.x, w.gradSum, w.ySum}
-		if w.att != nil {
-			// Byzantine boundary: the attack mutates only what goes on the
-			// wire — local training state stays honest (DESIGN.md §14).
-			mut, kind, hit, err := w.att.Apply(t/bTau, []tensor.Vector{w.y, w.x, w.gradSum, w.ySum})
-			if err != nil {
-				return fmt.Errorf("cluster: %s attack: %w", w.id(), err)
-			}
-			if hit {
-				w.rec.injected(w.id(), t, kind)
-				vecs = [][]float64{mut[0], mut[1], mut[2], mut[3]}
-			}
-		}
-		report := transport.Message{
-			Kind:    KindTierReport,
-			Round:   t,
-			Vectors: vecs,
-			Scalars: map[string]float64{ScalarLoss: w.lastLoss},
-		}
-		if err := w.ep.Send(parent, report); err != nil {
-			return fmt.Errorf("cluster: %s report: %w", w.id(), err)
-		}
-		if err := w.awaitUpdate(t); err != nil {
-			return err
-		}
-		// Snapshot after the boundary settles; an interrupt inside
-		// awaitUpdate deliberately skips this save so the resumed leaf
-		// replays the interval and re-sends the report, bit-identical to an
-		// uninterrupted run.
-		if err := saveSnapshot(w.reg, t, w.opts.Telemetry, w.id()); err != nil {
-			return fmt.Errorf("cluster: %s: %w", w.id(), err)
+// refIn reports whether ref appears in refs (cohorts are tiny, linear scan).
+func refIn(refs []membership.Ref, ref membership.Ref) bool {
+	for _, r := range refs {
+		if r == ref {
+			return true
 		}
 	}
-	return nil
-}
-
-// awaitUpdate blocks for the parent's redistributed [y, x] after the report
-// at iteration t; the semantics mirror the 3-tier worker exactly (stale
-// skipped, later rounds fast-forwarded to, timeouts ridden out in quorum
-// mode).
-func (w *treeLeaf) awaitUpdate(t int) error {
-	deadline := w.opts.now().Add(w.opts.RecvTimeout)
-	for {
-		wait := deadline.Sub(w.opts.now())
-		if wait <= 0 {
-			if w.opts.tolerant() {
-				w.rec.timeout(w.id())
-				return nil
-			}
-			return fmt.Errorf("cluster: %s await update: %w", w.id(), transport.ErrTimeout)
-		}
-		msg, err := recvInterruptible(w.ep, wait, w.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
-			return fmt.Errorf("cluster: %s await update: %w", w.id(), err)
-		}
-		if err := expectKind(msg, KindTierUpdate); err != nil {
-			return err
-		}
-		if msg.Round < t {
-			w.rec.stale(w.id())
-			continue
-		}
-		if len(msg.Vectors) != 2 {
-			return fmt.Errorf("cluster: %s update carries %d vectors, want 2",
-				w.id(), len(msg.Vectors))
-		}
-		if err := w.y.CopyFrom(msg.Vectors[0]); err != nil {
-			return err
-		}
-		if err := w.x.CopyFrom(msg.Vectors[1]); err != nil {
-			return err
-		}
-		w.gradSum.Zero()
-		w.ySum.Zero()
-		if msg.Round > t {
-			w.rec.fastforward(w.id(), t, msg.Round)
-		}
-		w.syncedThrough = msg.Round
-		return nil
-	}
-}
-
-// step performs one NAG iteration — operation for operation the 3-tier
-// worker's (and hence the simulation's) arithmetic.
-func (w *treeLeaf) step() error {
-	batch, err := w.shard.Batch(w.sampler, w.cfg.BatchSize)
-	if err != nil {
-		return err
-	}
-	//flvet:allow allocfree -- workspace pool miss only; steady-state gradient calls reuse pooled buffers
-	loss, err := w.cfg.Model.LossGrad(w.x, batch, w.grad)
-	if err != nil {
-		return err
-	}
-	w.lastLoss = loss
-	if err := w.gradSum.Add(w.grad); err != nil {
-		return err
-	}
-	if err := w.yPrev.CopyFrom(w.y); err != nil {
-		return err
-	}
-	if err := w.y.CopyFrom(w.x); err != nil {
-		return err
-	}
-	if err := w.y.AXPY(-w.cfg.Eta, w.grad); err != nil {
-		return err
-	}
-	if err := w.ySum.Add(w.y); err != nil {
-		return err
-	}
-	if err := w.x.CopyFrom(w.y); err != nil {
-		return err
-	}
-	if err := w.x.AXPY(w.cfg.Gamma, w.y); err != nil {
-		return err
-	}
-	if err := w.x.AXPY(-w.cfg.Gamma, w.yPrev); err != nil {
-		return err
-	}
-	w.opts.Telemetry.M().WorkerSteps.Inc()
-	return nil
+	return false
 }

@@ -1,7 +1,7 @@
 // Package robust implements the Byzantine fault layer: seeded,
 // replayable adversarial attacks injected at the worker-report boundary,
 // and robust aggregation rules pluggable at the edge and cloud tiers
-// (DESIGN.md §14).
+// (DESIGN.md §7.5).
 //
 // The determinism contract matches the rest of the runtime: every attack
 // draw is a pure function of (plan seed, node ID, edge round), so a
