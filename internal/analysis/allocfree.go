@@ -251,7 +251,7 @@ func (p *Program) witnessChain(fi *FuncInfo, res *allocResult, depth int) string
 
 // shortFuncName strips import-path directories from a FullName, keeping
 // messages compact and machine-independent:
-// "(*hieradmo/internal/core.workerState).step" → "(*core.workerState).step".
+// "(*hieradmo/internal/core.Leaf).Step" → "(*core.Leaf).Step".
 func shortFuncName(full string) string {
 	out := make([]byte, 0, len(full))
 	start := 0

@@ -258,6 +258,12 @@ func (c *coverWalker) selector(fi *FuncInfo, sel *ast.SelectorExpr, depth int) {
 	switch s.Kind() {
 	case types.FieldVal:
 		if owner, field, ok := fieldKeys(fi.Pkg, sel); ok {
+			if depth > 0 && constructs(fi, owner) {
+				// An expanded constructor initializing its own struct is
+				// not registering it: a local chased back to
+				// `t := NewT(...)` must not cover every field NewT sets.
+				return
+			}
 			c.res.covered[field] = true
 			// Only a field named in the registration call itself makes its
 			// owner a checkpoint-registered struct. Selections inside

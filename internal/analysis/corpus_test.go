@@ -285,9 +285,9 @@ func TestDefaultPolicyTable(t *testing.T) {
 		t.Errorf("CkptRegistries = %v", pol.CkptRegistries)
 	}
 	wantHot := []string{
-		"(*hieradmo/internal/core.workerState).step",
-		"(*hieradmo/internal/core.HierAdMo).edgeUpdate",
-		"(*hieradmo/internal/cluster.treeLeaf).step",
+		"(*hieradmo/internal/core.Leaf).Step",
+		"(*hieradmo/internal/core.Tier).Update",
+		"(*hieradmo/internal/fl.GradOracle).Grad",
 		"hieradmo/internal/tensor.GEMMBias",
 		"hieradmo/internal/tensor.GEMMAddTransB",
 		"(*hieradmo/internal/nn.Conv2D).Forward",

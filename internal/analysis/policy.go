@@ -82,10 +82,10 @@ func only(paths ...string) func(string) bool {
 //     internal/checkpoint.Registry (directly or through fl.Checkpointer)
 //     must register every mutable stateful field;
 //   - allocfree runs everywhere; what it checks is pinned by the root
-//     table below — the per-round worker steps and edge/tier update math
-//     in internal/core and internal/cluster, the GEMM/conv kernels in
-//     internal/tensor and internal/nn, and every robust.Aggregator
-//     implementation. The kernel packages carry no exemptions
+//     table below — the Algorithm 1 kernel in internal/core (leaf step,
+//     tier update) and the shared gradient step in internal/fl, the
+//     GEMM/conv kernels in internal/tensor and internal/nn, and every
+//     robust.Aggregator implementation. The kernel packages carry no exemptions
 //     (enforcement pinned in TestDefaultPolicyTable);
 //   - wirealloc runs on the packages that decode wire or snapshot bytes;
 //   - nilsink runs on internal/telemetry, over the instrument and sink
@@ -119,12 +119,13 @@ func DefaultPolicy(modulePath string) Policy {
 		NilGuardTypes:  []string{"Counter", "Gauge", "Histogram", "Sink", "Tracer"},
 		CkptRegistries: []string{in("internal/checkpoint") + ".Registry"},
 		HotFuncs: []string{
-			// The per-round worker step and edge update: the simulation's
-			// steady-state inner loops (slab arenas, PR 7).
-			"(*" + in("internal/core") + ".workerState).step",
-			"(*" + in("internal/core") + ".HierAdMo).edgeUpdate",
-			// The distributed runtime's equivalent.
-			"(*" + in("internal/cluster") + ".treeLeaf).step",
+			// The Algorithm 1 kernel — the per-iteration leaf step and the
+			// per-round tier update — and the gradient step feeding it: the
+			// steady-state inner loops of the simulation and the cluster
+			// runtime alike.
+			"(*" + in("internal/core") + ".Leaf).Step",
+			"(*" + in("internal/core") + ".Tier).Update",
+			"(*" + in("internal/fl") + ".GradOracle).Grad",
 			// The GEMM kernels every dense/conv layer reduces to.
 			in("internal/tensor") + ".GEMMBias",
 			in("internal/tensor") + ".GEMMAddTransB",

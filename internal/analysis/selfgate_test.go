@@ -51,8 +51,19 @@ func TestModuleSelfGate(t *testing.T) {
 	if len(ckpt.fwd) == 0 {
 		t.Error("ckptstate found no forwarders; fl.Checkpointer should forward to the registry")
 	}
-	if !ckpt.cand["hieradmo/internal/core.workerState"] {
-		t.Error("ckptstate did not see core.workerState as checkpoint-registered")
+	// The kernel's state structs are registered by both drivers — the
+	// simulation's checkpointer and the cluster nodes' registries — and each
+	// cluster node also registers fields of its own.
+	for _, owner := range []string{
+		"hieradmo/internal/core.Leaf",
+		"hieradmo/internal/core.Tier",
+		"hieradmo/internal/cluster.treeLeaf",
+		"hieradmo/internal/cluster.tierNode",
+		"hieradmo/internal/fl.GradOracle",
+	} {
+		if !ckpt.cand[owner] {
+			t.Errorf("ckptstate did not see %s as checkpoint-registered", owner)
+		}
 	}
 	alloc := prog.allocFacts(pol)
 	if got, want := len(alloc.roots), len(pol.HotFuncs)+1; got < want {

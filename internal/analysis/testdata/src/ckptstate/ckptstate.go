@@ -129,3 +129,23 @@ type plain struct {
 }
 
 func (p *plain) bump() { p.hit++; p.buf[0] = 1 }
+
+// built is registered by a driver that holds it in a local: chasing the
+// local back to `b := newBuilt(n)` expands the constructor, whose own
+// initialization of tmp must not count as registering it.
+type built struct {
+	x   []float64
+	tmp []float64 // want "struct ckptstate.built registers checkpoint state but vector-state field .tmp. is never registered"
+}
+
+func newBuilt(n int) *built {
+	b := &built{x: make([]float64, n)}
+	b.tmp = make([]float64, n)
+	return b
+}
+
+func driveBuilt(reg *Registry) {
+	b := newBuilt(4)
+	reg.Vector("x", b.x)
+	copy(b.tmp, b.x)
+}

@@ -10,6 +10,7 @@ import (
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
+	"hieradmo/internal/telemetry"
 	"hieradmo/internal/transport"
 )
 
@@ -70,44 +71,70 @@ func TestExpectKind(t *testing.T) {
 }
 
 // TestClusterMatchesSimulation is the load-bearing distributed-correctness
-// test: a cluster run over the in-memory transport must produce exactly the
-// same final model quality as the in-process reference simulation, because
-// both perform identical floating-point operations in identical order.
+// test: a cluster run must produce exactly the same final model quality as
+// the in-process reference simulation, because both drive the same update
+// kernel and gradient step with identical inputs in identical order. The
+// clip case pins that cfg.ClipNorm reaches the leaves: before the shared
+// gradient step the cluster trained unclipped (0.9875 / 0.1479 against the
+// simulation's 0.925 / 0.6872 on this config).
 func TestClusterMatchesSimulation(t *testing.T) {
-	for _, adaptive := range []bool{true, false} {
-		name := "adaptive"
-		if !adaptive {
-			name = "reduced"
+	cases := []struct {
+		name     string
+		adaptive bool
+		clip     float64
+	}{
+		{name: "adaptive", adaptive: true},
+		{name: "reduced"},
+		{name: "clip", adaptive: true, clip: 0.05},
+	}
+	nets := []struct {
+		name string
+		new  func() Network
+	}{
+		{"memory", func() Network { return transport.NewMemoryNetwork() }},
+		{"tcp", func() Network { return transport.NewTCPNetwork() }},
+	}
+	for _, tc := range cases {
+		for _, nw := range nets {
+			if nw.name == "tcp" && tc.clip == 0 {
+				continue // TCP ≡ memory is TestClusterOverTCPMatchesMemory's job
+			}
+			t.Run(tc.name+"/"+nw.name, func(t *testing.T) {
+				cfg := buildConfig(t, 31, 2)
+				cfg.ClipNorm = tc.clip
+				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
+				alg := core.NewReduced()
+				if tc.adaptive {
+					alg = core.New()
+				}
+				ref, err := alg.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refClips := cfg.Telemetry.M().GradClips.Value()
+
+				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
+				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.FinalAcc != ref.FinalAcc {
+					t.Errorf("cluster FinalAcc %v != simulation %v (models must be bit-identical)",
+						res.FinalAcc, ref.FinalAcc)
+				}
+				// The loss reduction tree differs (the cloud sums edge-weighted
+				// partial sums, the simulation sums a flat weighted series), so
+				// the losses agree only to rounding.
+				if math.Abs(res.FinalLoss-ref.FinalLoss) > 1e-12*(1+math.Abs(ref.FinalLoss)) {
+					t.Errorf("cluster FinalLoss %v != simulation %v", res.FinalLoss, ref.FinalLoss)
+				}
+				clips := cfg.Telemetry.M().GradClips.Value()
+				if clips != refClips || (tc.clip > 0) != (clips > 0) {
+					t.Errorf("fl_grad_clips_total = %d from the leaves, %d in the simulation (ClipNorm %v)",
+						clips, refClips, tc.clip)
+				}
+			})
 		}
-		t.Run(name, func(t *testing.T) {
-			cfg := buildConfig(t, 31, 2)
-
-			var ref *fl.Result
-			var err error
-			if adaptive {
-				ref, err = core.New().Run(cfg)
-			} else {
-				ref, err = core.NewReduced().Run(cfg)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			res, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: adaptive})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.FinalAcc != ref.FinalAcc {
-				t.Errorf("cluster FinalAcc %v != simulation %v (models must be bit-identical)",
-					res.FinalAcc, ref.FinalAcc)
-			}
-			// The loss reduction tree differs (the cloud sums edge-weighted
-			// partial sums, the simulation sums a flat weighted series), so
-			// the losses agree only to rounding.
-			if math.Abs(res.FinalLoss-ref.FinalLoss) > 1e-12*(1+math.Abs(ref.FinalLoss)) {
-				t.Errorf("cluster FinalLoss %v != simulation %v", res.FinalLoss, ref.FinalLoss)
-			}
-		})
 	}
 }
 

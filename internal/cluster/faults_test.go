@@ -458,9 +458,9 @@ func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 	if adopted != want {
 		t.Fatalf("adopted = %d, want %d", adopted, want)
 	}
-	if e.yMinus[0] != y[0] || e.xPlus[0] != x[0] {
+	if e.tier.YMinus[0] != y[0] || e.tier.XPlus[0] != x[0] {
 		t.Errorf("edge state not adopted from the cloud update: y[0]=%v x[0]=%v",
-			e.yMinus[0], e.xPlus[0])
+			e.tier.YMinus[0], e.tier.XPlus[0])
 	}
 
 	// Strict mode must keep discarding out-of-band cloud updates as stale:

@@ -5,9 +5,8 @@ import (
 	"fmt"
 
 	"hieradmo/internal/checkpoint"
-	"hieradmo/internal/dataset"
+	"hieradmo/internal/core"
 	"hieradmo/internal/fl"
-	"hieradmo/internal/rng"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/tensor"
 	"hieradmo/internal/transport"
@@ -15,33 +14,29 @@ import (
 
 // treeLeaf is one training leaf: it runs the NAG iterations of Algorithm 1
 // lines 5–6 on its own shard and reports its interval state to its parent
-// every leaf-parent period. It performs exactly the same floating-point
-// operations, in the same order, as the in-process simulation.
+// every leaf-parent period. The arithmetic is the simulation's — the same
+// fl.GradOracle and core.Leaf — so the two cannot drift apart.
 //
 // In quorum mode a leaf whose redistributed update never arrives keeps
 // training on its local state and rejoins at a later aggregation — the
 // distributed counterpart of a non-participant in the simulation's
 // partial-participation path.
 type treeLeaf struct {
-	cfg     *fl.Config
-	ts      *treeSpec
-	j       int // index within the leaf level
-	shard   *dataset.Dataset
-	ep      transport.Endpoint
-	opts    Options
-	rec     *faultRecorder
-	reg     *checkpoint.Registry
-	sampler *rng.RNG
+	cfg  *fl.Config
+	ts   *treeSpec
+	j    int // index within the leaf level
+	ep   transport.Endpoint
+	opts Options
+	rec  *faultRecorder
+	reg  *checkpoint.Registry
 	// att mutates this leaf's boundary reports when the run's attack plan
 	// marks it Byzantine; nil for honest leaves.
 	att *robust.Attacker
 
-	x, y          tensor.Vector
-	gradSum, ySum tensor.Vector
-	grad          tensor.Vector //flvet:allow ckptstate -- per-step scratch, overwritten by LossGrad before use
-	// yPrev is per-iteration scratch for the NAG extrapolation,
-	// preallocated so step never clones a model-sized vector.
-	yPrev    tensor.Vector //flvet:allow ckptstate -- per-step scratch, refilled from y before use
+	// oracle draws the leaf's mini-batch gradients and state holds its
+	// Algorithm 1 vectors.
+	oracle   fl.GradOracle
+	state    *core.Leaf
 	lastLoss float64
 	// syncedThrough is the round of the last adopted update. When an update
 	// arrives for a round ahead of this leaf's own iteration count (the
@@ -53,20 +48,14 @@ type treeLeaf struct {
 
 func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *treeLeaf {
 	return &treeLeaf{
-		cfg:     cfg,
-		ts:      ts,
-		j:       j,
-		shard:   ts.shards[j],
-		ep:      ep,
-		opts:    opts,
-		sampler: ts.leafSampler(j),
-		att:     opts.attackerFor(ts.ids[ts.depth()-1][j], 4, len(x0)),
-		x:       x0.Clone(),
-		y:       x0.Clone(),
-		gradSum: tensor.NewVector(len(x0)),
-		ySum:    tensor.NewVector(len(x0)),
-		grad:    tensor.NewVector(len(x0)),
-		yPrev:   tensor.NewVector(len(x0)),
+		cfg:    cfg,
+		ts:     ts,
+		j:      j,
+		ep:     ep,
+		opts:   opts,
+		att:    opts.attackerFor(ts.ids[ts.depth()-1][j], 4, len(x0)),
+		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), opts.Telemetry),
+		state:  core.NewLeaf(x0, heapVectors(len(x0))),
 	}
 }
 
@@ -81,11 +70,11 @@ func (w *treeLeaf) initCheckpoint() (int, error) {
 	if err != nil || reg == nil {
 		return 0, err
 	}
-	reg.Vector("x", w.x)
-	reg.Vector("y", w.y)
-	reg.Vector("gradSum", w.gradSum)
-	reg.Vector("ySum", w.ySum)
-	reg.RNG("sampler", w.sampler)
+	reg.Vector("x", w.state.X)
+	reg.Vector("y", w.state.Y)
+	reg.Vector("gradSum", w.state.GradSum)
+	reg.Vector("ySum", w.state.YSum)
+	reg.RNG("sampler", w.oracle.Sampler)
 	reg.Float("lastLoss", &w.lastLoss)
 	reg.Int("syncedThrough", &w.syncedThrough)
 	if w.att != nil {
@@ -176,12 +165,13 @@ func (w *treeLeaf) run() error {
 		if err != nil {
 			return err
 		}
-		vecs := [][]float64{w.y, w.x, w.gradSum, w.ySum}
+		st := w.state
+		vecs := [][]float64{st.Y, st.X, st.GradSum, st.YSum}
 		if w.att != nil {
 			// Byzantine boundary: the attack mutates only what goes on the
 			// wire — local training state stays honest, matching the
 			// compromised-client threat model (DESIGN.md §7.5).
-			mut, kind, hit, err := w.att.Apply(t/bTau, []tensor.Vector{w.y, w.x, w.gradSum, w.ySum})
+			mut, kind, hit, err := w.att.Apply(t/bTau, []tensor.Vector{st.Y, st.X, st.GradSum, st.YSum})
 			if err != nil {
 				return fmt.Errorf("cluster: %s attack: %w", w.id(), err)
 			}
@@ -256,14 +246,10 @@ func (w *treeLeaf) adopt(msg transport.Message) error {
 	if len(msg.Vectors) != 2 {
 		return fmt.Errorf("cluster: %s %s carries %d vectors, want 2", w.id(), msg.Kind, len(msg.Vectors))
 	}
-	if err := w.y.CopyFrom(msg.Vectors[0]); err != nil {
+	if err := w.state.Adopt(msg.Vectors[0], msg.Vectors[1]); err != nil {
 		return err
 	}
-	if err := w.x.CopyFrom(msg.Vectors[1]); err != nil {
-		return err
-	}
-	w.gradSum.Zero()
-	w.ySum.Zero()
+	w.state.Restart()
 	w.syncedThrough = msg.Round
 	return nil
 }
@@ -335,40 +321,10 @@ func (w *treeLeaf) awaitRetire() error {
 
 // step performs one NAG iteration (Algorithm 1 lines 5–6).
 func (w *treeLeaf) step() error {
-	batch, err := w.shard.Batch(w.sampler, w.cfg.BatchSize)
-	if err != nil {
-		return err
-	}
-	//flvet:allow allocfree -- workspace pool miss only; steady-state gradient calls reuse pooled buffers
-	loss, err := w.cfg.Model.LossGrad(w.x, batch, w.grad)
+	loss, err := w.oracle.Grad(w.state.X, w.state.Grad)
 	if err != nil {
 		return err
 	}
 	w.lastLoss = loss
-	if err := w.gradSum.Add(w.grad); err != nil {
-		return err
-	}
-	if err := w.yPrev.CopyFrom(w.y); err != nil {
-		return err
-	}
-	if err := w.y.CopyFrom(w.x); err != nil {
-		return err
-	}
-	if err := w.y.AXPY(-w.cfg.Eta, w.grad); err != nil {
-		return err
-	}
-	if err := w.ySum.Add(w.y); err != nil {
-		return err
-	}
-	if err := w.x.CopyFrom(w.y); err != nil {
-		return err
-	}
-	if err := w.x.AXPY(w.cfg.Gamma, w.y); err != nil {
-		return err
-	}
-	if err := w.x.AXPY(-w.cfg.Gamma, w.yPrev); err != nil {
-		return err
-	}
-	w.opts.Telemetry.M().WorkerSteps.Inc()
-	return nil
+	return w.state.Step(w.cfg.Eta, w.cfg.Gamma)
 }

@@ -11,7 +11,6 @@ import (
 	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
 	"hieradmo/internal/model"
-	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
 	"hieradmo/internal/transport"
@@ -45,15 +44,12 @@ type tierNode struct {
 	rec  *faultRecorder
 	reg  *checkpoint.Registry
 
-	//flvet:allow ckptstate -- yPlusNext is per-sync scratch, overwritten by the round's reduction before use
-	yMinus, yPlus, yPlusNext, xPlus tensor.Vector
+	// tier is the node's Algorithm 1 state and update arithmetic (see
+	// internal/core); everything else here decides which reports reach it.
+	tier *core.Tier
 	// lastY is the state most recently redistributed to the children, the
-	// velocity-signal reference and the robust deviation reference at
-	// momentum levels.
+	// velocity-signal reference.
 	lastY tensor.Vector
-	// x0 is the shared initialization, the gauge reference for the Σy
-	// adaptation signal (see internal/core).
-	x0 tensor.Vector
 	// losses holds each child's most recently reported loss by the child's
 	// index in its level (cohorts change between rounds under dynamic
 	// membership, so positions are not stable keys), keeping the weighted
@@ -63,18 +59,14 @@ type tierNode struct {
 	// child that rode out a lost update keeps going) until the node's own
 	// round catches up with them.
 	pending []transport.Message
-	// agg is the level's robust aggregation rule, nil for plain mean (the
-	// bit-exact WeightedSum path). prevY/prevX are the deviation references
-	// at non-momentum levels, where the previous state would otherwise be
-	// overwritten mid-reduction.
-	agg robust.Aggregator
-	//flvet:allow ckptstate -- per-sync scratch, refilled from yMinus/xPlus before every use
-	prevY, prevX tensor.Vector
 
 	// lastYRep/lastXRep/missStreak implement the substitution semantics at
-	// levels whose children are aggregators; nil at the leaf-parent.
+	// levels whose children are aggregators; nil at the leaf-parent. The
+	// tier's report slots point at them permanently, and everyone lists all
+	// their positions: after substitution every child has "reported".
 	lastYRep, lastXRep []tensor.Vector
 	missStreak         []int
+	everyone           []int
 
 	// epoch is the membership epoch of the last snapshotted round, persisted
 	// so a resume can verify it restores the adapted tree.
@@ -86,37 +78,52 @@ type tierNode struct {
 }
 
 func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *tierNode {
+	// The tier is sized for the node's largest cohort across membership
+	// epochs.
+	fan := 0
+	for _, shape := range ts.epochs {
+		fan = max(fan, len(shape.kids[lvl][idx]))
+	}
 	n := &tierNode{
-		cfg:       cfg,
-		hn:        hn,
-		ts:        ts,
-		lvl:       lvl,
-		idx:       idx,
-		ep:        ep,
-		opts:      opts,
-		yMinus:    x0.Clone(),
-		yPlus:     x0.Clone(),
-		yPlusNext: tensor.NewVector(len(x0)),
-		xPlus:     x0.Clone(),
-		lastY:     x0.Clone(),
-		x0:        x0.Clone(),
-		losses:    make(map[int]float64),
+		cfg:  cfg,
+		hn:   hn,
+		ts:   ts,
+		lvl:  lvl,
+		idx:  idx,
+		ep:   ep,
+		opts: opts,
+		tier: core.NewTier(core.Level{
+			Momentum: ts.momentum[lvl],
+			Adapt:    ts.adapt[lvl],
+			Gamma:    ts.gamma[lvl],
+			Signal:   opts.Signal,
+			Ceiling:  opts.Ceiling,
+			Tau:      ts.tau(lvl),
+			X0:       x0,
+			Agg:      newAggregator(ts.agg[lvl]),
+		}, fan, heapVectors(len(x0))),
+		lastY:  x0.Clone(),
+		losses: make(map[int]float64),
 	}
 	if !n.leafParent() {
-		fan := len(ts.kids[lvl][idx])
 		n.lastYRep = make([]tensor.Vector, fan)
 		n.lastXRep = make([]tensor.Vector, fan)
 		n.missStreak = make([]int, fan)
+		n.everyone = make([]int, fan)
 		for c := 0; c < fan; c++ {
 			n.lastYRep[c] = x0.Clone()
 			n.lastXRep[c] = x0.Clone()
+			n.tier.Y[c], n.tier.X[c] = n.lastYRep[c], n.lastXRep[c]
+			n.everyone[c] = c
 		}
 	}
-	if n.agg = newAggregator(ts.agg[lvl]); n.agg != nil && !ts.momentum[lvl] {
-		n.prevY = tensor.NewVector(len(x0))
-		n.prevX = tensor.NewVector(len(x0))
-	}
 	return n
+}
+
+// heapVectors is the vector source of cluster nodes: each node owns plain
+// heap vectors of the model dimension.
+func heapVectors(dim int) func() tensor.Vector {
+	return func() tensor.Vector { return tensor.NewVector(dim) }
 }
 
 func (n *tierNode) id() string       { return n.ts.ids[n.lvl][n.idx] }
@@ -146,9 +153,9 @@ func (n *tierNode) initCheckpoint() (int, error) {
 	if err != nil || reg == nil {
 		return 0, err
 	}
-	reg.Vector("yMinus", n.yMinus)
-	reg.Vector("yPlus", n.yPlus)
-	reg.Vector("xPlus", n.xPlus)
+	reg.Vector("yMinus", n.tier.YMinus)
+	reg.Vector("yPlus", n.tier.YPlus)
+	reg.Vector("xPlus", n.tier.XPlus)
 	reg.Vector("lastY", n.lastY)
 	reg.Dynamic("losses", n.encodeLosses, n.decodeLosses)
 	for c := range n.lastYRep {
@@ -194,14 +201,14 @@ func (n *tierNode) initCheckpoint() (int, error) {
 // stashPending snapshots the ride-ahead stash, keying senders by their index
 // in the child level.
 func (n *tierNode) stashPending() []float64 {
-	return encodePending(n.pending, n.nvPerReport(), len(n.x0), func(from string) (int, bool) {
+	return encodePending(n.pending, n.nvPerReport(), len(n.lastY), func(from string) (int, bool) {
 		a, ok := n.ts.index[from]
 		return a.idx, ok && a.lvl == n.lvl+1
 	})
 }
 
 func (n *tierNode) unstashPending(flat []float64) error {
-	msgs, err := decodePending(flat, n.nvPerReport(), len(n.x0), KindTierReport, n.ts.ids[n.lvl+1])
+	msgs, err := decodePending(flat, n.nvPerReport(), len(n.lastY), KindTierReport, n.ts.ids[n.lvl+1])
 	if err != nil {
 		return err
 	}
@@ -251,7 +258,7 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 	update := transport.Message{
 		Kind:    KindTierUpdate,
 		Round:   t,
-		Vectors: [][]float64{n.yMinus, n.xPlus},
+		Vectors: [][]float64{n.tier.YMinus, n.tier.XPlus},
 	}
 	next := min(k+1, n.cfg.T/n.tau())
 	prev, _ := n.ts.children(n.lvl, n.idx, k)
@@ -419,7 +426,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 				}
 			}
 			if n.res != nil && k < numRounds && n.cfg.EvalEvery > 0 {
-				acc, err := model.Accuracy(n.cfg.Model, n.xPlus, n.hn.EvalSet())
+				acc, err := model.Accuracy(n.cfg.Model, n.tier.XPlus, n.hn.EvalSet())
 				if err != nil {
 					return nil, fmt.Errorf("cluster: %s eval round %d: %w", n.id(), k, err)
 				}
@@ -436,7 +443,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 		// update, so children can never be stranded waiting for an update that
 		// died with this process. (lastY only feeds the next round's velocity
 		// signal, so refreshing it ahead of the sends changes no message.)
-		if err := n.lastY.CopyFrom(n.yMinus); err != nil {
+		if err := n.lastY.CopyFrom(n.tier.YMinus); err != nil {
 			return nil, err
 		}
 		n.epoch = n.ts.epochAt(n.lvl, k)
@@ -450,7 +457,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 	if n.res == nil {
 		return nil, nil
 	}
-	acc, err := model.Accuracy(n.cfg.Model, n.xPlus, n.cfg.Test)
+	acc, err := model.Accuracy(n.cfg.Model, n.tier.XPlus, n.cfg.Test)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s final eval: %w", n.id(), err)
 	}
@@ -586,10 +593,7 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 				// The parent completed this round's sync (or a later one)
 				// without this node — its update supersedes anything the
 				// current collect could aggregate.
-				if err := n.yMinus.CopyFrom(msg.Vectors[0]); err != nil {
-					return 0, nil, nil, err
-				}
-				return msg.Round, nil, nil, n.xPlus.CopyFrom(msg.Vectors[1])
+				return msg.Round, nil, nil, n.tier.Adopt(msg.Vectors[0], msg.Vectors[1])
 			}
 			// A parent update from a sync this node already gave up on.
 			n.rec.stale(n.id())
@@ -651,7 +655,7 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 		}
 	}
 	n.rec.missingTier(name, n.lvl, want, len(kids)-got, false)
-	return 0, nil, nil, nil
+	return 0, nil, n.everyone, nil
 }
 
 // admit validates one current-round report and slots it into reports;
@@ -688,13 +692,13 @@ func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.
 	return true, nil
 }
 
-// update executes the level's aggregation for round k: the Algorithm 1
-// line 10–13 update at momentum levels (with γℓ adaptation and migration at
-// the leaf-parent), or the plain line 18–19 average at non-momentum levels.
-// At the leaf-parent it reduces the reports of the children in idx (the full
-// cohort in fault-free rounds); with survivors missing, the data weights are
-// renormalized over idx in exactly the order and arithmetic of the
-// simulation's partial-participation path.
+// update runs the level's aggregation for round k through the kernel
+// (core.Tier.Update: lines 10–13 at momentum levels, the plain average of
+// lines 18–19 otherwise) over the children at cohort positions idx — the
+// leaf-parent's reporters, everyone elsewhere — and publishes what it
+// decided. What stays here is runtime: pointing the tier at the round's
+// reports, γℓ migration across a cohort change, and the fault/attack
+// records, metrics and trace.
 func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	sink := n.opts.Telemetry
 	var aggStart time.Time
@@ -702,87 +706,43 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		aggStart = time.Now()
 	}
 	kids, full := n.ts.children(n.lvl, n.idx, k)
-	leafP := n.leafParent()
 	t := k * n.tau()
-	weights := full
-	ys, xs := n.lastYRep, n.lastXRep
-	var gradSums, ySums []tensor.Vector
-	if leafP {
-		weights = make([]float64, len(idx))
+	if n.leafParent() {
 		for j, i := range idx {
-			weights[j] = full[i]
+			v := reports[i].Vectors
+			n.tier.Y[j], n.tier.X[j], n.tier.GradSum[j], n.tier.YSum[j], n.tier.VelRef[j] = v[0], v[1], v[2], v[3], n.lastY
 		}
-		// Renormalize only under a partial cohort: at full strength the data
-		// weights are used verbatim, bit-identical to the simulation.
-		if len(idx) < len(full) {
-			var wsum float64
-			for _, w := range weights {
-				wsum += w
-			}
-			for j := range weights {
-				weights[j] /= wsum
-			}
-		}
-		ys = make([]tensor.Vector, len(idx))
-		xs = make([]tensor.Vector, len(idx))
-		gradSums = make([]tensor.Vector, len(idx))
-		ySums = make([]tensor.Vector, len(idx))
-		for j, i := range idx {
-			msg := reports[i]
-			ys[j], xs[j], gradSums[j], ySums[j] = msg.Vectors[0], msg.Vectors[1], msg.Vectors[2], msg.Vectors[3]
-		}
-	}
-
-	gamma := n.ts.gamma[n.lvl]
-	var cosVal float64
-	adaptive := n.ts.adapt[n.lvl]
-	if adaptive {
-		signals := make([]tensor.Vector, len(ys))
-		if n.opts.Signal == core.SignalVelocity {
-			for j := range ys {
-				v := ys[j].Clone()
-				if err := v.Sub(n.lastY); err != nil {
-					return err
-				}
-				signals[j] = v
-			}
-		} else {
-			// Σy centred at the shared initialization, matching the
-			// simulation's gauge (see internal/core).
-			for j := range ySums {
-				centered := ySums[j].Clone()
-				if err := centered.AXPY(-float64(n.tau()), n.x0); err != nil {
-					return err
-				}
-				signals[j] = centered
-			}
-		}
-		cos, err := core.EdgeCosine(weights, gradSums, signals)
-		if err != nil {
-			return err
-		}
-		cosVal = cos
-		gamma = core.ClampGamma(cos, n.opts.Ceiling)
-		if gamma == 0 {
-			sink.M().GammaZeroed.Inc()
-		}
-		sink.M().EdgeCosine.Set(cos)
 	}
 	// γℓ migration: on the first aggregation after this node's cohort changed
 	// (join, leave, or re-tiering), the momentum factor carried from the old
 	// cohort is migrated per the configured policy. Zeroing — the default —
 	// mirrors the paper's obtuse-angle reset: with γℓ = 0 line 13 collapses
 	// to the plain average, refreshing the momentum base.
+	carry, migrated := 1.0, false
 	if n.churning() {
-		if frac, changed := n.ts.sched.Overlap(k, n.idx); changed {
+		var frac float64
+		if frac, migrated = n.ts.sched.Overlap(k, n.idx); migrated {
 			switch n.ts.policy {
 			case membership.MigrateZero:
-				gamma = 0
+				carry = 0
 			case membership.MigrateRescale:
-				gamma *= frac
+				carry = frac
 			}
-			n.rec.migrated(n.id(), t, n.ts.policy.String(), gamma)
 		}
+	}
+	out, err := n.tier.Update(full, idx, carry)
+	if err != nil {
+		return fmt.Errorf("cluster: %s aggregation at round %d: %w", n.id(), k, err)
+	}
+	adaptive := n.ts.adapt[n.lvl]
+	if adaptive {
+		if out.Gamma == 0 {
+			sink.M().GammaZeroed.Inc()
+		}
+		sink.M().EdgeCosine.Set(out.Cos)
+	}
+	if migrated {
+		n.rec.migrated(n.id(), t, n.ts.policy.String(), out.Applied)
 	}
 	if n.lvl == 0 {
 		sink.M().CloudSyncs.Inc()
@@ -795,8 +755,8 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	} else {
 		sink.M().EdgeAggregations.Inc()
 	}
-	if leafP {
-		sink.M().GammaEdge.Set(gamma)
+	if n.leafParent() {
+		sink.M().GammaEdge.Set(out.Applied)
 	}
 	if sink.Tracing() {
 		fields := []telemetry.Field{
@@ -804,74 +764,21 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 			telemetry.Int("tier", n.lvl),
 			telemetry.String("level", n.ts.levels[n.lvl].Name),
 			telemetry.String("node", n.id()),
-			telemetry.Int("participants", len(weights)),
-			telemetry.Float("gamma", gamma),
+			telemetry.Int("participants", len(idx)),
+			telemetry.Float("gamma", out.Applied),
 		}
 		if adaptive {
-			fields = append(fields, telemetry.Float("cos", cosVal))
+			fields = append(fields, telemetry.Float("cos", out.Cos))
 		}
 		sink.Emit("tier_aggregate", fields...)
 	}
-
-	if n.agg == nil {
-		if err := tensor.WeightedSum(n.yMinus, weights, ys); err != nil { // line 11 / 18
-			return err
+	if st := out.Robust; len(st.Rejected) > 0 || len(st.Clipped) > 0 {
+		// Map the aggregation's reporter slots back to node IDs.
+		ids := make([]string, len(idx))
+		for j, pos := range idx {
+			ids[j] = n.ts.ids[n.lvl+1][kids[pos]]
 		}
-		if err := tensor.WeightedSum(n.yPlusNext, weights, xs); err != nil { // line 12 / 19
-			return err
-		}
-	} else {
-		// The rule reduces the y and x streams together so a reporter
-		// rejected in one is rejected in both. Deviation references: at
-		// momentum levels, the state last redistributed (lastY) and the
-		// standing model (xPlus, overwritten only below); at non-momentum
-		// levels the previous aggregate is copied out first, since yMinus
-		// is both reference and destination.
-		refY, refX := n.lastY, n.xPlus
-		if !n.ts.momentum[n.lvl] {
-			if err := n.prevY.CopyFrom(n.yMinus); err != nil {
-				return err
-			}
-			if err := n.prevX.CopyFrom(n.xPlus); err != nil {
-				return err
-			}
-			refY, refX = n.prevY, n.prevX
-		}
-		st, err := n.agg.Aggregate(
-			[]tensor.Vector{n.yMinus, n.yPlusNext},
-			[]tensor.Vector{refY, refX},
-			weights,
-			[][]tensor.Vector{ys, xs})
-		if err != nil {
-			return fmt.Errorf("cluster: %s robust %s aggregation at round %d: %w",
-				n.id(), n.agg.Name(), k, err)
-		}
-		if len(st.Rejected) > 0 || len(st.Clipped) > 0 {
-			// Map the aggregation's reporter slots back to node IDs.
-			ids := make([]string, len(ys))
-			for j := range ids {
-				pos := j
-				if leafP {
-					pos = idx[j]
-				}
-				ids[j] = n.ts.ids[n.lvl+1][kids[pos]]
-			}
-			n.rec.robustTier(n.id(), n.ts.levels[n.lvl].Name, n.lvl, t, st, ids)
-		}
-	}
-	if err := n.xPlus.CopyFrom(n.yPlusNext); err != nil { // line 13
-		return err
-	}
-	if n.ts.momentum[n.lvl] {
-		if err := n.xPlus.AXPY(gamma, n.yPlusNext); err != nil {
-			return err
-		}
-		if err := n.xPlus.AXPY(-gamma, n.yPlus); err != nil {
-			return err
-		}
-	}
-	if err := n.yPlus.CopyFrom(n.yPlusNext); err != nil {
-		return err
+		n.rec.robustTier(n.id(), n.ts.levels[n.lvl].Name, n.lvl, t, st, ids)
 	}
 	// The weighted loss over the full child weights: stragglers contribute
 	// their most recently reported value.
@@ -901,7 +808,7 @@ func (n *tierNode) parentSync(k int) (int, error) {
 	report := transport.Message{
 		Kind:    KindTierReport,
 		Round:   want,
-		Vectors: [][]float64{n.yMinus, n.xPlus},
+		Vectors: [][]float64{n.tier.YMinus, n.tier.XPlus},
 		Scalars: map[string]float64{ScalarLoss: n.weightedLoss},
 	}
 	parent := n.ts.ids[n.lvl-1][n.ts.parent[n.lvl][n.idx]]
@@ -952,10 +859,7 @@ func (n *tierNode) parentSync(k int) (int, error) {
 		if len(msg.Vectors) != 2 {
 			return 0, fmt.Errorf("cluster: parent update carries %d vectors, want 2", len(msg.Vectors))
 		}
-		if err := n.yMinus.CopyFrom(msg.Vectors[0]); err != nil {
-			return 0, err
-		}
-		return msg.Round, n.xPlus.CopyFrom(msg.Vectors[1])
+		return msg.Round, n.tier.Adopt(msg.Vectors[0], msg.Vectors[1])
 	}
 }
 

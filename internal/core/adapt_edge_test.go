@@ -39,92 +39,6 @@ func TestClampGammaTable(t *testing.T) {
 	}
 }
 
-// TestEdgeCosineTable pins eq. (6) on degenerate geometry. EdgeCosine
-// compares the NEGATED gradient sum against the momentum signal, so a signal
-// pointing exactly along the descent direction (opposite the gradient) is
-// perfect agreement.
-func TestEdgeCosineTable(t *testing.T) {
-	v := func(xs ...float64) tensor.Vector { return tensor.Vector(xs) }
-	cases := []struct {
-		name     string
-		weights  []float64
-		gradSums []tensor.Vector
-		signals  []tensor.Vector
-		want     float64
-	}{
-		{
-			name:    "single worker, signal opposes gradient (descent agreement)",
-			weights: []float64{1}, gradSums: []tensor.Vector{v(3, 0)}, signals: []tensor.Vector{v(-2, 0)},
-			want: 1,
-		},
-		{
-			name:    "single worker, signal along gradient (full disagreement)",
-			weights: []float64{1}, gradSums: []tensor.Vector{v(1, 1)}, signals: []tensor.Vector{v(2, 2)},
-			want: -1,
-		},
-		{
-			name:    "exact orthogonal",
-			weights: []float64{1}, gradSums: []tensor.Vector{v(1, 0)}, signals: []tensor.Vector{v(0, 5)},
-			want: 0,
-		},
-		{
-			name:    "zero-norm gradient accumulator",
-			weights: []float64{1}, gradSums: []tensor.Vector{v(0, 0)}, signals: []tensor.Vector{v(1, 2)},
-			want: 0,
-		},
-		{
-			name:    "zero-norm momentum signal",
-			weights: []float64{1}, gradSums: []tensor.Vector{v(1, 2)}, signals: []tensor.Vector{v(0, 0)},
-			want: 0,
-		},
-		{
-			name:    "both accumulators zero",
-			weights: []float64{1}, gradSums: []tensor.Vector{v(0, 0)}, signals: []tensor.Vector{v(0, 0)},
-			want: 0,
-		},
-		{
-			name:    "subnormal norms treated as no signal",
-			weights: []float64{1}, gradSums: []tensor.Vector{v(1e-200, 0)}, signals: []tensor.Vector{v(1e-200, 0)},
-			want: 0,
-		},
-		{
-			name:     "weighted mixture of agree and disagree",
-			weights:  []float64{0.75, 0.25},
-			gradSums: []tensor.Vector{v(1, 0), v(1, 0)},
-			signals:  []tensor.Vector{v(-1, 0), v(1, 0)},
-			want:     0.75*1 + 0.25*(-1),
-		},
-		{
-			name:     "weighted orthogonal pair stays zero",
-			weights:  []float64{0.5, 0.5},
-			gradSums: []tensor.Vector{v(1, 0), v(0, 1)},
-			signals:  []tensor.Vector{v(0, 1), v(1, 0)},
-			want:     0,
-		},
-		{
-			name:    "no workers",
-			weights: nil, gradSums: nil, signals: nil,
-			want: 0,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := EdgeCosine(tc.weights, tc.gradSums, tc.signals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-tc.want) > 1e-12 {
-				t.Errorf("EdgeCosine = %v, want %v", got, tc.want)
-			}
-			// Every table row must survive the clamp without producing a
-			// gamma outside [0, ceiling].
-			if g := ClampGamma(got, DefaultClampCeiling); g < 0 || g > DefaultClampCeiling {
-				t.Errorf("ClampGamma(%v) = %v escapes [0, %v]", got, g, DefaultClampCeiling)
-			}
-		})
-	}
-}
-
 func TestEdgeCosineRejectsLengthMismatch(t *testing.T) {
 	_, err := EdgeCosine([]float64{1}, []tensor.Vector{{1}, {2}}, []tensor.Vector{{1}})
 	if !errors.Is(err, tensor.ErrDimMismatch) {

@@ -127,99 +127,8 @@ func (h *HierAdMo) variant() string {
 		h.adaptive, h.signal, h.ceiling, h.participation, h.quantBits)
 }
 
-// workerState holds one worker's Algorithm-1 state. Every vector is owned
-// exclusively by its worker, so distinct workers step concurrently without
-// synchronization.
-type workerState struct {
-	x, y tensor.Vector
-	// Interval accumulators received by the edge at t = kτ (Alg. 1 line 9).
-	gradSum, ySum tensor.Vector
-	// yStart is y at the beginning of the current edge interval, used by the
-	// SignalVelocity ablation.
-	yStart tensor.Vector
-	grad   tensor.Vector //flvet:allow ckptstate -- per-step scratch, overwritten by Grad before use
-	// yPrev is per-iteration scratch for the NAG extrapolation; preallocated
-	// so the hot loop never clones a model-sized vector.
-	yPrev tensor.Vector //flvet:allow ckptstate -- per-step scratch, refilled from y before use
-}
-
-// step advances the worker through lines 5–6 of Algorithm 1 (one NAG
-// iteration) and extends its interval accumulators. It touches only the
-// worker's own vectors and its own sampler stream inside hn.Grad, so the
-// round loop fans one goroutine out per worker.
-func (w *workerState) step(hn *fl.Harness, cfg *fl.Config, l, i int) error {
-	//flvet:allow allocfree -- workspace pool miss only; steady-state gradient calls reuse pooled buffers
-	if _, err := hn.Grad(l, i, w.x, w.grad); err != nil {
-		return err
-	}
-	if err := w.gradSum.Add(w.grad); err != nil {
-		return err
-	}
-	if err := w.yPrev.CopyFrom(w.y); err != nil {
-		return err
-	}
-	// y ← x − η∇F(x)
-	if err := w.y.CopyFrom(w.x); err != nil {
-		return err
-	}
-	if err := w.y.AXPY(-cfg.Eta, w.grad); err != nil {
-		return err
-	}
-	if err := w.ySum.Add(w.y); err != nil {
-		return err
-	}
-	// x ← y + γ(y − yPrev)
-	if err := w.x.CopyFrom(w.y); err != nil {
-		return err
-	}
-	if err := w.x.AXPY(cfg.Gamma, w.y); err != nil {
-		return err
-	}
-	return w.x.AXPY(-cfg.Gamma, w.yPrev)
-}
-
 // workerRef addresses one worker in the flattened [edge][worker] grid.
 type workerRef struct{ l, i int }
-
-// flattenRefs lists every worker coordinate in fixed (edge, worker) order.
-func flattenRefs(workers [][]*workerState) []workerRef {
-	var refs []workerRef
-	for l := range workers {
-		for i := range workers[l] {
-			refs = append(refs, workerRef{l: l, i: i})
-		}
-	}
-	return refs
-}
-
-// edgeState holds one edge node's Algorithm-1 state.
-type edgeState struct {
-	xPlus     tensor.Vector // x_{ℓ+}
-	yPlus     tensor.Vector // y_{ℓ+} (previous edge aggregation's value)
-	yMinus    tensor.Vector // y_{ℓ−} (latest aggregated worker momentum)
-	yPlusNext tensor.Vector //flvet:allow ckptstate -- per-round scratch for line 12, overwritten before use
-}
-
-// edgeScratch is the preallocated working storage every edgeUpdate call
-// reuses: participant weights, the uplink slice headers, and — when the run
-// quantizes uploads or adapts γℓ — slab-backed payload and signal vectors.
-// Before this existed, every aggregation allocated fresh slices and cloned
-// model-sized vectors, which dominated the round loop's allocation profile.
-type edgeScratch struct {
-	weights  []float64
-	ys       []tensor.Vector
-	xs       []tensor.Vector
-	gradSums []tensor.Vector
-	ySums    []tensor.Vector
-	signals  []tensor.Vector
-	// sigBuf backs signals under adaptation; quantBuf holds the four
-	// quantized uplink copies per participant. Both live in the run's slab.
-	sigBuf   []tensor.Vector
-	quantBuf []tensor.Vector
-	// fullIdx is the precomputed 0..maxC-1 participant list used verbatim at
-	// full participation (the common case draws nothing from the RNG).
-	fullIdx []int
-}
 
 // Run implements fl.Algorithm.
 func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) {
@@ -232,23 +141,21 @@ func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) {
 	x0 := hn.InitParams()
 	dim := len(x0)
 
-	// All run state — seven vectors per worker, four per edge, the cloud
-	// pair, the eval model, and the edge-scratch payload buffers — lives in
-	// one pooled slab, so repeated runs (benchmarks, sweeps, tests) recycle
-	// a single arena instead of re-allocating hundreds of model-sized
+	// All run state — the leaves, a velocity reference per worker, the edge
+	// and cloud tiers, the eval model, and the quantized-uplink buffers —
+	// lives in one pooled slab, so repeated runs (benchmarks, sweeps, tests)
+	// recycle a single arena instead of re-allocating hundreds of model-sized
 	// vectors, and a worker's vectors stay cache-line aligned and disjoint
 	// from its neighbours'.
-	numWorkers, maxC := 0, 0
-	for l := range cfg.Edges {
-		n := len(cfg.Edges[l])
-		numWorkers += n
-		if n > maxC {
-			maxC = n
-		}
-	}
-	vecCount := 7*numWorkers + 4*cfg.NumEdges() + 3
-	if h.adaptive {
-		vecCount += maxC
+	edgeLevel := Level{Momentum: true, Adapt: h.adaptive, Gamma: cfg.GammaEdge,
+		Signal: h.signal, Ceiling: h.ceiling, Tau: cfg.Tau, X0: x0}
+	cloudLevel := Level{X0: x0}
+	numEdges := cfg.NumEdges()
+	maxC := 0
+	vecCount := (LeafVectors+1)*cfg.NumWorkers() + cloudLevel.Vectors(numEdges) + 1
+	for _, shards := range cfg.Edges {
+		maxC = max(maxC, len(shards))
+		vecCount += edgeLevel.Vectors(len(shards))
 	}
 	if h.quantBits > 0 {
 		vecCount += 4 * maxC
@@ -256,96 +163,83 @@ func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) {
 	slab := tensor.GetSlab(vecCount * tensor.Padded(dim))
 	defer tensor.PutSlab(slab)
 	newVec := func() tensor.Vector { return slab.Alloc(dim) }
-	cloneX0 := func() tensor.Vector {
-		v := slab.Alloc(dim)
-		copy(v, x0)
-		return v
-	}
 
-	workers := make([][]*workerState, cfg.NumEdges())
-	edges := make([]*edgeState, cfg.NumEdges())
-	for l := range cfg.Edges {
-		workers[l] = make([]*workerState, len(cfg.Edges[l]))
-		for i := range cfg.Edges[l] {
-			workers[l][i] = &workerState{
-				x:       cloneX0(),
-				y:       cloneX0(), // y⁰ = x⁰ (line 1)
-				gradSum: newVec(),
-				ySum:    newVec(),
-				yStart:  cloneX0(),
-				grad:    newVec(),
-				yPrev:   newVec(),
-			}
+	// Algorithm 1 lines 1–2: every leaf and tier starts at x⁰. yStart[l][i] is
+	// worker {i,ℓ}'s momentum at the start of its current edge interval, the
+	// velocity-signal reference; refs lists the workers in fixed (edge,
+	// worker) order for the training fan-out, and evalGrid their models (the
+	// headers never rebind) for the evaluation average.
+	workers := make([][]*Leaf, numEdges)
+	yStart := make([][]tensor.Vector, numEdges)
+	evalGrid := make([][]tensor.Vector, numEdges)
+	edges := make([]*Tier, numEdges)
+	var refs []workerRef
+	for l, shards := range cfg.Edges {
+		workers[l] = make([]*Leaf, len(shards))
+		yStart[l] = make([]tensor.Vector, len(shards))
+		evalGrid[l] = make([]tensor.Vector, len(shards))
+		for i := range shards {
+			workers[l][i] = NewLeaf(x0, newVec)
+			yStart[l][i] = newVec()
+			copy(yStart[l][i], x0)
+			evalGrid[l][i] = workers[l][i].X
+			refs = append(refs, workerRef{l: l, i: i})
 		}
-		edges[l] = &edgeState{
-			xPlus:     cloneX0(), // x⁰_{ℓ+} = x⁰ (line 2)
-			yPlus:     cloneX0(), // y⁰_{ℓ+} = x⁰_{ℓ+} (line 2)
-			yMinus:    cloneX0(),
-			yPlusNext: newVec(),
-		}
+		edges[l] = NewTier(edgeLevel, len(shards), newVec)
 	}
-
-	cloudX := cloneX0()
-	cloudY := cloneX0()
+	// The cloud is a non-momentum tier over the edges; their vector headers
+	// are stable for the whole run (every update rewrites contents in place),
+	// so its inputs are wired once, not per sync.
+	cloud := NewTier(cloudLevel, numEdges, newVec)
+	for l, e := range edges {
+		cloud.Y[l], cloud.X[l] = e.YMinus, e.XPlus
+	}
 	evalModel := newVec()
 	partRNG := rng.New(cfg.Seed).Split(0x9a47)
+	// fullIdx is the everyone-reported position list, used verbatim at full
+	// participation (the common case draws nothing from the RNG).
+	fullIdx := make([]int, max(maxC, numEdges))
+	for i := range fullIdx {
+		fullIdx[i] = i
+	}
 
+	// quantBuf holds the four quantized uplink copies per participant.
 	var quantizer *quant.Quantizer
+	var quantBuf []tensor.Vector
 	if h.quantBits > 0 {
 		var qerr error
 		quantizer, qerr = quant.New(h.quantBits, cfg.Seed)
 		if qerr != nil {
 			return nil, qerr
 		}
-	}
-
-	es := &edgeScratch{
-		weights:  make([]float64, maxC),
-		ys:       make([]tensor.Vector, maxC),
-		xs:       make([]tensor.Vector, maxC),
-		gradSums: make([]tensor.Vector, maxC),
-		ySums:    make([]tensor.Vector, maxC),
-		signals:  make([]tensor.Vector, maxC),
-		fullIdx:  make([]int, maxC),
-	}
-	for i := range es.fullIdx {
-		es.fullIdx[i] = i
-	}
-	if h.adaptive {
-		es.sigBuf = make([]tensor.Vector, maxC)
-		for i := range es.sigBuf {
-			es.sigBuf[i] = newVec()
-		}
-	}
-	if quantizer != nil {
-		es.quantBuf = make([]tensor.Vector, 4*maxC)
-		for i := range es.quantBuf {
-			es.quantBuf[i] = newVec()
+		quantBuf = make([]tensor.Vector, 4*maxC)
+		for i := range quantBuf {
+			quantBuf[i] = newVec()
 		}
 	}
 
 	// Crash recovery: register every state vector and RNG stream that
 	// determines the trajectory, then resume after the last snapshotted
-	// iteration (start = 0 without a snapshot). Scratch vectors (grad,
-	// yPrev, yPlusNext, evalModel) are overwritten before use and stay out.
+	// iteration (start = 0 without a snapshot). Scratch vectors are
+	// overwritten before use and stay out.
 	ck, err := fl.NewCheckpointer(hn, h.Name(), h.variant(), res)
 	if err != nil {
 		return nil, err
 	}
 	for l := range workers {
 		for i, w := range workers[l] {
-			ck.Vector(fmt.Sprintf("worker/%d/%d/x", l, i), w.x)
-			ck.Vector(fmt.Sprintf("worker/%d/%d/y", l, i), w.y)
-			ck.Vector(fmt.Sprintf("worker/%d/%d/gradSum", l, i), w.gradSum)
-			ck.Vector(fmt.Sprintf("worker/%d/%d/ySum", l, i), w.ySum)
-			ck.Vector(fmt.Sprintf("worker/%d/%d/yStart", l, i), w.yStart)
+			ck.Vector(fmt.Sprintf("worker/%d/%d/x", l, i), w.X)
+			ck.Vector(fmt.Sprintf("worker/%d/%d/y", l, i), w.Y)
+			ck.Vector(fmt.Sprintf("worker/%d/%d/gradSum", l, i), w.GradSum)
+			ck.Vector(fmt.Sprintf("worker/%d/%d/ySum", l, i), w.YSum)
+			ck.Vector(fmt.Sprintf("worker/%d/%d/yStart", l, i), yStart[l][i])
 		}
-		ck.Vector(fmt.Sprintf("edge/%d/xPlus", l), edges[l].xPlus)
-		ck.Vector(fmt.Sprintf("edge/%d/yPlus", l), edges[l].yPlus)
-		ck.Vector(fmt.Sprintf("edge/%d/yMinus", l), edges[l].yMinus)
+		ck.Vector(fmt.Sprintf("edge/%d/xPlus", l), edges[l].XPlus)
+		ck.Vector(fmt.Sprintf("edge/%d/yPlus", l), edges[l].YPlus)
+		ck.Vector(fmt.Sprintf("edge/%d/yMinus", l), edges[l].YMinus)
 	}
-	ck.Vector("cloud/x", cloudX)
-	ck.Vector("cloud/y", cloudY)
+	ck.Vector("cloud/x", cloud.XPlus)
+	ck.Vector("cloud/y", cloud.YMinus)
 	ck.RNG("participation", partRNG)
 	if quantizer != nil {
 		ck.RNG("quantizer", quantizer.RNG())
@@ -375,26 +269,7 @@ func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) {
 			telemetry.Int("start_t", start))
 	}
 
-	refs := flattenRefs(workers)
 	poolSize := hn.Workers()
-
-	// The per-edge vector headers are stable for the whole run (every update
-	// rewrites contents in place), so the cloud-reduction inputs and the
-	// evaluation grid are assembled once, not per aggregation.
-	yMinuses := make([]tensor.Vector, len(edges))
-	xPluses := make([]tensor.Vector, len(edges))
-	for l, e := range edges {
-		yMinuses[l] = e.yMinus
-		xPluses[l] = e.xPlus
-	}
-	evalGrid := make([][]tensor.Vector, len(workers))
-	for l := range workers {
-		evalGrid[l] = make([]tensor.Vector, len(workers[l]))
-		for i, w := range workers[l] {
-			evalGrid[l][i] = w.x
-		}
-	}
-
 	for t := start + 1; t <= cfg.T; t++ {
 		if sink.Tracing() && (t-1)%cfg.Tau == 0 {
 			sink.Emit("round_start",
@@ -412,7 +287,11 @@ func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) {
 		// worker-index order, keeping the run bit-identical at any pool size.
 		if err := parallel.ForEach(len(refs), func(j int) error {
 			r := refs[j]
-			return workers[r.l][r.i].step(hn, cfg, r.l, r.i)
+			w := workers[r.l][r.i]
+			if _, err := hn.Grad(r.l, r.i, w.X, w.Grad); err != nil {
+				return err
+			}
+			return w.Step(cfg.Eta, cfg.Gamma)
 		}, parallel.WithWorkers(poolSize)); err != nil {
 			return nil, err
 		}
@@ -436,11 +315,11 @@ func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) {
 				// the RNG, so the precomputed index list is used verbatim;
 				// partial participation keeps the allocating Perm path to
 				// preserve the historical RNG consumption exactly.
-				idx := es.fullIdx[:len(workers[l])]
+				idx := fullIdx[:len(workers[l])]
 				if h.participation < 1 {
 					idx = h.sampleParticipants(partRNG, len(workers[l]))
 				}
-				if err := h.edgeUpdate(hn, cfg, t, l, edges[l], workers[l], idx, quantizer, x0, es); err != nil {
+				if err := h.edgeRound(hn, t, l, edges[l], workers[l], yStart[l], idx, quantizer, quantBuf); err != nil {
 					return nil, err
 				}
 				if sink != nil {
@@ -455,29 +334,22 @@ func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) {
 			if sink != nil {
 				syncStart = time.Now() //flvet:allow detwall -- wall-clock feeds the timing histograms only, never the trace or training state
 			}
-			if err := hn.CloudAverage(cloudY, yMinuses); err != nil { // line 18
-				return nil, err
+			// Lines 18–19, then redistribution (lines 20–23): edges and workers
+			// all adopt the cloud-aggregated momentum and model. Interval
+			// accumulators are left alone — this round's participants were
+			// restarted by their edge a moment ago.
+			if _, err := cloud.Update(hn.EdgeWeights, fullIdx[:numEdges], 1); err != nil {
+				return nil, fmt.Errorf("core: cloud sync at t=%d: %w", t, err)
 			}
-			if err := hn.CloudAverage(cloudX, xPluses); err != nil { // line 19
-				return nil, err
-			}
-			// Redistribution (lines 20–23): edges and workers all adopt the
-			// cloud-aggregated momentum and model.
 			for l, e := range edges {
-				if err := e.yMinus.CopyFrom(cloudY); err != nil {
+				if err := e.Adopt(cloud.YMinus, cloud.XPlus); err != nil {
 					return nil, err
 				}
-				if err := e.xPlus.CopyFrom(cloudX); err != nil {
-					return nil, err
-				}
-				for _, w := range workers[l] {
-					if err := w.y.CopyFrom(cloudY); err != nil {
+				for i, w := range workers[l] {
+					if err := w.Adopt(cloud.YMinus, cloud.XPlus); err != nil {
 						return nil, err
 					}
-					if err := w.x.CopyFrom(cloudX); err != nil {
-						return nil, err
-					}
-					if err := w.yStart.CopyFrom(cloudY); err != nil {
+					if err := yStart[l][i].CopyFrom(cloud.YMinus); err != nil {
 						return nil, err
 					}
 				}
@@ -516,7 +388,7 @@ func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) {
 	}
 
 	// T is a multiple of τπ, so the final cloud model is the run's output.
-	if err := hn.Finish(res, cloudX); err != nil {
+	if err := hn.Finish(res, cloud.XPlus); err != nil {
 		return nil, err
 	}
 	if sink.Tracing() {
@@ -555,12 +427,11 @@ func (h *HierAdMo) sampleParticipants(r *rng.RNG, numWorkers int) []int {
 	return perm
 }
 
-// edgeUpdate executes lines 9–15 of Algorithm 1 for edge ℓ at t = kτ over
-// the participating workers (idx; all workers under full participation).
-// Aggregation weights are the data weights renormalized over participants.
-// All working storage comes from es; the only remaining allocations are the
-// gated trace fields.
-func (h *HierAdMo) edgeUpdate(hn *fl.Harness, cfg *fl.Config, t, l int, e *edgeState, ws []*workerState, idx []int, quantizer *quant.Quantizer, x0 tensor.Vector, es *edgeScratch) error {
+// edgeRound drives lines 9–15 of Algorithm 1 for edge ℓ at t = kτ over the
+// participating workers (idx; all workers under full participation): it
+// assembles the uplink, hands the round to the kernel, publishes the outcome,
+// and redistributes to the participants.
+func (h *HierAdMo) edgeRound(hn *fl.Harness, t, l int, e *Tier, ws []*Leaf, yStart []tensor.Vector, idx []int, quantizer *quant.Quantizer, quantBuf []tensor.Vector) error {
 	sink := hn.Sink()
 	if sink.Tracing() {
 		// The workers trained on the goroutine pool, but their per-step
@@ -574,150 +445,63 @@ func (h *HierAdMo) edgeUpdate(hn *fl.Harness, cfg *fl.Config, t, l int, e *edgeS
 				telemetry.Float("loss", hn.LastLoss(l, i)))
 		}
 	}
-	weights := es.weights[:len(idx)]
-	for j, i := range idx {
-		weights[j] = hn.WorkerWeights[l][i]
-	}
-	// Renormalize only under partial participation: at full participation
-	// the data weights are used verbatim so results stay bit-identical to
-	// the distributed cluster runtime.
-	if len(idx) < len(ws) {
-		var wsum float64
-		for _, w := range weights {
-			wsum += w
-		}
-		for j := range weights {
-			weights[j] /= wsum
-		}
-	}
-
-	// Assemble the uplink payload (Alg. 1 line 9); a configured quantizer
-	// compresses shipped copies (in reusable slab vectors), never the
-	// workers' local state.
-	ys := es.ys[:len(idx)]
-	xs := es.xs[:len(idx)]
-	gradSums := es.gradSums[:len(idx)]
-	ySums := es.ySums[:len(idx)]
+	// The uplink payload (Alg. 1 line 9); a configured quantizer compresses
+	// shipped copies (in reusable slab vectors), never the workers' local
+	// state.
 	for j, i := range idx {
 		w := ws[i]
-		ys[j], xs[j], gradSums[j], ySums[j] = w.y, w.x, w.gradSum, w.ySum
+		e.Y[j], e.X[j], e.GradSum[j], e.YSum[j], e.VelRef[j] = w.Y, w.X, w.GradSum, w.YSum, yStart[i]
 		if quantizer != nil {
-			qy, qx, qg, qs := es.quantBuf[4*j], es.quantBuf[4*j+1], es.quantBuf[4*j+2], es.quantBuf[4*j+3]
-			if err := qy.CopyFrom(w.y); err != nil {
-				return err
+			q := quantBuf[4*j : 4*j+4]
+			for c, src := range []tensor.Vector{w.Y, w.X, w.GradSum, w.YSum} {
+				if err := q[c].CopyFrom(src); err != nil {
+					return err
+				}
 			}
-			if err := qx.CopyFrom(w.x); err != nil {
-				return err
+			e.Y[j], e.X[j], e.GradSum[j], e.YSum[j] = q[0], q[1], q[2], q[3]
+			for _, v := range q {
+				quantizer.Roundtrip(v)
 			}
-			if err := qg.CopyFrom(w.gradSum); err != nil {
-				return err
-			}
-			if err := qs.CopyFrom(w.ySum); err != nil {
-				return err
-			}
-			ys[j], xs[j], gradSums[j], ySums[j] = qy, qx, qg, qs
-			quantizer.Roundtrip(qy)
-			quantizer.Roundtrip(qx)
-			quantizer.Roundtrip(qg)
-			quantizer.Roundtrip(qs)
 		}
 	}
-
-	// Adapt the edge momentum factor (line 10, eq. (6)–(7)). The Σy
-	// statistic is evaluated in the coordinate frame centred at the shared
-	// initialization x⁰ (Σ(yᵗ − x⁰)), so it measures the accumulated update
-	// direction rather than the arbitrary initial position; for the
-	// zero-initialized convex models this is exactly eq. (6). See DESIGN.md.
-	gammaEdge := cfg.GammaEdge
-	var cosVal float64
+	out, err := e.Update(hn.WorkerWeights[l], idx, 1)
+	if err != nil {
+		return fmt.Errorf("core: edge %d round at t=%d: %w", l, t, err)
+	}
 	if h.adaptive {
-		signals := es.signals[:len(idx)]
-		for j, i := range idx {
-			sig := es.sigBuf[j]
-			switch h.signal {
-			case SignalVelocity:
-				if err := sig.CopyFrom(ys[j]); err != nil {
-					return err
-				}
-				if err := sig.Sub(ws[i].yStart); err != nil {
-					return err
-				}
-			default:
-				if err := sig.CopyFrom(ySums[j]); err != nil {
-					return err
-				}
-				if err := sig.AXPY(-float64(cfg.Tau), x0); err != nil {
-					return err
-				}
-			}
-			signals[j] = sig
-		}
-		cos, err := EdgeCosine(weights, gradSums, signals)
-		if err != nil {
-			return fmt.Errorf("core: edge %d adapt: %w", l, err)
-		}
-		gammaEdge = ClampGamma(cos, h.ceiling)
-		cosVal = cos
-		if gammaEdge == 0 {
+		if out.Gamma == 0 {
 			sink.M().GammaZeroed.Inc()
 		}
-		sink.M().EdgeCosine.Set(cos)
+		sink.M().EdgeCosine.Set(out.Cos)
 	}
 	if h.gammaStats != nil {
-		h.gammaStats(l, gammaEdge)
+		h.gammaStats(l, out.Applied)
 	}
 	sink.M().EdgeAggregations.Inc()
-	sink.M().GammaEdge.Set(gammaEdge)
+	sink.M().GammaEdge.Set(out.Applied)
 	if sink.Tracing() {
 		fields := []telemetry.Field{
 			telemetry.Int("t", t),
 			telemetry.Int("edge", l),
 			telemetry.Int("participants", len(idx)),
-			telemetry.Float("gamma", gammaEdge),
+			telemetry.Float("gamma", out.Applied),
 		}
 		if h.adaptive {
-			fields = append(fields, telemetry.Float("cos", cosVal))
+			fields = append(fields, telemetry.Float("cos", out.Cos))
 		}
 		sink.Emit("edge_aggregate", fields...)
 	}
-	if err := tensor.WeightedSum(e.yMinus, weights, ys); err != nil {
-		return err
-	}
-
-	// Edge momentum update (line 12): y_{ℓ+}^{kτ} reduces to the weighted
-	// average of the worker models (tested in hieradmo_test.go).
-	if err := tensor.WeightedSum(e.yPlusNext, weights, xs); err != nil {
-		return err
-	}
-	// Edge model update (line 13): x_{ℓ+} ← y⁺ + γℓ(y⁺ − y_{ℓ+}^{(k−1)τ}).
-	if err := e.xPlus.CopyFrom(e.yPlusNext); err != nil {
-		return err
-	}
-	if err := e.xPlus.AXPY(gammaEdge, e.yPlusNext); err != nil {
-		return err
-	}
-	if err := e.xPlus.AXPY(-gammaEdge, e.yPlus); err != nil {
-		return err
-	}
-	if err := e.yPlus.CopyFrom(e.yPlusNext); err != nil {
-		return err
-	}
-
 	// Redistribution to the participating workers (lines 14–15) and
-	// interval-state reset; non-participants keep their local state.
+	// interval restart; non-participants keep their local state.
 	for _, i := range idx {
 		w := ws[i]
-		if err := w.y.CopyFrom(e.yMinus); err != nil {
+		if err := w.Adopt(e.YMinus, e.XPlus); err != nil {
 			return err
 		}
-		if err := w.x.CopyFrom(e.xPlus); err != nil {
+		w.Restart()
+		if err := yStart[i].CopyFrom(w.Y); err != nil {
 			return err
 		}
-		if err := w.yStart.CopyFrom(w.y); err != nil {
-			return err
-		}
-		w.gradSum.Zero()
-		w.ySum.Zero()
 	}
 	return nil
 }

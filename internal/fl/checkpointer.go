@@ -57,10 +57,10 @@ func NewCheckpointer(h *Harness, algorithm, variant string, res *Result) (*Check
 		t:     cfg.T,
 		sink:  h.sink,
 	}
-	for l := range h.samplers {
+	for l := range h.oracles {
 		c.reg.Vector(fmt.Sprintf("harness/lastloss/%d", l), h.lastLoss[l])
-		for i, r := range h.samplers[l] {
-			c.reg.RNG(fmt.Sprintf("harness/sampler/%d/%d", l, i), r)
+		for i := range h.oracles[l] {
+			c.reg.RNG(fmt.Sprintf("harness/sampler/%d/%d", l, i), h.oracles[l][i].Sampler)
 		}
 	}
 	c.reg.Dynamic("harness/curve",

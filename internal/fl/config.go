@@ -64,8 +64,9 @@ type Config struct {
 	BatchSize int
 	// ClipNorm, when positive, rescales every worker mini-batch gradient
 	// whose L2 norm exceeds it (standard stabilization for the deeper
-	// models; 0 disables). Applied uniformly by the harness, so every
-	// algorithm sees the same clipped gradients.
+	// models; 0 disables). Applied inside the one gradient step every
+	// engine shares (GradOracle.Grad), so every algorithm — and the cluster
+	// runtime's leaves — sees the same clipped gradients.
 	ClipNorm float64
 	// Seed drives every random choice (init, batch order, evaluation).
 	Seed uint64

@@ -25,14 +25,12 @@ type Harness struct {
 	//flvet:allow ckptstate -- config-derived constant, rebuilt identically by NewHarness on resume
 	WorkerWeights [][]float64
 
-	samplers [][]*rng.RNG
+	// oracles[l][i] is worker {i,ℓ}'s gradient source; like the lastLoss slot
+	// it is owned by that worker's goroutine.
+	oracles  [][]GradOracle
 	lastLoss [][]float64
-	// batchBufs[l][i] is worker {i,ℓ}'s reusable mini-batch buffer; like the
-	// sampler and lastLoss slot it is owned by that worker's goroutine, so
-	// Grad never allocates a batch after each worker's first call.
-	batchBufs [][][]dataset.Sample
-	evalSet   *dataset.Dataset
-	sink      *telemetry.Sink
+	evalSet  *dataset.Dataset
+	sink     *telemetry.Sink
 }
 
 // NewHarness validates cfg and prepares the run state.
@@ -44,9 +42,8 @@ func NewHarness(cfg *Config) (*Harness, error) {
 		cfg:           cfg,
 		EdgeWeights:   make([]float64, cfg.NumEdges()),
 		WorkerWeights: make([][]float64, cfg.NumEdges()),
-		samplers:      make([][]*rng.RNG, cfg.NumEdges()),
+		oracles:       make([][]GradOracle, cfg.NumEdges()),
 		lastLoss:      make([][]float64, cfg.NumEdges()),
-		batchBufs:     make([][][]dataset.Sample, cfg.NumEdges()),
 		sink:          cfg.Telemetry,
 	}
 	total := 0
@@ -60,12 +57,11 @@ func NewHarness(cfg *Config) (*Harness, error) {
 	for l, edge := range cfg.Edges {
 		h.EdgeWeights[l] = float64(edgeTotals[l]) / float64(total)
 		h.WorkerWeights[l] = make([]float64, len(edge))
-		h.samplers[l] = make([]*rng.RNG, len(edge))
+		h.oracles[l] = make([]GradOracle, len(edge))
 		h.lastLoss[l] = make([]float64, len(edge))
-		h.batchBufs[l] = make([][]dataset.Sample, len(edge))
 		for i, shard := range edge {
 			h.WorkerWeights[l][i] = float64(shard.Len()) / float64(edgeTotals[l])
-			h.samplers[l][i] = WorkerSampler(cfg.Seed, l, i)
+			h.oracles[l][i] = NewGradOracle(cfg, shard, WorkerSampler(cfg.Seed, l, i), h.sink)
 		}
 	}
 	h.evalSet = cfg.Test
@@ -116,34 +112,70 @@ func (h *Harness) InitParams() tensor.Vector {
 	return h.cfg.Model.Init(rng.New(h.cfg.Seed).Split(0x1717))
 }
 
-// Grad samples a mini-batch for worker {i,ℓ} and overwrites grad with the
-// mean stochastic gradient ∇F(i,ℓ)(params); the mini-batch loss is recorded
-// for curve reporting and returned.
+// GradOracle is one worker's stochastic-gradient source: its shard, its
+// seeded mini-batch stream, and the batch buffer the stream refills. It is
+// the one place a training gradient is evaluated — the simulation's Harness
+// and the cluster runtime's leaves both step through it — so batching,
+// clipping and the step counters cannot drift between the two.
+type GradOracle struct {
+	cfg   *Config
+	shard *dataset.Dataset
+	// Sampler is the mini-batch stream; owners register it with their
+	// checkpoint so a resumed run draws the same batches.
+	Sampler *rng.RNG
+	batch   []dataset.Sample
+	sink    *telemetry.Sink
+}
+
+// NewGradOracle binds a shard and its mini-batch stream to the run's model,
+// batch size and clip norm. The value is meant to be stored once and used in
+// place (the harness keeps a worker grid of them): copies would share the
+// stream and the batch buffer.
+func NewGradOracle(cfg *Config, shard *dataset.Dataset, sampler *rng.RNG, sink *telemetry.Sink) GradOracle {
+	return GradOracle{cfg: cfg, shard: shard, Sampler: sampler, sink: sink}
+}
+
+// Grad draws the next mini-batch and overwrites grad with the mean stochastic
+// gradient at params, rescaled to cfg.ClipNorm when that is set and
+// exceeded; it returns the mini-batch loss. After the first call the batch
+// buffer is reused, so steady-state calls allocate nothing.
+func (o *GradOracle) Grad(params, grad tensor.Vector) (float64, error) {
+	batch, err := o.shard.BatchInto(o.Sampler, o.cfg.BatchSize, o.batch)
+	if err != nil {
+		return 0, fmt.Errorf("batch: %w", err)
+	}
+	o.batch = batch
+	//flvet:allow allocfree -- workspace pool miss only; steady-state gradient calls reuse pooled buffers
+	loss, err := o.cfg.Model.LossGrad(params, batch, grad)
+	if err != nil {
+		return 0, fmt.Errorf("gradient: %w", err)
+	}
+	if o.cfg.ClipNorm > 0 {
+		if norm := grad.Norm(); norm > o.cfg.ClipNorm {
+			grad.Scale(o.cfg.ClipNorm / norm)
+			o.sink.M().GradClips.Inc()
+		}
+	}
+	o.sink.M().WorkerSteps.Inc()
+	return loss, nil
+}
+
+// Grad overwrites grad with worker {i,ℓ}'s next mini-batch gradient at
+// params (see GradOracle.Grad); the mini-batch loss is recorded for curve
+// reporting and returned.
 //
 // Grad is safe for concurrent use across DISTINCT workers: each worker
-// {i,ℓ} owns its sampler stream and its lastLoss slot, so parallel calls
-// never share mutable harness state (the model's workspace pool is itself
+// {i,ℓ} owns its oracle and its lastLoss slot, so parallel calls never share
+// mutable harness state (the model's workspace pool is itself
 // concurrency-safe, see internal/nn). Two concurrent calls for the same
 // worker race on both; the parallel round loops therefore fan out at most
 // one goroutine per worker. WeightedLoss reads every lastLoss slot and must
 // only be called after the round's Grad calls have been joined.
 func (h *Harness) Grad(l, i int, params, grad tensor.Vector) (float64, error) {
-	batch, err := h.cfg.Edges[l][i].BatchInto(h.samplers[l][i], h.cfg.BatchSize, h.batchBufs[l][i])
+	loss, err := h.oracles[l][i].Grad(params, grad)
 	if err != nil {
-		return 0, fmt.Errorf("fl: worker {%d,%d} batch: %w", i, l, err)
+		return 0, fmt.Errorf("fl: worker {%d,%d} %w", i, l, err)
 	}
-	h.batchBufs[l][i] = batch
-	loss, err := h.cfg.Model.LossGrad(params, batch, grad)
-	if err != nil {
-		return 0, fmt.Errorf("fl: worker {%d,%d} gradient: %w", i, l, err)
-	}
-	if h.cfg.ClipNorm > 0 {
-		if norm := grad.Norm(); norm > h.cfg.ClipNorm {
-			grad.Scale(h.cfg.ClipNorm / norm)
-			h.sink.M().GradClips.Inc()
-		}
-	}
-	h.sink.M().WorkerSteps.Inc()
 	h.lastLoss[l][i] = loss
 	return loss, nil
 }
