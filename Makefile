@@ -80,7 +80,9 @@ race:
 ## (never propagate) non-finite reporter values on fuzzer-chosen cohorts,
 ## and the topology-spec parser, which must yield a tree or a typed error
 ## (never a panic) on arbitrary spec strings, with String/Parse
-## round-tripping every accepted tree.
+## round-tripping every accepted tree, and the wire-frame decoder, which
+## must yield a Message or ErrFrame / a truncation error without allocating
+## past its caps, every accepted frame re-encoding to the bytes it came from.
 ## Every input must yield a decoded value or a wrapped error, never a
 ## panic or an unbounded allocation. Override with FUZZTIME=1m for longer
 ## runs.
@@ -95,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzTrimmedMean -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run '^$$' -fuzz FuzzParseTopology -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzAllowDirective -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
 
 ## recover: the crash-recovery integration suite — checkpoint format and
 ## corruption handling, bit-identical simulation resume, cluster
@@ -107,16 +110,23 @@ recover:
 	$(GO) test -count=1 ./cmd/flnode/ -run 'TestMultiProcessKillRestart' || exit 1
 	$(GO) test -count=1 ./cmd/flcluster/ -run 'TestSigterm|TestDoubleSignal'
 
-## bench: run the core benchmarks with -benchmem and record the perf
-## trajectory (ns/op, B/op, allocs/op, worker-pool size) in BENCH_core.json.
+## bench: run the core and wire benchmarks with -benchmem and record the
+## perf trajectory (ns/op, B/op, allocs/op, worker-pool size) in
+## BENCH_core.json and BENCH_wire.json (frame encode/decode and the memory
+## and TCP-loopback round trip at the leaf-report shape, 4 x 15380 values).
 ## -count=3 repetitions are merged best-of-N by benchjson: the minimum is
 ## the stable noise estimator on a shared box, where interference only ever
 ## adds time (observed single-run spread on this host is >30%).
 BENCHFLAGS = -bench=. -benchmem -benchtime=10x -count=3 -run=^$$
+# A wire op is tens to hundreds of microseconds, not the core round's 20 ms:
+# ten iterations would time scheduler wake-ups, not the codec.
+WIREBENCHFLAGS = -bench=. -benchmem -benchtime=200x -count=3 -run=^$$
 bench:
 	$(GO) test $(BENCHFLAGS) ./internal/core \
 		| $(GO) run ./cmd/benchjson -out BENCH_core.json
-	@cat BENCH_core.json
+	$(GO) test $(WIREBENCHFLAGS) ./internal/transport \
+		| $(GO) run ./cmd/benchjson -out BENCH_wire.json
+	@cat BENCH_core.json BENCH_wire.json
 
 ## benchdiff: the perf gate — rerun the core benchmarks and fail when any
 ## ns/op, B/op, or allocs/op regressed beyond its budget against the
@@ -127,11 +137,15 @@ bench:
 ## looser than the byte/alloc budgets: B/op and allocs/op are deterministic
 ## so 10% catches any real leak, while wall time on a shared single-core
 ## box still spreads ~15% even best-of-3 — 25% is above the noise floor
-## yet far below the 2x-class regressions this gate exists to catch.
+## yet far below the 2x-class regressions this gate exists to catch. The
+## wire benchmarks are allocation-free, and a zero baseline is held at zero.
 benchdiff:
 	$(GO) test $(BENCHFLAGS) ./internal/core \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_core.json -max-regress 0.25 \
 			-max-bytes-regress 0.10 -max-alloc-regress 0.10 -check-scaling
+	$(GO) test $(WIREBENCHFLAGS) ./internal/transport \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_wire.json -max-regress 0.25 \
+			-max-bytes-regress 0.10 -max-alloc-regress 0.10
 
 ## benchall: every benchmark in the repo (experiment tables, kernels, nn).
 benchall:

@@ -60,6 +60,9 @@ type report struct {
 	Benchmarks []record `json:"benchmarks"`
 }
 
+// zeroBaselineBytes is the B/op a benchmark whose baseline is 0 may show.
+const zeroBaselineBytes = 64
+
 // tolerances are the per-dimension fractional regression budgets.
 type tolerances struct {
 	ns     float64
@@ -177,17 +180,24 @@ func compare(cur, base *report, tol tolerances) []string {
 					c.Name, c.NsPerOp, b.NsPerOp, 100*growth))
 			}
 		}
+		// A zero baseline has no percentage to grow by; a benchmark that
+		// reached zero is pinned there (zeroBaselineBytes allows for a stray
+		// runtime allocation amortised over a short fixed-count run).
 		if b.BPerOp > 0 {
 			if growth := c.BPerOp/b.BPerOp - 1; growth > tol.bytes {
 				out = append(out, fmt.Sprintf("%s: %.0f B/op vs baseline %.0f (%+.1f%%)",
 					c.Name, c.BPerOp, b.BPerOp, 100*growth))
 			}
+		} else if c.BPerOp > zeroBaselineBytes {
+			out = append(out, fmt.Sprintf("%s: %.0f B/op vs baseline 0", c.Name, c.BPerOp))
 		}
 		if b.AllocsOp > 0 {
 			if growth := float64(c.AllocsOp)/float64(b.AllocsOp) - 1; growth > tol.allocs {
 				out = append(out, fmt.Sprintf("%s: %d allocs/op vs baseline %d (%+.1f%%)",
 					c.Name, c.AllocsOp, b.AllocsOp, 100*growth))
 			}
+		} else if c.AllocsOp > 0 {
+			out = append(out, fmt.Sprintf("%s: %d allocs/op vs baseline 0", c.Name, c.AllocsOp))
 		}
 	}
 	return out

@@ -150,6 +150,23 @@ func TestCompareFlagsAllocAndBytesRegressions(t *testing.T) {
 	}
 }
 
+func TestComparePinsZeroBaselines(t *testing.T) {
+	// An allocation-free benchmark has no percentage to grow by: without an
+	// absolute rule its first allocation would pass the gate.
+	base := parseSample(t, sampleBench)
+	base.Benchmarks[0].BPerOp, base.Benchmarks[0].AllocsOp = 0, 0
+	cur := parseSample(t, sampleBench)
+	cur.Benchmarks[0].BPerOp, cur.Benchmarks[0].AllocsOp = 9, 0
+	if regs := compare(cur, base, defaultTol()); len(regs) != 0 {
+		t.Errorf("a stray %v B/op against a zero baseline flagged: %v", cur.Benchmarks[0].BPerOp, regs)
+	}
+	cur.Benchmarks[0].BPerOp, cur.Benchmarks[0].AllocsOp = 49216, 1
+	regs := compare(cur, base, defaultTol())
+	if len(regs) != 2 || !strings.Contains(regs[0], "B/op vs baseline 0") || !strings.Contains(regs[1], "allocs/op vs baseline 0") {
+		t.Errorf("allocating against a zero baseline yields %v, want a B/op and an allocs/op regression", regs)
+	}
+}
+
 func TestCompareSkipsUnmatchedNames(t *testing.T) {
 	base := parseSample(t, sampleBench)
 	cur := parseSample(t, sampleBench)

@@ -34,7 +34,7 @@ type (
 func NewMemoryNetwork() ClusterNetwork { return transport.NewMemoryNetwork() }
 
 // NewTCPNetwork returns the loopback-TCP transport: every node gets its own
-// socket and messages are gob-encoded frames.
+// socket and messages are length-prefixed binary frames.
 func NewTCPNetwork() ClusterNetwork { return transport.NewTCPNetwork() }
 
 // NewFaultyNetwork composes a deterministic seeded fault schedule (message

@@ -140,7 +140,8 @@ func TestCkptstateCorpus(t *testing.T) {
 
 // TestAllocfreeCorpus pins corpus roots by concrete name and through an
 // interface row, covering direct sites, transitive witnesses, tail
-// calls, boxing, append growth, and the cold-path exemptions.
+// calls, boxing, append growth (into a local versus into a lent buffer,
+// the wire codec's idiom), and the cold-path exemptions.
 func TestAllocfreeCorpus(t *testing.T) {
 	pol := corpusPolicy("allocfree")
 	pol.HotFuncs = []string{
@@ -150,6 +151,7 @@ func TestAllocfreeCorpus(t *testing.T) {
 		"flvet/corpus/allocfree.Mix",
 		"flvet/corpus/allocfree.Clone",
 		"flvet/corpus/allocfree.Warm",
+		"flvet/corpus/allocfree.Frame",
 	}
 	pol.HotIfaces = []string{"flvet/corpus/allocfree.Agg.Combine"}
 	runCorpus(t, "allocfree", pol)
@@ -294,6 +296,8 @@ func TestDefaultPolicyTable(t *testing.T) {
 		"(*hieradmo/internal/nn.Conv2D).Backward",
 		"(*hieradmo/internal/nn.convReLU).Forward",
 		"(*hieradmo/internal/nn.convReLU).Backward",
+		"hieradmo/internal/transport.encodeFrame",
+		"(*hieradmo/internal/transport.decoder).decode",
 	}
 	if fmt.Sprint(pol.HotFuncs) != fmt.Sprint(wantHot) {
 		t.Errorf("HotFuncs = %v, want %v", pol.HotFuncs, wantHot)

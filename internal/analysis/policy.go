@@ -84,7 +84,8 @@ func only(paths ...string) func(string) bool {
 //   - allocfree runs everywhere; what it checks is pinned by the root
 //     table below — the Algorithm 1 kernel in internal/core (leaf step,
 //     tier update) and the shared gradient step in internal/fl, the
-//     GEMM/conv kernels in internal/tensor and internal/nn, and every
+//     GEMM/conv kernels in internal/tensor and internal/nn, the wire
+//     frame encode and decode in internal/transport, and every
 //     robust.Aggregator implementation. The kernel packages carry no exemptions
 //     (enforcement pinned in TestDefaultPolicyTable);
 //   - wirealloc runs on the packages that decode wire or snapshot bytes;
@@ -134,6 +135,10 @@ func DefaultPolicy(modulePath string) Policy {
 			"(*" + in("internal/nn") + ".Conv2D).Backward",
 			"(*" + in("internal/nn") + ".convReLU).Forward",
 			"(*" + in("internal/nn") + ".convReLU).Backward",
+			// The wire codec: every message of a TCP run is encoded from the
+			// sender's vectors and decoded into a link-owned buffer.
+			in("internal/transport") + ".encodeFrame",
+			"(*" + in("internal/transport") + ".decoder).decode",
 		},
 		HotIfaces: []string{
 			// Every robust aggregation rule runs once per round per tier on

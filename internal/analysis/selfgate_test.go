@@ -73,4 +73,18 @@ func TestModuleSelfGate(t *testing.T) {
 	if len(alloc.missing) > 0 {
 		t.Errorf("pinned hot roots missing from loaded packages: %v", alloc.missing)
 	}
+	// The wire codec is unexported, so nothing but this table notices a
+	// rename: both halves must resolve to real functions.
+	rooted := map[string]bool{}
+	for _, root := range alloc.roots {
+		rooted[root.Obj.FullName()] = true
+	}
+	for _, name := range []string{
+		"hieradmo/internal/transport.encodeFrame",
+		"(*hieradmo/internal/transport.decoder).decode",
+	} {
+		if !rooted[name] {
+			t.Errorf("allocfree did not resolve the wire codec root %s", name)
+		}
+	}
 }

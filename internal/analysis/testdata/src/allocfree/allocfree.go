@@ -92,6 +92,40 @@ func Warm(n int) []float64 {
 	return w
 }
 
+// lender lends out the free tail of its buffer, the way a buffered writer
+// does.
+type lender struct{ buf []byte }
+
+func (l *lender) free() []byte { return l.buf[len(l.buf):] }
+
+func (l *lender) write(b []byte) { l.buf = l.buf[:len(l.buf)+len(b)] }
+
+// Frame is pinned and stays clean — the wire codec's shape: keys are
+// sorted in a fixed-size array on the stack, and the bytes are appended
+// into space the writer lends out (a call result, whose capacity is the
+// lender's to manage) and handed back. Spilling the keys into a slice
+// that starts nil is the same loop done wrong.
+func Frame(l *lender, scalars map[string]float64) {
+	var keyBuf [8]string
+	keys := keyBuf[:0]
+	var spill []string
+	for k := range scalars {
+		i := len(keys)
+		keys = keys[:i+1]
+		for ; i > 0 && keys[i-1] > k; i-- {
+			keys[i] = keys[i-1]
+		}
+		keys[i] = k
+		spill = append(spill, k) // want "allocfree.Frame is a pinned allocation-free hot path: append grows"
+	}
+	b := l.free()
+	for _, k := range keys {
+		b = append(b, byte(len(k)), byte(scalars[k]))
+	}
+	l.write(b)
+	_ = spill
+}
+
 // Combine's implementations are pinned through the Agg interface row of
 // the policy, not by concrete name.
 type Agg interface {

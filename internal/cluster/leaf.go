@@ -44,6 +44,11 @@ type treeLeaf struct {
 	// leaf trains straight through to that round before reporting again —
 	// the parent no longer wants the intervening rounds.
 	syncedThrough int
+
+	// report is the leaf's one outgoing message, its four vector headers and
+	// loss slot refilled per boundary: Send is synchronous, so nothing of a
+	// sent message outlives the call.
+	report transport.Message
 }
 
 func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *treeLeaf {
@@ -56,6 +61,12 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 		att:    opts.attackerFor(ts.ids[ts.depth()-1][j], 4, len(x0)),
 		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), opts.Telemetry),
 		state:  core.NewLeaf(x0, heapVectors(len(x0))),
+
+		report: transport.Message{
+			Kind:    KindTierReport,
+			Vectors: make([][]float64, 4),
+			Scalars: make(map[string]float64, 1),
+		},
 	}
 }
 
@@ -166,7 +177,8 @@ func (w *treeLeaf) run() error {
 			return err
 		}
 		st := w.state
-		vecs := [][]float64{st.Y, st.X, st.GradSum, st.YSum}
+		vecs := w.report.Vectors
+		vecs[0], vecs[1], vecs[2], vecs[3] = st.Y, st.X, st.GradSum, st.YSum
 		if w.att != nil {
 			// Byzantine boundary: the attack mutates only what goes on the
 			// wire — local training state stays honest, matching the
@@ -177,16 +189,11 @@ func (w *treeLeaf) run() error {
 			}
 			if hit {
 				w.rec.injected(w.id(), t, kind)
-				vecs = [][]float64{mut[0], mut[1], mut[2], mut[3]}
+				vecs[0], vecs[1], vecs[2], vecs[3] = mut[0], mut[1], mut[2], mut[3]
 			}
 		}
-		report := transport.Message{
-			Kind:    KindTierReport,
-			Round:   t,
-			Vectors: vecs,
-			Scalars: map[string]float64{ScalarLoss: w.lastLoss},
-		}
-		if err := w.ep.Send(parent, report); err != nil {
+		w.report.Round, w.report.Scalars[ScalarLoss] = t, w.lastLoss
+		if err := w.ep.Send(parent, w.report); err != nil {
 			return fmt.Errorf("cluster: %s report: %w", w.id(), err)
 		}
 		if t == T && T < w.cfg.T {
@@ -213,9 +220,11 @@ func (w *treeLeaf) run() error {
 }
 
 // await receives messages for up to RecvTimeout, handing each to handle
-// until it reports the wait settled. A timeout is ridden out in quorum mode
-// when rideOut is set — the leaf keeps its local state and carries on, like
-// a simulation non-participant — and is an error otherwise.
+// until it reports the wait settled; handle copies what it keeps, so every
+// message's buffer goes back to its link as soon as handle returns. A
+// timeout is ridden out in quorum mode when rideOut is set — the leaf keeps
+// its local state and carries on, like a simulation non-participant — and
+// is an error otherwise.
 func (w *treeLeaf) await(what string, rideOut bool, handle func(transport.Message) (bool, error)) error {
 	deadline := w.opts.now().Add(w.opts.RecvTimeout)
 	for {
@@ -234,7 +243,9 @@ func (w *treeLeaf) await(what string, rideOut bool, handle func(transport.Messag
 			}
 			return fmt.Errorf("cluster: %s await %s: %w", w.id(), what, err)
 		}
-		if done, err := handle(msg); done || err != nil {
+		done, err := handle(msg)
+		msg.Release()
+		if done || err != nil {
 			return err
 		}
 	}

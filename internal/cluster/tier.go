@@ -75,6 +75,17 @@ type tierNode struct {
 	// res and weightedLoss live on the root (res == nil elsewhere).
 	res          *fl.Result
 	weightedLoss float64
+
+	// reports and reporters are collect's per-round results, sized once for
+	// the largest cohort. A slotted report keeps its link's buffer until the
+	// aggregation has consumed it.
+	reports   []transport.Message
+	reporters []int
+	// out is the payload of every outgoing update and parent report, built
+	// once: Vectors is [y_ℓ−, x_ℓ+] (the tier never rebinds them), Scalars
+	// the loss slot a parent report fills in. Send is synchronous, so
+	// nothing of a sent message outlives the call.
+	out transport.Message
 }
 
 func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *tierNode {
@@ -104,6 +115,13 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 		}, fan, heapVectors(len(x0))),
 		lastY:  x0.Clone(),
 		losses: make(map[int]float64),
+
+		reports:   make([]transport.Message, fan),
+		reporters: make([]int, 0, fan),
+	}
+	n.out = transport.Message{
+		Vectors: [][]float64{n.tier.YMinus, n.tier.XPlus},
+		Scalars: make(map[string]float64, 1),
 	}
 	if !n.leafParent() {
 		n.lastYRep = make([]tensor.Vector, fan)
@@ -255,11 +273,7 @@ func (n *tierNode) decodeLosses(flat []float64) error {
 // the REASSIGN announcement.
 func (n *tierNode) redistribute(k int, resend bool) error {
 	t := k * n.tau()
-	update := transport.Message{
-		Kind:    KindTierUpdate,
-		Round:   t,
-		Vectors: [][]float64{n.tier.YMinus, n.tier.XPlus},
-	}
+	update := transport.Message{Kind: KindTierUpdate, Round: t, Vectors: n.out.Vectors}
 	next := min(k+1, n.cfg.T/n.tau())
 	prev, _ := n.ts.children(n.lvl, n.idx, k)
 	cohort, _ := n.ts.children(n.lvl, n.idx, next)
@@ -519,7 +533,10 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 	if n.opts.tolerant() {
 		quorum = quorumCount(n.opts.MinQuorum, len(kids))
 	}
-	reports := make([]transport.Message, len(kids))
+	// Slots left filled by a round that ended early (a fast-forward, an
+	// error) go back to their links first.
+	releaseReports(n.reports)
+	reports := n.reports[:len(kids)]
 	got := 0
 	// Drain reports stashed by earlier rounds.
 	if len(n.pending) > 0 {
@@ -530,6 +547,7 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 				keep = append(keep, msg)
 			case msg.Round < want:
 				n.rec.stale(n.id())
+				msg.Release()
 			default:
 				ok, err := n.admit(msg, kids, reports)
 				if err != nil {
@@ -537,6 +555,8 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 				}
 				if ok {
 					got++
+				} else {
+					msg.Release()
 				}
 			}
 		}
@@ -582,49 +602,50 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 			}
 			return 0, nil, nil, err
 		}
-		if msg.Kind == KindReassign {
-			if err := n.checkReassign(msg); err != nil {
-				return 0, nil, nil, err
-			}
-			continue
-		}
-		if msg.Kind == KindTierUpdate {
+		// A message whose buffer this node does not keep — everything but a
+		// slotted or stashed report — goes back to its link once handled.
+		keep := false
+		switch {
+		case msg.Kind == KindReassign:
+			err = n.checkReassign(msg)
+		case msg.Kind == KindTierUpdate:
 			if n.lvl > 0 && n.opts.tolerant() && msg.Round >= want && len(msg.Vectors) == 2 {
 				// The parent completed this round's sync (or a later one)
 				// without this node — its update supersedes anything the
 				// current collect could aggregate.
-				return msg.Round, nil, nil, n.tier.Adopt(msg.Vectors[0], msg.Vectors[1])
+				err = n.tier.Adopt(msg.Vectors[0], msg.Vectors[1])
+				msg.Release()
+				return msg.Round, nil, nil, err
 			}
 			// A parent update from a sync this node already gave up on.
 			n.rec.stale(n.id())
-			continue
-		}
-		if err := expectKind(msg, KindTierReport); err != nil {
-			return 0, nil, nil, err
-		}
-		if msg.Round < want {
+		case msg.Kind != KindTierReport:
+			err = expectKind(msg, KindTierReport)
+		case msg.Round < want:
 			n.rec.stale(n.id())
-			continue
-		}
-		if msg.Round > want {
+		case msg.Round > want:
 			if n.opts.tolerant() {
 				n.pending = append(n.pending, msg)
-				continue
+				keep = true
+			} else {
+				err = fmt.Errorf("cluster: report from %q for future round %d (want %d)",
+					msg.From, msg.Round, want)
 			}
-			return 0, nil, nil, fmt.Errorf("cluster: report from %q for future round %d (want %d)",
-				msg.From, msg.Round, want)
+		default:
+			if keep, err = n.admit(msg, kids, reports); keep {
+				got++
+			}
 		}
-		ok, err := n.admit(msg, kids, reports)
+		if !keep {
+			msg.Release()
+		}
 		if err != nil {
 			return 0, nil, nil, err
-		}
-		if ok {
-			got++
 		}
 	}
 	name := n.ts.levels[n.lvl].Name
 	if n.leafParent() {
-		idx := make([]int, 0, got)
+		idx := n.reporters[:0]
 		for pos := range reports {
 			if reports[pos].Vectors != nil {
 				idx = append(idx, pos)
@@ -645,6 +666,8 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 			if err := n.lastXRep[pos].CopyFrom(msg.Vectors[1]); err != nil {
 				return 0, nil, nil, err
 			}
+			msg.Release()
+			reports[pos] = transport.Message{}
 			n.missStreak[pos] = 0
 			continue
 		}
@@ -731,6 +754,10 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		}
 	}
 	out, err := n.tier.Update(full, idx, carry)
+	// The tier's report slots aliased the leaf reports until here; their
+	// buffers are free for the leaves' next reports before the update that
+	// triggers those goes out.
+	releaseReports(reports)
 	if err != nil {
 		return fmt.Errorf("cluster: %s aggregation at round %d: %w", n.id(), k, err)
 	}
@@ -805,12 +832,8 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 // parent already completed.
 func (n *tierNode) parentSync(k int) (int, error) {
 	want := k * n.tau()
-	report := transport.Message{
-		Kind:    KindTierReport,
-		Round:   want,
-		Vectors: [][]float64{n.tier.YMinus, n.tier.XPlus},
-		Scalars: map[string]float64{ScalarLoss: n.weightedLoss},
-	}
+	report := n.out
+	report.Kind, report.Round, report.Scalars[ScalarLoss] = KindTierReport, want, n.weightedLoss
 	parent := n.ts.ids[n.lvl-1][n.ts.parent[n.lvl][n.idx]]
 	if err := n.ep.Send(parent, report); err != nil {
 		return 0, err
@@ -835,31 +858,48 @@ func (n *tierNode) parentSync(k int) (int, error) {
 			}
 			return 0, err
 		}
-		switch msg.Kind {
-		case KindTierReport:
-			// Straggler reports from the round this node already closed can
-			// still trickle in while it waits on its parent.
-			n.rec.stale(n.id())
-			continue
-		case KindReassign:
-			// A REASSIGN from an earlier sync can arrive out of order on a
-			// delaying transport; it is validation-only, so handle it here too.
-			if err := n.checkReassign(msg); err != nil {
-				return 0, err
-			}
-			continue
+		adopted, err := n.parentReply(msg, want)
+		msg.Release()
+		if adopted > 0 || err != nil {
+			return adopted, err
 		}
-		if err := expectKind(msg, KindTierUpdate); err != nil {
-			return 0, err
-		}
-		if msg.Round < want {
-			n.rec.stale(n.id())
-			continue
-		}
-		if len(msg.Vectors) != 2 {
-			return 0, fmt.Errorf("cluster: parent update carries %d vectors, want 2", len(msg.Vectors))
-		}
-		return msg.Round, n.tier.Adopt(msg.Vectors[0], msg.Vectors[1])
+	}
+}
+
+// parentReply handles one message received while waiting for the parent's
+// round-want update: it adopts the update (returning its round) and skips
+// everything else.
+func (n *tierNode) parentReply(msg transport.Message, want int) (int, error) {
+	switch msg.Kind {
+	case KindTierReport:
+		// Straggler reports from the round this node already closed can
+		// still trickle in while it waits on its parent.
+		n.rec.stale(n.id())
+		return 0, nil
+	case KindReassign:
+		// A REASSIGN from an earlier sync can arrive out of order on a
+		// delaying transport; it is validation-only, so handle it here too.
+		return 0, n.checkReassign(msg)
+	}
+	if err := expectKind(msg, KindTierUpdate); err != nil {
+		return 0, err
+	}
+	if msg.Round < want {
+		n.rec.stale(n.id())
+		return 0, nil
+	}
+	if len(msg.Vectors) != 2 {
+		return 0, fmt.Errorf("cluster: parent update carries %d vectors, want 2", len(msg.Vectors))
+	}
+	return msg.Round, n.tier.Adopt(msg.Vectors[0], msg.Vectors[1])
+}
+
+// releaseReports hands every collected report's buffer back to its link and
+// empties the slots.
+func releaseReports(reports []transport.Message) {
+	for i := range reports {
+		reports[i].Release()
+		reports[i] = transport.Message{}
 	}
 }
 

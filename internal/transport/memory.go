@@ -8,19 +8,16 @@ import (
 	"hieradmo/internal/rng"
 )
 
-// inboxSize bounds each node's pending-message queue. The cluster protocol
-// has at most one outstanding message per peer pair per round, so the bound
-// is never reached in correct runs; it exists so a misbehaving test cannot
-// grow memory without bound while still decoupling sender and receiver
-// schedules.
-const inboxSize = 64
-
 // MemoryNetwork is an in-process hub connecting named endpoints through
 // buffered channels, with optional failure injection (message drops and
-// delivery delays) for protocol robustness tests.
+// delivery delays) for protocol robustness tests. Send copies the message
+// once, into a buffer of the directed link it travels (see frameList).
 type MemoryNetwork struct {
-	mu      sync.Mutex
-	inboxes map[string]chan Message
+	mu    sync.Mutex
+	boxes map[string]*mailbox
+	links map[Link]*frameList
+	// done is every mailbox's shutdown signal, closed by Close.
+	done chan struct{}
 	// claimed tracks node IDs with a live endpoint; a second Endpoint call
 	// for a claimed ID is rejected with ErrDuplicateNode until the first
 	// endpoint closes, so late joiners cannot shadow a running node.
@@ -69,7 +66,12 @@ func WithDelay(maxDelay time.Duration, seed uint64) MemoryOption {
 
 // NewMemoryNetwork returns an empty hub.
 func NewMemoryNetwork(opts ...MemoryOption) *MemoryNetwork {
-	n := &MemoryNetwork{inboxes: make(map[string]chan Message), claimed: make(map[string]bool)}
+	n := &MemoryNetwork{
+		boxes:   make(map[string]*mailbox),
+		links:   make(map[Link]*frameList),
+		done:    make(chan struct{}),
+		claimed: make(map[string]bool),
+	}
 	for _, o := range opts {
 		o(n)
 	}
@@ -91,13 +93,16 @@ func (n *MemoryNetwork) Endpoint(id string) (Endpoint, error) {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateNode, id)
 	}
 	n.claimed[id] = true
-	if _, ok := n.inboxes[id]; !ok {
-		n.inboxes[id] = make(chan Message, inboxSize)
+	box, ok := n.boxes[id]
+	if !ok {
+		box = newMailbox(id, n.done)
+		n.boxes[id] = box
 	}
-	return &memoryEndpoint{net: n, id: id}, nil
+	return &memoryEndpoint{net: n, mailbox: box}, nil
 }
 
-// Close shuts the hub down; all blocked receivers return ErrClosed.
+// Close shuts the hub down; blocked receivers return ErrClosed once their
+// queues are empty.
 func (n *MemoryNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -105,24 +110,30 @@ func (n *MemoryNetwork) Close() error {
 		return nil
 	}
 	n.closed = true
-	for _, ch := range n.inboxes {
-		close(ch)
-	}
+	close(n.done)
 	n.mu.Unlock()
 	n.wg.Wait()
 	return nil
 }
 
+// deliver copies msg into a buffer of its link and queues it for msg.To.
 func (n *MemoryNetwork) deliver(msg Message) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return ErrClosed
 	}
-	inbox, ok := n.inboxes[msg.To]
+	box, ok := n.boxes[msg.To]
 	if !ok {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownNode, msg.To)
+	}
+	inbox := box.ch
+	link := Link{From: msg.From, To: msg.To}
+	frames := n.links[link]
+	if frames == nil {
+		frames = new(frameList)
+		n.links[link] = frames
 	}
 	var delay time.Duration
 	if n.faultRNG != nil {
@@ -136,8 +147,12 @@ func (n *MemoryNetwork) deliver(msg Message) error {
 			n.stats.Delayed++
 		}
 	}
+	if delay > 0 {
+		n.wg.Add(1)
+	}
+	n.mu.Unlock()
+	msg = frames.copyOf(msg)
 	if delay == 0 {
-		n.mu.Unlock()
 		select {
 		case inbox <- msg:
 			return nil
@@ -145,28 +160,21 @@ func (n *MemoryNetwork) deliver(msg Message) error {
 			return fmt.Errorf("transport: inbox of %q full", msg.To)
 		}
 	}
-	n.wg.Add(1)
-	n.mu.Unlock()
-	timer := time.AfterFunc(delay, func() {
+	time.AfterFunc(delay, func() {
 		defer n.wg.Done()
-		defer func() {
-			// The inbox may close concurrently with delivery; a send on a
-			// closed channel panics, which we convert to a dropped message —
-			// acceptable during shutdown.
-			_ = recover()
-		}()
 		select {
 		case inbox <- msg:
 		default:
 		}
 	})
-	_ = timer
 	return nil
 }
 
+// memoryEndpoint is a node's claim on its hub mailbox, which supplies the
+// receive half.
 type memoryEndpoint struct {
 	net *MemoryNetwork
-	id  string
+	*mailbox
 	// released makes Close idempotent: only the first call gives the ID
 	// claim back (a second endpoint may hold it by then).
 	released bool
@@ -174,56 +182,9 @@ type memoryEndpoint struct {
 
 var _ Endpoint = (*memoryEndpoint)(nil)
 
-func (e *memoryEndpoint) ID() string { return e.id }
-
 func (e *memoryEndpoint) Send(to string, msg Message) error {
-	m := msg.Clone()
-	m.From = e.id
-	m.To = to
-	return e.net.deliver(m)
-}
-
-func (e *memoryEndpoint) inbox() (chan Message, error) {
-	e.net.mu.Lock()
-	defer e.net.mu.Unlock()
-	if e.net.closed {
-		return nil, ErrClosed
-	}
-	ch, ok := e.net.inboxes[e.id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, e.id)
-	}
-	return ch, nil
-}
-
-func (e *memoryEndpoint) Recv() (Message, error) {
-	ch, err := e.inbox()
-	if err != nil {
-		return Message{}, err
-	}
-	msg, ok := <-ch
-	if !ok {
-		return Message{}, ErrClosed
-	}
-	return msg, nil
-}
-
-func (e *memoryEndpoint) RecvTimeout(d time.Duration) (Message, error) {
-	ch, err := e.inbox()
-	if err != nil {
-		return Message{}, err
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case msg, ok := <-ch:
-		if !ok {
-			return Message{}, ErrClosed
-		}
-		return msg, nil
-	case <-timer.C:
-		return Message{}, fmt.Errorf("%w: %q after %v", ErrTimeout, e.id, d)
-	}
+	msg.From, msg.To = e.id, to
+	return e.net.deliver(msg)
 }
 
 func (e *memoryEndpoint) Close() error {

@@ -38,10 +38,8 @@ func ListenStatic(id string, registry map[string]string) (Endpoint, error) {
 	}
 	ep := &tcpEndpoint{
 		net:      nil,
-		id:       id,
+		mailbox:  newMailbox(id, make(chan struct{})),
 		ln:       ln,
-		inbox:    make(chan Message, inboxSize),
-		closed:   make(chan struct{}),
 		conns:    make(map[string]*tcpConn),
 		accepted: make(map[net.Conn]struct{}),
 		retries:  new(atomic.Int64),

@@ -1,10 +1,9 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,7 @@ import (
 )
 
 // Send-side retry policy for transient TCP failures (peer restarted, broken
-// pipe, encoder poisoned by a partial write): the first attempt plus
+// pipe, a frame cut short by a failed write): the first attempt plus
 // sendRetries redials with capped exponential backoff.
 const (
 	sendRetries     = 3
@@ -23,9 +22,11 @@ const (
 )
 
 // TCPNetwork runs the transport over real loopback (or LAN) sockets: every
-// node listens on its own address, messages are gob-encoded frames, and
-// outbound connections are cached per destination. Node addresses are
-// registered on Listen, so all endpoints must be created before the
+// node listens on its own address, messages are length-prefixed binary
+// frames (codec.go) written straight from the sender's vectors, and
+// outbound connections are cached per destination. Each inbound connection
+// decodes into buffers of its own free list (see frameList). Node addresses
+// are registered on Listen, so all endpoints must be created before the
 // protocol starts — which matches how the cluster coordinator works.
 type TCPNetwork struct {
 	mu     sync.Mutex
@@ -72,10 +73,8 @@ func (n *TCPNetwork) Listen(id string) (Endpoint, error) {
 	n.addrs[id] = ln.Addr().String()
 	ep := &tcpEndpoint{
 		net:      n,
-		id:       id,
+		mailbox:  newMailbox(id, make(chan struct{})),
 		ln:       ln,
-		inbox:    make(chan Message, inboxSize),
-		closed:   make(chan struct{}),
 		conns:    make(map[string]*tcpConn),
 		accepted: make(map[net.Conn]struct{}),
 		resolve:  n.lookup,
@@ -111,23 +110,24 @@ func (n *TCPNetwork) lookup(id string) (string, error) {
 	return addr, nil
 }
 
+// tcpConn is one outbound connection; mu serialises whole frames onto w.
 type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder
+	w    *bufio.Writer
 }
 
 type tcpEndpoint struct {
 	net *TCPNetwork // nil for static (cross-process) endpoints
-	id  string
-	ln  net.Listener
+	// mailbox is the receive half; its closed channel is the endpoint's
+	// shutdown signal.
+	*mailbox
+	ln net.Listener
 	// resolve maps a peer ID to its dial address (registry- or
 	// network-backed).
 	resolve func(id string) (string, error)
 
-	inbox  chan Message
-	closed chan struct{}
-	once   sync.Once
+	once sync.Once
 	//flvet:allow goexec -- transport-internal lifecycle tracking for accept/read loops; Close waits for them, no training data order depends on it
 	wg sync.WaitGroup
 
@@ -147,8 +147,6 @@ type tcpEndpoint struct {
 func (e *tcpEndpoint) SetTelemetry(sink *telemetry.Sink) { e.sink.Store(sink) }
 
 var _ Endpoint = (*tcpEndpoint)(nil)
-
-func (e *tcpEndpoint) ID() string { return e.id }
 
 func (e *tcpEndpoint) acceptLoop() {
 	defer e.wg.Done()
@@ -173,19 +171,18 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		delete(e.accepted, conn)
 		e.connMu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
+	dec := newDecoder(conn, maxFrameBytes)
 	for {
-		var msg Message
-		if err := dec.Decode(&msg); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Connection-level failures surface to the receiver as
-				// silence (and hence RecvTimeout), mirroring real deployments.
-				return
-			}
+		msg, err := dec.decode()
+		if err != nil {
+			// A closed, failed or cut-short connection and a malformed frame
+			// all end the same way: the partial frame is dropped with the
+			// connection, and the receiver sees silence (and hence
+			// RecvTimeout), mirroring real deployments.
 			return
 		}
 		select {
-		case e.inbox <- msg:
+		case e.ch <- msg:
 		case <-e.closed:
 			return
 		}
@@ -222,7 +219,7 @@ func (e *tcpEndpoint) connTo(to string) (*tcpConn, error) {
 		case <-time.After(250 * time.Millisecond):
 		}
 	}
-	c = &tcpConn{conn: raw, enc: gob.NewEncoder(raw)}
+	c = &tcpConn{conn: raw, w: bufio.NewWriterSize(raw, wireBufSize)}
 	e.connMu.Lock()
 	if existing, dup := e.conns[to]; dup {
 		raw.Close()
@@ -236,7 +233,8 @@ func (e *tcpEndpoint) connTo(to string) (*tcpConn, error) {
 
 // dropConn evicts a connection after a send failure (comparing pointers so a
 // concurrent sender's replacement is never evicted) so the next attempt
-// redials with a fresh encoder — a gob encoder is poisoned by any error.
+// redials: a failed write may have left part of a frame on the old
+// connection, which the peer drops along with it.
 func (e *tcpEndpoint) dropConn(to string, c *tcpConn) {
 	e.connMu.Lock()
 	if e.conns[to] == c {
@@ -247,9 +245,7 @@ func (e *tcpEndpoint) dropConn(to string, c *tcpConn) {
 }
 
 func (e *tcpEndpoint) Send(to string, msg Message) error {
-	m := msg.Clone()
-	m.From = e.id
-	m.To = to
+	msg.From, msg.To = e.id, to
 
 	backoff := sendBackoffBase
 	var lastErr error
@@ -282,43 +278,15 @@ func (e *tcpEndpoint) Send(to string, msg Message) error {
 			continue
 		}
 		c.mu.Lock()
-		err = c.enc.Encode(m)
+		err = encodeFrame(c.w, &msg)
 		c.mu.Unlock()
-		if err == nil {
-			return nil
+		if err == nil || errors.Is(err, ErrFrame) {
+			return err // sent, or refused before anything was written
 		}
 		lastErr = err
 		e.dropConn(to, c)
 	}
 	return fmt.Errorf("transport: send to %q (after %d retries): %w", to, sendRetries, lastErr)
-}
-
-func (e *tcpEndpoint) Recv() (Message, error) {
-	select {
-	case msg := <-e.inbox:
-		return msg, nil
-	case <-e.closed:
-		// Drain anything already queued before reporting closure.
-		select {
-		case msg := <-e.inbox:
-			return msg, nil
-		default:
-			return Message{}, ErrClosed
-		}
-	}
-}
-
-func (e *tcpEndpoint) RecvTimeout(d time.Duration) (Message, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case msg := <-e.inbox:
-		return msg, nil
-	case <-e.closed:
-		return Message{}, ErrClosed
-	case <-timer.C:
-		return Message{}, fmt.Errorf("%w: %q after %v", ErrTimeout, e.id, d)
-	}
 }
 
 func (e *tcpEndpoint) Close() error {

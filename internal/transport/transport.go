@@ -1,8 +1,13 @@
 // Package transport provides the message-passing substrate for the
 // distributed execution of HierAdMo (internal/cluster): a Message format
 // carrying model-sized vectors between named nodes, an in-memory network
-// with failure injection for tests, and a TCP network (net + encoding/gob)
-// for running the protocol over real sockets.
+// with failure injection for tests, and a TCP network carrying
+// length-prefixed binary frames (codec.go) over real sockets.
+//
+// A received Message's payload lives in a buffer owned by the directed link
+// that delivered it (frame.go); Message.Release hands the buffer back for
+// the link's next message. DESIGN.md §7.7 has the frame layout and the
+// ownership rules.
 //
 // The in-process simulation in internal/fl is the reference semantics; the
 // cluster runtime built on this package must produce bit-identical results
@@ -33,6 +38,10 @@ var (
 	// late-joining nodes must either use a fresh ID or wait for the old
 	// endpoint to close.
 	ErrDuplicateNode = errors.New("transport: node already registered")
+	// ErrFrame is returned for a wire frame that is malformed or declares
+	// sizes beyond the codec's caps, and by Send for a message the frame
+	// format cannot carry.
+	ErrFrame = errors.New("transport: malformed frame")
 )
 
 // Network is the transport factory a protocol runs over; MemoryNetwork,
@@ -91,6 +100,11 @@ type TelemetrySetter interface {
 // Message is one protocol datagram. Vectors carry model-sized state (models,
 // momenta, gradient accumulators); Scalars carry small metadata such as
 // losses and data weights.
+//
+// Send is synchronous on every transport: once it returns the transport
+// holds no reference to the sender's vectors or scalars, so the sender may
+// overwrite or reuse them at once. A received message's Vectors and Scalars
+// belong to the link that delivered it until Release.
 type Message struct {
 	// From and To are node IDs; the sending endpoint fills From.
 	From string `json:"from"`
@@ -100,27 +114,28 @@ type Message struct {
 	// Round is the protocol round the message belongs to, for debugging and
 	// ordering assertions.
 	Round int `json:"round"`
-	// Vectors is the model-sized payload.
+	// Vectors is the model-sized payload. A zero-length vector arrives with
+	// length 0, an absent or empty Vectors as nil.
 	Vectors [][]float64 `json:"vectors"`
-	// Scalars is small named metadata.
+	// Scalars is small named metadata; nil and empty both arrive as sent.
 	Scalars map[string]float64 `json:"scalars"`
+
+	// lease is the link-owned buffer Vectors and Scalars are carved from;
+	// zero for messages built by the caller.
+	lease lease
 }
 
-// Clone deep-copies the message so transports can deliver without aliasing
-// the sender's buffers.
-func (m Message) Clone() Message {
-	out := m
-	out.Vectors = make([][]float64, len(m.Vectors))
-	for i, v := range m.Vectors {
-		out.Vectors[i] = append([]float64(nil), v...)
+// Release hands a received message's buffer back to the link that
+// delivered it, which reuses it for a later message: after Release the
+// message's Vectors and Scalars must not be read again. Releasing is an
+// optimisation only — a message that is never released stays valid for
+// ever and the link allocates a replacement buffer. Releasing twice, or
+// releasing a message that was not received from a transport, does
+// nothing.
+func (m Message) Release() {
+	if f := m.lease.frame; f != nil {
+		f.list.put(f, m.lease.gen)
 	}
-	if m.Scalars != nil {
-		out.Scalars = make(map[string]float64, len(m.Scalars))
-		for k, v := range m.Scalars {
-			out.Scalars[k] = v
-		}
-	}
-	return out
 }
 
 // Endpoint is one node's handle on a network.

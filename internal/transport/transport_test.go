@@ -8,20 +8,6 @@ import (
 	"time"
 )
 
-func TestMessageClone(t *testing.T) {
-	m := Message{
-		Kind:    "k",
-		Vectors: [][]float64{{1, 2}},
-		Scalars: map[string]float64{"loss": 3},
-	}
-	c := m.Clone()
-	c.Vectors[0][0] = 99
-	c.Scalars["loss"] = 99
-	if m.Vectors[0][0] != 1 || m.Scalars["loss"] != 3 {
-		t.Error("Clone aliases the original payload")
-	}
-}
-
 func TestMemorySendRecv(t *testing.T) {
 	net := NewMemoryNetwork()
 	defer net.Close()
