@@ -10,6 +10,16 @@ import (
 
 func buildConfig(t *testing.T, seed uint64) *fl.Config {
 	t.Helper()
+	return buildConfigEdges(t, seed, []int{2, 2})
+}
+
+// buildConfigEdges is buildConfig over an arbitrary workers-per-edge shape.
+func buildConfigEdges(t *testing.T, seed uint64, edges []int) *fl.Config {
+	t.Helper()
+	workers := 0
+	for _, c := range edges {
+		workers += c
+	}
 	cfg := dataset.GenConfig{
 		Name:          "toy",
 		Shape:         dataset.Shape{C: 1, H: 5, W: 5},
@@ -23,11 +33,11 @@ func buildConfig(t *testing.T, seed uint64) *fl.Config {
 		t.Fatal(err)
 	}
 	train, test := g.TrainTest(400, 120, seed+1)
-	shards, err := dataset.PartitionIID(train, 4, seed+2)
+	shards, err := dataset.PartitionIID(train, workers, seed+2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := dataset.Hierarchy(shards, []int{2, 2})
+	hier, err := dataset.Hierarchy(shards, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
