@@ -18,7 +18,9 @@
 //
 // With -baseline it additionally diffs the fresh run against a committed
 // report and exits 1 when any benchmark's ns/op, B/op, or allocs/op regressed
-// beyond its tolerance flag — the perf gate `make check` runs:
+// beyond its tolerance flag — the perf gate `make check` runs. A baseline
+// recorded on another CPU model or at another GOMAXPROCS is refused outright
+// (see sameHost):
 //
 //	go test -bench=. -benchmem -count=3 ./internal/core | benchjson -baseline BENCH_core.json
 //
@@ -114,6 +116,9 @@ func run(out, baseline string, tol tolerances, checkScal bool, slack, overhead f
 		if err != nil {
 			return err
 		}
+		if err := sameHost(rep, base); err != nil {
+			return fmt.Errorf("cannot compare against %s: %w; regenerate the baseline on this host (make bench)", baseline, err)
+		}
 		failures = append(failures, compare(rep, base, tol)...)
 	}
 	for _, f := range failures {
@@ -157,6 +162,27 @@ func loadReport(path string) (*report, error) {
 		return nil, fmt.Errorf("baseline %s contains no benchmark records; regenerate it with -out", path)
 	}
 	return &rep, nil
+}
+
+// sameHost refuses a comparison the numbers cannot support: another CPU model
+// moves every ns/op, and another GOMAXPROCS moves B/op and allocs/op of the
+// workers=N benchmarks too (a pool never spawns more goroutines than procs).
+// Diffing across either would report one hardware difference as a regression
+// per row.
+func sameHost(cur, base *report) error {
+	if cur.CPU != base.CPU {
+		return fmt.Errorf("baseline cpu %q, this run %q", base.CPU, cur.CPU)
+	}
+	baseProcs := make(map[string]int, len(base.Benchmarks))
+	for _, b := range base.Benchmarks {
+		baseProcs[b.Name] = b.Procs
+	}
+	for _, c := range cur.Benchmarks {
+		if p, ok := baseProcs[c.Name]; ok && p != c.Procs {
+			return fmt.Errorf("baseline ran %s at procs=%d, this run at procs=%d", c.Name, p, c.Procs)
+		}
+	}
+	return nil
 }
 
 // compare diffs cur against base by benchmark name and describes every entry

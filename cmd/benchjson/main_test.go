@@ -222,6 +222,28 @@ func TestCheckScalingIgnoresFamiliesWithoutBaseline(t *testing.T) {
 	}
 }
 
+// TestSameHostRefusesForeignBaselines: a baseline from another CPU model or
+// another GOMAXPROCS is one error naming the difference, not a regression per
+// row; records present on one side only do not count.
+func TestSameHostRefusesForeignBaselines(t *testing.T) {
+	single := parseSample(t, sampleBench)
+	if err := sameHost(single, parseSample(t, sampleBench)); err != nil {
+		t.Errorf("a report is not comparable with itself: %v", err)
+	}
+	otherCPU := parseSample(t, strings.Replace(sampleBench, "2.10GHz", "2.70GHz", 1))
+	if err := sameHost(single, otherCPU); err == nil || !strings.Contains(err.Error(), "2.70GHz") {
+		t.Errorf("cpu mismatch: err = %v, want one naming both models", err)
+	}
+	multi := parseSample(t, strings.Replace(sampleMulticore, "pkg:", "cpu: Test CPU @ 2.10GHz\npkg:", 1))
+	if err := sameHost(multi, single); err == nil || !strings.Contains(err.Error(), "procs=8") {
+		t.Errorf("procs mismatch: err = %v, want one naming both GOMAXPROCS", err)
+	}
+	multi.Benchmarks = multi.Benchmarks[:0]
+	if err := sameHost(multi, single); err != nil {
+		t.Errorf("no common benchmark, same cpu: %v", err)
+	}
+}
+
 // TestLoadReportRejectsBadBaselines pins the gate's failure modes: a
 // missing file, malformed JSON, and — the silent one — schema-valid JSON
 // with zero benchmark records, which would make every comparison pass

@@ -1,9 +1,14 @@
-package core
+// The benchmarks live in the external test package: the baseline rows are
+// measured beside HierAdMo on one config, and internal/baseline may import
+// this package.
+package core_test
 
 import (
 	"fmt"
 	"testing"
 
+	"hieradmo/internal/baseline"
+	"hieradmo/internal/core"
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
@@ -58,6 +63,26 @@ func benchCNNConfig(b *testing.B, workers int) *fl.Config {
 	}
 }
 
+// benchRuns times b.N whole runs of alg. One untimed run comes first: the
+// testing package collects garbage before every measurement, which empties
+// the pools a run draws its slab and layer workspaces from, and whether the
+// first run then finds its slab again depends on which P it lands on — a
+// coin flip worth 90 kB/op at ten iterations. The steady state, a run that
+// recycles the previous run's arena, is what the gate tracks.
+func benchRuns(b *testing.B, alg fl.Algorithm, cfg *fl.Config) {
+	b.Helper()
+	if _, err := alg.Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := alg.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHierAdMoCNN measures the Algorithm-1 round loop on the CNN
 // workload across worker-pool sizes. Results are bit-identical at every
 // size (see parallel_test.go); only wall-clock and allocation behaviour may
@@ -67,13 +92,20 @@ func BenchmarkHierAdMoCNN(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := benchCNNConfig(b, workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := New().Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchRuns(b, core.New(), cfg)
+		})
+	}
+}
+
+// BenchmarkBaselineCNN measures three baselines on HierAdMoCNN's config at
+// workers=1: FedAvg (plain SGD leaves, plain average), FedNAG (the kernel's
+// leaf step, plain average) and Mime (a rule-owned server momentum). One run
+// is T = 8 iterations and two cloud syncs, so B/op and allocs/op are the
+// per-run set-up plus whatever a sync costs.
+func BenchmarkBaselineCNN(b *testing.B) {
+	for _, alg := range []fl.Algorithm{baseline.NewFedAvg(), baseline.NewFedNAG(), baseline.NewMime()} {
+		b.Run(alg.Name(), func(b *testing.B) {
+			benchRuns(b, alg, benchCNNConfig(b, 1))
 		})
 	}
 }
@@ -148,7 +180,7 @@ func BenchmarkEdgeCosine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EdgeCosine(weights, gradSums, signals); err != nil {
+		if _, err := core.EdgeCosine(weights, gradSums, signals); err != nil {
 			b.Fatal(err)
 		}
 	}
