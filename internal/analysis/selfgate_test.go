@@ -60,6 +60,12 @@ func TestModuleSelfGate(t *testing.T) {
 		"hieradmo/internal/cluster.treeLeaf",
 		"hieradmo/internal/cluster.tierNode",
 		"hieradmo/internal/fl.GradOracle",
+		// The rule-owned state of the hooked baselines, registered through
+		// the simulation driver's binding.
+		"hieradmo/internal/baseline.cflState",
+		"hieradmo/internal/baseline.serverMomState",
+		"hieradmo/internal/baseline.mimeState",
+		"hieradmo/internal/baseline.fedADCState",
 	} {
 		if !ckpt.cand[owner] {
 			t.Errorf("ckptstate did not see %s as checkpoint-registered", owner)

@@ -151,25 +151,6 @@ func TestBaselinesRejectBadConfig(t *testing.T) {
 	}
 }
 
-func TestFlattenWeights(t *testing.T) {
-	cfg := buildConfig(t, 27)
-	hn, err := fl.NewHarness(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := flatten(hn)
-	if len(ws) != 4 {
-		t.Fatalf("flattened %d workers, want 4", len(ws))
-	}
-	var sum float64
-	for _, w := range ws {
-		sum += w.weight
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("flat weights sum = %v", sum)
-	}
-}
-
 // TestMomentumHelpsNonIID checks the paper's core ordering on a non-IID
 // workload: the momentum-based two-tier algorithm (FedNAG) should reach at
 // least the accuracy neighbourhood of plain FedAvg, and hierarchical

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/fl"
 )
 
@@ -88,5 +90,35 @@ func TestBaselinesResumeBitIdentical(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestLegacyBaselineSnapshotRefused: a baseline's snapshot now holds kernel
+// leaves and tiers, so its fingerprint carries a layout token. A snapshot
+// family written by the hand-written FedAvg loop — same config, same file
+// prefix, bare fingerprint, its own entry names — is refused up front with
+// ErrMismatch, never half-read into the new layout.
+func TestLegacyBaselineSnapshotRefused(t *testing.T) {
+	cfg := buildConfig(t, 13)
+	cfg.T = 40
+	cfg.CheckpointDir = t.TempDir()
+	mgr, err := checkpoint.NewManager(cfg.CheckpointDir, "sim-fedavg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := checkpoint.NewRegistry(mgr, cfg.Fingerprint("FedAvg"))
+	dim := cfg.Model.Dim()
+	for _, name := range []string{"x/0", "x/1", "x/2", "x/3", "server"} {
+		legacy.Vector(name, make([]float64, dim))
+	}
+	if err := legacy.Save(8); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewFedAvg().Run(cfg)
+	if !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Fatalf("resume from a legacy snapshot = %v, want wrapped checkpoint.ErrMismatch", err)
+	}
+	if errors.Is(err, checkpoint.ErrFormat) {
+		t.Errorf("the legacy snapshot was opened and half-read before being refused: %v", err)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the only copy of Algorithm 1's update arithmetic. The
-// in-process simulation (hieradmo.go) and the distributed tier runtime
+// in-process simulation (sim.go) and the distributed tier runtime
 // (internal/cluster) are drivers around it: they decide who reports, move the
 // vectors, and observe the outcome; every floating-point operation of lines
 // 5–6, 10–13 and 18–19 happens here, in one fixed order. The kernel emits

@@ -153,9 +153,9 @@ func TestTierMomentumStep(t *testing.T) {
 	}
 }
 
-// TestTierMatchesCloudAverage: the plain-average level is bitwise
-// fl.Harness.CloudAverage, the reduction the simulation's cloud used before
-// it became a Tier.
+// TestTierMatchesCloudAverage: the plain-average level is bitwise the
+// Dℓ/D-weighted tensor.WeightedSum, the reduction the simulation's cloud used
+// before it became a Tier.
 func TestTierMatchesCloudAverage(t *testing.T) {
 	cfg := buildConfig(t, []int{3, 1, 2}, 0, 29)
 	hn, err := fl.NewHarness(cfg)
@@ -166,10 +166,10 @@ func TestTierMatchesCloudAverage(t *testing.T) {
 	r := rng.New(7)
 	ys, xs := randomVecs(r, cfg.NumEdges(), dim), randomVecs(r, cfg.NumEdges(), dim)
 	wantY, wantX := tensor.NewVector(dim), tensor.NewVector(dim)
-	if err := hn.CloudAverage(wantY, ys); err != nil {
+	if err := tensor.WeightedSum(wantY, hn.EdgeWeights, ys); err != nil {
 		t.Fatal(err)
 	}
-	if err := hn.CloudAverage(wantX, xs); err != nil {
+	if err := tensor.WeightedSum(wantX, hn.EdgeWeights, xs); err != nil {
 		t.Fatal(err)
 	}
 	cloud := NewTier(Level{X0: tensor.NewVector(dim)}, cfg.NumEdges(), heapVec(dim))
@@ -180,7 +180,7 @@ func TestTierMatchesCloudAverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameBits(cloud.YMinus, wantY) || !sameBits(cloud.XPlus, wantX) {
-		t.Error("plain-average tier diverges from Harness.CloudAverage")
+		t.Error("plain-average tier diverges from the weighted sum")
 	}
 }
 

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"hieradmo/internal/core"
 )
 
 // tinyScale keeps experiment integration tests fast while exercising every
@@ -121,19 +124,39 @@ func TestAllAlgorithmsRoster(t *testing.T) {
 	}
 }
 
-func TestTierAndTrafficClassification(t *testing.T) {
-	for _, name := range []string{"HierAdMo", "HierAdMo-R", "HierFAVG", "CFL"} {
-		if !ThreeTier(name) {
-			t.Errorf("%s should be three-tier", name)
+// rowFacts is what Fig. 2(h)/(l) reads from each algorithm's rule row: the
+// tier count (which netsim timeline) and whether momentum travels (which
+// payload). The values are the classification the eleven algorithms have
+// always been timed with.
+var rowFacts = map[string]struct {
+	tiers    int
+	momentum bool
+}{
+	"HierAdMo": {3, true}, "HierAdMo-R": {3, true}, "HierFAVG": {3, false}, "CFL": {3, false},
+	"FastSlowMo": {2, true}, "FedADC": {2, true}, "FedMom": {2, false}, "SlowMo": {2, false},
+	"FedNAG": {2, true}, "Mime": {2, true}, "FedAvg": {2, false},
+}
+
+// TestAlgorithmsResolveToRows: every algorithm of the roster is a rule row
+// with known facts. An algorithm added to AllAlgorithms() without a row, or
+// without an entry above, fails here instead of being timed as a two-tier,
+// momentum-free run by default.
+func TestAlgorithmsResolveToRows(t *testing.T) {
+	for _, alg := range AllAlgorithms() {
+		row, ok := core.RuleOf(alg)
+		if !ok {
+			t.Errorf("%s does not resolve to a rule row", alg.Name())
+			continue
 		}
-	}
-	for _, name := range []string{"FedAvg", "FedNAG", "SlowMo", "Mime", "FedMom", "FastSlowMo", "FedADC"} {
-		if ThreeTier(name) {
-			t.Errorf("%s should be two-tier", name)
+		want, known := rowFacts[alg.Name()]
+		if !known {
+			t.Errorf("%s has no expected tier count and payload", alg.Name())
+			continue
 		}
-	}
-	if !MomentumTraffic("HierAdMo") || MomentumTraffic("FedAvg") {
-		t.Error("momentum traffic classification wrong")
+		if row.Tiers() != want.tiers || row.ShipsMomentum != want.momentum {
+			t.Errorf("%s: row says %d tiers, momentum traffic %v; want %d, %v",
+				alg.Name(), row.Tiers(), row.ShipsMomentum, want.tiers, want.momentum)
+		}
 	}
 }
 
@@ -244,8 +267,8 @@ func TestRunFig2TrainingTimeSmall(t *testing.T) {
 		if len(r.Cells) != 4 {
 			t.Errorf("row %s has %d cells", r.Label, len(r.Cells))
 		}
-		if r.Cells[0] != "3-tier" && r.Cells[0] != "2-tier" {
-			t.Errorf("row %s tier cell %q", r.Label, r.Cells[0])
+		if want := fmt.Sprintf("%d-tier", rowFacts[r.Label].tiers); r.Cells[0] != want {
+			t.Errorf("row %s tier cell %q, want %q", r.Label, r.Cells[0], want)
 		}
 	}
 	if _, err := RunFig2TrainingTime(tinyScale(), TimingSetting(99)); err == nil {

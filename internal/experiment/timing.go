@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"hieradmo/internal/core"
 	"hieradmo/internal/netsim"
 )
 
@@ -66,17 +67,18 @@ func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 	}
 	for i, res := range results {
 		name := algos[i].Name()
-		payload := netsim.ModelPayload(dim, MomentumTraffic(name))
-		var (
-			tl   netsim.Timeline
-			tier string
-		)
-		if ThreeTier(name) {
-			tier = "3-tier"
-			tl, err = netsim.SimulateThreeTier(env, payload, cfg.T, tau, pi)
-		} else {
-			tier = "2-tier"
+		// The timeline and the payload follow the rule row the run executed,
+		// so an algorithm cannot be timed as something it is not.
+		row, ok := core.RuleOf(algos[i])
+		if !ok {
+			return nil, fmt.Errorf("fig2h/l %s: not a rule row, so its tier count and payload are unknown", name)
+		}
+		payload := netsim.ModelPayload(dim, row.ShipsMomentum)
+		var tl netsim.Timeline
+		if row.Flat {
 			tl, err = netsim.SimulateTwoTier(env, payload, cfg.T, tau*pi)
+		} else {
+			tl, err = netsim.SimulateThreeTier(env, payload, cfg.T, tau, pi)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fig2h/l %s: %w", name, err)
@@ -89,7 +91,7 @@ func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 		if d, ok := netsim.TimeToAccuracy(tl, curve, s.TargetAcc); ok {
 			cell = Dur(d)
 		}
-		tbl.AddRow(name, tier, cell, Pct(res.FinalAcc), Dur(tl.Total()))
+		tbl.AddRow(name, fmt.Sprintf("%d-tier", row.Tiers()), cell, Pct(res.FinalAcc), Dur(tl.Total()))
 	}
 	return tbl, nil
 }

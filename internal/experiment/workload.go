@@ -185,25 +185,3 @@ func AllAlgorithms() []fl.Algorithm {
 		baseline.NewFedAvg(),
 	}
 }
-
-// ThreeTier reports whether the named algorithm uses the client–edge–cloud
-// hierarchy (it affects which timing simulation Fig. 2h/l applies).
-func ThreeTier(name string) bool {
-	switch name {
-	case "HierAdMo", "HierAdMo-R", "HierFAVG", "CFL":
-		return true
-	default:
-		return false
-	}
-}
-
-// MomentumTraffic reports whether the named algorithm ships momentum state
-// alongside the model at synchronization (it affects the Fig. 2h/l payload).
-func MomentumTraffic(name string) bool {
-	switch name {
-	case "HierAdMo", "HierAdMo-R", "FastSlowMo", "FedNAG", "FedADC", "Mime":
-		return true
-	default:
-		return false
-	}
-}

@@ -190,7 +190,7 @@ func TestHarnessWorkerStreamsDiffer(t *testing.T) {
 	}
 }
 
-func TestAverages(t *testing.T) {
+func TestEdgeAverage(t *testing.T) {
 	hn, err := NewHarness(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
@@ -205,19 +205,6 @@ func TestAverages(t *testing.T) {
 	}
 	if math.Abs(dst[0]-1.5) > 1e-12 {
 		t.Errorf("edge average = %v, want 1.5", dst[0])
-	}
-	if err := hn.CloudAverage(dst, []tensor.Vector{ones, twos}); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dst[0]-1.5) > 1e-12 {
-		t.Errorf("cloud average = %v, want 1.5", dst[0])
-	}
-	grid := [][]tensor.Vector{{ones, ones}, {twos, twos}}
-	if err := hn.GlobalAverage(dst, grid); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dst[0]-1.5) > 1e-12 {
-		t.Errorf("global average = %v, want 1.5", dst[0])
 	}
 }
 
@@ -285,26 +272,6 @@ func TestRecordAndFinish(t *testing.T) {
 	}
 	if res.FinalAcc < 0 || res.FinalAcc > 1 {
 		t.Errorf("FinalAcc = %v", res.FinalAcc)
-	}
-}
-
-func TestGrids(t *testing.T) {
-	hn, err := NewHarness(testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := tensor.Vector{1, 2}
-	grid := hn.CloneGrid(src)
-	if len(grid) != 2 || len(grid[0]) != 2 {
-		t.Fatalf("grid shape wrong")
-	}
-	grid[0][0][0] = 99
-	if src[0] != 1 || grid[0][1][0] != 1 {
-		t.Error("CloneGrid entries alias each other")
-	}
-	zgrid := hn.ZeroGrid(3)
-	if len(zgrid[1][1]) != 3 || zgrid[1][1][0] != 0 {
-		t.Error("ZeroGrid wrong")
 	}
 }
 

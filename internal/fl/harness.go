@@ -208,30 +208,6 @@ func (h *Harness) EdgeAverage(dst tensor.Vector, l int, vecs []tensor.Vector) er
 	return nil
 }
 
-// CloudAverage overwrites dst with the Dℓ/D-weighted average of per-edge
-// vectors.
-func (h *Harness) CloudAverage(dst tensor.Vector, perEdge []tensor.Vector) error {
-	if err := tensor.WeightedSum(dst, h.EdgeWeights, perEdge); err != nil {
-		return fmt.Errorf("fl: cloud average: %w", err)
-	}
-	return nil
-}
-
-// GlobalAverage overwrites dst with the D(i,ℓ)/D-weighted average over all
-// workers' vectors (vecs indexed [edge][worker]). This is the evaluation
-// model between aggregation instants.
-func (h *Harness) GlobalAverage(dst tensor.Vector, vecs [][]tensor.Vector) error {
-	dst.Zero()
-	for l := range vecs {
-		for i, v := range vecs[l] {
-			if err := dst.AXPY(h.GlobalWeight(l, i), v); err != nil {
-				return fmt.Errorf("fl: global average worker {%d,%d}: %w", i, l, err)
-			}
-		}
-	}
-	return nil
-}
-
 // NewResult prepares a Result for the named algorithm.
 func (h *Harness) NewResult(name string) *Result {
 	return &Result{Algorithm: name, Iterations: h.cfg.T}
@@ -286,28 +262,4 @@ func (h *Harness) Finish(res *Result, params tensor.Vector) error {
 	res.Curve = append(res.Curve, Point{Iter: h.cfg.T, TestAcc: acc, TrainLoss: res.FinalLoss})
 	h.recordEval(h.cfg.T, acc, res.FinalLoss, true)
 	return nil
-}
-
-// CloneGrid allocates an [edge][worker] grid of vectors, each a copy of src.
-func (h *Harness) CloneGrid(src tensor.Vector) [][]tensor.Vector {
-	grid := make([][]tensor.Vector, h.cfg.NumEdges())
-	for l, edge := range h.cfg.Edges {
-		grid[l] = make([]tensor.Vector, len(edge))
-		for i := range edge {
-			grid[l][i] = src.Clone()
-		}
-	}
-	return grid
-}
-
-// ZeroGrid allocates an [edge][worker] grid of zero vectors of length dim.
-func (h *Harness) ZeroGrid(dim int) [][]tensor.Vector {
-	grid := make([][]tensor.Vector, h.cfg.NumEdges())
-	for l, edge := range h.cfg.Edges {
-		grid[l] = make([]tensor.Vector, len(edge))
-		for i := range edge {
-			grid[l][i] = tensor.NewVector(dim)
-		}
-	}
-	return grid
 }

@@ -21,18 +21,17 @@ import (
 	"sync/atomic"
 )
 
-// Options configures a ForEach invocation.
-type Options struct {
+// Option customizes a ForEach invocation. It is a plain value, not a
+// function over a settings struct: an indirect call would force that struct
+// onto the heap, one allocation per ForEach in every training iteration.
+type Option struct {
 	workers int
 }
-
-// Option customizes Options.
-type Option func(*Options)
 
 // WithWorkers bounds the goroutine pool to n concurrent workers. Values
 // below 1 (including the default 0) select runtime.GOMAXPROCS(0).
 func WithWorkers(n int) Option {
-	return func(o *Options) { o.workers = n }
+	return Option{workers: n}
 }
 
 // Resolve returns the effective pool size: n when positive, otherwise
@@ -58,11 +57,11 @@ func ForEach(n int, fn func(i int) error, opts ...Option) error {
 	if n <= 0 {
 		return nil
 	}
-	var o Options
+	workers := 0
 	for _, opt := range opts {
-		opt(&o)
+		workers = opt.workers
 	}
-	workers := Resolve(o.workers)
+	workers = Resolve(workers)
 	if workers > n {
 		workers = n
 	}
