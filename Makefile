@@ -110,10 +110,12 @@ recover:
 	$(GO) test -count=1 ./cmd/flnode/ -run 'TestMultiProcessKillRestart' || exit 1
 	$(GO) test -count=1 ./cmd/flcluster/ -run 'TestSigterm|TestDoubleSignal'
 
-## bench: run the core and wire benchmarks with -benchmem and record the
-## perf trajectory (ns/op, B/op, allocs/op, worker-pool size) in
-## BENCH_core.json and BENCH_wire.json (frame encode/decode and the memory
-## and TCP-loopback round trip at the leaf-report shape, 4 x 15380 values).
+## bench: run the core, wire and snapshot benchmarks with -benchmem and
+## record the perf trajectory (ns/op, B/op, allocs/op, worker-pool size) in
+## BENCH_core.json, BENCH_wire.json (frame encode/decode and the memory
+## and TCP-loopback round trip at the leaf-report shape, 4 x 15380 values)
+## and BENCH_ckpt.json (one node's Registry.Save into a real directory at the
+## leaf and tier shapes, 4 and 12 x 15380 values).
 ## -count=3 repetitions are merged best-of-N by benchjson: the minimum is
 ## the stable noise estimator on a shared box, where interference only ever
 ## adds time (observed single-run spread on this host is >30%).
@@ -126,7 +128,9 @@ bench:
 		| $(GO) run ./cmd/benchjson -out BENCH_core.json
 	$(GO) test $(WIREBENCHFLAGS) ./internal/transport \
 		| $(GO) run ./cmd/benchjson -out BENCH_wire.json
-	@cat BENCH_core.json BENCH_wire.json
+	$(GO) test $(WIREBENCHFLAGS) ./internal/checkpoint \
+		| $(GO) run ./cmd/benchjson -out BENCH_ckpt.json
+	@cat BENCH_core.json BENCH_wire.json BENCH_ckpt.json
 
 ## benchdiff: the perf gate — rerun the core benchmarks and fail when any
 ## ns/op, B/op, or allocs/op regressed beyond its budget against the
@@ -139,12 +143,17 @@ bench:
 ## box still spreads ~15% even best-of-3 — 25% is above the noise floor
 ## yet far below the 2x-class regressions this gate exists to catch. The
 ## wire benchmarks are allocation-free, and a zero baseline is held at zero.
+## The snapshot benchmark is gated on B/op and allocs/op alone: its time is an
+## fsync, which measures the host's disk, so its ns/op is printed, not gated.
 benchdiff:
 	$(GO) test $(BENCHFLAGS) ./internal/core \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_core.json -max-regress 0.25 \
 			-max-bytes-regress 0.10 -max-alloc-regress 0.10 -check-scaling
 	$(GO) test $(WIREBENCHFLAGS) ./internal/transport \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_wire.json -max-regress 0.25 \
+			-max-bytes-regress 0.10 -max-alloc-regress 0.10
+	$(GO) test $(WIREBENCHFLAGS) ./internal/checkpoint \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_ckpt.json -max-regress -1 \
 			-max-bytes-regress 0.10 -max-alloc-regress 0.10
 
 ## benchall: every benchmark in the repo (experiment tables, kernels, nn).

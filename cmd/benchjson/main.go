@@ -75,8 +75,9 @@ type tolerances struct {
 var (
 	// benchLine matches e.g.
 	// BenchmarkHierAdMoCNN/workers=2-8  3  412345678 ns/op  1234 B/op  56 allocs/op
+	// (a benchmark that calls SetBytes prints an MB/s column after ns/op).
 	benchLine = regexp.MustCompile(
-		`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
+		`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
 	workersTag  = regexp.MustCompile(`workers=(\d+)`)
 	headerLine  = regexp.MustCompile(`^(goos|goarch|pkg|cpu):\s*(.*)$`)
 	procsSuffix = regexp.MustCompile(`^(.+)-(\d+)$`)
@@ -85,7 +86,7 @@ var (
 func main() {
 	out := flag.String("out", "", "write JSON to this file (default stdout)")
 	baseline := flag.String("baseline", "", "diff against this committed report and fail on regression")
-	maxRegress := flag.Float64("max-regress", 0.10, "tolerated fractional ns/op growth over the baseline")
+	maxRegress := flag.Float64("max-regress", 0.10, "tolerated fractional ns/op growth over the baseline; negative prints ns/op against the baseline without gating it")
 	maxBytes := flag.Float64("max-bytes-regress", 0.10, "tolerated fractional B/op growth over the baseline")
 	maxAllocs := flag.Float64("max-alloc-regress", 0.10, "tolerated fractional allocs/op growth over the baseline")
 	checkScal := flag.Bool("check-scaling", false, "verify workers=N benchmarks against workers=1 within the fresh run")
@@ -120,6 +121,11 @@ func run(out, baseline string, tol tolerances, checkScal bool, slack, overhead f
 			return fmt.Errorf("cannot compare against %s: %w; regenerate the baseline on this host (make bench)", baseline, err)
 		}
 		failures = append(failures, compare(rep, base, tol)...)
+		if tol.ns < 0 {
+			for _, line := range timings(rep, base) {
+				fmt.Fprintln(os.Stderr, "benchjson: not gated:", line)
+			}
+		}
 	}
 	for _, f := range failures {
 		fmt.Fprintln(os.Stderr, "benchjson: regression:", f)
@@ -128,8 +134,12 @@ func run(out, baseline string, tol tolerances, checkScal bool, slack, overhead f
 		return fmt.Errorf("%d benchmark check(s) failed", len(failures))
 	}
 	if baseline != "" {
-		fmt.Fprintf(os.Stderr, "benchjson: no regression beyond ns %.0f%% / bytes %.0f%% / allocs %.0f%% vs %s\n",
-			100*tol.ns, 100*tol.bytes, 100*tol.allocs, baseline)
+		ns := ""
+		if tol.ns >= 0 {
+			ns = fmt.Sprintf("ns %.0f%% / ", 100*tol.ns)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: no regression beyond %sbytes %.0f%% / allocs %.0f%% vs %s\n",
+			ns, 100*tol.bytes, 100*tol.allocs, baseline)
 	}
 	if out == "" && baseline != "" {
 		return nil // diff-only invocation: keep stdout clean for pipelines
@@ -185,22 +195,43 @@ func sameHost(cur, base *report) error {
 	return nil
 }
 
-// compare diffs cur against base by benchmark name and describes every entry
-// whose ns/op, B/op, or allocs/op grew beyond its tolerance. Benchmarks
-// present on only one side are skipped: adding or retiring a benchmark is not
-// a regression.
-func compare(cur, base *report, tol tolerances) []string {
-	baseBy := make(map[string]record, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseBy[b.Name] = b
+// byName indexes a report's records by benchmark name.
+func byName(rep *report) map[string]record {
+	by := make(map[string]record, len(rep.Benchmarks))
+	for _, b := range rep.Benchmarks {
+		by[b.Name] = b
 	}
+	return by
+}
+
+// timings describes every matched benchmark's ns/op against the baseline's,
+// for runs whose time is reported but not gated (a negative ns tolerance): a
+// benchmark that contains an fsync times the host's disk, not the code.
+func timings(cur, base *report) []string {
+	baseBy := byName(base)
+	var out []string
+	for _, c := range cur.Benchmarks {
+		if b, ok := baseBy[c.Name]; ok && b.NsPerOp > 0 {
+			out = append(out, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%+.1f%%)",
+				c.Name, c.NsPerOp, b.NsPerOp, 100*(c.NsPerOp/b.NsPerOp-1)))
+		}
+	}
+	return out
+}
+
+// compare diffs cur against base by benchmark name and describes every entry
+// whose ns/op, B/op, or allocs/op grew beyond its tolerance (a negative ns
+// tolerance leaves ns/op to timings). Benchmarks present on only one side are
+// skipped: adding or retiring a benchmark is not a regression.
+func compare(cur, base *report, tol tolerances) []string {
+	baseBy := byName(base)
 	var out []string
 	for _, c := range cur.Benchmarks {
 		b, ok := baseBy[c.Name]
 		if !ok {
 			continue
 		}
-		if b.NsPerOp > 0 {
+		if b.NsPerOp > 0 && tol.ns >= 0 {
 			if growth := c.NsPerOp/b.NsPerOp - 1; growth > tol.ns {
 				out = append(out, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%+.1f%%)",
 					c.Name, c.NsPerOp, b.NsPerOp, 100*growth))

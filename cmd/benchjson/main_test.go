@@ -62,6 +62,19 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// TestParseSkipsThroughputColumn: a benchmark that calls SetBytes prints an
+// MB/s column between ns/op and B/op; its byte and alloc counts must still be
+// read, or the gate on them is blind.
+func TestParseSkipsThroughputColumn(t *testing.T) {
+	rep := parseSample(t, "BenchmarkRegistrySave/leaf-2 \t 200\t 806710 ns/op\t 610.08 MB/s\t 168 B/op\t 3 allocs/op\n")
+	if len(rep.Benchmarks) != 1 {
+		t.Fatalf("parsed %d benchmarks, want 1", len(rep.Benchmarks))
+	}
+	if b := rep.Benchmarks[0]; b.Name != "RegistrySave/leaf" || b.NsPerOp != 806710 || b.BPerOp != 168 || b.AllocsOp != 3 {
+		t.Errorf("record = %+v, want 806710 ns/op, 168 B/op, 3 allocs/op", b)
+	}
+}
+
 func TestParseMergesBestOfN(t *testing.T) {
 	rep := parseSample(t, sampleBench)
 	w1 := rep.Benchmarks[0]
@@ -164,6 +177,29 @@ func TestComparePinsZeroBaselines(t *testing.T) {
 	regs := compare(cur, base, defaultTol())
 	if len(regs) != 2 || !strings.Contains(regs[0], "B/op vs baseline 0") || !strings.Contains(regs[1], "allocs/op vs baseline 0") {
 		t.Errorf("allocating against a zero baseline yields %v, want a B/op and an allocs/op regression", regs)
+	}
+}
+
+func TestCompareReportsUngatedTimings(t *testing.T) {
+	// A benchmark that contains an fsync is gated on B/op and allocs/op only:
+	// with a negative ns tolerance a 3x slower run passes, its ns/op is still
+	// reported, and the byte and alloc gates (zero baselines included) hold.
+	base := parseSample(t, sampleBench)
+	base.Benchmarks[0].BPerOp, base.Benchmarks[0].AllocsOp = 0, 0
+	cur := parseSample(t, sampleBench)
+	cur.Benchmarks[0].BPerOp, cur.Benchmarks[0].AllocsOp = 0, 0
+	cur.Benchmarks[0].NsPerOp = base.Benchmarks[0].NsPerOp * 3
+	ungated := tolerances{ns: -1, bytes: 0.10, allocs: 0.10}
+	if regs := compare(cur, base, ungated); len(regs) != 0 {
+		t.Errorf("ns/op gated despite a negative tolerance: %v", regs)
+	}
+	lines := timings(cur, base)
+	if len(lines) != len(base.Benchmarks) || !strings.Contains(lines[0], "(+200.0%)") {
+		t.Errorf("timings = %v, want one line per benchmark, the first at +200%%", lines)
+	}
+	cur.Benchmarks[0].AllocsOp = 3
+	if regs := compare(cur, base, ungated); len(regs) != 1 || !strings.Contains(regs[0], "allocs/op vs baseline 0") {
+		t.Errorf("allocating against a zero baseline with ns ungated yields %v, want one allocs/op regression", regs)
 	}
 }
 

@@ -544,7 +544,7 @@ func (s *funcScanner) captures(lit *ast.FuncLit) []string {
 // ownedSlice reports whether an append destination is backed by storage
 // whose growth is amortized outside this call: a struct field, a
 // parameter, a package-level var, a call result, or a slice derived from
-// one of those. Appending to such destinations is the sanctioned
+// (or converted from) one of those. Appending to such destinations is the sanctioned
 // grow-once-scratch idiom; appending to a locally-allocated slice grows
 // fresh backing every invocation.
 func (s *funcScanner) ownedSlice(dst ast.Expr) bool {
@@ -561,6 +561,16 @@ func (s *funcScanner) ownedSlice(dst ast.Expr) bool {
 		case *ast.SelectorExpr:
 			return true // rooted at a field or imported var
 		case *ast.CallExpr:
+			if tv, ok := info.Types[ast.Unparen(n.Fun)]; ok && tv.IsType() && len(n.Args) == 1 {
+				// A conversion owns what its operand owns, and []T(nil) owns
+				// nothing: append([]T(nil), v...) is the copy idiom, a fresh
+				// backing array per call.
+				if at, ok := info.Types[n.Args[0]]; ok && at.IsNil() {
+					return false
+				}
+				e = ast.Unparen(n.Args[0])
+				continue
+			}
 			return true // call result: owner unknown, assume amortized
 		case *ast.Ident:
 			obj, ok := info.Uses[n].(*types.Var)

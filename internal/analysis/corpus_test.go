@@ -152,6 +152,8 @@ func TestAllocfreeCorpus(t *testing.T) {
 		"flvet/corpus/allocfree.Clone",
 		"flvet/corpus/allocfree.Warm",
 		"flvet/corpus/allocfree.Frame",
+		"(*flvet/corpus/allocfree.snapshot).section",
+		"(*flvet/corpus/allocfree.snapshot).copied",
 	}
 	pol.HotIfaces = []string{"flvet/corpus/allocfree.Agg.Combine"}
 	runCorpus(t, "allocfree", pol)
@@ -298,6 +300,7 @@ func TestDefaultPolicyTable(t *testing.T) {
 		"(*hieradmo/internal/nn.convReLU).Backward",
 		"hieradmo/internal/transport.encodeFrame",
 		"(*hieradmo/internal/transport.decoder).decode",
+		"(*hieradmo/internal/checkpoint.Registry).encode",
 	}
 	if fmt.Sprint(pol.HotFuncs) != fmt.Sprint(wantHot) {
 		t.Errorf("HotFuncs = %v, want %v", pol.HotFuncs, wantHot)

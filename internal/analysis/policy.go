@@ -85,8 +85,8 @@ func only(paths ...string) func(string) bool {
 //     table below — the Algorithm 1 kernel in internal/core (leaf step,
 //     tier update) and the shared gradient step in internal/fl, the
 //     GEMM/conv kernels in internal/tensor and internal/nn, the wire
-//     frame encode and decode in internal/transport, and every
-//     robust.Aggregator implementation. The kernel packages carry no exemptions
+//     frame encode and decode in internal/transport, the snapshot encode
+//     in internal/checkpoint, and every robust.Aggregator implementation. The kernel packages carry no exemptions
 //     (enforcement pinned in TestDefaultPolicyTable);
 //   - wirealloc runs on the packages that decode wire or snapshot bytes;
 //   - nilsink runs on internal/telemetry, over the instrument and sink
@@ -139,6 +139,9 @@ func DefaultPolicy(modulePath string) Policy {
 			// sender's vectors and decoded into a link-owned buffer.
 			in("internal/transport") + ".encodeFrame",
 			"(*" + in("internal/transport") + ".decoder).decode",
+			// The snapshot encode: with checkpointing on, every node lays its
+			// registered state into a registry-owned buffer once per round.
+			"(*" + in("internal/checkpoint") + ".Registry).encode",
 		},
 		HotIfaces: []string{
 			// Every robust aggregation rule runs once per round per tier on

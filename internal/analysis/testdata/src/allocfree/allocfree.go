@@ -126,6 +126,37 @@ func Frame(l *lender, scalars map[string]float64) {
 	_ = spill
 }
 
+// snapshot is the checkpoint encoder's shape: a buffer the owner keeps and
+// reuses across saves.
+type snapshot struct {
+	buf  []byte
+	vals []float64
+}
+
+// section is pinned and stays clean — the room for a vector is claimed in
+// one step behind a cap guard and filled in place, and the reslice of the
+// owned buffer (the []byte conversion included) hands back the same storage.
+func (s *snapshot) section(v []float64) {
+	off := len(s.buf)
+	if cap(s.buf) < off+8*len(v) {
+		s.buf = append(make([]byte, 0, 2*(off+8*len(v))), s.buf...)
+	}
+	s.buf = s.buf[:off+8*len(v)]
+	for i, x := range v {
+		s.buf[off+8*i] = byte(x)
+	}
+	s.buf = append([]byte(s.buf), 0)
+}
+
+// copied is pinned: append([]T(nil), v...) is the copy idiom — the nil
+// conversion owns nothing, so every call allocates a backing array the size
+// of v, whether the result is kept in a field or in a local.
+func (s *snapshot) copied(v []float64) int {
+	s.vals = append([]float64(nil), v...) // want "allocfree.snapshot..copied is a pinned allocation-free hot path: append grows"
+	tmp := append([]float64(nil), v...)   // want "allocfree.snapshot..copied is a pinned allocation-free hot path: append grows"
+	return len(tmp)
+}
+
 // Combine's implementations are pinned through the Agg interface row of
 // the policy, not by concrete name.
 type Agg interface {

@@ -3,13 +3,10 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
 	"hieradmo/internal/checkpoint"
+	"hieradmo/internal/checkpoint/ckpttest"
 	"hieradmo/internal/fl"
 )
 
@@ -27,29 +24,6 @@ func assertSameResult(t *testing.T, a, b *fl.Result) {
 		if a.Curve[i] != b.Curve[i] {
 			t.Fatalf("curve point %d diverges: %+v vs %+v", i, a.Curve[i], b.Curve[i])
 		}
-	}
-}
-
-// deleteNewestSnapshot rewinds dir to the state a crash between the last two
-// snapshots leaves behind.
-func deleteNewestSnapshot(t *testing.T, dir string) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".ckpt") {
-			names = append(names, e.Name())
-		}
-	}
-	if len(names) < 2 {
-		t.Fatalf("need at least 2 snapshot generations to rewind, have %v", names)
-	}
-	sort.Strings(names)
-	if err := os.Remove(filepath.Join(dir, names[len(names)-1])); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -85,7 +59,7 @@ func TestBaselinesResumeBitIdentical(t *testing.T) {
 						return res
 					}
 					assertSameResult(t, ref, run())
-					deleteNewestSnapshot(t, dir)
+					ckpttest.DeleteNewest(t, dir)
 					assertSameResult(t, ref, run())
 				})
 			}

@@ -6,17 +6,18 @@
 //   - integrity: a version field and a CRC-32 over the payload, so a torn or
 //     bit-flipped file is detected and rejected (wrapped ErrFormat) instead of
 //     silently resuming from garbage;
-//   - atomicity: snapshots are written to a temp file in the target
-//     directory, fsynced, and renamed into place, so a crash mid-write never
-//     destroys the previous snapshot;
+//   - atomicity: every snapshot overwrites, in place and fsynced before
+//     Save returns, the one of a node's two slot files that does not hold
+//     its newest valid generation, so a crash mid-write tears only that slot
+//     and never the generation a resume falls back to;
 //   - identity: every snapshot embeds a config fingerprint, and restore
 //     refuses (ErrMismatch) to load state produced under a different
 //     configuration.
 //
 // A Manager keeps the last two snapshot generations per node and falls back
-// to the previous generation when the newest is corrupt. A Registry binds
-// named live state (vectors, RNG streams, counters) to snapshot fields so
-// algorithms declare once what their resumable state is.
+// to the previous generation when the newest is torn or corrupt. A Registry
+// binds named live state (vectors, RNG streams, counters) to snapshot fields
+// so algorithms declare once what their resumable state is.
 package checkpoint
 
 import (
@@ -27,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"hieradmo/internal/rng"
 )
@@ -90,37 +92,48 @@ func NewState(fingerprint string, seq int) *State {
 	}
 }
 
+// headerLen is a snapshot's fixed prefix: magic, version, payload length.
+const headerLen = len(magic) + 4 + 8
+
 // Write serializes the state to w: magic, version, payload length, payload,
 // CRC-32 (IEEE) of the payload. Map sections are encoded in sorted key order
 // so identical states serialize to identical bytes.
 func Write(w io.Writer, st *State) error {
-	payload, err := encodePayload(st)
+	var e encoder
+	e.begin(st.Fingerprint, st.Seq)
+	section(&e, st.Vectors, e.vector)
+	section(&e, st.RNGs, e.rng)
+	section(&e, st.Ints, func(name string, v int64) { e.scalar(name, uint64(v)) })
+	section(&e, st.Floats, func(name string, v float64) { e.scalar(name, math.Float64bits(v)) })
+	snap, err := e.finish()
 	if err != nil {
 		return err
 	}
-	header := make([]byte, 0, len(magic)+4+8)
-	header = append(header, magic...)
-	header = binary.LittleEndian.AppendUint32(header, version)
-	header = binary.LittleEndian.AppendUint64(header, uint64(len(payload)))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("checkpoint: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("checkpoint: write payload: %w", err)
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(crc[:]); err != nil {
-		return fmt.Errorf("checkpoint: write crc: %w", err)
+	if _, err := w.Write(snap); err != nil {
+		return fmt.Errorf("checkpoint: write snapshot: %w", err)
 	}
 	return nil
+}
+
+// section encodes one of a State's maps: its entry count, then the entries
+// in sorted name order.
+func section[V any](e *encoder, m map[string]V, put func(name string, v V)) {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	e.u32(uint32(len(m)))
+	for _, name := range names {
+		put(name, m[name])
+	}
 }
 
 // Read deserializes a state written by Write, verifying magic, version, and
 // CRC. Every malformed input fails with a wrapped ErrFormat; Read never
 // panics on corrupt bytes.
 func Read(r io.Reader) (*State, error) {
-	head := make([]byte, len(magic)+4+8)
+	head := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrFormat, err)
 	}
@@ -155,221 +168,183 @@ func Read(r io.Reader) (*State, error) {
 	return decodePayload(payload)
 }
 
-// encoder appends little-endian fields to a growing payload buffer.
-type encoder struct{ buf []byte }
+// encoder lays one snapshot — header, payload sections, CRC — into buf,
+// reusing its capacity. It is the only definition of the HADMOCK2 v1 byte
+// layout: Write drives it from a State's maps, Registry.Save from the live
+// bindings, both section by section in sorted name order. The first failure
+// sticks in err and finish reports it.
+type encoder struct {
+	buf []byte
+	err error
+}
 
-func (e *encoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
-func (e *encoder) str(s string) error {
-	if len(s) > maxStringLen {
-		return fmt.Errorf("checkpoint: string field of %d bytes exceeds limit", len(s))
+func (e *encoder) str(s string) {
+	if len(s) > maxStringLen && e.err == nil {
+		e.err = fmt.Errorf("checkpoint: string field of %d bytes exceeds limit", len(s))
 	}
 	e.u32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
-	return nil
 }
 
-func encodePayload(st *State) ([]byte, error) {
-	e := &encoder{}
-	if err := e.str(st.Fingerprint); err != nil {
-		return nil, err
-	}
-	e.i64(int64(st.Seq))
+// begin starts a snapshot: the header with the payload length left open,
+// then the fingerprint and sequence number.
+func (e *encoder) begin(fingerprint string, seq int) {
+	e.buf, e.err = append(e.buf[:0], magic...), nil
+	e.u32(version)
+	e.u64(0)
+	e.str(fingerprint)
+	e.u64(uint64(int64(seq)))
+}
 
-	e.u32(uint32(len(st.Vectors)))
-	for _, name := range sortedKeys(st.Vectors) {
-		v := st.Vectors[name]
-		if len(v) > maxVectorLen {
-			return nil, fmt.Errorf("checkpoint: vector %q of %d elements exceeds limit", name, len(v))
-		}
-		if err := e.str(name); err != nil {
-			return nil, err
-		}
-		e.u64(uint64(len(v)))
-		for _, x := range v {
-			e.f64(x)
-		}
+// vector appends one vector-section entry. The room for the elements is
+// claimed once and filled in place; a per-element append re-checks (and on
+// a fresh buffer regrows) the slice fifteen thousand times per model.
+func (e *encoder) vector(name string, v []float64) {
+	if len(v) > maxVectorLen && e.err == nil {
+		e.err = fmt.Errorf("checkpoint: vector %q of %d elements exceeds limit", name, len(v))
 	}
-	e.u32(uint32(len(st.RNGs)))
-	for _, name := range sortedKeys(st.RNGs) {
-		s := st.RNGs[name]
-		if err := e.str(name); err != nil {
-			return nil, err
-		}
-		e.u64(s.State)
-		e.f64(s.Spare)
-		if s.HasSpare {
-			e.buf = append(e.buf, 1)
-		} else {
-			e.buf = append(e.buf, 0)
-		}
+	e.str(name)
+	e.u64(uint64(len(v)))
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(v))[:off+8*len(v)]
+	b := e.buf[off:]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
-	e.u32(uint32(len(st.Ints)))
-	for _, name := range sortedKeys(st.Ints) {
-		if err := e.str(name); err != nil {
-			return nil, err
-		}
-		e.i64(st.Ints[name])
+}
+
+func (e *encoder) rng(name string, s rng.Snapshot) {
+	e.str(name)
+	e.u64(s.State)
+	e.u64(math.Float64bits(s.Spare))
+	if s.HasSpare {
+		e.buf = append(e.buf, 1)
+	} else {
+		e.buf = append(e.buf, 0)
 	}
-	e.u32(uint32(len(st.Floats)))
-	for _, name := range sortedKeys(st.Floats) {
-		if err := e.str(name); err != nil {
-			return nil, err
-		}
-		e.f64(st.Floats[name])
+}
+
+// scalar appends one int- or float-section entry (its 64 bits).
+func (e *encoder) scalar(name string, bits uint64) {
+	e.str(name)
+	e.u64(bits)
+}
+
+// finish closes the snapshot — payload length patched into the header, CRC
+// appended — and returns its bytes, which stay valid until the next begin.
+func (e *encoder) finish() ([]byte, error) {
+	if e.err != nil {
+		return nil, e.err
 	}
+	payload := e.buf[headerLen:]
+	binary.LittleEndian.PutUint64(e.buf[len(magic)+4:], uint64(len(payload)))
+	e.u32(crc32.ChecksumIEEE(payload))
 	return e.buf, nil
 }
 
-// decoder consumes little-endian fields from a payload, failing with
-// ErrFormat on any short read or implausible length.
-type decoder struct{ buf []byte }
+// decoder consumes little-endian fields from a payload. The first short read
+// or implausible length sticks in err (a wrapped ErrFormat); every read after
+// it returns zero, so decodePayload checks once per entry, not per field.
+type decoder struct {
+	buf []byte
+	err error
+}
 
-func (d *decoder) take(n int) ([]byte, error) {
-	if n < 0 || len(d.buf) < n {
-		return nil, fmt.Errorf("%w: payload truncated (%d bytes left, need %d)", ErrFormat, len(d.buf), n)
+func (d *decoder) failf(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrFormat}, args...)...)
+	}
+}
+
+// take returns the next n bytes, or nil once the decoder has failed.
+func (d *decoder) take(n int) []byte {
+	if d.err == nil && (n < 0 || len(d.buf) < n) {
+		d.failf("payload truncated (%d bytes left, need %d)", len(d.buf), n)
+	}
+	if d.err != nil {
+		return nil
 	}
 	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return b, nil
+	return b
 }
 
-func (d *decoder) u32() (uint32, error) {
-	b, err := d.take(4)
-	if err != nil {
-		return 0, err
+func (d *decoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return 0
 }
 
-func (d *decoder) u64() (uint64, error) {
-	b, err := d.take(8)
-	if err != nil {
-		return 0, err
+func (d *decoder) u64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return 0
 }
 
-func (d *decoder) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
-}
-
-func (d *decoder) str() (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
-	}
+func (d *decoder) str() string {
+	n := d.u32()
 	if n > maxStringLen {
-		return "", fmt.Errorf("%w: implausible string length %d", ErrFormat, n)
+		d.failf("implausible string length %d", n)
 	}
-	b, err := d.take(int(n))
-	return string(b), err
+	return string(d.take(int(n)))
 }
 
-func (d *decoder) count(section string) (int, error) {
-	n, err := d.u32()
-	if err != nil {
-		return 0, err
-	}
+// count reads a section's entry count; the section loops stop on d.err.
+func (d *decoder) count(section string) int {
+	n := d.u32()
 	if n > maxEntries {
-		return 0, fmt.Errorf("%w: implausible %s count %d", ErrFormat, section, n)
+		d.failf("implausible %s count %d", section, n)
 	}
-	return int(n), nil
+	return int(n)
 }
 
 func decodePayload(payload []byte) (*State, error) {
 	d := &decoder{buf: payload}
-	fp, err := d.str()
-	if err != nil {
-		return nil, err
-	}
-	seq, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	st := NewState(fp, int(int64(seq)))
-
-	nVec, err := d.count("vector")
-	if err != nil {
-		return nil, err
-	}
-	for j := 0; j < nVec; j++ {
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		n, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
+	fp := d.str()
+	st := NewState(fp, int(int64(d.u64())))
+	for j := d.count("vector"); j > 0 && d.err == nil; j-- {
+		name := d.str()
+		n := d.u64()
 		if n > maxVectorLen || n*8 > uint64(len(d.buf)) {
-			return nil, fmt.Errorf("%w: implausible vector length %d for %q", ErrFormat, n, name)
+			d.failf("implausible vector length %d for %q", n, name)
+		}
+		raw := d.take(int(n) * 8) // one bounds check per vector, not per element
+		if d.err != nil {
+			break
 		}
 		v := make([]float64, n)
 		for i := range v {
-			if v[i], err = d.f64(); err != nil {
-				return nil, err
-			}
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 		st.Vectors[name] = v
 	}
-	nRNG, err := d.count("rng")
-	if err != nil {
-		return nil, err
-	}
-	for j := 0; j < nRNG; j++ {
-		name, err := d.str()
-		if err != nil {
-			return nil, err
+	for j := d.count("rng"); j > 0 && d.err == nil; j-- {
+		name := d.str()
+		s := rng.Snapshot{State: d.u64()}
+		s.Spare = math.Float64frombits(d.u64())
+		if b := d.take(1); b != nil {
+			s.HasSpare = b[0] != 0
 		}
-		var s rng.Snapshot
-		if s.State, err = d.u64(); err != nil {
-			return nil, err
-		}
-		if s.Spare, err = d.f64(); err != nil {
-			return nil, err
-		}
-		b, err := d.take(1)
-		if err != nil {
-			return nil, err
-		}
-		s.HasSpare = b[0] != 0
 		st.RNGs[name] = s
 	}
-	nInt, err := d.count("int")
-	if err != nil {
-		return nil, err
+	for j := d.count("int"); j > 0 && d.err == nil; j-- {
+		name := d.str()
+		st.Ints[name] = int64(d.u64())
 	}
-	for j := 0; j < nInt; j++ {
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		st.Ints[name] = int64(v)
-	}
-	nFloat, err := d.count("float")
-	if err != nil {
-		return nil, err
-	}
-	for j := 0; j < nFloat; j++ {
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		if st.Floats[name], err = d.f64(); err != nil {
-			return nil, err
-		}
+	for j := d.count("float"); j > 0 && d.err == nil; j-- {
+		name := d.str()
+		st.Floats[name] = math.Float64frombits(d.u64())
 	}
 	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d unconsumed payload bytes", ErrFormat, len(d.buf))
+		d.failf("%d unconsumed payload bytes", len(d.buf))
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return st, nil
 }

@@ -23,7 +23,7 @@ func sampleState() *State {
 	return st
 }
 
-func encode(t *testing.T, st *State) []byte {
+func encode(t testing.TB, st *State) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, st); err != nil {
@@ -106,6 +106,15 @@ func TestReadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// saveState pushes st through the manager the way Registry.Save does: one
+// encoded snapshot, one save.
+func saveState(t testing.TB, m *Manager, st *State) {
+	t.Helper()
+	if err := m.save(encode(t, st)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestManagerSaveLoadAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	m, err := NewManager(dir, "node")
@@ -115,16 +124,14 @@ func TestManagerSaveLoadAndPrune(t *testing.T) {
 	for seq := 1; seq <= 5; seq++ {
 		st := NewState("fp", seq)
 		st.Floats["v"] = float64(seq)
-		if err := m.Save(st); err != nil {
-			t.Fatal(err)
-		}
+		saveState(t, m, st)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != keepGenerations {
-		t.Fatalf("kept %d generation files, want %d", len(entries), keepGenerations)
+	if len(entries) != 2 || entries[0].Name() != "node-slot0.ckpt" || entries[1].Name() != "node-slot1.ckpt" {
+		t.Fatalf("directory holds %v, want exactly the two slot files", entries)
 	}
 	st, err := m.Latest()
 	if err != nil {
@@ -146,12 +153,11 @@ func TestManagerFallsBackToPreviousGeneration(t *testing.T) {
 	for seq := 1; seq <= 2; seq++ {
 		st := NewState("fp", seq)
 		st.Floats["v"] = float64(seq)
-		if err := m.Save(st); err != nil {
-			t.Fatal(err)
-		}
+		saveState(t, m, st)
 	}
-	// Flip one payload bit in the newest generation.
-	newest := m.path(2)
+	// Flip one payload bit in the newest generation (the second save of a
+	// fresh base lands in slot 1).
+	newest := m.slots[1]
 	raw, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +177,7 @@ func TestManagerFallsBackToPreviousGeneration(t *testing.T) {
 
 	// Corrupt the surviving generation too: now every generation is bad and
 	// Latest must fail with a wrapped ErrFormat, not pretend a fresh start.
-	prev := m.path(1)
-	if err := os.WriteFile(prev, []byte("HADMOCK2 but nonsense"), 0o644); err != nil {
+	if err := os.WriteFile(m.slots[0], []byte("HADMOCK2 but nonsense"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Latest(); !errors.Is(err, ErrFormat) {
@@ -225,7 +230,7 @@ func TestRegistryRoundtripAndMismatch(t *testing.T) {
 		g.Int("counter", &counter)
 		g.Float("scalar", &scalar)
 		g.Dynamic("curve",
-			func() []float64 { return curve },
+			func(dst []float64) []float64 { return append(dst, curve...) },
 			func(v []float64) error { curve = append([]float64(nil), v...); return nil })
 	}
 

@@ -61,7 +61,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mgr.Save(st); err != nil {
+		if err := mgr.save(data); err != nil {
 			t.Fatalf("re-save of accepted snapshot failed: %v", err)
 		}
 		foreign := NewRegistry(mgr, st.Fingerprint+"-other")

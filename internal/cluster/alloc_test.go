@@ -17,16 +17,33 @@ import (
 // With gob frames and cloned messages a leaf round cost hundreds of objects
 // and several model-sized buffers.
 func TestClusterRoundAllocs(t *testing.T) {
+	// Budgets per extra leaf round of the 2×2 test hierarchy (four leaf
+	// reports, four updates, and every second round two parent syncs and
+	// a root evaluation). Measured: within ±0.2 objects and ±50 bytes of
+	// zero — what is left is the root's curve growing and runtime noise.
+	roundAllocs(t, 1.0, 256, func(*testing.T) Options { return Options{Adaptive: true} })
+}
+
+// TestClusterCkptRoundAllocs is the same pin with per-node snapshots on: a
+// leaf round then also saves every node (four leaves, the two edges, and
+// the root on its rounds), each straight from its live vectors into the
+// registry's own buffer and over one of its two slot files. What is left
+// per save is os.OpenFile's file object; with a State copied per snapshot,
+// bytes appended one value at a time and a temp file created, renamed,
+// re-listed and pruned, the same round cost ≈ 560 objects and 145 kB.
+func TestClusterCkptRoundAllocs(t *testing.T) {
+	roundAllocs(t, 32, 4<<10, func(t *testing.T) Options {
+		return Options{Adaptive: true, CheckpointDir: t.TempDir()}
+	})
+}
+
+// roundAllocs measures the marginal allocations of a leaf round on both
+// transports against the given budgets, with options built per run.
+func roundAllocs(t *testing.T, maxObjects, maxBytes float64, options func(*testing.T) Options) {
 	if deadlineScale != 1 {
 		t.Skip("the race detector's own allocations swamp the counts")
 	}
 	const (
-		// Budgets per extra leaf round of the 2×2 test hierarchy (four leaf
-		// reports, four updates, and every second round two parent syncs and
-		// a root evaluation). Measured: within ±0.2 objects and ±50 bytes of
-		// zero — what is left is the root's curve growing and runtime noise.
-		maxObjects   = 1.0
-		maxBytes     = 256.0
 		noiseObjects = 24
 		noiseBytes   = 16 << 10
 		baseT        = 240
@@ -44,9 +61,10 @@ func TestClusterRoundAllocs(t *testing.T) {
 			cost := func(T int) (objects, bytes float64) {
 				cfg := buildConfig(t, 31, 2)
 				cfg.T = T
+				opts := options(t)
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				if _, err := Run(cfg, nw.new(), Options{Adaptive: true}); err != nil {
+				if _, err := Run(cfg, nw.new(), opts); err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)

@@ -144,14 +144,13 @@ func saveSnapshot(reg *checkpoint.Registry, seq int, sink *telemetry.Sink, node 
 	return nil
 }
 
-// encodePending flattens a ride-ahead report stash for snapshotting: one
-// record per message, laid out as [round, sender, loss, nv·dim vector
+// encodePending appends a ride-ahead report stash to out for snapshotting:
+// one record per message, laid out as [round, sender, loss, nv·dim vector
 // elements], where sender is the reporting child's index in its level as
 // resolved by index. Messages that do not carry exactly nv model-sized
 // vectors or a resolvable sender are dropped here — admission would reject
 // them after the resume anyway.
-func encodePending(msgs []transport.Message, nv, dim int, index func(from string) (int, bool)) []float64 {
-	out := make([]float64, 0, len(msgs)*(3+nv*dim))
+func encodePending(out []float64, msgs []transport.Message, nv, dim int, index func(from string) (int, bool)) []float64 {
 	for _, msg := range msgs {
 		i, ok := index(msg.From)
 		if !ok || len(msg.Vectors) != nv {

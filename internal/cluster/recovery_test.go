@@ -41,7 +41,7 @@ func TestPendingStashRoundtrip(t *testing.T) {
 		},
 	}
 	ids := []string{WorkerID(0, 0), WorkerID(0, 1), WorkerID(0, 2)}
-	flat := encodePending(msgs, 4, dim, func(from string) (int, bool) {
+	flat := encodePending(nil, msgs, 4, dim, func(from string) (int, bool) {
 		for i, id := range ids {
 			if id == from {
 				return i, true

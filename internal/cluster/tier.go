@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"hieradmo/internal/checkpoint"
@@ -188,8 +187,7 @@ func (n *tierNode) initCheckpoint() (int, error) {
 		res := n.res
 		reg.Float("weightedLoss", &n.weightedLoss)
 		reg.Dynamic("curve",
-			func() []float64 {
-				flat := make([]float64, 0, 3*len(res.Curve))
+			func(flat []float64) []float64 {
 				for _, pt := range res.Curve {
 					flat = append(flat, float64(pt.Iter), pt.TestAcc, pt.TrainLoss)
 				}
@@ -216,10 +214,10 @@ func (n *tierNode) initCheckpoint() (int, error) {
 	return restoreOrClear(reg, n.opts.Resume, n.opts.Telemetry, n.id())
 }
 
-// stashPending snapshots the ride-ahead stash, keying senders by their index
-// in the child level.
-func (n *tierNode) stashPending() []float64 {
-	return encodePending(n.pending, n.nvPerReport(), len(n.lastY), func(from string) (int, bool) {
+// stashPending appends the ride-ahead stash to dst for snapshotting, keying
+// senders by their index in the child level.
+func (n *tierNode) stashPending(dst []float64) []float64 {
+	return encodePending(dst, n.pending, n.nvPerReport(), len(n.lastY), func(from string) (int, bool) {
 		a, ok := n.ts.index[from]
 		return a.idx, ok && a.lvl == n.lvl+1
 	})
@@ -234,19 +232,17 @@ func (n *tierNode) unstashPending(flat []float64) error {
 	return nil
 }
 
-// encodeLosses flattens the loss cache as [child, loss] pairs in child
-// order for snapshotting.
-func (n *tierNode) encodeLosses() []float64 {
-	kids := make([]int, 0, len(n.losses))
-	for c := range n.losses {
-		kids = append(kids, c)
+// encodeLosses appends the loss cache to dst as [child, loss] pairs in child
+// order for snapshotting. Children are indices into the next level, so
+// walking that range visits the cache's keys in order without collecting
+// and sorting them.
+func (n *tierNode) encodeLosses(dst []float64) []float64 {
+	for c := range n.ts.ids[n.lvl+1] {
+		if loss, ok := n.losses[c]; ok {
+			dst = append(dst, float64(c), loss)
+		}
 	}
-	sort.Ints(kids)
-	out := make([]float64, 0, 2*len(kids))
-	for _, c := range kids {
-		out = append(out, float64(c), n.losses[c])
-	}
-	return out
+	return dst
 }
 
 func (n *tierNode) decodeLosses(flat []float64) error {

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"hieradmo/internal/checkpoint/ckpttest"
 	"hieradmo/internal/model"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
@@ -169,7 +170,7 @@ func runGolden(t *testing.T, sc goldenScenario, pool int) goldenDigest {
 		if _, err := run(dir); err != nil {
 			t.Fatalf("%s pool=%d first run: %v", sc.name, pool, err)
 		}
-		deleteNewestSnapshot(t, dir)
+		ckpttest.DeleteNewest(t, dir)
 	}
 	d, err := run(dir)
 	if err != nil {

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
+	"hieradmo/internal/checkpoint/ckpttest"
 	"hieradmo/internal/fl"
 )
 
@@ -25,29 +22,6 @@ func assertSameResult(t *testing.T, a, b *fl.Result) {
 		if a.Curve[i] != b.Curve[i] {
 			t.Fatalf("curve point %d diverges: %+v vs %+v", i, a.Curve[i], b.Curve[i])
 		}
-	}
-}
-
-// deleteNewestSnapshot removes the newest .ckpt generation in dir, rewinding
-// the directory to the state a crash between the last two snapshots leaves.
-func deleteNewestSnapshot(t *testing.T, dir string) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".ckpt") {
-			names = append(names, e.Name())
-		}
-	}
-	if len(names) < 2 {
-		t.Fatalf("need at least 2 snapshot generations to rewind, have %v", names)
-	}
-	sort.Strings(names)
-	if err := os.Remove(filepath.Join(dir, names[len(names)-1])); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -88,7 +62,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			// Rewind the directory past the newest generation — the state a
 			// crash leaves — and rerun: the run resumes mid-training and must
 			// land on the identical result.
-			deleteNewestSnapshot(t, dir)
+			ckpttest.DeleteNewest(t, dir)
 			resumed, err := newAlg().Run(build(pool, dir))
 			if err != nil {
 				t.Fatal(err)

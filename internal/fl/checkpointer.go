@@ -64,8 +64,7 @@ func NewCheckpointer(h *Harness, algorithm, variant string, res *Result) (*Check
 		}
 	}
 	c.reg.Dynamic("harness/curve",
-		func() []float64 {
-			flat := make([]float64, 0, 3*len(res.Curve))
+		func(flat []float64) []float64 {
 			for _, p := range res.Curve {
 				flat = append(flat, float64(p.Iter), p.TestAcc, p.TrainLoss)
 			}
@@ -132,8 +131,9 @@ func (c *Checkpointer) Float(name string, p *float64) {
 	}
 }
 
-// Dynamic registers variable-size state through an encode/decode pair.
-func (c *Checkpointer) Dynamic(name string, save func() []float64, load func([]float64) error) {
+// Dynamic registers variable-size state through an encode/decode pair; save
+// appends the flattened value to dst.
+func (c *Checkpointer) Dynamic(name string, save func(dst []float64) []float64, load func([]float64) error) {
 	if c != nil {
 		c.reg.Dynamic(name, save, load)
 	}
