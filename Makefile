@@ -76,8 +76,11 @@ race:
 ## tracecat line parser — plus the conv-kernel equivalence target, which
 ## asserts the im2col/GEMM forward+backward stays bitwise identical to the
 ## retained naive reference on fuzzer-chosen shapes and data, and the
-## robust-aggregation targets, which assert median/trimmed-mean reject
-## (never propagate) non-finite reporter values on fuzzer-chosen cohorts,
+## dense-kernel equivalence target, which holds the matrix-vector and rank-1
+## kernels (GEMMBias at n = 1, GEMMAddTransB at k = 1) to their scalar
+## definitions the same way, and the robust-aggregation targets, which
+## assert median/trimmed-mean reject (never propagate) non-finite reporter
+## values on fuzzer-chosen cohorts,
 ## and the topology-spec parser, which must yield a tree or a typed error
 ## (never a panic) on arbitrary spec strings, with String/Parse
 ## round-tripping every accepted tree, and the wire-frame decoder, which
@@ -93,6 +96,7 @@ fuzz:
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz FuzzReadTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/tracecat/ -run '^$$' -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzConvGEMMEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzDenseKernelEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzMedianAggregate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzTrimmedMean -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run '^$$' -fuzz FuzzParseTopology -fuzztime $(FUZZTIME)
@@ -110,18 +114,21 @@ recover:
 	$(GO) test -count=1 ./cmd/flnode/ -run 'TestMultiProcessKillRestart' || exit 1
 	$(GO) test -count=1 ./cmd/flcluster/ -run 'TestSigterm|TestDoubleSignal'
 
-## bench: run the core, wire and snapshot benchmarks with -benchmem and
-## record the perf trajectory (ns/op, B/op, allocs/op, worker-pool size) in
-## BENCH_core.json, BENCH_wire.json (frame encode/decode and the memory
-## and TCP-loopback round trip at the leaf-report shape, 4 x 15380 values)
-## and BENCH_ckpt.json (one node's Registry.Save into a real directory at the
-## leaf and tier shapes, 4 and 12 x 15380 values).
+## bench: run the core, wire, snapshot and kernel benchmarks with -benchmem
+## and record the perf trajectory (ns/op, B/op, allocs/op, worker-pool size)
+## in BENCH_core.json, BENCH_wire.json (frame encode/decode and the memory
+## and TCP-loopback round trip at the leaf-report shape, 4 x 15380 values),
+## BENCH_ckpt.json (one node's Registry.Save into a real directory at the
+## leaf and tier shapes, 4 and 12 x 15380 values) and BENCH_kernels.json
+## (internal/nn: one forward and one loss-gradient per architecture family,
+## and the single-Dense classifiers at the shapes the runs train, batch 8).
 ## -count=3 repetitions are merged best-of-N by benchjson: the minimum is
 ## the stable noise estimator on a shared box, where interference only ever
 ## adds time (observed single-run spread on this host is >30%).
 BENCHFLAGS = -bench=. -benchmem -benchtime=10x -count=3 -run=^$$
-# A wire op is tens to hundreds of microseconds, not the core round's 20 ms:
-# ten iterations would time scheduler wake-ups, not the codec.
+# A wire op — or a kernel step — is tens to hundreds of microseconds, not the
+# core round's 20 ms: ten iterations would time scheduler wake-ups, not the
+# codec.
 WIREBENCHFLAGS = -bench=. -benchmem -benchtime=200x -count=3 -run=^$$
 bench:
 	$(GO) test $(BENCHFLAGS) ./internal/core \
@@ -130,7 +137,9 @@ bench:
 		| $(GO) run ./cmd/benchjson -out BENCH_wire.json
 	$(GO) test $(WIREBENCHFLAGS) ./internal/checkpoint \
 		| $(GO) run ./cmd/benchjson -out BENCH_ckpt.json
-	@cat BENCH_core.json BENCH_wire.json BENCH_ckpt.json
+	$(GO) test $(WIREBENCHFLAGS) ./internal/nn \
+		| $(GO) run ./cmd/benchjson -out BENCH_kernels.json
+	@cat BENCH_core.json BENCH_wire.json BENCH_ckpt.json BENCH_kernels.json
 
 ## benchdiff: the perf gate — rerun the core benchmarks and fail when any
 ## ns/op, B/op, or allocs/op regressed beyond its budget against the
@@ -142,7 +151,8 @@ bench:
 ## so 10% catches any real leak, while wall time on a shared single-core
 ## box still spreads ~15% even best-of-3 — 25% is above the noise floor
 ## yet far below the 2x-class regressions this gate exists to catch. The
-## wire benchmarks are allocation-free, and a zero baseline is held at zero.
+## wire benchmarks and the kernels' loss-gradient rows are allocation-free,
+## and a zero baseline is held at zero.
 ## The snapshot benchmark is gated on B/op and allocs/op alone: its time is an
 ## fsync, which measures the host's disk, so its ns/op is printed, not gated.
 benchdiff:
@@ -154,6 +164,9 @@ benchdiff:
 			-max-bytes-regress 0.10 -max-alloc-regress 0.10
 	$(GO) test $(WIREBENCHFLAGS) ./internal/checkpoint \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_ckpt.json -max-regress -1 \
+			-max-bytes-regress 0.10 -max-alloc-regress 0.10
+	$(GO) test $(WIREBENCHFLAGS) ./internal/nn \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_kernels.json -max-regress 0.25 \
 			-max-bytes-regress 0.10 -max-alloc-regress 0.10
 
 ## benchall: every benchmark in the repo (experiment tables, kernels, nn).

@@ -294,6 +294,10 @@ func TestDefaultPolicyTable(t *testing.T) {
 		"(*hieradmo/internal/fl.GradOracle).Grad",
 		"hieradmo/internal/tensor.GEMMBias",
 		"hieradmo/internal/tensor.GEMMAddTransB",
+		"hieradmo/internal/tensor.gemv",
+		"hieradmo/internal/tensor.ger",
+		"(*hieradmo/internal/nn.Dense).Forward",
+		"(*hieradmo/internal/nn.Dense).Backward",
 		"(*hieradmo/internal/nn.Conv2D).Forward",
 		"(*hieradmo/internal/nn.Conv2D).Backward",
 		"(*hieradmo/internal/nn.convReLU).Forward",

@@ -84,10 +84,11 @@ func only(paths ...string) func(string) bool {
 //   - allocfree runs everywhere; what it checks is pinned by the root
 //     table below — the Algorithm 1 kernel in internal/core (leaf step,
 //     tier update) and the shared gradient step in internal/fl, the
-//     GEMM/conv kernels in internal/tensor and internal/nn, the wire
-//     frame encode and decode in internal/transport, the snapshot encode
-//     in internal/checkpoint, and every robust.Aggregator implementation. The kernel packages carry no exemptions
-//     (enforcement pinned in TestDefaultPolicyTable);
+//     GEMM, matrix-vector and rank-1 kernels in internal/tensor, the dense
+//     and conv layers in internal/nn, the wire frame encode and decode in
+//     internal/transport, the snapshot encode in internal/checkpoint, and
+//     every robust.Aggregator implementation. The kernel packages carry no
+//     exemptions (enforcement pinned in TestDefaultPolicyTable);
 //   - wirealloc runs on the packages that decode wire or snapshot bytes;
 //   - nilsink runs on internal/telemetry, over the instrument and sink
 //     types whose nil fast path the hot loops rely on.
@@ -127,9 +128,17 @@ func DefaultPolicy(modulePath string) Policy {
 			"(*" + in("internal/core") + ".Leaf).Step",
 			"(*" + in("internal/core") + ".Tier).Update",
 			"(*" + in("internal/fl") + ".GradOracle).Grad",
-			// The GEMM kernels every dense/conv layer reduces to.
+			// The GEMM kernels every dense/conv layer reduces to, and the
+			// matrix-vector and rank-1 kernels they hand the Dense shapes
+			// (n = 1, k = 1) to.
 			in("internal/tensor") + ".GEMMBias",
 			in("internal/tensor") + ".GEMMAddTransB",
+			in("internal/tensor") + ".gemv",
+			in("internal/tensor") + ".ger",
+			// The fully connected layer: the whole gradient of the convex
+			// models and the head of every conv net.
+			"(*" + in("internal/nn") + ".Dense).Forward",
+			"(*" + in("internal/nn") + ".Dense).Backward",
 			// The im2col conv kernels and the fused conv+ReLU fast path.
 			"(*" + in("internal/nn") + ".Conv2D).Forward",
 			"(*" + in("internal/nn") + ".Conv2D).Backward",

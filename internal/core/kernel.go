@@ -24,19 +24,18 @@ type Leaf struct {
 	// GradSum and YSum accumulate Σ∇F(x) and Σy over the current interval:
 	// the statistics the parent's γℓ adaptation reads at the boundary (line 9).
 	GradSum, YSum tensor.Vector
-	// Grad receives the mini-batch gradient at X before every Step; YPrev is
-	// Step's copy of the previous momentum.
-	Grad, YPrev tensor.Vector //flvet:allow ckptstate -- per-step scratch: Grad is overwritten by the gradient step and YPrev refilled from Y before either is read
+	// Grad receives the mini-batch gradient at X before every Step.
+	Grad tensor.Vector //flvet:allow ckptstate -- per-step scratch: overwritten by the gradient step before Step reads it
 }
 
 // LeafVectors is the number of model-sized vectors NewLeaf draws.
-const LeafVectors = 6
+const LeafVectors = 5
 
 // NewLeaf builds a leaf at the shared initialization (y⁰ = x⁰, line 1) from
 // LeafVectors zero vectors drawn from newVec, so a driver chooses where its
 // leaves live (the simulation carves them from the run's slab).
 func NewLeaf(x0 tensor.Vector, newVec func() tensor.Vector) *Leaf {
-	l := &Leaf{X: newVec(), Y: newVec(), GradSum: newVec(), YSum: newVec(), Grad: newVec(), YPrev: newVec()}
+	l := &Leaf{X: newVec(), Y: newVec(), GradSum: newVec(), YSum: newVec(), Grad: newVec()}
 	copy(l.X, x0)
 	copy(l.Y, x0)
 	return l
@@ -44,30 +43,30 @@ func NewLeaf(x0 tensor.Vector, newVec func() tensor.Vector) *Leaf {
 
 // Step is lines 5–6 of Algorithm 1 in NAG form, given ∇F(X) in Grad:
 // y ← x − η∇F(x), x ← y + γ(y − y_prev), extending both interval
-// accumulators.
+// accumulators. It is one pass whose per-element operations, in order, are
+// those of the whole-vector composition GradSum.Add; Y = X, AXPY(−η, Grad);
+// YSum.Add; X = Y, AXPY(γ, Y), AXPY(−γ, y_prev) — which the goldens pin.
 func (l *Leaf) Step(eta, gamma float64) error {
-	if err := l.GradSum.Add(l.Grad); err != nil {
-		return err
+	n := len(l.X)
+	if len(l.Y) != n || len(l.GradSum) != n || len(l.YSum) != n || len(l.Grad) != n {
+		return fmt.Errorf("core: leaf step over x/y/Σ∇F/Σy/∇F of %d/%d/%d/%d/%d: %w",
+			n, len(l.Y), len(l.GradSum), len(l.YSum), len(l.Grad), tensor.ErrDimMismatch)
 	}
-	if err := l.YPrev.CopyFrom(l.Y); err != nil {
-		return err
+	x, y, gs, ys, grad := l.X, l.Y[:n], l.GradSum[:n], l.YSum[:n], l.Grad[:n]
+	negEta, negGamma := -eta, -gamma
+	for i, g := range grad {
+		gs[i] += g
+		yPrev := y[i]
+		yNext := x[i]
+		yNext += negEta * g
+		y[i] = yNext
+		ys[i] += yNext
+		xNext := yNext
+		xNext += gamma * yNext
+		xNext += negGamma * yPrev
+		x[i] = xNext
 	}
-	if err := l.Y.CopyFrom(l.X); err != nil {
-		return err
-	}
-	if err := l.Y.AXPY(-eta, l.Grad); err != nil {
-		return err
-	}
-	if err := l.YSum.Add(l.Y); err != nil {
-		return err
-	}
-	if err := l.X.CopyFrom(l.Y); err != nil {
-		return err
-	}
-	if err := l.X.AXPY(gamma, l.Y); err != nil {
-		return err
-	}
-	return l.X.AXPY(-gamma, l.YPrev)
+	return nil
 }
 
 // Adopt takes over a parent's redistributed momentum and model (lines 14–15

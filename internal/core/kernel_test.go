@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -86,6 +87,112 @@ func TestLeafStepIsNAG(t *testing.T) {
 	}
 	if err := l.Adopt(tensor.Vector{1}, tensor.Vector{1, 2}); err == nil {
 		t.Error("Adopt accepted a short momentum vector")
+	}
+}
+
+// stepRef is Step as the composition of eight whole-vector operations it was
+// before it became one pass — the reference for its per-element order.
+func stepRef(l *Leaf, yPrev tensor.Vector, eta, gamma float64) error {
+	if err := l.GradSum.Add(l.Grad); err != nil {
+		return err
+	}
+	if err := yPrev.CopyFrom(l.Y); err != nil {
+		return err
+	}
+	if err := l.Y.CopyFrom(l.X); err != nil {
+		return err
+	}
+	if err := l.Y.AXPY(-eta, l.Grad); err != nil {
+		return err
+	}
+	if err := l.YSum.Add(l.Y); err != nil {
+		return err
+	}
+	if err := l.X.CopyFrom(l.Y); err != nil {
+		return err
+	}
+	if err := l.X.AXPY(gamma, l.Y); err != nil {
+		return err
+	}
+	return l.X.AXPY(-gamma, yPrev)
+}
+
+// TestLeafStepMatchesVectorComposition chains 1 000 seeded steps through Step
+// and through the vector-at-a-time reference and compares every state vector
+// bit for bit, with γ = 0 (the SGD rows), η = 0 and −0 elements among the
+// cases.
+func TestLeafStepMatchesVectorComposition(t *testing.T) {
+	const dim, steps = 37, 1000
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name       string
+		eta, gamma float64
+	}{
+		{"nag", 0.01, 0.5},
+		{"sgd gamma=0", 0.05, 0},
+		{"eta=0", 0, 0.9},
+		{"both zero", 0, 0},
+		{"negative zero gamma", 0.01, negZero},
+	} {
+		r := rng.New(29)
+		x0 := tensor.NewVector(dim)
+		for i := range x0 {
+			x0[i] = r.Norm()
+		}
+		x0[0], x0[1] = negZero, 0
+		got, want := NewLeaf(x0, heapVec(dim)), NewLeaf(x0, heapVec(dim))
+		yPrev := tensor.NewVector(dim)
+		for s := 0; s < steps; s++ {
+			for i := range got.Grad {
+				switch r.Intn(6) {
+				case 0:
+					got.Grad[i] = 0
+				case 1:
+					got.Grad[i] = negZero
+				default:
+					got.Grad[i] = r.Norm()
+				}
+			}
+			copy(want.Grad, got.Grad)
+			if err := got.Step(tc.eta, tc.gamma); err != nil {
+				t.Fatal(err)
+			}
+			if err := stepRef(want, yPrev, tc.eta, tc.gamma); err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got.X, want.X) || !sameBits(got.Y, want.Y) ||
+				!sameBits(got.GradSum, want.GradSum) || !sameBits(got.YSum, want.YSum) {
+				t.Fatalf("%s: step %d diverges from the vector composition", tc.name, s)
+			}
+			if s%100 == 99 {
+				got.Restart()
+				want.Restart()
+			}
+		}
+	}
+}
+
+// TestLeafStepRejectsMismatchedVectors: one up-front check, before any
+// element is written.
+func TestLeafStepRejectsMismatchedVectors(t *testing.T) {
+	for _, short := range []func(*Leaf){
+		func(l *Leaf) { l.Y = l.Y[:2] },
+		func(l *Leaf) { l.GradSum = l.GradSum[:2] },
+		func(l *Leaf) { l.YSum = l.YSum[:2] },
+		func(l *Leaf) { l.Grad = l.Grad[:2] },
+		func(l *Leaf) { l.X = l.X[:2] },
+	} {
+		l := NewLeaf(tensor.Vector{1, 2, 3}, heapVec(3))
+		copy(l.Grad, tensor.Vector{1, 1, 1})
+		short(l)
+		before := l.X.Clone()
+		err := l.Step(0.1, 0.5)
+		if !errors.Is(err, tensor.ErrDimMismatch) {
+			t.Errorf("err = %v, want a wrapped ErrDimMismatch", err)
+		}
+		if !sameBits(l.X, before) || l.GradSum[0] != 0 {
+			t.Errorf("a rejected step wrote: x = %v, Σ∇F = %v", l.X, l.GradSum)
+		}
 	}
 }
 

@@ -1,16 +1,23 @@
-package nn
+package nn_test
 
 import (
 	"testing"
 
+	"hieradmo/internal/dataset"
+	"hieradmo/internal/model"
+	"hieradmo/internal/nn"
 	"hieradmo/internal/rng"
 	"hieradmo/internal/tensor"
 )
 
 // Micro-benchmarks for the training substrate's hot path: one forward pass
-// and one loss-gradient (forward + backward) per architecture family.
+// and one loss-gradient (forward + backward) per architecture family, plus
+// the single-Dense classifiers at the shapes the runs train — the kernel
+// rung of the benchmark ladder, recorded in BENCH_kernels.json by `make
+// bench` and gated by `make benchdiff`. The package is external so the
+// classifiers come from internal/model, which imports nn.
 
-func benchNet(b *testing.B, net *Network, err error) (*Network, tensor.Vector, []float64) {
+func benchNet(b *testing.B, net *nn.Network, err error) (*nn.Network, tensor.Vector, []float64) {
 	b.Helper()
 	if err != nil {
 		b.Fatal(err)
@@ -24,63 +31,74 @@ func benchNet(b *testing.B, net *Network, err error) (*Network, tensor.Vector, [
 	return net, params, x
 }
 
-func benchForward(b *testing.B, net *Network, err error) {
-	net, params, x := benchNet(b, net, err)
+// benchSteady times step in the steady state: one untimed call first draws
+// the network's pooled workspace, so B/op does not depend on what -benchtime
+// divides that one-off by.
+func benchSteady(b *testing.B, step func() error) {
+	b.Helper()
+	if err := step(); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.Forward(params, x); err != nil {
+		if err := step(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchLossGrad(b *testing.B, net *Network, err error) {
+func benchForward(b *testing.B, net *nn.Network, err error) {
+	net, params, x := benchNet(b, net, err)
+	benchSteady(b, func() error {
+		_, err := net.Forward(params, x)
+		return err
+	})
+}
+
+func benchLossGrad(b *testing.B, net *nn.Network, err error) {
 	net, params, x := benchNet(b, net, err)
 	grad := tensor.NewVector(net.Dim())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchSteady(b, func() error {
 		grad.Zero()
-		if _, err := net.LossGrad(params, x, 0, grad); err != nil {
-			b.Fatal(err)
-		}
-	}
+		_, err := net.LossGrad(params, x, 0, grad)
+		return err
+	})
 }
 
-func denseNet() (*Network, error) {
-	return Sequential(SoftmaxCrossEntropy{},
-		NewDense(196, 64),
-		NewReLU(Shape3{C: 1, H: 1, W: 64}),
-		NewDense(64, 10),
+func denseNet() (*nn.Network, error) {
+	return nn.Sequential(nn.SoftmaxCrossEntropy{},
+		nn.NewDense(196, 64),
+		nn.NewReLU(nn.Shape3{C: 1, H: 1, W: 64}),
+		nn.NewDense(64, 10),
 	)
 }
 
-func convNet() (*Network, error) {
-	in := Shape3{C: 1, H: 14, W: 14}
-	conv1 := NewConv2D(in, 8, 3, 1)
-	relu1 := NewReLU(conv1.OutShape())
-	pool1 := NewMaxPool2D(relu1.OutShape())
-	conv2 := NewConv2D(pool1.OutShape(), 16, 3, 1)
-	relu2 := NewReLU(conv2.OutShape())
-	pool2 := NewMaxPool2D(relu2.OutShape())
-	flat := NewFlatten(pool2.OutShape())
-	return Sequential(SoftmaxCrossEntropy{},
+func convNet() (*nn.Network, error) {
+	in := nn.Shape3{C: 1, H: 14, W: 14}
+	conv1 := nn.NewConv2D(in, 8, 3, 1)
+	relu1 := nn.NewReLU(conv1.OutShape())
+	pool1 := nn.NewMaxPool2D(relu1.OutShape())
+	conv2 := nn.NewConv2D(pool1.OutShape(), 16, 3, 1)
+	relu2 := nn.NewReLU(conv2.OutShape())
+	pool2 := nn.NewMaxPool2D(relu2.OutShape())
+	flat := nn.NewFlatten(pool2.OutShape())
+	return nn.Sequential(nn.SoftmaxCrossEntropy{},
 		conv1, relu1, pool1, conv2, relu2, pool2, flat,
-		NewDense(pool2.OutShape().Size(), 10),
+		nn.NewDense(pool2.OutShape().Size(), 10),
 	)
 }
 
-func residualNet() (*Network, error) {
-	in := Shape3{C: 3, H: 16, W: 16}
-	stem := NewConv2D(in, 8, 3, 1)
-	relu := NewReLU(stem.OutShape())
-	res := NewResidual(relu.OutShape())
-	pool := NewMaxPool2D(res.OutShape())
-	flat := NewFlatten(pool.OutShape())
-	return Sequential(SoftmaxCrossEntropy{},
+func residualNet() (*nn.Network, error) {
+	in := nn.Shape3{C: 3, H: 16, W: 16}
+	stem := nn.NewConv2D(in, 8, 3, 1)
+	relu := nn.NewReLU(stem.OutShape())
+	res := nn.NewResidual(relu.OutShape())
+	pool := nn.NewMaxPool2D(res.OutShape())
+	flat := nn.NewFlatten(pool.OutShape())
+	return nn.Sequential(nn.SoftmaxCrossEntropy{},
 		stem, relu, res, pool, flat,
-		NewDense(pool.OutShape().Size(), 20),
+		nn.NewDense(pool.OutShape().Size(), 20),
 	)
 }
 
@@ -112,4 +130,53 @@ func BenchmarkLossGradConv(b *testing.B) {
 func BenchmarkLossGradResidual(b *testing.B) {
 	net, err := residualNet()
 	benchLossGrad(b, net, err)
+}
+
+// benchClassifier times a batch-8 step of a single-Dense softmax classifier
+// built by model.NewLogisticRegression: forward is the batch's eight
+// matrix-vector passes, lossgrad the model's whole mini-batch gradient
+// (zero, eight forward + backward passes, scale).
+func benchClassifier(b *testing.B, features, classes int, forward bool) {
+	const batchSize = 8
+	m, err := model.NewLogisticRegression(dataset.Shape{C: 1, H: 1, W: features}, classes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(1)
+	params := tensor.NewVector(m.Dim())
+	for i := range params {
+		params[i] = r.Norm()
+	}
+	batch := make([]dataset.Sample, batchSize)
+	for i := range batch {
+		x := tensor.NewVector(features)
+		for j := range x {
+			x[j] = r.Norm()
+		}
+		batch[i] = dataset.Sample{X: x, Label: i % classes}
+	}
+	grad := tensor.NewVector(m.Dim())
+	benchSteady(b, func() error {
+		if !forward {
+			_, err := m.LossGrad(params, batch, grad)
+			return err
+		}
+		for _, s := range batch {
+			if _, err := m.Network().Forward(params, s.X); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// BenchmarkLogistic is the sync family's model: 768 → 20.
+func BenchmarkLogistic(b *testing.B) {
+	b.Run("forward", func(b *testing.B) { benchClassifier(b, 768, 20, true) })
+	b.Run("lossgrad", func(b *testing.B) { benchClassifier(b, 768, 20, false) })
+}
+
+// BenchmarkDenseHead is the CNN's classifier head: 784 → 10.
+func BenchmarkDenseHead(b *testing.B) {
+	b.Run("lossgrad", func(b *testing.B) { benchClassifier(b, 784, 10, false) })
 }

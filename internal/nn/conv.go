@@ -18,8 +18,8 @@ import (
 // internal/tensor. The patch row order plus tensor.GEMMBias's per-channel
 // chunked accumulation (kChunk = k·k) reproduce the naive nested loops'
 // summation sequence exactly, so results are bitwise identical to the
-// retained reference implementation in conv_ref.go (asserted over a shape
-// table and a fuzz target in conv_equiv_test.go) and golden traces are
+// retained reference implementation in conv_ref_test.go (asserted over a
+// shape table and a fuzz target in conv_equiv_test.go) and golden traces are
 // unchanged. The equivalence holds for finite inputs: boundary cells enter
 // the GEMM as ±0 products, which can never flip an accumulator's bits (see
 // the contract note in internal/tensor/gemm.go).

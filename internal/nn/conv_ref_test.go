@@ -4,8 +4,8 @@ package nn
 // explicit bounds branches. It is retained verbatim as the bit-exactness
 // oracle for the im2col/GEMM production path — conv_equiv_test.go asserts
 // the two produce identical bits across a table of geometries and under
-// fuzzing. Never call these from production code; they are the spec, not
-// the kernel.
+// fuzzing. It lives in a test file so production code cannot call it: it is
+// the spec, not the kernel.
 
 // forwardRef computes out = conv(params, in) with the naive loops.
 func (c *Conv2D) forwardRef(params, in, out []float64) {

@@ -49,9 +49,9 @@ func (d *Dense) Init(params []float64, r *rng.RNG) {
 // plain matrix-vector product.
 var denseZeroBias = [1]float64{}
 
-// Forward implements Layer: out = W·in + b as a flat-accumulation GEMM over
-// the shared blocked kernel (the n = 1 column path — one dot product per
-// output row, bitwise identical to the former hand-rolled loop).
+// Forward implements Layer: out = W·in + b. GEMMBias at n = 1 with the flat
+// reduction is the matrix-vector kernel: four output rows per pass, each one
+// dot product that starts at its bias and adds its products in input order.
 func (d *Dense) Forward(params, in, out, _ []float64) {
 	w := params[:d.out*d.in]
 	b := params[d.out*d.in:]
@@ -62,13 +62,13 @@ func (d *Dense) Forward(params, in, out, _ []float64) {
 //
 //	gb     += gradOut                    (plain accumulation)
 //	gradIn  = Wᵀ·gradOut                 (GEMMBias, row vector × W, zero bias)
-//	gW     += gradOut·inᵀ                (GEMMAddTransB with K = 1)
+//	gW     += gradOut·inᵀ                (GEMMAddTransB at k = 1: the rank-1 kernel)
 //
 // Per destination element each kernel adds the same products in the same
-// ascending order as the former interleaved loop; the loop's skip of
-// zero-gradient rows is equivalent to adding the ±0 products the kernels
-// include (see the contract note in internal/tensor/gemm.go), so the
-// results are bitwise unchanged.
+// ascending order as the former interleaved loop (the rank-1 update adds one
+// product per weight); the loop's skip of zero-gradient rows is equivalent
+// to adding the ±0 products the kernels include (see the contract note in
+// internal/tensor/gemm.go), so the results are bitwise unchanged.
 func (d *Dense) Backward(params, in, _, gradOut, gradParams, gradIn, _ []float64) {
 	w := params[:d.out*d.in]
 	gw := gradParams[:d.out*d.in]

@@ -1,13 +1,25 @@
 package tensor
 
-// Cache-blocked matrix kernels shared by the neural-network layers
-// (internal/nn routes Dense and the im2col Conv2D path through them).
+// Matrix kernels shared by the neural-network layers (internal/nn routes
+// Dense and the im2col Conv2D path through them): two cache-blocked GEMMs
+// for the conv shapes and, dispatched from inside them, the two kernels the
+// Dense shapes actually are — matrix-vector with bias (n = 1, where the
+// 4-wide column block is never entered and each row would be one
+// latency-bound add chain) and rank-1 accumulate (k = 1, where each block
+// would cut four sub-slices to run a one-iteration loop). Those shapes take
+// no other path.
 //
-// Both kernels are deterministic: for every destination element the
+// All kernels are deterministic: for every destination element the
 // floating-point additions happen in one fixed sequence, independent of
 // blocking. The 4-wide column blocking keeps four independent accumulators
 // in registers — it widens the dst stride per pass, never the reduction
-// order — so results are bitwise identical to the scalar column loop.
+// order — so results are bitwise identical to the scalar column loop. The
+// matrix-vector kernel's 4-row blocking is the same argument turned a
+// quarter turn: a pass interleaves four *independent* destinations around
+// one shared x[kk] load. The rank-1 kernel adds one product to every
+// destination, so it has no order to keep. Every update is spelled
+// acc += a * b, so a compiler that contracts multiply-add on another
+// architecture treats all of them alike.
 //
 // Bit-identity contract (relied on by the golden-trace tests): callers that
 // replace a skip-on-zero scalar loop with these kernels stay bitwise
@@ -29,7 +41,14 @@ package tensor
 // summation order of a per-input-channel convolution loop (chunk length
 // k·k), which is what keeps the im2col path bitwise identical to the naive
 // nested loops.
+//
+// A single column with the flat reduction (n = 1, kChunk = 0: every Dense
+// forward pass) is a matrix-vector product and runs as one — see gemv.
 func GEMMBias(dst, a, b, bias []float64, m, n, k, kChunk int) {
+	if n == 1 && kChunk == 0 {
+		gemv(dst, a, b, bias, m, k)
+		return
+	}
 	for i := 0; i < m; i++ {
 		ar := a[i*k : (i+1)*k]
 		d := dst[i*n : (i+1)*n]
@@ -109,7 +128,14 @@ func GEMMBias(dst, a, b, bias []float64, m, n, k, kChunk int) {
 // and adds the K products in ascending kk order, so repeated calls extend
 // the same per-element addition sequence — exactly how a convolution's
 // weight gradient accumulates across the samples of a mini-batch.
+//
+// With k = 1 (every Dense weight gradient: gW += gradOut·inᵀ) the product is
+// an outer product and runs as a rank-1 update — see ger.
 func GEMMAddTransB(dst, a, b []float64, m, n, k int) {
+	if k == 1 {
+		ger(dst, a, b, m, n)
+		return
+	}
 	for i := 0; i < m; i++ {
 		ar := a[i*k : (i+1)*k]
 		d := dst[i*n : (i+1)*n]
@@ -138,6 +164,53 @@ func GEMMAddTransB(dst, a, b []float64, m, n, k int) {
 				acc += w * br[kk]
 			}
 			d[j] = acc
+		}
+	}
+}
+
+// gemv is GEMMBias at n = 1, kChunk = 0: dst[i] = bias[i] + Σ_kk A[i,kk]·x[kk],
+// kk ascending. Four rows per pass keep four independent accumulators busy
+// around each x[kk] load, where the column-blocked loop would run every row
+// as one dependent add chain of k links; the m mod 4 tail is that chain.
+func gemv(dst, a, x, bias []float64, m, k int) {
+	x = x[:k]
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		a0 := a[i*k : (i+1)*k]
+		a1 := a[(i+1)*k : (i+2)*k]
+		a2 := a[(i+2)*k : (i+3)*k]
+		a3 := a[(i+3)*k : (i+4)*k]
+		acc0, acc1, acc2, acc3 := bias[i], bias[i+1], bias[i+2], bias[i+3]
+		for kk, v := range x {
+			acc0 += a0[kk] * v
+			acc1 += a1[kk] * v
+			acc2 += a2[kk] * v
+			acc3 += a3[kk] * v
+		}
+		dst[i] = acc0
+		dst[i+1] = acc1
+		dst[i+2] = acc2
+		dst[i+3] = acc3
+	}
+	for ; i < m; i++ {
+		ar := a[i*k : (i+1)*k]
+		acc := bias[i]
+		for kk, v := range x {
+			acc += ar[kk] * v
+		}
+		dst[i] = acc
+	}
+}
+
+// ger is GEMMAddTransB at k = 1: dst[i,:] += a[i]·b[:], one product per
+// destination, one tight row loop per i.
+func ger(dst, a, b []float64, m, n int) {
+	b = b[:n]
+	for i := 0; i < m; i++ {
+		w := a[i]
+		d := dst[i*n : (i+1)*n]
+		for j, v := range b {
+			d[j] += w * v
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"hieradmo/internal/rng"
@@ -35,6 +37,20 @@ func naiveGEMMBias(dst, a, b, bias []float64, m, n, k, kChunk int) {
 	}
 }
 
+// naiveGEMMAddTransB is GEMMAddTransB's scalar definition; at k = 1 it reads
+// dst[i,j] += a[i]·b[j].
+func naiveGEMMAddTransB(dst, a, b []float64, m, n, k int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			acc := dst[i*n+j]
+			for kk := 0; kk < k; kk++ {
+				acc += a[i*k+kk] * b[j*k+kk]
+			}
+			dst[i*n+j] = acc
+		}
+	}
+}
+
 func fillRand(r *rng.RNG, v []float64) {
 	for i := range v {
 		v[i] = r.Norm()
@@ -44,14 +60,14 @@ func fillRand(r *rng.RNG, v []float64) {
 func TestGEMMBiasMatchesScalarOrder(t *testing.T) {
 	r := rng.New(11)
 	for _, tc := range []struct{ m, n, k, kChunk int }{
-		{1, 1, 1, 0},
+		{1, 1, 1, 0}, // n = 1, flat: the matrix-vector kernel
 		{1, 1, 1, 1},
 		{3, 4, 5, 0},
 		{3, 5, 6, 2},  // n not a multiple of the 4-wide block
 		{8, 64, 9, 9}, // conv-like: one chunk per input channel
 		{16, 16, 72, 9},
 		{2, 7, 10, 3}, // ragged final chunk
-		{4, 1, 12, 4}, // single column (the Dense n=1 path)
+		{4, 1, 12, 4}, // single column, chunked: stays on the generic scalar tail
 	} {
 		a := make([]float64, tc.m*tc.k)
 		b := make([]float64, tc.k*tc.n)
@@ -63,11 +79,7 @@ func TestGEMMBiasMatchesScalarOrder(t *testing.T) {
 		want := make([]float64, tc.m*tc.n)
 		GEMMBias(got, a, b, bias, tc.m, tc.n, tc.k, tc.kChunk)
 		naiveGEMMBias(want, a, b, bias, tc.m, tc.n, tc.k, tc.kChunk)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%+v: dst[%d] = %x, want %x", tc, i, got[i], want[i])
-			}
-		}
+		sameBits(t, fmt.Sprintf("%+v", tc), got, want)
 	}
 }
 
@@ -88,20 +100,8 @@ func TestGEMMAddTransBAccumulates(t *testing.T) {
 		fillRand(r, got)
 		copy(want, got)
 		GEMMAddTransB(got, a, b, tc.m, tc.n, tc.k)
-		for i := 0; i < tc.m; i++ {
-			for j := 0; j < tc.n; j++ {
-				acc := want[i*tc.n+j]
-				for kk := 0; kk < tc.k; kk++ {
-					acc += a[i*tc.k+kk] * b[j*tc.k+kk]
-				}
-				want[i*tc.n+j] = acc
-			}
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%+v: dst[%d] = %x, want %x", tc, i, got[i], want[i])
-			}
-		}
+		naiveGEMMAddTransB(want, a, b, tc.m, tc.n, tc.k)
+		sameBits(t, fmt.Sprintf("%+v", tc), got, want)
 	}
 }
 
@@ -127,4 +127,101 @@ func TestGEMMZeroProductsAreIdentity(t *testing.T) {
 	if dst[0] != dst2[0] {
 		t.Fatalf("zero products changed bits: %x vs %x", dst[0], dst2[0])
 	}
+}
+
+// fillSigned draws what a Dense layer meets — negative and positive values —
+// with the signed zeros the bit-identity contract is about mixed in.
+func fillSigned(r *rng.RNG, v []float64) {
+	for i := range v {
+		switch r.Intn(8) {
+		case 0:
+			v[i] = 0
+		case 1:
+			v[i] = math.Copysign(0, -1)
+		default:
+			v[i] = r.Norm()
+		}
+	}
+}
+
+func sameBits(t testing.TB, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: dst[%d] = %x (%v), want %x (%v)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// checkDenseKernels holds the two Dense shapes of an m×k layer to their
+// scalar definitions, bit for bit: the forward pass GEMMBias(n = 1) — flat,
+// or chunked when kChunk > 0, which must keep the chunked order — and the
+// weight gradient GEMMAddTransB(k = 1) accumulating onto an existing dst.
+// zeroRow, when in range, makes that output's gradient an exact zero (the
+// softmax gradient of a saturated class) and its bias −0.
+func checkDenseKernels(t testing.TB, r *rng.RNG, m, k, kChunk, zeroRow int) {
+	t.Helper()
+	w, x, bias := make([]float64, m*k), make([]float64, k), make([]float64, m)
+	fillSigned(r, w)
+	fillSigned(r, x)
+	fillSigned(r, bias)
+	g := make([]float64, m)
+	fillSigned(r, g)
+	if zeroRow >= 0 && zeroRow < m {
+		g[zeroRow] = 0
+		bias[zeroRow] = math.Copysign(0, -1)
+	}
+
+	got, want := make([]float64, m), make([]float64, m)
+	GEMMBias(got, w, x, bias, m, 1, k, kChunk)
+	naiveGEMMBias(want, w, x, bias, m, 1, k, kChunk)
+	sameBits(t, "GEMMBias n=1", got, want)
+
+	gw, gwWant := make([]float64, m*k), make([]float64, m*k)
+	fillSigned(r, gw)
+	copy(gwWant, gw)
+	// Twice: a mini-batch extends each element's addition sequence.
+	for pass := 0; pass < 2; pass++ {
+		GEMMAddTransB(gw, g, x, m, k, 1)
+		naiveGEMMAddTransB(gwWant, g, x, m, k, 1)
+	}
+	sameBits(t, "GEMMAddTransB k=1", gw, gwWant)
+}
+
+// TestDenseKernelsMatchScalarDefinitions is the bitwise oracle for the
+// matrix-vector and rank-1 kernels: every row-block remainder against every
+// reduction length the zoo uses, then seeded random shapes.
+func TestDenseKernelsMatchScalarDefinitions(t *testing.T) {
+	r := rng.New(19)
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 10, 20, 23} {
+		for _, k := range []int{1, 2, 63, 768, 784} {
+			checkDenseKernels(t, r, m, k, 0, -1)
+			checkDenseKernels(t, r, m, k, 0, m/2)
+		}
+	}
+	for draw := 0; draw < 200; draw++ {
+		m, k := 1+r.Intn(24), 1+r.Intn(96)
+		kChunk := 0
+		if draw%4 == 3 {
+			kChunk = 1 + r.Intn(k)
+		}
+		checkDenseKernels(t, r, m, k, kChunk, r.Intn(2*m)-m)
+	}
+}
+
+// FuzzDenseKernelEquivalence lets the fuzzer pick the layer shape, the
+// reduction tree and the data.
+func FuzzDenseKernelEquivalence(f *testing.F) {
+	f.Add(20, 768, 0, 3, uint64(1))
+	f.Add(10, 784, 0, -1, uint64(2))
+	f.Add(7, 9, 4, 0, uint64(3))
+	f.Add(1, 1, 1, 0, uint64(4))
+	f.Fuzz(func(t *testing.T, m, k, kChunk, zeroRow int, seed uint64) {
+		// Bound the shape so a fuzzed input can't demand gigabytes.
+		if m < 1 || m > 40 || k < 1 || k > 1024 || kChunk < 0 || kChunk > k {
+			t.Skip()
+		}
+		checkDenseKernels(t, rng.New(seed), m, k, kChunk, zeroRow)
+	})
 }

@@ -189,19 +189,44 @@ func Dist(v, u Vector) (float64, error) {
 	return math.Sqrt(s), nil
 }
 
-// WeightedSum overwrites dst with the weighted sum Σ weights[i]*vs[i].
+// WeightedSum overwrites dst with the weighted sum Σ weights[j]*vs[j] in one
+// pass: per element an accumulator starts at +0 and adds the terms for j
+// ascending — the sequence a Zero followed by one AXPY per term performs.
 // Every vector must have the same length as dst, and len(weights) must equal
-// len(vs).
+// len(vs); both are checked before the first write, so a failed call leaves
+// dst as it was.
 func WeightedSum(dst Vector, weights []float64, vs []Vector) error {
 	if len(weights) != len(vs) {
 		return fmt.Errorf("weighted sum: %d weights for %d vectors: %w",
 			len(weights), len(vs), ErrDimMismatch)
 	}
-	dst.Zero()
-	for i, v := range vs {
-		if err := dst.AXPY(weights[i], v); err != nil {
-			return fmt.Errorf("weighted sum term %d: %w", i, err)
+	for j, v := range vs {
+		if len(v) != len(dst) {
+			return fmt.Errorf("weighted sum term %d: %d += a*%d: %w", j, len(dst), len(v), ErrDimMismatch)
 		}
+	}
+	// Four elements per step: four independent accumulators hide the add
+	// latency of the j chain and amortize each term's slice header.
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		var acc0, acc1, acc2, acc3 float64
+		for j, v := range vs {
+			w := weights[j]
+			q := v[i : i+4 : i+4]
+			acc0 += w * q[0]
+			acc1 += w * q[1]
+			acc2 += w * q[2]
+			acc3 += w * q[3]
+		}
+		d := dst[i : i+4 : i+4]
+		d[0], d[1], d[2], d[3] = acc0, acc1, acc2, acc3
+	}
+	for ; i < len(dst); i++ {
+		var acc float64
+		for j, v := range vs {
+			acc += weights[j] * v[i]
+		}
+		dst[i] = acc
 	}
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"hieradmo/internal/rng"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -188,6 +190,58 @@ func TestWeightedSumErrors(t *testing.T) {
 	}
 	if err := WeightedSum(dst, []float64{1}, []Vector{{1, 2, 3}}); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("vector length mismatch err = %v", err)
+	}
+}
+
+// TestWeightedSumMatchesPasses holds the one-pass reduction to the Zero +
+// one-AXPY-per-term composition it replaces, bit for bit, across the 4-wide
+// block remainders, with −0 terms that a +0 start must absorb.
+func TestWeightedSumMatchesPasses(t *testing.T) {
+	r := rng.New(31)
+	negZero := math.Copysign(0, -1)
+	for _, dim := range []int{0, 1, 3, 4, 5, 8, 15, 64, 1001} {
+		for _, n := range []int{0, 1, 2, 3, 4, 7} {
+			vs, weights := make([]Vector, n), make([]float64, n)
+			for j := range vs {
+				vs[j] = NewVector(dim)
+				for i := range vs[j] {
+					vs[j][i] = r.Norm()
+				}
+				if dim > 0 {
+					vs[j][0] = negZero
+				}
+				weights[j] = r.Norm()
+			}
+			got, want := NewVector(dim), NewVector(dim)
+			got.Fill(7) // overwritten, not accumulated into
+			if err := WeightedSum(got, weights, vs); err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range vs {
+				if err := want.AXPY(weights[j], v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dim %d, %d terms: dst[%d] = %x, want %x", dim, n, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestWeightedSumChecksBeforeWriting: a mismatched later term leaves dst as
+// it was.
+func TestWeightedSumChecksBeforeWriting(t *testing.T) {
+	dst := Vector{9, 9}
+	err := WeightedSum(dst, []float64{1, 1}, []Vector{{1, 2}, {1, 2, 3}})
+	if !errors.Is(err, ErrDimMismatch) {
+		t.Fatalf("err = %v, want ErrDimMismatch", err)
+	}
+	if dst[0] != 9 || dst[1] != 9 {
+		t.Errorf("a rejected sum wrote dst = %v", dst)
 	}
 }
 
