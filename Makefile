@@ -120,8 +120,10 @@ recover:
 ## and TCP-loopback round trip at the leaf-report shape, 4 x 15380 values),
 ## BENCH_ckpt.json (one node's Registry.Save into a real directory at the
 ## leaf and tier shapes, 4 and 12 x 15380 values) and BENCH_kernels.json
-## (internal/nn: one forward and one loss-gradient per architecture family,
-## and the single-Dense classifiers at the shapes the runs train, batch 8).
+## (internal/tensor: the two conv GEMMs at the CNN's two layer shapes, in
+## GFLOP/s; internal/nn: one forward and one loss-gradient per architecture
+## family, and the single-Dense classifiers at the shapes the runs train,
+## batch 8).
 ## -count=3 repetitions are merged best-of-N by benchjson: the minimum is
 ## the stable noise estimator on a shared box, where interference only ever
 ## adds time (observed single-run spread on this host is >30%).
@@ -130,6 +132,12 @@ BENCHFLAGS = -bench=. -benchmem -benchtime=10x -count=3 -run=^$$
 # core round's 20 ms: ten iterations would time scheduler wake-ups, not the
 # codec.
 WIREBENCHFLAGS = -bench=. -benchmem -benchtime=200x -count=3 -run=^$$
+# A raw conv GEMM is 2 to 25 microseconds, and the first few hundred calls of
+# a process run at a third of the steady rate on this host: the GFLOP/s rows
+# need a run long enough to be past that.
+GEMMBENCHFLAGS = -bench=GEMM -benchmem -benchtime=20000x -count=3 -run=^$$
+KERNELBENCH = { $(GO) test $(GEMMBENCHFLAGS) ./internal/tensor; \
+	$(GO) test $(WIREBENCHFLAGS) ./internal/nn; }
 bench:
 	$(GO) test $(BENCHFLAGS) ./internal/core \
 		| $(GO) run ./cmd/benchjson -out BENCH_core.json
@@ -137,7 +145,7 @@ bench:
 		| $(GO) run ./cmd/benchjson -out BENCH_wire.json
 	$(GO) test $(WIREBENCHFLAGS) ./internal/checkpoint \
 		| $(GO) run ./cmd/benchjson -out BENCH_ckpt.json
-	$(GO) test $(WIREBENCHFLAGS) ./internal/nn \
+	$(KERNELBENCH) \
 		| $(GO) run ./cmd/benchjson -out BENCH_kernels.json
 	@cat BENCH_core.json BENCH_wire.json BENCH_ckpt.json BENCH_kernels.json
 
@@ -165,7 +173,7 @@ benchdiff:
 	$(GO) test $(WIREBENCHFLAGS) ./internal/checkpoint \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_ckpt.json -max-regress -1 \
 			-max-bytes-regress 0.10 -max-alloc-regress 0.10
-	$(GO) test $(WIREBENCHFLAGS) ./internal/nn \
+	$(KERNELBENCH) \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_kernels.json -max-regress 0.25 \
 			-max-bytes-regress 0.10 -max-alloc-regress 0.10
 

@@ -51,6 +51,10 @@ type record struct {
 	NsPerOp    float64 `json:"ns_per_op"`
 	BPerOp     float64 `json:"b_per_op"`
 	AllocsOp   int64   `json:"allocs_per_op"`
+	// Extra holds every other `value unit` column of the line, by unit: what
+	// a benchmark reports through SetBytes (MB/s) or ReportMetric (GFLOP/s).
+	// Recorded, not gated.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // report is the full BENCH_core.json document.
@@ -75,9 +79,11 @@ type tolerances struct {
 var (
 	// benchLine matches e.g.
 	// BenchmarkHierAdMoCNN/workers=2-8  3  412345678 ns/op  1234 B/op  56 allocs/op
-	// (a benchmark that calls SetBytes prints an MB/s column after ns/op).
-	benchLine = regexp.MustCompile(
-		`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	// and captures everything after the iteration count: a run of `value unit`
+	// columns. go test prints what SetBytes and ReportMetric add (MB/s,
+	// GFLOP/s, …) between ns/op and B/op, so the columns are read by unit,
+	// never by position.
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)((?:\s+\S+\s+\S+)+)\s*$`)
 	workersTag  = regexp.MustCompile(`workers=(\d+)`)
 	headerLine  = regexp.MustCompile(`^(goos|goarch|pkg|cpu):\s*(.*)$`)
 	procsSuffix = regexp.MustCompile(`^(.+)-(\d+)$`)
@@ -352,18 +358,8 @@ func parse(sc *bufio.Scanner) (*report, error) {
 		if rec.Iterations, err = strconv.ParseInt(m[2], 10, 64); err != nil {
 			return nil, fmt.Errorf("line %q: %w", line, err)
 		}
-		if rec.NsPerOp, err = strconv.ParseFloat(m[3], 64); err != nil {
-			return nil, fmt.Errorf("line %q: %w", line, err)
-		}
-		if m[4] != "" {
-			if rec.BPerOp, err = strconv.ParseFloat(m[4], 64); err != nil {
-				return nil, fmt.Errorf("line %q: %w", line, err)
-			}
-		}
-		if m[5] != "" {
-			if rec.AllocsOp, err = strconv.ParseInt(m[5], 10, 64); err != nil {
-				return nil, fmt.Errorf("line %q: %w", line, err)
-			}
+		if !rec.columns(strings.Fields(m[3])) {
+			continue // a Benchmark… line of some other shape, not a result
 		}
 		if w := workersTag.FindStringSubmatch(rec.Name); w != nil {
 			rec.Workers, _ = strconv.Atoi(w[1])
@@ -378,13 +374,42 @@ func parse(sc *bufio.Scanner) (*report, error) {
 	return rep, sc.Err()
 }
 
+// columns reads a result line's `value unit` pairs into the record by unit and
+// reports whether they were a result: every value a number, ns/op among them.
+func (r *record) columns(cols []string) bool {
+	timed := false
+	for c := 0; c+1 < len(cols); c += 2 {
+		v, err := strconv.ParseFloat(cols[c], 64)
+		if err != nil {
+			return false
+		}
+		switch unit := cols[c+1]; unit {
+		case "ns/op":
+			r.NsPerOp, timed = v, true
+		case "B/op":
+			r.BPerOp = v
+		case "allocs/op":
+			r.AllocsOp = int64(v)
+		default:
+			if r.Extra == nil {
+				r.Extra = make(map[string]float64)
+			}
+			r.Extra[unit] = v
+		}
+	}
+	return timed
+}
+
 // merge folds a repetition into the existing record, keeping the minimum of
 // every per-op dimension (see the package comment for why minimum).
 func merge(dst *record, rep record) {
 	dst.Runs += rep.Runs
 	if rep.NsPerOp < dst.NsPerOp {
+		// The extra columns are rates of the same timed loop: they travel
+		// with the repetition whose time is kept.
 		dst.NsPerOp = rep.NsPerOp
 		dst.Iterations = rep.Iterations
+		dst.Extra = rep.Extra
 	}
 	if rep.BPerOp < dst.BPerOp {
 		dst.BPerOp = rep.BPerOp

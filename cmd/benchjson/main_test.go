@@ -75,6 +75,31 @@ func TestParseSkipsThroughputColumn(t *testing.T) {
 	}
 }
 
+// TestParseReadsColumnsByUnit: ReportMetric prints its columns between ns/op
+// and B/op too, under any unit. They are recorded by unit, the byte and alloc
+// counts behind them are still read, and on a merge they follow the repetition
+// whose time is kept.
+func TestParseReadsColumnsByUnit(t *testing.T) {
+	rep := parseSample(t, ""+
+		"BenchmarkGEMMBias/conv2_16x49x72c9-2 \t 20000\t 7629 ns/op\t 14.80 GFLOP/s\t 16 B/op\t 2 allocs/op\n"+
+		"BenchmarkGEMMBias/conv2_16x49x72c9-2 \t 20000\t 9000 ns/op\t 12.54 GFLOP/s\t 0 B/op\t 0 allocs/op\n"+
+		"BenchmarkGEMMBias/conv2_16x49x72c9-2 \t--- FAIL: some log line\n")
+	if len(rep.Benchmarks) != 1 {
+		t.Fatalf("parsed %d benchmarks, want 1", len(rep.Benchmarks))
+	}
+	b := rep.Benchmarks[0]
+	if b.Name != "GEMMBias/conv2_16x49x72c9" || b.Runs != 2 || b.NsPerOp != 7629 || b.BPerOp != 0 || b.AllocsOp != 0 {
+		t.Errorf("record = %+v, want best-of-2: 7629 ns/op, 0 B/op, 0 allocs/op", b)
+	}
+	if len(b.Extra) != 1 || b.Extra["GFLOP/s"] != 14.80 {
+		t.Errorf("extra = %v, want the faster repetition's 14.80 GFLOP/s", b.Extra)
+	}
+	plain := parseSample(t, sampleBench)
+	if plain.Benchmarks[0].Extra != nil {
+		t.Errorf("a line without extra columns grew %v", plain.Benchmarks[0].Extra)
+	}
+}
+
 func TestParseMergesBestOfN(t *testing.T) {
 	rep := parseSample(t, sampleBench)
 	w1 := rep.Benchmarks[0]
