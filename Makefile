@@ -4,10 +4,22 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast check race fuzz recover bench benchdiff benchall churn clean
+.PHONY: build portable test vet lint lint-fast check race fuzz recover bench benchdiff benchall churn clean
 
 build:
 	$(GO) build ./...
+
+## portable: internal/tensor has assembly bodies on amd64 only. Everywhere
+## else runs the pure-Go ones, so they must keep compiling and vetting there
+## (stock go vet's asmdecl, part of lint, already holds the amd64 frames to
+## their Go declarations). And no fused multiply-add may appear in the
+## assembly: the Go compiler does not fuse on amd64, so the unfused pair is
+## what the portable bodies compute and what every golden file was recorded
+## with.
+portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/nn
+	@! grep -rnE 'VFN?MADD' internal/tensor || { echo "fused multiply-add under internal/tensor"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -51,12 +63,12 @@ lint-fast:
 	echo "lint-fast: $$pkgs"; \
 	$(GO) run ./cmd/flvet -baseline analysis_baseline.json $$pkgs
 
-## check: the tier-1 gate — build, lint (gofmt + go vet + flvet against
-## the committed baseline), the full test suite, the crash-recovery
-## integration pass, the race-detector sweep, and the perf gate against
-## the committed benchmark baseline. Also leaves the machine-readable
+## check: the tier-1 gate — build (and the portable build, see above), lint
+## (gofmt + go vet + flvet against the committed baseline), the full test
+## suite, the crash-recovery integration pass, the race-detector sweep, and
+## the perf gate against the committed benchmark baseline. Also leaves the machine-readable
 ## findings artifact (flvet_findings.json) for CI to archive and diff.
-check: build lint test recover race benchdiff
+check: build portable lint test recover race benchdiff
 	$(GO) run ./cmd/flvet -json ./... > flvet_findings.json || true
 	@echo "check: wrote flvet_findings.json"
 
@@ -78,7 +90,9 @@ race:
 ## retained naive reference on fuzzer-chosen shapes and data, and the
 ## dense-kernel equivalence target, which holds the matrix-vector and rank-1
 ## kernels (GEMMBias at n = 1, GEMMAddTransB at k = 1) to their scalar
-## definitions the same way, and the robust-aggregation targets, which
+## definitions the same way, and the vector-kernel equivalence target, which
+## holds the dispatching conv GEMMs (the AVX2 assembly, where the CPU has it)
+## to their portable bodies, and the robust-aggregation targets, which
 ## assert median/trimmed-mean reject (never propagate) non-finite reporter
 ## values on fuzzer-chosen cohorts,
 ## and the topology-spec parser, which must yield a tree or a typed error
@@ -97,6 +111,7 @@ fuzz:
 	$(GO) test ./cmd/tracecat/ -run '^$$' -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzConvGEMMEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzDenseKernelEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzVectorKernelEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzMedianAggregate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzTrimmedMean -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run '^$$' -fuzz FuzzParseTopology -fuzztime $(FUZZTIME)

@@ -10,7 +10,9 @@
 // observation of the code's true cost, and a gate on the mean would flap on a
 // loaded CI box. The GOMAXPROCS `-N` suffix Go appends to benchmark names on
 // multicore hosts is stripped into a `procs` field so reports from different
-// machines diff by name.
+// machines diff by name. Columns a benchmark adds itself (SetBytes' MB/s, a
+// ReportMetric unit such as GFLOP/s) are kept per row in an `extra` map, from
+// the repetition whose time is kept; they are recorded, not gated.
 //
 // Usage:
 //

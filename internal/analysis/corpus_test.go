@@ -296,6 +296,10 @@ func TestDefaultPolicyTable(t *testing.T) {
 		"hieradmo/internal/tensor.GEMMAddTransB",
 		"hieradmo/internal/tensor.gemv",
 		"hieradmo/internal/tensor.ger",
+		"hieradmo/internal/tensor.gemmBias",
+		"hieradmo/internal/tensor.gemmAddTransB",
+		"hieradmo/internal/tensor.gemmBiasGeneric",
+		"hieradmo/internal/tensor.gemmAddTransBGeneric",
 		"(*hieradmo/internal/nn.Dense).Forward",
 		"(*hieradmo/internal/nn.Dense).Backward",
 		"(*hieradmo/internal/nn.Conv2D).Forward",

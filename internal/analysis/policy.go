@@ -128,13 +128,19 @@ func DefaultPolicy(modulePath string) Policy {
 			"(*" + in("internal/core") + ".Leaf).Step",
 			"(*" + in("internal/core") + ".Tier).Update",
 			"(*" + in("internal/fl") + ".GradOracle).Grad",
-			// The GEMM kernels every dense/conv layer reduces to, and the
+			// The GEMM kernels every dense/conv layer reduces to, the
 			// matrix-vector and rank-1 kernels they hand the Dense shapes
-			// (n = 1, k = 1) to.
+			// (n = 1, k = 1) to, and the two bodies of the conv shapes: the
+			// per-architecture dispatch (on amd64 it stages a panel on the
+			// stack and calls the AVX2 assembly) and the portable loops.
 			in("internal/tensor") + ".GEMMBias",
 			in("internal/tensor") + ".GEMMAddTransB",
 			in("internal/tensor") + ".gemv",
 			in("internal/tensor") + ".ger",
+			in("internal/tensor") + ".gemmBias",
+			in("internal/tensor") + ".gemmAddTransB",
+			in("internal/tensor") + ".gemmBiasGeneric",
+			in("internal/tensor") + ".gemmAddTransBGeneric",
 			// The fully connected layer: the whole gradient of the convex
 			// models and the head of every conv net.
 			"(*" + in("internal/nn") + ".Dense).Forward",

@@ -43,33 +43,63 @@ func (p *MaxPool2D) Init(params []float64, r *rng.RNG) {}
 // cell.
 func (p *MaxPool2D) ScratchSize() int { return p.OutShape().Size() }
 
-// Forward implements Layer.
+// Forward implements Layer. A window is scanned in the order (0,0), (0,1),
+// (1,0), (1,1) and a later element replaces the running maximum only when it
+// is strictly greater, so ties go to the first maximal element.
+//
+// The scan is written without a data-dependent branch. Which of four
+// activations is largest is as good as random — half of them are exact zeros
+// after a ReLU — and the three compare-and-replace branches of the plain scan
+// mispredict often enough to cost more than the rest of the window together
+// (DESIGN.md §12 has the measurement). Here the four values are loaded once,
+// all six pairwise "is greater" bits are taken up front, and the bits the scan
+// would have looked at are selected by the ones before them: s1 is "b beats
+// a", s2 is "c beats the winner of {a, b}", s3 is "d beats the winner of
+// {a, b, c}". Every comparison the scan makes is made here on the same two
+// operands, so the winner is the scan's for any input, ties and NaNs
+// included.
 func (p *MaxPool2D) Forward(params, in, out, scratch []float64) {
 	outSh := p.OutShape()
-	planeIn := p.in.H * p.in.W
+	w := p.in.W
+	planeIn := p.in.H * w
 	planeOut := outSh.H * outSh.W
 	for c := 0; c < p.in.C; c++ {
 		inPlane := in[c*planeIn : (c+1)*planeIn]
 		outPlane := out[c*planeOut : (c+1)*planeOut]
 		idxPlane := scratch[c*planeOut : (c+1)*planeOut]
 		for oy := 0; oy < outSh.H; oy++ {
-			base := 2 * oy * p.in.W
-			for ox := 0; ox < outSh.W; ox++ {
-				best := base + 2*ox
-				if idx := best + 1; inPlane[idx] > inPlane[best] {
-					best = idx
-				}
-				if idx := base + p.in.W + 2*ox; inPlane[idx] > inPlane[best] {
-					best = idx
-				}
-				if idx := base + p.in.W + 2*ox + 1; inPlane[idx] > inPlane[best] {
-					best = idx
-				}
-				outPlane[oy*outSh.W+ox] = inPlane[best]
-				idxPlane[oy*outSh.W+ox] = float64(best)
+			base := 2 * oy * w
+			row0 := inPlane[base : base+w]
+			row1 := inPlane[base+w : base+2*w]
+			outRow := outPlane[oy*outSh.W : (oy+1)*outSh.W]
+			idxRow := idxPlane[oy*outSh.W : (oy+1)*outSh.W]
+			for ox := range outRow {
+				a, b, c, d := row0[2*ox], row0[2*ox+1], row1[2*ox], row1[2*ox+1]
+				s1 := greater(b, a)
+				ca, da := greater(c, a), greater(d, a)
+				s2 := ca ^ (ca^greater(c, b))&-s1
+				dab := da ^ (da^greater(d, b))&-s1
+				s3 := dab ^ (dab^greater(d, c))&-s2
+				// Position in scan order: s1, unless c took over (2), unless
+				// d did (3); bit 0 is the column, bit 1 the row.
+				k := s1 ^ (s1^2)&-s2
+				k ^= (k ^ 3) & -s3
+				best := base + 2*ox + k&1 + (k>>1)*w
+				outRow[ox] = inPlane[best]
+				idxRow[ox] = float64(best)
 			}
 		}
 	}
+}
+
+// greater is x > y as 0 or 1. The compiler turns the assignment under the
+// comparison into a flag-to-register move, not a jump.
+func greater(x, y float64) int {
+	g := 0
+	if x > y {
+		g = 1
+	}
+	return g
 }
 
 // Backward implements Layer: zero gradIn, then route each output gradient to

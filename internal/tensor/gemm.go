@@ -9,6 +9,15 @@ package tensor
 // would cut four sub-slices to run a one-iteration loop). Those shapes take
 // no other path.
 //
+// The conv shapes have two bodies. gemmBiasGeneric and gemmAddTransBGeneric
+// below are the portable ones: they run on every GOARCH and on amd64 CPUs
+// without AVX2, and they are the oracle the vector bodies are tested against
+// (TestVectorKernelsMatchGeneric calls them directly). On amd64 with AVX2,
+// gemmBias and gemmAddTransB (gemm_amd64.go) hand whole 4-row blocks to the
+// assembly in gemm_amd64.s, which widens the blocking rule below from four
+// scalar accumulators to four vector ones: a lane is a distinct destination
+// element, never a slice of one reduction.
+//
 // All kernels are deterministic: for every destination element the
 // floating-point additions happen in one fixed sequence, independent of
 // blocking. The 4-wide column blocking keeps four independent accumulators
@@ -44,11 +53,34 @@ package tensor
 //
 // A single column with the flat reduction (n = 1, kChunk = 0: every Dense
 // forward pass) is a matrix-vector product and runs as one — see gemv.
+//
+// Operands shorter than the shape (dst and a of m rows, b of k, bias of m
+// elements) panic before anything is written.
 func GEMMBias(dst, a, b, bias []float64, m, n, k, kChunk int) {
+	holds(dst, m*n)
+	holds(a, m*k)
+	holds(b, k*n)
+	holds(bias, m)
 	if n == 1 && kChunk == 0 {
 		gemv(dst, a, b, bias, m, k)
 		return
 	}
+	gemmBias(dst, a, b, bias, m, n, k, kChunk)
+}
+
+// holds panics the way an out-of-range index does unless s has n elements.
+// The exported kernels check every operand with it once, up front: the
+// assembly bodies read and write through raw pointers, so a short slice must
+// stop the call here, and the portable bodies then fail the same way — before
+// the first store, not at the row that runs off the end.
+func holds(s []float64, n int) {
+	if n > len(s) {
+		_ = s[n-1]
+	}
+}
+
+// gemmBiasGeneric is GEMMBias's portable body and the vector body's oracle.
+func gemmBiasGeneric(dst, a, b, bias []float64, m, n, k, kChunk int) {
 	for i := 0; i < m; i++ {
 		ar := a[i*k : (i+1)*k]
 		d := dst[i*n : (i+1)*n]
@@ -131,11 +163,22 @@ func GEMMBias(dst, a, b, bias []float64, m, n, k, kChunk int) {
 //
 // With k = 1 (every Dense weight gradient: gW += gradOut·inᵀ) the product is
 // an outer product and runs as a rank-1 update — see ger.
+//
+// Operands shorter than the shape panic before anything is written.
 func GEMMAddTransB(dst, a, b []float64, m, n, k int) {
+	holds(dst, m*n)
+	holds(a, m*k)
+	holds(b, n*k)
 	if k == 1 {
 		ger(dst, a, b, m, n)
 		return
 	}
+	gemmAddTransB(dst, a, b, m, n, k)
+}
+
+// gemmAddTransBGeneric is GEMMAddTransB's portable body and the vector body's
+// oracle.
+func gemmAddTransBGeneric(dst, a, b []float64, m, n, k int) {
 	for i := 0; i < m; i++ {
 		ar := a[i*k : (i+1)*k]
 		d := dst[i*n : (i+1)*n]
