@@ -75,7 +75,7 @@ check: build portable lint test recover race benchdiff
 ## race: race-detect the distributed runtime, transport layers, checkpoint
 ## snapshot/restore, telemetry instruments (scraped concurrently with
 ## writers), and the parallel training paths (core/baseline worker pools,
-## pooled nn workspaces).
+## the nn workspace free list).
 race:
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... \
 		./internal/checkpoint/... ./internal/parallel/... ./internal/core/... \
@@ -89,8 +89,10 @@ race:
 ## asserts the im2col/GEMM forward+backward stays bitwise identical to the
 ## retained naive reference on fuzzer-chosen shapes and data, and the
 ## dense-kernel equivalence target, which holds the matrix-vector and rank-1
-## kernels (GEMMBias at n = 1, GEMMAddTransB at k = 1) to their scalar
-## definitions the same way, and the vector-kernel equivalence target, which
+## shapes (GEMMBias at n = 1, GEMMAddTransB at k = 1) to their scalar
+## definitions the same way, and the block weight-gradient target, which holds
+## GEMMAdd (entry point and portable body) to the rank-1 updates it stands for,
+## and the vector-kernel equivalence target, which
 ## holds the dispatching conv GEMMs (the AVX2 assembly, where the CPU has it)
 ## to their portable bodies, and the robust-aggregation targets, which
 ## assert median/trimmed-mean reject (never propagate) non-finite reporter
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test ./cmd/tracecat/ -run '^$$' -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzConvGEMMEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzDenseKernelEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzGEMMAddEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzVectorKernelEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzMedianAggregate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzTrimmedMean -fuzztime $(FUZZTIME)
@@ -135,8 +138,8 @@ recover:
 ## and TCP-loopback round trip at the leaf-report shape, 4 x 15380 values),
 ## BENCH_ckpt.json (one node's Registry.Save into a real directory at the
 ## leaf and tier shapes, 4 and 12 x 15380 values) and BENCH_kernels.json
-## (internal/tensor: the two conv GEMMs at the CNN's two layer shapes, in
-## GFLOP/s; internal/nn: one forward and one loss-gradient per architecture
+## (internal/tensor: the two conv GEMMs at the CNN's two layer shapes and the
+## Dense weight gradient at the sync model's, in GFLOP/s; internal/nn: one forward and one loss-gradient per architecture
 ## family, and the single-Dense classifiers at the shapes the runs train,
 ## batch 8).
 ## -count=3 repetitions are merged best-of-N by benchjson: the minimum is

@@ -294,14 +294,18 @@ func TestDefaultPolicyTable(t *testing.T) {
 		"(*hieradmo/internal/fl.GradOracle).Grad",
 		"hieradmo/internal/tensor.GEMMBias",
 		"hieradmo/internal/tensor.GEMMAddTransB",
-		"hieradmo/internal/tensor.gemv",
-		"hieradmo/internal/tensor.ger",
+		"hieradmo/internal/tensor.GEMMAdd",
 		"hieradmo/internal/tensor.gemmBias",
 		"hieradmo/internal/tensor.gemmAddTransB",
+		"hieradmo/internal/tensor.gemmAdd",
 		"hieradmo/internal/tensor.gemmBiasGeneric",
 		"hieradmo/internal/tensor.gemmAddTransBGeneric",
+		"hieradmo/internal/tensor.gemmAddGeneric",
+		"(*hieradmo/internal/nn.Network).LossGradBatch",
 		"(*hieradmo/internal/nn.Dense).Forward",
 		"(*hieradmo/internal/nn.Dense).Backward",
+		"(*hieradmo/internal/nn.Dense).forwardBlock",
+		"(*hieradmo/internal/nn.Dense).backwardBlock",
 		"(*hieradmo/internal/nn.Conv2D).Forward",
 		"(*hieradmo/internal/nn.Conv2D).Backward",
 		"(*hieradmo/internal/nn.convReLU).Forward",

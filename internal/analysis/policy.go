@@ -84,8 +84,8 @@ func only(paths ...string) func(string) bool {
 //   - allocfree runs everywhere; what it checks is pinned by the root
 //     table below — the Algorithm 1 kernel in internal/core (leaf step,
 //     tier update) and the shared gradient step in internal/fl, the
-//     GEMM, matrix-vector and rank-1 kernels in internal/tensor, the dense
-//     and conv layers in internal/nn, the wire frame encode and decode in
+//     GEMM kernels in internal/tensor, the dense and conv layers and the
+//     block loss-gradient in internal/nn, the wire frame encode and decode in
 //     internal/transport, the snapshot encode in internal/checkpoint, and
 //     every robust.Aggregator implementation. The kernel packages carry no
 //     exemptions (enforcement pinned in TestDefaultPolicyTable);
@@ -128,23 +128,28 @@ func DefaultPolicy(modulePath string) Policy {
 			"(*" + in("internal/core") + ".Leaf).Step",
 			"(*" + in("internal/core") + ".Tier).Update",
 			"(*" + in("internal/fl") + ".GradOracle).Grad",
-			// The GEMM kernels every dense/conv layer reduces to, the
-			// matrix-vector and rank-1 kernels they hand the Dense shapes
-			// (n = 1, k = 1) to, and the two bodies of the conv shapes: the
-			// per-architecture dispatch (on amd64 it stages a panel on the
-			// stack and calls the AVX2 assembly) and the portable loops.
+			// The GEMM kernels every dense/conv layer reduces to, and the two
+			// bodies of each: the per-architecture dispatch (on amd64 it
+			// calls the AVX2 assembly, staging a panel on the stack for
+			// GEMMAddTransB) and the portable loops.
 			in("internal/tensor") + ".GEMMBias",
 			in("internal/tensor") + ".GEMMAddTransB",
-			in("internal/tensor") + ".gemv",
-			in("internal/tensor") + ".ger",
+			in("internal/tensor") + ".GEMMAdd",
 			in("internal/tensor") + ".gemmBias",
 			in("internal/tensor") + ".gemmAddTransB",
+			in("internal/tensor") + ".gemmAdd",
 			in("internal/tensor") + ".gemmBiasGeneric",
 			in("internal/tensor") + ".gemmAddTransBGeneric",
-			// The fully connected layer: the whole gradient of the convex
-			// models and the head of every conv net.
+			in("internal/tensor") + ".gemmAddGeneric",
+			// The mini-batch gradient: blocks of samples taken through the
+			// layer stack inside a workspace off the network's free list.
+			"(*" + in("internal/nn") + ".Network).LossGradBatch",
+			// The fully connected layer — the whole gradient of the convex
+			// models and the head of every conv net — one block at a time.
 			"(*" + in("internal/nn") + ".Dense).Forward",
 			"(*" + in("internal/nn") + ".Dense).Backward",
+			"(*" + in("internal/nn") + ".Dense).forwardBlock",
+			"(*" + in("internal/nn") + ".Dense).backwardBlock",
 			// The im2col conv kernels and the fused conv+ReLU fast path.
 			"(*" + in("internal/nn") + ".Conv2D).Forward",
 			"(*" + in("internal/nn") + ".Conv2D).Backward",

@@ -145,7 +145,6 @@ func (o *GradOracle) Grad(params, grad tensor.Vector) (float64, error) {
 		return 0, fmt.Errorf("batch: %w", err)
 	}
 	o.batch = batch
-	//flvet:allow allocfree -- workspace pool miss only; steady-state gradient calls reuse pooled buffers
 	loss, err := o.cfg.Model.LossGrad(params, batch, grad)
 	if err != nil {
 		return 0, fmt.Errorf("gradient: %w", err)

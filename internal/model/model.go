@@ -83,13 +83,9 @@ func (m *NetModel) LossGrad(params tensor.Vector, batch []dataset.Sample, grad t
 		return 0, fmt.Errorf("model %s: empty batch", m.name)
 	}
 	grad.Zero()
-	var total float64
-	for _, s := range batch {
-		loss, err := m.net.LossGrad(params, s.X, s.Label, grad)
-		if err != nil {
-			return 0, fmt.Errorf("model %s: %w", m.name, err)
-		}
-		total += loss
+	total, err := m.net.LossGradBatch(params, batch, grad)
+	if err != nil {
+		return 0, fmt.Errorf("model %s: %w", m.name, err)
 	}
 	inv := 1 / float64(len(batch))
 	grad.Scale(inv)
@@ -118,55 +114,78 @@ func (m *NetModel) Predict(params tensor.Vector, x tensor.Vector) (int, error) {
 	return m.net.Predict(params, x)
 }
 
-// Accuracy evaluates classification accuracy of params over ds.
-func Accuracy(m Model, params tensor.Vector, ds *dataset.Dataset) (float64, error) {
-	if ds.Len() == 0 {
-		return 0, dataset.ErrEmpty
+// Correct returns how many of samples params classifies as labelled: Predict
+// over a run of samples, which the network takes a block at a time.
+func (m *NetModel) Correct(params tensor.Vector, samples []dataset.Sample) (int, error) {
+	return m.net.Correct(params, samples)
+}
+
+// blockScorer is the optional fast path of Accuracy: a model that can score a
+// run of samples in one call. It is not part of Model — a wrapper that counts
+// or times Predict calls does not implement it, and keeps seeing one Predict
+// per sample.
+type blockScorer interface {
+	Correct(params tensor.Vector, samples []dataset.Sample) (int, error)
+}
+
+// correct counts the samples m classifies as labelled.
+func correct(m Model, params tensor.Vector, samples []dataset.Sample) (int, error) {
+	if bs, ok := m.(blockScorer); ok {
+		return bs.Correct(params, samples)
 	}
-	correct := 0
-	for _, s := range ds.Samples {
+	hits := 0
+	for _, s := range samples {
 		pred, err := m.Predict(params, s.X)
 		if err != nil {
 			return 0, err
 		}
 		if pred == s.Label {
-			correct++
+			hits++
 		}
 	}
-	return float64(correct) / float64(ds.Len()), nil
+	return hits, nil
 }
 
-// AccuracyParallel is Accuracy with the Predict calls fanned out over a
-// goroutine pool of the given size (≤ 1 falls back to the serial loop).
-// Every sample writes only its own hit slot and the reduction is an integer
-// count, so the result is identical to Accuracy at any pool size.
+// Accuracy evaluates classification accuracy of params over ds.
+func Accuracy(m Model, params tensor.Vector, ds *dataset.Dataset) (float64, error) {
+	return AccuracyParallel(m, params, ds, 1)
+}
+
+// evalChunk is how many test samples one task of AccuracyParallel scores:
+// enough to fill the blocks of any net, few enough that a test set cuts into
+// many more tasks than there are workers.
+const evalChunk = 32
+
+// AccuracyParallel is Accuracy with the test set cut into chunks of evalChunk
+// samples fanned out over a goroutine pool of the given size (≤ 1 scores them
+// in one serial pass). Every chunk writes only its own hit count and the
+// reduction is an integer sum, so the result is identical at any pool, chunk
+// or block size.
 func AccuracyParallel(m Model, params tensor.Vector, ds *dataset.Dataset, workers int) (float64, error) {
-	if workers <= 1 {
-		return Accuracy(m, params, ds)
-	}
 	if ds.Len() == 0 {
 		return 0, dataset.ErrEmpty
 	}
-	hits := make([]bool, ds.Len())
-	err := parallel.ForEach(ds.Len(), func(i int) error {
-		s := ds.Samples[i]
-		pred, err := m.Predict(params, s.X)
+	if workers <= 1 {
+		hits, err := correct(m, params, ds.Samples)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		hits[i] = pred == s.Label
-		return nil
+		return float64(hits) / float64(ds.Len()), nil
+	}
+	hits := make([]int, (ds.Len()+evalChunk-1)/evalChunk)
+	err := parallel.ForEach(len(hits), func(c int) error {
+		var err error
+		hits[c], err = correct(m, params, ds.Samples[c*evalChunk:min((c+1)*evalChunk, ds.Len())])
+		return err
 	}, parallel.WithWorkers(workers))
 	if err != nil {
 		return 0, err
 	}
-	correct := 0
-	for _, hit := range hits {
-		if hit {
-			correct++
-		}
+	total := 0
+	for _, h := range hits {
+		total += h
 	}
-	return float64(correct) / float64(ds.Len()), nil
+	return float64(total) / float64(ds.Len()), nil
 }
 
 func toShape3(sh dataset.Shape) nn.Shape3 {

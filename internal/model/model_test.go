@@ -223,3 +223,116 @@ func TestDimMatchesNetwork(t *testing.T) {
 		t.Errorf("Name = %q", m.Name())
 	}
 }
+
+// zooCases is every zoo model at a toy shape, where even the conv nets fit
+// several samples in a block (so layers without a block body are driven slot
+// by slot), and the two benchmark families at the shapes they train: the
+// logistic model in blocks of ten, the CNN in blocks of one.
+func zooCases() []zooCase {
+	var cases []zooCase
+	for _, name := range []string{"linear", "logistic", "cnn", "cnn-gap", "vgg-mini", "resnet-mini"} {
+		cases = append(cases, zooCase{name, smallGenConfig()})
+	}
+	return append(cases,
+		zooCase{"logistic", dataset.ImageNetConfig()},
+		zooCase{"cnn", dataset.MNISTConfig()})
+}
+
+type zooCase struct {
+	model string
+	cfg   dataset.GenConfig
+}
+
+// TestBlockLossGradMatchesPerSample: a mini-batch gradient must not depend on
+// how the network cuts the batch into blocks. The reference is the per-sample
+// loop — zero, one LossGrad per sample in batch order, scale — and the batch
+// sizes put a block boundary before, on and after the end of the batch, with
+// a ragged last block. Loss and every gradient element, bit for bit.
+func TestBlockLossGradMatchesPerSample(t *testing.T) {
+	for _, tc := range zooCases() {
+		t.Run(tc.model+"/"+tc.cfg.Name, func(t *testing.T) {
+			train, _ := genData(t, tc.cfg, 40)
+			m, err := ByName(tc.model, train.Shape, train.NumClasses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(5)
+			params := m.Init(r)
+			for i := range params {
+				params[i] += 0.05 * r.Norm()
+			}
+			got, want := tensor.NewVector(m.Dim()), tensor.NewVector(m.Dim())
+			for _, size := range []int{1, 3, 8, 9, 33} {
+				batch := train.Samples[:size]
+				gotLoss, err := m.LossGrad(params, batch, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Zero()
+				var total float64
+				for _, s := range batch {
+					loss, err := m.Network().LossGrad(params, s.X, s.Label, want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					total += loss
+				}
+				inv := 1 / float64(size)
+				want.Scale(inv)
+				if wantLoss := total * inv; math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+					t.Fatalf("batch %d: loss %v, per-sample %v", size, gotLoss, wantLoss)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("batch %d: grad[%d] = %v, per-sample %v", size, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// predictOnly hides a model's block scorer, as a wrapper that counts Predict
+// calls does: Accuracy must fall back to one Predict per sample.
+type predictOnly struct{ Model }
+
+// TestAccuracyBlocksMatchPredict: the block forward pass classifies every
+// sample as Predict does, whatever the pool size cuts the test set into.
+func TestAccuracyBlocksMatchPredict(t *testing.T) {
+	for _, tc := range zooCases() {
+		t.Run(tc.model+"/"+tc.cfg.Name, func(t *testing.T) {
+			_, test := genData(t, tc.cfg, 150) // 75 samples: two chunks and a ragged third
+			m, err := ByName(tc.model, test.Shape, test.NumClasses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(9)
+			params := m.Init(r)
+			for i := range params {
+				params[i] += 0.05 * r.Norm()
+			}
+			hits := 0
+			for _, s := range test.Samples {
+				pred, err := m.Predict(params, s.X)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pred == s.Label {
+					hits++
+				}
+			}
+			want := float64(hits) / float64(test.Len())
+			for _, workers := range []int{1, 2, 8} {
+				for _, scored := range []Model{m, predictOnly{m}} {
+					got, err := AccuracyParallel(scored, params, test, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("pool %d, %T: accuracy %v, Predict gives %v", workers, scored, got, want)
+					}
+				}
+			}
+		})
+	}
+}

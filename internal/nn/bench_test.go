@@ -31,8 +31,8 @@ func benchNet(b *testing.B, net *nn.Network, err error) (*nn.Network, tensor.Vec
 	return net, params, x
 }
 
-// benchSteady times step in the steady state: one untimed call first draws
-// the network's pooled workspace, so B/op does not depend on what -benchtime
+// benchSteady times step in the steady state: one untimed call first builds
+// the network's workspace, so B/op does not depend on what -benchtime
 // divides that one-off by.
 func benchSteady(b *testing.B, step func() error) {
 	b.Helper()
@@ -132,11 +132,13 @@ func BenchmarkLossGradResidual(b *testing.B) {
 	benchLossGrad(b, net, err)
 }
 
-// benchClassifier times a batch-8 step of a single-Dense softmax classifier
-// built by model.NewLogisticRegression: forward is the batch's eight
-// matrix-vector passes, lossgrad the model's whole mini-batch gradient
-// (zero, eight forward + backward passes, scale).
-func benchClassifier(b *testing.B, features, classes int, forward bool) {
+// benchClassifier times one step of a single-Dense softmax classifier built
+// by model.NewLogisticRegression, on a batch of eight samples: "forward" is
+// eight Network.Forward calls (each a block of one sample and a copy of its
+// output), "lossgrad" the model's whole mini-batch gradient (zero, the batch
+// through forward and backward as one block, scale), "accuracy" the batch
+// scored as a test set by model.Accuracy (one forward block, eight argmaxes).
+func benchClassifier(b *testing.B, features, classes int, what string) {
 	const batchSize = 8
 	m, err := model.NewLogisticRegression(dataset.Shape{C: 1, H: 1, W: features}, classes)
 	if err != nil {
@@ -156,9 +158,14 @@ func benchClassifier(b *testing.B, features, classes int, forward bool) {
 		batch[i] = dataset.Sample{X: x, Label: i % classes}
 	}
 	grad := tensor.NewVector(m.Dim())
+	test := &dataset.Dataset{NumClasses: classes, Samples: batch}
 	benchSteady(b, func() error {
-		if !forward {
+		switch what {
+		case "lossgrad":
 			_, err := m.LossGrad(params, batch, grad)
+			return err
+		case "accuracy":
+			_, err := model.Accuracy(m, params, test)
 			return err
 		}
 		for _, s := range batch {
@@ -172,11 +179,12 @@ func benchClassifier(b *testing.B, features, classes int, forward bool) {
 
 // BenchmarkLogistic is the sync family's model: 768 → 20.
 func BenchmarkLogistic(b *testing.B) {
-	b.Run("forward", func(b *testing.B) { benchClassifier(b, 768, 20, true) })
-	b.Run("lossgrad", func(b *testing.B) { benchClassifier(b, 768, 20, false) })
+	for _, what := range []string{"forward", "lossgrad", "accuracy"} {
+		b.Run(what, func(b *testing.B) { benchClassifier(b, 768, 20, what) })
+	}
 }
 
 // BenchmarkDenseHead is the CNN's classifier head: 784 → 10.
 func BenchmarkDenseHead(b *testing.B) {
-	b.Run("lossgrad", func(b *testing.B) { benchClassifier(b, 784, 10, false) })
+	b.Run("lossgrad", func(b *testing.B) { benchClassifier(b, 784, 10, "lossgrad") })
 }

@@ -31,16 +31,19 @@ func (s Shape3) Size() int { return s.C * s.H * s.W }
 // after handing it to the layer that consumes it. Slices are sized by the
 // Network; implementations must not retain them.
 //
-// scratch is per-call working storage owned by the calling goroutine's
-// workspace. Layers that need it implement ScratchSize() int (see
-// scratchLayer); everyone else receives nil. Scratch contents are undefined
-// when Forward runs, but the scratch handed to Backward is the region the
-// immediately preceding Forward call for the same input left behind,
-// untouched in between — Backward may reuse state cached there (im2col
-// patch matrices, pooling argmax indices) instead of recomputing it from
-// the saved input. Callers that invoke Backward directly must therefore run
-// the matching Forward first on the same scratch, which is exactly what
-// Network.LossGrad does.
+// scratch is working storage owned by the calling goroutine's workspace.
+// Layers that need it implement ScratchSize() int (see scratchLayer);
+// everyone else receives nil. The Network takes a block of samples through
+// the stack layer by layer, and every sample of the block has its own slot —
+// its own input, output, gradient and scratch region — so a layer is called
+// once per slot and never sees two samples in one call. Scratch contents are
+// undefined when Forward runs, but the scratch handed to Backward is the
+// region the Forward call for the same slot left behind, untouched in between
+// (the calls for the block's other slots work in theirs) — Backward may reuse
+// state cached there (im2col patch matrices, pooling argmax indices) instead
+// of recomputing it from the saved input. Callers that invoke Backward
+// directly must therefore run the matching Forward first on the same
+// scratch, which is exactly what Network.LossGradBatch does.
 //
 // A nil gradIn tells Backward the caller does not need the input gradient
 // (the first layer of a network has nothing upstream); the layer must skip
@@ -61,12 +64,22 @@ type Layer interface {
 	Backward(params, in, out, gradOut, gradParams, gradIn, scratch []float64)
 }
 
-// scratchLayer is implemented by layers whose kernels need per-call working
-// storage (im2col patch buffers, padded planes, recomputed intermediate
-// activations). The Network sizes one scratch slice per layer instance in
-// every pooled workspace.
+// scratchLayer is implemented by layers whose kernels need working storage
+// (im2col patch buffers, padded planes, recomputed intermediate activations).
+// The Network sizes one scratch region per layer instance and slot in every
+// workspace.
 type scratchLayer interface {
-	// ScratchSize is the float64 count of working storage one Forward or
-	// Backward call needs.
+	// ScratchSize is the float64 count of working storage one sample's
+	// Forward and Backward calls need.
 	ScratchSize() int
+}
+
+// blockLayer is implemented by layers that take a whole block of samples in
+// one call (Dense: a block turns its matrix-vector products into matrix
+// products). in, out, gradOut, gradIn and scratch are the block's nb slots
+// back to back, slot s at [s·size, (s+1)·size); the contract is otherwise
+// Layer's. A block layer's Forward and Backward are its block of one.
+type blockLayer interface {
+	forwardBlock(params, in, out []float64, nb int)
+	backwardBlock(params, in, gradOut, gradParams, gradIn, scratch []float64, nb int)
 }

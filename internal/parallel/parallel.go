@@ -1,7 +1,7 @@
 // Package parallel provides the bounded fork/join primitive behind every
 // concurrent phase of the repository: the per-round worker training loops in
 // internal/core and internal/baseline, the concurrent-Grad path through
-// internal/nn's pooled workspaces, and the independent-run fan-out in
+// internal/nn's per-call workspaces, and the independent-run fan-out in
 // internal/experiment's sweeps.
 //
 // The contract is deliberately narrow so callers stay deterministic: ForEach

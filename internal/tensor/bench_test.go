@@ -7,7 +7,8 @@ import (
 )
 
 // The raw GEMM rung of the benchmark ladder: the two conv kernels at the
-// shapes model.NewCNN's two layers lower to on the 1×14×14 task, in GFLOP/s
+// shapes model.NewCNN's two layers lower to on the 1×14×14 task, and the Dense
+// weight gradient at the sync family's shape, in GFLOP/s
 // (2·m·n·k operations a call), recorded in BENCH_kernels.json beside the
 // internal/nn rows by `make bench` and gated by `make benchdiff`. The data is
 // dense: a rate here is the kernel's, not the sparsity of a real gradient's.
@@ -66,4 +67,20 @@ func BenchmarkGEMMAddTransB(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkGEMMAdd is the logistic model's weight gradient over one
+// mini-batch: 20 classes × 768 features, reduced over the batch's 8 samples.
+func BenchmarkGEMMAdd(b *testing.B) {
+	const m, n, k = 20, 768, 8
+	b.Run("dense_20x768x8", func(b *testing.B) {
+		r := rng.New(1)
+		a, bm := make([]float64, m*k), make([]float64, k*n)
+		fillRand(r, a)
+		fillRand(r, bm)
+		dst := make([]float64, m*n)
+		benchGEMM(b, 2*m*n*k, func() {
+			GEMMAdd(dst, a, bm, m, n, k)
+		})
+	})
 }

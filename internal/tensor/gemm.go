@@ -1,34 +1,26 @@
 package tensor
 
 // Matrix kernels shared by the neural-network layers (internal/nn routes
-// Dense and the im2col Conv2D path through them): two cache-blocked GEMMs
-// for the conv shapes and, dispatched from inside them, the two kernels the
-// Dense shapes actually are — matrix-vector with bias (n = 1, where the
-// 4-wide column block is never entered and each row would be one
-// latency-bound add chain) and rank-1 accumulate (k = 1, where each block
-// would cut four sub-slices to run a one-iteration loop). Those shapes take
-// no other path.
+// Dense and the im2col Conv2D path through them): GEMMBias (dst = A·B + bias),
+// GEMMAddTransB (dst += A·Bᵀ) and GEMMAdd (dst += A·B).
 //
-// The conv shapes have two bodies. gemmBiasGeneric and gemmAddTransBGeneric
-// below are the portable ones: they run on every GOARCH and on amd64 CPUs
-// without AVX2, and they are the oracle the vector bodies are tested against
-// (TestVectorKernelsMatchGeneric calls them directly). On amd64 with AVX2,
-// gemmBias and gemmAddTransB (gemm_amd64.go) hand whole 4-row blocks to the
-// assembly in gemm_amd64.s, which widens the blocking rule below from four
-// scalar accumulators to four vector ones: a lane is a distinct destination
-// element, never a slice of one reduction.
+// Each has two bodies. gemmBiasGeneric, gemmAddTransBGeneric and
+// gemmAddGeneric below are the portable ones: they run on every GOARCH and on
+// amd64 CPUs without AVX2, and they are the oracle the vector bodies are
+// tested against (TestVectorKernelsMatchGeneric and
+// TestGEMMAddMatchesRankOneSequence call them directly). On amd64 with AVX2,
+// gemmBias, gemmAddTransB and gemmAdd (gemm_amd64.go) hand whole 4-row blocks
+// to the assembly in gemm_amd64.s, which widens the blocking rule below from
+// four scalar accumulators to four vector ones: a lane is a distinct
+// destination element, never a slice of one reduction.
 //
 // All kernels are deterministic: for every destination element the
 // floating-point additions happen in one fixed sequence, independent of
 // blocking. The 4-wide column blocking keeps four independent accumulators
 // in registers — it widens the dst stride per pass, never the reduction
-// order — so results are bitwise identical to the scalar column loop. The
-// matrix-vector kernel's 4-row blocking is the same argument turned a
-// quarter turn: a pass interleaves four *independent* destinations around
-// one shared x[kk] load. The rank-1 kernel adds one product to every
-// destination, so it has no order to keep. Every update is spelled
-// acc += a * b, so a compiler that contracts multiply-add on another
-// architecture treats all of them alike.
+// order — so results are bitwise identical to the scalar column loop. Every
+// update is spelled acc += a * b, so a compiler that contracts multiply-add
+// on another architecture treats all of them alike.
 //
 // Bit-identity contract (relied on by the golden-trace tests): callers that
 // replace a skip-on-zero scalar loop with these kernels stay bitwise
@@ -51,9 +43,6 @@ package tensor
 // k·k), which is what keeps the im2col path bitwise identical to the naive
 // nested loops.
 //
-// A single column with the flat reduction (n = 1, kChunk = 0: every Dense
-// forward pass) is a matrix-vector product and runs as one — see gemv.
-//
 // Operands shorter than the shape (dst and a of m rows, b of k, bias of m
 // elements) panic before anything is written.
 func GEMMBias(dst, a, b, bias []float64, m, n, k, kChunk int) {
@@ -61,10 +50,6 @@ func GEMMBias(dst, a, b, bias []float64, m, n, k, kChunk int) {
 	holds(a, m*k)
 	holds(b, k*n)
 	holds(bias, m)
-	if n == 1 && kChunk == 0 {
-		gemv(dst, a, b, bias, m, k)
-		return
-	}
 	gemmBias(dst, a, b, bias, m, n, k, kChunk)
 }
 
@@ -161,18 +146,11 @@ func gemmBiasGeneric(dst, a, b, bias []float64, m, n, k, kChunk int) {
 // the same per-element addition sequence — exactly how a convolution's
 // weight gradient accumulates across the samples of a mini-batch.
 //
-// With k = 1 (every Dense weight gradient: gW += gradOut·inᵀ) the product is
-// an outer product and runs as a rank-1 update — see ger.
-//
 // Operands shorter than the shape panic before anything is written.
 func GEMMAddTransB(dst, a, b []float64, m, n, k int) {
 	holds(dst, m*n)
 	holds(a, m*k)
 	holds(b, n*k)
-	if k == 1 {
-		ger(dst, a, b, m, n)
-		return
-	}
 	gemmAddTransB(dst, a, b, m, n, k)
 }
 
@@ -211,49 +189,54 @@ func gemmAddTransBGeneric(dst, a, b []float64, m, n, k int) {
 	}
 }
 
-// gemv is GEMMBias at n = 1, kChunk = 0: dst[i] = bias[i] + Σ_kk A[i,kk]·x[kk],
-// kk ascending. Four rows per pass keep four independent accumulators busy
-// around each x[kk] load, where the column-blocked loop would run every row
-// as one dependent add chain of k links; the m mod 4 tail is that chain.
-func gemv(dst, a, x, bias []float64, m, k int) {
-	x = x[:k]
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		a0 := a[i*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a2 := a[(i+2)*k : (i+3)*k]
-		a3 := a[(i+3)*k : (i+4)*k]
-		acc0, acc1, acc2, acc3 := bias[i], bias[i+1], bias[i+2], bias[i+3]
-		for kk, v := range x {
-			acc0 += a0[kk] * v
-			acc1 += a1[kk] * v
-			acc2 += a2[kk] * v
-			acc3 += a3[kk] * v
-		}
-		dst[i] = acc0
-		dst[i+1] = acc1
-		dst[i+2] = acc2
-		dst[i+3] = acc3
-	}
-	for ; i < m; i++ {
-		ar := a[i*k : (i+1)*k]
-		acc := bias[i]
-		for kk, v := range x {
-			acc += ar[kk] * v
-		}
-		dst[i] = acc
-	}
+// GEMMAdd accumulates dst += A·B for row-major A (m×k), B (k×n) and dst
+// (m×n). Each element's accumulator starts from the existing dst value and
+// adds the K products in ascending kk order: the call is bitwise the K rank-1
+// updates dst += A[:,kk]·B[kk,:] applied one after another, and repeated calls
+// extend the same per-element addition sequence. With the samples of a
+// mini-batch along K this is a Dense layer's weight gradient, Σ_s g_s·x_sᵀ,
+// reading the inputs in their natural sample-major layout.
+//
+// Operands shorter than the shape panic before anything is written.
+func GEMMAdd(dst, a, b []float64, m, n, k int) {
+	holds(dst, m*n)
+	holds(a, m*k)
+	holds(b, k*n)
+	gemmAdd(dst, a, b, m, n, k)
 }
 
-// ger is GEMMAddTransB at k = 1: dst[i,:] += a[i]·b[:], one product per
-// destination, one tight row loop per i.
-func ger(dst, a, b []float64, m, n int) {
-	b = b[:n]
+// gemmAddGeneric is GEMMAdd's portable body and the vector body's oracle, over
+// columns j0..n-1 of every row: the vector body takes whole 4-column tiles
+// and leaves it the strip to their right.
+func gemmAddGeneric(dst, a, b []float64, m, n, k, j0 int) {
 	for i := 0; i < m; i++ {
-		w := a[i]
+		ar := a[i*k : (i+1)*k]
 		d := dst[i*n : (i+1)*n]
-		for j, v := range b {
-			d[j] += w * v
+		j := j0
+		for ; j+4 <= n; j += 4 {
+			acc0, acc1, acc2, acc3 := d[j], d[j+1], d[j+2], d[j+3]
+			off := j
+			for _, w := range ar {
+				br := b[off : off+4 : off+4]
+				off += n
+				acc0 += w * br[0]
+				acc1 += w * br[1]
+				acc2 += w * br[2]
+				acc3 += w * br[3]
+			}
+			d[j] = acc0
+			d[j+1] = acc1
+			d[j+2] = acc2
+			d[j+3] = acc3
+		}
+		for ; j < n; j++ {
+			acc := d[j]
+			off := j
+			for _, w := range ar {
+				acc += w * b[off]
+				off += n
+			}
+			d[j] = acc
 		}
 	}
 }

@@ -49,7 +49,14 @@ func gemmBiasAVX2(dst, a, b, bias *float64, m, n, k, kChunk int)
 //go:noescape
 func gemmAddTransBAVX2(dst *float64, n int, b *float64, k int, at *float64, kp int)
 
-// gemmBias is GEMMBias past the length checks and the matrix-vector dispatch.
+// gemmAddAVX2 adds A·B into the whole 4-column tiles of dst — columns
+// 0..n&^3-1 of all m rows — for m % 4 == 0, m >= 4, n >= 4, k >= 1:
+// dst[i, j] += Σ_kk a[i*k+kk] · b[kk*n+j], kk ascending.
+//
+//go:noescape
+func gemmAddAVX2(dst, a, b *float64, m, n, k int)
+
+// gemmBias is GEMMBias past the length checks.
 // The vector body takes every whole block of four rows when there are four
 // columns to fill a register; rows past the last block, and matrices narrower
 // than a register, run the portable body.
@@ -71,8 +78,7 @@ func gemmBias(dst, a, b, bias []float64, m, n, k, kChunk int) {
 // stages at a time: 4 kB of stack, whatever the shape.
 const panelSteps = 128
 
-// gemmAddTransB is GEMMAddTransB past the length checks and the rank-1
-// dispatch. Both operands run along the reduction axis, so consecutive memory
+// gemmAddTransB is GEMMAddTransB past the length checks. Both operands run along the reduction axis, so consecutive memory
 // is consecutive kk — one reduction, which a register must not split. The
 // lanes are therefore four rows of dst: the four matching rows of A are
 // staged transposed (at[kk*4+l] = a[i+l, kk]), a panel of panelSteps at a
@@ -109,5 +115,24 @@ func gemmAddTransB(dst, a, b []float64, m, n, k int) {
 	}
 	if m4 < m {
 		gemmAddTransBGeneric(dst[m4*n:], a[m4*k:], b, m-m4, n, k)
+	}
+}
+
+// gemmAdd is GEMMAdd past the length checks. The vector body takes every
+// whole 4 × 4 tile; the n mod 4 columns beside the tiles and the m mod 4 rows
+// below them run the portable body. Unlike gemmBias it cannot move the last
+// tile left to cover a ragged edge: the accumulators are loaded from dst, so
+// a column computed twice would be added twice.
+func gemmAdd(dst, a, b []float64, m, n, k int) {
+	m4, n4 := 0, 0
+	if useAVX2 && m >= 4 && n >= 4 && k >= 1 {
+		m4, n4 = m&^3, n&^3
+		gemmAddAVX2(&dst[0], &a[0], &b[0], m4, n, k)
+		if n4 < n {
+			gemmAddGeneric(dst, a, b, m4, n, k, n4)
+		}
+	}
+	if m4 < m {
+		gemmAddGeneric(dst[m4*n:], a[m4*k:], b, m-m4, n, k, 0)
 	}
 }

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// AVX2 bodies of the two conv GEMMs (see gemm_amd64.go for the contracts and
-// DESIGN.md §12 "Vector bodies" for the argument). Both are the same 4 × 4
+// AVX2 bodies of the three GEMMs (see gemm_amd64.go for the contracts and
+// DESIGN.md §12 "Vector bodies" for the argument). All are the same 4 × 4
 // register tile: row r of the tile broadcasts one scalar per reduction step,
 // the four lanes are four consecutive destination elements, and
 //
@@ -256,3 +256,63 @@ row4:
 	VZEROUPPER
 	RET
 
+
+// func gemmAddAVX2(dst, a, b *float64, m, n, k int)
+//
+// dst += A·B over the whole 4-column tiles of m % 4 == 0 rows, k >= 1. Tile
+// rows are four rows of A, lanes four columns of B and dst, as in
+// gemmBiasAVX2, but the accumulators are loaded from dst and stored back: a
+// tile is visited once, and the n % 4 columns right of the last one are not
+// touched.
+TEXT ·gemmAddAVX2(SB), NOSPLIT, $8-48
+	MOVQ dst+0(FP), R12
+	MOVQ a+8(FP), R8
+	MOVQ n+32(FP), DX
+	MOVQ DX, DI
+	ANDQ $-4, DI
+	SHLQ $3, DI                  // width of the whole tiles of a row, bytes
+	SHLQ $3, DX                  // row stride of b and dst, bytes
+	MOVQ k+40(FP), CX
+	MOVQ m+24(FP), AX
+	MOVQ AX, rows-8(SP)
+
+rowblock:
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	LEAQ (R10)(CX*8), R11
+	XORQ AX, AX                  // column offset, bytes
+
+tile:
+	LEAQ    (R12)(AX*1), R13
+	VMOVUPD (R13), Y4
+	ADDQ    DX, R13
+	VMOVUPD (R13), Y5
+	ADDQ    DX, R13
+	VMOVUPD (R13), Y6
+	ADDQ    DX, R13
+	VMOVUPD (R13), Y7
+
+	MOVQ b+16(FP), SI
+	ADDQ AX, SI
+	XORQ BX, BX
+	TILESTEPS
+
+	VMOVUPD Y7, (R13)
+	SUBQ    DX, R13
+	VMOVUPD Y6, (R13)
+	SUBQ    DX, R13
+	VMOVUPD Y5, (R13)
+	SUBQ    DX, R13
+	VMOVUPD Y4, (R13)
+
+	ADDQ $32, AX
+	CMPQ AX, DI
+	JLT  tile
+
+	LEAQ (R11)(CX*8), R8
+	LEAQ (R12)(DX*4), R12
+	SUBQ $4, rows-8(SP)
+	JG   rowblock
+
+	VZEROUPPER
+	RET

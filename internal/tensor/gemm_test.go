@@ -60,14 +60,14 @@ func fillRand(r *rng.RNG, v []float64) {
 func TestGEMMBiasMatchesScalarOrder(t *testing.T) {
 	r := rng.New(11)
 	for _, tc := range []struct{ m, n, k, kChunk int }{
-		{1, 1, 1, 0}, // n = 1, flat: the matrix-vector kernel
+		{1, 1, 1, 0}, // n = 1, flat: a matrix-vector product
 		{1, 1, 1, 1},
 		{3, 4, 5, 0},
 		{3, 5, 6, 2},  // n not a multiple of the 4-wide block
 		{8, 64, 9, 9}, // conv-like: one chunk per input channel
 		{16, 16, 72, 9},
 		{2, 7, 10, 3}, // ragged final chunk
-		{4, 1, 12, 4}, // single column, chunked: stays on the generic scalar tail
+		{4, 1, 12, 4}, // single column, chunked
 	} {
 		a := make([]float64, tc.m*tc.k)
 		b := make([]float64, tc.k*tc.n)
@@ -190,8 +190,8 @@ func checkDenseKernels(t testing.TB, r *rng.RNG, m, k, kChunk, zeroRow int) {
 }
 
 // TestDenseKernelsMatchScalarDefinitions is the bitwise oracle for the
-// matrix-vector and rank-1 kernels: every row-block remainder against every
-// reduction length the zoo uses, then seeded random shapes.
+// matrix-vector and rank-1 shapes of the two GEMMs: every row-block remainder
+// against every reduction length the zoo uses, then seeded random shapes.
 func TestDenseKernelsMatchScalarDefinitions(t *testing.T) {
 	r := rng.New(19)
 	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 10, 20, 23} {
@@ -223,5 +223,81 @@ func FuzzDenseKernelEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		checkDenseKernels(t, rng.New(seed), m, k, kChunk, zeroRow)
+	})
+}
+
+// checkGEMMAdd holds GEMMAdd — the dispatching entry and the portable body —
+// to its definition: k scalar rank-1 updates applied one after another onto a
+// dst that already holds values, signed zeros among them. zeroRow, when in
+// range, makes that row of A all ±0 — every product onto it is a signed zero
+// — and its dst row alternate −0 and +0, the two accumulators on which the
+// sign of a zero product shows.
+func checkGEMMAdd(t testing.TB, r *rng.RNG, m, n, k, zeroRow int) {
+	t.Helper()
+	what := fmt.Sprintf("GEMMAdd m=%d n=%d k=%d zeroRow=%d", m, n, k, zeroRow)
+	a, b := make([]float64, m*k), make([]float64, k*n)
+	fillSigned(r, a)
+	fillSigned(r, b)
+	got, body, want := make([]float64, m*n), make([]float64, m*n), make([]float64, m*n)
+	fillSigned(r, want)
+	if zeroRow >= 0 && zeroRow < m {
+		for kk := 0; kk < k; kk++ {
+			a[zeroRow*k+kk] = math.Copysign(0, float64(1-2*(kk&1)))
+		}
+		for j := 0; j < n; j++ {
+			want[zeroRow*n+j] = math.Copysign(0, float64(2*(j&1)-1))
+		}
+	}
+	copy(got, want)
+	copy(body, want)
+	// Twice: a second block of samples extends each element's sequence.
+	for pass := 0; pass < 2; pass++ {
+		GEMMAdd(got, a, b, m, n, k)
+		gemmAddGeneric(body, a, b, m, n, k, 0)
+		for kk := 0; kk < k; kk++ {
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					want[i*n+j] += a[i*k+kk] * b[kk*n+j]
+				}
+			}
+		}
+	}
+	sameBits(t, what, got, want)
+	sameBits(t, what+" (portable body)", body, want)
+}
+
+// TestGEMMAddMatchesRankOneSequence: a Dense weight gradient over a block of
+// k samples must be the k per-sample rank-1 updates, bit for bit — every
+// row-block and column-tile remainder around the zoo's shapes, block sizes on
+// both sides of one tile step, then seeded random shapes.
+func TestGEMMAddMatchesRankOneSequence(t *testing.T) {
+	r := rng.New(41)
+	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 767, 768}
+	for _, m := range []int{1, 3, 4, 10, 20, 21} {
+		for _, n := range ns {
+			for _, k := range []int{1, 3, 8, 9} {
+				checkGEMMAdd(t, r, m, n, k, -1)
+				checkGEMMAdd(t, r, m, n, k, m/2)
+			}
+		}
+	}
+	for draw := 0; draw < 200; draw++ {
+		m, n, k := 1+r.Intn(24), 1+r.Intn(60), 1+r.Intn(40)
+		checkGEMMAdd(t, r, m, n, k, r.Intn(2*m)-m)
+	}
+}
+
+// FuzzGEMMAddEquivalence lets the fuzzer pick the shape and the data.
+func FuzzGEMMAddEquivalence(f *testing.F) {
+	f.Add(20, 768, 8, 3, uint64(1))
+	f.Add(10, 784, 1, -1, uint64(2))
+	f.Add(21, 7, 9, 20, uint64(3))
+	f.Add(1, 1, 1, 0, uint64(4))
+	f.Fuzz(func(t *testing.T, m, n, k, zeroRow int, seed uint64) {
+		// Bound the shape so a fuzzed input can't demand gigabytes.
+		if m < 1 || m > 40 || n < 1 || n > 1024 || k < 1 || k > 64 {
+			t.Skip()
+		}
+		checkGEMMAdd(t, rng.New(seed), m, n, k, zeroRow)
 	})
 }

@@ -8,14 +8,14 @@ import (
 	"hieradmo/internal/rng"
 )
 
-// The dispatching conv kernels against their portable bodies, bit for bit.
+// The dispatching GEMMBias and GEMMAddTransB against their portable bodies,
+// bit for bit (GEMMAdd's counterpart is checkGEMMAdd, in gemm_test.go).
 // On amd64 with AVX2 the left side is the assembly and the right side the
 // pure-Go loops, called directly; anywhere else both sides are the same code
 // and the tests pass trivially, which is the point: no switch selects a body,
 // so none is needed to test one.
 
-// checkVectorKernels runs one shape through GEMMBias and (k > 1 aside, where
-// the rank-1 kernel takes over) GEMMAddTransB. zeroRow, when in range, makes
+// checkVectorKernels runs one shape through GEMMBias and GEMMAddTransB. zeroRow, when in range, makes
 // that row of A all zeros — every product in its reductions is ±0 — and its
 // bias −0, the accumulator the ±0-product contract is about.
 func checkVectorKernels(t testing.TB, r *rng.RNG, m, n, k, kChunk, zeroRow int) {
@@ -37,9 +37,6 @@ func checkVectorKernels(t testing.TB, r *rng.RNG, m, n, k, kChunk, zeroRow int) 
 	gemmBiasGeneric(want, a, b, bias, m, n, k, kChunk)
 	sameBits(t, "GEMMBias "+what, got, want)
 
-	if k == 1 {
-		return
-	}
 	// The same n·k values reread as GEMMAddTransB's B, n rows of k. Twice: a
 	// mini-batch extends each element's addition sequence.
 	g, gWant := make([]float64, m*n), make([]float64, m*n)
@@ -100,7 +97,8 @@ func FuzzVectorKernelEquivalence(f *testing.F) {
 // pointers, so a length mismatch has to stop at the call. Each operand in
 // turn is one element short; the call must panic and dst must be untouched —
 // on the conv shapes (vector bodies where there are any), a ragged one
-// (portable body) and the two Dense shapes (gemv, ger).
+// (portable body) and the Dense shapes (one column, one reduction step, a
+// block of samples along the reduction).
 func TestGEMMShortSlicesPanicBeforeWriting(t *testing.T) {
 	panics := func(what string, dst []float64, call func()) {
 		t.Helper()
@@ -143,5 +141,18 @@ func TestGEMMShortSlicesPanicBeforeWriting(t *testing.T) {
 		panics(what+" short dst", short(dst), func() { GEMMAddTransB(short(dst), a, b, s.m, s.n, s.k) })
 		panics(what+" short a", dst, func() { GEMMAddTransB(dst, short(a), b, s.m, s.n, s.k) })
 		panics(what+" short b", dst, func() { GEMMAddTransB(dst, a, short(b), s.m, s.n, s.k) })
+	}
+	for _, s := range []struct{ m, n, k int }{
+		{20, 768, 8}, {21, 9, 3}, {10, 784, 1},
+	} {
+		what := fmt.Sprintf("GEMMAdd %+v", s)
+		a, b := make([]float64, s.m*s.k), make([]float64, s.k*s.n)
+		dst := make([]float64, s.m*s.n)
+		fillRand(r, a)
+		fillRand(r, b)
+		fillRand(r, dst)
+		panics(what+" short dst", short(dst), func() { GEMMAdd(short(dst), a, b, s.m, s.n, s.k) })
+		panics(what+" short a", dst, func() { GEMMAdd(dst, short(a), b, s.m, s.n, s.k) })
+		panics(what+" short b", dst, func() { GEMMAdd(dst, a, short(b), s.m, s.n, s.k) })
 	}
 }
