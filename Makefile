@@ -140,8 +140,9 @@ recover:
 ## leaf and tier shapes, 4 and 12 x 15380 values) and BENCH_kernels.json
 ## (internal/tensor: the two conv GEMMs at the CNN's two layer shapes and the
 ## Dense weight gradient at the sync model's, in GFLOP/s; internal/nn: one forward and one loss-gradient per architecture
-## family, and the single-Dense classifiers at the shapes the runs train,
-## batch 8).
+## family, the single-Dense classifiers at the shapes the runs train,
+## batch 8, and the CNN's second conv layer's backward pass on sparse output
+## gradients).
 ## -count=3 repetitions are merged best-of-N by benchjson: the minimum is
 ## the stable noise estimator on a shared box, where interference only ever
 ## adds time (observed single-run spread on this host is >30%).

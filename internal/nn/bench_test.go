@@ -12,7 +12,8 @@ import (
 
 // Micro-benchmarks for the training substrate's hot path: one forward pass
 // and one loss-gradient (forward + backward) per architecture family, plus
-// the single-Dense classifiers at the shapes the runs train — the kernel
+// the single-Dense classifiers at the shapes the runs train, and one conv
+// layer's backward pass on the sparse gradients training feeds it — the kernel
 // rung of the benchmark ladder, recorded in BENCH_kernels.json by `make
 // bench` and gated by `make benchdiff`. The package is external so the
 // classifiers come from internal/model, which imports nn.
@@ -130,6 +131,53 @@ func BenchmarkLossGradConv(b *testing.B) {
 func BenchmarkLossGradResidual(b *testing.B) {
 	net, err := residualNet()
 	benchLossGrad(b, net, err)
+}
+
+// BenchmarkConvBackward times Conv2D.Backward alone, input gradient included,
+// at the CNN's second conv layer (8 × 7 × 7 → 16, k 3, pad 1). After max-pool
+// and ReLU most of a conv layer's output gradient is exact zeros: the rows
+// draw 15 % and 21 % of it non-zero at random positions, as the CNN
+// simulation does, with 128 patterns in rotation so the branch predictor
+// cannot memorise one.
+func BenchmarkConvBackward(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		density float64
+	}{{"cnn_conv2_d15", 0.15}, {"cnn_conv2_d21", 0.21}} {
+		b.Run(tc.name, func(b *testing.B) { benchConvBackward(b, tc.density) })
+	}
+}
+
+func benchConvBackward(b *testing.B, density float64) {
+	const patterns = 128
+	conv := nn.NewConv2D(nn.Shape3{C: 8, H: 7, W: 7}, 16, 3, 1)
+	r := rng.New(1)
+	params := make([]float64, conv.ParamCount())
+	conv.Init(params, r)
+	in := make([]float64, conv.InShape().Size())
+	for i := range in {
+		in[i] = r.Norm()
+	}
+	out := make([]float64, conv.OutShape().Size())
+	scratch := make([]float64, conv.ScratchSize())
+	conv.Forward(params, in, out, scratch) // leaves the patch matrix Backward reads
+	gradOuts := make([][]float64, patterns)
+	for p := range gradOuts {
+		g := make([]float64, len(out))
+		for i := range g {
+			if r.Float64() < density {
+				g[i] = r.Norm()
+			}
+		}
+		gradOuts[p] = g
+	}
+	gradParams := make([]float64, conv.ParamCount())
+	gradIn := make([]float64, len(in))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.Backward(params, in, out, gradOuts[i%patterns], gradParams, gradIn, scratch)
+	}
 }
 
 // benchClassifier times one step of a single-Dense softmax classifier built
