@@ -11,14 +11,17 @@
 //	tracecat -node edge-0 run.trace           # one node's view of a cluster run
 //	tracecat -count run.trace                 # per-event totals
 //	tracecat -check run.trace                 # verify seq is 1..N with no gaps
+//	tracecat -diff a.trace b.trace            # first diverging event, field by field
 //
-// With no file arguments the trace is read from stdin.
+// With no file arguments the trace is read from stdin. -diff exits 0 when the
+// two traces hold the same events and 1 at the first divergence.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +32,11 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, errDiverged) {
+		os.Exit(1) // the report is on stdout already
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracecat:", err)
 		os.Exit(1)
 	}
@@ -42,9 +49,20 @@ func run(args []string, out io.Writer) error {
 		nodeID   = fs.String("node", "", `keep only events whose "node" field equals this ID`)
 		check    = fs.Bool("check", false, "verify the sequence numbers are 1..N with no gaps, print nothing on success")
 		count    = fs.Bool("count", false, "print per-event totals instead of the events")
+		diff     = fs.Bool("diff", false, "compare two traces and report the first event that differs")
+		context  = fs.Int("context", 3, "with -diff, how many events before the divergence to print")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *diff {
+		if *evFilter != "" || *nodeID != "" || *check || *count {
+			return fmt.Errorf("-diff compares whole traces; it takes no -ev, -node, -check or -count")
+		}
+		if fs.NArg() != 2 || *context < 0 {
+			return fmt.Errorf("usage: tracecat -diff [-context N] a.trace b.trace")
+		}
+		return diffFiles(fs.Arg(0), fs.Arg(1), *context, out)
 	}
 	keep := map[string]bool{}
 	for _, ev := range strings.Split(*evFilter, ",") {
@@ -126,12 +144,18 @@ type event struct {
 }
 
 func (e event) field(key string) string {
+	val, _ := e.lookup(key)
+	return val
+}
+
+// lookup returns the value of key and whether the event has that field.
+func (e event) lookup(key string) (string, bool) {
 	for _, f := range e.fields {
 		if f.key == key {
-			return f.val
+			return f.val, true
 		}
 	}
-	return ""
+	return "", false
 }
 
 func (e event) String() string {

@@ -22,7 +22,9 @@ import (
 // shape table and a fuzz target in conv_equiv_test.go) and golden traces are
 // unchanged. The equivalence holds for finite inputs: boundary cells enter
 // the GEMM as ±0 products, which can never flip an accumulator's bits (see
-// the contract note in internal/tensor/gemm.go).
+// the contract note in internal/tensor/gemm.go). The input gradient, an
+// order-preserving scatter rather than a GEMM, holds for every input (NaN
+// payloads aside, see scatterGradIn).
 type Conv2D struct {
 	in   Shape3
 	outC int
@@ -100,10 +102,19 @@ func (c *Conv2D) patchSize() int {
 
 // ScratchSize implements scratchLayer. The scratch region holds, in order,
 // the zero-padded input volume, a zero-padded input-gradient volume (used by
-// Backward only), and the im2col patch matrix. Unpadded layers skip the two
-// padded volumes and gather patches straight from the input (a 1×1 unpadded
-// kernel needs no scratch at all: the input already is the patch matrix).
+// Backward only), the im2col patch matrix, and the input-gradient scatter's
+// two lists of one output channel's non-zero gradients (Backward only).
+// Unpadded layers skip the two padded volumes and gather patches straight
+// from the input (a 1×1 unpadded kernel has no patch matrix at all: the input
+// already is one).
 func (c *Conv2D) ScratchSize() int {
+	out := c.OutShape()
+	return c.listsAt() + 2*out.H*out.W
+}
+
+// listsAt is the scratch offset of the scatter's lists: the end of the
+// padded volumes and the patch matrix.
+func (c *Conv2D) listsAt() int {
 	if c.k == 1 && c.pad == 0 {
 		return 0
 	}
@@ -221,15 +232,17 @@ func (c *Conv2D) Backward(params, in, out, gradOut, gradParams, gradIn, scratch 
 	// Input gradient: an order-preserving scatter. A col2im GEMM would
 	// re-associate the per-cell sums (each input cell receives contributions
 	// from many (oc, pixel, tap) triples in a fixed interleaved order), so
-	// the scatter keeps the reference loop nest and only drops the bounds
-	// branches by writing into a zero-padded plane that is cropped after.
+	// the scatter keeps the reference loop nest, drops the bounds branches by
+	// writing into a zero-padded plane that is cropped after, and drops the
+	// zero-gradient branch by walking a compacted list (scatterGradIn).
+	lists := scratch[c.listsAt():c.ScratchSize()]
 	if c.pad == 0 {
-		c.scatterGradIn(w, gradOut, gradIn, c.in.H, c.in.W)
+		c.scatterGradIn(w, gradOut, gradIn, lists, c.in.H, c.in.W)
 		return
 	}
 	pH, pW := c.in.H+2*c.pad, c.in.W+2*c.pad
 	gpad := scratch[c.padSize() : 2*c.padSize()]
-	c.scatterGradIn(w, gradOut, gpad, pH, pW)
+	c.scatterGradIn(w, gradOut, gpad, lists, pH, pW)
 	for ic := 0; ic < c.in.C; ic++ {
 		gSrc := gpad[ic*pH*pW:]
 		gDst := gradIn[ic*c.in.H*c.in.W:]
@@ -241,20 +254,48 @@ func (c *Conv2D) Backward(params, in, out, gradOut, gradParams, gradIn, scratch 
 }
 
 // scatterGradIn accumulates the input gradient into dst, a (possibly padded)
-// C×dH×dW volume that is zeroed here first. The loop nest (oc, ic, pixel,
-// ky, kx) and the zero-gradient skip mirror the reference backward exactly;
-// with padding the bounds checks vanish because every tap lands in dst.
-func (c *Conv2D) scatterGradIn(w, gradOut, dst []float64, dH, dW int) {
+// C×dH×dW volume that is zeroed here first; lists is 2·P floats of scratch.
+// The additions are the reference backward's — output channel ascending, then
+// input channel, pixels in raster order, taps in (ky, kx) order, pixels whose
+// gradient compares equal to zero skipped — and with padding the bounds
+// checks vanish because every tap lands in dst.
+//
+// The skip is not a branch. After max-pool and ReLU a conv layer's output
+// gradient is mostly exact zeros at data-random positions, so a g == 0 test
+// mispredicts on about every non-zero pixel, and the reference nest made that
+// test once per input channel. Instead, one pass per output channel writes
+// every pixel's (destination offset, gradient) pair at position n of the two
+// lists and advances n only when g != 0 — a conditional move, no jump — and
+// every input channel then walks the n entries with no test at all. The
+// entries kept are exactly those the reference does not skip (−0 compares
+// equal to zero and is dropped, NaN does not and is kept), in the same
+// order, so the result is the reference's bit for bit for every input, NaN
+// payloads aside: which of two NaNs an addition passes on follows the operand
+// order the compiler picks, in the reference as here. Offsets are
+// float-encoded, as MaxPool2D encodes its argmax.
+func (c *Conv2D) scatterGradIn(w, gradOut, dst, lists []float64, dH, dW int) {
 	outSh := c.OutShape()
 	P := outSh.H * outSh.W
+	offs, vals := lists[:P:P], lists[P:2*P:2*P]
 	for i := range dst {
 		dst[i] = 0
 	}
 	for oc := 0; oc < c.outC; oc++ {
 		gOutPlane := gradOut[oc*P : (oc+1)*P]
+		n := 0
+		for oy := 0; oy < outSh.H; oy++ {
+			for ox, g := range gOutPlane[oy*outSh.W : (oy+1)*outSh.W] {
+				offs[n] = float64(oy*dW + ox)
+				vals[n] = g
+				if g != 0 {
+					n++
+				}
+			}
+		}
+		offs, vals := offs[:n], vals[:n]
 		for ic := 0; ic < c.in.C; ic++ {
 			kernel := w[(oc*c.in.C+ic)*c.k*c.k : (oc*c.in.C+ic+1)*c.k*c.k]
-			dPlane := dst[ic*dH*dW:]
+			dPlane := dst[ic*dH*dW : (ic+1)*dH*dW]
 			if c.k == 3 {
 				// The zoo is all-3×3; lifting the nine weights into
 				// registers once per (oc, ic) pair removes two slice
@@ -263,40 +304,30 @@ func (c *Conv2D) scatterGradIn(w, gradOut, dst []float64, dH, dW int) {
 				k0, k1, k2 := kernel[0], kernel[1], kernel[2]
 				k3, k4, k5 := kernel[3], kernel[4], kernel[5]
 				k6, k7, k8 := kernel[6], kernel[7], kernel[8]
-				for oy := 0; oy < outSh.H; oy++ {
-					for ox := 0; ox < outSh.W; ox++ {
-						g := gOutPlane[oy*outSh.W+ox]
-						if g == 0 {
-							continue
-						}
-						r0 := dPlane[oy*dW+ox : oy*dW+ox+3 : oy*dW+ox+3]
-						r1 := dPlane[(oy+1)*dW+ox : (oy+1)*dW+ox+3 : (oy+1)*dW+ox+3]
-						r2 := dPlane[(oy+2)*dW+ox : (oy+2)*dW+ox+3 : (oy+2)*dW+ox+3]
-						r0[0] += g * k0
-						r0[1] += g * k1
-						r0[2] += g * k2
-						r1[0] += g * k3
-						r1[1] += g * k4
-						r1[2] += g * k5
-						r2[0] += g * k6
-						r2[1] += g * k7
-						r2[2] += g * k8
-					}
+				for j, g := range vals {
+					d := int(offs[j])
+					r0 := dPlane[d : d+3 : d+3]
+					r1 := dPlane[d+dW : d+dW+3 : d+dW+3]
+					r2 := dPlane[d+2*dW : d+2*dW+3 : d+2*dW+3]
+					r0[0] += g * k0
+					r0[1] += g * k1
+					r0[2] += g * k2
+					r1[0] += g * k3
+					r1[1] += g * k4
+					r1[2] += g * k5
+					r2[0] += g * k6
+					r2[1] += g * k7
+					r2[2] += g * k8
 				}
 				continue
 			}
-			for oy := 0; oy < outSh.H; oy++ {
-				for ox := 0; ox < outSh.W; ox++ {
-					g := gOutPlane[oy*outSh.W+ox]
-					if g == 0 {
-						continue
-					}
-					for ky := 0; ky < c.k; ky++ {
-						row := dPlane[(oy+ky)*dW+ox : (oy+ky)*dW+ox+c.k]
-						krow := kernel[ky*c.k : (ky+1)*c.k]
-						for kx, kw := range krow {
-							row[kx] += g * kw
-						}
+			for j, g := range vals {
+				d := int(offs[j])
+				for ky := 0; ky < c.k; ky++ {
+					row := dPlane[d+ky*dW : d+ky*dW+c.k]
+					krow := kernel[ky*c.k : (ky+1)*c.k]
+					for kx, kw := range krow {
+						row[kx] += g * kw
 					}
 				}
 			}

@@ -32,9 +32,40 @@ var convGeometries = []struct {
 	{"wide-kernel-thin-input", Shape3{C: 1, H: 1, W: 7}, 2, 3, 1},
 }
 
+// equivZeroFracs are the shares of exact zeros drawn into gradOut: dense,
+// the sparsity the zoo's conv layers see after max-pool and ReLU (0.3 and
+// 0.85), and a gradient with no non-zero entry at all.
+var equivZeroFracs = []float64{0, 0.3, 0.85, 1}
+
 // runConvEquiv drives one geometry with seeded data through both paths and
-// fails on the first differing bit.
-func runConvEquiv(t *testing.T, in Shape3, outC, k, pad int, seed uint64) {
+// fails on the first differing bit; zeroFrac is the share of gradOut entries
+// drawn as exact zeros.
+func runConvEquiv(t *testing.T, in Shape3, outC, k, pad int, seed uint64, zeroFrac float64) {
+	t.Helper()
+	c, params, x, r := convFixture(t, in, outC, k, pad, seed)
+	gradOut := make([]float64, c.OutShape().Size())
+	for i := range gradOut {
+		// A sparse gradient exercises the reference's zero-skip branch
+		// against the kernels' ±0-product contract.
+		if r.Float64() < zeroFrac {
+			gradOut[i] = 0
+		} else {
+			gradOut[i] = r.Norm()
+		}
+	}
+	outGEMM := checkConvBackward(t, c, params, x, gradOut, r, true)
+	outRef := make([]float64, len(gradOut))
+	c.forwardRef(params, x, outRef)
+	for i := range outRef {
+		if math.Float64bits(outRef[i]) != math.Float64bits(outGEMM[i]) {
+			t.Fatalf("forward out[%d]: ref %x gemm %x", i, outRef[i], outGEMM[i])
+		}
+	}
+}
+
+// convFixture builds a validated layer with seeded parameters and input, and
+// returns the generator for the caller's further draws.
+func convFixture(t *testing.T, in Shape3, outC, k, pad int, seed uint64) (*Conv2D, []float64, []float64, *rng.RNG) {
 	t.Helper()
 	c := NewConv2D(in, outC, k, pad)
 	if err := c.Validate(); err != nil {
@@ -43,32 +74,30 @@ func runConvEquiv(t *testing.T, in Shape3, outC, k, pad int, seed uint64) {
 	r := rng.New(seed)
 	params := make([]float64, c.ParamCount())
 	c.Init(params, r)
-	inSize, outSize := in.Size(), c.OutShape().Size()
-	x := make([]float64, inSize)
-	gradOut := make([]float64, outSize)
+	x := make([]float64, in.Size())
 	for i := range x {
 		x[i] = r.Norm()
 	}
-	for i := range gradOut {
-		// A sparse gradient exercises the reference's zero-skip branch
-		// against the kernels' ±0-product contract.
-		if r.Float64() < 0.3 {
-			gradOut[i] = 0
-		} else {
-			gradOut[i] = r.Norm()
-		}
-	}
-	scratch := make([]float64, c.ScratchSize())
+	return c, params, x, r
+}
 
-	outRef := make([]float64, outSize)
-	outGEMM := make([]float64, outSize)
-	c.forwardRef(params, x, outRef)
-	c.Forward(params, x, outGEMM, scratch)
-	for i := range outRef {
-		if math.Float64bits(outRef[i]) != math.Float64bits(outGEMM[i]) {
-			t.Fatalf("forward out[%d]: ref %x gemm %x", i, outRef[i], outGEMM[i])
-		}
+// checkConvBackward runs Forward and Backward on a scratch region that starts
+// out NaN everywhere — so a list or plane Backward reads before writing shows
+// — against backwardRef, and fails on the first input-gradient bit that
+// differs. With finite set (gradOut holds no NaN or ±Inf) it holds gradParams
+// to the reference bits as well. Without, a NaN in the input gradient only
+// has to be a NaN: which of two NaN operands an addition passes on is the
+// hardware's choice of operand order, and Go does not fix the operand order
+// of a commutative operation, so no two compilations of one loop are bound to
+// agree on NaN payloads. It returns the forward output.
+func checkConvBackward(t *testing.T, c *Conv2D, params, x, gradOut []float64, r *rng.RNG, finite bool) []float64 {
+	t.Helper()
+	scratch := make([]float64, c.ScratchSize())
+	for i := range scratch {
+		scratch[i] = math.NaN()
 	}
+	out := make([]float64, len(gradOut))
+	c.Forward(params, x, out, scratch)
 
 	// Non-zero starting gradients check the accumulate-into semantics.
 	gpRef := make([]float64, c.ParamCount())
@@ -77,29 +106,107 @@ func runConvEquiv(t *testing.T, in Shape3, outC, k, pad int, seed uint64) {
 		gpRef[i] = r.Norm() * 0.01
 	}
 	copy(gpGEMM, gpRef)
-	giRef := make([]float64, inSize)
-	giGEMM := make([]float64, inSize)
-	gradOut2 := make([]float64, outSize)
+	giRef := make([]float64, len(x))
+	giGEMM := make([]float64, len(x))
+	gradOut2 := make([]float64, len(gradOut))
 	copy(gradOut2, gradOut)
 	c.backwardRef(params, x, gradOut, gpRef, giRef)
-	c.Backward(params, x, outGEMM, gradOut2, gpGEMM, giGEMM, scratch)
+	c.Backward(params, x, out, gradOut2, gpGEMM, giGEMM, scratch)
 	for i := range gpRef {
-		if math.Float64bits(gpRef[i]) != math.Float64bits(gpGEMM[i]) {
+		if finite && math.Float64bits(gpRef[i]) != math.Float64bits(gpGEMM[i]) {
 			t.Fatalf("backward gradParams[%d]: ref %x gemm %x", i, gpRef[i], gpGEMM[i])
 		}
 	}
 	for i := range giRef {
+		if !finite && math.IsNaN(giRef[i]) && math.IsNaN(giGEMM[i]) {
+			continue
+		}
 		if math.Float64bits(giRef[i]) != math.Float64bits(giGEMM[i]) {
-			t.Fatalf("backward gradIn[%d]: ref %x gemm %x", i, giRef[i], giGEMM[i])
+			t.Fatalf("backward gradIn[%d]: ref %v (%#x) gemm %v (%#x)", i, giRef[i], math.Float64bits(giRef[i]), giGEMM[i], math.Float64bits(giGEMM[i]))
 		}
 	}
+	return out
 }
 
 func TestConvGEMMEquivalenceTable(t *testing.T) {
 	for _, g := range convGeometries {
 		t.Run(g.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 5; seed++ {
-				runConvEquiv(t, g.in, g.outC, g.k, g.pad, seed)
+			for _, zf := range equivZeroFracs {
+				for seed := uint64(1); seed <= 5; seed++ {
+					runConvEquiv(t, g.in, g.outC, g.k, g.pad, seed, zf)
+				}
+			}
+		})
+	}
+}
+
+// TestConvInputGradientSparsityEdges holds the input-gradient scatter to the
+// reference where its compacted lists are at their edges — one entry per
+// output channel, at the first or the last pixel of the plane — and where the
+// zero test itself is the question: −0 compares equal to zero and is skipped
+// like +0.
+func TestConvInputGradientSparsityEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fill func(g []float64, P int, r *rng.RNG)
+	}{
+		{"first-pixel-only", func(g []float64, P int, r *rng.RNG) {
+			for i := 0; i < len(g); i += P {
+				g[i] = r.Norm()
+			}
+		}},
+		{"last-pixel-only", func(g []float64, P int, r *rng.RNG) {
+			for i := P - 1; i < len(g); i += P {
+				g[i] = r.Norm()
+			}
+		}},
+		{"signed-zeros", func(g []float64, _ int, r *rng.RNG) {
+			for i := range g {
+				switch u := r.Float64(); {
+				case u < 0.4:
+					g[i] = math.Copysign(0, -1)
+				case u < 0.7:
+					g[i] = 0
+				default:
+					g[i] = r.Norm()
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, g := range convGeometries {
+				for seed := uint64(1); seed <= 3; seed++ {
+					c, params, x, r := convFixture(t, g.in, g.outC, g.k, g.pad, seed)
+					gradOut := make([]float64, c.OutShape().Size())
+					tc.fill(gradOut, c.OutShape().H*c.OutShape().W, r)
+					checkConvBackward(t, c, params, x, gradOut, r, true)
+				}
+			}
+		})
+	}
+}
+
+// TestConvInputGradientNonFinite: the input gradient is the reference's for
+// every gradOut, not only finite ones — NaN is not equal to zero and is kept,
+// ±Inf meets the same taps in the same order, and every cell that is not NaN
+// has the reference's bits (NaN payloads, see checkConvBackward). The weight
+// gradient is not held here: its GEMM adds the ±0 products the reference
+// skips, and 0·Inf is NaN (its bitwise contract is finite-only).
+func TestConvInputGradientNonFinite(t *testing.T) {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	for _, g := range convGeometries {
+		t.Run(g.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				c, params, x, r := convFixture(t, g.in, g.outC, g.k, g.pad, seed)
+				gradOut := make([]float64, c.OutShape().Size())
+				for i := range gradOut {
+					if u := r.Float64(); u < 0.3 {
+						gradOut[i] = special[int(u/0.3*float64(len(special)))]
+					} else if u < 0.7 {
+						gradOut[i] = r.Norm()
+					}
+				}
+				checkConvBackward(t, c, params, x, gradOut, r, false)
 			}
 		})
 	}
@@ -200,25 +307,28 @@ func TestSequentialFusesZoo(t *testing.T) {
 	}
 }
 
-// FuzzConvGEMMEquivalence lets the fuzzer drive the geometry: any valid
-// configuration must produce bitwise-identical results on both paths.
+// FuzzConvGEMMEquivalence lets the fuzzer drive the geometry and the share of
+// exact zeros in gradOut: any valid configuration must produce
+// bitwise-identical results on both paths.
 func FuzzConvGEMMEquivalence(f *testing.F) {
-	f.Add(1, 8, 8, 8, 3, 1, uint64(5))
-	f.Add(8, 4, 4, 16, 3, 1, uint64(7))
-	f.Add(2, 3, 3, 2, 3, 3, uint64(1))
-	f.Add(1, 2, 2, 2, 3, 4, uint64(2))
-	f.Add(4, 5, 5, 6, 1, 0, uint64(3))
-	f.Fuzz(func(t *testing.T, inC, h, w, outC, k, pad int, seed uint64) {
+	f.Add(1, 8, 8, 8, 3, 1, uint64(5), 0.3)
+	f.Add(8, 4, 4, 16, 3, 1, uint64(7), 0.85)
+	f.Add(2, 3, 3, 2, 3, 3, uint64(1), 0.3)
+	f.Add(1, 2, 2, 2, 3, 4, uint64(2), 0.0)
+	f.Add(4, 5, 5, 6, 1, 0, uint64(3), 1.0)
+	f.Add(3, 7, 6, 4, 3, 1, uint64(4), 0.85)
+	f.Fuzz(func(t *testing.T, inC, h, w, outC, k, pad int, seed uint64, zeroFrac float64) {
 		// Bound the geometry so a fuzzed input can't demand gigabytes.
 		if inC < 1 || inC > 4 || h < 1 || h > 8 || w < 1 || w > 8 ||
-			outC < 1 || outC > 4 || k < 1 || k > 5 || pad < 0 || pad > 5 {
+			outC < 1 || outC > 4 || k < 1 || k > 5 || pad < 0 || pad > 5 ||
+			!(zeroFrac >= 0 && zeroFrac <= 1) {
 			t.Skip()
 		}
 		c := NewConv2D(Shape3{C: inC, H: h, W: w}, outC, k, pad)
 		if err := c.Validate(); err != nil {
 			t.Skip()
 		}
-		runConvEquiv(t, Shape3{C: inC, H: h, W: w}, outC, k, pad, seed|1)
+		runConvEquiv(t, Shape3{C: inC, H: h, W: w}, outC, k, pad, seed|1, zeroFrac)
 	})
 }
 
