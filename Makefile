@@ -136,8 +136,9 @@ recover:
 ## and record the perf trajectory (ns/op, B/op, allocs/op, worker-pool size)
 ## in BENCH_core.json, BENCH_wire.json (frame encode/decode and the memory
 ## and TCP-loopback round trip at the leaf-report shape, 4 x 15380 values),
-## BENCH_ckpt.json (one node's Registry.Save into a real directory at the
-## leaf and tier shapes, 4 and 12 x 15380 values) and BENCH_kernels.json
+## BENCH_ckpt.json (one node's Registry.Save into a real directory, and
+## checkpoint.Read of that snapshot from memory, at the leaf and tier shapes,
+## 4 and 12 x 15380 values) and BENCH_kernels.json
 ## (internal/tensor: the two conv GEMMs at the CNN's two layer shapes and the
 ## Dense weight gradient at the sync model's, in GFLOP/s; internal/nn: one forward and one loss-gradient per architecture
 ## family, the single-Dense classifiers at the shapes the runs train,
@@ -180,8 +181,9 @@ bench:
 ## yet far below the 2x-class regressions this gate exists to catch. The
 ## wire benchmarks and the kernels' loss-gradient rows are allocation-free,
 ## and a zero baseline is held at zero.
-## The snapshot benchmark is gated on B/op and allocs/op alone: its time is an
-## fsync, which measures the host's disk, so its ns/op is printed, not gated.
+## The snapshot benchmarks are gated on B/op and allocs/op alone: a save's time
+## is an fsync, which measures the host's disk, so their ns/op is printed, not
+## gated.
 benchdiff:
 	$(GO) test $(BENCHFLAGS) ./internal/core \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_core.json -max-regress 0.25 \
