@@ -12,13 +12,17 @@ build:
 ## portable: internal/tensor has assembly bodies on amd64 only. Everywhere
 ## else runs the pure-Go ones, so they must keep compiling and vetting there
 ## (stock go vet's asmdecl, part of lint, already holds the amd64 frames to
-## their Go declarations). And no fused multiply-add may appear in the
-## assembly: the Go compiler does not fuse on amd64, so the unfused pair is
-## what the portable bodies compute and what every golden file was recorded
-## with.
+## their Go declarations). Likewise the wire codec and the snapshot encoder
+## copy a vector's memory only on little-endian hosts; the value-by-value
+## path a big-endian host runs is held to compile and vet on s390x. And no
+## fused multiply-add may appear in the assembly: the Go compiler does not
+## fuse on amd64, so the unfused pair is what the portable bodies compute and
+## what every golden file was recorded with.
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/nn
+	GOARCH=s390x $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/transport ./internal/checkpoint ./internal/vecbytes
 	@! grep -rnE 'VFN?MADD' internal/tensor || { echo "fused multiply-add under internal/tensor"; exit 1; }
 
 test:

@@ -13,17 +13,19 @@ import (
 // errDiverged is what run returns once -diff has printed a divergence.
 var errDiverged = errors.New("traces diverge")
 
-// traceReader streams the events of one trace, skipping blank lines.
+// traceReader streams the events of one trace, skipping blank lines and,
+// with node set, every event whose "node" field is not node.
 type traceReader struct {
 	name string
+	node string
 	sc   *bufio.Scanner
-	n    int // events read so far
+	n    int // events read so far, filtered out or not
 }
 
-func newTraceReader(name string, r io.Reader) *traceReader {
+func newTraceReader(name, node string, r io.Reader) *traceReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &traceReader{name: name, sc: sc}
+	return &traceReader{name: name, node: node, sc: sc}
 }
 
 // next returns the next event; ok is false at the end of the trace.
@@ -37,12 +39,17 @@ func (t *traceReader) next() (e event, ok bool, err error) {
 		if e, err = parseLine(line); err != nil {
 			return event{}, false, fmt.Errorf("%s: event %d: %w", t.name, t.n, err)
 		}
+		if t.node != "" && e.field("node") != t.node {
+			continue
+		}
 		return e, true, nil
 	}
 	return event{}, false, t.sc.Err()
 }
 
-func diffFiles(pathA, pathB string, context int, out io.Writer) error {
+// diffFiles compares two trace files, or with node set that node's events of
+// each, seq ignored.
+func diffFiles(pathA, pathB, node string, context int, out io.Writer) error {
 	fa, err := os.Open(pathA)
 	if err != nil {
 		return err
@@ -53,15 +60,15 @@ func diffFiles(pathA, pathB string, context int, out io.Writer) error {
 		return err
 	}
 	defer fb.Close()
-	return diffTraces(newTraceReader(pathA, fa), newTraceReader(pathB, fb), context, out)
+	return diffTraces(newTraceReader(pathA, node, fa), newTraceReader(pathB, node, fb), node == "", context, out)
 }
 
-// diffTraces reads a and b in step and stops at the first event whose seq,
-// name or fields differ, or where one trace ends and the other goes on. It
-// prints that event from both sides, the context events before it (which the
-// traces share), and the field-level delta, and returns errDiverged; two
-// traces with the same events print nothing.
-func diffTraces(a, b *traceReader, context int, out io.Writer) error {
+// diffTraces reads a and b in step and stops at the first event whose seq
+// (when withSeq), name or fields differ, or where one trace ends and the
+// other goes on. It prints that event from both sides, the context events
+// before it (which the traces share), and the field-level delta, and returns
+// errDiverged; two traces with the same events print nothing.
+func diffTraces(a, b *traceReader, withSeq bool, context int, out io.Writer) error {
 	var recent []event // the last context events the traces share
 	for shared := 0; ; shared++ {
 		ea, okA, err := a.next()
@@ -75,7 +82,7 @@ func diffTraces(a, b *traceReader, context int, out io.Writer) error {
 		if !okA && !okB {
 			return nil
 		}
-		if okA && okB && sameEvent(ea, eb) {
+		if okA && okB && sameEvent(ea, eb, withSeq) {
 			if context > 0 {
 				if len(recent) == context {
 					recent = append(recent[:0], recent[1:]...)
@@ -98,7 +105,7 @@ func diffTraces(a, b *traceReader, context int, out io.Writer) error {
 		side("-", a, ea, okA)
 		side("+", b, eb, okB)
 		if okA && okB {
-			for _, line := range delta(ea, eb) {
+			for _, line := range delta(ea, eb, withSeq) {
 				fmt.Fprintf(out, "    %s\n", line)
 			}
 		}
@@ -106,15 +113,15 @@ func diffTraces(a, b *traceReader, context int, out io.Writer) error {
 	}
 }
 
-func sameEvent(a, b event) bool {
-	return a.seq == b.seq && a.ev == b.ev && slices.Equal(a.fields, b.fields)
+func sameEvent(a, b event, withSeq bool) bool {
+	return (!withSeq || a.seq == b.seq) && a.ev == b.ev && slices.Equal(a.fields, b.fields)
 }
 
 // delta lists how b differs from a: each changed value as "key: a → b", then
 // the fields only a has (missing from b) and the fields only b has (extra).
-func delta(a, b event) []string {
+func delta(a, b event, withSeq bool) []string {
 	var lines []string
-	if a.seq != b.seq {
+	if withSeq && a.seq != b.seq {
 		lines = append(lines, fmt.Sprintf("seq: %d → %d", a.seq, b.seq))
 	}
 	if a.ev != b.ev {

@@ -148,6 +148,9 @@ func TestDiffRejectsBadUsage(t *testing.T) {
 	for _, args := range [][]string{
 		{"-diff", path},
 		{"-diff", "-count", path, path},
+		{"-diff", "-check", path, path},
+		{"-diff", "-ev", "run_end", path, path},
+		{"-diff", "-node", "edge-0", "-count", path, path},
 		{"-diff", "-context", "-1", path, path},
 	} {
 		if err := run(args, &out); err == nil || errors.Is(err, errDiverged) {
@@ -158,5 +161,69 @@ func TestDiffRejectsBadUsage(t *testing.T) {
 	if err := run([]string{"-diff", path, bad}, &out); err == nil || errors.Is(err, errDiverged) ||
 		!strings.Contains(err.Error(), "event 3") {
 		t.Errorf("malformed line: err = %v, want a parse error naming event 3", err)
+	}
+}
+
+// clusterA and clusterB are one cluster run's events in two arrival orders:
+// the nodes' streams are the same, their interleaving and so every seq is not.
+var (
+	clusterA = []string{
+		`{"seq":1,"ev":"round","node":"edge-0","t":1,"loss":0.5}`,
+		`{"seq":2,"ev":"round","node":"worker-0-0","t":1,"loss":0.75}`,
+		`{"seq":3,"ev":"round","node":"worker-0-1","t":1,"loss":0.25}`,
+		`{"seq":4,"ev":"tier_aggregate","node":"edge-0","t":2,"gamma":0.5}`,
+		`{"seq":5,"ev":"round","node":"worker-0-0","t":2,"loss":0.5}`,
+		`{"seq":6,"ev":"run_end","final_acc":0.9}`,
+	}
+	clusterB = []string{
+		`{"seq":1,"ev":"round","node":"worker-0-1","t":1,"loss":0.25}`,
+		`{"seq":2,"ev":"round","node":"worker-0-0","t":1,"loss":0.75}`,
+		`{"seq":3,"ev":"round","node":"worker-0-0","t":2,"loss":0.5}`,
+		`{"seq":4,"ev":"round","node":"edge-0","t":1,"loss":0.5}`,
+		`{"seq":5,"ev":"tier_aggregate","node":"edge-0","t":2,"gamma":0.5}`,
+		`{"seq":6,"ev":"run_end","final_acc":0.9}`,
+	}
+)
+
+func TestDiffNodeIgnoresInterleaving(t *testing.T) {
+	if _, err := runDiff(t, clusterA, clusterB); !errors.Is(err, errDiverged) {
+		t.Fatalf("whole traces in another order: err = %v, want errDiverged", err)
+	}
+	for _, node := range []string{"edge-0", "worker-0-0", "worker-0-1", "no-such-node"} {
+		if out, err := runDiff(t, clusterA, clusterB, "-node", node); err != nil || out != "" {
+			t.Errorf("-node %s: err %v, output:\n%s", node, err, out)
+		}
+	}
+}
+
+func TestDiffNodeReportsChangedField(t *testing.T) {
+	b := append([]string(nil), clusterB...)
+	b[4] = `{"seq":5,"ev":"tier_aggregate","node":"edge-0","t":2,"gamma":0.25}`
+	out, err := runDiff(t, clusterA, b, "-node", "edge-0")
+	if !errors.Is(err, errDiverged) {
+		t.Fatalf("err = %v, want errDiverged", err)
+	}
+	want := []string{
+		"traces diverge at event 2 (1 identical before it)",
+		"loss=0.5", // context: edge-0's first event
+		"tier_aggregate       node=edge-0 t=2 gamma=0.5",
+		"tier_aggregate       node=edge-0 t=2 gamma=0.25",
+		"gamma: 0.5 → 0.25",
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("report has %d lines, want %d:\n%s", len(lines), len(want), out)
+	}
+	for i, w := range want {
+		if !strings.Contains(lines[i], w) {
+			t.Errorf("line %d = %q, want it to contain %q", i+1, lines[i], w)
+		}
+	}
+	if strings.Contains(out, "seq:") || strings.Contains(out, "worker") {
+		t.Errorf("-node edge-0 reported another node or a seq delta:\n%s", out)
+	}
+	// The other nodes' events did not change.
+	if _, err := runDiff(t, clusterA, b, "-node", "worker-0-0"); err != nil {
+		t.Errorf("-node worker-0-0: err = %v, want identical", err)
 	}
 }

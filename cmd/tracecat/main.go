@@ -12,9 +12,13 @@
 //	tracecat -count run.trace                 # per-event totals
 //	tracecat -check run.trace                 # verify seq is 1..N with no gaps
 //	tracecat -diff a.trace b.trace            # first diverging event, field by field
+//	tracecat -diff -node edge-0 a.trace b.trace  # the same, for one node's events
 //
 // With no file arguments the trace is read from stdin. -diff exits 0 when the
-// two traces hold the same events and 1 at the first divergence.
+// two traces hold the same events and 1 at the first divergence. A cluster
+// trace interleaves its nodes by arrival, so two runs of one config agree
+// node by node, not line by line: -diff -node compares one node's events and
+// ignores their seq.
 package main
 
 import (
@@ -56,13 +60,13 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *diff {
-		if *evFilter != "" || *nodeID != "" || *check || *count {
-			return fmt.Errorf("-diff compares whole traces; it takes no -ev, -node, -check or -count")
+		if *evFilter != "" || *check || *count {
+			return fmt.Errorf("-diff compares whole traces or one node's events; it takes no -ev, -check or -count")
 		}
 		if fs.NArg() != 2 || *context < 0 {
-			return fmt.Errorf("usage: tracecat -diff [-context N] a.trace b.trace")
+			return fmt.Errorf("usage: tracecat -diff [-context N] [-node ID] a.trace b.trace")
 		}
-		return diffFiles(fs.Arg(0), fs.Arg(1), *context, out)
+		return diffFiles(fs.Arg(0), fs.Arg(1), *nodeID, *context, out)
 	}
 	keep := map[string]bool{}
 	for _, ev := range strings.Split(*evFilter, ",") {

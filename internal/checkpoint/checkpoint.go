@@ -31,6 +31,7 @@ import (
 	"slices"
 
 	"hieradmo/internal/rng"
+	"hieradmo/internal/vecbytes"
 )
 
 var (
@@ -199,15 +200,25 @@ func (e *encoder) begin(fingerprint string, seq int) {
 	e.u64(uint64(int64(seq)))
 }
 
-// vector appends one vector-section entry. The room for the elements is
-// claimed once and filled in place; a per-element append re-checks (and on
-// a fresh buffer regrows) the slice fifteen thousand times per model.
+// vector appends one vector-section entry; on a little-endian host the
+// values are one copy of v's memory.
 func (e *encoder) vector(name string, v []float64) {
 	if len(v) > maxVectorLen && e.err == nil {
 		e.err = fmt.Errorf("checkpoint: vector %q of %d elements exceeds limit", name, len(v))
 	}
 	e.str(name)
 	e.u64(uint64(len(v)))
+	if !vecbytes.HostLittleEndian {
+		e.valuesGeneric(v)
+		return
+	}
+	e.buf = append(e.buf, vecbytes.Of(v)...)
+}
+
+// valuesGeneric appends v value by value: the big-endian host's path, and
+// the oracle the byte view is tested against. The room for the values is
+// claimed once and filled in place.
+func (e *encoder) valuesGeneric(v []float64) {
 	off := len(e.buf)
 	e.buf = slices.Grow(e.buf, 8*len(v))[:off+8*len(v)]
 	b := e.buf[off:]
@@ -318,8 +329,9 @@ func decodePayload(payload []byte) (*State, error) {
 			break
 		}
 		v := make([]float64, n)
-		for i := range v {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		copy(vecbytes.Of(v), raw)
+		if !vecbytes.HostLittleEndian {
+			vecbytes.Swap(v)
 		}
 		st.Vectors[name] = v
 	}

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
@@ -118,4 +119,32 @@ func sameFloatBits(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestSnapshotValuesMatchGeneric holds the byte view to the value-by-value
+// conversion it replaced on little-endian hosts: a vector entry is what
+// valuesGeneric lays down, byte for byte, and Read gives every bit back.
+func TestSnapshotValuesMatchGeneric(t *testing.T) {
+	ramp := newPinnedBindings().ramp
+	for _, v := range [][]float64{specialValues, {}, ramp} {
+		var view, generic encoder
+		view.vector("v", v)
+		generic.str("v")
+		generic.u64(uint64(len(v)))
+		generic.valuesGeneric(v)
+		if !bytes.Equal(view.buf, generic.buf) {
+			t.Fatalf("%d-value entry differs from the generic encoding", len(v))
+		}
+	}
+	st := NewState("fp", 1)
+	st.Vectors["special"], st.Vectors["ramp"] = specialValues, ramp
+	back, err := Read(bytes.NewReader(encode(t, st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range st.Vectors {
+		if !sameFloatBits(back.Vectors[name], v) {
+			t.Errorf("vector %q came back as %v", name, back.Vectors[name])
+		}
+	}
 }

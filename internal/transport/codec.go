@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"hieradmo/internal/vecbytes"
 )
 
 // The wire frame. All integers are little-endian; DESIGN.md §7.7 has the
@@ -25,7 +27,8 @@ import (
 //	  scalars               each u16 key length + key + f64 bits, keys
 //	                        strictly ascending
 //	  vector lengths        u32 each, counted in values
-//	  vector values         f64 bits, all vectors back to back
+//	  vector values         f64 bits, all vectors back to back: on a
+//	                        little-endian host, the vectors' own memory
 //
 // Ascending scalar keys make the encoding of a message unique, so an
 // accepted frame re-encodes to the same bytes.
@@ -45,8 +48,9 @@ const (
 	maxFrameBytes   = 1 << 28
 
 	// wireBufSize is the buffered reader's and writer's size: large enough
-	// that a model-sized payload moves in few system calls, small enough to
-	// stay cache-resident while values are converted.
+	// that a frame's header, strings and small vectors move in one system
+	// call. On a little-endian host most of a model-sized vector passes it
+	// by, read and written straight between the socket and its own memory.
 	wireBufSize = 64 << 10
 	// maxInterned bounds a connection's string table; a connection carries
 	// a handful of distinct node IDs, kinds and scalar keys.
@@ -56,8 +60,8 @@ const (
 // encodeFrame writes msg as one frame and flushes w. A message the format
 // cannot carry is refused with ErrFrame before anything is written; any
 // other error is w's and leaves a partial frame behind, so the connection
-// must be dropped. The values are converted straight from the sender's
-// vectors into w's buffer.
+// must be dropped. The values are written straight from the sender's
+// vectors: on a little-endian host they are the vectors' memory.
 func encodeFrame(w *bufio.Writer, msg *Message) error {
 	if len(msg.Vectors) > maxFrameVectors || len(msg.Scalars) > maxFrameScalars {
 		return fmt.Errorf("%w: %d vectors, %d scalars exceed the caps %d, %d",
@@ -134,21 +138,41 @@ func encodeFrame(w *bufio.Writer, msg *Message) error {
 		}
 	}
 	for _, v := range msg.Vectors {
-		for len(v) > 0 {
-			if b, err = room(w, 8); err != nil {
-				return err
-			}
-			n := min(len(v), cap(b)/8)
-			for _, x := range v[:n] {
-				b = le.AppendUint64(b, math.Float64bits(x))
-			}
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-			v = v[n:]
+		if err := putValues(w, v); err != nil {
+			return err
 		}
 	}
 	return w.Flush()
+}
+
+// putValues writes v's values, on a little-endian host as one write of its
+// memory.
+func putValues(w *bufio.Writer, v []float64) error {
+	if !vecbytes.HostLittleEndian {
+		return putValuesGeneric(w, v)
+	}
+	_, err := w.Write(vecbytes.Of(v))
+	return err
+}
+
+// putValuesGeneric converts v value by value into w's buffer: the big-endian
+// host's path, and the oracle the byte view is tested against.
+func putValuesGeneric(w *bufio.Writer, v []float64) error {
+	for len(v) > 0 {
+		b, err := room(w, 8)
+		if err != nil {
+			return err
+		}
+		n := min(len(v), cap(b)/8)
+		for _, x := range v[:n] {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		v = v[n:]
+	}
+	return nil
 }
 
 // room returns w's free buffer, empty and with capacity for at least n
@@ -273,29 +297,15 @@ func (d *decoder) decode() (Message, error) {
 
 	f.size(nvec, nfloat)
 	for _, n := range d.lens[:nvec] {
-		v := f.next(n)
-		for len(v) > 0 {
-			// Convert whatever the reader has buffered, refilling only when
-			// less than one value is left: peeking a fixed chunk instead
-			// would make the reader shift its buffer on every refill.
-			if d.r.Buffered() < 8 {
-				if _, err := d.r.Peek(8); err != nil {
-					return Message{}, truncated(err)
-				}
-			}
-			c := min(len(v), d.r.Buffered()/8)
-			b, err := d.r.Peek(8 * c)
-			if err != nil {
-				return Message{}, err
-			}
-			for i := range v[:c] {
-				v[i] = math.Float64frombits(le.Uint64(b[8*i:]))
-			}
-			if _, err := d.r.Discard(8 * c); err != nil {
-				return Message{}, err
-			}
-			v = v[c:]
-		}
+		f.next(n)
+	}
+	// The vectors are carved back to back from one buffer, as their values
+	// follow each other on the wire: one read fills them all.
+	if _, err := io.ReadFull(d.r, vecbytes.Of(f.data)); err != nil {
+		return Message{}, truncated(err)
+	}
+	if !vecbytes.HostLittleEndian {
+		vecbytes.Swap(f.data)
 	}
 	return f.message(ls, strs[0], strs[1], strs[2], round, scalars), nil
 }

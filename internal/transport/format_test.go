@@ -1,10 +1,14 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 )
 
 // specialValues are the float64s whose bits a conversion could disturb: −0,
@@ -47,4 +51,65 @@ func TestFrameFormatPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, back, msg)
+}
+
+// TestFrameValuesMatchGeneric holds the byte view to the value-by-value
+// conversion it replaced on little-endian hosts: the frame's value section
+// is what putValuesGeneric writes, byte for byte.
+func TestFrameValuesMatchGeneric(t *testing.T) {
+	msg := pinnedMessage()
+	raw := encodeToBytes(t, msg)
+	var values bytes.Buffer
+	w := bufio.NewWriterSize(&values, wireBufSize)
+	for _, v := range msg.Vectors {
+		if err := putValuesGeneric(w, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := values.Len(); n > len(raw) || !bytes.Equal(raw[len(raw)-n:], values.Bytes()) {
+		t.Fatalf("the frame's %d-byte value section differs from the generic encoding", n)
+	}
+}
+
+// TestDecodeThroughShortReads decodes two frames back to back from readers
+// that return one byte, or half of what is asked, per call, so the value
+// reads mix bytes from the buffered reader with direct fills; and cuts the
+// stream inside the values, which must read as a truncation.
+func TestDecodeThroughShortReads(t *testing.T) {
+	first, second := pinnedMessage(), reportMessage()
+	stream := append(encodeToBytes(t, first), encodeToBytes(t, second)...)
+	readers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"one byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+	}
+	for _, r := range readers {
+		t.Run(r.name, func(t *testing.T) {
+			d := newDecoder(r.wrap(bytes.NewReader(stream)), maxFrameBytes)
+			for _, want := range []Message{first, second} {
+				got, err := d.decode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, got, want)
+			}
+			if _, err := d.decode(); err != io.EOF {
+				t.Fatalf("after the last frame: err %v, want io.EOF", err)
+			}
+			for _, cut := range []int{len(stream) - 1, len(stream) - 8*reportDim - 5} {
+				d := newDecoder(r.wrap(bytes.NewReader(stream[:cut])), maxFrameBytes)
+				if _, err := d.decode(); err != nil {
+					t.Fatal(err)
+				}
+				if msg, err := d.decode(); err != io.ErrUnexpectedEOF {
+					t.Errorf("cut at %d: got %+v, err %v; want io.ErrUnexpectedEOF", cut, msg, err)
+				}
+			}
+		})
+	}
 }
