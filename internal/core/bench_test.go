@@ -12,6 +12,7 @@ import (
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
+	"hieradmo/internal/rng"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/tensor"
 )
@@ -156,6 +157,67 @@ func BenchmarkRobustAggregate(b *testing.B) {
 				if _, err := agg.Aggregate(dsts, prev, weights, comps); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkLeafParentRound times one leaf-parent round's kernel arithmetic at
+// the sync workload's shape (dim 15 380, four reporters): everything between
+// the reports landing and the round's outcome, with the reports already in
+// memory. The rows are the adaptive level on either signal, HierAdMo-R's fixed
+// factor, and the adaptive level under the robust median.
+func BenchmarkLeafParentRound(b *testing.B) {
+	const dim, fan = 15380, 4
+	r := rng.New(41)
+	vec := func() tensor.Vector {
+		v := tensor.NewVector(dim)
+		for i := range v {
+			v[i] = r.Norm()
+		}
+		return v
+	}
+	x0 := vec()
+	var ys, xs, gradSums, ySums []tensor.Vector
+	for j := 0; j < fan; j++ {
+		ys, xs, gradSums, ySums = append(ys, vec()), append(xs, vec()), append(gradSums, vec()), append(ySums, vec())
+	}
+	median, err := robust.New(robust.Spec{Kind: robust.Median})
+	if err != nil {
+		b.Fatal(err)
+	}
+	adaptive := func(signal core.AdaptSignal) core.Level {
+		return core.Level{Momentum: true, Adapt: true, Gamma: 0.5, Signal: signal,
+			Ceiling: core.DefaultClampCeiling, Tau: 2, X0: x0}
+	}
+	withMedian := adaptive(core.SignalYSum)
+	withMedian.Agg = median
+	full := []float64{0.25, 0.25, 0.25, 0.25}
+	idx := []int{0, 1, 2, 3}
+	for _, row := range []struct {
+		name string
+		lv   core.Level
+	}{
+		{"ysum", adaptive(core.SignalYSum)},
+		{"velocity", adaptive(core.SignalVelocity)},
+		{"reduced", core.Level{Momentum: true, Gamma: 0.5, X0: x0}},
+		{"median", withMedian},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			tier := core.NewTier(row.lv, fan, func() tensor.Vector { return tensor.NewVector(dim) })
+			round := func() {
+				for j := 0; j < fan; j++ {
+					tier.Y[j], tier.X[j], tier.GradSum[j], tier.YSum[j], tier.VelRef[j] = ys[j], xs[j], gradSums[j], ySums[j], x0
+				}
+				if _, err := tier.Update(full, idx, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			round()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
 			}
 		})
 	}
