@@ -291,6 +291,7 @@ func TestDefaultPolicyTable(t *testing.T) {
 	wantHot := []string{
 		"(*hieradmo/internal/core.Leaf).Step",
 		"(*hieradmo/internal/core.Tier).Update",
+		"(hieradmo/internal/core.Level).Term",
 		"(*hieradmo/internal/fl.GradOracle).Grad",
 		"hieradmo/internal/tensor.GEMMBias",
 		"hieradmo/internal/tensor.GEMMAddTransB",

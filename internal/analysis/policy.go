@@ -121,12 +121,13 @@ func DefaultPolicy(modulePath string) Policy {
 		NilGuardTypes:  []string{"Counter", "Gauge", "Histogram", "Sink", "Tracer"},
 		CkptRegistries: []string{in("internal/checkpoint") + ".Registry"},
 		HotFuncs: []string{
-			// The Algorithm 1 kernel — the per-iteration leaf step and the
-			// per-round tier update — and the gradient step feeding it: the
-			// steady-state inner loops of the simulation and the cluster
-			// runtime alike.
+			// The Algorithm 1 kernel — the per-iteration leaf step, the
+			// per-round tier update and each reporter's eq. (6) term — and
+			// the gradient step feeding it: the steady-state inner loops of
+			// the simulation and the cluster runtime alike.
 			"(*" + in("internal/core") + ".Leaf).Step",
 			"(*" + in("internal/core") + ".Tier).Update",
+			"(" + in("internal/core") + ".Level).Term",
 			"(*" + in("internal/fl") + ".GradOracle).Grad",
 			// The GEMM kernels every dense/conv layer reduces to, and the two
 			// bodies of each: the per-architecture dispatch (on amd64 it

@@ -60,7 +60,7 @@ func TestEdgeStragglerDeadlineUsesInjectedClock(t *testing.T) {
 	msg := transport.Message{
 		Kind:    KindTierReport,
 		Round:   cfg.Tau,
-		Vectors: [][]float64{v, v.Clone(), v.Clone(), v.Clone()},
+		Vectors: [][]float64{v, v.Clone()},
 		Scalars: map[string]float64{ScalarLoss: 1},
 	}
 	if err := w0.Send(EdgeID(0), msg); err != nil {

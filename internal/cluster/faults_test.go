@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -94,7 +95,7 @@ func TestEdgeDuplicateReportRejected(t *testing.T) {
 	}
 
 	x0 := hn.InitParams()
-	e := edgeUnderTest(t, cfg, hn, edgeEP, Options{})
+	e := edgeUnderTest(t, cfg, hn, edgeEP, Options{Adaptive: true})
 
 	report := func(ep transport.Endpoint) {
 		t.Helper()
@@ -102,8 +103,8 @@ func TestEdgeDuplicateReportRejected(t *testing.T) {
 		msg := transport.Message{
 			Kind:    KindTierReport,
 			Round:   cfg.Tau,
-			Vectors: [][]float64{v, v.Clone(), v.Clone(), v.Clone()},
-			Scalars: map[string]float64{ScalarLoss: 1},
+			Vectors: [][]float64{v, v.Clone()},
+			Scalars: map[string]float64{ScalarLoss: 1, ScalarCos: 0.5},
 		}
 		if err := ep.Send(EdgeID(0), msg); err != nil {
 			t.Fatal(err)
@@ -124,7 +125,7 @@ func TestEdgeDuplicateReportRejected(t *testing.T) {
 		t.Fatalf("idx = %v, want [0 1]", idx)
 	}
 	for _, i := range idx {
-		if len(reports[i].Vectors) != 4 {
+		if len(reports[i].Vectors) != 2 {
 			t.Fatalf("slot %d holds %d vectors (zero-valued duplicate slot?)", i, len(reports[i].Vectors))
 		}
 	}
@@ -134,6 +135,84 @@ func TestEdgeDuplicateReportRejected(t *testing.T) {
 	// The aggregation over the collected slots must not touch nil vectors.
 	if err := e.update(reports, idx, 1); err != nil {
 		t.Errorf("update after duplicate: %v", err)
+	}
+}
+
+// TestEdgeRejectsMalformedTerm: an adaptive leaf-parent admits a report only
+// with an eq. (6) term in [-1, 1]. A missing, NaN or infinite term, or one out
+// of range, fails the round the way a wrong vector count does — with
+// ErrMalformedReport, naming the sender — since no honest leaf sends one.
+// A plain-average parent reads no term and needs none.
+func TestEdgeRejectsMalformedTerm(t *testing.T) {
+	cfg := buildConfig(t, 61, 0)
+	hn, err := fl.NewHarness(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := hn.InitParams()
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name     string
+		adaptive bool
+		vectors  int
+		scalars  map[string]float64
+		ok       bool
+	}{
+		{"term 1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: 1}, true},
+		{"term -1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: -1}, true},
+		{"term -0", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: negZero}, true},
+		{"no term, plain parent", false, 2, map[string]float64{ScalarLoss: 1}, true},
+		{"no term", true, 2, map[string]float64{ScalarLoss: 1}, false},
+		{"no scalars", true, 2, nil, false},
+		{"NaN term", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.NaN()}, false},
+		{"+Inf term", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.Inf(1)}, false},
+		{"-Inf term", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.Inf(-1)}, false},
+		{"term above 1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.Nextafter(1, 2)}, false},
+		{"term below -1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: -1.5}, false},
+		{"four vectors", true, 4, map[string]float64{ScalarLoss: 1, ScalarCos: 0.5}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewMemoryNetwork()
+			defer net.Close()
+			edgeEP, err := net.Endpoint(EdgeID(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := edgeUnderTest(t, cfg, hn, edgeEP, Options{Adaptive: tc.adaptive})
+			for i, scalars := range []map[string]float64{tc.scalars, {ScalarLoss: 1, ScalarCos: 0.5}} {
+				ep, err := net.Endpoint(WorkerID(0, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 2
+				if i == 0 {
+					n = tc.vectors
+				}
+				vecs := make([][]float64, n)
+				for v := range vecs {
+					vecs[v] = x0.Clone()
+				}
+				if err := ep.Send(EdgeID(0), transport.Message{Kind: KindTierReport, Round: cfg.Tau, Vectors: vecs, Scalars: scalars}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, reports, idx, err := e.collect(1)
+			if !tc.ok {
+				if !errors.Is(err, ErrMalformedReport) || !strings.Contains(err.Error(), WorkerID(0, 0)) {
+					t.Fatalf("collect = %v, want a wrapped ErrMalformedReport naming %s", err, WorkerID(0, 0))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(idx) != 2 {
+				t.Fatalf("admitted %v, want both workers", idx)
+			}
+			if err := e.update(reports, idx, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 )
 
 // treeLeaf is one training leaf: it runs the NAG iterations of Algorithm 1
-// lines 5–6 on its own shard and reports its interval state to its parent
-// every leaf-parent period. The arithmetic is the simulation's — the same
-// fl.GradOracle and core.Leaf — so the two cannot drift apart.
+// lines 5–6 on its own shard and reports [y, x] to its parent every
+// leaf-parent period, with its own eq. (6) term when the parent adapts. The
+// arithmetic is the simulation's — the same fl.GradOracle, core.Leaf and
+// core.Level.Term — so the two cannot drift apart.
 //
 // In quorum mode a leaf whose redistributed update never arrives keeps
 // training on its local state and rejoins at a later aggregation — the
@@ -38,6 +39,11 @@ type treeLeaf struct {
 	oracle   fl.GradOracle
 	state    *core.Leaf
 	lastLoss float64
+	// lv is the leaf-parent level's rule, under which the leaf computes its
+	// eq. (6) term, and yStart the momentum the current interval started
+	// from: the velocity signal's reference, kept only under that signal.
+	lv     core.Level
+	yStart tensor.Vector
 	// syncedThrough is the round of the last adopted update. When an update
 	// arrives for a round ahead of this leaf's own iteration count (the
 	// parent fast-forwarded past syncs a quorum completed without it), the
@@ -45,14 +51,21 @@ type treeLeaf struct {
 	// the parent no longer wants the intervening rounds.
 	syncedThrough int
 
-	// report is the leaf's one outgoing message, its four vector headers and
-	// loss slot refilled per boundary: Send is synchronous, so nothing of a
-	// sent message outlives the call.
+	// report is the leaf's one outgoing message, its [y, x] headers and its
+	// loss and cos slots refilled per boundary: Send is synchronous, so
+	// nothing of a sent message outlives the call.
 	report transport.Message
 }
 
 func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *treeLeaf {
-	return &treeLeaf{
+	lv := ts.level(ts.leafParent(), x0, opts)
+	velocity := lv.Adapt && lv.Signal == core.SignalVelocity
+	count := core.LeafVectors
+	if velocity {
+		count++
+	}
+	newVec := nodeVectors(len(x0), count)
+	w := &treeLeaf{
 		cfg:    cfg,
 		ts:     ts,
 		j:      j,
@@ -60,14 +73,20 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 		opts:   opts,
 		att:    opts.attackerFor(ts.ids[ts.depth()-1][j], 4, len(x0)),
 		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), opts.Telemetry),
-		state:  core.NewLeaf(x0, heapVectors(len(x0))),
+		state:  core.NewLeaf(x0, newVec),
+		lv:     lv,
 
 		report: transport.Message{
 			Kind:    KindTierReport,
-			Vectors: make([][]float64, 4),
-			Scalars: make(map[string]float64, 1),
+			Vectors: make([][]float64, 2),
+			Scalars: make(map[string]float64, 2),
 		},
 	}
+	if velocity {
+		w.yStart = newVec()
+		copy(w.yStart, x0)
+	}
+	return w
 }
 
 func (w *treeLeaf) id() string { return w.ts.ids[w.ts.depth()-1][w.j] }
@@ -85,6 +104,9 @@ func (w *treeLeaf) initCheckpoint() (int, error) {
 	reg.Vector("y", w.state.Y)
 	reg.Vector("gradSum", w.state.GradSum)
 	reg.Vector("ySum", w.state.YSum)
+	if w.yStart != nil {
+		reg.Vector("yStart", w.yStart)
+	}
 	reg.RNG("sampler", w.oracle.Sampler)
 	reg.Float("lastLoss", &w.lastLoss)
 	reg.Int("syncedThrough", &w.syncedThrough)
@@ -176,23 +198,9 @@ func (w *treeLeaf) run() error {
 		if err != nil {
 			return err
 		}
-		st := w.state
-		vecs := w.report.Vectors
-		vecs[0], vecs[1], vecs[2], vecs[3] = st.Y, st.X, st.GradSum, st.YSum
-		if w.att != nil {
-			// Byzantine boundary: the attack mutates only what goes on the
-			// wire — local training state stays honest, matching the
-			// compromised-client threat model (DESIGN.md §7.5).
-			mut, kind, hit, err := w.att.Apply(t/bTau, []tensor.Vector{st.Y, st.X, st.GradSum, st.YSum})
-			if err != nil {
-				return fmt.Errorf("cluster: %s attack: %w", w.id(), err)
-			}
-			if hit {
-				w.rec.injected(w.id(), t, kind)
-				vecs[0], vecs[1], vecs[2], vecs[3] = mut[0], mut[1], mut[2], mut[3]
-			}
+		if err := w.fillReport(t, t/bTau); err != nil {
+			return err
 		}
-		w.report.Round, w.report.Scalars[ScalarLoss] = t, w.lastLoss
 		if err := w.ep.Send(parent, w.report); err != nil {
 			return fmt.Errorf("cluster: %s report: %w", w.id(), err)
 		}
@@ -215,6 +223,38 @@ func (w *treeLeaf) run() error {
 		if err := saveSnapshot(w.reg, t, w.opts.Telemetry, w.id()); err != nil {
 			return fmt.Errorf("cluster: %s: %w", w.id(), err)
 		}
+	}
+	return nil
+}
+
+// fillReport builds the round-k report at iteration t: [y, x], the latest
+// loss and, when the parent adapts, the leaf's eq. (6) term.
+func (w *treeLeaf) fillReport(t, k int) error {
+	st := w.state
+	y, x, gradSum, ySum := st.Y, st.X, st.GradSum, st.YSum
+	if w.att != nil {
+		// Byzantine boundary: the attack mutates only what the leaf reports —
+		// local training state stays honest, matching the compromised-client
+		// threat model (DESIGN.md §7.5). All four vectors go through it, so
+		// the noise streams do not depend on which of them travel: [y, x] go
+		// on the wire and the accumulators into the term.
+		mut, kind, hit, err := w.att.Apply(k, []tensor.Vector{y, x, gradSum, ySum})
+		if err != nil {
+			return fmt.Errorf("cluster: %s attack: %w", w.id(), err)
+		}
+		if hit {
+			w.rec.injected(w.id(), t, kind)
+			y, x, gradSum, ySum = mut[0], mut[1], mut[2], mut[3]
+		}
+	}
+	w.report.Vectors[0], w.report.Vectors[1] = y, x
+	w.report.Round, w.report.Scalars[ScalarLoss] = t, w.lastLoss
+	if w.lv.Adapt {
+		cos, err := w.lv.Term(gradSum, ySum, y, w.yStart)
+		if err != nil {
+			return fmt.Errorf("cluster: %s term: %w", w.id(), err)
+		}
+		w.report.Scalars[ScalarCos] = cos
 	}
 	return nil
 }
@@ -251,14 +291,20 @@ func (w *treeLeaf) await(what string, rideOut bool, handle func(transport.Messag
 	}
 }
 
-// adopt takes over the [y, x] of an update or ADMIT and restarts the
-// interval accumulators.
+// adopt takes over the [y, x] of an update or ADMIT and starts a new
+// interval: the accumulators restart, and the adopted momentum is the
+// velocity signal's reference.
 func (w *treeLeaf) adopt(msg transport.Message) error {
 	if len(msg.Vectors) != 2 {
 		return fmt.Errorf("cluster: %s %s carries %d vectors, want 2", w.id(), msg.Kind, len(msg.Vectors))
 	}
 	if err := w.state.Adopt(msg.Vectors[0], msg.Vectors[1]); err != nil {
 		return err
+	}
+	if w.yStart != nil {
+		if err := w.yStart.CopyFrom(w.state.Y); err != nil {
+			return err
+		}
 	}
 	w.state.Restart()
 	w.syncedThrough = msg.Round

@@ -23,6 +23,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -31,10 +32,12 @@ import (
 
 // Protocol message kinds.
 const (
-	// KindTierReport is child → parent at the child's parent-sync boundary:
-	// training leaves send [y, x, Σ∇F, Σy] and their latest mini-batch loss
-	// at t = kτ; aggregating levels send [y_ℓ−, x_ℓ+] and their weighted
-	// loss.
+	// KindTierReport is child → parent at the child's parent-sync boundary,
+	// one shape at every level: [y, x] and a loss. Training leaves send
+	// their momentum and model and their latest mini-batch loss at t = kτ —
+	// plus, when the parent adapts, their own eq. (6) term as ScalarCos, so
+	// the interval accumulators Σ∇F and Σy never leave the leaf; aggregating
+	// levels send [y_ℓ−, x_ℓ+] and their weighted loss.
 	KindTierReport = "tier-report"
 	// KindTierUpdate is parent → child after an aggregation, carrying the
 	// level's [y_ℓ−, x_ℓ+].
@@ -59,10 +62,26 @@ const (
 	KindReassign = "reassign"
 )
 
+// ErrMalformedReport is wrapped by the error a parent fails with when a
+// child's report has the wrong shape: a vector count other than
+// reportVectors, or, at an adaptive leaf-parent, a missing or non-finite
+// eq. (6) term or one outside [-1, 1]. The message names the sender.
+var ErrMalformedReport = errors.New("cluster: malformed report")
+
+// reportVectors is the vector count of every KindTierReport: [y, x].
+const reportVectors = 2
+
+// reportLayout names what a report carries, for the checkpoint fingerprint:
+// the ride-ahead stash snapshots reports in this layout.
+const reportLayout = "y,x,loss,cos"
+
 // Scalar keys used in messages.
 const (
 	// ScalarLoss carries a (weighted) training loss.
 	ScalarLoss = "loss"
+	// ScalarCos carries a training leaf's eq. (6) term (core.Level.Term) to
+	// an adaptive parent, which weights and sums the terms of its reporters.
+	ScalarCos = "cos"
 )
 
 // Node IDs of the config-derived cloud/edge/worker shape (explicit

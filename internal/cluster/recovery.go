@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"hieradmo/internal/checkpoint"
@@ -77,12 +78,15 @@ func nodeRegistry(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*c
 	// The fingerprint covers everything that shapes the distributed
 	// trajectory: the full run config, the algorithm options, and the tree's
 	// canonical shape — depth, fan-out, per-level periods, rules, and
-	// momentum — so a snapshot can never be resumed under a different tree
-	// (or read by a build that laid node state out differently). Timeouts
+	// momentum — so a snapshot can never be resumed under a different tree.
+	// The report layout token names what a report carries, which the
+	// ride-ahead stash records, so a snapshot from a build that laid reports
+	// out differently is refused as a mismatch rather than misread. Timeouts
 	// and quorum are operational knobs a restarted deployment may
 	// legitimately change, so they stay out.
 	fp := cfg.Fingerprint("cluster/tier") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, opts.Ceiling, ts.shape)
+		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s",
+			opts.Adaptive, opts.Signal, opts.Ceiling, ts.shape, reportLayout)
 	if opts.churnEnabled() {
 		plan := membership.Plan{}
 		if opts.ChurnPlan != nil {
@@ -145,15 +149,16 @@ func saveSnapshot(reg *checkpoint.Registry, seq int, sink *telemetry.Sink, node 
 }
 
 // encodePending appends a ride-ahead report stash to out for snapshotting:
-// one record per message, laid out as [round, sender, loss, nv·dim vector
-// elements], where sender is the reporting child's index in its level as
-// resolved by index. Messages that do not carry exactly nv model-sized
-// vectors or a resolvable sender are dropped here — admission would reject
-// them after the resume anyway.
-func encodePending(out []float64, msgs []transport.Message, nv, dim int, index func(from string) (int, bool)) []float64 {
+// one record per message, laid out as [round, sender, loss, cos, y, x],
+// where sender is the reporting child's index in its level as resolved by
+// index and cos is NaN when the report carried no term (admission refuses a
+// NaN term and a missing one alike). Messages that do not carry
+// reportVectors model-sized vectors or a resolvable sender are dropped here —
+// admission would reject them after the resume anyway.
+func encodePending(out []float64, msgs []transport.Message, dim int, index func(from string) (int, bool)) []float64 {
 	for _, msg := range msgs {
 		i, ok := index(msg.From)
-		if !ok || len(msg.Vectors) != nv {
+		if !ok || len(msg.Vectors) != reportVectors {
 			continue
 		}
 		for _, v := range msg.Vectors {
@@ -165,7 +170,11 @@ func encodePending(out []float64, msgs []transport.Message, nv, dim int, index f
 		if !ok {
 			continue
 		}
-		out = append(out, float64(msg.Round), float64(i), msg.Scalars[ScalarLoss])
+		cos, ok := msg.Scalars[ScalarCos]
+		if !ok {
+			cos = math.NaN()
+		}
+		out = append(out, float64(msg.Round), float64(i), msg.Scalars[ScalarLoss], cos)
 		for _, v := range msg.Vectors {
 			out = append(out, v...)
 		}
@@ -175,8 +184,9 @@ func encodePending(out []float64, msgs []transport.Message, nv, dim int, index f
 
 // decodePending rebuilds a stash serialized by encodePending; ids maps a
 // sender index back to its node ID.
-func decodePending(flat []float64, nv, dim int, kind string, ids []string) ([]transport.Message, error) {
-	rec := 3 + nv*dim
+func decodePending(flat []float64, dim int, kind string, ids []string) ([]transport.Message, error) {
+	const head = 4 // round, sender, loss, cos
+	rec := head + reportVectors*dim
 	if len(flat)%rec != 0 {
 		return nil, fmt.Errorf("pending stash holds %d values, not a multiple of the %d-value record", len(flat), rec)
 	}
@@ -187,17 +197,21 @@ func decodePending(flat []float64, nv, dim int, kind string, ids []string) ([]tr
 			return nil, fmt.Errorf("pending stash record at %d has a bad round/sender %v/%v",
 				off, flat[off], flat[off+1])
 		}
-		vecs := make([][]float64, nv)
+		vecs := make([][]float64, reportVectors)
 		for v := range vecs {
-			lo := off + 3 + v*dim
+			lo := off + head + v*dim
 			vecs[v] = append([]float64(nil), flat[lo:lo+dim]...)
+		}
+		scalars := map[string]float64{ScalarLoss: flat[off+2]}
+		if cos := flat[off+3]; !math.IsNaN(cos) {
+			scalars[ScalarCos] = cos
 		}
 		msgs = append(msgs, transport.Message{
 			From:    ids[idx],
 			Kind:    kind,
 			Round:   round,
 			Vectors: vecs,
-			Scalars: map[string]float64{ScalarLoss: flat[off+2]},
+			Scalars: scalars,
 		})
 	}
 	return msgs, nil

@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,22 +29,23 @@ func TestRecoveryOptionsValidate(t *testing.T) {
 func TestPendingStashRoundtrip(t *testing.T) {
 	const dim = 3
 	v := func(base float64) []float64 { return []float64{base, base + 1, base + 2} }
+	negZero := math.Copysign(0, -1)
 	msgs := []transport.Message{
 		{
 			From: WorkerID(0, 2), Kind: KindTierReport, Round: 6,
-			Vectors: [][]float64{v(1), v(10), v(20), v(30)},
-			Scalars: map[string]float64{ScalarLoss: 0.5},
+			Vectors: [][]float64{v(1), v(10)},
+			Scalars: map[string]float64{ScalarLoss: 0.5, ScalarCos: negZero},
 		},
-		{From: "bogus", Kind: KindTierReport, Round: 6, Vectors: [][]float64{v(0), v(0), v(0), v(0)}},
-		{From: WorkerID(0, 1), Kind: KindTierReport, Round: 8, Vectors: [][]float64{v(2), v(3)}}, // wrong arity
+		{From: "bogus", Kind: KindTierReport, Round: 6, Vectors: [][]float64{v(0), v(0)}},
+		{From: WorkerID(0, 1), Kind: KindTierReport, Round: 8, Vectors: [][]float64{v(2), v(3), v(4), v(5)}}, // wrong arity
 		{
 			From: WorkerID(0, 0), Kind: KindTierReport, Round: 8,
-			Vectors: [][]float64{v(4), v(5), v(6), v(7)},
+			Vectors: [][]float64{v(4), v(5)},
 			Scalars: map[string]float64{ScalarLoss: 1.25},
 		},
 	}
 	ids := []string{WorkerID(0, 0), WorkerID(0, 1), WorkerID(0, 2)}
-	flat := encodePending(nil, msgs, 4, dim, func(from string) (int, bool) {
+	flat := encodePending(nil, msgs, dim, func(from string) (int, bool) {
 		for i, id := range ids {
 			if id == from {
 				return i, true
@@ -51,41 +55,102 @@ func TestPendingStashRoundtrip(t *testing.T) {
 	})
 	// Two well-formed records survive; the malformed sender and wrong-arity
 	// messages are dropped, as admission would drop them after a resume.
-	if wantLen := 2 * (3 + 4*dim); len(flat) != wantLen {
+	if wantLen := 2 * (4 + 2*dim); len(flat) != wantLen {
 		t.Fatalf("encoded length %d, want %d", len(flat), wantLen)
 	}
-	out, err := decodePending(flat, 4, dim, KindTierReport, ids)
+	out, err := decodePending(flat, dim, KindTierReport, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 2 {
 		t.Fatalf("decoded %d messages, want 2", len(out))
 	}
-	if out[0].From != WorkerID(0, 2) || out[0].Round != 6 || out[0].Scalars[ScalarLoss] != 0.5 {
+	// The term survives to the bit, −0 included; a report without one comes
+	// back without one, not with a zero term admission would accept.
+	if cos, ok := out[0].Scalars[ScalarCos]; out[0].From != WorkerID(0, 2) || out[0].Round != 6 ||
+		out[0].Scalars[ScalarLoss] != 0.5 || !ok || math.Float64bits(cos) != math.Float64bits(negZero) {
 		t.Errorf("first record = %+v", out[0])
 	}
-	if out[1].From != WorkerID(0, 0) || out[1].Round != 8 || out[1].Scalars[ScalarLoss] != 1.25 {
+	if _, ok := out[1].Scalars[ScalarCos]; out[1].From != WorkerID(0, 0) || out[1].Round != 8 ||
+		out[1].Scalars[ScalarLoss] != 1.25 || ok {
 		t.Errorf("second record = %+v", out[1])
 	}
 	for r, msg := range out {
-		if msg.Kind != KindTierReport || len(msg.Vectors) != 4 {
+		if msg.Kind != KindTierReport || len(msg.Vectors) != 2 {
 			t.Fatalf("record %d malformed: %+v", r, msg)
 		}
 	}
-	if out[0].Vectors[3][1] != 31 || out[1].Vectors[0][2] != 6 {
-		t.Errorf("vector payloads scrambled: %v / %v", out[0].Vectors[3], out[1].Vectors[0])
+	if out[0].Vectors[1][1] != 11 || out[1].Vectors[0][2] != 6 {
+		t.Errorf("vector payloads scrambled: %v / %v", out[0].Vectors[1], out[1].Vectors[0])
 	}
 
-	if _, err := decodePending(flat[:len(flat)-1], 4, dim, KindTierReport, ids); err == nil {
+	if _, err := decodePending(flat[:len(flat)-1], dim, KindTierReport, ids); err == nil {
 		t.Error("truncated stash accepted")
 	}
 	bad := append([]float64(nil), flat...)
 	bad[0] = 6.5 // non-integral round
-	if _, err := decodePending(bad, 4, dim, KindTierReport, ids); err == nil {
+	if _, err := decodePending(bad, dim, KindTierReport, ids); err == nil {
 		t.Error("non-integral round accepted")
 	}
-	if _, err := decodePending(flat, 4, dim, KindTierReport, ids[:2]); err == nil {
+	if _, err := decodePending(flat, dim, KindTierReport, ids[:2]); err == nil {
 		t.Error("sender index outside the child level accepted")
+	}
+}
+
+// TestFourVectorSnapshotRefused: a snapshot family written when leaves still
+// reported [y, x, Σ∇F, Σy] — same config, options and tree, node IDs and
+// entry names, but edges keeping the velocity reference lastY and stashing
+// four-vector ride-ahead records — carries no report-layout token in its
+// fingerprint. Every node refuses it up front with ErrMismatch instead of
+// opening it and failing on a stash record's length.
+func TestFourVectorSnapshotRefused(t *testing.T) {
+	cfg := buildConfig(t, 101, 0)
+	dir := t.TempDir()
+	opts := Options{Adaptive: true, CheckpointDir: dir, Resume: true}.withDefaults()
+	ts, err := newTreeSpec(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldFP := cfg.Fingerprint("cluster/tier") +
+		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, opts.Ceiling, ts.shape)
+	dim := cfg.Model.Dim()
+	fabricate := func(node string, seq int, vectors []string, stash []float64) {
+		t.Helper()
+		mgr, err := checkpoint.NewManager(dir, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := checkpoint.NewRegistry(mgr, oldFP)
+		for _, name := range vectors {
+			reg.Vector(name, make([]float64, dim))
+		}
+		if stash != nil {
+			// An aggregator's dynamic state: an empty loss cache and the stash.
+			none := func([]float64) error { return nil }
+			reg.Dynamic("losses", func(dst []float64) []float64 { return dst }, none)
+			reg.Dynamic("pending", func(dst []float64) []float64 { return append(dst, stash...) }, none)
+		}
+		if err := reg.Save(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One ride-ahead report from worker 0 for round 2τ: [round, sender, loss,
+	// y, x, Σ∇F, Σy].
+	stash := append([]float64{float64(2 * cfg.Tau), 0, 0.5}, make([]float64, 4*dim)...)
+	tier := []string{"yMinus", "yPlus", "xPlus", "lastY"}
+	fabricate(CloudID, 1, tier, []float64{})
+	for l := range cfg.Edges {
+		fabricate(EdgeID(l), 2, tier, stash)
+		for i := range cfg.Edges[l] {
+			fabricate(WorkerID(l, i), 4, []string{"x", "y", "gradSum", "ySum"}, nil)
+		}
+	}
+	_, err = Run(cfg, transport.NewMemoryNetwork(), opts)
+	if !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Fatalf("resume from a four-vector snapshot family = %v, want wrapped checkpoint.ErrMismatch", err)
+	}
+	if errors.Is(err, checkpoint.ErrFormat) || strings.Contains(err.Error(), "pending stash") {
+		t.Errorf("a four-vector snapshot was opened and misread before being refused: %v", err)
 	}
 }
 

@@ -6,11 +6,13 @@ import (
 	"strconv"
 	"strings"
 
+	"hieradmo/internal/core"
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
 	"hieradmo/internal/rng"
 	"hieradmo/internal/robust"
+	"hieradmo/internal/tensor"
 	"hieradmo/internal/topology"
 )
 
@@ -308,6 +310,21 @@ func (ts *treeSpec) newEpoch(cohorts [][]int) (epochShape, error) {
 		}
 	}
 	return ep, nil
+}
+
+// level is aggregating level i's kernel rule without its robust aggregator,
+// which holds scratch and so is built by the node that aggregates. The leaves
+// compute their eq. (6) terms under the leaf-parent's.
+func (ts *treeSpec) level(i int, x0 tensor.Vector, opts Options) core.Level {
+	return core.Level{
+		Momentum: ts.momentum[i],
+		Adapt:    ts.adapt[i],
+		Gamma:    ts.gamma[i],
+		Signal:   opts.Signal,
+		Ceiling:  opts.Ceiling,
+		Tau:      ts.tau(i),
+		X0:       x0,
+	}
 }
 
 func (ts *treeSpec) depth() int      { return len(ts.levels) }

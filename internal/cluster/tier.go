@@ -46,9 +46,6 @@ type tierNode struct {
 	// tier is the node's Algorithm 1 state and update arithmetic (see
 	// internal/core); everything else here decides which reports reach it.
 	tier *core.Tier
-	// lastY is the state most recently redistributed to the children, the
-	// velocity-signal reference.
-	lastY tensor.Vector
 	// losses holds each child's most recently reported loss by the child's
 	// index in its level (cohorts change between rounds under dynamic
 	// membership, so positions are not stable keys), keeping the weighted
@@ -94,25 +91,22 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 	for _, shape := range ts.epochs {
 		fan = max(fan, len(shape.kids[lvl][idx]))
 	}
+	lv := ts.level(lvl, x0, opts)
+	lv.Agg = newAggregator(ts.agg[lvl])
+	count := lv.Vectors()
+	if lvl != ts.leafParent() {
+		count += 2 * fan // the substitution ledgers lastYRep, lastXRep
+	}
+	newVec := nodeVectors(len(x0), count)
 	n := &tierNode{
-		cfg:  cfg,
-		hn:   hn,
-		ts:   ts,
-		lvl:  lvl,
-		idx:  idx,
-		ep:   ep,
-		opts: opts,
-		tier: core.NewTier(core.Level{
-			Momentum: ts.momentum[lvl],
-			Adapt:    ts.adapt[lvl],
-			Gamma:    ts.gamma[lvl],
-			Signal:   opts.Signal,
-			Ceiling:  opts.Ceiling,
-			Tau:      ts.tau(lvl),
-			X0:       x0,
-			Agg:      newAggregator(ts.agg[lvl]),
-		}, fan, heapVectors(len(x0))),
-		lastY:  x0.Clone(),
+		cfg:    cfg,
+		hn:     hn,
+		ts:     ts,
+		lvl:    lvl,
+		idx:    idx,
+		ep:     ep,
+		opts:   opts,
+		tier:   core.NewTier(lv, fan, newVec),
 		losses: make(map[int]float64),
 
 		reports:   make([]transport.Message, fan),
@@ -128,8 +122,9 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 		n.missStreak = make([]int, fan)
 		n.everyone = make([]int, fan)
 		for c := 0; c < fan; c++ {
-			n.lastYRep[c] = x0.Clone()
-			n.lastXRep[c] = x0.Clone()
+			n.lastYRep[c], n.lastXRep[c] = newVec(), newVec()
+			copy(n.lastYRep[c], x0)
+			copy(n.lastXRep[c], x0)
 			n.tier.Y[c], n.tier.X[c] = n.lastYRep[c], n.lastXRep[c]
 			n.everyone[c] = c
 		}
@@ -137,10 +132,17 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 	return n
 }
 
-// heapVectors is the vector source of cluster nodes: each node owns plain
-// heap vectors of the model dimension.
-func heapVectors(dim int) func() tensor.Vector {
-	return func() tensor.Vector { return tensor.NewVector(dim) }
+// nodeVectors is the vector source of a cluster node: the count vectors of
+// the model dimension it draws are carved from one block, so a node's state
+// is one allocation however many vectors its role needs. Each vector's
+// capacity ends where it does.
+func nodeVectors(dim, count int) func() tensor.Vector {
+	block := tensor.NewVector(dim * count)
+	return func() tensor.Vector {
+		v := block[:dim:dim]
+		block = block[dim:]
+		return v
+	}
 }
 
 func (n *tierNode) id() string       { return n.ts.ids[n.lvl][n.idx] }
@@ -151,20 +153,11 @@ func (n *tierNode) tau() int         { return n.ts.tau(n.lvl) }
 // dynamic membership acts at the leaf-parent level only.
 func (n *tierNode) churning() bool { return n.ts.sched != nil && n.leafParent() }
 
-// nvPerReport is the vector count a child report carries: training leaves
-// send their two accumulators alongside [y, x].
-func (n *tierNode) nvPerReport() int {
-	if n.leafParent() {
-		return 4
-	}
-	return 2
-}
-
 // initCheckpoint binds the node's aggregation state — both momenta, the
-// model, the velocity-signal reference, the per-child loss cache, the
-// substitution ledgers, the ride-ahead stash and, on the root, the accuracy
-// curve — to its snapshot registry and applies the Resume option. It returns
-// the aggregation round to continue after.
+// model, the per-child loss cache, the substitution ledgers, the ride-ahead
+// stash and, on the root, the accuracy curve — to its snapshot registry and
+// applies the Resume option. It returns the aggregation round to continue
+// after.
 func (n *tierNode) initCheckpoint() (int, error) {
 	reg, err := nodeRegistry(n.cfg, n.opts, n.ts, n.id())
 	if err != nil || reg == nil {
@@ -173,7 +166,6 @@ func (n *tierNode) initCheckpoint() (int, error) {
 	reg.Vector("yMinus", n.tier.YMinus)
 	reg.Vector("yPlus", n.tier.YPlus)
 	reg.Vector("xPlus", n.tier.XPlus)
-	reg.Vector("lastY", n.lastY)
 	reg.Dynamic("losses", n.encodeLosses, n.decodeLosses)
 	for c := range n.lastYRep {
 		reg.Vector(fmt.Sprintf("lastY/%d", c), n.lastYRep[c])
@@ -217,14 +209,14 @@ func (n *tierNode) initCheckpoint() (int, error) {
 // stashPending appends the ride-ahead stash to dst for snapshotting, keying
 // senders by their index in the child level.
 func (n *tierNode) stashPending(dst []float64) []float64 {
-	return encodePending(dst, n.pending, n.nvPerReport(), len(n.lastY), func(from string) (int, bool) {
+	return encodePending(dst, n.pending, len(n.tier.XPlus), func(from string) (int, bool) {
 		a, ok := n.ts.index[from]
 		return a.idx, ok && a.lvl == n.lvl+1
 	})
 }
 
 func (n *tierNode) unstashPending(flat []float64) error {
-	msgs, err := decodePending(flat, n.nvPerReport(), len(n.lastY), KindTierReport, n.ts.ids[n.lvl+1])
+	msgs, err := decodePending(flat, len(n.tier.XPlus), KindTierReport, n.ts.ids[n.lvl+1])
 	if err != nil {
 		return err
 	}
@@ -451,11 +443,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 		// Settle the round's remaining state and snapshot it BEFORE the
 		// redistribution: a resumed node then re-sends the snapshotted round's
 		// update, so children can never be stranded waiting for an update that
-		// died with this process. (lastY only feeds the next round's velocity
-		// signal, so refreshing it ahead of the sends changes no message.)
-		if err := n.lastY.CopyFrom(n.tier.YMinus); err != nil {
-			return nil, err
-		}
+		// died with this process.
 		n.epoch = n.ts.epochAt(n.lvl, k)
 		if err := saveSnapshot(n.reg, k, n.opts.Telemetry, n.id()); err != nil {
 			return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
@@ -696,9 +684,21 @@ func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.
 		}
 		return false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
 	}
-	if len(msg.Vectors) != n.nvPerReport() {
-		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d",
-			msg.From, len(msg.Vectors), n.nvPerReport())
+	if len(msg.Vectors) != reportVectors {
+		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d: %w",
+			msg.From, len(msg.Vectors), reportVectors, ErrMalformedReport)
+	}
+	if n.ts.adapt[n.lvl] {
+		// An honest leaf's term is a clamped cosine (tensor.CosineFromDot
+		// maps degenerate reductions to 0), so anything else was crafted.
+		c, ok := msg.Scalars[ScalarCos]
+		if !ok {
+			return false, fmt.Errorf("cluster: report from %q carries no eq. (6) term: %w", msg.From, ErrMalformedReport)
+		}
+		if !(c >= -1 && c <= 1) {
+			return false, fmt.Errorf("cluster: report from %q carries eq. (6) term %v outside [-1, 1]: %w",
+				msg.From, c, ErrMalformedReport)
+		}
 	}
 	if reports[pos].Vectors != nil {
 		// A duplicate must not overwrite the slot twice while inflating the
@@ -728,8 +728,8 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	t := k * n.tau()
 	if n.leafParent() {
 		for j, i := range idx {
-			v := reports[i].Vectors
-			n.tier.Y[j], n.tier.X[j], n.tier.GradSum[j], n.tier.YSum[j], n.tier.VelRef[j] = v[0], v[1], v[2], v[3], n.lastY
+			msg := reports[i]
+			n.tier.Y[j], n.tier.X[j], n.tier.Cos[j] = msg.Vectors[0], msg.Vectors[1], msg.Scalars[ScalarCos]
 		}
 	}
 	// γℓ migration: on the first aggregation after this node's cohort changed

@@ -53,7 +53,9 @@ func ClampGamma(cos, ceiling float64) float64 {
 // EdgeCosine computes eq. (6): the Dᵢ/Dℓ-weighted average over the edge's
 // workers of the cosine between the negated accumulated gradient and the
 // chosen momentum signal. The negation is folded into the reduction
-// (tensor.NegCosine), so no worker's gradient sum is ever cloned.
+// (tensor.NegCosine), so no worker's gradient sum is ever cloned. Tier.Update
+// performs the same sum over terms its reporters computed with Level.Term,
+// so this whole-cohort form is the reference the kernel is tested against.
 func EdgeCosine(weights []float64, gradSums, signals []tensor.Vector) (float64, error) {
 	if len(weights) != len(gradSums) || len(weights) != len(signals) {
 		return 0, fmt.Errorf("core: cosine over %d/%d/%d entries: %w",

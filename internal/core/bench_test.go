@@ -163,10 +163,11 @@ func BenchmarkRobustAggregate(b *testing.B) {
 }
 
 // BenchmarkLeafParentRound times one leaf-parent round's kernel arithmetic at
-// the sync workload's shape (dim 15 380, four reporters): everything between
-// the reports landing and the round's outcome, with the reports already in
-// memory. The rows are the adaptive level on either signal, HierAdMo-R's fixed
-// factor, and the adaptive level under the robust median.
+// the sync workload's shape (dim 15 380, four reporters): every reporter's
+// eq. (6) term, which the leaves compute in a run, and Tier.Update, with the
+// reports already in memory. The rows are the adaptive level on either
+// signal, HierAdMo-R's fixed factor, and the adaptive level under the robust
+// median.
 func BenchmarkLeafParentRound(b *testing.B) {
 	const dim, fan = 15380, 4
 	r := rng.New(41)
@@ -207,7 +208,15 @@ func BenchmarkLeafParentRound(b *testing.B) {
 			tier := core.NewTier(row.lv, fan, func() tensor.Vector { return tensor.NewVector(dim) })
 			round := func() {
 				for j := 0; j < fan; j++ {
-					tier.Y[j], tier.X[j], tier.GradSum[j], tier.YSum[j], tier.VelRef[j] = ys[j], xs[j], gradSums[j], ySums[j], x0
+					tier.Y[j], tier.X[j] = ys[j], xs[j]
+					if !row.lv.Adapt {
+						continue
+					}
+					c, err := row.lv.Term(gradSums[j], ySums[j], ys[j], x0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					tier.Cos[j] = c
 				}
 				if _, err := tier.Update(full, idx, 1); err != nil {
 					b.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"hieradmo/internal/robust"
 	"hieradmo/internal/tensor"
@@ -114,17 +115,44 @@ type Level struct {
 	Agg robust.Aggregator
 }
 
-// Vectors is the number of model-sized vectors NewTier draws for a level
-// with the given maximum cohort size.
-func (lv Level) Vectors(fan int) int {
-	n := 4
-	if lv.Adapt {
-		n += fan
+// Term is one reporter's eq. (6) term: the cosine between −Σ∇F and the
+// level's signal, Σy − τ·x⁰, or y − yStart under SignalVelocity (yStart being
+// the momentum the reporter started its interval from). Every input is the
+// reporter's own, so each reporter computes its term where its accumulators
+// live and only the scalar reaches the parent (Tier.Cos). It is one pass: the
+// signal is formed in registers, and the dot product and both squared norms
+// run in three accumulators, each in index order — bitwise tensor.NegCosine of
+// Σ∇F against the signal materialized by CopyFrom and AXPY (or Sub).
+func (lv Level) Term(gradSum, ySum, y, yStart tensor.Vector) (float64, error) {
+	a, b, c := ySum, lv.X0, -float64(lv.Tau)
+	if lv.Signal == SignalVelocity {
+		// y + (−1)·yStart is y − yStart to the bit: negation is exact, and
+		// IEEE subtraction is the addition of the negation.
+		a, b, c = y, yStart, -1
 	}
+	n := len(gradSum)
+	if len(a) != n || len(b) != n {
+		return 0, fmt.Errorf("core: eq. (6) term over Σ∇F/signal/reference of %d/%d/%d: %w",
+			n, len(a), len(b), tensor.ErrDimMismatch)
+	}
+	a, b = a[:n], b[:n]
+	var dot, gg, ss float64
+	for i, g := range gradSum {
+		s := a[i]
+		s += c * b[i]
+		dot += g * s
+		gg += g * g
+		ss += s * s
+	}
+	return tensor.CosineFromDot(-dot, math.Sqrt(gg), math.Sqrt(ss)), nil
+}
+
+// Vectors is the number of model-sized vectors NewTier draws for the level.
+func (lv Level) Vectors() int {
 	if lv.Agg != nil {
-		n++
+		return 5
 	}
-	return n
+	return 3
 }
 
 // Tier is one aggregating node's Algorithm 1 state plus the scratch its
@@ -138,16 +166,16 @@ type Tier struct {
 	// The round's reports, by reporter slot j (the j-th entry of Update's
 	// idx): the driver points slot j at that child's vectors — its own state,
 	// a received message, a quantized copy — before calling Update. GradSum
-	// and YSum are read only when the level adapts; VelRef[j] is the
-	// SignalVelocity reference, the momentum child j started its interval
-	// from.
-	Y, X, GradSum, YSum, VelRef []tensor.Vector //flvet:allow ckptstate -- per-round inputs, pointed at the round's reports before every Update
+	// is for rule hooks only; the kernel reads it nowhere.
+	Y, X, GradSum []tensor.Vector //flvet:allow ckptstate -- per-round inputs, pointed at the round's reports before every Update
+	// Cos[j] is reporter j's eq. (6) term (Level.Term), read only when the
+	// level adapts.
+	Cos []float64 //flvet:allow ckptstate -- per-round input, filled from the round's reports before every Update
 
 	lv Level
-	//flvet:allow ckptstate -- per-round scratch, overwritten by the round's reduction before it is read
+	//flvet:allow ckptstate -- per-round scratch of the robust rule, overwritten by its reduction before it is read
 	yPlusNext, refY tensor.Vector
-	weights         []float64       //flvet:allow ckptstate -- per-round scratch, refilled from Update's arguments
-	signals         []tensor.Vector //flvet:allow ckptstate -- per-round scratch, recomputed from the reports before EdgeCosine reads it
+	weights         []float64 //flvet:allow ckptstate -- per-round scratch, refilled from Update's arguments
 	// dsts, refs and comps are the robust rule's argument headers, assembled
 	// once: the vectors they name never rebind.
 	dsts, refs []tensor.Vector //flvet:allow ckptstate -- aliases of YMinus, yPlusNext, refY and XPlus, not state of their own
@@ -155,29 +183,24 @@ type Tier struct {
 }
 
 // NewTier builds a level's node at the shared initialization (line 2) for
-// cohorts of at most fan children, drawing lv.Vectors(fan) zero vectors from
+// cohorts of at most fan children, drawing lv.Vectors() zero vectors from
 // newVec.
 func NewTier(lv Level, fan int, newVec func() tensor.Vector) *Tier {
-	// The slot columns share one backing array: a tier is a handful of
-	// allocations however many columns its level needs.
-	slots := make([]tensor.Vector, 6*fan)
+	// The slot columns share one backing array, and the weights and terms
+	// another: a tier is a handful of allocations however large its cohort.
+	slots := make([]tensor.Vector, 3*fan)
 	col := func(c int) []tensor.Vector { return slots[c*fan : (c+1)*fan : (c+1)*fan] }
+	scalars := make([]float64, 2*fan)
 	t := &Tier{
-		YMinus: newVec(), YPlus: newVec(), XPlus: newVec(), yPlusNext: newVec(),
-		Y: col(0), X: col(1), GradSum: col(2), YSum: col(3), VelRef: col(4),
-		lv: lv, weights: make([]float64, fan),
+		YMinus: newVec(), YPlus: newVec(), XPlus: newVec(),
+		Y: col(0), X: col(1), GradSum: col(2), Cos: scalars[fan : 2*fan : 2*fan],
+		lv: lv, weights: scalars[:fan:fan],
 	}
 	copy(t.YMinus, lv.X0)
 	copy(t.YPlus, lv.X0)
 	copy(t.XPlus, lv.X0)
-	if lv.Adapt {
-		t.signals = col(5)
-		for j := range t.signals {
-			t.signals[j] = newVec()
-		}
-	}
 	if lv.Agg != nil {
-		t.refY = newVec()
+		t.yPlusNext, t.refY = newVec(), newVec()
 		t.dsts = []tensor.Vector{t.YMinus, t.yPlusNext}
 		t.refs = []tensor.Vector{t.refY, t.XPlus}
 		t.comps = make([][]tensor.Vector, 2)
@@ -243,65 +266,96 @@ func (t *Tier) Update(full []float64, idx []int, carry float64) (Outcome, error)
 
 	out := Outcome{Gamma: t.lv.Gamma}
 	if t.lv.Adapt {
-		// Line 10, eq. (6)–(7).
-		signals := t.signals[:n]
-		for j, sig := range signals {
-			var err error
-			if t.lv.Signal == SignalVelocity {
-				if err = sig.CopyFrom(ys[j]); err == nil {
-					err = sig.Sub(t.VelRef[j])
-				}
-			} else {
-				if err = sig.CopyFrom(t.YSum[j]); err == nil {
-					err = sig.AXPY(-float64(t.lv.Tau), t.lv.X0)
-				}
-			}
-			if err != nil {
-				return Outcome{}, fmt.Errorf("core: reporter %d signal: %w", j, err)
-			}
-		}
-		cos, err := EdgeCosine(w, t.GradSum[:n], signals)
-		if err != nil {
-			return Outcome{}, err
+		// Line 10, eq. (6)–(7): the reporters' terms, weighted and summed in
+		// ascending slot order — EdgeCosine's sequence.
+		var cos float64
+		for j, c := range t.Cos[:n] {
+			cos += w[j] * c
 		}
 		out.Cos, out.Gamma = cos, ClampGamma(cos, t.lv.Ceiling)
 	}
 	out.Applied = out.Gamma * carry
 
-	// Lines 11–12 (18–19): y_ℓ− and the next y_ℓ+, which reduces to the
-	// weighted average of the child models (tested in hieradmo_test.go).
 	if t.lv.Agg == nil {
-		if err := tensor.WeightedSum(t.YMinus, w, ys); err != nil {
-			return Outcome{}, err
-		}
-		if err := tensor.WeightedSum(t.yPlusNext, w, xs); err != nil {
-			return Outcome{}, err
-		}
-	} else {
-		// YMinus is both the y stream's reference and its destination, so the
-		// previous aggregate is copied out first; XPlus is overwritten only
-		// below.
-		if err := t.refY.CopyFrom(t.YMinus); err != nil {
-			return Outcome{}, err
-		}
-		t.comps[0], t.comps[1] = ys, xs
-		st, err := t.lv.Agg.Aggregate(t.dsts, t.refs, w, t.comps)
-		if err != nil {
-			return Outcome{}, fmt.Errorf("core: robust %s aggregation: %w", t.lv.Agg.Name(), err)
-		}
-		out.Robust = st
+		return out, t.mean(w, ys, xs, out.Applied)
 	}
-	// Line 13: x_ℓ+ ← y⁺ + γℓ(y⁺ − y_ℓ+).
-	if err := t.XPlus.CopyFrom(t.yPlusNext); err != nil {
+	// Lines 11–12 under a robust rule. YMinus is both the y stream's reference
+	// and its destination, so the previous aggregate is copied out first;
+	// XPlus is overwritten only below.
+	if err := t.refY.CopyFrom(t.YMinus); err != nil {
 		return Outcome{}, err
 	}
-	if t.lv.Momentum {
-		if err := t.XPlus.AXPY(out.Applied, t.yPlusNext); err != nil {
-			return Outcome{}, err
-		}
-		if err := t.XPlus.AXPY(-out.Applied, t.YPlus); err != nil {
-			return Outcome{}, err
+	t.comps[0], t.comps[1] = ys, xs
+	st, err := t.lv.Agg.Aggregate(t.dsts, t.refs, w, t.comps)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("core: robust %s aggregation: %w", t.lv.Agg.Name(), err)
+	}
+	out.Robust = st
+	xPlus, yPlus := t.XPlus, t.YPlus[:len(t.XPlus)]
+	for i, p := range t.yPlusNext[:len(xPlus)] {
+		xPlus[i], yPlus[i] = t.line13(p, yPlus[i], out.Applied), p
+	}
+	return out, nil
+}
+
+// line13 is x_ℓ+ ← y⁺ + γℓ(y⁺ − y_ℓ+) for one element, in the order of the
+// whole-vector composition it replaced: x = y⁺, x += γ·y⁺, x += (−γ)·y_ℓ+.
+// Without momentum it is y⁺ itself, so an exact −0 survives.
+func (t *Tier) line13(p, yOld, gamma float64) float64 {
+	if !t.lv.Momentum {
+		return p
+	}
+	x := p
+	x += gamma * p
+	x += -gamma * yOld
+	return x
+}
+
+// mean is lines 11–13 and the y_ℓ+ roll under the weighted mean, in one pass
+// over the reports: per element, y_ℓ− and y⁺ accumulate from +0 over the
+// reporters in slot order (tensor.WeightedSum's sequence, which reduces y⁺ to
+// the weighted average of the child models — tested in hieradmo_test.go),
+// then x_ℓ+ takes line 13 and y_ℓ+ becomes y⁺. Every report is checked
+// before the first write, so a rejected round leaves the tier as it was.
+func (t *Tier) mean(w []float64, ys, xs []tensor.Vector, gamma float64) error {
+	dim := len(t.XPlus)
+	for j := range ys {
+		if len(ys[j]) != dim || len(xs[j]) != dim {
+			return fmt.Errorf("core: reporter %d sends y/x of %d/%d for a model of %d: %w",
+				j, len(ys[j]), len(xs[j]), dim, tensor.ErrDimMismatch)
 		}
 	}
-	return out, t.YPlus.CopyFrom(t.yPlusNext)
+	yMinus, xPlus, yPlus := t.YMinus[:dim], t.XPlus, t.YPlus[:dim]
+	// Four elements per step, as in WeightedSum: eight independent
+	// accumulators hide the add latency of the reporter chain and amortize
+	// each report's slice headers.
+	i := 0
+	for ; i+4 <= dim; i += 4 {
+		var m0, m1, m2, m3, p0, p1, p2, p3 float64
+		for j, wj := range w {
+			y, x := ys[j][i:i+4:i+4], xs[j][i:i+4:i+4]
+			m0 += wj * y[0]
+			m1 += wj * y[1]
+			m2 += wj * y[2]
+			m3 += wj * y[3]
+			p0 += wj * x[0]
+			p1 += wj * x[1]
+			p2 += wj * x[2]
+			p3 += wj * x[3]
+		}
+		m, xp, yp := yMinus[i:i+4:i+4], xPlus[i:i+4:i+4], yPlus[i:i+4:i+4]
+		m[0], m[1], m[2], m[3] = m0, m1, m2, m3
+		xp[0], xp[1], xp[2], xp[3] = t.line13(p0, yp[0], gamma), t.line13(p1, yp[1], gamma),
+			t.line13(p2, yp[2], gamma), t.line13(p3, yp[3], gamma)
+		yp[0], yp[1], yp[2], yp[3] = p0, p1, p2, p3
+	}
+	for ; i < dim; i++ {
+		var m, p float64
+		for j, wj := range w {
+			m += wj * ys[j][i]
+			p += wj * xs[j][i]
+		}
+		yMinus[i], xPlus[i], yPlus[i] = m, t.line13(p, yPlus[i], gamma), p
+	}
+	return nil
 }

@@ -32,9 +32,18 @@ func randomVecs(r *rng.RNG, n, dim int) []tensor.Vector {
 	return vs
 }
 
-// report points slot j of t at the given vectors.
-func report(t *Tier, j int, y, x, gradSum, ySum, velRef tensor.Vector) {
-	t.Y[j], t.X[j], t.GradSum[j], t.YSum[j], t.VelRef[j] = y, x, gradSum, ySum, velRef
+// report points slot j of t at a child's y and x.
+func report(t *Tier, j int, y, x tensor.Vector) {
+	t.Y[j], t.X[j] = y, x
+}
+
+// adaptReport is report plus the child's own eq. (6) term, computed from its
+// accumulators and interval start as a driver computes it.
+func adaptReport(t *Tier, j int, y, x, gradSum, ySum, yStart tensor.Vector) error {
+	report(t, j, y, x)
+	c, err := t.lv.Term(gradSum, ySum, y, yStart)
+	t.Cos[j] = c
+	return err
 }
 
 func sameBits(a, b tensor.Vector) bool {
@@ -196,6 +205,182 @@ func TestLeafStepRejectsMismatchedVectors(t *testing.T) {
 	}
 }
 
+// drawSpecial fills v from r for the fused-kernel oracles: by mode, all zeros,
+// ordinary values salted with signed zeros, values whose squares underflow
+// and non-finite ones, all values at 1e-200, or ordinary values only.
+func drawSpecial(r *rng.RNG, v tensor.Vector, mode int) {
+	special := []float64{0, math.Copysign(0, -1), 1e-200, -1e-200, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for i := range v {
+		switch {
+		case mode == 0:
+			v[i] = 0
+		case mode == 1 && r.Intn(3) == 0:
+			v[i] = special[r.Intn(len(special))]
+		case mode == 2:
+			v[i] = 1e-200 * r.Norm()
+		default:
+			v[i] = r.Norm()
+		}
+	}
+}
+
+// TestLevelTermMatchesNegCosine holds the one-pass term to its definition:
+// tensor.NegCosine of Σ∇F against the signal materialized the way Update
+// built it before the term moved to the reporters — CopyFrom(Σy) then
+// AXPY(−τ, x⁰), or CopyFrom(y) then Sub(yStart) — bit for bit, on both
+// signals, every n mod 4 tail, and inputs with signed zeros, zero vectors,
+// underflowing squares and non-finite values.
+func TestLevelTermMatchesNegCosine(t *testing.T) {
+	r := rng.New(43)
+	for _, signal := range []AdaptSignal{SignalYSum, SignalVelocity} {
+		for _, dim := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 37} {
+			for trial := 0; trial < 300; trial++ {
+				// x⁰, Σ∇F, Σy, y, yStart.
+				vs := make([]tensor.Vector, 5)
+				for k := range vs {
+					vs[k] = tensor.NewVector(dim)
+					drawSpecial(r, vs[k], r.Intn(6))
+				}
+				lv := Level{Adapt: true, Signal: signal, Tau: 1 + r.Intn(8), X0: vs[0]}
+				got, err := lv.Term(vs[1], vs[2], vs[3], vs[4])
+				if err != nil {
+					t.Fatal(err)
+				}
+				sig := tensor.NewVector(dim)
+				if signal == SignalVelocity {
+					err = errors.Join(sig.CopyFrom(vs[3]), sig.Sub(vs[4]))
+				} else {
+					err = errors.Join(sig.CopyFrom(vs[2]), sig.AXPY(-float64(lv.Tau), lv.X0))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := tensor.NegCosine(vs[1], sig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v dim %d trial %d: term %v, NegCosine over the materialized signal %v", signal, dim, trial, got, want)
+				}
+			}
+		}
+		lv := Level{Adapt: true, Signal: signal, X0: tensor.NewVector(3)}
+		if _, err := lv.Term(tensor.NewVector(3), tensor.NewVector(2), tensor.NewVector(2), tensor.NewVector(3)); !errors.Is(err, tensor.ErrDimMismatch) {
+			t.Errorf("%v: short signal operand: err = %v, want a wrapped ErrDimMismatch", signal, err)
+		}
+	}
+}
+
+// meanRef is lines 11–13 and the y_ℓ+ roll as the whole-vector composition
+// Update ran before they became one pass — two WeightedSums, then CopyFrom,
+// two AXPYs and CopyFrom — the reference for the pass's per-element order.
+func meanRef(yMinus, yPlus, xPlus, next tensor.Vector, w []float64, ys, xs []tensor.Vector, momentum bool, gamma float64) error {
+	if err := tensor.WeightedSum(yMinus, w, ys); err != nil {
+		return err
+	}
+	if err := tensor.WeightedSum(next, w, xs); err != nil {
+		return err
+	}
+	if err := xPlus.CopyFrom(next); err != nil {
+		return err
+	}
+	if momentum {
+		if err := xPlus.AXPY(gamma, next); err != nil {
+			return err
+		}
+		if err := xPlus.AXPY(-gamma, yPlus); err != nil {
+			return err
+		}
+	}
+	return yPlus.CopyFrom(next)
+}
+
+// sameValues is sameBits with every NaN equal to every other: which operand's
+// payload an add of two NaNs propagates is the compiler's register choice,
+// not the arithmetic's order.
+func sameValues(a, b tensor.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTierMeanMatchesVectorComposition chains seeded mean-rule rounds through
+// Update and through meanRef and compares y_ℓ−, x_ℓ+ and y_ℓ+ bit for bit
+// (NaN payloads aside): momentum on and off, γℓ of ±0, partial cohorts,
+// carry 0, every n mod 4 tail, and reports and x⁰ salted with −0 and the
+// other special values.
+func TestTierMeanMatchesVectorComposition(t *testing.T) {
+	const fan, rounds = 4, 60
+	full := []float64{0.1, 0.2, 0.3, 0.4}
+	for _, momentum := range []bool{false, true} {
+		for _, gamma := range []float64{0.7, 0, math.Copysign(0, -1)} {
+			for _, dim := range []int{1, 2, 3, 4, 5, 6, 7, 8, 37} {
+				r := rng.New(uint64(dim))
+				x0 := tensor.NewVector(dim)
+				drawSpecial(r, x0, 1)
+				tier := NewTier(Level{Momentum: momentum, Gamma: gamma, X0: x0}, fan, heapVec(dim))
+				yMinus, yPlus, xPlus, next := x0.Clone(), x0.Clone(), x0.Clone(), tensor.NewVector(dim)
+				ys, xs := randomVecs(r, fan, dim), randomVecs(r, fan, dim)
+				for k := 0; k < rounds; k++ {
+					var idx []int
+					for len(idx) == 0 {
+						idx = idx[:0]
+						for i := range full {
+							if r.Intn(4) != 0 {
+								idx = append(idx, i)
+							}
+						}
+					}
+					w := make([]float64, len(idx))
+					var wsum float64
+					for j, i := range idx {
+						w[j] = full[i]
+						wsum += w[j]
+					}
+					if len(idx) < len(full) {
+						for j := range w {
+							w[j] /= wsum
+						}
+					}
+					for j := range idx {
+						drawSpecial(r, ys[j], 1+2*r.Intn(3))
+						drawSpecial(r, xs[j], 1+2*r.Intn(3))
+						report(tier, j, ys[j], xs[j])
+					}
+					out, err := tier.Update(full, idx, []float64{1, 0, 0.5}[r.Intn(3)])
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := len(idx)
+					if err := meanRef(yMinus, yPlus, xPlus, next, w, ys[:n], xs[:n], momentum, out.Applied); err != nil {
+						t.Fatal(err)
+					}
+					if !sameValues(tier.YMinus, yMinus) || !sameValues(tier.XPlus, xPlus) || !sameValues(tier.YPlus, yPlus) {
+						t.Fatalf("momentum=%v γ=%v dim %d round %d: the one pass diverges from the vector composition",
+							momentum, gamma, dim, k)
+					}
+				}
+			}
+		}
+	}
+	// A report of the wrong length is refused before anything is written.
+	tier := NewTier(Level{Momentum: true, Gamma: 0.5, X0: tensor.Vector{1, 2, 3, 4, 5}}, 2, heapVec(5))
+	report(tier, 0, tensor.Vector{1, 1, 1, 1, 1}, tensor.Vector{2, 2, 2, 2, 2})
+	report(tier, 1, tensor.Vector{1, 1, 1, 1, 1}, tensor.Vector{2, 2, 2, 2})
+	if _, err := tier.Update([]float64{0.5, 0.5}, seq(2), 1); !errors.Is(err, tensor.ErrDimMismatch) {
+		t.Errorf("short report: err = %v, want a wrapped ErrDimMismatch", err)
+	}
+	if want := (tensor.Vector{1, 2, 3, 4, 5}); !sameBits(tier.XPlus, want) || !sameBits(tier.YMinus, want) || !sameBits(tier.YPlus, want) {
+		t.Errorf("a refused round wrote: x⁺ %v, y⁻ %v, y⁺ %v", tier.XPlus, tier.YMinus, tier.YPlus)
+	}
+}
+
 // TestTierZeroGammaIsWeightedAverage: a momentum level with γℓ = 0 and the
 // plain-average level both land on tensor.WeightedSum of the reports, to the
 // bit.
@@ -218,7 +403,7 @@ func TestTierZeroGammaIsWeightedAverage(t *testing.T) {
 	} {
 		tier := NewTier(lv, fan, heapVec(dim))
 		for j := range ys {
-			report(tier, j, ys[j], xs[j], nil, nil, nil)
+			report(tier, j, ys[j], xs[j])
 		}
 		out, err := tier.Update(full, seq(fan), 1)
 		if err != nil {
@@ -239,7 +424,7 @@ func TestTierMomentumStep(t *testing.T) {
 	x0 := tensor.Vector{1, 1}
 	tier := NewTier(Level{Momentum: true, Gamma: 0.5, X0: x0}, 1, heapVec(2))
 	y, x := tensor.Vector{9, 9}, tensor.Vector{3, 5}
-	report(tier, 0, y, x, nil, nil, nil)
+	report(tier, 0, y, x)
 	out, err := tier.Update([]float64{1}, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +466,7 @@ func TestTierMatchesCloudAverage(t *testing.T) {
 	}
 	cloud := NewTier(Level{X0: tensor.NewVector(dim)}, cfg.NumEdges(), heapVec(dim))
 	for l := range ys {
-		report(cloud, l, ys[l], xs[l], nil, nil, nil)
+		report(cloud, l, ys[l], xs[l])
 	}
 	if _, err := cloud.Update(hn.EdgeWeights, seq(cfg.NumEdges()), 1); err != nil {
 		t.Fatal(err)
@@ -315,7 +500,7 @@ func TestTierPartialCohortRenormalizes(t *testing.T) {
 	}
 	tier := NewTier(Level{X0: tensor.NewVector(dim)}, len(full), heapVec(dim))
 	for j := range idx {
-		report(tier, j, ys[j], xs[j], nil, nil, nil)
+		report(tier, j, ys[j], xs[j])
 	}
 	if _, err := tier.Update(full, idx, 1); err != nil {
 		t.Fatal(err)
@@ -443,7 +628,9 @@ func TestAdaptationTable(t *testing.T) {
 				tier := NewTier(lv, n, heapVec(2))
 				zero := tensor.NewVector(2)
 				for j := range tc.weights {
-					report(tier, j, tc.signals[j], tensor.NewVector(2), tc.gradSums[j], tensor.NewVector(2), zero)
+					if err := adaptReport(tier, j, tc.signals[j], tensor.NewVector(2), tc.gradSums[j], tensor.NewVector(2), zero); err != nil {
+						t.Fatal(err)
+					}
 				}
 				out, err := tier.Update(tc.weights, seq(n), 1)
 				if err != nil {
@@ -474,7 +661,9 @@ func TestTierYSumSignalIsCentred(t *testing.T) {
 	tier := NewTier(lv, 1, heapVec(2))
 	grad := tensor.Vector{1, 0}
 	still := tensor.Vector{400, -200} // Σ over τ = 4 steps of y = x⁰
-	report(tier, 0, x0, x0, grad, still, nil)
+	if err := adaptReport(tier, 0, x0, x0, grad, still, nil); err != nil {
+		t.Fatal(err)
+	}
 	out, err := tier.Update([]float64{1}, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -483,17 +672,18 @@ func TestTierYSumSignalIsCentred(t *testing.T) {
 		t.Errorf("stationary leaf: cos %v γℓ %v, want 0", out.Cos, out.Gamma)
 	}
 	moved := tensor.Vector{400 - 8, -200} // drifted along −∇F
-	report(tier, 0, x0, x0, grad, moved, nil)
+	if err := adaptReport(tier, 0, x0, x0, grad, moved, nil); err != nil {
+		t.Fatal(err)
+	}
 	if out, err = tier.Update([]float64{1}, []int{0}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if out.Cos != 1 || out.Gamma != DefaultClampCeiling {
 		t.Errorf("descending leaf: cos %v γℓ %v, want 1 clamped to the ceiling", out.Cos, out.Gamma)
 	}
-	// An adaptive level without the accumulators is a shape error, not a panic.
-	report(tier, 0, x0, x0, nil, nil, nil)
-	if _, err := tier.Update([]float64{1}, []int{0}, 1); err == nil {
-		t.Error("adaptive Update accepted a report without accumulators")
+	// A term without the accumulators is a shape error, not a panic.
+	if _, err := lv.Term(nil, nil, x0, nil); !errors.Is(err, tensor.ErrDimMismatch) {
+		t.Errorf("term without accumulators: err = %v, want a wrapped ErrDimMismatch", err)
 	}
 }
 
@@ -511,7 +701,7 @@ func TestTierPlainLevelKeepsNegativeZero(t *testing.T) {
 	for _, momentum := range []bool{false, true} {
 		tier := NewTier(Level{Momentum: momentum, X0: x0, Agg: median}, 3, heapVec(1))
 		for j := 0; j < 3; j++ {
-			report(tier, j, tensor.Vector{negZero}, tensor.Vector{negZero}, nil, nil, nil)
+			report(tier, j, tensor.Vector{negZero}, tensor.Vector{negZero})
 		}
 		if _, err := tier.Update([]float64{0.4, 0.3, 0.3}, seq(3), 1); err != nil {
 			t.Fatal(err)
@@ -531,9 +721,9 @@ func TestTierRobustRejectsAcrossStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	tier := NewTier(Level{X0: tensor.Vector{0}, Agg: median}, 3, heapVec(1))
-	report(tier, 0, tensor.Vector{1}, tensor.Vector{10}, nil, nil, nil)
-	report(tier, 1, tensor.Vector{2}, tensor.Vector{20}, nil, nil, nil)
-	report(tier, 2, tensor.Vector{math.NaN()}, tensor.Vector{1000}, nil, nil, nil)
+	report(tier, 0, tensor.Vector{1}, tensor.Vector{10})
+	report(tier, 1, tensor.Vector{2}, tensor.Vector{20})
+	report(tier, 2, tensor.Vector{math.NaN()}, tensor.Vector{1000})
 	out, err := tier.Update([]float64{0.2, 0.3, 0.5}, seq(3), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -548,7 +738,7 @@ func TestTierRobustRejectsAcrossStreams(t *testing.T) {
 	}
 	// Every reporter non-finite: the rule's error surfaces, named.
 	for j := 0; j < 3; j++ {
-		report(tier, j, tensor.Vector{math.Inf(1)}, tensor.Vector{1}, nil, nil, nil)
+		report(tier, j, tensor.Vector{math.Inf(1)}, tensor.Vector{1})
 	}
 	if _, err := tier.Update([]float64{0.2, 0.3, 0.5}, seq(3), 1); err == nil || !strings.Contains(err.Error(), "median") {
 		t.Errorf("all-non-finite cohort: err = %v, want a median aggregation error", err)
@@ -557,7 +747,8 @@ func TestTierRobustRejectsAcrossStreams(t *testing.T) {
 
 // TestKernelAllocFree pins the steady state: after the first step or round
 // has sized the batch buffer and warmed the model's workspace pool, a leaf
-// step (gradient included) and a mean-path tier round allocate nothing.
+// step (gradient included) and a mean-path tier round, its reporters' terms
+// included, allocate nothing.
 func TestKernelAllocFree(t *testing.T) {
 	cfg := buildConfig(t, []int{2}, 0, 3)
 	dim := cfg.Model.Dim()
@@ -584,15 +775,22 @@ func TestKernelAllocFree(t *testing.T) {
 	full := []float64{0.25, 0.25, 0.25, 0.25}
 	idx := seq(fan)
 	for name, lv := range map[string]Level{
-		"momentum+adapt": {Momentum: true, Adapt: true, Signal: SignalYSum, Ceiling: DefaultClampCeiling, Tau: 2, X0: x0},
-		"momentum fixed": {Momentum: true, Gamma: 0.5, X0: x0},
-		"plain average":  {X0: x0},
+		"momentum+adapt":  {Momentum: true, Adapt: true, Signal: SignalYSum, Ceiling: DefaultClampCeiling, Tau: 2, X0: x0},
+		"velocity signal": {Momentum: true, Adapt: true, Signal: SignalVelocity, Ceiling: DefaultClampCeiling, X0: x0},
+		"momentum fixed":  {Momentum: true, Gamma: 0.5, X0: x0},
+		"plain average":   {X0: x0},
 	} {
 		tier := NewTier(lv, fan, heapVec(dim))
-		for j := 0; j < fan; j++ {
-			report(tier, j, ys[j], xs[j], gs[j], ss[j], x0)
-		}
 		round := func() {
+			for j := 0; j < fan; j++ {
+				report(tier, j, ys[j], xs[j])
+				if !lv.Adapt {
+					continue
+				}
+				if err := adaptReport(tier, j, ys[j], xs[j], gs[j], ss[j], x0); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if _, err := tier.Update(full, idx, 1); err != nil {
 				t.Fatal(err)
 			}

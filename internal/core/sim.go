@@ -236,7 +236,7 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 	for k, lev := range levels {
 		for _, n := range lev.nodes {
 			maxFan = max(maxFan, n.hi-n.lo)
-			vecCount += levelOf(k).Vectors(n.hi - n.lo)
+			vecCount += levelOf(k).Vectors()
 		}
 	}
 	quantBits := 0
@@ -575,10 +575,11 @@ func (s *sim) round(t, k, n int) error {
 }
 
 // uplink assembles the reports of a leaf-parent round (Alg. 1 line 9) from
-// the participating workers idx of node: it traces their training losses and
+// the participating workers idx of node: it traces their training losses,
 // points the tier's report slots at their state — or, under a configured
 // quantizer, at compressed copies (in reusable slab vectors), never the
-// workers' local state.
+// workers' local state — and, at an adaptive level, computes each worker's
+// eq. (6) term from what it reports, as a cluster leaf does before sending.
 func (s *sim) uplink(t int, node *simNode, idx []int) error {
 	if s.sink.Tracing() {
 		// The workers trained on the goroutine pool, but their per-step
@@ -596,18 +597,26 @@ func (s *sim) uplink(t int, node *simNode, idx []int) error {
 	e := node.tier
 	for j, i := range idx {
 		w := s.leaves[node.lo+i]
-		e.Y[j], e.X[j], e.GradSum[j], e.YSum[j], e.VelRef[j] = w.Y, w.X, w.GradSum, w.YSum, s.yStart[node.lo+i]
+		y, x, gradSum, ySum := w.Y, w.X, w.GradSum, w.YSum
 		if s.quantizer != nil {
 			q := s.quantBuf[4*j : 4*j+4]
-			for c, src := range []tensor.Vector{w.Y, w.X, w.GradSum, w.YSum} {
+			for c, src := range []tensor.Vector{y, x, gradSum, ySum} {
 				if err := q[c].CopyFrom(src); err != nil {
 					return err
 				}
 			}
-			e.Y[j], e.X[j], e.GradSum[j], e.YSum[j] = q[0], q[1], q[2], q[3]
+			y, x, gradSum, ySum = q[0], q[1], q[2], q[3]
 			for _, v := range q {
 				s.quantizer.Roundtrip(v)
 			}
+		}
+		e.Y[j], e.X[j], e.GradSum[j] = y, x, gradSum
+		if e.lv.Adapt {
+			cos, err := e.lv.Term(gradSum, ySum, y, s.yStart[node.lo+i])
+			if err != nil {
+				return fmt.Errorf("core: worker %d/%d term: %w", s.refs[node.lo+i].l, s.refs[node.lo+i].i, err)
+			}
+			e.Cos[j] = cos
 		}
 	}
 	return nil

@@ -60,7 +60,9 @@ func PaperTestbed(workersPerEdge []int, seed uint64) *Env {
 // ModelPayload returns the per-sync Payload for a model of dim float64
 // parameters. HierAdMo-style algorithms upload four model-sized vectors
 // (model, momentum, and the two interval accumulators of Alg. 1 line 9) and
-// download two; momentum-free algorithms move one each way.
+// download two; momentum-free algorithms move one each way. This is the
+// paper's protocol, which Fig. 2(h)/(l) time; the cluster runtime's leaves
+// send two vectors and their own eq. (6) term instead.
 func ModelPayload(dim int, momentum bool) Payload {
 	bytesPerVec := dim * 8
 	if momentum {

@@ -139,7 +139,7 @@ func Cosine(v, u Vector) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cosineFromDot(dot, v.Norm(), u.Norm()), nil
+	return CosineFromDot(dot, v.Norm(), u.Norm()), nil
 }
 
 // NegCosine returns the cosine of the angle between −v and u, with the same
@@ -151,12 +151,14 @@ func NegCosine(v, u Vector) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cosineFromDot(-dot, v.Norm(), u.Norm()), nil
+	return CosineFromDot(-dot, v.Norm(), u.Norm()), nil
 }
 
-// cosineFromDot finishes a cosine from its reduced pieces, mapping
-// degenerate inputs to 0 and clamping drift into [-1, 1].
-func cosineFromDot(dot, nv, nu float64) float64 {
+// CosineFromDot finishes a cosine from its reduced pieces — the dot product
+// and the two norms — mapping degenerate inputs to 0 and clamping drift into
+// [-1, 1]. Fused reductions that form one operand on the fly end here, so
+// they share Cosine's guards.
+func CosineFromDot(dot, nv, nu float64) float64 {
 	const eps = 1e-30
 	if nv < eps || nu < eps {
 		return 0

@@ -69,8 +69,10 @@ func (l *frameList) put(f *frame, gen uint64) {
 	l.mu.Unlock()
 }
 
+// newFrame sizes the scalar map for the largest scalar set the protocol
+// sends, a leaf report's loss and eq. (6) term.
 func newFrame(l *frameList) *frame {
-	return &frame{list: l, scalars: make(map[string]float64, 1)}
+	return &frame{list: l, scalars: make(map[string]float64, 2)}
 }
 
 // size makes room for nvec vectors totalling nfloat values. A buffer that
