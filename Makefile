@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build portable test vet lint lint-fast check race fuzz recover bench benchdiff benchall churn clean
+.PHONY: build portable test vet lint check race fuzz recover bench benchdiff benchall churn clean
 
 build:
 	$(GO) build ./...
@@ -32,49 +32,20 @@ vet:
 	$(GO) vet ./...
 
 ## lint: formatting plus the two static-analysis gates — stock go vet and
-## the repo's own flvet suite (determinism, map-order, reduction-order,
-## goroutine-policy, wire-allocation, nil-sink, checkpoint-completeness,
-## and allocation-free hot-path invariants; see DESIGN.md §11 and §13).
-## flvet runs against the committed baseline ratchet: accepted debt in
-## analysis_baseline.json passes, new findings fail, fixed findings
-## shrink the file.
+## the repo's own flvet suite (determinism, map-order, goroutine-policy,
+## wire-allocation, nil-sink and checkpoint-completeness invariants; see
+## DESIGN.md §11). A whole-module flvet run takes about a second.
 lint:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/flvet -baseline analysis_baseline.json ./...
-
-## lint-fast: flvet only over the packages whose files changed vs
-## origin/main (plus gofmt on the whole tree, which is cheap). Falls back
-## to the full run when the merge base is unavailable (shallow clone) or
-## when module-wide files like go.mod or the analysis suite itself
-## changed. The whole-program checkers (ckptstate, allocfree) still load
-## the full module for cross-package facts — this skips only the
-## per-package reporting, which is where the time goes.
-lint-fast:
-	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
-		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	@base=$$(git merge-base origin/main HEAD 2>/dev/null); \
-	if [ -z "$$base" ]; then \
-		echo "lint-fast: no merge base with origin/main; running full lint"; \
-		$(GO) run ./cmd/flvet -baseline analysis_baseline.json ./...; exit $$?; fi; \
-	changed=$$(git diff --name-only $$base HEAD -- '*.go'; git status --porcelain | awk '/\.go$$/ {print $$2}'); \
-	if echo "$$changed" | grep -qE '^(go\.mod|go\.sum|internal/analysis/)'; then \
-		echo "lint-fast: analysis suite or module files changed; running full lint"; \
-		$(GO) run ./cmd/flvet -baseline analysis_baseline.json ./...; exit $$?; fi; \
-	pkgs=$$(echo "$$changed" | xargs -r -n1 dirname | sort -u | sed 's|^|./|'); \
-	if [ -z "$$pkgs" ]; then echo "lint-fast: no Go changes vs origin/main"; exit 0; fi; \
-	echo "lint-fast: $$pkgs"; \
-	$(GO) run ./cmd/flvet -baseline analysis_baseline.json $$pkgs
+	$(GO) run ./cmd/flvet ./...
 
 ## check: the tier-1 gate — build (and the portable build, see above), lint
-## (gofmt + go vet + flvet against the committed baseline), the full test
-## suite, the crash-recovery integration pass, the race-detector sweep, and
-## the perf gate against the committed benchmark baseline. Also leaves the machine-readable
-## findings artifact (flvet_findings.json) for CI to archive and diff.
+## (gofmt + go vet + flvet), the full test suite, the crash-recovery
+## integration pass, the race-detector sweep, and the perf gate against the
+## committed benchmark baseline.
 check: build portable lint test recover race benchdiff
-	$(GO) run ./cmd/flvet -json ./... > flvet_findings.json || true
-	@echo "check: wrote flvet_findings.json"
 
 ## race: race-detect the distributed runtime, transport layers, checkpoint
 ## snapshot/restore, telemetry instruments (scraped concurrently with

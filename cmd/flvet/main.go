@@ -3,77 +3,51 @@
 // invariants — no wall-clock or unseeded randomness in deterministic
 // paths, no map-iteration order reaching reductions or the trace,
 // goroutines only via internal/parallel, no allocations sized from
-// unvalidated wire bytes, nil-safe telemetry instruments, complete
-// checkpoint registration, allocation-free pinned hot paths, and
-// fixed-order float reductions — enforced at vet time instead of
-// discovered by golden-trace diffs after the fact.
+// unvalidated wire bytes, nil-safe telemetry instruments, and complete
+// checkpoint registration — enforced at vet time instead of discovered by
+// golden-trace diffs after the fact.
 //
 // Usage:
 //
 //	flvet ./...                  # whole module (what make lint runs)
 //	flvet ./internal/core        # one package
 //	flvet -list                  # print the checkers and their one-line docs
-//	flvet -json ./...            # findings as a JSON array on stdout
-//	flvet -baseline analysis_baseline.json ./...
-//	flvet -write-baseline analysis_baseline.json ./...
 //
-// With -baseline, findings recorded in the committed baseline pass as
-// accepted debt, new findings fail, and fixed findings shrink the file
-// in place — the count only ratchets down. A missing or malformed
-// baseline is a hard error, never an empty one.
-//
-// Findings print as file:line:col: checker: message. A finding is
-// suppressed by annotating the offending line (or the line above) with
+// Findings print as file:line:col: checker: message, with the file
+// relative to the module root. A finding is suppressed by annotating the
+// offending line (or the line above) with
 //
 //	//flvet:allow <checker>[,<checker>...] -- <reason>
 //
 // Unused or malformed directives are errors too. Exit status: 0 clean,
-// 1 findings, 2 load/baseline failure.
+// 1 findings, 2 usage or load failure.
 package main
 
 import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"hieradmo/internal/analysis"
 )
 
-const usage = "usage: flvet [-list] [-json] [-baseline file] [-write-baseline file] [packages]"
+const usage = "usage: flvet [-list] [packages]"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(args []string, out, errOut io.Writer) int {
-	var (
-		patterns      []string
-		asJSON        bool
-		baselinePath  string
-		writeBaseline string
-	)
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
+	var patterns []string
+	for _, arg := range args {
 		switch arg {
 		case "-list", "--list":
 			for _, c := range analysis.Checkers() {
 				fmt.Fprintf(out, "%-10s %s\n", c.Name, c.Doc)
 			}
 			return 0
-		case "-json", "--json":
-			asJSON = true
-		case "-baseline", "--baseline", "-write-baseline", "--write-baseline":
-			if i+1 >= len(args) {
-				fmt.Fprintf(errOut, "flvet: %s needs a file argument (%s)\n", arg, usage)
-				return 2
-			}
-			i++
-			if strings.Contains(arg, "write") {
-				writeBaseline = args[i]
-			} else {
-				baselinePath = args[i]
-			}
 		case "-h", "-help", "--help":
 			fmt.Fprintln(errOut, usage)
 			return 2
@@ -84,10 +58,6 @@ func run(args []string, out, errOut io.Writer) int {
 			}
 			patterns = append(patterns, arg)
 		}
-	}
-	if baselinePath != "" && writeBaseline != "" {
-		fmt.Fprintln(errOut, "flvet: -baseline and -write-baseline are mutually exclusive")
-		return 2
 	}
 
 	cwd, err := os.Getwd()
@@ -106,57 +76,14 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 	diags := analysis.Run(pkgs, analysis.Checkers(), analysis.DefaultPolicy(module))
-	// Findings are keyed module-relative so baselines and JSON artifacts
-	// are machine- and cwd-independent.
-	findings := analysis.FindingsOf(diags, root)
-
-	if writeBaseline != "" {
-		if err := analysis.WriteBaseline(writeBaseline, findings); err != nil {
-			fmt.Fprintln(errOut, "flvet:", err)
-			return 2
+	for _, d := range diags {
+		if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = filepath.ToSlash(rel)
 		}
-		fmt.Fprintf(errOut, "flvet: wrote %d finding(s) to %s\n", len(findings), writeBaseline)
-		return 0
+		fmt.Fprintln(out, d)
 	}
-
-	stale := 0
-	if baselinePath != "" {
-		base, err := analysis.LoadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintln(errOut, "flvet:", err)
-			return 2
-		}
-		findings, stale = analysis.ApplyBaseline(findings, base)
-		if stale > 0 {
-			// Fixed findings ratchet the committed file down in place.
-			all := analysis.FindingsOf(diags, root)
-			if err := analysis.WriteBaseline(baselinePath, all); err != nil {
-				fmt.Fprintln(errOut, "flvet:", err)
-				return 2
-			}
-			fmt.Fprintf(errOut, "flvet: %d baseline entr(ies) fixed; shrank %s — commit the update\n",
-				stale, baselinePath)
-		}
-	}
-
-	if asJSON {
-		data, err := analysis.MarshalFindings(findings)
-		if err != nil {
-			fmt.Fprintln(errOut, "flvet:", err)
-			return 2
-		}
-		out.Write(data)
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(out, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Checker, f.Message)
-		}
-	}
-	if len(findings) > 0 {
-		word := "finding(s)"
-		if baselinePath != "" {
-			word = "new finding(s) over baseline"
-		}
-		fmt.Fprintf(errOut, "flvet: %d %s in %d package(s)\n", len(findings), word, len(pkgs))
+	if len(diags) > 0 {
+		fmt.Fprintf(errOut, "flvet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0

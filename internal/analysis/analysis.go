@@ -17,13 +17,12 @@
 //     preserving the "nil sink is free" contract;
 //   - ckptstate: every mutable stateful field of a struct registered with
 //     internal/checkpoint.Registry is covered by a registration call
-//     (cross-package, on the call-graph substrate in callgraph.go);
-//   - allocfree: functions pinned as hot-path roots (worker step, GEMM and
-//     conv kernels, robust.Aggregator implementations) do not allocate in
-//     steady state, reported at the frontier with a witness chain;
-//   - fporder: float reductions iterate in fixed index order — no plain
-//     self-assign accumulation over map ranges, no channel-receive-order
-//     accumulation, no goroutine fan-in outside internal/parallel.
+//     (cross-package, on the call graph in callgraph.go).
+//
+// What a test already guards has no checker here: allocation-free hot
+// paths are pinned by the runtime alloc tests, and reductions fed by
+// channels or goroutine fan-in by the pool-size bit-identity tests
+// (DESIGN.md §11 records which of checker and test catches what).
 //
 // A finding is suppressed by an exemption directive on the offending line
 // (or the line above):
@@ -67,8 +66,8 @@ type Checker struct {
 
 // Pass is the per-(checker, package) invocation context handed to
 // Checker.Run: the package's syntax and type information plus the policy
-// in force, the whole-program substrate for the cross-package checkers,
-// and the Reportf sink for findings.
+// in force, the whole-program call graph ckptstate works on, and the
+// Reportf sink for findings.
 type Pass struct {
 	Fset   *token.FileSet
 	Pkg    *Package
@@ -99,12 +98,10 @@ func Checkers() []*Checker {
 	return []*Checker{
 		detwallChecker,
 		maporderChecker,
-		fporderChecker,
 		goexecChecker,
 		wireallocChecker,
 		nilsinkChecker,
 		ckptstateChecker,
-		allocfreeChecker,
 	}
 }
 

@@ -5,7 +5,7 @@
 // drifts bit-by-bit from the uncheckpointed state — and golden resume
 // tests only catch it for fields the test scenario happens to exercise.
 //
-// Mechanics (on the Program substrate):
+// Mechanics (on the call graph in callgraph.go):
 //
 //   - registration primitives are the Vector/RNG/Int/Float/Dynamic
 //     methods of the registry types named in Policy.CkptRegistries;
@@ -238,7 +238,7 @@ func (c *coverWalker) expr(fi *FuncInfo, e ast.Expr, depth int) {
 		case *ast.SelectorExpr:
 			c.selector(fi, x, depth)
 		case *ast.CallExpr:
-			callees, _ := c.p.resolveCall(fi.Pkg, x)
+			callees := c.p.resolveCall(fi.Pkg, x)
 			for _, callee := range callees {
 				c.expand(callee, depth)
 			}

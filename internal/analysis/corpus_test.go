@@ -125,10 +125,6 @@ func TestWireallocCorpus(t *testing.T) {
 }
 func TestNilsinkCorpus(t *testing.T) { runCorpus(t, "nilsink", corpusPolicy("nilsink")) }
 
-// TestFporderCorpus covers the reduction-order shapes beyond maporder:
-// plain map-range accumulation, channel receives, goroutine fan-in.
-func TestFporderCorpus(t *testing.T) { runCorpus(t, "fporder", corpusPolicy("fporder")) }
-
 // TestCkptstateCorpus pins the corpus's own Registry type so coverage,
 // forwarders, constructor exclusion, and directives all exercise the
 // same machinery the real checkpoint registry goes through.
@@ -138,27 +134,6 @@ func TestCkptstateCorpus(t *testing.T) {
 	runCorpus(t, "ckptstate", pol)
 }
 
-// TestAllocfreeCorpus pins corpus roots by concrete name and through an
-// interface row, covering direct sites, transitive witnesses, tail
-// calls, boxing, append growth (into a local versus into a lent buffer,
-// the wire codec's idiom), and the cold-path exemptions.
-func TestAllocfreeCorpus(t *testing.T) {
-	pol := corpusPolicy("allocfree")
-	pol.HotFuncs = []string{
-		"flvet/corpus/allocfree.Step",
-		"(*flvet/corpus/allocfree.Engine).Tick",
-		"flvet/corpus/allocfree.Scale",
-		"flvet/corpus/allocfree.Mix",
-		"flvet/corpus/allocfree.Clone",
-		"flvet/corpus/allocfree.Warm",
-		"flvet/corpus/allocfree.Frame",
-		"(*flvet/corpus/allocfree.snapshot).section",
-		"(*flvet/corpus/allocfree.snapshot).copied",
-	}
-	pol.HotIfaces = []string{"flvet/corpus/allocfree.Agg.Combine"}
-	runCorpus(t, "allocfree", pol)
-}
-
 // TestAllowCorpus exercises the directive machinery: suppression in both
 // placements, mandatory reasons, unknown names, unused directives.
 func TestAllowCorpus(t *testing.T) {
@@ -166,28 +141,20 @@ func TestAllowCorpus(t *testing.T) {
 }
 
 // TestCheckerDocs keeps every checker addressable by directives and the
-// -list flag.
+// -list flag, and pins the suite (which also rules out duplicate names).
 func TestCheckerDocs(t *testing.T) {
-	seen := map[string]bool{}
+	var names []string
 	for _, c := range Checkers() {
 		if c.Name == "" || c.Doc == "" || c.Run == nil {
 			t.Errorf("checker %+v incomplete", c)
 		}
-		if seen[c.Name] {
-			t.Errorf("duplicate checker name %q", c.Name)
-		}
-		seen[c.Name] = true
 		if !checkerKnown(c.Name) {
 			t.Errorf("checkerKnown(%q) = false", c.Name)
 		}
+		names = append(names, c.Name)
 	}
-	for _, name := range []string{
-		"detwall", "maporder", "fporder", "goexec",
-		"wirealloc", "nilsink", "ckptstate", "allocfree",
-	} {
-		if !seen[name] {
-			t.Errorf("suite is missing checker %q", name)
-		}
+	if got, want := strings.Join(names, " "), "detwall maporder goexec wirealloc nilsink ckptstate"; got != want {
+		t.Errorf("suite = %s, want %s", got, want)
 	}
 	if checkerKnown("notachecker") {
 		t.Error(`checkerKnown("notachecker") = true`)
@@ -250,75 +217,32 @@ func TestDefaultPolicyTable(t *testing.T) {
 		{"wirealloc", "hieradmo/internal/core", false},
 		{"nilsink", "hieradmo/internal/telemetry", true},
 		{"nilsink", "hieradmo/internal/core", false},
-		// fporder runs everywhere except internal/parallel, whose reducers
-		// are the sanctioned fixed-order primitives.
-		{"fporder", "hieradmo/internal/core", true},
-		{"fporder", "hieradmo/internal/cluster", true},
-		{"fporder", "hieradmo/internal/robust", true},
-		{"fporder", "hieradmo/internal/tensor", true},
-		{"fporder", "hieradmo/internal/parallel", false},
-		// ckptstate and allocfree are whole-program dataflow checkers with
-		// no package exemptions at all: registration completeness and the
-		// pinned hot roots are enforced wherever they appear — including
-		// the kernel, robust-aggregation, and core packages.
+		// ckptstate is a whole-program checker with no package exemptions:
+		// registration completeness is enforced wherever it appears.
 		{"ckptstate", "hieradmo/internal/core", true},
 		{"ckptstate", "hieradmo/internal/cluster", true},
 		{"ckptstate", "hieradmo/internal/checkpoint", true},
 		{"ckptstate", "hieradmo/internal/parallel", true},
-		{"allocfree", "hieradmo/internal/core", true},
-		{"allocfree", "hieradmo/internal/tensor", true},
-		{"allocfree", "hieradmo/internal/nn", true},
-		{"allocfree", "hieradmo/internal/robust", true},
 	}
 	for _, c := range cases {
 		if got := pol.Applies(c.checker, c.pkg); got != c.want {
 			t.Errorf("Applies(%s, %s) = %v, want %v", c.checker, c.pkg, got, c.want)
 		}
 	}
+	// One rule per checker, and none for a name the suite does not have.
+	for _, c := range Checkers() {
+		if pol.Rules[c.Name] == nil {
+			t.Errorf("no policy rule for %s", c.Name)
+		}
+	}
+	if len(pol.Rules) != len(Checkers()) {
+		t.Errorf("%d policy rules for %d checkers", len(pol.Rules), len(Checkers()))
+	}
 	want := []string{"Counter", "Gauge", "Histogram", "Sink", "Tracer"}
 	if fmt.Sprint(pol.NilGuardTypes) != fmt.Sprint(want) {
 		t.Errorf("NilGuardTypes = %v, want %v", pol.NilGuardTypes, want)
 	}
-
-	// The dataflow pin tables: the checkpoint registry type, the exact
-	// hot roots, and the interface row that pins every robust aggregator.
-	// Renaming any of these without updating the policy is itself a
-	// finding (allocfree's missing-root rule), and this test keeps the
-	// table from silently shrinking.
 	if fmt.Sprint(pol.CkptRegistries) != fmt.Sprint([]string{"hieradmo/internal/checkpoint.Registry"}) {
 		t.Errorf("CkptRegistries = %v", pol.CkptRegistries)
-	}
-	wantHot := []string{
-		"(*hieradmo/internal/core.Leaf).Step",
-		"(*hieradmo/internal/core.Tier).Update",
-		"(hieradmo/internal/core.Level).Term",
-		"(*hieradmo/internal/fl.GradOracle).Grad",
-		"hieradmo/internal/tensor.GEMMBias",
-		"hieradmo/internal/tensor.GEMMAddTransB",
-		"hieradmo/internal/tensor.GEMMAdd",
-		"hieradmo/internal/tensor.gemmBias",
-		"hieradmo/internal/tensor.gemmAddTransB",
-		"hieradmo/internal/tensor.gemmAdd",
-		"hieradmo/internal/tensor.gemmBiasGeneric",
-		"hieradmo/internal/tensor.gemmAddTransBGeneric",
-		"hieradmo/internal/tensor.gemmAddGeneric",
-		"(*hieradmo/internal/nn.Network).LossGradBatch",
-		"(*hieradmo/internal/nn.Dense).Forward",
-		"(*hieradmo/internal/nn.Dense).Backward",
-		"(*hieradmo/internal/nn.Dense).forwardBlock",
-		"(*hieradmo/internal/nn.Dense).backwardBlock",
-		"(*hieradmo/internal/nn.Conv2D).Forward",
-		"(*hieradmo/internal/nn.Conv2D).Backward",
-		"(*hieradmo/internal/nn.convReLU).Forward",
-		"(*hieradmo/internal/nn.convReLU).Backward",
-		"hieradmo/internal/transport.encodeFrame",
-		"(*hieradmo/internal/transport.decoder).decode",
-		"(*hieradmo/internal/checkpoint.Registry).encode",
-	}
-	if fmt.Sprint(pol.HotFuncs) != fmt.Sprint(wantHot) {
-		t.Errorf("HotFuncs = %v, want %v", pol.HotFuncs, wantHot)
-	}
-	if fmt.Sprint(pol.HotIfaces) != fmt.Sprint([]string{"hieradmo/internal/robust.Aggregator.Aggregate"}) {
-		t.Errorf("HotIfaces = %v", pol.HotIfaces)
 	}
 }

@@ -9,9 +9,10 @@ import (
 // maporder: Go map iteration order is deliberately randomized, so a range
 // over a map must never feed an order-sensitive sink — appending to a
 // slice that is not subsequently sorted (the PartitionClasses bug PR 3
-// fixed), accumulating floats (non-associative rounding makes the result
-// order-dependent), or emitting trace events (trace byte-identity is a
-// headline invariant). The one sanctioned idiom is collect-keys-then-sort:
+// fixed), accumulating floats (`s += v` or `s = s + v`: non-associative
+// rounding makes the result order-dependent), or emitting trace events
+// (trace byte-identity is a headline invariant). The one sanctioned idiom
+// is collect-keys-then-sort:
 // an append inside the range is accepted when the same enclosing block
 // later passes that slice to sort.* or slices.*.
 var maporderChecker = &Checker{
@@ -110,13 +111,19 @@ func checkMapRange(p *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 }
 
 func checkMapRangeAssign(p *Pass, as *ast.AssignStmt, rest []ast.Stmt) {
+	floatLHS := len(as.Lhs) == 1 && isFloat(p.TypeOf(as.Lhs[0]))
 	switch as.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		if len(as.Lhs) == 1 && isFloat(p.TypeOf(as.Lhs[0])) {
-			p.Reportf(as.Pos(), "float accumulation inside range over a map: result depends on iteration order (iterate sorted keys instead)")
+		if floatLHS {
+			reportFloatAccum(p, as)
 		}
 		return
-	case token.ASSIGN, token.DEFINE:
+	case token.ASSIGN:
+		if floatLHS && len(as.Rhs) == 1 && selfArith(p, as.Lhs[0], as.Rhs[0]) {
+			reportFloatAccum(p, as)
+			return
+		}
+	case token.DEFINE:
 	default:
 		return
 	}
@@ -140,6 +147,32 @@ func checkMapRangeAssign(p *Pass, as *ast.AssignStmt, rest []ast.Stmt) {
 		}
 		p.Reportf(as.Pos(), "append to %s inside range over a map without sorting afterwards: element order would follow map iteration order", exprString(lhs))
 	}
+}
+
+func reportFloatAccum(p *Pass, as *ast.AssignStmt) {
+	p.Reportf(as.Pos(), "float accumulation inside range over a map: result depends on iteration order (iterate sorted keys instead)")
+}
+
+// selfArith reports whether e is arithmetic over an expression containing
+// lhs: `s = s + v` and the like, the spelled-out forms of `s += v`.
+func selfArith(p *Pass, lhs, e ast.Expr) bool {
+	be, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	switch be.Op {
+	case token.ADD, token.SUB, token.MUL, token.QUO:
+	default:
+		return false
+	}
+	found := false
+	ast.Inspect(be, func(n ast.Node) bool {
+		if x, ok := n.(ast.Expr); ok && sameExpr(p, lhs, x) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 func isFloat(t types.Type) bool {

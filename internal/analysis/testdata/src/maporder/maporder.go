@@ -20,6 +20,24 @@ func floatAccum(m map[string]float64) float64 {
 	return sum
 }
 
+// plainAccum is floatAccum spelled out: the same order dependence.
+func plainAccum(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m {
+		sum = sum + v // want "float accumulation inside range over a map"
+	}
+	return sum
+}
+
+// plainCount is an integer count spelled out: exact, not flagged.
+func plainCount(m map[string]float64) int {
+	n := 0
+	for range m {
+		n = n + 1
+	}
+	return n
+}
+
 // intAccum is exact and order-independent; it must not be flagged.
 func intAccum(m map[string]int) int {
 	var n int

@@ -158,57 +158,73 @@ func TestFourVectorSnapshotRefused(t *testing.T) {
 // interrupted mid-flight must fail with a wrapped ErrInterrupted, leave
 // resumable snapshots behind, and — because nodes snapshot only settled
 // per-round state and replay the tail interval deterministically — a resumed
-// run must finish with results bit-identical to a never-interrupted run.
+// run must finish with results bit-identical to a never-interrupted run. The
+// rows reach the state only some runs keep: the velocity signal's
+// start-of-interval momentum, and a replaying attacker's stash.
 func TestClusterInterruptResume(t *testing.T) {
-	cfg := buildConfig(t, 101, 0)
-	cfg.T = 48
-	dir := t.TempDir()
-	opts := Options{Adaptive: true, CheckpointDir: dir}
+	for _, row := range []struct {
+		name string
+		opts Options
+	}{
+		{"adaptive", Options{Adaptive: true}},
+		{"velocity", Options{Adaptive: true, Signal: core.SignalVelocity}},
+		{"replay", Options{Adaptive: true, AttackPlan: byzPlan(t, "replay:worker-0-1@2-12")}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := buildConfig(t, 101, 0)
+			cfg.T = 48
+			ref, err := Run(cfg, transport.NewMemoryNetwork(), row.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ref, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Interrupt as soon as any node has written a snapshot; the run
+			// must fail with a wrapped ErrInterrupted.
+			opts := row.opts
+			opts.CheckpointDir = t.TempDir()
+			interruptRun(t, cfg, opts, transport.NewFaultyNetwork(transport.NewMemoryNetwork(),
+				transport.FaultPlan{Seed: 4, MaxDelay: 2 * time.Millisecond}))
+			if files, _ := filepath.Glob(filepath.Join(opts.CheckpointDir, "*.ckpt")); len(files) == 0 {
+				t.Fatal("interrupted run left no snapshots behind")
+			}
 
-	// Interrupt as soon as any node has written a snapshot; the run must fail
-	// with a wrapped ErrInterrupted.
-	interruptRun(t, cfg, opts, transport.NewFaultyNetwork(transport.NewMemoryNetwork(),
-		transport.FaultPlan{Seed: 4, MaxDelay: 2 * time.Millisecond}))
-	if files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(files) == 0 {
-		t.Fatal("interrupted run left no snapshots behind")
-	}
+			ropts := opts
+			ropts.Resume = true
+			res, err := Run(cfg, transport.NewMemoryNetwork(), ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FinalAcc != ref.FinalAcc || res.FinalLoss != ref.FinalLoss {
+				t.Errorf("resumed run %v/%v != uninterrupted run %v/%v (must be bit-identical)",
+					res.FinalAcc, res.FinalLoss, ref.FinalAcc, ref.FinalLoss)
+			}
+			if len(res.Curve) != len(ref.Curve) {
+				t.Fatalf("resumed curve has %d points, reference %d", len(res.Curve), len(ref.Curve))
+			}
+			for i := range res.Curve {
+				if res.Curve[i] != ref.Curve[i] {
+					t.Errorf("curve point %d: resumed %+v != reference %+v", i, res.Curve[i], ref.Curve[i])
+				}
+			}
+			if row.name != "adaptive" {
+				return
+			}
 
-	ropts := opts
-	ropts.Resume = true
-	res, err := Run(cfg, transport.NewMemoryNetwork(), ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAcc != ref.FinalAcc || res.FinalLoss != ref.FinalLoss {
-		t.Errorf("resumed run %v/%v != uninterrupted run %v/%v (must be bit-identical)",
-			res.FinalAcc, res.FinalLoss, ref.FinalAcc, ref.FinalLoss)
-	}
-	if len(res.Curve) != len(ref.Curve) {
-		t.Fatalf("resumed curve has %d points, reference %d", len(res.Curve), len(ref.Curve))
-	}
-	for i := range res.Curve {
-		if res.Curve[i] != ref.Curve[i] {
-			t.Errorf("curve point %d: resumed %+v != reference %+v", i, res.Curve[i], ref.Curve[i])
-		}
-	}
-
-	// Resuming under different algorithm options must be refused: those
-	// snapshots belong to a different trajectory. Checked after the good
-	// resume, when every node has a snapshot to mismatch against instantly.
-	// Against the interrupted run's partial snapshot set, a subtree whose
-	// nodes all missed their first save can complete a round and overwrite
-	// good snapshots with wrong-options ones before the refusal propagates.
-	wrong := opts
-	wrong.Resume = true
-	wrong.Ceiling = 0.5
-	wrong.RecvTimeout = deadlineScale * 500 * time.Millisecond
-	if _, err := Run(cfg, transport.NewMemoryNetwork(), wrong); !errors.Is(err, checkpoint.ErrMismatch) {
-		t.Fatalf("resume under changed options = %v, want wrapped checkpoint.ErrMismatch", err)
+			// Resuming under different algorithm options must be refused: those
+			// snapshots belong to a different trajectory. Checked after the good
+			// resume, when every node has a snapshot to mismatch against
+			// instantly. Against the interrupted run's partial snapshot set, a
+			// subtree whose nodes all missed their first save can complete a
+			// round and overwrite good snapshots with wrong-options ones before
+			// the refusal propagates.
+			wrong := opts
+			wrong.Resume = true
+			wrong.Ceiling = 0.5
+			wrong.RecvTimeout = deadlineScale * 500 * time.Millisecond
+			if _, err := Run(cfg, transport.NewMemoryNetwork(), wrong); !errors.Is(err, checkpoint.ErrMismatch) {
+				t.Fatalf("resume under changed options = %v, want wrapped checkpoint.ErrMismatch", err)
+			}
+		})
 	}
 }
 

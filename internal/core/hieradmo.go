@@ -144,16 +144,17 @@ func (h *HierAdMo) Row() *Rule {
 // Run implements fl.Algorithm.
 func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) { return h.Row().Run(cfg) }
 
-// sampleParticipants returns the sorted worker indices taking part in an
-// edge aggregation: all of them at full participation, otherwise a uniform
-// sample of max(1, round(frac·C)) workers.
-func (h *HierAdMo) sampleParticipants(r *rng.RNG, numWorkers int) []int {
+// sampleParticipants returns the sorted indices of the len(perm) workers
+// taking part in an edge aggregation, written into perm: all of them at full
+// participation, otherwise a uniform sample of max(1, round(frac·C)) workers.
+// The draws are exactly rng.Perm's: the identity shuffled in place.
+func (h *HierAdMo) sampleParticipants(r *rng.RNG, perm []int) []int {
+	numWorkers := len(perm)
+	for i := range perm {
+		perm[i] = i
+	}
 	if h.participation >= 1 {
-		idx := make([]int, numWorkers)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
+		return perm
 	}
 	k := int(h.participation*float64(numWorkers) + 0.5)
 	if k < 1 {
@@ -162,7 +163,8 @@ func (h *HierAdMo) sampleParticipants(r *rng.RNG, numWorkers int) []int {
 	if k > numWorkers {
 		k = numWorkers
 	}
-	perm := r.Perm(numWorkers)[:k]
+	r.Shuffle(numWorkers, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	perm = perm[:k]
 	// Sort for deterministic aggregation order.
 	for i := 1; i < len(perm); i++ {
 		for j := i; j > 0 && perm[j] < perm[j-1]; j-- {

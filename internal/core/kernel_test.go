@@ -747,8 +747,8 @@ func TestTierRobustRejectsAcrossStreams(t *testing.T) {
 
 // TestKernelAllocFree pins the steady state: after the first step or round
 // has sized the batch buffer and warmed the model's workspace pool, a leaf
-// step (gradient included) and a mean-path tier round, its reporters' terms
-// included, allocate nothing.
+// step (gradient included) and a tier round, under the mean or the median
+// rule and with its reporters' terms included, allocate nothing.
 func TestKernelAllocFree(t *testing.T) {
 	cfg := buildConfig(t, []int{2}, 0, 3)
 	dim := cfg.Model.Dim()
@@ -774,11 +774,16 @@ func TestKernelAllocFree(t *testing.T) {
 	gs, ss := randomVecs(r, fan, dim), randomVecs(r, fan, dim)
 	full := []float64{0.25, 0.25, 0.25, 0.25}
 	idx := seq(fan)
+	median, err := robust.New(robust.Spec{Kind: robust.Median})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, lv := range map[string]Level{
 		"momentum+adapt":  {Momentum: true, Adapt: true, Signal: SignalYSum, Ceiling: DefaultClampCeiling, Tau: 2, X0: x0},
 		"velocity signal": {Momentum: true, Adapt: true, Signal: SignalVelocity, Ceiling: DefaultClampCeiling, X0: x0},
 		"momentum fixed":  {Momentum: true, Gamma: 0.5, X0: x0},
 		"plain average":   {X0: x0},
+		"median":          {Momentum: true, Gamma: 0.5, X0: x0, Agg: median},
 	} {
 		tier := NewTier(lv, fan, heapVec(dim))
 		round := func() {

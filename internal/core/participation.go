@@ -16,7 +16,7 @@ func ParticipationSchedule(seed uint64, frac float64, workersPerEdge []int, roun
 	for k := range out {
 		out[k] = make([][]int, len(workersPerEdge))
 		for l, n := range workersPerEdge {
-			out[k][l] = h.sampleParticipants(r, n)
+			out[k][l] = h.sampleParticipants(r, make([]int, n))
 		}
 	}
 	return out

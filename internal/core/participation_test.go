@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"hieradmo/internal/rng"
@@ -66,9 +68,16 @@ func TestParticipationOptionClamps(t *testing.T) {
 
 func TestSampleParticipants(t *testing.T) {
 	h := New(WithParticipation(0.5))
-	r := rng.New(9)
+	r, perms := rng.New(9), rng.New(9)
+	buf := make([]int, 8)
 	for trial := 0; trial < 50; trial++ {
-		idx := h.sampleParticipants(r, 8)
+		// The reused buffer makes exactly rng.Perm's draws.
+		want := perms.Perm(8)[:4]
+		sort.Ints(want)
+		idx := h.sampleParticipants(r, buf)
+		if fmt.Sprint(idx) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: sampled %v, Perm's sorted prefix is %v", trial, idx, want)
+		}
 		if len(idx) != 4 {
 			t.Fatalf("sampled %d of 8 at 0.5 participation", len(idx))
 		}
@@ -85,12 +94,12 @@ func TestSampleParticipants(t *testing.T) {
 	}
 	// At least one worker always participates.
 	tiny := New(WithParticipation(0.01))
-	if got := tiny.sampleParticipants(r, 4); len(got) != 1 {
+	if got := tiny.sampleParticipants(r, make([]int, 4)); len(got) != 1 {
 		t.Errorf("minimum participation %d, want 1", len(got))
 	}
 	// Full participation returns everyone in order.
 	full := New()
-	idx := full.sampleParticipants(r, 3)
+	idx := full.sampleParticipants(r, make([]int, 3))
 	if len(idx) != 3 || idx[0] != 0 || idx[2] != 2 {
 		t.Errorf("full participation indices %v", idx)
 	}

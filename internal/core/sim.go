@@ -141,8 +141,9 @@ type sim struct {
 	leaves []*Leaf
 	refs   []workerRef
 	yStart []tensor.Vector
-	// fullIdx is the everyone-reported position list.
-	fullIdx []int
+	// fullIdx is the everyone-reported position list, and partIdx the buffer
+	// a partial-participation round draws its cohort into.
+	fullIdx, partIdx []int
 
 	partRNG   *rng.RNG
 	quantizer *quant.Quantizer
@@ -282,7 +283,10 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 	}
 	evalModel := newVec()
 	partRNG := rng.New(cfg.Seed).Split(0x9a47)
-	fullIdx := make([]int, maxFan)
+	// One block holds both position lists: the run allocates no more for
+	// partial participation than without it.
+	idxBlock := make([]int, 2*maxFan)
+	fullIdx, partIdx := idxBlock[:maxFan:maxFan], idxBlock[maxFan:]
 	for i := range fullIdx {
 		fullIdx[i] = i
 	}
@@ -299,7 +303,7 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 	}
 
 	s := &sim{rule: r, hn: hn, sink: sink, levels: levels, leaves: leaves, refs: refs, yStart: yStart,
-		fullIdx: fullIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
+		fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
 
 	// Crash recovery: register the run's state, then resume after the last
 	// snapshotted iteration (start = 0 without a snapshot). The variant folds
@@ -476,10 +480,9 @@ func (s *sim) round(t, k, n int) error {
 	if k == 0 {
 		// Full participation includes everyone and draws nothing from the
 		// RNG, so the precomputed index list is used verbatim; partial
-		// participation keeps the allocating Perm path to preserve the
-		// historical RNG consumption exactly.
+		// participation draws the cohort into the run's reused buffer.
 		if h := s.rule.hier; h != nil && h.participation < 1 {
-			idx = h.sampleParticipants(s.partRNG, len(idx))
+			idx = h.sampleParticipants(s.partRNG, s.partIdx[:len(idx)])
 		}
 		if err := s.uplink(t, node, idx); err != nil {
 			return err
