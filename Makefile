@@ -115,7 +115,8 @@ recover:
 ## checkpoint.Read of that snapshot from memory, at the leaf and tier shapes,
 ## 4 and 12 x 15380 values) and BENCH_kernels.json
 ## (internal/tensor: the two conv GEMMs at the CNN's two layer shapes and the
-## Dense weight gradient at the sync model's, in GFLOP/s; internal/nn: one forward and one loss-gradient per architecture
+## Dense weight gradient at the sync model's, in GFLOP/s, and Vector.Scale at the
+## sync model's dimension; internal/nn: one forward and one loss-gradient per architecture
 ## family, the single-Dense classifiers at the shapes the runs train,
 ## batch 8, and the CNN's second conv layer's backward pass on sparse output
 ## gradients).
@@ -129,8 +130,9 @@ BENCHFLAGS = -bench=. -benchmem -benchtime=10x -count=3 -run=^$$
 WIREBENCHFLAGS = -bench=. -benchmem -benchtime=200x -count=3 -run=^$$
 # A raw conv GEMM is 2 to 25 microseconds, and the first few hundred calls of
 # a process run at a third of the steady rate on this host: the GFLOP/s rows
-# need a run long enough to be past that.
-GEMMBENCHFLAGS = -bench=GEMM -benchmem -benchtime=20000x -count=3 -run=^$$
+# need a run long enough to be past that. Vector.Scale at the sync model's
+# dimension is a few microseconds too, so it rides along.
+GEMMBENCHFLAGS = -bench='GEMM|VectorScale' -benchmem -benchtime=20000x -count=3 -run=^$$
 KERNELBENCH = { $(GO) test $(GEMMBENCHFLAGS) ./internal/tensor; \
 	$(GO) test $(WIREBENCHFLAGS) ./internal/nn; }
 bench:

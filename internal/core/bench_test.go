@@ -162,6 +162,30 @@ func BenchmarkRobustAggregate(b *testing.B) {
 	}
 }
 
+// BenchmarkLeafStep times one worker NAG step (lines 5–6, Leaf.Step) at the
+// sync workload's shape, dim 15 380, with the gradient already in Grad. The
+// gradient is small and fixed, so the state drifts linearly and stays far
+// from overflow and subnormals however many steps a run takes.
+func BenchmarkLeafStep(b *testing.B) {
+	const dim = 15380
+	r := rng.New(43)
+	x0 := tensor.NewVector(dim)
+	for i := range x0 {
+		x0[i] = r.Norm()
+	}
+	leaf := core.NewLeaf(x0, func() tensor.Vector { return tensor.NewVector(dim) })
+	for i := range leaf.Grad {
+		leaf.Grad[i] = 1e-3 * r.Norm()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := leaf.Step(0.05, 0.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLeafParentRound times one leaf-parent round's kernel arithmetic at
 // the sync workload's shape (dim 15 380, four reporters): every reporter's
 // eq. (6) term, which the leaves compute in a run, and Tier.Update, with the

@@ -12,6 +12,7 @@ import (
 // (2·m·n·k operations a call), recorded in BENCH_kernels.json beside the
 // internal/nn rows by `make bench` and gated by `make benchdiff`. The data is
 // dense: a rate here is the kernel's, not the sparsity of a real gradient's.
+// BenchmarkVectorScale sits beside them: the element-wise rung.
 
 func benchGEMM(b *testing.B, flops int, call func()) {
 	b.Helper()
@@ -66,6 +67,23 @@ func BenchmarkGEMMAddTransB(b *testing.B) {
 				GEMMAddTransB(dst, a, bm, s.m, s.n, s.k)
 			})
 		})
+	}
+}
+
+// BenchmarkVectorScale is NetModel.LossGrad's 1/B scale of the gradient at the
+// sync model's dimension, 15 380. The factor alternates between 1/8 and 8:
+// both are exact, so the data never drifts into subnormals.
+func BenchmarkVectorScale(b *testing.B) {
+	v := make(Vector, 15380)
+	fillRand(rng.New(1), v)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := 0.125
+		if i&1 == 1 {
+			c = 8
+		}
+		v.Scale(c)
 	}
 }
 
