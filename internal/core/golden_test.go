@@ -200,6 +200,13 @@ func TestGoldenSimulation(t *testing.T) {
 		}
 		return
 	}
+	checkGoldenSimulation(t, 1, 2, 8)
+}
+
+// checkGoldenSimulation runs every scenario at each pool size against its
+// recorded digest.
+func checkGoldenSimulation(t *testing.T, pools ...int) {
+	scenarios := goldenScenarios()
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +227,7 @@ func TestGoldenSimulation(t *testing.T) {
 		}
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			for _, pool := range []int{1, 2, 8} {
+			for _, pool := range pools {
 				if got := runGolden(t, sc, pool); !reflect.DeepEqual(got, want) {
 					gotJSON, _ := json.MarshalIndent(got, "", "  ")
 					wantJSON, _ := json.MarshalIndent(want, "", "  ")

@@ -9,8 +9,9 @@
 // comparison point for Theorem 5) is the same implementation with adaptation
 // disabled.
 //
-// The package is layered: kernel.go holds the only copy of Algorithm 1's
-// arithmetic (Leaf, Tier, Level); sim.go is the one in-process simulation
+// The package is layered: kernel.go defines Algorithm 1's arithmetic once
+// (Leaf, Tier, Level; kernel_amd64.s runs its element-wise loops four lanes
+// at a time, to the bit); sim.go is the one in-process simulation
 // driver, which runs any row of the rule table (Rule) — HierAdMo's two here,
 // the nine baselines' in internal/baseline; this file is HierAdMo's options
 // and its row.

@@ -8,13 +8,22 @@ import (
 	"hieradmo/internal/tensor"
 )
 
-// This file is the only copy of Algorithm 1's update arithmetic. The
-// in-process simulation (sim.go) and the distributed tier runtime
-// (internal/cluster) are drivers around it: they decide who reports, move the
-// vectors, and observe the outcome; every floating-point operation of lines
-// 5–6, 10–13 and 18–19 happens here, in one fixed order. The kernel emits
+// This file defines Algorithm 1's update arithmetic once. The in-process
+// simulation (sim.go) and the distributed tier runtime (internal/cluster) are
+// drivers around it: they decide who reports, move the vectors, and observe
+// the outcome; every floating-point operation of lines 5–6, 10–13 and 18–19
+// is defined here, in one fixed order. On amd64 with AVX2 the element-wise
+// loops of Step and of the mean run in kernel_amd64.s, four elements a
+// register, each element through the same operations in the same order; the
+// Go loops here run the elements those bodies leave, everything on other
+// CPUs, and are the oracle the assembly is tested against. The kernel emits
 // nothing, reads no clock, sends nothing, and allocates nothing after
 // construction; it branches on a level's properties, never on its caller.
+
+// vectorBodies routes Step and the mean through their AVX2 bodies where
+// internal/tensor's detection found AVX2. Nothing else sets it; tests clear it
+// to run the Go loops alone.
+var vectorBodies = tensor.HasAVX2()
 
 // Leaf is one training worker's Algorithm 1 state. Every vector is owned
 // exclusively by its leaf, so distinct leaves step concurrently without
@@ -55,6 +64,15 @@ func (l *Leaf) Step(eta, gamma float64) error {
 	}
 	x, y, gs, ys, grad := l.X, l.Y[:n], l.GradSum[:n], l.YSum[:n], l.Grad[:n]
 	negEta, negGamma := -eta, -gamma
+	i := leafStepVector(x, y, gs, ys, grad, negEta, gamma, negGamma)
+	leafStep(x[i:], y[i:], gs[i:], ys[i:], grad[i:], negEta, gamma, negGamma)
+	return nil
+}
+
+// leafStep is Step's Go loop over vectors of len(x) elements.
+func leafStep(x, y, gs, ys, grad []float64, negEta, gamma, negGamma float64) {
+	n := len(x)
+	y, gs, ys, grad = y[:n], gs[:n], ys[:n], grad[:n]
 	for i, g := range grad {
 		gs[i] += g
 		yPrev := y[i]
@@ -67,7 +85,6 @@ func (l *Leaf) Step(eta, gamma float64) error {
 		xNext += negGamma * yPrev
 		x[i] = xNext
 	}
-	return nil
 }
 
 // Adopt takes over a parent's redistributed momentum and model (lines 14–15
@@ -328,8 +345,9 @@ func (t *Tier) mean(w []float64, ys, xs []tensor.Vector, gamma float64) error {
 	yMinus, xPlus, yPlus := t.YMinus[:dim], t.XPlus, t.YPlus[:dim]
 	// Four elements per step, as in WeightedSum: eight independent
 	// accumulators hide the add latency of the reporter chain and amortize
-	// each report's slice headers.
-	i := 0
+	// each report's slice headers. The vector body, where there is one, takes
+	// every whole step first, in the same layout: two registers of four.
+	i := meanVector(yMinus, xPlus, yPlus, w, ys, xs, gamma, t.lv.Momentum)
 	for ; i+4 <= dim; i += 4 {
 		var m0, m1, m2, m3, p0, p1, p2, p3 float64
 		for j, wj := range w {

@@ -2,12 +2,20 @@ package tensor
 
 import "unsafe"
 
-// useAVX2 selects the assembly bodies in gemm_amd64.s, once, at package
-// initialisation, by asking the CPU: AVX2 in CPUID leaf 7, and the operating
-// system's promise (OSXSAVE, then XCR0 bits 1 and 2 through XGETBV) to save
-// the YMM state across context switches. A CPU or kernel without either runs
-// the portable bodies; nothing else chooses.
-var useAVX2 = detectAVX2()
+// hasAVX2 is decided once, at package initialisation, by asking the CPU: AVX2
+// in CPUID leaf 7, and the operating system's promise (OSXSAVE, then XCR0
+// bits 1 and 2 through XGETBV) to save the YMM state across context switches.
+// A CPU or kernel without either runs the portable bodies; nothing else
+// chooses.
+var hasAVX2 = detectAVX2()
+
+// useAVX2 selects the assembly bodies in gemm_amd64.s. It starts as the
+// detection; tests clear it to run the portable bodies through the same entry
+// points.
+var useAVX2 = hasAVX2
+
+// HasAVX2 reports the detection, for packages with AVX2 bodies of their own.
+func HasAVX2() bool { return hasAVX2 }
 
 func detectAVX2() bool {
 	const (
@@ -55,6 +63,22 @@ func gemmAddTransBAVX2(dst *float64, n int, b *float64, k int, at *float64, kp i
 //
 //go:noescape
 func gemmAddAVX2(dst, a, b *float64, m, n, k int)
+
+// scaleAVX2 multiplies n elements from v by c, n % 4 == 0, n >= 4.
+//
+//go:noescape
+func scaleAVX2(v *float64, n int, c float64)
+
+// scale is Vector.Scale: the vector body takes the whole blocks of four
+// elements, the portable loop the rest.
+func scale(v []float64, c float64) {
+	n4 := 0
+	if useAVX2 && len(v) >= 4 {
+		n4 = len(v) &^ 3
+		scaleAVX2(&v[0], n4, c)
+	}
+	scaleGeneric(v[n4:], c)
+}
 
 // gemmBias is GEMMBias past the length checks.
 // The vector body takes every whole block of four rows when there are four

@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// AVX2 bodies of the three GEMMs (see gemm_amd64.go for the contracts and
-// DESIGN.md §12 "Vector bodies" for the argument). All are the same 4 × 4
+// AVX2 bodies of the three GEMMs and of Vector.Scale (see gemm_amd64.go for
+// the contracts and DESIGN.md §12 "Vector bodies" for the argument). The
+// GEMMs are the same 4 × 4
 // register tile: row r of the tile broadcasts one scalar per reduction step,
 // the four lanes are four consecutive destination elements, and
 //
@@ -313,6 +314,28 @@ tile:
 	LEAQ (R12)(DX*4), R12
 	SUBQ $4, rows-8(SP)
 	JG   rowblock
+
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(v *float64, n int, c float64)
+//
+// v[i] *= c for i < n, n % 4 == 0, n >= 4: each lane one element, one
+// VMULPD with the element as the first operand, as the Go loop multiplies.
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-24
+	MOVQ         v+0(FP), DI
+	MOVQ         n+8(FP), CX
+	SHLQ         $3, CX                  // end offset, bytes
+	VBROADCASTSD c+16(FP), Y0
+	XORQ         AX, AX
+
+scale:
+	VMOVUPD (DI)(AX*1), Y1
+	VMULPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     scale
 
 	VZEROUPPER
 	RET

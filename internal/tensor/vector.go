@@ -83,8 +83,16 @@ func (v Vector) Sub(u Vector) error {
 	return nil
 }
 
-// Scale multiplies every element of v by c.
+// Scale multiplies every element of v by c. On amd64 with AVX2 the whole
+// blocks of four elements run in assembly, each element one multiply, as here.
 func (v Vector) Scale(c float64) {
+	scale(v, c)
+}
+
+// scaleGeneric is Scale's portable body: the tail the vector body leaves, the
+// whole vector everywhere else, and the oracle the vector body is tested
+// against.
+func scaleGeneric(v []float64, c float64) {
 	for i := range v {
 		v[i] *= c
 	}

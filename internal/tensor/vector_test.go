@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -71,6 +72,41 @@ func TestAddSubScale(t *testing.T) {
 	v.Scale(3)
 	if v[2] != 6 {
 		t.Errorf("after Scale, v = %v", v)
+	}
+}
+
+// checkScale holds Scale (the vector body where the CPU has one) to
+// scaleGeneric bit for bit on n elements starting off elements into a buffer,
+// so the body's loads are unaligned for off = 1..3, and salted with signed
+// zeros, subnormals and magnitudes that overflow.
+func checkScale(t testing.TB, r *rng.RNG, n, off int, c float64) {
+	t.Helper()
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e300, -math.MaxFloat64}
+	got := make(Vector, n+off)[off:]
+	for i := range got {
+		got[i] = r.Norm()
+		if r.Intn(3) == 0 {
+			got[i] = specials[r.Intn(len(specials))]
+		}
+	}
+	want := got.Clone()
+	got.Scale(c)
+	scaleGeneric(want, c)
+	sameBits(t, fmt.Sprintf("Scale n=%d off=%d c=%v", n, off, c), got, want)
+}
+
+func TestScaleMatchesGeneric(t *testing.T) {
+	r := rng.New(41)
+	ns := []int{15380, 1001}
+	for n := 0; n <= 13; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		for off := 0; off <= 3; off++ {
+			for _, c := range []float64{0.125, 1.0 / 3, 0, math.Copysign(0, -1), -7, 1e300, 5e-324} {
+				checkScale(t, r, n, off, c)
+			}
+		}
 	}
 }
 
