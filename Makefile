@@ -112,8 +112,7 @@ recover:
 	$(GO) test -count=1 ./internal/core/... ./internal/baseline/... -run 'Resume' || exit 1
 	$(GO) test -count=1 ./internal/cluster/... \
 		-run 'TestCluster(InterruptResume|CrashRestartMatchesParticipation|WorkerRestartRejoins)|TestTreeRestartSupervisor' || exit 1
-	$(GO) test -count=1 ./cmd/flnode/ -run 'TestMultiProcessKillRestart' || exit 1
-	$(GO) test -count=1 ./cmd/flcluster/ -run 'TestSigterm|TestDoubleSignal'
+	$(GO) test -count=1 ./cmd/flcluster/ -run 'TestMultiProcessKillRestart|TestSigterm|TestDoubleSignal'
 
 ## bench: run the core, wire, snapshot and kernel benchmarks with -benchmem
 ## and record the perf trajectory (ns/op, B/op, allocs/op, worker-pool size)

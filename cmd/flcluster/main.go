@@ -1,8 +1,9 @@
 // Command flcluster runs HierAdMo as an actual distributed protocol: one
 // node per worker, edge, and cloud, exchanging models and momenta over an
-// in-memory hub or real TCP sockets. The distributed run is bit-identical
-// to the in-process simulation (same batch streams, same aggregation
-// order), which the command verifies when -verify is set.
+// in-memory hub or real TCP sockets — every node in this process, or, with
+// -node, one node per process. The distributed run is bit-identical to the
+// in-process simulation (same batch streams, same aggregation order), which
+// the command verifies when -verify is set.
 //
 // Usage:
 //
@@ -61,9 +62,38 @@
 //
 //	flcluster -model logistic \
 //	    -topology "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"
+//
+// Multi-process deployment: -node ID runs only that node of the tree, on the
+// TCP address a shared JSON registry gives its ID. The IDs are the tree's
+// own (cloud / edge-ℓ / worker-ℓ-i, or the -topology spec's name-index IDs).
+// Every process regenerates the identical synthetic workload from the shared
+// flags, so no training data crosses the wire, and the root process prints
+// the result. Every other flag must match across the processes; the flags
+// that wrap the in-process network (-transport, -drop-rate, -max-delay,
+// -crash, -restart-after) are refused. A 4-worker, 2-edge deployment:
+//
+//	cat > reg.json <<'EOF'
+//	{"cloud":"127.0.0.1:7000",
+//	 "edge-0":"127.0.0.1:7001","edge-1":"127.0.0.1:7002",
+//	 "worker-0-0":"127.0.0.1:7010","worker-0-1":"127.0.0.1:7011",
+//	 "worker-1-0":"127.0.0.1:7012","worker-1-1":"127.0.0.1:7013"}
+//	EOF
+//	for id in worker-0-0 worker-0-1 worker-1-0 worker-1-1 edge-0 edge-1; do
+//	    flcluster -node $id -registry reg.json -model logistic &
+//	done
+//	flcluster -node cloud -registry reg.json -model logistic   # prints the result
+//
+// A node killed mid-run is relaunched with the same flags plus -resume when
+// the deployment runs with -checkpoint-dir (and a quorum to ride out the
+// outage). A late joiner of a churn plan is started at any time with -join;
+// it waits until its edge admits it at the planned round:
+//
+//	flcluster -node worker-0-1 -registry reg.json -model logistic \
+//	    -churn-plan "join:worker-0-1@3" -join
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -73,11 +103,11 @@ import (
 	"strings"
 	"syscall"
 
+	"hieradmo"
 	"hieradmo/internal/cluster"
 	"hieradmo/internal/core"
 	"hieradmo/internal/experiment"
 	"hieradmo/internal/membership"
-	"hieradmo/internal/persist"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/topology"
@@ -121,12 +151,16 @@ func installInterrupt(name string) <-chan struct{} {
 	return interrupt
 }
 
+// inProcessFlags wrap the in-process network, which a -node run does not
+// have.
+var inProcessFlags = []string{"transport", "drop-rate", "max-delay", "crash", "restart-after"}
+
 func run(args []string, interrupt <-chan struct{}) error {
 	fs := flag.NewFlagSet("flcluster", flag.ContinueOnError)
 	var (
 		transportName = fs.String("transport", "memory", `"memory" or "tcp" (loopback sockets)`)
 		datasetName   = fs.String("dataset", "mnist", "dataset: mnist|cifar10|imagenet|har")
-		modelName     = fs.String("model", "cnn", "model: linear|logistic|cnn|vgg-mini|resnet-mini")
+		modelName     = fs.String("model", "cnn", "model: linear|logistic|cnn|cnn-gap|vgg-mini|resnet-mini")
 		classes       = fs.Int("classes", 0, "x-class non-IID assignment (0 = IID)")
 		reduced       = fs.Bool("reduced", false, "run HierAdMo-R (fixed gammaEdge) instead of adaptive")
 		verify        = fs.Bool("verify", false, "also run the in-process simulation and compare")
@@ -134,6 +168,10 @@ func run(args []string, interrupt <-chan struct{}) error {
 		seed          = fs.Uint64("seed", 0, "override seed")
 		saveResult    = fs.String("save-result", "", "write the run result as JSON to this path")
 		saveCurve     = fs.String("save-curve", "", "write the accuracy curve as CSV to this path")
+
+		nodeID       = fs.String("node", "", "run only this node of the tree (cloud, edge-ℓ, worker-ℓ-i, or a -topology ID) on its -registry address; every other flag must match across the processes")
+		registryPath = fs.String("registry", "", "path to the JSON node-ID → host:port registry of a -node deployment")
+		join         = fs.Bool("join", false, "require that -churn-plan schedules this -node worker as a late joiner (it then waits to be admitted mid-run)")
 
 		dropRate  = fs.Float64("drop-rate", 0, "inject message loss with this probability (0 disables)")
 		maxDelay  = fs.Duration("max-delay", 0, "inject a uniform per-message delay up to this duration")
@@ -166,6 +204,25 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var registry map[string]string
+	switch {
+	case *nodeID != "":
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		for _, name := range inProcessFlags {
+			if set[name] {
+				return fmt.Errorf("-%s wraps the in-process network and does not apply with -node", name)
+			}
+		}
+		var err error
+		if registry, err = loadRegistry(*registryPath); err != nil {
+			return err
+		}
+	case *join:
+		return fmt.Errorf("-join needs -node naming the late-joining worker")
+	case *registryPath != "":
+		return fmt.Errorf("-registry needs -node")
+	}
 	crashes, err := parseCrashSpec(*crash)
 	if err != nil {
 		return err
@@ -185,6 +242,11 @@ func run(args []string, interrupt <-chan struct{}) error {
 	churnPlan, err := loadChurnPlan(*churnSpec)
 	if err != nil {
 		return err
+	}
+	if *join {
+		if err := checkJoin(*nodeID, churnPlan); err != nil {
+			return err
+		}
 	}
 	migrate, err := membership.ParseMigrationPolicy(*migration)
 	if err != nil {
@@ -244,31 +306,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		fmt.Printf("telemetry: serving /metrics and /debug/pprof on http://%s\n", boundAddr)
 	}
 
-	var net cluster.Network
-	switch *transportName {
-	case "memory":
-		net = transport.NewMemoryNetwork()
-	case "tcp":
-		net = transport.NewTCPNetwork()
-	default:
-		return fmt.Errorf("unknown transport %q", *transportName)
-	}
-	if *dropRate > 0 || *maxDelay > 0 || len(crashes) > 0 {
-		net = transport.NewFaultyNetwork(net, transport.FaultPlan{
-			Seed:               *faultSeed,
-			DropRate:           *dropRate,
-			MaxDelay:           *maxDelay,
-			CrashAtRound:       crashes,
-			RestartAfterRounds: restarts,
-		})
-	}
-
-	fmt.Printf("distributed HierAdMo over %s: %d workers, %d edges, tau=%d pi=%d T=%d\n",
-		*transportName, cfg.NumWorkers(), cfg.NumEdges(), cfg.Tau, cfg.Pi, cfg.T)
-	if topo != nil {
-		fmt.Printf("topology: %s (depth %d, %d leaves)\n", topo, topo.Depth(), topo.NumLeaves())
-	}
-	res, err := cluster.Run(cfg, net, cluster.Options{
+	opts := cluster.Options{
 		Adaptive:          !*reduced,
 		MinQuorum:         *minQuorum,
 		StragglerDeadline: *straggler,
@@ -283,9 +321,50 @@ func run(args []string, interrupt <-chan struct{}) error {
 		EdgeAggregator:    edgeAgg,
 		CloudAggregator:   cloudAgg,
 		Topology:          topo,
-	})
-	if err != nil {
-		return err
+	}
+	var res *hieradmo.Result
+	if *nodeID != "" {
+		ep, err := transport.ListenStatic(*nodeID, registry)
+		if err != nil {
+			return err
+		}
+		defer ep.Close()
+		// Mirror the endpoint's send retries onto the sink, as Run does for
+		// an in-process network.
+		if ts, ok := ep.(transport.TelemetrySetter); ok {
+			ts.SetTelemetry(sink)
+		}
+		// Only the root returns a result.
+		if res, err = cluster.RunNode(cfg, ep, opts); err != nil || res == nil {
+			return err
+		}
+	} else {
+		var net cluster.Network
+		switch *transportName {
+		case "memory":
+			net = transport.NewMemoryNetwork()
+		case "tcp":
+			net = transport.NewTCPNetwork()
+		default:
+			return fmt.Errorf("unknown transport %q", *transportName)
+		}
+		if *dropRate > 0 || *maxDelay > 0 || len(crashes) > 0 {
+			net = transport.NewFaultyNetwork(net, transport.FaultPlan{
+				Seed:               *faultSeed,
+				DropRate:           *dropRate,
+				MaxDelay:           *maxDelay,
+				CrashAtRound:       crashes,
+				RestartAfterRounds: restarts,
+			})
+		}
+		fmt.Printf("distributed HierAdMo over %s: %d workers, %d edges, tau=%d pi=%d T=%d\n",
+			*transportName, cfg.NumWorkers(), cfg.NumEdges(), cfg.Tau, cfg.Pi, cfg.T)
+		if topo != nil {
+			fmt.Printf("topology: %s (depth %d, %d leaves)\n", topo, topo.Depth(), topo.NumLeaves())
+		}
+		if res, err = cluster.Run(cfg, net, opts); err != nil {
+			return err
+		}
 	}
 	fmt.Println(res)
 	if res.FaultReport.Any() {
@@ -315,7 +394,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		}
 	}
 	if *saveResult != "" {
-		if err := persist.SaveResult(*saveResult, res); err != nil {
+		if err := hieradmo.SaveResult(*saveResult, res); err != nil {
 			return err
 		}
 		fmt.Println("result written to", *saveResult)
@@ -326,12 +405,46 @@ func run(args []string, interrupt <-chan struct{}) error {
 			return err
 		}
 		defer f.Close()
-		if err := persist.WriteCurveCSV(f, res); err != nil {
+		if err := hieradmo.WriteCurveCSV(f, res); err != nil {
 			return err
 		}
 		fmt.Println("curve written to", *saveCurve)
 	}
 	return nil
+}
+
+// loadRegistry reads a -node deployment's node-ID → host:port registry.
+func loadRegistry(path string) (map[string]string, error) {
+	if path == "" {
+		return nil, fmt.Errorf("-node needs -registry")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("read registry: %w", err)
+	}
+	var registry map[string]string
+	if err := json.Unmarshal(raw, &registry); err != nil {
+		return nil, fmt.Errorf("parse registry %s: %w", path, err)
+	}
+	return registry, nil
+}
+
+// checkJoin holds -join to its promise: the node is a worker-ℓ-i the churn
+// plan admits after round 1.
+func checkJoin(id string, plan *membership.Plan) error {
+	ref, err := membership.ParseNodeID(id)
+	if err != nil {
+		return fmt.Errorf("-join only applies to a worker-ℓ-i node, not %q", id)
+	}
+	if plan == nil {
+		return fmt.Errorf("-join needs a -churn-plan that schedules %s's entry", id)
+	}
+	for _, ev := range plan.Events {
+		if ev.Action == membership.ActionJoin && ev.Worker == ref && ev.Round > 1 {
+			return nil
+		}
+	}
+	return fmt.Errorf("-join: the churn plan schedules no late join for %s", id)
 }
 
 // loadChurnPlan resolves the -churn-plan flag: a path to a churn trace

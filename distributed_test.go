@@ -2,9 +2,16 @@ package hieradmo
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
+	"math"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"hieradmo/internal/checkpoint"
 )
 
 func TestRunDistributedMatchesSimulation(t *testing.T) {
@@ -59,5 +66,131 @@ func TestFacadePersistence(t *testing.T) {
 	}
 	if len(params) != 3 || params[2] != 3 {
 		t.Errorf("params = %v", params)
+	}
+}
+
+func sampleResult() *Result {
+	return &Result{
+		Algorithm:  "HierAdMo",
+		FinalAcc:   0.87,
+		FinalLoss:  0.12,
+		Iterations: 240,
+		Curve: []Point{
+			{Iter: 40, TestAcc: 0.4, TrainLoss: 1.5},
+			{Iter: 240, TestAcc: 0.87, TrainLoss: 0.12},
+		},
+	}
+}
+
+func TestResultFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "res.json")
+	if err := SaveResult(path, sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadResult(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sampleResult(); !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip %+v, want %+v", got, want)
+	}
+	if _, err := LoadResult(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("missing file loaded")
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte("{nope"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadResult(bad); err == nil {
+		t.Error("malformed JSON loaded")
+	}
+}
+
+// TestCurveCSVRoundTrip parses the curve CSV back with encoding/csv: one
+// header, one row per curve point, floats at full precision.
+func TestCurveCSVRoundTrip(t *testing.T) {
+	a, b := sampleResult(), sampleResult()
+	b.Algorithm = "FedAvg"
+	b.Curve[0].TestAcc = 1e-17
+	var buf bytes.Buffer
+	if err := WriteCurveCSV(&buf, a, b); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"algorithm", "iter", "test_acc", "train_loss"},
+		{"HierAdMo", "40", "0.4", "1.5"},
+		{"HierAdMo", "240", "0.87", "0.12"},
+		{"FedAvg", "40", "1e-17", "1.5"},
+		{"FedAvg", "240", "0.87", "0.12"},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("rows %q, want %q", rows, want)
+	}
+}
+
+func TestCheckpointFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	for name, params := range map[string][]float64{
+		"values": {0, 1, -1, math.Pi, 1e-300, math.MaxFloat64, math.Inf(1), math.Copysign(0, -1)},
+		"empty":  nil,
+	} {
+		path := filepath.Join(dir, name+".ckpt")
+		if err := SaveCheckpoint(path, params); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(params) {
+			t.Fatalf("%s: read back %d params, wrote %d", name, len(got), len(params))
+		}
+		for i := range params {
+			if math.Float64bits(got[i]) != math.Float64bits(params[i]) {
+				t.Errorf("%s: param %d: %v != %v", name, i, got[i], params[i])
+			}
+		}
+	}
+}
+
+// TestCheckpointMalformed: a file that is not a parameter snapshot — the
+// retired HADMOCK1 layout, a truncated snapshot, a snapshot without the
+// parameter vector — fails with checkpoint.ErrFormat.
+func TestCheckpointMalformed(t *testing.T) {
+	dir := t.TempDir()
+	var old bytes.Buffer
+	old.WriteString("HADMOCK1")
+	old.Write([]byte{3, 0, 0, 0, 0, 0, 0, 0})
+	old.Write(make([]byte, 3*8))
+
+	good := filepath.Join(dir, "good.ckpt")
+	if err := SaveCheckpoint(good, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var other bytes.Buffer
+	if err := checkpoint.Write(&other, checkpoint.NewState("node", 4)); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"hadmock1":  old.Bytes(),
+		"truncated": raw[:len(raw)-4],
+		"no params": other.Bytes(),
+	} {
+		path := filepath.Join(dir, "bad.ckpt")
+		if err := os.WriteFile(path, body, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(path); !errors.Is(err, checkpoint.ErrFormat) {
+			t.Errorf("%s: err = %v, want checkpoint.ErrFormat", name, err)
+		}
 	}
 }

@@ -212,7 +212,6 @@ func TestDefaultPolicyTable(t *testing.T) {
 		{"detwall", "hieradmo/internal/netsim", true},
 		{"goexec", "hieradmo/internal/netsim", true},
 		{"wirealloc", "hieradmo/internal/checkpoint", true},
-		{"wirealloc", "hieradmo/internal/persist", true},
 		{"wirealloc", "hieradmo/internal/transport", true},
 		{"wirealloc", "hieradmo/internal/core", false},
 		{"nilsink", "hieradmo/internal/telemetry", true},

@@ -74,7 +74,6 @@ func DefaultPolicy(modulePath string) Policy {
 			"ckptstate": anyPackage,
 			"wirealloc": only(
 				in("internal/transport"),
-				in("internal/persist"),
 				in("internal/checkpoint"),
 				in("internal/telemetry"),
 				in("cmd/tracecat"),

@@ -1,7 +1,7 @@
 // Package checkpoint persists complete mid-run training state so crashed or
-// interrupted runs resume bit-exactly. It extends internal/persist's binary
-// artifact format (magic + little-endian, length-prefixed payloads) with the
-// three properties recovery needs that final artifacts do not:
+// interrupted runs resume bit-exactly. A snapshot is a binary file (magic +
+// little-endian, length-prefixed payloads) with the three properties
+// recovery needs:
 //
 //   - integrity: a version field and a CRC-32 over the payload, so a torn or
 //     bit-flipped file is detected and rejected (wrapped ErrFormat) instead of
@@ -44,8 +44,9 @@ var (
 	ErrMismatch = errors.New("checkpoint: config fingerprint mismatch")
 )
 
-// magic identifies snapshot files; "HADMOCK1" is internal/persist's
-// parameters-only checkpoint, this is its stateful successor.
+// magic identifies snapshot files. "HADMOCK1" was an older parameters-only
+// format; this is its stateful successor, and the root package's
+// SaveCheckpoint stores its one-vector parameter files in it too.
 const magic = "HADMOCK2"
 
 // version is bumped on any incompatible payload layout change.
@@ -54,8 +55,7 @@ const version = 1
 const (
 	// maxStringLen bounds decoded string lengths (names, fingerprints).
 	maxStringLen = 1 << 20
-	// maxVectorLen bounds decoded vector lengths (8 GiB of float64s),
-	// matching persist.ReadCheckpoint's guard against corrupt lengths.
+	// maxVectorLen bounds decoded vector lengths (8 GiB of float64s).
 	maxVectorLen = 1 << 30
 	// maxEntries bounds every section's entry count.
 	maxEntries = 1 << 24

@@ -16,15 +16,10 @@ import (
 	"hieradmo/internal/transport"
 )
 
-// Network abstracts the transport factories the cluster can run over
-// (transport.MemoryNetwork, transport.TCPNetwork, and transport.FaultyNetwork
+// Network is the transport factory the cluster runs over
+// (transport.MemoryNetwork, transport.TCPNetwork and transport.FaultyNetwork
 // all satisfy it).
-type Network interface {
-	// Endpoint returns the endpoint for a node ID.
-	Endpoint(id string) (transport.Endpoint, error)
-	// Close tears the network down after the run.
-	Close() error
-}
+type Network = transport.Network
 
 // DefaultRecvTimeout bounds how long any node waits for a peer message
 // before declaring the run failed; generous because workers legitimately
@@ -422,36 +417,37 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	return result, nil
 }
 
-// RunNode executes one node of a multi-process deployment (cmd/flnode)
+// RunNode executes one node of a multi-process deployment (flcluster -node)
 // against ep: every process builds the identical fl.Config deterministically
 // from the shared seed (synthetic data regenerates locally, so no training
 // data crosses the wire), opens its own transport endpoint, and runs exactly
 // one node — the same implementation Run wires up in-process, so a
-// multi-process run is bit-identical to the simulation too. level/idx
-// address the node in the run's tree: level 0 is the root and returns the
-// run result, the last level trains a leaf shard, every level but the root
-// returns nil on success. On the config-derived shape the cloud is (0, 0),
-// edge ℓ is (1, ℓ) and the workers are level 2 in cfg.Edges order.
+// multi-process run is bit-identical to the simulation too. The endpoint's
+// ID names the node in the run's tree (cloud / edge-ℓ / worker-ℓ-i on the
+// config-derived shape, the spec's IDs under Options.Topology); an ID the
+// tree does not have fails at once. The root returns the run result, every
+// other node nil on success.
 //
 // A multi-process root only sees its own tier's observations: its
 // FaultReport and AttackReport cover missing or substituted child reports
 // and its own rejections; lower tiers' faults and worker-side injections
 // live on those processes' sinks.
-func RunNode(cfg *fl.Config, level, idx int, ep transport.Endpoint, opts Options) (*fl.Result, error) {
+func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, error) {
 	opts, hn, ts, err := prepare(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	if level < 0 || level >= ts.depth() || idx < 0 || idx >= len(ts.ids[level]) {
-		return nil, fmt.Errorf("cluster: no node at level %d index %d in topology %s", level, idx, ts.shape)
+	addr, ok := ts.index[ep.ID()]
+	if !ok {
+		return nil, fmt.Errorf("cluster: %q is not a node of the tree %s", ep.ID(), ts.shape)
 	}
 	rec := newFaultRecorder(opts.Telemetry)
-	if level == ts.depth()-1 {
-		w := newTreeLeaf(cfg, ts, idx, hn.InitParams(), ep, opts)
+	if addr.lvl == ts.depth()-1 {
+		w := newTreeLeaf(cfg, ts, addr.idx, hn.InitParams(), ep, opts)
 		w.rec = rec
 		return nil, w.run()
 	}
-	n := newTierNode(cfg, hn, ts, level, idx, hn.InitParams(), ep, opts)
+	n := newTierNode(cfg, hn, ts, addr.lvl, addr.idx, hn.InitParams(), ep, opts)
 	n.rec = rec
 	res, err := n.run()
 	if err != nil || res == nil {

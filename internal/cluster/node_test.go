@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -54,7 +55,7 @@ func runStaticNodes(t *testing.T, cfg *fl.Config, opts Options) *fl.Result {
 		result *fl.Result
 	)
 	for level, lvl := range ts.ids {
-		for idx, id := range lvl {
+		for _, id := range lvl {
 			ep, err := transport.ListenStatic(id, registry)
 			if err != nil {
 				t.Fatal(err)
@@ -63,7 +64,7 @@ func runStaticNodes(t *testing.T, cfg *fl.Config, opts Options) *fl.Result {
 			go func() {
 				defer wg.Done()
 				defer ep.Close()
-				res, err := RunNode(cfg, level, idx, ep, opts)
+				res, err := RunNode(cfg, ep, opts)
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {
@@ -97,26 +98,32 @@ func TestStaticNodesMatchSimulation(t *testing.T) {
 	}
 }
 
+// TestNodeEntryPointValidation: an endpoint whose ID is not a node of the
+// tree, or a config that does not validate, fails before any message moves;
+// the refusal names the ID and the tree.
 func TestNodeEntryPointValidation(t *testing.T) {
 	cfg := buildConfig(t, 109, 0)
 	net := transport.NewMemoryNetwork()
 	defer net.Close()
-	ep, err := net.Endpoint("x")
-	if err != nil {
-		t.Fatal(err)
+	endpoint := func(id string) transport.Endpoint {
+		ep, err := net.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
 	}
-	for _, addr := range [][2]int{{1, 9}, {2, 9}, {1, -1}, {3, 0}, {-1, 0}} {
-		if _, err := RunNode(cfg, addr[0], addr[1], ep, Options{}); err == nil {
-			t.Errorf("node (%d, %d) outside the tree accepted", addr[0], addr[1])
+	for _, id := range []string{"x", "edge-9", "worker-2-0", "cloud-0"} {
+		_, err := RunNode(cfg, endpoint(id), Options{})
+		if err == nil || !strings.Contains(err.Error(), `"`+id+`"`) || !strings.Contains(err.Error(), derivedShape(cfg)) {
+			t.Errorf("node %q outside the tree: err = %v, want a refusal naming it and the tree", id, err)
 		}
 	}
 	bad := *cfg
 	bad.T = 7
-	if _, err := RunNode(&bad, 2, 0, ep, Options{}); err == nil {
-		t.Error("invalid config accepted by a leaf")
-	}
-	if _, err := RunNode(&bad, 0, 0, ep, Options{}); err == nil {
-		t.Error("invalid config accepted by the root")
+	for _, id := range []string{WorkerID(0, 0), CloudID} {
+		if _, err := RunNode(&bad, endpoint(id), Options{}); err == nil {
+			t.Errorf("invalid config accepted by %s", id)
+		}
 	}
 }
 

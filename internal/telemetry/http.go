@@ -8,8 +8,8 @@ import (
 )
 
 // Handler serves the registry at /metrics (Prometheus text format) and
-// the standard pprof endpoints under /debug/pprof/. It is what flnode
-// and flcluster mount behind -metrics-addr.
+// the standard pprof endpoints under /debug/pprof/. It is what flcluster
+// mounts behind -metrics-addr, in either mode.
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -11,8 +11,8 @@ import (
 // ListenStatic starts a TCP endpoint for a node whose peers live in OTHER
 // processes (or machines): the node binds the address the shared registry
 // assigns to its own ID and resolves peers from the same registry. This is
-// the multi-process deployment path used by cmd/flnode; the single-process
-// TCPNetwork remains the in-process path.
+// the multi-process deployment path used by flcluster -node; the
+// single-process TCPNetwork remains the in-process path.
 //
 // The registry maps node IDs to host:port strings and must contain id
 // itself (that entry is the bind address).

@@ -45,8 +45,7 @@ var (
 )
 
 // Network is the transport factory a protocol runs over; MemoryNetwork,
-// TCPNetwork, and FaultyNetwork all satisfy it (as does cluster.Network,
-// which is structurally identical).
+// TCPNetwork, and FaultyNetwork all satisfy it (cluster.Network is an alias).
 type Network interface {
 	// Endpoint returns the endpoint for a node ID.
 	Endpoint(id string) (Endpoint, error)
