@@ -60,6 +60,7 @@ func TestNodeFlagValidation(t *testing.T) {
 		{"join on a non-worker", "-node cloud -registry " + reg + " -join -churn-plan join:worker-0-1@3", "worker-ℓ-i"},
 		{"join without churn plan", "-node worker-0-1 -registry " + reg + " -join", "-churn-plan"},
 		{"join unscheduled", "-node worker-1-0 -registry " + reg + " -join -churn-plan join:worker-0-1@3", "no late join"},
+		{"bad migration policy", "-node cloud -registry " + reg + " -migration teleport", "unknown migration policy"},
 		{"transport", "-node cloud -registry " + reg + " -transport tcp", "-transport"},
 		{"drop rate", "-node cloud -registry " + reg + " -drop-rate 0.1", "-drop-rate"},
 		{"max delay", "-node cloud -registry " + reg + " -max-delay 1ms", "-max-delay"},

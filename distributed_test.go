@@ -3,7 +3,9 @@ package hieradmo
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"errors"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -95,15 +97,48 @@ func TestResultFileRoundTrip(t *testing.T) {
 	if want := sampleResult(); !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip %+v, want %+v", got, want)
 	}
-	if _, err := LoadResult(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file loaded")
+	if _, err := LoadResult(filepath.Join(dir, "missing.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file: err = %v, want fs.ErrNotExist", err)
 	}
-	bad := filepath.Join(dir, "bad.json")
+}
+
+// TestResultJSONRoundTrip: SaveResult writes plain indented JSON that
+// encoding/json decodes, without the facade, into the same result.
+func TestResultJSONRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "res.json")
+	if err := SaveResult(path, sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("{\n  ")) || !bytes.HasSuffix(raw, []byte("}\n")) {
+		t.Errorf("result file is not indented JSON with a trailing newline:\n%s", raw)
+	}
+	var got Result
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := sampleResult(); !reflect.DeepEqual(&got, want) {
+		t.Errorf("decoded %+v, want %+v", &got, want)
+	}
+}
+
+// TestLoadResultMalformed: a result file that is not JSON fails with the
+// decoder's syntax error, naming the file.
+func TestLoadResultMalformed(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("{nope"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadResult(bad); err == nil {
-		t.Error("malformed JSON loaded")
+	_, err := LoadResult(bad)
+	var syntax *json.SyntaxError
+	if !errors.As(err, &syntax) {
+		t.Fatalf("err = %v, want a *json.SyntaxError", err)
+	}
+	if !strings.Contains(err.Error(), bad) {
+		t.Errorf("err = %v, want it to name %s", err, bad)
 	}
 }
 
@@ -133,29 +168,47 @@ func TestCurveCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	for name, params := range map[string][]float64{
-		"values": {0, 1, -1, math.Pi, 1e-300, math.MaxFloat64, math.Inf(1), math.Copysign(0, -1)},
-		"empty":  nil,
-	} {
-		path := filepath.Join(dir, name+".ckpt")
-		if err := SaveCheckpoint(path, params); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadCheckpoint(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(params) {
-			t.Fatalf("%s: read back %d params, wrote %d", name, len(got), len(params))
-		}
-		for i := range params {
-			if math.Float64bits(got[i]) != math.Float64bits(params[i]) {
-				t.Errorf("%s: param %d: %v != %v", name, i, got[i], params[i])
-			}
+// checkpointRoundTrip saves params to a fresh file, loads them back and
+// fails t unless every parameter comes back bit for bit.
+func checkpointRoundTrip(t *testing.T, params []float64) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := SaveCheckpoint(path, params); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(params) {
+		t.Fatalf("read back %d params, wrote %d", len(got), len(params))
+	}
+	for i := range params {
+		if math.Float64bits(got[i]) != math.Float64bits(params[i]) {
+			t.Errorf("param %d: %v != %v", i, got[i], params[i])
 		}
 	}
+}
+
+// TestCheckpointRoundTrip: special values, signed zero and infinity
+// included, come back bit for bit.
+func TestCheckpointRoundTrip(t *testing.T) {
+	checkpointRoundTrip(t, []float64{0, 1, -1, math.Pi, 1e-300, math.MaxFloat64, math.Inf(1), math.Copysign(0, -1)})
+}
+
+// TestCheckpointFileRoundTrip: a model-sized parameter vector survives the
+// file round trip.
+func TestCheckpointFileRoundTrip(t *testing.T) {
+	params := make([]float64, 1000)
+	for i := range params {
+		params[i] = float64(i) * 0.001
+	}
+	checkpointRoundTrip(t, params)
+}
+
+// TestCheckpointEmpty: a checkpoint of no parameters loads back empty.
+func TestCheckpointEmpty(t *testing.T) {
+	checkpointRoundTrip(t, nil)
 }
 
 // TestCheckpointMalformed: a file that is not a parameter snapshot — the
