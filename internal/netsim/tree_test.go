@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"testing"
+	"time"
 
 	"hieradmo/internal/topology"
 )
@@ -40,6 +41,26 @@ func TestSimulateTreeMatchesThreeTier(t *testing.T) {
 			t.Fatalf("timeline[%d]: tree %v != three-tier %v (must be bit-identical)", i, tl[i], ref[i])
 		}
 	}
+	if len(tl) != len(threeTierTimeline) {
+		t.Fatalf("tree timeline has %d points, the pinned three-tier timeline %d", len(tl), len(threeTierTimeline))
+	}
+	for i, want := range threeTierTimeline {
+		if tl[i] != want {
+			t.Fatalf("timeline[%d] = %d ns, pinned three-tier timeline %d ns", i, tl[i], want)
+		}
+	}
+}
+
+// threeTierTimeline is SimulateThreeTier's timeline for the scenario above
+// (PaperTestbed([]int{2, 2}, 11), ModelPayload(104, true), T=24, τ=2, π=3),
+// in nanoseconds, recorded from the dedicated three-tier simulator. It stays
+// the oracle of the three-tier case when only SimulateTree is left.
+var threeTierTimeline = [...]time.Duration{
+	0, 128098367, 256196734, 384295102, 512393469,
+	640491836, 768590204, 888020417, 1007450631, 1126880845,
+	1246311058, 1365741272, 1485171486, 1594869092, 1704566699,
+	1814264305, 1923961912, 2033659518, 2143357125, 2264695989,
+	2386034853, 2507373717, 2628712581, 2750051445, 2871390309,
 }
 
 // TestSimulateTreeDeterministic checks that reruns of a four-level
