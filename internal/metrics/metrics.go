@@ -1,8 +1,6 @@
-// Package metrics provides the evaluation statistics used by the experiment
-// harness: summary statistics over repeated seeded runs (the "± std" the
-// paper's Table II reports), confusion matrices and per-class
-// precision/recall, and curve utilities (smoothing, area-under-curve) for
-// comparing convergence trajectories.
+// Package metrics provides the summary statistics the experiment harness
+// reports over repeated seeded runs: mean, sample standard deviation and
+// extremes (the "± std" the paper's Table II reports).
 package metrics
 
 import (
@@ -54,133 +52,4 @@ func (s Summary) String() string {
 		return fmt.Sprintf("%.2f", s.Mean)
 	}
 	return fmt.Sprintf("%.2f ± %.2f", s.Mean, s.Std)
-}
-
-// Confusion is a square confusion matrix: Counts[true][predicted].
-type Confusion struct {
-	Counts [][]int
-}
-
-// NewConfusion returns an empty numClasses × numClasses matrix.
-func NewConfusion(numClasses int) (*Confusion, error) {
-	if numClasses <= 0 {
-		return nil, fmt.Errorf("metrics: %d classes", numClasses)
-	}
-	c := &Confusion{Counts: make([][]int, numClasses)}
-	for i := range c.Counts {
-		c.Counts[i] = make([]int, numClasses)
-	}
-	return c, nil
-}
-
-// Observe records one (true label, prediction) pair; out-of-range values
-// are rejected.
-func (c *Confusion) Observe(label, pred int) error {
-	n := len(c.Counts)
-	if label < 0 || label >= n || pred < 0 || pred >= n {
-		return fmt.Errorf("metrics: observation (%d,%d) outside %d classes", label, pred, n)
-	}
-	c.Counts[label][pred]++
-	return nil
-}
-
-// Total returns the number of recorded observations.
-func (c *Confusion) Total() int {
-	total := 0
-	for _, row := range c.Counts {
-		for _, v := range row {
-			total += v
-		}
-	}
-	return total
-}
-
-// Accuracy returns the trace fraction.
-func (c *Confusion) Accuracy() float64 {
-	total := c.Total()
-	if total == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range c.Counts {
-		correct += c.Counts[i][i]
-	}
-	return float64(correct) / float64(total)
-}
-
-// Precision returns TP/(TP+FP) for class k, or 0 when the class is never
-// predicted.
-func (c *Confusion) Precision(k int) float64 {
-	var predicted int
-	for i := range c.Counts {
-		predicted += c.Counts[i][k]
-	}
-	if predicted == 0 {
-		return 0
-	}
-	return float64(c.Counts[k][k]) / float64(predicted)
-}
-
-// Recall returns TP/(TP+FN) for class k, or 0 when the class never occurs.
-func (c *Confusion) Recall(k int) float64 {
-	var actual int
-	for _, v := range c.Counts[k] {
-		actual += v
-	}
-	if actual == 0 {
-		return 0
-	}
-	return float64(c.Counts[k][k]) / float64(actual)
-}
-
-// MacroF1 returns the unweighted mean F1 over classes (classes with neither
-// predictions nor occurrences contribute 0).
-func (c *Confusion) MacroF1() float64 {
-	var sum float64
-	for k := range c.Counts {
-		p, r := c.Precision(k), c.Recall(k)
-		if p+r > 0 {
-			sum += 2 * p * r / (p + r)
-		}
-	}
-	return sum / float64(len(c.Counts))
-}
-
-// EMA returns the exponential moving average of xs with smoothing factor
-// alpha ∈ (0,1]; alpha = 1 returns a copy.
-func EMA(xs []float64, alpha float64) ([]float64, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("metrics: alpha %v outside (0,1]", alpha)
-	}
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	out := make([]float64, len(xs))
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
-	}
-	return out, nil
-}
-
-// AUC returns the trapezoidal area under a (x, y) curve normalized by the x
-// span, a scale-free convergence-speed score for accuracy curves (higher
-// is better: the curve rose earlier).
-func AUC(xs []int, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("metrics: %d xs for %d ys", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	var area float64
-	for i := 1; i < len(xs); i++ {
-		dx := float64(xs[i] - xs[i-1])
-		if dx <= 0 {
-			return 0, fmt.Errorf("metrics: x not strictly increasing at %d", i)
-		}
-		area += dx * (ys[i] + ys[i-1]) / 2
-	}
-	span := float64(xs[len(xs)-1] - xs[0])
-	return area / span, nil
 }

@@ -75,120 +75,3 @@ func TestSummarizeMeanBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestConfusion(t *testing.T) {
-	c, err := NewConfusion(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := [][2]int{{0, 0}, {0, 0}, {0, 1}, {1, 1}, {2, 2}, {2, 0}}
-	for _, o := range obs {
-		if err := c.Observe(o[0], o[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Total() != 6 {
-		t.Errorf("total = %d", c.Total())
-	}
-	if got := c.Accuracy(); math.Abs(got-4.0/6.0) > 1e-12 {
-		t.Errorf("accuracy = %v", got)
-	}
-	// Class 0: predicted 3 times, correct 2 → precision 2/3.
-	if got := c.Precision(0); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("precision(0) = %v", got)
-	}
-	// Class 0 occurs 3 times, correct 2 → recall 2/3.
-	if got := c.Recall(0); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("recall(0) = %v", got)
-	}
-	if f1 := c.MacroF1(); f1 <= 0 || f1 > 1 {
-		t.Errorf("macro F1 = %v", f1)
-	}
-}
-
-func TestConfusionErrors(t *testing.T) {
-	if _, err := NewConfusion(0); err == nil {
-		t.Error("accepted 0 classes")
-	}
-	c, err := NewConfusion(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Observe(2, 0); err == nil {
-		t.Error("accepted out-of-range label")
-	}
-	if err := c.Observe(0, -1); err == nil {
-		t.Error("accepted negative prediction")
-	}
-}
-
-func TestConfusionDegenerateClasses(t *testing.T) {
-	c, err := NewConfusion(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Accuracy() != 0 {
-		t.Error("empty accuracy should be 0")
-	}
-	if c.Precision(1) != 0 || c.Recall(1) != 0 {
-		t.Error("never-seen class should score 0")
-	}
-}
-
-func TestEMA(t *testing.T) {
-	out, err := EMA([]float64{0, 10, 10, 10}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 5, 7.5, 8.75}
-	for i := range want {
-		if math.Abs(out[i]-want[i]) > 1e-12 {
-			t.Errorf("ema[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if _, err := EMA([]float64{1}, 0); err == nil {
-		t.Error("accepted alpha 0")
-	}
-	if _, err := EMA(nil, 0.5); !errors.Is(err, ErrEmpty) {
-		t.Errorf("err = %v", err)
-	}
-	same, err := EMA([]float64{1, 2}, 1)
-	if err != nil || same[1] != 2 {
-		t.Errorf("alpha=1 should copy: %v %v", same, err)
-	}
-}
-
-func TestAUC(t *testing.T) {
-	// A flat curve at 0.5 has normalized AUC 0.5.
-	got, err := AUC([]int{0, 10, 20}, []float64{0.5, 0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("flat AUC = %v", got)
-	}
-	// An early riser dominates a late riser.
-	early, err := AUC([]int{0, 10, 20}, []float64{0, 0.9, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	late, err := AUC([]int{0, 10, 20}, []float64{0, 0.1, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if early <= late {
-		t.Errorf("early %v should beat late %v", early, late)
-	}
-}
-
-func TestAUCErrors(t *testing.T) {
-	if _, err := AUC([]int{1}, []float64{1}); !errors.Is(err, ErrEmpty) {
-		t.Errorf("short AUC err = %v", err)
-	}
-	if _, err := AUC([]int{1, 2}, []float64{1}); err == nil {
-		t.Error("accepted mismatched lengths")
-	}
-	if _, err := AUC([]int{2, 1}, []float64{1, 1}); err == nil {
-		t.Error("accepted decreasing x")
-	}
-}
