@@ -5,6 +5,7 @@ import (
 
 	"hieradmo/internal/core"
 	"hieradmo/internal/netsim"
+	"hieradmo/internal/topology"
 )
 
 // TimingSetting selects the Fig. 2(h) or Fig. 2(l) hyper-parameters.
@@ -46,7 +47,15 @@ func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 		return nil, fmt.Errorf("fig2h/l: %w", err)
 	}
 
-	env := netsim.PaperTestbed([]int{2, 2}, s.Seed+99)
+	// Both timelines run on the testbed hardware: two-tier rows on four
+	// workers talking to the cloud, hierarchical rows on the paper's two
+	// edges of two workers.
+	env := netsim.PaperTestbed(4, s.Seed+99)
+	topo, err := topology.Parse(fmt.Sprintf("cloud:tau=%d/edge*2:tau=%d/worker*2", tau*pi, tau))
+	if err != nil {
+		return nil, fmt.Errorf("fig2h/l: %w", err)
+	}
+	tree := netsim.PaperTreeTestbed(topo, s.Seed+99)
 	// The training substrate uses a laptop-scale CNN, but the timing study
 	// models shipping the paper's CNN (~6×10⁵ float64 parameters) over the
 	// wire — the over-the-network cost is part of the testbed being
@@ -78,7 +87,7 @@ func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 		if row.Flat {
 			tl, err = netsim.SimulateTwoTier(env, payload, cfg.T, tau*pi)
 		} else {
-			tl, err = netsim.SimulateThreeTier(env, payload, cfg.T, tau, pi)
+			tl, err = netsim.SimulateTree(tree, payload, cfg.T)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fig2h/l %s: %w", name, err)

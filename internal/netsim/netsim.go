@@ -1,9 +1,10 @@
 // Package netsim reproduces the paper's trace-driven simulation (§V-D): it
 // models per-iteration compute delays of heterogeneous worker devices,
 // latency/bandwidth link delays, and the synchronization structure of
-// two-tier and three-tier federated learning, then replays a training
-// accuracy curve onto the simulated timeline to obtain wall-clock
-// time-to-accuracy.
+// two-tier federated learning (SimulateTwoTier) and of aggregation trees of
+// any depth, the paper's three-tier layout included (SimulateTree), then
+// replays a training accuracy curve onto the simulated timeline to obtain
+// wall-clock time-to-accuracy.
 //
 // The device and link profiles mirror the structure of the paper's physical
 // testbed (an i3 laptop and three Android phones as workers, a MacBook Pro
@@ -79,49 +80,32 @@ func (l LinkProfile) Transfer(size int, r *rng.RNG) time.Duration {
 // algorithms move one model each way.
 type Payload struct {
 	// WorkerUp/WorkerDown are the bytes a worker exchanges with its
-	// aggregator (edge in three-tier, cloud in two-tier) per sync.
+	// aggregator (the leaf parent of a tree, the cloud in two-tier) per sync.
 	WorkerUp, WorkerDown int
-	// EdgeUp/EdgeDown are the bytes an edge exchanges with the cloud per
-	// cloud sync (three-tier only).
+	// EdgeUp/EdgeDown are the bytes an aggregator exchanges with its parent
+	// per parent round (trees only).
 	EdgeUp, EdgeDown int
 }
 
-// Env is a complete timing environment for one deployment.
+// Env is the timing environment of a two-tier deployment, every worker
+// talking to the cloud over the WAN; N-tier deployments, the three-tier
+// client–edge–cloud one included, are described by a TreeEnv.
 type Env struct {
 	// Workers lists the compute profile of every worker, flattened in the
 	// same order the FL topology flattens them (edge 0 workers first).
 	Workers []DeviceProfile
-	// WorkersPerEdge groups the flattened workers into edges (three-tier).
-	WorkersPerEdge []int
-	// EdgeCompute and CloudCompute are per-aggregation compute costs.
-	EdgeCompute, CloudCompute DeviceProfile
-	// WorkerEdge is the worker↔edge LAN link (three-tier).
-	WorkerEdge LinkProfile
-	// EdgeCloud is the edge↔cloud WAN link (three-tier).
-	EdgeCloud LinkProfile
-	// WorkerCloud is the worker↔cloud WAN link (two-tier).
+	// CloudCompute is the per-aggregation compute cost of the cloud.
+	CloudCompute DeviceProfile
+	// WorkerCloud is the worker↔cloud WAN link.
 	WorkerCloud LinkProfile
 	// Seed drives all delay sampling.
 	Seed uint64
 }
 
 // Validate checks structural consistency.
-func (e *Env) Validate(threeTier bool) error {
+func (e *Env) Validate() error {
 	if len(e.Workers) == 0 {
 		return fmt.Errorf("%w: no workers", ErrEnv)
-	}
-	if !threeTier {
-		return nil
-	}
-	total := 0
-	for _, c := range e.WorkersPerEdge {
-		if c <= 0 {
-			return fmt.Errorf("%w: edge with %d workers", ErrEnv, c)
-		}
-		total += c
-	}
-	if total != len(e.Workers) {
-		return fmt.Errorf("%w: %d workers grouped into %d edge slots", ErrEnv, len(e.Workers), total)
 	}
 	return nil
 }

@@ -2,14 +2,24 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"hieradmo/internal/rng"
+	"hieradmo/internal/topology"
 )
 
 func testEnv() *Env {
-	return PaperTestbed([]int{2, 2}, 42)
+	return PaperTestbed(4, 42)
+}
+
+// threeTierEnv is the paper's client–edge–cloud deployment of two edges of
+// two workers over the testbed hardware, edges syncing every τ iterations
+// and the cloud every τ·π.
+func threeTierEnv(t *testing.T, tau, pi int, seed uint64) *TreeEnv {
+	t.Helper()
+	return PaperTreeTestbed(simTopo(t, fmt.Sprintf("cloud:tau=%d/edge*2:tau=%d/worker*2", tau*pi, tau)), seed)
 }
 
 func TestDeviceSamplePositive(t *testing.T) {
@@ -67,30 +77,19 @@ func TestLinkTransfer(t *testing.T) {
 
 func TestEnvValidate(t *testing.T) {
 	env := testEnv()
-	if err := env.Validate(true); err != nil {
+	if err := env.Validate(); err != nil {
 		t.Errorf("valid env rejected: %v", err)
 	}
 	bad := *env
-	bad.WorkersPerEdge = []int{3, 2} // 5 slots for 4 workers
-	if err := bad.Validate(true); !errors.Is(err, ErrEnv) {
-		t.Errorf("err = %v, want ErrEnv", err)
-	}
-	bad2 := *env
-	bad2.Workers = nil
-	if err := bad2.Validate(false); !errors.Is(err, ErrEnv) {
-		t.Errorf("err = %v, want ErrEnv", err)
-	}
-	bad3 := *env
-	bad3.WorkersPerEdge = []int{4, 0}
-	if err := bad3.Validate(true); !errors.Is(err, ErrEnv) {
+	bad.Workers = nil
+	if err := bad.Validate(); !errors.Is(err, ErrEnv) {
 		t.Errorf("err = %v, want ErrEnv", err)
 	}
 }
 
 func TestSimulateThreeTierShape(t *testing.T) {
-	env := testEnv()
 	payload := ModelPayload(10_000, true)
-	tl, err := SimulateThreeTier(env, payload, 40, 10, 2)
+	tl, err := SimulateTree(threeTierEnv(t, 10, 2, 42), payload, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +121,12 @@ func TestSimulateTwoTierShape(t *testing.T) {
 func TestSimulateErrors(t *testing.T) {
 	env := testEnv()
 	p := ModelPayload(1000, false)
-	if _, err := SimulateThreeTier(env, p, 41, 10, 2); !errors.Is(err, ErrEnv) {
+	three := threeTierEnv(t, 10, 2, 42)
+	if _, err := SimulateTree(three, p, 41); !errors.Is(err, topology.ErrMisaligned) {
 		t.Errorf("non-multiple T err = %v", err)
 	}
-	if _, err := SimulateThreeTier(env, p, 40, 0, 2); !errors.Is(err, ErrEnv) {
-		t.Errorf("zero tau err = %v", err)
+	if _, err := SimulateTree(three, p, 0); !errors.Is(err, ErrEnv) {
+		t.Errorf("zero T err = %v", err)
 	}
 	if _, err := SimulateTwoTier(env, p, 40, 0); !errors.Is(err, ErrEnv) {
 		t.Errorf("zero period err = %v", err)
@@ -137,13 +137,12 @@ func TestSimulateErrors(t *testing.T) {
 }
 
 func TestSimulateDeterministic(t *testing.T) {
-	env := testEnv()
 	p := ModelPayload(5000, true)
-	a, err := SimulateThreeTier(env, p, 40, 10, 2)
+	a, err := SimulateTree(threeTierEnv(t, 10, 2, 42), p, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateThreeTier(env, p, 40, 10, 2)
+	b, err := SimulateTree(threeTierEnv(t, 10, 2, 42), p, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,15 +156,14 @@ func TestSimulateDeterministic(t *testing.T) {
 // deployment completes the same number of iterations faster because only
 // edges touch the WAN, and only once per cloud interval.
 func TestThreeTierCheaperPerSyncThanTwoTier(t *testing.T) {
-	env := testEnv()
 	const dim = 300_000 // paper-scale CNN parameter count
 	p3 := ModelPayload(dim, false)
 	p2 := ModelPayload(dim, false)
-	three, err := SimulateThreeTier(env, p3, 200, 10, 2)
+	three, err := SimulateTree(threeTierEnv(t, 10, 2, 42), p3, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := SimulateTwoTier(env, p2, 200, 20)
+	two, err := SimulateTwoTier(testEnv(), p2, 200, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +199,14 @@ func TestTimeToAccuracy(t *testing.T) {
 }
 
 func TestPaperTestbedCyclesDevices(t *testing.T) {
-	env := PaperTestbed([]int{5, 5}, 1)
+	env := PaperTestbed(10, 1)
 	if len(env.Workers) != 10 {
 		t.Fatalf("workers = %d", len(env.Workers))
 	}
 	if env.Workers[0].Name != env.Workers[4].Name {
 		t.Error("device cycling broken")
 	}
-	if err := env.Validate(true); err != nil {
+	if err := env.Validate(); err != nil {
 		t.Error(err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 func TestMoreBytesNeverFaster(t *testing.T) {
 	f := func(dimRaw uint16) bool {
 		dim := 1000 + int(dimRaw)
-		env := PaperTestbed([]int{2, 2}, 5)
+		env := PaperTestbed(4, 5)
 		small, err := SimulateTwoTier(env, ModelPayload(dim, false), 40, 20)
 		if err != nil {
 			return false
@@ -29,12 +29,12 @@ func TestMoreBytesNeverFaster(t *testing.T) {
 }
 
 func TestMomentumPayloadNeverFaster(t *testing.T) {
-	env := PaperTestbed([]int{2, 2}, 7)
-	plain, err := SimulateThreeTier(env, ModelPayload(100_000, false), 40, 10, 2)
+	env := threeTierEnv(t, 10, 2, 7)
+	plain, err := SimulateTree(env, ModelPayload(100_000, false), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mom, err := SimulateThreeTier(env, ModelPayload(100_000, true), 40, 10, 2)
+	mom, err := SimulateTree(env, ModelPayload(100_000, true), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +44,17 @@ func TestMomentumPayloadNeverFaster(t *testing.T) {
 }
 
 func TestSlowerDevicesNeverFaster(t *testing.T) {
-	fast := PaperTestbed([]int{2, 2}, 9)
-	slow := PaperTestbed([]int{2, 2}, 9)
-	for i := range slow.Workers {
-		slow.Workers[i].Median *= 4
+	fast := threeTierEnv(t, 10, 2, 9)
+	slow := threeTierEnv(t, 10, 2, 9)
+	for i := range slow.Leaves {
+		slow.Leaves[i].Median *= 4
 	}
 	p := ModelPayload(50_000, false)
-	tf, err := SimulateThreeTier(fast, p, 40, 10, 2)
+	tf, err := SimulateTree(fast, p, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := SimulateThreeTier(slow, p, 40, 10, 2)
+	ts, err := SimulateTree(slow, p, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestSlowerDevicesNeverFaster(t *testing.T) {
 func TestStragglerDominatesRound(t *testing.T) {
 	// A single extremely slow worker must slow the whole synchronous round
 	// (the straggler effect the paper's testbed exhibits).
-	env := PaperTestbed([]int{2, 2}, 11)
+	env := PaperTestbed(4, 11)
 	base, err := SimulateTwoTier(env, ModelPayload(1000, false), 20, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	straggler := PaperTestbed([]int{2, 2}, 11)
+	straggler := PaperTestbed(4, 11)
 	straggler.Workers[3].Median = 2 * time.Second
 	slow, err := SimulateTwoTier(straggler, ModelPayload(1000, false), 20, 20)
 	if err != nil {
@@ -85,8 +85,7 @@ func TestStragglerDominatesRound(t *testing.T) {
 
 func TestTimelineMonotoneProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		env := PaperTestbed([]int{2, 2}, seed)
-		tl, err := SimulateThreeTier(env, ModelPayload(10_000, true), 40, 5, 4)
+		tl, err := SimulateTree(threeTierEnv(t, 5, 4, seed), ModelPayload(10_000, true), 40)
 		if err != nil {
 			return false
 		}

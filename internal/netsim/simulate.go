@@ -7,68 +7,11 @@ import (
 	"hieradmo/internal/rng"
 )
 
-// SimulateThreeTier builds the timeline of a synchronous three-tier run:
-// workers compute τ local iterations in parallel, each edge waits for its
-// slowest worker plus the LAN exchange, and every π edge intervals the cloud
-// waits for the slowest edge plus the WAN exchange. Iteration times within a
-// cloud interval are spread uniformly, which is exact at every cloud
-// boundary and a linear interpolation in between.
-func SimulateThreeTier(env *Env, payload Payload, tTotal, tau, pi int) (Timeline, error) {
-	if err := env.Validate(true); err != nil {
-		return nil, err
-	}
-	if tau <= 0 || pi <= 0 || tTotal <= 0 || tTotal%(tau*pi) != 0 {
-		return nil, fmt.Errorf("%w: T=%d tau=%d pi=%d", ErrEnv, tTotal, tau, pi)
-	}
-	r := rng.New(env.Seed).Split(0x3a3a)
-	tl := make(Timeline, tTotal+1)
-	period := tau * pi
-	var now time.Duration
-	for p := 0; p < tTotal/period; p++ {
-		var slowestEdge time.Duration
-		offset := 0
-		for _, count := range env.WorkersPerEdge {
-			edgeWorkers := env.Workers[offset : offset+count]
-			offset += count
-			var edgeTime time.Duration
-			for k := 0; k < pi; k++ {
-				// Slowest worker in the edge over τ iterations, plus the
-				// LAN exchange and edge aggregation compute.
-				var slowestWorker time.Duration
-				for _, w := range edgeWorkers {
-					var compute time.Duration
-					for it := 0; it < tau; it++ {
-						compute += w.Sample(r)
-					}
-					compute += env.WorkerEdge.Transfer(payload.WorkerUp, r)
-					compute += env.WorkerEdge.Transfer(payload.WorkerDown, r)
-					if compute > slowestWorker {
-						slowestWorker = compute
-					}
-				}
-				edgeTime += slowestWorker + env.EdgeCompute.Sample(r)
-			}
-			// WAN legs once per cloud interval.
-			edgeTime += env.EdgeCloud.Transfer(payload.EdgeUp, r)
-			edgeTime += env.EdgeCloud.Transfer(payload.EdgeDown, r)
-			if edgeTime > slowestEdge {
-				slowestEdge = edgeTime
-			}
-		}
-		intervalTime := slowestEdge + env.CloudCompute.Sample(r)
-		for i := 1; i <= period; i++ {
-			tl[p*period+i] = now + intervalTime*time.Duration(i)/time.Duration(period)
-		}
-		now += intervalTime
-	}
-	return tl, nil
-}
-
 // SimulateTwoTier builds the timeline of a synchronous two-tier run: every
 // worker computes `period` iterations and exchanges the payload with the
 // cloud over the WAN; the round ends when the slowest worker finishes.
 func SimulateTwoTier(env *Env, payload Payload, tTotal, period int) (Timeline, error) {
-	if err := env.Validate(false); err != nil {
+	if err := env.Validate(); err != nil {
 		return nil, err
 	}
 	if period <= 0 || tTotal <= 0 || tTotal%period != 0 {

@@ -33,27 +33,20 @@ var (
 	WANWorkerCloud = LinkProfile{Name: "wan-worker-cloud", RTT: 50 * time.Millisecond, Mbps: 20, Jitter: 0.4}
 )
 
-// PaperTestbed assembles the §V-D environment for n workers, cycling the
-// four physical devices when n > 4, grouped into edges of workersPerEdge.
-func PaperTestbed(workersPerEdge []int, seed uint64) *Env {
+// PaperTestbed assembles the §V-D two-tier environment for n workers,
+// cycling the four physical devices when n > 4; PaperTreeTestbed is its
+// N-tier counterpart.
+func PaperTestbed(n int, seed uint64) *Env {
 	devices := []DeviceProfile{LaptopI3, NubiaZ17s, RealmeGTNeo, RedmiK30Ultra}
-	n := 0
-	for _, c := range workersPerEdge {
-		n += c
-	}
 	workers := make([]DeviceProfile, n)
 	for i := range workers {
 		workers[i] = devices[i%len(devices)]
 	}
 	return &Env{
-		Workers:        workers,
-		WorkersPerEdge: workersPerEdge,
-		EdgeCompute:    MacBookEdge,
-		CloudCompute:   GPUServerCloud,
-		WorkerEdge:     WiFi5GHz,
-		EdgeCloud:      WANEdgeCloud,
-		WorkerCloud:    WANWorkerCloud,
-		Seed:           seed,
+		Workers:      workers,
+		CloudCompute: GPUServerCloud,
+		WorkerCloud:  WANWorkerCloud,
+		Seed:         seed,
 	}
 }
 

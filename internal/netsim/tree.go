@@ -59,9 +59,9 @@ func (e *TreeEnv) Validate() error {
 // payload.EdgeUp/EdgeDown. Iteration times within a root round are spread
 // uniformly, exact at root boundaries and a linear interpolation in between.
 //
-// For a three-level topology whose periods match (tau, pi) the draw sequence
-// is identical to SimulateThreeTier's: matched environments reproduce its
-// timeline bit for bit.
+// A three-level topology cloud:tau=τπ/edge*L:tau=τ/worker*C is the paper's
+// client–edge–cloud deployment; its timeline is pinned bit for bit to the
+// one the dedicated three-tier simulator this function replaced drew.
 func SimulateTree(env *TreeEnv, payload Payload, tTotal int) (Timeline, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
