@@ -35,14 +35,14 @@ func TestFedAvgSingleWorkerIsSGD(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := hn.InitParams()
 	grad := tensor.NewVector(len(x))
 	for step := 0; step < cfg.T; step++ {
-		if _, err := hn.Grad(0, 0, x, grad); err != nil {
+		if _, err := hn.Grad(0, x, grad); err != nil {
 			t.Fatal(err)
 		}
 		if err := x.AXPY(-cfg.Eta, grad); err != nil {

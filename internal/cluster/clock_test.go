@@ -31,7 +31,7 @@ func (c *stepClock) Now() time.Time {
 // real time — proof the deadlines run on Options.Clock, not time.Now.
 func TestEdgeStragglerDeadlineUsesInjectedClock(t *testing.T) {
 	cfg := buildConfig(t, 61, 0)
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func edgeUnderTest(t *testing.T, cfg *fl.Config, hn *fl.Harness, ep transport.En
 // leaving a zero-valued Message (nil vectors) in the aggregation.
 func TestEdgeDuplicateReportRejected(t *testing.T) {
 	cfg := buildConfig(t, 61, 0)
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEdgeDuplicateReportRejected(t *testing.T) {
 // A plain-average parent reads no term and needs none.
 func TestEdgeRejectsMalformedTerm(t *testing.T) {
 	cfg := buildConfig(t, 61, 0)
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestClusterChaosDeterministic(t *testing.T) {
 	}
 	res := run()
 
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestClusterQuorumUnreachableFailsFast(t *testing.T) {
 // subsequent report stale, until the miss-streak limit killed the run.
 func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 	cfg := buildConfig(t, 91, 0)
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func (w *treeLeaf) initCheckpoint() (int, error) {
 // schedule assigns for the round.
 func (w *treeLeaf) parentAt(k int) (string, error) {
 	lp := w.ts.leafParent()
-	p := w.ts.parent[lp+1][w.j]
+	p := w.ts.tree.Parent[lp+1][w.j]
 	if w.ts.sched != nil {
 		var ok bool
 		if p, ok = w.ts.sched.EdgeOf(k, w.ts.ref(w.j)); !ok {

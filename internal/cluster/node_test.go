@@ -112,9 +112,13 @@ func TestNodeEntryPointValidation(t *testing.T) {
 		}
 		return ep
 	}
+	tree, err := cfg.Tree(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []string{"x", "edge-9", "worker-2-0", "cloud-0"} {
 		_, err := RunNode(cfg, endpoint(id), Options{})
-		if err == nil || !strings.Contains(err.Error(), `"`+id+`"`) || !strings.Contains(err.Error(), derivedShape(cfg)) {
+		if err == nil || !strings.Contains(err.Error(), `"`+id+`"`) || !strings.Contains(err.Error(), tree.Shape) {
 			t.Errorf("node %q outside the tree: err = %v, want a refusal naming it and the tree", id, err)
 		}
 	}

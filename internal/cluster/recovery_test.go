@@ -112,7 +112,7 @@ func TestFourVectorSnapshotRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldFP := cfg.Fingerprint("cluster/tier") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, opts.Ceiling, ts.shape)
+		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree.Shape)
 	dim := cfg.Model.Dim()
 	fabricate := func(node string, seq int, vectors []string, stash []float64) {
 		t.Helper()
@@ -349,7 +349,7 @@ func TestClusterWorkerRestartRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"hieradmo/internal/core"
 	"hieradmo/internal/dataset"
@@ -16,36 +14,26 @@ import (
 	"hieradmo/internal/topology"
 )
 
-// treeSpec is the precomputed shape of a run, shared by every node: it is
-// the one module that answers who a node's children are in a given round,
-// with what weights, and under what transport IDs. An explicit
-// Options.Topology yields a uniform-fanout tree with "<level>-<index>" IDs;
-// without one the shape is derived from the config — cloud over cfg.Edges
-// (possibly ragged) over workers, with the cloud / edge-ℓ / worker-ℓ-i IDs
-// that fault, churn and attack plans, the per-node noise streams and
-// checkpoint file names are keyed by. With dynamic membership the
-// leaf-parent level's children and every level's weights additionally vary
-// by membership epoch.
+// treeSpec is what a distributed run adds to the run's tree, shared by every
+// node: the tree itself (topology.Tree — levels, natal children, data
+// weights and the leaves' natal keys, the shape the in-process simulation
+// runs too), the transport IDs and their index, each aggregating level's
+// rules resolved from the options, and the membership epochs. An explicit
+// Options.Topology names nodes "<level>-<index>"; the configuration's own
+// tree keeps the cloud / edge-ℓ / worker-ℓ-i IDs that fault, churn and
+// attack plans, the per-node noise streams and checkpoint file names are
+// keyed by. With dynamic membership the leaf-parent level's children and
+// every level's weights additionally vary by membership epoch.
 //
 // It is pure derived data — building one performs no I/O, and every process
 // of a multi-process deployment derives the identical spec from the shared
 // config and options.
 type treeSpec struct {
-	cfg *fl.Config
-	// levels is the chain of tiers, root first: name, sync period τℓ and the
-	// explicit per-level attributes of a topology spec. Fanout is only
-	// meaningful for explicit topologies; the derived shape may be ragged.
-	levels []topology.Level
-	// shape is the canonical rendering of the tree, part of every checkpoint
-	// fingerprint so snapshots never cross tree shapes.
-	shape string
+	cfg  *fl.Config
+	tree *topology.Tree
 	// ids[i][j] is the transport ID of node j at level i; index inverts it.
 	ids   [][]string
 	index map[string]nodeAddr
-	// kids[i][j] lists, ascending, the level-(i+1) indices of the natal
-	// children of node j at level i; parent[i][j] (i ≥ 1) is the inverse.
-	kids   [][][]int
-	parent [][]int
 	// shards holds the training leaves' datasets, cfg.Edges flattened in
 	// order: an explicit topology regroups the same shards under its fanout.
 	shards []*dataset.Dataset
@@ -68,7 +56,7 @@ type treeSpec struct {
 	sched  *membership.Schedule
 	policy membership.MigrationPolicy
 	// epochs holds the children and weights of every membership epoch; a
-	// static run has exactly one.
+	// static run has exactly one, the tree's own.
 	epochs []epochShape
 }
 
@@ -77,85 +65,31 @@ type nodeAddr struct{ lvl, idx int }
 
 // epochShape is the tree during one membership epoch.
 type epochShape struct {
-	// kids is treeSpec.kids except at the leaf-parent level, where it lists
-	// the epoch's live cohorts (ascending leaf index, which is Ref order).
+	// kids is the tree's Kids except at the leaf-parent level, where it
+	// lists the epoch's live cohorts (ascending leaf index, which is Ref
+	// order).
 	kids [][][]int
 	// weights[i][j][c] is the data weight of the c-th child of node j at
-	// level i: the child subtree's live sample count over the node's. Both
-	// are exact integers, so a leaf-parent's weights are bitwise the
-	// harness's D(i,ℓ)/Dℓ and a 3-level root's its Dℓ/D — matched shapes
-	// aggregate with the coefficients of the in-process simulation.
+	// level i, weighed by the tree over the live subtrees (Tree.Weigh).
 	weights [][][]float64
 }
 
 // newTreeSpec resolves the run's tree from the config and options and
 // validates them against each other.
 func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
-	ts := &treeSpec{cfg: cfg, policy: opts.Migration}
-	// fan(i, j) is the child count of node j at level i; id names node idx
-	// of level i, the pos-th child of node parent.
-	var (
-		fan func(i, j int) int
-		id  func(i, idx, parent, pos int) string
-	)
-	if topo := opts.Topology; topo != nil {
-		if err := topo.Validate(); err != nil {
-			return nil, err
-		}
-		if err := topo.AlignsWith(cfg.T); err != nil {
-			return nil, err
-		}
-		if topo.NumLeaves() != cfg.NumWorkers() {
-			return nil, fmt.Errorf("cluster: topology %q has %d leaves for %d configured workers",
-				topo, topo.NumLeaves(), cfg.NumWorkers())
-		}
-		ts.levels = topo.Levels
-		ts.shape = topo.String()
-		fan = func(i, _ int) int { return topo.Levels[i+1].Fanout }
-		id = func(i, idx, _, _ int) string { return topo.NodeID(i, idx) }
-	} else {
-		ts.levels = []topology.Level{
-			{Name: "cloud", Tau: cfg.Tau * cfg.Pi},
-			{Name: "edge", Tau: cfg.Tau},
-			{Name: "worker", Tau: 1},
-		}
-		ts.shape = derivedShape(cfg)
-		fan = func(i, j int) int {
-			if i == 0 {
-				return len(cfg.Edges)
-			}
-			return len(cfg.Edges[j])
-		}
-		id = func(i, idx, parent, pos int) string {
-			switch i {
-			case 0:
-				return CloudID
-			case 1:
-				return EdgeID(idx)
-			}
-			return WorkerID(parent, pos)
-		}
+	tree, err := cfg.Tree(opts.Topology)
+	if err != nil {
+		return nil, err
 	}
-	depth := len(ts.levels)
+	ts := &treeSpec{cfg: cfg, tree: tree, policy: opts.Migration}
+	depth := tree.Depth()
 	ts.ids = make([][]string, depth)
-	ts.kids = make([][][]int, depth-1)
-	ts.parent = make([][]int, depth)
-	ts.ids[0] = []string{id(0, 0, 0, 0)}
-	for i := 0; i < depth-1; i++ {
-		ts.kids[i] = make([][]int, len(ts.ids[i]))
-		for j := range ts.ids[i] {
-			for pos := 0; pos < fan(i, j); pos++ {
-				child := len(ts.ids[i+1])
-				ts.kids[i][j] = append(ts.kids[i][j], child)
-				ts.parent[i+1] = append(ts.parent[i+1], j)
-				ts.ids[i+1] = append(ts.ids[i+1], id(i+1, child, j, pos))
-			}
-		}
-	}
 	ts.index = make(map[string]nodeAddr)
-	for i, lvl := range ts.ids {
-		for j, nodeID := range lvl {
-			ts.index[nodeID] = nodeAddr{i, j}
+	for i := range ts.ids {
+		ts.ids[i] = make([]string, tree.Width(i))
+		for j := range ts.ids[i] {
+			ts.ids[i][j] = ts.nodeID(i, j)
+			ts.index[ts.ids[i][j]] = nodeAddr{i, j}
 		}
 	}
 	for _, edge := range cfg.Edges {
@@ -167,7 +101,7 @@ func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
 	ts.gamma = make([]float64, depth-1)
 	ts.adapt = make([]bool, depth-1)
 	ts.momentum = make([]bool, depth-1)
-	for i, lv := range ts.levels[:depth-1] {
+	for i, lv := range tree.Levels[:depth-1] {
 		// An explicit agg= in a spec wins; otherwise the leaf-parent and root
 		// levels default to the run's Edge/CloudAggregator options.
 		ts.agg[i] = lv.Agg
@@ -193,39 +127,38 @@ func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
 		ts.momentum[i] = ts.adapt[i] || ts.gamma[i] != 0
 	}
 
-	cohorts := [][][]int{ts.kids[lp]}
-	if opts.churnEnabled() {
-		var err error
-		if cohorts, err = ts.buildSchedule(opts); err != nil {
-			return nil, err
-		}
+	if !opts.churnEnabled() {
+		ts.epochs = []epochShape{{kids: tree.Kids, weights: tree.Weights}}
+		return ts, nil
+	}
+	cohorts, err := ts.buildSchedule(opts)
+	if err != nil {
+		return nil, err
 	}
 	for _, c := range cohorts {
-		ep, err := ts.newEpoch(c)
+		kids := append([][][]int(nil), tree.Kids...)
+		kids[lp] = c
+		_, weights, err := tree.Weigh(kids)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		ts.epochs = append(ts.epochs, ep)
+		ts.epochs = append(ts.epochs, epochShape{kids: kids, weights: weights})
 	}
 	return ts, nil
 }
 
-// derivedShape renders the config's cloud/edge/worker shape in the topology
-// grammar; a ragged edge tier lists its per-edge worker counts.
-func derivedShape(cfg *fl.Config) string {
-	workers := strconv.Itoa(len(cfg.Edges[0]))
-	for _, edge := range cfg.Edges {
-		if len(edge) != len(cfg.Edges[0]) {
-			sizes := make([]string, len(cfg.Edges))
-			for l := range cfg.Edges {
-				sizes[l] = strconv.Itoa(len(cfg.Edges[l]))
-			}
-			workers = "[" + strings.Join(sizes, ",") + "]"
-			break
-		}
+// nodeID names node idx of level i: the spec's "<level>-<index>", or the
+// configuration's own tree's cloud / edge-ℓ / worker-ℓ-i.
+func (ts *treeSpec) nodeID(i, idx int) string {
+	switch {
+	case ts.tree.Spec != nil:
+		return ts.tree.Spec.NodeID(i, idx)
+	case i == 0:
+		return CloudID
+	case i == 1:
+		return EdgeID(idx)
 	}
-	return fmt.Sprintf("cloud:tau=%d/edge*%d:tau=%d/worker*%s",
-		cfg.Tau*cfg.Pi, len(cfg.Edges), cfg.Tau, workers)
+	return WorkerID(ts.tree.Natal(idx))
 }
 
 // buildSchedule precomputes the membership trajectory and returns every
@@ -277,41 +210,6 @@ func (ts *treeSpec) buildSchedule(opts Options) ([][][]int, error) {
 	return cohorts, nil
 }
 
-// newEpoch computes the weights of the tree whose leaf-parent level has the
-// given cohorts.
-func (ts *treeSpec) newEpoch(cohorts [][]int) (epochShape, error) {
-	depth, lp := ts.depth(), ts.leafParent()
-	ep := epochShape{
-		kids:    append([][][]int(nil), ts.kids...),
-		weights: make([][][]float64, depth-1),
-	}
-	ep.kids[lp] = cohorts
-	// Live subtree sample counts, integer-exact, leaves up.
-	sizes := make([][]int, depth)
-	sizes[depth-1] = make([]int, len(ts.shards))
-	for j, shard := range ts.shards {
-		sizes[depth-1][j] = shard.Len()
-	}
-	for i := depth - 2; i >= 0; i-- {
-		sizes[i] = make([]int, len(ts.ids[i]))
-		ep.weights[i] = make([][]float64, len(ts.ids[i]))
-		for j, kids := range ep.kids[i] {
-			for _, c := range kids {
-				sizes[i][j] += sizes[i+1][c]
-			}
-			if sizes[i][j] == 0 {
-				return epochShape{}, fmt.Errorf("cluster: node %s covers no samples", ts.ids[i][j])
-			}
-			w := make([]float64, len(kids))
-			for pos, c := range kids {
-				w[pos] = float64(sizes[i+1][c]) / float64(sizes[i][j])
-			}
-			ep.weights[i][j] = w
-		}
-	}
-	return ep, nil
-}
-
 // level is aggregating level i's kernel rule without its robust aggregator,
 // which holds scratch and so is built by the node that aggregates. The leaves
 // compute their eq. (6) terms under the leaf-parent's.
@@ -327,9 +225,9 @@ func (ts *treeSpec) level(i int, x0 tensor.Vector, opts Options) core.Level {
 	}
 }
 
-func (ts *treeSpec) depth() int      { return len(ts.levels) }
-func (ts *treeSpec) leafParent() int { return len(ts.levels) - 2 }
-func (ts *treeSpec) tau(i int) int   { return ts.levels[i].Tau }
+func (ts *treeSpec) depth() int      { return ts.tree.Depth() }
+func (ts *treeSpec) leafParent() int { return ts.tree.LeafParent() }
+func (ts *treeSpec) tau(i int) int   { return ts.tree.Levels[i].Tau }
 
 // syncsPerParent is how many of level i's rounds fit in one of its parent's
 // (τ_{i-1}/τ_i), the tree analogue of π.
@@ -352,21 +250,19 @@ func (ts *treeSpec) children(i, j, k int) ([]int, []float64) {
 
 // ref is leaf j's membership identity: its natal leaf-parent and position.
 func (ts *treeSpec) ref(j int) membership.Ref {
-	p := ts.parent[ts.depth()-1][j]
-	return membership.Ref{Edge: p, Index: j - ts.kids[ts.leafParent()][p][0]}
+	p, pos := ts.tree.Natal(j)
+	return membership.Ref{Edge: p, Index: pos}
 }
 
 // leafOf inverts ref.
-func (ts *treeSpec) leafOf(r membership.Ref) int {
-	return ts.kids[ts.leafParent()][r.Edge][0] + r.Index
-}
+func (ts *treeSpec) leafOf(r membership.Ref) int { return ts.tree.Leaf(r.Edge, r.Index) }
 
-// leafSampler keys a training leaf's mini-batch stream by its natal (parent,
-// position) coordinates, the harness's (edge, worker) keying: a shape
-// matching the config reproduces the simulation's exact batch sequences.
+// leafSampler is a training leaf's mini-batch stream, keyed by its natal
+// coordinates as the simulation's harness keys it: the same tree draws the
+// same batch sequences in both engines.
 func (ts *treeSpec) leafSampler(j int) *rng.RNG {
-	r := ts.ref(j)
-	return fl.WorkerSampler(ts.cfg.Seed, r.Edge, r.Index)
+	p, pos := ts.tree.Natal(j)
+	return fl.WorkerSampler(ts.cfg.Seed, p, pos)
 }
 
 // position returns where child c sits in the ascending cohort kids, or false

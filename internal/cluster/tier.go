@@ -627,7 +627,7 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 			return 0, nil, nil, err
 		}
 	}
-	name := n.ts.levels[n.lvl].Name
+	name := n.ts.tree.Levels[n.lvl].Name
 	if n.leafParent() {
 		idx := n.reporters[:0]
 		for pos := range reports {
@@ -785,7 +785,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		fields := []telemetry.Field{
 			telemetry.Int("t", t),
 			telemetry.Int("tier", n.lvl),
-			telemetry.String("level", n.ts.levels[n.lvl].Name),
+			telemetry.String("level", n.ts.tree.Levels[n.lvl].Name),
 			telemetry.String("node", n.id()),
 			telemetry.Int("participants", len(idx)),
 			telemetry.Float("gamma", out.Applied),
@@ -801,7 +801,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		for j, pos := range idx {
 			ids[j] = n.ts.ids[n.lvl+1][kids[pos]]
 		}
-		n.rec.robustTier(n.id(), n.ts.levels[n.lvl].Name, n.lvl, t, st, ids)
+		n.rec.robustTier(n.id(), n.ts.tree.Levels[n.lvl].Name, n.lvl, t, st, ids)
 	}
 	// The weighted loss over the full child weights: stragglers contribute
 	// their most recently reported value.
@@ -830,7 +830,7 @@ func (n *tierNode) parentSync(k int) (int, error) {
 	want := k * n.tau()
 	report := n.out
 	report.Kind, report.Round, report.Scalars[ScalarLoss] = KindTierReport, want, n.weightedLoss
-	parent := n.ts.ids[n.lvl-1][n.ts.parent[n.lvl][n.idx]]
+	parent := n.ts.ids[n.lvl-1][n.ts.tree.Parent[n.lvl][n.idx]]
 	if err := n.ep.Send(parent, report); err != nil {
 		return 0, err
 	}

@@ -22,6 +22,7 @@ import (
 
 	"hieradmo/internal/fl"
 	"hieradmo/internal/rng"
+	"hieradmo/internal/topology"
 )
 
 // HierAdMo executes Algorithm 1. The zero value is not usable; construct
@@ -144,6 +145,11 @@ func (h *HierAdMo) Row() *Rule {
 
 // Run implements fl.Algorithm.
 func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) { return h.Row().Run(cfg) }
+
+// RunTree runs Algorithm 1 over a tree cfg.Tree resolved (Rule.RunTree).
+func (h *HierAdMo) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) {
+	return h.Row().RunTree(cfg, tree)
+}
 
 // sampleParticipants returns the sorted indices of the len(perm) workers
 // taking part in an edge aggregation, written into perm: all of them at full

@@ -227,7 +227,7 @@ func TestEquivalenceCentralizedNAG(t *testing.T) {
 	}
 
 	// Manual centralized NAG over the same deterministic batch stream.
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestEquivalenceCentralizedNAG(t *testing.T) {
 	grad := tensor.NewVector(len(x))
 	var lastLoss float64
 	for step := 0; step < cfg.T; step++ {
-		loss, err := hn.Grad(0, 0, x, grad)
+		loss, err := hn.Grad(0, x, grad)
 		if err != nil {
 			t.Fatal(err)
 		}

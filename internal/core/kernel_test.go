@@ -450,7 +450,7 @@ func TestTierMomentumStep(t *testing.T) {
 // before it became a Tier.
 func TestTierMatchesCloudAverage(t *testing.T) {
 	cfg := buildConfig(t, []int{3, 1, 2}, 0, 29)
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,17 +458,17 @@ func TestTierMatchesCloudAverage(t *testing.T) {
 	r := rng.New(7)
 	ys, xs := randomVecs(r, cfg.NumEdges(), dim), randomVecs(r, cfg.NumEdges(), dim)
 	wantY, wantX := tensor.NewVector(dim), tensor.NewVector(dim)
-	if err := tensor.WeightedSum(wantY, hn.EdgeWeights, ys); err != nil {
+	if err := tensor.WeightedSum(wantY, hn.Tree().Weights[0][0], ys); err != nil {
 		t.Fatal(err)
 	}
-	if err := tensor.WeightedSum(wantX, hn.EdgeWeights, xs); err != nil {
+	if err := tensor.WeightedSum(wantX, hn.Tree().Weights[0][0], xs); err != nil {
 		t.Fatal(err)
 	}
 	cloud := NewTier(Level{X0: tensor.NewVector(dim)}, cfg.NumEdges(), heapVec(dim))
 	for l := range ys {
 		report(cloud, l, ys[l], xs[l])
 	}
-	if _, err := cloud.Update(hn.EdgeWeights, seq(cfg.NumEdges()), 1); err != nil {
+	if _, err := cloud.Update(hn.Tree().Weights[0][0], seq(cfg.NumEdges()), 1); err != nil {
 		t.Fatal(err)
 	}
 	if !sameBits(cloud.YMinus, wantY) || !sameBits(cloud.XPlus, wantX) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"hieradmo/internal/rng"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
+	"hieradmo/internal/topology"
 )
 
 // Rule is one row of the algorithm table: everything that distinguishes one
@@ -21,10 +23,11 @@ type Rule struct {
 	// Algorithm is the report name (fl.Algorithm's Name).
 	Algorithm string
 	// Flat selects the two-tier view the paper's fair-comparison setup gives
-	// the flat algorithms: every worker reports straight to the cloud every
-	// τ·π iterations with weight D(i,ℓ)/D. Otherwise the run is
-	// client–edge–cloud: cfg.Edges report to their edge every τ iterations
-	// and the edges to a plain-average cloud every τ·π.
+	// the flat algorithms: every leaf reports straight to the root every root
+	// period (τ·π) with its global weight D(i,ℓ)/D. Otherwise the run is the
+	// tree itself — client–edge–cloud on the configuration's own tree: the
+	// leaves report to their leaf parent every τ, and every level above
+	// averages its children every period of its own.
 	Flat bool
 	// ShipsMomentum reports whether a synchronization moves momentum state
 	// next to the model (the Fig. 2(h)/(l) payload).
@@ -34,7 +37,7 @@ type Rule struct {
 	Nesterov bool
 	// Level is the rule of the tier the workers report to; the zero Level is
 	// the plain average. The driver fills in Tau and X0, and Gamma
-	// (cfg.GammaEdge) at a momentum level.
+	// (cfg.GammaEdge, or the tree's explicit gamma=) at a momentum level.
 	Level Level
 	// Hooks builds what the rule adds where its server or worker rule is not
 	// Algorithm 1 (nil for a pure row), drawing at most Extra(leaves, parents)
@@ -101,6 +104,11 @@ func RuleOf(alg fl.Algorithm) (*Rule, bool) {
 	return rowed.Row(), true
 }
 
+// ErrTree marks a rule the simulation cannot run on a tree resolved from a
+// topology spec. The error names the combination: the simulation never runs
+// a different tree than the one it was handed.
+var ErrTree = errors.New("core: the simulation cannot run this rule on this tree")
+
 // baselineVariant marks the state layout of rules without HierAdMo options in
 // the checkpoint fingerprint: their snapshots hold kernel leaves and tiers,
 // not the per-algorithm vectors the hand-written loops registered.
@@ -119,14 +127,13 @@ type simNode struct {
 // simLevel is one level of the stack, bottom-up: level 0 aggregates the
 // leaves, the last level is the root.
 type simLevel struct {
-	nodes  []simNode
-	period int
-	// seconds times one round of a node at this level.
+	nodes []simNode
+	// lv is the rule every node of the level runs; lv.Tau is its period.
+	lv Level
+	// seconds times one round of a node at this level (nil in the middle of
+	// a deeper tree).
 	seconds *telemetry.Histogram
 }
-
-// workerRef addresses one worker in cfg.Edges.
-type workerRef struct{ l, i int }
 
 // sim is the state of one Run.
 type sim struct {
@@ -134,12 +141,11 @@ type sim struct {
 	hn     *fl.Harness
 	sink   *telemetry.Sink
 	hooks  Hooks
+	tree   *topology.Tree
 	levels []simLevel
-	// Leaf state in fixed (edge, worker) order: the leaves, who they are, and
-	// the momentum each started its current interval from (the
-	// velocity-signal reference).
+	// Leaf state in the tree's leaf order: the leaves and the momentum each
+	// started its current interval from (the velocity-signal reference).
 	leaves []*Leaf
-	refs   []workerRef
 	yStart []tensor.Vector
 	// fullIdx is the everyone-reported position list, and partIdx the buffer
 	// a partial-participation round draws its cohort into.
@@ -167,39 +173,102 @@ func lap(h *telemetry.Histogram, start time.Time) {
 	}
 }
 
-// stack lays out a run bottom-up — cohorts, data weights and periods, no state
-// yet: the levels, the workers in fixed (edge, worker) order, and D(i,ℓ)/D in
-// that order, which is the flat view's cohort weights and, for every rule,
-// the weights of the evaluation average. It is the one place that knows which
-// shapes a config can take.
-func (r *Rule) stack(hn *fl.Harness, m *telemetry.RunMetrics) ([]simLevel, []workerRef, []float64) {
-	cfg := hn.Cfg()
-	refs := make([]workerRef, 0, cfg.NumWorkers())
-	global := make([]float64, 0, cfg.NumWorkers())
-	for l, shards := range cfg.Edges {
-		for i := range shards {
-			refs = append(refs, workerRef{l: l, i: i})
-			global = append(global, hn.GlobalWeight(l, i))
+// stack lays out a run bottom-up from its tree — cohorts, data weights,
+// periods and the rule each level runs, no state yet. Level 0 is the tier
+// the leaves report to: the tree's leaf parents, running the rule's Level,
+// or in the flat view the root alone over every leaf with the leaves' global
+// weights. Every level above runs the plain average, or the momentum step
+// with a fixed γ where the tree gives one, as the cluster's tiers do.
+func (r *Rule) stack(tree *topology.Tree, cfg *fl.Config, x0 tensor.Vector, m *telemetry.RunMetrics) ([]simLevel, error) {
+	if err := r.runs(tree); err != nil {
+		return nil, err
+	}
+	lp := tree.LeafParent()
+	leafLevel := r.Level
+	leafLevel.X0 = x0
+	if leafLevel.Momentum {
+		leafLevel.Gamma = cfg.GammaEdge
+	}
+	if r.Flat {
+		leafLevel.Tau = tree.Levels[0].Tau
+		root := simNode{weights: tree.Global, hi: tree.NumLeaves()}
+		return []simLevel{{nodes: []simNode{root}, lv: leafLevel, seconds: m.CloudSyncSeconds}}, nil
+	}
+	levels := make([]simLevel, lp+1)
+	for k := range levels {
+		i := lp - k
+		spec := tree.Levels[i]
+		lev := &levels[k]
+		lev.lv = Level{Momentum: spec.Gamma != 0, Gamma: spec.Gamma, Tau: spec.Tau, X0: x0}
+		if k == 0 {
+			lev.lv = leafLevel
+			lev.lv.Tau = spec.Tau
+			// A spec's explicit momentum attributes replace the run's γℓ and
+			// adaptation, resolved as the cluster resolves them.
+			if spec.HasGamma || spec.HasAdapt {
+				if spec.HasGamma {
+					lev.lv.Gamma = spec.Gamma
+				}
+				if spec.HasAdapt {
+					lev.lv.Adapt = spec.Adapt
+				}
+				lev.lv.Momentum = lev.lv.Adapt || lev.lv.Gamma != 0
+			}
+			lev.seconds = m.EdgeAggSeconds
+		}
+		if i == 0 {
+			lev.seconds = m.CloudSyncSeconds
+		}
+		lev.nodes = make([]simNode, len(tree.Kids[i]))
+		for n, kids := range tree.Kids[i] {
+			lev.nodes[n] = simNode{weights: tree.Weights[i][n], lo: kids[0], hi: kids[0] + len(kids)}
 		}
 	}
-	root := simLevel{period: cfg.Tau * cfg.Pi, seconds: m.CloudSyncSeconds}
-	if r.Flat {
-		root.nodes = []simNode{{weights: global, hi: len(refs)}}
-		return []simLevel{root}, refs, global
-	}
-	edges := simLevel{period: cfg.Tau, seconds: m.EdgeAggSeconds, nodes: make([]simNode, cfg.NumEdges())}
-	lo := 0
-	for l, shards := range cfg.Edges {
-		edges.nodes[l] = simNode{weights: hn.WorkerWeights[l], lo: lo, hi: lo + len(shards)}
-		lo += len(shards)
-	}
-	root.nodes = []simNode{{weights: hn.EdgeWeights, hi: len(edges.nodes)}}
-	return []simLevel{edges, root}, refs, global
+	return levels, nil
 }
 
-// Run implements fl.Algorithm: the simulation loop every rule shares.
+// runs checks that the simulation runs the rule on tree as the tree says.
+// The configuration's own tree runs every rule; a spec's tree refuses, with
+// ErrTree, a hooked row (its hooks are written against the client–edge–cloud
+// and flat views), a robust agg= (the simulation aggregates with the
+// weighted mean only), and γ / adapt attributes the rule has no momentum
+// level for.
+func (r *Rule) runs(tree *topology.Tree) error {
+	if tree.Spec == nil {
+		return nil
+	}
+	if r.Hooks != nil {
+		return fmt.Errorf("%w: %s hooks rules of its own into the client–edge–cloud and flat views, not into %s",
+			ErrTree, r.Algorithm, tree.Shape)
+	}
+	for i, lv := range tree.Levels {
+		if lv.Agg.Robust() {
+			return fmt.Errorf("%w: level %q of %s aggregates with agg=%s, the simulation with the weighted mean only",
+				ErrTree, lv.Name, tree.Shape, lv.Agg)
+		}
+		if (lv.HasGamma || lv.HasAdapt) && (r.Flat || (i == tree.LeafParent() && !r.Level.Momentum)) {
+			return fmt.Errorf("%w: %s has no momentum level for the gamma/adapt attributes of level %q of %s",
+				ErrTree, r.Algorithm, lv.Name, tree.Shape)
+		}
+	}
+	return nil
+}
+
+// Run implements fl.Algorithm: RunTree over the configuration's own cloud /
+// edge / worker tree.
 func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
-	hn, err := fl.NewHarness(cfg)
+	tree, err := cfg.Tree(nil)
+	if err != nil {
+		return nil, err
+	}
+	return r.RunTree(cfg, tree)
+}
+
+// RunTree is the simulation loop every rule shares, over a tree cfg.Tree
+// resolved — the configuration's own, or a topology spec's, which is the
+// tree the distributed runtime runs for the same spec.
+func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) {
+	hn, err := fl.NewHarness(cfg, tree)
 	if err != nil {
 		return nil, err
 	}
@@ -209,22 +278,12 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 	sink := hn.Sink()
 	m := sink.M()
 
-	levels, refs, global := r.stack(hn, m)
-	numLeaves := len(refs)
+	levels, err := r.stack(tree, cfg, x0, m)
+	if err != nil {
+		return nil, err
+	}
+	numLeaves := tree.NumLeaves()
 	top := len(levels) - 1
-	// The workers' parents run the rule's level; every level above them is a
-	// plain average.
-	leafLevel := r.Level
-	leafLevel.X0, leafLevel.Tau = x0, levels[0].period
-	if leafLevel.Momentum {
-		leafLevel.Gamma = cfg.GammaEdge
-	}
-	levelOf := func(k int) Level {
-		if k == 0 {
-			return leafLevel
-		}
-		return Level{X0: x0}
-	}
 
 	// All run state — the leaves, a velocity reference per worker, every
 	// tier, the eval model, the quantized-uplink buffers and the rule's own
@@ -234,10 +293,10 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 	// and disjoint from its neighbours'.
 	maxFan := 0
 	vecCount := (LeafVectors+1)*numLeaves + 1
-	for k, lev := range levels {
+	for _, lev := range levels {
 		for _, n := range lev.nodes {
 			maxFan = max(maxFan, n.hi-n.lo)
-			vecCount += levelOf(k).Vectors()
+			vecCount += lev.lv.Vectors()
 		}
 	}
 	quantBits := 0
@@ -269,7 +328,7 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 		nodes := levels[k].nodes
 		for n := range nodes {
 			node := &nodes[n]
-			node.tier = NewTier(levelOf(k), node.hi-node.lo, newVec)
+			node.tier = NewTier(levels[k].lv, node.hi-node.lo, newVec)
 			if k == 0 {
 				continue
 			}
@@ -302,7 +361,7 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 		}
 	}
 
-	s := &sim{rule: r, hn: hn, sink: sink, levels: levels, leaves: leaves, refs: refs, yStart: yStart,
+	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, yStart: yStart,
 		fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
 
 	// Crash recovery: register the run's state, then resume after the last
@@ -311,6 +370,9 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 	variant := baselineVariant
 	if r.hier != nil {
 		variant = r.hier.variant()
+	}
+	if tree.Spec != nil {
+		variant += " topology=" + tree.Shape
 	}
 	ck, err := fl.NewCheckpointer(hn, r.Algorithm, variant, res)
 	if err != nil {
@@ -355,7 +417,7 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 	}
 	train := func(j int) error {
 		w := leaves[j]
-		if _, err := hn.Grad(refs[j].l, refs[j].i, w.X, w.Grad); err != nil {
+		if _, err := hn.Grad(j, w.X, w.Grad); err != nil {
 			return err
 		}
 		if s.hooks.Step != nil {
@@ -364,7 +426,7 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 		return w.Step(cfg.Eta, gamma)
 	}
 	pool := parallel.WithWorkers(hn.Workers())
-	roundLen := levels[0].period
+	roundLen := levels[0].lv.Tau
 
 	for t := start + 1; t <= cfg.T; t++ {
 		if sink.Tracing() && (t-1)%roundLen == 0 {
@@ -386,7 +448,7 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 		// order keeps the participation RNG, the quantizer's rounding stream,
 		// and the γℓ observer delivery deterministic.
 		for k := range levels {
-			if t%levels[k].period != 0 {
+			if t%levels[k].lv.Tau != 0 {
 				continue
 			}
 			for n := range levels[k].nodes {
@@ -405,7 +467,7 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 		if hn.ShouldEval(t) {
 			// The global data-weighted worker-model average is the evaluation
 			// point between aggregation instants.
-			if err := tensor.WeightedSum(evalModel, global, xs); err != nil {
+			if err := tensor.WeightedSum(evalModel, tree.Global, xs); err != nil {
 				return nil, fmt.Errorf("core: evaluation average at t=%d: %w", t, err)
 			}
 			if err := hn.RecordPoint(res, t, evalModel); err != nil {
@@ -439,16 +501,19 @@ func (s *sim) register(ck *fl.Checkpointer) {
 		return // entry names are only worth formatting when something snapshots them
 	}
 	for j, w := range s.leaves {
-		at := fmt.Sprintf("worker/%d/%d/", s.refs[j].l, s.refs[j].i)
+		parent, pos := s.tree.Natal(j)
+		at := fmt.Sprintf("worker/%d/%d/", parent, pos)
 		ck.Vector(at+"x", w.X)
 		ck.Vector(at+"y", w.Y)
 		ck.Vector(at+"gradSum", w.GradSum)
 		ck.Vector(at+"ySum", w.YSum)
 		ck.Vector(at+"yStart", s.yStart[j])
 	}
+	top := len(s.levels) - 1
 	for k, lev := range s.levels {
 		for n, node := range lev.nodes {
-			if k == len(s.levels)-1 {
+			switch k {
+			case top:
 				ck.Vector("cloud/x", node.tier.XPlus)
 				ck.Vector("cloud/y", node.tier.YMinus)
 				if node.tier.lv.Momentum {
@@ -456,10 +521,17 @@ func (s *sim) register(ck *fl.Checkpointer) {
 					ck.Vector("cloud/yPlus", node.tier.YPlus)
 				}
 				continue
+			case 0:
+				ck.Vector(fmt.Sprintf("edge/%d/xPlus", n), node.tier.XPlus)
+				ck.Vector(fmt.Sprintf("edge/%d/yPlus", n), node.tier.YPlus)
+				ck.Vector(fmt.Sprintf("edge/%d/yMinus", n), node.tier.YMinus)
+			default:
+				// The middle tiers of a deeper tree, by stack level.
+				at := fmt.Sprintf("tier/%d/%d/", k, n)
+				ck.Vector(at+"xPlus", node.tier.XPlus)
+				ck.Vector(at+"yPlus", node.tier.YPlus)
+				ck.Vector(at+"yMinus", node.tier.YMinus)
 			}
-			ck.Vector(fmt.Sprintf("edge/%d/xPlus", n), node.tier.XPlus)
-			ck.Vector(fmt.Sprintf("edge/%d/yPlus", n), node.tier.YPlus)
-			ck.Vector(fmt.Sprintf("edge/%d/yMinus", n), node.tier.YMinus)
 		}
 	}
 	ck.RNG("participation", s.partRNG)
@@ -498,9 +570,12 @@ func (s *sim) round(t, k, n int) error {
 		}
 	}
 
+	// The root and the leaf parents publish their rounds; the middle tiers
+	// of a deeper tree are not named in the trace or the counters yet.
 	sink := s.sink
 	m := sink.M()
-	if k == len(s.levels)-1 {
+	switch k {
+	case len(s.levels) - 1:
 		m.CloudSyncs.Inc()
 		if sink.Tracing() {
 			// edges counts the reports the cloud averaged: edge nodes, or the
@@ -509,7 +584,7 @@ func (s *sim) round(t, k, n int) error {
 				telemetry.Int("t", t),
 				telemetry.Int("edges", len(idx)))
 		}
-	} else {
+	case 0:
 		adapt := tier.lv.Adapt
 		if adapt {
 			if out.Gamma == 0 {
@@ -589,12 +664,12 @@ func (s *sim) uplink(t int, node *simNode, idx []int) error {
 		// losses are re-read here, in fixed participant order, so the trace
 		// stays deterministic at every pool size.
 		for _, i := range idx {
-			r := s.refs[node.lo+i]
+			parent, pos := s.tree.Natal(node.lo + i)
 			s.sink.Emit("worker_train",
 				telemetry.Int("t", t),
-				telemetry.Int("edge", r.l),
-				telemetry.Int("worker", r.i),
-				telemetry.Float("loss", s.hn.LastLoss(r.l, r.i)))
+				telemetry.Int("edge", parent),
+				telemetry.Int("worker", pos),
+				telemetry.Float("loss", s.hn.LastLoss(node.lo+i)))
 		}
 	}
 	e := node.tier
@@ -617,7 +692,8 @@ func (s *sim) uplink(t int, node *simNode, idx []int) error {
 		if e.lv.Adapt {
 			cos, err := e.lv.Term(gradSum, ySum, y, s.yStart[node.lo+i])
 			if err != nil {
-				return fmt.Errorf("core: worker %d/%d term: %w", s.refs[node.lo+i].l, s.refs[node.lo+i].i, err)
+				parent, pos := s.tree.Natal(node.lo + i)
+				return fmt.Errorf("core: worker %d/%d term: %w", parent, pos, err)
 			}
 			e.Cos[j] = cos
 		}

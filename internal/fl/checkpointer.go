@@ -57,10 +57,13 @@ func NewCheckpointer(h *Harness, algorithm, variant string, res *Result) (*Check
 		t:     cfg.T,
 		sink:  h.sink,
 	}
-	for l := range h.oracles {
-		c.reg.Vector(fmt.Sprintf("harness/lastloss/%d", l), h.lastLoss[l])
-		for i := range h.oracles[l] {
-			c.reg.RNG(fmt.Sprintf("harness/sampler/%d/%d", l, i), h.oracles[l][i].Sampler)
+	// Leaf state is named by natal coordinates: the losses of each leaf
+	// parent's children are one vector, and every sampler is keyed (parent,
+	// position).
+	for p, kids := range h.tree.Kids[h.tree.LeafParent()] {
+		c.reg.Vector(fmt.Sprintf("harness/lastloss/%d", p), h.lastLoss[kids[0]:kids[0]+len(kids)])
+		for pos, j := range kids {
+			c.reg.RNG(fmt.Sprintf("harness/sampler/%d/%d", p, pos), h.oracles[j].Sampler)
 		}
 	}
 	c.reg.Dynamic("harness/curve",

@@ -1,7 +1,7 @@
 // Package fl is the federated-learning framework shared by the HierAdMo
-// implementation (internal/core) and all baselines (internal/baseline): the
-// three-tier topology, run configuration, per-worker gradient plumbing,
-// weighted aggregation, and accuracy/loss curve recording.
+// implementation (internal/core) and all baselines (internal/baseline): run
+// configuration and the aggregation tree it resolves to, per-leaf gradient
+// plumbing, weighted aggregation, and accuracy/loss curve recording.
 //
 // The framework simulates the distributed execution deterministically in a
 // single process: every worker has its own seeded mini-batch stream, and
@@ -18,6 +18,7 @@ import (
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/model"
 	"hieradmo/internal/telemetry"
+	"hieradmo/internal/topology"
 )
 
 // Default hyper-parameters mirroring the paper's experimental setup (§V-A).
@@ -175,6 +176,38 @@ func (c *Config) Fingerprint(algorithm string) string {
 	fmt.Fprintf(&b, " batch=%d clip=%g seed=%d evalEvery=%d evalSamples=%d",
 		c.BatchSize, c.ClipNorm, c.Seed, c.EvalEvery, c.EvalSamples)
 	return b.String()
+}
+
+// Tree resolves the run's aggregation tree: topo's, its leaves regrouping
+// the workers' shards in Edges order, or — when topo is nil — the cloud /
+// edge / worker tree Edges describes. It is the one tree both execution
+// engines run for the pair.
+func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	cohorts := make([]int, len(c.Edges))
+	sizes := make([]int, 0, c.NumWorkers())
+	for l, edge := range c.Edges {
+		cohorts[l] = len(edge)
+		for _, shard := range edge {
+			sizes = append(sizes, shard.Len())
+		}
+	}
+	if topo == nil {
+		return topology.Derive(c.Tau, c.Pi, cohorts, sizes)
+	}
+	if err := topo.Validate(); err != nil {
+		return nil, err
+	}
+	if err := topo.AlignsWith(c.T); err != nil {
+		return nil, err
+	}
+	if topo.NumLeaves() != len(sizes) {
+		return nil, fmt.Errorf("%w: topology %q has %d leaves for %d configured workers",
+			ErrConfig, topo, topo.NumLeaves(), len(sizes))
+	}
+	return topo.Resolve(sizes)
 }
 
 // NumEdges returns L.

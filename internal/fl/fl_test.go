@@ -102,31 +102,25 @@ func TestConfigCounts(t *testing.T) {
 }
 
 func TestHarnessWeights(t *testing.T) {
-	hn, err := NewHarness(testConfig(t))
+	hn, err := NewHarness(testConfig(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var edgeSum float64
-	for _, w := range hn.EdgeWeights {
-		edgeSum += w
-	}
-	if math.Abs(edgeSum-1) > 1e-12 {
-		t.Errorf("edge weights sum = %v", edgeSum)
-	}
-	for l, ws := range hn.WorkerWeights {
-		var s float64
-		for _, w := range ws {
-			s += w
-		}
-		if math.Abs(s-1) > 1e-12 {
-			t.Errorf("edge %d worker weights sum = %v", l, s)
+	tree := hn.Tree()
+	for i, level := range tree.Weights {
+		for j, ws := range level {
+			var s float64
+			for _, w := range ws {
+				s += w
+			}
+			if math.Abs(s-1) > 1e-12 {
+				t.Errorf("level %d node %d child weights sum = %v", i, j, s)
+			}
 		}
 	}
 	var globalSum float64
-	for l := range hn.WorkerWeights {
-		for i := range hn.WorkerWeights[l] {
-			globalSum += hn.GlobalWeight(l, i)
-		}
+	for _, w := range tree.Global {
+		globalSum += w
 	}
 	if math.Abs(globalSum-1) > 1e-12 {
 		t.Errorf("global weights sum = %v", globalSum)
@@ -135,22 +129,22 @@ func TestHarnessWeights(t *testing.T) {
 
 func TestHarnessGradDeterministic(t *testing.T) {
 	cfg := testConfig(t)
-	h1, err := NewHarness(cfg)
+	h1, err := NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := NewHarness(cfg)
+	h2, err := NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := h1.InitParams()
 	g1 := tensor.NewVector(len(p))
 	g2 := tensor.NewVector(len(p))
-	l1, err := h1.Grad(0, 1, p, g1)
+	l1, err := h1.Grad(1, p, g1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := h2.Grad(0, 1, p, g2)
+	l2, err := h2.Grad(1, p, g2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,17 +159,17 @@ func TestHarnessGradDeterministic(t *testing.T) {
 }
 
 func TestHarnessWorkerStreamsDiffer(t *testing.T) {
-	hn, err := NewHarness(testConfig(t))
+	hn, err := NewHarness(testConfig(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := hn.InitParams()
 	gA := tensor.NewVector(len(p))
 	gB := tensor.NewVector(len(p))
-	if _, err := hn.Grad(0, 0, p, gA); err != nil {
+	if _, err := hn.Grad(0, p, gA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hn.Grad(1, 0, p, gB); err != nil {
+	if _, err := hn.Grad(2, p, gB); err != nil {
 		t.Fatal(err)
 	}
 	same := true
@@ -191,7 +185,7 @@ func TestHarnessWorkerStreamsDiffer(t *testing.T) {
 }
 
 func TestEdgeAverage(t *testing.T) {
-	hn, err := NewHarness(testConfig(t))
+	hn, err := NewHarness(testConfig(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +205,7 @@ func TestEdgeAverage(t *testing.T) {
 func TestEvalSubsetCap(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.EvalSamples = 10
-	hn, err := NewHarness(cfg)
+	hn, err := NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +213,7 @@ func TestEvalSubsetCap(t *testing.T) {
 		t.Errorf("eval subset len = %d, want 10", hn.evalSet.Len())
 	}
 	cfg.EvalSamples = 10_000 // larger than test set → full set
-	hn, err = NewHarness(cfg)
+	hn, err = NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +224,7 @@ func TestEvalSubsetCap(t *testing.T) {
 
 func TestShouldEval(t *testing.T) {
 	cfg := testConfig(t)
-	hn, err := NewHarness(cfg)
+	hn, err := NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +236,7 @@ func TestShouldEval(t *testing.T) {
 	}
 	cfg2 := testConfig(t)
 	cfg2.EvalEvery = 0
-	hn2, err := NewHarness(cfg2)
+	hn2, err := NewHarness(cfg2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +246,7 @@ func TestShouldEval(t *testing.T) {
 }
 
 func TestRecordAndFinish(t *testing.T) {
-	hn, err := NewHarness(testConfig(t))
+	hn, err := NewHarness(testConfig(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +299,13 @@ func TestResultHelpers(t *testing.T) {
 func TestGradClipping(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.ClipNorm = 1e-6 // force clipping on every batch
-	hn, err := NewHarness(cfg)
+	hn, err := NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := hn.InitParams()
 	g := tensor.NewVector(len(p))
-	if _, err := hn.Grad(0, 0, p, g); err != nil {
+	if _, err := hn.Grad(0, p, g); err != nil {
 		t.Fatal(err)
 	}
 	if norm := g.Norm(); norm > cfg.ClipNorm*1.0001 {
@@ -328,14 +322,14 @@ func TestWorkerSamplerMatchesHarness(t *testing.T) {
 	// The exported sampler must replay exactly the harness's batch stream —
 	// the property the distributed runtime depends on.
 	cfg := testConfig(t)
-	hn, err := NewHarness(cfg)
+	hn, err := NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	independent := WorkerSampler(cfg.Seed, 1, 0)
 	p := hn.InitParams()
 	g := tensor.NewVector(len(p))
-	if _, err := hn.Grad(1, 0, p, g); err != nil {
+	if _, err := hn.Grad(2, p, g); err != nil {
 		t.Fatal(err)
 	}
 	batch, err := cfg.Edges[1][0].Batch(independent, cfg.BatchSize)
@@ -356,7 +350,7 @@ func TestWorkerSamplerMatchesHarness(t *testing.T) {
 func TestEvalSetExported(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.EvalSamples = 12
-	hn, err := NewHarness(cfg)
+	hn, err := NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

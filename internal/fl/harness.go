@@ -9,59 +9,60 @@ import (
 	"hieradmo/internal/rng"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
+	"hieradmo/internal/topology"
 )
 
 // Harness is the shared per-run runtime every algorithm builds on: validated
-// configuration, data-size weights at every tier, per-worker seeded
+// configuration, the aggregation tree the run executes, per-leaf seeded
 // mini-batch streams, and curve recording. One Harness serves exactly one
 // Run invocation.
 type Harness struct {
-	cfg *Config
+	cfg  *Config
+	tree *topology.Tree
 
-	// EdgeWeights[l] = Dℓ/D.
-	//flvet:allow ckptstate -- config-derived constant, rebuilt identically by NewHarness on resume
-	EdgeWeights []float64
-	// WorkerWeights[l][i] = D(i,ℓ)/Dℓ.
-	//flvet:allow ckptstate -- config-derived constant, rebuilt identically by NewHarness on resume
-	WorkerWeights [][]float64
-
-	// oracles[l][i] is worker {i,ℓ}'s gradient source; like the lastLoss slot
-	// it is owned by that worker's goroutine.
-	oracles  [][]GradOracle
-	lastLoss [][]float64
+	// oracles[j] is leaf j's gradient source; like the lastLoss slot it is
+	// owned by that leaf's goroutine.
+	oracles  []GradOracle
+	lastLoss []float64
 	evalSet  *dataset.Dataset
 	sink     *telemetry.Sink
 }
 
-// NewHarness validates cfg and prepares the run state.
-func NewHarness(cfg *Config) (*Harness, error) {
+// NewHarness validates cfg and prepares the run state over tree, which
+// cfg.Tree resolved; nil means the configuration's own cloud / edge / worker
+// tree. Leaf j trains on the j-th shard of cfg.Edges in order and draws its
+// mini-batches from the stream its natal coordinates key.
+func NewHarness(cfg *Config, tree *topology.Tree) (*Harness, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Harness{
-		cfg:           cfg,
-		EdgeWeights:   make([]float64, cfg.NumEdges()),
-		WorkerWeights: make([][]float64, cfg.NumEdges()),
-		oracles:       make([][]GradOracle, cfg.NumEdges()),
-		lastLoss:      make([][]float64, cfg.NumEdges()),
-		sink:          cfg.Telemetry,
-	}
-	total := 0
-	edgeTotals := make([]int, cfg.NumEdges())
-	for l, edge := range cfg.Edges {
-		for _, shard := range edge {
-			edgeTotals[l] += shard.Len()
+	if tree == nil {
+		var err error
+		if tree, err = cfg.Tree(nil); err != nil {
+			return nil, err
 		}
-		total += edgeTotals[l]
 	}
-	for l, edge := range cfg.Edges {
-		h.EdgeWeights[l] = float64(edgeTotals[l]) / float64(total)
-		h.WorkerWeights[l] = make([]float64, len(edge))
-		h.oracles[l] = make([]GradOracle, len(edge))
-		h.lastLoss[l] = make([]float64, len(edge))
-		for i, shard := range edge {
-			h.WorkerWeights[l][i] = float64(shard.Len()) / float64(edgeTotals[l])
-			h.oracles[l][i] = NewGradOracle(cfg, shard, WorkerSampler(cfg.Seed, l, i), h.sink)
+	leafSizes := tree.Sizes[tree.Depth()-1]
+	if len(leafSizes) != cfg.NumWorkers() {
+		return nil, fmt.Errorf("%w: tree %s has %d leaves for %d configured workers",
+			ErrConfig, tree.Shape, len(leafSizes), cfg.NumWorkers())
+	}
+	h := &Harness{
+		cfg:      cfg,
+		tree:     tree,
+		oracles:  make([]GradOracle, 0, len(leafSizes)),
+		lastLoss: make([]float64, len(leafSizes)),
+		sink:     cfg.Telemetry,
+	}
+	for _, edge := range cfg.Edges {
+		for _, shard := range edge {
+			j := len(h.oracles)
+			if shard.Len() != leafSizes[j] {
+				return nil, fmt.Errorf("%w: tree %s weighs leaf %d at %d samples, its shard holds %d",
+					ErrConfig, tree.Shape, j, leafSizes[j], shard.Len())
+			}
+			parent, pos := tree.Natal(j)
+			h.oracles = append(h.oracles, NewGradOracle(cfg, shard, WorkerSampler(cfg.Seed, parent, pos), h.sink))
 		}
 	}
 	h.evalSet = cfg.Test
@@ -86,6 +87,9 @@ func WorkerSampler(seed uint64, l, i int) *rng.RNG {
 // Cfg returns the validated configuration.
 func (h *Harness) Cfg() *Config { return h.cfg }
 
+// Tree returns the aggregation tree the run executes.
+func (h *Harness) Tree() *topology.Tree { return h.tree }
+
 // Sink returns the run's telemetry sink. It may be nil; every sink
 // method is nil-safe and free, so algorithms use it unconditionally.
 func (h *Harness) Sink() *telemetry.Sink { return h.sink }
@@ -99,12 +103,6 @@ func (h *Harness) Workers() int { return parallel.Resolve(h.cfg.Workers) }
 // EvalSet returns the (possibly EvalSamples-capped) test subset used for
 // curve evaluation.
 func (h *Harness) EvalSet() *dataset.Dataset { return h.evalSet }
-
-// GlobalWeight returns D(i,ℓ)/D, the worker's weight in the global
-// objective.
-func (h *Harness) GlobalWeight(l, i int) float64 {
-	return h.EdgeWeights[l] * h.WorkerWeights[l][i]
-}
 
 // InitParams draws the common initial model x⁰ shared by all workers
 // (Algorithm 1 line 1), deterministically from the config seed.
@@ -129,8 +127,8 @@ type GradOracle struct {
 
 // NewGradOracle binds a shard and its mini-batch stream to the run's model,
 // batch size and clip norm. The value is meant to be stored once and used in
-// place (the harness keeps a worker grid of them): copies would share the
-// stream and the batch buffer.
+// place (the harness keeps one per leaf): copies would share the stream and
+// the batch buffer.
 func NewGradOracle(cfg *Config, shard *dataset.Dataset, sampler *rng.RNG, sink *telemetry.Sink) GradOracle {
 	return GradOracle{cfg: cfg, shard: shard, Sampler: sampler, sink: sink}
 }
@@ -159,49 +157,48 @@ func (o *GradOracle) Grad(params, grad tensor.Vector) (float64, error) {
 	return loss, nil
 }
 
-// Grad overwrites grad with worker {i,ℓ}'s next mini-batch gradient at
-// params (see GradOracle.Grad); the mini-batch loss is recorded for curve
-// reporting and returned.
+// Grad overwrites grad with leaf j's next mini-batch gradient at params (see
+// GradOracle.Grad); the mini-batch loss is recorded for curve reporting and
+// returned.
 //
-// Grad is safe for concurrent use across DISTINCT workers: each worker
-// {i,ℓ} owns its oracle and its lastLoss slot, so parallel calls never share
-// mutable harness state (the model's workspace pool is itself
-// concurrency-safe, see internal/nn). Two concurrent calls for the same
-// worker race on both; the parallel round loops therefore fan out at most
-// one goroutine per worker. WeightedLoss reads every lastLoss slot and must
-// only be called after the round's Grad calls have been joined.
-func (h *Harness) Grad(l, i int, params, grad tensor.Vector) (float64, error) {
-	loss, err := h.oracles[l][i].Grad(params, grad)
+// Grad is safe for concurrent use across DISTINCT leaves: each leaf owns its
+// oracle and its lastLoss slot, so parallel calls never share mutable
+// harness state (the model's workspace pool is itself concurrency-safe, see
+// internal/nn). Two concurrent calls for the same leaf race on both; the
+// parallel round loops therefore fan out at most one goroutine per leaf.
+// WeightedLoss reads every lastLoss slot and must only be called after the
+// round's Grad calls have been joined.
+func (h *Harness) Grad(j int, params, grad tensor.Vector) (float64, error) {
+	loss, err := h.oracles[j].Grad(params, grad)
 	if err != nil {
-		return 0, fmt.Errorf("fl: worker {%d,%d} %w", i, l, err)
+		parent, pos := h.tree.Natal(j)
+		return 0, fmt.Errorf("fl: worker {%d,%d} %w", pos, parent, err)
 	}
-	h.lastLoss[l][i] = loss
+	h.lastLoss[j] = loss
 	return loss, nil
 }
 
-// LastLoss returns worker {i,ℓ}'s most recent mini-batch loss. Like
-// WeightedLoss it must only be read after the round's Grad calls have
-// been joined; trace emission uses it so worker_train events can be
-// written from sequential code (keeping event order deterministic) even
-// when the training itself ran on a goroutine pool.
-func (h *Harness) LastLoss(l, i int) float64 { return h.lastLoss[l][i] }
+// LastLoss returns leaf j's most recent mini-batch loss. Like WeightedLoss
+// it must only be read after the round's Grad calls have been joined; trace
+// emission uses it so worker_train events can be written from sequential
+// code (keeping event order deterministic) even when the training itself ran
+// on a goroutine pool.
+func (h *Harness) LastLoss(j int) float64 { return h.lastLoss[j] }
 
-// WeightedLoss returns the data-weighted average of every worker's latest
+// WeightedLoss returns the data-weighted average of every leaf's latest
 // mini-batch loss — the curve's training-loss signal.
 func (h *Harness) WeightedLoss() float64 {
 	var total float64
-	for l := range h.lastLoss {
-		for i, loss := range h.lastLoss[l] {
-			total += h.GlobalWeight(l, i) * loss
-		}
+	for j, loss := range h.lastLoss {
+		total += h.tree.Global[j] * loss
 	}
 	return total
 }
 
-// EdgeAverage overwrites dst with the Dᵢ/Dℓ-weighted average of the workers'
-// vectors at edge ℓ.
+// EdgeAverage overwrites dst with the data-weighted average of the vectors of
+// leaf parent ℓ's children (D(i,ℓ)/Dℓ on the configuration's own tree).
 func (h *Harness) EdgeAverage(dst tensor.Vector, l int, vecs []tensor.Vector) error {
-	if err := tensor.WeightedSum(dst, h.WorkerWeights[l], vecs); err != nil {
+	if err := tensor.WeightedSum(dst, h.tree.Weights[h.tree.LeafParent()][l], vecs); err != nil {
 		return fmt.Errorf("fl: edge %d average: %w", l, err)
 	}
 	return nil

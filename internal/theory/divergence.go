@@ -23,10 +23,11 @@ type Divergence struct {
 // initialization (or any training iterate) yields the standard empirical
 // proxy used to compare heterogeneity levels across partitionings.
 func EstimateDivergence(cfg *fl.Config, params tensor.Vector) (*Divergence, error) {
-	hn, err := fl.NewHarness(cfg)
+	hn, err := fl.NewHarness(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
+	weights := hn.Tree().Weights
 	dim := len(params)
 	div := &Divergence{
 		PerWorker: make([][]float64, cfg.NumEdges()),
@@ -51,20 +52,18 @@ func EstimateDivergence(cfg *fl.Config, params tensor.Vector) (*Divergence, erro
 				return nil, err
 			}
 			div.PerWorker[l][i] = d
-			div.PerEdge[l] += hn.WorkerWeights[l][i] * d
+			div.PerEdge[l] += weights[1][l][i] * d
 		}
-		div.Global += hn.EdgeWeights[l] * div.PerEdge[l]
+		div.Global += weights[0][0][l] * div.PerEdge[l]
 	}
 	return div, nil
 }
 
 // EdgeWeightsOf exposes the Dℓ/D weights of a config for use with J4/Bound.
 func EdgeWeightsOf(cfg *fl.Config) ([]float64, error) {
-	hn, err := fl.NewHarness(cfg)
+	tree, err := cfg.Tree(nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(hn.EdgeWeights))
-	copy(out, hn.EdgeWeights)
-	return out, nil
+	return tree.Weights[0][0], nil
 }
