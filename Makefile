@@ -81,7 +81,10 @@ race:
 ## values on fuzzer-chosen cohorts,
 ## and the topology-spec parser, which must yield a tree or a typed error
 ## (never a panic) on arbitrary spec strings, with String/Parse
-## round-tripping every accepted tree, and the wire-frame decoder, which
+## round-tripping every accepted tree and every accepted spec resolving into
+## the topology.Tree both engines run (children and parents inverting, the
+## leaf order covering every leaf once, each weight the integer ratio of a
+## child's subtree size over its node's), and the wire-frame decoder, which
 ## must yield a Message or ErrFrame / a truncation error without allocating
 ## past its caps, every accepted frame re-encoding to the bytes it came from.
 ## Every input must yield a decoded value or a wrapped error, never a

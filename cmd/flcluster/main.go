@@ -58,10 +58,13 @@
 // aggregation rules all come from the spec; the training leaves regroup the
 // workload's worker shards in order. Every flag above composes with it
 // (-aggregator sets the default rule of the level above the workers and of
-// the root; churn plans name leaves worker-<parent>-<position>):
+// the root; churn plans name leaves worker-<parent>-<position>), and -verify
+// runs the in-process simulation on the same tree:
 //
 //	flcluster -model logistic \
 //	    -topology "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"
+//	flcluster -model logistic -verify \
+//	    -topology "cloud:tau=20/region*2:tau=10/edge*2:tau=5/worker"
 //
 // Multi-process deployment: -node ID runs only that node of the tree, on the
 // TCP address a shared JSON registry gives its ID. The IDs are the tree's
@@ -163,7 +166,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		modelName     = fs.String("model", "cnn", "model: linear|logistic|cnn|cnn-gap|vgg-mini|resnet-mini")
 		classes       = fs.Int("classes", 0, "x-class non-IID assignment (0 = IID)")
 		reduced       = fs.Bool("reduced", false, "run HierAdMo-R (fixed gammaEdge) instead of adaptive")
-		verify        = fs.Bool("verify", false, "also run the in-process simulation and compare")
+		verify        = fs.Bool("verify", false, "also run the in-process simulation on the same tree (the workload's, or -topology's) and compare")
 		scaleName     = fs.String("scale", "bench", `"bench" or "default"`)
 		seed          = fs.Uint64("seed", 0, "override seed")
 		saveResult    = fs.String("save-result", "", "write the run result as JSON to this path")
@@ -192,7 +195,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		clipNorm   = fs.Float64("clip", 10, "max L2 deviation norm for -aggregator clip")
 		cosMin     = fs.Float64("cos-min", 0, "minimum cosine against the cohort's median deviation for -aggregator cosine, in [-1, 1]")
 
-		topologySpec = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker" (empty = the workload's cloud/edge/worker hierarchy; the tree's leaf count must equal the workload's workers)`)
+		topologySpec = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker" (empty = the workload's cloud/edge/worker hierarchy; the tree's leaf count must equal the workload's workers; -verify runs the simulation on the same tree, mean aggregation only)`)
 
 		churnSpec   = fs.String("churn-plan", "", `churn trace file, or inline spec like "join:worker-0-1@3,leave:worker-1-0@9"`)
 		retierEvery = fs.Int("retier-every", 0, "re-tier workers across edges every this many cloud syncs (0 disables)")
@@ -263,17 +266,18 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	if *verify && (attackPlan != nil || edgeAgg.Robust() || cloudAgg.Robust()) {
-		return fmt.Errorf("-verify requires an undefended honest run: the in-process simulation does not model attackers or robust aggregation yet")
-	}
 	var topo *topology.Topology
+	robustLevel := edgeAgg.Robust() || cloudAgg.Robust()
 	if *topologySpec != "" {
 		if topo, err = topology.Parse(*topologySpec); err != nil {
 			return err
 		}
-		if *verify {
-			return fmt.Errorf("-verify requires the config-derived hierarchy: the in-process simulation does not model -topology trees yet")
+		for _, lv := range topo.Levels {
+			robustLevel = robustLevel || lv.Agg.Robust()
 		}
+	}
+	if *verify && (attackPlan != nil || robustLevel) {
+		return fmt.Errorf("-verify requires an undefended honest run: the in-process simulation does not model attackers or robust aggregation yet")
 	}
 
 	var s experiment.Scale
@@ -382,7 +386,13 @@ func run(args []string, interrupt <-chan struct{}) error {
 		if *reduced {
 			alg = core.NewReduced()
 		}
-		sim, err := alg.Run(cfg)
+		// The simulation runs the tree the cluster ran: the -topology spec's,
+		// or the workload's own.
+		tree, err := cfg.Tree(topo)
+		if err != nil {
+			return err
+		}
+		sim, err := alg.RunTree(cfg, tree)
 		if err != nil {
 			return fmt.Errorf("verification run: %w", err)
 		}

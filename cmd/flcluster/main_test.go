@@ -65,6 +65,33 @@ func TestRunMemoryLogisticWithVerifyAndSave(t *testing.T) {
 	}
 }
 
+// TestRunTopologyVerify: -verify hands the in-process simulation the
+// -topology tree the cluster ran, and on a four-level tree the two engines
+// land on the same final accuracy; a spec with a robust level is refused up
+// front with the undefended-run refusal.
+func TestRunTopologyVerify(t *testing.T) {
+	args := []string{
+		"-transport", "memory", "-model", "logistic", "-verify",
+		"-topology", "cloud:tau=20/region*2:tau=10/edge*2:tau=5/worker",
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "TestHelperProcess")
+	cmd.Env = append(os.Environ(), "FLCLUSTER_HELPER=1", "FLCLUSTER_ARGS="+strings.Join(args, " "))
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("flcluster %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	if !strings.Contains(string(out), "verified: distributed final accuracy") {
+		t.Errorf("-topology -verify did not print the verification line:\n%s", out)
+	}
+	err = run([]string{
+		"-transport", "memory", "-model", "logistic", "-verify",
+		"-topology", "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker",
+	}, nil)
+	if err == nil || !strings.Contains(err.Error(), "undefended honest run") {
+		t.Errorf("-verify with agg=median in the spec = %v, want the undefended-run refusal", err)
+	}
+}
+
 // TestHelperProcess is the re-exec target for the signal tests. Mode "1"
 // runs flcluster exactly as the installed binary would (real signal handling
 // and exit codes); mode "hang" installs the signal handler, announces

@@ -11,6 +11,7 @@ import (
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
 	"hieradmo/internal/telemetry"
+	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
@@ -78,14 +79,25 @@ func TestExpectKind(t *testing.T) {
 // gradient step the cluster trained unclipped (0.9875 / 0.1479 against the
 // simulation's 0.925 / 0.6872 on this config).
 func TestClusterMatchesSimulation(t *testing.T) {
+	// The -topology rows hand the simulation the spec's tree: a four-level
+	// tree over eight leaves, a depth-2 tree with an explicit γ, and a tree
+	// whose leaf parent groups the four workers differently from the
+	// config's two edges, so the leaves' natal sampler keys differ from the
+	// config's (edge, worker) indices.
+	const tree4 = "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2"
 	cases := []struct {
 		name     string
 		adaptive bool
 		clip     float64
+		topology string
 	}{
 		{name: "adaptive", adaptive: true},
 		{name: "reduced"},
 		{name: "clip", adaptive: true, clip: 0.05},
+		{name: "tree4-adaptive", adaptive: true, topology: tree4},
+		{name: "tree4-reduced", topology: tree4},
+		{name: "depth2-gamma0", adaptive: true, topology: "cloud:tau=4,gamma=0/worker*4"},
+		{name: "regrouped", adaptive: true, topology: "cloud:tau=4/edge:tau=2/worker*4"},
 	}
 	nets := []struct {
 		name string
@@ -101,20 +113,31 @@ func TestClusterMatchesSimulation(t *testing.T) {
 			}
 			t.Run(tc.name+"/"+nw.name, func(t *testing.T) {
 				cfg := buildConfig(t, 31, 2)
+				var topo *topology.Topology
+				if tc.topology != "" {
+					topo = treeTopo(t, tc.topology)
+					if topo.NumLeaves() != cfg.NumWorkers() {
+						cfg = buildFlatConfig(t, 31, []int{topo.NumLeaves() / 2, topo.NumLeaves() / 2})
+					}
+				}
 				cfg.ClipNorm = tc.clip
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
 				alg := core.NewReduced()
 				if tc.adaptive {
 					alg = core.New()
 				}
-				ref, err := alg.Run(cfg)
+				tree, err := cfg.Tree(topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := alg.RunTree(cfg, tree)
 				if err != nil {
 					t.Fatal(err)
 				}
 				refClips := cfg.Telemetry.M().GradClips.Value()
 
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
-				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive})
+				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Topology: topo})
 				if err != nil {
 					t.Fatal(err)
 				}

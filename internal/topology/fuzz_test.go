@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,8 @@ import (
 // panic — pathological depth/fan-out is rejected by the bounds before any
 // per-node allocation, and accepted specs round-trip through the canonical
 // form exactly (Parse(t.String()) reproduces t and re-formats identically,
-// the property the checkpoint fingerprint relies on).
+// the property the checkpoint fingerprint relies on). Every accepted spec
+// also resolves into a Tree that holds checkTree's invariants.
 func FuzzParseTopology(f *testing.F) {
 	for _, seed := range []string{
 		"cloud:tau=20/region:tau=5,agg=median/edge:tau=1/worker*8",
@@ -76,5 +78,82 @@ func FuzzParseTopology(f *testing.F) {
 				}
 			}
 		}
+		sizes := make([]int, topo.NumLeaves())
+		for j := range sizes {
+			sizes[j] = 1 + (7*j+len(s))%5
+		}
+		tree, err := topo.Resolve(sizes)
+		if err != nil {
+			t.Fatalf("Resolve(%q): %v", canon, err)
+		}
+		if tree.Shape != canon || tree.Spec != topo {
+			t.Fatalf("Resolve(%q) shaped %q", canon, tree.Shape)
+		}
+		checkTree(t, tree, sizes)
 	})
+}
+
+// checkTree holds a resolved tree to its contract: children and parents
+// invert each other, the leaf parents' children in node order are the
+// leaves 0..N−1 each exactly once, Natal and Leaf invert each other, every
+// node's size is the sum of its children's and every weight the integer
+// ratio of a child's size over its node's, and the leaves' global weights
+// sum to one.
+func checkTree(t *testing.T, tree *Tree, leafSizes []int) {
+	t.Helper()
+	depth := tree.Depth()
+	if len(tree.Kids) != depth-1 || len(tree.Weights) != depth-1 || len(tree.Sizes) != depth || len(tree.Parent) != depth {
+		t.Fatalf("%s: %d kid / %d weight / %d size / %d parent levels for depth %d",
+			tree.Shape, len(tree.Kids), len(tree.Weights), len(tree.Sizes), len(tree.Parent), depth)
+	}
+	if tree.Width(0) != 1 {
+		t.Fatalf("%s: %d roots", tree.Shape, tree.Width(0))
+	}
+	for i, level := range tree.Kids {
+		if len(level) != tree.Width(i) || len(tree.Parent[i+1]) != tree.Width(i+1) {
+			t.Fatalf("%s level %d: %d kid lists for width %d, %d parents for width %d",
+				tree.Shape, i, len(level), tree.Width(i), len(tree.Parent[i+1]), tree.Width(i+1))
+		}
+		next := 0
+		for j, kids := range level {
+			sum := 0
+			for pos, c := range kids {
+				if c != next {
+					t.Fatalf("%s level %d: node %d's child %d is %d, want %d in order", tree.Shape, i, j, pos, c, next)
+				}
+				next++
+				if p := tree.Parent[i+1][c]; p != j {
+					t.Fatalf("%s level %d: child %d of node %d names parent %d", tree.Shape, i+1, c, j, p)
+				}
+				sum += tree.Sizes[i+1][c]
+				if w, want := tree.Weights[i][j][pos], float64(tree.Sizes[i+1][c])/float64(tree.Sizes[i][j]); w != want {
+					t.Fatalf("%s level %d node %d child %d: weight %v, want %v", tree.Shape, i, j, pos, w, want)
+				}
+			}
+			if sum != tree.Sizes[i][j] {
+				t.Fatalf("%s level %d node %d: size %d, children sum to %d", tree.Shape, i, j, tree.Sizes[i][j], sum)
+			}
+		}
+		if next != tree.Width(i+1) {
+			t.Fatalf("%s level %d: children cover %d of %d nodes", tree.Shape, i, next, tree.Width(i+1))
+		}
+	}
+	n := tree.NumLeaves()
+	if n != len(leafSizes) {
+		t.Fatalf("%s: %d leaves for %d sizes", tree.Shape, n, len(leafSizes))
+	}
+	var global float64
+	for j := 0; j < n; j++ {
+		if tree.Sizes[depth-1][j] != leafSizes[j] {
+			t.Fatalf("%s: leaf %d size %d, want %d", tree.Shape, j, tree.Sizes[depth-1][j], leafSizes[j])
+		}
+		p, pos := tree.Natal(j)
+		if got := tree.Leaf(p, pos); got != j {
+			t.Fatalf("%s: Leaf(Natal(%d)) = %d", tree.Shape, j, got)
+		}
+		global += tree.Global[j]
+	}
+	if math.Abs(global-1) > 1e-9 {
+		t.Fatalf("%s: global weights sum to %v", tree.Shape, global)
+	}
 }
