@@ -288,7 +288,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	if sink := opts.Telemetry; sink.Tracing() {
 		sink.Emit("run_start",
 			telemetry.String("alg", "HierAdMo/cluster"),
-			telemetry.String("topology", ts.tree.Shape),
+			telemetry.String("topology", ts.tree.String()),
 			telemetry.Int("depth", ts.depth()),
 			telemetry.Int("leaves", len(ts.ids[leafLvl])),
 			telemetry.Int("T", cfg.T),
@@ -439,7 +439,7 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 	}
 	addr, ok := ts.index[ep.ID()]
 	if !ok {
-		return nil, fmt.Errorf("cluster: %q is not a node of the tree %s", ep.ID(), ts.tree.Shape)
+		return nil, fmt.Errorf("cluster: %q is not a node of the tree %s", ep.ID(), ts.tree)
 	}
 	rec := newFaultRecorder(opts.Telemetry)
 	if addr.lvl == ts.depth()-1 {

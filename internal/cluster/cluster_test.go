@@ -96,7 +96,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		{name: "clip", adaptive: true, clip: 0.05},
 		{name: "tree4-adaptive", adaptive: true, topology: tree4},
 		{name: "tree4-reduced", topology: tree4},
-		{name: "depth2-gamma0", adaptive: true, topology: "cloud:tau=4,gamma=0/worker*4"},
+		{name: "depth2-gamma0", topology: "cloud:tau=4,gamma=0/worker*4"},
 		{name: "regrouped", adaptive: true, topology: "cloud:tau=4/edge:tau=2/worker*4"},
 	}
 	nets := []struct {

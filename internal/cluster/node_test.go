@@ -118,7 +118,7 @@ func TestNodeEntryPointValidation(t *testing.T) {
 	}
 	for _, id := range []string{"x", "edge-9", "worker-2-0", "cloud-0"} {
 		_, err := RunNode(cfg, endpoint(id), Options{})
-		if err == nil || !strings.Contains(err.Error(), `"`+id+`"`) || !strings.Contains(err.Error(), tree.Shape) {
+		if err == nil || !strings.Contains(err.Error(), `"`+id+`"`) || !strings.Contains(err.Error(), tree.String()) {
 			t.Errorf("node %q outside the tree: err = %v, want a refusal naming it and the tree", id, err)
 		}
 	}

@@ -86,7 +86,7 @@ func nodeRegistry(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*c
 	// legitimately change, so they stay out.
 	fp := cfg.Fingerprint("cluster/tier") +
 		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s",
-			opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree.Shape, reportLayout)
+			opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree, reportLayout)
 	if opts.churnEnabled() {
 		plan := membership.Plan{}
 		if opts.ChurnPlan != nil {

@@ -112,7 +112,7 @@ func TestFourVectorSnapshotRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldFP := cfg.Fingerprint("cluster/tier") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree.Shape)
+		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree)
 	dim := cfg.Model.Dim()
 	fabricate := func(node string, seq int, vectors []string, stash []float64) {
 		t.Helper()

@@ -138,7 +138,7 @@ func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
 	for _, c := range cohorts {
 		kids := append([][][]int(nil), tree.Kids...)
 		kids[lp] = c
-		_, weights, err := tree.Weigh(kids)
+		weights, err := tree.Weigh(kids)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}

@@ -127,9 +127,8 @@ type simNode struct {
 // simLevel is one level of the stack, bottom-up: level 0 aggregates the
 // leaves, the last level is the root.
 type simLevel struct {
-	nodes []simNode
-	// lv is the rule every node of the level runs; lv.Tau is its period.
-	lv Level
+	nodes  []simNode
+	period int
 	// seconds times one round of a node at this level (nil in the middle of
 	// a deeper tree).
 	seconds *telemetry.Histogram
@@ -173,58 +172,71 @@ func lap(h *telemetry.Histogram, start time.Time) {
 	}
 }
 
-// stack lays out a run bottom-up from its tree — cohorts, data weights,
-// periods and the rule each level runs, no state yet. Level 0 is the tier
-// the leaves report to: the tree's leaf parents, running the rule's Level,
-// or in the flat view the root alone over every leaf with the leaves' global
-// weights. Every level above runs the plain average, or the momentum step
-// with a fixed γ where the tree gives one, as the cluster's tiers do.
-func (r *Rule) stack(tree *topology.Tree, cfg *fl.Config, x0 tensor.Vector, m *telemetry.RunMetrics) ([]simLevel, error) {
+// stack lays out a run bottom-up from its tree — cohorts, data weights and
+// periods, no state yet. Level 0 is the tier the leaves report to: the
+// tree's leaf parents, or in the flat view the root alone over every leaf
+// with the leaves' global weights.
+func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, error) {
 	if err := r.runs(tree); err != nil {
 		return nil, err
 	}
-	lp := tree.LeafParent()
-	leafLevel := r.Level
-	leafLevel.X0 = x0
-	if leafLevel.Momentum {
-		leafLevel.Gamma = cfg.GammaEdge
-	}
 	if r.Flat {
-		leafLevel.Tau = tree.Levels[0].Tau
 		root := simNode{weights: tree.Global, hi: tree.NumLeaves()}
-		return []simLevel{{nodes: []simNode{root}, lv: leafLevel, seconds: m.CloudSyncSeconds}}, nil
+		return []simLevel{{nodes: []simNode{root}, period: tree.Levels[0].Tau, seconds: m.CloudSyncSeconds}}, nil
 	}
+	lp := tree.LeafParent()
 	levels := make([]simLevel, lp+1)
+	count := 0
+	for i := 0; i <= lp; i++ {
+		count += tree.Width(i)
+	}
+	nodes := make([]simNode, count)
 	for k := range levels {
 		i := lp - k
-		spec := tree.Levels[i]
 		lev := &levels[k]
-		lev.lv = Level{Momentum: spec.Gamma != 0, Gamma: spec.Gamma, Tau: spec.Tau, X0: x0}
-		if k == 0 {
-			lev.lv = leafLevel
-			lev.lv.Tau = spec.Tau
-			// A spec's explicit momentum attributes replace the run's γℓ and
-			// adaptation, resolved as the cluster resolves them.
-			if spec.HasGamma || spec.HasAdapt {
-				if spec.HasGamma {
-					lev.lv.Gamma = spec.Gamma
-				}
-				if spec.HasAdapt {
-					lev.lv.Adapt = spec.Adapt
-				}
-				lev.lv.Momentum = lev.lv.Adapt || lev.lv.Gamma != 0
-			}
+		lev.period = tree.Levels[i].Tau
+		switch {
+		case i == 0:
+			lev.seconds = m.CloudSyncSeconds
+		case k == 0:
 			lev.seconds = m.EdgeAggSeconds
 		}
-		if i == 0 {
-			lev.seconds = m.CloudSyncSeconds
-		}
-		lev.nodes = make([]simNode, len(tree.Kids[i]))
+		lev.nodes, nodes = nodes[:len(tree.Kids[i])], nodes[len(tree.Kids[i]):]
 		for n, kids := range tree.Kids[i] {
 			lev.nodes[n] = simNode{weights: tree.Weights[i][n], lo: kids[0], hi: kids[0] + len(kids)}
 		}
 	}
 	return levels, nil
+}
+
+// level is the rule the nodes of stack level k run. Where the leaves report
+// it is the row's Level, with a spec's explicit gamma / adapt in place of
+// the run's γℓ and adaptation, resolved as the cluster resolves them; above
+// it the plain average, or the momentum step with a fixed γ where the tree
+// gives one, as the cluster's tiers do.
+func (r *Rule) level(tree *topology.Tree, cfg *fl.Config, x0 tensor.Vector, k int) Level {
+	spec := tree.Levels[0]
+	if !r.Flat {
+		spec = tree.Levels[tree.LeafParent()-k]
+	}
+	if k > 0 {
+		return Level{Momentum: spec.Gamma != 0, Gamma: spec.Gamma, Tau: spec.Tau, X0: x0}
+	}
+	lv := r.Level
+	lv.X0, lv.Tau = x0, spec.Tau
+	if lv.Momentum {
+		lv.Gamma = cfg.GammaEdge
+	}
+	if spec.HasGamma || spec.HasAdapt {
+		if spec.HasGamma {
+			lv.Gamma = spec.Gamma
+		}
+		if spec.HasAdapt {
+			lv.Adapt = spec.Adapt
+		}
+		lv.Momentum = lv.Adapt || lv.Gamma != 0
+	}
+	return lv
 }
 
 // runs checks that the simulation runs the rule on tree as the tree says.
@@ -239,16 +251,16 @@ func (r *Rule) runs(tree *topology.Tree) error {
 	}
 	if r.Hooks != nil {
 		return fmt.Errorf("%w: %s hooks rules of its own into the client–edge–cloud and flat views, not into %s",
-			ErrTree, r.Algorithm, tree.Shape)
+			ErrTree, r.Algorithm, tree)
 	}
 	for i, lv := range tree.Levels {
 		if lv.Agg.Robust() {
 			return fmt.Errorf("%w: level %q of %s aggregates with agg=%s, the simulation with the weighted mean only",
-				ErrTree, lv.Name, tree.Shape, lv.Agg)
+				ErrTree, lv.Name, tree, lv.Agg)
 		}
 		if (lv.HasGamma || lv.HasAdapt) && (r.Flat || (i == tree.LeafParent() && !r.Level.Momentum)) {
 			return fmt.Errorf("%w: %s has no momentum level for the gamma/adapt attributes of level %q of %s",
-				ErrTree, r.Algorithm, lv.Name, tree.Shape)
+				ErrTree, r.Algorithm, lv.Name, tree)
 		}
 	}
 	return nil
@@ -278,7 +290,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	sink := hn.Sink()
 	m := sink.M()
 
-	levels, err := r.stack(tree, cfg, x0, m)
+	levels, err := r.stack(tree, m)
 	if err != nil {
 		return nil, err
 	}
@@ -293,10 +305,10 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	// and disjoint from its neighbours'.
 	maxFan := 0
 	vecCount := (LeafVectors+1)*numLeaves + 1
-	for _, lev := range levels {
+	for k, lev := range levels {
 		for _, n := range lev.nodes {
 			maxFan = max(maxFan, n.hi-n.lo)
-			vecCount += lev.lv.Vectors()
+			vecCount += r.level(tree, cfg, x0, k).Vectors()
 		}
 	}
 	quantBits := 0
@@ -328,7 +340,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		nodes := levels[k].nodes
 		for n := range nodes {
 			node := &nodes[n]
-			node.tier = NewTier(levels[k].lv, node.hi-node.lo, newVec)
+			node.tier = NewTier(r.level(tree, cfg, x0, k), node.hi-node.lo, newVec)
 			if k == 0 {
 				continue
 			}
@@ -372,7 +384,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		variant = r.hier.variant()
 	}
 	if tree.Spec != nil {
-		variant += " topology=" + tree.Shape
+		variant += " topology=" + tree.String()
 	}
 	ck, err := fl.NewCheckpointer(hn, r.Algorithm, variant, res)
 	if err != nil {
@@ -426,7 +438,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		return w.Step(cfg.Eta, gamma)
 	}
 	pool := parallel.WithWorkers(hn.Workers())
-	roundLen := levels[0].lv.Tau
+	roundLen := levels[0].period
 
 	for t := start + 1; t <= cfg.T; t++ {
 		if sink.Tracing() && (t-1)%roundLen == 0 {
@@ -448,7 +460,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		// order keeps the participation RNG, the quantizer's rounding stream,
 		// and the γℓ observer delivery deterministic.
 		for k := range levels {
-			if t%levels[k].lv.Tau != 0 {
+			if t%levels[k].period != 0 {
 				continue
 			}
 			for n := range levels[k].nodes {

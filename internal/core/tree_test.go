@@ -157,7 +157,7 @@ func TestTreeSnapshotRefusedUnderOtherTree(t *testing.T) {
 			}
 		}
 		if _, err := New().RunTree(cfg, tree); !errors.Is(err, checkpoint.ErrMismatch) {
-			t.Errorf("resuming the %s snapshot under %s = %v, want ErrMismatch", tree4, tree.Shape, err)
+			t.Errorf("resuming the %s snapshot under %s = %v, want ErrMismatch", tree4, tree, err)
 		}
 	}
 }

@@ -186,14 +186,15 @@ func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	cohorts := make([]int, len(c.Edges))
-	sizes := make([]int, 0, c.NumWorkers())
+	// The edges' worker counts and the leaves' sample counts share a block.
+	counts := make([]int, len(c.Edges), len(c.Edges)+c.NumWorkers())
 	for l, edge := range c.Edges {
-		cohorts[l] = len(edge)
+		counts[l] = len(edge)
 		for _, shard := range edge {
-			sizes = append(sizes, shard.Len())
+			counts = append(counts, shard.Len())
 		}
 	}
+	cohorts, sizes := counts[:len(c.Edges)], counts[len(c.Edges):]
 	if topo == nil {
 		return topology.Derive(c.Tau, c.Pi, cohorts, sizes)
 	}

@@ -45,7 +45,7 @@ func NewHarness(cfg *Config, tree *topology.Tree) (*Harness, error) {
 	leafSizes := tree.Sizes[tree.Depth()-1]
 	if len(leafSizes) != cfg.NumWorkers() {
 		return nil, fmt.Errorf("%w: tree %s has %d leaves for %d configured workers",
-			ErrConfig, tree.Shape, len(leafSizes), cfg.NumWorkers())
+			ErrConfig, tree, len(leafSizes), cfg.NumWorkers())
 	}
 	h := &Harness{
 		cfg:      cfg,
@@ -59,7 +59,7 @@ func NewHarness(cfg *Config, tree *topology.Tree) (*Harness, error) {
 			j := len(h.oracles)
 			if shard.Len() != leafSizes[j] {
 				return nil, fmt.Errorf("%w: tree %s weighs leaf %d at %d samples, its shard holds %d",
-					ErrConfig, tree.Shape, j, leafSizes[j], shard.Len())
+					ErrConfig, tree, j, leafSizes[j], shard.Len())
 			}
 			parent, pos := tree.Natal(j)
 			h.oracles = append(h.oracles, NewGradOracle(cfg, shard, WorkerSampler(cfg.Seed, parent, pos), h.sink))

@@ -86,8 +86,8 @@ func FuzzParseTopology(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Resolve(%q): %v", canon, err)
 		}
-		if tree.Shape != canon || tree.Spec != topo {
-			t.Fatalf("Resolve(%q) shaped %q", canon, tree.Shape)
+		if tree.String() != canon || tree.Spec != topo {
+			t.Fatalf("Resolve(%q) shaped %q", canon, tree)
 		}
 		checkTree(t, tree, sizes)
 	})
@@ -104,56 +104,56 @@ func checkTree(t *testing.T, tree *Tree, leafSizes []int) {
 	depth := tree.Depth()
 	if len(tree.Kids) != depth-1 || len(tree.Weights) != depth-1 || len(tree.Sizes) != depth || len(tree.Parent) != depth {
 		t.Fatalf("%s: %d kid / %d weight / %d size / %d parent levels for depth %d",
-			tree.Shape, len(tree.Kids), len(tree.Weights), len(tree.Sizes), len(tree.Parent), depth)
+			tree, len(tree.Kids), len(tree.Weights), len(tree.Sizes), len(tree.Parent), depth)
 	}
 	if tree.Width(0) != 1 {
-		t.Fatalf("%s: %d roots", tree.Shape, tree.Width(0))
+		t.Fatalf("%s: %d roots", tree, tree.Width(0))
 	}
 	for i, level := range tree.Kids {
 		if len(level) != tree.Width(i) || len(tree.Parent[i+1]) != tree.Width(i+1) {
 			t.Fatalf("%s level %d: %d kid lists for width %d, %d parents for width %d",
-				tree.Shape, i, len(level), tree.Width(i), len(tree.Parent[i+1]), tree.Width(i+1))
+				tree, i, len(level), tree.Width(i), len(tree.Parent[i+1]), tree.Width(i+1))
 		}
 		next := 0
 		for j, kids := range level {
 			sum := 0
 			for pos, c := range kids {
 				if c != next {
-					t.Fatalf("%s level %d: node %d's child %d is %d, want %d in order", tree.Shape, i, j, pos, c, next)
+					t.Fatalf("%s level %d: node %d's child %d is %d, want %d in order", tree, i, j, pos, c, next)
 				}
 				next++
 				if p := tree.Parent[i+1][c]; p != j {
-					t.Fatalf("%s level %d: child %d of node %d names parent %d", tree.Shape, i+1, c, j, p)
+					t.Fatalf("%s level %d: child %d of node %d names parent %d", tree, i+1, c, j, p)
 				}
 				sum += tree.Sizes[i+1][c]
 				if w, want := tree.Weights[i][j][pos], float64(tree.Sizes[i+1][c])/float64(tree.Sizes[i][j]); w != want {
-					t.Fatalf("%s level %d node %d child %d: weight %v, want %v", tree.Shape, i, j, pos, w, want)
+					t.Fatalf("%s level %d node %d child %d: weight %v, want %v", tree, i, j, pos, w, want)
 				}
 			}
 			if sum != tree.Sizes[i][j] {
-				t.Fatalf("%s level %d node %d: size %d, children sum to %d", tree.Shape, i, j, tree.Sizes[i][j], sum)
+				t.Fatalf("%s level %d node %d: size %d, children sum to %d", tree, i, j, tree.Sizes[i][j], sum)
 			}
 		}
 		if next != tree.Width(i+1) {
-			t.Fatalf("%s level %d: children cover %d of %d nodes", tree.Shape, i, next, tree.Width(i+1))
+			t.Fatalf("%s level %d: children cover %d of %d nodes", tree, i, next, tree.Width(i+1))
 		}
 	}
 	n := tree.NumLeaves()
 	if n != len(leafSizes) {
-		t.Fatalf("%s: %d leaves for %d sizes", tree.Shape, n, len(leafSizes))
+		t.Fatalf("%s: %d leaves for %d sizes", tree, n, len(leafSizes))
 	}
 	var global float64
 	for j := 0; j < n; j++ {
 		if tree.Sizes[depth-1][j] != leafSizes[j] {
-			t.Fatalf("%s: leaf %d size %d, want %d", tree.Shape, j, tree.Sizes[depth-1][j], leafSizes[j])
+			t.Fatalf("%s: leaf %d size %d, want %d", tree, j, tree.Sizes[depth-1][j], leafSizes[j])
 		}
 		p, pos := tree.Natal(j)
 		if got := tree.Leaf(p, pos); got != j {
-			t.Fatalf("%s: Leaf(Natal(%d)) = %d", tree.Shape, j, got)
+			t.Fatalf("%s: Leaf(Natal(%d)) = %d", tree, j, got)
 		}
 		global += tree.Global[j]
 	}
 	if math.Abs(global-1) > 1e-9 {
-		t.Fatalf("%s: global weights sum to %v", tree.Shape, global)
+		t.Fatalf("%s: global weights sum to %v", tree, global)
 	}
 }

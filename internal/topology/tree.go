@@ -24,9 +24,6 @@ type Tree struct {
 	// Spec is the topology the tree was resolved from, nil for the tree
 	// derived from a run configuration's cloud / edge / worker grouping.
 	Spec *Topology
-	// Shape is the canonical rendering of the tree, which checkpoint
-	// fingerprints carry so a snapshot never crosses tree shapes.
-	Shape string
 	// Kids[i][j] lists the level-(i+1) indices of the natal children of
 	// node j at level i: ascending and contiguous, so leaf order is the
 	// leaf parents' children in node order. Parent[i][j] (i ≥ 1) inverts it.
@@ -52,10 +49,7 @@ func (t *Topology) Resolve(leafSizes []int) (*Tree, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if len(leafSizes) != t.NumLeaves() {
-		return nil, fmt.Errorf("topology: %q has %d leaves for %d shards", t, t.NumLeaves(), len(leafSizes))
-	}
-	return build(t.Levels, t, t.String(), func(i, _ int) int { return t.Levels[i+1].Fanout }, leafSizes)
+	return build(t.Levels, t, func(i, _ int) int { return t.Levels[i+1].Fanout }, leafSizes)
 }
 
 // Derive lays out the three-level tree a run configuration describes: a
@@ -67,77 +61,80 @@ func Derive(tau, pi int, cohorts, leafSizes []int) (*Tree, error) {
 	if tau < 1 || pi < 1 || len(cohorts) == 0 {
 		return nil, fmt.Errorf("topology: cannot derive a tree from tau=%d pi=%d over %d edges", tau, pi, len(cohorts))
 	}
-	ragged := false
 	for _, n := range cohorts {
 		if n < 1 {
 			return nil, fmt.Errorf("topology: cannot derive a tree with an empty edge")
 		}
-		ragged = ragged || n != cohorts[0]
-	}
-	// A ragged edge tier lists its per-edge worker counts.
-	workers := strconv.Itoa(cohorts[0])
-	if ragged {
-		sizes := make([]string, len(cohorts))
-		for l, n := range cohorts {
-			sizes[l] = strconv.Itoa(n)
-		}
-		workers = "[" + strings.Join(sizes, ",") + "]"
 	}
 	levels := []Level{
 		{Name: "cloud", Tau: tau * pi},
 		{Name: "edge", Tau: tau},
 		{Name: "worker", Tau: 1},
 	}
-	shape := fmt.Sprintf("cloud:tau=%d/edge*%d:tau=%d/worker*%s", tau*pi, len(cohorts), tau, workers)
 	fan := func(i, j int) int {
 		if i == 0 {
 			return len(cohorts)
 		}
 		return cohorts[j]
 	}
-	return build(levels, nil, shape, fan, leafSizes)
+	return build(levels, nil, fan, leafSizes)
 }
 
 // build lays out the nodes level by level, fan(i, j) giving the child count
-// of node j at level i, and weighs them over the leaves' sample counts.
-func build(levels []Level, spec *Topology, shape string, fan func(i, j int) int, leafSizes []int) (*Tree, error) {
+// of node j at level i, and weighs them over the leaves' sample counts. A
+// run builds its tree once, so the layout takes a handful of allocations
+// whatever the depth: every per-level and per-node array is a window of a
+// few shared blocks.
+func build(levels []Level, spec *Topology, fan func(i, j int) int, leafSizes []int) (*Tree, error) {
 	depth := len(levels)
-	t := &Tree{
-		Levels: levels,
-		Spec:   spec,
-		Shape:  shape,
-		Kids:   make([][][]int, depth-1),
-		Parent: make([][]int, depth),
-		Sizes:  make([][]int, depth),
-	}
-	width := 1
+	// aggregators counts the nodes of levels 0..depth-2, below those of
+	// levels 1..depth-1.
+	aggregators, below, width := 0, 0, 1
 	for i := 0; i < depth-1; i++ {
+		aggregators += width
 		next := 0
 		for j := 0; j < width; j++ {
 			next += fan(i, j)
 		}
-		// Every level's children are 0..next-1 in order, so each node's
-		// list is a window of one shared identity array.
-		ids := make([]int, next)
-		t.Parent[i+1] = make([]int, next)
-		t.Kids[i] = make([][]int, width)
-		lo := 0
-		for j := 0; j < width; j++ {
-			hi := lo + fan(i, j)
-			for c := lo; c < hi; c++ {
-				ids[c], t.Parent[i+1][c] = c, j
-			}
-			t.Kids[i][j] = ids[lo:hi:hi]
-			lo = hi
-		}
+		below += next
 		width = next
 	}
 	if width != len(leafSizes) {
-		return nil, fmt.Errorf("topology: %s has %d leaves for %d shards", shape, width, len(leafSizes))
+		return nil, fmt.Errorf("topology: %d leaves for %d shards", width, len(leafSizes))
+	}
+	lists := make([][]int, 2*depth+aggregators)
+	ints := make([]int, 2*below)
+	t := &Tree{
+		Levels: levels,
+		Spec:   spec,
+		Kids:   make([][][]int, depth-1),
+		Parent: lists[:depth:depth],
+		Sizes:  lists[depth : 2*depth : 2*depth],
+	}
+	lists = lists[2*depth:]
+	// Every level's children are 0..next-1 in order, so each node's list
+	// is a window of the level's identity array.
+	ids, parents := ints[:below:below], ints[below:]
+	width = 1
+	for i := 0; i < depth-1; i++ {
+		kids := lists[:width:width]
+		lists = lists[width:]
+		next := 0
+		for j := range kids {
+			hi := next + fan(i, j)
+			for c := next; c < hi; c++ {
+				ids[c], parents[c] = c, j
+			}
+			kids[j] = ids[next:hi:hi]
+			next = hi
+		}
+		t.Kids[i], t.Parent[i+1] = kids, parents[:next:next]
+		ids, parents = ids[next:], parents[next:]
+		width = next
 	}
 	t.Sizes[depth-1] = leafSizes
 	var err error
-	if t.Sizes, t.Weights, err = t.Weigh(t.Kids); err != nil {
+	if t.Weights, err = weigh(levels, t.Kids, t.Sizes); err != nil {
 		return nil, err
 	}
 	// Path products root first, level by level: a level-1 node's is its
@@ -155,40 +152,74 @@ func build(levels []Level, spec *Topology, shape string, fan func(i, j int) int,
 	return t, nil
 }
 
-// Weigh computes the subtree sample counts and child weights of the tree
-// whose children are kids — the tree's own Kids, or a membership epoch's
-// live cohorts — over the leaves' sample counts: kids[i][j] lists, in
-// ascending order, the level-(i+1) children of node j at level i. A node
-// whose children cover no samples is an error.
-func (t *Tree) Weigh(kids [][][]int) ([][]int, [][][]float64, error) {
-	depth := len(t.Levels)
-	sizes := make([][]int, depth)
-	sizes[depth-1] = t.Sizes[depth-1]
-	weights := make([][][]float64, depth-1)
-	for i := depth - 2; i >= 0; i-- {
-		sizes[i] = make([]int, len(kids[i]))
-		weights[i] = make([][]float64, len(kids[i]))
-		n := 0
-		for _, cs := range kids[i] {
-			n += len(cs)
+// Weigh returns the child weights of the tree whose children are kids — a
+// membership epoch's live cohorts, say — over the leaves' sample counts:
+// kids[i][j] lists, ascending, the level-(i+1) children of node j at level
+// i. A node whose children cover no samples is an error.
+func (t *Tree) Weigh(kids [][][]int) ([][][]float64, error) {
+	sizes := make([][]int, len(t.Levels))
+	sizes[len(sizes)-1] = t.Sizes[len(sizes)-1]
+	return weigh(t.Levels, kids, sizes)
+}
+
+// weigh fills sizes[i] for every aggregating level from the leaves'
+// sizes[depth-1] up and returns the child weights, drawing every level's
+// arrays from three blocks.
+func weigh(levels []Level, kids [][][]int, sizes [][]int) ([][][]float64, error) {
+	nodes, links := 0, 0
+	for _, level := range kids {
+		nodes += len(level)
+		for _, cs := range level {
+			links += len(cs)
 		}
-		block := make([]float64, n)
+	}
+	ints := make([]int, nodes)
+	lists := make([][]float64, nodes)
+	floats := make([]float64, links)
+	weights := make([][][]float64, len(kids))
+	for i := len(kids) - 1; i >= 0; i-- {
+		n := len(kids[i])
+		sizes[i], weights[i] = ints[:n:n], lists[:n:n]
+		ints, lists = ints[n:], lists[n:]
 		for j, cs := range kids[i] {
 			for _, c := range cs {
 				sizes[i][j] += sizes[i+1][c]
 			}
 			if sizes[i][j] == 0 {
-				return nil, nil, fmt.Errorf("topology: node %d of level %q covers no samples", j, t.Levels[i].Name)
+				return nil, fmt.Errorf("topology: node %d of level %q covers no samples", j, levels[i].Name)
 			}
-			w := block[:len(cs):len(cs)]
-			block = block[len(cs):]
+			w := floats[:len(cs):len(cs)]
+			floats = floats[len(cs):]
 			for pos, c := range cs {
 				w[pos] = float64(sizes[i+1][c]) / float64(sizes[i][j])
 			}
 			weights[i][j] = w
 		}
 	}
-	return sizes, weights, nil
+	return weights, nil
+}
+
+// String renders the tree's canonical shape, which checkpoint fingerprints
+// carry so a snapshot never crosses tree shapes: the spec's canonical form,
+// or for a derived tree cloud:tau=τπ/edge*L:tau=τ/worker*C, a ragged edge
+// tier listing its per-edge worker counts as [C₀,C₁,…].
+func (t *Tree) String() string {
+	if t.Spec != nil {
+		return t.Spec.String()
+	}
+	edges := t.Kids[1]
+	workers := strconv.Itoa(len(edges[0]))
+	for _, kids := range edges {
+		if len(kids) != len(edges[0]) {
+			sizes := make([]string, len(edges))
+			for l, kids := range edges {
+				sizes[l] = strconv.Itoa(len(kids))
+			}
+			workers = "[" + strings.Join(sizes, ",") + "]"
+			break
+		}
+	}
+	return fmt.Sprintf("cloud:tau=%d/edge*%d:tau=%d/worker*%s", t.Levels[0].Tau, len(edges), t.Levels[1].Tau, workers)
 }
 
 // Depth returns the number of levels, training tier included.

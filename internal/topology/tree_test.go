@@ -20,8 +20,8 @@ func TestDeriveIsTheConfigGrouping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tree.Shape != tc.shape || tree.Spec != nil {
-			t.Errorf("Derive(%v) shaped %q (spec %v), want %q", tc.cohorts, tree.Shape, tree.Spec, tc.shape)
+		if tree.String() != tc.shape || tree.Spec != nil {
+			t.Errorf("Derive(%v) shaped %q (spec %v), want %q", tc.cohorts, tree, tree.Spec, tc.shape)
 		}
 		checkTree(t, tree, tc.sizes)
 		total := 0
@@ -81,7 +81,7 @@ func TestWeighRefusesEmptyNode(t *testing.T) {
 	}
 	kids := append([][][]int(nil), tree.Kids...)
 	kids[1] = [][]int{{0, 1, 2, 3}, {}}
-	if _, _, err := tree.Weigh(kids); err == nil {
+	if _, err := tree.Weigh(kids); err == nil {
 		t.Error("an edge with an empty cohort was weighed")
 	}
 }
