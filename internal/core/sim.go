@@ -521,11 +521,9 @@ func (s *sim) register(ck *fl.Checkpointer) {
 		ck.Vector(at+"ySum", w.YSum)
 		ck.Vector(at+"yStart", s.yStart[j])
 	}
-	top := len(s.levels) - 1
 	for k, lev := range s.levels {
 		for n, node := range lev.nodes {
-			switch k {
-			case top:
+			if k == len(s.levels)-1 {
 				ck.Vector("cloud/x", node.tier.XPlus)
 				ck.Vector("cloud/y", node.tier.YMinus)
 				if node.tier.lv.Momentum {
@@ -533,17 +531,16 @@ func (s *sim) register(ck *fl.Checkpointer) {
 					ck.Vector("cloud/yPlus", node.tier.YPlus)
 				}
 				continue
-			case 0:
-				ck.Vector(fmt.Sprintf("edge/%d/xPlus", n), node.tier.XPlus)
-				ck.Vector(fmt.Sprintf("edge/%d/yPlus", n), node.tier.YPlus)
-				ck.Vector(fmt.Sprintf("edge/%d/yMinus", n), node.tier.YMinus)
-			default:
-				// The middle tiers of a deeper tree, by stack level.
-				at := fmt.Sprintf("tier/%d/%d/", k, n)
-				ck.Vector(at+"xPlus", node.tier.XPlus)
-				ck.Vector(at+"yPlus", node.tier.YPlus)
-				ck.Vector(at+"yMinus", node.tier.YMinus)
 			}
+			// The leaf parents keep the edge names; the middle tiers of a
+			// deeper tree are named by stack level.
+			at := fmt.Sprintf("edge/%d/", n)
+			if k > 0 {
+				at = fmt.Sprintf("tier/%d/%d/", k, n)
+			}
+			ck.Vector(at+"xPlus", node.tier.XPlus)
+			ck.Vector(at+"yPlus", node.tier.YPlus)
+			ck.Vector(at+"yMinus", node.tier.YMinus)
 		}
 	}
 	ck.RNG("participation", s.partRNG)

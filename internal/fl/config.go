@@ -198,17 +198,11 @@ func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 	if topo == nil {
 		return topology.Derive(c.Tau, c.Pi, cohorts, sizes)
 	}
-	if err := topo.Validate(); err != nil {
+	tree, err := topo.Resolve(sizes)
+	if err != nil {
 		return nil, err
 	}
-	if err := topo.AlignsWith(c.T); err != nil {
-		return nil, err
-	}
-	if topo.NumLeaves() != len(sizes) {
-		return nil, fmt.Errorf("%w: topology %q has %d leaves for %d configured workers",
-			ErrConfig, topo, topo.NumLeaves(), len(sizes))
-	}
-	return topo.Resolve(sizes)
+	return tree, topo.AlignsWith(c.T)
 }
 
 // NumEdges returns L.

@@ -100,7 +100,7 @@ func build(levels []Level, spec *Topology, fan func(i, j int) int, leafSizes []i
 		width = next
 	}
 	if width != len(leafSizes) {
-		return nil, fmt.Errorf("topology: %d leaves for %d shards", width, len(leafSizes))
+		return nil, fmt.Errorf("topology: the tree has %d leaves for %d shards", width, len(leafSizes))
 	}
 	lists := make([][]int, 2*depth+aggregators)
 	ints := make([]int, 2*below)
