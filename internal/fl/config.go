@@ -199,10 +199,13 @@ func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 		return topology.Derive(c.Tau, c.Pi, cohorts, sizes)
 	}
 	tree, err := topo.Resolve(sizes)
+	if err == nil {
+		err = topo.AlignsWith(c.T)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return tree, topo.AlignsWith(c.T)
+	return tree, nil
 }
 
 // NumEdges returns L.
