@@ -76,10 +76,12 @@ func NewHarness(cfg *Config, tree *topology.Tree) (*Harness, error) {
 	return h, nil
 }
 
-// WorkerSampler returns the deterministic mini-batch stream of worker
-// {i,ℓ} for a run seed. It is exported so alternative execution engines
-// (the distributed cluster runtime) can reproduce the exact batch sequence
-// of the in-process simulation, making results bit-comparable.
+// WorkerSampler returns the deterministic mini-batch stream of the leaf at
+// natal coordinates (ℓ, i) — position i under leaf parent ℓ, worker {i,ℓ}
+// on the configuration's own tree — for a run seed. It is exported so
+// alternative execution engines (the distributed cluster runtime) can
+// reproduce the exact batch sequence of the in-process simulation, making
+// results bit-comparable.
 func WorkerSampler(seed uint64, l, i int) *rng.RNG {
 	return rng.New(seed).Split(uint64(l)<<20 | uint64(i)<<4 | 1)
 }
