@@ -246,11 +246,6 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	if *join {
-		if err := checkJoin(*nodeID, churnPlan); err != nil {
-			return err
-		}
-	}
 	migrate, err := membership.ParseMigrationPolicy(*migration)
 	if err != nil {
 		return err
@@ -299,6 +294,22 @@ func run(args []string, interrupt <-chan struct{}) error {
 	}, s)
 	if err != nil {
 		return err
+	}
+	// Every node a flag names must be a node of the run's tree; -restart-after
+	// names only -crash nodes.
+	tree, err := cfg.Tree(topo)
+	if err != nil {
+		return err
+	}
+	for id := range crashes {
+		if _, _, ok := tree.Lookup(id); !ok {
+			return fmt.Errorf("-crash: %q is not a node of the tree %s", id, tree)
+		}
+	}
+	if *join {
+		if err := checkJoin(*nodeID, churnPlan, tree); err != nil {
+			return err
+		}
 	}
 	sink, boundAddr, stopTelemetry, err := telemetry.Setup(*traceOut, *metricsAddr)
 	if err != nil {
@@ -388,10 +399,6 @@ func run(args []string, interrupt <-chan struct{}) error {
 		}
 		// The simulation runs the tree the cluster ran: the -topology spec's,
 		// or the workload's own.
-		tree, err := cfg.Tree(topo)
-		if err != nil {
-			return err
-		}
 		sim, err := alg.RunTree(cfg, tree)
 		if err != nil {
 			return fmt.Errorf("verification run: %w", err)
@@ -439,13 +446,15 @@ func loadRegistry(path string) (map[string]string, error) {
 	return registry, nil
 }
 
-// checkJoin holds -join to its promise: the node is a worker-ℓ-i the churn
-// plan admits after round 1.
-func checkJoin(id string, plan *membership.Plan) error {
-	ref, err := membership.ParseNodeID(id)
-	if err != nil {
-		return fmt.Errorf("-join only applies to a worker-ℓ-i node, not %q", id)
+// checkJoin holds -join to its promise: the node is a training leaf of the
+// tree whose natal (parent, position) the churn plan admits after round 1.
+func checkJoin(id string, plan *membership.Plan, tree *topology.Tree) error {
+	lvl, j, ok := tree.Lookup(id)
+	if !ok || lvl != tree.Depth()-1 {
+		return fmt.Errorf("-join only applies to a training leaf of the tree %s (a worker-ℓ-i, or a -topology leaf), not %q", tree, id)
 	}
+	parent, pos := tree.Natal(j)
+	ref := membership.Ref{Edge: parent, Index: pos}
 	if plan == nil {
 		return fmt.Errorf("-join needs a -churn-plan that schedules %s's entry", id)
 	}

@@ -36,6 +36,26 @@ func TestRunRestartWithoutCrash(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNodesOutsideTheTree: a plan naming a node the run's tree
+// does not have, or an attack on a node that is not a training leaf, is
+// refused before the run starts, naming the ID and the tree.
+func TestRunRefusesNodesOutsideTheTree(t *testing.T) {
+	const spec = "-topology cloud:tau=20/edge*2:tau=10/worker*2"
+	for _, tc := range []struct{ args, want string }{
+		{"-attack-plan signflip:worker-9-9@1", `"worker-9-9", not a training leaf of the tree cloud:tau=20/edge*2:tau=10/worker*2`},
+		{"-attack-plan signflip:edge-0@1", `"edge-0", not a training leaf of the tree cloud:`},
+		{"-crash worker-9-9@3 -min-quorum 0.5", `-crash: "worker-9-9" is not a node of the tree cloud:`},
+		{"-crash worker-9-9@3 -restart-after worker-9-9@2 -min-quorum 0.5", `-crash: "worker-9-9" is not a node of the tree cloud:`},
+		{spec + " -attack-plan signflip:worker-0-0@1", `"worker-0-0", not a training leaf of the tree cloud:tau=20/edge*2:tau=10/worker*2`},
+		{spec + " -crash worker-0-1@3 -min-quorum 0.5", `-crash: "worker-0-1" is not a node of the tree cloud:`},
+	} {
+		err := run(strings.Fields(tc.args+" -model logistic -classes 3"), nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a refusal containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 func TestRunResumeWithoutCheckpointDir(t *testing.T) {
 	err := run([]string{"-transport", "memory", "-model", "logistic", "-resume"}, nil)
 	if err == nil {

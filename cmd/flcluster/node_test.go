@@ -27,9 +27,10 @@ func writeJSON(t *testing.T, dir, name string, v any) string {
 
 // TestNodeFlagValidation: every -node, -registry and -join misuse, and every
 // in-process flag given with -node, is refused before the node's socket
-// opens. The registry points the derived IDs at a port this test holds, so
-// a run that got as far as listening would fail with a duplicate-node error
-// instead of the refusal the row expects.
+// opens. The registry points its IDs at a port this test holds, so a run
+// that got as far as listening fails with a duplicate-node error instead of
+// the refusal a row expects — which is what the one row that passes every
+// check, a -join on a -topology tree's leaf, expects.
 func TestNodeFlagValidation(t *testing.T) {
 	held, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -41,7 +42,9 @@ func TestNodeFlagValidation(t *testing.T) {
 		"cloud":      held.Addr().String(),
 		"worker-0-1": held.Addr().String(),
 		"worker-1-0": held.Addr().String(),
+		"worker-1":   held.Addr().String(),
 	})
+	const spec = " -topology cloud:tau=20/edge*2:tau=10/worker*2"
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte("{nope"), 0o600); err != nil {
 		t.Fatal(err)
@@ -60,6 +63,11 @@ func TestNodeFlagValidation(t *testing.T) {
 		{"join on a non-worker", "-node cloud -registry " + reg + " -join -churn-plan join:worker-0-1@3", "worker-ℓ-i"},
 		{"join without churn plan", "-node worker-0-1 -registry " + reg + " -join", "-churn-plan"},
 		{"join unscheduled", "-node worker-1-0 -registry " + reg + " -join -churn-plan join:worker-0-1@3", "no late join"},
+		// A spec tree's leaf worker-1 is natal (edge-0, position 1): the
+		// plan's worker-0-1, while worker-2 is natal (1, 0).
+		{"join on a spec tree", "-node worker-1 -registry " + reg + spec + " -join -churn-plan join:worker-0-1@3", `"worker-1" bound at`},
+		{"join unscheduled on a spec tree", "-node worker-2 -registry " + reg + spec + " -join -churn-plan join:worker-0-1@3", "no late join"},
+		{"join on a spec tree's edge", "-node edge-0 -registry " + reg + spec + " -join -churn-plan join:worker-0-1@3", "training leaf"},
 		{"bad migration policy", "-node cloud -registry " + reg + " -migration teleport", "unknown migration policy"},
 		{"transport", "-node cloud -registry " + reg + " -transport tcp", "-transport"},
 		{"drop rate", "-node cloud -registry " + reg + " -drop-rate 0.1", "-drop-rate"},

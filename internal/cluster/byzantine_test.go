@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"hieradmo/internal/fl"
@@ -338,5 +339,45 @@ func TestClusterRobustResumeFingerprint(t *testing.T) {
 	wrongAgg.EdgeAggregator = robust.Spec{Kind: robust.Trimmed, Trim: 0.2}
 	if _, err := Run(cfg, transport.NewMemoryNetwork(), wrongAgg); err == nil {
 		t.Error("resume under a different edge aggregator was accepted")
+	}
+}
+
+// TestAttackPlanOutsideTheTree: a plan naming a node the tree does not have,
+// or one that is not a training leaf, is refused before any node starts,
+// naming the ID and the tree.
+func TestAttackPlanOutsideTheTree(t *testing.T) {
+	cfg := buildConfig(t, 113, 0)
+	const spec = "cloud:tau=4/edge*2:tau=2/worker*2"
+	for _, tc := range []struct {
+		plan, topology string
+		ok             bool
+	}{
+		{plan: "signflip:worker-9-9@1"},
+		{plan: "signflip:edge-0@1"},
+		{plan: "signflip:cloud@1"},
+		{plan: "signflip:worker-0-0@1", topology: spec},
+		{plan: "signflip:edge-1@1", topology: spec},
+		{plan: "signflip:worker-0-0@1", ok: true},
+		{plan: "signflip:worker-3@1", topology: spec, ok: true},
+	} {
+		opts := Options{AttackPlan: byzPlan(t, tc.plan)}
+		if tc.topology != "" {
+			opts.Topology = treeTopo(t, tc.topology)
+		}
+		_, _, ts, err := prepare(cfg, opts)
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s on %q: %v", tc.plan, tc.topology, err)
+			}
+			continue
+		}
+		id := strings.TrimPrefix(tc.plan[:strings.IndexByte(tc.plan, '@')], "signflip:")
+		tree, terr := cfg.Tree(opts.Topology)
+		if terr != nil {
+			t.Fatal(terr)
+		}
+		if err == nil || ts != nil || !strings.Contains(err.Error(), `"`+id+`"`) || !strings.Contains(err.Error(), tree.String()) {
+			t.Errorf("%s on %q: err = %v, want a refusal naming %s and the tree", tc.plan, tc.topology, err, id)
+		}
 	}
 }

@@ -98,10 +98,11 @@ type Options struct {
 
 	// AttackPlan injects deterministic Byzantine behaviour at the
 	// worker-report boundary (sign-flip, scale, noise, stale-replay; see
-	// internal/robust). Nil or empty attacks nobody. Attacks mutate what
-	// compromised workers send, never their local training state, and
-	// compose freely with transport fault plans and churn plans. Must
-	// match across every node of a multi-process run.
+	// internal/robust). Nil or empty attacks nobody; a plan naming a node
+	// that is not a training leaf of the run's tree is refused. Attacks
+	// mutate what compromised workers send, never their local training
+	// state, and compose freely with transport fault plans and churn plans.
+	// Must match across every node of a multi-process run.
 	AttackPlan *robust.AttackPlan
 	// EdgeAggregator selects the aggregation rule the leaf-parent level
 	// (the edges) applies to worker reports (default: plain weighted mean,
@@ -122,9 +123,11 @@ type Options struct {
 	// Nil derives the shape from the config instead: the cloud (period τ·π)
 	// over cfg.Edges (period τ, γℓ from cfg.GammaEdge, adaptation from
 	// Adaptive) over their workers, under the cloud / edge-ℓ / worker-ℓ-i
-	// node IDs. Either way the same node implementation runs, and every
-	// other option composes with it: under dynamic membership the churn
-	// plan's worker-ℓ-i names address leaves by (leaf-parent, position).
+	// node IDs. Either way the tree mints the IDs (topology.Tree.ID), the
+	// same node implementation runs, and every other option composes with
+	// it: an attack plan must name the tree's training leaves, and under
+	// dynamic membership the churn plan's worker-ℓ-i names address leaves
+	// by (leaf-parent, position).
 	Topology *topology.Topology
 }
 
@@ -273,9 +276,10 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	// Create every endpoint before any node starts (TCP needs all addresses
 	// registered up front). eps[i][j] is level i, node j.
 	eps := make([][]transport.Endpoint, ts.depth())
-	for i, ids := range ts.ids {
-		eps[i] = make([]transport.Endpoint, len(ids))
-		for j, id := range ids {
+	for i := range eps {
+		eps[i] = make([]transport.Endpoint, ts.tree.Width(i))
+		for j := range eps[i] {
+			id := ts.tree.ID(i, j)
 			if eps[i][j], err = net.Endpoint(id); err != nil {
 				return nil, fmt.Errorf("cluster: %s endpoint: %w", id, err)
 			}
@@ -290,7 +294,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 			telemetry.String("alg", "HierAdMo/cluster"),
 			telemetry.String("topology", ts.tree.String()),
 			telemetry.Int("depth", ts.depth()),
-			telemetry.Int("leaves", len(ts.ids[leafLvl])),
+			telemetry.Int("leaves", ts.tree.NumLeaves()),
 			telemetry.Int("T", cfg.T),
 			telemetry.Int64("seed", int64(cfg.Seed)))
 	}
@@ -317,8 +321,8 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	runDone := make(chan struct{})
 	rv, _ := net.(reviver)
 
-	for j, id := range ts.ids[leafLvl] {
-		ep := eps[leafLvl][j]
+	for j, ep := range eps[leafLvl] {
+		id := ts.tree.ID(leafLvl, j)
 		w := newTreeLeaf(cfg, ts, j, x0, ep, opts)
 		w.rec = rec
 		done := make(chan struct{})
@@ -362,7 +366,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 		}()
 	}
 	for i := leafLvl - 1; i >= 0; i-- {
-		for j := range ts.ids[i] {
+		for j := range eps[i] {
 			n := newTierNode(cfg, hn, ts, i, j, x0, eps[i][j], opts)
 			n.rec = rec
 			wg.Add(1)
@@ -437,17 +441,17 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 	if err != nil {
 		return nil, err
 	}
-	addr, ok := ts.index[ep.ID()]
+	lvl, idx, ok := ts.tree.Lookup(ep.ID())
 	if !ok {
 		return nil, fmt.Errorf("cluster: %q is not a node of the tree %s", ep.ID(), ts.tree)
 	}
 	rec := newFaultRecorder(opts.Telemetry)
-	if addr.lvl == ts.depth()-1 {
-		w := newTreeLeaf(cfg, ts, addr.idx, hn.InitParams(), ep, opts)
+	if lvl == ts.depth()-1 {
+		w := newTreeLeaf(cfg, ts, idx, hn.InitParams(), ep, opts)
 		w.rec = rec
 		return nil, w.run()
 	}
-	n := newTierNode(cfg, hn, ts, addr.lvl, addr.idx, hn.InitParams(), ep, opts)
+	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), ep, opts)
 	n.rec = rec
 	res, err := n.run()
 	if err != nil || res == nil {

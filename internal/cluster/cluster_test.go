@@ -55,9 +55,25 @@ func buildConfig(t *testing.T, seed uint64, classesPerWorker int) *fl.Config {
 	}
 }
 
+// TestProtocolIDs holds the tests' ID shorthands to the names the runtime
+// takes from the derived tree.
 func TestProtocolIDs(t *testing.T) {
-	if CloudID != "cloud" || EdgeID(3) != "edge-3" || WorkerID(2, 5) != "worker-2-5" {
-		t.Error("ID formats wrong")
+	ts, err := newTreeSpec(buildConfig(t, 3, 0), Options{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ts.tree.ID(0, 0); got != CloudID {
+		t.Errorf("root is %q, want %q", got, CloudID)
+	}
+	for l := 0; l < 2; l++ {
+		if got := ts.tree.ID(1, l); got != EdgeID(l) {
+			t.Errorf("edge %d is %q, want %q", l, got, EdgeID(l))
+		}
+		for i := 0; i < 2; i++ {
+			if got := ts.tree.ID(2, ts.tree.Leaf(l, i)); got != WorkerID(l, i) {
+				t.Errorf("worker (%d, %d) is %q, want %q", l, i, got, WorkerID(l, i))
+			}
+		}
 	}
 }
 
@@ -83,16 +99,20 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	// tree over eight leaves, a depth-2 tree with an explicit γ, and a tree
 	// whose leaf parent groups the four workers differently from the
 	// config's two edges, so the leaves' natal sampler keys differ from the
-	// config's (edge, worker) indices.
+	// config's (edge, worker) indices. reduced-gammaedge0 is HierAdMo-R at
+	// γℓ = 0 on the config's own tree: both engines take the leaf parents'
+	// rule from core.Rule.LevelAt, a momentum step with γ = 0.
 	const tree4 = "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2"
 	cases := []struct {
-		name     string
-		adaptive bool
-		clip     float64
-		topology string
+		name          string
+		adaptive      bool
+		clip          float64
+		topology      string
+		zeroGammaEdge bool
 	}{
 		{name: "adaptive", adaptive: true},
 		{name: "reduced"},
+		{name: "reduced-gammaedge0", zeroGammaEdge: true},
 		{name: "clip", adaptive: true, clip: 0.05},
 		{name: "tree4-adaptive", adaptive: true, topology: tree4},
 		{name: "tree4-reduced", topology: tree4},
@@ -121,6 +141,9 @@ func TestClusterMatchesSimulation(t *testing.T) {
 					}
 				}
 				cfg.ClipNorm = tc.clip
+				if tc.zeroGammaEdge {
+					cfg.GammaEdge = 0
+				}
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
 				alg := core.NewReduced()
 				if tc.adaptive {

@@ -58,7 +58,8 @@ type treeLeaf struct {
 }
 
 func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *treeLeaf {
-	lv := ts.level(ts.leafParent(), x0, opts)
+	lv := ts.levels[ts.leafParent()]
+	lv.X0 = x0
 	velocity := lv.Adapt && lv.Signal == core.SignalVelocity
 	count := core.LeafVectors
 	if velocity {
@@ -71,7 +72,7 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 		j:      j,
 		ep:     ep,
 		opts:   opts,
-		att:    opts.attackerFor(ts.ids[ts.depth()-1][j], 4, len(x0)),
+		att:    opts.attackerFor(ts.tree.ID(ts.depth()-1, j), 4, len(x0)),
 		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), opts.Telemetry),
 		state:  core.NewLeaf(x0, newVec),
 		lv:     lv,
@@ -89,7 +90,7 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 	return w
 }
 
-func (w *treeLeaf) id() string { return w.ts.ids[w.ts.depth()-1][w.j] }
+func (w *treeLeaf) id() string { return w.ts.tree.ID(w.ts.depth()-1, w.j) }
 
 // initCheckpoint binds the leaf's complete mid-run state — model, momentum,
 // interval accumulators, batch-sampler stream, and resync cursor — to its
@@ -136,7 +137,7 @@ func (w *treeLeaf) parentAt(k int) (string, error) {
 			return "", fmt.Errorf("cluster: %s has no parent at round %d: membership schedule divergence", w.id(), k)
 		}
 	}
-	return w.ts.ids[lp][p], nil
+	return w.ts.tree.ID(lp, p), nil
 }
 
 func (w *treeLeaf) run() error {

@@ -41,8 +41,10 @@ func runStaticNodes(t *testing.T, cfg *fl.Config, opts Options) *fl.Result {
 		t.Fatal(err)
 	}
 	var ids []string
-	for _, lvl := range ts.ids {
-		ids = append(ids, lvl...)
+	for i := 0; i < ts.depth(); i++ {
+		for j := 0; j < ts.tree.Width(i); j++ {
+			ids = append(ids, ts.tree.ID(i, j))
+		}
 	}
 	ports := freePorts(t, len(ids))
 	registry := make(map[string]string, len(ids))
@@ -54,27 +56,25 @@ func runStaticNodes(t *testing.T, cfg *fl.Config, opts Options) *fl.Result {
 		mu     sync.Mutex
 		result *fl.Result
 	)
-	for level, lvl := range ts.ids {
-		for _, id := range lvl {
-			ep, err := transport.ListenStatic(id, registry)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer ep.Close()
-				res, err := RunNode(cfg, ep, opts)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					t.Errorf("%s: %v", id, err)
-				}
-				if level == 0 {
-					result = res
-				}
-			}()
+	for _, id := range ids {
+		ep, err := transport.ListenStatic(id, registry)
+		if err != nil {
+			t.Fatal(err)
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer ep.Close()
+			res, err := RunNode(cfg, ep, opts)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+			if id == ids[0] {
+				result = res
+			}
+		}()
 	}
 	wg.Wait()
 	if result == nil {

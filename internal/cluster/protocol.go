@@ -25,7 +25,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"hieradmo/internal/transport"
 )
@@ -83,21 +82,6 @@ const (
 	// an adaptive parent, which weights and sums the terms of its reporters.
 	ScalarCos = "cos"
 )
-
-// Node IDs of the config-derived cloud/edge/worker shape (explicit
-// topologies name nodes "<level>-<index>" instead). Fault, churn and attack
-// plans, per-node noise streams and checkpoint files are keyed by them.
-
-// CloudID is the cloud node's transport ID.
-const CloudID = "cloud"
-
-// EdgeID returns the transport ID of edge ℓ.
-func EdgeID(l int) string { return "edge-" + strconv.Itoa(l) }
-
-// WorkerID returns the transport ID of worker {i,ℓ}.
-func WorkerID(l, i int) string {
-	return "worker-" + strconv.Itoa(l) + "-" + strconv.Itoa(i)
-}
 
 // expectKind validates an incoming message's type.
 func expectKind(msg transport.Message, kind string) error {

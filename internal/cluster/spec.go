@@ -10,20 +10,16 @@ import (
 	"hieradmo/internal/membership"
 	"hieradmo/internal/rng"
 	"hieradmo/internal/robust"
-	"hieradmo/internal/tensor"
 	"hieradmo/internal/topology"
 )
 
 // treeSpec is what a distributed run adds to the run's tree, shared by every
 // node: the tree itself (topology.Tree — levels, natal children, data
-// weights and the leaves' natal keys, the shape the in-process simulation
-// runs too), the transport IDs and their index, each aggregating level's
-// rules resolved from the options, and the membership epochs. An explicit
-// Options.Topology names nodes "<level>-<index>"; the configuration's own
-// tree keeps the cloud / edge-ℓ / worker-ℓ-i IDs that fault, churn and
-// attack plans, the per-node noise streams and checkpoint file names are
-// keyed by. With dynamic membership the leaf-parent level's children and
-// every level's weights additionally vary by membership epoch.
+// weights, the leaves' natal keys and every node's transport ID, the shape
+// the in-process simulation runs too), each aggregating level's rule and
+// aggregator, and the membership epochs. With dynamic membership the
+// leaf-parent level's children and every level's weights additionally vary
+// by membership epoch.
 //
 // It is pure derived data — building one performs no I/O, and every process
 // of a multi-process deployment derives the identical spec from the shared
@@ -31,22 +27,16 @@ import (
 type treeSpec struct {
 	cfg  *fl.Config
 	tree *topology.Tree
-	// ids[i][j] is the transport ID of node j at level i; index inverts it.
-	ids   [][]string
-	index map[string]nodeAddr
 	// shards holds the training leaves' datasets, cfg.Edges flattened in
 	// order: an explicit topology regroups the same shards under its fanout.
 	shards []*dataset.Dataset
 
-	// agg[i], gamma[i] and adapt[i] are aggregating level i's resolved
-	// aggregation rule, momentum factor and adaptive-γℓ toggle; momentum[i]
-	// marks levels that execute the Algorithm 1 line-13 momentum update at
-	// all. Non-momentum levels (γℓ = 0, not adaptive) run the plain average
-	// of lines 18–19.
-	agg      []robust.Spec
-	gamma    []float64
-	adapt    []bool
-	momentum []bool
+	// levels[i] is aggregating level i's kernel rule as the simulation
+	// resolves it (core.Rule.LevelAt), without X0 and its robust aggregator,
+	// which holds scratch and so is built by the node that aggregates from
+	// agg[i]. The leaves compute their eq. (6) terms under the leaf-parent's.
+	levels []core.Level
+	agg    []robust.Spec
 
 	// sched is the membership trajectory of a churn run (nil when membership
 	// is static) and policy its γℓ migration rule. Membership acts at the
@@ -59,9 +49,6 @@ type treeSpec struct {
 	// static run has exactly one, the tree's own.
 	epochs []epochShape
 }
-
-// nodeAddr addresses a node by level and index within the level.
-type nodeAddr struct{ lvl, idx int }
 
 // epochShape is the tree during one membership epoch.
 type epochShape struct {
@@ -81,27 +68,29 @@ func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts := &treeSpec{cfg: cfg, tree: tree, policy: opts.Migration}
-	depth := tree.Depth()
-	ts.ids = make([][]string, depth)
-	ts.index = make(map[string]nodeAddr)
-	for i := range ts.ids {
-		ts.ids[i] = make([]string, tree.Width(i))
-		for j := range ts.ids[i] {
-			ts.ids[i][j] = ts.nodeID(i, j)
-			ts.index[ts.ids[i][j]] = nodeAddr{i, j}
+	for _, id := range opts.AttackPlan.Nodes() {
+		if lvl, _, ok := tree.Lookup(id); !ok || lvl != tree.Depth()-1 {
+			return nil, fmt.Errorf("cluster: the attack plan names %q, not a training leaf of the tree %s", id, tree)
 		}
 	}
+	ts := &treeSpec{cfg: cfg, tree: tree, policy: opts.Migration}
 	for _, edge := range cfg.Edges {
 		ts.shards = append(ts.shards, edge...)
 	}
 
+	// The run is HierAdMo's row of the simulation's rule table, so both
+	// engines resolve every level's γ / adapt / momentum in one place.
+	hier := core.NewReduced
+	if opts.Adaptive {
+		hier = core.New
+	}
+	rule := hier(core.WithAdaptSignal(opts.Signal), core.WithClampCeiling(opts.Ceiling)).Row()
 	lp := ts.leafParent()
+	depth := tree.Depth()
+	ts.levels = make([]core.Level, depth-1)
 	ts.agg = make([]robust.Spec, depth-1)
-	ts.gamma = make([]float64, depth-1)
-	ts.adapt = make([]bool, depth-1)
-	ts.momentum = make([]bool, depth-1)
 	for i, lv := range tree.Levels[:depth-1] {
+		ts.levels[i] = rule.LevelAt(tree, cfg, i)
 		// An explicit agg= in a spec wins; otherwise the leaf-parent and root
 		// levels default to the run's Edge/CloudAggregator options.
 		ts.agg[i] = lv.Agg
@@ -113,18 +102,6 @@ func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
 				ts.agg[i] = opts.CloudAggregator
 			}
 		}
-		if lv.HasGamma {
-			ts.gamma[i] = lv.Gamma
-		} else if i == lp {
-			ts.gamma[i] = cfg.GammaEdge
-		}
-		if i == lp {
-			ts.adapt[i] = opts.Adaptive
-			if lv.HasAdapt {
-				ts.adapt[i] = lv.Adapt
-			}
-		}
-		ts.momentum[i] = ts.adapt[i] || ts.gamma[i] != 0
 	}
 
 	if !opts.churnEnabled() {
@@ -145,20 +122,6 @@ func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
 		ts.epochs = append(ts.epochs, epochShape{kids: kids, weights: weights})
 	}
 	return ts, nil
-}
-
-// nodeID names node idx of level i: the spec's "<level>-<index>", or the
-// configuration's own tree's cloud / edge-ℓ / worker-ℓ-i.
-func (ts *treeSpec) nodeID(i, idx int) string {
-	switch {
-	case ts.tree.Spec != nil:
-		return ts.tree.Spec.NodeID(i, idx)
-	case i == 0:
-		return CloudID
-	case i == 1:
-		return EdgeID(idx)
-	}
-	return WorkerID(ts.tree.Natal(idx))
 }
 
 // buildSchedule precomputes the membership trajectory and returns every
@@ -188,7 +151,7 @@ func (ts *treeSpec) buildSchedule(opts Options) ([][][]int, error) {
 		plan = opts.ChurnPlan.Clone()
 	}
 	lp := ts.leafParent()
-	sched, err := membership.BuildSchedule(plan, stats, len(ts.ids[lp]),
+	sched, err := membership.BuildSchedule(plan, stats, ts.tree.Width(lp),
 		ts.cfg.T/ts.tau(lp), ts.tau(0)/ts.tau(lp), opts.RetierEvery)
 	if err != nil {
 		return nil, err
@@ -199,7 +162,7 @@ func (ts *treeSpec) buildSchedule(opts Options) ([][][]int, error) {
 		if sched.EpochIndex(k) < len(cohorts) {
 			continue
 		}
-		epoch := make([][]int, len(ts.ids[lp]))
+		epoch := make([][]int, ts.tree.Width(lp))
 		for l, refs := range sched.EpochAt(k).Cohorts {
 			for _, ref := range refs {
 				epoch[l] = append(epoch[l], ts.leafOf(ref))
@@ -208,21 +171,6 @@ func (ts *treeSpec) buildSchedule(opts Options) ([][][]int, error) {
 		cohorts = append(cohorts, epoch)
 	}
 	return cohorts, nil
-}
-
-// level is aggregating level i's kernel rule without its robust aggregator,
-// which holds scratch and so is built by the node that aggregates. The leaves
-// compute their eq. (6) terms under the leaf-parent's.
-func (ts *treeSpec) level(i int, x0 tensor.Vector, opts Options) core.Level {
-	return core.Level{
-		Momentum: ts.momentum[i],
-		Adapt:    ts.adapt[i],
-		Gamma:    ts.gamma[i],
-		Signal:   opts.Signal,
-		Ceiling:  opts.Ceiling,
-		Tau:      ts.tau(i),
-		X0:       x0,
-	}
 }
 
 func (ts *treeSpec) depth() int      { return ts.tree.Depth() }

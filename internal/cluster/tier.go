@@ -91,8 +91,8 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 	for _, shape := range ts.epochs {
 		fan = max(fan, len(shape.kids[lvl][idx]))
 	}
-	lv := ts.level(lvl, x0, opts)
-	lv.Agg = newAggregator(ts.agg[lvl])
+	lv := ts.levels[lvl]
+	lv.X0, lv.Agg = x0, newAggregator(ts.agg[lvl])
 	count := lv.Vectors()
 	if lvl != ts.leafParent() {
 		count += 2 * fan // the substitution ledgers lastYRep, lastXRep
@@ -145,7 +145,7 @@ func nodeVectors(dim, count int) func() tensor.Vector {
 	}
 }
 
-func (n *tierNode) id() string       { return n.ts.ids[n.lvl][n.idx] }
+func (n *tierNode) id() string       { return n.ts.tree.ID(n.lvl, n.idx) }
 func (n *tierNode) leafParent() bool { return n.lvl == n.ts.leafParent() }
 func (n *tierNode) tau() int         { return n.ts.tau(n.lvl) }
 
@@ -210,13 +210,17 @@ func (n *tierNode) initCheckpoint() (int, error) {
 // senders by their index in the child level.
 func (n *tierNode) stashPending(dst []float64) []float64 {
 	return encodePending(dst, n.pending, len(n.tier.XPlus), func(from string) (int, bool) {
-		a, ok := n.ts.index[from]
-		return a.idx, ok && a.lvl == n.lvl+1
+		lvl, idx, ok := n.ts.tree.Lookup(from)
+		return idx, ok && lvl == n.lvl+1
 	})
 }
 
 func (n *tierNode) unstashPending(flat []float64) error {
-	msgs, err := decodePending(flat, len(n.tier.XPlus), KindTierReport, n.ts.ids[n.lvl+1])
+	ids := make([]string, n.ts.tree.Width(n.lvl+1))
+	for c := range ids {
+		ids[c] = n.ts.tree.ID(n.lvl+1, c)
+	}
+	msgs, err := decodePending(flat, len(n.tier.XPlus), KindTierReport, ids)
 	if err != nil {
 		return err
 	}
@@ -229,7 +233,7 @@ func (n *tierNode) unstashPending(flat []float64) error {
 // walking that range visits the cache's keys in order without collecting
 // and sorting them.
 func (n *tierNode) encodeLosses(dst []float64) []float64 {
-	for c := range n.ts.ids[n.lvl+1] {
+	for c := 0; c < n.ts.tree.Width(n.lvl+1); c++ {
 		if loss, ok := n.losses[c]; ok {
 			dst = append(dst, float64(c), loss)
 		}
@@ -265,17 +269,17 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 	next := min(k+1, n.cfg.T/n.tau())
 	prev, _ := n.ts.children(n.lvl, n.idx, k)
 	cohort, _ := n.ts.children(n.lvl, n.idx, next)
-	childIDs := n.ts.ids[n.lvl+1]
+	childID := func(c int) string { return n.ts.tree.ID(n.lvl+1, c) }
 	for _, c := range cohort {
 		msg := update
 		if _, member := position(prev, c); !member {
 			msg.Kind = KindAdmit
 			if !resend {
-				n.rec.joined(childIDs[c], t, !refIn(n.ts.sched.JoinsAt(next), n.ts.ref(c)))
+				n.rec.joined(childID(c), t, !refIn(n.ts.sched.JoinsAt(next), n.ts.ref(c)))
 			}
 		}
-		if err := n.ep.Send(childIDs[c], msg); err != nil {
-			return fmt.Errorf("cluster: %s redistribute to %s: %w", n.id(), childIDs[c], err)
+		if err := n.ep.Send(childID(c), msg); err != nil {
+			return fmt.Errorf("cluster: %s redistribute to %s: %w", n.id(), childID(c), err)
 		}
 	}
 	if n.churning() {
@@ -284,7 +288,7 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 			if l, ok := n.ts.sched.EdgeOf(k, ref); !ok || l != n.idx {
 				continue
 			}
-			leaver := childIDs[n.ts.leafOf(ref)]
+			leaver := childID(n.ts.leafOf(ref))
 			if !resend {
 				n.rec.left(leaver, t)
 			}
@@ -328,7 +332,8 @@ func (n *tierNode) announceRetier(k int, resend bool) error {
 		Round:   k * n.tau(),
 		Vectors: [][]float64{flat},
 	}
-	for _, to := range n.ts.ids[lp] {
+	for p := 0; p < n.ts.tree.Width(lp); p++ {
+		to := n.ts.tree.ID(lp, p)
 		if err := n.ep.Send(to, msg); err != nil {
 			return fmt.Errorf("cluster: %s reassign to %s: %w", n.id(), to, err)
 		}
@@ -370,7 +375,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 	numRounds := n.cfg.T / tau
 	if n.lvl == 0 {
 		name := "HierAdMo/cluster"
-		if !n.ts.adapt[n.ts.leafParent()] {
+		if !n.ts.levels[n.ts.leafParent()].Adapt {
 			name = "HierAdMo-R/cluster"
 		}
 		n.res = n.hn.NewResult(name)
@@ -658,7 +663,7 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 		n.missStreak[pos]++
 		if n.missStreak[pos] > 1 {
 			return 0, nil, nil, fmt.Errorf("cluster: child %s missed %d consecutive rounds of %s: quorum unreachable: %w",
-				n.ts.ids[n.lvl+1][kids[pos]], n.missStreak[pos], n.id(), transport.ErrTimeout)
+				n.ts.tree.ID(n.lvl+1, kids[pos]), n.missStreak[pos], n.id(), transport.ErrTimeout)
 		}
 	}
 	n.rec.missingTier(name, n.lvl, want, len(kids)-got, false)
@@ -669,11 +674,11 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 // shared by live receives and the ride-ahead stash. It returns whether the
 // report counted as a new distinct reporter.
 func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.Message) (bool, error) {
-	from, ok := n.ts.index[msg.From]
-	if !ok || from.lvl != n.lvl+1 {
+	lvl, from, ok := n.ts.tree.Lookup(msg.From)
+	if !ok || lvl != n.lvl+1 {
 		return false, fmt.Errorf("cluster: %s got a report from %q, not a level-%d node", n.id(), msg.From, n.lvl+1)
 	}
-	pos, ok := position(kids, from.idx)
+	pos, ok := position(kids, from)
 	if !ok {
 		if n.churning() {
 			// A worker not in this round's cohort (e.g. a just-reassigned
@@ -688,7 +693,7 @@ func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.
 		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d: %w",
 			msg.From, len(msg.Vectors), reportVectors, ErrMalformedReport)
 	}
-	if n.ts.adapt[n.lvl] {
+	if n.ts.levels[n.lvl].Adapt {
 		// An honest leaf's term is a clamped cosine (tensor.CosineFromDot
 		// maps degenerate reductions to 0), so anything else was crafted.
 		c, ok := msg.Scalars[ScalarCos]
@@ -707,7 +712,7 @@ func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.
 		return false, nil
 	}
 	reports[pos] = msg
-	n.losses[from.idx] = msg.Scalars[ScalarLoss]
+	n.losses[from] = msg.Scalars[ScalarLoss]
 	return true, nil
 }
 
@@ -757,7 +762,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: %s aggregation at round %d: %w", n.id(), k, err)
 	}
-	adaptive := n.ts.adapt[n.lvl]
+	adaptive := n.ts.levels[n.lvl].Adapt
 	if adaptive {
 		if out.Gamma == 0 {
 			sink.M().GammaZeroed.Inc()
@@ -799,7 +804,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		// Map the aggregation's reporter slots back to node IDs.
 		ids := make([]string, len(idx))
 		for j, pos := range idx {
-			ids[j] = n.ts.ids[n.lvl+1][kids[pos]]
+			ids[j] = n.ts.tree.ID(n.lvl+1, kids[pos])
 		}
 		n.rec.robustTier(n.id(), n.ts.tree.Levels[n.lvl].Name, n.lvl, t, st, ids)
 	}
@@ -830,7 +835,7 @@ func (n *tierNode) parentSync(k int) (int, error) {
 	want := k * n.tau()
 	report := n.out
 	report.Kind, report.Round, report.Scalars[ScalarLoss] = KindTierReport, want, n.weightedLoss
-	parent := n.ts.ids[n.lvl-1][n.ts.tree.Parent[n.lvl][n.idx]]
+	parent := n.ts.tree.ID(n.lvl-1, n.ts.tree.Parent[n.lvl][n.idx])
 	if err := n.ep.Send(parent, report); err != nil {
 		return 0, err
 	}

@@ -36,8 +36,8 @@ type Rule struct {
 	// without it they take it with γ = 0, which is plain SGD.
 	Nesterov bool
 	// Level is the rule of the tier the workers report to; the zero Level is
-	// the plain average. The driver fills in Tau and X0, and Gamma
-	// (cfg.GammaEdge, or the tree's explicit gamma=) at a momentum level.
+	// the plain average. LevelAt fills in Tau, and Gamma (cfg.GammaEdge, or
+	// the tree's explicit gamma=) at a momentum level; RunTree fills in X0.
 	Level Level
 	// Hooks builds what the rule adds where its server or worker rule is not
 	// Algorithm 1 (nil for a pure row), drawing at most Extra(leaves, parents)
@@ -127,7 +127,9 @@ type simNode struct {
 // simLevel is one level of the stack, bottom-up: level 0 aggregates the
 // leaves, the last level is the root.
 type simLevel struct {
-	nodes  []simNode
+	nodes []simNode
+	// level is the tree level the nodes sit at.
+	level  int
 	period int
 	// seconds times one round of a node at this level (nil in the middle of
 	// a deeper tree).
@@ -182,7 +184,7 @@ func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, 
 	}
 	if r.Flat {
 		root := simNode{weights: tree.Global, hi: tree.NumLeaves()}
-		return []simLevel{{nodes: []simNode{root}, period: tree.Levels[0].Tau, seconds: m.CloudSyncSeconds}}, nil
+		return []simLevel{{nodes: []simNode{root}, level: 0, period: tree.Levels[0].Tau, seconds: m.CloudSyncSeconds}}, nil
 	}
 	lp := tree.LeafParent()
 	levels := make([]simLevel, lp+1)
@@ -194,7 +196,7 @@ func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, 
 	for k := range levels {
 		i := lp - k
 		lev := &levels[k]
-		lev.period = tree.Levels[i].Tau
+		lev.level, lev.period = i, tree.Levels[i].Tau
 		switch {
 		case i == 0:
 			lev.seconds = m.CloudSyncSeconds
@@ -209,21 +211,22 @@ func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, 
 	return levels, nil
 }
 
-// level is the rule the nodes of stack level k run. Where the leaves report
-// it is the row's Level, with a spec's explicit gamma / adapt in place of
-// the run's γℓ and adaptation, resolved as the cluster resolves them; above
-// it the plain average, or the momentum step with a fixed γ where the tree
-// gives one, as the cluster's tiers do.
-func (r *Rule) level(tree *topology.Tree, cfg *fl.Config, x0 tensor.Vector, k int) Level {
-	spec := tree.Levels[0]
-	if !r.Flat {
-		spec = tree.Levels[tree.LeafParent()-k]
+// LevelAt is the rule the nodes of tree level i run, resolved here for both
+// engines. Where the leaves report — the leaf parents, or the root in the
+// flat view — it is the row's Level at the run's γℓ (cfg.GammaEdge), with a
+// spec's explicit gamma / adapt in their place; every level above runs the
+// plain average, or the momentum step where the spec fixes a γ. Tau is the
+// level's period; the caller fills in X0.
+func (r *Rule) LevelAt(tree *topology.Tree, cfg *fl.Config, i int) Level {
+	spec, report := tree.Levels[i], tree.LeafParent()
+	if r.Flat {
+		report = 0
 	}
-	if k > 0 {
-		return Level{Momentum: spec.Gamma != 0, Gamma: spec.Gamma, Tau: spec.Tau, X0: x0}
+	if i != report {
+		return Level{Momentum: spec.Gamma != 0, Gamma: spec.Gamma, Tau: spec.Tau}
 	}
 	lv := r.Level
-	lv.X0, lv.Tau = x0, spec.Tau
+	lv.Tau = spec.Tau
 	if lv.Momentum {
 		lv.Gamma = cfg.GammaEdge
 	}
@@ -305,10 +308,10 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	// and disjoint from its neighbours'.
 	maxFan := 0
 	vecCount := (LeafVectors+1)*numLeaves + 1
-	for k, lev := range levels {
+	for _, lev := range levels {
 		for _, n := range lev.nodes {
 			maxFan = max(maxFan, n.hi-n.lo)
-			vecCount += r.level(tree, cfg, x0, k).Vectors()
+			vecCount += r.LevelAt(tree, cfg, lev.level).Vectors()
 		}
 	}
 	quantBits := 0
@@ -338,9 +341,11 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 	for k := range levels {
 		nodes := levels[k].nodes
+		lv := r.LevelAt(tree, cfg, levels[k].level)
+		lv.X0 = x0
 		for n := range nodes {
 			node := &nodes[n]
-			node.tier = NewTier(r.level(tree, cfg, x0, k), node.hi-node.lo, newVec)
+			node.tier = NewTier(lv, node.hi-node.lo, newVec)
 			if k == 0 {
 				continue
 			}

@@ -8,6 +8,7 @@ import (
 	"hieradmo/internal/fl"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
+	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
@@ -23,25 +24,23 @@ var byzantineColumns = []string{"clean", "20% flipped", "40% flipped", "rejected
 func ByzantineTopology() []int { return []int{5, 5} }
 
 // ByzantinePlan builds a sign-flip attack plan covering the given fraction
-// of the topology's workers for the whole run. Attackers are assigned
-// round-robin across edges (worker-0-0, worker-1-0, worker-0-1, ...) so no
-// cohort is majority-attacked before the others; a zero fraction returns
-// nil (no plan).
-func ByzantinePlan(frac float64, edges []int, seed uint64) *robust.AttackPlan {
-	total := 0
-	for _, c := range edges {
-		total += c
-	}
-	count := int(math.Round(frac * float64(total)))
+// of the tree's training leaves for the whole run, under the tree's own node
+// IDs. Attackers are assigned round-robin across the leaf parents
+// (worker-0-0, worker-1-0, worker-0-1, ... on the derived tree) so no cohort
+// is majority-attacked before the others; a zero fraction returns nil (no
+// plan).
+func ByzantinePlan(frac float64, tree *topology.Tree, seed uint64) *robust.AttackPlan {
+	count := int(math.Round(frac * float64(tree.NumLeaves())))
 	if count <= 0 {
 		return nil
 	}
+	lp := tree.LeafParent()
 	var attacks []robust.Attack
 	for i := 0; len(attacks) < count; i++ {
-		for l := range edges {
-			if i < edges[l] && len(attacks) < count {
+		for _, kids := range tree.Kids[lp] {
+			if i < len(kids) && len(attacks) < count {
 				attacks = append(attacks, robust.Attack{
-					Node: cluster.WorkerID(l, i),
+					Node: tree.ID(lp+1, kids[i]),
 					Kind: robust.SignFlip,
 					From: 1,
 				})
@@ -64,6 +63,10 @@ func RunByzantine(s Scale) (*Table, error) {
 		ClassesPerWorker: 2,
 		Tau:              5, Pi: 2,
 	}, s)
+	if err != nil {
+		return nil, fmt.Errorf("byzantine: %w", err)
+	}
+	tree, err := cfg.Tree(nil)
 	if err != nil {
 		return nil, fmt.Errorf("byzantine: %w", err)
 	}
@@ -115,7 +118,7 @@ func RunByzantine(s Scale) (*Table, error) {
 		cells := make([]string, 0, len(byzantineColumns))
 		rejectedAtMax := 0
 		for _, frac := range fractions {
-			res, rejected, err := run(spec, ByzantinePlan(frac, ByzantineTopology(), s.Seed))
+			res, rejected, err := run(spec, ByzantinePlan(frac, tree, s.Seed))
 			if err != nil {
 				return nil, fmt.Errorf("byzantine %s at %.0f%%: %w", spec, 100*frac, err)
 			}

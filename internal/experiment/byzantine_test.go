@@ -3,13 +3,19 @@ package experiment
 import (
 	"strconv"
 	"testing"
+
+	"hieradmo/internal/topology"
 )
 
 func TestByzantinePlan(t *testing.T) {
-	if p := ByzantinePlan(0, ByzantineTopology(), 1); p != nil {
+	tree, err := topology.Derive(5, 2, ByzantineTopology(), []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := ByzantinePlan(0, tree, 1); p != nil {
 		t.Fatalf("zero fraction produced plan %v", p.Attacks)
 	}
-	p := ByzantinePlan(0.4, ByzantineTopology(), 1)
+	p := ByzantinePlan(0.4, tree, 1)
 	if p == nil || len(p.Attacks) != 4 {
 		t.Fatalf("40%% of 10 workers should yield 4 attackers, got %+v", p)
 	}
@@ -29,6 +35,11 @@ func TestByzantinePlan(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	for i, want := range []string{"worker-0-0", "worker-1-0", "worker-0-1", "worker-1-1"} {
+		if got := p.Attacks[i].Node; got != want {
+			t.Errorf("attacker %d is %s, want %s", i, got, want)
+		}
 	}
 }
 

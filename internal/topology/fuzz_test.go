@@ -2,7 +2,6 @@ package topology
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -64,20 +63,6 @@ func FuzzParseTopology(f *testing.F) {
 					i, canon, topo.Levels[i], again.Levels[i])
 			}
 		}
-		// Node IDs must resolve back to their coordinates for every level
-		// (spot-check the first and last node per level; widths are bounded).
-		for i := range topo.Levels {
-			for _, idx := range []int{0, topo.Width(i) - 1} {
-				id := topo.NodeID(i, idx)
-				if strings.Count(id, "-") < 1 {
-					t.Fatalf("node id %q has no index separator", id)
-				}
-				gi, gidx, err := topo.ParseNodeID(id)
-				if err != nil || gi != i || gidx != idx {
-					t.Fatalf("ParseNodeID(%q) = (%d,%d,%v), want (%d,%d)", id, gi, gidx, err, i, idx)
-				}
-			}
-		}
 		sizes := make([]int, topo.NumLeaves())
 		for j := range sizes {
 			sizes[j] = 1 + (7*j+len(s))%5
@@ -97,8 +82,8 @@ func FuzzParseTopology(f *testing.F) {
 // invert each other, the leaf parents' children in node order are the
 // leaves 0..N−1 each exactly once, Natal and Leaf invert each other, every
 // node's size is the sum of its children's and every weight the integer
-// ratio of a child's size over its node's, and the leaves' global weights
-// sum to one.
+// ratio of a child's size over its node's, the leaves' global weights
+// sum to one, and every node has its own ID, which Lookup inverts.
 func checkTree(t *testing.T, tree *Tree, leafSizes []int) {
 	t.Helper()
 	depth := tree.Depth()
@@ -155,5 +140,18 @@ func checkTree(t *testing.T, tree *Tree, leafSizes []int) {
 	}
 	if math.Abs(global-1) > 1e-9 {
 		t.Fatalf("%s: global weights sum to %v", tree, global)
+	}
+	seen := make(map[string]bool)
+	for i := 0; i < depth; i++ {
+		for j := 0; j < tree.Width(i); j++ {
+			id := tree.ID(i, j)
+			if seen[id] {
+				t.Fatalf("%s: two nodes are named %q", tree, id)
+			}
+			seen[id] = true
+			if li, lj, ok := tree.Lookup(id); !ok || li != i || lj != j {
+				t.Fatalf("%s: Lookup(%q) = (%d, %d, %v), want (%d, %d)", tree, id, li, lj, ok, i, j)
+			}
+		}
 	}
 }

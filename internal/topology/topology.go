@@ -63,7 +63,7 @@ var (
 
 // Level is one tier of the tree, root first.
 type Level struct {
-	// Name labels the level; node IDs are "<name>-<index>". Lowercase
+	// Name labels the level; node IDs are "<name>-<index>" (Tree.ID). Lowercase
 	// letter followed by lowercase letters or digits, unique per topology.
 	Name string
 	// Tau is the level's synchronization period in worker iterations: the
@@ -122,35 +122,6 @@ func (t *Topology) NumNodes() int {
 // LeafParent returns the index of the level whose children are the training
 // leaves.
 func (t *Topology) LeafParent() int { return t.Depth() - 2 }
-
-// NodeID returns the transport ID of node idx at level i.
-func (t *Topology) NodeID(i, idx int) string {
-	return t.Levels[i].Name + "-" + strconv.Itoa(idx)
-}
-
-// ParseNodeID resolves a transport ID minted by NodeID back to its (level,
-// index) coordinates.
-func (t *Topology) ParseNodeID(id string) (level, idx int, err error) {
-	cut := strings.LastIndexByte(id, '-')
-	if cut <= 0 {
-		return 0, 0, fmt.Errorf("topology: malformed node id %q", id)
-	}
-	name, num := id[:cut], id[cut+1:]
-	idx, err = strconv.Atoi(num)
-	if err != nil || idx < 0 {
-		return 0, 0, fmt.Errorf("topology: malformed node id %q", id)
-	}
-	for i := range t.Levels {
-		if t.Levels[i].Name == name {
-			if idx >= t.Width(i) {
-				return 0, 0, fmt.Errorf("topology: node id %q outside level %q width %d",
-					id, name, t.Width(i))
-			}
-			return i, idx, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("topology: node id %q names no level", id)
-}
 
 // SyncsPerParent returns how many of level i's aggregation rounds fit in one
 // of its parent's periods (τ_{i-1}/τ_i); the tree analogue of π.
@@ -325,8 +296,8 @@ func parseAggRule(val string) (robust.Spec, error) {
 }
 
 // checkName vets a level name: a lowercase letter followed by lowercase
-// letters or digits. No dashes — node IDs are "<name>-<index>" and split on
-// the last dash.
+// letters or digits. No dashes: a node ID joins the name and the node's
+// index with one (Tree.ID).
 func checkName(name string) error {
 	if name == "" || len(name) > maxNameLen {
 		return fmt.Errorf("%w: level name %q: want 1..%d characters", ErrSyntax, name, maxNameLen)

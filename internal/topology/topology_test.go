@@ -135,30 +135,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestNodeIDs(t *testing.T) {
-	topo := mustParse(t, "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2")
-	if got := topo.NodeID(0, 0); got != "cloud-0" {
-		t.Errorf("root id = %q", got)
-	}
-	if got := topo.NodeID(3, 7); got != "worker-7" {
-		t.Errorf("leaf id = %q", got)
-	}
-	for i := range topo.Levels {
-		for idx := 0; idx < topo.Width(i); idx++ {
-			id := topo.NodeID(i, idx)
-			gi, gidx, err := topo.ParseNodeID(id)
-			if err != nil || gi != i || gidx != idx {
-				t.Fatalf("ParseNodeID(%q) = (%d, %d, %v), want (%d, %d)", id, gi, gidx, err, i, idx)
-			}
-		}
-	}
-	for _, bad := range []string{"", "cloud", "cloud-x", "cloud-1", "worker-8", "tower-0", "worker--1"} {
-		if _, _, err := topo.ParseNodeID(bad); err == nil {
-			t.Errorf("ParseNodeID(%q) unexpectedly ok", bad)
-		}
-	}
-}
-
 func TestAlignsWith(t *testing.T) {
 	topo := mustParse(t, "cloud:tau=6/worker*2")
 	if err := topo.AlignsWith(24); err != nil {

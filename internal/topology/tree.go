@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Tree is a resolved aggregation tree: the shape both execution engines run.
 // It is the one place that lays out the nodes of every level, orders the
 // training leaves, keys each leaf by its natal (parent, position)
-// coordinates, and weighs every node's children by their integer subtree
-// sample counts. The in-process simulation (internal/core) builds its levels
-// from it, and the distributed runtime (internal/cluster) adds transport IDs,
-// per-level rules and membership epochs on top, so the two engines cannot
-// disagree on the shape.
+// coordinates, weighs every node's children by their integer subtree
+// sample counts, and names every node with its transport ID. The in-process
+// simulation (internal/core) builds its levels from it, and the distributed
+// runtime (internal/cluster) adds per-level rules and membership epochs on
+// top, so the two engines cannot disagree on the shape.
 //
 // A Tree is pure derived data, built once per run and read-only afterwards.
 type Tree struct {
@@ -40,6 +41,18 @@ type Tree struct {
 	// the weights on its path, root first — Dℓ/D · D(i,ℓ)/Dℓ on a
 	// three-level tree.
 	Global []float64
+
+	// names is the transport-ID table, minted on first use: the simulation
+	// never reads an ID, so its runs never pay for one.
+	names idTable
+}
+
+// idTable is a tree's transport IDs, ids[i][j] naming node j of level i and
+// index inverting it.
+type idTable struct {
+	once  sync.Once
+	ids   [][]string
+	index map[string][2]int
 }
 
 // Resolve lays the spec's tree over training leaves holding the given
@@ -246,4 +259,49 @@ func (t *Tree) Natal(j int) (parent, pos int) {
 // Leaf inverts Natal.
 func (t *Tree) Leaf(parent, pos int) int {
 	return t.Kids[t.LeafParent()][parent][0] + pos
+}
+
+// ID returns the transport ID of node idx at level i, the one name fault,
+// churn and attack plans, per-node noise streams, checkpoint files and trace
+// events know the node by. A spec's tree names every node "<level>-<index>";
+// the derived tree keeps the paper's names: the cloud plain, edge ℓ
+// "edge-ℓ", and each worker "worker-ℓ-i" after its natal coordinates.
+func (t *Tree) ID(i, idx int) string { return t.table().ids[i][idx] }
+
+// Lookup resolves a transport ID back to its node's level and index; ok is
+// false for an ID the tree does not have.
+func (t *Tree) Lookup(id string) (level, idx int, ok bool) {
+	at, ok := t.table().index[id]
+	return at[0], at[1], ok
+}
+
+// table mints every node's ID once, all levels' names in one block.
+func (t *Tree) table() *idTable {
+	n := &t.names
+	n.once.Do(func() {
+		total := 0
+		for i := range t.Levels {
+			total += t.Width(i)
+		}
+		all := make([]string, total)
+		n.ids = make([][]string, len(t.Levels))
+		n.index = make(map[string][2]int, total)
+		for i, lv := range t.Levels {
+			n.ids[i], all = all[:t.Width(i):t.Width(i)], all[t.Width(i):]
+			for j := range n.ids[i] {
+				id := lv.Name + "-" + strconv.Itoa(j)
+				switch {
+				case t.Spec != nil:
+				case i == 0:
+					id = lv.Name
+				case i == len(t.Levels)-1:
+					p, pos := t.Natal(j)
+					id = lv.Name + "-" + strconv.Itoa(p) + "-" + strconv.Itoa(pos)
+				}
+				n.ids[i][j] = id
+				n.index[id] = [2]int{i, j}
+			}
+		}
+	})
+	return n
 }

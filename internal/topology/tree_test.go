@@ -1,6 +1,10 @@
 package topology
 
-import "testing"
+import (
+	"testing"
+
+	"hieradmo/internal/membership"
+)
 
 // TestDeriveIsTheConfigGrouping: the derived tree is the cloud / edge /
 // worker grouping itself — its canonical shape lists ragged cohorts, leaf j
@@ -83,5 +87,68 @@ func TestWeighRefusesEmptyNode(t *testing.T) {
 	kids[1] = [][]int{{0, 1, 2, 3}, {}}
 	if _, err := tree.Weigh(kids); err == nil {
 		t.Error("an edge with an empty cohort was weighed")
+	}
+}
+
+// TestNodeIDs pins the transport IDs literally — a ragged derived tree keeps
+// the cloud / edge-ℓ / worker-ℓ-i names, a spec's tree names every node
+// "<level>-<index>" — and holds Lookup to them: it inverts ID and misses
+// every name the tree does not mint.
+func TestNodeIDs(t *testing.T) {
+	derived, err := Derive(2, 2, []int{3, 1}, []int{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := Parse("cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep, err := spec.Resolve([]int{1, 1, 1, 1, 1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tree   *Tree
+		ids    [][]string
+		misses []string
+	}{
+		{derived, [][]string{
+			{"cloud"},
+			{"edge-0", "edge-1"},
+			{"worker-0-0", "worker-0-1", "worker-0-2", "worker-1-0"},
+		}, []string{"", "cloud-0", "edge", "edge-2", "edge-x", "worker-0-3", "worker-1-1", "worker-3", "worker-0--1"}},
+		{deep, [][]string{
+			{"cloud-0"},
+			{"region-0", "region-1"},
+			{"edge-0", "edge-1", "edge-2", "edge-3"},
+			{"worker-0", "worker-1", "worker-2", "worker-3", "worker-4", "worker-5", "worker-6", "worker-7"},
+		}, []string{"", "cloud", "cloud-x", "cloud-1", "worker-8", "tower-0", "worker--1", "worker-0-0", "region-01"}},
+	} {
+		for i, level := range tc.ids {
+			if got := tc.tree.Width(i); got != len(level) {
+				t.Fatalf("%s level %d: width %d, want %d", tc.tree, i, got, len(level))
+			}
+			for j, want := range level {
+				if got := tc.tree.ID(i, j); got != want {
+					t.Errorf("%s: ID(%d, %d) = %q, want %q", tc.tree, i, j, got, want)
+				}
+				if li, lj, ok := tc.tree.Lookup(want); !ok || li != i || lj != j {
+					t.Errorf("%s: Lookup(%q) = (%d, %d, %v), want (%d, %d)", tc.tree, want, li, lj, ok, i, j)
+				}
+			}
+		}
+		for _, id := range tc.misses {
+			if li, lj, ok := tc.tree.Lookup(id); ok {
+				t.Errorf("%s: Lookup(%q) = (%d, %d), want a miss", tc.tree, id, li, lj)
+			}
+		}
+	}
+	// Churn plans name a derived tree's workers by membership.Ref; the two
+	// namings must be one.
+	for j := 0; j < derived.NumLeaves(); j++ {
+		p, pos := derived.Natal(j)
+		if got, want := derived.ID(2, j), (membership.Ref{Edge: p, Index: pos}).NodeID(); got != want {
+			t.Errorf("leaf %d: ID %q, churn-plan name %q", j, got, want)
+		}
 	}
 }
