@@ -277,17 +277,33 @@ func TestCheckScalingIgnoresFamiliesWithoutBaseline(t *testing.T) {
 	}
 }
 
-// TestSameHostRefusesForeignBaselines: a baseline from another CPU model or
-// another GOMAXPROCS is one error naming the difference, not a regression per
-// row; records present on one side only do not count.
+// TestSameHostRefusesForeignBaselines: a baseline from another GOMAXPROCS is
+// one error naming the difference, not a regression per row; records present
+// on one side only do not count. A baseline from another CPU model is
+// compared — B/op and allocs/op do not depend on the model — and its ns/op
+// lines are labelled cross-host.
 func TestSameHostRefusesForeignBaselines(t *testing.T) {
 	single := parseSample(t, sampleBench)
 	if err := sameHost(single, parseSample(t, sampleBench)); err != nil {
 		t.Errorf("a report is not comparable with itself: %v", err)
 	}
+	for _, line := range timings(single, parseSample(t, sampleBench)) {
+		if strings.Contains(line, "cross-host") {
+			t.Errorf("same cpu labelled cross-host: %s", line)
+		}
+	}
 	otherCPU := parseSample(t, strings.Replace(sampleBench, "2.10GHz", "2.70GHz", 1))
-	if err := sameHost(single, otherCPU); err == nil || !strings.Contains(err.Error(), "2.70GHz") {
-		t.Errorf("cpu mismatch: err = %v, want one naming both models", err)
+	if err := sameHost(single, otherCPU); err != nil {
+		t.Errorf("cpu mismatch refused: %v", err)
+	}
+	lines := timings(single, otherCPU)
+	if len(lines) != len(single.Benchmarks) {
+		t.Fatalf("cross-host timings = %v, want one line per benchmark", lines)
+	}
+	for _, line := range lines {
+		if !strings.Contains(line, "cross-host") || !strings.Contains(line, "2.70GHz") || !strings.Contains(line, "2.10GHz") {
+			t.Errorf("cross-host ns/op line %q does not name both cpu models", line)
+		}
 	}
 	multi := parseSample(t, strings.Replace(sampleMulticore, "pkg:", "cpu: Test CPU @ 2.10GHz\npkg:", 1))
 	if err := sameHost(multi, single); err == nil || !strings.Contains(err.Error(), "procs=8") {

@@ -20,7 +20,7 @@ var fsync = (*os.File).Sync
 // nodes sharing one directory from each other). A save overwrites, in place,
 // the slot that does not hold the newest valid generation, so a crash at any
 // point leaves that generation intact; Latest loads the newest slot that
-// still validates.
+// still validates. The slot files stay open between saves until Close.
 type Manager struct {
 	dir, base string
 	slots     [2]string // slot file paths
@@ -29,6 +29,10 @@ type Manager struct {
 	size    [2]int64
 	next    int
 	scanned bool
+	// files holds each slot open for writing from its birth or first
+	// overwrite on, so a steady-state save opens and closes nothing; nil
+	// again after scan, Clear, Close or a failed save.
+	files [2]*os.File
 }
 
 // NewManager prepares (and creates, if needed) dir for snapshots of the
@@ -48,13 +52,13 @@ func NewManager(dir, base string) (*Manager, error) {
 }
 
 // save makes snap (one encoded snapshot) the newest generation and returns
-// once it is durable. Steady state creates, renames and removes nothing: the
-// slot is opened, overwritten from offset 0, cut back only if the snapshot
-// shrank, and fsynced. A slot that does not exist yet is born complete
-// instead (written as "<slot>.new", fsynced, renamed, directory fsynced;
-// twice per base, ever), so a crash during a node's very first save resumes
-// as a fresh start, not as "every generation corrupt", and directory pollers
-// never see a half-written file.
+// once it is durable. Steady state opens, creates, renames and removes
+// nothing: the slot's held handle overwrites it from offset 0, cuts it back
+// only if the snapshot shrank, and fsyncs. A slot that does not exist yet is
+// born complete instead (written as "<slot>.new", fsynced, renamed,
+// directory fsynced; twice per base, ever), so a crash during a node's very
+// first save resumes as a fresh start, not as "every generation corrupt",
+// and directory pollers never see a half-written file.
 func (m *Manager) save(snap []byte) error {
 	if !m.scanned {
 		if _, _, err := m.scan(); err != nil {
@@ -62,43 +66,100 @@ func (m *Manager) save(snap []byte) error {
 		}
 	}
 	i := m.next
-	path, create := m.slots[i], 0
+	var err error
 	if m.size[i] < 0 {
-		path, create = path+".new", os.O_CREATE|os.O_TRUNC
-	}
-	err := writeSynced(path, create, snap, m.size[i])
-	if err == nil && create != 0 {
-		if err = os.Rename(path, m.slots[i]); err == nil {
-			err = m.syncDir()
-		}
+		err = m.birth(i, snap)
+	} else {
+		err = m.overwrite(i, snap)
 	}
 	if err != nil {
-		m.scanned = false // the slot's state is unknown now: look again
+		// The slot's state is unknown now: drop the handles and look again.
+		m.release()
+		m.scanned = false
 		return fmt.Errorf("checkpoint: save %s: %w", m.slots[i], err)
 	}
 	m.size[i], m.next = int64(len(snap)), 1-i
 	return nil
 }
 
-// writeSynced lays snap over the start of the file at path, truncates what
-// is left of a longer previous content (oldSize), and fsyncs.
-func writeSynced(path string, flag int, snap []byte, oldSize int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|flag, 0o644)
+// birth creates slot i holding snap, durable under its final name before
+// it returns, and holds the slot open for the overwrites to come.
+func (m *Manager) birth(i int, snap []byte) error {
+	path := m.slots[i]
+	f, err := os.OpenFile(path+".new", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	_, err = f.Write(snap)
-	if err == nil && oldSize > int64(len(snap)) {
-		err = f.Truncate(int64(len(snap)))
-	}
 	if err == nil {
 		err = fsync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(path+".new", path)
+	}
+	if err == nil {
+		err = m.syncDir()
+	}
+	if err == nil {
+		m.files[i], err = os.OpenFile(path, os.O_WRONLY, 0)
+	}
 	return err
 }
+
+// errUnlinked fails a save whose held slot file lost its name: the bytes
+// went to a file no later Latest can find.
+var errUnlinked = errors.New("slot file was removed or replaced while held open")
+
+// overwrite lays snap over the start of slot i through its held handle
+// (opened here when the slot was found by scan or the handle closed),
+// truncates what is left of a longer previous content, and fsyncs. The slot
+// must still be the file the handle names: a slot removed or renamed over
+// behind the handle (another Manager's Clear, an operator) fails the save
+// instead of reporting bytes no resume can read.
+func (m *Manager) overwrite(i int, snap []byte) error {
+	f := m.files[i]
+	if f == nil {
+		var err error
+		if f, err = os.OpenFile(m.slots[i], os.O_WRONLY, 0); err != nil {
+			return err
+		}
+		m.files[i] = f
+	}
+	_, err := f.WriteAt(snap, 0)
+	if err == nil && m.size[i] > int64(len(snap)) {
+		err = f.Truncate(int64(len(snap)))
+	}
+	if err == nil {
+		err = fsync(f)
+	}
+	if err == nil {
+		err = linked(f)
+	}
+	return err
+}
+
+// release closes the held slot files. Every byte written through them was
+// fsynced before its save returned, so a close error loses nothing; it is
+// reported to Close's caller only.
+func (m *Manager) release() error {
+	var err error
+	for i, f := range m.files {
+		if f != nil {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			m.files[i] = nil
+		}
+	}
+	return err
+}
+
+// Close releases the slot files the Manager holds open between saves. It is
+// idempotent, and a save after it reopens the slot it overwrites.
+func (m *Manager) Close() error { return m.release() }
 
 // syncDir makes the directory's entries durable (a slot's birth, Clear).
 func (m *Manager) syncDir() error {
@@ -115,6 +176,7 @@ func (m *Manager) syncDir() error {
 // sequence numbers the lower slot: they carry equal state, only a leaf's
 // interrupt save repeats one — and the last validation failure.
 func (m *Manager) scan() (best *State, corrupt, err error) {
+	m.release()
 	m.next, m.scanned = 0, true
 	for i, path := range m.slots {
 		raw, rerr := os.ReadFile(path)
@@ -180,6 +242,7 @@ func (m *Manager) legacy() ([]string, error) {
 // during a slot's birth left behind, and old-layout generations — for runs
 // starting fresh in a previously used directory.
 func (m *Manager) Clear() error {
+	m.release()
 	stale, err := m.legacy()
 	if err != nil {
 		return err

@@ -223,3 +223,7 @@ func missing[T, V any](bs []binding[T], section map[string]V, kind string) error
 
 // Clear removes this registry's snapshots (a fresh start in a used directory).
 func (g *Registry) Clear() error { return g.mgr.Clear() }
+
+// Close releases the slot files the registry's Manager holds open between
+// saves; idempotent, and a later Save reopens what it needs.
+func (g *Registry) Close() error { return g.mgr.Close() }

@@ -406,3 +406,121 @@ func TestRegistryRejectsAmbiguousBindings(t *testing.T) {
 		})
 	}
 }
+
+// TestCloseIsIdempotentAndSaveReopens: steady-state saves reuse the slot
+// files held open since their birth; Close releases them, twice over as
+// well as once, and a save after Close reopens the slot it overwrites.
+func TestCloseIsIdempotentAndSaveReopens(t *testing.T) {
+	m, err := NewManager(t.TempDir(), "node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewRegistry(m, "fp")
+	vec := make([]float64, 4)
+	g.Vector("v", vec)
+	save := func(seq int) {
+		t.Helper()
+		vec[0] = float64(seq)
+		if err := g.Save(seq); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := reopen(t, m).Latest(); err != nil || st.Seq != seq {
+			t.Fatalf("after Save(%d): Latest = (%+v, %v)", seq, st, err)
+		}
+	}
+	save(1)
+	save(2)
+	held := m.files
+	if held[0] == nil || held[1] == nil {
+		t.Fatalf("after both slots were born the manager holds %v, want both open", held)
+	}
+	save(3)
+	save(4)
+	if m.files != held {
+		t.Fatal("a steady-state save reopened a slot file")
+	}
+	for i := 0; i < 2; i++ {
+		if err := g.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+		if m.files != [2]*os.File{} {
+			t.Fatalf("Close #%d left %v open", i+1, m.files)
+		}
+	}
+	if _, err := held[0].Stat(); err == nil {
+		t.Error("a slot file released by Close is still open")
+	}
+	save(5)
+	save(6)
+	if m.files[0] == nil || m.files[1] == nil {
+		t.Fatalf("saves after Close hold %v, want both slots reopened", m.files)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleHandleNeverReportsSaved: a slot removed or replaced behind the
+// handle a Manager holds — another Manager's Clear, that Manager starting
+// over, a file renamed over the slot — must fail the save rather than
+// report bytes that went to a file no fresh Manager can find. Every save
+// that does report success is what a fresh Latest returns, and the save
+// after a failure looks at the directory again.
+func TestStaleHandleNeverReportsSaved(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		meddle  func(t *testing.T, m *Manager)
+		wantSeq int // what a fresh Latest returns after the refused save; 0: nothing
+	}{
+		{"cleared", func(t *testing.T, m *Manager) {
+			if err := reopen(t, m).Clear(); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+		{"cleared and restarted", func(t *testing.T, m *Manager) {
+			other := reopen(t, m)
+			if err := other.Clear(); err != nil {
+				t.Fatal(err)
+			}
+			saveState(t, other, seqState(10, 3))
+			saveState(t, other, seqState(11, 3))
+		}, 11},
+		{"renamed over", func(t *testing.T, m *Manager) {
+			for _, slot := range m.slots {
+				raw, err := os.ReadFile(slot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(slot+".tmp", raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Rename(slot+".tmp", slot); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewManager(t.TempDir(), "node")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			saveState(t, m, seqState(1, 4))
+			saveState(t, m, seqState(2, 4))
+			tc.meddle(t, m)
+			if err := m.save(encode(t, seqState(3, 4))); err == nil {
+				t.Fatal("a save through a stale slot handle reported success")
+			}
+			st, err := reopen(t, m).Latest()
+			if err != nil || (st == nil) != (tc.wantSeq == 0) || (st != nil && st.Seq != tc.wantSeq) {
+				t.Fatalf("after the refused save: Latest = (%+v, %v), want seq %d", st, err, tc.wantSeq)
+			}
+			// The next save rescans, overwrites or re-births, and lands.
+			saveState(t, m, seqState(20, 4))
+			if st, err := reopen(t, m).Latest(); err != nil || st.Seq != 20 {
+				t.Fatalf("save after a refused one: Latest = (%+v, %v), want seq 20", st, err)
+			}
+		})
+	}
+}

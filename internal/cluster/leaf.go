@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/core"
@@ -96,6 +97,10 @@ func (w *treeLeaf) id() string { return w.ts.tree.ID(w.ts.depth()-1, w.j) }
 // interval accumulators, batch-sampler stream, and resync cursor — to its
 // snapshot registry and applies the Resume option. It returns the iteration
 // the run should continue after (0 for a fresh start).
+//
+// A save at a settled boundary (update adopted, accumulators just restarted)
+// persists no interval state: the accumulators' entry is empty while both
+// are all +0, and the velocity reference's while it equals y (leafLayout).
 func (w *treeLeaf) initCheckpoint() (int, error) {
 	reg, err := nodeRegistry(w.cfg, w.opts, w.ts, w.id())
 	if err != nil || reg == nil {
@@ -103,10 +108,9 @@ func (w *treeLeaf) initCheckpoint() (int, error) {
 	}
 	reg.Vector("x", w.state.X)
 	reg.Vector("y", w.state.Y)
-	reg.Vector("gradSum", w.state.GradSum)
-	reg.Vector("ySum", w.state.YSum)
+	reg.Dynamic("interval", w.saveInterval, w.loadInterval)
 	if w.yStart != nil {
-		reg.Vector("yStart", w.yStart)
+		reg.Dynamic("yStart", w.saveYStart, w.loadYStart)
 	}
 	reg.RNG("sampler", w.oracle.Sampler)
 	reg.Float("lastLoss", &w.lastLoss)
@@ -123,6 +127,64 @@ func (w *treeLeaf) initCheckpoint() (int, error) {
 	}
 	w.reg = reg
 	return restoreOrClear(reg, w.opts.Resume, w.opts.Telemetry, w.id())
+}
+
+// saveInterval appends the interval accumulators Σ∇F ‖ Σy to dst, or
+// nothing while both are all +0 (bit pattern 0: a −0 is stored).
+func (w *treeLeaf) saveInterval(dst []float64) []float64 {
+	if allPositiveZero(w.state.GradSum) && allPositiveZero(w.state.YSum) {
+		return dst
+	}
+	return append(append(dst, w.state.GradSum...), w.state.YSum...)
+}
+
+// loadInterval restores the accumulators saveInterval stored: +0 from an
+// empty entry.
+func (w *treeLeaf) loadInterval(flat []float64) error {
+	switch n := len(w.state.GradSum); len(flat) {
+	case 0:
+		w.state.Restart()
+	case 2 * n:
+		copy(w.state.GradSum, flat[:n])
+		copy(w.state.YSum, flat[n:])
+	default:
+		return fmt.Errorf("interval holds %d values, want 0 or %d", len(flat), 2*n)
+	}
+	return nil
+}
+
+// saveYStart appends the velocity reference to dst, or nothing while it is
+// bitwise y (as adopt leaves it).
+func (w *treeLeaf) saveYStart(dst []float64) []float64 {
+	for i, v := range w.yStart {
+		if math.Float64bits(v) != math.Float64bits(w.state.Y[i]) {
+			return append(dst, w.yStart...)
+		}
+	}
+	return dst
+}
+
+// loadYStart runs after y is restored: dynamics load last.
+func (w *treeLeaf) loadYStart(flat []float64) error {
+	switch len(flat) {
+	case 0:
+		copy(w.yStart, w.state.Y)
+	case len(w.yStart):
+		copy(w.yStart, flat)
+	default:
+		return fmt.Errorf("yStart holds %d values, want 0 or %d", len(flat), len(w.yStart))
+	}
+	return nil
+}
+
+// allPositiveZero reports whether every element of v is +0.
+func allPositiveZero(v []float64) bool {
+	for _, x := range v {
+		if math.Float64bits(x) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // parentAt returns the transport ID of the node this leaf reports to in
@@ -142,6 +204,7 @@ func (w *treeLeaf) parentAt(k int) (string, error) {
 
 func (w *treeLeaf) run() error {
 	start, err := w.initCheckpoint()
+	defer closeSnapshots(w.reg)
 	if err != nil {
 		return fmt.Errorf("cluster: %s: %w", w.id(), err)
 	}

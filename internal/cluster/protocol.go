@@ -74,6 +74,13 @@ const reportVectors = 2
 // the ride-ahead stash snapshots reports in this layout.
 const reportLayout = "y,x,loss,cos"
 
+// leafLayout names how a leaf snapshot holds its interval state, for the
+// checkpoint fingerprint: Σ∇F ‖ Σy as one entry, empty while both are +0,
+// and the velocity reference elided while it equals y. A snapshot family
+// from a build that stored them as separate vectors is refused as a
+// mismatch, not misread.
+const leafLayout = "interval,yStart=elided"
+
 // Scalar keys used in messages.
 const (
 	// ScalarLoss carries a (weighted) training loss.

@@ -79,14 +79,14 @@ func nodeRegistry(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*c
 	// trajectory: the full run config, the algorithm options, and the tree's
 	// canonical shape — depth, fan-out, per-level periods, rules, and
 	// momentum — so a snapshot can never be resumed under a different tree.
-	// The report layout token names what a report carries, which the
-	// ride-ahead stash records, so a snapshot from a build that laid reports
-	// out differently is refused as a mismatch rather than misread. Timeouts
-	// and quorum are operational knobs a restarted deployment may
-	// legitimately change, so they stay out.
+	// The layout tokens name what a report carries, which the ride-ahead
+	// stash records, and how a leaf stores its interval state, so a snapshot
+	// from a build that laid either out differently is refused as a mismatch
+	// rather than misread. Timeouts and quorum are operational knobs a
+	// restarted deployment may legitimately change, so they stay out.
 	fp := cfg.Fingerprint("cluster/tier") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s",
-			opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree, reportLayout)
+		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s leaf=%s",
+			opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree, reportLayout, leafLayout)
 	if opts.churnEnabled() {
 		plan := membership.Plan{}
 		if opts.ChurnPlan != nil {
@@ -127,6 +127,16 @@ func restoreOrClear(reg *checkpoint.Registry, resume bool, sink *telemetry.Sink,
 		}
 	}
 	return seq, err
+}
+
+// closeSnapshots releases the slot files a node's registry holds open
+// between saves; a nil registry (checkpointing disabled) is a no-op. Every
+// saved byte was fsynced before its save returned, so a close error loses
+// nothing and is not reported.
+func closeSnapshots(reg *checkpoint.Registry) {
+	if reg != nil {
+		reg.Close()
+	}
 }
 
 // saveSnapshot persists the node's registered state as generation seq; a

@@ -381,6 +381,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 		n.res = n.hn.NewResult(name)
 	}
 	start, err := n.initCheckpoint()
+	defer closeSnapshots(n.reg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s: %w", n.id(), err)
 	}

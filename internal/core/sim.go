@@ -395,6 +395,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	if err != nil {
 		return nil, err
 	}
+	defer ck.Close()
 	s.register(ck)
 	if r.Hooks != nil {
 		s.hooks = r.Hooks(&Binding{Cfg: cfg, X0: x0, Leaves: numLeaves,
