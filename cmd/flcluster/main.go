@@ -59,12 +59,10 @@
 // workload's worker shards in order. Every flag above composes with it
 // (-aggregator sets the default rule of the level above the workers and of
 // the root; churn plans name leaves worker-<parent>-<position>), and -verify
-// runs the in-process simulation on the same tree:
+// runs the in-process simulation on the same tree, aggregation rules included:
 //
-//	flcluster -model logistic \
-//	    -topology "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"
 //	flcluster -model logistic -verify \
-//	    -topology "cloud:tau=20/region*2:tau=10/edge*2:tau=5/worker"
+//	    -topology "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"
 //
 // Multi-process deployment: -node ID runs only that node of the tree, on the
 // TCP address a shared JSON registry gives its ID. The IDs are the tree's
@@ -100,6 +98,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -195,7 +194,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		clipNorm   = fs.Float64("clip", 10, "max L2 deviation norm for -aggregator clip")
 		cosMin     = fs.Float64("cos-min", 0, "minimum cosine against the cohort's median deviation for -aggregator cosine, in [-1, 1]")
 
-		topologySpec = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker" (empty = the workload's cloud/edge/worker hierarchy; the tree's leaf count must equal the workload's workers; -verify runs the simulation on the same tree, mean aggregation only)`)
+		topologySpec = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker" (empty = the workload's cloud/edge/worker hierarchy; the tree's leaf count must equal the workload's workers; -verify runs the simulation on the same tree)`)
 
 		churnSpec   = fs.String("churn-plan", "", `churn trace file, or inline spec like "join:worker-0-1@3,leave:worker-1-0@9"`)
 		retierEvery = fs.Int("retier-every", 0, "re-tier workers across edges every this many cloud syncs (0 disables)")
@@ -239,8 +238,8 @@ func run(args []string, interrupt <-chan struct{}) error {
 			return fmt.Errorf("-restart-after %s needs a matching -crash entry", node)
 		}
 	}
-	if *verify && (*dropRate > 0 || len(crashes) > 0) {
-		return fmt.Errorf("-verify requires a fault-free run: the in-process simulation does not model message drops or crashes yet")
+	if *verify && (*dropRate > 0 || len(crashes) > 0 || *attackSpec != "" || *churnSpec != "" || *retierEvery > 0) {
+		return fmt.Errorf("-verify requires a fault-free honest run on a static hierarchy: the in-process simulation does not model message drops, crashes, attackers or dynamic membership yet")
 	}
 	churnPlan, err := loadChurnPlan(*churnSpec)
 	if err != nil {
@@ -249,9 +248,6 @@ func run(args []string, interrupt <-chan struct{}) error {
 	migrate, err := membership.ParseMigrationPolicy(*migration)
 	if err != nil {
 		return err
-	}
-	if *verify && (churnPlan != nil || *retierEvery > 0) {
-		return fmt.Errorf("-verify requires a static hierarchy: the in-process simulation does not model dynamic membership yet")
 	}
 	attackPlan, err := robust.ParsePlan(*attackSpec, *attackSeed)
 	if err != nil {
@@ -262,17 +258,10 @@ func run(args []string, interrupt <-chan struct{}) error {
 		return err
 	}
 	var topo *topology.Topology
-	robustLevel := edgeAgg.Robust() || cloudAgg.Robust()
 	if *topologySpec != "" {
 		if topo, err = topology.Parse(*topologySpec); err != nil {
 			return err
 		}
-		for _, lv := range topo.Levels {
-			robustLevel = robustLevel || lv.Agg.Robust()
-		}
-	}
-	if *verify && (attackPlan != nil || robustLevel) {
-		return fmt.Errorf("-verify requires an undefended honest run: the in-process simulation does not model attackers or robust aggregation yet")
 	}
 
 	var s experiment.Scale
@@ -295,12 +284,13 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	// Every node a flag names must be a node of the run's tree; -restart-after
-	// names only -crash nodes.
+	// The tree the cluster runs, -aggregator merged in; every node a flag
+	// names must be a node of it; -restart-after names only -crash nodes.
 	tree, err := cfg.Tree(topo)
 	if err != nil {
 		return err
 	}
+	tree = tree.WithAggregators(edgeAgg, cloudAgg)
 	for id := range crashes {
 		if _, _, ok := tree.Lookup(id); !ok {
 			return fmt.Errorf("-crash: %q is not a node of the tree %s", id, tree)
@@ -398,17 +388,15 @@ func run(args []string, interrupt <-chan struct{}) error {
 			alg = core.NewReduced()
 		}
 		// The simulation runs the tree the cluster ran: the -topology spec's,
-		// or the workload's own.
+		// or the workload's own, under the same aggregation rules.
 		sim, err := alg.RunTree(cfg, tree)
 		if err != nil {
 			return fmt.Errorf("verification run: %w", err)
 		}
-		if sim.FinalAcc == res.FinalAcc {
-			fmt.Printf("verified: distributed final accuracy %.4f matches the in-process simulation exactly\n", res.FinalAcc)
-		} else {
-			return fmt.Errorf("verification failed: distributed %.6f vs simulation %.6f",
-				res.FinalAcc, sim.FinalAcc)
+		if err := compareRuns(res, sim); err != nil {
+			return err
 		}
+		fmt.Printf("verified: distributed final accuracy %.4f matches the in-process simulation exactly\n", res.FinalAcc)
 	}
 	if *saveResult != "" {
 		if err := hieradmo.SaveResult(*saveResult, res); err != nil {
@@ -426,6 +414,16 @@ func run(args []string, interrupt <-chan struct{}) error {
 			return err
 		}
 		fmt.Println("curve written to", *saveCurve)
+	}
+	return nil
+}
+
+// compareRuns holds the distributed result to the simulation's: the same
+// accuracy, and the loss to rounding (the engines sum it in other orders).
+func compareRuns(res, sim *hieradmo.Result) error {
+	if res.FinalAcc != sim.FinalAcc || math.Abs(res.FinalLoss-sim.FinalLoss) > 1e-12*(1+math.Abs(sim.FinalLoss)) {
+		return fmt.Errorf("verification failed: distributed accuracy %.6f, loss %v vs simulation %.6f, %v",
+			res.FinalAcc, res.FinalLoss, sim.FinalAcc, sim.FinalLoss)
 	}
 	return nil
 }

@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"hieradmo"
 )
 
 func TestRunUnknownTransport(t *testing.T) {
@@ -85,30 +87,64 @@ func TestRunMemoryLogisticWithVerifyAndSave(t *testing.T) {
 	}
 }
 
-// TestRunTopologyVerify: -verify hands the in-process simulation the
-// -topology tree the cluster ran, and on a four-level tree the two engines
-// land on the same final accuracy; a spec with a robust level is refused up
-// front with the undefended-run refusal.
+// TestRunTopologyVerify: -verify hands the in-process simulation the tree
+// the cluster ran, aggregation rules included — a four-level -topology tree,
+// a spec's robust agg=, and the -aggregator defaults on the workload's own
+// tree — and the two engines land on the same final model; attack plans,
+// message drops and crashes, which the simulation does not model, are
+// refused up front.
 func TestRunTopologyVerify(t *testing.T) {
-	args := []string{
-		"-transport", "memory", "-model", "logistic", "-verify",
-		"-topology", "cloud:tau=20/region*2:tau=10/edge*2:tau=5/worker",
+	for _, extra := range [][]string{
+		{"-topology", "cloud:tau=20/region*2:tau=10/edge*2:tau=5/worker"},
+		{"-topology", "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"},
+		{"-aggregator", "median"},
+		{"-aggregator", "edge=cosine,cloud=clip", "-clip", "0.5"},
+	} {
+		args := append([]string{"-transport", "memory", "-model", "logistic", "-verify"}, extra...)
+		cmd := exec.Command(os.Args[0], "-test.run", "TestHelperProcess")
+		cmd.Env = append(os.Environ(), "FLCLUSTER_HELPER=1", "FLCLUSTER_ARGS="+strings.Join(args, " "))
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("flcluster %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+		if !strings.Contains(string(out), "verified: distributed final accuracy") {
+			t.Errorf("flcluster %s did not print the verification line:\n%s", strings.Join(extra, " "), out)
+		}
 	}
-	cmd := exec.Command(os.Args[0], "-test.run", "TestHelperProcess")
-	cmd.Env = append(os.Environ(), "FLCLUSTER_HELPER=1", "FLCLUSTER_ARGS="+strings.Join(args, " "))
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("flcluster %s: %v\n%s", strings.Join(args, " "), err, out)
+	for _, extra := range [][]string{
+		{"-attack-plan", "signflip:worker-0-1@1"},
+		{"-attack-plan", "signflip:worker-0-1@1", "-aggregator", "median"},
+		{"-drop-rate", "0.02"},
+		{"-crash", "worker-0-1@40"},
+	} {
+		err := run(append([]string{"-transport", "memory", "-model", "logistic", "-verify"}, extra...), nil)
+		if err == nil || !strings.Contains(err.Error(), "fault-free honest run") {
+			t.Errorf("-verify %s = %v, want the fault-free-honest-run refusal", strings.Join(extra, " "), err)
+		}
 	}
-	if !strings.Contains(string(out), "verified: distributed final accuracy") {
-		t.Errorf("-topology -verify did not print the verification line:\n%s", out)
-	}
-	err = run([]string{
-		"-transport", "memory", "-model", "logistic", "-verify",
-		"-topology", "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker",
-	}, nil)
-	if err == nil || !strings.Contains(err.Error(), "undefended honest run") {
-		t.Errorf("-verify with agg=median in the spec = %v, want the undefended-run refusal", err)
+}
+
+// TestCompareRuns: -verify holds the final accuracy exactly and the final
+// loss to rounding, so two different models that happen to score the same
+// accuracy do not pass as one.
+func TestCompareRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		acc, loss       float64
+		simAcc, simLoss float64
+		want            bool
+	}{
+		{"identical", 0.9875, 0.1376, 0.9875, 0.1376, true},
+		{"loss-to-rounding", 0.9875, 0.1376 + 1e-14, 0.9875, 0.1376, true},
+		{"same-accuracy-other-model", 0.9875, 0.2855, 0.9875, 0.1376, false},
+		{"loss-off-by-more-than-rounding", 0.9875, 0.1376 + 1e-9, 0.9875, 0.1376, false},
+		{"other-accuracy", 0.95, 0.1376, 0.9875, 0.1376, false},
+	} {
+		err := compareRuns(&hieradmo.Result{FinalAcc: tc.acc, FinalLoss: tc.loss},
+			&hieradmo.Result{FinalAcc: tc.simAcc, FinalLoss: tc.simLoss})
+		if (err == nil) != tc.want {
+			t.Errorf("%s: compareRuns = %v, want match %v", tc.name, err, tc.want)
+		}
 	}
 }
 

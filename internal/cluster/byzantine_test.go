@@ -53,11 +53,17 @@ func TestClusterEmptyAttackPlanIsBaseline(t *testing.T) {
 	if opts.attackerFor(WorkerID(0, 0), 4, 8) != nil {
 		t.Fatal("empty plan built an attacker")
 	}
-	if a := newAggregator(opts.EdgeAggregator); a != nil {
-		t.Fatalf("mean spec built aggregator %v", a)
+	cfg := buildConfig(t, 31, 2)
+	ts, err := newTreeSpec(cfg, opts.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ts.depth()-1; i++ {
+		if a := ts.level(i, nil).Agg; a != nil {
+			t.Fatalf("mean level %d built aggregator %v", i, a)
+		}
 	}
 
-	cfg := buildConfig(t, 31, 2)
 	res, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
 		t.Fatal(err)

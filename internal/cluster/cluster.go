@@ -106,13 +106,13 @@ type Options struct {
 	AttackPlan *robust.AttackPlan
 	// EdgeAggregator selects the aggregation rule the leaf-parent level
 	// (the edges) applies to worker reports (default: plain weighted mean,
-	// the undefended HierAdMo rule). A level's explicit agg= attribute in
-	// Topology wins over it.
+	// the undefended HierAdMo rule). A level's explicit robust agg= in
+	// Topology wins over it (topology.Tree.WithAggregators).
 	EdgeAggregator robust.Spec
 	// CloudAggregator selects the aggregation rule the root applies to its
 	// children's reports when they are aggregators themselves,
 	// independently of EdgeAggregator and likewise overridden by an explicit
-	// agg= on the root level.
+	// robust agg= on the root level.
 	CloudAggregator robust.Spec
 
 	// Topology sets the shape of the aggregation tree: per-level sync
@@ -151,21 +151,6 @@ func (o Options) attackerFor(node string, nvec, dim int) *robust.Attacker {
 		return nil
 	}
 	return o.AttackPlan.Attacker(node, nvec, dim)
-}
-
-// newAggregator builds a tier's robust aggregator, or nil for plain mean:
-// the mean path keeps the WeightedSum arithmetic of the in-process
-// simulation. Specs are vetted by Options.validate and the topology parser,
-// so construction cannot fail here.
-func newAggregator(s robust.Spec) robust.Aggregator {
-	if !s.Robust() {
-		return nil
-	}
-	agg, err := robust.New(s)
-	if err != nil {
-		return nil
-	}
-	return agg
 }
 
 func (o Options) withDefaults() Options {

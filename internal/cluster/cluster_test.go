@@ -10,6 +10,7 @@ import (
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
+	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
@@ -101,14 +102,23 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	// config's two edges, so the leaves' natal sampler keys differ from the
 	// config's (edge, worker) indices. reduced-gammaedge0 is HierAdMo-R at
 	// γℓ = 0 on the config's own tree: both engines take the leaf parents'
-	// rule from core.Rule.LevelAt, a momentum step with γ = 0.
+	// rule from core.Rule.LevelAt, a momentum step with γ = 0. The robust
+	// rows take every level's aggregation rule from the tree — a spec's
+	// agg=, or the Edge/CloudAggregator defaults merged into it — in both
+	// engines, which must reject and clip the same reports.
 	const tree4 = "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2"
+	const robust3 = "cloud:tau=4,agg=trimmed(0.25)/edge*2:tau=2,agg=median/worker*2"
+	median := robust.Spec{Kind: robust.Median}
+	trimmed := robust.Spec{Kind: robust.Trimmed, Trim: 0.25}
+	cosine := robust.Spec{Kind: robust.Cosine, CosMin: 0}
+	clip := robust.Spec{Kind: robust.Clip, Clip: 0.5}
 	cases := []struct {
 		name          string
 		adaptive      bool
 		clip          float64
 		topology      string
 		zeroGammaEdge bool
+		edge, cloud   robust.Spec
 	}{
 		{name: "adaptive", adaptive: true},
 		{name: "reduced"},
@@ -118,6 +128,14 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		{name: "tree4-reduced", topology: tree4},
 		{name: "depth2-gamma0", topology: "cloud:tau=4,gamma=0/worker*4"},
 		{name: "regrouped", adaptive: true, topology: "cloud:tau=4/edge:tau=2/worker*4"},
+		{name: "spec-trimmed-median", adaptive: true, topology: robust3},
+		{name: "spec-trimmed-median-reduced", topology: robust3},
+		{name: "tree4-clip-median-cosine", adaptive: true,
+			topology: "cloud:tau=8,agg=clip(0.5)/region*2:tau=4,agg=median/edge*2:tau=2,agg=cosine(0)/worker*2"},
+		{name: "median-trimmed", adaptive: true, edge: median, cloud: trimmed},
+		{name: "median-trimmed-reduced", edge: median, cloud: trimmed},
+		{name: "cosine-clip", adaptive: true, edge: cosine, cloud: clip},
+		{name: "cosine-clip-reduced", edge: cosine, cloud: clip},
 	}
 	nets := []struct {
 		name string
@@ -126,6 +144,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		{"memory", func() Network { return transport.NewMemoryNetwork() }},
 		{"tcp", func() Network { return transport.NewTCPNetwork() }},
 	}
+	var verdicts int64
 	for _, tc := range cases {
 		for _, nw := range nets {
 			if nw.name == "tcp" && tc.clip == 0 {
@@ -153,17 +172,26 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := alg.RunTree(cfg, tree)
+				ref, err := alg.RunTree(cfg, tree.WithAggregators(tc.edge, tc.cloud))
 				if err != nil {
 					t.Fatal(err)
 				}
-				refClips := cfg.Telemetry.M().GradClips.Value()
+				refM := cfg.Telemetry.M()
+				refClips := refM.GradClips.Value()
 
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
-				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Topology: topo})
+				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Topology: topo,
+					EdgeAggregator: tc.edge, CloudAggregator: tc.cloud})
 				if err != nil {
 					t.Fatal(err)
 				}
+				m := cfg.Telemetry.M()
+				rejected, clipped := m.RobustRejected.Value(), m.RobustClipped.Value()
+				if rejected != refM.RobustRejected.Value() || clipped != refM.RobustClipped.Value() {
+					t.Errorf("robust rejections/clips %d/%d in the cluster, %d/%d in the simulation",
+						rejected, clipped, refM.RobustRejected.Value(), refM.RobustClipped.Value())
+				}
+				verdicts += rejected + clipped
 				if res.FinalAcc != ref.FinalAcc {
 					t.Errorf("cluster FinalAcc %v != simulation %v (models must be bit-identical)",
 						res.FinalAcc, ref.FinalAcc)
@@ -181,6 +209,9 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				}
 			})
 		}
+	}
+	if verdicts == 0 {
+		t.Error("no robust row rejected or clipped a report: the rows do not exercise the robust rules")
 	}
 }
 

@@ -322,12 +322,7 @@ func (r *faultRecorder) attackReport(opts Options, ts *treeSpec) *fl.AttackRepor
 	if r == nil {
 		return nil
 	}
-	robustLevel := false
-	aggs := make([]string, len(ts.agg))
-	for i, spec := range ts.agg {
-		aggs[i] = spec.String()
-		robustLevel = robustLevel || spec.Robust()
-	}
+	aggs, robustLevel := ts.tree.Aggregators()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.att.Any() && !robustLevel && opts.AttackPlan.Empty() {

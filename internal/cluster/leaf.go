@@ -59,8 +59,7 @@ type treeLeaf struct {
 }
 
 func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *treeLeaf {
-	lv := ts.levels[ts.leafParent()]
-	lv.X0 = x0
+	lv := ts.level(ts.leafParent(), x0)
 	velocity := lv.Adapt && lv.Signal == core.SignalVelocity
 	count := core.LeafVectors
 	if velocity {

@@ -9,17 +9,17 @@ import (
 	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
 	"hieradmo/internal/rng"
-	"hieradmo/internal/robust"
+	"hieradmo/internal/tensor"
 	"hieradmo/internal/topology"
 )
 
 // treeSpec is what a distributed run adds to the run's tree, shared by every
-// node: the tree itself (topology.Tree — levels, natal children, data
-// weights, the leaves' natal keys and every node's transport ID, the shape
-// the in-process simulation runs too), each aggregating level's rule and
-// aggregator, and the membership epochs. With dynamic membership the
-// leaf-parent level's children and every level's weights additionally vary
-// by membership epoch.
+// node: the tree itself (topology.Tree — levels and their aggregation rules,
+// natal children, data weights, the leaves' natal keys and every node's
+// transport ID: the tree the in-process simulation runs too), the rule row
+// every level's rule is resolved from, and the membership epochs. With
+// dynamic membership the leaf-parent level's children and every level's
+// weights additionally vary by membership epoch.
 //
 // It is pure derived data — building one performs no I/O, and every process
 // of a multi-process deployment derives the identical spec from the shared
@@ -31,12 +31,10 @@ type treeSpec struct {
 	// order: an explicit topology regroups the same shards under its fanout.
 	shards []*dataset.Dataset
 
-	// levels[i] is aggregating level i's kernel rule as the simulation
-	// resolves it (core.Rule.LevelAt), without X0 and its robust aggregator,
-	// which holds scratch and so is built by the node that aggregates from
-	// agg[i]. The leaves compute their eq. (6) terms under the leaf-parent's.
-	levels []core.Level
-	agg    []robust.Spec
+	// rule is the run's row of the simulation's rule table: every node takes
+	// its level's rule from rule.LevelAt, as the simulation does; the leaves
+	// compute their eq. (6) terms under the leaf parents'.
+	rule *core.Rule
 
 	// sched is the membership trajectory of a churn run (nil when membership
 	// is static) and policy its γℓ migration rule. Membership acts at the
@@ -68,40 +66,28 @@ func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
 	if err != nil {
 		return nil, err
 	}
+	tree = tree.WithAggregators(opts.EdgeAggregator, opts.CloudAggregator)
 	for _, id := range opts.AttackPlan.Nodes() {
 		if lvl, _, ok := tree.Lookup(id); !ok || lvl != tree.Depth()-1 {
 			return nil, fmt.Errorf("cluster: the attack plan names %q, not a training leaf of the tree %s", id, tree)
 		}
 	}
-	ts := &treeSpec{cfg: cfg, tree: tree, policy: opts.Migration}
-	for _, edge := range cfg.Edges {
-		ts.shards = append(ts.shards, edge...)
-	}
-
 	// The run is HierAdMo's row of the simulation's rule table, so both
-	// engines resolve every level's γ / adapt / momentum in one place.
+	// engines resolve every level's rule in one place.
 	hier := core.NewReduced
 	if opts.Adaptive {
 		hier = core.New
 	}
-	rule := hier(core.WithAdaptSignal(opts.Signal), core.WithClampCeiling(opts.Ceiling)).Row()
-	lp := ts.leafParent()
-	depth := tree.Depth()
-	ts.levels = make([]core.Level, depth-1)
-	ts.agg = make([]robust.Spec, depth-1)
-	for i, lv := range tree.Levels[:depth-1] {
-		ts.levels[i] = rule.LevelAt(tree, cfg, i)
-		// An explicit agg= in a spec wins; otherwise the leaf-parent and root
-		// levels default to the run's Edge/CloudAggregator options.
-		ts.agg[i] = lv.Agg
-		if !lv.Agg.Robust() {
-			switch i {
-			case lp:
-				ts.agg[i] = opts.EdgeAggregator
-			case 0:
-				ts.agg[i] = opts.CloudAggregator
-			}
+	ts := &treeSpec{cfg: cfg, tree: tree, policy: opts.Migration,
+		rule: hier(core.WithAdaptSignal(opts.Signal), core.WithClampCeiling(opts.Ceiling)).Row()}
+	// A level whose rule cannot be built fails here, before any node starts.
+	for i := range tree.Levels[:tree.Depth()-1] {
+		if _, err := ts.rule.LevelAt(tree, cfg, i); err != nil {
+			return nil, err
 		}
+	}
+	for _, edge := range cfg.Edges {
+		ts.shards = append(ts.shards, edge...)
 	}
 
 	if !opts.churnEnabled() {
@@ -114,7 +100,7 @@ func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
 	}
 	for _, c := range cohorts {
 		kids := append([][][]int(nil), tree.Kids...)
-		kids[lp] = c
+		kids[ts.leafParent()] = c
 		weights, err := tree.Weigh(kids)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
@@ -171,6 +157,18 @@ func (ts *treeSpec) buildSchedule(opts Options) ([][][]int, error) {
 		cohorts = append(cohorts, epoch)
 	}
 	return cohorts, nil
+}
+
+// level is aggregating level i's rule at the initialization x0, with a
+// robust aggregator of the caller's own. newTreeSpec has built every level's
+// rule from the same immutable inputs, so a failure here is a bug.
+func (ts *treeSpec) level(i int, x0 tensor.Vector) core.Level {
+	lv, err := ts.rule.LevelAt(ts.tree, ts.cfg, i)
+	if err != nil {
+		panic(fmt.Sprintf("cluster: level %d's rule built in newTreeSpec fails now: %v", i, err))
+	}
+	lv.X0 = x0
+	return lv
 }
 
 func (ts *treeSpec) depth() int      { return ts.tree.Depth() }

@@ -91,8 +91,7 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 	for _, shape := range ts.epochs {
 		fan = max(fan, len(shape.kids[lvl][idx]))
 	}
-	lv := ts.levels[lvl]
-	lv.X0, lv.Agg = x0, newAggregator(ts.agg[lvl])
+	lv := ts.level(lvl, x0)
 	count := lv.Vectors()
 	if lvl != ts.leafParent() {
 		count += 2 * fan // the substitution ledgers lastYRep, lastXRep
@@ -374,11 +373,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 	tau := n.tau()
 	numRounds := n.cfg.T / tau
 	if n.lvl == 0 {
-		name := "HierAdMo/cluster"
-		if !n.ts.levels[n.ts.leafParent()].Adapt {
-			name = "HierAdMo-R/cluster"
-		}
-		n.res = n.hn.NewResult(name)
+		n.res = n.hn.NewResult(n.ts.rule.Algorithm + "/cluster")
 	}
 	start, err := n.initCheckpoint()
 	defer closeSnapshots(n.reg)
@@ -694,7 +689,7 @@ func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.
 		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d: %w",
 			msg.From, len(msg.Vectors), reportVectors, ErrMalformedReport)
 	}
-	if n.ts.levels[n.lvl].Adapt {
+	if n.tier.Level().Adapt {
 		// An honest leaf's term is a clamped cosine (tensor.CosineFromDot
 		// maps degenerate reductions to 0), so anything else was crafted.
 		c, ok := msg.Scalars[ScalarCos]
@@ -763,7 +758,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: %s aggregation at round %d: %w", n.id(), k, err)
 	}
-	adaptive := n.ts.levels[n.lvl].Adapt
+	adaptive := n.tier.Level().Adapt
 	if adaptive {
 		if out.Gamma == 0 {
 			sink.M().GammaZeroed.Inc()

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"hieradmo/internal/baseline"
 	"hieradmo/internal/checkpoint"
+	"hieradmo/internal/core"
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
@@ -447,6 +449,27 @@ func TestTreeChurn(t *testing.T) {
 	}
 	if got := reg.Gauge("fl_membership_epoch").Value(); got != float64(m.Epochs-1) {
 		t.Errorf("fl_membership_epoch = %v, want final epoch %d", got, m.Epochs-1)
+	}
+}
+
+// TestUnbuildableRuleRefused: a level whose rule cannot be built — a
+// topology assembled in code with an out-of-range trim, which no parser
+// vetted — fails the run up front, naming the level, in both engines; it is
+// never aggregated with the mean instead.
+func TestUnbuildableRuleRefused(t *testing.T) {
+	topo := treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*2")
+	topo.Levels[1].Agg = robust.Spec{Kind: robust.Trimmed, Trim: 0.7}
+	cfg := buildConfig(t, 31, 2)
+	if _, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true, Topology: topo}); err == nil ||
+		!strings.Contains(err.Error(), `level "edge"`) {
+		t.Errorf("cluster run with trimmed(0.7) = %v, want an error naming level \"edge\"", err)
+	}
+	tree, err := cfg.Tree(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.New().RunTree(cfg, tree); err == nil || !strings.Contains(err.Error(), `level "edge"`) {
+		t.Errorf("simulation with trimmed(0.7) = %v, want an error naming level \"edge\"", err)
 	}
 }
 

@@ -225,6 +225,9 @@ func NewTier(lv Level, fan int, newVec func() tensor.Vector) *Tier {
 	return t
 }
 
+// Level returns the rule the tier runs.
+func (t *Tier) Level() Level { return t.lv }
+
 // Adopt takes over the parent's aggregated momentum and model after a sync
 // further up (lines 20–23); the node's own y_ℓ+ history is kept, as in the
 // algorithm text.

@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"hieradmo/internal/fl"
 	"hieradmo/internal/parallel"
 	"hieradmo/internal/quant"
 	"hieradmo/internal/rng"
+	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
 	"hieradmo/internal/topology"
@@ -216,50 +218,55 @@ func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, 
 // flat view — it is the row's Level at the run's γℓ (cfg.GammaEdge), with a
 // spec's explicit gamma / adapt in their place; every level above runs the
 // plain average, or the momentum step where the spec fixes a γ. Tau is the
-// level's period; the caller fills in X0.
-func (r *Rule) LevelAt(tree *topology.Tree, cfg *fl.Config, i int) Level {
+// level's period, and Agg a fresh aggregator for the level's robust rule
+// (tree.Levels[i].Agg), since an aggregator holds its node's scratch; the
+// caller fills in X0.
+func (r *Rule) LevelAt(tree *topology.Tree, cfg *fl.Config, i int) (Level, error) {
 	spec, report := tree.Levels[i], tree.LeafParent()
 	if r.Flat {
 		report = 0
 	}
-	if i != report {
-		return Level{Momentum: spec.Gamma != 0, Gamma: spec.Gamma, Tau: spec.Tau}
+	lv := Level{Momentum: spec.Gamma != 0, Gamma: spec.Gamma}
+	if i == report {
+		lv = r.Level
+		if lv.Momentum {
+			lv.Gamma = cfg.GammaEdge
+		}
+		if spec.HasGamma || spec.HasAdapt {
+			if spec.HasGamma {
+				lv.Gamma = spec.Gamma
+			}
+			if spec.HasAdapt {
+				lv.Adapt = spec.Adapt
+			}
+			lv.Momentum = lv.Adapt || lv.Gamma != 0
+		}
 	}
-	lv := r.Level
 	lv.Tau = spec.Tau
-	if lv.Momentum {
-		lv.Gamma = cfg.GammaEdge
-	}
-	if spec.HasGamma || spec.HasAdapt {
-		if spec.HasGamma {
-			lv.Gamma = spec.Gamma
+	if spec.Agg.Robust() {
+		agg, err := robust.New(spec.Agg)
+		if err != nil {
+			return Level{}, fmt.Errorf("core: level %q of %s: %w", spec.Name, tree, err)
 		}
-		if spec.HasAdapt {
-			lv.Adapt = spec.Adapt
-		}
-		lv.Momentum = lv.Adapt || lv.Gamma != 0
+		lv.Agg = agg
 	}
-	return lv
+	return lv, nil
 }
 
 // runs checks that the simulation runs the rule on tree as the tree says.
-// The configuration's own tree runs every rule; a spec's tree refuses, with
-// ErrTree, a hooked row (its hooks are written against the client–edge–cloud
-// and flat views), a robust agg= (the simulation aggregates with the
-// weighted mean only), and γ / adapt attributes the rule has no momentum
-// level for.
+// A spec's tree refuses, with ErrTree, a hooked row (its hooks are written
+// against the client–edge–cloud and flat views); any tree refuses a flat row
+// over a robust level below the root, which the flat view does not have, and
+// γ / adapt attributes the rule has no momentum level for.
 func (r *Rule) runs(tree *topology.Tree) error {
-	if tree.Spec == nil {
-		return nil
-	}
-	if r.Hooks != nil {
+	if r.Hooks != nil && tree.Spec != nil {
 		return fmt.Errorf("%w: %s hooks rules of its own into the client–edge–cloud and flat views, not into %s",
 			ErrTree, r.Algorithm, tree)
 	}
 	for i, lv := range tree.Levels {
-		if lv.Agg.Robust() {
-			return fmt.Errorf("%w: level %q of %s aggregates with agg=%s, the simulation with the weighted mean only",
-				ErrTree, lv.Name, tree, lv.Agg)
+		if r.Flat && i > 0 && lv.Agg.Robust() {
+			return fmt.Errorf("%w: the flat view of %s has no level %q to aggregate with agg=%s",
+				ErrTree, tree, lv.Name, lv.Agg)
 		}
 		if (lv.HasGamma || lv.HasAdapt) && (r.Flat || (i == tree.LeafParent() && !r.Level.Momentum)) {
 			return fmt.Errorf("%w: %s has no momentum level for the gamma/adapt attributes of level %q of %s",
@@ -309,9 +316,13 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	maxFan := 0
 	vecCount := (LeafVectors+1)*numLeaves + 1
 	for _, lev := range levels {
+		lv, err := r.LevelAt(tree, cfg, lev.level)
+		if err != nil {
+			return nil, err
+		}
+		vecCount += len(lev.nodes) * lv.Vectors()
 		for _, n := range lev.nodes {
 			maxFan = max(maxFan, n.hi-n.lo)
-			vecCount += r.LevelAt(tree, cfg, lev.level).Vectors()
 		}
 	}
 	quantBits := 0
@@ -341,9 +352,12 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 	for k := range levels {
 		nodes := levels[k].nodes
-		lv := r.LevelAt(tree, cfg, levels[k].level)
-		lv.X0 = x0
 		for n := range nodes {
+			lv, err := r.LevelAt(tree, cfg, levels[k].level)
+			if err != nil {
+				return nil, err
+			}
+			lv.X0 = x0
 			node := &nodes[n]
 			node.tier = NewTier(lv, node.hi-node.lo, newVec)
 			if k == 0 {
@@ -390,6 +404,15 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 	if tree.Spec != nil {
 		variant += " topology=" + tree.String()
+	}
+	// A robust level shapes the trajectory, so its snapshots name every
+	// level's rule; a tree of mean levels adds nothing.
+	for _, lv := range tree.Levels {
+		if lv.Agg.Robust() {
+			rules, _ := tree.Aggregators()
+			variant += " agg=" + strings.Join(rules, "/")
+			break
+		}
 	}
 	ck, err := fl.NewCheckpointer(hn, r.Algorithm, variant, res)
 	if err != nil {
@@ -585,10 +608,12 @@ func (s *sim) round(t, k, n int) error {
 		}
 	}
 
-	// The root and the leaf parents publish their rounds; the middle tiers
-	// of a deeper tree are not named in the trace or the counters yet.
+	// Every level counts its robust verdicts; the root and the leaf parents
+	// publish their rounds, the middle tiers of a deeper tree not yet.
 	sink := s.sink
 	m := sink.M()
+	m.RobustRejected.Add(int64(len(out.Robust.Rejected)))
+	m.RobustClipped.Add(int64(len(out.Robust.Clipped)))
 	switch k {
 	case len(s.levels) - 1:
 		m.CloudSyncs.Inc()

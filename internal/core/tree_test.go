@@ -14,6 +14,7 @@ import (
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
+	"hieradmo/internal/robust"
 	"hieradmo/internal/tensor"
 	"hieradmo/internal/topology"
 )
@@ -162,6 +163,31 @@ func TestTreeSnapshotRefusedUnderOtherTree(t *testing.T) {
 	}
 }
 
+// TestTreeSnapshotRefusedUnderOtherAggregator: a robust level's rule is part
+// of the fingerprint, so a snapshot taken under a median leaf parent seeds
+// the same tree under median again but not under a trimmed one.
+func TestTreeSnapshotRefusedUnderOtherAggregator(t *testing.T) {
+	dir := t.TempDir()
+	cfg := buildConfig(t, []int{2, 2}, 0, 7)
+	cfg.CheckpointDir = dir
+	derived, err := cfg.Tree(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean := robust.Spec{}
+	median := derived.WithAggregators(robust.Spec{Kind: robust.Median}, mean)
+	if _, err := New().RunTree(cfg, median); err != nil {
+		t.Fatal(err)
+	}
+	trimmed := derived.WithAggregators(robust.Spec{Kind: robust.Trimmed, Trim: 0.2}, mean)
+	if _, err := New().RunTree(cfg, trimmed); !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Errorf("resuming the median snapshot under trimmed = %v, want ErrMismatch", err)
+	}
+	if _, err := New().RunTree(cfg, median); err != nil {
+		t.Errorf("resuming the median snapshot under median: %v", err)
+	}
+}
+
 // TestSpecTreeOfTheDerivedShapeRunsTheDerivedRun: a spec spelling out the
 // configuration's own cloud / edge / worker shape is the same tree, so every
 // view of it — HierAdMo's and the flat one — lands where Run does.
@@ -182,9 +208,9 @@ func TestSpecTreeOfTheDerivedShapeRunsTheDerivedRun(t *testing.T) {
 }
 
 // TestTreeRefusesWhatItCannotRun: on a spec's tree the simulation refuses,
-// with ErrTree naming the combination, a hooked row, a robust agg=, and γ /
-// adapt attributes the rule has no momentum level for; the configuration's
-// own tree runs the hooked row.
+// with ErrTree naming the combination, a hooked row, a flat row over a robust
+// agg= below the root, and γ / adapt attributes the rule has no momentum
+// level for; the configuration's own tree runs the hooked row.
 func TestTreeRefusesWhatItCannotRun(t *testing.T) {
 	cfg := buildConfig(t, []int{2, 2}, 0, 13)
 	hooked := &Rule{Algorithm: "hooked", Hooks: func(*Binding) Hooks { return Hooks{} }}
@@ -196,8 +222,7 @@ func TestTreeRefusesWhatItCannotRun(t *testing.T) {
 		want string
 	}{
 		{hooked, "cloud:tau=4/edge*2:tau=2/worker*2", "hooked"},
-		{New().Row(), "cloud:tau=4,agg=median/edge*2:tau=2/worker*2", "agg=median"},
-		{New().Row(), "cloud:tau=4/edge*2:tau=2,agg=trimmed(0.2)/worker*2", "agg=trimmed"},
+		{flat, "cloud:tau=4/edge*2:tau=2,agg=median/worker*2", "agg=median"},
 		{plain, "cloud:tau=4/edge*2:tau=2,gamma=0.5/worker*2", `"edge"`},
 		{flat, "cloud:tau=4,gamma=0.5/edge*2:tau=2/worker*2", `"cloud"`},
 	} {

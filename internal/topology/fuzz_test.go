@@ -3,6 +3,8 @@ package topology
 import (
 	"math"
 	"testing"
+
+	"hieradmo/internal/robust"
 )
 
 // FuzzParseTopology asserts the parser's contract on arbitrary input: every
@@ -11,7 +13,9 @@ import (
 // per-node allocation, and accepted specs round-trip through the canonical
 // form exactly (Parse(t.String()) reproduces t and re-formats identically,
 // the property the checkpoint fingerprint relies on). Every accepted spec
-// also resolves into a Tree that holds checkTree's invariants.
+// also resolves into a Tree that holds checkTree's invariants, and so does
+// that tree with a run's default aggregation rules merged in, its spec
+// untouched.
 func FuzzParseTopology(f *testing.F) {
 	for _, seed := range []string{
 		"cloud:tau=20/region:tau=5,agg=median/edge:tau=1/worker*8",
@@ -75,6 +79,27 @@ func FuzzParseTopology(f *testing.F) {
 			t.Fatalf("Resolve(%q) shaped %q", canon, tree)
 		}
 		checkTree(t, tree, sizes)
+		// Merging a run's default rules keeps the shape and every ID, wins
+		// nowhere over an explicit robust agg=, and leaves the spec as it was.
+		median := robust.Spec{Kind: robust.Median}
+		merged := tree.WithAggregators(median, median)
+		if merged.String() != canon || topo.String() != canon {
+			t.Fatalf("merging defaults into %q rendered %q, spec now %q", canon, merged, topo)
+		}
+		checkTree(t, merged, sizes)
+		for i, lv := range topo.Levels {
+			if lv != again.Levels[i] {
+				t.Fatalf("merging defaults into %q wrote through to level %d: %+v", canon, i, lv)
+			}
+			if lv.Agg.Robust() && merged.Levels[i].Agg != lv.Agg {
+				t.Fatalf("%q: the default replaced level %d's agg=%s", canon, i, lv.Agg)
+			}
+			for j := 0; j < tree.Width(i); j++ {
+				if merged.ID(i, j) != tree.ID(i, j) {
+					t.Fatalf("%q: node (%d, %d) is %q merged, %q before", canon, i, j, merged.ID(i, j), tree.ID(i, j))
+				}
+			}
+		}
 	})
 }
 

@@ -5,22 +5,25 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"hieradmo/internal/robust"
 )
 
 // Tree is a resolved aggregation tree: the shape both execution engines run.
 // It is the one place that lays out the nodes of every level, orders the
 // training leaves, keys each leaf by its natal (parent, position)
 // coordinates, weighs every node's children by their integer subtree
-// sample counts, and names every node with its transport ID. The in-process
-// simulation (internal/core) builds its levels from it, and the distributed
-// runtime (internal/cluster) adds per-level rules and membership epochs on
-// top, so the two engines cannot disagree on the shape.
+// sample counts, names every node with its transport ID, and holds each
+// level's aggregation rule. The in-process simulation (internal/core) builds
+// its levels from it, and the distributed runtime (internal/cluster) adds
+// membership epochs on top, so the two engines cannot disagree on the shape.
 //
 // A Tree is pure derived data, built once per run and read-only afterwards.
 type Tree struct {
 	// Levels is the chain of tiers, root first: name, sync period τℓ and
-	// the explicit attributes of a spec. Fanout is meaningful only when Spec
-	// is set; a derived tree may be ragged.
+	// the explicit attributes of a spec, with a run's default aggregation
+	// rules merged in by WithAggregators. Fanout is meaningful only when
+	// Spec is set; a derived tree may be ragged.
 	Levels []Level
 	// Spec is the topology the tree was resolved from, nil for the tree
 	// derived from a run configuration's cloud / edge / worker grouping.
@@ -163,6 +166,39 @@ func build(levels []Level, spec *Topology, fan func(i, j int) int, leafSizes []i
 		t.Global = next
 	}
 	return t, nil
+}
+
+// WithAggregators returns the tree a run with default aggregation rules
+// executes, the one place a level's rule meets them: the leaf-parent level
+// takes leafParent and the root root, unless the level's own agg= is robust.
+// Only Levels is new, so neither t nor its spec changes, and String and every
+// ID stay t's; with no robust default it is t itself.
+func (t *Tree) WithAggregators(leafParent, root robust.Spec) *Tree {
+	if !leafParent.Robust() && !root.Robust() {
+		return t
+	}
+	levels := append([]Level(nil), t.Levels...)
+	for i, lv := range levels[:len(levels)-1] {
+		switch {
+		case lv.Agg.Robust():
+		case i == t.LeafParent():
+			levels[i].Agg = leafParent
+		case i == 0:
+			levels[i].Agg = root
+		}
+	}
+	return &Tree{Levels: levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent,
+		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global}
+}
+
+// Aggregators names every aggregating level's rule, root first, and reports
+// whether any of them is robust.
+func (t *Tree) Aggregators() (rules []string, anyRobust bool) {
+	rules = make([]string, len(t.Levels)-1)
+	for i, lv := range t.Levels[:len(rules)] {
+		rules[i], anyRobust = lv.Agg.String(), anyRobust || lv.Agg.Robust()
+	}
+	return rules, anyRobust
 }
 
 // Weigh returns the child weights of the tree whose children are kids — a

@@ -1,9 +1,11 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 
 	"hieradmo/internal/membership"
+	"hieradmo/internal/robust"
 )
 
 // TestDeriveIsTheConfigGrouping: the derived tree is the cloud / edge /
@@ -150,5 +152,65 @@ func TestNodeIDs(t *testing.T) {
 		if got, want := derived.ID(2, j), (membership.Ref{Edge: p, Index: pos}).NodeID(); got != want {
 			t.Errorf("leaf %d: ID %q, churn-plan name %q", j, got, want)
 		}
+	}
+}
+
+// TestWithAggregators: the run's defaults fill the leaf-parent and root
+// levels unless a level's own agg= is robust — an explicit agg=mean takes
+// the default, a middle level keeps its own — and the merged tree keeps the
+// shape, String and every ID, while the input tree and spec stay untouched.
+func TestWithAggregators(t *testing.T) {
+	median := robust.Spec{Kind: robust.Median}
+	trimmed := robust.Spec{Kind: robust.Trimmed, Trim: 0.2}
+	derived, err := Derive(2, 2, []int{2, 3}, []int{1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec string // "" for the derived tree
+		want string // the merged rules, root first
+	}{
+		{"", "trimmed(0.2)/median"},
+		{"cloud:tau=4/edge*5:tau=2,agg=cosine(0.5)/worker", "trimmed(0.2)/cosine(0.5)"},
+		{"cloud:tau=4,agg=clip(1)/edge*5:tau=2/worker", "clip(1)/median"},
+		{"cloud:tau=4,agg=mean/edge*5:tau=2,agg=mean/worker", "trimmed(0.2)/median"},
+		{"cloud:tau=8/region*5:tau=4,agg=cosine(0)/edge:tau=2/worker", "trimmed(0.2)/cosine(0)/median"},
+		{"cloud:tau=8/region*5:tau=4/edge:tau=2/worker", "trimmed(0.2)/mean/median"},
+		{"cloud:tau=4/worker*5", "median"},
+	} {
+		tree, topo := derived, (*Topology)(nil)
+		if tc.spec != "" {
+			if topo, err = Parse(tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			if tree, err = topo.Resolve([]int{1, 2, 3, 4, 5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, canon := append([]Level(nil), tree.Levels...), tree.String()
+		merged := tree.WithAggregators(median, trimmed)
+		rules, anyRobust := merged.Aggregators()
+		if got := strings.Join(rules, "/"); got != tc.want || !anyRobust {
+			t.Errorf("%s: merged rules %s (robust %v), want %s", canon, got, anyRobust, tc.want)
+		}
+		if merged.String() != canon || tree.String() != canon || merged.Spec != tree.Spec {
+			t.Errorf("%s: merged tree renders %q, input now %q", canon, merged, tree)
+		}
+		for i, lv := range tree.Levels {
+			if lv != before[i] || (topo != nil && topo.Levels[i] != before[i]) {
+				t.Errorf("%s: merging wrote through to level %d: %+v", canon, i, lv)
+			}
+		}
+		checkTree(t, merged, tree.Sizes[tree.Depth()-1])
+		for i := range tree.Levels {
+			for j := 0; j < tree.Width(i); j++ {
+				if merged.ID(i, j) != tree.ID(i, j) {
+					t.Errorf("%s: node (%d, %d) is %q merged, %q before", canon, i, j, merged.ID(i, j), tree.ID(i, j))
+				}
+			}
+		}
+	}
+	if _, anyRobust := derived.WithAggregators(robust.Spec{}, robust.Spec{}).Aggregators(); anyRobust {
+		t.Error("mean defaults over a mean tree report a robust level")
 	}
 }
