@@ -78,7 +78,9 @@ race:
 ## holds the dispatching conv GEMMs (the AVX2 assembly, where the CPU has it)
 ## to their portable bodies, and the robust-aggregation targets, which
 ## assert median/trimmed-mean reject (never propagate) non-finite reporter
-## values on fuzzer-chosen cohorts,
+## values on fuzzer-chosen cohorts, and the -attack-plan parser, which must
+## yield a plan or an error (never a panic, never an empty plan), every
+## accepted plan's canonical entries re-parsing to the same Signature,
 ## and the topology-spec parser, which must yield a tree or a typed error
 ## (never a panic) on arbitrary spec strings, with String/Parse
 ## round-tripping every accepted tree and every accepted spec resolving into
@@ -103,6 +105,7 @@ fuzz:
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzVectorKernelEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzMedianAggregate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzTrimmedMean -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzParsePlan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run '^$$' -fuzz FuzzParseTopology -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzAllowDirective -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)

@@ -59,7 +59,8 @@
 // workload's worker shards in order. Every flag above composes with it
 // (-aggregator sets the default rule of the level above the workers and of
 // the root; churn plans name leaves worker-<parent>-<position>), and -verify
-// runs the in-process simulation on the same tree, aggregation rules included:
+// runs the in-process simulation on the same tree, aggregation rules and the
+// attack plan included:
 //
 //	flcluster -model logistic -verify \
 //	    -topology "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"
@@ -98,7 +99,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -109,6 +109,7 @@ import (
 	"hieradmo/internal/cluster"
 	"hieradmo/internal/core"
 	"hieradmo/internal/experiment"
+	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
@@ -238,8 +239,8 @@ func run(args []string, interrupt <-chan struct{}) error {
 			return fmt.Errorf("-restart-after %s needs a matching -crash entry", node)
 		}
 	}
-	if *verify && (*dropRate > 0 || len(crashes) > 0 || *attackSpec != "" || *churnSpec != "" || *retierEvery > 0) {
-		return fmt.Errorf("-verify requires a fault-free honest run on a static hierarchy: the in-process simulation does not model message drops, crashes, attackers or dynamic membership yet")
+	if *verify && (*dropRate > 0 || len(crashes) > 0 || *churnSpec != "" || *retierEvery > 0) {
+		return fmt.Errorf("-verify requires a fault-free run on a static hierarchy: the in-process simulation does not model message drops, crashes or dynamic membership yet")
 	}
 	churnPlan, err := loadChurnPlan(*churnSpec)
 	if err != nil {
@@ -284,13 +285,15 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	// The tree the cluster runs, -aggregator merged in; every node a flag
-	// names must be a node of it; -restart-after names only -crash nodes.
+	// The tree the cluster runs, -aggregator and -attack-plan merged in: every
+	// node a flag names must be its; -restart-after names only -crash nodes.
 	tree, err := cfg.Tree(topo)
 	if err != nil {
 		return err
 	}
-	tree = tree.WithAggregators(edgeAgg, cloudAgg)
+	if tree, err = tree.WithAggregators(edgeAgg, cloudAgg).WithAttackPlan(attackPlan); err != nil {
+		return err
+	}
 	for id := range crashes {
 		if _, _, ok := tree.Lookup(id); !ok {
 			return fmt.Errorf("-crash: %q is not a node of the tree %s", id, tree)
@@ -388,7 +391,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 			alg = core.NewReduced()
 		}
 		// The simulation runs the tree the cluster ran: the -topology spec's,
-		// or the workload's own, under the same aggregation rules.
+		// or the workload's own, under the same rules and attack plan.
 		sim, err := alg.RunTree(cfg, tree)
 		if err != nil {
 			return fmt.Errorf("verification run: %w", err)
@@ -419,9 +422,10 @@ func run(args []string, interrupt <-chan struct{}) error {
 }
 
 // compareRuns holds the distributed result to the simulation's: the same
-// accuracy, and the loss to rounding (the engines sum it in other orders).
+// accuracy, and the same loss to rounding (fl.LossesAgree: a NaN loss
+// matches only a NaN).
 func compareRuns(res, sim *hieradmo.Result) error {
-	if res.FinalAcc != sim.FinalAcc || math.Abs(res.FinalLoss-sim.FinalLoss) > 1e-12*(1+math.Abs(sim.FinalLoss)) {
+	if res.FinalAcc != sim.FinalAcc || !fl.LossesAgree(res.FinalLoss, sim.FinalLoss) {
 		return fmt.Errorf("verification failed: distributed accuracy %.6f, loss %v vs simulation %.6f, %v",
 			res.FinalAcc, res.FinalLoss, sim.FinalAcc, sim.FinalLoss)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -88,17 +89,26 @@ func TestRunMemoryLogisticWithVerifyAndSave(t *testing.T) {
 }
 
 // TestRunTopologyVerify: -verify hands the in-process simulation the tree
-// the cluster ran, aggregation rules included — a four-level -topology tree,
-// a spec's robust agg=, and the -aggregator defaults on the workload's own
-// tree — and the two engines land on the same final model; attack plans,
-// message drops and crashes, which the simulation does not model, are
-// refused up front.
+// the cluster ran, aggregation rules and attack plan included — a four-level
+// -topology tree, a spec's robust agg=, the -aggregator defaults on the
+// workload's own tree, and every attack kind alone and under robust rules
+// over TCP — and the two engines land on the same final model; message
+// drops, crashes and churn, which the simulation does not model, are refused
+// up front.
 func TestRunTopologyVerify(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-topology", "cloud:tau=20/region*2:tau=10/edge*2:tau=5/worker"},
 		{"-topology", "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"},
 		{"-aggregator", "median"},
 		{"-aggregator", "edge=cosine,cloud=clip", "-clip", "0.5"},
+		{"-transport", "tcp", "-attack-plan", "signflip:worker-0-1@1"},
+		{"-transport", "tcp", "-attack-plan", "signflip:worker-0-1@1", "-aggregator", "edge=cosine,cloud=clip"},
+		{"-transport", "tcp", "-attack-plan", "scale:worker-0-1@2-12=10"},
+		{"-transport", "tcp", "-attack-plan", "scale:worker-0-1@2-12=10", "-aggregator", "edge=cosine,cloud=clip"},
+		{"-transport", "tcp", "-attack-plan", "noise:worker-1-0@1=0.5"},
+		{"-transport", "tcp", "-attack-plan", "noise:worker-1-0@1=0.5", "-aggregator", "edge=cosine,cloud=clip"},
+		{"-transport", "tcp", "-attack-plan", "replay:worker-0-1@2"},
+		{"-transport", "tcp", "-attack-plan", "replay:worker-0-1@2", "-aggregator", "edge=cosine,cloud=clip"},
 	} {
 		args := append([]string{"-transport", "memory", "-model", "logistic", "-verify"}, extra...)
 		cmd := exec.Command(os.Args[0], "-test.run", "TestHelperProcess")
@@ -112,21 +122,22 @@ func TestRunTopologyVerify(t *testing.T) {
 		}
 	}
 	for _, extra := range [][]string{
-		{"-attack-plan", "signflip:worker-0-1@1"},
-		{"-attack-plan", "signflip:worker-0-1@1", "-aggregator", "median"},
 		{"-drop-rate", "0.02"},
 		{"-crash", "worker-0-1@40"},
+		{"-churn-plan", "join:worker-0-1@3"},
+		{"-retier-every", "2"},
 	} {
 		err := run(append([]string{"-transport", "memory", "-model", "logistic", "-verify"}, extra...), nil)
-		if err == nil || !strings.Contains(err.Error(), "fault-free honest run") {
-			t.Errorf("-verify %s = %v, want the fault-free-honest-run refusal", strings.Join(extra, " "), err)
+		if err == nil || !strings.Contains(err.Error(), "fault-free run on a static hierarchy") {
+			t.Errorf("-verify %s = %v, want the fault-free-run refusal", strings.Join(extra, " "), err)
 		}
 	}
 }
 
 // TestCompareRuns: -verify holds the final accuracy exactly and the final
 // loss to rounding, so two different models that happen to score the same
-// accuracy do not pass as one.
+// accuracy do not pass as one; a NaN loss matches only a NaN, and an
+// infinite one only the same infinity.
 func TestCompareRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -139,6 +150,13 @@ func TestCompareRuns(t *testing.T) {
 		{"same-accuracy-other-model", 0.9875, 0.2855, 0.9875, 0.1376, false},
 		{"loss-off-by-more-than-rounding", 0.9875, 0.1376 + 1e-9, 0.9875, 0.1376, false},
 		{"other-accuracy", 0.95, 0.1376, 0.9875, 0.1376, false},
+		{"nan-vs-finite", 0.2125, math.NaN(), 0.2125, 0.1376, false},
+		{"finite-vs-nan", 0.2125, 0.1376, 0.2125, math.NaN(), false},
+		{"nan-vs-nan", 0.2125, math.NaN(), 0.2125, math.NaN(), true},
+		{"inf-vs-inf", 0.2125, math.Inf(1), 0.2125, math.Inf(1), true},
+		{"inf-vs-minus-inf", 0.2125, math.Inf(1), 0.2125, math.Inf(-1), false},
+		{"finite-vs-inf", 0.2125, 0.1376, 0.2125, math.Inf(1), false},
+		{"inf-vs-finite", 0.2125, math.Inf(1), 0.2125, 0.1376, false},
 	} {
 		err := compareRuns(&hieradmo.Result{FinalAcc: tc.acc, FinalLoss: tc.loss},
 			&hieradmo.Result{FinalAcc: tc.simAcc, FinalLoss: tc.simLoss})

@@ -50,13 +50,13 @@ func TestClusterEmptyAttackPlanIsBaseline(t *testing.T) {
 	if opts.robustEnabled() {
 		t.Fatal("empty plan with mean aggregators counts as robust-enabled")
 	}
-	if opts.attackerFor(WorkerID(0, 0), 4, 8) != nil {
-		t.Fatal("empty plan built an attacker")
-	}
 	cfg := buildConfig(t, 31, 2)
 	ts, err := newTreeSpec(cfg, opts.withDefaults())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plan := ts.tree.AttackPlan(); plan != nil || plan.Attacker(WorkerID(0, 0), 4, 8) != nil {
+		t.Fatalf("empty plan reached the tree as %v, or built an attacker through it", plan)
 	}
 	for i := 0; i < ts.depth()-1; i++ {
 		if a := ts.level(i, nil).Agg; a != nil {

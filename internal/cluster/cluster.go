@@ -97,12 +97,10 @@ type Options struct {
 	Clock Clock
 
 	// AttackPlan injects deterministic Byzantine behaviour at the
-	// worker-report boundary (sign-flip, scale, noise, stale-replay; see
-	// internal/robust). Nil or empty attacks nobody; a plan naming a node
-	// that is not a training leaf of the run's tree is refused. Attacks
-	// mutate what compromised workers send, never their local training
-	// state, and compose freely with transport fault plans and churn plans.
-	// Must match across every node of a multi-process run.
+	// worker-report boundary (internal/robust): it mutates what compromised
+	// leaves send, never their training state. Nil or empty attacks nobody;
+	// topology.Tree.WithAttackPlan refuses a plan naming anything but the
+	// tree's training leaves. Must match across a multi-process run.
 	AttackPlan *robust.AttackPlan
 	// EdgeAggregator selects the aggregation rule the leaf-parent level
 	// (the edges) applies to worker reports (default: plain weighted mean,
@@ -142,15 +140,6 @@ func (o Options) churnEnabled() bool {
 // aggregator.
 func (o Options) robustEnabled() bool {
 	return !o.AttackPlan.Empty() || o.EdgeAggregator.Robust() || o.CloudAggregator.Robust()
-}
-
-// attackerFor returns the attack executor for node, or nil when the
-// run's plan never touches it (including plan-less runs).
-func (o Options) attackerFor(node string, nvec, dim int) *robust.Attacker {
-	if o.AttackPlan == nil {
-		return nil
-	}
-	return o.AttackPlan.Attacker(node, nvec, dim)
 }
 
 func (o Options) withDefaults() Options {

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"errors"
-	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,7 +94,9 @@ func TestExpectKind(t *testing.T) {
 // kernel and gradient step with identical inputs in identical order. The
 // clip case pins that cfg.ClipNorm reaches the leaves: before the shared
 // gradient step the cluster trained unclipped (0.9875 / 0.1479 against the
-// simulation's 0.925 / 0.6872 on this config).
+// simulation's 0.925 / 0.6872 on this config). The plan rows hand both
+// engines an attack plan through the tree: they must inject the same
+// reports and reach the same robust verdicts, and the plan must move the run.
 func TestClusterMatchesSimulation(t *testing.T) {
 	// The -topology rows hand the simulation the spec's tree: a four-level
 	// tree over eight leaves, a depth-2 tree with an explicit γ, and a tree
@@ -112,14 +114,16 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	trimmed := robust.Spec{Kind: robust.Trimmed, Trim: 0.25}
 	cosine := robust.Spec{Kind: robust.Cosine, CosMin: 0}
 	clip := robust.Spec{Kind: robust.Clip, Clip: 0.5}
-	cases := []struct {
+	type matchCase struct {
 		name          string
 		adaptive      bool
 		clip          float64
 		topology      string
 		zeroGammaEdge bool
 		edge, cloud   robust.Spec
-	}{
+		plan          string
+	}
+	cases := []matchCase{
 		{name: "adaptive", adaptive: true},
 		{name: "reduced"},
 		{name: "reduced-gammaedge0", zeroGammaEdge: true},
@@ -137,6 +141,20 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		{name: "cosine-clip", adaptive: true, edge: cosine, cloud: clip},
 		{name: "cosine-clip-reduced", edge: cosine, cloud: clip},
 	}
+	// Each attack kind alone on the derived tree, under the mean, under the
+	// median defaults (over two reporters the mean itself, so the kinds go
+	// unfiltered) and under edge=cosine / cloud=clip; then all four kinds on
+	// the four-level tree, whose leaves are named worker-<n>.
+	for _, plan := range []string{"signflip:worker-0-1@1", "scale:worker-1-0@2-9=10",
+		"noise:worker-0-0@1=0.5", "replay:worker-1-1@2"} {
+		kind := plan[:strings.IndexByte(plan, ':')]
+		cases = append(cases,
+			matchCase{name: "mean-" + kind, adaptive: true, plan: plan},
+			matchCase{name: "median-" + kind, adaptive: true, edge: median, cloud: median, plan: plan},
+			matchCase{name: "cosine-clip-reduced-" + kind, edge: cosine, cloud: clip, plan: plan})
+	}
+	cases = append(cases, matchCase{name: "tree4-all-kinds", adaptive: true, topology: tree4,
+		plan: "signflip:worker-1@1,scale:worker-2@2-9=10,noise:worker-5@1=0.5,replay:worker-6@2"})
 	nets := []struct {
 		name string
 		new  func() Network
@@ -147,7 +165,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	var verdicts int64
 	for _, tc := range cases {
 		for _, nw := range nets {
-			if nw.name == "tcp" && tc.clip == 0 {
+			if nw.name == "tcp" && tc.clip == 0 && tc.plan == "" {
 				continue // TCP ≡ memory is TestClusterOverTCPMatchesMemory's job
 			}
 			t.Run(tc.name+"/"+nw.name, func(t *testing.T) {
@@ -168,11 +186,20 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				if tc.adaptive {
 					alg = core.New()
 				}
+				var plan *robust.AttackPlan
+				if tc.plan != "" {
+					plan = byzPlan(t, tc.plan)
+				}
 				tree, err := cfg.Tree(topo)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := alg.RunTree(cfg, tree.WithAggregators(tc.edge, tc.cloud))
+				tree = tree.WithAggregators(tc.edge, tc.cloud)
+				attacked, err := tree.WithAttackPlan(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := alg.RunTree(cfg, attacked)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,11 +208,26 @@ func TestClusterMatchesSimulation(t *testing.T) {
 
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
 				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Topology: topo,
-					EdgeAggregator: tc.edge, CloudAggregator: tc.cloud})
+					EdgeAggregator: tc.edge, CloudAggregator: tc.cloud, AttackPlan: plan})
 				if err != nil {
 					t.Fatal(err)
 				}
 				m := cfg.Telemetry.M()
+				injected := m.AttackInjected.Value()
+				if injected != refM.AttackInjected.Value() || (plan != nil) != (injected > 0) {
+					t.Errorf("fl_attack_injected_total = %d in the cluster, %d in the simulation (plan %q)",
+						injected, refM.AttackInjected.Value(), tc.plan)
+				}
+				if plan != nil {
+					cfg.Telemetry = nil
+					clean, err := alg.RunTree(cfg, tree)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if clean.FinalLoss == ref.FinalLoss {
+						t.Errorf("plan %q left the final loss at the plan-less run's %v", tc.plan, clean.FinalLoss)
+					}
+				}
 				rejected, clipped := m.RobustRejected.Value(), m.RobustClipped.Value()
 				if rejected != refM.RobustRejected.Value() || clipped != refM.RobustClipped.Value() {
 					t.Errorf("robust rejections/clips %d/%d in the cluster, %d/%d in the simulation",
@@ -199,10 +241,10 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				// The loss reduction tree differs (the cloud sums edge-weighted
 				// partial sums, the simulation sums a flat weighted series), so
 				// the losses agree only to rounding.
-				if math.Abs(res.FinalLoss-ref.FinalLoss) > 1e-12*(1+math.Abs(ref.FinalLoss)) {
+				if !fl.LossesAgree(res.FinalLoss, ref.FinalLoss) {
 					t.Errorf("cluster FinalLoss %v != simulation %v", res.FinalLoss, ref.FinalLoss)
 				}
-				clips := cfg.Telemetry.M().GradClips.Value()
+				clips := m.GradClips.Value()
 				if clips != refClips || (tc.clip > 0) != (clips > 0) {
 					t.Errorf("fl_grad_clips_total = %d from the leaves, %d in the simulation (ClipNorm %v)",
 						clips, refClips, tc.clip)

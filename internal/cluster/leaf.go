@@ -72,7 +72,7 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 		j:      j,
 		ep:     ep,
 		opts:   opts,
-		att:    opts.attackerFor(ts.tree.ID(ts.depth()-1, j), 4, len(x0)),
+		att:    ts.tree.AttackPlan().Attacker(ts.tree.ID(ts.depth()-1, j), 4, len(x0)),
 		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), opts.Telemetry),
 		state:  core.NewLeaf(x0, newVec),
 		lv:     lv,

@@ -15,8 +15,8 @@ import (
 
 // treeSpec is what a distributed run adds to the run's tree, shared by every
 // node: the tree itself (topology.Tree — levels and their aggregation rules,
-// natal children, data weights, the leaves' natal keys and every node's
-// transport ID: the tree the in-process simulation runs too), the rule row
+// the attack plan, natal children, data weights, the leaves' natal keys and
+// every node's transport ID: the tree the in-process simulation runs too), the rule row
 // every level's rule is resolved from, and the membership epochs. With
 // dynamic membership the leaf-parent level's children and every level's
 // weights additionally vary by membership epoch.
@@ -66,11 +66,8 @@ func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree = tree.WithAggregators(opts.EdgeAggregator, opts.CloudAggregator)
-	for _, id := range opts.AttackPlan.Nodes() {
-		if lvl, _, ok := tree.Lookup(id); !ok || lvl != tree.Depth()-1 {
-			return nil, fmt.Errorf("cluster: the attack plan names %q, not a training leaf of the tree %s", id, tree)
-		}
+	if tree, err = tree.WithAggregators(opts.EdgeAggregator, opts.CloudAggregator).WithAttackPlan(opts.AttackPlan); err != nil {
+		return nil, err
 	}
 	// The run is HierAdMo's row of the simulation's rule table, so both
 	// engines resolve every level's rule in one place.

@@ -1,10 +1,17 @@
 package core
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/checkpoint/ckpttest"
 	"hieradmo/internal/fl"
+	"hieradmo/internal/robust"
+	"hieradmo/internal/topology"
 )
 
 // assertSameResult fails unless a and b are bit-identical: same final
@@ -96,6 +103,106 @@ func TestResumeRefusesOtherConfig(t *testing.T) {
 	if _, err := New(WithParticipation(0.5)).Run(variant); err == nil {
 		t.Fatal("resuming under different participation succeeded; want fingerprint mismatch")
 	}
+}
+
+// TestResumeUnderAttackPlan: an attacker's replay stash is part of the
+// simulation's snapshots, so a run under an attack plan resumes
+// bit-identically while the replay window is still open at the resumed
+// boundary; a snapshot taken under one plan refuses to seed a run under
+// another; and a plan-less run's fingerprint names no plan at all.
+func TestResumeUnderAttackPlan(t *testing.T) {
+	cfg := buildConfig(t, []int{2, 2}, 0, 7)
+	derived, err := cfg.Tree(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	under := func(spec string) *topology.Tree {
+		plan, err := robust.ParsePlan(spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := derived.WithAttackPlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	// The window opens at round 2 and never closes, so the last boundary a
+	// rewound run replays still sends the stash of the round before it.
+	planA, planB := under("replay:worker-0-1@2"), under("replay:worker-0-1@3")
+	ref, err := New().RunTree(cfg, planA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := New().RunTree(cfg, derived)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.FinalLoss == ref.FinalLoss {
+		t.Fatalf("the replay plan left the final loss at %v", ref.FinalLoss)
+	}
+
+	dir := t.TempDir()
+	cfg.CheckpointDir = dir
+	full, err := New().RunTree(cfg, planA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, ref, full)
+	st := newestSnapshot(t, dir)
+	for _, name := range []string{"attackPrev0", "attackPrev1", "attackPrev2", "attackPrev3"} {
+		if _, ok := st.Vectors["worker/0/1/"+name]; !ok {
+			t.Errorf("snapshot lacks the replay stash entry worker/0/1/%s", name)
+		}
+	}
+	if k := st.Ints["worker/0/1/attackPrevRound"]; k != int64(st.Seq/cfg.Tau) {
+		t.Errorf("worker/0/1/attackPrevRound = %d at t=%d, want round %d", k, st.Seq, st.Seq/cfg.Tau)
+	}
+	if !strings.HasSuffix(st.Fingerprint, " attack="+planA.AttackPlan().Signature()) {
+		t.Errorf("fingerprint %q does not name the plan", st.Fingerprint)
+	}
+	ckpttest.DeleteNewest(t, dir)
+	resumed, err := New().RunTree(cfg, planA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, ref, resumed)
+	if _, err := New().RunTree(cfg, planB); !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Errorf("resuming a plan-A snapshot under plan B = %v, want ErrMismatch", err)
+	}
+
+	cfg.CheckpointDir = t.TempDir()
+	if _, err := New().RunTree(cfg, derived); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := newestSnapshot(t, cfg.CheckpointDir).Fingerprint, cfg.Fingerprint("HierAdMo")+" "+New().variant(); got != want {
+		t.Errorf("plan-less fingerprint %q, want %q", got, want)
+	}
+}
+
+// newestSnapshot decodes the highest-sequence snapshot in dir.
+func newestSnapshot(t *testing.T, dir string) *checkpoint.State {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no snapshot in %s (%v)", dir, err)
+	}
+	var newest *checkpoint.State
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := checkpoint.Read(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if newest == nil || st.Seq > newest.Seq {
+			newest = st
+		}
+	}
+	return newest
 }
 
 func poolName(pool int) string {

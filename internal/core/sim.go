@@ -150,6 +150,8 @@ type sim struct {
 	// started its current interval from (the velocity-signal reference).
 	leaves []*Leaf
 	yStart []tensor.Vector
+	// attackers[j] mutates leaf j's reports (nil if honest); nil without a plan.
+	attackers []*robust.Attacker
 	// fullIdx is the everyone-reported position list, and partIdx the buffer
 	// a partial-participation round draws its cohort into.
 	fullIdx, partIdx []int
@@ -371,6 +373,15 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 			}
 		}
 	}
+	// Each leaf the plan names gets its executor, keyed by its transport ID as
+	// a cluster leaf's is; a plan-less run builds none and reads no ID.
+	var attackers []*robust.Attacker
+	if plan := tree.AttackPlan(); plan != nil {
+		attackers = make([]*robust.Attacker, numLeaves)
+		for j := range attackers {
+			attackers[j] = plan.Attacker(tree.ID(tree.Depth()-1, j), 4, dim)
+		}
+	}
 	evalModel := newVec()
 	partRNG := rng.New(cfg.Seed).Split(0x9a47)
 	// One block holds both position lists: the run allocates no more for
@@ -392,8 +403,8 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		}
 	}
 
-	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, yStart: yStart,
-		fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
+	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, attackers: attackers,
+		yStart: yStart, fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
 
 	// Crash recovery: register the run's state, then resume after the last
 	// snapshotted iteration (start = 0 without a snapshot). The variant folds
@@ -413,6 +424,9 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 			variant += " agg=" + strings.Join(rules, "/")
 			break
 		}
+	}
+	if plan := tree.AttackPlan(); plan != nil {
+		variant += " attack=" + plan.Signature()
 	}
 	ck, err := fl.NewCheckpointer(hn, r.Algorithm, variant, res)
 	if err != nil {
@@ -549,6 +563,12 @@ func (s *sim) register(ck *fl.Checkpointer) {
 		ck.Vector(at+"gradSum", w.GradSum)
 		ck.Vector(at+"ySum", w.YSum)
 		ck.Vector(at+"yStart", s.yStart[j])
+		if s.attackers != nil && s.attackers[j] != nil {
+			for c, v := range s.attackers[j].PrevVectors() {
+				ck.Vector(fmt.Sprintf("%sattackPrev%d", at, c), v)
+			}
+			ck.Int(at+"attackPrevRound", s.attackers[j].PrevRoundPtr())
+		}
 	}
 	for k, lev := range s.levels {
 		for n, node := range lev.nodes {
@@ -698,6 +718,7 @@ func (s *sim) round(t, k, n int) error {
 // quantizer, at compressed copies (in reusable slab vectors), never the
 // workers' local state — and, at an adaptive level, computes each worker's
 // eq. (6) term from what it reports, as a cluster leaf does before sending.
+// An attacker mutates its report first, at a cluster leaf's round k = t/period.
 func (s *sim) uplink(t int, node *simNode, idx []int) error {
 	if s.sink.Tracing() {
 		// The workers trained on the goroutine pool, but their per-step
@@ -716,6 +737,21 @@ func (s *sim) uplink(t int, node *simNode, idx []int) error {
 	for j, i := range idx {
 		w := s.leaves[node.lo+i]
 		y, x, gradSum, ySum := w.Y, w.X, w.GradSum, w.YSum
+		if s.attackers != nil && s.attackers[node.lo+i] != nil {
+			id := s.tree.ID(s.tree.Depth()-1, node.lo+i)
+			mut, kind, hit, err := s.attackers[node.lo+i].Apply(t/s.levels[0].period, []tensor.Vector{y, x, gradSum, ySum})
+			if err != nil {
+				return fmt.Errorf("core: %s attack: %w", id, err)
+			}
+			if hit {
+				y, x, gradSum, ySum = mut[0], mut[1], mut[2], mut[3]
+				s.sink.M().AttackInjected.Inc()
+				if s.sink.Tracing() {
+					s.sink.Emit("attack_inject", telemetry.String("node", id),
+						telemetry.Int("t", t), telemetry.String("kind", kind))
+				}
+			}
+		}
 		if s.quantizer != nil {
 			q := s.quantBuf[4*j : 4*j+4]
 			for c, src := range []tensor.Vector{y, x, gradSum, ySum} {

@@ -1,6 +1,9 @@
 package fl
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Point is one sample of the training trajectory.
 type Point struct {
@@ -68,4 +71,10 @@ func (r *Result) IterToReach(target float64) (int, bool) {
 func (r *Result) String() string {
 	return fmt.Sprintf("%s: acc=%.4f loss=%.4f (T=%d, %d curve points)",
 		r.Algorithm, r.FinalAcc, r.FinalLoss, r.Iterations, len(r.Curve))
+}
+
+// LossesAgree reports whether two engines, summing one final loss in different
+// orders, agree on it: equal, both NaN, or finite and within 1e-12·(1+|b|).
+func LossesAgree(a, b float64) bool {
+	return a == b || math.IsNaN(a) && math.IsNaN(b) || !math.IsInf(b, 0) && math.Abs(a-b) <= 1e-12*(1+math.Abs(b))
 }

@@ -120,22 +120,18 @@ func (p *AttackPlan) Validate() error {
 // reordering of equivalent entries, used in checkpoint fingerprints so
 // resuming under a different plan is refused.
 func (p *AttackPlan) Signature() string {
-	if p.Empty() {
-		return fmt.Sprintf("seed=%d none", p.seed())
+	if p == nil {
+		return "seed=0 none"
+	}
+	if len(p.Attacks) == 0 {
+		return fmt.Sprintf("seed=%d none", p.Seed)
 	}
 	parts := make([]string, len(p.Attacks))
 	for i, a := range p.Attacks {
 		parts[i] = a.String()
 	}
 	sort.Strings(parts)
-	return fmt.Sprintf("seed=%d %s", p.seed(), strings.Join(parts, ","))
-}
-
-func (p *AttackPlan) seed() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.Seed
+	return fmt.Sprintf("seed=%d %s", p.Seed, strings.Join(parts, ","))
 }
 
 // Attacker returns the per-node attack executor for node, or nil when
@@ -164,7 +160,6 @@ func (p *AttackPlan) Attacker(node string, nvec, dim int) *Attacker {
 		return mine[i].Kind < mine[j].Kind
 	})
 	att := &Attacker{
-		node:    node,
 		seed:    p.Seed,
 		nodeTag: fnvHash(node),
 		attacks: mine,
@@ -176,23 +171,6 @@ func (p *AttackPlan) Attacker(node string, nvec, dim int) *Attacker {
 		att.out[c] = tensor.NewVector(dim)
 	}
 	return att
-}
-
-// Nodes returns the sorted set of node IDs the plan attacks.
-func (p *AttackPlan) Nodes() []string {
-	if p.Empty() {
-		return nil
-	}
-	seen := make(map[string]bool, len(p.Attacks))
-	var ids []string
-	for _, a := range p.Attacks {
-		if !seen[a.Node] {
-			seen[a.Node] = true
-			ids = append(ids, a.Node)
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // fnvHash is FNV-1a over the node ID, the same per-node label derivation
@@ -217,7 +195,6 @@ func fnvHash(s string) uint64 {
 // so the worker checkpoint can register it, keeping resumed runs
 // bit-identical.
 type Attacker struct {
-	node      string
 	seed      uint64
 	nodeTag   uint64
 	attacks   []Attack
@@ -225,9 +202,6 @@ type Attacker struct {
 	prevRound int
 	out       []tensor.Vector
 }
-
-// Node returns the node ID this attacker is bound to.
-func (a *Attacker) Node() string { return a.node }
 
 // PrevVectors exposes the replay stash for checkpoint registration.
 func (a *Attacker) PrevVectors() []tensor.Vector { return a.prev }
@@ -323,13 +297,9 @@ func (a *Attacker) stash(k int, vecs []tensor.Vector) error {
 //	replay:worker-1-1@4-4
 //
 // Windows are edge rounds (1-based); omitting -to leaves the window open.
-// Omitted params default to 10 for scale and 0.1 for noise. An empty
-// spec returns nil (no plan).
+// Omitted params default to 10 for scale and 0.1 for noise. A spec with
+// no entries ("", ",") returns nil (no plan), whatever the seed.
 func ParsePlan(spec string, seed uint64) (*AttackPlan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
 	plan := &AttackPlan{Seed: seed}
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
@@ -341,6 +311,9 @@ func ParsePlan(spec string, seed uint64) (*AttackPlan, error) {
 			return nil, err
 		}
 		plan.Attacks = append(plan.Attacks, a)
+	}
+	if plan.Empty() {
+		return nil, nil
 	}
 	if err := plan.Validate(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package robust
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"hieradmo/internal/tensor"
@@ -134,5 +135,44 @@ func FuzzTrimmedMean(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzAggregate(t, a, data)
+	})
+}
+
+// FuzzParsePlan holds the -attack-plan parser to its contract on arbitrary
+// specs: a plan or an error, never a panic; a spec without entries is no
+// plan at all, whatever the seed; and an accepted plan's canonical entries
+// parse back to the same Signature.
+func FuzzParsePlan(f *testing.F) {
+	for _, spec := range []string{
+		"",
+		",",
+		"signflip:worker-0-1@3",
+		"scale:worker-1-0@2-6=10,noise:worker-0-0@1=0.5, replay:worker-1-1@4-4",
+		"scale:w@2=NaN",
+		"noise:w@1-0=1e-3",
+		"signflip:a:b@1=7",
+	} {
+		f.Add(spec, uint64(3))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		plan, err := ParsePlan(spec, seed)
+		if err != nil || plan == nil {
+			return
+		}
+		if plan.Empty() {
+			t.Fatalf("ParsePlan(%q) = an empty plan, want nil", spec)
+		}
+		entries := make([]string, len(plan.Attacks))
+		for i, a := range plan.Attacks {
+			entries[i] = a.String()
+		}
+		canonical := strings.Join(entries, ",")
+		again, err := ParsePlan(canonical, seed)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q: %v", canonical, spec, err)
+		}
+		if again.Signature() != plan.Signature() {
+			t.Fatalf("%q re-parses to %q, want %q", canonical, again.Signature(), plan.Signature())
+		}
 	})
 }

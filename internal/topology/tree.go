@@ -45,8 +45,10 @@ type Tree struct {
 	// three-level tree.
 	Global []float64
 
-	// names is the transport-ID table, minted on first use: the simulation
-	// never reads an ID, so its runs never pay for one.
+	// attack is the run's attack plan (WithAttackPlan), nil for none.
+	attack *robust.AttackPlan
+	// names is the transport-ID table, minted on first use: a plan-less
+	// simulation never reads an ID, so its runs never pay for one.
 	names idTable
 }
 
@@ -171,8 +173,8 @@ func build(levels []Level, spec *Topology, fan func(i, j int) int, leafSizes []i
 // WithAggregators returns the tree a run with default aggregation rules
 // executes, the one place a level's rule meets them: the leaf-parent level
 // takes leafParent and the root root, unless the level's own agg= is robust.
-// Only Levels is new, so neither t nor its spec changes, and String and every
-// ID stay t's; with no robust default it is t itself.
+// Only Levels is new, so neither t nor its spec changes, and String, every ID
+// and the attack plan stay t's; with no robust default it is t itself.
 func (t *Tree) WithAggregators(leafParent, root robust.Spec) *Tree {
 	if !leafParent.Robust() && !root.Robust() {
 		return t
@@ -188,8 +190,28 @@ func (t *Tree) WithAggregators(leafParent, root robust.Spec) *Tree {
 		}
 	}
 	return &Tree{Levels: levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent,
-		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global}
+		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: t.attack}
 }
+
+// WithAttackPlan returns the tree a run under the plan executes, the one place
+// a plan meets a tree: an entry naming anything but a training leaf is refused,
+// naming the ID and the tree. Neither t nor the plan changes; a nil or empty
+// plan returns t itself.
+func (t *Tree) WithAttackPlan(plan *robust.AttackPlan) (*Tree, error) {
+	if plan.Empty() {
+		return t, nil
+	}
+	for _, a := range plan.Attacks {
+		if lvl, _, ok := t.Lookup(a.Node); !ok || lvl != t.Depth()-1 {
+			return nil, fmt.Errorf("topology: the attack plan names %q, not a training leaf of the tree %s", a.Node, t)
+		}
+	}
+	return &Tree{Levels: t.Levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent,
+		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: plan}, nil
+}
+
+// AttackPlan returns the run's attack plan, nil for none; like Spec, shared.
+func (t *Tree) AttackPlan() *robust.AttackPlan { return t.attack }
 
 // Aggregators names every aggregating level's rule, root first, and reports
 // whether any of them is robust.

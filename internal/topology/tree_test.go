@@ -214,3 +214,95 @@ func TestWithAggregators(t *testing.T) {
 		t.Error("mean defaults over a mean tree report a robust level")
 	}
 }
+
+// TestWithAttackPlan: a plan reaches a tree only when every entry names one
+// of its training leaves — the derived tree's worker-ℓ-i, a spec's
+// worker-<n> — and a refusal names the ID and the tree; a nil or empty plan
+// is the tree itself; the plan and the aggregation defaults keep each other
+// whichever is merged first; and the input tree is untouched.
+func TestWithAttackPlan(t *testing.T) {
+	derived, err := Derive(2, 2, []int{2, 3}, []int{1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := Parse("cloud:tau=4/edge*5:tau=2/worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := topo.Resolve([]int{1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func(s string) *robust.AttackPlan {
+		plan, err := robust.ParsePlan(s, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	for _, tc := range []struct {
+		tree    *Tree
+		plan    string
+		refused string // the ID the refusal names, "" when accepted
+	}{
+		{derived, "signflip:worker-0-1@1,noise:worker-1-2@2=0.5", ""},
+		{spec, "replay:worker-4@2,scale:worker-0@1-3=10", ""},
+		{derived, "signflip:edge-0@1", "edge-0"},
+		{derived, "signflip:cloud@1", "cloud"},
+		{derived, "signflip:worker-0-0@1,signflip:worker-9-9@1", "worker-9-9"},
+		{derived, "signflip:worker-4@1", "worker-4"},
+		{spec, "signflip:edge-0@1", "edge-0"},
+		{spec, "signflip:cloud-0@1", "cloud-0"},
+		{spec, "signflip:worker-0-1@1", "worker-0-1"},
+	} {
+		plan := parse(tc.plan)
+		canon := tc.tree.String()
+		got, err := tc.tree.WithAttackPlan(plan)
+		if tc.refused != "" {
+			if got != nil || err == nil || !strings.Contains(err.Error(), `"`+tc.refused+`"`) || !strings.Contains(err.Error(), canon) {
+				t.Errorf("%s on %s = %v, %v; want a refusal naming %q and the tree", tc.plan, canon, got, err, tc.refused)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s on %s: %v", tc.plan, canon, err)
+		}
+		want := plan.Signature()
+		if got == tc.tree || got.AttackPlan().Signature() != want || got.String() != canon {
+			t.Errorf("%s on %s: tree %s carries %q", tc.plan, canon, got, got.AttackPlan().Signature())
+		}
+		for j := 0; j < got.NumLeaves(); j++ {
+			if got.ID(got.Depth()-1, j) != tc.tree.ID(tc.tree.Depth()-1, j) {
+				t.Errorf("%s: leaf %d is %q, %q before", canon, j, got.ID(got.Depth()-1, j), tc.tree.ID(tc.tree.Depth()-1, j))
+			}
+		}
+		if tc.tree.AttackPlan() != nil {
+			t.Errorf("%s: the input tree now carries %q", canon, tc.tree.AttackPlan().Signature())
+		}
+	}
+	for _, empty := range []*robust.AttackPlan{nil, {Seed: 3}} {
+		if got, err := derived.WithAttackPlan(empty); got != derived || err != nil {
+			t.Errorf("WithAttackPlan(%v) = %p, %v; want the tree itself", empty, got, err)
+		}
+	}
+
+	median := robust.Spec{Kind: robust.Median}
+	plan := parse("signflip:worker-0-1@1")
+	first, err := derived.WithAggregators(median, median).WithAttackPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacked, err := derived.WithAttackPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tree := range map[string]*Tree{"aggregators first": first, "plan first": attacked.WithAggregators(median, median)} {
+		rules, _ := tree.Aggregators()
+		if got := strings.Join(rules, "/"); got != "median/median" || tree.AttackPlan().Signature() != plan.Signature() {
+			t.Errorf("%s: rules %s, plan %q; want median/median and %q", name, got, tree.AttackPlan().Signature(), plan.Signature())
+		}
+	}
+	if rules, _ := derived.Aggregators(); derived.AttackPlan() != nil || strings.Join(rules, "/") != "mean/mean" {
+		t.Errorf("the input tree changed: rules %v, plan %v", rules, derived.AttackPlan())
+	}
+}
