@@ -35,7 +35,7 @@ func benchRegistry(mgr *Manager, n int) *Registry {
 // workload's shapes, into a real directory (the fsync is part of the cost,
 // which is why the gate reads this benchmark's B/op and allocs/op and only
 // prints its ns/op). One untimed save per slot first, so both slot files and
-// the registry's buffer exist before the timer starts.
+// the registry's encode plan exist before the timer starts.
 func BenchmarkRegistrySave(b *testing.B) {
 	for _, shape := range benchShapes {
 		b.Run(shape.name, func(b *testing.B) {

@@ -110,8 +110,10 @@ func Write(w io.Writer, st *State) error {
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(snap); err != nil {
-		return fmt.Errorf("checkpoint: write snapshot: %w", err)
+	for _, b := range snap {
+		if _, err := w.Write(b); err != nil {
+			return fmt.Errorf("checkpoint: write snapshot: %w", err)
+		}
 	}
 	return nil
 }
@@ -169,14 +171,27 @@ func Read(r io.Reader) (*State, error) {
 	return decodePayload(payload)
 }
 
-// encoder lays one snapshot — header, payload sections, CRC — into buf,
-// reusing its capacity. It is the only definition of the HADMOCK2 v1 byte
-// layout: Write drives it from a State's maps, Registry.Save from the live
-// bindings, both section by section in sorted name order. The first failure
-// sticks in err and finish reports it.
+// encoder lays one snapshot — header, payload sections, CRC — out as
+// pieces to be written in order. Every field but a vector's values goes into
+// buf, whose capacity it reuses; on a little-endian host a vector's values
+// are not copied but spliced in as a view of the vector's own memory, so the
+// pieces alternate: a segment of buf, a vector, ..., buf's last segment. It
+// is the only definition of the HADMOCK2 v1 byte layout: Write drives it
+// from a State's maps, Registry.Save from the live bindings, both section by
+// section in sorted name order. The first failure sticks in err and finish
+// reports it.
 type encoder struct {
-	buf []byte
-	err error
+	buf    []byte
+	pieces [][]byte // reused across snapshots
+	cut    int      // where buf's segment after the last spliced vector starts
+	err    error
+}
+
+// reserve sizes the encoder for snapshots whose fields take about n bytes
+// besides the values of nvec vectors.
+func (e *encoder) reserve(n, nvec int) {
+	e.buf = slices.Grow(e.buf, n)
+	e.pieces = slices.Grow(e.pieces, 2*nvec+1)
 }
 
 func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
@@ -193,7 +208,7 @@ func (e *encoder) str(s string) {
 // begin starts a snapshot: the header with the payload length left open,
 // then the fingerprint and sequence number.
 func (e *encoder) begin(fingerprint string, seq int) {
-	e.buf, e.err = append(e.buf[:0], magic...), nil
+	e.buf, e.pieces, e.cut, e.err = append(e.buf[:0], magic...), e.pieces[:0], 0, nil
 	e.u32(version)
 	e.u64(0)
 	e.str(fingerprint)
@@ -201,7 +216,8 @@ func (e *encoder) begin(fingerprint string, seq int) {
 }
 
 // vector appends one vector-section entry; on a little-endian host the
-// values are one copy of v's memory.
+// values are v's memory, spliced in uncopied, so v must not change before
+// the snapshot is written.
 func (e *encoder) vector(name string, v []float64) {
 	if len(v) > maxVectorLen && e.err == nil {
 		e.err = fmt.Errorf("checkpoint: vector %q of %d elements exceeds limit", name, len(v))
@@ -212,7 +228,10 @@ func (e *encoder) vector(name string, v []float64) {
 		e.valuesGeneric(v)
 		return
 	}
-	e.buf = append(e.buf, vecbytes.Of(v)...)
+	if len(v) > 0 {
+		e.pieces = append(e.pieces, e.buf[e.cut:], vecbytes.Of(v))
+		e.cut = len(e.buf)
+	}
 }
 
 // valuesGeneric appends v value by value: the big-endian host's path, and
@@ -245,15 +264,40 @@ func (e *encoder) scalar(name string, bits uint64) {
 }
 
 // finish closes the snapshot — payload length patched into the header, CRC
-// appended — and returns its bytes, which stay valid until the next begin.
-func (e *encoder) finish() ([]byte, error) {
+// accumulated over the pieces and patched in after them — and returns its
+// bytes as pieces to be written in order. They stay valid until the next
+// begin, and the spliced vectors must not change before they are written.
+func (e *encoder) finish() ([][]byte, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	payload := e.buf[headerLen:]
-	binary.LittleEndian.PutUint64(e.buf[len(magic)+4:], uint64(len(payload)))
-	e.u32(crc32.ChecksumIEEE(payload))
-	return e.buf, nil
+	e.u32(0) // the CRC's room; buf does not move after this
+	e.pieces = append(e.pieces, e.buf[e.cut:])
+	// Recut buf's segments from its final array: the earlier ones may lie in
+	// one it has outgrown since they were taken.
+	off, size := 0, 0
+	for i, p := range e.pieces {
+		if i%2 == 0 {
+			e.pieces[i] = e.buf[off : off+len(p)]
+			off += len(p)
+		}
+		size += len(p)
+	}
+	binary.LittleEndian.PutUint64(e.buf[len(magic)+4:], uint64(size-headerLen-4))
+	// The payload is everything between the header, which opens the first
+	// segment, and the CRC, which closes the last.
+	crc, last := uint32(0), len(e.pieces)-1
+	for i, p := range e.pieces {
+		if i == last {
+			p = p[:len(p)-4]
+		}
+		if i == 0 {
+			p = p[headerLen:]
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+	}
+	binary.LittleEndian.PutUint32(e.buf[len(e.buf)-4:], crc)
+	return e.pieces, nil
 }
 
 // decoder consumes little-endian fields from a payload. The first short read

@@ -110,7 +110,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 // encoded snapshot, one save.
 func saveState(t testing.TB, m *Manager, st *State) {
 	t.Helper()
-	if err := m.save(encode(t, st)); err != nil {
+	if err := m.save([][]byte{encode(t, st)}); err != nil {
 		t.Fatal(err)
 	}
 }

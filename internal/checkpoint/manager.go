@@ -51,26 +51,30 @@ func NewManager(dir, base string) (*Manager, error) {
 		filepath.Join(dir, base+"-slot0.ckpt"), filepath.Join(dir, base+"-slot1.ckpt")}}, nil
 }
 
-// save makes snap (one encoded snapshot) the newest generation and returns
-// once it is durable. Steady state opens, creates, renames and removes
-// nothing: the slot's held handle overwrites it from offset 0, cuts it back
-// only if the snapshot shrank, and fsyncs. A slot that does not exist yet is
-// born complete instead (written as "<slot>.new", fsynced, renamed,
-// directory fsynced; twice per base, ever), so a crash during a node's very
-// first save resumes as a fresh start, not as "every generation corrupt",
-// and directory pollers never see a half-written file.
-func (m *Manager) save(snap []byte) error {
+// save makes snap (one encoded snapshot, as pieces to be written in order)
+// the newest generation and returns once it is durable. Steady state opens,
+// creates, renames and removes nothing: the slot's held handle overwrites it
+// from offset 0, cuts it back only if the snapshot shrank, and fsyncs. A
+// slot that does not exist yet is born complete instead (written as
+// "<slot>.new", fsynced, renamed, directory fsynced; twice per base, ever),
+// so a crash during a node's very first save resumes as a fresh start, not
+// as "every generation corrupt", and directory pollers never see a
+// half-written file.
+func (m *Manager) save(snap [][]byte) error {
 	if !m.scanned {
 		if _, _, err := m.scan(); err != nil {
 			return err
 		}
 	}
-	i := m.next
+	i, size := m.next, int64(0)
+	for _, b := range snap {
+		size += int64(len(b))
+	}
 	var err error
 	if m.size[i] < 0 {
 		err = m.birth(i, snap)
 	} else {
-		err = m.overwrite(i, snap)
+		err = m.overwrite(i, snap, size)
 	}
 	if err != nil {
 		// The slot's state is unknown now: drop the handles and look again.
@@ -78,19 +82,20 @@ func (m *Manager) save(snap []byte) error {
 		m.scanned = false
 		return fmt.Errorf("checkpoint: save %s: %w", m.slots[i], err)
 	}
-	m.size[i], m.next = int64(len(snap)), 1-i
+	m.size[i], m.next = size, 1-i
 	return nil
 }
 
 // birth creates slot i holding snap, durable under its final name before
 // it returns, and holds the slot open for the overwrites to come.
-func (m *Manager) birth(i int, snap []byte) error {
+func (m *Manager) birth(i int, snap [][]byte) error {
 	path := m.slots[i]
-	f, err := os.OpenFile(path+".new", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp := path + ".new"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(snap)
+	err = writePieces(f, snap)
 	if err == nil {
 		err = fsync(f)
 	}
@@ -98,7 +103,7 @@ func (m *Manager) birth(i int, snap []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(path+".new", path)
+		err = os.Rename(tmp, path)
 	}
 	if err == nil {
 		err = m.syncDir()
@@ -113,13 +118,13 @@ func (m *Manager) birth(i int, snap []byte) error {
 // went to a file no later Latest can find.
 var errUnlinked = errors.New("slot file was removed or replaced while held open")
 
-// overwrite lays snap over the start of slot i through its held handle
-// (opened here when the slot was found by scan or the handle closed),
+// overwrite lays snap (size bytes) over the start of slot i through its held
+// handle (opened here when the slot was found by scan or the handle closed),
 // truncates what is left of a longer previous content, and fsyncs. The slot
 // must still be the file the handle names: a slot removed or renamed over
 // behind the handle (another Manager's Clear, an operator) fails the save
 // instead of reporting bytes no resume can read.
-func (m *Manager) overwrite(i int, snap []byte) error {
+func (m *Manager) overwrite(i int, snap [][]byte, size int64) error {
 	f := m.files[i]
 	if f == nil {
 		var err error
@@ -128,9 +133,9 @@ func (m *Manager) overwrite(i int, snap []byte) error {
 		}
 		m.files[i] = f
 	}
-	_, err := f.WriteAt(snap, 0)
-	if err == nil && m.size[i] > int64(len(snap)) {
-		err = f.Truncate(int64(len(snap)))
+	err := writePieces(f, snap)
+	if err == nil && m.size[i] > size {
+		err = f.Truncate(size)
 	}
 	if err == nil {
 		err = fsync(f)
@@ -139,6 +144,19 @@ func (m *Manager) overwrite(i int, snap []byte) error {
 		err = linked(f)
 	}
 	return err
+}
+
+// writePieces writes pieces to f from offset 0, one WriteAt per piece, each
+// from the piece's own memory, so no snapshot-sized buffer exists.
+func writePieces(f *os.File, pieces [][]byte) error {
+	off := int64(0)
+	for _, p := range pieces {
+		if _, err := f.WriteAt(p, off); err != nil {
+			return err
+		}
+		off += int64(len(p))
+	}
+	return nil
 }
 
 // release closes the held slot files. Every byte written through them was

@@ -17,9 +17,10 @@ import (
 // Restore fixes the encode order, so a duplicate or later registration makes
 // both fail, every time.
 //
-// Vectors are captured by reference: Save encodes their current contents into
-// a buffer the registry owns and reuses, and Restore copies snapshot contents
-// back into the same backing arrays, so the algorithm's aliases stay intact.
+// Vectors are captured by reference: Save writes their current contents
+// straight from their own memory (on a little-endian host), and Restore
+// copies snapshot contents back into the same backing arrays, so the
+// algorithm's aliases stay intact.
 type Registry struct {
 	mgr         *Manager
 	fingerprint string
@@ -31,10 +32,9 @@ type Registry struct {
 	ints    []binding[*int]
 	floats  []binding[*float64]
 
-	sealed  bool  // bindings sorted and checked; no more registrations
-	err     error // first registration fault; sticky
-	enc     encoder
-	scratch []float64 // the dynamics' flattening space, reused across saves
+	sealed bool  // bindings sorted and checked; no more registrations
+	err    error // first registration fault; sticky
+	enc    encoder
 }
 
 type binding[T any] struct {
@@ -43,7 +43,9 @@ type binding[T any] struct {
 }
 
 // vector is a fixed vector (v) or, with save and load set, variable-size
-// state (accuracy curves, message backlogs) flattened by an encode/decode pair.
+// state (accuracy curves, message backlogs) flattened by an encode/decode
+// pair into v, its own space reused across saves: a snapshot references
+// every dynamic's flattened value until it is written, so no two can share.
 type vector struct {
 	v    []float64
 	save func(dst []float64) []float64
@@ -80,24 +82,23 @@ func (g *Registry) Int(name string, p *int) { g.ints = add(g, g.ints, name, p) }
 func (g *Registry) Float(name string, p *float64) { g.floats = add(g, g.floats, name, p) }
 
 // Dynamic registers variable-size state through an encode/decode pair: save
-// appends the flattened current value to dst (registry-owned scratch, reused
-// across snapshots) and returns it, load rebuilds it from a restored snapshot.
+// appends the flattened current value to dst (registry-owned space, this
+// dynamic's own, reused across snapshots) and returns it, load rebuilds it
+// from a restored snapshot.
 func (g *Registry) Dynamic(name string, save func(dst []float64) []float64, load func([]float64) error) {
 	g.vectors = add(g, g.vectors, "dyn/"+name, vector{save: save, load: load})
 }
 
 // seal fixes the encode plan on the first Save or Restore: every kind sorted
 // by name, duplicates (a Vector("dyn/x") beside a Dynamic("x") included)
-// refused, the encode buffer sized for everything but the dynamics' values.
+// refused, the encoder sized for every field and piece — no vector's values
+// are staged, so it holds none of them.
 func (g *Registry) seal() error {
 	if !g.sealed {
 		g.sealed = true
 		n := 64 + len(g.fingerprint) + sealKind(g, "vector", g.vectors) + sealKind(g, "rng", g.rngs) +
 			sealKind(g, "int", g.ints) + sealKind(g, "float", g.floats)
-		for _, b := range g.vectors {
-			n += 8 * len(b.p.v)
-		}
-		g.enc.buf = slices.Grow(g.enc.buf, n)
+		g.enc.reserve(n, len(g.vectors))
 	}
 	return g.err
 }
@@ -128,19 +129,18 @@ func (g *Registry) Save(seq int) error {
 	return g.mgr.save(snap)
 }
 
-// encode lays the snapshot for seq into the registry's buffer, section by
-// section, straight from the live bindings.
-func (g *Registry) encode(seq int) ([]byte, error) {
+// encode lays the snapshot for seq out as pieces, section by section,
+// straight from the live bindings.
+func (g *Registry) encode(seq int) ([][]byte, error) {
 	e := &g.enc
 	e.begin(g.fingerprint, seq)
 	e.u32(uint32(len(g.vectors)))
-	for _, b := range g.vectors {
-		v := b.p.v
+	for i := range g.vectors {
+		b := &g.vectors[i]
 		if b.p.save != nil {
-			g.scratch = b.p.save(g.scratch[:0])
-			v = g.scratch
+			b.p.v = b.p.save(b.p.v[:0])
 		}
-		e.vector(b.name, v)
+		e.vector(b.name, b.p.v)
 	}
 	e.u32(uint32(len(g.rngs)))
 	for _, b := range g.rngs {

@@ -509,7 +509,7 @@ func TestStaleHandleNeverReportsSaved(t *testing.T) {
 			saveState(t, m, seqState(1, 4))
 			saveState(t, m, seqState(2, 4))
 			tc.meddle(t, m)
-			if err := m.save(encode(t, seqState(3, 4))); err == nil {
+			if err := m.save([][]byte{encode(t, seqState(3, 4))}); err == nil {
 				t.Fatal("a save through a stale slot handle reported success")
 			}
 			st, err := reopen(t, m).Latest()

@@ -2,10 +2,9 @@ package cluster
 
 import (
 	"math"
-	"runtime"
-	"strings"
 	"testing"
 
+	"hieradmo/internal/allocprobe"
 	"hieradmo/internal/transport"
 )
 
@@ -27,13 +26,13 @@ func TestClusterRoundAllocs(t *testing.T) {
 
 // TestClusterCkptRoundAllocs is the same pin with per-node snapshots on: a
 // leaf round then also saves every node (four leaves, the two edges, and
-// the root on its rounds), each straight from its live vectors into the
-// registry's own buffer and, through the slot file the node holds open, over
-// the older of its two generations. A save opens nothing, so the budget is
-// TestClusterRoundAllocs' own; reopening the slot file per save cost three
-// objects a save (≈ 20 a round), and with a State copied per snapshot, bytes
-// appended one value at a time and a temp file created, renamed, re-listed
-// and pruned, the same round cost ≈ 560 objects and 145 kB.
+// the root on its rounds), each straight from its live vectors, through the
+// slot file the node holds open, over the older of its two generations. A
+// save opens nothing, so the budget is TestClusterRoundAllocs' own;
+// reopening the slot file per save cost three objects a save (≈ 20 a round),
+// and with a State copied per snapshot, bytes appended one value at a time
+// and a temp file created, renamed, re-listed and pruned, the same round
+// cost ≈ 560 objects and 145 kB.
 func TestClusterCkptRoundAllocs(t *testing.T) {
 	roundAllocs(t, 1.0, 256, func(t *testing.T) Options {
 		return Options{Adaptive: true, CheckpointDir: t.TempDir()}
@@ -42,9 +41,9 @@ func TestClusterCkptRoundAllocs(t *testing.T) {
 
 // roundAllocs measures the marginal allocations of a leaf round on both
 // transports against the given budgets, with options built per run. It
-// counts the run's own allocations (ownAllocs), not what the runtime, the
-// TCP poller or the test binary allocate beside it, so a whole run repeats
-// to within the 1 % + noiseObjects / noiseBytes it is held to.
+// counts the run's own allocations (allocprobe.Own), not what the runtime,
+// the TCP poller or the test binary allocate beside it, so a whole run
+// repeats to within the 1 % + noiseObjects / noiseBytes it is held to.
 func roundAllocs(t *testing.T, maxObjects, maxBytes float64, options func(*testing.T) Options) {
 	if deadlineScale != 1 {
 		t.Skip("the race detector's own allocations swamp the counts")
@@ -69,7 +68,7 @@ func roundAllocs(t *testing.T, maxObjects, maxBytes float64, options func(*testi
 				cfg.T = T
 				opts := options(t)
 				var err error
-				objects, bytes = ownAllocs(func() { _, err = Run(cfg, nw.new(), opts) })
+				objects, bytes = allocprobe.Own(func() { _, err = Run(cfg, nw.new(), opts) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,67 +98,4 @@ func roundAllocs(t *testing.T, maxObjects, maxBytes float64, options func(*testi
 			}
 		})
 	}
-}
-
-// ownAllocs runs f and returns the objects and bytes allocated meanwhile by
-// this module's code outside its test files: every allocation is recorded
-// in the memory profile (MemProfileRate 1), and one counts when a frame of
-// its stack is such code and none is a scheduling frame. What the runtime,
-// the TCP poller, finalizers and the test binary allocate beside the run —
-// the run-to-run noise of runtime.MemStats — has no such frame.
-func ownAllocs(f func()) (objects, bytes float64) {
-	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1
-	o0, b0 := moduleAllocs()
-	f()
-	o1, b1 := moduleAllocs()
-	return float64(o1 - o0), float64(b1 - b0)
-}
-
-// schedulingFrames mark allocations that refill a runtime per-P cache (a
-// sudog per goroutine blocked in a select or on a channel, the timer heap)
-// or a sync.Pool: how many there are depends on how many goroutines happen
-// to wait at once, or on when the collector last emptied the pool, not on
-// what the run does.
-var schedulingFrames = []string{"runtime.selectgo", "runtime.chansend", "runtime.chanrecv",
-	"runtime.(*timer", "sync.(*Pool).Get"}
-
-// moduleAllocs sums the memory profile's allocation counts over the stacks
-// ownAllocs counts. The profile publishes what was allocated before the
-// last completed collection, so it collects first.
-func moduleAllocs() (objects, bytes int64) {
-	runtime.GC()
-	var recs []runtime.MemProfileRecord
-	for n, ok := runtime.MemProfile(nil, true); !ok; {
-		recs = make([]runtime.MemProfileRecord, n+64)
-		n, ok = runtime.MemProfile(recs, true)
-		recs = recs[:n]
-	}
-	for _, r := range recs {
-		if ownStack(r.Stack()) {
-			objects += r.AllocObjects
-			bytes += r.AllocBytes
-		}
-	}
-	return objects, bytes
-}
-
-// ownStack reports whether an allocation's stack runs through the module's
-// non-test code and through no scheduling frame.
-func ownStack(stack []uintptr) bool {
-	own := false
-	frames := runtime.CallersFrames(stack)
-	for more := true; more; {
-		var fr runtime.Frame
-		fr, more = frames.Next()
-		for _, prefix := range schedulingFrames {
-			if strings.HasPrefix(fr.Function, prefix) {
-				return false
-			}
-		}
-		if strings.HasPrefix(fr.Function, "hieradmo/") && !strings.HasSuffix(fr.File, "_test.go") {
-			own = true
-		}
-	}
-	return own
 }

@@ -176,8 +176,18 @@ func (w *treeLeaf) loadYStart(flat []float64) error {
 	return nil
 }
 
-// allPositiveZero reports whether every element of v is +0.
+// allPositiveZero reports whether every element of v is +0. A block of eight
+// is +0 exactly when the OR of its bit patterns is 0, so it branches once
+// per block.
 func allPositiveZero(v []float64) bool {
+	for len(v) >= 8 {
+		b := v[:8:8]
+		if math.Float64bits(b[0])|math.Float64bits(b[1])|math.Float64bits(b[2])|math.Float64bits(b[3])|
+			math.Float64bits(b[4])|math.Float64bits(b[5])|math.Float64bits(b[6])|math.Float64bits(b[7]) != 0 {
+			return false
+		}
+		v = v[8:]
+	}
 	for _, x := range v {
 		if math.Float64bits(x) != 0 {
 			return false

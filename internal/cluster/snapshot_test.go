@@ -310,6 +310,36 @@ func TestUnsettledLeafResume(t *testing.T) {
 	}
 }
 
+// TestAllPositiveZeroMatchesPerElement holds the block test to the
+// per-element one: a single −0, subnormal or NaN at every offset of every
+// block, and in the tail, makes the same decision, as do all-+0 vectors of
+// every length around a block.
+func TestAllPositiveZeroMatchesPerElement(t *testing.T) {
+	perElement := func(v []float64) bool {
+		for _, x := range v {
+			if math.Float64bits(x) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for n := 0; n <= 29; n++ {
+		v := make([]float64, n)
+		if !allPositiveZero(v) {
+			t.Fatalf("%d zeros: not all +0", n)
+		}
+		for i := range v {
+			for _, x := range []float64{math.Copysign(0, -1), 5e-324, math.Float64frombits(0x7ff00000cafe0001), math.NaN()} {
+				v[i] = x
+				if got, want := allPositiveZero(v), perElement(v); got != want {
+					t.Fatalf("n=%d, %#x at %d: %v, per element %v", n, math.Float64bits(x), i, got, want)
+				}
+				v[i] = 0
+			}
+		}
+	}
+}
+
 // TestIntervalKeepsNegativeZero: only bit pattern +0 is elided. A −0
 // accumulator, or a velocity reference that differs from y only in a zero's
 // sign, is stored and restored to the bit.

@@ -47,11 +47,13 @@ const (
 	maxFrameString  = 1024
 	maxFrameBytes   = 1 << 28
 
-	// wireBufSize is the buffered reader's and writer's size: large enough
-	// that a frame's header, strings and small vectors move in one system
-	// call. On a little-endian host most of a model-sized vector passes it
-	// by, read and written straight between the socket and its own memory.
-	wireBufSize = 64 << 10
+	// wireBufSize is the buffered reader's and writer's size: what the frame
+	// prefix needs (the header, and any one string field, maxFrameString + 2
+	// bytes, in one piece), so the prefix and small vectors move in one
+	// system call. A model-sized vector is not staged: on a little-endian
+	// host at most this much of a frame is copied through the buffer, and the
+	// rest goes straight between the socket and the vector's own memory.
+	wireBufSize = 4 << 10
 	// maxInterned bounds a connection's string table; a connection carries
 	// a handful of distinct node IDs, kinds and scalar keys.
 	maxInterned = 64

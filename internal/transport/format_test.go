@@ -24,8 +24,10 @@ var specialValues = []float64{
 
 // pinnedMessage is the frame the format digest is taken over: every special
 // value, an empty vector, and a vector longer than the connection's buffer.
+// The ramp's length is a literal: the digest pins the input too, so it must
+// not follow the buffer size.
 func pinnedMessage() Message {
-	ramp := make([]float64, wireBufSize/8+1000)
+	ramp := make([]float64, 9192)
 	for i := range ramp {
 		ramp[i] = float64(i)*0.1 - 7
 	}

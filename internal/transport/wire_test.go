@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hieradmo/internal/allocprobe"
 )
 
 // wireNetworks are the transports and wrappers every message must cross
@@ -422,6 +424,42 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 				t.Errorf("%v allocations per report round trip, want 0", n)
 			}
 		})
+	}
+}
+
+// TestTCPConnectionFootprint pins what a connection stages: a fresh TCP
+// connection's first report-sized send and receive ([y, x], 2 × 15 380
+// values) allocates, beyond the frame the values land in, only the
+// connection itself and its prefix-sized buffers — at most 16 kB. With
+// 64 kB buffers on both sides it was 135 kB. Only the module's own
+// allocations count (allocprobe), not the poller's or the runtime's.
+func TestTCPConnectionFootprint(t *testing.T) {
+	msg := reportMessage()
+	msg.Vectors = msg.Vectors[:2]
+	// A first connection sets up what the process keeps for every later one
+	// (the poller, the net package's lazy state).
+	warm, echo := pair(t, wireNetworks[1].net)
+	if err := warm.Send("b", msg); err != nil {
+		t.Fatal(err)
+	}
+	recvOrFatal(t, echo).Release()
+
+	// The frame as the heap counts it: a large object takes whole pages.
+	_, frameBytes := allocprobe.Own(func() { new(frame).size(2, 2*reportDim) })
+
+	a, b := pair(t, wireNetworks[1].net)
+	var got Message
+	_, grew := allocprobe.Own(func() {
+		if err := a.Send("b", msg); err != nil {
+			t.Fatal(err)
+		}
+		got = recvOrFatal(t, b)
+	})
+	sameBits(t, got, msg)
+	t.Logf("first send and receive: %.0f bytes beyond the %.0f-byte frame", grew-frameBytes, frameBytes)
+	if grew > frameBytes+16<<10 {
+		t.Errorf("the first send and receive allocated %.0f bytes beyond the %.0f-byte frame, want at most %d",
+			grew-frameBytes, frameBytes, 16<<10)
 	}
 }
 
