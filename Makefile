@@ -81,7 +81,10 @@ race:
 ## values on fuzzer-chosen cohorts, and the -attack-plan parser, which must
 ## yield a plan or an error (never a panic, never an empty plan), every
 ## accepted plan's canonical entries re-parsing to the same Signature,
-## and the topology-spec parser, which must yield a tree or a typed error
+## and the -churn-plan parsers (inline spec and trace), which must yield a
+## plan or an error with every round at least 1, every accepted plan's
+## trace re-parsing to the same Signature and resolving against a small
+## tree into a schedule or an error, and the topology-spec parser, which must yield a tree or a typed error
 ## (never a panic) on arbitrary spec strings, with String/Parse
 ## round-tripping every accepted tree and every accepted spec resolving into
 ## the topology.Tree both engines run (children and parents inverting, the
@@ -106,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzMedianAggregate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzTrimmedMean -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzParsePlan -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/membership/ -run '^$$' -fuzz FuzzParseChurnPlan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run '^$$' -fuzz FuzzParseTopology -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzAllowDirective -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)

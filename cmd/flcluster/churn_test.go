@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"hieradmo/internal/fl"
@@ -59,23 +58,6 @@ func TestRunChurnPlanFromFile(t *testing.T) {
 	}
 	if plan.Signature() != inline.Signature() {
 		t.Errorf("trace file parsed to %q, inline spec to %q", plan.Signature(), inline.Signature())
-	}
-}
-
-func TestRunChurnRejectsVerify(t *testing.T) {
-	err := run([]string{
-		"-transport", "memory", "-model", "logistic",
-		"-churn-plan", "join:worker-0-1@3", "-verify",
-	}, nil)
-	if err == nil || !strings.Contains(err.Error(), "static hierarchy") {
-		t.Errorf("-verify with churn = %v, want static-hierarchy refusal", err)
-	}
-	err = run([]string{
-		"-transport", "memory", "-model", "logistic",
-		"-retier-every", "2", "-verify",
-	}, nil)
-	if err == nil || !strings.Contains(err.Error(), "static hierarchy") {
-		t.Errorf("-verify with re-tiering = %v, want static-hierarchy refusal", err)
 	}
 }
 

@@ -58,9 +58,11 @@
 // aggregation rules all come from the spec; the training leaves regroup the
 // workload's worker shards in order. Every flag above composes with it
 // (-aggregator sets the default rule of the level above the workers and of
-// the root; churn plans name leaves worker-<parent>-<position>), and -verify
-// runs the in-process simulation on the same tree, aggregation rules and the
-// attack plan included:
+// the root; churn and attack plans name the tree's own leaf IDs, worker-<n>
+// on a -topology tree), and -verify runs the in-process simulation on the
+// same tree, aggregation rules, attack plan and membership epochs included —
+// it refuses only the faults (-drop-rate, -crash) the simulation does not
+// model:
 //
 //	flcluster -model logistic -verify \
 //	    -topology "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"
@@ -239,8 +241,8 @@ func run(args []string, interrupt <-chan struct{}) error {
 			return fmt.Errorf("-restart-after %s needs a matching -crash entry", node)
 		}
 	}
-	if *verify && (*dropRate > 0 || len(crashes) > 0 || *churnSpec != "" || *retierEvery > 0) {
-		return fmt.Errorf("-verify requires a fault-free run on a static hierarchy: the in-process simulation does not model message drops, crashes or dynamic membership yet")
+	if *verify && (*dropRate > 0 || len(crashes) > 0) {
+		return fmt.Errorf("-verify requires a fault-free run: the in-process simulation does not model message drops or crashes yet")
 	}
 	churnPlan, err := loadChurnPlan(*churnSpec)
 	if err != nil {
@@ -285,35 +287,6 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	// The tree the cluster runs, -aggregator and -attack-plan merged in: every
-	// node a flag names must be its; -restart-after names only -crash nodes.
-	tree, err := cfg.Tree(topo)
-	if err != nil {
-		return err
-	}
-	if tree, err = tree.WithAggregators(edgeAgg, cloudAgg).WithAttackPlan(attackPlan); err != nil {
-		return err
-	}
-	for id := range crashes {
-		if _, _, ok := tree.Lookup(id); !ok {
-			return fmt.Errorf("-crash: %q is not a node of the tree %s", id, tree)
-		}
-	}
-	if *join {
-		if err := checkJoin(*nodeID, churnPlan, tree); err != nil {
-			return err
-		}
-	}
-	sink, boundAddr, stopTelemetry, err := telemetry.Setup(*traceOut, *metricsAddr)
-	if err != nil {
-		return err
-	}
-	defer stopTelemetry()
-	cfg.Telemetry = sink
-	if boundAddr != "" {
-		fmt.Printf("telemetry: serving /metrics and /debug/pprof on http://%s\n", boundAddr)
-	}
-
 	opts := cluster.Options{
 		Adaptive:          !*reduced,
 		MinQuorum:         *minQuorum,
@@ -329,6 +302,32 @@ func run(args []string, interrupt <-chan struct{}) error {
 		EdgeAggregator:    edgeAgg,
 		CloudAggregator:   cloudAgg,
 		Topology:          topo,
+	}
+	// The tree the cluster runs, -aggregator, -attack-plan and -churn-plan
+	// merged in: every node a flag names must be its; -restart-after names
+	// only -crash nodes.
+	tree, err := opts.Tree(cfg)
+	if err != nil {
+		return err
+	}
+	for id := range crashes {
+		if _, _, ok := tree.Lookup(id); !ok {
+			return fmt.Errorf("-crash: %q is not a node of the tree %s", id, tree)
+		}
+	}
+	if *join {
+		if err := checkJoin(*nodeID, tree); err != nil {
+			return err
+		}
+	}
+	sink, boundAddr, stopTelemetry, err := telemetry.Setup(*traceOut, *metricsAddr)
+	if err != nil {
+		return err
+	}
+	defer stopTelemetry()
+	cfg.Telemetry = sink
+	if boundAddr != "" {
+		fmt.Printf("telemetry: serving /metrics and /debug/pprof on http://%s\n", boundAddr)
 	}
 	var res *hieradmo.Result
 	if *nodeID != "" {
@@ -391,7 +390,8 @@ func run(args []string, interrupt <-chan struct{}) error {
 			alg = core.NewReduced()
 		}
 		// The simulation runs the tree the cluster ran: the -topology spec's,
-		// or the workload's own, under the same rules and attack plan.
+		// or the workload's own, under the same rules, attack plan and
+		// membership epochs.
 		sim, err := alg.RunTree(cfg, tree)
 		if err != nil {
 			return fmt.Errorf("verification run: %w", err)
@@ -422,12 +422,15 @@ func run(args []string, interrupt <-chan struct{}) error {
 }
 
 // compareRuns holds the distributed result to the simulation's: the same
-// accuracy, and the same loss to rounding (fl.LossesAgree: a NaN loss
-// matches only a NaN).
+// accuracy, the same loss to rounding (fl.LossesAgree: a NaN loss matches
+// only a NaN) and the same membership trajectory.
 func compareRuns(res, sim *hieradmo.Result) error {
 	if res.FinalAcc != sim.FinalAcc || !fl.LossesAgree(res.FinalLoss, sim.FinalLoss) {
 		return fmt.Errorf("verification failed: distributed accuracy %.6f, loss %v vs simulation %.6f, %v",
 			res.FinalAcc, res.FinalLoss, sim.FinalAcc, sim.FinalLoss)
+	}
+	if res.Membership.String() != sim.Membership.String() {
+		return fmt.Errorf("verification failed: distributed %v vs simulation %v", res.Membership, sim.Membership)
 	}
 	return nil
 }
@@ -449,23 +452,20 @@ func loadRegistry(path string) (map[string]string, error) {
 }
 
 // checkJoin holds -join to its promise: the node is a training leaf of the
-// tree whose natal (parent, position) the churn plan admits after round 1.
-func checkJoin(id string, plan *membership.Plan, tree *topology.Tree) error {
+// tree whose membership admits it after round 1.
+func checkJoin(id string, tree *topology.Tree) error {
 	lvl, j, ok := tree.Lookup(id)
 	if !ok || lvl != tree.Depth()-1 {
 		return fmt.Errorf("-join only applies to a training leaf of the tree %s (a worker-ℓ-i, or a -topology leaf), not %q", tree, id)
 	}
-	parent, pos := tree.Natal(j)
-	ref := membership.Ref{Edge: parent, Index: pos}
-	if plan == nil {
+	sched := tree.Membership()
+	if sched == nil {
 		return fmt.Errorf("-join needs a -churn-plan that schedules %s's entry", id)
 	}
-	for _, ev := range plan.Events {
-		if ev.Action == membership.ActionJoin && ev.Worker == ref && ev.Round > 1 {
-			return nil
-		}
+	if join, _ := sched.Span(j); join == 1 {
+		return fmt.Errorf("-join: the churn plan schedules no late join for %s", id)
 	}
-	return fmt.Errorf("-join: the churn plan schedules no late join for %s", id)
+	return nil
 }
 
 // loadChurnPlan resolves the -churn-plan flag: a path to a churn trace

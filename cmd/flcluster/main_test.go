@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hieradmo"
+	"hieradmo/internal/fl"
 )
 
 func TestRunUnknownTransport(t *testing.T) {
@@ -89,12 +90,14 @@ func TestRunMemoryLogisticWithVerifyAndSave(t *testing.T) {
 }
 
 // TestRunTopologyVerify: -verify hands the in-process simulation the tree
-// the cluster ran, aggregation rules and attack plan included — a four-level
-// -topology tree, a spec's robust agg=, the -aggregator defaults on the
-// workload's own tree, and every attack kind alone and under robust rules
-// over TCP — and the two engines land on the same final model; message
-// drops, crashes and churn, which the simulation does not model, are refused
-// up front.
+// the cluster ran, aggregation rules, attack plan and membership epochs
+// included — a four-level -topology tree, a spec's robust agg=, the
+// -aggregator defaults on the workload's own tree, every attack kind alone
+// and under robust rules over TCP, and churn with re-tiering on the
+// workload's tree and on a -topology tree, the plan naming leaves by the
+// tree's IDs — and the two engines land on the same final model; message
+// drops and crashes, which the simulation does not model, are refused up
+// front.
 func TestRunTopologyVerify(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-topology", "cloud:tau=20/region*2:tau=10/edge*2:tau=5/worker"},
@@ -109,6 +112,10 @@ func TestRunTopologyVerify(t *testing.T) {
 		{"-transport", "tcp", "-attack-plan", "noise:worker-1-0@1=0.5", "-aggregator", "edge=cosine,cloud=clip"},
 		{"-transport", "tcp", "-attack-plan", "replay:worker-0-1@2"},
 		{"-transport", "tcp", "-attack-plan", "replay:worker-0-1@2", "-aggregator", "edge=cosine,cloud=clip"},
+		{"-classes", "2", "-churn-plan", "join:worker-0-1@3,leave:worker-1-0@30", "-retier-every", "1"},
+		{"-transport", "tcp", "-classes", "2", "-churn-plan", "join:worker-0-1@3,leave:worker-1-0@30", "-retier-every", "1", "-migration", "rescale"},
+		{"-classes", "2", "-topology", "cloud:tau=20/edge*2:tau=10/worker*2",
+			"-churn-plan", "join:worker-1@3,leave:worker-2@30", "-retier-every", "1"},
 	} {
 		args := append([]string{"-transport", "memory", "-model", "logistic", "-verify"}, extra...)
 		cmd := exec.Command(os.Args[0], "-test.run", "TestHelperProcess")
@@ -124,11 +131,9 @@ func TestRunTopologyVerify(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-drop-rate", "0.02"},
 		{"-crash", "worker-0-1@40"},
-		{"-churn-plan", "join:worker-0-1@3"},
-		{"-retier-every", "2"},
 	} {
 		err := run(append([]string{"-transport", "memory", "-model", "logistic", "-verify"}, extra...), nil)
-		if err == nil || !strings.Contains(err.Error(), "fault-free run on a static hierarchy") {
+		if err == nil || !strings.Contains(err.Error(), "-verify requires a fault-free run:") {
 			t.Errorf("-verify %s = %v, want the fault-free-run refusal", strings.Join(extra, " "), err)
 		}
 	}
@@ -163,6 +168,17 @@ func TestCompareRuns(t *testing.T) {
 		if (err == nil) != tc.want {
 			t.Errorf("%s: compareRuns = %v, want match %v", tc.name, err, tc.want)
 		}
+	}
+	// The same model under another membership trajectory is another run.
+	churned := &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376,
+		Membership: &fl.MembershipReport{Joins: 1, Epochs: 2, InitialWorkers: 3, FinalWorkers: 4, MigrationPolicy: "zero"}}
+	static := &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376}
+	if compareRuns(churned, static) == nil || compareRuns(static, churned) == nil {
+		t.Error("compareRuns matched a churn run against a static one")
+	}
+	same := *churned.Membership
+	if err := compareRuns(churned, &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376, Membership: &same}); err != nil {
+		t.Errorf("compareRuns on equal membership reports = %v", err)
 	}
 }
 

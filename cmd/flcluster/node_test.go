@@ -63,11 +63,11 @@ func TestNodeFlagValidation(t *testing.T) {
 		{"join on a non-worker", "-node cloud -registry " + reg + " -join -churn-plan join:worker-0-1@3", "worker-ℓ-i"},
 		{"join without churn plan", "-node worker-0-1 -registry " + reg + " -join", "-churn-plan"},
 		{"join unscheduled", "-node worker-1-0 -registry " + reg + " -join -churn-plan join:worker-0-1@3", "no late join"},
-		// A spec tree's leaf worker-1 is natal (edge-0, position 1): the
-		// plan's worker-0-1, while worker-2 is natal (1, 0).
-		{"join on a spec tree", "-node worker-1 -registry " + reg + spec + " -join -churn-plan join:worker-0-1@3", `"worker-1" bound at`},
-		{"join unscheduled on a spec tree", "-node worker-2 -registry " + reg + spec + " -join -churn-plan join:worker-0-1@3", "no late join"},
-		{"join on a spec tree's edge", "-node edge-0 -registry " + reg + spec + " -join -churn-plan join:worker-0-1@3", "training leaf"},
+		// A plan names a spec tree's leaves by the tree's own IDs.
+		{"join on a spec tree", "-node worker-1 -registry " + reg + spec + " -join -churn-plan join:worker-1@3", `"worker-1" bound at`},
+		{"join unscheduled on a spec tree", "-node worker-2 -registry " + reg + spec + " -join -churn-plan join:worker-1@3", "no late join"},
+		{"join on a spec tree's edge", "-node edge-0 -registry " + reg + spec + " -join -churn-plan join:worker-1@3", "training leaf"},
+		{"derived-tree name on a spec tree", "-node worker-1 -registry " + reg + spec + " -join -churn-plan join:worker-0-1@3", `"worker-0-1", not a training leaf of the tree cloud:`},
 		{"bad migration policy", "-node cloud -registry " + reg + " -migration teleport", "unknown migration policy"},
 		{"transport", "-node cloud -registry " + reg + " -transport tcp", "-transport"},
 		{"drop rate", "-node cloud -registry " + reg + " -drop-rate 0.1", "-drop-rate"},

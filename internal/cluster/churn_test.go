@@ -138,7 +138,7 @@ func TestClusterEmptyChurnPlanIsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts.sched != nil || len(ts.epochs) != 1 {
+	if ts.tree.Membership() != nil {
 		t.Fatal("empty plan built a membership schedule")
 	}
 	res, err := Run(cfg, transport.NewMemoryNetwork(), opts)
@@ -285,10 +285,11 @@ func TestClusterChurnMetricsMatchTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := ts.tree.Membership()
 	wantMigrations := 0
-	for k := 2; k <= ts.sched.K; k++ {
-		for l := 0; l < ts.sched.NumEdges; l++ {
-			if _, changed := ts.sched.Overlap(k, l); changed {
+	for k := 2; k <= sched.K; k++ {
+		for l := 0; l < sched.NumEdges; l++ {
+			if _, changed := sched.Overlap(k, l); changed {
 				wantMigrations++
 			}
 		}

@@ -81,11 +81,13 @@ type Options struct {
 	// planned churn. Distinct from crash/restart fault injection: churn is
 	// part of the protocol — every node knows the plan, late joiners are
 	// admitted with fresh state, and leavers retire after a final
-	// aggregated report.
+	// aggregated report. Its entries name the tree's training leaves
+	// (topology.Tree.WithMembership refuses any other ID). Must match across
+	// a multi-process run.
 	ChurnPlan *membership.Plan
 	// RetierEvery, when positive, re-clusters workers onto leaf-parent nodes
 	// (edges) every RetierEvery root syncs, by label-distribution distance
-	// with ties broken by worker ID. Zero disables re-tiering.
+	// with ties broken by leaf order. Zero disables re-tiering.
 	RetierEvery int
 	// Migration selects how the leaf-parent momentum factor γℓ migrates when
 	// a node's cohort changes (default membership.MigrateZero, matching
@@ -123,9 +125,7 @@ type Options struct {
 	// Adaptive) over their workers, under the cloud / edge-ℓ / worker-ℓ-i
 	// node IDs. Either way the tree mints the IDs (topology.Tree.ID), the
 	// same node implementation runs, and every other option composes with
-	// it: an attack plan must name the tree's training leaves, and under
-	// dynamic membership the churn plan's worker-ℓ-i names address leaves
-	// by (leaf-parent, position).
+	// it: attack and churn plans must name the tree's training leaves.
 	Topology *topology.Topology
 }
 
@@ -385,7 +385,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 		rec.nodeError(err)
 	}
 	result.FaultReport = rec.report()
-	result.Membership = ts.membershipReport()
+	result.Membership = fl.NewMembershipReport(ts.tree)
 	result.AttackReport = rec.attackReport(opts, ts)
 	if sink := opts.Telemetry; sink.Tracing() {
 		sink.Emit("run_end",
@@ -432,7 +432,7 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 		return nil, err
 	}
 	res.FaultReport = rec.report()
-	res.Membership = ts.membershipReport()
+	res.Membership = fl.NewMembershipReport(ts.tree)
 	res.AttackReport = rec.attackReport(opts, ts)
 	return res, nil
 }

@@ -71,7 +71,7 @@ func TestProtocolIDs(t *testing.T) {
 			t.Errorf("edge %d is %q, want %q", l, got, EdgeID(l))
 		}
 		for i := 0; i < 2; i++ {
-			if got := ts.tree.ID(2, ts.tree.Leaf(l, i)); got != WorkerID(l, i) {
+			if got := ts.tree.ID(2, ts.tree.Kids[1][l][i]); got != WorkerID(l, i) {
 				t.Errorf("worker (%d, %d) is %q, want %q", l, i, got, WorkerID(l, i))
 			}
 		}
@@ -254,6 +254,73 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	}
 	if verdicts == 0 {
 		t.Error("no robust row rejected or clipped a report: the rows do not exercise the robust rules")
+	}
+
+	// The churn rows replay golden_runtime.json's churn scenarios and
+	// TestTreeChurn's depth-4 tree: both engines run the tree the options
+	// resolve, membership epochs included, and the simulation lands on the
+	// final model the recorded runtime did.
+	golden := loadGolden(t)
+	scenarios := make(map[string]goldenScenario)
+	for _, sc := range goldenScenarios() {
+		scenarios[sc.name] = sc
+	}
+	scenarios["tree4-churn"] = goldenScenario{cfg: treeChurnConfig, opts: treeChurnOptions}
+	for _, name := range []string{"churn/zero", "churn/carry", "churn/rescale", "churn/reduced", "churn/ragged", "byz/churn", "tree4-churn"} {
+		sc := scenarios[name]
+		for _, nw := range nets {
+			if nw.name == "tcp" && name != "churn/zero" && name != "tree4-churn" {
+				continue
+			}
+			t.Run(name+"/"+nw.name, func(t *testing.T) {
+				cfg, opts := sc.cfg(t), sc.opts(t)
+				tree, err := opts.Tree(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				alg := core.NewReduced()
+				if opts.Adaptive {
+					alg = core.New()
+				}
+				capture := &capturingModel{Model: cfg.Model}
+				cfg.Model = capture
+				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
+				ref, err := alg.RunTree(cfg, tree)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := golden[name].Params; name != "tree4-churn" && capture.hash() != want {
+					t.Errorf("simulated final model %s, the recorded runtime's %s", capture.hash(), want)
+				}
+				refM := cfg.Telemetry.M()
+
+				cfg.Model = capture.Model
+				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
+				res, err := Run(cfg, nw.new(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := cfg.Telemetry.M()
+				if res.FinalAcc != ref.FinalAcc || !fl.LossesAgree(res.FinalLoss, ref.FinalLoss) {
+					t.Errorf("cluster %v/%v != simulation %v/%v", res.FinalAcc, res.FinalLoss, ref.FinalAcc, ref.FinalLoss)
+				}
+				if res.Membership == nil || *res.Membership != *ref.Membership {
+					t.Errorf("membership %v in the cluster, %v in the simulation", res.Membership, ref.Membership)
+				}
+				for _, c := range []struct {
+					what         string
+					cluster, sim int64
+				}{
+					{"fl_attack_injected_total", m.AttackInjected.Value(), refM.AttackInjected.Value()},
+					{"fl_robust_rejected_total", m.RobustRejected.Value(), refM.RobustRejected.Value()},
+					{"fl_robust_clipped_total", m.RobustClipped.Value(), refM.RobustClipped.Value()},
+				} {
+					if c.cluster != c.sim {
+						t.Errorf("%s = %d in the cluster, %d in the simulation", c.what, c.cluster, c.sim)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -202,9 +202,9 @@ func allPositiveZero(v []float64) bool {
 func (w *treeLeaf) parentAt(k int) (string, error) {
 	lp := w.ts.leafParent()
 	p := w.ts.tree.Parent[lp+1][w.j]
-	if w.ts.sched != nil {
+	if sched := w.ts.tree.Membership(); sched != nil {
 		var ok bool
-		if p, ok = w.ts.sched.EdgeOf(k, w.ts.ref(w.j)); !ok {
+		if p, ok = sched.EdgeOf(k, w.j); !ok {
 			return "", fmt.Errorf("cluster: %s has no parent at round %d: membership schedule divergence", w.id(), k)
 		}
 	}
@@ -222,11 +222,8 @@ func (w *treeLeaf) run() error {
 	// late joiner idles until its natal parent ADMITs it with fresh state,
 	// and a planned leaver trains only through its final round.
 	T := w.cfg.T
-	if w.ts.sched != nil {
-		join, last, ok := w.ts.sched.Span(w.ts.ref(w.j))
-		if !ok {
-			return nil
-		}
+	if sched := w.ts.tree.Membership(); sched != nil {
+		join, last := sched.Span(w.j)
 		T = last * bTau
 		if start == 0 && join > 1 {
 			if start, err = w.awaitAdmit(join); err != nil {
@@ -393,7 +390,7 @@ func (w *treeLeaf) awaitUpdate(t int) error {
 		// A leaf reassigned to a new parent by re-tiering receives its
 		// boundary update from that parent as an ADMIT; the payload is the
 		// same as a regular update.
-		if !(w.ts.sched != nil && msg.Kind == KindAdmit) {
+		if !(w.ts.tree.Membership() != nil && msg.Kind == KindAdmit) {
 			if err := expectKind(msg, KindTierUpdate); err != nil {
 				return false, err
 			}

@@ -55,9 +55,9 @@ const (
 	// KindRetire acknowledges a planned permanent leave after the leaf's
 	// final report was aggregated. No payload.
 	KindRetire = "retire"
-	// KindReassign follows a re-tiering step, carrying the flattened
-	// (parent, index, newParent) triples of moved leaves so leaf-parents can
-	// cross-check their locally computed schedule.
+	// KindReassign follows a re-tiering step, carrying the flattened (natal
+	// parent, position, new parent) triples of moved leaves so leaf-parents
+	// can cross-check their locally computed schedule.
 	KindReassign = "reassign"
 )
 

@@ -8,7 +8,6 @@ import (
 
 	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/fl"
-	"hieradmo/internal/membership"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/transport"
 )
@@ -87,13 +86,8 @@ func nodeRegistry(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*c
 	fp := cfg.Fingerprint("cluster/tier") +
 		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s leaf=%s",
 			opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree, reportLayout, leafLayout)
-	if opts.churnEnabled() {
-		plan := membership.Plan{}
-		if opts.ChurnPlan != nil {
-			plan = *opts.ChurnPlan
-		}
-		fp += fmt.Sprintf(" churn=%s retier=%d migrate=%s",
-			plan.Signature(), opts.RetierEvery, opts.Migration)
+	if m := ts.tree.Membership(); m != nil {
+		fp += " " + m.Token
 	}
 	if opts.robustEnabled() {
 		// Attack plan and aggregator choices shape the trajectory just

@@ -3,12 +3,12 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/core"
 	"hieradmo/internal/fl"
-	"hieradmo/internal/membership"
 	"hieradmo/internal/model"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
@@ -87,10 +87,7 @@ type tierNode struct {
 func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *tierNode {
 	// The tier is sized for the node's largest cohort across membership
 	// epochs.
-	fan := 0
-	for _, shape := range ts.epochs {
-		fan = max(fan, len(shape.kids[lvl][idx]))
-	}
+	fan := ts.tree.Fanout(lvl, idx)
 	lv := ts.level(lvl, x0)
 	count := lv.Vectors()
 	if lvl != ts.leafParent() {
@@ -150,7 +147,7 @@ func (n *tierNode) tau() int         { return n.ts.tau(n.lvl) }
 
 // churning reports whether this node's cohort can change between rounds:
 // dynamic membership acts at the leaf-parent level only.
-func (n *tierNode) churning() bool { return n.ts.sched != nil && n.leafParent() }
+func (n *tierNode) churning() bool { return n.ts.tree.Membership() != nil && n.leafParent() }
 
 // initCheckpoint binds the node's aggregation state — both momenta, the
 // model, the per-child loss cache, the substitution ledgers, the ride-ahead
@@ -171,7 +168,7 @@ func (n *tierNode) initCheckpoint() (int, error) {
 		reg.Vector(fmt.Sprintf("lastX/%d", c), n.lastXRep[c])
 		reg.Int(fmt.Sprintf("missStreak/%d", c), &n.missStreak[c])
 	}
-	if n.ts.sched != nil {
+	if n.ts.tree.Membership() != nil {
 		reg.Int("membEpoch", &n.epoch)
 	}
 	if n.res != nil {
@@ -266,15 +263,16 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 	t := k * n.tau()
 	update := transport.Message{Kind: KindTierUpdate, Round: t, Vectors: n.out.Vectors}
 	next := min(k+1, n.cfg.T/n.tau())
-	prev, _ := n.ts.children(n.lvl, n.idx, k)
-	cohort, _ := n.ts.children(n.lvl, n.idx, next)
+	prev, _ := n.ts.tree.Children(n.lvl, n.idx, k)
+	cohort, _ := n.ts.tree.Children(n.lvl, n.idx, next)
 	childID := func(c int) string { return n.ts.tree.ID(n.lvl+1, c) }
+	sched := n.ts.tree.Membership()
 	for _, c := range cohort {
 		msg := update
 		if _, member := position(prev, c); !member {
 			msg.Kind = KindAdmit
-			if !resend {
-				n.rec.joined(childID(c), t, !refIn(n.ts.sched.JoinsAt(next), n.ts.ref(c)))
+			if join, _ := sched.Span(c); !resend {
+				n.rec.joined(childID(c), t, join != next)
 			}
 		}
 		if err := n.ep.Send(childID(c), msg); err != nil {
@@ -283,11 +281,11 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 	}
 	if n.churning() {
 		retire := transport.Message{Kind: KindRetire, Round: t}
-		for _, ref := range n.ts.sched.LeavesAfter(k) {
-			if l, ok := n.ts.sched.EdgeOf(k, ref); !ok || l != n.idx {
+		for _, j := range sched.LeavesAfter(k) {
+			if l, ok := sched.EdgeOf(k, j); !ok || l != n.idx {
 				continue
 			}
-			leaver := childID(n.ts.leafOf(ref))
+			leaver := childID(j)
 			if !resend {
 				n.rec.left(leaver, t)
 			}
@@ -296,7 +294,7 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 			}
 		}
 	}
-	if n.lvl == 0 && n.ts.sched != nil {
+	if n.lvl == 0 && sched != nil {
 		return n.announceRetier(k, resend)
 	}
 	return nil
@@ -304,12 +302,11 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 
 // announceRetier broadcasts the REASSIGN control message to every
 // leaf-parent after the root's sync-k redistribution when a re-tiering takes
-// effect at the next leaf-parent round. The message carries the moved
-// workers' (parent, index, newParent) triples; leaf-parents cross-check it
-// against their own schedule, so it can never *cause* a reassignment — only
-// surface a configuration divergence.
+// effect at the next leaf-parent round. The message carries the moves;
+// leaf-parents cross-check it against their own schedule, so it can never
+// *cause* a reassignment — only surface a configuration divergence.
 func (n *tierNode) announceRetier(k int, resend bool) error {
-	sched, lp := n.ts.sched, n.ts.leafParent()
+	sched, lp := n.ts.tree.Membership(), n.ts.leafParent()
 	r := k * n.tau() / n.ts.tau(lp)
 	if r >= sched.K {
 		return nil
@@ -317,19 +314,11 @@ func (n *tierNode) announceRetier(k int, resend bool) error {
 	if next := sched.EpochAt(r + 1); !next.Retier || next.Start != r+1 {
 		return nil
 	}
-	moved := sched.ReassignedAt(r + 1)
-	flat := make([]float64, 0, 3*len(moved))
-	for _, ref := range moved {
-		to, ok := sched.EdgeOf(r+1, ref)
-		if !ok {
-			return fmt.Errorf("cluster: %s: reassigned worker %s has no parent at round %d", n.id(), ref.NodeID(), r+1)
-		}
-		flat = append(flat, float64(ref.Edge), float64(ref.Index), float64(to))
-	}
+	moves := n.ts.moves(r + 1)
 	msg := transport.Message{
 		Kind:    KindReassign,
 		Round:   k * n.tau(),
-		Vectors: [][]float64{flat},
+		Vectors: [][]float64{moves},
 	}
 	for p := 0; p < n.ts.tree.Width(lp); p++ {
 		to := n.ts.tree.ID(lp, p)
@@ -338,7 +327,7 @@ func (n *tierNode) announceRetier(k int, resend bool) error {
 		}
 	}
 	if !resend {
-		n.rec.retier(k*n.tau(), len(moved))
+		n.rec.retier(k*n.tau(), len(moves)/3)
 	}
 	return nil
 }
@@ -351,18 +340,13 @@ func (n *tierNode) checkReassign(msg transport.Message) error {
 	if !n.churning() {
 		return fmt.Errorf("cluster: %s got reassign without dynamic membership", n.id())
 	}
-	if len(msg.Vectors) != 1 || len(msg.Vectors[0])%3 != 0 {
+	if len(msg.Vectors) != 1 {
 		return fmt.Errorf("cluster: %s: malformed reassign payload", n.id())
 	}
 	k := msg.Round / n.tau()
-	flat := msg.Vectors[0]
-	for off := 0; off < len(flat); off += 3 {
-		ref := membership.Ref{Edge: int(flat[off]), Index: int(flat[off+1])}
-		to := int(flat[off+2])
-		if l, ok := n.ts.sched.EdgeOf(k+1, ref); !ok || l != to {
-			return fmt.Errorf("cluster: %s: reassign of %s to parent %d at round %d disagrees with the local schedule: membership schedule divergence",
-				n.id(), ref.NodeID(), to, k+1)
-		}
+	if !slices.Equal(msg.Vectors[0], n.ts.moves(k+1)) {
+		return fmt.Errorf("cluster: %s: the reassign at round %d disagrees with the local schedule: membership schedule divergence",
+			n.id(), k+1)
 	}
 	return nil
 }
@@ -381,7 +365,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 		return nil, fmt.Errorf("cluster: %s: %w", n.id(), err)
 	}
 	if start > 0 {
-		if want := n.ts.epochAt(n.lvl, start); n.epoch != want {
+		if want := n.ts.tree.Epoch(n.lvl, start); n.epoch != want {
 			return nil, fmt.Errorf("cluster: %s resume at round %d: snapshot epoch %d, schedule says %d: membership schedule divergence",
 				n.id(), start, n.epoch, want)
 		}
@@ -445,7 +429,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 		// redistribution: a resumed node then re-sends the snapshotted round's
 		// update, so children can never be stranded waiting for an update that
 		// died with this process.
-		n.epoch = n.ts.epochAt(n.lvl, k)
+		n.epoch = n.ts.tree.Epoch(n.lvl, k)
 		if err := saveSnapshot(n.reg, k, n.opts.Telemetry, n.id()); err != nil {
 			return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
 		}
@@ -512,7 +496,7 @@ func (n *tierNode) recordEval(t int, acc, loss float64, final bool) {
 // caller fast-forwards instead of timing out on a round the protocol moved
 // past.
 func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
-	kids, _ := n.ts.children(n.lvl, n.idx, k)
+	kids, _ := n.ts.tree.Children(n.lvl, n.idx, k)
 	want := k * n.tau()
 	quorum := len(kids)
 	if n.opts.tolerant() {
@@ -725,7 +709,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	if sink != nil {
 		aggStart = time.Now()
 	}
-	kids, full := n.ts.children(n.lvl, n.idx, k)
+	kids, full := n.ts.tree.Children(n.lvl, n.idx, k)
 	t := k * n.tau()
 	if n.leafParent() {
 		for j, i := range idx {
@@ -739,16 +723,8 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	// mirrors the paper's obtuse-angle reset: with γℓ = 0 line 13 collapses
 	// to the plain average, refreshing the momentum base.
 	carry, migrated := 1.0, false
-	if n.churning() {
-		var frac float64
-		if frac, migrated = n.ts.sched.Overlap(k, n.idx); migrated {
-			switch n.ts.policy {
-			case membership.MigrateZero:
-				carry = 0
-			case membership.MigrateRescale:
-				carry = frac
-			}
-		}
+	if n.leafParent() {
+		carry, migrated = n.ts.tree.Carry(n.idx, k)
 	}
 	out, err := n.tier.Update(full, idx, carry)
 	// The tier's report slots aliased the leaf reports until here; their
@@ -766,12 +742,12 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		sink.M().EdgeCosine.Set(out.Cos)
 	}
 	if migrated {
-		n.rec.migrated(n.id(), t, n.ts.policy.String(), out.Applied)
+		n.rec.migrated(n.id(), t, n.ts.tree.Membership().Policy.String(), out.Applied)
 	}
 	if n.lvl == 0 {
 		sink.M().CloudSyncs.Inc()
 		sink.M().Round.Set(float64(t))
-		if sched := n.ts.sched; sched != nil {
+		if sched := n.ts.tree.Membership(); sched != nil {
 			r := t / n.ts.tau(n.ts.leafParent())
 			sink.M().MembershipEpoch.Set(float64(sched.EpochIndex(r)))
 			sink.M().LiveWorkers.Set(float64(sched.LiveCount(r)))
@@ -898,14 +874,4 @@ func releaseReports(reports []transport.Message) {
 		reports[i].Release()
 		reports[i] = transport.Message{}
 	}
-}
-
-// refIn reports whether ref appears in refs (cohorts are tiny, linear scan).
-func refIn(refs []membership.Ref, ref membership.Ref) bool {
-	for _, r := range refs {
-		if r == ref {
-			return true
-		}
-	}
-	return false
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -104,10 +105,13 @@ func TestTreeSpecMatchesGolden(t *testing.T) {
 		if sc.cfg == nil || want.Params == "" {
 			t.Fatalf("%s: no such golden scenario", name)
 		}
-		derived := sc.opts
+		derived, cfg := sc.opts, sc.cfg
 		sc.opts = func(t *testing.T) Options {
 			o := derived(t)
 			o.Topology = treeTopo(t, spec)
+			if o.ChurnPlan != nil {
+				o.ChurnPlan = respell(t, cfg(t), *o.ChurnPlan, o.Topology)
+			}
 			return o
 		}
 		t.Run(name, func(t *testing.T) {
@@ -117,43 +121,76 @@ func TestTreeSpecMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestTreeWeightsMatchSchedule cross-checks the tree's per-epoch weights
-// against the membership schedule's own: on a depth-3 shape the leaf-parent
-// weights are the schedule's cohort weights and the root's its edge weights,
-// bit for bit, in every epoch.
+// respell names the leaves a churn plan names on the config's own tree by
+// their IDs on topo's tree, which regroups the same leaves in order.
+func respell(t *testing.T, cfg *fl.Config, plan membership.Plan, topo *topology.Topology) *membership.Plan {
+	t.Helper()
+	derived, err := cfg.Tree(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := cfg.Tree(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan = plan.Clone()
+	for e, ev := range plan.Events {
+		_, j, ok := derived.Lookup(ev.Worker)
+		if !ok {
+			t.Fatalf("%s is not a leaf of %s", ev.Worker, derived)
+		}
+		plan.Events[e].Worker = spec.ID(spec.Depth()-1, j)
+	}
+	return &plan
+}
+
+// TestTreeWeightsMatchSchedule cross-checks the tree's per-epoch children
+// and weights against an oracle written here from the schedule's cohorts and
+// the shards' sizes: on a depth-3 shape the leaf-parent weights are each
+// live member's share of its cohort and the root's each edge's share of the
+// live data, bit for bit, in every round.
 func TestTreeWeightsMatchSchedule(t *testing.T) {
 	cfg := buildConfig(t, 51, 2)
 	ts, err := newTreeSpec(cfg, churnOptions(t).withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts.epochs) != ts.sched.Epochs() || len(ts.epochs) < 2 {
-		t.Fatalf("tree has %d epochs, schedule %d", len(ts.epochs), ts.sched.Epochs())
+	sched := ts.tree.Membership()
+	if sched == nil || sched.Epochs() < 2 {
+		t.Fatalf("the churn options built %v, want a schedule with several epochs", sched)
 	}
-	same := func(what string, got, want []float64) {
+	same := func(what string, got []float64, sizes []int) {
 		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d weights, schedule has %d", what, len(got), len(want))
+		total := 0
+		for _, n := range sizes {
+			total += n
 		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Errorf("%s[%d] = %v, schedule says %v", what, i, got[i], want[i])
+		if len(got) != len(sizes) {
+			t.Fatalf("%s: %d weights for %d children", what, len(got), len(sizes))
+		}
+		for i, n := range sizes {
+			if want := float64(n) / float64(total); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("%s[%d] = %v, want %v", what, i, got[i], want)
 			}
 		}
 	}
-	for k := 1; k <= ts.sched.K; k++ {
-		for l := 0; l < ts.sched.NumEdges; l++ {
-			kids, w := ts.children(1, l, k)
-			same(fmt.Sprintf("round %d edge %d", k, l), w, ts.sched.CohortWeights(k, l))
-			for pos, ref := range ts.sched.Cohort(k, l) {
-				if ts.ref(kids[pos]) != ref {
-					t.Errorf("round %d edge %d slot %d: leaf %d, schedule says %v", k, l, pos, kids[pos], ref)
-				}
+	for k := 1; k <= sched.K; k++ {
+		edgeSizes := make([]int, sched.NumEdges)
+		for l := range edgeSizes {
+			kids, w := ts.tree.Children(1, l, k)
+			if !slices.Equal(kids, sched.Cohort(k, l)) {
+				t.Errorf("round %d edge %d: children %v, schedule says %v", k, l, kids, sched.Cohort(k, l))
 			}
+			sizes := make([]int, len(kids))
+			for pos, j := range kids {
+				sizes[pos] = ts.shards[j].Len()
+				edgeSizes[l] += sizes[pos]
+			}
+			same(fmt.Sprintf("round %d edge %d", k, l), w, sizes)
 		}
 		if k%cfg.Pi == 0 {
-			_, w := ts.children(0, 0, k/cfg.Pi)
-			same(fmt.Sprintf("sync at round %d", k), w, ts.sched.EdgeWeights(k))
+			_, w := ts.tree.Children(0, 0, k/cfg.Pi)
+			same(fmt.Sprintf("sync at round %d", k), w, edgeSizes)
 		}
 	}
 }
@@ -403,17 +440,8 @@ func observed(t *testing.T, cfg *fl.Config, opts Options) (*fl.Result, *telemetr
 // invariant under the determinism matrix, and its membership report, trace
 // events and fl_membership_* counters must agree exactly.
 func TestTreeChurn(t *testing.T) {
-	cfg := buildFlatConfig(t, 51, []int{4, 4})
-	cfg.T = 48
-	opts := func() Options {
-		// Plan names address leaves by (leaf-parent, position): worker-0-1 is
-		// the tree's worker-1, worker-3-0 its worker-6.
-		plan, err := membership.ParseSpec("join:worker-0-1@3,leave:worker-3-0@9")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Options{Adaptive: true, Topology: treeTopo(t, depth4Spec), ChurnPlan: &plan, RetierEvery: 1}
-	}
+	cfg := treeChurnConfig(t)
+	opts := func() Options { return treeChurnOptions(t) }
 	ref := requireInvariant(t, cfg, opts)
 	m := ref.Membership
 	if m == nil || m.Joins != 1 || m.Leaves != 1 {
@@ -450,6 +478,25 @@ func TestTreeChurn(t *testing.T) {
 	if got := reg.Gauge("fl_membership_epoch").Value(); got != float64(m.Epochs-1) {
 		t.Errorf("fl_membership_epoch = %v, want final epoch %d", got, m.Epochs-1)
 	}
+}
+
+// treeChurnConfig and treeChurnOptions are TestTreeChurn's run: eight
+// workers under the depth-4 tree, a join, a leave and re-tiering at every
+// root sync.
+func treeChurnConfig(t *testing.T) *fl.Config {
+	cfg := buildFlatConfig(t, 51, []int{4, 4})
+	cfg.T = 48
+	return cfg
+}
+
+func treeChurnOptions(t *testing.T) Options {
+	// The plan names leaves by the tree's IDs: worker-1 is leaf-parent 0's
+	// second leaf, worker-6 leaf-parent 3's first.
+	plan, err := membership.ParseSpec("join:worker-1@3,leave:worker-6@9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Options{Adaptive: true, Topology: treeTopo(t, depth4Spec), ChurnPlan: &plan, RetierEvery: 1}
 }
 
 // TestUnbuildableRuleRefused: a level whose rule cannot be built — a
@@ -600,7 +647,7 @@ func TestTreeAcrossProcessEntryPoints(t *testing.T) {
 	topo := treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*2")
 	for name, opts := range map[string]Options{
 		"static": {Adaptive: true, Topology: topo},
-		"churn":  {Adaptive: true, Topology: topo, ChurnPlan: churnPlan(t), RetierEvery: 2},
+		"churn":  {Adaptive: true, Topology: topo, ChurnPlan: respell(t, cfg, *churnPlan(t), topo), RetierEvery: 2},
 	} {
 		ref, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/checkpoint/ckpttest"
 	"hieradmo/internal/fl"
+	"hieradmo/internal/membership"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/topology"
 )
@@ -177,6 +178,83 @@ func TestResumeUnderAttackPlan(t *testing.T) {
 	}
 	if got, want := newestSnapshot(t, cfg.CheckpointDir).Fingerprint, cfg.Fingerprint("HierAdMo")+" "+New().variant(); got != want {
 		t.Errorf("plan-less fingerprint %q, want %q", got, want)
+	}
+}
+
+// TestResumeUnderChurn: a churn run crashed between the join and the first
+// re-tiering resumes from its last snapshot and lands on the uninterrupted
+// run bit for bit, training only the live leaves on the way; the snapshots
+// carry the cluster's churn tokens, so resuming them under another plan is
+// refused.
+func TestResumeUnderChurn(t *testing.T) {
+	build := func(dir string) (*fl.Config, *countingModel) {
+		cfg := buildConfig(t, []int{2, 2}, 2, 7)
+		cfg.EvalEvery = 8
+		cfg.CheckpointDir = dir
+		counter := &countingModel{Model: cfg.Model}
+		cfg.Model = counter
+		return cfg, counter
+	}
+	under := func(cfg *fl.Config, spec string) *topology.Tree {
+		plan, err := membership.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		derived, err := cfg.Tree(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := derived.WithMembership(plan, cfg.LeafStats(), cfg.T, 2, membership.MigrateRescale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	// Rounds are τ = 2 iterations: the join lands at round 2, re-tiering at
+	// round 5 (after the second root sync), the crash in round 4.
+	const planA, planB = "join:worker-0-1@2,leave:worker-1-0@15", "join:worker-0-1@3,leave:worker-1-0@15"
+	cfg, _ := build("")
+	tree := under(cfg, planA)
+	ref, err := New().RunTree(cfg, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := ref.Membership; m == nil || m.Joins != 1 || m.Leaves != 1 || m.Retierings < 1 || tree.Membership().EpochAt(5).Start != 5 {
+		t.Fatalf("membership %v: the run must join, leave and re-tier at round 5", m)
+	}
+	before, total := int64(0), int64(0)
+	for it := 1; it <= cfg.T; it++ {
+		_, live := tree.Live(it)
+		if it <= 6 {
+			before += int64(len(live))
+		}
+		total += int64(len(live))
+	}
+
+	dir := t.TempDir()
+	crashed, counter := build(dir)
+	counter.crashAt = before + 1
+	if _, err := New().RunTree(crashed, under(crashed, planA)); !errors.Is(err, errCrash) {
+		t.Fatalf("crashed run = %v, want the injected crash", err)
+	}
+	if st := newestSnapshot(t, dir); st.Seq != 6 || !strings.HasSuffix(st.Fingerprint, " "+tree.Membership().Token) {
+		t.Fatalf("snapshot at t=%d with fingerprint %q, want t=6 naming %q", st.Seq, st.Fingerprint, tree.Membership().Token)
+	}
+	resumed, counter := build(dir)
+	res, err := New().RunTree(resumed, under(resumed, planA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counter.calls.Load(); got != total-before {
+		t.Errorf("resumed run took %d gradient steps, want %d", got, total-before)
+	}
+	assertSameResult(t, ref, res)
+	if *res.Membership != *ref.Membership {
+		t.Errorf("resumed membership %v, want %v", res.Membership, ref.Membership)
+	}
+	other, _ := build(dir)
+	if _, err := New().RunTree(other, under(other, planB)); !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Errorf("resuming a plan-A snapshot under plan B = %v, want ErrMismatch", err)
 	}
 }
 

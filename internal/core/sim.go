@@ -119,11 +119,11 @@ const baselineVariant = "layout=leaf-tier"
 // simNode is one aggregating node of the run.
 type simNode struct {
 	tier *Tier
-	// weights are the data weights of the node's cohort by position.
+	// kids is the natal cohort, ascending and contiguous — leaves at level
+	// 0, nodes of the level below otherwise — and weights their data weights
+	// by position; a membership epoch's come from the tree each round.
+	kids    []int     //flvet:allow ckptstate -- config-derived constant, rebuilt identically on resume
 	weights []float64 //flvet:allow ckptstate -- config-derived constant, rebuilt identically on resume
-	// The cohort: leaves [lo, hi) at level 0, nodes [lo, hi) of the level
-	// below otherwise.
-	lo, hi int
 }
 
 // simLevel is one level of the stack, bottom-up: level 0 aggregates the
@@ -152,6 +152,8 @@ type sim struct {
 	yStart []tensor.Vector
 	// attackers[j] mutates leaf j's reports (nil if honest); nil without a plan.
 	attackers []*robust.Attacker
+	// churn marks a tree with membership epochs.
+	churn bool
 	// fullIdx is the everyone-reported position list, and partIdx the buffer
 	// a partial-participation round draws its cohort into.
 	fullIdx, partIdx []int
@@ -187,7 +189,10 @@ func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, 
 		return nil, err
 	}
 	if r.Flat {
-		root := simNode{weights: tree.Global, hi: tree.NumLeaves()}
+		root := simNode{weights: tree.Global, kids: make([]int, tree.NumLeaves())}
+		for j := range root.kids {
+			root.kids[j] = j
+		}
 		return []simLevel{{nodes: []simNode{root}, level: 0, period: tree.Levels[0].Tau, seconds: m.CloudSyncSeconds}}, nil
 	}
 	lp := tree.LeafParent()
@@ -209,7 +214,7 @@ func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, 
 		}
 		lev.nodes, nodes = nodes[:len(tree.Kids[i])], nodes[len(tree.Kids[i]):]
 		for n, kids := range tree.Kids[i] {
-			lev.nodes[n] = simNode{weights: tree.Weights[i][n], lo: kids[0], hi: kids[0] + len(kids)}
+			lev.nodes[n] = simNode{weights: tree.Weights[i][n], kids: kids}
 		}
 	}
 	return levels, nil
@@ -259,11 +264,16 @@ func (r *Rule) LevelAt(tree *topology.Tree, cfg *fl.Config, i int) (Level, error
 // A spec's tree refuses, with ErrTree, a hooked row (its hooks are written
 // against the client–edge–cloud and flat views); any tree refuses a flat row
 // over a robust level below the root, which the flat view does not have, and
-// γ / adapt attributes the rule has no momentum level for.
+// γ / adapt attributes the rule has no momentum level for. Membership epochs
+// run only under unhooked tree rows at full participation, as the cluster
+// runs them.
 func (r *Rule) runs(tree *topology.Tree) error {
 	if r.Hooks != nil && tree.Spec != nil {
 		return fmt.Errorf("%w: %s hooks rules of its own into the client–edge–cloud and flat views, not into %s",
 			ErrTree, r.Algorithm, tree)
+	}
+	if tree.Membership() != nil && (r.Hooks != nil || r.Flat || (r.hier != nil && r.hier.participation < 1)) {
+		return fmt.Errorf("%w: %s does not run the membership epochs of %s", ErrTree, r.Algorithm, tree)
 	}
 	for i, lv := range tree.Levels {
 		if r.Flat && i > 0 && lv.Agg.Robust() {
@@ -314,17 +324,26 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	// vectors — lives in one pooled slab, so repeated runs (benchmarks,
 	// sweeps, tests) recycle a single arena instead of re-allocating hundreds
 	// of model-sized vectors, and a worker's vectors stay cache-line aligned
-	// and disjoint from its neighbours'.
+	// and disjoint from its neighbours'. A node's tier is sized for its
+	// largest cohort, which for a leaf parent can change between membership
+	// epochs.
+	churn := tree.Membership() != nil
+	fan := func(k, n int) int {
+		if k == 0 && churn {
+			return tree.Fanout(levels[0].level, n)
+		}
+		return len(levels[k].nodes[n].kids)
+	}
 	maxFan := 0
 	vecCount := (LeafVectors+1)*numLeaves + 1
-	for _, lev := range levels {
+	for k, lev := range levels {
 		lv, err := r.LevelAt(tree, cfg, lev.level)
 		if err != nil {
 			return nil, err
 		}
 		vecCount += len(lev.nodes) * lv.Vectors()
-		for _, n := range lev.nodes {
-			maxFan = max(maxFan, n.hi-n.lo)
+		for n := range lev.nodes {
+			maxFan = max(maxFan, fan(k, n))
 		}
 	}
 	quantBits := 0
@@ -361,14 +380,14 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 			}
 			lv.X0 = x0
 			node := &nodes[n]
-			node.tier = NewTier(lv, node.hi-node.lo, newVec)
+			node.tier = NewTier(lv, fan(k, n), newVec)
 			if k == 0 {
 				continue
 			}
 			// A level above the leaves reads its children's aggregates, whose
 			// vector headers are stable for the whole run (every update
 			// rewrites contents in place): its inputs are wired once.
-			for j, child := range levels[k-1].nodes[node.lo:node.hi] {
+			for j, child := range levels[k-1].nodes[node.kids[0] : node.kids[0]+len(node.kids)] {
 				node.tier.Y[j], node.tier.X[j] = child.tier.YMinus, child.tier.XPlus
 			}
 		}
@@ -403,7 +422,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		}
 	}
 
-	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, attackers: attackers,
+	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, attackers: attackers, churn: churn,
 		yStart: yStart, fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
 
 	// Crash recovery: register the run's state, then resume after the last
@@ -427,6 +446,9 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 	if plan := tree.AttackPlan(); plan != nil {
 		variant += " attack=" + plan.Signature()
+	}
+	if churn {
+		variant += " " + tree.Membership().Token
 	}
 	ck, err := fl.NewCheckpointer(hn, r.Algorithm, variant, res)
 	if err != nil {
@@ -490,7 +512,14 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 				telemetry.Int("t", t))
 		}
 		iterStart := stopwatch(sink)
-		if err := parallel.ForEach(numLeaves, train, pool); err != nil {
+		// Under membership only the epoch's live leaves train: a late
+		// joiner's batch stream stays untouched until it is admitted.
+		if _, live := tree.Live(t); live != nil {
+			err = parallel.ForEach(len(live), func(i int) error { return train(live[i]) }, pool)
+		} else {
+			err = parallel.ForEach(numLeaves, train, pool)
+		}
+		if err != nil {
 			return nil, err
 		}
 		lap(m.IterationSeconds, iterStart)
@@ -511,6 +540,16 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 					return nil, err
 				}
 			}
+			// A leaf re-tiered to another parent reports to its old one, so
+			// under membership the leaf parents redistribute once every one
+			// of them has aggregated.
+			if k == 0 && churn {
+				for n := range levels[0].nodes {
+					if err := s.admit(t, n); err != nil {
+						return nil, err
+					}
+				}
+			}
 		}
 
 		if sink.Tracing() && t%roundLen == 0 {
@@ -522,7 +561,8 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		if hn.ShouldEval(t) {
 			// The global data-weighted worker-model average is the evaluation
 			// point between aggregation instants.
-			if err := tensor.WeightedSum(evalModel, tree.Global, xs); err != nil {
+			weights, _ := tree.Live(t)
+			if err := tensor.WeightedSum(evalModel, weights, xs); err != nil {
 				return nil, fmt.Errorf("core: evaluation average at t=%d: %w", t, err)
 			}
 			if err := hn.RecordPoint(res, t, evalModel); err != nil {
@@ -539,6 +579,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	if err := hn.Finish(res, levels[top].nodes[0].tier.XPlus); err != nil {
 		return nil, err
 	}
+	res.Membership = fl.NewMembershipReport(tree)
 	if sink.Tracing() {
 		sink.Emit("run_end",
 			telemetry.Float("final_acc", res.FinalAcc),
@@ -606,7 +647,11 @@ func (s *sim) round(t, k, n int) error {
 	node := &lev.nodes[n]
 	tier := node.tier
 	started := stopwatch(s.sink)
-	idx := s.fullIdx[:node.hi-node.lo]
+	kids, weights := node.kids, node.weights
+	if s.churn {
+		kids, weights = s.tree.Children(lev.level, n, t/lev.period)
+	}
+	idx := s.fullIdx[:len(kids)]
 	if k == 0 {
 		// Full participation includes everyone and draws nothing from the
 		// RNG, so the precomputed index list is used verbatim; partial
@@ -614,11 +659,15 @@ func (s *sim) round(t, k, n int) error {
 		if h := s.rule.hier; h != nil && h.participation < 1 {
 			idx = h.sampleParticipants(s.partRNG, s.partIdx[:len(idx)])
 		}
-		if err := s.uplink(t, node, idx); err != nil {
+		if err := s.uplink(t, tier, kids, idx); err != nil {
 			return err
 		}
 	}
-	out, err := tier.Update(node.weights, idx, 1)
+	carry := 1.0
+	if k == 0 {
+		carry, _ = s.tree.Carry(n, t/lev.period)
+	}
+	out, err := tier.Update(weights, idx, carry)
 	if err != nil {
 		return fmt.Errorf("core: level %d node %d round at t=%d: %w", k, n, t, err)
 	}
@@ -671,11 +720,14 @@ func (s *sim) round(t, k, n int) error {
 		}
 	}
 
-	if k == 0 {
+	switch {
+	case k == 0 && s.churn:
+		// admit redistributes once every leaf parent has aggregated.
+	case k == 0:
 		// Redistribution to the participating workers (lines 14–15) and
 		// interval restart; non-participants keep their local state.
 		for _, i := range idx {
-			j := node.lo + i
+			j := kids[i]
 			w := s.leaves[j]
 			if err := w.Adopt(tier.YMinus, tier.XPlus); err != nil {
 				return err
@@ -685,11 +737,12 @@ func (s *sim) round(t, k, n int) error {
 				return err
 			}
 		}
-	} else {
+	default:
 		// Lines 20–23: every tier and worker below adopts the aggregate.
 		// Interval accumulators are left alone — this round's participants
-		// were restarted by their parent a moment ago.
-		lo, hi := node.lo, node.hi
+		// were restarted by their parent a moment ago. Under membership the
+		// workers are the leaf parents' cohorts of their next round.
+		lo, hi := node.kids[0], node.kids[0]+len(node.kids)
 		for below := k - 1; below >= 0; below-- {
 			nodes := s.levels[below].nodes[lo:hi]
 			for c := range nodes {
@@ -697,14 +750,23 @@ func (s *sim) round(t, k, n int) error {
 					return err
 				}
 			}
-			lo, hi = nodes[0].lo, nodes[len(nodes)-1].hi
-		}
-		for j := lo; j < hi; j++ {
-			if err := s.leaves[j].Adopt(tier.YMinus, tier.XPlus); err != nil {
-				return err
+			if below > 0 {
+				last := nodes[len(nodes)-1].kids
+				lo, hi = nodes[0].kids[0], last[len(last)-1]+1
 			}
-			if err := s.yStart[j].CopyFrom(tier.YMinus); err != nil {
-				return err
+		}
+		for p := lo; p < hi; p++ {
+			leaves := s.levels[0].nodes[p].kids
+			if s.churn {
+				leaves = s.nextCohort(t, p)
+			}
+			for _, j := range leaves {
+				if err := s.leaves[j].Adopt(tier.YMinus, tier.XPlus); err != nil {
+					return err
+				}
+				if err := s.yStart[j].CopyFrom(tier.YMinus); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -712,34 +774,60 @@ func (s *sim) round(t, k, n int) error {
 	return nil
 }
 
-// uplink assembles the reports of a leaf-parent round (Alg. 1 line 9) from
-// the participating workers idx of node: it traces their training losses,
+// admit redistributes leaf parent n's round at iteration t under membership
+// (lines 14–15): the cohort of its next round adopts the aggregate and
+// restarts its interval, newcomers included, leavers not.
+func (s *sim) admit(t, n int) error {
+	tier := s.levels[0].nodes[n].tier
+	for _, j := range s.nextCohort(t, n) {
+		w := s.leaves[j]
+		if err := w.Adopt(tier.YMinus, tier.XPlus); err != nil {
+			return err
+		}
+		w.Restart()
+		if err := s.yStart[j].CopyFrom(w.Y); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nextCohort returns the leaves leaf parent n redistributes to after its
+// round at iteration t: its cohort of the next round, or of the last.
+func (s *sim) nextCohort(t, n int) []int {
+	lev := &s.levels[0]
+	kids, _ := s.tree.Children(lev.level, n, min(t/lev.period+1, s.hn.Cfg().T/lev.period))
+	return kids
+}
+
+// uplink assembles the reports of a leaf-parent round (Alg. 1 line 9) into
+// the tier e from the participating workers idx of the cohort kids: it traces their training losses,
 // points the tier's report slots at their state — or, under a configured
 // quantizer, at compressed copies (in reusable slab vectors), never the
 // workers' local state — and, at an adaptive level, computes each worker's
 // eq. (6) term from what it reports, as a cluster leaf does before sending.
 // An attacker mutates its report first, at a cluster leaf's round k = t/period.
-func (s *sim) uplink(t int, node *simNode, idx []int) error {
+func (s *sim) uplink(t int, e *Tier, kids, idx []int) error {
 	if s.sink.Tracing() {
 		// The workers trained on the goroutine pool, but their per-step
 		// losses are re-read here, in fixed participant order, so the trace
 		// stays deterministic at every pool size.
 		for _, i := range idx {
-			parent, pos := s.tree.Natal(node.lo + i)
+			parent, pos := s.tree.Natal(kids[i])
 			s.sink.Emit("worker_train",
 				telemetry.Int("t", t),
 				telemetry.Int("edge", parent),
 				telemetry.Int("worker", pos),
-				telemetry.Float("loss", s.hn.LastLoss(node.lo+i)))
+				telemetry.Float("loss", s.hn.LastLoss(kids[i])))
 		}
 	}
-	e := node.tier
 	for j, i := range idx {
-		w := s.leaves[node.lo+i]
+		leaf := kids[i]
+		w := s.leaves[leaf]
 		y, x, gradSum, ySum := w.Y, w.X, w.GradSum, w.YSum
-		if s.attackers != nil && s.attackers[node.lo+i] != nil {
-			id := s.tree.ID(s.tree.Depth()-1, node.lo+i)
-			mut, kind, hit, err := s.attackers[node.lo+i].Apply(t/s.levels[0].period, []tensor.Vector{y, x, gradSum, ySum})
+		if s.attackers != nil && s.attackers[leaf] != nil {
+			id := s.tree.ID(s.tree.Depth()-1, leaf)
+			mut, kind, hit, err := s.attackers[leaf].Apply(t/s.levels[0].period, []tensor.Vector{y, x, gradSum, ySum})
 			if err != nil {
 				return fmt.Errorf("core: %s attack: %w", id, err)
 			}
@@ -766,9 +854,9 @@ func (s *sim) uplink(t int, node *simNode, idx []int) error {
 		}
 		e.Y[j], e.X[j], e.GradSum[j] = y, x, gradSum
 		if e.lv.Adapt {
-			cos, err := e.lv.Term(gradSum, ySum, y, s.yStart[node.lo+i])
+			cos, err := e.lv.Term(gradSum, ySum, y, s.yStart[leaf])
 			if err != nil {
-				parent, pos := s.tree.Natal(node.lo + i)
+				parent, pos := s.tree.Natal(leaf)
 				return fmt.Errorf("core: worker %d/%d term: %w", parent, pos, err)
 			}
 			e.Cos[j] = cos

@@ -6,6 +6,7 @@ import (
 	"hieradmo/internal/cluster"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
+	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
@@ -18,17 +19,15 @@ var churnColumns = []string{"acc@50%", "final", "messages", "payload-KB"}
 // large enough that one leave never collapses a cohort.
 func ChurnTopology() []int { return []int{3, 3} }
 
-// ChurnPlan draws the study's seeded churn trace over the given topology:
-// one late join in the first half of the run and one permanent leave in the
-// second, a pure function of (seed, topology, K).
-func ChurnPlan(seed uint64, edges []int, k int) (membership.Plan, error) {
-	var refs []membership.Ref
-	for l, count := range edges {
-		for i := 0; i < count; i++ {
-			refs = append(refs, membership.Ref{Edge: l, Index: i})
-		}
+// ChurnPlan draws the study's seeded churn trace over the tree's training
+// leaves: one late join in the first half of the run and one permanent leave
+// in the second, a pure function of (seed, tree, K).
+func ChurnPlan(seed uint64, tree *topology.Tree, k int) (membership.Plan, error) {
+	ids := make([]string, tree.NumLeaves())
+	for j := range ids {
+		ids[j] = tree.ID(tree.Depth()-1, j)
 	}
-	return membership.Generate(membership.GenSpec{Seed: seed, Joins: 1, Leaves: 1}, refs, k)
+	return membership.Generate(membership.GenSpec{Seed: seed, Joins: 1, Leaves: 1}, ids, k)
 }
 
 // RunChurn compares the static hierarchy against the same run under a
@@ -45,7 +44,11 @@ func RunChurn(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("churn: %w", err)
 	}
-	plan, err := ChurnPlan(s.Seed, ChurnTopology(), cfg.T/cfg.Tau)
+	tree, err := cfg.Tree(nil)
+	if err != nil {
+		return nil, fmt.Errorf("churn: %w", err)
+	}
+	plan, err := ChurnPlan(s.Seed, tree, cfg.T/cfg.Tau)
 	if err != nil {
 		return nil, fmt.Errorf("churn: %w", err)
 	}

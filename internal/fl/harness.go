@@ -168,7 +168,7 @@ func (o *GradOracle) Grad(params, grad tensor.Vector) (float64, error) {
 // harness state (the model's workspace pool is itself concurrency-safe, see
 // internal/nn). Two concurrent calls for the same leaf race on both; the
 // parallel round loops therefore fan out at most one goroutine per leaf.
-// WeightedLoss reads every lastLoss slot and must only be called after the
+// weightedLoss reads every lastLoss slot and must only be called after the
 // round's Grad calls have been joined.
 func (h *Harness) Grad(j int, params, grad tensor.Vector) (float64, error) {
 	loss, err := h.oracles[j].Grad(params, grad)
@@ -180,19 +180,21 @@ func (h *Harness) Grad(j int, params, grad tensor.Vector) (float64, error) {
 	return loss, nil
 }
 
-// LastLoss returns leaf j's most recent mini-batch loss. Like WeightedLoss
+// LastLoss returns leaf j's most recent mini-batch loss. Like weightedLoss
 // it must only be read after the round's Grad calls have been joined; trace
 // emission uses it so worker_train events can be written from sequential
 // code (keeping event order deterministic) even when the training itself ran
 // on a goroutine pool.
 func (h *Harness) LastLoss(j int) float64 { return h.lastLoss[j] }
 
-// WeightedLoss returns the data-weighted average of every leaf's latest
-// mini-batch loss — the curve's training-loss signal.
-func (h *Harness) WeightedLoss() float64 {
+// weightedLoss returns the data-weighted average of the latest mini-batch
+// losses of the leaves live at iteration t — the curve's training-loss
+// signal.
+func (h *Harness) weightedLoss(t int) float64 {
 	var total float64
+	weights, _ := h.tree.Live(t)
 	for j, loss := range h.lastLoss {
-		total += h.tree.Global[j] * loss
+		total += weights[j] * loss
 	}
 	return total
 }
@@ -226,7 +228,7 @@ func (h *Harness) RecordPoint(res *Result, t int, params tensor.Vector) error {
 	if err != nil {
 		return fmt.Errorf("fl: eval at t=%d: %w", t, err)
 	}
-	loss := h.WeightedLoss()
+	loss := h.weightedLoss(t)
 	res.Curve = append(res.Curve, Point{Iter: t, TestAcc: acc, TrainLoss: loss})
 	h.recordEval(t, acc, loss, false)
 	return nil
@@ -256,7 +258,7 @@ func (h *Harness) Finish(res *Result, params tensor.Vector) error {
 		return fmt.Errorf("fl: final eval: %w", err)
 	}
 	res.FinalAcc = acc
-	res.FinalLoss = h.WeightedLoss()
+	res.FinalLoss = h.weightedLoss(h.cfg.T)
 	res.Curve = append(res.Curve, Point{Iter: h.cfg.T, TestAcc: acc, TrainLoss: res.FinalLoss})
 	h.recordEval(h.cfg.T, acc, res.FinalLoss, true)
 	return nil

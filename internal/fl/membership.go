@@ -1,12 +1,17 @@
 package fl
 
-import "fmt"
+import (
+	"fmt"
 
-// MembershipReport summarizes a cluster run's dynamic-membership
-// trajectory: how many workers joined late, left early, or were moved
-// between edges by re-tiering, and how the live population evolved. The
-// cluster runtime fills it from the precomputed membership schedule, so in
-// a fault-free run it always matches the churn trace exactly.
+	"hieradmo/internal/membership"
+	"hieradmo/internal/topology"
+)
+
+// MembershipReport summarizes a run's dynamic-membership trajectory: how
+// many workers joined late, left early, or were moved between edges by
+// re-tiering, and how the live population evolved. Both engines fill it from
+// the tree's precomputed membership schedule (NewMembershipReport), so in a
+// fault-free run it always matches the churn trace exactly.
 type MembershipReport struct {
 	// Joins counts workers that joined after round 1.
 	Joins int
@@ -34,4 +39,47 @@ func (m *MembershipReport) String() string {
 	}
 	return fmt.Sprintf("membership: %d joins, %d leaves, %d reassignments over %d re-tierings; %d epochs; workers %d→%d; migration=%s",
 		m.Joins, m.Leaves, m.Reassignments, m.Retierings, m.Epochs, m.InitialWorkers, m.FinalWorkers, m.MigrationPolicy)
+}
+
+// NewMembershipReport summarizes the membership trajectory of the tree a run
+// executed; nil for a static tree.
+func NewMembershipReport(tree *topology.Tree) *MembershipReport {
+	m := tree.Membership()
+	if m == nil {
+		return nil
+	}
+	s := m.Summarize()
+	return &MembershipReport{
+		Joins:           s.Joins,
+		Leaves:          s.Leaves,
+		Reassignments:   s.Reassignments,
+		Retierings:      s.Retierings,
+		Epochs:          s.Epochs,
+		InitialWorkers:  s.InitialWorkers,
+		FinalWorkers:    s.FinalWorkers,
+		MigrationPolicy: m.Policy.String(),
+	}
+}
+
+// LeafStats returns the workers' re-tiering statistics, Edges flattened in
+// order: each shard's size and its label histogram, pure functions of the
+// data partition, so every process derives the same ones.
+func (c *Config) LeafStats() []membership.WorkerStat {
+	numClasses := 0
+	for _, edge := range c.Edges {
+		for _, shard := range edge {
+			numClasses = max(numClasses, len(shard.ClassCounts()))
+		}
+	}
+	var stats []membership.WorkerStat
+	for _, edge := range c.Edges {
+		for _, shard := range edge {
+			hist := make([]float64, numClasses)
+			for k, n := range shard.ClassCounts() {
+				hist[k] = float64(n)
+			}
+			stats = append(stats, membership.WorkerStat{Weight: float64(shard.Len()), Hist: hist})
+		}
+	}
+	return stats
 }

@@ -1,9 +1,6 @@
 package membership
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // WorkerStat is the clustering statistic for one worker: its data weight
 // (shard size) and its normalized class histogram. Both are pure functions
@@ -11,7 +8,6 @@ import (
 // stats from the shared config — the precondition for decision-free
 // re-tiering.
 type WorkerStat struct {
-	Ref Ref
 	// Weight is the worker's shard size in samples.
 	Weight float64
 	// Hist is the worker's class distribution, normalized to sum to 1. All
@@ -20,11 +16,10 @@ type WorkerStat struct {
 }
 
 // Assign clusters the given workers onto numEdges edges by label
-// distribution and returns, aligned with stats sorted by Ref, the edge index
-// assigned to each worker. The algorithm is a deterministic balanced greedy
-// pass:
+// distribution and returns, aligned with stats, the edge index assigned to
+// each worker. The algorithm is a deterministic balanced greedy pass:
 //
-//   - Workers are visited in sorted Ref order.
+//   - Workers are visited in the given order (ascending leaf index).
 //   - Edge capacities are balanced: ⌈n/L⌉ or ⌊n/L⌋, the larger ones on the
 //     lowest edge indices.
 //   - A worker goes to the lowest-index empty edge while any edge is empty
@@ -44,12 +39,10 @@ func Assign(stats []WorkerStat, numEdges int) ([]int, error) {
 	if n < numEdges {
 		return nil, fmt.Errorf("membership: assign: %d workers cannot fill %d edges", n, numEdges)
 	}
-	ordered := append([]WorkerStat(nil), stats...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Ref.Less(ordered[j].Ref) })
-	dim := len(ordered[0].Hist)
-	for _, s := range ordered {
+	dim := len(stats[0].Hist)
+	for i, s := range stats {
 		if len(s.Hist) != dim {
-			return nil, fmt.Errorf("membership: assign: histogram length mismatch for %s", s.Ref.NodeID())
+			return nil, fmt.Errorf("membership: assign: histogram length mismatch for worker %d", i)
 		}
 	}
 
@@ -68,7 +61,7 @@ func Assign(stats []WorkerStat, numEdges int) ([]int, error) {
 	}
 
 	out := make([]int, n)
-	for i, s := range ordered {
+	for i, s := range stats {
 		best := -1
 		bestDist := 0.0
 		for l := 0; l < numEdges; l++ {
@@ -95,7 +88,7 @@ func Assign(stats []WorkerStat, numEdges int) ([]int, error) {
 		}
 		if best < 0 {
 			// Unreachable: Σ capacity == n, so some edge always has room.
-			return nil, fmt.Errorf("membership: assign: no edge with spare capacity for %s", s.Ref.NodeID())
+			return nil, fmt.Errorf("membership: assign: no edge with spare capacity for worker %d", i)
 		}
 		out[i] = best
 		counts[best]++

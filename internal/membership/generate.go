@@ -2,7 +2,6 @@ package membership
 
 import (
 	"fmt"
-	"sort"
 
 	"hieradmo/internal/rng"
 )
@@ -17,25 +16,25 @@ type GenSpec struct {
 	Joins, Leaves int
 }
 
-// Generate draws a seeded churn plan over the given workers: Joins distinct
-// workers join in the first half of the run (rounds 2..⌈K/2⌉) and Leaves
-// other distinct workers leave in the second half (rounds ⌈K/2⌉+1..K-1).
+// Generate draws a seeded churn plan over the workers named ids, in leaf
+// order: Joins distinct workers join in the first half of the run (rounds
+// 2..⌈K/2⌉) and Leaves other distinct workers leave in the second half
+// (rounds ⌈K/2⌉+1..K-1).
 // Placing joins early and leaves late keeps generated plans valid for any
 // topology whose edges would survive losing Leaves workers; callers still
 // validate by building a Schedule. The draw is a pure function of
-// (spec, refs, K).
-func Generate(spec GenSpec, refs []Ref, K int) (Plan, error) {
+// (spec, ids, K).
+func Generate(spec GenSpec, ids []string, K int) (Plan, error) {
 	if spec.Joins < 0 || spec.Leaves < 0 {
 		return Plan{}, fmt.Errorf("membership: generate: negative event counts")
 	}
-	if spec.Joins+spec.Leaves > len(refs) {
-		return Plan{}, fmt.Errorf("membership: generate: %d events over %d workers", spec.Joins+spec.Leaves, len(refs))
+	if spec.Joins+spec.Leaves > len(ids) {
+		return Plan{}, fmt.Errorf("membership: generate: %d events over %d workers", spec.Joins+spec.Leaves, len(ids))
 	}
 	if K < 4 && spec.Joins+spec.Leaves > 0 {
 		return Plan{}, fmt.Errorf("membership: generate: need at least 4 rounds, got %d", K)
 	}
-	ordered := append([]Ref(nil), refs...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Less(ordered[j]) })
+	ordered := append([]string(nil), ids...)
 	r := rng.New(spec.Seed).Split(0xC0110)
 	r.Shuffle(len(ordered), func(i, j int) { ordered[i], ordered[j] = ordered[j], ordered[i] })
 

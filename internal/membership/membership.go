@@ -1,8 +1,9 @@
-// Package membership implements deterministic dynamic membership for the
-// cluster runtime: seeded churn plans (permanent join-at-round and
-// leave-at-round events, distinct from crash/restart faults), a replayable
-// ChurnTrace text format, and a cloud-driven re-tiering step that re-assigns
-// workers to edges by deterministic clustering of their label distributions.
+// Package membership implements deterministic dynamic membership, which
+// topology.Tree.WithMembership lays over a run's tree for both engines:
+// seeded churn plans (permanent join-at-round and leave-at-round events,
+// distinct from crash/restart faults), a replayable ChurnTrace text format,
+// and a cloud-driven re-tiering step that re-assigns workers to edges by
+// deterministic clustering of their label distributions.
 //
 // The central object is the Schedule: because every membership decision is a
 // pure function of (plan, re-tier cadence, topology, shard statistics), each
@@ -16,43 +17,10 @@ package membership
 import (
 	"errors"
 	"fmt"
+	"regexp"
 	"sort"
+	"strings"
 )
-
-// Ref names a worker by its natal position in the configured topology: edge
-// index and worker index within that edge. The natal position is the
-// worker's permanent identity (its node ID stays "worker-<edge>-<index>"
-// forever); re-tiering changes which edge it reports to, never its Ref.
-type Ref struct {
-	Edge  int
-	Index int
-}
-
-// NodeID renders the transport node ID for the worker (the same format
-// internal/cluster uses for worker endpoints).
-func (r Ref) NodeID() string { return fmt.Sprintf("worker-%d-%d", r.Edge, r.Index) }
-
-// Less orders Refs by (Edge, Index) — the canonical deterministic order for
-// every cohort iteration and reduction in this package.
-func (r Ref) Less(o Ref) bool {
-	if r.Edge != o.Edge {
-		return r.Edge < o.Edge
-	}
-	return r.Index < o.Index
-}
-
-// ParseNodeID inverts NodeID ("worker-1-2" → Ref{1, 2}).
-func ParseNodeID(id string) (Ref, error) {
-	var r Ref
-	n, err := fmt.Sscanf(id, "worker-%d-%d", &r.Edge, &r.Index)
-	if err != nil || n != 2 || id != r.NodeID() {
-		return Ref{}, fmt.Errorf("membership: %q is not a worker node ID", id)
-	}
-	if r.Edge < 0 || r.Index < 0 {
-		return Ref{}, fmt.Errorf("membership: %q has negative indices", id)
-	}
-	return r, nil
-}
 
 // Action is the kind of a churn event.
 type Action int
@@ -86,8 +54,9 @@ type Event struct {
 	Round int
 	// Action is join or leave.
 	Action Action
-	// Worker is the natal reference of the affected worker.
-	Worker Ref
+	// Worker is the affected training leaf's transport ID: the tree's own
+	// name for it (topology.Tree.ID), resolved when the plan meets a tree.
+	Worker string
 }
 
 // Plan is a set of churn events. The zero value is the empty plan (no
@@ -106,7 +75,10 @@ func (p Plan) Clone() Plan {
 }
 
 // normalized returns the events sorted by (Round, Action, Worker) — the
-// canonical order used for validation, signatures, and trace output.
+// canonical order used for signatures and trace output. IDs compare with
+// their digit runs padded, so a tree's leaves sort in leaf order
+// ("worker-2" before "worker-10", "worker-0-2" before "worker-1-0"): the
+// order the signature, a checkpoint fingerprint token, has always used.
 func (p Plan) normalized() []Event {
 	ev := append([]Event(nil), p.Events...)
 	sort.Slice(ev, func(i, j int) bool {
@@ -116,9 +88,19 @@ func (p Plan) normalized() []Event {
 		if ev[i].Action != ev[j].Action {
 			return ev[i].Action < ev[j].Action
 		}
-		return ev[i].Worker.Less(ev[j].Worker)
+		if ki, kj := idKey(ev[i].Worker), idKey(ev[j].Worker); ki != kj {
+			return ki < kj
+		}
+		return ev[i].Worker < ev[j].Worker
 	})
 	return ev
+}
+
+var digitRun = regexp.MustCompile(`[0-9]+`)
+
+// idKey pads every digit run of an ID to 20 places.
+func idKey(id string) string {
+	return digitRun.ReplaceAllStringFunc(id, func(d string) string { return strings.Repeat("0", max(0, 20-len(d))) + d })
 }
 
 // Signature renders a stable one-line encoding of the plan, used in
@@ -132,7 +114,7 @@ func (p Plan) Signature() string {
 		if i > 0 {
 			s += ","
 		}
-		s += fmt.Sprintf("%s:%s@%d", e.Action, e.Worker.NodeID(), e.Round)
+		s += fmt.Sprintf("%s:%s@%d", e.Action, e.Worker, e.Round)
 	}
 	return s
 }

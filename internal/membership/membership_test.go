@@ -2,45 +2,46 @@ package membership
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// grid builds the natal refs of a [counts[0], counts[1], ...] topology.
-func grid(counts ...int) []Ref {
-	var refs []Ref
+// grid names the leaves of a [counts[0], counts[1], ...] topology as the
+// derived tree does ("worker-<edge>-<index>") and lists their natal edges,
+// in leaf order.
+func grid(counts ...int) (ids []string, parents []int) {
 	for l, n := range counts {
 		for i := 0; i < n; i++ {
-			refs = append(refs, Ref{Edge: l, Index: i})
+			ids = append(ids, fmt.Sprintf("worker-%d-%d", l, i))
+			parents = append(parents, l)
 		}
 	}
-	return refs
+	return ids, parents
 }
 
 // uniformStats gives every worker weight 10 and a one-hot histogram cycling
 // over numClasses classes, so clustering has structure to find.
-func uniformStats(refs []Ref, numClasses int) []WorkerStat {
-	stats := make([]WorkerStat, len(refs))
-	for i, r := range refs {
+func uniformStats(n, numClasses int) []WorkerStat {
+	stats := make([]WorkerStat, n)
+	for i := range stats {
 		hist := make([]float64, numClasses)
 		hist[i%numClasses] = 1
-		stats[i] = WorkerStat{Ref: r, Weight: 10, Hist: hist}
+		stats[i] = WorkerStat{Weight: 10, Hist: hist}
 	}
 	return stats
 }
 
-func TestRefNodeIDRoundTrip(t *testing.T) {
-	for _, r := range grid(3, 2) {
-		got, err := ParseNodeID(r.NodeID())
-		if err != nil || got != r {
-			t.Fatalf("round trip %v: got %v, err %v", r, got, err)
-		}
+// build resolves the plan's IDs against the grid (-1 for an ID it lacks)
+// and builds the schedule, as topology.Tree.WithMembership does.
+func build(plan Plan, K, pi, retierEvery int, counts ...int) (*Schedule, error) {
+	ids, parents := grid(counts...)
+	leaves := make([]int, len(plan.Events))
+	for e, ev := range plan.Events {
+		leaves[e] = slices.Index(ids, ev.Worker)
 	}
-	for _, bad := range []string{"worker-1", "edge-0", "worker-1-2-3", "worker--1-0", "worker-a-b", ""} {
-		if _, err := ParseNodeID(bad); err == nil {
-			t.Errorf("ParseNodeID(%q) should fail", bad)
-		}
-	}
+	return BuildSchedule(plan, leaves, parents, uniformStats(len(ids), 4), K, pi, retierEvery)
 }
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -71,8 +72,8 @@ func TestParseSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Plan{Events: []Event{
-		{Round: 3, Action: ActionJoin, Worker: Ref{0, 2}},
-		{Round: 7, Action: ActionLeave, Worker: Ref{1, 1}},
+		{Round: 3, Action: ActionJoin, Worker: "worker-0-2"},
+		{Round: 7, Action: ActionLeave, Worker: "worker-1-1"},
 	}}
 	if p.Signature() != want.Signature() {
 		t.Fatalf("got %q want %q", p.Signature(), want.Signature())
@@ -80,7 +81,8 @@ func TestParseSpec(t *testing.T) {
 	if p, err := ParseSpec("  "); err != nil || !p.Empty() {
 		t.Fatalf("blank spec: %v %v", p, err)
 	}
-	for _, bad := range []string{"join worker-0-0@1", "hop:worker-0-0@1", "join:worker-0-0", "join:worker-0-0@x"} {
+	for _, bad := range []string{"join worker-0-0@1", "hop:worker-0-0@1", "join:worker-0-0", "join:worker-0-0@x",
+		"join:worker-0-1@3x", "join:worker-0-1@+3", "join:worker-0-1@03", "join:worker-0-1@0", "join:@3", "join:worker 0@3"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)
 		}
@@ -88,7 +90,7 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestAssignDeterministicAndBalanced(t *testing.T) {
-	stats := uniformStats(grid(3, 3, 3), 3)
+	stats := uniformStats(9, 3)
 	a, err := Assign(stats, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +121,7 @@ func TestAssignDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestAssignErrors(t *testing.T) {
-	stats := uniformStats(grid(1, 1), 2)
+	stats := uniformStats(2, 2)
 	if _, err := Assign(stats, 3); err == nil {
 		t.Error("2 workers onto 3 edges should fail")
 	}
@@ -130,8 +132,7 @@ func TestAssignErrors(t *testing.T) {
 
 func buildTestSchedule(t *testing.T, plan Plan, retierEvery int) *Schedule {
 	t.Helper()
-	stats := uniformStats(grid(3, 3), 4)
-	s, err := BuildSchedule(plan, stats, 2, 12, 2, retierEvery)
+	s, err := build(plan, 12, 2, retierEvery, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +146,8 @@ func TestScheduleStaticPlan(t *testing.T) {
 	}
 	for k := 1; k <= 12; k++ {
 		for l := 0; l < 2; l++ {
-			cohort := s.Cohort(k, l)
-			if len(cohort) != 3 {
-				t.Fatalf("round %d edge %d cohort size %d", k, l, len(cohort))
-			}
-			for i, r := range cohort {
-				if r != (Ref{Edge: l, Index: i}) {
-					t.Fatalf("round %d edge %d: natal cohort expected, got %v", k, l, cohort)
-				}
+			if cohort := s.Cohort(k, l); !slices.Equal(cohort, []int{3 * l, 3*l + 1, 3*l + 2}) {
+				t.Fatalf("round %d edge %d: natal cohort expected, got %v", k, l, cohort)
 			}
 		}
 	}
@@ -163,27 +158,26 @@ func TestScheduleStaticPlan(t *testing.T) {
 }
 
 func TestScheduleJoinLeaveSpans(t *testing.T) {
+	// worker-0-2 is leaf 2, worker-1-1 leaf 4.
 	plan := Plan{Events: []Event{
-		{Round: 3, Action: ActionJoin, Worker: Ref{0, 2}},
-		{Round: 7, Action: ActionLeave, Worker: Ref{1, 1}},
+		{Round: 3, Action: ActionJoin, Worker: "worker-0-2"},
+		{Round: 7, Action: ActionLeave, Worker: "worker-1-1"},
 	}}
 	s := buildTestSchedule(t, plan, 0)
 
-	join, last, ok := s.Span(Ref{0, 2})
-	if !ok || join != 3 || last != 12 {
-		t.Fatalf("joiner span: %d..%d ok=%v", join, last, ok)
+	if join, last := s.Span(2); join != 3 || last != 12 {
+		t.Fatalf("joiner span: %d..%d", join, last)
 	}
-	join, last, ok = s.Span(Ref{1, 1})
-	if !ok || join != 1 || last != 7 {
-		t.Fatalf("leaver span: %d..%d ok=%v", join, last, ok)
+	if join, last := s.Span(4); join != 1 || last != 7 {
+		t.Fatalf("leaver span: %d..%d", join, last)
 	}
-	if _, ok := s.EdgeOf(2, Ref{0, 2}); ok {
+	if _, ok := s.EdgeOf(2, 2); ok {
 		t.Error("joiner live before its join round")
 	}
-	if l, ok := s.EdgeOf(3, Ref{0, 2}); !ok || l != 0 {
+	if l, ok := s.EdgeOf(3, 2); !ok || l != 0 {
 		t.Errorf("joiner should be on natal edge 0 at round 3, got %d ok=%v", l, ok)
 	}
-	if _, ok := s.EdgeOf(8, Ref{1, 1}); ok {
+	if _, ok := s.EdgeOf(8, 4); ok {
 		t.Error("leaver live after its leave round")
 	}
 	if got := s.LiveCount(1); got != 5 {
@@ -192,20 +186,11 @@ func TestScheduleJoinLeaveSpans(t *testing.T) {
 	if got := s.LiveCount(12); got != 5 {
 		t.Errorf("round 12 live = %d, want 5", got)
 	}
-	if j := s.JoinsAt(3); len(j) != 1 || j[0] != (Ref{0, 2}) {
-		t.Errorf("JoinsAt(3) = %v", j)
-	}
-	if l := s.LeavesAfter(7); len(l) != 1 || l[0] != (Ref{1, 1}) {
+	if l := s.LeavesAfter(7); !slices.Equal(l, []int{4}) {
 		t.Errorf("LeavesAfter(7) = %v", l)
 	}
-	// Weights: at round 1, edge 0 has 2 of 5 live workers (all weight 10).
-	ew := s.EdgeWeights(1)
-	if ew[0] != 20.0/50.0 || ew[1] != 30.0/50.0 {
-		t.Errorf("round 1 edge weights = %v", ew)
-	}
-	cw := s.CohortWeights(3, 0)
-	if len(cw) != 3 || cw[0] != 10.0/30.0 {
-		t.Errorf("round 3 edge 0 cohort weights = %v", cw)
+	if got := s.Cohort(3, 0); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("round 3 edge 0 cohort = %v", got)
 	}
 }
 
@@ -244,9 +229,8 @@ func TestScheduleRetierBoundaries(t *testing.T) {
 }
 
 func TestScheduleCohortCollapse(t *testing.T) {
-	stats := uniformStats(grid(2, 1), 3)
-	plan := Plan{Events: []Event{{Round: 4, Action: ActionLeave, Worker: Ref{1, 0}}}}
-	_, err := BuildSchedule(plan, stats, 2, 8, 2, 0)
+	plan := Plan{Events: []Event{{Round: 4, Action: ActionLeave, Worker: "worker-1-0"}}}
+	_, err := build(plan, 8, 2, 0, 2, 1)
 	if err == nil {
 		t.Fatal("emptying edge 1 should fail")
 	}
@@ -262,45 +246,78 @@ func TestScheduleCohortCollapse(t *testing.T) {
 	}
 }
 
+// TestCohortCollapseAtRetier: when leaves empty an edge at a re-tiering
+// round, fewer workers are live than there are edges, and the error names
+// the empty edge and its live count whether or not the round re-tiers.
+func TestCohortCollapseAtRetier(t *testing.T) {
+	plan := Plan{Events: []Event{
+		{Round: 2, Action: ActionLeave, Worker: "worker-0-0"},
+		{Round: 2, Action: ActionLeave, Worker: "worker-0-1"},
+	}}
+	for _, retierEvery := range []int{0, 1} {
+		_, err := build(plan, 8, 2, retierEvery, 2, 1)
+		var ce *CohortError
+		if !errors.As(err, &ce) {
+			t.Fatalf("retier every %d: want *CohortError, got %v", retierEvery, err)
+		}
+		if ce.Round != 3 || ce.Edge != 0 || ce.Live != 0 {
+			t.Errorf("retier every %d: CohortError = %+v, want round 3, edge 0, 0 live", retierEvery, ce)
+		}
+	}
+}
+
 func TestScheduleValidation(t *testing.T) {
-	stats := uniformStats(grid(2, 2), 3)
 	cases := []Plan{
-		{Events: []Event{{Round: 99, Action: ActionJoin, Worker: Ref{0, 0}}}},                                                    // round out of range
-		{Events: []Event{{Round: 2, Action: ActionJoin, Worker: Ref{5, 0}}}},                                                     // unknown worker
-		{Events: []Event{{Round: 3, Action: ActionJoin, Worker: Ref{0, 0}}, {Round: 2, Action: ActionLeave, Worker: Ref{0, 0}}}}, // leave before join
-		{Events: []Event{{Round: 2, Action: ActionJoin, Worker: Ref{0, 0}}, {Round: 3, Action: ActionJoin, Worker: Ref{0, 0}}}},  // double join
+		{Events: []Event{{Round: 99, Action: ActionJoin, Worker: "worker-0-0"}}},                                                       // round out of range
+		{Events: []Event{{Round: 2, Action: ActionJoin, Worker: "worker-5-0"}}},                                                        // unknown worker
+		{Events: []Event{{Round: 3, Action: ActionJoin, Worker: "worker-0-0"}, {Round: 2, Action: ActionLeave, Worker: "worker-0-0"}}}, // leave before join
+		{Events: []Event{{Round: 2, Action: ActionJoin, Worker: "worker-0-0"}, {Round: 3, Action: ActionJoin, Worker: "worker-0-0"}}},  // double join
 	}
 	for i, plan := range cases {
-		if _, err := BuildSchedule(plan, stats, 2, 8, 2, 0); err == nil {
+		if _, err := build(plan, 8, 2, 0, 2, 2); err == nil {
 			t.Errorf("case %d should fail validation", i)
 		}
 	}
 }
 
+// TestScheduleSignatureStable: a plan's signature — what checkpoint
+// fingerprints carry — lists the events in canonical order, the leaves in
+// leaf order, whatever order they were given in; equal inputs build equal
+// schedules, and the cadence changes the trajectory.
 func TestScheduleSignatureStable(t *testing.T) {
 	plan := Plan{Events: []Event{
-		{Round: 7, Action: ActionLeave, Worker: Ref{1, 1}},
-		{Round: 3, Action: ActionJoin, Worker: Ref{0, 2}},
+		{Round: 7, Action: ActionLeave, Worker: "worker-1-1"},
+		{Round: 3, Action: ActionJoin, Worker: "worker-0-2"},
 	}}
-	a := buildTestSchedule(t, plan, 2).Signature()
-	b := buildTestSchedule(t, plan.Clone(), 2).Signature()
-	if a != b {
-		t.Fatalf("signatures differ: %q vs %q", a, b)
+	if got, want := plan.Signature(), "join:worker-0-2@3,leave:worker-1-1@7"; got != want {
+		t.Fatalf("signature %q, want %q", got, want)
 	}
-	c := buildTestSchedule(t, plan, 1).Signature()
-	if a == c {
-		t.Fatal("different cadence should change the signature")
+	natural := Plan{Events: []Event{
+		{Round: 1, Action: ActionJoin, Worker: "worker-10"},
+		{Round: 1, Action: ActionJoin, Worker: "worker-2"},
+		{Round: 1, Action: ActionJoin, Worker: "worker-1-10"},
+		{Round: 1, Action: ActionJoin, Worker: "worker-1-9"},
+	}}
+	if got, want := natural.Signature(), "join:worker-1-9@1,join:worker-1-10@1,join:worker-2@1,join:worker-10@1"; got != want {
+		t.Fatalf("signature %q, want %q", got, want)
+	}
+	a := buildTestSchedule(t, plan, 2).Summarize()
+	if b := buildTestSchedule(t, plan.Clone(), 2).Summarize(); a != b {
+		t.Fatalf("equal inputs built %+v and %+v", a, b)
+	}
+	if c := buildTestSchedule(t, plan, 1).Summarize(); a == c {
+		t.Fatal("a different cadence should change the trajectory")
 	}
 }
 
 func TestGenerateDeterministicAndValid(t *testing.T) {
-	refs := grid(3, 3)
+	ids, _ := grid(3, 3)
 	spec := GenSpec{Seed: 7, Joins: 1, Leaves: 2}
-	p1, err := Generate(spec, refs, 12)
+	p1, err := Generate(spec, ids, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Generate(spec, refs, 12)
+	p2, err := Generate(spec, ids, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +327,10 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 	if len(p1.Events) != 3 {
 		t.Fatalf("want 3 events, got %d (%s)", len(p1.Events), p1.Signature())
 	}
-	if _, err := BuildSchedule(p1, uniformStats(refs, 4), 2, 12, 2, 2); err != nil {
+	if _, err := build(p1, 12, 2, 2, 3, 3); err != nil {
 		t.Fatalf("generated plan must build a schedule: %v", err)
 	}
-	other, err := Generate(GenSpec{Seed: 8, Joins: 1, Leaves: 2}, refs, 12)
+	other, err := Generate(GenSpec{Seed: 8, Joins: 1, Leaves: 2}, ids, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

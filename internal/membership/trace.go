@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ChurnTrace is the replayable text format for churn plans: one event per
@@ -49,7 +51,7 @@ func WriteTrace(w io.Writer, p Plan) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# churn trace: <action> <worker-id> @<edge-round>")
 	for _, e := range p.normalized() {
-		fmt.Fprintf(bw, "%s %s @%d\n", e.Action, e.Worker.NodeID(), e.Round)
+		fmt.Fprintf(bw, "%s %s @%d\n", e.Action, e.Worker, e.Round)
 	}
 	return bw.Flush()
 }
@@ -91,13 +93,16 @@ func parseEvent(action, id, round string) (Event, error) {
 	default:
 		return Event{}, fmt.Errorf("unknown action %q (want join|leave)", action)
 	}
-	ref, err := ParseNodeID(id)
-	if err != nil {
-		return Event{}, err
+	if id == "" || strings.ContainsFunc(id, unicode.IsSpace) {
+		return Event{}, fmt.Errorf("bad worker ID %q", id)
 	}
-	ev.Worker = ref
-	if _, err := fmt.Sscanf(round, "%d", &ev.Round); err != nil || ev.Round < 1 {
+	ev.Worker = id
+	// Only the canonical decimal spelling counts: "3x", "+3" and "03" are
+	// not round 3.
+	n, err := strconv.Atoi(round)
+	if err != nil || n < 1 || strconv.Itoa(n) != round {
 		return Event{}, fmt.Errorf("bad round %q (want a positive integer)", round)
 	}
+	ev.Round = n
 	return ev, nil
 }

@@ -158,8 +158,8 @@ func checkTree(t *testing.T, tree *Tree, leafSizes []int) {
 			t.Fatalf("%s: leaf %d size %d, want %d", tree, j, tree.Sizes[depth-1][j], leafSizes[j])
 		}
 		p, pos := tree.Natal(j)
-		if got := tree.Leaf(p, pos); got != j {
-			t.Fatalf("%s: Leaf(Natal(%d)) = %d", tree, j, got)
+		if got := tree.Kids[tree.LeafParent()][p][pos]; got != j {
+			t.Fatalf("%s: Natal(%d) = (%d, %d), the child there is %d", tree, j, p, pos, got)
 		}
 		global += tree.Global[j]
 	}

@@ -14,9 +14,10 @@ import (
 // training leaves, keys each leaf by its natal (parent, position)
 // coordinates, weighs every node's children by their integer subtree
 // sample counts, names every node with its transport ID, and holds each
-// level's aggregation rule. The in-process simulation (internal/core) builds
-// its levels from it, and the distributed runtime (internal/cluster) adds
-// membership epochs on top, so the two engines cannot disagree on the shape.
+// level's aggregation rule, and a run's attack plan and membership epochs.
+// The in-process simulation (internal/core) and the distributed runtime
+// (internal/cluster) both build their levels from it, so the two engines
+// cannot disagree on the shape.
 //
 // A Tree is pure derived data, built once per run and read-only afterwards.
 type Tree struct {
@@ -45,8 +46,10 @@ type Tree struct {
 	// three-level tree.
 	Global []float64
 
-	// attack is the run's attack plan (WithAttackPlan), nil for none.
+	// attack is the run's attack plan (WithAttackPlan), nil for none, and
+	// churn its membership trajectory (WithMembership), nil for static.
 	attack *robust.AttackPlan
+	churn  *Membership
 	// names is the transport-ID table, minted on first use: a plan-less
 	// simulation never reads an ID, so its runs never pay for one.
 	names idTable
@@ -155,19 +158,37 @@ func build(levels []Level, spec *Topology, fan func(i, j int) int, leafSizes []i
 	if t.Weights, err = weigh(levels, t.Kids, t.Sizes); err != nil {
 		return nil, err
 	}
-	// Path products root first, level by level: a level-1 node's is its
-	// weight itself, and a three-level leaf's is Dℓ/D · D(i,ℓ)/Dℓ.
-	t.Global = t.Weights[0][0]
-	for i := 1; i < depth-1; i++ {
-		next := make([]float64, len(t.Parent[i+1]))
-		for j, w := range t.Weights[i] {
-			for pos, c := range t.Kids[i][j] {
-				next[c] = t.Global[j] * w[pos]
+	t.Global = paths(t.Kids, t.Weights, len(leafSizes))
+	return t, nil
+}
+
+// paths returns the leaves' path products over kids and their weights, root
+// first, level by level: a level-1 node's is its weight itself, a
+// three-level leaf's Dℓ/D · D(i,ℓ)/Dℓ, and a leaf no cohort holds gets 0.
+// The root's children are all of the next level unless the root is the leaf
+// parent of a membership epoch.
+func paths(kids [][][]int, weights [][][]float64, leaves int) []float64 {
+	global := weights[0][0]
+	if len(kids) == 1 && len(global) != leaves {
+		global = make([]float64, leaves)
+		for pos, c := range kids[0][0] {
+			global[c] = weights[0][0][pos]
+		}
+	}
+	for i := 1; i < len(kids); i++ {
+		width := leaves
+		if i+1 < len(kids) {
+			width = len(kids[i+1])
+		}
+		next := make([]float64, width)
+		for j, w := range weights[i] {
+			for pos, c := range kids[i][j] {
+				next[c] = global[j] * w[pos]
 			}
 		}
-		t.Global = next
+		global = next
 	}
-	return t, nil
+	return global
 }
 
 // WithAggregators returns the tree a run with default aggregation rules
@@ -190,7 +211,7 @@ func (t *Tree) WithAggregators(leafParent, root robust.Spec) *Tree {
 		}
 	}
 	return &Tree{Levels: levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent,
-		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: t.attack}
+		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: t.attack, churn: t.churn}
 }
 
 // WithAttackPlan returns the tree a run under the plan executes, the one place
@@ -207,7 +228,7 @@ func (t *Tree) WithAttackPlan(plan *robust.AttackPlan) (*Tree, error) {
 		}
 	}
 	return &Tree{Levels: t.Levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent,
-		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: plan}, nil
+		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: plan, churn: t.churn}, nil
 }
 
 // AttackPlan returns the run's attack plan, nil for none; like Spec, shared.
@@ -307,16 +328,11 @@ func (t *Tree) NumLeaves() int { return len(t.Global) }
 
 // Natal returns leaf j's natal coordinates: its parent on the leaf-parent
 // level and its position among that node's children. They key the leaf's
-// mini-batch stream and its membership identity — on the derived tree they
-// are the worker's (edge, worker) indices.
+// mini-batch stream — on the derived tree they are the worker's (edge,
+// worker) indices.
 func (t *Tree) Natal(j int) (parent, pos int) {
 	parent = t.Parent[len(t.Parent)-1][j]
 	return parent, j - t.Kids[t.LeafParent()][parent][0]
-}
-
-// Leaf inverts Natal.
-func (t *Tree) Leaf(parent, pos int) int {
-	return t.Kids[t.LeafParent()][parent][0] + pos
 }
 
 // ID returns the transport ID of node idx at level i, the one name fault,

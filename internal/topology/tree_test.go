@@ -145,14 +145,6 @@ func TestNodeIDs(t *testing.T) {
 			}
 		}
 	}
-	// Churn plans name a derived tree's workers by membership.Ref; the two
-	// namings must be one.
-	for j := 0; j < derived.NumLeaves(); j++ {
-		p, pos := derived.Natal(j)
-		if got, want := derived.ID(2, j), (membership.Ref{Edge: p, Index: pos}).NodeID(); got != want {
-			t.Errorf("leaf %d: ID %q, churn-plan name %q", j, got, want)
-		}
-	}
 }
 
 // TestWithAggregators: the run's defaults fill the leaf-parent and root
@@ -304,5 +296,97 @@ func TestWithAttackPlan(t *testing.T) {
 	}
 	if rules, _ := derived.Aggregators(); derived.AttackPlan() != nil || strings.Join(rules, "/") != "mean/mean" {
 		t.Errorf("the input tree changed: rules %v, plan %v", rules, derived.AttackPlan())
+	}
+}
+
+// TestWithMembership: a churn plan meets the tree in one place. An entry
+// naming anything but a training leaf is refused naming the tree, an empty
+// plan without re-tiering is the tree itself, and the merged tree keeps its
+// trajectory through the other With… calls. Each epoch weighs the live
+// cohorts, and a leaf off them weighs 0 and does not train.
+func TestWithMembership(t *testing.T) {
+	tree, err := Derive(2, 2, []int{2, 2}, []int{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := make([]membership.WorkerStat, 4)
+	for j := range stats {
+		stats[j] = membership.WorkerStat{Weight: float64(j + 1), Hist: []float64{1}}
+	}
+	leave := func(id string) membership.Plan {
+		return membership.Plan{Events: []membership.Event{{Round: 2, Action: membership.ActionLeave, Worker: id}}}
+	}
+	if got, err := tree.WithMembership(membership.Plan{}, stats, 16, 0, membership.MigrateZero); err != nil || got != tree {
+		t.Fatalf("an empty plan gave %v, %v, want the tree itself", got, err)
+	}
+	for _, id := range []string{"worker-2-0", "worker-1", "edge-0", "cloud"} {
+		_, err := tree.WithMembership(leave(id), stats, 16, 0, membership.MigrateZero)
+		if want := `"` + id + `", not a training leaf of the tree ` + tree.String(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("plan naming %s: %v, want an error containing %s", id, err, want)
+		}
+	}
+
+	churned, err := tree.WithMembership(leave("worker-0-1"), stats, 16, 0, membership.MigrateZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := churned.Membership()
+	if m == nil || m.Token != "churn=leave:worker-0-1@2 retier=0 migrate=zero" || churned.String() != tree.String() {
+		t.Fatalf("membership %+v on %s", m, churned)
+	}
+	attack, err := robust.ParsePlan("signflip:worker-0-0@1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacked, err := churned.WithAttackPlan(attack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Membership() != nil || attacked.Membership() != m ||
+		churned.WithAggregators(robust.Spec{Kind: robust.Median}, robust.Spec{}).Membership() != m {
+		t.Error("the input tree gained the trajectory, or WithAttackPlan / WithAggregators dropped it")
+	}
+	// Round 2 is the leaver's last; from round 3 (iterations 5–6) edge 0
+	// holds leaf 0 alone and the root weighs the edges 1 : 7.
+	if kids, w := churned.Children(1, 0, 2); len(kids) != 2 || len(w) != 2 {
+		t.Errorf("round 2: edge 0 children %v %v, want both", kids, w)
+	}
+	if kids, w := churned.Children(1, 0, 3); len(kids) != 1 || kids[0] != 0 || w[0] != 1 {
+		t.Errorf("round 3: edge 0 children %v %v, want leaf 0 at weight 1", kids, w)
+	}
+	if _, w := churned.Children(0, 0, 2); w[0] != 1.0/8 || w[1] != 7.0/8 {
+		t.Errorf("root sync 2 weights %v, want [1/8 7/8]", w)
+	}
+	if global, live := churned.Live(5); len(live) != 3 || live[1] != 2 || global[1] != 0 || global[0] != 1.0/8 {
+		t.Errorf("iteration 5: live %v, weights %v", live, global)
+	}
+	if _, live := churned.Live(4); len(live) != 4 {
+		t.Errorf("iteration 4: live %v, want every leaf", live)
+	}
+	if carry, changed := churned.Carry(0, 3); carry != 0 || !changed {
+		t.Errorf("edge 0 round 3: carry %v, changed %v; want 0 under MigrateZero", carry, changed)
+	}
+	if carry, changed := churned.Carry(1, 3); carry != 1 || changed {
+		t.Errorf("edge 1 round 3: carry %v, changed %v; want an unchanged cohort", carry, changed)
+	}
+	if churned.Fanout(1, 0) != 2 || churned.Epoch(0, 2) != 1 {
+		t.Errorf("fanout %d, root round 2 in epoch %d", churned.Fanout(1, 0), churned.Epoch(0, 2))
+	}
+
+	// On a depth-2 tree the root is the leaf parent: its cohort's weights
+	// are the leaves' global weights, scattered over the leaf order.
+	spec, err := Parse("cloud:tau=2/worker*4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := spec.Resolve([]int{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat, err = flat.WithMembership(leave("worker-1"), stats, 16, 0, membership.MigrateZero); err != nil {
+		t.Fatal(err)
+	}
+	if global, live := flat.Live(5); len(live) != 3 || global[1] != 0 || global[0] != 1.0/8 || global[3] != 4.0/8 {
+		t.Errorf("depth 2, iteration 5: live %v, weights %v", live, global)
 	}
 }
