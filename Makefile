@@ -9,10 +9,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-## portable: internal/tensor (the GEMMs, Vector.Scale) and internal/core
-## (Leaf.Step, the tier mean) have assembly bodies on amd64 only. Everywhere
-## else runs the pure-Go ones, so they must keep compiling and vetting on
-## arm64 and s390x — each package needs its !amd64 dispatch file (stock go
+## portable: internal/tensor (the GEMMs, Vector.Scale), internal/core
+## (Leaf.Step, the tier mean) and internal/nn (the fused ReLU's rectify and
+## gate, the conv bias sums, the max-pool scan and scatter) have assembly
+## bodies on amd64 only. Everywhere else runs the pure-Go ones, so they must
+## keep compiling and vetting on arm64 and s390x — each package needs its
+## !amd64 dispatch file (stock go
 ## vet's asmdecl, part of lint, already holds the amd64 frames to their Go
 ## declarations). Likewise the wire codec and the snapshot encoder copy a
 ## vector's memory only on little-endian hosts; the value-by-value path a
@@ -25,7 +27,7 @@ portable:
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/nn ./internal/core
 	GOARCH=s390x $(GO) build ./...
 	GOARCH=s390x $(GO) vet ./internal/transport ./internal/checkpoint ./internal/vecbytes \
-		./internal/tensor ./internal/core
+		./internal/tensor ./internal/nn ./internal/core
 	@! git ls-files -z -co --exclude-standard -- '*.s' | xargs -0 grep -nE 'VFN?MADD' || \
 		{ echo "fused multiply-add in assembly"; exit 1; }
 
@@ -135,8 +137,10 @@ recover:
 ## Dense weight gradient at the sync model's, in GFLOP/s, and Vector.Scale at the
 ## sync model's dimension; internal/nn: one forward and one loss-gradient per architecture
 ## family, the single-Dense classifiers at the shapes the runs train,
-## batch 8, and the CNN's second conv layer's backward pass on sparse output
-## gradients).
+## batch 8, the CNN's second conv layer's backward pass on sparse output
+## gradients, and the CNN's element-wise passes alone at its two layer shapes,
+## 8x14x14 and 16x7x7: max-pool forward and backward, the fused ReLU's rectify
+## and gate, and the conv bias sums).
 ## -count=3 repetitions are merged best-of-N by benchjson: the minimum is
 ## the stable noise estimator on a shared box, where interference only ever
 ## adds time (observed single-run spread on this host is >30%).

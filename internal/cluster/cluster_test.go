@@ -266,6 +266,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		scenarios[sc.name] = sc
 	}
 	scenarios["tree4-churn"] = goldenScenario{cfg: treeChurnConfig, opts: treeChurnOptions}
+	var fired [7]int64 // the seven membership values, summed over the rows
 	for _, name := range []string{"churn/zero", "churn/carry", "churn/rescale", "churn/reduced", "churn/ragged", "byz/churn", "tree4-churn"} {
 		sc := scenarios[name]
 		for _, nw := range nets {
@@ -314,12 +315,33 @@ func TestClusterMatchesSimulation(t *testing.T) {
 					{"fl_attack_injected_total", m.AttackInjected.Value(), refM.AttackInjected.Value()},
 					{"fl_robust_rejected_total", m.RobustRejected.Value(), refM.RobustRejected.Value()},
 					{"fl_robust_clipped_total", m.RobustClipped.Value(), refM.RobustClipped.Value()},
+					// Both engines count the membership transitions at the
+					// same boundaries and publish the root's epoch last.
+					{"fl_membership_joins_total", m.MembershipJoins.Value(), refM.MembershipJoins.Value()},
+					{"fl_membership_leaves_total", m.MembershipLeaves.Value(), refM.MembershipLeaves.Value()},
+					{"fl_membership_reassigns_total", m.MembershipReassigns.Value(), refM.MembershipReassigns.Value()},
+					{"fl_membership_retierings_total", m.MembershipRetiers.Value(), refM.MembershipRetiers.Value()},
+					{"fl_membership_gamma_migrations_total", m.GammaMigrations.Value(), refM.GammaMigrations.Value()},
+					{"fl_membership_epoch", int64(m.MembershipEpoch.Value()), int64(refM.MembershipEpoch.Value())},
+					{"fl_membership_live_workers", int64(m.LiveWorkers.Value()), int64(refM.LiveWorkers.Value())},
 				} {
 					if c.cluster != c.sim {
 						t.Errorf("%s = %d in the cluster, %d in the simulation", c.what, c.cluster, c.sim)
 					}
 				}
+				fired[0] += refM.MembershipJoins.Value()
+				fired[1] += refM.MembershipLeaves.Value()
+				fired[2] += refM.MembershipReassigns.Value()
+				fired[3] += refM.MembershipRetiers.Value()
+				fired[4] += refM.GammaMigrations.Value()
+				fired[5] += int64(refM.MembershipEpoch.Value())
+				fired[6] += int64(refM.LiveWorkers.Value())
 			})
+		}
+	}
+	for i, n := range fired {
+		if n == 0 {
+			t.Errorf("membership value %d never moved in the churn rows: they do not exercise it", i)
 		}
 	}
 }

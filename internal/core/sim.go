@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -663,9 +664,9 @@ func (s *sim) round(t, k, n int) error {
 			return err
 		}
 	}
-	carry := 1.0
+	carry, migrated := 1.0, false
 	if k == 0 {
-		carry, _ = s.tree.Carry(n, t/lev.period)
+		carry, migrated = s.tree.Carry(n, t/lev.period)
 	}
 	out, err := tier.Update(weights, idx, carry)
 	if err != nil {
@@ -683,6 +684,12 @@ func (s *sim) round(t, k, n int) error {
 	m := sink.M()
 	m.RobustRejected.Add(int64(len(out.Robust.Rejected)))
 	m.RobustClipped.Add(int64(len(out.Robust.Clipped)))
+	if migrated {
+		m.GammaMigrations.Inc()
+	}
+	if k == len(s.levels)-1 && s.churn {
+		s.rootMembership(t)
+	}
 	switch k {
 	case len(s.levels) - 1:
 		m.CloudSyncs.Inc()
@@ -774,12 +781,49 @@ func (s *sim) round(t, k, n int) error {
 	return nil
 }
 
+// rootMembership publishes the membership state at the root's round at
+// iteration t, as the distributed root does: the epoch and live workers of
+// the leaf parents' round then, and a re-tiering that takes effect at their
+// next round.
+func (s *sim) rootMembership(t int) {
+	sched, m := s.tree.Membership(), s.sink.M()
+	r := t / s.levels[0].period
+	m.MembershipEpoch.Set(float64(sched.EpochIndex(r)))
+	m.LiveWorkers.Set(float64(sched.LiveCount(r)))
+	if r >= sched.K {
+		return
+	}
+	if next := sched.EpochAt(r + 1); next.Retier && next.Start == r+1 {
+		m.MembershipRetiers.Inc()
+	}
+}
+
 // admit redistributes leaf parent n's round at iteration t under membership
 // (lines 14–15): the cohort of its next round adopts the aggregate and
-// restarts its interval, newcomers included, leavers not.
+// restarts its interval, newcomers included, leavers not. It counts the
+// transitions as the distributed leaf parent does when it redistributes: each
+// newcomer a join, or a reassignment when it was live before, and each of its
+// cohort's workers whose last round this was a leave.
 func (s *sim) admit(t, n int) error {
-	tier := s.levels[0].nodes[n].tier
+	lev := &s.levels[0]
+	k := t / lev.period
+	next := min(k+1, s.hn.Cfg().T/lev.period)
+	prev, _ := s.tree.Children(lev.level, n, k)
+	sched, m := s.tree.Membership(), s.sink.M()
+	for _, j := range sched.LeavesAfter(k) {
+		if l, ok := sched.EdgeOf(k, j); ok && l == n {
+			m.MembershipLeaves.Inc()
+		}
+	}
+	tier := lev.nodes[n].tier
 	for _, j := range s.nextCohort(t, n) {
+		if !slices.Contains(prev, j) {
+			if join, _ := sched.Span(j); join != next {
+				m.MembershipReassigns.Inc()
+			} else {
+				m.MembershipJoins.Inc()
+			}
+		}
 		w := s.leaves[j]
 		if err := w.Adopt(tier.YMinus, tier.XPlus); err != nil {
 			return err

@@ -63,7 +63,10 @@ func NewMembershipReport(tree *topology.Tree) *MembershipReport {
 
 // LeafStats returns the workers' re-tiering statistics, Edges flattened in
 // order: each shard's size and its label histogram, pure functions of the
-// data partition, so every process derives the same ones.
+// data partition, so every process derives the same ones. The histogram is
+// the shard's raw per-class sample counts, not normalized: it sums to the
+// shard's size, so the L1 distances membership.Assign clusters by grow with
+// shard size.
 func (c *Config) LeafStats() []membership.WorkerStat {
 	numClasses := 0
 	for _, edge := range c.Edges {

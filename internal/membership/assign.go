@@ -3,14 +3,15 @@ package membership
 import "fmt"
 
 // WorkerStat is the clustering statistic for one worker: its data weight
-// (shard size) and its normalized class histogram. Both are pure functions
-// of the deterministic data partition, so every node derives identical
-// stats from the shared config — the precondition for decision-free
-// re-tiering.
+// (shard size) and its class histogram. Both are pure functions of the
+// deterministic data partition, so every node derives identical stats from
+// the shared config — the precondition for decision-free re-tiering.
 type WorkerStat struct {
 	// Weight is the worker's shard size in samples.
 	Weight float64
-	// Hist is the worker's class distribution, normalized to sum to 1. All
+	// Hist is the worker's class histogram. Assign takes it as given:
+	// fl.Config.LeafStats passes raw per-class sample counts, which sum to
+	// Weight, not to 1, so Assign's L1 distances grow with shard size. All
 	// stats passed to one Assign call must have the same length.
 	Hist []float64
 }

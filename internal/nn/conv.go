@@ -209,15 +209,8 @@ func (c *Conv2D) Backward(params, in, out, gradOut, gradParams, gradIn, scratch 
 	gw, gb := gradParams[:nw], gradParams[nw:]
 	P := outSh.H * outSh.W
 
-	// Bias gradient: plain per-channel sums over the output plane, hoisted
-	// into a register but added in the same pixel order as ever.
-	for oc := 0; oc < c.outC; oc++ {
-		s := gb[oc]
-		for _, g := range gradOut[oc*P : (oc+1)*P] {
-			s += g
-		}
-		gb[oc] = s
-	}
+	// Bias gradient: per-channel sums over the output plane, pixel order.
+	biasSums(gb, gradOut, P)
 
 	// Weight gradient: gw[oc, (ic,ky,kx)] += Σ_p gradOut[oc,p]·patch[(ic,ky,kx),p]
 	// — one A·Bᵀ accumulation over the cached patch matrix. Ascending-p
@@ -250,6 +243,26 @@ func (c *Conv2D) Backward(params, in, out, gradOut, gradParams, gradIn, scratch 
 			copy(gDst[y*c.in.W:(y+1)*c.in.W],
 				gSrc[(y+c.pad)*pW+c.pad:(y+c.pad)*pW+c.pad+c.in.W])
 		}
+	}
+}
+
+// biasSums is the bias gradient: gb[oc] plus the sum of channel oc's plane
+// of grad, plane elements long, added in pixel order with the running sum
+// hoisted into a register. On AVX2 hosts the body in kernel_amd64.s sums the
+// whole blocks of four channels and four pixels first, four channels a
+// register; this loop adds the pixels and channels it leaves.
+func biasSums(gb, grad []float64, plane int) {
+	channels, pixels := biasSumsVector(gb, grad, plane)
+	for oc := range gb {
+		from := 0
+		if oc < channels {
+			from = pixels
+		}
+		s := gb[oc]
+		for _, g := range grad[oc*plane+from : (oc+1)*plane] {
+			s += g
+		}
+		gb[oc] = s
 	}
 }
 

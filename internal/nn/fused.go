@@ -61,10 +61,17 @@ func (f *convReLU) ScratchSize() int { return f.conv.ScratchSize() }
 // values the stack produces.
 func (f *convReLU) Forward(params, in, out, scratch []float64) {
 	f.conv.Forward(params, in, out, scratch)
-	for i, x := range out {
-		bits := math.Float64bits(x)
+	rectify(out)
+}
+
+// rectify clears every word of x whose sign bit is set. On AVX2 hosts the
+// body in kernel_amd64.s clears the whole blocks of four first.
+func rectify(x []float64) {
+	rest := x[rectifyVector(x):]
+	for i, v := range rest {
+		bits := math.Float64bits(v)
 		mask := uint64(int64(bits)>>63) ^ ^uint64(0) // 0 if negative, all-ones otherwise
-		out[i] = math.Float64frombits(bits & mask)
+		rest[i] = math.Float64frombits(bits & mask)
 	}
 }
 
@@ -75,10 +82,17 @@ func (f *convReLU) Forward(params, in, out, scratch []float64) {
 // gradient exactly when out's bits are nonzero. Gated-off entries become
 // +0, which the conv backward skips exactly as the unfused path did.
 func (f *convReLU) Backward(params, in, out, gradOut, gradParams, gradIn, scratch []float64) {
-	for i, x := range out {
+	gate(gradOut, out)
+	f.conv.Backward(params, in, nil, gradOut, gradParams, gradIn, scratch)
+}
+
+// gate clears every word of grad whose out word is all zero bits. On AVX2
+// hosts the body in kernel_amd64.s gates the whole blocks of four first.
+func gate(grad, out []float64) {
+	n := gateVector(grad, out)
+	for i, x := range out[n:len(grad)] {
 		bits := math.Float64bits(x)
 		mask := uint64(int64(bits|-bits) >> 63) // all-ones if bits != 0
-		gradOut[i] = math.Float64frombits(math.Float64bits(gradOut[i]) & mask)
+		grad[n+i] = math.Float64frombits(math.Float64bits(grad[n+i]) & mask)
 	}
-	f.conv.Backward(params, in, nil, gradOut, gradParams, gradIn, scratch)
 }

@@ -9,7 +9,18 @@
 // checked against finite differences layer by layer.
 package nn
 
-import "hieradmo/internal/rng"
+import (
+	"hieradmo/internal/rng"
+	"hieradmo/internal/tensor"
+)
+
+// vectorBodies routes the CNN's element-wise passes — the fused ReLU's
+// rectify and gate, Conv2D's bias sums, MaxPool2D's forward scan and backward
+// scatter — through their AVX2 bodies (kernel_amd64.s) where internal/tensor's
+// detection found AVX2. Nothing else sets it; tests clear it to run the Go
+// loops alone, which are the oracle the bodies are held to, take the
+// elements a body leaves, and run everywhere else.
+var vectorBodies = tensor.HasAVX2()
 
 // Shape3 is an activation shape: channels × height × width.
 type Shape3 struct {

@@ -58,22 +58,36 @@ func (p *MaxPool2D) ScratchSize() int { return p.OutShape().Size() }
 // {a, b, c}". Every comparison the scan makes is made here on the same two
 // operands, so the winner is the scan's for any input, ties and NaNs
 // included.
+//
+// On AVX2 hosts the body in kernel_amd64.s scans the whole blocks of four
+// output cells, four windows a register, and this loop, forwardCells, scans
+// the cells it leaves.
 func (p *MaxPool2D) Forward(params, in, out, scratch []float64) {
+	p.forwardCells(in, out, scratch, p.forwardVector(in, out, scratch))
+}
+
+// forwardCells scans the windows of the output cells from the flattened
+// index from on.
+func (p *MaxPool2D) forwardCells(in, out, idx []float64, from int) {
 	outSh := p.OutShape()
+	if from >= outSh.Size() {
+		return
+	}
 	w := p.in.W
 	planeIn := p.in.H * w
 	planeOut := outSh.H * outSh.W
-	for c := 0; c < p.in.C; c++ {
+	oy0, ox0 := from%planeOut/outSh.W, from%outSh.W
+	for c := from / planeOut; c < p.in.C; c++ {
 		inPlane := in[c*planeIn : (c+1)*planeIn]
 		outPlane := out[c*planeOut : (c+1)*planeOut]
-		idxPlane := scratch[c*planeOut : (c+1)*planeOut]
-		for oy := 0; oy < outSh.H; oy++ {
+		idxPlane := idx[c*planeOut : (c+1)*planeOut]
+		for oy := oy0; oy < outSh.H; oy++ {
 			base := 2 * oy * w
 			row0 := inPlane[base : base+w]
 			row1 := inPlane[base+w : base+2*w]
 			outRow := outPlane[oy*outSh.W : (oy+1)*outSh.W]
 			idxRow := idxPlane[oy*outSh.W : (oy+1)*outSh.W]
-			for ox := range outRow {
+			for ox := ox0; ox < len(outRow); ox++ {
 				a, b, c, d := row0[2*ox], row0[2*ox+1], row1[2*ox], row1[2*ox+1]
 				s1 := greater(b, a)
 				ca, da := greater(c, a), greater(d, a)
@@ -88,7 +102,9 @@ func (p *MaxPool2D) Forward(params, in, out, scratch []float64) {
 				outRow[ox] = inPlane[best]
 				idxRow[ox] = float64(best)
 			}
+			ox0 = 0
 		}
+		oy0 = 0
 	}
 }
 
@@ -103,23 +119,28 @@ func greater(x, y float64) int {
 }
 
 // Backward implements Layer: zero gradIn, then route each output gradient to
-// the window position Forward recorded in scratch.
+// the window position Forward recorded in scratch. Windows do not overlap, so
+// each position receives at most one gradient: +0 + g. On AVX2 hosts the body
+// in kernel_amd64.s routes the whole blocks of four output cells, four
+// gradients a register, and this loop the cells it leaves.
 func (p *MaxPool2D) Backward(params, in, _, gradOut, gradParams, gradIn, scratch []float64) {
 	if gradIn == nil {
 		return
 	}
+	clear(gradIn)
 	outSh := p.OutShape()
 	planeIn := p.in.H * p.in.W
 	planeOut := outSh.H * outSh.W
-	for i := range gradIn {
-		gradIn[i] = 0
+	if planeOut == 0 {
+		return
 	}
-	for c := 0; c < p.in.C; c++ {
+	from := p.scatterVector(gradIn, gradOut, scratch)
+	for c := from / planeOut; c < p.in.C; c++ {
 		gInPlane := gradIn[c*planeIn : (c+1)*planeIn]
 		gOutPlane := gradOut[c*planeOut : (c+1)*planeOut]
 		idxPlane := scratch[c*planeOut : (c+1)*planeOut]
-		for o, g := range gOutPlane {
-			gInPlane[int(idxPlane[o])] += g
+		for o := max(from-c*planeOut, 0); o < planeOut; o++ {
+			gInPlane[int(idxPlane[o])] += gOutPlane[o]
 		}
 	}
 }
