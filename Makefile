@@ -83,6 +83,9 @@ race:
 ## values on fuzzer-chosen cohorts, and the -attack-plan parser, which must
 ## yield a plan or an error (never a panic, never an empty plan), every
 ## accepted plan's canonical entries re-parsing to the same Signature,
+## and the -aggregator parser, which must yield a spec pair or an error
+## (never a panic), every accepted spec validating and the pair spelled out
+## as edge=<kind>,cloud=<kind> re-parsing to itself,
 ## and the -churn-plan parsers (inline spec and trace), which must yield a
 ## plan or an error with every round at least 1, every accepted plan's
 ## trace re-parsing to the same Signature and resolving against a small
@@ -111,6 +114,7 @@ fuzz:
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzMedianAggregate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzTrimmedMean -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzParsePlan -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzParseTierSpecs -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/membership/ -run '^$$' -fuzz FuzzParseChurnPlan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run '^$$' -fuzz FuzzParseTopology -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzAllowDirective -fuzztime $(FUZZTIME)
@@ -118,7 +122,8 @@ fuzz:
 
 ## recover: the crash-recovery integration suite — checkpoint format and
 ## corruption handling, bit-identical simulation resume, cluster
-## interrupt/restart/rejoin, and the process-level SIGKILL/SIGTERM tests.
+## interrupt/restart/rejoin (TestClusterInterruptResume* also resumes the
+## tier fault ledgers), and the process-level SIGKILL/SIGTERM tests.
 recover:
 	$(GO) test -count=1 ./internal/checkpoint/... || exit 1
 	$(GO) test -count=1 ./internal/core/... ./internal/baseline/... -run 'Resume' || exit 1

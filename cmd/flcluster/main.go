@@ -103,6 +103,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"reflect"
 	"strconv"
 	"strings"
 	"syscall"
@@ -396,6 +397,12 @@ func run(args []string, interrupt <-chan struct{}) error {
 		if err != nil {
 			return fmt.Errorf("verification run: %w", err)
 		}
+		// A resumed run's attack report counts only what followed the
+		// resume, and a -node root's only its own tier's verdicts, so
+		// neither is held to the simulation's whole-run report.
+		if *resume || *nodeID != "" {
+			sim.AttackReport = res.AttackReport
+		}
 		if err := compareRuns(res, sim); err != nil {
 			return err
 		}
@@ -423,14 +430,16 @@ func run(args []string, interrupt <-chan struct{}) error {
 
 // compareRuns holds the distributed result to the simulation's: the same
 // accuracy, the same loss to rounding (fl.LossesAgree: a NaN loss matches
-// only a NaN) and the same membership trajectory.
+// only a NaN), the same membership trajectory and the same attack report —
+// injections by kind, rejections and clips by tier, every level's rule.
 func compareRuns(res, sim *hieradmo.Result) error {
 	if res.FinalAcc != sim.FinalAcc || !fl.LossesAgree(res.FinalLoss, sim.FinalLoss) {
 		return fmt.Errorf("verification failed: distributed accuracy %.6f, loss %v vs simulation %.6f, %v",
 			res.FinalAcc, res.FinalLoss, sim.FinalAcc, sim.FinalLoss)
 	}
-	if res.Membership.String() != sim.Membership.String() {
-		return fmt.Errorf("verification failed: distributed %v vs simulation %v", res.Membership, sim.Membership)
+	if !reflect.DeepEqual(res.Membership, sim.Membership) || !reflect.DeepEqual(res.AttackReport, sim.AttackReport) {
+		return fmt.Errorf("verification failed: distributed %v\n%v\nvs simulation %v\n%v",
+			res.Membership, res.AttackReport, sim.Membership, sim.AttackReport)
 	}
 	return nil
 }

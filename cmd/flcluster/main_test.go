@@ -41,8 +41,9 @@ func TestRunRestartWithoutCrash(t *testing.T) {
 }
 
 // TestRunRefusesNodesOutsideTheTree: a plan naming a node the run's tree
-// does not have, or an attack on a node that is not a training leaf, is
-// refused before the run starts, naming the ID and the tree.
+// does not have, an attack on a node that is not a training leaf, or
+// -aggregator defaults a tree has no separate levels for is refused before
+// the run starts, naming the tree.
 func TestRunRefusesNodesOutsideTheTree(t *testing.T) {
 	const spec = "-topology cloud:tau=20/edge*2:tau=10/worker*2"
 	for _, tc := range []struct{ args, want string }{
@@ -52,6 +53,8 @@ func TestRunRefusesNodesOutsideTheTree(t *testing.T) {
 		{"-crash worker-9-9@3 -restart-after worker-9-9@2 -min-quorum 0.5", `-crash: "worker-9-9" is not a node of the tree cloud:`},
 		{spec + " -attack-plan signflip:worker-0-0@1", `"worker-0-0", not a training leaf of the tree cloud:tau=20/edge*2:tau=10/worker*2`},
 		{spec + " -crash worker-0-1@3 -min-quorum 0.5", `-crash: "worker-0-1" is not a node of the tree cloud:`},
+		// A depth-2 tree's one level cannot run two different defaults.
+		{"-topology cloud:tau=20/worker*4 -aggregator cloud=median", `the tree cloud:tau=20/worker*4 has one aggregating level`},
 	} {
 		err := run(strings.Fields(tc.args+" -model logistic -classes 3"), nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -103,6 +106,7 @@ func TestRunTopologyVerify(t *testing.T) {
 		{"-topology", "cloud:tau=20/region*2:tau=10/edge*2:tau=5/worker"},
 		{"-topology", "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"},
 		{"-aggregator", "median"},
+		{"-aggregator", "median", "-attack-plan", "signflip:worker-0-1@1"},
 		{"-aggregator", "edge=cosine,cloud=clip", "-clip", "0.5"},
 		{"-transport", "tcp", "-attack-plan", "signflip:worker-0-1@1"},
 		{"-transport", "tcp", "-attack-plan", "signflip:worker-0-1@1", "-aggregator", "edge=cosine,cloud=clip"},
@@ -136,6 +140,20 @@ func TestRunTopologyVerify(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-verify requires a fault-free run:") {
 			t.Errorf("-verify %s = %v, want the fault-free-run refusal", strings.Join(extra, " "), err)
 		}
+	}
+}
+
+// TestRunResumeVerifiesUnderAttack: a resumed run's attack report counts
+// only what followed the resume — here nothing, resuming a finished run's
+// snapshots — so -verify holds it to the simulation's model, not its report.
+func TestRunResumeVerifiesUnderAttack(t *testing.T) {
+	args := []string{"-transport", "memory", "-model", "logistic", "-classes", "3",
+		"-checkpoint-dir", t.TempDir(), "-attack-plan", "signflip:worker-0-1@1", "-aggregator", "median"}
+	if err := run(args, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-resume", "-verify"), nil); err != nil {
+		t.Errorf("-resume -verify under an attack plan: %v", err)
 	}
 }
 
@@ -179,6 +197,21 @@ func TestCompareRuns(t *testing.T) {
 	same := *churned.Membership
 	if err := compareRuns(churned, &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376, Membership: &same}); err != nil {
 		t.Errorf("compareRuns on equal membership reports = %v", err)
+	}
+	// So is the same model under another attack report: other verdicts at a
+	// tier, or none at all.
+	report := func(rejectedAtEdges int) *fl.AttackReport {
+		return &fl.AttackReport{Injected: map[string]int{"signflip": 12},
+			RejectedByTier: map[int]int{1: rejectedAtEdges}, TierAggregators: []string{"cosine(0)", "cosine(0)"}}
+	}
+	attacked := &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376, AttackReport: report(5)}
+	for name, other := range map[string]*fl.AttackReport{"other-verdicts": report(4), "no-report": nil} {
+		if compareRuns(attacked, &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376, AttackReport: other}) == nil {
+			t.Errorf("%s: compareRuns matched differing attack reports", name)
+		}
+	}
+	if err := compareRuns(attacked, &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376, AttackReport: report(5)}); err != nil {
+		t.Errorf("compareRuns on equal attack reports = %v", err)
 	}
 }
 

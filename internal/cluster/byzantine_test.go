@@ -47,13 +47,13 @@ func sameResult(t *testing.T, name string, res, ref *fl.Result) {
 // leaving the run bit-identical to plain options.
 func TestClusterEmptyAttackPlanIsBaseline(t *testing.T) {
 	opts := Options{Adaptive: true, AttackPlan: &robust.AttackPlan{}}
-	if opts.robustEnabled() {
-		t.Fatal("empty plan with mean aggregators counts as robust-enabled")
-	}
 	cfg := buildConfig(t, 31, 2)
 	ts, err := newTreeSpec(cfg, opts.withDefaults())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s := ts.tree.Scenario(); s != "" {
+		t.Fatalf("empty plan with mean aggregators adds %q to the fingerprint", s)
 	}
 	if plan := ts.tree.AttackPlan(); plan != nil || plan.Attacker(WorkerID(0, 0), 4, 8) != nil {
 		t.Fatalf("empty plan reached the tree as %v, or built an attacker through it", plan)
@@ -207,9 +207,8 @@ func TestClusterAttackAcrossProcessEntryPoints(t *testing.T) {
 	if res.AttackReport == nil {
 		t.Fatal("robust multi-process run returned no attack report")
 	}
-	if res.AttackReport.EdgeAggregator != "median" || res.AttackReport.CloudAggregator != "median" {
-		t.Errorf("multi-process report names aggregators %q/%q, want median/median",
-			res.AttackReport.EdgeAggregator, res.AttackReport.CloudAggregator)
+	if got := res.AttackReport.TierAggregators; fmt.Sprint(got) != "[median median]" {
+		t.Errorf("multi-process report names aggregators %q, want median at both tiers", got)
 	}
 }
 
@@ -286,7 +285,7 @@ func TestClusterRobustMetricsMatchReport(t *testing.T) {
 	if rep.TotalInjected() == 0 {
 		t.Fatal("attack plan injected nothing")
 	}
-	if rep.TotalRejected()+rep.Clipped == 0 {
+	if rep.TotalRejected()+rep.TotalClipped() == 0 {
 		t.Fatal("robust aggregation neither rejected nor clipped anything under sustained attack")
 	}
 	counter := func(name string) int64 {
@@ -303,8 +302,8 @@ func TestClusterRobustMetricsMatchReport(t *testing.T) {
 	if got := counter("fl_robust_rejected_total"); got != int64(rep.TotalRejected()) {
 		t.Errorf("fl_robust_rejected_total = %d, report says %d", got, rep.TotalRejected())
 	}
-	if got := counter("fl_robust_clipped_total"); got != int64(rep.Clipped) {
-		t.Errorf("fl_robust_clipped_total = %d, report says %d", got, rep.Clipped)
+	if got := counter("fl_robust_clipped_total"); got != int64(rep.TotalClipped()) {
+		t.Errorf("fl_robust_clipped_total = %d, report says %d", got, rep.TotalClipped())
 	}
 }
 

@@ -135,13 +135,6 @@ func (o Options) churnEnabled() bool {
 	return (o.ChurnPlan != nil && !o.ChurnPlan.Empty()) || o.RetierEvery > 0
 }
 
-// robustEnabled reports whether this run's options depart from the
-// undefended baseline: a non-empty attack plan or a non-mean default
-// aggregator.
-func (o Options) robustEnabled() bool {
-	return !o.AttackPlan.Empty() || o.EdgeAggregator.Robust() || o.CloudAggregator.Robust()
-}
-
 func (o Options) withDefaults() Options {
 	if o.Signal == 0 {
 		o.Signal = core.SignalYSum
@@ -261,7 +254,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	}
 
 	x0 := hn.InitParams()
-	rec := newFaultRecorder(opts.Telemetry)
+	rec := newFaultRecorder(opts.Telemetry, ts.tree)
 	leafLvl := ts.depth() - 1
 	if sink := opts.Telemetry; sink.Tracing() {
 		sink.Emit("run_start",
@@ -386,7 +379,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	}
 	result.FaultReport = rec.report()
 	result.Membership = fl.NewMembershipReport(ts.tree)
-	result.AttackReport = rec.attackReport(opts, ts)
+	result.AttackReport = rec.attackReport(ts.tree)
 	if sink := opts.Telemetry; sink.Tracing() {
 		sink.Emit("run_end",
 			telemetry.Float("final_acc", result.FinalAcc),
@@ -419,7 +412,7 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 	if !ok {
 		return nil, fmt.Errorf("cluster: %q is not a node of the tree %s", ep.ID(), ts.tree)
 	}
-	rec := newFaultRecorder(opts.Telemetry)
+	rec := newFaultRecorder(opts.Telemetry, ts.tree)
 	if lvl == ts.depth()-1 {
 		w := newTreeLeaf(cfg, ts, idx, hn.InitParams(), ep, opts)
 		w.rec = rec
@@ -433,6 +426,6 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 	}
 	res.FaultReport = rec.report()
 	res.Membership = fl.NewMembershipReport(ts.tree)
-	res.AttackReport = rec.attackReport(opts, ts)
+	res.AttackReport = rec.attackReport(ts.tree)
 	return res, nil
 }

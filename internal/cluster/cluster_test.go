@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +101,8 @@ func TestExpectKind(t *testing.T) {
 // simulation's 0.925 / 0.6872 on this config). The plan rows hand both
 // engines an attack plan through the tree: they must inject the same
 // reports and reach the same robust verdicts, and the plan must move the run.
+// Every row requires the two engines' fl.AttackReports to be equal, nil for
+// a plain run.
 func TestClusterMatchesSimulation(t *testing.T) {
 	// The -topology rows hand the simulation the spec's tree: a four-level
 	// tree over eight leaves, a depth-2 tree with an explicit γ, and a tree
@@ -163,6 +169,23 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		{"tcp", func() Network { return transport.NewTCPNetwork() }},
 	}
 	var verdicts int64
+	// twoTiers counts the rows whose reports reject at two tiers, and
+	// clipRows those that clip: the report comparison must see both.
+	var twoTiers, clipRows int
+	sameReports := func(t *testing.T, res, ref *fl.Result) {
+		t.Helper()
+		if !reflect.DeepEqual(res.AttackReport, ref.AttackReport) {
+			t.Errorf("attack report in the cluster:\n%v\nin the simulation:\n%v", res.AttackReport, ref.AttackReport)
+		}
+		if rep := ref.AttackReport; rep != nil {
+			if len(rep.RejectedByTier) > 1 {
+				twoTiers++
+			}
+			if rep.TotalClipped() > 0 {
+				clipRows++
+			}
+		}
+	}
 	for _, tc := range cases {
 		for _, nw := range nets {
 			if nw.name == "tcp" && tc.clip == 0 && tc.plan == "" {
@@ -194,7 +217,9 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tree = tree.WithAggregators(tc.edge, tc.cloud)
+				if tree, err = tree.WithAggregators(tc.edge, tc.cloud); err != nil {
+					t.Fatal(err)
+				}
 				attacked, err := tree.WithAttackPlan(plan)
 				if err != nil {
 					t.Fatal(err)
@@ -234,6 +259,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 						rejected, clipped, refM.RobustRejected.Value(), refM.RobustClipped.Value())
 				}
 				verdicts += rejected + clipped
+				sameReports(t, res, ref)
 				if res.FinalAcc != ref.FinalAcc {
 					t.Errorf("cluster FinalAcc %v != simulation %v (models must be bit-identical)",
 						res.FinalAcc, ref.FinalAcc)
@@ -256,10 +282,12 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		t.Error("no robust row rejected or clipped a report: the rows do not exercise the robust rules")
 	}
 
-	// The churn rows replay golden_runtime.json's churn scenarios and
+	// The churn and byz rows replay golden_runtime.json's churn scenarios,
+	// the robust ones that reject at both tiers and that clip, and
 	// TestTreeChurn's depth-4 tree: both engines run the tree the options
-	// resolve, membership epochs included, and the simulation lands on the
-	// final model the recorded runtime did.
+	// resolve, membership epochs and attack plans included, the simulation
+	// lands on the final model the recorded runtime did, and the two traces
+	// hold the same membership and injection events.
 	golden := loadGolden(t)
 	scenarios := make(map[string]goldenScenario)
 	for _, sc := range goldenScenarios() {
@@ -267,10 +295,11 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	}
 	scenarios["tree4-churn"] = goldenScenario{cfg: treeChurnConfig, opts: treeChurnOptions}
 	var fired [7]int64 // the seven membership values, summed over the rows
-	for _, name := range []string{"churn/zero", "churn/carry", "churn/rescale", "churn/reduced", "churn/ragged", "byz/churn", "tree4-churn"} {
+	for _, name := range []string{"churn/zero", "churn/carry", "churn/rescale", "churn/reduced", "churn/ragged", "byz/churn",
+		"byz/cosine(0)", "byz/clip(0.5)", "tree4-churn"} {
 		sc := scenarios[name]
 		for _, nw := range nets {
-			if nw.name == "tcp" && name != "churn/zero" && name != "tree4-churn" {
+			if nw.name == "tcp" && name != "churn/zero" && name != "tree4-churn" && name != "byz/cosine(0)" {
 				continue
 			}
 			t.Run(name+"/"+nw.name, func(t *testing.T) {
@@ -285,9 +314,14 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				}
 				capture := &capturingModel{Model: cfg.Model}
 				cfg.Model = capture
-				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
+				var refTrace bytes.Buffer
+				tracer := telemetry.NewTracer(&refTrace)
+				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), tracer)
 				ref, err := alg.RunTree(cfg, tree)
 				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tracer.Flush(); err != nil {
 					t.Fatal(err)
 				}
 				if want := golden[name].Params; name != "tree4-churn" && capture.hash() != want {
@@ -296,17 +330,30 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				refM := cfg.Telemetry.M()
 
 				cfg.Model = capture.Model
-				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
+				var trace bytes.Buffer
+				tracer = telemetry.NewTracer(&trace)
+				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), tracer)
 				res, err := Run(cfg, nw.new(), opts)
 				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tracer.Flush(); err != nil {
 					t.Fatal(err)
 				}
 				m := cfg.Telemetry.M()
 				if res.FinalAcc != ref.FinalAcc || !fl.LossesAgree(res.FinalLoss, ref.FinalLoss) {
 					t.Errorf("cluster %v/%v != simulation %v/%v", res.FinalAcc, res.FinalLoss, ref.FinalAcc, ref.FinalLoss)
 				}
-				if res.Membership == nil || *res.Membership != *ref.Membership {
+				if !reflect.DeepEqual(res.Membership, ref.Membership) {
 					t.Errorf("membership %v in the cluster, %v in the simulation", res.Membership, ref.Membership)
+				}
+				sameReports(t, res, ref)
+				events, refEvents := scenarioEvents(t, &trace), scenarioEvents(t, &refTrace)
+				if len(events) == 0 || len(refEvents) == 0 {
+					t.Errorf("%d trace events in the cluster, %d in the simulation", len(events), len(refEvents))
+				}
+				if fmt.Sprint(events) != fmt.Sprint(refEvents) {
+					t.Errorf("membership and injection events in the cluster:\n%v\nin the simulation:\n%v", events, refEvents)
 				}
 				for _, c := range []struct {
 					what         string
@@ -344,6 +391,31 @@ func TestClusterMatchesSimulation(t *testing.T) {
 			t.Errorf("membership value %d never moved in the churn rows: they do not exercise it", i)
 		}
 	}
+	if twoTiers == 0 || clipRows == 0 {
+		t.Errorf("%d rows reject at two tiers and %d clip: the report comparison must see both", twoTiers, clipRows)
+	}
+}
+
+// scenarioEvents canonicalizes a trace's membership and attack-injection
+// events — what both engines emit for a scenario — into sorted "event
+// fields" lines: cluster nodes emit concurrently, so only the multiset is
+// deterministic.
+func scenarioEvents(t *testing.T, buf *bytes.Buffer) []string {
+	t.Helper()
+	events, err := telemetry.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, ev := range events {
+		switch ev.Ev {
+		case "membership_join", "membership_leave", "membership_reassign", "membership_retier",
+			"gamma_migration", "attack_inject":
+			out = append(out, fmt.Sprintf("%s %v", ev.Ev, ev.Fields))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestClusterOverTCPMatchesMemory(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"hieradmo/internal/fl"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
+	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
@@ -20,19 +21,25 @@ import (
 // mergeTransport only folds their end-of-run totals into the FaultReport,
 // never into the sink, so nothing is double-counted.
 type faultRecorder struct {
-	mu   sync.Mutex
-	rep  fl.FaultReport
-	att  fl.AttackReport
-	sink *telemetry.Sink // nil-safe, accessed without mu
+	mu  sync.Mutex
+	rep fl.FaultReport
+	// inject counts the attack plan's injections by kind, and rejected and
+	// clipped the robust verdicts by tier index, for the AttackReport.
+	inject            map[string]int
+	rejected, clipped []int
+	sink              *telemetry.Sink // nil-safe, accessed without mu
 }
 
-func newFaultRecorder(sink *telemetry.Sink) *faultRecorder {
+// newFaultRecorder builds the recorder of a run over tree.
+func newFaultRecorder(sink *telemetry.Sink, tree *topology.Tree) *faultRecorder {
 	return &faultRecorder{
 		rep: fl.FaultReport{
 			MissingWorkers: make(map[int]int),
 			MissingEdges:   make(map[int]int),
 		},
-		sink: sink,
+		rejected: make([]int, tree.LeafParent()+1),
+		clipped:  make([]int, tree.LeafParent()+1),
+		sink:     sink,
 	}
 }
 
@@ -127,73 +134,6 @@ func (r *faultRecorder) fastforward(node string, from, to int) {
 	}
 }
 
-// Membership observations below are pure telemetry: planned churn is part
-// of the protocol, not a fault, so none of them touches the FaultReport.
-// The schedule-derived fl.MembershipReport is the durable record.
-
-// joined records a worker admitted into an edge cohort at iteration t,
-// either as a planned join or as a re-tiering reassignment.
-func (r *faultRecorder) joined(node string, t int, reassigned bool) {
-	if r == nil {
-		return
-	}
-	m := r.sink.M()
-	ev := "membership_join"
-	if reassigned {
-		m.MembershipReassigns.Inc()
-		ev = "membership_reassign"
-	} else {
-		m.MembershipJoins.Inc()
-	}
-	if r.sink.Tracing() {
-		r.sink.Emit(ev,
-			telemetry.String("node", node),
-			telemetry.Int("t", t))
-	}
-}
-
-// left records a worker retired after its final report at iteration t.
-func (r *faultRecorder) left(node string, t int) {
-	if r == nil {
-		return
-	}
-	r.sink.M().MembershipLeaves.Inc()
-	if r.sink.Tracing() {
-		r.sink.Emit("membership_leave",
-			telemetry.String("node", node),
-			telemetry.Int("t", t))
-	}
-}
-
-// retier records a re-tiering step that changed the assignment, moving
-// `moved` workers effective at iteration t.
-func (r *faultRecorder) retier(t, moved int) {
-	if r == nil {
-		return
-	}
-	r.sink.M().MembershipRetiers.Inc()
-	if r.sink.Tracing() {
-		r.sink.Emit("membership_retier",
-			telemetry.Int("t", t),
-			telemetry.Int("moved", moved))
-	}
-}
-
-// migrated records a γℓ migration applied by an edge whose cohort changed.
-func (r *faultRecorder) migrated(node string, t int, policy string, gamma float64) {
-	if r == nil {
-		return
-	}
-	r.sink.M().GammaMigrations.Inc()
-	if r.sink.Tracing() {
-		r.sink.Emit("gamma_migration",
-			telemetry.String("node", node),
-			telemetry.Int("t", t),
-			telemetry.String("policy", policy),
-			telemetry.Float("gamma", gamma))
-	}
-}
-
 // injected records a Byzantine worker mutating its boundary report at
 // iteration t according to the run's attack plan. The injection is part
 // of the scenario, not a fault, so it accumulates into the AttackReport
@@ -203,18 +143,12 @@ func (r *faultRecorder) injected(node string, t int, kind string) {
 		return
 	}
 	r.mu.Lock()
-	if r.att.Injected == nil {
-		r.att.Injected = make(map[string]int)
+	if r.inject == nil {
+		r.inject = make(map[string]int)
 	}
-	r.att.Injected[kind]++
+	r.inject[kind]++
 	r.mu.Unlock()
-	r.sink.M().AttackInjected.Inc()
-	if r.sink.Tracing() {
-		r.sink.Emit("attack_inject",
-			telemetry.String("node", node),
-			telemetry.Int("t", t),
-			telemetry.String("kind", kind))
-	}
+	r.sink.AttackInject(node, t, kind)
 }
 
 // robustTier records what one robust aggregation did at node for iteration
@@ -227,18 +161,8 @@ func (r *faultRecorder) robustTier(node, level string, tier, t int, st robust.St
 		return
 	}
 	r.mu.Lock()
-	if len(st.Rejected) > 0 {
-		if r.att.RejectedByTier == nil {
-			r.att.RejectedByTier = make(map[int]int)
-		}
-		r.att.RejectedByTier[tier] += len(st.Rejected)
-	}
-	if len(st.Clipped) > 0 {
-		if r.att.ClippedByTier == nil {
-			r.att.ClippedByTier = make(map[int]int)
-		}
-		r.att.ClippedByTier[tier] += len(st.Clipped)
-	}
+	r.rejected[tier] += len(st.Rejected)
+	r.clipped[tier] += len(st.Clipped)
 	r.mu.Unlock()
 	m := r.sink.M()
 	m.RobustRejected.Add(int64(len(st.Rejected)))
@@ -312,30 +236,13 @@ func (r *faultRecorder) report() *fl.FaultReport {
 	return &rep
 }
 
-// attackReport returns the accumulated Byzantine-scenario report, or nil
-// for runs where the robust layer never engaged (no attack plan, nothing
-// rejected or clipped, mean aggregation at every level). Explicit
-// topologies report activity by tier index and list every level's rule; the
-// config-derived shape folds its two tiers into the report's edge/cloud
-// fields.
-func (r *faultRecorder) attackReport(opts Options, ts *treeSpec) *fl.AttackReport {
+// attackReport returns the accumulated Byzantine-scenario report of a run
+// over tree (fl.NewAttackReport), nil where the robust layer never engaged.
+func (r *faultRecorder) attackReport(tree *topology.Tree) *fl.AttackReport {
 	if r == nil {
 		return nil
 	}
-	aggs, robustLevel := ts.tree.Aggregators()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.att.Any() && !robustLevel && opts.AttackPlan.Empty() {
-		return nil
-	}
-	rep := r.att
-	if opts.Topology != nil {
-		rep.TierAggregators = aggs
-		return &rep
-	}
-	rep.RejectedCloud, rep.RejectedEdge = rep.RejectedByTier[0], rep.RejectedByTier[1]
-	rep.Clipped = rep.ClippedByTier[0] + rep.ClippedByTier[1]
-	rep.CloudAggregator, rep.EdgeAggregator = aggs[0], aggs[1]
-	rep.RejectedByTier, rep.ClippedByTier = nil, nil
-	return &rep
+	return fl.NewAttackReport(tree, r.inject, r.rejected, r.clipped)
 }

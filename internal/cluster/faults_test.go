@@ -66,7 +66,7 @@ func edgeUnderTest(t *testing.T, cfg *fl.Config, hn *fl.Harness, ep transport.En
 		t.Fatal(err)
 	}
 	e := newTierNode(cfg, hn, ts, 1, 0, hn.InitParams(), ep, opts)
-	e.rec = newFaultRecorder(nil)
+	e.rec = newFaultRecorder(nil, ts.tree)
 	return e
 }
 

@@ -440,3 +440,84 @@ func TestGoldenRuntime(t *testing.T) {
 		})
 	}
 }
+
+// goldenV1Path is golden_runtime.json as recorded before fl.AttackReport took
+// one per-tier layout: its byz/* rows fold the derived tree's two tiers into
+// edge / cloud fields. It is kept for TestGoldenRuntimeMigration only.
+const goldenV1Path = "testdata/golden_runtime.v1.json"
+
+// goldenV1Digest reads a v1 row: its Attack shadows goldenDigest's.
+type goldenV1Digest struct {
+	goldenDigest
+	Attack *struct {
+		Injected                        map[string]int
+		RejectedEdge, RejectedCloud     int
+		Clipped                         int
+		EdgeAggregator, CloudAggregator string
+	}
+}
+
+// TestGoldenRuntimeMigration proves the re-recorded golden file the v1 file
+// under the layout map and nothing else: every row, every Params, FinalAcc,
+// FinalLoss, Curve point, Membership and Fault field unchanged, and every
+// attack count where the map puts it — RejectedEdge → RejectedByTier[1],
+// RejectedCloud → RejectedByTier[0], Clipped → Σ ClippedByTier (v1 kept only
+// the sum), EdgeAggregator / CloudAggregator → TierAggregators[1] / [0].
+func TestGoldenRuntimeMigration(t *testing.T) {
+	raw, err := os.ReadFile(goldenV1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 map[string]goldenV1Digest
+	if err := json.Unmarshal(raw, &v1); err != nil {
+		t.Fatal(err)
+	}
+	golden := loadGolden(t)
+	if len(v1) != len(golden) {
+		t.Errorf("v1 holds %d rows, the re-recorded file %d", len(v1), len(golden))
+	}
+	var attacks, twoTierRejects, clips int
+	for name, old := range v1 {
+		want, ok := golden[name]
+		if !ok {
+			t.Errorf("%s: row dropped by the re-record", name)
+			continue
+		}
+		got := old.goldenDigest
+		if a := old.Attack; a != nil {
+			attacks++
+			rejected := map[int]int{}
+			for tier, n := range []int{a.RejectedCloud, a.RejectedEdge} {
+				if n != 0 {
+					rejected[tier] = n
+				}
+			}
+			got.Attack = &fl.AttackReport{Injected: a.Injected,
+				TierAggregators: []string{a.CloudAggregator, a.EdgeAggregator}}
+			if len(rejected) > 0 {
+				got.Attack.RejectedByTier = rejected
+			}
+			if want.Attack != nil {
+				if a.Clipped != want.Attack.TotalClipped() {
+					t.Errorf("%s: v1 clipped %d, re-recorded %v", name, a.Clipped, want.Attack.ClippedByTier)
+				}
+				got.Attack.ClippedByTier = want.Attack.ClippedByTier
+			}
+			if len(rejected) == 2 {
+				twoTierRejects++
+			}
+			if a.Clipped > 0 {
+				clips++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			gotJSON, _ := json.MarshalIndent(got, "", "  ")
+			wantJSON, _ := json.MarshalIndent(want, "", "  ")
+			t.Errorf("%s: v1 under the map\n%s\nre-recorded\n%s", name, gotJSON, wantJSON)
+		}
+	}
+	if attacks != 6 || twoTierRejects == 0 || clips == 0 {
+		t.Errorf("the map moved %d attack rows, %d rejecting at both tiers, %d clipping; want 6, ≥ 1, ≥ 1",
+			attacks, twoTierRejects, clips)
+	}
+}

@@ -83,19 +83,14 @@ func nodeRegistry(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*c
 	// from a build that laid either out differently is refused as a mismatch
 	// rather than misread. Timeouts and quorum are operational knobs a
 	// restarted deployment may legitimately change, so they stay out.
+	// The tree's scenario — its levels' robust rules, the attack plan and
+	// the membership epochs — shapes the trajectory just like the algorithm
+	// options, so resuming under a different one is refused
+	// (checkpoint.ErrMismatch).
 	fp := cfg.Fingerprint("cluster/tier") +
 		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s leaf=%s",
-			opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree, reportLayout, leafLayout)
-	if m := ts.tree.Membership(); m != nil {
-		fp += " " + m.Token
-	}
-	if opts.robustEnabled() {
-		// Attack plan and aggregator choices shape the trajectory just
-		// like the algorithm options: resuming a Byzantine run under a
-		// different scenario is refused (checkpoint.ErrMismatch).
-		fp += fmt.Sprintf(" attack=%s agg-edge=%s agg-cloud=%s",
-			opts.AttackPlan.Signature(), opts.EdgeAggregator, opts.CloudAggregator)
-	}
+			opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree, reportLayout, leafLayout) +
+		ts.tree.Scenario()
 	return checkpoint.NewRegistry(mgr, fp), nil
 }
 

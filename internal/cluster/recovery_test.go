@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -223,6 +224,102 @@ func TestClusterInterruptResume(t *testing.T) {
 			wrong.RecvTimeout = deadlineScale * 500 * time.Millisecond
 			if _, err := Run(cfg, transport.NewMemoryNetwork(), wrong); !errors.Is(err, checkpoint.ErrMismatch) {
 				t.Fatalf("resume under changed options = %v, want wrapped checkpoint.ErrMismatch", err)
+			}
+		})
+	}
+}
+
+// TestClusterInterruptResumeLedgers reaches the root's substitution ledgers
+// (missStreak, lastY / lastX: the cloud's children aggregate) across a
+// resume. Edge syncs end at t = 2, 4, …, T and cloud syncs at t = 4, 8, …,
+// T; each row crashes edge-1 and interrupts the run once the cloud has
+// snapshotted the sync given, then resumes it. "second-miss" (T = 16):
+// edge-1 dies at round 10, the cloud misses it at t = 12 and the interrupt
+// lands before t = 16, whose second consecutive miss must fail the resumed
+// run as it fails the uninterrupted one — the streak came back from the
+// snapshot.
+// "substituted": edge-1 dies at round 21, after the t = 20 snapshot, so the
+// resumed cloud substitutes edge-1's t = 20 report at the final sync and
+// must land on the uninterrupted run's model — its lastX came back too.
+func TestClusterInterruptResumeLedgers(t *testing.T) {
+	for _, row := range []struct {
+		name               string
+		T, crash, snapshot int
+		wantErr            string
+	}{
+		{name: "second-miss", T: 16, crash: 10, snapshot: 3, wantErr: "child edge-1 missed 2 consecutive rounds of cloud"},
+		{name: "substituted", T: 24, crash: 21, snapshot: 5},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := buildConfig(t, 79, 0)
+			cfg.T = row.T
+			capture := &capturingModel{Model: cfg.Model}
+			cfg.Model = capture
+			// The cloud's grace window (three straggler deadlines) stays
+			// well past the 200 ms interrupt slice, so the interrupt always
+			// lands while the cloud still waits for edge-1.
+			opts := tolerantOptions(0.5)
+			opts.StragglerDeadline = deadlineScale * 250 * time.Millisecond
+			opts.RecvTimeout = deadlineScale * 1500 * time.Millisecond
+			net := func() Network {
+				return transport.NewFaultyNetwork(transport.NewMemoryNetwork(),
+					transport.FaultPlan{Seed: 2, CrashAtRound: map[string]int{EdgeID(1): row.crash}})
+			}
+			outcome := func(name string, res *fl.Result, err error) {
+				t.Helper()
+				if row.wantErr == "" && err != nil {
+					t.Fatalf("%s run: %v", name, err)
+				}
+				if row.wantErr != "" && (err == nil || !strings.Contains(err.Error(), row.wantErr)) {
+					t.Fatalf("%s run ended with %v, want the failure %q", name, err, row.wantErr)
+				}
+			}
+			ref, err := Run(cfg, net(), opts)
+			outcome("uninterrupted", ref, err)
+			want := capture.hash()
+
+			opts.CheckpointDir = t.TempDir()
+			interrupt := make(chan struct{})
+			stop := make(chan struct{})
+			var watch sync.WaitGroup
+			watch.Add(1)
+			go func() {
+				defer watch.Done()
+				cloud, err := checkpoint.NewManager(opts.CheckpointDir, CloudID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					select {
+					case <-stop:
+						return
+					case <-time.After(2 * time.Millisecond):
+					}
+					if st, _ := cloud.Latest(); st != nil && st.Seq >= row.snapshot {
+						close(interrupt)
+						return
+					}
+				}
+			}()
+			interrupted := opts
+			interrupted.Interrupt = interrupt
+			_, err = Run(cfg, net(), interrupted)
+			close(stop)
+			watch.Wait()
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("interrupted run ended with %v, want wrapped ErrInterrupted", err)
+			}
+
+			opts.Resume = true
+			res, err := Run(cfg, net(), opts)
+			outcome("resumed", res, err)
+			if row.wantErr != "" {
+				return
+			}
+			sameResult(t, "resumed", res, ref)
+			if got := capture.hash(); got != want {
+				t.Errorf("resumed final model %s, uninterrupted %s", got, want)
 			}
 		})
 	}

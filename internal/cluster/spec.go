@@ -44,7 +44,10 @@ func (o Options) Tree(cfg *fl.Config) (*topology.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tree, err = tree.WithAggregators(o.EdgeAggregator, o.CloudAggregator).WithAttackPlan(o.AttackPlan); err != nil {
+	if tree, err = tree.WithAggregators(o.EdgeAggregator, o.CloudAggregator); err != nil {
+		return nil, err
+	}
+	if tree, err = tree.WithAttackPlan(o.AttackPlan); err != nil {
 		return nil, err
 	}
 	if !o.churnEnabled() {

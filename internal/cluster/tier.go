@@ -272,7 +272,7 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 		if _, member := position(prev, c); !member {
 			msg.Kind = KindAdmit
 			if join, _ := sched.Span(c); !resend {
-				n.rec.joined(childID(c), t, join != next)
+				n.opts.Telemetry.MembershipJoin(childID(c), t, join != next)
 			}
 		}
 		if err := n.ep.Send(childID(c), msg); err != nil {
@@ -287,7 +287,7 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 			}
 			leaver := childID(j)
 			if !resend {
-				n.rec.left(leaver, t)
+				n.opts.Telemetry.MembershipLeave(leaver, t)
 			}
 			if err := n.ep.Send(leaver, retire); err != nil {
 				return fmt.Errorf("cluster: %s retire %s: %w", n.id(), leaver, err)
@@ -327,7 +327,7 @@ func (n *tierNode) announceRetier(k int, resend bool) error {
 		}
 	}
 	if !resend {
-		n.rec.retier(k*n.tau(), len(moves)/3)
+		n.opts.Telemetry.MembershipRetier(k*n.tau(), len(moves)/3)
 	}
 	return nil
 }
@@ -742,7 +742,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		sink.M().EdgeCosine.Set(out.Cos)
 	}
 	if migrated {
-		n.rec.migrated(n.id(), t, n.ts.tree.Membership().Policy.String(), out.Applied)
+		sink.GammaMigration(n.id(), t, n.ts.tree.Membership().Policy.String(), out.Applied)
 	}
 	if n.lvl == 0 {
 		sink.M().CloudSyncs.Inc()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"hieradmo/internal/fl"
@@ -153,6 +152,12 @@ type sim struct {
 	yStart []tensor.Vector
 	// attackers[j] mutates leaf j's reports (nil if honest); nil without a plan.
 	attackers []*robust.Attacker
+	// injected counts the plan's injections by kind, and rejected and
+	// clipped every level's robust verdicts by tree level, for the run's
+	// fl.AttackReport. Like the cluster's, the report covers what this
+	// process ran: a resumed run counts from its resume on.
+	injected          map[string]int
+	rejected, clipped []int //flvet:allow ckptstate -- report counters, not trajectory state
 	// churn marks a tree with membership epochs.
 	churn bool
 	// fullIdx is the everyone-reported position list, and partIdx the buffer
@@ -404,10 +409,13 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 	evalModel := newVec()
 	partRNG := rng.New(cfg.Seed).Split(0x9a47)
-	// One block holds both position lists: the run allocates no more for
-	// partial participation than without it.
-	idxBlock := make([]int, 2*maxFan)
-	fullIdx, partIdx := idxBlock[:maxFan:maxFan], idxBlock[maxFan:]
+	// One block holds both position lists and the per-level verdict counts:
+	// the run allocates no more for partial participation or robust levels
+	// than without them.
+	tiers := tree.LeafParent() + 1
+	idxBlock := make([]int, 2*maxFan+2*tiers)
+	fullIdx, partIdx := idxBlock[:maxFan:maxFan], idxBlock[maxFan:2*maxFan:2*maxFan]
+	verdicts := idxBlock[2*maxFan:]
 	for i := range fullIdx {
 		fullIdx[i] = i
 	}
@@ -424,6 +432,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 
 	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, attackers: attackers, churn: churn,
+		rejected: verdicts[:tiers:tiers], clipped: verdicts[tiers:],
 		yStart: yStart, fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
 
 	// Crash recovery: register the run's state, then resume after the last
@@ -436,21 +445,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	if tree.Spec != nil {
 		variant += " topology=" + tree.String()
 	}
-	// A robust level shapes the trajectory, so its snapshots name every
-	// level's rule; a tree of mean levels adds nothing.
-	for _, lv := range tree.Levels {
-		if lv.Agg.Robust() {
-			rules, _ := tree.Aggregators()
-			variant += " agg=" + strings.Join(rules, "/")
-			break
-		}
-	}
-	if plan := tree.AttackPlan(); plan != nil {
-		variant += " attack=" + plan.Signature()
-	}
-	if churn {
-		variant += " " + tree.Membership().Token
-	}
+	variant += tree.Scenario()
 	ck, err := fl.NewCheckpointer(hn, r.Algorithm, variant, res)
 	if err != nil {
 		return nil, err
@@ -581,6 +576,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		return nil, err
 	}
 	res.Membership = fl.NewMembershipReport(tree)
+	res.AttackReport = fl.NewAttackReport(tree, s.injected, s.rejected, s.clipped)
 	if sink.Tracing() {
 		sink.Emit("run_end",
 			telemetry.Float("final_acc", res.FinalAcc),
@@ -682,10 +678,12 @@ func (s *sim) round(t, k, n int) error {
 	// publish their rounds, the middle tiers of a deeper tree not yet.
 	sink := s.sink
 	m := sink.M()
+	s.rejected[lev.level] += len(out.Robust.Rejected)
+	s.clipped[lev.level] += len(out.Robust.Clipped)
 	m.RobustRejected.Add(int64(len(out.Robust.Rejected)))
 	m.RobustClipped.Add(int64(len(out.Robust.Clipped)))
 	if migrated {
-		m.GammaMigrations.Inc()
+		sink.GammaMigration(s.tree.ID(lev.level, n), t, s.tree.Membership().Policy.String(), out.Applied)
 	}
 	if k == len(s.levels)-1 && s.churn {
 		s.rootMembership(t)
@@ -784,7 +782,7 @@ func (s *sim) round(t, k, n int) error {
 // rootMembership publishes the membership state at the root's round at
 // iteration t, as the distributed root does: the epoch and live workers of
 // the leaf parents' round then, and a re-tiering that takes effect at their
-// next round.
+// next round, with the number of workers it moves.
 func (s *sim) rootMembership(t int) {
 	sched, m := s.tree.Membership(), s.sink.M()
 	r := t / s.levels[0].period
@@ -794,13 +792,13 @@ func (s *sim) rootMembership(t int) {
 		return
 	}
 	if next := sched.EpochAt(r + 1); next.Retier && next.Start == r+1 {
-		m.MembershipRetiers.Inc()
+		s.sink.MembershipRetier(t, len(sched.ReassignedAt(r+1)))
 	}
 }
 
 // admit redistributes leaf parent n's round at iteration t under membership
 // (lines 14–15): the cohort of its next round adopts the aggregate and
-// restarts its interval, newcomers included, leavers not. It counts the
+// restarts its interval, newcomers included, leavers not. It records the
 // transitions as the distributed leaf parent does when it redistributes: each
 // newcomer a join, or a reassignment when it was live before, and each of its
 // cohort's workers whose last round this was a leave.
@@ -809,20 +807,17 @@ func (s *sim) admit(t, n int) error {
 	k := t / lev.period
 	next := min(k+1, s.hn.Cfg().T/lev.period)
 	prev, _ := s.tree.Children(lev.level, n, k)
-	sched, m := s.tree.Membership(), s.sink.M()
+	sched, leaf := s.tree.Membership(), s.tree.Depth()-1
 	for _, j := range sched.LeavesAfter(k) {
 		if l, ok := sched.EdgeOf(k, j); ok && l == n {
-			m.MembershipLeaves.Inc()
+			s.sink.MembershipLeave(s.tree.ID(leaf, j), t)
 		}
 	}
 	tier := lev.nodes[n].tier
 	for _, j := range s.nextCohort(t, n) {
 		if !slices.Contains(prev, j) {
-			if join, _ := sched.Span(j); join != next {
-				m.MembershipReassigns.Inc()
-			} else {
-				m.MembershipJoins.Inc()
-			}
+			join, _ := sched.Span(j)
+			s.sink.MembershipJoin(s.tree.ID(leaf, j), t, join != next)
 		}
 		w := s.leaves[j]
 		if err := w.Adopt(tier.YMinus, tier.XPlus); err != nil {
@@ -877,11 +872,11 @@ func (s *sim) uplink(t int, e *Tier, kids, idx []int) error {
 			}
 			if hit {
 				y, x, gradSum, ySum = mut[0], mut[1], mut[2], mut[3]
-				s.sink.M().AttackInjected.Inc()
-				if s.sink.Tracing() {
-					s.sink.Emit("attack_inject", telemetry.String("node", id),
-						telemetry.Int("t", t), telemetry.String("kind", kind))
+				if s.injected == nil {
+					s.injected = make(map[string]int)
 				}
+				s.injected[kind]++
+				s.sink.AttackInject(id, t, kind)
 			}
 		}
 		if s.quantizer != nil {

@@ -175,11 +175,17 @@ func TestTreeSnapshotRefusedUnderOtherAggregator(t *testing.T) {
 		t.Fatal(err)
 	}
 	mean := robust.Spec{}
-	median := derived.WithAggregators(robust.Spec{Kind: robust.Median}, mean)
+	median, err := derived.WithAggregators(robust.Spec{Kind: robust.Median}, mean)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := New().RunTree(cfg, median); err != nil {
 		t.Fatal(err)
 	}
-	trimmed := derived.WithAggregators(robust.Spec{Kind: robust.Trimmed, Trim: 0.2}, mean)
+	trimmed, err := derived.WithAggregators(robust.Spec{Kind: robust.Trimmed, Trim: 0.2}, mean)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := New().RunTree(cfg, trimmed); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Errorf("resuming the median snapshot under trimmed = %v, want ErrMismatch", err)
 	}

@@ -2,45 +2,63 @@ package fl
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
+
+	"hieradmo/internal/topology"
 )
 
-// AttackReport records a distributed run's Byzantine scenario: how many
-// adversarial updates were injected (by attack kind) and what the robust
-// aggregation layer did about them. A nil AttackReport on a Result means
-// the robust layer never engaged — no attack plan and plain mean
-// aggregation at both tiers.
+// AttackReport records a run's Byzantine scenario: how many adversarial
+// updates were injected (by attack kind) and what each aggregating level's
+// robust rule did about them, tier 0 being the root. Both engines build it
+// with NewAttackReport; a nil AttackReport on a Result means the robust
+// layer never engaged — no attack plan and plain mean aggregation at every
+// level.
 type AttackReport struct {
 	// Injected maps an attack kind (signflip, scale, noise, replay) to
 	// the number of boundary reports it mutated.
 	Injected map[string]int `json:",omitempty"`
-	// RejectedEdge counts worker reports excluded by edge-tier robust
-	// aggregation (non-finite values or cosine-filter outliers).
-	RejectedEdge int
-	// RejectedCloud counts edge reports excluded by cloud-tier robust
-	// aggregation.
-	RejectedCloud int
-	// Clipped counts updates whose deviation was norm-clipped before
-	// averaging.
-	Clipped int
-	// EdgeAggregator and CloudAggregator are the canonical names of the
-	// rules that ran at each tier (e.g. "median", "trimmed(0.2)").
-	EdgeAggregator  string
-	CloudAggregator string
-
-	// N-tier tree runs (a cluster Topology) attribute robust-layer activity
-	// to tier indices (0 = root) instead of the edge/cloud pair; the fields
-	// above stay zero/empty there and vice versa.
-
 	// RejectedByTier maps a tier index to the number of child reports its
-	// robust aggregations excluded.
+	// robust aggregations excluded (non-finite values or cosine-filter
+	// outliers); a tier that rejected nothing has no entry.
 	RejectedByTier map[int]int `json:",omitempty"`
 	// ClippedByTier maps a tier index to the number of child updates its
 	// robust aggregations norm-clipped.
 	ClippedByTier map[int]int `json:",omitempty"`
-	// TierAggregators lists the canonical rule name per tier, root first.
+	// TierAggregators lists the canonical rule name per aggregating tier
+	// (e.g. "median", "trimmed(0.2)"), root first.
 	TierAggregators []string `json:",omitempty"`
+}
+
+// NewAttackReport builds the report of a run over tree from its injection
+// counts by kind and its per-tier rejection and clip counts, indexed by
+// tree level; nil when nothing was injected, rejected or clipped, no level
+// is robust and the tree carries no attack plan.
+func NewAttackReport(tree *topology.Tree, injected map[string]int, rejectedByTier, clippedByTier []int) *AttackReport {
+	rejected, clipped := byTier(rejectedByTier), byTier(clippedByTier)
+	if len(injected) == 0 && rejected == nil && clipped == nil && !tree.Robust() && tree.AttackPlan() == nil {
+		return nil
+	}
+	rep := &AttackReport{RejectedByTier: rejected, ClippedByTier: clipped, TierAggregators: tree.Aggregators()}
+	if len(injected) > 0 {
+		rep.Injected = maps.Clone(injected)
+	}
+	return rep
+}
+
+// byTier keeps a per-tier count's non-zero entries; nil when there are none.
+func byTier(counts []int) map[int]int {
+	var m map[int]int
+	for tier, n := range counts {
+		if n != 0 {
+			if m == nil {
+				m = make(map[int]int)
+			}
+			m[tier] = n
+		}
+	}
+	return m
 }
 
 // TotalInjected sums the injected-update counts over all attack kinds.
@@ -48,24 +66,15 @@ func (a *AttackReport) TotalInjected() int {
 	if a == nil {
 		return 0
 	}
-	n := 0
-	for _, c := range a.Injected {
-		n += c
-	}
-	return n
+	return sum(a.Injected)
 }
 
-// TotalRejected sums the rejections across all tiers, whichever attribution
-// the run used.
+// TotalRejected sums the rejections across all tiers.
 func (a *AttackReport) TotalRejected() int {
 	if a == nil {
 		return 0
 	}
-	n := a.RejectedEdge + a.RejectedCloud
-	for _, c := range a.RejectedByTier {
-		n += c
-	}
-	return n
+	return sum(a.RejectedByTier)
 }
 
 // TotalClipped sums the clips across all tiers.
@@ -73,20 +82,16 @@ func (a *AttackReport) TotalClipped() int {
 	if a == nil {
 		return 0
 	}
-	n := a.Clipped
-	for _, c := range a.ClippedByTier {
+	return sum(a.ClippedByTier)
+}
+
+// sum adds up a counter map's values.
+func sum[K comparable](m map[K]int) int {
+	n := 0
+	for _, c := range m {
 		n += c
 	}
 	return n
-}
-
-// Any reports whether the run saw at least one injection, rejection, or
-// clip.
-func (a *AttackReport) Any() bool {
-	if a == nil {
-		return false
-	}
-	return len(a.Injected) > 0 || a.TotalRejected() > 0 || a.TotalClipped() > 0
 }
 
 // String renders a human-readable summary.
@@ -95,49 +100,30 @@ func (a *AttackReport) String() string {
 		return "no attack scenario"
 	}
 	var b strings.Builder
-	if len(a.TierAggregators) > 0 {
-		fmt.Fprintf(&b, "byzantine: tier aggregators %s", strings.Join(a.TierAggregators, "/"))
-	} else {
-		fmt.Fprintf(&b, "byzantine: aggregators edge=%s cloud=%s", a.EdgeAggregator, a.CloudAggregator)
-	}
+	fmt.Fprintf(&b, "byzantine: tier aggregators %s", strings.Join(a.TierAggregators, "/"))
 	if len(a.Injected) > 0 {
-		kinds := make([]string, 0, len(a.Injected))
-		for k := range a.Injected {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		parts := make([]string, len(kinds))
-		for i, k := range kinds {
-			parts[i] = fmt.Sprintf("%s(×%d)", k, a.Injected[k])
-		}
-		fmt.Fprintf(&b, "\n  injected updates (%d total): %s", a.TotalInjected(), strings.Join(parts, " "))
-	}
-	if a.RejectedEdge > 0 || a.RejectedCloud > 0 {
-		fmt.Fprintf(&b, "\n  rejected updates: %d at edges, %d at cloud", a.RejectedEdge, a.RejectedCloud)
+		fmt.Fprintf(&b, "\n  injected updates (%d total): %s", a.TotalInjected(), formatCounts(a.Injected, ""))
 	}
 	if len(a.RejectedByTier) > 0 {
-		fmt.Fprintf(&b, "\n  rejected updates by tier: %s", formatByTier(a.RejectedByTier))
-	}
-	if a.Clipped > 0 {
-		fmt.Fprintf(&b, "\n  clipped updates: %d", a.Clipped)
+		fmt.Fprintf(&b, "\n  rejected updates by tier: %s", formatCounts(a.RejectedByTier, "tier"))
 	}
 	if len(a.ClippedByTier) > 0 {
-		fmt.Fprintf(&b, "\n  clipped updates by tier: %s", formatByTier(a.ClippedByTier))
+		fmt.Fprintf(&b, "\n  clipped updates by tier: %s", formatCounts(a.ClippedByTier, "tier"))
 	}
 	return b.String()
 }
 
-// formatByTier renders a tier-indexed counter map in ascending tier order
-// (map iteration order is not deterministic).
-func formatByTier(m map[int]int) string {
-	tiers := make([]int, 0, len(m))
-	for i := range m {
-		tiers = append(tiers, i)
+// formatCounts renders a counter map as "<prefix><key>(×<count>)" entries in
+// ascending key order (map iteration order is not deterministic).
+func formatCounts[K int | string](m map[K]int, prefix string) string {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Ints(tiers)
-	parts := make([]string, len(tiers))
-	for j, i := range tiers {
-		parts[j] = fmt.Sprintf("tier%d(×%d)", i, m[i])
+	slices.Sort(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = fmt.Sprintf("%s%v(×%d)", prefix, k, m[k])
 	}
 	return strings.Join(parts, " ")
 }

@@ -346,6 +346,9 @@ func TestSpecStringAndParse(t *testing.T) {
 	if _, _, err := ParseTierSpecs("tower=median", 0, 0, 0); err == nil {
 		t.Fatal("bad tier accepted")
 	}
+	if _, _, err := ParseTierSpecs("edge=median,edge=mean", 0, 0, 0); err == nil || !strings.Contains(err.Error(), `"edge" named twice`) {
+		t.Fatalf("a tier named twice: err %v, want a refusal naming it", err)
+	}
 	if _, _, err := ParseTierSpecs("clip", 0, 0, 0); err == nil {
 		t.Fatal("clip with zero bound accepted")
 	}

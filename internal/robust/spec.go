@@ -7,9 +7,9 @@ import (
 
 // ParseTierSpecs parses the -aggregator flag into per-tier specs. sel is
 // either a single rule name applied at both tiers ("median") or
-// per-tier assignments ("edge=median,cloud=mean"); empty means mean
-// everywhere. trim, clip, and cosMin parameterize whichever tiers select
-// the trimmed, clip, or cosine rules.
+// per-tier assignments ("edge=median,cloud=mean"), each tier named at
+// most once; empty means mean everywhere. trim, clip, and cosMin
+// parameterize whichever tiers select the trimmed, clip, or cosine rules.
 func ParseTierSpecs(sel string, trim, clip, cosMin float64) (edge, cloud Spec, err error) {
 	mk := func(k Kind) Spec { return Spec{Kind: k, Trim: trim, Clip: clip, CosMin: cosMin} }
 	sel = strings.TrimSpace(sel)
@@ -24,6 +24,7 @@ func ParseTierSpecs(sel string, trim, clip, cosMin float64) (edge, cloud Spec, e
 		edge, cloud = mk(k), mk(k)
 	} else {
 		edge, cloud = mk(Mean), mk(Mean)
+		named := map[string]bool{}
 		for _, part := range strings.Split(sel, ",") {
 			part = strings.TrimSpace(part)
 			if part == "" {
@@ -37,7 +38,12 @@ func ParseTierSpecs(sel string, trim, clip, cosMin float64) (edge, cloud Spec, e
 			if err != nil {
 				return Spec{}, Spec{}, err
 			}
-			switch strings.TrimSpace(tier) {
+			tier = strings.TrimSpace(tier)
+			if named[tier] {
+				return Spec{}, Spec{}, fmt.Errorf("robust: aggregator tier %q named twice in %q", tier, sel)
+			}
+			named[tier] = true
+			switch tier {
 			case "edge":
 				edge = mk(k)
 			case "cloud":

@@ -82,7 +82,10 @@ func FuzzParseTopology(f *testing.F) {
 		// Merging a run's default rules keeps the shape and every ID, wins
 		// nowhere over an explicit robust agg=, and leaves the spec as it was.
 		median := robust.Spec{Kind: robust.Median}
-		merged := tree.WithAggregators(median, median)
+		merged, err := tree.WithAggregators(median, median)
+		if err != nil {
+			t.Fatalf("merging equal defaults into %q: %v", canon, err)
+		}
 		if merged.String() != canon || topo.String() != canon {
 			t.Fatalf("merging defaults into %q rendered %q, spec now %q", canon, merged, topo)
 		}

@@ -194,11 +194,17 @@ func paths(kids [][][]int, weights [][][]float64, leaves int) []float64 {
 // WithAggregators returns the tree a run with default aggregation rules
 // executes, the one place a level's rule meets them: the leaf-parent level
 // takes leafParent and the root root, unless the level's own agg= is robust.
-// Only Levels is new, so neither t nor its spec changes, and String, every ID
-// and the attack plan stay t's; with no robust default it is t itself.
-func (t *Tree) WithAggregators(leafParent, root robust.Spec) *Tree {
+// A depth-2 tree's one aggregating level is both, so it refuses defaults
+// that differ, naming the tree. Only Levels is new, so neither t nor its
+// spec changes, and String, every ID and the attack plan stay t's; with no
+// robust default it is t itself.
+func (t *Tree) WithAggregators(leafParent, root robust.Spec) (*Tree, error) {
 	if !leafParent.Robust() && !root.Robust() {
-		return t
+		return t, nil
+	}
+	if t.LeafParent() == 0 && leafParent != root {
+		return nil, fmt.Errorf("topology: the tree %s has one aggregating level, which cannot run both edge=%s and cloud=%s",
+			t, leafParent, root)
 	}
 	levels := append([]Level(nil), t.Levels...)
 	for i, lv := range levels[:len(levels)-1] {
@@ -211,7 +217,7 @@ func (t *Tree) WithAggregators(leafParent, root robust.Spec) *Tree {
 		}
 	}
 	return &Tree{Levels: levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent,
-		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: t.attack, churn: t.churn}
+		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: t.attack, churn: t.churn}, nil
 }
 
 // WithAttackPlan returns the tree a run under the plan executes, the one place
@@ -234,14 +240,43 @@ func (t *Tree) WithAttackPlan(plan *robust.AttackPlan) (*Tree, error) {
 // AttackPlan returns the run's attack plan, nil for none; like Spec, shared.
 func (t *Tree) AttackPlan() *robust.AttackPlan { return t.attack }
 
-// Aggregators names every aggregating level's rule, root first, and reports
-// whether any of them is robust.
-func (t *Tree) Aggregators() (rules []string, anyRobust bool) {
-	rules = make([]string, len(t.Levels)-1)
+// Aggregators names every aggregating level's rule, root first.
+func (t *Tree) Aggregators() []string {
+	rules := make([]string, len(t.Levels)-1)
 	for i, lv := range t.Levels[:len(rules)] {
-		rules[i], anyRobust = lv.Agg.String(), anyRobust || lv.Agg.Robust()
+		rules[i] = lv.Agg.String()
 	}
-	return rules, anyRobust
+	return rules
+}
+
+// Robust reports whether any level aggregates under a robust rule.
+func (t *Tree) Robust() bool {
+	for _, lv := range t.Levels {
+		if lv.Agg.Robust() {
+			return true
+		}
+	}
+	return false
+}
+
+// Scenario is what a run over the tree adds to its checkpoint fingerprint
+// beyond the shape: " agg=<rules>" naming every aggregating level's rule,
+// root first, when one of them is robust, " attack=<plan>" under an attack
+// plan, and the membership token under churn; "" for a plain static tree.
+// Both engines' fingerprints carry it, so a snapshot never resumes under
+// another scenario.
+func (t *Tree) Scenario() string {
+	s := ""
+	if t.Robust() {
+		s += " agg=" + strings.Join(t.Aggregators(), "/")
+	}
+	if t.attack != nil {
+		s += " attack=" + t.attack.Signature()
+	}
+	if t.churn != nil {
+		s += " " + t.churn.Token
+	}
+	return s
 }
 
 // Weigh returns the child weights of the tree whose children are kids — a

@@ -159,16 +159,21 @@ func TestWithAggregators(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		spec string // "" for the derived tree
-		want string // the merged rules, root first
+		spec       string // "" for the derived tree
+		leafParent robust.Spec
+		want       string // the merged rules, root first; "" for a refusal
 	}{
-		{"", "trimmed(0.2)/median"},
-		{"cloud:tau=4/edge*5:tau=2,agg=cosine(0.5)/worker", "trimmed(0.2)/cosine(0.5)"},
-		{"cloud:tau=4,agg=clip(1)/edge*5:tau=2/worker", "clip(1)/median"},
-		{"cloud:tau=4,agg=mean/edge*5:tau=2,agg=mean/worker", "trimmed(0.2)/median"},
-		{"cloud:tau=8/region*5:tau=4,agg=cosine(0)/edge:tau=2/worker", "trimmed(0.2)/cosine(0)/median"},
-		{"cloud:tau=8/region*5:tau=4/edge:tau=2/worker", "trimmed(0.2)/mean/median"},
-		{"cloud:tau=4/worker*5", "median"},
+		{"", median, "trimmed(0.2)/median"},
+		{"cloud:tau=4/edge*5:tau=2,agg=cosine(0.5)/worker", median, "trimmed(0.2)/cosine(0.5)"},
+		{"cloud:tau=4,agg=clip(1)/edge*5:tau=2/worker", median, "clip(1)/median"},
+		{"cloud:tau=4,agg=mean/edge*5:tau=2,agg=mean/worker", median, "trimmed(0.2)/median"},
+		{"cloud:tau=8/region*5:tau=4,agg=cosine(0)/edge:tau=2/worker", median, "trimmed(0.2)/cosine(0)/median"},
+		{"cloud:tau=8/region*5:tau=4/edge:tau=2/worker", median, "trimmed(0.2)/mean/median"},
+		// A depth-2 tree's one level is leaf parent and root alike: equal
+		// defaults apply, differing ones are refused rather than one dropped.
+		{"cloud:tau=4/worker*5", trimmed, "trimmed(0.2)"},
+		{"cloud:tau=4/worker*5", median, ""},
+		{"cloud:tau=4/worker*5", robust.Spec{}, ""},
 	} {
 		tree, topo := derived, (*Topology)(nil)
 		if tc.spec != "" {
@@ -180,10 +185,18 @@ func TestWithAggregators(t *testing.T) {
 			}
 		}
 		before, canon := append([]Level(nil), tree.Levels...), tree.String()
-		merged := tree.WithAggregators(median, trimmed)
-		rules, anyRobust := merged.Aggregators()
-		if got := strings.Join(rules, "/"); got != tc.want || !anyRobust {
-			t.Errorf("%s: merged rules %s (robust %v), want %s", canon, got, anyRobust, tc.want)
+		merged, err := tree.WithAggregators(tc.leafParent, trimmed)
+		if tc.want == "" {
+			if err == nil || merged != nil || !strings.Contains(err.Error(), canon) {
+				t.Errorf("%s: defaults %s/%s merged as %v, %v; want a refusal naming the tree", canon, tc.leafParent, trimmed, merged, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", canon, err)
+		}
+		if got := strings.Join(merged.Aggregators(), "/"); got != tc.want || !merged.Robust() {
+			t.Errorf("%s: merged rules %s (robust %v), want %s", canon, got, merged.Robust(), tc.want)
 		}
 		if merged.String() != canon || tree.String() != canon || merged.Spec != tree.Spec {
 			t.Errorf("%s: merged tree renders %q, input now %q", canon, merged, tree)
@@ -202,8 +215,8 @@ func TestWithAggregators(t *testing.T) {
 			}
 		}
 	}
-	if _, anyRobust := derived.WithAggregators(robust.Spec{}, robust.Spec{}).Aggregators(); anyRobust {
-		t.Error("mean defaults over a mean tree report a robust level")
+	if merged, err := derived.WithAggregators(robust.Spec{}, robust.Spec{}); err != nil || merged.Robust() {
+		t.Errorf("mean defaults over a mean tree report a robust level (%v)", err)
 	}
 }
 
@@ -280,7 +293,11 @@ func TestWithAttackPlan(t *testing.T) {
 
 	median := robust.Spec{Kind: robust.Median}
 	plan := parse("signflip:worker-0-1@1")
-	first, err := derived.WithAggregators(median, median).WithAttackPlan(plan)
+	merged, err := derived.WithAggregators(median, median)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := merged.WithAttackPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +305,17 @@ func TestWithAttackPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, tree := range map[string]*Tree{"aggregators first": first, "plan first": attacked.WithAggregators(median, median)} {
-		rules, _ := tree.Aggregators()
+	second, err := attacked.WithAggregators(median, median)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tree := range map[string]*Tree{"aggregators first": first, "plan first": second} {
+		rules := tree.Aggregators()
 		if got := strings.Join(rules, "/"); got != "median/median" || tree.AttackPlan().Signature() != plan.Signature() {
 			t.Errorf("%s: rules %s, plan %q; want median/median and %q", name, got, tree.AttackPlan().Signature(), plan.Signature())
 		}
 	}
-	if rules, _ := derived.Aggregators(); derived.AttackPlan() != nil || strings.Join(rules, "/") != "mean/mean" {
+	if rules := derived.Aggregators(); derived.AttackPlan() != nil || strings.Join(rules, "/") != "mean/mean" {
 		t.Errorf("the input tree changed: rules %v, plan %v", rules, derived.AttackPlan())
 	}
 }
@@ -302,7 +323,7 @@ func TestWithAttackPlan(t *testing.T) {
 // TestWithMembership: a churn plan meets the tree in one place. An entry
 // naming anything but a training leaf is refused naming the tree, an empty
 // plan without re-tiering is the tree itself, and the merged tree keeps its
-// trajectory through the other With… calls. Each epoch weighs the live
+// trajectory through the other With… calls, which Scenario names. Each epoch weighs the live
 // cohorts, and a leaf off them weighs 0 and does not train.
 func TestWithMembership(t *testing.T) {
 	tree, err := Derive(2, 2, []int{2, 2}, []int{1, 2, 3, 4})
@@ -342,9 +363,31 @@ func TestWithMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Membership() != nil || attacked.Membership() != m ||
-		churned.WithAggregators(robust.Spec{Kind: robust.Median}, robust.Spec{}).Membership() != m {
+	merged, err := churned.WithAggregators(robust.Spec{Kind: robust.Median}, robust.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Membership() != nil || attacked.Membership() != m || merged.Membership() != m {
 		t.Error("the input tree gained the trajectory, or WithAttackPlan / WithAggregators dropped it")
+	}
+	// Scenario names the robust rules, the plan and the trajectory, in that
+	// order, and nothing for a plain static tree.
+	all, err := attacked.WithAggregators(robust.Spec{Kind: robust.Median}, robust.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tree *Tree
+		want string
+	}{
+		{tree, ""},
+		{churned, " churn=leave:worker-0-1@2 retier=0 migrate=zero"},
+		{merged, " agg=mean/median churn=leave:worker-0-1@2 retier=0 migrate=zero"},
+		{all, " agg=mean/median attack=seed=1 signflip:worker-0-0@1 churn=leave:worker-0-1@2 retier=0 migrate=zero"},
+	} {
+		if got := c.tree.Scenario(); got != c.want {
+			t.Errorf("Scenario() = %q, want %q", got, c.want)
+		}
 	}
 	// Round 2 is the leaver's last; from round 3 (iterations 5–6) edge 0
 	// holds leaf 0 alone and the root weighs the edges 1 : 7.
