@@ -288,6 +288,22 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
+	// The tree every engine runs: -topology's or the workload's, with
+	// -aggregator, -attack-plan and the churn flags merged in. Every node a
+	// flag names must be its; -restart-after names only -crash nodes.
+	tree, err := cfg.Tree(topo)
+	if err == nil {
+		tree, err = tree.WithAggregators(edgeAgg, cloudAgg)
+	}
+	if err == nil {
+		tree, err = tree.WithAttackPlan(attackPlan)
+	}
+	if err == nil {
+		tree, err = tree.WithMembership(churnPlan, cfg.LeafStats(), cfg.T, *retierEvery, migrate)
+	}
+	if err != nil {
+		return err
+	}
 	opts := cluster.Options{
 		Adaptive:          !*reduced,
 		MinQuorum:         *minQuorum,
@@ -296,20 +312,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 		CheckpointDir:     *checkpointDir,
 		Resume:            *resume,
 		Interrupt:         interrupt,
-		ChurnPlan:         churnPlan,
-		RetierEvery:       *retierEvery,
-		Migration:         migrate,
-		AttackPlan:        attackPlan,
-		EdgeAggregator:    edgeAgg,
-		CloudAggregator:   cloudAgg,
-		Topology:          topo,
-	}
-	// The tree the cluster runs, -aggregator, -attack-plan and -churn-plan
-	// merged in: every node a flag names must be its; -restart-after names
-	// only -crash nodes.
-	tree, err := opts.Tree(cfg)
-	if err != nil {
-		return err
+		Tree:              tree,
 	}
 	for id := range crashes {
 		if _, _, ok := tree.Lookup(id); !ok {
@@ -365,11 +368,8 @@ func run(args []string, interrupt <-chan struct{}) error {
 				RestartAfterRounds: restarts,
 			})
 		}
-		fmt.Printf("distributed HierAdMo over %s: %d workers, %d edges, tau=%d pi=%d T=%d\n",
-			*transportName, cfg.NumWorkers(), cfg.NumEdges(), cfg.Tau, cfg.Pi, cfg.T)
-		if topo != nil {
-			fmt.Printf("topology: %s (depth %d, %d leaves)\n", topo, topo.Depth(), topo.NumLeaves())
-		}
+		fmt.Printf("distributed HierAdMo over %s: %s (depth %d, %d leaves), T=%d\n",
+			*transportName, tree, tree.Depth(), tree.NumLeaves(), cfg.T)
 		if res, err = cluster.Run(cfg, net, opts); err != nil {
 			return err
 		}
@@ -479,24 +479,17 @@ func checkJoin(id string, tree *topology.Tree) error {
 
 // loadChurnPlan resolves the -churn-plan flag: a path to a churn trace
 // file when one exists at that path, otherwise an inline event spec. Empty
-// means no churn (nil plan).
-func loadChurnPlan(spec string) (*membership.Plan, error) {
-	if spec == "" {
-		return nil, nil
-	}
+// means no churn (the empty plan).
+func loadChurnPlan(spec string) (membership.Plan, error) {
 	if f, err := os.Open(spec); err == nil {
 		defer f.Close()
 		plan, err := membership.ParseTrace(f)
 		if err != nil {
-			return nil, fmt.Errorf("churn trace %s: %w", spec, err)
+			return membership.Plan{}, fmt.Errorf("churn trace %s: %w", spec, err)
 		}
-		return &plan, nil
+		return plan, nil
 	}
-	plan, err := membership.ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &plan, nil
+	return membership.ParseSpec(spec)
 }
 
 // parseCrashSpec parses a comma-separated "node@round" list, e.g.

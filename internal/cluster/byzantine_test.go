@@ -46,9 +46,9 @@ func sameResult(t *testing.T, name string, res, ref *fl.Result) {
 // (nil attack report, nil aggregators, original WeightedSum code path),
 // leaving the run bit-identical to plain options.
 func TestClusterEmptyAttackPlanIsBaseline(t *testing.T) {
-	opts := Options{Adaptive: true, AttackPlan: &robust.AttackPlan{}}
 	cfg := buildConfig(t, 31, 2)
-	ts, err := newTreeSpec(cfg, opts.withDefaults())
+	opts := Options{Adaptive: true, Tree: scenario{attack: &robust.AttackPlan{}}.tree(t, cfg)}
+	_, _, ts, err := prepare(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +107,11 @@ func attackEvents(t *testing.T, buf *bytes.Buffer) []string {
 // worker pool sizes 1/2/8, and the memory and TCP transports.
 func TestClusterAttackDeterministic(t *testing.T) {
 	cfg := buildConfig(t, 61, 2)
-	spec := "signflip:worker-0-1@2,noise:worker-1-0@3-5=0.5,replay:worker-1-1@4"
+	tree := scenario{attack: byzPlan(t, "signflip:worker-0-1@2,noise:worker-1-0@3-5=0.5,replay:worker-1-1@4")}.tree(t, cfg)
 	attacked := func(netf func() Network) (*fl.Result, []string, error) {
 		var buf bytes.Buffer
 		tr := telemetry.NewTracer(&buf)
-		res, err := Run(cfg, netf(), Options{
-			Adaptive:   true,
-			Telemetry:  telemetry.New(nil, tr),
-			AttackPlan: byzPlan(t, spec),
-		})
+		res, err := Run(cfg, netf(), Options{Adaptive: true, Telemetry: telemetry.New(nil, tr), Tree: tree})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -191,12 +187,10 @@ func TestClusterAttackDeterministic(t *testing.T) {
 // functions of the shared flags, never of process layout.
 func TestClusterAttackAcrossProcessEntryPoints(t *testing.T) {
 	cfg := buildConfig(t, 107, 2)
-	opts := Options{
-		Adaptive:        true,
-		AttackPlan:      byzPlan(t, "signflip:worker-0-1@2,noise:worker-1-0@3-5=0.5"),
-		EdgeAggregator:  robust.Spec{Kind: robust.Median},
-		CloudAggregator: robust.Spec{Kind: robust.Median},
-	}
+	median := robust.Spec{Kind: robust.Median}
+	opts := Options{Adaptive: true, Tree: scenario{
+		attack: byzPlan(t, "signflip:worker-0-1@2,noise:worker-1-0@3-5=0.5"), edge: median, cloud: median,
+	}.tree(t, cfg)}
 	ref, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -224,17 +218,11 @@ func TestClusterAttackChurnInterplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := func() Options {
-		p := plan.Clone()
-		return Options{
-			Adaptive:        true,
-			ChurnPlan:       &p,
-			AttackPlan:      byzPlan(t, "replay:worker-1-0@7-9"),
-			EdgeAggregator:  robust.Spec{Kind: robust.Trimmed, Trim: 0.25},
-			CloudAggregator: robust.Spec{Kind: robust.Trimmed, Trim: 0.25},
-		}
-	}
-	ref, err := Run(cfg, transport.NewMemoryNetwork(), opts())
+	trimmed := robust.Spec{Kind: robust.Trimmed, Trim: 0.25}
+	opts := Options{Adaptive: true, Tree: scenario{
+		churn: &plan, attack: byzPlan(t, "replay:worker-1-0@7-9"), edge: trimmed, cloud: trimmed,
+	}.tree(t, cfg)}
+	ref, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +242,7 @@ func TestClusterAttackChurnInterplay(t *testing.T) {
 			ref.FaultReport.DuplicateReports)
 	}
 
-	rerun, err := Run(cfg, transport.NewMemoryNetwork(), opts())
+	rerun, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +257,13 @@ func TestClusterRobustMetricsMatchReport(t *testing.T) {
 	cfg := buildConfig(t, 31, 2)
 	reg := telemetry.NewRegistry()
 	res, err := Run(cfg, transport.NewMemoryNetwork(), Options{
-		Adaptive:        true,
-		Telemetry:       telemetry.New(reg, nil),
-		AttackPlan:      byzPlan(t, "signflip:worker-0-1@1,scale:worker-1-0@1=25"),
-		EdgeAggregator:  robust.Spec{Kind: robust.Cosine, CosMin: 0},
-		CloudAggregator: robust.Spec{Kind: robust.Clip, Clip: 0.5},
+		Adaptive:  true,
+		Telemetry: telemetry.New(reg, nil),
+		Tree: scenario{
+			attack: byzPlan(t, "signflip:worker-0-1@1,scale:worker-1-0@1=25"),
+			edge:   robust.Spec{Kind: robust.Cosine, CosMin: 0},
+			cloud:  robust.Spec{Kind: robust.Clip, Clip: 0.5},
+		}.tree(t, cfg),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,12 +305,9 @@ func TestClusterRobustMetricsMatchReport(t *testing.T) {
 func TestClusterRobustResumeFingerprint(t *testing.T) {
 	cfg := buildConfig(t, 71, 2)
 	dir := t.TempDir()
-	opts := Options{
-		Adaptive:       true,
-		CheckpointDir:  dir,
-		AttackPlan:     byzPlan(t, "replay:worker-0-1@3"),
-		EdgeAggregator: robust.Spec{Kind: robust.Median},
-	}
+	median := robust.Spec{Kind: robust.Median}
+	opts := Options{Adaptive: true, CheckpointDir: dir,
+		Tree: scenario{attack: byzPlan(t, "replay:worker-0-1@3"), edge: median}.tree(t, cfg)}
 	ref, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -336,20 +323,21 @@ func TestClusterRobustResumeFingerprint(t *testing.T) {
 	sameResult(t, "resumed", res, ref)
 
 	wrong := resumed
-	wrong.AttackPlan = byzPlan(t, "signflip:worker-0-1@3")
+	wrong.Tree = scenario{attack: byzPlan(t, "signflip:worker-0-1@3"), edge: median}.tree(t, cfg)
 	if _, err := Run(cfg, transport.NewMemoryNetwork(), wrong); err == nil {
 		t.Error("resume under a different attack plan was accepted")
 	}
 	wrongAgg := resumed
-	wrongAgg.EdgeAggregator = robust.Spec{Kind: robust.Trimmed, Trim: 0.2}
+	wrongAgg.Tree = scenario{attack: byzPlan(t, "replay:worker-0-1@3"),
+		edge: robust.Spec{Kind: robust.Trimmed, Trim: 0.2}}.tree(t, cfg)
 	if _, err := Run(cfg, transport.NewMemoryNetwork(), wrongAgg); err == nil {
 		t.Error("resume under a different edge aggregator was accepted")
 	}
 }
 
 // TestAttackPlanOutsideTheTree: a plan naming a node the tree does not have,
-// or one that is not a training leaf, is refused before any node starts,
-// naming the ID and the tree.
+// or one that is not a training leaf, is refused by the tree, before any
+// node starts, naming the ID and the tree.
 func TestAttackPlanOutsideTheTree(t *testing.T) {
 	cfg := buildConfig(t, 113, 0)
 	const spec = "cloud:tau=4/edge*2:tau=2/worker*2"
@@ -365,11 +353,11 @@ func TestAttackPlanOutsideTheTree(t *testing.T) {
 		{plan: "signflip:worker-0-0@1", ok: true},
 		{plan: "signflip:worker-3@1", topology: spec, ok: true},
 	} {
-		opts := Options{AttackPlan: byzPlan(t, tc.plan)}
+		sc := scenario{attack: byzPlan(t, tc.plan)}
 		if tc.topology != "" {
-			opts.Topology = treeTopo(t, tc.topology)
+			sc.topology = treeTopo(t, tc.topology)
 		}
-		_, _, ts, err := prepare(cfg, opts)
+		attacked, err := sc.resolve(cfg)
 		if tc.ok {
 			if err != nil {
 				t.Errorf("%s on %q: %v", tc.plan, tc.topology, err)
@@ -377,11 +365,11 @@ func TestAttackPlanOutsideTheTree(t *testing.T) {
 			continue
 		}
 		id := strings.TrimPrefix(tc.plan[:strings.IndexByte(tc.plan, '@')], "signflip:")
-		tree, terr := cfg.Tree(opts.Topology)
+		tree, terr := cfg.Tree(sc.topology)
 		if terr != nil {
 			t.Fatal(terr)
 		}
-		if err == nil || ts != nil || !strings.Contains(err.Error(), `"`+id+`"`) || !strings.Contains(err.Error(), tree.String()) {
+		if err == nil || attacked != nil || !strings.Contains(err.Error(), `"`+id+`"`) || !strings.Contains(err.Error(), tree.String()) {
 			t.Errorf("%s on %q: err = %v, want a refusal naming %s and the tree", tc.plan, tc.topology, err, id)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // churnPlan is the canonical test trace: one late join, one permanent
-// leave, combined with RetierEvery=2 re-tiering in churnOptions.
+// leave, combined with re-tiering every 2 root syncs in churnScenario.
 func churnPlan(t *testing.T) *membership.Plan {
 	t.Helper()
 	plan, err := membership.ParseSpec("join:worker-0-1@3,leave:worker-1-0@9")
@@ -23,8 +23,10 @@ func churnPlan(t *testing.T) *membership.Plan {
 	return &plan
 }
 
-func churnOptions(t *testing.T) Options {
-	return Options{Adaptive: true, ChurnPlan: churnPlan(t), RetierEvery: 2}
+func churnScenario(t *testing.T) scenario { return scenario{churn: churnPlan(t), retier: 2} }
+
+func churnOptions(t *testing.T, cfg *fl.Config) Options {
+	return Options{Adaptive: true, Tree: churnScenario(t).tree(t, cfg)}
 }
 
 // TestClusterChurnDeterministic is the churn acceptance test: a seeded
@@ -33,7 +35,7 @@ func churnOptions(t *testing.T) Options {
 // and TCP transports.
 func TestClusterChurnDeterministic(t *testing.T) {
 	cfg := buildConfig(t, 51, 2)
-	ref, err := Run(cfg, transport.NewMemoryNetwork(), churnOptions(t))
+	ref, err := Run(cfg, transport.NewMemoryNetwork(), churnOptions(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestClusterChurnDeterministic(t *testing.T) {
 		}
 	}
 
-	rerun, err := Run(cfg, transport.NewMemoryNetwork(), churnOptions(t))
+	rerun, err := Run(cfg, transport.NewMemoryNetwork(), churnOptions(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestClusterChurnDeterministic(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		cfg.Workers = workers
-		res, err := Run(cfg, transport.NewMemoryNetwork(), churnOptions(t))
+		res, err := Run(cfg, transport.NewMemoryNetwork(), churnOptions(t, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +85,7 @@ func TestClusterChurnDeterministic(t *testing.T) {
 	}
 	cfg.Workers = 0
 
-	tcp, err := Run(cfg, transport.NewTCPNetwork(), churnOptions(t))
+	tcp, err := Run(cfg, transport.NewTCPNetwork(), churnOptions(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestClusterChurnNatalPlanMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true, ChurnPlan: &plan})
+	res, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true, Tree: scenario{churn: &plan}.tree(t, cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,33 +130,29 @@ func TestClusterChurnNatalPlanMatchesStatic(t *testing.T) {
 // disabled (nil report, nil state), leaving the static path byte-identical
 // to pre-churn behaviour (golden traces pin the rest).
 func TestClusterEmptyChurnPlanIsStatic(t *testing.T) {
-	empty := &membership.Plan{}
-	opts := Options{Adaptive: true, ChurnPlan: empty}
-	if opts.churnEnabled() {
-		t.Fatal("empty plan with retier-every=0 counts as churn-enabled")
-	}
 	cfg := buildConfig(t, 51, 2)
-	ts, err := newTreeSpec(cfg, opts)
+	static, err := cfg.Tree(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts.tree.Membership() != nil {
-		t.Fatal("empty plan built a membership schedule")
+	tree, err := static.WithMembership(membership.Plan{}, cfg.LeafStats(), cfg.T, 0, membership.MigrateZero)
+	if err != nil || tree != static || tree.Membership() != nil {
+		t.Fatal("empty plan with no re-tiering built a membership schedule")
 	}
-	res, err := Run(cfg, transport.NewMemoryNetwork(), opts)
+	res, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true, Tree: tree})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Membership != nil {
 		t.Fatalf("static run reports membership %+v", res.Membership)
 	}
-	static, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true})
+	ref, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FinalAcc != static.FinalAcc || res.FinalLoss != static.FinalLoss {
+	if res.FinalAcc != ref.FinalAcc || res.FinalLoss != ref.FinalLoss {
 		t.Errorf("empty-plan run %v/%v != static %v/%v",
-			res.FinalAcc, res.FinalLoss, static.FinalAcc, static.FinalLoss)
+			res.FinalAcc, res.FinalLoss, ref.FinalAcc, ref.FinalLoss)
 	}
 }
 
@@ -168,7 +166,7 @@ func TestClusterChurnCohortCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true, ChurnPlan: &plan})
+	_, err = scenario{churn: &plan}.resolve(cfg)
 	if err == nil {
 		t.Fatal("collapsing plan accepted")
 	}
@@ -193,10 +191,10 @@ func TestClusterChurnCohortCollapse(t *testing.T) {
 func TestClusterChurnInterruptResume(t *testing.T) {
 	cfg := buildConfig(t, 101, 2)
 	dir := t.TempDir()
-	opts := churnOptions(t)
+	opts := churnOptions(t, cfg)
 	opts.CheckpointDir = dir
 
-	ref, err := Run(cfg, transport.NewMemoryNetwork(), churnOptions(t))
+	ref, err := Run(cfg, transport.NewMemoryNetwork(), churnOptions(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func TestClusterChurnInterruptResume(t *testing.T) {
 	}
 	wrong := opts
 	wrong.Resume = true
-	wrong.ChurnPlan = &wrongPlan
+	wrong.Tree = scenario{churn: &wrongPlan, retier: 2}.tree(t, cfg)
 	wrong.RecvTimeout = deadlineScale * 500 * time.Millisecond
 	if _, err := Run(cfg, transport.NewMemoryNetwork(), wrong); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("resume under changed churn plan = %v, want wrapped checkpoint.ErrMismatch", err)
@@ -250,7 +248,7 @@ func TestClusterChurnInterruptResume(t *testing.T) {
 func TestClusterChurnMetricsMatchTrace(t *testing.T) {
 	cfg := buildConfig(t, 51, 2)
 	reg := telemetry.NewRegistry()
-	opts := churnOptions(t)
+	opts := churnOptions(t, cfg)
 	opts.Telemetry = telemetry.New(reg, nil)
 	res, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
@@ -281,11 +279,7 @@ func TestClusterChurnMetricsMatchTrace(t *testing.T) {
 
 	// Migrations: one per (edge, epoch boundary) with a changed cohort,
 	// computed from the same schedule the nodes used.
-	ts, err := newTreeSpec(cfg, churnOptions(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := ts.tree.Membership()
+	sched := opts.Tree.Membership()
 	wantMigrations := 0
 	for k := 2; k <= sched.K; k++ {
 		for l := 0; l < sched.NumEdges; l++ {
@@ -324,9 +318,9 @@ func TestClusterChurnMigrationPoliciesDiverge(t *testing.T) {
 	for _, pol := range []membership.MigrationPolicy{
 		membership.MigrateZero, membership.MigrateCarry, membership.MigrateRescale,
 	} {
-		opts := churnOptions(t)
-		opts.Migration = pol
-		res, err := Run(cfg, transport.NewMemoryNetwork(), opts)
+		sc := churnScenario(t)
+		sc.migration = pol
+		res, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true, Tree: sc.tree(t, cfg)})
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}

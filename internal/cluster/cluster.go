@@ -9,8 +9,6 @@ import (
 
 	"hieradmo/internal/core"
 	"hieradmo/internal/fl"
-	"hieradmo/internal/membership"
-	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
@@ -76,63 +74,25 @@ type Options struct {
 	// byte-diffable between runs.
 	Telemetry *telemetry.Sink
 
-	// ChurnPlan schedules deterministic worker joins (after round 1) and
-	// permanent leaves (before the final round). Nil or empty means no
-	// planned churn. Distinct from crash/restart fault injection: churn is
-	// part of the protocol — every node knows the plan, late joiners are
-	// admitted with fresh state, and leavers retire after a final
-	// aggregated report. Its entries name the tree's training leaves
-	// (topology.Tree.WithMembership refuses any other ID). Must match across
-	// a multi-process run.
-	ChurnPlan *membership.Plan
-	// RetierEvery, when positive, re-clusters workers onto leaf-parent nodes
-	// (edges) every RetierEvery root syncs, by label-distribution distance
-	// with ties broken by leaf order. Zero disables re-tiering.
-	RetierEvery int
-	// Migration selects how the leaf-parent momentum factor γℓ migrates when
-	// a node's cohort changes (default membership.MigrateZero, matching
-	// the paper's obtuse-angle reset semantics).
-	Migration membership.MigrationPolicy
 	// Clock injects the wall clock behind receive deadlines and straggler
 	// grace windows (default: the system clock). Tests use a fake clock so
 	// quorum-timing behavior doesn't depend on real sleep scaling.
 	Clock Clock
 
-	// AttackPlan injects deterministic Byzantine behaviour at the
-	// worker-report boundary (internal/robust): it mutates what compromised
-	// leaves send, never their training state. Nil or empty attacks nobody;
-	// topology.Tree.WithAttackPlan refuses a plan naming anything but the
-	// tree's training leaves. Must match across a multi-process run.
-	AttackPlan *robust.AttackPlan
-	// EdgeAggregator selects the aggregation rule the leaf-parent level
-	// (the edges) applies to worker reports (default: plain weighted mean,
-	// the undefended HierAdMo rule). A level's explicit robust agg= in
-	// Topology wins over it (topology.Tree.WithAggregators).
-	EdgeAggregator robust.Spec
-	// CloudAggregator selects the aggregation rule the root applies to its
-	// children's reports when they are aggregators themselves,
-	// independently of EdgeAggregator and likewise overridden by an explicit
-	// robust agg= on the root level.
-	CloudAggregator robust.Spec
-
-	// Topology sets the shape of the aggregation tree: per-level sync
-	// periods, fan-out, aggregation rules, and momentum come from the spec
-	// (see internal/topology), node IDs are "<level>-<index>", and the
-	// config's leaf shards (cfg.Edges flattened in order) are regrouped
-	// under the tree's fanout; its NumLeaves must equal cfg.NumWorkers().
-	// Nil derives the shape from the config instead: the cloud (period τ·π)
-	// over cfg.Edges (period τ, γℓ from cfg.GammaEdge, adaptation from
-	// Adaptive) over their workers, under the cloud / edge-ℓ / worker-ℓ-i
-	// node IDs. Either way the tree mints the IDs (topology.Tree.ID), the
-	// same node implementation runs, and every other option composes with
-	// it: attack and churn plans must name the tree's training leaves.
+	// Tree is the resolved tree the run executes: its shape and node IDs,
+	// every level's aggregation rule (Tree.WithAggregators), the attack plan
+	// (Tree.WithAttackPlan) and the membership epochs (Tree.WithMembership).
+	// Every process of a multi-process run must resolve the same tree, and a
+	// simulation held to the run takes it too (core.Rule.RunTree). A tree
+	// resolved for another config is refused (fl.NewHarness).
+	Tree *topology.Tree
+	// Topology, when Tree is nil, is the spec the run's tree is resolved
+	// from, cfg.Tree(Topology): sync periods, fan-out, aggregation rules and
+	// momentum per level, "<level>-<index>" node IDs, and the config's leaf
+	// shards (cfg.Edges flattened in order) regrouped under the tree's
+	// fanout. With both nil the run executes the config's own cloud /
+	// edge-ℓ / worker-ℓ-i tree. Setting both is refused.
 	Topology *topology.Topology
-}
-
-// churnEnabled reports whether this run has dynamic membership: a non-empty
-// churn plan or periodic re-tiering.
-func (o Options) churnEnabled() bool {
-	return (o.ChurnPlan != nil && !o.ChurnPlan.Empty()) || o.RetierEvery > 0
 }
 
 func (o Options) withDefaults() Options {
@@ -164,20 +124,8 @@ func (o Options) validate() error {
 	if o.Resume && o.CheckpointDir == "" {
 		return fmt.Errorf("cluster: Resume requires CheckpointDir")
 	}
-	if o.RetierEvery < 0 {
-		return fmt.Errorf("cluster: negative RetierEvery")
-	}
-	if o.Migration < membership.MigrateZero || o.Migration > membership.MigrateRescale {
-		return fmt.Errorf("cluster: unknown migration policy %d", o.Migration)
-	}
-	if err := o.AttackPlan.Validate(); err != nil {
-		return err
-	}
-	if err := o.EdgeAggregator.Validate(); err != nil {
-		return fmt.Errorf("cluster: edge aggregator: %w", err)
-	}
-	if err := o.CloudAggregator.Validate(); err != nil {
-		return fmt.Errorf("cluster: cloud aggregator: %w", err)
+	if o.Tree != nil && o.Topology != nil {
+		return fmt.Errorf("cluster: Tree and Topology both set: resolve the topology into the tree")
 	}
 	return nil
 }
@@ -199,9 +147,11 @@ func quorumCount(frac float64, n int) int {
 	return q
 }
 
-// prepare defaults and validates the options and derives the run's harness
-// and tree; shared by Run and RunNode so every process of a deployment
-// resolves the identical spec.
+// prepare defaults and validates the options, takes the run's tree from
+// them or resolves it from the config, and derives the run's harness and
+// spec; shared by Run and RunNode so every process of a deployment resolves
+// the identical spec. fl.NewHarness is the gate a tree passes, as in the
+// simulation.
 func prepare(cfg *fl.Config, opts Options) (Options, *fl.Harness, *treeSpec, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -210,11 +160,18 @@ func prepare(cfg *fl.Config, opts Options) (Options, *fl.Harness, *treeSpec, err
 	if opts.Telemetry == nil {
 		opts.Telemetry = cfg.Telemetry
 	}
-	ts, err := newTreeSpec(cfg, opts)
+	tree := opts.Tree
+	if tree == nil {
+		var err error
+		if tree, err = cfg.Tree(opts.Topology); err != nil {
+			return opts, nil, nil, err
+		}
+	}
+	hn, err := fl.NewHarness(cfg, tree)
 	if err != nil {
 		return opts, nil, nil, err
 	}
-	hn, err := fl.NewHarness(cfg, ts.tree)
+	ts, err := newTreeSpec(cfg, tree, opts)
 	return opts, hn, ts, err
 }
 
@@ -229,11 +186,11 @@ func prepare(cfg *fl.Config, opts Options) (Options, *fl.Harness, *treeSpec, err
 // deadline and every tolerated fault is recorded in the result's
 // FaultReport.
 func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
+	defer net.Close()
 	opts, hn, ts, err := prepare(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer net.Close()
 	// Let the transport count its own faults (drops, delays, retries) live
 	// on the sink; mergeTransport below only touches the FaultReport.
 	if tset, ok := net.(transport.TelemetrySetter); ok {

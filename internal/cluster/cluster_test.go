@@ -63,7 +63,7 @@ func buildConfig(t *testing.T, seed uint64, classesPerWorker int) *fl.Config {
 // TestProtocolIDs holds the tests' ID shorthands to the names the runtime
 // takes from the derived tree.
 func TestProtocolIDs(t *testing.T) {
-	ts, err := newTreeSpec(buildConfig(t, 3, 0), Options{}.withDefaults())
+	_, _, ts, err := prepare(buildConfig(t, 3, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	// γℓ = 0 on the config's own tree: both engines take the leaf parents'
 	// rule from core.Rule.LevelAt, a momentum step with γ = 0. The robust
 	// rows take every level's aggregation rule from the tree — a spec's
-	// agg=, or the Edge/CloudAggregator defaults merged into it — in both
+	// agg=, or the edge / cloud defaults merged into it — in both
 	// engines, which must reject and clip the same reports.
 	const tree4 = "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2"
 	const robust3 = "cloud:tau=4,agg=trimmed(0.25)/edge*2:tau=2,agg=median/worker*2"
@@ -232,8 +232,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				refClips := refM.GradClips.Value()
 
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
-				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Topology: topo,
-					EdgeAggregator: tc.edge, CloudAggregator: tc.cloud, AttackPlan: plan})
+				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Tree: attacked})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -293,7 +292,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		scenarios[sc.name] = sc
 	}
-	scenarios["tree4-churn"] = goldenScenario{cfg: treeChurnConfig, opts: treeChurnOptions}
+	scenarios["tree4-churn"] = goldenScenario{cfg: treeChurnConfig, opts: plain(Options{Adaptive: true}), scene: treeChurnScenario}
 	var fired [7]int64 // the seven membership values, summed over the rows
 	for _, name := range []string{"churn/zero", "churn/carry", "churn/rescale", "churn/reduced", "churn/ragged", "byz/churn",
 		"byz/cosine(0)", "byz/clip(0.5)", "tree4-churn"} {
@@ -304,10 +303,8 @@ func TestClusterMatchesSimulation(t *testing.T) {
 			}
 			t.Run(name+"/"+nw.name, func(t *testing.T) {
 				cfg, opts := sc.cfg(t), sc.opts(t)
-				tree, err := opts.Tree(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				tree := sc.scene(t).tree(t, cfg)
+				opts.Tree = tree
 				alg := core.NewReduced()
 				if opts.Adaptive {
 					alg = core.New()

@@ -60,8 +60,7 @@ func TestOptionsValidate(t *testing.T) {
 // tests that drive collect/update directly.
 func edgeUnderTest(t *testing.T, cfg *fl.Config, hn *fl.Harness, ep transport.Endpoint, opts Options) *tierNode {
 	t.Helper()
-	opts = opts.withDefaults()
-	ts, err := newTreeSpec(cfg, opts)
+	opts, _, ts, err := prepare(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

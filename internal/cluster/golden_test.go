@@ -102,6 +102,8 @@ type goldenScenario struct {
 	name string
 	cfg  func(t *testing.T) *fl.Config
 	opts func(t *testing.T) Options
+	// scene, when set, is what the run merges into its tree (Options.Tree).
+	scene func(t *testing.T) scenario
 	// plan, when set, wraps the transport in a FaultyNetwork.
 	plan func(cfg *fl.Config) transport.FaultPlan
 	// checkpoint gives the run a checkpoint directory (restart scenarios
@@ -121,6 +123,11 @@ func tolerantOptions(quorum float64) Options {
 	}
 }
 
+// plain returns options built without the test.
+func plain(o Options) func(*testing.T) Options {
+	return func(*testing.T) Options { return o }
+}
+
 func goldenScenarios() []goldenScenario {
 	std := func(seed uint64, classes int) func(*testing.T) *fl.Config {
 		return func(t *testing.T) *fl.Config { return buildConfig(t, seed, classes) }
@@ -132,9 +139,7 @@ func goldenScenarios() []goldenScenario {
 	wide := func(seed uint64) func(*testing.T) *fl.Config {
 		return func(t *testing.T) *fl.Config { return buildChaosConfig(t, seed) }
 	}
-	plain := func(o Options) func(*testing.T) Options {
-		return func(*testing.T) Options { return o }
-	}
+	adaptive := plain(Options{Adaptive: true})
 	parsePlan := func(t *testing.T, spec string) *membership.Plan {
 		t.Helper()
 		plan, err := membership.ParseSpec(spec)
@@ -146,13 +151,13 @@ func goldenScenarios() []goldenScenario {
 	const attack = "signflip:worker-0-1@2,noise:worker-1-0@3-5=0.5,replay:worker-1-1@4"
 
 	s := []goldenScenario{
-		{name: "static/adaptive", cfg: std(31, 2), opts: plain(Options{Adaptive: true})},
+		{name: "static/adaptive", cfg: std(31, 2), opts: adaptive},
 		{name: "static/reduced", cfg: std(31, 2), opts: plain(Options{})},
 		{name: "static/velocity", cfg: std(59, 2), opts: plain(Options{Adaptive: true, Signal: core.SignalVelocity})},
-		{name: "static/ragged", cfg: ragged, opts: plain(Options{Adaptive: true})},
-		{name: "static/workers=1", cfg: flat(1), opts: plain(Options{Adaptive: true})},
-		{name: "static/workers=2", cfg: flat(2), opts: plain(Options{Adaptive: true})},
-		{name: "static/workers=8", cfg: flat(4, 4), opts: plain(Options{Adaptive: true})},
+		{name: "static/ragged", cfg: ragged, opts: adaptive},
+		{name: "static/workers=1", cfg: flat(1), opts: adaptive},
+		{name: "static/workers=2", cfg: flat(2), opts: adaptive},
+		{name: "static/workers=8", cfg: flat(4, 4), opts: adaptive},
 		{name: "static/cnn", cfg: func(t *testing.T) *fl.Config {
 			cfg := buildConfig(t, 131, 2)
 			m, err := model.NewCNN(dataset.Shape{C: 1, H: 5, W: 5}, 4)
@@ -161,7 +166,7 @@ func goldenScenarios() []goldenScenario {
 			}
 			cfg.Model = m
 			return cfg
-		}, opts: plain(Options{Adaptive: true})},
+		}, opts: adaptive},
 
 		{name: "quorum/drops+crash", cfg: wide(73), opts: plain(tolerantOptions(0.5)), plan: chaosPlan},
 		{name: "quorum/edge-crash", cfg: std(79, 0), opts: plain(tolerantOptions(0.5)),
@@ -187,50 +192,40 @@ func goldenScenarios() []goldenScenario {
 				}
 			}},
 
-		{name: "churn/ragged", cfg: ragged, opts: func(t *testing.T) Options {
-			return Options{Adaptive: true, RetierEvery: 1,
-				ChurnPlan: parsePlan(t, "join:worker-2-1@4,leave:worker-0-2@7")}
+		{name: "churn/ragged", cfg: ragged, opts: adaptive, scene: func(t *testing.T) scenario {
+			return scenario{churn: parsePlan(t, "join:worker-2-1@4,leave:worker-0-2@7"), retier: 1}
 		}},
-		{name: "churn/reduced", cfg: std(51, 2), opts: func(t *testing.T) Options {
-			o := churnOptions(t)
-			o.Adaptive = false
-			o.Migration = membership.MigrateRescale
-			return o
+		{name: "churn/reduced", cfg: std(51, 2), opts: plain(Options{}), scene: func(t *testing.T) scenario {
+			s := churnScenario(t)
+			s.migration = membership.MigrateRescale
+			return s
 		}},
 
-		{name: "byz/churn", cfg: std(51, 2), opts: func(t *testing.T) Options {
-			return Options{
-				Adaptive:        true,
-				ChurnPlan:       parsePlan(t, "leave:worker-1-0@9"),
-				AttackPlan:      byzPlan(t, "replay:worker-1-0@7-9"),
-				EdgeAggregator:  robust.Spec{Kind: robust.Trimmed, Trim: 0.25},
-				CloudAggregator: robust.Spec{Kind: robust.Trimmed, Trim: 0.25},
-			}
+		{name: "byz/churn", cfg: std(51, 2), opts: adaptive, scene: func(t *testing.T) scenario {
+			trimmed := robust.Spec{Kind: robust.Trimmed, Trim: 0.25}
+			return scenario{churn: parsePlan(t, "leave:worker-1-0@9"), attack: byzPlan(t, "replay:worker-1-0@7-9"),
+				edge: trimmed, cloud: trimmed}
 		}},
 
 		{name: "resume/static", cfg: func(t *testing.T) *fl.Config {
 			cfg := buildConfig(t, 101, 0)
 			cfg.T = 48
 			return cfg
-		}, opts: plain(Options{Adaptive: true}), resume: true},
-		{name: "resume/churn", cfg: std(101, 2), opts: churnOptions, resume: true},
-		{name: "resume/byz", cfg: wide(71), opts: func(t *testing.T) Options {
-			return Options{
-				Adaptive:       true,
-				AttackPlan:     byzPlan(t, attack),
-				EdgeAggregator: robust.Spec{Kind: robust.Median},
-			}
+		}, opts: adaptive, resume: true},
+		{name: "resume/churn", cfg: std(101, 2), opts: adaptive, scene: churnScenario, resume: true},
+		{name: "resume/byz", cfg: wide(71), opts: adaptive, scene: func(t *testing.T) scenario {
+			return scenario{attack: byzPlan(t, attack), edge: robust.Spec{Kind: robust.Median}}
 		}, resume: true},
 	}
 	for _, pol := range []membership.MigrationPolicy{
 		membership.MigrateZero, membership.MigrateCarry, membership.MigrateRescale,
 	} {
 		pol := pol
-		s = append(s, goldenScenario{name: "churn/" + pol.String(), cfg: std(51, 2),
-			opts: func(t *testing.T) Options {
-				o := churnOptions(t)
-				o.Migration = pol
-				return o
+		s = append(s, goldenScenario{name: "churn/" + pol.String(), cfg: std(51, 2), opts: adaptive,
+			scene: func(t *testing.T) scenario {
+				s := churnScenario(t)
+				s.migration = pol
+				return s
 			}})
 	}
 	for _, agg := range []robust.Spec{
@@ -241,10 +236,9 @@ func goldenScenarios() []goldenScenario {
 		{Kind: robust.Cosine, CosMin: 0},
 	} {
 		agg := agg
-		s = append(s, goldenScenario{name: "byz/" + agg.String(), cfg: wide(61),
-			opts: func(t *testing.T) Options {
-				return Options{Adaptive: true, AttackPlan: byzPlan(t, attack),
-					EdgeAggregator: agg, CloudAggregator: agg}
+		s = append(s, goldenScenario{name: "byz/" + agg.String(), cfg: wide(61), opts: adaptive,
+			scene: func(t *testing.T) scenario {
+				return scenario{attack: byzPlan(t, attack), edge: agg, cloud: agg}
 			}})
 	}
 	return s
@@ -274,6 +268,9 @@ func runGolden(t *testing.T, sc goldenScenario, v goldenVariant) goldenDigest {
 	capture := &capturingModel{Model: cfg.Model}
 	cfg.Model = capture
 	opts := sc.opts(t)
+	if sc.scene != nil {
+		opts.Tree = sc.scene(t).tree(t, cfg)
+	}
 	if sc.checkpoint || sc.resume {
 		opts.CheckpointDir = t.TempDir()
 	}
@@ -438,86 +435,5 @@ func TestGoldenRuntime(t *testing.T) {
 			t.Parallel()
 			checkGolden(t, sc, want)
 		})
-	}
-}
-
-// goldenV1Path is golden_runtime.json as recorded before fl.AttackReport took
-// one per-tier layout: its byz/* rows fold the derived tree's two tiers into
-// edge / cloud fields. It is kept for TestGoldenRuntimeMigration only.
-const goldenV1Path = "testdata/golden_runtime.v1.json"
-
-// goldenV1Digest reads a v1 row: its Attack shadows goldenDigest's.
-type goldenV1Digest struct {
-	goldenDigest
-	Attack *struct {
-		Injected                        map[string]int
-		RejectedEdge, RejectedCloud     int
-		Clipped                         int
-		EdgeAggregator, CloudAggregator string
-	}
-}
-
-// TestGoldenRuntimeMigration proves the re-recorded golden file the v1 file
-// under the layout map and nothing else: every row, every Params, FinalAcc,
-// FinalLoss, Curve point, Membership and Fault field unchanged, and every
-// attack count where the map puts it — RejectedEdge → RejectedByTier[1],
-// RejectedCloud → RejectedByTier[0], Clipped → Σ ClippedByTier (v1 kept only
-// the sum), EdgeAggregator / CloudAggregator → TierAggregators[1] / [0].
-func TestGoldenRuntimeMigration(t *testing.T) {
-	raw, err := os.ReadFile(goldenV1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1 map[string]goldenV1Digest
-	if err := json.Unmarshal(raw, &v1); err != nil {
-		t.Fatal(err)
-	}
-	golden := loadGolden(t)
-	if len(v1) != len(golden) {
-		t.Errorf("v1 holds %d rows, the re-recorded file %d", len(v1), len(golden))
-	}
-	var attacks, twoTierRejects, clips int
-	for name, old := range v1 {
-		want, ok := golden[name]
-		if !ok {
-			t.Errorf("%s: row dropped by the re-record", name)
-			continue
-		}
-		got := old.goldenDigest
-		if a := old.Attack; a != nil {
-			attacks++
-			rejected := map[int]int{}
-			for tier, n := range []int{a.RejectedCloud, a.RejectedEdge} {
-				if n != 0 {
-					rejected[tier] = n
-				}
-			}
-			got.Attack = &fl.AttackReport{Injected: a.Injected,
-				TierAggregators: []string{a.CloudAggregator, a.EdgeAggregator}}
-			if len(rejected) > 0 {
-				got.Attack.RejectedByTier = rejected
-			}
-			if want.Attack != nil {
-				if a.Clipped != want.Attack.TotalClipped() {
-					t.Errorf("%s: v1 clipped %d, re-recorded %v", name, a.Clipped, want.Attack.ClippedByTier)
-				}
-				got.Attack.ClippedByTier = want.Attack.ClippedByTier
-			}
-			if len(rejected) == 2 {
-				twoTierRejects++
-			}
-			if a.Clipped > 0 {
-				clips++
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			gotJSON, _ := json.MarshalIndent(got, "", "  ")
-			wantJSON, _ := json.MarshalIndent(want, "", "  ")
-			t.Errorf("%s: v1 under the map\n%s\nre-recorded\n%s", name, gotJSON, wantJSON)
-		}
-	}
-	if attacks != 6 || twoTierRejects == 0 || clips == 0 {
-		t.Errorf("the map moved %d attack rows, %d rejecting at both tiers, %d clipping; want 6, ≥ 1, ≥ 1",
-			attacks, twoTierRejects, clips)
 	}
 }

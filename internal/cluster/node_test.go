@@ -36,7 +36,7 @@ func freePorts(t *testing.T, n int) []string {
 // a static-registry TCP endpoint. It returns the root's result.
 func runStaticNodes(t *testing.T, cfg *fl.Config, opts Options) *fl.Result {
 	t.Helper()
-	ts, err := newTreeSpec(cfg, opts.withDefaults())
+	_, _, ts, err := prepare(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

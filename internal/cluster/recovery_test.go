@@ -107,8 +107,7 @@ func TestPendingStashRoundtrip(t *testing.T) {
 func TestFourVectorSnapshotRefused(t *testing.T) {
 	cfg := buildConfig(t, 101, 0)
 	dir := t.TempDir()
-	opts := Options{Adaptive: true, CheckpointDir: dir, Resume: true}.withDefaults()
-	ts, err := newTreeSpec(cfg, opts)
+	opts, _, ts, err := prepare(cfg, Options{Adaptive: true, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +163,18 @@ func TestFourVectorSnapshotRefused(t *testing.T) {
 // start-of-interval momentum, and a replaying attacker's stash.
 func TestClusterInterruptResume(t *testing.T) {
 	for _, row := range []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		scene scenario
 	}{
-		{"adaptive", Options{Adaptive: true}},
-		{"velocity", Options{Adaptive: true, Signal: core.SignalVelocity}},
-		{"replay", Options{Adaptive: true, AttackPlan: byzPlan(t, "replay:worker-0-1@2-12")}},
+		{"adaptive", Options{Adaptive: true}, scenario{}},
+		{"velocity", Options{Adaptive: true, Signal: core.SignalVelocity}, scenario{}},
+		{"replay", Options{Adaptive: true}, scenario{attack: byzPlan(t, "replay:worker-0-1@2-12")}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := buildConfig(t, 101, 0)
 			cfg.T = 48
+			row.opts.Tree = row.scene.tree(t, cfg)
 			ref, err := Run(cfg, transport.NewMemoryNetwork(), row.opts)
 			if err != nil {
 				t.Fatal(err)

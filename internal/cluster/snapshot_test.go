@@ -345,8 +345,7 @@ func TestAllPositiveZeroMatchesPerElement(t *testing.T) {
 // sign, is stored and restored to the bit.
 func TestIntervalKeepsNegativeZero(t *testing.T) {
 	cfg := buildConfig(t, 101, 0)
-	opts := Options{Adaptive: true, Signal: core.SignalVelocity}.withDefaults()
-	ts, err := newTreeSpec(cfg, opts)
+	opts, _, ts, err := prepare(cfg, Options{Adaptive: true, Signal: core.SignalVelocity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,8 +396,7 @@ func TestIntervalKeepsNegativeZero(t *testing.T) {
 func TestSeparateAccumulatorSnapshotRefused(t *testing.T) {
 	cfg := buildConfig(t, 101, 0)
 	dir := t.TempDir()
-	opts := Options{Adaptive: true, Signal: core.SignalVelocity, CheckpointDir: dir, Resume: true}.withDefaults()
-	ts, err := newTreeSpec(cfg, opts)
+	opts, _, ts, err := prepare(cfg, Options{Adaptive: true, Signal: core.SignalVelocity, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"hieradmo/internal/core"
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
-	"hieradmo/internal/membership"
 	"hieradmo/internal/rng"
 	"hieradmo/internal/tensor"
 	"hieradmo/internal/topology"
@@ -35,38 +34,9 @@ type treeSpec struct {
 	rule *core.Rule
 }
 
-// Tree resolves the tree a run under these options executes: the config's
-// own or Topology's, with the default aggregators, the attack plan and the
-// churn plan merged in. Every node runs it, and so does a simulation held to
-// the run.
-func (o Options) Tree(cfg *fl.Config) (*topology.Tree, error) {
-	tree, err := cfg.Tree(o.Topology)
-	if err != nil {
-		return nil, err
-	}
-	if tree, err = tree.WithAggregators(o.EdgeAggregator, o.CloudAggregator); err != nil {
-		return nil, err
-	}
-	if tree, err = tree.WithAttackPlan(o.AttackPlan); err != nil {
-		return nil, err
-	}
-	if !o.churnEnabled() {
-		return tree, nil
-	}
-	plan := membership.Plan{}
-	if o.ChurnPlan != nil {
-		plan = *o.ChurnPlan
-	}
-	return tree.WithMembership(plan, cfg.LeafStats(), cfg.T, o.RetierEvery, o.Migration)
-}
-
-// newTreeSpec resolves the run's tree from the config and options and
-// validates them against each other.
-func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
-	tree, err := opts.Tree(cfg)
-	if err != nil {
-		return nil, err
-	}
+// newTreeSpec builds every level's rule on the run's tree, which
+// fl.NewHarness has accepted for cfg.
+func newTreeSpec(cfg *fl.Config, tree *topology.Tree, opts Options) (*treeSpec, error) {
 	// The run is HierAdMo's row of the simulation's rule table, so both
 	// engines resolve every level's rule in one place.
 	hier := core.NewReduced

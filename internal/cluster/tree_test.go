@@ -33,6 +33,48 @@ func treeTopo(t *testing.T, spec string) *topology.Topology {
 	return topo
 }
 
+// scenario is what a test run merges into its config's tree — or
+// topology's — in the order flcluster merges its flags: the default
+// aggregators, the attack plan, then the membership.
+type scenario struct {
+	topology    *topology.Topology
+	edge, cloud robust.Spec
+	attack      *robust.AttackPlan
+	churn       *membership.Plan
+	retier      int
+	migration   membership.MigrationPolicy
+}
+
+// resolve returns the tree a run under the scenario executes on cfg, or the
+// first constructor's refusal.
+func (s scenario) resolve(cfg *fl.Config) (*topology.Tree, error) {
+	tree, err := cfg.Tree(s.topology)
+	if err == nil {
+		tree, err = tree.WithAggregators(s.edge, s.cloud)
+	}
+	if err == nil {
+		tree, err = tree.WithAttackPlan(s.attack)
+	}
+	if err != nil {
+		return nil, err
+	}
+	var plan membership.Plan
+	if s.churn != nil {
+		plan = *s.churn
+	}
+	return tree.WithMembership(plan, cfg.LeafStats(), cfg.T, s.retier, s.migration)
+}
+
+// tree is resolve failing the test on a refusal.
+func (s scenario) tree(t *testing.T, cfg *fl.Config) *topology.Tree {
+	t.Helper()
+	tree, err := s.resolve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
 // buildFlatConfig is a leaf-count-parametric config over edge shape `edges`,
 // otherwise identical to buildConfig: same generator, partitions, model, and
 // hyperparameters.
@@ -105,14 +147,17 @@ func TestTreeSpecMatchesGolden(t *testing.T) {
 		if sc.cfg == nil || want.Params == "" {
 			t.Fatalf("%s: no such golden scenario", name)
 		}
-		derived, cfg := sc.opts, sc.cfg
-		sc.opts = func(t *testing.T) Options {
-			o := derived(t)
-			o.Topology = treeTopo(t, spec)
-			if o.ChurnPlan != nil {
-				o.ChurnPlan = respell(t, cfg(t), *o.ChurnPlan, o.Topology)
+		derived, cfg := sc.scene, sc.cfg
+		sc.scene = func(t *testing.T) scenario {
+			var s scenario
+			if derived != nil {
+				s = derived(t)
 			}
-			return o
+			s.topology = treeTopo(t, spec)
+			if s.churn != nil {
+				s.churn = respell(t, cfg(t), *s.churn, s.topology)
+			}
+			return s
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -151,13 +196,13 @@ func respell(t *testing.T, cfg *fl.Config, plan membership.Plan, topo *topology.
 // live data, bit for bit, in every round.
 func TestTreeWeightsMatchSchedule(t *testing.T) {
 	cfg := buildConfig(t, 51, 2)
-	ts, err := newTreeSpec(cfg, churnOptions(t).withDefaults())
+	_, _, ts, err := prepare(cfg, churnOptions(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := ts.tree.Membership()
 	if sched == nil || sched.Epochs() < 2 {
-		t.Fatalf("the churn options built %v, want a schedule with several epochs", sched)
+		t.Fatalf("the churn scenario built %v, want a schedule with several epochs", sched)
 	}
 	same := func(what string, got []float64, sizes []int) {
 		t.Helper()
@@ -441,7 +486,8 @@ func observed(t *testing.T, cfg *fl.Config, opts Options) (*fl.Result, *telemetr
 // events and fl_membership_* counters must agree exactly.
 func TestTreeChurn(t *testing.T) {
 	cfg := treeChurnConfig(t)
-	opts := func() Options { return treeChurnOptions(t) }
+	tree := treeChurnScenario(t).tree(t, cfg)
+	opts := func() Options { return Options{Adaptive: true, Tree: tree} }
 	ref := requireInvariant(t, cfg, opts)
 	m := ref.Membership
 	if m == nil || m.Joins != 1 || m.Leaves != 1 {
@@ -480,7 +526,7 @@ func TestTreeChurn(t *testing.T) {
 	}
 }
 
-// treeChurnConfig and treeChurnOptions are TestTreeChurn's run: eight
+// treeChurnConfig and treeChurnScenario are TestTreeChurn's run: eight
 // workers under the depth-4 tree, a join, a leave and re-tiering at every
 // root sync.
 func treeChurnConfig(t *testing.T) *fl.Config {
@@ -489,14 +535,14 @@ func treeChurnConfig(t *testing.T) *fl.Config {
 	return cfg
 }
 
-func treeChurnOptions(t *testing.T) Options {
+func treeChurnScenario(t *testing.T) scenario {
 	// The plan names leaves by the tree's IDs: worker-1 is leaf-parent 0's
 	// second leaf, worker-6 leaf-parent 3's first.
 	plan, err := membership.ParseSpec("join:worker-1@3,leave:worker-6@9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Options{Adaptive: true, Topology: treeTopo(t, depth4Spec), ChurnPlan: &plan, RetierEvery: 1}
+	return scenario{topology: treeTopo(t, depth4Spec), churn: &plan, retier: 1}
 }
 
 // TestUnbuildableRuleRefused: a level whose rule cannot be built — a
@@ -520,23 +566,23 @@ func TestUnbuildableRuleRefused(t *testing.T) {
 	}
 }
 
-// TestTreeAggregatorOptions composes an explicit topology with the
-// Edge/CloudAggregator options: they are the leaf-parent and root defaults, an explicit agg= in
-// the spec wins over them, and under a persistent attack plan the run is
-// invariant under the determinism matrix with report, trace and fl_robust_*
-// counters in exact agreement.
+// TestTreeAggregatorOptions composes an explicit topology with default
+// aggregators merged into its tree (Tree.WithAggregators): they are the
+// leaf-parent and root defaults, an explicit agg= in the spec wins over them,
+// and under a persistent attack plan the run is invariant under the
+// determinism matrix with report, trace and fl_robust_* counters in exact
+// agreement.
 func TestTreeAggregatorOptions(t *testing.T) {
 	cfg := buildFlatConfig(t, 83, []int{4, 4})
 	cfg.T = 48
-	opts := func() Options {
-		return Options{
-			Adaptive:        true,
-			Topology:        treeTopo(t, depth4Spec),
-			AttackPlan:      byzPlan(t, "signflip:worker-1@1,scale:worker-5@1=25"),
-			EdgeAggregator:  robust.Spec{Kind: robust.Cosine, CosMin: 0},
-			CloudAggregator: robust.Spec{Kind: robust.Clip, Clip: 0.5},
-		}
+	defended := scenario{
+		topology: treeTopo(t, depth4Spec),
+		attack:   byzPlan(t, "signflip:worker-1@1,scale:worker-5@1=25"),
+		edge:     robust.Spec{Kind: robust.Cosine, CosMin: 0},
+		cloud:    robust.Spec{Kind: robust.Clip, Clip: 0.5},
 	}
+	tree := defended.tree(t, cfg)
+	opts := func() Options { return Options{Adaptive: true, Tree: tree} }
 	ref := requireInvariant(t, cfg, opts)
 	rep := ref.AttackReport
 	if rep == nil {
@@ -546,7 +592,7 @@ func TestTreeAggregatorOptions(t *testing.T) {
 		t.Errorf("TierAggregators = %v, want %v", rep.TierAggregators, want)
 	}
 	if rep.RejectedByTier[2] == 0 {
-		t.Error("the EdgeAggregator default rejected nothing at the leaf-parent")
+		t.Error("the leaf-parent default rejected nothing")
 	}
 
 	res, reg, _, rejects, clips := observed(t, cfg, opts())
@@ -567,10 +613,9 @@ func TestTreeAggregatorOptions(t *testing.T) {
 		t.Errorf("fl_attack_injected_total = %d, report says %d", got, rep.TotalInjected())
 	}
 
-	// An explicit agg= on a level wins over the option defaults.
-	o := opts()
-	o.Topology = treeTopo(t, "cloud:tau=8,agg=median/region*2:tau=4/edge*2:tau=2,agg=trimmed(0.25)/worker*2")
-	explicit, err := Run(cfg, transport.NewMemoryNetwork(), o)
+	// An explicit agg= on a level wins over the defaults.
+	defended.topology = treeTopo(t, "cloud:tau=8,agg=median/region*2:tau=4/edge*2:tau=2,agg=trimmed(0.25)/worker*2")
+	explicit, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true, Tree: defended.tree(t, cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,11 +632,10 @@ func TestTreeAggregatorOptions(t *testing.T) {
 // and stay deterministic across reruns.
 func TestTreeSignFlipPerTierAttack(t *testing.T) {
 	cfg := buildFlatConfig(t, 83, []int{4, 4})
-	opts := Options{
-		Adaptive:   true,
-		Topology:   treeTopo(t, "cloud:tau=8/region*2:tau=4,agg=median/edge*2:tau=2,agg=cosine(0)/worker*2"),
-		AttackPlan: byzPlan(t, "signflip:worker-1@1,signflip:worker-5@1"),
-	}
+	opts := Options{Adaptive: true, Tree: scenario{
+		topology: treeTopo(t, "cloud:tau=8/region*2:tau=4,agg=median/edge*2:tau=2,agg=cosine(0)/worker*2"),
+		attack:   byzPlan(t, "signflip:worker-1@1,signflip:worker-5@1"),
+	}.tree(t, cfg)}
 	ref, _, _, rejects, clips := observed(t, cfg, opts)
 	rep := ref.AttackReport
 	if rep == nil {
@@ -644,7 +688,7 @@ func TestTreeAcrossProcessEntryPoints(t *testing.T) {
 	topo := treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*2")
 	for name, opts := range map[string]Options{
 		"static": {Adaptive: true, Topology: topo},
-		"churn":  {Adaptive: true, Topology: topo, ChurnPlan: respell(t, cfg, *churnPlan(t), topo), RetierEvery: 2},
+		"churn":  {Adaptive: true, Tree: scenario{topology: topo, churn: respell(t, cfg, *churnPlan(t), topo), retier: 2}.tree(t, cfg)},
 	} {
 		ref, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 		if err != nil {
@@ -658,21 +702,42 @@ func TestTreeAcrossProcessEntryPoints(t *testing.T) {
 	}
 }
 
-// TestTreeOptionValidation: a topology must match the config's leaf count
-// and horizon, and a churn plan the tree's leaves.
+// TestTreeOptionValidation: a run's tree must be one the config can run —
+// a topology matching its leaf count and horizon, never a tree resolved for
+// another config, and never a Tree beside a Topology — and a churn plan must
+// name the tree's leaves. A refused run still closes its network.
 func TestTreeOptionValidation(t *testing.T) {
 	cfg := buildConfig(t, 97, 0)
+	run := func(opts Options) error {
+		net := transport.NewMemoryNetwork()
+		_, err := Run(cfg, net, opts)
+		if _, eerr := net.Endpoint("probe"); !errors.Is(eerr, transport.ErrClosed) {
+			t.Errorf("a run refused with %v left its network open", err)
+		}
+		return err
+	}
 	// Leaf-count mismatch: 8 leaves for a 4-worker config.
-	if _, err := Run(cfg, transport.NewMemoryNetwork(), Options{
-		Topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*4"),
-	}); err == nil {
+	if err := run(Options{Topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*4")}); err == nil {
 		t.Error("leaf-count mismatch accepted")
 	}
 	// Horizon misalignment: T=24 is not a multiple of the root period 16.
-	if _, err := Run(cfg, transport.NewMemoryNetwork(), Options{
-		Topology: treeTopo(t, "cloud:tau=16/edge*2:tau=2/worker*2"),
-	}); !errors.Is(err, topology.ErrMisaligned) {
+	if err := run(Options{Topology: treeTopo(t, "cloud:tau=16/edge*2:tau=2/worker*2")}); !errors.Is(err, topology.ErrMisaligned) {
 		t.Errorf("misaligned horizon = %v, want ErrMisaligned", err)
+	}
+	// Trees resolved for other configs: eight leaves, and membership epochs
+	// scheduled over T=48 handed a T=24 run.
+	if err := run(Options{Tree: scenario{}.tree(t, buildFlatConfig(t, 97, []int{4, 4}))}); !errors.Is(err, fl.ErrConfig) {
+		t.Errorf("another config's tree = %v, want fl.ErrConfig", err)
+	}
+	long := buildConfig(t, 97, 0)
+	long.T = 48
+	if err := run(Options{Tree: churnScenario(t).tree(t, long)}); !errors.Is(err, fl.ErrConfig) || !errors.Is(err, topology.ErrMisaligned) {
+		t.Errorf("epochs of another horizon = %v, want fl.ErrConfig wrapping ErrMisaligned", err)
+	}
+	// A tree and a topology to resolve are one too many.
+	if err := run(Options{Tree: scenario{}.tree(t, cfg), Topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*2")}); err == nil ||
+		!strings.Contains(err.Error(), "Tree and Topology") {
+		t.Errorf("Tree with Topology = %v, want a refusal naming both", err)
 	}
 	// A churn plan naming a worker outside the tree fails at schedule
 	// construction, before any node starts.
@@ -680,10 +745,7 @@ func TestTreeOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(cfg, transport.NewMemoryNetwork(), Options{
-		Topology:  treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*2"),
-		ChurnPlan: &plan,
-	}); err == nil {
+	if _, err := (scenario{topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*2"), churn: &plan}).resolve(cfg); err == nil {
 		t.Error("churn plan naming a leaf outside the tree accepted")
 	}
 }

@@ -75,17 +75,17 @@ func RunByzantine(s Scale) (*Table, error) {
 	// run executes one cell and returns the final accuracy plus the
 	// rejected-report total, after cross-checking report vs counters.
 	run := func(spec robust.Spec, plan *robust.AttackPlan) (*fl.Result, int, error) {
+		defended, err := tree.WithAggregators(spec, spec)
+		if err == nil {
+			defended, err = defended.WithAttackPlan(plan)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
 		reg := telemetry.NewRegistry()
-		sink := telemetry.New(reg, nil)
 		net := transport.NewMemoryNetwork()
 		defer net.Close()
-		res, err := cluster.Run(cfg, net, cluster.Options{
-			Adaptive:        true,
-			Telemetry:       sink,
-			AttackPlan:      plan,
-			EdgeAggregator:  spec,
-			CloudAggregator: spec,
-		})
+		res, err := cluster.Run(cfg, net, cluster.Options{Adaptive: true, Telemetry: telemetry.New(reg, nil), Tree: defended})
 		if err != nil {
 			return nil, 0, err
 		}

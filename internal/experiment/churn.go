@@ -53,10 +53,10 @@ func RunChurn(s Scale) (*Table, error) {
 		return nil, fmt.Errorf("churn: %w", err)
 	}
 
-	run := func(opts cluster.Options) (*fl.Result, int64, int64, error) {
+	run := func(tree *topology.Tree) (*fl.Result, int64, int64, error) {
 		net := transport.NewCountingNetwork(transport.NewMemoryNetwork())
 		defer net.Close()
-		res, err := cluster.Run(cfg, net, opts)
+		res, err := cluster.Run(cfg, net, cluster.Options{Adaptive: true, Tree: tree})
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -77,7 +77,7 @@ func RunChurn(s Scale) (*Table, error) {
 			plan.Signature()),
 		Columns: churnColumns,
 	}
-	res, msgs, bytes, err := run(cluster.Options{Adaptive: true})
+	res, msgs, bytes, err := run(tree)
 	if err != nil {
 		return nil, fmt.Errorf("churn static: %w", err)
 	}
@@ -86,13 +86,11 @@ func RunChurn(s Scale) (*Table, error) {
 	for _, pol := range []membership.MigrationPolicy{
 		membership.MigrateZero, membership.MigrateCarry, membership.MigrateRescale,
 	} {
-		p := plan.Clone()
-		res, msgs, bytes, err := run(cluster.Options{
-			Adaptive:    true,
-			ChurnPlan:   &p,
-			RetierEvery: 2,
-			Migration:   pol,
-		})
+		churned, err := tree.WithMembership(plan, cfg.LeafStats(), cfg.T, 2, pol)
+		if err != nil {
+			return nil, fmt.Errorf("churn %s: %w", pol, err)
+		}
+		res, msgs, bytes, err := run(churned)
 		if err != nil {
 			return nil, fmt.Errorf("churn %s: %w", pol, err)
 		}

@@ -181,7 +181,7 @@ func (c *Config) Fingerprint(algorithm string) string {
 // Tree resolves the run's aggregation tree: topo's, its leaves regrouping
 // the workers' shards in Edges order, or — when topo is nil — the cloud /
 // edge / worker tree Edges describes. It is the one tree both execution
-// engines run for the pair.
+// engines run for the pair; NewHarness holds it to the horizon T.
 func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -198,14 +198,7 @@ func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 	if topo == nil {
 		return topology.Derive(c.Tau, c.Pi, cohorts, sizes)
 	}
-	tree, err := topo.Resolve(sizes)
-	if err == nil {
-		err = topo.AlignsWith(c.T)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return tree, nil
+	return topo.Resolve(sizes)
 }
 
 // NumEdges returns L.

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"hieradmo/internal/dataset"
+	"hieradmo/internal/membership"
 	"hieradmo/internal/model"
 	"hieradmo/internal/tensor"
+	"hieradmo/internal/topology"
 )
 
 func testConfig(t *testing.T) *Config {
@@ -88,6 +90,45 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+// TestHarnessRefusesForeignHorizon: a tree does not record the horizon it
+// was resolved for, so the harness — the gate both engines pass a tree
+// through — holds it to the config's: a root period that does not tile T, or
+// membership epochs scheduled over another T, is refused with ErrConfig
+// wrapping topology.ErrMisaligned.
+func TestHarnessRefusesForeignHorizon(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.T = 48
+	topo, err := topology.Parse("cloud:tau=16/edge*2:tau=2/worker*2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := cfg.Tree(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := cfg.Tree(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leave := membership.Plan{Events: []membership.Event{{Round: 3, Action: membership.ActionLeave, Worker: "worker-0-1"}}}
+	churned, err := derived.WithMembership(leave, cfg.LeafStats(), cfg.T, 0, membership.MigrateZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := map[string]*topology.Tree{"root period 16": spec, "epochs of T=48": churned}
+	for name, tree := range trees {
+		if _, err := NewHarness(cfg, tree); err != nil {
+			t.Fatalf("%s at T=48: %v", name, err)
+		}
+	}
+	cfg.T = 24
+	for name, tree := range trees {
+		if _, err := NewHarness(cfg, tree); !errors.Is(err, ErrConfig) || !errors.Is(err, topology.ErrMisaligned) {
+			t.Errorf("%s at T=24: %v, want ErrConfig wrapping topology.ErrMisaligned", name, err)
+		}
 	}
 }
 

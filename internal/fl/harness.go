@@ -30,8 +30,11 @@ type Harness struct {
 
 // NewHarness validates cfg and prepares the run state over tree, which
 // cfg.Tree resolved; nil means the configuration's own cloud / edge / worker
-// tree. Leaf j trains on the j-th shard of cfg.Edges in order and draws its
-// mini-batches from the stream its natal coordinates key.
+// tree. It is the gate both engines pass a tree through: a tree whose leaves
+// are not cfg's shards, or that does not align with cfg.T
+// (topology.Tree.AlignsWith), is refused with ErrConfig. Leaf j trains on the
+// j-th shard of cfg.Edges in order and draws its mini-batches from the stream
+// its natal coordinates key.
 func NewHarness(cfg *Config, tree *topology.Tree) (*Harness, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -41,6 +44,9 @@ func NewHarness(cfg *Config, tree *topology.Tree) (*Harness, error) {
 		if tree, err = cfg.Tree(nil); err != nil {
 			return nil, err
 		}
+	}
+	if err := tree.AlignsWith(cfg.T); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	leafSizes := tree.Sizes[tree.Depth()-1]
 	if len(leafSizes) != cfg.NumWorkers() {

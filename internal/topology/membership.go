@@ -34,9 +34,12 @@ type epoch struct {
 // leaf is refused, naming the ID and the tree, and the plan, the leaves'
 // clustering statistics (in leaf order), the horizon T and the re-tiering
 // cadence in root syncs build the schedule of the leaf-parent level, whose
-// rounds are that level's. Neither t nor the plan changes; an empty plan
-// without re-tiering returns t itself.
+// rounds are that level's. An unknown migration policy is refused. Neither
+// t nor the plan changes; an empty plan without re-tiering returns t itself.
 func (t *Tree) WithMembership(plan membership.Plan, stats []membership.WorkerStat, T, retierEvery int, policy membership.MigrationPolicy) (*Tree, error) {
+	if policy < membership.MigrateZero || policy > membership.MigrateRescale {
+		return nil, fmt.Errorf("topology: unknown migration policy %d", policy)
+	}
 	if plan.Empty() && retierEvery == 0 {
 		return t, nil
 	}

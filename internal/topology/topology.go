@@ -391,8 +391,12 @@ func (t *Topology) Validate() error {
 
 // AlignsWith checks that a run of T iterations lands on a whole number of
 // root periods (the tree analogue of fl.Config's T %% τπ == 0 rule).
-func (t *Topology) AlignsWith(T int) error {
-	if root := t.Levels[0].Tau; T%root != 0 {
+func (t *Topology) AlignsWith(T int) error { return aligns(t.Levels, T) }
+
+// aligns is the root-period check of Topology.AlignsWith and
+// Tree.AlignsWith.
+func aligns(levels []Level, T int) error {
+	if root := levels[0].Tau; T%root != 0 {
 		return fmt.Errorf("%w: T=%d is not a multiple of the root period τ=%d", ErrMisaligned, T, root)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -195,10 +196,14 @@ func paths(kids [][][]int, weights [][][]float64, leaves int) []float64 {
 // executes, the one place a level's rule meets them: the leaf-parent level
 // takes leafParent and the root root, unless the level's own agg= is robust.
 // A depth-2 tree's one aggregating level is both, so it refuses defaults
-// that differ, naming the tree. Only Levels is new, so neither t nor its
-// spec changes, and String, every ID and the attack plan stay t's; with no
-// robust default it is t itself.
+// that differ, naming the tree, as it refuses a default that fails
+// robust.Spec.Validate. Only Levels is new, so neither t nor its spec
+// changes, and String, every ID and the attack plan stay t's; with no robust
+// default it is t itself.
 func (t *Tree) WithAggregators(leafParent, root robust.Spec) (*Tree, error) {
+	if err := errors.Join(leafParent.Validate(), root.Validate()); err != nil {
+		return nil, fmt.Errorf("topology: a default aggregator of the tree %s: %w", t, err)
+	}
 	if !leafParent.Robust() && !root.Robust() {
 		return t, nil
 	}
@@ -221,12 +226,16 @@ func (t *Tree) WithAggregators(leafParent, root robust.Spec) (*Tree, error) {
 }
 
 // WithAttackPlan returns the tree a run under the plan executes, the one place
-// a plan meets a tree: an entry naming anything but a training leaf is refused,
-// naming the ID and the tree. Neither t nor the plan changes; a nil or empty
-// plan returns t itself.
+// a plan meets a tree: a plan failing robust.AttackPlan.Validate is refused,
+// and so is an entry naming anything but a training leaf, naming the ID and
+// the tree. Neither t nor the plan changes; a nil or empty plan returns t
+// itself.
 func (t *Tree) WithAttackPlan(plan *robust.AttackPlan) (*Tree, error) {
 	if plan.Empty() {
 		return t, nil
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, err
 	}
 	for _, a := range plan.Attacks {
 		if lvl, _, ok := t.Lookup(a.Node); !ok || lvl != t.Depth()-1 {
@@ -277,6 +286,19 @@ func (t *Tree) Scenario() string {
 		s += " " + t.churn.Token
 	}
 	return s
+}
+
+// AlignsWith checks that the tree is one a run of T iterations can execute:
+// T lands on a whole number of root periods, and a membership schedule
+// covers exactly T iterations of its leaf-parent rounds.
+func (t *Tree) AlignsWith(T int) error {
+	if err := aligns(t.Levels, T); err != nil {
+		return err
+	}
+	if m, tau := t.churn, t.Levels[t.LeafParent()].Tau; m != nil && m.K*tau != T {
+		return fmt.Errorf("%w: the membership epochs of %s cover T=%d, not T=%d", ErrMisaligned, t, m.K*tau, T)
+	}
+	return nil
 }
 
 // Weigh returns the child weights of the tree whose children are kids — a

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -174,6 +175,8 @@ func TestWithAggregators(t *testing.T) {
 		{"cloud:tau=4/worker*5", trimmed, "trimmed(0.2)"},
 		{"cloud:tau=4/worker*5", median, ""},
 		{"cloud:tau=4/worker*5", robust.Spec{}, ""},
+		// A default robust.Spec.Validate refuses is refused, naming the tree.
+		{"", robust.Spec{Kind: robust.Trimmed, Trim: 0.7}, ""},
 	} {
 		tree, topo := derived, (*Topology)(nil)
 		if tc.spec != "" {
@@ -217,6 +220,9 @@ func TestWithAggregators(t *testing.T) {
 	}
 	if merged, err := derived.WithAggregators(robust.Spec{}, robust.Spec{}); err != nil || merged.Robust() {
 		t.Errorf("mean defaults over a mean tree report a robust level (%v)", err)
+	}
+	if merged, err := derived.WithAggregators(median, robust.Spec{Kind: robust.Clip}); merged != nil || err == nil {
+		t.Errorf("root default clip(0) merged as %v, %v; want a refusal", merged, err)
 	}
 }
 
@@ -285,6 +291,12 @@ func TestWithAttackPlan(t *testing.T) {
 			t.Errorf("%s: the input tree now carries %q", canon, tc.tree.AttackPlan().Signature())
 		}
 	}
+	// A plan robust.AttackPlan.Validate refuses never reaches the tree, even
+	// when it names a training leaf.
+	silent := &robust.AttackPlan{Attacks: []robust.Attack{{Node: "worker-0-1", Kind: robust.Noise, From: 1}}}
+	if got, err := derived.WithAttackPlan(silent); got != nil || err == nil {
+		t.Errorf("noise attack with sigma 0 = %v, %v; want a refusal", got, err)
+	}
 	for _, empty := range []*robust.AttackPlan{nil, {Seed: 3}} {
 		if got, err := derived.WithAttackPlan(empty); got != derived || err != nil {
 			t.Errorf("WithAttackPlan(%v) = %p, %v; want the tree itself", empty, got, err)
@@ -340,6 +352,9 @@ func TestWithMembership(t *testing.T) {
 	if got, err := tree.WithMembership(membership.Plan{}, stats, 16, 0, membership.MigrateZero); err != nil || got != tree {
 		t.Fatalf("an empty plan gave %v, %v, want the tree itself", got, err)
 	}
+	if got, err := tree.WithMembership(membership.Plan{}, stats, 16, 0, membership.MigrateRescale+1); got != nil || err == nil {
+		t.Errorf("an unknown migration policy gave %v, %v, want a refusal", got, err)
+	}
 	for _, id := range []string{"worker-2-0", "worker-1", "edge-0", "cloud"} {
 		_, err := tree.WithMembership(leave(id), stats, 16, 0, membership.MigrateZero)
 		if want := `"` + id + `", not a training leaf of the tree ` + tree.String(); err == nil || !strings.Contains(err.Error(), want) {
@@ -354,6 +369,14 @@ func TestWithMembership(t *testing.T) {
 	m := churned.Membership()
 	if m == nil || m.Token != "churn=leave:worker-0-1@2 retier=0 migrate=zero" || churned.String() != tree.String() {
 		t.Fatalf("membership %+v on %s", m, churned)
+	}
+	// The epochs cover the horizon they were scheduled for and no other;
+	// the static tree runs any horizon its root period tiles.
+	if err := churned.AlignsWith(16); err != nil {
+		t.Errorf("AlignsWith(16) on the epochs of T=16: %v", err)
+	}
+	if err := churned.AlignsWith(8); !errors.Is(err, ErrMisaligned) || tree.AlignsWith(8) != nil {
+		t.Errorf("AlignsWith(8) = %v on the epochs of T=16, %v on the static tree; want ErrMisaligned, nil", err, tree.AlignsWith(8))
 	}
 	attack, err := robust.ParsePlan("signflip:worker-0-0@1", 1)
 	if err != nil {
