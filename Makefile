@@ -96,7 +96,10 @@ race:
 ## leaf order covering every leaf once, each weight the integer ratio of a
 ## child's subtree size over its node's), and the wire-frame decoder, which
 ## must yield a Message or ErrFrame / a truncation error without allocating
-## past its caps, every accepted frame re-encoding to the bytes it came from.
+## past its caps, every accepted frame re-encoding to the bytes it came from,
+## and the cluster's node machines, which must take any sequence of
+## messages and expiries without a panic, fail only with a typed error or
+## one naming the sender, and answer one sequence with one outbox sequence.
 ## Every input must yield a decoded value or a wrapped error, never a
 ## panic or an unbounded allocation. Override with FUZZTIME=1m for longer
 ## runs.
@@ -119,6 +122,7 @@ fuzz:
 	$(GO) test ./internal/topology/ -run '^$$' -fuzz FuzzParseTopology -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzAllowDirective -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzTierMachine -fuzztime $(FUZZTIME)
 
 ## recover: the crash-recovery integration suite — checkpoint format and
 ## corruption handling, bit-identical simulation resume, cluster

@@ -45,13 +45,14 @@ func only(paths ...string) func(string) bool {
 //   - detwall runs everywhere except internal/cluster and
 //     internal/transport, whose receive timeouts and straggler deadlines
 //     are wall-clock by design (failure detection cannot be deterministic).
-//     Within internal/cluster the exemption is narrower than it looks:
-//     deadline *arithmetic* (straggler grace, quorum horizons, interrupt
-//     slicing) goes through the injectable cluster.Options.Clock seam, so
-//     quorum-timing tests substitute a fake clock instead of scaling real
-//     sleeps; only the actual socket waits and duration metrics read the
-//     wall clock directly. New cluster code should reach for Options.now(),
-//     not time.Now(), whenever the value feeds a deadline comparison;
+//     Within internal/cluster the exemption is narrower than it looks: only
+//     the driver (drive) reads the clock for deadlines. The node machines
+//     take the time as their now input and do their deadline arithmetic
+//     (straggler grace, quorum horizons, sync waits) on it, so
+//     quorum-timing tests feed synthetic times instead of scaling real
+//     sleeps; the rest of the package reads the wall clock for duration
+//     metrics only. New cluster code that compares against a deadline
+//     should take now from its caller, not call time.Now();
 //   - maporder runs everywhere: map iteration order must never reach a
 //     float reduction, an ordered accumulation, or the trace;
 //   - goexec runs everywhere except internal/parallel (the sanctioned

@@ -74,11 +74,6 @@ type Options struct {
 	// byte-diffable between runs.
 	Telemetry *telemetry.Sink
 
-	// Clock injects the wall clock behind receive deadlines and straggler
-	// grace windows (default: the system clock). Tests use a fake clock so
-	// quorum-timing behavior doesn't depend on real sleep scaling.
-	Clock Clock
-
 	// Tree is the resolved tree the run executes: its shape and node IDs,
 	// every level's aggregation rule (Tree.WithAggregators), the attack plan
 	// (Tree.WithAttackPlan) and the membership epochs (Tree.WithMembership).
@@ -137,14 +132,7 @@ func (o Options) tolerant() bool { return o.MinQuorum < 1 }
 // quorumCount converts a quorum fraction into the minimum reporter count
 // out of n cohort members (always at least 1).
 func quorumCount(frac float64, n int) int {
-	q := int(math.Ceil(frac*float64(n) - 1e-9))
-	if q < 1 {
-		q = 1
-	}
-	if q > n {
-		q = n
-	}
-	return q
+	return min(max(int(math.Ceil(frac*float64(n)-1e-9)), 1), n)
 }
 
 // prepare defaults and validates the options, takes the run's tree from
@@ -192,7 +180,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 		return nil, err
 	}
 	// Let the transport count its own faults (drops, delays, retries) live
-	// on the sink; mergeTransport below only touches the FaultReport.
+	// on the sink; their totals below only touch the FaultReport.
 	if tset, ok := net.(transport.TelemetrySetter); ok {
 		tset.SetTelemetry(opts.Telemetry)
 	}
@@ -231,12 +219,11 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 		rootErr error
 	)
 	fail := func(err error) {
-		if err == nil {
-			return
+		if err != nil {
+			mu.Lock()
+			errs = append(errs, err)
+			mu.Unlock()
 		}
-		mu.Lock()
-		errs = append(errs, err)
-		mu.Unlock()
 	}
 
 	// runDone closes once the root has produced its verdict; it bounds the
@@ -247,14 +234,13 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 
 	for j, ep := range eps[leafLvl] {
 		id := ts.tree.ID(leafLvl, j)
-		w := newTreeLeaf(cfg, ts, j, x0, ep, opts)
-		w.rec = rec
+		w := newTreeLeaf(cfg, ts, j, x0, rec, opts)
 		done := make(chan struct{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer close(done)
-			fail(w.run())
+			fail(drive(w, ep, opts))
 		}()
 		if rv == nil || !opts.tolerant() || !rv.RestartPlanned(id) {
 			continue
@@ -278,10 +264,11 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 			}
 			ropts := opts
 			ropts.Resume = opts.CheckpointDir != ""
-			ropts.Interrupt = mergeInterrupt(opts.Interrupt, runDone)
-			rw := newTreeLeaf(cfg, ts, j, x0, ep, ropts)
-			rw.rec = rec
-			if err := rw.run(); err != nil && !errors.Is(err, ErrInterrupted) {
+			// The root ends the run on a shutdown request too, so runDone
+			// stops the respawn on either.
+			ropts.Interrupt = runDone
+			rw := newTreeLeaf(cfg, ts, j, x0, rec, ropts)
+			if err := drive(rw, ep, ropts); err != nil && !errors.Is(err, ErrInterrupted) {
 				// An interrupt here just means the run ended while the
 				// respawned leaf was still catching up — expected, not a
 				// fault.
@@ -291,15 +278,19 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	}
 	for i := leafLvl - 1; i >= 0; i-- {
 		for j := range eps[i] {
-			n := newTierNode(cfg, hn, ts, i, j, x0, eps[i][j], opts)
-			n.rec = rec
+			n := newTierNode(cfg, hn, ts, i, j, x0, rec, opts)
+			ep := eps[i][j]
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := n.run()
+				err := drive(n, ep, opts)
 				if n.lvl > 0 {
 					fail(err)
 					return
+				}
+				var res *fl.Result
+				if err == nil {
+					res, err = n.finish()
 				}
 				mu.Lock()
 				result, rootErr = res, err
@@ -317,11 +308,15 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 			}
 		}
 	}
+	// Every node has ended, so the recorder and the errors are this
+	// goroutine's alone.
 	if sr, ok := net.(transport.StatsReporter); ok {
-		rec.mergeTransport(sr.FaultStats())
+		s := sr.FaultStats()
+		rec.rep.Dropped += s.Dropped
+		rec.rep.Retries += s.Retries
+		rec.rep.Crashed = append(rec.rep.Crashed, s.Crashed...)
+		rec.rep.Restarted = append(rec.rep.Restarted, s.Restarted...)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	// Strict mode fails on any node error; tolerant mode fails only when
 	// the root could not produce a result. Either way the joined error
 	// carries every node's failure so the root cause is never masked by the
@@ -332,11 +327,9 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	}
 	// Tolerated dropouts become part of the fault report instead.
 	for _, err := range errs {
-		rec.nodeError(err)
+		rec.rep.NodeErrors = append(rec.rep.NodeErrors, err.Error())
 	}
-	result.FaultReport = rec.report()
-	result.Membership = fl.NewMembershipReport(ts.tree)
-	result.AttackReport = rec.attackReport(ts.tree)
+	finishResult(result, rec, ts.tree)
 	if sink := opts.Telemetry; sink.Tracing() {
 		sink.Emit("run_end",
 			telemetry.Float("final_acc", result.FinalAcc),
@@ -371,18 +364,15 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 	}
 	rec := newFaultRecorder(opts.Telemetry, ts.tree)
 	if lvl == ts.depth()-1 {
-		w := newTreeLeaf(cfg, ts, idx, hn.InitParams(), ep, opts)
-		w.rec = rec
-		return nil, w.run()
+		return nil, drive(newTreeLeaf(cfg, ts, idx, hn.InitParams(), rec, opts), ep, opts)
 	}
-	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), ep, opts)
-	n.rec = rec
-	res, err := n.run()
+	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), rec, opts)
+	if err := drive(n, ep, opts); err != nil {
+		return nil, err
+	}
+	res, err := n.finish()
 	if err != nil || res == nil {
 		return nil, err
 	}
-	res.FaultReport = rec.report()
-	res.Membership = fl.NewMembershipReport(ts.tree)
-	res.AttackReport = rec.attackReport(ts.tree)
-	return res, nil
+	return finishResult(res, rec, ts.tree), nil
 }

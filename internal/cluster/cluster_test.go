@@ -20,7 +20,7 @@ import (
 	"hieradmo/internal/transport"
 )
 
-func buildConfig(t *testing.T, seed uint64, classesPerWorker int) *fl.Config {
+func buildConfig(t testing.TB, seed uint64, classesPerWorker int) *fl.Config {
 	t.Helper()
 	genCfg := dataset.GenConfig{
 		Name:          "toy",

@@ -7,19 +7,18 @@ import (
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/topology"
-	"hieradmo/internal/transport"
 )
 
 // faultRecorder accumulates the fault observations of every node in a run
 // into one fl.FaultReport, and mirrors each observation onto the run's
 // telemetry sink as it happens — counters live, one trace event per
-// tolerated fault. All methods are nil-safe so the per-role entry points
-// can run without one.
+// tolerated fault. Its recording methods are nil-safe, so a node can run
+// without one.
 //
 // Transport-level faults (drops, delays, retries) are counted live by the
-// transport layer itself (see transport.FaultyNetwork.SetTelemetry);
-// mergeTransport only folds their end-of-run totals into the FaultReport,
-// never into the sink, so nothing is double-counted.
+// transport layer itself (see transport.FaultyNetwork.SetTelemetry); Run
+// only folds their end-of-run totals into the FaultReport, never into the
+// sink, so nothing is double-counted.
 type faultRecorder struct {
 	mu  sync.Mutex
 	rep fl.FaultReport
@@ -77,43 +76,34 @@ func (r *faultRecorder) missingTier(level string, tier, t, n int, leaf bool) {
 
 // duplicate records a rejected duplicate report observed by node.
 func (r *faultRecorder) duplicate(node string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.rep.DuplicateReports++
-	r.mu.Unlock()
-	r.sink.M().DuplicateReports.Inc()
-	if r.sink.Tracing() {
-		r.sink.Emit("duplicate_report", telemetry.String("node", node))
+	if r != nil {
+		r.tally(&r.rep.DuplicateReports, r.sink.M().DuplicateReports, "duplicate_report", node)
 	}
 }
 
 // stale records a rejected stale-round message observed by node.
 func (r *faultRecorder) stale(node string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.rep.StaleMessages++
-	r.mu.Unlock()
-	r.sink.M().StaleMessages.Inc()
-	if r.sink.Tracing() {
-		r.sink.Emit("stale_message", telemetry.String("node", node))
+	if r != nil {
+		r.tally(&r.rep.StaleMessages, r.sink.M().StaleMessages, "stale_message", node)
 	}
 }
 
 // timeout records a tolerated receive timeout at node.
 func (r *faultRecorder) timeout(node string) {
-	if r == nil {
-		return
+	if r != nil {
+		r.tally(&r.rep.Timeouts, r.sink.M().Timeouts, "timeout", node)
 	}
+}
+
+// tally records one fault observed by node in a report field, its counter
+// and the trace; the callers have checked r for nil.
+func (r *faultRecorder) tally(field *int, c *telemetry.Counter, event, node string) {
 	r.mu.Lock()
-	r.rep.Timeouts++
+	*field++
 	r.mu.Unlock()
-	r.sink.M().Timeouts.Inc()
+	c.Inc()
 	if r.sink.Tracing() {
-		r.sink.Emit("timeout", telemetry.String("node", node))
+		r.sink.Emit(event, telemetry.String("node", node))
 	}
 }
 
@@ -196,53 +186,4 @@ func (r *faultRecorder) robustTier(node, level string, tier, t int, st robust.St
 			telemetry.String("from", slot(j)),
 			telemetry.Float("max_norm", st.MaxNorm))
 	}
-}
-
-// nodeError records the error of a node that dropped out of a run that kept
-// going.
-func (r *faultRecorder) nodeError(err error) {
-	if r == nil || err == nil {
-		return
-	}
-	r.mu.Lock()
-	r.rep.NodeErrors = append(r.rep.NodeErrors, err.Error())
-	r.mu.Unlock()
-}
-
-// mergeTransport folds transport-level counters into the report.
-func (r *faultRecorder) mergeTransport(s transport.FaultStats) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.rep.Dropped += s.Dropped
-	r.rep.Retries += s.Retries
-	r.rep.Crashed = append(r.rep.Crashed, s.Crashed...)
-	r.rep.Restarted = append(r.rep.Restarted, s.Restarted...)
-	r.mu.Unlock()
-}
-
-// report returns the accumulated report, or nil when nothing was recorded.
-func (r *faultRecorder) report() *fl.FaultReport {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.rep.Any() {
-		return nil
-	}
-	rep := r.rep
-	return &rep
-}
-
-// attackReport returns the accumulated Byzantine-scenario report of a run
-// over tree (fl.NewAttackReport), nil where the robust layer never engaged.
-func (r *faultRecorder) attackReport(tree *topology.Tree) *fl.AttackReport {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return fl.NewAttackReport(tree, r.inject, r.rejected, r.clipped)
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -53,165 +52,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if (Options{}).withDefaults().tolerant() {
 		t.Error("default options tolerant; must be strict fail-stop")
-	}
-}
-
-// edgeUnderTest builds edge-0 of cfg's derived tree as a bare tierNode, for
-// tests that drive collect/update directly.
-func edgeUnderTest(t *testing.T, cfg *fl.Config, hn *fl.Harness, ep transport.Endpoint, opts Options) *tierNode {
-	t.Helper()
-	opts, _, ts, err := prepare(cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newTierNode(cfg, hn, ts, 1, 0, hn.InitParams(), ep, opts)
-	e.rec = newFaultRecorder(nil, ts.tree)
-	return e
-}
-
-// TestEdgeDuplicateReportRejected regression-tests the collection bug where a
-// duplicate report overwrote its slot while inflating the reporter count,
-// leaving a zero-valued Message (nil vectors) in the aggregation.
-func TestEdgeDuplicateReportRejected(t *testing.T) {
-	cfg := buildConfig(t, 61, 0)
-	hn, err := fl.NewHarness(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewMemoryNetwork()
-	defer net.Close()
-	edgeEP, err := net.Endpoint(EdgeID(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w0, err := net.Endpoint(WorkerID(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := net.Endpoint(WorkerID(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	x0 := hn.InitParams()
-	e := edgeUnderTest(t, cfg, hn, edgeEP, Options{Adaptive: true})
-
-	report := func(ep transport.Endpoint) {
-		t.Helper()
-		v := x0.Clone()
-		msg := transport.Message{
-			Kind:    KindTierReport,
-			Round:   cfg.Tau,
-			Vectors: [][]float64{v, v.Clone()},
-			Scalars: map[string]float64{ScalarLoss: 1, ScalarCos: 0.5},
-		}
-		if err := ep.Send(EdgeID(0), msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	report(w0)
-	report(w0) // duplicate: must not count as a second distinct reporter
-	report(w1)
-
-	adopted, reports, idx, err := e.collect(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adopted != 0 {
-		t.Fatalf("adopted = %d, want 0 (no cloud update in flight)", adopted)
-	}
-	if len(idx) != 2 || idx[0] != 0 || idx[1] != 1 {
-		t.Fatalf("idx = %v, want [0 1]", idx)
-	}
-	for _, i := range idx {
-		if len(reports[i].Vectors) != 2 {
-			t.Fatalf("slot %d holds %d vectors (zero-valued duplicate slot?)", i, len(reports[i].Vectors))
-		}
-	}
-	if e.rec.rep.DuplicateReports != 1 {
-		t.Errorf("DuplicateReports = %d, want 1", e.rec.rep.DuplicateReports)
-	}
-	// The aggregation over the collected slots must not touch nil vectors.
-	if err := e.update(reports, idx, 1); err != nil {
-		t.Errorf("update after duplicate: %v", err)
-	}
-}
-
-// TestEdgeRejectsMalformedTerm: an adaptive leaf-parent admits a report only
-// with an eq. (6) term in [-1, 1]. A missing, NaN or infinite term, or one out
-// of range, fails the round the way a wrong vector count does — with
-// ErrMalformedReport, naming the sender — since no honest leaf sends one.
-// A plain-average parent reads no term and needs none.
-func TestEdgeRejectsMalformedTerm(t *testing.T) {
-	cfg := buildConfig(t, 61, 0)
-	hn, err := fl.NewHarness(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := hn.InitParams()
-	negZero := math.Copysign(0, -1)
-	for _, tc := range []struct {
-		name     string
-		adaptive bool
-		vectors  int
-		scalars  map[string]float64
-		ok       bool
-	}{
-		{"term 1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: 1}, true},
-		{"term -1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: -1}, true},
-		{"term -0", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: negZero}, true},
-		{"no term, plain parent", false, 2, map[string]float64{ScalarLoss: 1}, true},
-		{"no term", true, 2, map[string]float64{ScalarLoss: 1}, false},
-		{"no scalars", true, 2, nil, false},
-		{"NaN term", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.NaN()}, false},
-		{"+Inf term", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.Inf(1)}, false},
-		{"-Inf term", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.Inf(-1)}, false},
-		{"term above 1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.Nextafter(1, 2)}, false},
-		{"term below -1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: -1.5}, false},
-		{"four vectors", true, 4, map[string]float64{ScalarLoss: 1, ScalarCos: 0.5}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			net := transport.NewMemoryNetwork()
-			defer net.Close()
-			edgeEP, err := net.Endpoint(EdgeID(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := edgeUnderTest(t, cfg, hn, edgeEP, Options{Adaptive: tc.adaptive})
-			for i, scalars := range []map[string]float64{tc.scalars, {ScalarLoss: 1, ScalarCos: 0.5}} {
-				ep, err := net.Endpoint(WorkerID(0, i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				n := 2
-				if i == 0 {
-					n = tc.vectors
-				}
-				vecs := make([][]float64, n)
-				for v := range vecs {
-					vecs[v] = x0.Clone()
-				}
-				if err := ep.Send(EdgeID(0), transport.Message{Kind: KindTierReport, Round: cfg.Tau, Vectors: vecs, Scalars: scalars}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			_, reports, idx, err := e.collect(1)
-			if !tc.ok {
-				if !errors.Is(err, ErrMalformedReport) || !strings.Contains(err.Error(), WorkerID(0, 0)) {
-					t.Fatalf("collect = %v, want a wrapped ErrMalformedReport naming %s", err, WorkerID(0, 0))
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(idx) != 2 {
-				t.Fatalf("admitted %v, want both workers", idx)
-			}
-			if err := e.update(reports, idx, 1); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 
@@ -479,81 +319,6 @@ func TestClusterQuorumUnreachableFailsFast(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "consecutive") {
 		t.Errorf("err = %v, want the consecutive-miss diagnosis", err)
-	}
-}
-
-// TestEdgeAdoptsMidCollectCloudUpdate regression-tests the desync found by
-// chaos-driving flcluster: when every report of one round is lost, the cloud
-// completes the sync without this edge and its update arrives while the edge
-// is still collecting. The edge must adopt that update and fast-forward —
-// discarding it as stale left the edge permanently one sync behind, every
-// subsequent report stale, until the miss-streak limit killed the run.
-func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
-	cfg := buildConfig(t, 91, 0)
-	hn, err := fl.NewHarness(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewMemoryNetwork()
-	defer net.Close()
-	edgeEP, err := net.Endpoint(EdgeID(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloudEP, err := net.Endpoint(CloudID)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	x0 := hn.InitParams()
-	opts := Options{
-		MinQuorum:         0.5,
-		StragglerDeadline: 50 * time.Millisecond,
-		RecvTimeout:       2 * time.Second,
-	}
-	e := edgeUnderTest(t, cfg, hn, edgeEP, opts)
-
-	// The cloud finished the second sync (round 2τπ) while this edge never
-	// saw a single round-τ report.
-	want := 2 * cfg.Tau * cfg.Pi
-	y := x0.Clone()
-	y[0] += 1
-	x := x0.Clone()
-	x[0] += 2
-	update := transport.Message{
-		Kind:    KindTierUpdate,
-		Round:   want,
-		Vectors: [][]float64{y, x},
-	}
-	if err := cloudEP.Send(EdgeID(0), update); err != nil {
-		t.Fatal(err)
-	}
-
-	adopted, _, _, err := e.collect(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adopted != want {
-		t.Fatalf("adopted = %d, want %d", adopted, want)
-	}
-	if e.tier.YMinus[0] != y[0] || e.tier.XPlus[0] != x[0] {
-		t.Errorf("edge state not adopted from the cloud update: y[0]=%v x[0]=%v",
-			e.tier.YMinus[0], e.tier.XPlus[0])
-	}
-
-	// Strict mode must keep discarding out-of-band cloud updates as stale:
-	// strict edges never give up on a sync, so such an update cannot be a
-	// legitimate fast-forward signal mid-collect.
-	strict := edgeUnderTest(t, cfg, hn, edgeEP, Options{RecvTimeout: 200 * time.Millisecond})
-	if err := cloudEP.Send(EdgeID(0), update); err != nil {
-		t.Fatal(err)
-	}
-	adopted, _, _, err = strict.collect(1)
-	if !errors.Is(err, transport.ErrTimeout) {
-		t.Fatalf("strict collect: adopted=%d err=%v, want timeout", adopted, err)
-	}
-	if strict.rec.rep.StaleMessages != 1 {
-		t.Errorf("strict StaleMessages = %d, want 1", strict.rec.rep.StaleMessages)
 	}
 }
 

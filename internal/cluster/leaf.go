@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/core"
@@ -27,10 +27,8 @@ type treeLeaf struct {
 	cfg  *fl.Config
 	ts   *treeSpec
 	j    int // index within the leaf level
-	ep   transport.Endpoint
 	opts Options
 	rec  *faultRecorder
-	reg  *checkpoint.Registry
 	// att mutates this leaf's boundary reports when the run's attack plan
 	// marks it Byzantine; nil for honest leaves.
 	att *robust.Attacker
@@ -53,12 +51,37 @@ type treeLeaf struct {
 	syncedThrough int
 
 	// report is the leaf's one outgoing message, its [y, x] headers and its
-	// loss and cos slots refilled per boundary: Send is synchronous, so
-	// nothing of a sent message outlives the call.
+	// loss and cos slots refilled per boundary: the driver sends it before
+	// the next input, so nothing of a queued report outlives the state it
+	// aliases.
 	report transport.Message
+
+	// box is the leaf's outbox and phase what it does next. t is its
+	// iteration count (a late joiner awaiting admission: the round it joins
+	// after) and end the last iteration of its lifetime; a snapshot holds a
+	// settled t, and start rebuilds all three from its number. deadline ends
+	// a wait, zero until the report that opened it is out.
+	box      outbox
+	phase    leafPhase //flvet:allow ckptstate -- start derives it from the snapshot's iteration
+	t, end   int       //flvet:allow ckptstate -- the snapshot's sequence number, and the schedule's
+	deadline time.Time
 }
 
-func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *treeLeaf {
+// leafPhase is what a treeLeaf does next: train, or await the parent's
+// update after a report, its RETIRE after the final one, or — a late joiner
+// — its ADMIT.
+type leafPhase uint8
+
+const (
+	leafTrain leafPhase = iota
+	leafUpdate
+	leafRetire
+	leafAdmit
+)
+
+var awaited = [...]string{leafUpdate: "update", leafRetire: "retire", leafAdmit: "admit"}
+
+func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, rec *faultRecorder, opts Options) *treeLeaf {
 	lv := ts.level(ts.leafParent(), x0)
 	velocity := lv.Adapt && lv.Signal == core.SignalVelocity
 	count := core.LeafVectors
@@ -66,12 +89,13 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 		count++
 	}
 	newVec := nodeVectors(len(x0), count)
+	opts.Interrupt = nil // a machine never blocks: the driver polls it
 	w := &treeLeaf{
 		cfg:    cfg,
 		ts:     ts,
 		j:      j,
-		ep:     ep,
 		opts:   opts,
+		rec:    rec,
 		att:    ts.tree.AttackPlan().Attacker(ts.tree.ID(ts.depth()-1, j), 4, len(x0)),
 		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), opts.Telemetry),
 		state:  core.NewLeaf(x0, newVec),
@@ -90,20 +114,21 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 	return w
 }
 
-func (w *treeLeaf) id() string { return w.ts.tree.ID(w.ts.depth()-1, w.j) }
+func (w *treeLeaf) id() string      { return w.ts.tree.ID(w.ts.depth()-1, w.j) }
+func (w *treeLeaf) outbox() *outbox { return &w.box }
+func (w *treeLeaf) tau() int        { return w.ts.tau(w.ts.leafParent()) }
 
 // initCheckpoint binds the leaf's complete mid-run state — model, momentum,
 // interval accumulators, batch-sampler stream, and resync cursor — to its
-// snapshot registry and applies the Resume option. It returns the iteration
-// the run should continue after (0 for a fresh start).
+// snapshot registry.
 //
 // A save at a settled boundary (update adopted, accumulators just restarted)
 // persists no interval state: the accumulators' entry is empty while both
 // are all +0, and the velocity reference's while it equals y (leafLayout).
-func (w *treeLeaf) initCheckpoint() (int, error) {
+func (w *treeLeaf) initCheckpoint() (*checkpoint.Registry, error) {
 	reg, err := nodeRegistry(w.cfg, w.opts, w.ts, w.id())
 	if err != nil || reg == nil {
-		return 0, err
+		return nil, err
 	}
 	reg.Vector("x", w.state.X)
 	reg.Vector("y", w.state.Y)
@@ -124,8 +149,7 @@ func (w *treeLeaf) initCheckpoint() (int, error) {
 		}
 		reg.Int("attackPrevRound", w.att.PrevRoundPtr())
 	}
-	w.reg = reg
-	return restoreOrClear(reg, w.opts.Resume, w.opts.Telemetry, w.id())
+	return reg, nil
 }
 
 // saveInterval appends the interval accumulators Σ∇F ‖ Σy to dst, or
@@ -211,87 +235,111 @@ func (w *treeLeaf) parentAt(k int) (string, error) {
 	return w.ts.tree.ID(lp, p), nil
 }
 
-func (w *treeLeaf) run() error {
-	start, err := w.initCheckpoint()
-	defer closeSnapshots(w.reg)
-	if err != nil {
-		return fmt.Errorf("cluster: %s: %w", w.id(), err)
-	}
-	bTau := w.ts.tau(w.ts.leafParent())
-	// With dynamic membership the leaf's lifetime is its scheduled span: a
-	// late joiner idles until its natal parent ADMITs it with fresh state,
-	// and a planned leaver trains only through its final round.
-	T := w.cfg.T
+// start begins the leaf after the snapshot of iteration resumed (0: a
+// fresh start). With dynamic membership the leaf's lifetime is its
+// scheduled span: a late joiner idles until its natal parent ADMITs it with
+// fresh state, and a planned leaver trains only through its final round.
+func (w *treeLeaf) start(now time.Time, resumed int) error {
+	w.t, w.end = resumed, w.cfg.T
 	if sched := w.ts.tree.Membership(); sched != nil {
 		join, last := sched.Span(w.j)
-		T = last * bTau
-		if start == 0 && join > 1 {
-			if start, err = w.awaitAdmit(join); err != nil {
-				return err
-			}
-			// Persist the adopted state so a crash between admission and the
-			// first boundary resumes from the join, not from scratch.
-			if err := saveSnapshot(w.reg, start, w.opts.Telemetry, w.id()); err != nil {
-				return fmt.Errorf("cluster: %s: %w", w.id(), err)
-			}
+		w.end = last * w.tau()
+		if resumed == 0 && join > 1 {
+			w.t = (join - 1) * w.tau()
+			w.await(now, leafAdmit)
+			return nil
 		}
 	}
-	for t := start + 1; t <= T; t++ {
-		if interrupted(w.opts.Interrupt) {
-			// Graceful shutdown: persist the state as of the last completed
-			// iteration. A resumed run replays the rest of the interval from
-			// here — deterministically, since the sampler position is part of
-			// the snapshot — and re-sends the interval report.
-			if err := saveSnapshot(w.reg, t-1, w.opts.Telemetry, w.id()); err != nil {
-				return fmt.Errorf("cluster: %s: %w", w.id(), err)
-			}
-			return fmt.Errorf("cluster: %s: %w", w.id(), ErrInterrupted)
-		}
-		if err := w.step(); err != nil {
-			return fmt.Errorf("cluster: %s t=%d: %w", w.id(), t, err)
-		}
-		if t%bTau != 0 {
-			continue
-		}
-		if t <= w.syncedThrough {
-			// The last adopted update already covers this round: the parent
-			// would reject a report for it as stale. Keep training until the
-			// local iteration count catches up with the adopted state.
-			if err := saveSnapshot(w.reg, t, w.opts.Telemetry, w.id()); err != nil {
-				return fmt.Errorf("cluster: %s: %w", w.id(), err)
-			}
-			continue
-		}
-		// Lines 9/14–15: report interval state, receive the redistributed
-		// momentum and model.
-		parent, err := w.parentAt(t / bTau)
+	w.next(now)
+	return nil
+}
+
+// await starts a wait, whose deadline is set at the next expire, once the
+// report that opened it is out.
+func (w *treeLeaf) await(now time.Time, phase leafPhase) {
+	w.phase, w.deadline, w.box.wake = phase, time.Time{}, now
+}
+
+// next trains on at the next expire, or ends the leaf's lifetime.
+func (w *treeLeaf) next(now time.Time) {
+	w.phase, w.box.wake, w.box.done = leafTrain, now, w.t >= w.end
+}
+
+// settle snapshots iteration t once its boundary has settled (update
+// adopted or ridden out) and trains on. An interrupt inside the wait skips
+// this save: the resumed leaf replays the interval from the previous
+// snapshot and re-sends the report, bit-identical to an uninterrupted run
+// (the parent discards a duplicate as stale).
+func (w *treeLeaf) settle(now time.Time) {
+	w.box.save(w.t)
+	w.next(now)
+}
+
+// interrupt saves the state as of the last completed iteration when the
+// leaf is between two iterations. A resumed run replays the rest of the
+// interval from there — deterministically, since the sampler position is
+// part of the snapshot — and re-sends the interval report.
+func (w *treeLeaf) interrupt() {
+	if w.phase == leafTrain {
+		w.box.save(w.t)
+	}
+}
+
+// expire runs the next iteration, or ends a wait at its deadline. A
+// timeout is ridden out in quorum mode — the leaf keeps its local state and
+// carries on, like a simulation non-participant — except by a joiner
+// awaiting admission, and is an error otherwise.
+func (w *treeLeaf) expire(now time.Time) error {
+	if w.phase == leafTrain {
+		return w.train(now)
+	}
+	if w.deadline.IsZero() {
+		w.deadline = now.Add(w.opts.RecvTimeout)
+	}
+	switch {
+	case now.Before(w.deadline):
+		w.box.wake = w.deadline
+	case w.phase == leafAdmit || !w.opts.tolerant():
+		return fmt.Errorf("cluster: %s await %s: %w", w.id(), awaited[w.phase], transport.ErrTimeout)
+	default:
+		w.rec.timeout(w.id())
+		w.settle(now)
+	}
+	return nil
+}
+
+// train runs iteration t+1 and, at a leaf-parent boundary, reports the
+// interval state and awaits the redistributed momentum and model (lines
+// 9/14–15).
+func (w *treeLeaf) train(now time.Time) error {
+	t := w.t + 1
+	if err := w.step(); err != nil {
+		return fmt.Errorf("cluster: %s t=%d: %w", w.id(), t, err)
+	}
+	w.t = t
+	switch {
+	case t%w.tau() != 0:
+		w.next(now)
+	case t <= w.syncedThrough:
+		// The last adopted update already covers this round: the parent
+		// would reject a report for it as stale. Keep training until the
+		// local iteration count catches up with the adopted state.
+		w.settle(now)
+	default:
+		parent, err := w.parentAt(t / w.tau())
 		if err != nil {
 			return err
 		}
-		if err := w.fillReport(t, t/bTau); err != nil {
+		if err := w.fillReport(t, t/w.tau()); err != nil {
 			return err
 		}
-		if err := w.ep.Send(parent, w.report); err != nil {
-			return fmt.Errorf("cluster: %s report: %w", w.id(), err)
-		}
-		if t == T && T < w.cfg.T {
+		w.box.send(parent, w.report)
+		if t == w.end && w.end < w.cfg.T {
 			// Planned permanent leave: the final report is aggregated, then
 			// the parent acknowledges with RETIRE and this leaf exits.
-			err = w.awaitRetire()
+			w.await(now, leafRetire)
 		} else {
-			err = w.awaitUpdate(t)
-		}
-		if err != nil {
-			return err
-		}
-		// Snapshot after the boundary settles (update adopted or ridden out).
-		// An interrupt inside awaitUpdate deliberately skips this save: the
-		// resumed leaf then replays the interval from the previous snapshot
-		// and re-sends the report, which keeps it bit-identical to a run that
-		// was never interrupted (the parent discards the duplicate as stale
-		// if it already processed the original).
-		if err := saveSnapshot(w.reg, t, w.opts.Telemetry, w.id()); err != nil {
-			return fmt.Errorf("cluster: %s: %w", w.id(), err)
+			w.await(now, leafUpdate)
 		}
 	}
 	return nil
@@ -329,38 +377,6 @@ func (w *treeLeaf) fillReport(t, k int) error {
 	return nil
 }
 
-// await receives messages for up to RecvTimeout, handing each to handle
-// until it reports the wait settled; handle copies what it keeps, so every
-// message's buffer goes back to its link as soon as handle returns. A
-// timeout is ridden out in quorum mode when rideOut is set — the leaf keeps
-// its local state and carries on, like a simulation non-participant — and
-// is an error otherwise.
-func (w *treeLeaf) await(what string, rideOut bool, handle func(transport.Message) (bool, error)) error {
-	deadline := w.opts.now().Add(w.opts.RecvTimeout)
-	for {
-		wait := deadline.Sub(w.opts.now())
-		if wait <= 0 {
-			if rideOut && w.opts.tolerant() {
-				w.rec.timeout(w.id())
-				return nil
-			}
-			return fmt.Errorf("cluster: %s await %s: %w", w.id(), what, transport.ErrTimeout)
-		}
-		msg, err := recvInterruptible(w.ep, wait, w.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
-			return fmt.Errorf("cluster: %s await %s: %w", w.id(), what, err)
-		}
-		done, err := handle(msg)
-		msg.Release()
-		if done || err != nil {
-			return err
-		}
-	}
-}
-
 // adopt takes over the [y, x] of an update or ADMIT and starts a new
 // interval: the accumulators restart, and the adopted momentum is the
 // velocity signal's reference.
@@ -381,69 +397,58 @@ func (w *treeLeaf) adopt(msg transport.Message) error {
 	return nil
 }
 
-// awaitUpdate blocks for the parent's redistributed [y, x] after the report
-// at iteration t. Updates for an earlier round are stale leftovers and are
-// skipped; an update for a later round means this leaf was left behind by a
-// quorum and resynchronizes to the newer state.
-func (w *treeLeaf) awaitUpdate(t int) error {
-	return w.await("update", true, func(msg transport.Message) (bool, error) {
+// deliver handles one message of the leaf's wait; adopt copies what it
+// keeps, so the message's buffer goes back to its link at once. Updates for
+// a round before the one awaited are stale leftovers; one for a later round
+// means a quorum left this leaf behind, and it resynchronizes to the newer
+// state. A late joiner adopts its natal parent's ADMIT — or a plain update,
+// once the parent counts it a member after a resync — and trains from the
+// adopted round. A planned leaver awaits the RETIRE that acknowledges its
+// final report, skipping leftover redistribution traffic.
+func (w *treeLeaf) deliver(now time.Time, msg transport.Message) error {
+	defer msg.Release()
+	switch w.phase {
+	case leafUpdate:
 		// A leaf reassigned to a new parent by re-tiering receives its
 		// boundary update from that parent as an ADMIT; the payload is the
 		// same as a regular update.
 		if !(w.ts.tree.Membership() != nil && msg.Kind == KindAdmit) {
 			if err := expectKind(msg, KindTierUpdate); err != nil {
-				return false, err
+				return err
 			}
 		}
-		if msg.Round < t {
-			w.rec.stale(w.id())
-			return false, nil
+		if msg.Round > w.t {
+			w.rec.fastforward(w.id(), w.t, msg.Round)
 		}
-		if msg.Round > t {
-			// A quorum moved on without this leaf; it resynchronizes to the
-			// newer state and trains straight through to the adopted round.
-			w.rec.fastforward(w.id(), t, msg.Round)
-		}
-		return true, w.adopt(msg)
-	})
-}
-
-// awaitAdmit blocks a late joiner until its natal parent admits it into the
-// cohort of its join round, carrying the parent's current [y, x] as starting
-// state. It returns the adopted round (the leaf trains from there). A parent
-// that fast-forwarded past the join round admits with a later round; a plain
-// update covering the join also counts (the parent considered this leaf a
-// member already after a resync).
-func (w *treeLeaf) awaitAdmit(join int) (int, error) {
-	want := (join - 1) * w.ts.tau(w.ts.leafParent())
-	err := w.await("admit", false, func(msg transport.Message) (bool, error) {
+	case leafAdmit:
 		if msg.Kind != KindAdmit && msg.Kind != KindTierUpdate {
-			return false, fmt.Errorf("cluster: %s got %q from %q while awaiting admit", w.id(), msg.Kind, msg.From)
+			return fmt.Errorf("cluster: %s got %q from %q while awaiting admit", w.id(), msg.Kind, msg.From)
 		}
-		if msg.Round < want {
-			w.rec.stale(w.id())
-			return false, nil
-		}
-		return true, w.adopt(msg)
-	})
-	return w.syncedThrough, err
-}
-
-// awaitRetire blocks a planned leaver until its parent acknowledges that the
-// final report was aggregated. Leftover redistribution traffic is skipped;
-// in quorum mode a missing RETIRE is ridden out (the leaf has nothing left
-// to do either way).
-func (w *treeLeaf) awaitRetire() error {
-	return w.await("retire", true, func(msg transport.Message) (bool, error) {
+	case leafRetire:
 		switch msg.Kind {
 		case KindRetire:
-			return true, nil
+			w.settle(now)
+			return nil
 		case KindTierUpdate, KindAdmit:
 			w.rec.stale(w.id())
-			return false, nil
+			return nil
 		}
-		return false, fmt.Errorf("cluster: %s got %q from %q while awaiting retire", w.id(), msg.Kind, msg.From)
-	})
+		return fmt.Errorf("cluster: %s got %q from %q while awaiting retire", w.id(), msg.Kind, msg.From)
+	default:
+		return fmt.Errorf("cluster: %s got %q from %q while training", w.id(), msg.Kind, msg.From)
+	}
+	if msg.Round < w.t {
+		w.rec.stale(w.id())
+		return nil
+	}
+	if err := w.adopt(msg); err != nil {
+		return err
+	}
+	if w.phase == leafAdmit {
+		w.t = w.syncedThrough
+	}
+	w.settle(now)
+	return nil
 }
 
 // step performs one NAG iteration (Algorithm 1 lines 5–6).

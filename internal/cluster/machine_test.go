@@ -1,0 +1,462 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"hieradmo/internal/fl"
+	"hieradmo/internal/tensor"
+	"hieradmo/internal/transport"
+)
+
+// tierHarness feeds one tierNode its inputs the way drive does — after every
+// call the outbox is emptied, here into a log — with no endpoint, no clock
+// and no sleep: every time is an offset from an epoch the test picks.
+type tierHarness struct {
+	n   *tierNode
+	x0  tensor.Vector
+	t0  time.Time
+	log []string
+}
+
+// newTierHarness builds node (lvl, idx) of the tree opts selects on cfg as a
+// bare machine with a fault recorder of its own.
+func newTierHarness(t testing.TB, cfg *fl.Config, lvl, idx int, opts Options) *tierHarness {
+	t.Helper()
+	opts, hn, ts, err := prepare(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), newFaultRecorder(nil, ts.tree), opts)
+	return &tierHarness{n: n, x0: hn.InitParams(), t0: time.Unix(1e9, 0)}
+}
+
+// describe renders one effect: "save k", or "<to> <kind>@<round>".
+func describe(e effect) string {
+	if e.to == "" {
+		return fmt.Sprintf("save %d", e.seq)
+	}
+	return fmt.Sprintf("%s %s@%d", e.to, e.msg.Kind, e.msg.Round)
+}
+
+func (h *tierHarness) flush(err error) error {
+	for _, e := range h.n.box.effects {
+		h.log = append(h.log, describe(e))
+	}
+	h.n.box.effects = h.n.box.effects[:0]
+	return err
+}
+
+func (h *tierHarness) start() error { return h.flush(h.n.start(h.t0, 0)) }
+func (h *tierHarness) expire(at time.Duration) error {
+	return h.flush(h.n.expire(h.t0.Add(at)))
+}
+func (h *tierHarness) deliver(at time.Duration, msg transport.Message) error {
+	return h.flush(h.n.deliver(h.t0.Add(at), msg))
+}
+
+// wake is the machine's wake time as an offset from the epoch.
+func (h *tierHarness) wake() time.Duration { return h.n.box.wake.Sub(h.t0) }
+
+// take returns the effects logged so far and clears the log.
+func (h *tierHarness) take() []string {
+	log := h.log
+	h.log = nil
+	return log
+}
+
+// report is a child's round report of [x0, x0] with loss 1 and, unless
+// scalars are given, the eq. (6) term 0.5.
+func (h *tierHarness) report(from string, round int, scalars ...map[string]float64) transport.Message {
+	msg := transport.Message{From: from, Kind: KindTierReport, Round: round,
+		Vectors: [][]float64{h.x0.Clone(), h.x0.Clone()},
+		Scalars: map[string]float64{ScalarLoss: 1, ScalarCos: 0.5}}
+	if len(scalars) > 0 {
+		msg.Scalars = scalars[0]
+	}
+	return msg
+}
+
+// begin starts the machine and opens round 1's collect at the epoch.
+func (h *tierHarness) begin(t *testing.T) {
+	t.Helper()
+	if err := h.start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.expire(0); err != nil {
+		t.Fatal(err)
+	}
+	if h.n.phase != tierCollect || h.n.k != 1 {
+		t.Fatalf("after start: phase %d round %d, want round 1's collect", h.n.phase, h.n.k)
+	}
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func wantLog(t *testing.T, h *tierHarness, want ...string) {
+	t.Helper()
+	if got := h.take(); !slices.Equal(got, want) {
+		t.Fatalf("outbox %q, want %q", got, want)
+	}
+}
+
+func wantWake(t *testing.T, h *tierHarness, want time.Duration) {
+	t.Helper()
+	if got := h.wake(); got != want {
+		t.Fatalf("wake at %v, want %v", got, want)
+	}
+}
+
+// TestTierMachine drives an aggregating node's protocol with synthetic
+// times and messages — no network and no sleep — at the leaf parent (edge-0
+// of the 2×2 config's derived tree: τ = 2, a cloud sync every second round)
+// and at a middle tier (region-0 of a depth-4 tree over the same shards:
+// τ = 4 over edges of τ = 2, a root sync every second round). Hour-scale
+// deadlines pass in no real time.
+func TestTierMachine(t *testing.T) {
+	cfg := buildConfig(t, 61, 0)
+	middle := treeTopo(t, "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker")
+	tolerant := Options{Adaptive: true, MinQuorum: 0.5, RecvTimeout: time.Hour, StragglerDeadline: time.Minute}
+	w0, w1 := WorkerID(0, 0), WorkerID(0, 1)
+	const ms = time.Millisecond
+	for _, row := range []struct {
+		name   string
+		middle bool // region-0 of the depth-4 tree, not edge-0
+		opts   Options
+		run    func(t *testing.T, h *tierHarness)
+	}{
+		{name: "strict full cohort", opts: Options{Adaptive: true}, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			wantWake(t, h, DefaultRecvTimeout)
+			must(t, h.deliver(1*ms, h.report(w1, 2)))
+			wantLog(t, h)
+			// The full cohort closes the round; the snapshot precedes the
+			// redistribution, and the next round begins after the flush.
+			must(t, h.deliver(2*ms, h.report(w0, 2)))
+			wantLog(t, h, "save 1", w0+" tier-update@2", w1+" tier-update@2")
+			wantWake(t, h, 2*ms)
+			// Round 2 is a sync: the report goes up, and the wait for the
+			// update starts once it is out.
+			must(t, h.expire(3*ms))
+			must(t, h.deliver(4*ms, h.report(w0, 4)))
+			must(t, h.deliver(5*ms, h.report(w1, 4)))
+			wantLog(t, h, CloudID+" tier-report@4")
+			wantWake(t, h, 5*ms)
+			must(t, h.expire(6*ms))
+			wantWake(t, h, 6*ms+DefaultRecvTimeout)
+			must(t, h.deliver(7*ms, transport.Message{From: CloudID, Kind: KindTierUpdate, Round: 4,
+				Vectors: [][]float64{h.x0.Clone(), h.x0.Clone()}}))
+			wantLog(t, h, "save 2", w0+" tier-update@4", w1+" tier-update@4")
+			if rep := h.n.rec.rep; rep.Any() {
+				t.Errorf("a fault-free round recorded %v", rep)
+			}
+		}},
+		{name: "quorum then straggler forfeited after the grace", opts: tolerant, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			wantWake(t, h, time.Hour+time.Minute)
+			// The grace is anchored at the moment quorum is reached, not at
+			// the start of the collect.
+			must(t, h.deliver(10*time.Second, h.report(w0, 2)))
+			wantWake(t, h, 10*time.Second+time.Minute)
+			must(t, h.expire(10*time.Second+time.Minute-1))
+			wantLog(t, h)
+			must(t, h.expire(10*time.Second+time.Minute))
+			wantLog(t, h, "save 1", w0+" tier-update@2", w1+" tier-update@2")
+			if got := h.n.rec.rep.MissingWorkers[2]; got != 1 {
+				t.Errorf("MissingWorkers[2] = %d, want 1", got)
+			}
+		}},
+		{name: "below quorum until the deadline", opts: Options{MinQuorum: 0.5, RecvTimeout: time.Second, StragglerDeadline: 100 * ms},
+			run: func(t *testing.T, h *tierHarness) {
+				h.begin(t)
+				// A tolerant collect waits one straggler grace past
+				// RecvTimeout for children riding out a lost update.
+				wantWake(t, h, 1100*ms)
+				must(t, h.expire(1100*ms-1))
+				err := h.expire(1100 * ms)
+				if !errors.Is(err, transport.ErrTimeout) || !strings.Contains(err.Error(), "0/2 reports (quorum 1)") {
+					t.Fatalf("below quorum at the deadline: %v, want a wrapped ErrTimeout counting 0/2", err)
+				}
+			}},
+		{name: "future report stashed then admitted", opts: tolerant, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			must(t, h.deliver(1*ms, h.report(w1, 4)))
+			if len(h.n.pending) != 1 || h.n.got != 0 {
+				t.Fatalf("a round-2 report in round 1: %d stashed, %d counted", len(h.n.pending), h.n.got)
+			}
+			must(t, h.deliver(2*ms, h.report(w0, 2)))
+			must(t, h.expire(2*ms+time.Minute))
+			wantLog(t, h, "save 1", w0+" tier-update@2", w1+" tier-update@2")
+			// Round 2 opens with the stashed report counted: at quorum.
+			must(t, h.expire(2*ms+time.Minute))
+			if len(h.n.pending) != 0 || h.n.got != 1 {
+				t.Fatalf("round 2 opened with %d stashed, %d counted; want the stash admitted", len(h.n.pending), h.n.got)
+			}
+			wantWake(t, h, 2*ms+2*time.Minute)
+			must(t, h.deliver(2*time.Minute, h.report(w0, 4)))
+			wantLog(t, h, CloudID+" tier-report@4")
+		}},
+		{name: "future report refused when strict", opts: Options{Adaptive: true}, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			if err := h.deliver(1*ms, h.report(w1, 4)); err == nil || !strings.Contains(err.Error(), "future round") ||
+				!strings.Contains(err.Error(), w1) {
+				t.Fatalf("a future report in strict mode: %v, want a refusal naming %s", err, w1)
+			}
+		}},
+		{name: "stale and duplicate reports counted", opts: Options{Adaptive: true}, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			must(t, h.deliver(1*ms, h.report(w0, 0)))
+			must(t, h.deliver(2*ms, transport.Message{From: CloudID, Kind: KindTierUpdate, Round: 0,
+				Vectors: [][]float64{h.x0.Clone(), h.x0.Clone()}}))
+			must(t, h.deliver(3*ms, h.report(w0, 2)))
+			// A duplicate must not overwrite the slot or inflate the count.
+			must(t, h.deliver(4*ms, h.report(w0, 2)))
+			if rep := h.n.rec.rep; rep.StaleMessages != 2 || rep.DuplicateReports != 1 || h.n.got != 1 {
+				t.Fatalf("stale %d, duplicate %d, counted %d; want 2, 1, 1", rep.StaleMessages, rep.DuplicateReports, h.n.got)
+			}
+			must(t, h.deliver(5*ms, h.report(w1, 2)))
+			wantLog(t, h, "save 1", w0+" tier-update@2", w1+" tier-update@2")
+		}},
+		{name: "mid-collect parent update fast-forwards", middle: true, opts: tolerant, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			y, x := h.x0.Clone(), h.x0.Clone()
+			y[0], x[0] = y[0]+1, x[0]+2
+			// The root completed the second sync (t = 8) without this node.
+			must(t, h.deliver(1*ms, transport.Message{From: "cloud-0", Kind: KindTierUpdate, Round: 8, Vectors: [][]float64{y, x}}))
+			wantLog(t, h, "save 2", "edge-0 tier-update@8", "edge-1 tier-update@8")
+			if h.n.k != 2 || h.n.phase != tierBegin || h.n.tier.YMinus[0] != y[0] || h.n.tier.XPlus[0] != x[0] {
+				t.Fatalf("round %d phase %d y[0]=%v x[0]=%v; want round 2 settled on the adopted state",
+					h.n.k, h.n.phase, h.n.tier.YMinus[0], h.n.tier.XPlus[0])
+			}
+		}},
+		{name: "mid-collect parent update stale when strict", middle: true, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			must(t, h.deliver(1*ms, transport.Message{From: "cloud-0", Kind: KindTierUpdate, Round: 8,
+				Vectors: [][]float64{h.x0.Clone(), h.x0.Clone()}}))
+			wantLog(t, h)
+			if h.n.rec.rep.StaleMessages != 1 || h.n.phase != tierCollect {
+				t.Fatalf("strict: stale %d, phase %d; want the update discarded as stale mid-collect", h.n.rec.rep.StaleMessages, h.n.phase)
+			}
+			if err := h.expire(DefaultRecvTimeout); !errors.Is(err, transport.ErrTimeout) {
+				t.Fatalf("strict collect at the deadline: %v, want a wrapped ErrTimeout", err)
+			}
+		}},
+		{name: "parent sync ridden out", middle: true, opts: tolerant, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			must(t, h.deliver(1*ms, h.report("edge-0", 4)))
+			must(t, h.deliver(2*ms, h.report("edge-1", 4)))
+			must(t, h.expire(2*ms))
+			must(t, h.deliver(3*ms, h.report("edge-0", 8)))
+			must(t, h.deliver(4*ms, h.report("edge-1", 8)))
+			wantLog(t, h, "save 1", "edge-0 tier-update@4", "edge-1 tier-update@4", "cloud-0 tier-report@8")
+			must(t, h.expire(5*ms))
+			wantWake(t, h, 5*ms+time.Hour)
+			must(t, h.expire(5*ms+time.Hour))
+			wantLog(t, h, "save 2", "edge-0 tier-update@8", "edge-1 tier-update@8")
+			if h.n.rec.rep.Timeouts != 1 {
+				t.Errorf("Timeouts = %d, want the ride-out counted", h.n.rec.rep.Timeouts)
+			}
+		}},
+		{name: "second consecutive miss fails", middle: true, opts: tolerant, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			must(t, h.deliver(1*ms, h.report("edge-0", 4)))
+			// Above the leaf parent the grace is (τℓ/τℓ₊₁ + 1) = 3 graces.
+			wantWake(t, h, 1*ms+3*time.Minute)
+			must(t, h.expire(1*ms+3*time.Minute))
+			wantLog(t, h, "save 1", "edge-0 tier-update@4", "edge-1 tier-update@4")
+			if h.n.missStreak[1] != 1 || h.n.rec.rep.MissingEdges[4] != 1 {
+				t.Fatalf("edge-1's streak %d, MissingEdges %v; want one substituted miss", h.n.missStreak[1], h.n.rec.rep.MissingEdges)
+			}
+			must(t, h.expire(1*ms+3*time.Minute))
+			must(t, h.deliver(4*time.Minute, h.report("edge-0", 8)))
+			err := h.expire(7 * time.Minute)
+			if !errors.Is(err, transport.ErrTimeout) || !strings.Contains(err.Error(), "child edge-1 missed 2 consecutive rounds of region-0") {
+				t.Fatalf("second miss: %v, want the consecutive-miss diagnosis wrapping ErrTimeout", err)
+			}
+		}},
+		{name: "malformed reports", opts: Options{Adaptive: true}, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			three := h.report(w0, 2)
+			three.Vectors = append(three.Vectors, h.x0.Clone())
+			for _, msg := range []transport.Message{
+				three,
+				h.report(w0, 2, map[string]float64{ScalarLoss: 1, ScalarCos: 1.5}),
+			} {
+				if err := h.deliver(1*ms, msg); !errors.Is(err, ErrMalformedReport) || !strings.Contains(err.Error(), w0) {
+					t.Errorf("malformed report: %v, want a wrapped ErrMalformedReport naming %s", err, w0)
+				}
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var h *tierHarness
+			if row.middle {
+				opts := row.opts
+				opts.Topology = middle
+				h = newTierHarness(t, cfg, 1, 0, opts)
+			} else {
+				h = newTierHarness(t, cfg, 1, 0, row.opts)
+			}
+			row.run(t, h)
+		})
+	}
+}
+
+// TestEdgeRejectsMalformedTerm: an adaptive leaf-parent admits a report only
+// with an eq. (6) term in [-1, 1]. A missing, NaN or infinite term, or one out
+// of range, fails the round the way a wrong vector count does — with
+// ErrMalformedReport, naming the sender — since no honest leaf sends one.
+// A plain-average parent reads no term and needs none.
+func TestEdgeRejectsMalformedTerm(t *testing.T) {
+	cfg := buildConfig(t, 61, 0)
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name     string
+		adaptive bool
+		vectors  int
+		scalars  map[string]float64
+		ok       bool
+	}{
+		{"term 1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: 1}, true},
+		{"term -1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: -1}, true},
+		{"term -0", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: negZero}, true},
+		{"no term, plain parent", false, 2, map[string]float64{ScalarLoss: 1}, true},
+		{"no term", true, 2, map[string]float64{ScalarLoss: 1}, false},
+		{"no scalars", true, 2, nil, false},
+		{"NaN term", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.NaN()}, false},
+		{"+Inf term", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.Inf(1)}, false},
+		{"-Inf term", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.Inf(-1)}, false},
+		{"term above 1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: math.Nextafter(1, 2)}, false},
+		{"term below -1", true, 2, map[string]float64{ScalarLoss: 1, ScalarCos: -1.5}, false},
+		{"four vectors", true, 4, map[string]float64{ScalarLoss: 1, ScalarCos: 0.5}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newTierHarness(t, cfg, 1, 0, Options{Adaptive: tc.adaptive})
+			h.begin(t)
+			msg := h.report(WorkerID(0, 0), cfg.Tau, tc.scalars)
+			msg.Vectors = make([][]float64, tc.vectors)
+			for v := range msg.Vectors {
+				msg.Vectors[v] = h.x0.Clone()
+			}
+			err := h.deliver(0, msg)
+			if !tc.ok {
+				if !errors.Is(err, ErrMalformedReport) || !strings.Contains(err.Error(), WorkerID(0, 0)) {
+					t.Fatalf("deliver = %v, want a wrapped ErrMalformedReport naming %s", err, WorkerID(0, 0))
+				}
+				return
+			}
+			must(t, err)
+			// The second report closes the round: the aggregation reads the
+			// admitted term.
+			must(t, h.deliver(0, h.report(WorkerID(0, 1), cfg.Tau)))
+			if log := h.take(); len(log) == 0 || log[0] != "save 1" {
+				t.Fatalf("outbox %q, want round 1 aggregated and settled", log)
+			}
+		})
+	}
+}
+
+// FuzzTierMachine feeds arbitrary message sequences to a leaf-parent machine
+// (edge-0) and a root machine (the cloud) of the 2×2 config's derived tree,
+// in strict or quorum mode, driven as drive drives them: before every input
+// the machine gets each expiry its wake time asks for. Each op is five
+// bytes: how far the clock moves, then the message's kind (0: none, the op
+// only moves the clock), round, sender, and vector count and eq. (6) term
+// (none, in range, out of range, NaN, ±Inf). The machines must never panic,
+// every error must be a typed one (ErrMalformedReport,
+// transport.ErrTimeout) or name the message's sender, and one input
+// sequence must always give the same outbox sequence.
+func FuzzTierMachine(f *testing.F) {
+	cfg := buildConfig(f, 61, 0)
+	f.Add([]byte{0, 0, 1, 2, 0, 1, 1, 2, 1, 1, 0, 1, 4, 0, 1, 1, 1, 4, 1, 1})
+	f.Add([]byte{1, 50, 1, 6, 3, 9, 200, 0, 0, 0, 0, 2, 2, 8, 5, 2})
+	f.Add([]byte{1, 0, 1, 4, 3, 1, 0, 1, 4, 4, 1, 9, 2, 10, 2, 7, 255, 5, 9, 6, 0})
+	cosines := []float64{0.5, -1, 1, math.NaN(), math.Inf(1), math.Inf(-1), 1.5}
+	senders := []string{WorkerID(0, 0), WorkerID(0, 1), WorkerID(1, 0), EdgeID(0), EdgeID(1), CloudID, "nobody"}
+	kinds := []string{"", KindTierReport, KindTierUpdate, KindAdmit, KindRetire, KindReassign, "bogus"}
+	run := func(t *testing.T, in []byte) []string {
+		if len(in) == 0 {
+			return nil
+		}
+		opts := Options{Adaptive: true, RecvTimeout: time.Second, StragglerDeadline: 200 * time.Millisecond}
+		if in[0]&1 != 0 {
+			opts.MinQuorum = 0.5
+		}
+		lvl := int(in[0]>>1) & 1
+		h := newTierHarness(t, cfg, lvl, 0, opts)
+		var log []string
+		record := func() {
+			for _, e := range h.n.box.effects {
+				log = append(log, fmt.Sprintf("%s %v %v", describe(e), e.msg.Vectors, e.msg.Scalars))
+			}
+			h.n.box.effects = h.n.box.effects[:0]
+		}
+		// A delivery's error must name its sender; an expiry's may name the
+		// sender of any report delivered earlier (a stashed one it admits).
+		var delivered []string
+		check := func(err error, from ...string) bool {
+			if err == nil {
+				return true
+			}
+			named := slices.ContainsFunc(from, func(id string) bool { return strings.Contains(err.Error(), fmt.Sprintf("%q", id)) })
+			if !named && !errors.Is(err, ErrMalformedReport) && !errors.Is(err, transport.ErrTimeout) {
+				t.Fatalf("untyped error naming no sender of %q: %v", from, err)
+			}
+			log = append(log, "error "+err.Error())
+			return false
+		}
+		now := h.t0
+		if !check(h.n.start(now, 0)) {
+			return log
+		}
+		record()
+		for op := in[1:]; len(op) >= 5; op = op[5:] {
+			now = now.Add(time.Duration(op[0]) * 10 * time.Millisecond)
+			for wakes := 0; !h.n.box.done && !now.Before(h.n.box.wake); wakes++ {
+				if wakes > 1000 {
+					t.Fatalf("the machine keeps asking for expiries at %v", now)
+				}
+				err := h.n.expire(now)
+				record()
+				if !check(err, delivered...) {
+					return log
+				}
+			}
+			kind := kinds[int(op[1])%len(kinds)]
+			if h.n.box.done || kind == "" {
+				continue
+			}
+			msg := transport.Message{From: senders[int(op[3])%len(senders)], Kind: kind, Round: int(op[2]%32) - 4,
+				Vectors: make([][]float64, op[4]%4)}
+			for v := range msg.Vectors {
+				msg.Vectors[v] = h.x0.Clone()
+			}
+			if c := int(op[4]>>2) % (len(cosines) + 1); c > 0 {
+				msg.Scalars = map[string]float64{ScalarLoss: 1, ScalarCos: cosines[c-1]}
+			}
+			delivered = append(delivered, msg.From)
+			err := h.n.deliver(now, msg)
+			record()
+			if !check(err, msg.From) {
+				return log
+			}
+		}
+		return log
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		first := run(t, in)
+		if again := run(t, in); !slices.Equal(first, again) {
+			t.Fatalf("one input, two outbox sequences:\n%q\n%q", first, again)
+		}
+	})
+}

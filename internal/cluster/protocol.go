@@ -1,20 +1,23 @@
 // Package cluster executes HierAdMo (Algorithm 1) as an actual distributed
-// protocol over an aggregation tree: one goroutine-hosted node per training
-// leaf and per aggregating node, exchanging models, momenta, and interval
-// accumulators as messages over a transport (in-memory for tests and
-// single-machine runs, TCP for real sockets).
+// protocol over an aggregation tree: one node per training leaf and per
+// aggregating node, exchanging models and momenta as messages over a
+// transport (in-memory for tests and single-machine runs, TCP for real
+// sockets).
 //
 // There is one runtime. Every run — the paper's cloud/edge/worker hierarchy
 // derived from an fl.Config, or an explicit N-tier topology.Topology — is a
 // treeSpec (who are my children this round, with what weights, under what
-// transport IDs) executed by two node types: treeLeaf, the worker NAG step,
-// and tierNode, a level-parametric aggregator. What varies by level is
-// configuration: the leaf-parent level renormalizes over a quorum of
-// survivors, adapts γℓ from the leaves' accumulators and hosts dynamic
-// membership; every other level substitutes a missing child's last report;
-// the root records the curve and returns the Result. Fault tolerance,
-// checkpoint/resume, churn, Byzantine attacks and robust aggregation all
-// compose on that one path.
+// transport IDs) executed by two node machines: treeLeaf, the worker NAG
+// step, and tierNode, a level-parametric aggregator. A machine holds a
+// node's protocol state and does no I/O: it takes the time and each
+// delivered message and answers with the messages to send, the snapshots to
+// save and when to wake it. One driver, drive, runs either over an endpoint
+// in its own goroutine. What varies by level is configuration: the
+// leaf-parent level renormalizes over a quorum of survivors, adapts γℓ from
+// the leaves' eq. (6) terms and hosts dynamic membership; every other level
+// substitutes a missing child's last report; the root records the curve and
+// returns the Result. Fault tolerance, checkpoint/resume, churn, Byzantine
+// attacks and robust aggregation all compose on that one path.
 //
 // The in-process simulation in internal/core is the reference semantics:
 // the cluster performs the same floating-point operations in the same

@@ -18,7 +18,7 @@ import (
 var ErrInterrupted = errors.New("cluster: interrupted")
 
 // interruptSlice bounds how long a blocked receive can delay noticing a
-// shutdown request.
+// shutdown request: the driver slices its waits to it.
 const interruptSlice = 200 * time.Millisecond
 
 // interrupted reports whether the shutdown channel has fired (nil = no
@@ -32,34 +32,6 @@ func interrupted(ch <-chan struct{}) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// recvInterruptible behaves like ep.RecvTimeout(wait), but when a shutdown
-// channel is configured it slices the wait so the interrupt is noticed
-// within interruptSlice even while blocked on a quiet socket. Callers see
-// ErrInterrupted in place of a message. Deadline arithmetic goes through
-// the options' clock; the actual socket wait is real time either way.
-func recvInterruptible(ep transport.Endpoint, wait time.Duration, opts Options) (transport.Message, error) {
-	if opts.Interrupt == nil {
-		return ep.RecvTimeout(wait)
-	}
-	deadline := opts.now().Add(wait)
-	for {
-		if interrupted(opts.Interrupt) {
-			return transport.Message{}, ErrInterrupted
-		}
-		slice := deadline.Sub(opts.now())
-		if slice <= 0 {
-			return transport.Message{}, transport.ErrTimeout
-		}
-		if slice > interruptSlice {
-			slice = interruptSlice
-		}
-		msg, err := ep.RecvTimeout(slice)
-		if err == nil || !errors.Is(err, transport.ErrTimeout) {
-			return msg, err
-		}
 	}
 }
 
@@ -116,35 +88,6 @@ func restoreOrClear(reg *checkpoint.Registry, resume bool, sink *telemetry.Sink,
 		}
 	}
 	return seq, err
-}
-
-// closeSnapshots releases the slot files a node's registry holds open
-// between saves; a nil registry (checkpointing disabled) is a no-op. Every
-// saved byte was fsynced before its save returned, so a close error loses
-// nothing and is not reported.
-func closeSnapshots(reg *checkpoint.Registry) {
-	if reg != nil {
-		reg.Close()
-	}
-}
-
-// saveSnapshot persists the node's registered state as generation seq; a
-// nil registry (checkpointing disabled) is a no-op. Successful saves are
-// mirrored onto the telemetry sink under the node's ID.
-func saveSnapshot(reg *checkpoint.Registry, seq int, sink *telemetry.Sink, node string) error {
-	if reg == nil {
-		return nil
-	}
-	if err := reg.Save(seq); err != nil {
-		return err
-	}
-	sink.M().CheckpointSaves.Inc()
-	if sink.Tracing() {
-		sink.Emit("checkpoint_save",
-			telemetry.String("node", node),
-			telemetry.Int("t", seq))
-	}
-	return nil
 }
 
 // encodePending appends a ride-ahead report stash to out for snapshotting:
@@ -222,24 +165,4 @@ func decodePending(flat []float64, dim int, kind string, ids []string) ([]transp
 type reviver interface {
 	RestartPlanned(id string) bool
 	Revived(id string) bool
-}
-
-// mergeInterrupt combines a user shutdown channel with the run-completion
-// channel so a respawned node stops on whichever fires first.
-func mergeInterrupt(a, b <-chan struct{}) <-chan struct{} {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := make(chan struct{})
-	go func() {
-		defer close(out)
-		select {
-		case <-a:
-		case <-b:
-		}
-	}()
-	return out
 }

@@ -257,8 +257,8 @@ func TestClusterInterruptResumeLedgers(t *testing.T) {
 			capture := &capturingModel{Model: cfg.Model}
 			cfg.Model = capture
 			// The cloud's grace window (three straggler deadlines) stays
-			// well past the 200 ms interrupt slice, so the interrupt always
-			// lands while the cloud still waits for edge-1.
+			// well past the driver's 200 ms receive slice, so the interrupt
+			// always lands while the cloud still waits for edge-1.
 			opts := tolerantOptions(0.5)
 			opts.StragglerDeadline = deadlineScale * 250 * time.Millisecond
 			opts.RecvTimeout = deadlineScale * 1500 * time.Millisecond

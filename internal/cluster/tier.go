@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -38,10 +37,8 @@ type tierNode struct {
 	ts   *treeSpec
 	lvl  int
 	idx  int
-	ep   transport.Endpoint
 	opts Options
 	rec  *faultRecorder
-	reg  *checkpoint.Registry
 
 	// tier is the node's Algorithm 1 state and update arithmetic (see
 	// internal/core); everything else here decides which reports reach it.
@@ -79,12 +76,37 @@ type tierNode struct {
 	reporters []int
 	// out is the payload of every outgoing update and parent report, built
 	// once: Vectors is [y_ℓ−, x_ℓ+] (the tier never rebinds them), Scalars
-	// the loss slot a parent report fills in. Send is synchronous, so
-	// nothing of a sent message outlives the call.
+	// the loss slot a parent report fills in. The driver sends what the
+	// outbox queues before the next input, so nothing of a queued message
+	// outlives the state it aliases.
 	out transport.Message
+
+	// box is the node's outbox; phase and k say where its protocol stands:
+	// collecting or syncing round k, or (tierBegin) past it.
+	// A snapshot holds a settled round; start rebuilds these from its number.
+	box   outbox
+	phase tierPhase //flvet:allow ckptstate -- start derives it from the snapshot's round
+	k     int       //flvet:allow ckptstate -- the snapshot's sequence number
+	// kids, quorum and got are round k's cohort, the reporters it needs and
+	// those slotted so far. deadline ends the collect — from quorum on, the
+	// straggler grace — or the parent sync, zero until its report is out.
+	kids        []int //flvet:allow ckptstate -- a collect's, which never spans a snapshot
+	quorum, got int   //flvet:allow ckptstate -- a collect's, which never spans a snapshot
+	deadline    time.Time
 }
 
-func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *tierNode {
+// tierPhase is what a tierNode awaits: the start of round k+1 (once the
+// outbox, which aliases the state that round updates, is flushed), round
+// k's reports, or the parent's update after the round-k report.
+type tierPhase uint8
+
+const (
+	tierBegin tierPhase = iota
+	tierCollect
+	tierSync
+)
+
+func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, rec *faultRecorder, opts Options) *tierNode {
 	// The tier is sized for the node's largest cohort across membership
 	// epochs.
 	fan := ts.tree.Fanout(lvl, idx)
@@ -94,14 +116,15 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 		count += 2 * fan // the substitution ledgers lastYRep, lastXRep
 	}
 	newVec := nodeVectors(len(x0), count)
+	opts.Interrupt = nil // a machine never blocks: the driver polls it
 	n := &tierNode{
 		cfg:    cfg,
 		hn:     hn,
 		ts:     ts,
 		lvl:    lvl,
 		idx:    idx,
-		ep:     ep,
 		opts:   opts,
+		rec:    rec,
 		tier:   core.NewTier(lv, fan, newVec),
 		losses: make(map[int]float64),
 
@@ -111,6 +134,9 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 	n.out = transport.Message{
 		Vectors: [][]float64{n.tier.YMinus, n.tier.XPlus},
 		Scalars: make(map[string]float64, 1),
+	}
+	if lvl == 0 {
+		n.res = hn.NewResult(ts.rule.Algorithm + "/cluster")
 	}
 	if !n.leafParent() {
 		n.lastYRep = make([]tensor.Vector, fan)
@@ -142,8 +168,13 @@ func nodeVectors(dim, count int) func() tensor.Vector {
 }
 
 func (n *tierNode) id() string       { return n.ts.tree.ID(n.lvl, n.idx) }
+func (n *tierNode) outbox() *outbox  { return &n.box }
 func (n *tierNode) leafParent() bool { return n.lvl == n.ts.leafParent() }
 func (n *tierNode) tau() int         { return n.ts.tau(n.lvl) }
+func (n *tierNode) rounds() int      { return n.cfg.T / n.tau() }
+
+// want is the iteration round k's reports and updates carry.
+func (n *tierNode) want() int { return n.k * n.tau() }
 
 // churning reports whether this node's cohort can change between rounds:
 // dynamic membership acts at the leaf-parent level only.
@@ -151,13 +182,11 @@ func (n *tierNode) churning() bool { return n.ts.tree.Membership() != nil && n.l
 
 // initCheckpoint binds the node's aggregation state — both momenta, the
 // model, the per-child loss cache, the substitution ledgers, the ride-ahead
-// stash and, on the root, the accuracy curve — to its snapshot registry and
-// applies the Resume option. It returns the aggregation round to continue
-// after.
-func (n *tierNode) initCheckpoint() (int, error) {
+// stash and, on the root, the accuracy curve — to its snapshot registry.
+func (n *tierNode) initCheckpoint() (*checkpoint.Registry, error) {
 	reg, err := nodeRegistry(n.cfg, n.opts, n.ts, n.id())
 	if err != nil || reg == nil {
-		return 0, err
+		return nil, err
 	}
 	reg.Vector("yMinus", n.tier.YMinus)
 	reg.Vector("yPlus", n.tier.YPlus)
@@ -198,8 +227,7 @@ func (n *tierNode) initCheckpoint() (int, error) {
 			})
 	}
 	reg.Dynamic("pending", n.stashPending, n.unstashPending)
-	n.reg = reg
-	return restoreOrClear(reg, n.opts.Resume, n.opts.Telemetry, n.id())
+	return reg, nil
 }
 
 // stashPending appends the ride-ahead stash to dst for snapshotting, keying
@@ -248,8 +276,8 @@ func (n *tierNode) decodeLosses(flat []float64) error {
 	return nil
 }
 
-// redistribute sends the round-k update to the children (lines 14–15, and
-// 20–23 after a parent round). Stragglers that missed the aggregation
+// redistribute queues the round-k update for the children (lines 14–15,
+// and 20–23 after a parent round). Stragglers that missed the aggregation
 // resynchronize from it, mirroring how non-participants rejoin in the
 // simulation. resend marks a resume's repeat of the snapshotted round:
 // membership transitions are then re-announced but not re-counted.
@@ -257,12 +285,11 @@ func (n *tierNode) decodeLosses(flat []float64) error {
 // The update goes to the round-k+1 cohort. Under dynamic membership its
 // newcomers — planned joiners and reassigned-in workers — get it as an ADMIT
 // carrying their starting state, planned leavers whose final report was
-// just aggregated get a RETIRE, and the root follows a re-tiering sync with
-// the REASSIGN announcement.
-func (n *tierNode) redistribute(k int, resend bool) error {
+// just aggregated get a RETIRE, and the root announces re-tierings.
+func (n *tierNode) redistribute(k int, resend bool) {
 	t := k * n.tau()
 	update := transport.Message{Kind: KindTierUpdate, Round: t, Vectors: n.out.Vectors}
-	next := min(k+1, n.cfg.T/n.tau())
+	next := min(k+1, n.rounds())
 	prev, _ := n.ts.tree.Children(n.lvl, n.idx, k)
 	cohort, _ := n.ts.tree.Children(n.lvl, n.idx, next)
 	childID := func(c int) string { return n.ts.tree.ID(n.lvl+1, c) }
@@ -275,9 +302,7 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 				n.opts.Telemetry.MembershipJoin(childID(c), t, join != next)
 			}
 		}
-		if err := n.ep.Send(childID(c), msg); err != nil {
-			return fmt.Errorf("cluster: %s redistribute to %s: %w", n.id(), childID(c), err)
-		}
+		n.box.send(childID(c), msg)
 	}
 	if n.churning() {
 		retire := transport.Message{Kind: KindRetire, Round: t}
@@ -285,51 +310,34 @@ func (n *tierNode) redistribute(k int, resend bool) error {
 			if l, ok := sched.EdgeOf(k, j); !ok || l != n.idx {
 				continue
 			}
-			leaver := childID(j)
 			if !resend {
-				n.opts.Telemetry.MembershipLeave(leaver, t)
+				n.opts.Telemetry.MembershipLeave(childID(j), t)
 			}
-			if err := n.ep.Send(leaver, retire); err != nil {
-				return fmt.Errorf("cluster: %s retire %s: %w", n.id(), leaver, err)
-			}
+			n.box.send(childID(j), retire)
 		}
 	}
-	if n.lvl == 0 && sched != nil {
-		return n.announceRetier(k, resend)
+	if n.lvl > 0 || sched == nil {
+		return
 	}
-	return nil
-}
-
-// announceRetier broadcasts the REASSIGN control message to every
-// leaf-parent after the root's sync-k redistribution when a re-tiering takes
-// effect at the next leaf-parent round. The message carries the moves;
-// leaf-parents cross-check it against their own schedule, so it can never
-// *cause* a reassignment — only surface a configuration divergence.
-func (n *tierNode) announceRetier(k int, resend bool) error {
-	sched, lp := n.ts.tree.Membership(), n.ts.leafParent()
-	r := k * n.tau() / n.ts.tau(lp)
+	// A re-tiering that takes effect at the next leaf-parent round follows
+	// as a REASSIGN carrying the moves. Leaf-parents cross-check it against
+	// their own schedule, so it can never *cause* a reassignment — only
+	// surface a configuration divergence.
+	lp := n.ts.leafParent()
+	r := t / n.ts.tau(lp)
 	if r >= sched.K {
-		return nil
+		return
 	}
-	if next := sched.EpochAt(r + 1); !next.Retier || next.Start != r+1 {
-		return nil
+	if e := sched.EpochAt(r + 1); !e.Retier || e.Start != r+1 {
+		return
 	}
-	moves := n.ts.moves(r + 1)
-	msg := transport.Message{
-		Kind:    KindReassign,
-		Round:   k * n.tau(),
-		Vectors: [][]float64{moves},
-	}
+	reassign := transport.Message{Kind: KindReassign, Round: t, Vectors: [][]float64{n.ts.moves(r + 1)}}
 	for p := 0; p < n.ts.tree.Width(lp); p++ {
-		to := n.ts.tree.ID(lp, p)
-		if err := n.ep.Send(to, msg); err != nil {
-			return fmt.Errorf("cluster: %s reassign to %s: %w", n.id(), to, err)
-		}
+		n.box.send(n.ts.tree.ID(lp, p), reassign)
 	}
 	if !resend {
-		n.opts.Telemetry.MembershipRetier(k*n.tau(), len(moves)/3)
+		n.opts.Telemetry.MembershipRetier(t, len(reassign.Vectors[0])/3)
 	}
-	return nil
 }
 
 // checkReassign cross-checks a REASSIGN announcement against the locally
@@ -338,10 +346,10 @@ func (n *tierNode) announceRetier(k int, resend bool) error {
 // started with different churn configurations.
 func (n *tierNode) checkReassign(msg transport.Message) error {
 	if !n.churning() {
-		return fmt.Errorf("cluster: %s got reassign without dynamic membership", n.id())
+		return fmt.Errorf("cluster: %s got a reassign from %q without dynamic membership", n.id(), msg.From)
 	}
 	if len(msg.Vectors) != 1 {
-		return fmt.Errorf("cluster: %s: malformed reassign payload", n.id())
+		return fmt.Errorf("cluster: %s: malformed reassign payload from %q", n.id(), msg.From)
 	}
 	k := msg.Round / n.tau()
 	if !slices.Equal(msg.Vectors[0], n.ts.moves(k+1)) {
@@ -351,93 +359,79 @@ func (n *tierNode) checkReassign(msg transport.Message) error {
 	return nil
 }
 
-// run executes the node until T. The root returns the run Result; every
-// other level returns (nil, nil) on success.
-func (n *tierNode) run() (*fl.Result, error) {
-	tau := n.tau()
-	numRounds := n.cfg.T / tau
-	if n.lvl == 0 {
-		n.res = n.hn.NewResult(n.ts.rule.Algorithm + "/cluster")
+// start begins the node after the snapshot of round resumed (0: a fresh
+// start). That snapshot was taken before the round's redistribution, which
+// a crash can have cut short, so a resumed node re-sends the update first:
+// children already past it discard it as stale, children still waiting on
+// it adopt it (directly or via the mid-collect fast-forward).
+func (n *tierNode) start(now time.Time, resumed int) error {
+	if resumed > 0 {
+		if want := n.ts.tree.Epoch(n.lvl, resumed); n.epoch != want {
+			return fmt.Errorf("cluster: %s resume at round %d: snapshot epoch %d, schedule says %d: membership schedule divergence",
+				n.id(), resumed, n.epoch, want)
+		}
+		n.redistribute(resumed, true)
 	}
-	start, err := n.initCheckpoint()
-	defer closeSnapshots(n.reg)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", n.id(), err)
+	n.k = resumed
+	n.next(now)
+	return nil
+}
+
+func (n *tierNode) deliver(now time.Time, msg transport.Message) error {
+	switch n.phase {
+	case tierCollect:
+		return n.wrap(n.collect(now, msg))
+	case tierSync:
+		defer msg.Release()
+		return n.wrap(n.syncReply(now, msg))
 	}
-	if start > 0 {
-		if want := n.ts.tree.Epoch(n.lvl, start); n.epoch != want {
-			return nil, fmt.Errorf("cluster: %s resume at round %d: snapshot epoch %d, schedule says %d: membership schedule divergence",
-				n.id(), start, n.epoch, want)
-		}
-		// The snapshot was taken before the round's redistribution, so a crash
-		// can land between the two. Re-send the snapshotted round's update:
-		// children already past it discard the duplicate as stale, children
-		// still waiting on it adopt it (directly or via the mid-collect
-		// fast-forward) and catch up.
-		if err := n.redistribute(start, true); err != nil {
-			return nil, fmt.Errorf("cluster: %s resume: %w", n.id(), err)
-		}
+	msg.Release()
+	return fmt.Errorf("cluster: %s got %q from %q between rounds", n.id(), msg.Kind, msg.From)
+}
+
+func (n *tierNode) expire(now time.Time) error {
+	switch {
+	case n.phase == tierBegin:
+		return n.wrap(n.begin(now))
+	case n.phase == tierCollect:
+		return n.wrap(n.progress(now))
+	case n.deadline.IsZero():
+		n.deadline = now.Add(n.opts.RecvTimeout)
 	}
-	for k := start + 1; k <= numRounds; k++ {
-		if interrupted(n.opts.Interrupt) {
-			return nil, fmt.Errorf("cluster: %s: %w", n.id(), ErrInterrupted)
-		}
-		adopted, reports, idx, err := n.collect(k)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
-		}
-		if adopted > 0 {
-			// The parent completed round `adopted` while this node was still
-			// collecting: the adopted state supersedes this round's local
-			// aggregation, so skip it (and the sync the parent already closed)
-			// and rejoin at the adopted round.
-			n.rec.fastforward(n.id(), k*tau, adopted)
-			k = adopted / tau
-		} else {
-			if err := n.update(reports, idx, k); err != nil {
-				return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
-			}
-			if n.lvl > 0 && k%n.ts.syncsPerParent(n.lvl) == 0 {
-				adopted, err := n.parentSync(k)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
-				}
-				if r := adopted / tau; r > k {
-					// The parent moved on without this node (a lost update or
-					// report left it a sync behind); jump to the adopted round
-					// so the node rejoins the parent's cadence instead of
-					// trailing — and having every report rejected as stale —
-					// forever.
-					n.rec.fastforward(n.id(), k*tau, adopted)
-					k = r
-				}
-			}
-			if n.res != nil && k < numRounds && n.cfg.EvalEvery > 0 {
-				acc, err := model.Accuracy(n.cfg.Model, n.tier.XPlus, n.hn.EvalSet())
-				if err != nil {
-					return nil, fmt.Errorf("cluster: %s eval round %d: %w", n.id(), k, err)
-				}
-				n.res.Curve = append(n.res.Curve, fl.Point{
-					Iter:      k * tau,
-					TestAcc:   acc,
-					TrainLoss: n.weightedLoss,
-				})
-				n.recordEval(k*tau, acc, n.weightedLoss, false)
-			}
-		}
-		// Settle the round's remaining state and snapshot it BEFORE the
-		// redistribution: a resumed node then re-sends the snapshotted round's
-		// update, so children can never be stranded waiting for an update that
-		// died with this process.
-		n.epoch = n.ts.tree.Epoch(n.lvl, k)
-		if err := saveSnapshot(n.reg, k, n.opts.Telemetry, n.id()); err != nil {
-			return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
-		}
-		if err := n.redistribute(k, false); err != nil {
-			return nil, err
-		}
+	if now.Before(n.deadline) {
+		n.box.wake = n.deadline
+		return nil
 	}
-	if n.res == nil {
+	if !n.opts.tolerant() {
+		return n.wrap(fmt.Errorf("parent update: %w", transport.ErrTimeout))
+	}
+	// Ride it out: keep local state for this sync; the parent substitutes
+	// this node's last report and the next sync reconverges both sides.
+	n.rec.timeout(n.id())
+	n.settle(now)
+	return nil
+}
+
+// interrupt saves nothing: a node's snapshots are its settled rounds.
+func (n *tierNode) interrupt() {}
+
+func (n *tierNode) wrap(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("cluster: %s round %d: %w", n.id(), n.k, err)
+}
+
+// next moves past settled round k: round k+1 begins at the next expire, and
+// after the last round the node is done.
+func (n *tierNode) next(now time.Time) {
+	n.phase, n.box.wake, n.box.done = tierBegin, now, n.k >= n.rounds()
+}
+
+// finish evaluates the final model into the root's Result once the node is
+// done and its last snapshot and redistribution are out; nil elsewhere.
+func (n *tierNode) finish() (*fl.Result, error) {
+	if n.res == nil || !n.box.done {
 		return nil, nil
 	}
 	acc, err := model.Accuracy(n.cfg.Model, n.tier.XPlus, n.cfg.Test)
@@ -449,6 +443,262 @@ func (n *tierNode) run() (*fl.Result, error) {
 	n.res.Curve = append(n.res.Curve, fl.Point{Iter: n.cfg.T, TestAcc: acc, TrainLoss: n.weightedLoss})
 	n.recordEval(n.cfg.T, acc, n.weightedLoss, true)
 	return n.res, nil
+}
+
+// begin opens round k+1's collect: its cohort, quorum and deadline, and the
+// reports stashed by earlier rounds. A silent cohort may be riding out a
+// lost update for up to a full RecvTimeout of its own, so a tolerant node
+// waits one straggler grace beyond that horizon, not to miss their recovery
+// reports by a hair.
+func (n *tierNode) begin(now time.Time) error {
+	n.k++
+	n.kids, _ = n.ts.tree.Children(n.lvl, n.idx, n.k)
+	n.phase, n.quorum, n.got = tierCollect, len(n.kids), 0
+	n.deadline = now.Add(n.opts.RecvTimeout)
+	if n.opts.tolerant() {
+		n.quorum = quorumCount(n.opts.MinQuorum, len(n.kids))
+		n.deadline = n.deadline.Add(n.opts.StragglerDeadline)
+	}
+	// Slots left filled by a round that ended early (a fast-forward, an
+	// error) go back to their links first.
+	releaseReports(n.reports)
+	keep := n.pending[:0]
+	for _, msg := range n.pending {
+		switch {
+		case msg.Round > n.want():
+			keep = append(keep, msg)
+		case msg.Round < n.want():
+			n.rec.stale(n.id())
+			msg.Release()
+		default:
+			switch ok, err := n.admit(msg); {
+			case err != nil:
+				return err
+			case ok:
+				n.count(now)
+			default:
+				msg.Release()
+			}
+		}
+	}
+	n.pending = keep
+	return n.progress(now)
+}
+
+// count counts one more distinct reporter. Quorum mode grants stragglers a
+// grace period measured from the moment the quorum-th report arrives:
+// anchored there rather than at the collect's start, the window cannot be
+// consumed by upstream tiers' own waits.
+func (n *tierNode) count(now time.Time) {
+	if n.got++; n.got == n.quorum {
+		n.deadline = now.Add(n.grace())
+	}
+}
+
+// grace is the straggler window. Above the leaf parent each child round
+// between this node's syncs can burn a full straggler grace one tier down
+// before the child reports, so the window budgets one grace period per
+// intervening child round on top of this node's own.
+func (n *tierNode) grace() time.Duration {
+	if n.leafParent() {
+		return n.opts.StragglerDeadline
+	}
+	return n.opts.StragglerDeadline * time.Duration(n.tau()/n.ts.tau(n.lvl+1)+1)
+}
+
+// progress closes round k's collect once the full cohort has reported
+// (strict mode, MinQuorum == 1, needs it by the deadline) or, at quorum,
+// once the grace has passed; below quorum the deadline fails it. Under
+// dynamic membership the denominator is the round's live cohort.
+func (n *tierNode) progress(now time.Time) error {
+	switch {
+	case n.got >= len(n.kids) || n.got >= n.quorum && !now.Before(n.deadline):
+		return n.close(now) // stragglers forfeited this round
+	case now.Before(n.deadline):
+		n.box.wake = n.deadline
+		return nil
+	}
+	return fmt.Errorf("%d/%d reports (quorum %d): %w", n.got, len(n.kids), n.quorum, transport.ErrTimeout)
+}
+
+// collect handles one message of round k's collect. Reports are slotted by
+// the sender's position in the cohort, so arrival order never reaches the
+// floating-point results; duplicates and stale rounds are rejected (and
+// counted). A report for a future round — a child that rode out a lost
+// update and ran ahead — is stashed for its round in quorum mode and is a
+// protocol error in strict mode (strict children never ride out). In
+// quorum mode a parent update for this round or later means the parent
+// completed a sync without this node: it is adopted on the spot and the
+// node fast-forwards instead of timing out on a round the protocol moved
+// past.
+func (n *tierNode) collect(now time.Time, msg transport.Message) error {
+	// A message whose buffer this node does not keep — everything but a
+	// slotted or stashed report — goes back to its link once handled.
+	keep := false
+	var err error
+	switch {
+	case msg.Kind == KindReassign:
+		err = n.checkReassign(msg)
+	case msg.Kind == KindTierUpdate:
+		if n.lvl > 0 && n.opts.tolerant() && msg.Round >= n.want() && len(msg.Vectors) == 2 {
+			if err = n.tier.Adopt(msg.Vectors[0], msg.Vectors[1]); err != nil {
+				err = fmt.Errorf("cluster: update from %q: %w", msg.From, err)
+			} else {
+				n.fastForward(now, msg.Round)
+			}
+			msg.Release()
+			return err
+		}
+		// A parent update from a sync this node already gave up on.
+		n.rec.stale(n.id())
+	case msg.Kind != KindTierReport:
+		err = expectKind(msg, KindTierReport)
+	case msg.Round < n.want():
+		n.rec.stale(n.id())
+	case msg.Round > n.want():
+		if keep = n.opts.tolerant(); keep {
+			n.pending = append(n.pending, msg)
+		} else {
+			err = fmt.Errorf("cluster: report from %q for future round %d (want %d)", msg.From, msg.Round, n.want())
+		}
+	default:
+		if keep, err = n.admit(msg); keep {
+			n.count(now)
+		}
+	}
+	if !keep {
+		msg.Release()
+	}
+	if err != nil {
+		return err
+	}
+	return n.progress(now)
+}
+
+// close ends round k's collect and aggregates it. What a partial round
+// means depends on the level. At the leaf-parent the stragglers are
+// forfeited: the tier aggregates the slots of the children that reported.
+// At every other level a missing child's last report is substituted.
+// A boundary round then reports to the parent; any other settles, the
+// root's after an evaluation.
+func (n *tierNode) close(now time.Time) error {
+	idx := n.everyone
+	if n.leafParent() {
+		idx = n.reporters[:0]
+		for pos := range n.kids {
+			if n.reports[pos].Vectors != nil {
+				idx = append(idx, pos)
+			}
+		}
+	} else if err := n.substitute(); err != nil {
+		return err
+	}
+	n.rec.missingTier(n.ts.tree.Levels[n.lvl].Name, n.lvl, n.want(), len(n.kids)-n.got, n.leafParent())
+	if err := n.update(idx); err != nil {
+		return err
+	}
+	if n.lvl > 0 && n.k%n.ts.syncsPerParent(n.lvl) == 0 {
+		// Report [y_ℓ−, x_ℓ+] and the level's weighted loss to the parent,
+		// then await its update (lines 17–23, child side).
+		report := n.out
+		report.Kind, report.Round, report.Scalars[ScalarLoss] = KindTierReport, n.want(), n.weightedLoss
+		n.box.send(n.ts.tree.ID(n.lvl-1, n.ts.tree.Parent[n.lvl][n.idx]), report)
+		n.phase, n.deadline, n.box.wake = tierSync, time.Time{}, now
+		return nil
+	}
+	if n.res != nil && n.k < n.rounds() && n.cfg.EvalEvery > 0 {
+		acc, err := model.Accuracy(n.cfg.Model, n.tier.XPlus, n.hn.EvalSet())
+		if err != nil {
+			return fmt.Errorf("eval: %w", err)
+		}
+		n.res.Curve = append(n.res.Curve, fl.Point{Iter: n.want(), TestAcc: acc, TrainLoss: n.weightedLoss})
+		n.recordEval(n.want(), acc, n.weightedLoss, false)
+	}
+	n.settle(now)
+	return nil
+}
+
+// substitute copies round k's fresh reports into the standing lastYRep /
+// lastXRep buffers — copies, not rebinds: the checkpoint registry captures
+// them by reference — and fails the run once a missing child's previous
+// state would be substituted for a second consecutive round.
+func (n *tierNode) substitute() error {
+	for pos, c := range n.kids {
+		if msg := n.reports[pos]; msg.Vectors != nil {
+			if err := n.lastYRep[pos].CopyFrom(msg.Vectors[0]); err != nil {
+				return err
+			}
+			if err := n.lastXRep[pos].CopyFrom(msg.Vectors[1]); err != nil {
+				return err
+			}
+			msg.Release()
+			n.reports[pos] = transport.Message{}
+			n.missStreak[pos] = 0
+			continue
+		}
+		if n.missStreak[pos]++; n.missStreak[pos] > 1 {
+			return fmt.Errorf("cluster: child %s missed %d consecutive rounds of %s: quorum unreachable: %w",
+				n.ts.tree.ID(n.lvl+1, c), n.missStreak[pos], n.id(), transport.ErrTimeout)
+		}
+	}
+	return nil
+}
+
+// syncReply handles one message while the node awaits its parent's round-k
+// update, and adopts the update. One for a later sync means the parent moved
+// on without this node (a lost update or report left it a sync behind): the
+// node fast-forwards to it.
+func (n *tierNode) syncReply(now time.Time, msg transport.Message) error {
+	switch msg.Kind {
+	case KindTierReport:
+		// Straggler reports from the round this node already closed can
+		// still trickle in while it waits on its parent.
+		n.rec.stale(n.id())
+		return nil
+	case KindReassign:
+		// A REASSIGN from an earlier sync can arrive out of order on a
+		// delaying transport; it is validation-only, so handle it here too.
+		return n.checkReassign(msg)
+	}
+	if err := expectKind(msg, KindTierUpdate); err != nil {
+		return err
+	}
+	if msg.Round < n.want() {
+		n.rec.stale(n.id())
+		return nil
+	}
+	if len(msg.Vectors) != 2 {
+		return fmt.Errorf("cluster: update from %q carries %d vectors, want 2", msg.From, len(msg.Vectors))
+	}
+	if err := n.tier.Adopt(msg.Vectors[0], msg.Vectors[1]); err != nil {
+		return fmt.Errorf("cluster: update from %q: %w", msg.From, err)
+	}
+	if msg.Round/n.tau() > n.k {
+		n.fastForward(now, msg.Round)
+	} else {
+		n.settle(now)
+	}
+	return nil
+}
+
+// fastForward rejoins the parent's cadence at the adopted round, which
+// supersedes the rounds in between: the node skips them instead of trailing
+// — and having every report rejected as stale — forever.
+func (n *tierNode) fastForward(now time.Time, adopted int) {
+	n.rec.fastforward(n.id(), n.want(), adopted)
+	n.k = adopted / n.tau()
+	n.settle(now)
+}
+
+// settle ends round k: the node snapshots the settled state BEFORE it
+// redistributes it, so a resumed node re-sends the snapshotted round's
+// update and children can never be stranded waiting for an update that
+// died with this process.
+func (n *tierNode) settle(now time.Time) {
+	n.epoch = n.ts.tree.Epoch(n.lvl, n.k)
+	n.box.save(n.k)
+	n.redistribute(n.k, false)
+	n.next(now)
 }
 
 // recordEval mirrors one root accuracy measurement onto the telemetry sink.
@@ -467,198 +717,15 @@ func (n *tierNode) recordEval(t int, acc, loss float64, final bool) {
 	}
 }
 
-// collect gathers the round-k child reports, slotted by the sender's
-// position in the round's cohort so aggregation order (and hence
-// floating-point results) is deterministic regardless of arrival order.
-//
-// Strict mode (MinQuorum == 1) requires the full cohort within RecvTimeout.
-// Quorum mode grants stragglers a grace period measured from the moment the
-// quorum-th report arrives, then proceeds without them; below quorum it
-// keeps waiting until RecvTimeout before failing. (Anchoring the grace at
-// quorum attainment rather than collection start keeps the window from being
-// consumed by upstream tiers' own waits.) Under dynamic membership the
-// denominator is the round's live cohort. Duplicate reports and stale rounds
-// are rejected (and counted) in both modes. A report for a future round — a
-// child that rode out a lost update and ran ahead — is stashed for the round
-// it belongs to in quorum mode and is a protocol error in strict mode
-// (strict children never ride out).
-//
-// What a partial round means depends on the level. At the leaf-parent the
-// stragglers are forfeited: the results are the report slots and the sorted
-// positions of the children that reported. At every other level fresh
-// reports land in the standing lastYRep/lastXRep buffers and a missing
-// child's previous state is substituted for at most one consecutive round
-// before the run fails fast.
-//
-// In quorum mode a parent update for this round or later arriving
-// mid-collect means the parent already completed a sync without this node;
-// it is adopted on the spot and its round returned (first result) so the
-// caller fast-forwards instead of timing out on a round the protocol moved
-// past.
-func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
-	kids, _ := n.ts.tree.Children(n.lvl, n.idx, k)
-	want := k * n.tau()
-	quorum := len(kids)
-	if n.opts.tolerant() {
-		quorum = quorumCount(n.opts.MinQuorum, len(kids))
-	}
-	// Slots left filled by a round that ended early (a fast-forward, an
-	// error) go back to their links first.
-	releaseReports(n.reports)
-	reports := n.reports[:len(kids)]
-	got := 0
-	// Drain reports stashed by earlier rounds.
-	if len(n.pending) > 0 {
-		keep := n.pending[:0]
-		for _, msg := range n.pending {
-			switch {
-			case msg.Round > want:
-				keep = append(keep, msg)
-			case msg.Round < want:
-				n.rec.stale(n.id())
-				msg.Release()
-			default:
-				ok, err := n.admit(msg, kids, reports)
-				if err != nil {
-					return 0, nil, nil, err
-				}
-				if ok {
-					got++
-				} else {
-					msg.Release()
-				}
-			}
-		}
-		n.pending = keep
-	}
-	deadline := n.opts.now().Add(n.opts.RecvTimeout)
-	if n.opts.tolerant() {
-		// A silent cohort may be riding out a lost update for up to a full
-		// RecvTimeout of its own; wait one straggler grace beyond that
-		// horizon so their recovery reports are not missed by a hair.
-		deadline = deadline.Add(n.opts.StragglerDeadline)
-	}
-	grace := n.opts.StragglerDeadline
-	if !n.leafParent() {
-		// Each child round between this node's syncs can burn a full
-		// straggler grace one tier down before the child reports, so the
-		// window budgets one grace period per intervening child round on top
-		// of this node's own.
-		grace *= time.Duration(n.tau()/n.ts.tau(n.lvl+1) + 1)
-	}
-	var stragglerBy time.Time
-	for got < len(kids) {
-		var wait time.Duration
-		if got >= quorum {
-			if stragglerBy.IsZero() {
-				stragglerBy = n.opts.now().Add(grace)
-			}
-			wait = stragglerBy.Sub(n.opts.now())
-			if wait <= 0 {
-				break // quorum reached, stragglers forfeited this round
-			}
-		} else {
-			wait = deadline.Sub(n.opts.now())
-			if wait <= 0 {
-				return 0, nil, nil, fmt.Errorf("%d/%d reports (quorum %d): %w",
-					got, len(kids), quorum, transport.ErrTimeout)
-			}
-		}
-		msg, err := recvInterruptible(n.ep, wait, n.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue // the loop re-evaluates quorum and deadlines
-			}
-			return 0, nil, nil, err
-		}
-		// A message whose buffer this node does not keep — everything but a
-		// slotted or stashed report — goes back to its link once handled.
-		keep := false
-		switch {
-		case msg.Kind == KindReassign:
-			err = n.checkReassign(msg)
-		case msg.Kind == KindTierUpdate:
-			if n.lvl > 0 && n.opts.tolerant() && msg.Round >= want && len(msg.Vectors) == 2 {
-				// The parent completed this round's sync (or a later one)
-				// without this node — its update supersedes anything the
-				// current collect could aggregate.
-				err = n.tier.Adopt(msg.Vectors[0], msg.Vectors[1])
-				msg.Release()
-				return msg.Round, nil, nil, err
-			}
-			// A parent update from a sync this node already gave up on.
-			n.rec.stale(n.id())
-		case msg.Kind != KindTierReport:
-			err = expectKind(msg, KindTierReport)
-		case msg.Round < want:
-			n.rec.stale(n.id())
-		case msg.Round > want:
-			if n.opts.tolerant() {
-				n.pending = append(n.pending, msg)
-				keep = true
-			} else {
-				err = fmt.Errorf("cluster: report from %q for future round %d (want %d)",
-					msg.From, msg.Round, want)
-			}
-		default:
-			if keep, err = n.admit(msg, kids, reports); keep {
-				got++
-			}
-		}
-		if !keep {
-			msg.Release()
-		}
-		if err != nil {
-			return 0, nil, nil, err
-		}
-	}
-	name := n.ts.tree.Levels[n.lvl].Name
-	if n.leafParent() {
-		idx := n.reporters[:0]
-		for pos := range reports {
-			if reports[pos].Vectors != nil {
-				idx = append(idx, pos)
-			}
-		}
-		n.rec.missingTier(name, n.lvl, want, len(kids)-got, true)
-		return 0, reports, idx, nil
-	}
-	for pos := range reports {
-		if msg := reports[pos]; msg.Vectors != nil {
-			// Copy into the standing buffers instead of rebinding the slots:
-			// the checkpoint registry captures them by reference, so the
-			// backing arrays registered at startup must keep holding the live
-			// state.
-			if err := n.lastYRep[pos].CopyFrom(msg.Vectors[0]); err != nil {
-				return 0, nil, nil, err
-			}
-			if err := n.lastXRep[pos].CopyFrom(msg.Vectors[1]); err != nil {
-				return 0, nil, nil, err
-			}
-			msg.Release()
-			reports[pos] = transport.Message{}
-			n.missStreak[pos] = 0
-			continue
-		}
-		n.missStreak[pos]++
-		if n.missStreak[pos] > 1 {
-			return 0, nil, nil, fmt.Errorf("cluster: child %s missed %d consecutive rounds of %s: quorum unreachable: %w",
-				n.ts.tree.ID(n.lvl+1, kids[pos]), n.missStreak[pos], n.id(), transport.ErrTimeout)
-		}
-	}
-	n.rec.missingTier(name, n.lvl, want, len(kids)-got, false)
-	return 0, nil, n.everyone, nil
-}
-
-// admit validates one current-round report and slots it into reports;
+// admit validates one current-round report and slots it into n.reports;
 // shared by live receives and the ride-ahead stash. It returns whether the
 // report counted as a new distinct reporter.
-func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.Message) (bool, error) {
+func (n *tierNode) admit(msg transport.Message) (bool, error) {
 	lvl, from, ok := n.ts.tree.Lookup(msg.From)
 	if !ok || lvl != n.lvl+1 {
 		return false, fmt.Errorf("cluster: %s got a report from %q, not a level-%d node", n.id(), msg.From, n.lvl+1)
 	}
-	pos, ok := position(kids, from)
+	pos, ok := position(n.kids, from)
 	if !ok {
 		if n.churning() {
 			// A worker not in this round's cohort (e.g. a just-reassigned
@@ -673,6 +740,12 @@ func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.
 		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d: %w",
 			msg.From, len(msg.Vectors), reportVectors, ErrMalformedReport)
 	}
+	for _, v := range msg.Vectors {
+		if len(v) != len(n.tier.XPlus) {
+			return false, fmt.Errorf("cluster: report from %q carries a %d-value vector, want %d: %w",
+				msg.From, len(v), len(n.tier.XPlus), ErrMalformedReport)
+		}
+	}
 	if n.tier.Level().Adapt {
 		// An honest leaf's term is a clamped cosine (tensor.CosineFromDot
 		// maps degenerate reductions to 0), so anything else was crafted.
@@ -685,13 +758,13 @@ func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.
 				msg.From, c, ErrMalformedReport)
 		}
 	}
-	if reports[pos].Vectors != nil {
+	if n.reports[pos].Vectors != nil {
 		// A duplicate must not overwrite the slot twice while inflating the
 		// reporter count: reject it and keep counting distinct reporters only.
 		n.rec.duplicate(n.id())
 		return false, nil
 	}
-	reports[pos] = msg
+	n.reports[pos] = msg
 	n.losses[from] = msg.Scalars[ScalarLoss]
 	return true, nil
 }
@@ -703,17 +776,17 @@ func (n *tierNode) admit(msg transport.Message, kids []int, reports []transport.
 // decided. What stays here is runtime: pointing the tier at the round's
 // reports, γℓ migration across a cohort change, and the fault/attack
 // records, metrics and trace.
-func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
+func (n *tierNode) update(idx []int) error {
 	sink := n.opts.Telemetry
 	var aggStart time.Time
 	if sink != nil {
 		aggStart = time.Now()
 	}
+	k, t := n.k, n.want()
 	kids, full := n.ts.tree.Children(n.lvl, n.idx, k)
-	t := k * n.tau()
 	if n.leafParent() {
 		for j, i := range idx {
-			msg := reports[i]
+			msg := n.reports[i]
 			n.tier.Y[j], n.tier.X[j], n.tier.Cos[j] = msg.Vectors[0], msg.Vectors[1], msg.Scalars[ScalarCos]
 		}
 	}
@@ -730,7 +803,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	// The tier's report slots aliased the leaf reports until here; their
 	// buffers are free for the leaves' next reports before the update that
 	// triggers those goes out.
-	releaseReports(reports)
+	releaseReports(n.reports)
 	if err != nil {
 		return fmt.Errorf("cluster: %s aggregation at round %d: %w", n.id(), k, err)
 	}
@@ -794,77 +867,6 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		}
 	}
 	return nil
-}
-
-// parentSync reports [y_ℓ−, x_ℓ+] and the level's weighted loss to the
-// parent at a boundary round, then adopts the parent's update (lines 17–23,
-// child side). In quorum mode a lost update is ridden out — the node keeps
-// its own state for this sync — or, if a later sync's update arrives
-// meanwhile, adopted from there. It returns the round of the update actually
-// adopted (0 on a ride-out) so the caller can fast-forward past syncs the
-// parent already completed.
-func (n *tierNode) parentSync(k int) (int, error) {
-	want := k * n.tau()
-	report := n.out
-	report.Kind, report.Round, report.Scalars[ScalarLoss] = KindTierReport, want, n.weightedLoss
-	parent := n.ts.tree.ID(n.lvl-1, n.ts.tree.Parent[n.lvl][n.idx])
-	if err := n.ep.Send(parent, report); err != nil {
-		return 0, err
-	}
-	deadline := n.opts.now().Add(n.opts.RecvTimeout)
-	for {
-		wait := deadline.Sub(n.opts.now())
-		if wait <= 0 {
-			if n.opts.tolerant() {
-				// Ride it out: keep local state for this sync; the parent
-				// substitutes this node's last report and the next sync
-				// reconverges both sides.
-				n.rec.timeout(n.id())
-				return 0, nil
-			}
-			return 0, fmt.Errorf("parent update: %w", transport.ErrTimeout)
-		}
-		msg, err := recvInterruptible(n.ep, wait, n.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
-			return 0, err
-		}
-		adopted, err := n.parentReply(msg, want)
-		msg.Release()
-		if adopted > 0 || err != nil {
-			return adopted, err
-		}
-	}
-}
-
-// parentReply handles one message received while waiting for the parent's
-// round-want update: it adopts the update (returning its round) and skips
-// everything else.
-func (n *tierNode) parentReply(msg transport.Message, want int) (int, error) {
-	switch msg.Kind {
-	case KindTierReport:
-		// Straggler reports from the round this node already closed can
-		// still trickle in while it waits on its parent.
-		n.rec.stale(n.id())
-		return 0, nil
-	case KindReassign:
-		// A REASSIGN from an earlier sync can arrive out of order on a
-		// delaying transport; it is validation-only, so handle it here too.
-		return 0, n.checkReassign(msg)
-	}
-	if err := expectKind(msg, KindTierUpdate); err != nil {
-		return 0, err
-	}
-	if msg.Round < want {
-		n.rec.stale(n.id())
-		return 0, nil
-	}
-	if len(msg.Vectors) != 2 {
-		return 0, fmt.Errorf("cluster: parent update carries %d vectors, want 2", len(msg.Vectors))
-	}
-	return msg.Round, n.tier.Adopt(msg.Vectors[0], msg.Vectors[1])
 }
 
 // releaseReports hands every collected report's buffer back to its link and

@@ -717,8 +717,8 @@ func TestTreeOptionValidation(t *testing.T) {
 		return err
 	}
 	// Leaf-count mismatch: 8 leaves for a 4-worker config.
-	if err := run(Options{Topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*4")}); err == nil {
-		t.Error("leaf-count mismatch accepted")
+	if err := run(Options{Topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*4")}); !errors.Is(err, fl.ErrConfig) {
+		t.Errorf("leaf-count mismatch = %v, want fl.ErrConfig", err)
 	}
 	// Horizon misalignment: T=24 is not a multiple of the root period 16.
 	if err := run(Options{Topology: treeTopo(t, "cloud:tau=16/edge*2:tau=2/worker*2")}); !errors.Is(err, topology.ErrMisaligned) {

@@ -195,10 +195,19 @@ func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 		}
 	}
 	cohorts, sizes := counts[:len(c.Edges)], counts[len(c.Edges):]
+	var tree *topology.Tree
+	var err error
 	if topo == nil {
-		return topology.Derive(c.Tau, c.Pi, cohorts, sizes)
+		tree, err = topology.Derive(c.Tau, c.Pi, cohorts, sizes)
+	} else {
+		tree, err = topo.Resolve(sizes)
 	}
-	return topo.Resolve(sizes)
+	if err != nil {
+		// A tree that does not fit the config is the config's fault, as
+		// NewHarness reports a tree from another config.
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	return tree, nil
 }
 
 // NumEdges returns L.
