@@ -55,14 +55,17 @@ check: build portable lint test recover race benchdiff
 
 ## race: race-detect the distributed runtime, transport layers, checkpoint
 ## snapshot/restore, telemetry instruments (scraped concurrently with
-## writers), and the parallel training paths (core/baseline worker pools,
-## the nn workspace free list).
+## writers), the parallel training paths (core/baseline worker pools,
+## the nn workspace free list), and the experiments, which run cluster.Run
+## and sweep cells concurrently, with the timing simulation and the δ
+## estimator they call.
 race:
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... \
 		./internal/checkpoint/... ./internal/parallel/... ./internal/core/... \
 		./internal/baseline/... ./internal/fl/... ./internal/nn/... \
 		./internal/tensor/... ./internal/robust/... \
-		./internal/telemetry/... ./internal/membership/... ./cmd/tracecat/...
+		./internal/telemetry/... ./internal/membership/... ./cmd/tracecat/... \
+		./internal/experiment/... ./internal/theory/... ./internal/netsim/...
 
 ## fuzz: short-budget fuzzing of the byte-boundary decoders — the
 ## checkpoint snapshot reader, the telemetry JSONL trace reader, and the

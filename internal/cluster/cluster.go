@@ -84,8 +84,7 @@ type Options struct {
 	// Topology, when Tree is nil, is the spec the run's tree is resolved
 	// from, cfg.Tree(Topology): sync periods, fan-out, aggregation rules and
 	// momentum per level, "<level>-<index>" node IDs, and the config's leaf
-	// shards (cfg.Edges flattened in order) regrouped under the tree's
-	// fanout. With both nil the run executes the config's own cloud /
+	// shards (fl.Config.Shards) regrouped under the tree's fanout. With both nil the run executes the config's own cloud /
 	// edge-ℓ / worker-ℓ-i tree. Setting both is refused.
 	Topology *topology.Topology
 }

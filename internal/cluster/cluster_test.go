@@ -196,8 +196,12 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				var topo *topology.Topology
 				if tc.topology != "" {
 					topo = treeTopo(t, tc.topology)
-					if topo.NumLeaves() != cfg.NumWorkers() {
-						cfg = buildFlatConfig(t, 31, []int{topo.NumLeaves() / 2, topo.NumLeaves() / 2})
+					leaves := 1
+					for _, lv := range topo.Levels {
+						leaves *= lv.Fanout
+					}
+					if leaves != cfg.NumWorkers() {
+						cfg = buildFlatConfig(t, 31, []int{leaves / 2, leaves / 2})
 					}
 				}
 				cfg.ClipNorm = tc.clip

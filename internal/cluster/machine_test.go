@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hieradmo/internal/fl"
+	"hieradmo/internal/membership"
 	"hieradmo/internal/tensor"
 	"hieradmo/internal/transport"
 )
@@ -128,6 +129,13 @@ func TestTierMachine(t *testing.T) {
 	middle := treeTopo(t, "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker")
 	tolerant := Options{Adaptive: true, MinQuorum: 0.5, RecvTimeout: time.Hour, StragglerDeadline: time.Minute}
 	w0, w1 := WorkerID(0, 0), WorkerID(0, 1)
+	// Under churn worker-0-1 joins edge-0 at round 3.
+	join, err := membership.ParseSpec("join:" + w1 + "@3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	joining := tolerant
+	joining.Tree = scenario{churn: &join}.tree(t, cfg)
 	const ms = time.Millisecond
 	for _, row := range []struct {
 		name   string
@@ -205,6 +213,39 @@ func TestTierMachine(t *testing.T) {
 			wantWake(t, h, 2*ms+2*time.Minute)
 			must(t, h.deliver(2*time.Minute, h.report(w0, 4)))
 			wantLog(t, h, CloudID+" tier-report@4")
+		}},
+		{name: "future report vetted on delivery", opts: tolerant, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			three := h.report(w0, 4)
+			three.Vectors = append(three.Vectors, h.x0.Clone())
+			for _, tc := range []struct {
+				msg  transport.Message
+				want string
+			}{
+				{h.report("nobody", 4), "not a level-2 node"},
+				{h.report(WorkerID(1, 0), 4), "another node's child"},
+				{three, "carries 3 vectors"},
+			} {
+				err := h.deliver(1*ms, tc.msg)
+				if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.msg.From)) {
+					t.Errorf("a round-2 report from %s in round 1: %v, want a refusal naming it (%s)", tc.msg.From, err, tc.want)
+				}
+			}
+			if len(h.n.pending) != 0 {
+				t.Fatalf("%d refused reports stashed", len(h.n.pending))
+			}
+		}},
+		{name: "future report outside its round's cohort counted stale", opts: joining, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			// Round 2's cohort does not hold the joiner yet; round 3's does.
+			must(t, h.deliver(1*ms, h.report(w1, 4)))
+			if len(h.n.pending) != 0 || h.n.rec.rep.StaleMessages != 1 {
+				t.Fatalf("the joiner's round-2 report: %d stashed, %d stale; want it counted stale", len(h.n.pending), h.n.rec.rep.StaleMessages)
+			}
+			must(t, h.deliver(2*ms, h.report(w1, 6)))
+			if len(h.n.pending) != 1 || h.n.rec.rep.StaleMessages != 1 {
+				t.Fatalf("the joiner's round-3 report: %d stashed, %d stale; want it stashed", len(h.n.pending), h.n.rec.rep.StaleMessages)
+			}
 		}},
 		{name: "future report refused when strict", opts: Options{Adaptive: true}, run: func(t *testing.T, h *tierHarness) {
 			h.begin(t)
@@ -401,9 +442,8 @@ func FuzzTierMachine(f *testing.F) {
 			}
 			h.n.box.effects = h.n.box.effects[:0]
 		}
-		// A delivery's error must name its sender; an expiry's may name the
-		// sender of any report delivered earlier (a stashed one it admits).
-		var delivered []string
+		// A delivery's error must name its sender. An expiry names none: a
+		// stashed report was vetted when it was delivered.
 		check := func(err error, from ...string) bool {
 			if err == nil {
 				return true
@@ -428,7 +468,7 @@ func FuzzTierMachine(f *testing.F) {
 				}
 				err := h.n.expire(now)
 				record()
-				if !check(err, delivered...) {
+				if !check(err) {
 					return log
 				}
 			}
@@ -444,7 +484,6 @@ func FuzzTierMachine(f *testing.F) {
 			if c := int(op[4]>>2) % (len(cosines) + 1); c > 0 {
 				msg.Scalars = map[string]float64{ScalarLoss: 1, ScalarCos: cosines[c-1]}
 			}
-			delivered = append(delivered, msg.From)
 			err := h.n.deliver(now, msg)
 			record()
 			if !check(err, msg.From) {

@@ -24,8 +24,9 @@ import (
 type treeSpec struct {
 	cfg  *fl.Config
 	tree *topology.Tree
-	// shards holds the training leaves' datasets, cfg.Edges flattened in
-	// order: an explicit topology regroups the same shards under its fanout.
+	// shards holds the training leaves' datasets in leaf order
+	// (fl.Config.Shards): an explicit topology regroups the same shards
+	// under its fanout.
 	shards []*dataset.Dataset
 
 	// rule is the run's row of the simulation's rule table: every node takes
@@ -43,16 +44,13 @@ func newTreeSpec(cfg *fl.Config, tree *topology.Tree, opts Options) (*treeSpec, 
 	if opts.Adaptive {
 		hier = core.New
 	}
-	ts := &treeSpec{cfg: cfg, tree: tree,
+	ts := &treeSpec{cfg: cfg, tree: tree, shards: cfg.Shards(),
 		rule: hier(core.WithAdaptSignal(opts.Signal), core.WithClampCeiling(opts.Ceiling)).Row()}
 	// A level whose rule cannot be built fails here, before any node starts.
 	for i := range tree.Levels[:tree.Depth()-1] {
 		if _, err := ts.rule.LevelAt(tree, cfg, i); err != nil {
 			return nil, err
 		}
-	}
-	for _, edge := range cfg.Edges {
-		ts.shards = append(ts.shards, edge...)
 	}
 	return ts, nil
 }

@@ -525,8 +525,9 @@ func (n *tierNode) progress(now time.Time) error {
 // the sender's position in the cohort, so arrival order never reaches the
 // floating-point results; duplicates and stale rounds are rejected (and
 // counted). A report for a future round — a child that rode out a lost
-// update and ran ahead — is stashed for its round in quorum mode and is a
-// protocol error in strict mode (strict children never ride out). In
+// update and ran ahead — is vetted against that round's cohort and stashed
+// for it in quorum mode, and is a protocol error in strict mode (strict
+// children never ride out). In
 // quorum mode a parent update for this round or later means the parent
 // completed a sync without this node: it is adopted on the spot and the
 // node fast-forwards instead of timing out on a round the protocol moved
@@ -555,11 +556,14 @@ func (n *tierNode) collect(now time.Time, msg transport.Message) error {
 		err = expectKind(msg, KindTierReport)
 	case msg.Round < n.want():
 		n.rec.stale(n.id())
+	case !n.opts.tolerant() && msg.Round > n.want():
+		err = fmt.Errorf("cluster: report from %q for future round %d (want %d)", msg.From, msg.Round, n.want())
 	case msg.Round > n.want():
-		if keep = n.opts.tolerant(); keep {
+		// Vetted now, against the cohort of its own round, so the stash
+		// and every snapshot of it hold only reports that round may take.
+		kids, _ := n.ts.tree.Children(n.lvl, n.idx, msg.Round/n.tau())
+		if _, _, keep, err = n.vet(msg, kids); keep {
 			n.pending = append(n.pending, msg)
-		} else {
-			err = fmt.Errorf("cluster: report from %q for future round %d (want %d)", msg.From, msg.Round, n.want())
 		}
 	default:
 		if keep, err = n.admit(msg); keep {
@@ -721,42 +725,9 @@ func (n *tierNode) recordEval(t int, acc, loss float64, final bool) {
 // shared by live receives and the ride-ahead stash. It returns whether the
 // report counted as a new distinct reporter.
 func (n *tierNode) admit(msg transport.Message) (bool, error) {
-	lvl, from, ok := n.ts.tree.Lookup(msg.From)
-	if !ok || lvl != n.lvl+1 {
-		return false, fmt.Errorf("cluster: %s got a report from %q, not a level-%d node", n.id(), msg.From, n.lvl+1)
-	}
-	pos, ok := position(n.kids, from)
+	from, pos, ok, err := n.vet(msg, n.kids)
 	if !ok {
-		if n.churning() {
-			// A worker not in this round's cohort (e.g. a just-reassigned
-			// worker's report that crossed the boundary) has nothing to
-			// contribute here.
-			n.rec.stale(n.id())
-			return false, nil
-		}
-		return false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
-	}
-	if len(msg.Vectors) != reportVectors {
-		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d: %w",
-			msg.From, len(msg.Vectors), reportVectors, ErrMalformedReport)
-	}
-	for _, v := range msg.Vectors {
-		if len(v) != len(n.tier.XPlus) {
-			return false, fmt.Errorf("cluster: report from %q carries a %d-value vector, want %d: %w",
-				msg.From, len(v), len(n.tier.XPlus), ErrMalformedReport)
-		}
-	}
-	if n.tier.Level().Adapt {
-		// An honest leaf's term is a clamped cosine (tensor.CosineFromDot
-		// maps degenerate reductions to 0), so anything else was crafted.
-		c, ok := msg.Scalars[ScalarCos]
-		if !ok {
-			return false, fmt.Errorf("cluster: report from %q carries no eq. (6) term: %w", msg.From, ErrMalformedReport)
-		}
-		if !(c >= -1 && c <= 1) {
-			return false, fmt.Errorf("cluster: report from %q carries eq. (6) term %v outside [-1, 1]: %w",
-				msg.From, c, ErrMalformedReport)
-		}
+		return false, err
 	}
 	if n.reports[pos].Vectors != nil {
 		// A duplicate must not overwrite the slot twice while inflating the
@@ -767,6 +738,53 @@ func (n *tierNode) admit(msg transport.Message) (bool, error) {
 	n.reports[pos] = msg
 	n.losses[from] = msg.Scalars[ScalarLoss]
 	return true, nil
+}
+
+// vet applies the report rules against kids, the cohort of the report's
+// round: the sender must be one of them, and the report must carry [y, x]
+// at the model's dimension and, where the level adapts, an eq. (6) term in
+// [-1, 1]. It returns the sender's index in its level and its position in
+// kids, and ok false for a report to drop: under dynamic membership a
+// sender outside the cohort is counted stale, not refused.
+func (n *tierNode) vet(msg transport.Message, kids []int) (from, pos int, ok bool, err error) {
+	lvl, from, ok := n.ts.tree.Lookup(msg.From)
+	if !ok || lvl != n.lvl+1 {
+		return 0, 0, false, fmt.Errorf("cluster: %s got a report from %q, not a level-%d node", n.id(), msg.From, n.lvl+1)
+	}
+	pos, ok = position(kids, from)
+	if !ok {
+		if n.churning() {
+			// A worker not in the round's cohort (e.g. a just-reassigned
+			// worker's report that crossed the boundary) has nothing to
+			// contribute to it.
+			n.rec.stale(n.id())
+			return 0, 0, false, nil
+		}
+		return 0, 0, false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
+	}
+	if len(msg.Vectors) != reportVectors {
+		return 0, 0, false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d: %w",
+			msg.From, len(msg.Vectors), reportVectors, ErrMalformedReport)
+	}
+	for _, v := range msg.Vectors {
+		if len(v) != len(n.tier.XPlus) {
+			return 0, 0, false, fmt.Errorf("cluster: report from %q carries a %d-value vector, want %d: %w",
+				msg.From, len(v), len(n.tier.XPlus), ErrMalformedReport)
+		}
+	}
+	if n.tier.Level().Adapt {
+		// An honest leaf's term is a clamped cosine (tensor.CosineFromDot
+		// maps degenerate reductions to 0), so anything else was crafted.
+		c, ok := msg.Scalars[ScalarCos]
+		if !ok {
+			return 0, 0, false, fmt.Errorf("cluster: report from %q carries no eq. (6) term: %w", msg.From, ErrMalformedReport)
+		}
+		if !(c >= -1 && c <= 1) {
+			return 0, 0, false, fmt.Errorf("cluster: report from %q carries eq. (6) term %v outside [-1, 1]: %w",
+				msg.From, c, ErrMalformedReport)
+		}
+	}
+	return from, pos, true, nil
 }
 
 // update runs the level's aggregation for round k through the kernel

@@ -69,7 +69,7 @@ func BenchmarkDepthScale(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("depth=%d", topo.Depth()), func(b *testing.B) {
+		b.Run(fmt.Sprintf("depth=%d", len(topo.Levels)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := cluster.Run(cfg, transport.NewMemoryNetwork(),

@@ -267,13 +267,3 @@ func Hierarchy(shards []*Dataset, workersPerEdge []int) ([][]*Dataset, error) {
 	}
 	return edges, nil
 }
-
-// UniformEdges returns a workersPerEdge slice with numEdges edges of
-// workersPerEdge workers each.
-func UniformEdges(numEdges, workersPerEdge int) []int {
-	out := make([]int, numEdges)
-	for i := range out {
-		out[i] = workersPerEdge
-	}
-	return out
-}

@@ -181,15 +181,3 @@ func TestHierarchyErrors(t *testing.T) {
 		t.Error("accepted zero-worker edge")
 	}
 }
-
-func TestUniformEdges(t *testing.T) {
-	got := UniformEdges(3, 5)
-	if len(got) != 3 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for _, c := range got {
-		if c != 5 {
-			t.Errorf("edge size %d, want 5", c)
-		}
-	}
-}

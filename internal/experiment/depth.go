@@ -22,11 +22,12 @@ func DepthTopologies() []string {
 	}
 }
 
-// RunDepth compares tree depths under the WAN cost model: each topology
-// trains the same logistic-on-MNIST workload through the N-tier cluster
-// runtime (bit-identical across depths in inputs, differing only in
-// aggregation structure), then replays its accuracy curve onto a
-// trace-driven timeline from the paper-testbed tree environment. Deeper
+// RunDepth compares tree depths under the WAN cost model: each spec is
+// resolved once over the config's shards, and that one tree trains the same
+// logistic-on-MNIST workload through the N-tier cluster runtime
+// (bit-identical across depths in inputs, differing only in aggregation
+// structure), is timed on the paper-testbed tree environment, and names the
+// row; the accuracy curve is replayed onto that timeline. Deeper
 // trees sync leaves cheaply and often and pay the WAN rarely; the flat tree
 // pays it every sync.
 func RunDepth(s Scale) (*Table, error) {
@@ -53,12 +54,16 @@ func RunDepth(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("depth %q: %w", spec, err)
 		}
-		net := transport.NewMemoryNetwork()
-		res, err := cluster.Run(cfg, net, cluster.Options{Adaptive: true, Topology: topo})
+		tree, err := cfg.Tree(topo)
 		if err != nil {
 			return nil, fmt.Errorf("depth %q: %w", spec, err)
 		}
-		tl, err := netsim.SimulateTree(netsim.PaperTreeTestbed(topo, s.Seed+99), payload, cfg.T)
+		net := transport.NewMemoryNetwork()
+		res, err := cluster.Run(cfg, net, cluster.Options{Adaptive: true, Tree: tree})
+		if err != nil {
+			return nil, fmt.Errorf("depth %q: %w", spec, err)
+		}
+		tl, err := netsim.SimulateTree(netsim.PaperTreeTestbed(tree, s.Seed+99), payload, cfg.T)
 		if err != nil {
 			return nil, fmt.Errorf("depth %q: %w", spec, err)
 		}
@@ -70,8 +75,8 @@ func RunDepth(s Scale) (*Table, error) {
 		if d, ok := netsim.TimeToAccuracy(tl, curve, s.TargetAcc); ok {
 			cell = Dur(d)
 		}
-		tbl.AddRow(fmt.Sprintf("depth-%d", topo.Depth()),
-			topo.String(), Pct(res.FinalAcc), cell, Dur(tl.Total()))
+		tbl.AddRow(fmt.Sprintf("depth-%d", tree.Depth()),
+			tree.String(), Pct(res.FinalAcc), cell, Dur(tl.Total()))
 	}
 	return tbl, nil
 }

@@ -232,21 +232,17 @@ func RunTheoryBound(s Scale) (*Table, error) {
 			return nil, fmt.Errorf("theory bound %s: %w", tc.label, err)
 		}
 		params := cfg.Model.Init(rng.New(s.Seed))
-		div, err := theory.EstimateDivergence(cfg, params)
+		div, err := theory.EstimateDivergence(cfg, nil, params)
 		if err != nil {
 			return nil, fmt.Errorf("theory bound %s: %w", tc.label, err)
 		}
-		edgeWeights, err := theory.EdgeWeightsOf(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("theory bound %s: %w", tc.label, err)
-		}
-		j, err := theory.J4(p, c, cfg.Tau, cfg.Pi, edgeWeights, div.PerEdge, div.Global, 0.1)
+		j, err := theory.J4(p, c, cfg.Tau, cfg.Pi, div.Weights, div.PerEdge, div.Global, 0.1)
 		if err != nil {
 			return nil, fmt.Errorf("theory bound %s: %w", tc.label, err)
 		}
 		var meanEdge float64
 		for i, d := range div.PerEdge {
-			meanEdge += edgeWeights[i] * d
+			meanEdge += div.Weights[i] * d
 		}
 		tbl.AddRow(tc.label,
 			fmt.Sprintf("%.4f", div.Global),

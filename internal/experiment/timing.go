@@ -5,7 +5,6 @@ import (
 
 	"hieradmo/internal/core"
 	"hieradmo/internal/netsim"
-	"hieradmo/internal/topology"
 )
 
 // TimingSetting selects the Fig. 2(h) or Fig. 2(l) hyper-parameters.
@@ -20,8 +19,8 @@ const (
 
 // RunFig2TrainingTime reproduces Fig. 2(h)/(l): total simulated training
 // time for every algorithm to reach the target accuracy when CNN is trained
-// on MNIST over the paper's testbed (4 workers, 2 edges; trace-driven device
-// and link delays from internal/netsim).
+// on MNIST over the paper's testbed (the workload's 2 edges of 2 workers;
+// trace-driven device and link delays from internal/netsim).
 func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 	var tau int
 	switch setting {
@@ -47,15 +46,15 @@ func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 		return nil, fmt.Errorf("fig2h/l: %w", err)
 	}
 
-	// Both timelines run on the testbed hardware: two-tier rows on four
-	// workers talking to the cloud, hierarchical rows on the paper's two
-	// edges of two workers.
-	env := netsim.PaperTestbed(4, s.Seed+99)
-	topo, err := topology.Parse(fmt.Sprintf("cloud:tau=%d/edge*2:tau=%d/worker*2", tau*pi, tau))
+	// Both timelines run on the testbed hardware over the config's workers:
+	// two-tier rows talking to the cloud directly, hierarchical rows through
+	// the edges of the config's own tree.
+	tree, err := cfg.Tree(nil)
 	if err != nil {
 		return nil, fmt.Errorf("fig2h/l: %w", err)
 	}
-	tree := netsim.PaperTreeTestbed(topo, s.Seed+99)
+	env := netsim.PaperTestbed(cfg.NumWorkers(), s.Seed+99)
+	treeEnv := netsim.PaperTreeTestbed(tree, s.Seed+99)
 	// The training substrate uses a laptop-scale CNN, but the timing study
 	// models shipping the paper's CNN (~6×10⁵ float64 parameters) over the
 	// wire — the over-the-network cost is part of the testbed being
@@ -87,7 +86,7 @@ func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 		if row.Flat {
 			tl, err = netsim.SimulateTwoTier(env, payload, cfg.T, tau*pi)
 		} else {
-			tl, err = netsim.SimulateTree(tree, payload, cfg.T)
+			tl, err = netsim.SimulateTree(treeEnv, payload, cfg.T)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fig2h/l %s: %w", name, err)

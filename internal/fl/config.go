@@ -178,27 +178,29 @@ func (c *Config) Fingerprint(algorithm string) string {
 	return b.String()
 }
 
-// Tree resolves the run's aggregation tree: topo's, its leaves regrouping
-// the workers' shards in Edges order, or — when topo is nil — the cloud /
-// edge / worker tree Edges describes. It is the one tree both execution
-// engines run for the pair; NewHarness holds it to the horizon T.
+// Tree resolves the run's aggregation tree over the shards in leaf order
+// (Shards): topo's, or — when topo is nil — the cloud / edge / worker tree
+// Edges describes. It is the one tree both execution engines run for the
+// pair; NewHarness holds it to the horizon T.
 func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	// The edges' worker counts and the leaves' sample counts share a block.
-	counts := make([]int, len(c.Edges), len(c.Edges)+c.NumWorkers())
-	for l, edge := range c.Edges {
-		counts[l] = len(edge)
-		for _, shard := range edge {
-			counts = append(counts, shard.Len())
-		}
+	shards := c.Shards()
+	n := len(shards)
+	// The leaves' sample counts and the edges' worker counts share a block.
+	counts := make([]int, n, n+len(c.Edges))
+	for j, shard := range shards {
+		counts[j] = shard.Len()
 	}
-	cohorts, sizes := counts[:len(c.Edges)], counts[len(c.Edges):]
+	sizes := counts[:n:n]
 	var tree *topology.Tree
 	var err error
 	if topo == nil {
-		tree, err = topology.Derive(c.Tau, c.Pi, cohorts, sizes)
+		for _, edge := range c.Edges {
+			counts = append(counts, len(edge))
+		}
+		tree, err = topology.Derive(c.Tau, c.Pi, counts[n:], sizes)
 	} else {
 		tree, err = topo.Resolve(sizes)
 	}
@@ -208,6 +210,17 @@ func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	return tree, nil
+}
+
+// Shards returns the workers' shards in leaf order, Edges flattened edge by
+// edge: leaf j of every tree resolved from the config trains on Shards()[j].
+// It is the one place leaf order is decided.
+func (c *Config) Shards() []*dataset.Dataset {
+	shards := make([]*dataset.Dataset, 0, c.NumWorkers())
+	for _, edge := range c.Edges {
+		shards = append(shards, edge...)
+	}
+	return shards
 }
 
 // NumEdges returns L.

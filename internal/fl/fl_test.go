@@ -225,24 +225,6 @@ func TestHarnessWorkerStreamsDiffer(t *testing.T) {
 	}
 }
 
-func TestEdgeAverage(t *testing.T) {
-	hn, err := NewHarness(testConfig(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim := 3
-	ones := tensor.Vector{1, 1, 1}
-	twos := tensor.Vector{2, 2, 2}
-	dst := tensor.NewVector(dim)
-	// Equal-size IID shards → equal weights → plain mean.
-	if err := hn.EdgeAverage(dst, 0, []tensor.Vector{ones, twos}); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dst[0]-1.5) > 1e-12 {
-		t.Errorf("edge average = %v, want 1.5", dst[0])
-	}
-}
-
 func TestEvalSubsetCap(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.EvalSamples = 10

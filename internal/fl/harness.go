@@ -32,9 +32,9 @@ type Harness struct {
 // cfg.Tree resolved; nil means the configuration's own cloud / edge / worker
 // tree. It is the gate both engines pass a tree through: a tree whose leaves
 // are not cfg's shards, or that does not align with cfg.T
-// (topology.Tree.AlignsWith), is refused with ErrConfig. Leaf j trains on the
-// j-th shard of cfg.Edges in order and draws its mini-batches from the stream
-// its natal coordinates key.
+// (topology.Tree.AlignsWith), is refused with ErrConfig. Leaf j trains on
+// cfg.Shards()[j] and draws its mini-batches from the stream its natal
+// coordinates key.
 func NewHarness(cfg *Config, tree *topology.Tree) (*Harness, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -49,27 +49,25 @@ func NewHarness(cfg *Config, tree *topology.Tree) (*Harness, error) {
 		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	leafSizes := tree.Sizes[tree.Depth()-1]
-	if len(leafSizes) != cfg.NumWorkers() {
+	shards := cfg.Shards()
+	if len(leafSizes) != len(shards) {
 		return nil, fmt.Errorf("%w: tree %s has %d leaves for %d configured workers",
-			ErrConfig, tree, len(leafSizes), cfg.NumWorkers())
+			ErrConfig, tree, len(leafSizes), len(shards))
 	}
 	h := &Harness{
 		cfg:      cfg,
 		tree:     tree,
-		oracles:  make([]GradOracle, 0, len(leafSizes)),
-		lastLoss: make([]float64, len(leafSizes)),
+		oracles:  make([]GradOracle, len(shards)),
+		lastLoss: make([]float64, len(shards)),
 		sink:     cfg.Telemetry,
 	}
-	for _, edge := range cfg.Edges {
-		for _, shard := range edge {
-			j := len(h.oracles)
-			if shard.Len() != leafSizes[j] {
-				return nil, fmt.Errorf("%w: tree %s weighs leaf %d at %d samples, its shard holds %d",
-					ErrConfig, tree, j, leafSizes[j], shard.Len())
-			}
-			parent, pos := tree.Natal(j)
-			h.oracles = append(h.oracles, NewGradOracle(cfg, shard, WorkerSampler(cfg.Seed, parent, pos), h.sink))
+	for j, shard := range shards {
+		if shard.Len() != leafSizes[j] {
+			return nil, fmt.Errorf("%w: tree %s weighs leaf %d at %d samples, its shard holds %d",
+				ErrConfig, tree, j, leafSizes[j], shard.Len())
 		}
+		parent, pos := tree.Natal(j)
+		h.oracles[j] = NewGradOracle(cfg, shard, WorkerSampler(cfg.Seed, parent, pos), h.sink)
 	}
 	h.evalSet = cfg.Test
 	if cfg.EvalSamples > 0 && cfg.EvalSamples < cfg.Test.Len() {
@@ -203,15 +201,6 @@ func (h *Harness) weightedLoss(t int) float64 {
 		total += weights[j] * loss
 	}
 	return total
-}
-
-// EdgeAverage overwrites dst with the data-weighted average of the vectors of
-// leaf parent ℓ's children (D(i,ℓ)/Dℓ on the configuration's own tree).
-func (h *Harness) EdgeAverage(dst tensor.Vector, l int, vecs []tensor.Vector) error {
-	if err := tensor.WeightedSum(dst, h.tree.Weights[h.tree.LeafParent()][l], vecs); err != nil {
-		return fmt.Errorf("fl: edge %d average: %w", l, err)
-	}
-	return nil
 }
 
 // NewResult prepares a Result for the named algorithm.

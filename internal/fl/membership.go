@@ -61,28 +61,25 @@ func NewMembershipReport(tree *topology.Tree) *MembershipReport {
 	}
 }
 
-// LeafStats returns the workers' re-tiering statistics, Edges flattened in
-// order: each shard's size and its label histogram, pure functions of the
+// LeafStats returns the workers' re-tiering statistics in leaf order
+// (Shards): each shard's size and its label histogram, pure functions of the
 // data partition, so every process derives the same ones. The histogram is
 // the shard's raw per-class sample counts, not normalized: it sums to the
 // shard's size, so the L1 distances membership.Assign clusters by grow with
 // shard size.
 func (c *Config) LeafStats() []membership.WorkerStat {
+	shards := c.Shards()
 	numClasses := 0
-	for _, edge := range c.Edges {
-		for _, shard := range edge {
-			numClasses = max(numClasses, len(shard.ClassCounts()))
-		}
+	for _, shard := range shards {
+		numClasses = max(numClasses, len(shard.ClassCounts()))
 	}
-	var stats []membership.WorkerStat
-	for _, edge := range c.Edges {
-		for _, shard := range edge {
-			hist := make([]float64, numClasses)
-			for k, n := range shard.ClassCounts() {
-				hist[k] = float64(n)
-			}
-			stats = append(stats, membership.WorkerStat{Weight: float64(shard.Len()), Hist: hist})
+	stats := make([]membership.WorkerStat, len(shards))
+	for j, shard := range shards {
+		hist := make([]float64, numClasses)
+		for k, n := range shard.ClassCounts() {
+			hist[k] = float64(n)
 		}
+		stats[j] = membership.WorkerStat{Weight: float64(shard.Len()), Hist: hist}
 	}
 	return stats
 }

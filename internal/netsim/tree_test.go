@@ -4,16 +4,31 @@ import (
 	"testing"
 	"time"
 
+	"hieradmo/internal/rng"
 	"hieradmo/internal/topology"
 )
 
-func simTopo(t *testing.T, spec string) *topology.Topology {
+// simTopo resolves a spec's tree over leaves of one sample each: timing
+// reads the tree's shape, never its weights.
+func simTopo(t *testing.T, spec string) *topology.Tree {
 	t.Helper()
 	topo, err := topology.Parse(spec)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", spec, err)
 	}
-	return topo
+	leaves := 1
+	for _, lv := range topo.Levels {
+		leaves *= lv.Fanout
+	}
+	sizes := make([]int, leaves)
+	for j := range sizes {
+		sizes[j] = 1
+	}
+	tree, err := topo.Resolve(sizes)
+	if err != nil {
+		t.Fatalf("Resolve(%q): %v", spec, err)
+	}
+	return tree
 }
 
 // TestSimulateTreeMatchesThreeTier pins the tree simulator's three-tier
@@ -47,6 +62,81 @@ var threeTierTimeline = [...]time.Duration{
 	1246311058, 1365741272, 1485171486, 1594869092, 1704566699,
 	1814264305, 1923961912, 2033659518, 2143357125, 2264695989,
 	2386034853, 2507373717, 2628712581, 2750051445, 2871390309,
+}
+
+// TestSimulateTreeRagged times the ragged tree a run derives from edges of
+// three, one and two workers. Every leaf parent waits on its own cohort, so
+// the timeline is the one a flat three-tier walk over those cohorts draws,
+// leaf by leaf in leaf order; grouping the same six leaves into edges of
+// two draws another.
+func TestSimulateTreeRagged(t *testing.T) {
+	const tau, pi, T = 2, 3, 24
+	cohorts := []int{3, 1, 2}
+	tree, err := topology.Derive(tau, pi, cohorts, []int{1, 1, 1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := PaperTreeTestbed(tree, 5)
+	payload := ModelPayload(104, true)
+	tl, err := SimulateTree(env, payload, T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := threeTier(env, cohorts, payload, tau, pi, T)
+	for i := range want {
+		if tl[i] != want[i] {
+			t.Fatalf("timeline[%d] = %v, the cohorts' own three-tier walk %v", i, tl[i], want[i])
+		}
+	}
+	if blind := threeTier(env, []int{2, 2, 2}, payload, tau, pi, T); blind.Total() == tl.Total() {
+		t.Fatalf("edges of two time the ragged tree's %v too: the check cannot tell the cohorts apart", tl.Total())
+	}
+	// The flat walk is the pinned three-tier simulator's on a uniform tree.
+	pinned := threeTier(PaperTreeTestbed(simTopo(t, "cloud:tau=6/edge*2:tau=2/worker*2"), 11), []int{2, 2}, payload, tau, pi, T)
+	if pinned.Total() != threeTierTimeline[T] {
+		t.Fatalf("the flat walk ends the pinned scenario at %v, the pinned timeline at %v", pinned.Total(), threeTierTimeline[T])
+	}
+}
+
+// threeTier is the walk SimulateTree makes of a three-level tree, written
+// out flat: edge ℓ's workers are the next cohorts[ℓ] leaves, each edge round
+// waits on the slowest of them, and each root round on the slowest edge
+// after its π rounds and its WAN exchange.
+func threeTier(env *TreeEnv, cohorts []int, p Payload, tau, pi, T int) Timeline {
+	r := rng.New(env.Seed).Split(0x3a3a)
+	wan, lan := env.Links[0], env.Links[1]
+	tl := make(Timeline, T+1)
+	var now time.Duration
+	for round := 0; round < T/(tau*pi); round++ {
+		var slowestEdge time.Duration
+		first := 0
+		for _, n := range cohorts {
+			var edge time.Duration
+			for k := 0; k < pi; k++ {
+				var slowest time.Duration
+				for w := first; w < first+n; w++ {
+					var d time.Duration
+					for it := 0; it < tau; it++ {
+						d += env.Leaves[w].Sample(r)
+					}
+					d += lan.Transfer(p.WorkerUp, r)
+					d += lan.Transfer(p.WorkerDown, r)
+					slowest = max(slowest, d)
+				}
+				edge += slowest + env.AggCompute[1].Sample(r)
+			}
+			edge += wan.Transfer(p.EdgeUp, r)
+			edge += wan.Transfer(p.EdgeDown, r)
+			slowestEdge = max(slowestEdge, edge)
+			first += n
+		}
+		interval := slowestEdge + env.AggCompute[0].Sample(r)
+		for i := 1; i <= tau*pi; i++ {
+			tl[round*tau*pi+i] = now + interval*time.Duration(i)/time.Duration(tau*pi)
+		}
+		now += interval
+	}
+	return tl
 }
 
 // TestSimulateTreeDeterministic checks that reruns of a four-level

@@ -3,6 +3,7 @@ package theory
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,8 @@ import (
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
 	"hieradmo/internal/rng"
+	"hieradmo/internal/tensor"
+	"hieradmo/internal/topology"
 )
 
 func validParams() Params {
@@ -313,9 +316,11 @@ func TestTheorem5Moments(t *testing.T) {
 	}
 }
 
-func TestEstimateDivergence(t *testing.T) {
-	// Non-IID partitioning must produce strictly larger measured divergence
-	// than IID partitioning of the same data — Assumption 3 made tangible.
+// divergenceConfig partitions one toy dataset over edges (workers per
+// edge), IID when classesPerWorker is 0, and returns the config with the
+// shared initialization the estimates are taken at.
+func divergenceConfig(t *testing.T, classesPerWorker int, edges []int) (*fl.Config, tensor.Vector) {
+	t.Helper()
 	genCfg := dataset.GenConfig{
 		Name:          "toy",
 		Shape:         dataset.Shape{C: 1, H: 5, W: 5},
@@ -333,36 +338,40 @@ func TestEstimateDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(classesPerWorker int) *fl.Config {
-		var (
-			shards []*dataset.Dataset
-			perr   error
-		)
-		if classesPerWorker > 0 {
-			shards, perr = dataset.PartitionClasses(train, 4, classesPerWorker, 7)
-		} else {
-			shards, perr = dataset.PartitionIID(train, 4, 7)
-		}
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		hier, herr := dataset.Hierarchy(shards, []int{2, 2})
-		if herr != nil {
-			t.Fatal(herr)
-		}
-		return &fl.Config{
-			Model: m, Edges: hier, Test: test,
-			Eta: 0.05, Gamma: 0.5, GammaEdge: 0.5,
-			Tau: 2, Pi: 2, T: 8, BatchSize: 8, Seed: 5,
-		}
+	workers := 0
+	for _, n := range edges {
+		workers += n
 	}
-	params := m.Init(rng.New(1))
-
-	iid, err := EstimateDivergence(build(0), params)
+	var shards []*dataset.Dataset
+	if classesPerWorker > 0 {
+		shards, err = dataset.PartitionClasses(train, workers, classesPerWorker, 7)
+	} else {
+		shards, err = dataset.PartitionIID(train, workers, 7)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonIID, err := EstimateDivergence(build(1), params)
+	hier, err := dataset.Hierarchy(shards, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fl.Config{
+		Model: m, Edges: hier, Test: test,
+		Eta: 0.05, Gamma: 0.5, GammaEdge: 0.5,
+		Tau: 2, Pi: 2, T: 8, BatchSize: 8, Seed: 5,
+	}, m.Init(rng.New(1))
+}
+
+func TestEstimateDivergence(t *testing.T) {
+	// Non-IID partitioning must produce strictly larger measured divergence
+	// than IID partitioning of the same data — Assumption 3 made tangible.
+	iidCfg, params := divergenceConfig(t, 0, []int{2, 2})
+	iid, err := EstimateDivergence(iidCfg, nil, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonIIDCfg, _ := divergenceConfig(t, 1, []int{2, 2})
+	nonIID, err := EstimateDivergence(nonIIDCfg, nil, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,42 +390,89 @@ func TestEstimateDivergence(t *testing.T) {
 	}
 }
 
-func TestEdgeWeightsOf(t *testing.T) {
-	genCfg := dataset.GenConfig{
-		Name:          "toy",
-		Shape:         dataset.Shape{C: 1, H: 4, W: 4},
-		NumClasses:    3,
-		TemplateScale: 1.0,
-		NoiseStd:      0.5,
-	}
-	g, err := dataset.NewGenerator(genCfg, 3)
+// TestEstimateDivergenceThreeLevelPinned holds the estimate on the config's
+// own cloud / edge / worker tree to the values the edge-grouped estimate it
+// replaced gave on the same non-IID config, bit for bit.
+func TestEstimateDivergenceThreeLevelPinned(t *testing.T) {
+	cfg, params := divergenceConfig(t, 1, []int{2, 2})
+	div, err := EstimateDivergence(cfg, nil, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test := g.TrainTest(120, 40, 5)
-	shards, err := dataset.PartitionIID(train, 4, 7)
+	want := Divergence{
+		PerWorker: [][]float64{{1.4562609683678427, 1.4848151050025062}, {1.2685392410177718, 1.1924268865567056}},
+		PerEdge:   []float64{1.470399424371414, 1.2293060686151602},
+		Weights:   []float64{0.515, 0.485},
+		Global:    1.353469146829631,
+	}
+	if !reflect.DeepEqual(*div, want) {
+		t.Errorf("three-level estimate %+v, pinned %+v", *div, want)
+	}
+}
+
+// TestDivergenceWeights: the leaf parents' weights Dℓ/D are the root's
+// weights on the config's own tree and sum to 1.
+func TestDivergenceWeights(t *testing.T) {
+	cfg, params := divergenceConfig(t, 1, []int{3, 1})
+	div, err := EstimateDivergence(cfg, nil, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := dataset.Hierarchy(shards, []int{2, 2})
+	tree, err := cfg.Tree(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := model.NewLogisticRegression(genCfg.Shape, genCfg.NumClasses)
+	w := div.Weights
+	if !reflect.DeepEqual(w, tree.Weights[0][0]) || math.Abs(w[0]+w[1]-1) > 1e-12 {
+		t.Errorf("edge weights %v, the root's %v", w, tree.Weights[0][0])
+	}
+	if len(div.PerWorker[0]) != 3 || len(div.PerWorker[1]) != 1 {
+		t.Errorf("per-worker shape %d/%d, want the cohorts 3/1", len(div.PerWorker[0]), len(div.PerWorker[1]))
+	}
+}
+
+// TestEstimateDivergenceSpecTree scores a four-level spec tree over the same
+// shards: the leaf parents are its four edges of two workers, their weights
+// are their subtrees' shares of the data (the path products of the tree's
+// weights) and sum to 1, and δ is Σℓ Wℓ·δℓ summed in leaf-parent order.
+func TestEstimateDivergenceSpecTree(t *testing.T) {
+	cfg, params := divergenceConfig(t, 1, []int{4, 4})
+	topo, err := topology.Parse("cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := &fl.Config{
-		Model: m, Edges: hier, Test: test,
-		Eta: 0.05, Gamma: 0.5, GammaEdge: 0.5,
-		Tau: 2, Pi: 2, T: 8, BatchSize: 8, Seed: 5,
-	}
-	w, err := EdgeWeightsOf(cfg)
+	tree, err := cfg.Tree(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w) != 2 || math.Abs(w[0]+w[1]-1) > 1e-12 {
-		t.Errorf("edge weights %v", w)
+	div, err := EstimateDivergence(cfg, tree, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(div.PerEdge) != 4 || len(div.Weights) != 4 {
+		t.Fatalf("%d cohorts, %d weights; want the spec's four edges", len(div.PerEdge), len(div.Weights))
+	}
+	var sum, global float64
+	for l, w := range div.Weights {
+		if len(div.PerWorker[l]) != 2 {
+			t.Errorf("edge %d scores %d workers, want 2", l, len(div.PerWorker[l]))
+		}
+		if path := tree.Weights[0][0][l/2] * tree.Weights[1][l/2][l%2]; math.Abs(w-path) > 1e-15 {
+			t.Errorf("edge %d weighs %v, its path %v", l, w, path)
+		}
+		sum += w
+		global += w * div.PerEdge[l]
+	}
+	if math.Abs(sum-1) > 1e-12 {
+		t.Errorf("leaf-parent weights sum to %v", sum)
+	}
+	if global != div.Global {
+		t.Errorf("Global = %v, Σ Wℓ·δℓ = %v", div.Global, global)
+	}
+	// A tree resolved for another config is refused, as both engines refuse it.
+	other, _ := divergenceConfig(t, 1, []int{2, 2})
+	if _, err := EstimateDivergence(other, tree, params); !errors.Is(err, fl.ErrConfig) {
+		t.Errorf("a tree of eight leaves over four shards: %v, want fl.ErrConfig", err)
 	}
 }
 

@@ -44,10 +44,7 @@ func FuzzParseTopology(f *testing.F) {
 			}
 			return
 		}
-		if got := topo.NumNodes(); got > MaxNodes {
-			t.Fatalf("Parse(%q) accepted %d nodes (> MaxNodes %d)", s, got, MaxNodes)
-		}
-		if got := topo.Depth(); got < 2 || got > MaxDepth {
+		if got := len(topo.Levels); got < 2 || got > MaxDepth {
 			t.Fatalf("Parse(%q) accepted depth %d", s, got)
 		}
 		canon := topo.String()
@@ -67,7 +64,13 @@ func FuzzParseTopology(f *testing.F) {
 					i, canon, topo.Levels[i], again.Levels[i])
 			}
 		}
-		sizes := make([]int, topo.NumLeaves())
+		leaves := 1
+		for _, lv := range topo.Levels {
+			if leaves *= lv.Fanout; leaves > MaxNodes {
+				t.Fatalf("Parse(%q) accepted more than MaxNodes %d leaves", s, MaxNodes)
+			}
+		}
+		sizes := make([]int, leaves)
 		for j := range sizes {
 			sizes[j] = 1 + (7*j+len(s))%5
 		}
@@ -79,6 +82,9 @@ func FuzzParseTopology(f *testing.F) {
 			t.Fatalf("Resolve(%q) shaped %q", canon, tree)
 		}
 		checkTree(t, tree, sizes)
+		if got := numNodes(tree); got > MaxNodes {
+			t.Fatalf("Parse(%q) accepted %d nodes (> MaxNodes %d)", s, got, MaxNodes)
+		}
 		// Merging a run's default rules keeps the shape and every ID, wins
 		// nowhere over an explicit robust agg=, and leaves the spec as it was.
 		median := robust.Spec{Kind: robust.Median}

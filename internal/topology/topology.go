@@ -20,6 +20,10 @@
 //
 // The canonical String form feeds checkpoint fingerprints, so equal
 // topologies must render equally; Parse(t.String()) round-trips exactly.
+//
+// A Topology is only the parsed spec. Topology.Resolve lays it over a run's
+// shards into a Tree, the shape every consumer reads: both execution
+// engines, the timing simulation and the divergence estimator.
 package topology
 
 import (
@@ -88,45 +92,11 @@ type Level struct {
 	HasAdapt bool
 }
 
-// Topology is a validated aggregation tree: Levels[0] is the root,
-// Levels[len-1] the training tier.
+// Topology is a parsed, validated tree spec: Levels[0] is the root,
+// Levels[len-1] the training tier. Where its nodes sit is the resolved
+// Tree's to say.
 type Topology struct {
 	Levels []Level
-}
-
-// Depth returns the number of levels, training tier included.
-func (t *Topology) Depth() int { return len(t.Levels) }
-
-// Width returns the number of nodes at level i (the product of fanouts
-// down to and including i).
-func (t *Topology) Width(i int) int {
-	n := 1
-	for j := 1; j <= i; j++ {
-		n *= t.Levels[j].Fanout
-	}
-	return n
-}
-
-// NumLeaves returns the training-tier node count.
-func (t *Topology) NumLeaves() int { return t.Width(t.Depth() - 1) }
-
-// NumNodes returns the total node count over all levels.
-func (t *Topology) NumNodes() int {
-	total := 0
-	for i := range t.Levels {
-		total += t.Width(i)
-	}
-	return total
-}
-
-// LeafParent returns the index of the level whose children are the training
-// leaves.
-func (t *Topology) LeafParent() int { return t.Depth() - 2 }
-
-// SyncsPerParent returns how many of level i's aggregation rounds fit in one
-// of its parent's periods (τ_{i-1}/τ_i); the tree analogue of π.
-func (t *Topology) SyncsPerParent(i int) int {
-	return t.Levels[i-1].Tau / t.Levels[i].Tau
 }
 
 // String renders the canonical text form (root first). It feeds checkpoint
@@ -362,7 +332,7 @@ func (t *Topology) Validate() error {
 				ErrMisaligned, child.Name, child.Tau, parent.Name, parent.Tau)
 		}
 	}
-	lp := t.LeafParent()
+	lp := len(t.Levels) - 2
 	for i, lv := range t.Levels[:len(t.Levels)-1] {
 		if i != lp && lv.HasAdapt && lv.Adapt {
 			return fmt.Errorf("%w: level %q cannot adapt γ: only the leaf-parent level %q receives the gradient and momentum accumulators",
@@ -385,19 +355,6 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("%w: topology exceeds MaxNodes %d", ErrBounds, MaxNodes)
 		}
 		total += width
-	}
-	return nil
-}
-
-// AlignsWith checks that a run of T iterations lands on a whole number of
-// root periods (the tree analogue of fl.Config's T %% τπ == 0 rule).
-func (t *Topology) AlignsWith(T int) error { return aligns(t.Levels, T) }
-
-// aligns is the root-period check of Topology.AlignsWith and
-// Tree.AlignsWith.
-func aligns(levels []Level, T int) error {
-	if root := levels[0].Tau; T%root != 0 {
-		return fmt.Errorf("%w: T=%d is not a multiple of the root period τ=%d", ErrMisaligned, T, root)
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ func mustParse(t *testing.T, s string) *Topology {
 
 func TestParseIssueExample(t *testing.T) {
 	topo := mustParse(t, "cloud:tau=20/region:tau=5,agg=median/edge:tau=1/worker*8")
-	if got := topo.Depth(); got != 4 {
+	if got := len(topo.Levels); got != 4 {
 		t.Fatalf("depth = %d, want 4", got)
 	}
 	want := []Level{
@@ -32,15 +32,28 @@ func TestParseIssueExample(t *testing.T) {
 			t.Errorf("level %d = %+v, want %+v", i, lv, want[i])
 		}
 	}
-	if got := topo.NumLeaves(); got != 8 {
+	tree, err := topo.Resolve([]int{1, 1, 1, 1, 1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tree.NumLeaves(); got != 8 {
 		t.Errorf("NumLeaves = %d, want 8", got)
 	}
-	if got := topo.NumNodes(); got != 11 {
-		t.Errorf("NumNodes = %d, want 11", got)
+	if got := numNodes(tree); got != 11 {
+		t.Errorf("nodes = %d, want 11", got)
 	}
-	if got := topo.SyncsPerParent(1); got != 4 {
-		t.Errorf("SyncsPerParent(region) = %d, want 4", got)
+	if got := tree.Levels[0].Tau / tree.Levels[1].Tau; got != 4 {
+		t.Errorf("region rounds per cloud round = %d, want 4", got)
 	}
+}
+
+// numNodes counts the tree's nodes over every level.
+func numNodes(tree *Tree) int {
+	n := 0
+	for i := range tree.Levels {
+		n += tree.Width(i)
+	}
+	return n
 }
 
 func TestParseRoundTrip(t *testing.T) {
@@ -136,27 +149,37 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestAlignsWith(t *testing.T) {
-	topo := mustParse(t, "cloud:tau=6/worker*2")
-	if err := topo.AlignsWith(24); err != nil {
+	tree, err := mustParse(t, "cloud:tau=6/worker*2").Resolve([]int{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.AlignsWith(24); err != nil {
 		t.Errorf("AlignsWith(24): %v", err)
 	}
-	if err := topo.AlignsWith(20); !errors.Is(err, ErrMisaligned) {
+	if err := tree.AlignsWith(20); !errors.Is(err, ErrMisaligned) {
 		t.Errorf("AlignsWith(20) = %v, want ErrMisaligned", err)
 	}
 }
 
 func TestWidths(t *testing.T) {
-	topo := mustParse(t, "cloud:tau=8/region*3:tau=4/edge*2:tau=2/worker*4")
+	sizes := make([]int, 24)
+	for j := range sizes {
+		sizes[j] = 1
+	}
+	tree, err := mustParse(t, "cloud:tau=8/region*3:tau=4/edge*2:tau=2/worker*4").Resolve(sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []int{1, 3, 6, 24}
 	for i, w := range want {
-		if got := topo.Width(i); got != w {
+		if got := tree.Width(i); got != w {
 			t.Errorf("Width(%d) = %d, want %d", i, got, w)
 		}
 	}
-	if got := topo.NumNodes(); got != 34 {
-		t.Errorf("NumNodes = %d, want 34", got)
+	if got := numNodes(tree); got != 34 {
+		t.Errorf("nodes = %d, want 34", got)
 	}
-	if got := topo.LeafParent(); got != 2 {
+	if got := tree.LeafParent(); got != 2 {
 		t.Errorf("LeafParent = %d, want 2", got)
 	}
 }

@@ -292,8 +292,8 @@ func (t *Tree) Scenario() string {
 // T lands on a whole number of root periods, and a membership schedule
 // covers exactly T iterations of its leaf-parent rounds.
 func (t *Tree) AlignsWith(T int) error {
-	if err := aligns(t.Levels, T); err != nil {
-		return err
+	if root := t.Levels[0].Tau; T%root != 0 {
+		return fmt.Errorf("%w: T=%d is not a multiple of the root period τ=%d", ErrMisaligned, T, root)
 	}
 	if m, tau := t.churn, t.Levels[t.LeafParent()].Tau; m != nil && m.K*tau != T {
 		return fmt.Errorf("%w: the membership epochs of %s cover T=%d, not T=%d", ErrMisaligned, t, m.K*tau, T)
