@@ -74,9 +74,9 @@ func scrapeMetric(t *testing.T, body, name string) float64 {
 // /metrics endpoint, scrapes it over HTTP while training is in flight, and
 // asserts afterwards that every fault-class counter the exporter serves
 // equals the corresponding fl.Result.FaultReport total. The counters are
-// incremented live by the transport and the fault recorder; the report is
-// assembled independently at the end of the run — agreement means neither
-// path double-counts.
+// incremented live by the transport and the run's ledger; the report is
+// assembled at the end of the run from the transport's totals and the
+// ledger's tally — agreement means neither path double-counts.
 func TestMetricsScrapeMatchesFaultReport(t *testing.T) {
 	cfg := buildMetricsConfig(t, 73)
 	reg := telemetry.NewRegistry()

@@ -249,54 +249,6 @@ func TestClusterAttackChurnInterplay(t *testing.T) {
 	sameResult(t, "rerun", rerun, ref)
 }
 
-// TestClusterRobustMetricsMatchReport scrapes the fl_attack_* and
-// fl_robust_* instruments after a defended run and checks them against the
-// attack report — the counters must match the report exactly, because the
-// report is accumulated at the same call sites that bump them.
-func TestClusterRobustMetricsMatchReport(t *testing.T) {
-	cfg := buildConfig(t, 31, 2)
-	reg := telemetry.NewRegistry()
-	res, err := Run(cfg, transport.NewMemoryNetwork(), Options{
-		Adaptive:  true,
-		Telemetry: telemetry.New(reg, nil),
-		Tree: scenario{
-			attack: byzPlan(t, "signflip:worker-0-1@1,scale:worker-1-0@1=25"),
-			edge:   robust.Spec{Kind: robust.Cosine, CosMin: 0},
-			cloud:  robust.Spec{Kind: robust.Clip, Clip: 0.5},
-		}.tree(t, cfg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := res.AttackReport
-	if rep == nil {
-		t.Fatal("defended run returned no attack report")
-	}
-	if rep.TotalInjected() == 0 {
-		t.Fatal("attack plan injected nothing")
-	}
-	if rep.TotalRejected()+rep.TotalClipped() == 0 {
-		t.Fatal("robust aggregation neither rejected nor clipped anything under sustained attack")
-	}
-	counter := func(name string) int64 {
-		t.Helper()
-		c := reg.Counter(name)
-		if c == nil {
-			t.Fatalf("counter %s not registered", name)
-		}
-		return c.Value()
-	}
-	if got := counter("fl_attack_injected_total"); got != int64(rep.TotalInjected()) {
-		t.Errorf("fl_attack_injected_total = %d, report says %d", got, rep.TotalInjected())
-	}
-	if got := counter("fl_robust_rejected_total"); got != int64(rep.TotalRejected()) {
-		t.Errorf("fl_robust_rejected_total = %d, report says %d", got, rep.TotalRejected())
-	}
-	if got := counter("fl_robust_clipped_total"); got != int64(rep.TotalClipped()) {
-		t.Errorf("fl_robust_clipped_total = %d, report says %d", got, rep.TotalClipped())
-	}
-}
-
 // TestClusterRobustResumeFingerprint: resuming a Byzantine run's snapshots
 // under a different attack plan or aggregator describes a different
 // trajectory and must be refused; resuming under the same scenario must

@@ -198,7 +198,6 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	}
 
 	x0 := hn.InitParams()
-	rec := newFaultRecorder(opts.Telemetry, ts.tree)
 	leafLvl := ts.depth() - 1
 	if sink := opts.Telemetry; sink.Tracing() {
 		sink.Emit("run_start",
@@ -233,7 +232,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 
 	for j, ep := range eps[leafLvl] {
 		id := ts.tree.ID(leafLvl, j)
-		w := newTreeLeaf(cfg, ts, j, x0, rec, opts)
+		w := newTreeLeaf(cfg, ts, j, x0, opts)
 		done := make(chan struct{})
 		wg.Add(1)
 		go func() {
@@ -266,7 +265,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 			// The root ends the run on a shutdown request too, so runDone
 			// stops the respawn on either.
 			ropts.Interrupt = runDone
-			rw := newTreeLeaf(cfg, ts, j, x0, rec, ropts)
+			rw := newTreeLeaf(cfg, ts, j, x0, ropts)
 			if err := drive(rw, ep, ropts); err != nil && !errors.Is(err, ErrInterrupted) {
 				// An interrupt here just means the run ended while the
 				// respawned leaf was still catching up — expected, not a
@@ -277,7 +276,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	}
 	for i := leafLvl - 1; i >= 0; i-- {
 		for j := range eps[i] {
-			n := newTierNode(cfg, hn, ts, i, j, x0, rec, opts)
+			n := newTierNode(cfg, hn, ts, i, j, x0, opts)
 			ep := eps[i][j]
 			wg.Add(1)
 			go func() {
@@ -307,14 +306,12 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 			}
 		}
 	}
-	// Every node has ended, so the recorder and the errors are this
-	// goroutine's alone.
+	// Every node has ended, so the ledger and the errors are this
+	// goroutine's alone. The transport's totals join the nodes' faults.
+	var faults fl.FaultReport
 	if sr, ok := net.(transport.StatsReporter); ok {
 		s := sr.FaultStats()
-		rec.rep.Dropped += s.Dropped
-		rec.rep.Retries += s.Retries
-		rec.rep.Crashed = append(rec.rep.Crashed, s.Crashed...)
-		rec.rep.Restarted = append(rec.rep.Restarted, s.Restarted...)
+		faults.Dropped, faults.Retries, faults.Crashed, faults.Restarted = s.Dropped, s.Retries, s.Crashed, s.Restarted
 	}
 	// Strict mode fails on any node error; tolerant mode fails only when
 	// the root could not produce a result. Either way the joined error
@@ -326,9 +323,9 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	}
 	// Tolerated dropouts become part of the fault report instead.
 	for _, err := range errs {
-		rec.rep.NodeErrors = append(rec.rep.NodeErrors, err.Error())
+		faults.NodeErrors = append(faults.NodeErrors, err.Error())
 	}
-	finishResult(result, rec, ts.tree)
+	result.Report(ts.tree, ts.ledger.Tally(), faults)
 	if sink := opts.Telemetry; sink.Tracing() {
 		sink.Emit("run_end",
 			telemetry.Float("final_acc", result.FinalAcc),
@@ -361,11 +358,10 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 	if !ok {
 		return nil, fmt.Errorf("cluster: %q is not a node of the tree %s", ep.ID(), ts.tree)
 	}
-	rec := newFaultRecorder(opts.Telemetry, ts.tree)
 	if lvl == ts.depth()-1 {
-		return nil, drive(newTreeLeaf(cfg, ts, idx, hn.InitParams(), rec, opts), ep, opts)
+		return nil, drive(newTreeLeaf(cfg, ts, idx, hn.InitParams(), opts), ep, opts)
 	}
-	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), rec, opts)
+	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), opts)
 	if err := drive(n, ep, opts); err != nil {
 		return nil, err
 	}
@@ -373,5 +369,6 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 	if err != nil || res == nil {
 		return nil, err
 	}
-	return finishResult(res, rec, ts.tree), nil
+	res.Report(ts.tree, ts.ledger.Tally(), fl.FaultReport{})
+	return res, nil
 }

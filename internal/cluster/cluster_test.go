@@ -278,6 +278,14 @@ func TestClusterMatchesSimulation(t *testing.T) {
 					t.Errorf("fl_grad_clips_total = %d from the leaves, %d in the simulation (ClipNorm %v)",
 						clips, refClips, tc.clip)
 				}
+				// Both engines count and time the leaf parents' rounds alone,
+				// on the four-level trees too.
+				if got, want := m.EdgeAggregations.Value(), refM.EdgeAggregations.Value(); got != want {
+					t.Errorf("fl_edge_aggregations_total = %d in the cluster, %d in the simulation", got, want)
+				}
+				if got, want := m.EdgeAggSeconds.Count(), refM.EdgeAggSeconds.Count(); got != want {
+					t.Errorf("fl_edge_aggregate_seconds counts %d rounds in the cluster, %d in the simulation", got, want)
+				}
 			})
 		}
 	}

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"hieradmo/internal/checkpoint"
-	"hieradmo/internal/fl"
 	"hieradmo/internal/telemetry"
-	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
@@ -147,20 +145,4 @@ func flush(box *outbox, ep transport.Endpoint, reg *checkpoint.Registry, id stri
 	}
 	box.effects = box.effects[:0]
 	return nil
-}
-
-// finishResult fills a root's result with the run's reports: the faults rec
-// recorded (nil when there were none), the tree's membership and the
-// Byzantine-scenario report (fl.NewAttackReport). Run and RunNode both end
-// here.
-func finishResult(res *fl.Result, rec *faultRecorder, tree *topology.Tree) *fl.Result {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.rep.Any() {
-		rep := rec.rep
-		res.FaultReport = &rep
-	}
-	res.Membership = fl.NewMembershipReport(tree)
-	res.AttackReport = fl.NewAttackReport(tree, rec.inject, rec.rejected, rec.clipped)
-	return res
 }

@@ -28,7 +28,6 @@ type treeLeaf struct {
 	ts   *treeSpec
 	j    int // index within the leaf level
 	opts Options
-	rec  *faultRecorder
 	// att mutates this leaf's boundary reports when the run's attack plan
 	// marks it Byzantine; nil for honest leaves.
 	att *robust.Attacker
@@ -81,7 +80,7 @@ const (
 
 var awaited = [...]string{leafUpdate: "update", leafRetire: "retire", leafAdmit: "admit"}
 
-func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, rec *faultRecorder, opts Options) *treeLeaf {
+func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, opts Options) *treeLeaf {
 	lv := ts.level(ts.leafParent(), x0)
 	velocity := lv.Adapt && lv.Signal == core.SignalVelocity
 	count := core.LeafVectors
@@ -95,7 +94,6 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, rec *fau
 		ts:     ts,
 		j:      j,
 		opts:   opts,
-		rec:    rec,
 		att:    ts.tree.AttackPlan().Attacker(ts.tree.ID(ts.depth()-1, j), 4, len(x0)),
 		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), opts.Telemetry),
 		state:  core.NewLeaf(x0, newVec),
@@ -114,7 +112,8 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, rec *fau
 	return w
 }
 
-func (w *treeLeaf) id() string      { return w.ts.tree.ID(w.ts.depth()-1, w.j) }
+func (w *treeLeaf) id() string      { return w.ts.tree.ID(w.tier(), w.j) }
+func (w *treeLeaf) tier() int       { return w.ts.depth() - 1 }
 func (w *treeLeaf) outbox() *outbox { return &w.box }
 func (w *treeLeaf) tau() int        { return w.ts.tau(w.ts.leafParent()) }
 
@@ -302,7 +301,7 @@ func (w *treeLeaf) expire(now time.Time) error {
 	case w.phase == leafAdmit || !w.opts.tolerant():
 		return fmt.Errorf("cluster: %s await %s: %w", w.id(), awaited[w.phase], transport.ErrTimeout)
 	default:
-		w.rec.timeout(w.id())
+		w.ts.ledger.Timeout(w.id(), w.tier())
 		w.settle(now)
 	}
 	return nil
@@ -361,7 +360,7 @@ func (w *treeLeaf) fillReport(t, k int) error {
 			return fmt.Errorf("cluster: %s attack: %w", w.id(), err)
 		}
 		if hit {
-			w.rec.injected(w.id(), t, kind)
+			w.ts.ledger.AttackInject(w.id(), t, kind)
 			y, x, gradSum, ySum = mut[0], mut[1], mut[2], mut[3]
 		}
 	}
@@ -418,7 +417,7 @@ func (w *treeLeaf) deliver(now time.Time, msg transport.Message) error {
 			}
 		}
 		if msg.Round > w.t {
-			w.rec.fastforward(w.id(), w.t, msg.Round)
+			w.ts.ledger.FastForward(w.id(), w.tier(), w.t, msg.Round)
 		}
 	case leafAdmit:
 		if msg.Kind != KindAdmit && msg.Kind != KindTierUpdate {
@@ -430,7 +429,7 @@ func (w *treeLeaf) deliver(now time.Time, msg transport.Message) error {
 			w.settle(now)
 			return nil
 		case KindTierUpdate, KindAdmit:
-			w.rec.stale(w.id())
+			w.ts.ledger.StaleMessage(w.id(), w.tier())
 			return nil
 		}
 		return fmt.Errorf("cluster: %s got %q from %q while awaiting retire", w.id(), msg.Kind, msg.From)
@@ -438,7 +437,7 @@ func (w *treeLeaf) deliver(now time.Time, msg transport.Message) error {
 		return fmt.Errorf("cluster: %s got %q from %q while training", w.id(), msg.Kind, msg.From)
 	}
 	if msg.Round < w.t {
-		w.rec.stale(w.id())
+		w.ts.ledger.StaleMessage(w.id(), w.tier())
 		return nil
 	}
 	if err := w.adopt(msg); err != nil {

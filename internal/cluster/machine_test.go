@@ -11,6 +11,7 @@ import (
 
 	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
+	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
 	"hieradmo/internal/transport"
 )
@@ -26,14 +27,14 @@ type tierHarness struct {
 }
 
 // newTierHarness builds node (lvl, idx) of the tree opts selects on cfg as a
-// bare machine with a fault recorder of its own.
+// bare machine with a ledger of its own.
 func newTierHarness(t testing.TB, cfg *fl.Config, lvl, idx int, opts Options) *tierHarness {
 	t.Helper()
 	opts, hn, ts, err := prepare(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), newFaultRecorder(nil, ts.tree), opts)
+	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), opts)
 	return &tierHarness{n: n, x0: hn.InitParams(), t0: time.Unix(1e9, 0)}
 }
 
@@ -60,6 +61,9 @@ func (h *tierHarness) expire(at time.Duration) error {
 func (h *tierHarness) deliver(at time.Duration, msg transport.Message) error {
 	return h.flush(h.n.deliver(h.t0.Add(at), msg))
 }
+
+// tally is what the node's ledger has counted.
+func (h *tierHarness) tally() telemetry.Tally { return h.n.ts.ledger.Tally() }
 
 // wake is the machine's wake time as an offset from the epoch.
 func (h *tierHarness) wake() time.Duration { return h.n.box.wake.Sub(h.t0) }
@@ -165,8 +169,8 @@ func TestTierMachine(t *testing.T) {
 			must(t, h.deliver(7*ms, transport.Message{From: CloudID, Kind: KindTierUpdate, Round: 4,
 				Vectors: [][]float64{h.x0.Clone(), h.x0.Clone()}}))
 			wantLog(t, h, "save 2", w0+" tier-update@4", w1+" tier-update@4")
-			if rep := h.n.rec.rep; rep.Any() {
-				t.Errorf("a fault-free round recorded %v", rep)
+			if tally := h.tally(); tally.Tiers != nil || tally.Missed != nil {
+				t.Errorf("a fault-free round recorded %v", tally)
 			}
 		}},
 		{name: "quorum then straggler forfeited after the grace", opts: tolerant, run: func(t *testing.T, h *tierHarness) {
@@ -180,8 +184,8 @@ func TestTierMachine(t *testing.T) {
 			wantLog(t, h)
 			must(t, h.expire(10*time.Second+time.Minute))
 			wantLog(t, h, "save 1", w0+" tier-update@2", w1+" tier-update@2")
-			if got := h.n.rec.rep.MissingWorkers[2]; got != 1 {
-				t.Errorf("MissingWorkers[2] = %d, want 1", got)
+			if got := h.tally().Missed[telemetry.TierRound{Tier: 1, T: 2}]; got != 1 {
+				t.Errorf("edge-0 missed %d reports at t=2, want 1", got)
 			}
 		}},
 		{name: "below quorum until the deadline", opts: Options{MinQuorum: 0.5, RecvTimeout: time.Second, StragglerDeadline: 100 * ms},
@@ -235,16 +239,44 @@ func TestTierMachine(t *testing.T) {
 				t.Fatalf("%d refused reports stashed", len(h.n.pending))
 			}
 		}},
+		{name: "future report past the run or off the period refused", opts: tolerant, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			// edge-0 aggregates every τ = 2 iterations through T.
+			for _, round := range []int{h.n.cfg.T + 2, 1 << 30, 3} {
+				if err := h.deliver(1*ms, h.report(w1, round)); !errors.Is(err, ErrMalformedReport) || !strings.Contains(err.Error(), w1) {
+					t.Errorf("a report for round %d: %v, want a wrapped ErrMalformedReport naming %s", round, err, w1)
+				}
+			}
+			if len(h.n.pending) != 0 {
+				t.Fatalf("%d refused reports stashed", len(h.n.pending))
+			}
+		}},
+		{name: "repeated future report counted duplicate on arrival", opts: tolerant, run: func(t *testing.T, h *tierHarness) {
+			h.begin(t)
+			for range 3 {
+				must(t, h.deliver(1*ms, h.report(w1, 4)))
+			}
+			if dup := h.tally().Total(telemetry.Duplicate); len(h.n.pending) != 1 || dup != 2 {
+				t.Fatalf("three copies of one round-2 report: %d stashed, %d duplicates; want 1, 2", len(h.n.pending), dup)
+			}
+			must(t, h.deliver(2*ms, h.report(w0, 2)))
+			must(t, h.expire(2*ms+time.Minute))
+			must(t, h.expire(2*ms+time.Minute))
+			// Round 2 admits the one stashed copy and counts no more.
+			if dup := h.tally().Total(telemetry.Duplicate); len(h.n.pending) != 0 || h.n.got != 1 || dup != 2 {
+				t.Fatalf("round 2 opened with %d stashed, %d counted, %d duplicates; want 0, 1, 2", len(h.n.pending), h.n.got, dup)
+			}
+		}},
 		{name: "future report outside its round's cohort counted stale", opts: joining, run: func(t *testing.T, h *tierHarness) {
 			h.begin(t)
 			// Round 2's cohort does not hold the joiner yet; round 3's does.
 			must(t, h.deliver(1*ms, h.report(w1, 4)))
-			if len(h.n.pending) != 0 || h.n.rec.rep.StaleMessages != 1 {
-				t.Fatalf("the joiner's round-2 report: %d stashed, %d stale; want it counted stale", len(h.n.pending), h.n.rec.rep.StaleMessages)
+			if stale := h.tally().Total(telemetry.Stale); len(h.n.pending) != 0 || stale != 1 {
+				t.Fatalf("the joiner's round-2 report: %d stashed, %d stale; want it counted stale", len(h.n.pending), stale)
 			}
 			must(t, h.deliver(2*ms, h.report(w1, 6)))
-			if len(h.n.pending) != 1 || h.n.rec.rep.StaleMessages != 1 {
-				t.Fatalf("the joiner's round-3 report: %d stashed, %d stale; want it stashed", len(h.n.pending), h.n.rec.rep.StaleMessages)
+			if stale := h.tally().Total(telemetry.Stale); len(h.n.pending) != 1 || stale != 1 {
+				t.Fatalf("the joiner's round-3 report: %d stashed, %d stale; want it stashed", len(h.n.pending), stale)
 			}
 		}},
 		{name: "future report refused when strict", opts: Options{Adaptive: true}, run: func(t *testing.T, h *tierHarness) {
@@ -262,8 +294,9 @@ func TestTierMachine(t *testing.T) {
 			must(t, h.deliver(3*ms, h.report(w0, 2)))
 			// A duplicate must not overwrite the slot or inflate the count.
 			must(t, h.deliver(4*ms, h.report(w0, 2)))
-			if rep := h.n.rec.rep; rep.StaleMessages != 2 || rep.DuplicateReports != 1 || h.n.got != 1 {
-				t.Fatalf("stale %d, duplicate %d, counted %d; want 2, 1, 1", rep.StaleMessages, rep.DuplicateReports, h.n.got)
+			if tally := h.tally(); tally.Total(telemetry.Stale) != 2 || tally.Total(telemetry.Duplicate) != 1 || h.n.got != 1 {
+				t.Fatalf("stale %d, duplicate %d, counted %d; want 2, 1, 1",
+					tally.Total(telemetry.Stale), tally.Total(telemetry.Duplicate), h.n.got)
 			}
 			must(t, h.deliver(5*ms, h.report(w1, 2)))
 			wantLog(t, h, "save 1", w0+" tier-update@2", w1+" tier-update@2")
@@ -285,8 +318,8 @@ func TestTierMachine(t *testing.T) {
 			must(t, h.deliver(1*ms, transport.Message{From: "cloud-0", Kind: KindTierUpdate, Round: 8,
 				Vectors: [][]float64{h.x0.Clone(), h.x0.Clone()}}))
 			wantLog(t, h)
-			if h.n.rec.rep.StaleMessages != 1 || h.n.phase != tierCollect {
-				t.Fatalf("strict: stale %d, phase %d; want the update discarded as stale mid-collect", h.n.rec.rep.StaleMessages, h.n.phase)
+			if stale := h.tally().Total(telemetry.Stale); stale != 1 || h.n.phase != tierCollect {
+				t.Fatalf("strict: stale %d, phase %d; want the update discarded as stale mid-collect", stale, h.n.phase)
 			}
 			if err := h.expire(DefaultRecvTimeout); !errors.Is(err, transport.ErrTimeout) {
 				t.Fatalf("strict collect at the deadline: %v, want a wrapped ErrTimeout", err)
@@ -304,8 +337,8 @@ func TestTierMachine(t *testing.T) {
 			wantWake(t, h, 5*ms+time.Hour)
 			must(t, h.expire(5*ms+time.Hour))
 			wantLog(t, h, "save 2", "edge-0 tier-update@8", "edge-1 tier-update@8")
-			if h.n.rec.rep.Timeouts != 1 {
-				t.Errorf("Timeouts = %d, want the ride-out counted", h.n.rec.rep.Timeouts)
+			if got := h.tally().Total(telemetry.TimedOut); got != 1 {
+				t.Errorf("%d timeouts, want the ride-out counted", got)
 			}
 		}},
 		{name: "second consecutive miss fails", middle: true, opts: tolerant, run: func(t *testing.T, h *tierHarness) {
@@ -315,8 +348,8 @@ func TestTierMachine(t *testing.T) {
 			wantWake(t, h, 1*ms+3*time.Minute)
 			must(t, h.expire(1*ms+3*time.Minute))
 			wantLog(t, h, "save 1", "edge-0 tier-update@4", "edge-1 tier-update@4")
-			if h.n.missStreak[1] != 1 || h.n.rec.rep.MissingEdges[4] != 1 {
-				t.Fatalf("edge-1's streak %d, MissingEdges %v; want one substituted miss", h.n.missStreak[1], h.n.rec.rep.MissingEdges)
+			if missed := h.tally().Missed; h.n.missStreak[1] != 1 || missed[telemetry.TierRound{Tier: 1, T: 4}] != 1 {
+				t.Fatalf("edge-1's streak %d, misses %v; want one substituted miss at t=4", h.n.missStreak[1], missed)
 			}
 			must(t, h.expire(1*ms+3*time.Minute))
 			must(t, h.deliver(4*time.Minute, h.report("edge-0", 8)))
@@ -415,8 +448,9 @@ func TestEdgeRejectsMalformedTerm(t *testing.T) {
 // only moves the clock), round, sender, and vector count and eq. (6) term
 // (none, in range, out of range, NaN, ±Inf). The machines must never panic,
 // every error must be a typed one (ErrMalformedReport,
-// transport.ErrTimeout) or name the message's sender, and one input
-// sequence must always give the same outbox sequence.
+// transport.ErrTimeout) or name the message's sender, the ride-ahead stash
+// must never hold two reports of one sender for one round or one past T, and
+// one input sequence must always give the same outbox sequence.
 func FuzzTierMachine(f *testing.F) {
 	cfg := buildConfig(f, 61, 0)
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 1, 2, 1, 1, 0, 1, 4, 0, 1, 1, 1, 4, 1, 1})
@@ -436,11 +470,21 @@ func FuzzTierMachine(f *testing.F) {
 		lvl := int(in[0]>>1) & 1
 		h := newTierHarness(t, cfg, lvl, 0, opts)
 		var log []string
+		// record logs the outbox after an input and holds the stash to one
+		// report per sender and round, none past the run's last.
 		record := func() {
 			for _, e := range h.n.box.effects {
 				log = append(log, fmt.Sprintf("%s %v %v", describe(e), e.msg.Vectors, e.msg.Scalars))
 			}
 			h.n.box.effects = h.n.box.effects[:0]
+			for i, p := range h.n.pending {
+				if p.Round > cfg.T {
+					t.Fatalf("a report for round %d stashed past T = %d", p.Round, cfg.T)
+				}
+				if slices.ContainsFunc(h.n.pending[:i], func(q transport.Message) bool { return q.From == p.From && q.Round == p.Round }) {
+					t.Fatalf("two reports from %s for round %d stashed", p.From, p.Round)
+				}
+			}
 		}
 		// A delivery's error must name its sender. An expiry names none: a
 		// stashed report was vetted when it was delivered.

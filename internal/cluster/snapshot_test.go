@@ -350,7 +350,7 @@ func TestIntervalKeepsNegativeZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := make(tensor.Vector, cfg.Model.Dim())
-	w := newTreeLeaf(cfg, ts, 0, x0, nil, opts)
+	w := newTreeLeaf(cfg, ts, 0, x0, opts)
 	if got := w.saveInterval(nil); len(got) != 0 {
 		t.Fatalf("fresh accumulators encode to %d values, want none", len(got))
 	}
@@ -365,7 +365,7 @@ func TestIntervalKeepsNegativeZero(t *testing.T) {
 	if len(interval) != 2*n || len(yStart) != n {
 		t.Fatalf("with a −0 the entries hold %d and %d values, want %d and %d", len(interval), len(yStart), 2*n, n)
 	}
-	back := newTreeLeaf(cfg, ts, 0, x0, nil, opts)
+	back := newTreeLeaf(cfg, ts, 0, x0, opts)
 	if err := back.loadInterval(interval); err != nil {
 		t.Fatal(err)
 	}

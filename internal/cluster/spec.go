@@ -8,6 +8,7 @@ import (
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/rng"
+	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
 	"hieradmo/internal/topology"
 )
@@ -18,9 +19,9 @@ import (
 // leaves' natal keys and every node's transport ID: the tree the in-process
 // simulation runs too) and the rule row every level's rule is resolved from.
 //
-// It is pure derived data — building one performs no I/O, and every process
-// of a multi-process deployment derives the identical spec from the shared
-// config and options.
+// Apart from the ledger it is pure derived data — building one performs no
+// I/O, and every process of a multi-process deployment derives the identical
+// spec from the shared config and options.
 type treeSpec struct {
 	cfg  *fl.Config
 	tree *topology.Tree
@@ -33,6 +34,9 @@ type treeSpec struct {
 	// its level's rule from rule.LevelAt, as the simulation does; the leaves
 	// compute their eq. (6) terms under the leaf parents'.
 	rule *core.Rule
+	// ledger records every counted fact of the process's nodes; the root's
+	// result reports are built from its tally.
+	ledger telemetry.Ledger
 }
 
 // newTreeSpec builds every level's rule on the run's tree, which
@@ -45,7 +49,8 @@ func newTreeSpec(cfg *fl.Config, tree *topology.Tree, opts Options) (*treeSpec, 
 		hier = core.New
 	}
 	ts := &treeSpec{cfg: cfg, tree: tree, shards: cfg.Shards(),
-		rule: hier(core.WithAdaptSignal(opts.Signal), core.WithClampCeiling(opts.Ceiling)).Row()}
+		rule:   hier(core.WithAdaptSignal(opts.Signal), core.WithClampCeiling(opts.Ceiling)).Row(),
+		ledger: telemetry.NewLedger(opts.Telemetry, tree.Depth())}
 	// A level whose rule cannot be built fails here, before any node starts.
 	for i := range tree.Levels[:tree.Depth()-1] {
 		if _, err := ts.rule.LevelAt(tree, cfg, i); err != nil {

@@ -38,7 +38,6 @@ type tierNode struct {
 	lvl  int
 	idx  int
 	opts Options
-	rec  *faultRecorder
 
 	// tier is the node's Algorithm 1 state and update arithmetic (see
 	// internal/core); everything else here decides which reports reach it.
@@ -106,7 +105,7 @@ const (
 	tierSync
 )
 
-func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, rec *faultRecorder, opts Options) *tierNode {
+func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, opts Options) *tierNode {
 	// The tier is sized for the node's largest cohort across membership
 	// epochs.
 	fan := ts.tree.Fanout(lvl, idx)
@@ -124,7 +123,6 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 		lvl:    lvl,
 		idx:    idx,
 		opts:   opts,
-		rec:    rec,
 		tier:   core.NewTier(lv, fan, newVec),
 		losses: make(map[int]float64),
 
@@ -299,7 +297,7 @@ func (n *tierNode) redistribute(k int, resend bool) {
 		if _, member := position(prev, c); !member {
 			msg.Kind = KindAdmit
 			if join, _ := sched.Span(c); !resend {
-				n.opts.Telemetry.MembershipJoin(childID(c), t, join != next)
+				n.ts.ledger.MembershipJoin(childID(c), t, join != next)
 			}
 		}
 		n.box.send(childID(c), msg)
@@ -311,7 +309,7 @@ func (n *tierNode) redistribute(k int, resend bool) {
 				continue
 			}
 			if !resend {
-				n.opts.Telemetry.MembershipLeave(childID(j), t)
+				n.ts.ledger.MembershipLeave(childID(j), t)
 			}
 			n.box.send(childID(j), retire)
 		}
@@ -336,7 +334,7 @@ func (n *tierNode) redistribute(k int, resend bool) {
 		n.box.send(n.ts.tree.ID(lp, p), reassign)
 	}
 	if !resend {
-		n.opts.Telemetry.MembershipRetier(t, len(reassign.Vectors[0])/3)
+		n.ts.ledger.MembershipRetier(t, len(reassign.Vectors[0])/3)
 	}
 }
 
@@ -407,7 +405,7 @@ func (n *tierNode) expire(now time.Time) error {
 	}
 	// Ride it out: keep local state for this sync; the parent substitutes
 	// this node's last report and the next sync reconverges both sides.
-	n.rec.timeout(n.id())
+	n.ts.ledger.Timeout(n.id(), n.lvl)
 	n.settle(now)
 	return nil
 }
@@ -468,7 +466,7 @@ func (n *tierNode) begin(now time.Time) error {
 		case msg.Round > n.want():
 			keep = append(keep, msg)
 		case msg.Round < n.want():
-			n.rec.stale(n.id())
+			n.ts.ledger.StaleMessage(n.id(), n.lvl)
 			msg.Release()
 		default:
 			switch ok, err := n.admit(msg); {
@@ -526,8 +524,9 @@ func (n *tierNode) progress(now time.Time) error {
 // floating-point results; duplicates and stale rounds are rejected (and
 // counted). A report for a future round — a child that rode out a lost
 // update and ran ahead — is vetted against that round's cohort and stashed
-// for it in quorum mode, and is a protocol error in strict mode (strict
-// children never ride out). In
+// for it in quorum mode, a second copy counted a duplicate at once, and is a
+// protocol error in strict mode (strict children never ride out); a round
+// past the run's last or off the node's period is malformed. In
 // quorum mode a parent update for this round or later means the parent
 // completed a sync without this node: it is adopted on the spot and the
 // node fast-forwards instead of timing out on a round the protocol moved
@@ -551,18 +550,25 @@ func (n *tierNode) collect(now time.Time, msg transport.Message) error {
 			return err
 		}
 		// A parent update from a sync this node already gave up on.
-		n.rec.stale(n.id())
+		n.ts.ledger.StaleMessage(n.id(), n.lvl)
 	case msg.Kind != KindTierReport:
 		err = expectKind(msg, KindTierReport)
 	case msg.Round < n.want():
-		n.rec.stale(n.id())
+		n.ts.ledger.StaleMessage(n.id(), n.lvl)
 	case !n.opts.tolerant() && msg.Round > n.want():
 		err = fmt.Errorf("cluster: report from %q for future round %d (want %d)", msg.From, msg.Round, n.want())
+	case msg.Round > n.cfg.T || msg.Round%n.tau() != 0:
+		err = fmt.Errorf("cluster: report from %q for round %d, not a round of %s (every %d iterations through %d): %w",
+			msg.From, msg.Round, n.id(), n.tau(), n.cfg.T, ErrMalformedReport)
 	case msg.Round > n.want():
 		// Vetted now, against the cohort of its own round, so the stash
-		// and every snapshot of it hold only reports that round may take.
+		// and every snapshot of it hold only reports that round may take,
+		// one per sender.
 		kids, _ := n.ts.tree.Children(n.lvl, n.idx, msg.Round/n.tau())
-		if _, _, keep, err = n.vet(msg, kids); keep {
+		if _, _, keep, err = n.vet(msg, kids); keep && n.stashed(msg) {
+			n.ts.ledger.DuplicateReport(n.id(), n.lvl)
+			keep = false
+		} else if keep {
 			n.pending = append(n.pending, msg)
 		}
 	default:
@@ -577,6 +583,14 @@ func (n *tierNode) collect(now time.Time, msg transport.Message) error {
 		return err
 	}
 	return n.progress(now)
+}
+
+// stashed reports whether the ride-ahead stash holds a report from msg's
+// sender for msg's round.
+func (n *tierNode) stashed(msg transport.Message) bool {
+	return slices.ContainsFunc(n.pending, func(p transport.Message) bool {
+		return p.From == msg.From && p.Round == msg.Round
+	})
 }
 
 // close ends round k's collect and aggregates it. What a partial round
@@ -597,7 +611,9 @@ func (n *tierNode) close(now time.Time) error {
 	} else if err := n.substitute(); err != nil {
 		return err
 	}
-	n.rec.missingTier(n.ts.tree.Levels[n.lvl].Name, n.lvl, n.want(), len(n.kids)-n.got, n.leafParent())
+	if missing := len(n.kids) - n.got; missing > 0 {
+		n.ts.ledger.QuorumMiss(n.ts.tree.Levels[n.lvl].Name, n.lvl, n.want(), missing)
+	}
 	if err := n.update(idx); err != nil {
 		return err
 	}
@@ -657,7 +673,7 @@ func (n *tierNode) syncReply(now time.Time, msg transport.Message) error {
 	case KindTierReport:
 		// Straggler reports from the round this node already closed can
 		// still trickle in while it waits on its parent.
-		n.rec.stale(n.id())
+		n.ts.ledger.StaleMessage(n.id(), n.lvl)
 		return nil
 	case KindReassign:
 		// A REASSIGN from an earlier sync can arrive out of order on a
@@ -668,7 +684,7 @@ func (n *tierNode) syncReply(now time.Time, msg transport.Message) error {
 		return err
 	}
 	if msg.Round < n.want() {
-		n.rec.stale(n.id())
+		n.ts.ledger.StaleMessage(n.id(), n.lvl)
 		return nil
 	}
 	if len(msg.Vectors) != 2 {
@@ -689,7 +705,7 @@ func (n *tierNode) syncReply(now time.Time, msg transport.Message) error {
 // supersedes the rounds in between: the node skips them instead of trailing
 // — and having every report rejected as stale — forever.
 func (n *tierNode) fastForward(now time.Time, adopted int) {
-	n.rec.fastforward(n.id(), n.want(), adopted)
+	n.ts.ledger.FastForward(n.id(), n.lvl, n.want(), adopted)
 	n.k = adopted / n.tau()
 	n.settle(now)
 }
@@ -732,7 +748,7 @@ func (n *tierNode) admit(msg transport.Message) (bool, error) {
 	if n.reports[pos].Vectors != nil {
 		// A duplicate must not overwrite the slot twice while inflating the
 		// reporter count: reject it and keep counting distinct reporters only.
-		n.rec.duplicate(n.id())
+		n.ts.ledger.DuplicateReport(n.id(), n.lvl)
 		return false, nil
 	}
 	n.reports[pos] = msg
@@ -757,7 +773,7 @@ func (n *tierNode) vet(msg transport.Message, kids []int) (from, pos int, ok boo
 			// A worker not in the round's cohort (e.g. a just-reassigned
 			// worker's report that crossed the boundary) has nothing to
 			// contribute to it.
-			n.rec.stale(n.id())
+			n.ts.ledger.StaleMessage(n.id(), n.lvl)
 			return 0, 0, false, nil
 		}
 		return 0, 0, false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
@@ -792,8 +808,8 @@ func (n *tierNode) vet(msg transport.Message, kids []int) (from, pos int, ok boo
 // lines 18–19 otherwise) over the children at cohort positions idx — the
 // leaf-parent's reporters, everyone elsewhere — and publishes what it
 // decided. What stays here is runtime: pointing the tier at the round's
-// reports, γℓ migration across a cohort change, and the fault/attack
-// records, metrics and trace.
+// reports, γℓ migration across a cohort change, and the round's metrics,
+// trace and ledger facts.
 func (n *tierNode) update(idx []int) error {
 	sink := n.opts.Telemetry
 	var aggStart time.Time
@@ -825,29 +841,37 @@ func (n *tierNode) update(idx []int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: %s aggregation at round %d: %w", n.id(), k, err)
 	}
+	m := sink.M()
 	adaptive := n.tier.Level().Adapt
 	if adaptive {
 		if out.Gamma == 0 {
-			sink.M().GammaZeroed.Inc()
+			m.GammaZeroed.Inc()
 		}
-		sink.M().EdgeCosine.Set(out.Cos)
+		m.EdgeCosine.Set(out.Cos)
 	}
 	if migrated {
-		sink.GammaMigration(n.id(), t, n.ts.tree.Membership().Policy.String(), out.Applied)
+		n.ts.ledger.GammaMigration(n.id(), t, n.ts.tree.Membership().Policy.String(), out.Applied)
 	}
-	if n.lvl == 0 {
-		sink.M().CloudSyncs.Inc()
-		sink.M().Round.Set(float64(t))
+	// The root's rounds are cloud syncs and the leaf parents' edge
+	// aggregations, as in the simulation; a middle tier's show as its
+	// tier_aggregate events.
+	var seconds *telemetry.Histogram
+	switch {
+	case n.lvl == 0:
+		m.CloudSyncs.Inc()
+		m.Round.Set(float64(t))
 		if sched := n.ts.tree.Membership(); sched != nil {
 			r := t / n.ts.tau(n.ts.leafParent())
-			sink.M().MembershipEpoch.Set(float64(sched.EpochIndex(r)))
-			sink.M().LiveWorkers.Set(float64(sched.LiveCount(r)))
+			m.MembershipEpoch.Set(float64(sched.EpochIndex(r)))
+			m.LiveWorkers.Set(float64(sched.LiveCount(r)))
 		}
-	} else {
-		sink.M().EdgeAggregations.Inc()
+		seconds = m.CloudSyncSeconds
+	case n.leafParent():
+		m.EdgeAggregations.Inc()
+		seconds = m.EdgeAggSeconds
 	}
 	if n.leafParent() {
-		sink.M().GammaEdge.Set(out.Applied)
+		m.GammaEdge.Set(out.Applied)
 	}
 	if sink.Tracing() {
 		fields := []telemetry.Field{
@@ -863,26 +887,15 @@ func (n *tierNode) update(idx []int) error {
 		}
 		sink.Emit("tier_aggregate", fields...)
 	}
-	if st := out.Robust; len(st.Rejected) > 0 || len(st.Clipped) > 0 {
-		// Map the aggregation's reporter slots back to node IDs.
-		ids := make([]string, len(idx))
-		for j, pos := range idx {
-			ids[j] = n.ts.tree.ID(n.lvl+1, kids[pos])
-		}
-		n.rec.robustTier(n.id(), n.ts.tree.Levels[n.lvl].Name, n.lvl, t, st, ids)
-	}
+	out.RecordVerdicts(&n.ts.ledger, n.ts.tree, n.lvl, n.idx, t, n.lvl+1, kids, idx)
 	// The weighted loss over the full child weights: stragglers contribute
 	// their most recently reported value.
 	n.weightedLoss = 0
 	for pos, c := range kids {
 		n.weightedLoss += full[pos] * n.losses[c]
 	}
-	if sink != nil {
-		if n.lvl == 0 {
-			sink.M().CloudSyncSeconds.Observe(time.Since(aggStart).Seconds())
-		} else {
-			sink.M().EdgeAggSeconds.Observe(time.Since(aggStart).Seconds())
-		}
+	if seconds != nil {
+		seconds.Observe(time.Since(aggStart).Seconds())
 	}
 	return nil
 }

@@ -152,12 +152,10 @@ type sim struct {
 	yStart []tensor.Vector
 	// attackers[j] mutates leaf j's reports (nil if honest); nil without a plan.
 	attackers []*robust.Attacker
-	// injected counts the plan's injections by kind, and rejected and
-	// clipped every level's robust verdicts by tree level, for the run's
-	// fl.AttackReport. Like the cluster's, the report covers what this
-	// process ran: a resumed run counts from its resume on.
-	injected          map[string]int
-	rejected, clipped []int //flvet:allow ckptstate -- report counters, not trajectory state
+	// ledger records the run's counted facts, and the run's reports are
+	// built from its tally. Like the cluster's, it covers what this process
+	// ran: a resumed run counts from its resume on.
+	ledger telemetry.Ledger
 	// churn marks a tree with membership epochs.
 	churn bool
 	// fullIdx is the everyone-reported position list, and partIdx the buffer
@@ -409,13 +407,10 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 	evalModel := newVec()
 	partRNG := rng.New(cfg.Seed).Split(0x9a47)
-	// One block holds both position lists and the per-level verdict counts:
-	// the run allocates no more for partial participation or robust levels
-	// than without them.
-	tiers := tree.LeafParent() + 1
-	idxBlock := make([]int, 2*maxFan+2*tiers)
-	fullIdx, partIdx := idxBlock[:maxFan:maxFan], idxBlock[maxFan:2*maxFan:2*maxFan]
-	verdicts := idxBlock[2*maxFan:]
+	// One block holds both position lists: the run allocates no more for
+	// partial participation than without it.
+	idxBlock := make([]int, 2*maxFan)
+	fullIdx, partIdx := idxBlock[:maxFan:maxFan], idxBlock[maxFan:]
 	for i := range fullIdx {
 		fullIdx[i] = i
 	}
@@ -432,7 +427,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 
 	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, attackers: attackers, churn: churn,
-		rejected: verdicts[:tiers:tiers], clipped: verdicts[tiers:],
+		ledger: telemetry.NewLedger(sink, tree.Depth()),
 		yStart: yStart, fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
 
 	// Crash recovery: register the run's state, then resume after the last
@@ -575,8 +570,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	if err := hn.Finish(res, levels[top].nodes[0].tier.XPlus); err != nil {
 		return nil, err
 	}
-	res.Membership = fl.NewMembershipReport(tree)
-	res.AttackReport = fl.NewAttackReport(tree, s.injected, s.rejected, s.clipped)
+	res.Report(tree, s.ledger.Tally(), fl.FaultReport{})
 	if sink.Tracing() {
 		sink.Emit("run_end",
 			telemetry.Float("final_acc", res.FinalAcc),
@@ -674,16 +668,12 @@ func (s *sim) round(t, k, n int) error {
 		}
 	}
 
-	// Every level counts its robust verdicts; the root and the leaf parents
-	// publish their rounds, the middle tiers of a deeper tree not yet.
+	// The root and the leaf parents publish their rounds, the middle tiers
+	// of a deeper tree not yet; every level records its robust verdicts.
 	sink := s.sink
 	m := sink.M()
-	s.rejected[lev.level] += len(out.Robust.Rejected)
-	s.clipped[lev.level] += len(out.Robust.Clipped)
-	m.RobustRejected.Add(int64(len(out.Robust.Rejected)))
-	m.RobustClipped.Add(int64(len(out.Robust.Clipped)))
 	if migrated {
-		sink.GammaMigration(s.tree.ID(lev.level, n), t, s.tree.Membership().Policy.String(), out.Applied)
+		s.ledger.GammaMigration(s.tree.ID(lev.level, n), t, s.tree.Membership().Policy.String(), out.Applied)
 	}
 	if k == len(s.levels)-1 && s.churn {
 		s.rootMembership(t)
@@ -724,6 +714,11 @@ func (s *sim) round(t, k, n int) error {
 			sink.Emit("edge_aggregate", fields...)
 		}
 	}
+	below := lev.level + 1
+	if s.rule.Flat {
+		below = s.tree.Depth() - 1
+	}
+	out.RecordVerdicts(&s.ledger, s.tree, lev.level, n, t, below, kids, idx)
 
 	switch {
 	case k == 0 && s.churn:
@@ -779,6 +774,24 @@ func (s *sim) round(t, k, n int) error {
 	return nil
 }
 
+// RecordVerdicts records on ledger what the robust rule of node n at tree
+// level lvl decided at iteration t, for both engines: report slot j held the
+// node at position idx[j] of the cohort kids, on tree level below. A round
+// without a verdict reads no ID, so a simulation without one never mints
+// the tree's IDs.
+func (o Outcome) RecordVerdicts(ledger *telemetry.Ledger, tree *topology.Tree, lvl, n, t, below int, kids, idx []int) {
+	if len(o.Robust.Rejected) == 0 && len(o.Robust.Clipped) == 0 {
+		return
+	}
+	node, level := tree.ID(lvl, n), tree.Levels[lvl].Name
+	for _, j := range o.Robust.Rejected {
+		ledger.RobustReject(node, level, lvl, t, tree.ID(below, kids[idx[j]]))
+	}
+	for _, j := range o.Robust.Clipped {
+		ledger.RobustClip(node, level, lvl, t, tree.ID(below, kids[idx[j]]), o.Robust.MaxNorm)
+	}
+}
+
 // rootMembership publishes the membership state at the root's round at
 // iteration t, as the distributed root does: the epoch and live workers of
 // the leaf parents' round then, and a re-tiering that takes effect at their
@@ -792,7 +805,7 @@ func (s *sim) rootMembership(t int) {
 		return
 	}
 	if next := sched.EpochAt(r + 1); next.Retier && next.Start == r+1 {
-		s.sink.MembershipRetier(t, len(sched.ReassignedAt(r+1)))
+		s.ledger.MembershipRetier(t, len(sched.ReassignedAt(r+1)))
 	}
 }
 
@@ -810,14 +823,14 @@ func (s *sim) admit(t, n int) error {
 	sched, leaf := s.tree.Membership(), s.tree.Depth()-1
 	for _, j := range sched.LeavesAfter(k) {
 		if l, ok := sched.EdgeOf(k, j); ok && l == n {
-			s.sink.MembershipLeave(s.tree.ID(leaf, j), t)
+			s.ledger.MembershipLeave(s.tree.ID(leaf, j), t)
 		}
 	}
 	tier := lev.nodes[n].tier
 	for _, j := range s.nextCohort(t, n) {
 		if !slices.Contains(prev, j) {
 			join, _ := sched.Span(j)
-			s.sink.MembershipJoin(s.tree.ID(leaf, j), t, join != next)
+			s.ledger.MembershipJoin(s.tree.ID(leaf, j), t, join != next)
 		}
 		w := s.leaves[j]
 		if err := w.Adopt(tier.YMinus, tier.XPlus); err != nil {
@@ -872,11 +885,7 @@ func (s *sim) uplink(t int, e *Tier, kids, idx []int) error {
 			}
 			if hit {
 				y, x, gradSum, ySum = mut[0], mut[1], mut[2], mut[3]
-				if s.injected == nil {
-					s.injected = make(map[string]int)
-				}
-				s.injected[kind]++
-				s.sink.AttackInject(id, t, kind)
+				s.ledger.AttackInject(id, t, kind)
 			}
 		}
 		if s.quantizer != nil {

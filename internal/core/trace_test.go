@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hieradmo/internal/fl"
+	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 )
 
@@ -175,5 +176,74 @@ func TestReducedRunHasNoCosineField(t *testing.T) {
 		if _, ok := e.Fields["gamma"]; !ok {
 			t.Fatal("edge_aggregate without gamma field")
 		}
+	}
+}
+
+// TestRobustVerdictsTraced: the simulation records every robust verdict on
+// its ledger as the cluster does, so a defended run under attack writes one
+// robust_reject / robust_clip event per verdict, naming the aggregating node
+// and the reporter, by the tiers the attack report counts; and a run without
+// telemetry fills the same report from the ledger's tally alone.
+func TestRobustVerdictsTraced(t *testing.T) {
+	cfg := buildConfig(t, []int{2, 2}, 2, 17)
+	derived, err := cfg.Tree(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := derived.WithAggregators(robust.Spec{Kind: robust.Cosine, CosMin: 0}, robust.Spec{Kind: robust.Clip, Clip: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := robust.ParsePlan("signflip:worker-0-1@1,scale:worker-1-0@1=25", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree, err = tree.WithAttackPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := New().RunTree(cfg, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := bare.AttackReport
+	if rep == nil || rep.TotalInjected() == 0 || rep.TotalRejected() == 0 || rep.TotalClipped() == 0 {
+		t.Fatalf("a defended run without telemetry reports %v; want injections, rejections and clips", rep)
+	}
+
+	var buf bytes.Buffer
+	traced := *cfg
+	traced.Telemetry = telemetry.New(nil, telemetry.NewTracer(&buf))
+	res, err := New().RunTree(&traced, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := traced.Telemetry.Tracer().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.AttackReport, rep) {
+		t.Errorf("attack report with telemetry %v, without %v", res.AttackReport, rep)
+	}
+	events, err := telemetry.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byTier := map[string]map[int]int{"robust_reject": {}, "robust_clip": {}}
+	for _, ev := range events {
+		counts, ok := byTier[ev.Ev]
+		if !ok {
+			continue
+		}
+		tier := int(ev.Fields["tier_index"].(float64))
+		node, from := ev.Fields["node"].(string), ev.Fields["from"].(string)
+		if lvl, _, ok := tree.Lookup(node); !ok || lvl != tier {
+			t.Errorf("%s names node %q, not a node of level %d", ev.Ev, node, tier)
+		}
+		if lvl, _, ok := tree.Lookup(from); !ok || lvl != tier+1 {
+			t.Errorf("%s names reporter %q, not a node of level %d", ev.Ev, from, tier+1)
+		}
+		counts[tier]++
+	}
+	if !reflect.DeepEqual(byTier["robust_reject"], rep.RejectedByTier) || !reflect.DeepEqual(byTier["robust_clip"], rep.ClippedByTier) {
+		t.Errorf("verdict events by tier %v, report says rejected %v, clipped %v", byTier, rep.RejectedByTier, rep.ClippedByTier)
 	}
 }

@@ -2,10 +2,10 @@ package fl
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
+	"hieradmo/internal/telemetry"
 	"hieradmo/internal/topology"
 )
 
@@ -31,27 +31,24 @@ type AttackReport struct {
 	TierAggregators []string `json:",omitempty"`
 }
 
-// NewAttackReport builds the report of a run over tree from its injection
-// counts by kind and its per-tier rejection and clip counts, indexed by
-// tree level; nil when nothing was injected, rejected or clipped, no level
-// is robust and the tree carries no attack plan.
-func NewAttackReport(tree *topology.Tree, injected map[string]int, rejectedByTier, clippedByTier []int) *AttackReport {
-	rejected, clipped := byTier(rejectedByTier), byTier(clippedByTier)
-	if len(injected) == 0 && rejected == nil && clipped == nil && !tree.Robust() && tree.AttackPlan() == nil {
+// NewAttackReport builds the report of a run over tree from its ledger's
+// tally: the injections by kind and every level's rejections and clips; nil
+// when nothing was injected, rejected or clipped, no level is robust and the
+// tree carries no attack plan.
+func NewAttackReport(tree *topology.Tree, tally telemetry.Tally) *AttackReport {
+	rejected, clipped := byTier(tally, telemetry.Rejected), byTier(tally, telemetry.Clipped)
+	if len(tally.Injections) == 0 && rejected == nil && clipped == nil && !tree.Robust() && tree.AttackPlan() == nil {
 		return nil
 	}
-	rep := &AttackReport{RejectedByTier: rejected, ClippedByTier: clipped, TierAggregators: tree.Aggregators()}
-	if len(injected) > 0 {
-		rep.Injected = maps.Clone(injected)
-	}
-	return rep
+	return &AttackReport{Injected: tally.Injections, RejectedByTier: rejected, ClippedByTier: clipped,
+		TierAggregators: tree.Aggregators()}
 }
 
-// byTier keeps a per-tier count's non-zero entries; nil when there are none.
-func byTier(counts []int) map[int]int {
+// byTier keeps fact f's non-zero per-level counts; nil when there are none.
+func byTier(tally telemetry.Tally, f telemetry.Fact) map[int]int {
 	var m map[int]int
-	for tier, n := range counts {
-		if n != 0 {
+	for tier, counts := range tally.Tiers {
+		if n := counts[f]; n != 0 {
 			if m == nil {
 				m = make(map[int]int)
 			}

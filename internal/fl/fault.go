@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"hieradmo/internal/telemetry"
+	"hieradmo/internal/topology"
 )
 
 // FaultReport records every fault a degraded distributed run survived, so
@@ -40,6 +43,34 @@ type FaultReport struct {
 	// NodeErrors holds the rendered errors of nodes that dropped out of a
 	// run that still completed.
 	NodeErrors []string
+}
+
+// Report fills the result's three reports of a run over tree from its ledger's
+// tally; both engines end here. The fault report holds the reports the
+// aggregations went without (MissingWorkers at the leaf parents,
+// MissingEdges above) and the duplicate, stale and timed-out counts, next to
+// what extra brings from outside the nodes (the transport's totals, crashed
+// nodes, dropouts); it is nil when the run saw no fault. The membership
+// report comes from the tree's schedule (NewMembershipReport) and the attack
+// report from the tally (NewAttackReport).
+func (r *Result) Report(tree *topology.Tree, tally telemetry.Tally, extra FaultReport) {
+	extra.DuplicateReports = tally.Total(telemetry.Duplicate)
+	extra.StaleMessages = tally.Total(telemetry.Stale)
+	extra.Timeouts = tally.Total(telemetry.TimedOut)
+	if len(tally.Missed) > 0 || extra.Any() {
+		rep := extra // a fault-free run allocates no report
+		rep.MissingWorkers, rep.MissingEdges = make(map[int]int), make(map[int]int)
+		for at, n := range tally.Missed {
+			if at.Tier == tree.LeafParent() {
+				rep.MissingWorkers[at.T] += n
+			} else {
+				rep.MissingEdges[at.T] += n
+			}
+		}
+		r.FaultReport = &rep
+	}
+	r.Membership = NewMembershipReport(tree)
+	r.AttackReport = NewAttackReport(tree, tally)
 }
 
 // Any reports whether the run recorded at least one fault.

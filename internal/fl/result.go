@@ -30,16 +30,16 @@ type Result struct {
 	// Iterations is the configured T.
 	Iterations int
 	// FaultReport describes the faults a degraded distributed run survived;
-	// nil for simulation runs and fault-free distributed runs.
+	// nil for fault-free runs, which every simulation run is.
 	FaultReport *FaultReport `json:",omitempty"`
 
-	// Membership summarizes planned churn and re-tiering for cluster runs
-	// with dynamic membership enabled; nil for static runs.
+	// Membership summarizes planned churn and re-tiering for runs with
+	// dynamic membership enabled; nil for static runs.
 	Membership *MembershipReport `json:",omitempty"`
 
 	// AttackReport summarizes injected Byzantine updates and robust
-	// aggregation decisions for cluster runs with the robust layer
-	// enabled; nil otherwise.
+	// aggregation decisions for runs with the robust layer enabled; nil
+	// otherwise.
 	AttackReport *AttackReport `json:",omitempty"`
 }
 

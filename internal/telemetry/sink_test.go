@@ -40,20 +40,46 @@ func TestNilSinkIsFullyFunctional(t *testing.T) {
 
 // TestNilSinkIsAllocationFree pins the tentpole's hot-loop contract: with
 // telemetry off, the instrument calls inlined into training loops allocate
-// nothing.
+// nothing, and neither does recording a fact on a ledger once its tally
+// holds the fact's level, attack kind and missed round.
 func TestNilSinkIsAllocationFree(t *testing.T) {
 	var sink *Sink
-	if allocs := testing.AllocsPerRun(1000, func() {
-		m := sink.M()
-		m.WorkerSteps.Inc()
-		m.GradClips.Add(2)
-		m.GammaEdge.Set(0.5)
-		m.IterationSeconds.Observe(0.01)
-		if sink.Tracing() {
-			t.Fatal("unreachable")
+	ledger := NewLedger(sink, 3)
+	facts := func() {
+		ledger.RobustReject("edge-0", "edge", 1, 4, "worker-0-1")
+		ledger.RobustClip("cloud", "cloud", 0, 8, "edge-1", 2.5)
+		ledger.QuorumMiss("edge", 1, 6, 1)
+		ledger.StaleMessage("worker-1-0", 2)
+		ledger.DuplicateReport("edge-1", 1)
+		ledger.Timeout("edge-0", 1)
+		ledger.FastForward("worker-0-0", 2, 4, 8)
+		ledger.AttackInject("worker-0-1", 2, "signflip")
+		ledger.MembershipJoin("worker-0-1", 4, false)
+		ledger.MembershipJoin("worker-1-1", 8, true)
+		ledger.MembershipLeave("worker-1-0", 12)
+		ledger.MembershipRetier(8, 2)
+		ledger.GammaMigration("edge-0", 10, "zero", 0)
+	}
+	facts() // the tally's first facts allocate it
+	for _, row := range []struct {
+		name string
+		run  func()
+	}{
+		{"instruments", func() {
+			m := sink.M()
+			m.WorkerSteps.Inc()
+			m.GradClips.Add(2)
+			m.GammaEdge.Set(0.5)
+			m.IterationSeconds.Observe(0.01)
+			if sink.Tracing() {
+				t.Fatal("unreachable")
+			}
+		}},
+		{"ledger", facts},
+	} {
+		if allocs := testing.AllocsPerRun(1000, row.run); allocs != 0 {
+			t.Errorf("nil-sink %s path allocates %v per call, want 0", row.name, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("nil-sink instrument path allocates %v per call, want 0", allocs)
 	}
 }
 
