@@ -97,7 +97,8 @@ race:
 ## round-tripping every accepted tree and every accepted spec resolving into
 ## the topology.Tree both engines run (children and parents inverting, the
 ## leaf order covering every leaf once, each weight the integer ratio of a
-## child's subtree size over its node's), and the wire-frame decoder, which
+## child's subtree size over its node's) whose flat view is a two-level
+## tree keeping every leaf's ID or a typed refusal, and the wire-frame decoder, which
 ## must yield a Message or ErrFrame / a truncation error without allocating
 ## past its caps, every accepted frame re-encoding to the bytes it came from,
 ## and the cluster's node machines, which must take any sequence of

@@ -121,7 +121,6 @@ func TestMetricsScrapeMatchesFaultReport(t *testing.T) {
 		MinQuorum:         0.5,
 		StragglerDeadline: 100 * time.Millisecond,
 		RecvTimeout:       5 * time.Second,
-		Telemetry:         sink,
 	})
 	close(done)
 	if err != nil {

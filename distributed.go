@@ -17,11 +17,11 @@ import (
 
 // Distributed-execution types, re-exported from the cluster runtime.
 type (
-	// ClusterOptions tunes a distributed run: adaptation, signal and clamp;
-	// receive timeout, quorum fraction and straggler deadline; checkpoints,
-	// resume and interrupt; telemetry and clock; and the tree it runs (Tree,
-	// with its aggregation rules, attack plan and membership epochs, or a
-	// Topology to resolve).
+	// ClusterOptions tunes a distributed run: adaptation and signal; receive
+	// timeout, quorum fraction and straggler deadline; checkpoints, resume
+	// and interrupt; and the tree it runs (Tree, with its aggregation rules,
+	// attack plan and membership epochs, or a Topology to resolve). Metrics
+	// and traces go to the config's Telemetry sink.
 	ClusterOptions = cluster.Options
 	// ClusterNetwork is the transport factory a distributed run executes
 	// over.

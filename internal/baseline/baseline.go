@@ -12,8 +12,9 @@
 //	Mime        flat  frozen global mom.   plain average                momentum refresh
 //	FedADC      flat  drift-controlled     plain average                pseudo-gradient momentum
 //
-// The flat view connects every worker directly to the cloud with one
-// aggregation period of τ·π, matching the paper's fair-comparison setup. The
+// A flat row runs on the tree's flat view (topology.Tree.Flat), which
+// connects every worker directly to the cloud with one aggregation period of
+// τ·π, matching the paper's fair-comparison setup. The
 // first group is Algorithm 1 under another configuration and has no
 // arithmetic here; the hooked rows keep only the server or worker rule that
 // is genuinely not Algorithm 1 (hooks.go). CFL and FedADC follow the

@@ -111,7 +111,9 @@ func TestClusterAttackDeterministic(t *testing.T) {
 	attacked := func(netf func() Network) (*fl.Result, []string, error) {
 		var buf bytes.Buffer
 		tr := telemetry.NewTracer(&buf)
-		res, err := Run(cfg, netf(), Options{Adaptive: true, Telemetry: telemetry.New(nil, tr), Tree: tree})
+		traced := *cfg
+		traced.Telemetry = telemetry.New(nil, tr)
+		res, err := Run(&traced, netf(), Options{Adaptive: true, Tree: tree})
 		if err != nil {
 			return nil, nil, err
 		}

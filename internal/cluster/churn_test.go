@@ -249,7 +249,7 @@ func TestClusterChurnMetricsMatchTrace(t *testing.T) {
 	cfg := buildConfig(t, 51, 2)
 	reg := telemetry.NewRegistry()
 	opts := churnOptions(t, cfg)
-	opts.Telemetry = telemetry.New(reg, nil)
+	cfg.Telemetry = telemetry.New(reg, nil)
 	res, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -29,10 +29,9 @@ type Options struct {
 	// Adaptive enables the γℓ adaptation of eq. (6)–(7); false runs
 	// HierAdMo-R with the config's fixed GammaEdge.
 	Adaptive bool
-	// Signal selects the adaptation statistic (default core.SignalYSum).
+	// Signal selects the adaptation statistic (default core.SignalYSum); the
+	// γℓ clamp is core.DefaultClampCeiling.
 	Signal core.AdaptSignal
-	// Ceiling is the γℓ clamp (default core.DefaultClampCeiling).
-	Ceiling float64
 	// RecvTimeout bounds every blocking receive (default
 	// DefaultRecvTimeout).
 	RecvTimeout time.Duration
@@ -66,13 +65,6 @@ type Options struct {
 	// Run fails with an error wrapping ErrInterrupted. A later run with
 	// Resume picks up from those snapshots.
 	Interrupt <-chan struct{}
-	// Telemetry, when non-nil, receives metrics and trace events from every
-	// node and the transport layer (defaults to the config's Telemetry
-	// sink). Cluster trace events carry the emitting node's ID; unlike the
-	// single-threaded simulation their interleaving across nodes depends on
-	// scheduling, so cluster traces are ordered (per-event seq) but not
-	// byte-diffable between runs.
-	Telemetry *telemetry.Sink
 
 	// Tree is the resolved tree the run executes: its shape and node IDs,
 	// every level's aggregation rule (Tree.WithAggregators), the attack plan
@@ -92,9 +84,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Signal == 0 {
 		o.Signal = core.SignalYSum
-	}
-	if o.Ceiling == 0 {
-		o.Ceiling = core.DefaultClampCeiling
 	}
 	if o.RecvTimeout == 0 {
 		o.RecvTimeout = DefaultRecvTimeout
@@ -144,9 +133,6 @@ func prepare(cfg *fl.Config, opts Options) (Options, *fl.Harness, *treeSpec, err
 	if err := opts.validate(); err != nil {
 		return opts, nil, nil, err
 	}
-	if opts.Telemetry == nil {
-		opts.Telemetry = cfg.Telemetry
-	}
 	tree := opts.Tree
 	if tree == nil {
 		var err error
@@ -172,6 +158,12 @@ func prepare(cfg *fl.Config, opts Options) (Options, *fl.Harness, *treeSpec, err
 // aggregations proceed with a quorum of survivors after the straggler
 // deadline and every tolerated fault is recorded in the result's
 // FaultReport.
+//
+// Metrics and trace events from every node and the transport go to
+// cfg.Telemetry. Cluster trace events carry the emitting node's ID; unlike
+// the single-threaded simulation's, their interleaving across nodes depends
+// on scheduling, so cluster traces are ordered (per-event seq) but not
+// byte-diffable between runs.
 func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	defer net.Close()
 	opts, hn, ts, err := prepare(cfg, opts)
@@ -181,7 +173,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	// Let the transport count its own faults (drops, delays, retries) live
 	// on the sink; their totals below only touch the FaultReport.
 	if tset, ok := net.(transport.TelemetrySetter); ok {
-		tset.SetTelemetry(opts.Telemetry)
+		tset.SetTelemetry(cfg.Telemetry)
 	}
 
 	// Create every endpoint before any node starts (TCP needs all addresses
@@ -199,7 +191,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 
 	x0 := hn.InitParams()
 	leafLvl := ts.depth() - 1
-	if sink := opts.Telemetry; sink.Tracing() {
+	if sink := cfg.Telemetry; sink.Tracing() {
 		sink.Emit("run_start",
 			telemetry.String("alg", "HierAdMo/cluster"),
 			telemetry.String("topology", ts.tree.String()),
@@ -238,7 +230,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 		go func() {
 			defer wg.Done()
 			defer close(done)
-			fail(drive(w, ep, opts))
+			fail(drive(w, ep, cfg.Telemetry, opts))
 		}()
 		if rv == nil || !opts.tolerant() || !rv.RestartPlanned(id) {
 			continue
@@ -266,7 +258,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 			// stops the respawn on either.
 			ropts.Interrupt = runDone
 			rw := newTreeLeaf(cfg, ts, j, x0, ropts)
-			if err := drive(rw, ep, ropts); err != nil && !errors.Is(err, ErrInterrupted) {
+			if err := drive(rw, ep, cfg.Telemetry, ropts); err != nil && !errors.Is(err, ErrInterrupted) {
 				// An interrupt here just means the run ended while the
 				// respawned leaf was still catching up — expected, not a
 				// fault.
@@ -281,7 +273,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				err := drive(n, ep, opts)
+				err := drive(n, ep, cfg.Telemetry, opts)
 				if n.lvl > 0 {
 					fail(err)
 					return
@@ -326,7 +318,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 		faults.NodeErrors = append(faults.NodeErrors, err.Error())
 	}
 	result.Report(ts.tree, ts.ledger.Tally(), faults)
-	if sink := opts.Telemetry; sink.Tracing() {
+	if sink := cfg.Telemetry; sink.Tracing() {
 		sink.Emit("run_end",
 			telemetry.Float("final_acc", result.FinalAcc),
 			telemetry.Float("final_loss", result.FinalLoss))
@@ -359,10 +351,10 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 		return nil, fmt.Errorf("cluster: %q is not a node of the tree %s", ep.ID(), ts.tree)
 	}
 	if lvl == ts.depth()-1 {
-		return nil, drive(newTreeLeaf(cfg, ts, idx, hn.InitParams(), opts), ep, opts)
+		return nil, drive(newTreeLeaf(cfg, ts, idx, hn.InitParams(), opts), ep, cfg.Telemetry, opts)
 	}
 	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), opts)
-	if err := drive(n, ep, opts); err != nil {
+	if err := drive(n, ep, cfg.Telemetry, opts); err != nil {
 		return nil, err
 	}
 	res, err := n.finish()

@@ -113,7 +113,10 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	// rule from core.Rule.LevelAt, a momentum step with γ = 0. The robust
 	// rows take every level's aggregation rule from the tree — a spec's
 	// agg=, or the edge / cloud defaults merged into it — in both
-	// engines, which must reject and clip the same reports.
+	// engines, which must reject and clip the same reports. The flat row
+	// runs HierAdMo on the flat view of a ragged config's tree: the root
+	// alone over every leaf at the leaves' global weights, each leaf keeping
+	// its (edge, worker) sampler key and ID.
 	const tree4 = "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2"
 	const robust3 = "cloud:tau=4,agg=trimmed(0.25)/edge*2:tau=2,agg=median/worker*2"
 	median := robust.Spec{Kind: robust.Median}
@@ -128,6 +131,8 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		zeroGammaEdge bool
 		edge, cloud   robust.Spec
 		plan          string
+		cohorts       []int
+		flat          bool
 	}
 	cases := []matchCase{
 		{name: "adaptive", adaptive: true},
@@ -138,6 +143,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		{name: "tree4-reduced", topology: tree4},
 		{name: "depth2-gamma0", topology: "cloud:tau=4,gamma=0/worker*4"},
 		{name: "regrouped", adaptive: true, topology: "cloud:tau=4/edge:tau=2/worker*4"},
+		{name: "flat-ragged", adaptive: true, cohorts: []int{3, 1, 2}, flat: true},
 		{name: "spec-trimmed-median", adaptive: true, topology: robust3},
 		{name: "spec-trimmed-median-reduced", topology: robust3},
 		{name: "tree4-clip-median-cosine", adaptive: true,
@@ -193,6 +199,9 @@ func TestClusterMatchesSimulation(t *testing.T) {
 			}
 			t.Run(tc.name+"/"+nw.name, func(t *testing.T) {
 				cfg := buildConfig(t, 31, 2)
+				if tc.cohorts != nil {
+					cfg = buildFlatConfig(t, 31, tc.cohorts)
+				}
 				var topo *topology.Topology
 				if tc.topology != "" {
 					topo = treeTopo(t, tc.topology)
@@ -220,6 +229,11 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				tree, err := cfg.Tree(topo)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if tc.flat {
+					if tree, err = tree.Flat(); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if tree, err = tree.WithAggregators(tc.edge, tc.cloud); err != nil {
 					t.Fatal(err)

@@ -71,9 +71,10 @@ func (b *outbox) push(e effect) {
 // receives until the machine's wake time — in slices of at most
 // interruptSlice while a shutdown channel is set, so an interrupt is noticed
 // within one slice even on a quiet socket. The interrupt is checked before
-// every input, so a leaf notices it between any two iterations.
-func drive(m machine, ep transport.Endpoint, opts Options) error {
-	id, sink := m.id(), opts.Telemetry
+// every input, so a leaf notices it between any two iterations. Resumes and
+// saves are mirrored onto sink, the run's (fl.Config.Telemetry).
+func drive(m machine, ep transport.Endpoint, sink *telemetry.Sink, opts Options) error {
+	id := m.id()
 	reg, err := m.initCheckpoint()
 	if reg != nil {
 		// Every saved byte was fsynced before its save returned, so a close

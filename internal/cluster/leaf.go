@@ -95,7 +95,7 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, opts Opt
 		j:      j,
 		opts:   opts,
 		att:    ts.tree.AttackPlan().Attacker(ts.tree.ID(ts.depth()-1, j), 4, len(x0)),
-		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), opts.Telemetry),
+		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), cfg.Telemetry),
 		state:  core.NewLeaf(x0, newVec),
 		lv:     lv,
 

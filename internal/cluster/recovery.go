@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hieradmo/internal/checkpoint"
+	"hieradmo/internal/core"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/transport"
@@ -61,7 +62,7 @@ func nodeRegistry(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*c
 	// (checkpoint.ErrMismatch).
 	fp := cfg.Fingerprint("cluster/tier") +
 		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s leaf=%s",
-			opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree, reportLayout, leafLayout) +
+			opts.Adaptive, opts.Signal, core.DefaultClampCeiling, ts.tree, reportLayout, leafLayout) +
 		ts.tree.Scenario()
 	return checkpoint.NewRegistry(mgr, fp), nil
 }

@@ -112,7 +112,7 @@ func TestFourVectorSnapshotRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldFP := cfg.Fingerprint("cluster/tier") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree)
+		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, core.DefaultClampCeiling, ts.tree)
 	dim := cfg.Model.Dim()
 	fabricate := func(node string, seq int, vectors []string, stash []float64) {
 		t.Helper()
@@ -221,7 +221,7 @@ func TestClusterInterruptResume(t *testing.T) {
 			// the refusal propagates.
 			wrong := opts
 			wrong.Resume = true
-			wrong.Ceiling = 0.5
+			wrong.Signal = core.SignalVelocity
 			wrong.RecvTimeout = deadlineScale * 500 * time.Millisecond
 			if _, err := Run(cfg, transport.NewMemoryNetwork(), wrong); !errors.Is(err, checkpoint.ErrMismatch) {
 				t.Fatalf("resume under changed options = %v, want wrapped checkpoint.ErrMismatch", err)

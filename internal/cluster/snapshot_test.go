@@ -401,7 +401,7 @@ func TestSeparateAccumulatorSnapshotRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldFP := cfg.Fingerprint("cluster/tier") + fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s",
-		opts.Adaptive, opts.Signal, opts.Ceiling, ts.tree, reportLayout)
+		opts.Adaptive, opts.Signal, core.DefaultClampCeiling, ts.tree, reportLayout)
 	dim := cfg.Model.Dim()
 	// Each node's entries as that build registered them; only the leaves'
 	// differ from this build's.

@@ -49,8 +49,8 @@ func newTreeSpec(cfg *fl.Config, tree *topology.Tree, opts Options) (*treeSpec, 
 		hier = core.New
 	}
 	ts := &treeSpec{cfg: cfg, tree: tree, shards: cfg.Shards(),
-		rule:   hier(core.WithAdaptSignal(opts.Signal), core.WithClampCeiling(opts.Ceiling)).Row(),
-		ledger: telemetry.NewLedger(opts.Telemetry, tree.Depth())}
+		rule:   hier(core.WithAdaptSignal(opts.Signal)).Row(),
+		ledger: telemetry.NewLedger(cfg.Telemetry, tree.Depth())}
 	// A level whose rule cannot be built fails here, before any node starts.
 	for i := range tree.Levels[:tree.Depth()-1] {
 		if _, err := ts.rule.LevelAt(tree, cfg, i); err != nil {

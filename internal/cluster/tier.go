@@ -723,7 +723,7 @@ func (n *tierNode) settle(now time.Time) {
 
 // recordEval mirrors one root accuracy measurement onto the telemetry sink.
 func (n *tierNode) recordEval(t int, acc, loss float64, final bool) {
-	sink := n.opts.Telemetry
+	sink := n.cfg.Telemetry
 	m := sink.M()
 	m.Evals.Inc()
 	m.TestAccuracy.Set(acc)
@@ -811,7 +811,7 @@ func (n *tierNode) vet(msg transport.Message, kids []int) (from, pos int, ok boo
 // reports, γℓ migration across a cohort change, and the round's metrics,
 // trace and ledger facts.
 func (n *tierNode) update(idx []int) error {
-	sink := n.opts.Telemetry
+	sink := n.cfg.Telemetry
 	var aggStart time.Time
 	if sink != nil {
 		aggStart = time.Now()
@@ -887,7 +887,7 @@ func (n *tierNode) update(idx []int) error {
 		}
 		sink.Emit("tier_aggregate", fields...)
 	}
-	out.RecordVerdicts(&n.ts.ledger, n.ts.tree, n.lvl, n.idx, t, n.lvl+1, kids, idx)
+	out.RecordVerdicts(&n.ts.ledger, n.ts.tree, n.lvl, n.idx, t, kids, idx)
 	// The weighted loss over the full child weights: stragglers contribute
 	// their most recently reported value.
 	n.weightedLoss = 0

@@ -347,7 +347,7 @@ func TestLegacySnapshotRefused(t *testing.T) {
 	opts := Options{Adaptive: true, CheckpointDir: dir, Resume: true}.withDefaults()
 	// The fingerprint and entry names of the deleted cloud/edge/worker nodes.
 	legacyFP := cfg.Fingerprint("cluster/hieradmo") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g", opts.Adaptive, opts.Signal, opts.Ceiling)
+		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g", opts.Adaptive, opts.Signal, core.DefaultClampCeiling)
 	dim := cfg.Model.Dim()
 	fabricate := func(node string, seq int, vectors ...string) {
 		t.Helper()
@@ -467,8 +467,9 @@ func observed(t *testing.T, cfg *fl.Config, opts Options) (*fl.Result, *telemetr
 	t.Helper()
 	var buf bytes.Buffer
 	reg, tr := telemetry.NewRegistry(), telemetry.NewTracer(&buf)
-	opts.Telemetry = telemetry.New(reg, tr)
-	res, err := Run(cfg, transport.NewMemoryNetwork(), opts)
+	traced := *cfg
+	traced.Telemetry = telemetry.New(reg, tr)
+	res, err := Run(&traced, transport.NewMemoryNetwork(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,13 @@ import (
 type Rule struct {
 	// Algorithm is the report name (fl.Algorithm's Name).
 	Algorithm string
-	// Flat selects the two-tier view the paper's fair-comparison setup gives
-	// the flat algorithms: every leaf reports straight to the root every root
-	// period (τ·π) with its global weight D(i,ℓ)/D. Otherwise the run is the
-	// tree itself — client–edge–cloud on the configuration's own tree: the
-	// leaves report to their leaf parent every τ, and every level above
-	// averages its children every period of its own.
+	// Flat runs the row on the tree's flat view (topology.Tree.Flat), the
+	// two-tier setup the paper's fair comparison gives the flat algorithms:
+	// every leaf reports straight to the root every root period (τ·π) with
+	// its global weight D(i,ℓ)/D. Otherwise the run is the tree itself —
+	// client–edge–cloud on the configuration's own tree: the leaves report
+	// to their leaf parent every τ, and every level above averages its
+	// children every period of its own.
 	Flat bool
 	// ShipsMomentum reports whether a synchronization moves momentum state
 	// next to the model (the Fig. 2(h)/(l) payload).
@@ -87,16 +88,22 @@ func (r *Rule) Name() string { return r.Algorithm }
 // Row returns the rule itself; RuleOf finds it through this method.
 func (r *Rule) Row() *Rule { return r }
 
-// Tiers is 2 for the flat view and 3 for client–edge–cloud.
-func (r *Rule) Tiers() int {
-	if r.Flat {
-		return 2
+// TreeOf returns the tree the row runs when handed tree: its flat view for
+// a Flat row, tree itself otherwise. A tree without a flat view is refused
+// with ErrTree.
+func (r *Rule) TreeOf(tree *topology.Tree) (*topology.Tree, error) {
+	if !r.Flat {
+		return tree, nil
 	}
-	return 3
+	flat, err := tree.Flat()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrTree, r.Algorithm, err)
+	}
+	return flat, nil
 }
 
 // RuleOf returns the table row behind a simulated algorithm, so callers that
-// need a row's facts (tier count, payload) read them from the row the driver
+// need a row's facts (its tree, payload) read them from the row the driver
 // runs instead of keeping a second table keyed by name.
 func RuleOf(alg fl.Algorithm) (*Rule, bool) {
 	rowed, ok := alg.(interface{ Row() *Rule })
@@ -185,19 +192,11 @@ func lap(h *telemetry.Histogram, start time.Time) {
 }
 
 // stack lays out a run bottom-up from its tree — cohorts, data weights and
-// periods, no state yet. Level 0 is the tier the leaves report to: the
-// tree's leaf parents, or in the flat view the root alone over every leaf
-// with the leaves' global weights.
+// periods, no state yet. Level 0 is the tier the leaves report to, the
+// tree's leaf parents.
 func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, error) {
 	if err := r.runs(tree); err != nil {
 		return nil, err
-	}
-	if r.Flat {
-		root := simNode{weights: tree.Global, kids: make([]int, tree.NumLeaves())}
-		for j := range root.kids {
-			root.kids[j] = j
-		}
-		return []simLevel{{nodes: []simNode{root}, level: 0, period: tree.Levels[0].Tau, seconds: m.CloudSyncSeconds}}, nil
 	}
 	lp := tree.LeafParent()
 	levels := make([]simLevel, lp+1)
@@ -225,20 +224,17 @@ func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, 
 }
 
 // LevelAt is the rule the nodes of tree level i run, resolved here for both
-// engines. Where the leaves report — the leaf parents, or the root in the
-// flat view — it is the row's Level at the run's γℓ (cfg.GammaEdge), with a
-// spec's explicit gamma / adapt in their place; every level above runs the
-// plain average, or the momentum step where the spec fixes a γ. Tau is the
+// engines. Where the leaves report — the leaf parents — it is the row's
+// Level at the run's γℓ (cfg.GammaEdge), with a spec's explicit gamma /
+// adapt in their place; every level above runs the plain average, or the
+// momentum step where the spec fixes a γ. Tau is the
 // level's period, and Agg a fresh aggregator for the level's robust rule
 // (tree.Levels[i].Agg), since an aggregator holds its node's scratch; the
 // caller fills in X0.
 func (r *Rule) LevelAt(tree *topology.Tree, cfg *fl.Config, i int) (Level, error) {
-	spec, report := tree.Levels[i], tree.LeafParent()
-	if r.Flat {
-		report = 0
-	}
+	spec := tree.Levels[i]
 	lv := Level{Momentum: spec.Gamma != 0, Gamma: spec.Gamma}
-	if i == report {
+	if i == tree.LeafParent() {
 		lv = r.Level
 		if lv.Momentum {
 			lv.Gamma = cfg.GammaEdge
@@ -266,28 +262,21 @@ func (r *Rule) LevelAt(tree *topology.Tree, cfg *fl.Config, i int) (Level, error
 
 // runs checks that the simulation runs the rule on tree as the tree says.
 // A spec's tree refuses, with ErrTree, a hooked row (its hooks are written
-// against the client–edge–cloud and flat views); any tree refuses a flat row
-// over a robust level below the root, which the flat view does not have, and
-// γ / adapt attributes the rule has no momentum level for. Membership epochs
-// run only under unhooked tree rows at full participation, as the cluster
-// runs them.
+// against the client–edge–cloud and flat views), and any tree γ / adapt
+// attributes of its leaf parents when the rule has no momentum level there.
+// Membership epochs run only under unhooked rows at full participation, as
+// the cluster runs them.
 func (r *Rule) runs(tree *topology.Tree) error {
 	if r.Hooks != nil && tree.Spec != nil {
 		return fmt.Errorf("%w: %s hooks rules of its own into the client–edge–cloud and flat views, not into %s",
 			ErrTree, r.Algorithm, tree)
 	}
-	if tree.Membership() != nil && (r.Hooks != nil || r.Flat || (r.hier != nil && r.hier.participation < 1)) {
+	if tree.Membership() != nil && (r.Hooks != nil || (r.hier != nil && r.hier.participation < 1)) {
 		return fmt.Errorf("%w: %s does not run the membership epochs of %s", ErrTree, r.Algorithm, tree)
 	}
-	for i, lv := range tree.Levels {
-		if r.Flat && i > 0 && lv.Agg.Robust() {
-			return fmt.Errorf("%w: the flat view of %s has no level %q to aggregate with agg=%s",
-				ErrTree, tree, lv.Name, lv.Agg)
-		}
-		if (lv.HasGamma || lv.HasAdapt) && (r.Flat || (i == tree.LeafParent() && !r.Level.Momentum)) {
-			return fmt.Errorf("%w: %s has no momentum level for the gamma/adapt attributes of level %q of %s",
-				ErrTree, r.Algorithm, lv.Name, tree)
-		}
+	if lv := tree.Levels[tree.LeafParent()]; (lv.HasGamma || lv.HasAdapt) && !r.Level.Momentum {
+		return fmt.Errorf("%w: %s has no momentum level for the gamma/adapt attributes of level %q of %s",
+			ErrTree, r.Algorithm, lv.Name, tree)
 	}
 	return nil
 }
@@ -304,8 +293,13 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 
 // RunTree is the simulation loop every rule shares, over a tree cfg.Tree
 // resolved — the configuration's own, or a topology spec's, which is the
-// tree the distributed runtime runs for the same spec.
+// tree the distributed runtime runs for the same spec — or over its flat
+// view for a Flat row (TreeOf).
 func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) {
+	tree, err := r.TreeOf(tree)
+	if err != nil {
+		return nil, err
+	}
 	hn, err := fl.NewHarness(cfg, tree)
 	if err != nil {
 		return nil, err
@@ -432,15 +426,19 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 
 	// Crash recovery: register the run's state, then resume after the last
 	// snapshotted iteration (start = 0 without a snapshot). The variant folds
-	// what lives outside fl.Config into the fingerprint.
-	variant := baselineVariant
-	if r.hier != nil {
-		variant = r.hier.variant()
+	// what lives outside fl.Config into the fingerprint; a run that snapshots
+	// nothing does not format it.
+	variant := ""
+	if cfg.CheckpointDir != "" {
+		variant = baselineVariant
+		if r.hier != nil {
+			variant = r.hier.variant()
+		}
+		if tree.Spec != nil || tree.Flattened() {
+			variant += " topology=" + tree.String()
+		}
+		variant += tree.Scenario()
 	}
-	if tree.Spec != nil {
-		variant += " topology=" + tree.String()
-	}
-	variant += tree.Scenario()
 	ck, err := fl.NewCheckpointer(hn, r.Algorithm, variant, res)
 	if err != nil {
 		return nil, err
@@ -714,11 +712,7 @@ func (s *sim) round(t, k, n int) error {
 			sink.Emit("edge_aggregate", fields...)
 		}
 	}
-	below := lev.level + 1
-	if s.rule.Flat {
-		below = s.tree.Depth() - 1
-	}
-	out.RecordVerdicts(&s.ledger, s.tree, lev.level, n, t, below, kids, idx)
+	out.RecordVerdicts(&s.ledger, s.tree, lev.level, n, t, kids, idx)
 
 	switch {
 	case k == 0 && s.churn:
@@ -776,19 +770,19 @@ func (s *sim) round(t, k, n int) error {
 
 // RecordVerdicts records on ledger what the robust rule of node n at tree
 // level lvl decided at iteration t, for both engines: report slot j held the
-// node at position idx[j] of the cohort kids, on tree level below. A round
+// node at position idx[j] of the cohort kids, on tree level lvl+1. A round
 // without a verdict reads no ID, so a simulation without one never mints
 // the tree's IDs.
-func (o Outcome) RecordVerdicts(ledger *telemetry.Ledger, tree *topology.Tree, lvl, n, t, below int, kids, idx []int) {
+func (o Outcome) RecordVerdicts(ledger *telemetry.Ledger, tree *topology.Tree, lvl, n, t int, kids, idx []int) {
 	if len(o.Robust.Rejected) == 0 && len(o.Robust.Clipped) == 0 {
 		return
 	}
 	node, level := tree.ID(lvl, n), tree.Levels[lvl].Name
 	for _, j := range o.Robust.Rejected {
-		ledger.RobustReject(node, level, lvl, t, tree.ID(below, kids[idx[j]]))
+		ledger.RobustReject(node, level, lvl, t, tree.ID(lvl+1, kids[idx[j]]))
 	}
 	for _, j := range o.Robust.Clipped {
-		ledger.RobustClip(node, level, lvl, t, tree.ID(below, kids[idx[j]]), o.Robust.MaxNorm)
+		ledger.RobustClip(node, level, lvl, t, tree.ID(lvl+1, kids[idx[j]]), o.Robust.MaxNorm)
 	}
 }
 

@@ -163,6 +163,34 @@ func TestTreeSnapshotRefusedUnderOtherTree(t *testing.T) {
 	}
 }
 
+// TestFlatTreeResumeRefusesTheTreeItFlattens: the flat view's shape is part
+// of the fingerprint, so HierAdMo's snapshot on a ragged tree does not seed
+// HierAdMo on the tree's flat view, nor the reverse, while each run resumes
+// its own.
+func TestFlatTreeResumeRefusesTheTreeItFlattens(t *testing.T) {
+	cfg := buildConfig(t, []int{3, 1, 2}, 0, 7)
+	tree, err := cfg.Tree(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := tree.Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range [][2]*topology.Tree{{tree, flat}, {flat, tree}} {
+		cfg.CheckpointDir = t.TempDir()
+		if _, err := New().RunTree(cfg, order[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New().RunTree(cfg, order[1]); !errors.Is(err, checkpoint.ErrMismatch) {
+			t.Errorf("resuming the %s snapshot under %s = %v, want ErrMismatch", order[0], order[1], err)
+		}
+		if _, err := New().RunTree(cfg, order[0]); err != nil {
+			t.Errorf("resuming the %s snapshot under %s: %v", order[0], order[0], err)
+		}
+	}
+}
+
 // TestTreeSnapshotRefusedUnderOtherAggregator: a robust level's rule is part
 // of the fingerprint, so a snapshot taken under a median leaf parent seeds
 // the same tree under median again but not under a trimmed one.

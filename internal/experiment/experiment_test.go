@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hieradmo/internal/core"
+	"hieradmo/internal/topology"
 )
 
 // tinyScale keeps experiment integration tests fast while exercising every
@@ -125,8 +126,8 @@ func TestAllAlgorithmsRoster(t *testing.T) {
 }
 
 // rowFacts is what Fig. 2(h)/(l) reads from each algorithm's rule row: the
-// tier count (which netsim timeline) and whether momentum travels (which
-// payload). The values are the classification the eleven algorithms have
+// depth of the tree it runs (which netsim timeline) and whether momentum
+// travels (which payload). The values are the classification the eleven algorithms have
 // always been timed with.
 var rowFacts = map[string]struct {
 	tiers    int
@@ -142,6 +143,10 @@ var rowFacts = map[string]struct {
 // without an entry above, fails here instead of being timed as a two-tier,
 // momentum-free run by default.
 func TestAlgorithmsResolveToRows(t *testing.T) {
+	tree, err := topology.Derive(10, 2, []int{2, 2}, []int{1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, alg := range AllAlgorithms() {
 		row, ok := core.RuleOf(alg)
 		if !ok {
@@ -153,9 +158,14 @@ func TestAlgorithmsResolveToRows(t *testing.T) {
 			t.Errorf("%s has no expected tier count and payload", alg.Name())
 			continue
 		}
-		if row.Tiers() != want.tiers || row.ShipsMomentum != want.momentum {
-			t.Errorf("%s: row says %d tiers, momentum traffic %v; want %d, %v",
-				alg.Name(), row.Tiers(), row.ShipsMomentum, want.tiers, want.momentum)
+		ran, err := row.TreeOf(tree)
+		if err != nil {
+			t.Errorf("%s: %v", alg.Name(), err)
+			continue
+		}
+		if ran.Depth() != want.tiers || row.ShipsMomentum != want.momentum {
+			t.Errorf("%s: row runs %d tiers, momentum traffic %v; want %d, %v",
+				alg.Name(), ran.Depth(), row.ShipsMomentum, want.tiers, want.momentum)
 		}
 	}
 }
@@ -302,19 +312,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(reg) != len(ExperimentIDs()) {
 		t.Errorf("registry has %d entries, ids list %d", len(reg), len(ExperimentIDs()))
-	}
-}
-
-func TestSpeedupOverBest(t *testing.T) {
-	got := SpeedupOverBest([]float64{100, 200, 0, 50})
-	want := []float64{2, 4, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("speedup[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if out := SpeedupOverBest([]float64{0, 0}); out[0] != 0 || out[1] != 0 {
-		t.Error("all-unreached speedups should be zero")
 	}
 }
 

@@ -46,15 +46,13 @@ func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 		return nil, fmt.Errorf("fig2h/l: %w", err)
 	}
 
-	// Both timelines run on the testbed hardware over the config's workers:
-	// two-tier rows talking to the cloud directly, hierarchical rows through
-	// the edges of the config's own tree.
+	// Every row is timed on the testbed hardware over the tree it ran: the
+	// config's own for the hierarchical rows, its flat view for the two-tier
+	// rows, whose workers talk to the cloud directly.
 	tree, err := cfg.Tree(nil)
 	if err != nil {
 		return nil, fmt.Errorf("fig2h/l: %w", err)
 	}
-	env := netsim.PaperTestbed(cfg.NumWorkers(), s.Seed+99)
-	treeEnv := netsim.PaperTreeTestbed(tree, s.Seed+99)
 	// The training substrate uses a laptop-scale CNN, but the timing study
 	// models shipping the paper's CNN (~6×10⁵ float64 parameters) over the
 	// wire — the over-the-network cost is part of the testbed being
@@ -79,15 +77,13 @@ func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 		// so an algorithm cannot be timed as something it is not.
 		row, ok := core.RuleOf(algos[i])
 		if !ok {
-			return nil, fmt.Errorf("fig2h/l %s: not a rule row, so its tier count and payload are unknown", name)
+			return nil, fmt.Errorf("fig2h/l %s: not a rule row, so its tree and payload are unknown", name)
 		}
-		payload := netsim.ModelPayload(dim, row.ShipsMomentum)
-		var tl netsim.Timeline
-		if row.Flat {
-			tl, err = netsim.SimulateTwoTier(env, payload, cfg.T, tau*pi)
-		} else {
-			tl, err = netsim.SimulateTree(treeEnv, payload, cfg.T)
+		ran, err := row.TreeOf(tree)
+		if err != nil {
+			return nil, fmt.Errorf("fig2h/l %s: %w", name, err)
 		}
+		tl, err := netsim.SimulateTree(netsim.PaperTreeTestbed(ran, s.Seed+99), netsim.ModelPayload(dim, row.ShipsMomentum), cfg.T)
 		if err != nil {
 			return nil, fmt.Errorf("fig2h/l %s: %w", name, err)
 		}
@@ -99,26 +95,7 @@ func RunFig2TrainingTime(s Scale, setting TimingSetting) (*Table, error) {
 		if d, ok := netsim.TimeToAccuracy(tl, curve, s.TargetAcc); ok {
 			cell = Dur(d)
 		}
-		tbl.AddRow(name, fmt.Sprintf("%d-tier", row.Tiers()), cell, Pct(res.FinalAcc), Dur(tl.Total()))
+		tbl.AddRow(name, fmt.Sprintf("%d-tier", ran.Depth()), cell, Pct(res.FinalAcc), Dur(tl.Total()))
 	}
 	return tbl, nil
-}
-
-// SpeedupOverBest returns how much faster (×) the first result reaching the
-// target is than each other result, using the provided timelines — the
-// paper's headline "1.30x–4.36x" metric. Exposed for tests and reports.
-func SpeedupOverBest(times []float64) []float64 {
-	best := 0.0
-	for _, t := range times {
-		if t > 0 && (best == 0 || t < best) {
-			best = t
-		}
-	}
-	out := make([]float64, len(times))
-	for i, t := range times {
-		if best > 0 && t > 0 {
-			out[i] = t / best
-		}
-	}
-	return out
 }

@@ -1,10 +1,10 @@
 // Package netsim reproduces the paper's trace-driven simulation (§V-D): it
 // models per-iteration compute delays of heterogeneous worker devices,
 // latency/bandwidth link delays, and the synchronization structure of
-// two-tier federated learning (SimulateTwoTier) and of aggregation trees of
-// any depth, the paper's three-tier layout included (SimulateTree), then
-// replays a training accuracy curve onto the simulated timeline to obtain
-// wall-clock time-to-accuracy.
+// aggregation trees of any depth (SimulateTree) — the paper's three-tier
+// layout, and the two-tier one as a tree's flat view (topology.Tree.Flat) —
+// then replays a training accuracy curve onto the simulated timeline to
+// obtain wall-clock time-to-accuracy.
 //
 // The device and link profiles mirror the structure of the paper's physical
 // testbed (an i3 laptop and three Android phones as workers, a MacBook Pro
@@ -18,7 +18,6 @@ package netsim
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"hieradmo/internal/rng"
@@ -80,34 +79,11 @@ func (l LinkProfile) Transfer(size int, r *rng.RNG) time.Duration {
 // algorithms move one model each way.
 type Payload struct {
 	// WorkerUp/WorkerDown are the bytes a worker exchanges with its
-	// aggregator (the leaf parent of a tree, the cloud in two-tier) per sync.
+	// aggregator (the tree's leaf parent, the cloud in a flat view) per sync.
 	WorkerUp, WorkerDown int
 	// EdgeUp/EdgeDown are the bytes an aggregator exchanges with its parent
-	// per parent round (trees only).
+	// per parent round (trees deeper than two levels only).
 	EdgeUp, EdgeDown int
-}
-
-// Env is the timing environment of a two-tier deployment, every worker
-// talking to the cloud over the WAN; N-tier deployments, the three-tier
-// client–edge–cloud one included, are described by a TreeEnv.
-type Env struct {
-	// Workers lists the compute profile of every worker, flattened in the
-	// same order the FL topology flattens them (edge 0 workers first).
-	Workers []DeviceProfile
-	// CloudCompute is the per-aggregation compute cost of the cloud.
-	CloudCompute DeviceProfile
-	// WorkerCloud is the worker↔cloud WAN link.
-	WorkerCloud LinkProfile
-	// Seed drives all delay sampling.
-	Seed uint64
-}
-
-// Validate checks structural consistency.
-func (e *Env) Validate() error {
-	if len(e.Workers) == 0 {
-		return fmt.Errorf("%w: no workers", ErrEnv)
-	}
-	return nil
 }
 
 // Timeline maps iteration index t ∈ [0, T] to cumulative simulated

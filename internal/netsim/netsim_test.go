@@ -10,16 +10,34 @@ import (
 	"hieradmo/internal/topology"
 )
 
-func testEnv() *Env {
-	return PaperTestbed(4, 42)
-}
-
 // threeTierEnv is the paper's client–edge–cloud deployment of two edges of
 // two workers over the testbed hardware, edges syncing every τ iterations
 // and the cloud every τ·π.
 func threeTierEnv(t *testing.T, tau, pi int, seed uint64) *TreeEnv {
 	t.Helper()
-	return PaperTreeTestbed(simTopo(t, fmt.Sprintf("cloud:tau=%d/edge*2:tau=%d/worker*2", tau*pi, tau)), seed)
+	return PaperTreeTestbed(threeTierTree(t, tau, pi), seed)
+}
+
+func threeTierTree(t *testing.T, tau, pi int) *topology.Tree {
+	t.Helper()
+	return simTopo(t, fmt.Sprintf("cloud:tau=%d/edge*2:tau=%d/worker*2", tau*pi, tau))
+}
+
+// flatEnv is the two-tier deployment of the same four workers over the
+// testbed hardware: the flat view of threeTierEnv's tree, every worker
+// talking to the cloud over the WAN every τ·π iterations.
+func flatEnv(t *testing.T, tau, pi int, seed uint64) *TreeEnv {
+	t.Helper()
+	return PaperTreeTestbed(flatTree(t, threeTierTree(t, tau, pi)), seed)
+}
+
+func flatTree(t *testing.T, tree *topology.Tree) *topology.Tree {
+	t.Helper()
+	flat, err := tree.Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flat
 }
 
 func TestDeviceSamplePositive(t *testing.T) {
@@ -76,12 +94,12 @@ func TestLinkTransfer(t *testing.T) {
 }
 
 func TestEnvValidate(t *testing.T) {
-	env := testEnv()
+	env := flatEnv(t, 10, 2, 42)
 	if err := env.Validate(); err != nil {
 		t.Errorf("valid env rejected: %v", err)
 	}
 	bad := *env
-	bad.Workers = nil
+	bad.Leaves = nil
 	if err := bad.Validate(); !errors.Is(err, ErrEnv) {
 		t.Errorf("err = %v, want ErrEnv", err)
 	}
@@ -107,32 +125,36 @@ func TestSimulateThreeTierShape(t *testing.T) {
 }
 
 func TestSimulateTwoTierShape(t *testing.T) {
-	env := testEnv()
+	env := flatEnv(t, 10, 2, 42)
 	payload := ModelPayload(10_000, false)
-	tl, err := SimulateTwoTier(env, payload, 40, 20)
+	tl, err := SimulateTree(env, payload, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tl) != 41 || tl.Total() <= 0 {
 		t.Fatalf("bad timeline: len=%d total=%v", len(tl), tl.Total())
 	}
+	for i := 1; i < len(tl); i++ {
+		if tl[i] <= tl[i-1] {
+			t.Fatalf("timeline not strictly increasing at %d: %v <= %v", i, tl[i], tl[i-1])
+		}
+	}
 }
 
 func TestSimulateErrors(t *testing.T) {
-	env := testEnv()
 	p := ModelPayload(1000, false)
-	three := threeTierEnv(t, 10, 2, 42)
-	if _, err := SimulateTree(three, p, 41); !errors.Is(err, topology.ErrMisaligned) {
-		t.Errorf("non-multiple T err = %v", err)
-	}
-	if _, err := SimulateTree(three, p, 0); !errors.Is(err, ErrEnv) {
-		t.Errorf("zero T err = %v", err)
-	}
-	if _, err := SimulateTwoTier(env, p, 40, 0); !errors.Is(err, ErrEnv) {
-		t.Errorf("zero period err = %v", err)
-	}
-	if _, err := SimulateTwoTier(env, p, 41, 20); !errors.Is(err, ErrEnv) {
-		t.Errorf("non-multiple T err = %v", err)
+	for _, env := range []*TreeEnv{threeTierEnv(t, 10, 2, 42), flatEnv(t, 10, 2, 42)} {
+		if _, err := SimulateTree(env, p, 41); !errors.Is(err, topology.ErrMisaligned) {
+			t.Errorf("%s: non-multiple T err = %v", env.Tree, err)
+		}
+		if _, err := SimulateTree(env, p, 0); !errors.Is(err, ErrEnv) {
+			t.Errorf("%s: zero T err = %v", env.Tree, err)
+		}
+		short := *env
+		short.Leaves = short.Leaves[:3]
+		if _, err := SimulateTree(&short, p, 40); !errors.Is(err, ErrEnv) {
+			t.Errorf("%s: missing leaf profile err = %v", env.Tree, err)
+		}
 	}
 }
 
@@ -152,9 +174,9 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 // TestThreeTierCheaperPerSyncThanTwoTier verifies the architectural claim of
-// Fig. 1: with equal aggregation periods (τπ == period), the three-tier
-// deployment completes the same number of iterations faster because only
-// edges touch the WAN, and only once per cloud interval.
+// Fig. 1: with equal root periods (the flat view syncs every τπ), the
+// three-tier deployment completes the same number of iterations faster
+// because only edges touch the WAN, and only once per cloud interval.
 func TestThreeTierCheaperPerSyncThanTwoTier(t *testing.T) {
 	const dim = 300_000 // paper-scale CNN parameter count
 	p3 := ModelPayload(dim, false)
@@ -163,7 +185,7 @@ func TestThreeTierCheaperPerSyncThanTwoTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := SimulateTwoTier(testEnv(), p2, 200, 20)
+	two, err := SimulateTree(flatEnv(t, 10, 2, 42), p2, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +220,20 @@ func TestTimeToAccuracy(t *testing.T) {
 	}
 }
 
+// TestPaperTestbedCyclesDevices: the testbed over a flat view cycles the
+// four worker devices in leaf order and reaches the GPU cloud over the
+// worker↔cloud WAN.
 func TestPaperTestbedCyclesDevices(t *testing.T) {
-	env := PaperTestbed(10, 1)
-	if len(env.Workers) != 10 {
-		t.Fatalf("workers = %d", len(env.Workers))
+	env := PaperTreeTestbed(flatTree(t, simTopo(t, "cloud:tau=4/edge*2:tau=2/worker*5")), 1)
+	if len(env.Leaves) != 10 {
+		t.Fatalf("workers = %d", len(env.Leaves))
 	}
-	if env.Workers[0].Name != env.Workers[4].Name {
+	if env.Leaves[0].Name != env.Leaves[4].Name {
 		t.Error("device cycling broken")
+	}
+	if len(env.Links) != 1 || env.Links[0] != WANWorkerCloud || env.AggCompute[0] != GPUServerCloud {
+		t.Errorf("flat testbed links %v aggregate on %v, want the worker↔cloud WAN and the GPU cloud",
+			env.Links, env.AggCompute)
 	}
 	if err := env.Validate(); err != nil {
 		t.Error(err)

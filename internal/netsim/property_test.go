@@ -10,14 +10,14 @@ import (
 // devices, or more frequent WAN syncs can never make a run faster.
 
 func TestMoreBytesNeverFaster(t *testing.T) {
+	env := flatEnv(t, 10, 2, 5)
 	f := func(dimRaw uint16) bool {
 		dim := 1000 + int(dimRaw)
-		env := PaperTestbed(4, 5)
-		small, err := SimulateTwoTier(env, ModelPayload(dim, false), 40, 20)
+		small, err := SimulateTree(env, ModelPayload(dim, false), 40)
 		if err != nil {
 			return false
 		}
-		big, err := SimulateTwoTier(env, ModelPayload(dim*4, false), 40, 20)
+		big, err := SimulateTree(env, ModelPayload(dim*4, false), 40)
 		if err != nil {
 			return false
 		}
@@ -66,14 +66,14 @@ func TestSlowerDevicesNeverFaster(t *testing.T) {
 func TestStragglerDominatesRound(t *testing.T) {
 	// A single extremely slow worker must slow the whole synchronous round
 	// (the straggler effect the paper's testbed exhibits).
-	env := PaperTestbed(4, 11)
-	base, err := SimulateTwoTier(env, ModelPayload(1000, false), 20, 20)
+	env := flatEnv(t, 10, 2, 11)
+	base, err := SimulateTree(env, ModelPayload(1000, false), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	straggler := PaperTestbed(4, 11)
-	straggler.Workers[3].Median = 2 * time.Second
-	slow, err := SimulateTwoTier(straggler, ModelPayload(1000, false), 20, 20)
+	straggler := flatEnv(t, 10, 2, 11)
+	straggler.Leaves[3].Median = 2 * time.Second
+	slow, err := SimulateTree(straggler, ModelPayload(1000, false), 20)
 	if err != nil {
 		t.Fatal(err)
 	}

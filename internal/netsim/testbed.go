@@ -28,27 +28,11 @@ var (
 	WiFi5GHz = LinkProfile{Name: "wifi-5ghz", RTT: 4 * time.Millisecond, Mbps: 300, Jitter: 0.25}
 	// WANEdgeCloud is the edge↔cloud public-Internet path (wired uplink).
 	WANEdgeCloud = LinkProfile{Name: "wan-edge-cloud", RTT: 40 * time.Millisecond, Mbps: 40, Jitter: 0.35}
-	// WANWorkerCloud is the worker↔cloud public-Internet path used by
-	// two-tier algorithms (Wi-Fi + residential uplink, slower and noisier).
+	// WANWorkerCloud is the worker↔cloud public-Internet path of a
+	// two-level tree, the flat view two-tier algorithms run (Wi-Fi +
+	// residential uplink, slower and noisier).
 	WANWorkerCloud = LinkProfile{Name: "wan-worker-cloud", RTT: 50 * time.Millisecond, Mbps: 20, Jitter: 0.4}
 )
-
-// PaperTestbed assembles the §V-D two-tier environment for n workers,
-// cycling the four physical devices when n > 4; PaperTreeTestbed is its
-// N-tier counterpart.
-func PaperTestbed(n int, seed uint64) *Env {
-	devices := []DeviceProfile{LaptopI3, NubiaZ17s, RealmeGTNeo, RedmiK30Ultra}
-	workers := make([]DeviceProfile, n)
-	for i := range workers {
-		workers[i] = devices[i%len(devices)]
-	}
-	return &Env{
-		Workers:      workers,
-		CloudCompute: GPUServerCloud,
-		WorkerCloud:  WANWorkerCloud,
-		Seed:         seed,
-	}
-}
 
 // ModelPayload returns the per-sync Payload for a model of dim float64
 // parameters. HierAdMo-style algorithms upload four model-sized vectors

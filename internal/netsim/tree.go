@@ -62,7 +62,9 @@ func (e *TreeEnv) Validate() error {
 //
 // A three-level tree cloud:tau=τπ/edge*L:tau=τ/worker*C is the paper's
 // client–edge–cloud deployment; its timeline is pinned bit for bit to the
-// one the dedicated three-tier simulator this function replaced drew.
+// one the dedicated three-tier simulator this function replaced drew. Its
+// flat view (topology.Tree.Flat) is the two-tier deployment the paper's
+// flat baselines run.
 func SimulateTree(env *TreeEnv, payload Payload, tTotal int) (Timeline, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err

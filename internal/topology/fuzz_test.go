@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 // the property the checkpoint fingerprint relies on). Every accepted spec
 // also resolves into a Tree that holds checkTree's invariants, and so does
 // that tree with a run's default aggregation rules merged in, its spec
-// untouched.
+// untouched; and its flat view (Tree.Flat) is a two-level tree keeping every
+// leaf's ID, or ErrFlat.
 func FuzzParseTopology(f *testing.F) {
 	for _, seed := range []string{
 		"cloud:tau=20/region:tau=5,agg=median/edge:tau=1/worker*8",
@@ -107,6 +109,21 @@ func FuzzParseTopology(f *testing.F) {
 				if merged.ID(i, j) != tree.ID(i, j) {
 					t.Fatalf("%q: node (%d, %d) is %q merged, %q before", canon, i, j, merged.ID(i, j), tree.ID(i, j))
 				}
+			}
+		}
+		flat, err := tree.Flat()
+		if err != nil {
+			if flat != nil || !errors.Is(err, ErrFlat) {
+				t.Fatalf("flattening %q: %v, %v; want a flat tree or ErrFlat", canon, flat, err)
+			}
+			return
+		}
+		if flat.Depth() != 2 || flat.Width(0) != 1 || flat.NumLeaves() != leaves {
+			t.Fatalf("%q flattened to depth %d, %d roots, %d leaves", canon, flat.Depth(), flat.Width(0), flat.NumLeaves())
+		}
+		for j := 0; j < leaves; j++ {
+			if id := tree.ID(tree.Depth()-1, j); flat.ID(1, j) != id {
+				t.Fatalf("%q: leaf %d is %q flat, %q in the tree", canon, j, flat.ID(1, j), id)
 			}
 		}
 	})

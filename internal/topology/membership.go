@@ -73,8 +73,9 @@ func (t *Tree) WithMembership(plan membership.Plan, stats []membership.WorkerSta
 		slices.Sort(ep.live)
 		m.epochs = append(m.epochs, ep)
 	}
-	return &Tree{Levels: t.Levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent, Sizes: t.Sizes,
-		Weights: t.Weights, Global: t.Global, attack: t.attack, churn: m}, nil
+	churned := t.clone()
+	churned.churn = m
+	return churned, nil
 }
 
 // Membership returns the run's membership trajectory, nil for a static tree.

@@ -63,6 +63,10 @@ var (
 	// ErrAttr is an attribute that is unknown, malformed, or not allowed at
 	// its level.
 	ErrAttr = errors.New("topology: invalid attribute")
+	// ErrFlat is a tree whose flat view (Tree.Flat) would drop part of it:
+	// membership epochs, a robust rule below the root, or a γ / adapt
+	// attribute.
+	ErrFlat = errors.New("topology: the tree has no flat view")
 )
 
 // Level is one tier of the tree, root first.

@@ -24,8 +24,9 @@ import (
 type Tree struct {
 	// Levels is the chain of tiers, root first: name, sync period τℓ and
 	// the explicit attributes of a spec, with a run's default aggregation
-	// rules merged in by WithAggregators. Fanout is meaningful only when
-	// Spec is set; a derived tree may be ragged.
+	// rules merged in by WithAggregators. Fanout is meaningful only on a
+	// spec's own tree, not on a derived one, which may be ragged, nor on a
+	// flat view (Flat).
 	Levels []Level
 	// Spec is the topology the tree was resolved from, nil for the tree
 	// derived from a run configuration's cloud / edge / worker grouping.
@@ -51,6 +52,9 @@ type Tree struct {
 	// churn its membership trajectory (WithMembership), nil for static.
 	attack *robust.AttackPlan
 	churn  *Membership
+	// from is the tree a flat view (Flat) flattens, nil for any other tree:
+	// its leaves keep their natal coordinates there.
+	from *Tree
 	// names is the transport-ID table, minted on first use: a plan-less
 	// simulation never reads an ID, so its runs never pay for one.
 	names idTable
@@ -221,8 +225,9 @@ func (t *Tree) WithAggregators(leafParent, root robust.Spec) (*Tree, error) {
 			levels[i].Agg = root
 		}
 	}
-	return &Tree{Levels: levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent,
-		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: t.attack, churn: t.churn}, nil
+	merged := t.clone()
+	merged.Levels = levels
+	return merged, nil
 }
 
 // WithAttackPlan returns the tree a run under the plan executes, the one place
@@ -242,9 +247,77 @@ func (t *Tree) WithAttackPlan(plan *robust.AttackPlan) (*Tree, error) {
 			return nil, fmt.Errorf("topology: the attack plan names %q, not a training leaf of the tree %s", a.Node, t)
 		}
 	}
-	return &Tree{Levels: t.Levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent,
-		Sizes: t.Sizes, Weights: t.Weights, Global: t.Global, attack: plan, churn: t.churn}, nil
+	attacked := t.clone()
+	attacked.attack = plan
+	return attacked, nil
 }
+
+// clone returns a copy of t sharing every field but the ID table, which the
+// copy mints for itself: the With methods change a field of it and hand it
+// out.
+func (t *Tree) clone() *Tree {
+	return &Tree{Levels: t.Levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent, Sizes: t.Sizes,
+		Weights: t.Weights, Global: t.Global, attack: t.attack, churn: t.churn, from: t.from}
+}
+
+// Flat returns the tree's flat view, the one place the two-level shape the
+// paper's flat baselines run is built: the root alone over every training
+// leaf at the root's period, leaf j weighted by its global weight Global[j]
+// bit for bit (not re-derived from the sample counts). Leaf j keeps its ID,
+// its natal coordinates, which key its mini-batch stream, and the attack
+// plan; String names the flat view of t, so no snapshot crosses between
+// the two. A tree with membership epochs, a robust agg= below the root or a
+// gamma= / adapt= attribute is refused with ErrFlat: the flat view has no
+// level to run them at. A two-level tree is its own flat view.
+func (t *Tree) Flat() (*Tree, error) {
+	if t.churn != nil {
+		return nil, fmt.Errorf("%w: the flat view of %s does not run its membership epochs", ErrFlat, t)
+	}
+	for i, lv := range t.Levels {
+		if i > 0 && lv.Agg.Robust() {
+			return nil, fmt.Errorf("%w: the flat view of %s has no level %q to aggregate with agg=%s", ErrFlat, t, lv.Name, lv.Agg)
+		}
+		if lv.HasGamma || lv.HasAdapt {
+			return nil, fmt.Errorf("%w: the flat view of %s has no momentum level for the gamma/adapt attributes of level %q",
+				ErrFlat, t, lv.Name)
+		}
+	}
+	if t.Depth() == 2 {
+		return t, nil
+	}
+	// Every run of a flat row builds its flat tree, so like build it takes
+	// two allocations: the tree with every list it holds, and one block for
+	// the root's children and the leaves' parents.
+	n, leaf := t.NumLeaves(), t.Depth()-1
+	l := new(struct {
+		tree        Tree
+		levels      [2]Level
+		rootKids    [1][]int
+		kids        [1][][]int
+		parent      [2][]int
+		sizes       [2][]int
+		rootWeights [1][]float64
+		weights     [1][][]float64
+	})
+	ints := make([]int, 2*n)
+	l.rootKids[0], l.parent[1] = ints[:n:n], ints[n:]
+	for j := range l.rootKids[0] {
+		l.rootKids[0][j] = j
+	}
+	l.levels = [2]Level{t.Levels[0], t.Levels[leaf]}
+	l.kids[0] = l.rootKids[:]
+	l.sizes = [2][]int{t.Sizes[0], t.Sizes[leaf]}
+	l.rootWeights[0] = t.Global
+	l.weights[0] = l.rootWeights[:]
+	flat := &l.tree
+	flat.Levels, flat.Spec, flat.Kids, flat.Parent = l.levels[:], t.Spec, l.kids[:], l.parent[:]
+	flat.Sizes, flat.Weights, flat.Global = l.sizes[:], l.weights[:], t.Global
+	flat.attack, flat.from = t.attack, t
+	return flat, nil
+}
+
+// Flattened reports whether the tree is another tree's flat view (Flat).
+func (t *Tree) Flattened() bool { return t.from != nil }
 
 // AttackPlan returns the run's attack plan, nil for none; like Spec, shared.
 func (t *Tree) AttackPlan() *robust.AttackPlan { return t.attack }
@@ -351,8 +424,12 @@ func weigh(levels []Level, kids [][][]int, sizes [][]int) ([][][]float64, error)
 // String renders the tree's canonical shape, which checkpoint fingerprints
 // carry so a snapshot never crosses tree shapes: the spec's canonical form,
 // or for a derived tree cloud:tau=τπ/edge*L:tau=τ/worker*C, a ragged edge
-// tier listing its per-edge worker counts as [C₀,C₁,…].
+// tier listing its per-edge worker counts as [C₀,C₁,…]; a flat view (Flat)
+// is flat(<the tree it flattens>).
 func (t *Tree) String() string {
+	if t.from != nil {
+		return "flat(" + t.from.String() + ")"
+	}
 	if t.Spec != nil {
 		return t.Spec.String()
 	}
@@ -386,8 +463,12 @@ func (t *Tree) NumLeaves() int { return len(t.Global) }
 // Natal returns leaf j's natal coordinates: its parent on the leaf-parent
 // level and its position among that node's children. They key the leaf's
 // mini-batch stream — on the derived tree they are the worker's (edge,
-// worker) indices.
+// worker) indices. A flat view's leaves keep theirs in the tree it
+// flattens.
 func (t *Tree) Natal(j int) (parent, pos int) {
+	if t.from != nil {
+		return t.from.Natal(j)
+	}
 	parent = t.Parent[len(t.Parent)-1][j]
 	return parent, j - t.Kids[t.LeafParent()][parent][0]
 }

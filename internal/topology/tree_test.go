@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -454,5 +455,137 @@ func TestWithMembership(t *testing.T) {
 	}
 	if global, live := flat.Live(5); len(live) != 3 || global[1] != 0 || global[0] != 1.0/8 || global[3] != 4.0/8 {
 		t.Errorf("depth 2, iteration 5: live %v, weights %v", live, global)
+	}
+}
+
+// TestTreeFlat: the flat view is the root alone over every leaf at the
+// root's period, each leaf weighted by its global weight bit for bit, and it
+// keeps every leaf's ID and natal coordinates and the attack plan while its
+// String names a shape of its own; a robust root rule survives, and what the
+// view has no level for is refused with ErrFlat.
+func TestTreeFlat(t *testing.T) {
+	// Three of these leaves' path products Dℓ/D · D(i,ℓ)/Dℓ differ in the
+	// last bit from D(i)/D, which a re-derived root weight would give.
+	derived, err := Derive(2, 3, []int{3, 1, 2}, []int{62, 65, 88, 53, 31, 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(spec string, leaves int) *Tree {
+		t.Helper()
+		topo, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := make([]int, leaves)
+		for j := range sizes {
+			sizes[j] = 3 + 5*j%7
+		}
+		tree, err := topo.Resolve(sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	spec := resolve("cloud:tau=8,agg=clip(2)/region*2:tau=4/edge*2:tau=2/worker*2", 8)
+	plans := map[*Tree]string{derived: "signflip:worker-0-2@1,noise:worker-2-1@2=0.5", spec: "scale:worker-5@1-3=10"}
+	for _, tree := range []*Tree{derived, spec} {
+		plan, err := robust.ParsePlan(plans[tree], 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attacked, err := tree.WithAttackPlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := attacked.Flat()
+		if err != nil {
+			t.Fatalf("%s: %v", tree, err)
+		}
+		leaf, n := tree.Depth()-1, tree.NumLeaves()
+		if flat.Depth() != 2 || flat.Width(0) != 1 || flat.NumLeaves() != n || len(flat.Kids[0][0]) != n ||
+			flat.Levels[0] != tree.Levels[0] || flat.Levels[1] != tree.Levels[leaf] {
+			t.Fatalf("%s flattened to levels %+v with %d leaves under %d roots", tree, flat.Levels, flat.NumLeaves(), flat.Width(0))
+		}
+		if flat.String() == tree.String() || !flat.Flattened() || tree.Flattened() {
+			t.Errorf("%s: the flat view is named %q (flattened %v)", tree, flat, flat.Flattened())
+		}
+		if flat.AttackPlan() != plan || flat.Spec != tree.Spec || flat.Sizes[0][0] != tree.Sizes[0][0] {
+			t.Errorf("%s: the flat view dropped the plan, the spec or the sample count", tree)
+		}
+		if err := flat.AlignsWith(tree.Levels[0].Tau); err != nil {
+			t.Errorf("%s: the flat view does not run one root period: %v", tree, err)
+		}
+		var sum float64
+		for j, w := range flat.Weights[0][0] {
+			if flat.Kids[0][0][j] != j || flat.Parent[1][j] != 0 {
+				t.Errorf("%s: the root's child %d is %d, with parent %d", tree, j, flat.Kids[0][0][j], flat.Parent[1][j])
+			}
+			if math.Float64bits(w) != math.Float64bits(tree.Global[j]) || flat.Global[j] != tree.Global[j] {
+				t.Errorf("%s: leaf %d weighs %v flat, %v globally", tree, j, w, tree.Global[j])
+			}
+			sum += w
+			p, pos := tree.Natal(j)
+			if fp, fpos := flat.Natal(j); fp != p || fpos != pos {
+				t.Errorf("%s: leaf %d natal (%d,%d) flat, (%d,%d) in the tree", tree, j, fp, fpos, p, pos)
+			}
+			if id := tree.ID(leaf, j); flat.ID(1, j) != id {
+				t.Errorf("%s: leaf %d is %q flat, %q in the tree", tree, j, flat.ID(1, j), id)
+			} else if lvl, idx, ok := flat.Lookup(id); !ok || lvl != 1 || idx != j {
+				t.Errorf("%s: flat Lookup(%q) = (%d, %d, %v)", tree, id, lvl, idx, ok)
+			}
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Errorf("%s: the root's weights sum to %v", tree, sum)
+		}
+		if flat.ID(0, 0) != tree.ID(0, 0) {
+			t.Errorf("%s: the root is %q flat, %q in the tree", tree, flat.ID(0, 0), tree.ID(0, 0))
+		}
+	}
+
+	// What the flat view has no level for: a robust rule below the root,
+	// γ / adapt attributes at any level, membership epochs.
+	median := robust.Spec{Kind: robust.Median}
+	robustEdges, err := derived.WithAggregators(median, robust.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := make([]membership.WorkerStat, derived.NumLeaves())
+	for j := range stats {
+		stats[j] = membership.WorkerStat{Weight: 1, Hist: []float64{1}}
+	}
+	churned, err := derived.WithMembership(membership.Plan{Events: []membership.Event{
+		{Round: 2, Action: membership.ActionLeave, Worker: "worker-0-1"}}}, stats, 12, 0, membership.MigrateZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tree *Tree
+		want string
+	}{
+		{robustEdges, `"edge" to aggregate with agg=median`},
+		{resolve("cloud:tau=8/edge*2:tau=2,gamma=0.5/worker*2", 4), `attributes of level "edge"`},
+		{resolve("cloud:tau=8/edge*2:tau=2,adapt=true/worker*2", 4), `attributes of level "edge"`},
+		{resolve("cloud:tau=8,gamma=0.5/edge*2:tau=2/worker*2", 4), `attributes of level "cloud"`},
+		{resolve("cloud:tau=4,gamma=0.5/worker*4", 4), `attributes of level "cloud"`},
+		{churned, "membership epochs"},
+	} {
+		flat, err := tc.tree.Flat()
+		if flat != nil || !errors.Is(err, ErrFlat) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Flat() = %v, %v; want ErrFlat naming %s", tc.tree, flat, err, tc.want)
+		}
+	}
+
+	// A robust root rule is the flat view's own, and a two-level tree is its
+	// own flat view.
+	robustRoot, err := derived.WithAggregators(robust.Spec{}, median)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat, err := robustRoot.Flat(); err != nil || flat.Levels[0].Agg != median {
+		t.Errorf("flattening a median root: %v, %v", flat, err)
+	}
+	two := resolve("cloud:tau=4/worker*4", 4)
+	if flat, err := two.Flat(); err != nil || flat != two {
+		t.Errorf("a two-level tree flattened to %v, %v; want itself", flat, err)
 	}
 }
