@@ -44,13 +44,15 @@
 // reports at the worker boundary (sign-flip, scaling, seeded noise, stale
 // replay) and -aggregator swaps the tier aggregation rule for a robust one
 // (median, trimmed mean, norm-clipping, cosine-outlier filter), per tier
-// if desired. The run prints an attack report with injected and rejected
-// counts; both knobs are pure functions of the flags, so Byzantine runs
-// replay bit-identically:
+// if desired, in the rule grammar of a -topology level's agg= — a rule's
+// parameter in parentheses, trimmed(0.2), clip(10) and cosine(0) when
+// bare. The run prints an attack report with injected and rejected counts;
+// both knobs are pure functions of the flags, so Byzantine runs replay
+// bit-identically:
 //
 //	flcluster -attack-plan "signflip:worker-0-1@1" -aggregator median
 //	flcluster -attack-plan "noise:worker-1-0@2-6=0.5" \
-//	    -aggregator edge=trimmed,cloud=mean -trim 0.2
+//	    -aggregator "edge=trimmed(0.25),cloud=mean"
 //
 // N-tier topologies: by default the aggregation tree is the workload's
 // cloud/edge/worker hierarchy; -topology runs the same runtime over an
@@ -193,10 +195,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 
 		attackSpec = fs.String("attack-plan", "", `Byzantine attack spec like "signflip:worker-0-1@1,noise:worker-1-0@2-6=0.5" (kinds: signflip|scale|noise|replay)`)
 		attackSeed = fs.Uint64("attack-seed", 1, "seed for the deterministic noise-attack draws")
-		aggregator = fs.String("aggregator", "mean", `aggregation rule (mean|median|trimmed|clip|cosine), or per tier like "edge=median,cloud=mean"`)
-		trim       = fs.Float64("trim", 0.2, "per-tail trim fraction for -aggregator trimmed, in [0, 0.5)")
-		clipNorm   = fs.Float64("clip", 10, "max L2 deviation norm for -aggregator clip")
-		cosMin     = fs.Float64("cos-min", 0, "minimum cosine against the cohort's median deviation for -aggregator cosine, in [-1, 1]")
+		aggregator = fs.String("aggregator", "mean", `aggregation rule, the grammar of a -topology level's agg= (mean|median|trimmed(f)|clip(f)|cosine(f); bare trimmed, clip, cosine take 0.2, 10, 0), or per tier like "edge=trimmed(0.25),cloud=clip(0.5)"`)
 
 		topologySpec = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker" (empty = the workload's cloud/edge/worker hierarchy; the tree's leaf count must equal the workload's workers; -verify runs the simulation on the same tree)`)
 
@@ -257,7 +256,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	edgeAgg, cloudAgg, err := robust.ParseTierSpecs(*aggregator, *trim, *clipNorm, *cosMin)
+	edgeAgg, cloudAgg, err := robust.ParseTierSpecs(*aggregator)
 	if err != nil {
 		return err
 	}

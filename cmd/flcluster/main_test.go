@@ -107,7 +107,7 @@ func TestRunTopologyVerify(t *testing.T) {
 		{"-topology", "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"},
 		{"-aggregator", "median"},
 		{"-aggregator", "median", "-attack-plan", "signflip:worker-0-1@1"},
-		{"-aggregator", "edge=cosine,cloud=clip", "-clip", "0.5"},
+		{"-aggregator", "edge=cosine,cloud=clip(0.5)"},
 		{"-transport", "tcp", "-attack-plan", "signflip:worker-0-1@1"},
 		{"-transport", "tcp", "-attack-plan", "signflip:worker-0-1@1", "-aggregator", "edge=cosine,cloud=clip"},
 		{"-transport", "tcp", "-attack-plan", "scale:worker-0-1@2-12=10"},

@@ -230,7 +230,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 		go func() {
 			defer wg.Done()
 			defer close(done)
-			fail(drive(w, ep, cfg.Telemetry, opts))
+			fail(drive(w, ep, opts))
 		}()
 		if rv == nil || !opts.tolerant() || !rv.RestartPlanned(id) {
 			continue
@@ -258,7 +258,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 			// stops the respawn on either.
 			ropts.Interrupt = runDone
 			rw := newTreeLeaf(cfg, ts, j, x0, ropts)
-			if err := drive(rw, ep, cfg.Telemetry, ropts); err != nil && !errors.Is(err, ErrInterrupted) {
+			if err := drive(rw, ep, ropts); err != nil && !errors.Is(err, ErrInterrupted) {
 				// An interrupt here just means the run ended while the
 				// respawned leaf was still catching up — expected, not a
 				// fault.
@@ -273,7 +273,7 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				err := drive(n, ep, cfg.Telemetry, opts)
+				err := drive(n, ep, opts)
 				if n.lvl > 0 {
 					fail(err)
 					return
@@ -351,10 +351,10 @@ func RunNode(cfg *fl.Config, ep transport.Endpoint, opts Options) (*fl.Result, e
 		return nil, fmt.Errorf("cluster: %q is not a node of the tree %s", ep.ID(), ts.tree)
 	}
 	if lvl == ts.depth()-1 {
-		return nil, drive(newTreeLeaf(cfg, ts, idx, hn.InitParams(), opts), ep, cfg.Telemetry, opts)
+		return nil, drive(newTreeLeaf(cfg, ts, idx, hn.InitParams(), opts), ep, opts)
 	}
 	n := newTierNode(cfg, hn, ts, lvl, idx, hn.InitParams(), opts)
-	if err := drive(n, ep, cfg.Telemetry, opts); err != nil {
+	if err := drive(n, ep, opts); err != nil {
 		return nil, err
 	}
 	res, err := n.finish()

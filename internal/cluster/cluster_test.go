@@ -116,7 +116,9 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	// engines, which must reject and clip the same reports. The flat row
 	// runs HierAdMo on the flat view of a ragged config's tree: the root
 	// alone over every leaf at the leaves' global weights, each leaf keeping
-	// its (edge, worker) sampler key and ID.
+	// its (edge, worker) sampler key and ID. On a depth-2 tree the root is
+	// the leaf parent: both engines count its rounds as cloud syncs and
+	// publish its γℓ.
 	const tree4 = "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2"
 	const robust3 = "cloud:tau=4,agg=trimmed(0.25)/edge*2:tau=2,agg=median/worker*2"
 	median := robust.Spec{Kind: robust.Median}
@@ -142,6 +144,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		{name: "tree4-adaptive", adaptive: true, topology: tree4},
 		{name: "tree4-reduced", topology: tree4},
 		{name: "depth2-gamma0", topology: "cloud:tau=4,gamma=0/worker*4"},
+		{name: "depth2-adaptive", adaptive: true, topology: "cloud:tau=4/worker*4"},
 		{name: "regrouped", adaptive: true, topology: "cloud:tau=4/edge:tau=2/worker*4"},
 		{name: "flat-ragged", adaptive: true, cohorts: []int{3, 1, 2}, flat: true},
 		{name: "spec-trimmed-median", adaptive: true, topology: robust3},
@@ -292,13 +295,37 @@ func TestClusterMatchesSimulation(t *testing.T) {
 					t.Errorf("fl_grad_clips_total = %d from the leaves, %d in the simulation (ClipNorm %v)",
 						clips, refClips, tc.clip)
 				}
-				// Both engines count and time the leaf parents' rounds alone,
-				// on the four-level trees too.
-				if got, want := m.EdgeAggregations.Value(), refM.EdgeAggregations.Value(); got != want {
-					t.Errorf("fl_edge_aggregations_total = %d in the cluster, %d in the simulation", got, want)
+				// Both engines publish every aggregate through core.Rule.Publish:
+				// the root's rounds and the leaf parents' below it are counted
+				// and timed alike, on the four-level and depth-2 trees too.
+				for _, c := range []struct {
+					name      string
+					got, want int64
+				}{
+					{"fl_cloud_syncs_total", m.CloudSyncs.Value(), refM.CloudSyncs.Value()},
+					{"fl_edge_aggregations_total", m.EdgeAggregations.Value(), refM.EdgeAggregations.Value()},
+					{"fl_gamma_zeroed_total", m.GammaZeroed.Value(), refM.GammaZeroed.Value()},
+					{"fl_membership_gamma_migrations_total", m.GammaMigrations.Value(), refM.GammaMigrations.Value()},
+					{"fl_cloud_sync_seconds count", m.CloudSyncSeconds.Count(), refM.CloudSyncSeconds.Count()},
+					{"fl_edge_aggregate_seconds count", m.EdgeAggSeconds.Count(), refM.EdgeAggSeconds.Count()},
+				} {
+					if c.got != c.want {
+						t.Errorf("%s = %d in the cluster, %d in the simulation", c.name, c.got, c.want)
+					}
 				}
-				if got, want := m.EdgeAggSeconds.Count(), refM.EdgeAggSeconds.Count(); got != want {
-					t.Errorf("fl_edge_aggregate_seconds counts %d rounds in the cluster, %d in the simulation", got, want)
+				if m.CloudSyncs.Value() == 0 {
+					t.Error("no cloud sync counted")
+				}
+				// With several leaf parents the gauges hold whichever node wrote
+				// last, which the cluster's scheduling decides; with one they
+				// hold its last round in both engines.
+				if attacked.Width(attacked.LeafParent()) == 1 {
+					if got, want := m.GammaEdge.Value(), refM.GammaEdge.Value(); got != want {
+						t.Errorf("fl_gamma_edge = %v in the cluster, %v in the simulation", got, want)
+					}
+					if got, want := m.EdgeCosine.Value(), refM.EdgeCosine.Value(); got != want {
+						t.Errorf("fl_edge_cosine = %v in the cluster, %v in the simulation", got, want)
+					}
 				}
 			})
 		}
@@ -466,7 +493,7 @@ func TestClusterRobustToDeliveryDelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	delayed, err := Run(cfg,
-		transport.NewMemoryNetwork(transport.WithDelay(3*time.Millisecond, 7)),
+		transport.NewFaultyNetwork(transport.NewMemoryNetwork(), transport.FaultPlan{Seed: 7, MaxDelay: 3 * time.Millisecond}),
 		Options{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +509,7 @@ func TestClusterMessageLossSurfacesAsTimeout(t *testing.T) {
 	cfg := buildConfig(t, 43, 0)
 	cfg.T = 8
 	_, err := Run(cfg,
-		transport.NewMemoryNetwork(transport.WithDropRate(1.0, 11)),
+		transport.NewFaultyNetwork(transport.NewMemoryNetwork(), transport.FaultPlan{Seed: 11, DropRate: 1}),
 		Options{Adaptive: true, RecvTimeout: 100 * time.Millisecond})
 	if err == nil {
 		t.Fatal("run with total message loss succeeded")
@@ -548,7 +575,7 @@ func TestClusterPartialLossAlsoTimesOut(t *testing.T) {
 	cfg := buildConfig(t, 113, 0)
 	cfg.T = 8
 	_, err := Run(cfg,
-		transport.NewMemoryNetwork(transport.WithDropRate(0.5, 17)),
+		transport.NewFaultyNetwork(transport.NewMemoryNetwork(), transport.FaultPlan{Seed: 17, DropRate: 0.5}),
 		Options{Adaptive: true, RecvTimeout: 150 * time.Millisecond})
 	if err == nil {
 		t.Fatal("run with 50% loss succeeded")

@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"hieradmo/internal/checkpoint"
-	"hieradmo/internal/telemetry"
+	"hieradmo/internal/fl"
 	"hieradmo/internal/transport"
 )
 
@@ -17,8 +16,8 @@ import (
 // for in its outbox. drive is the one driver that does the I/O.
 type machine interface {
 	id() string
-	// initCheckpoint binds the node's state to its registry (nil: none).
-	initCheckpoint() (*checkpoint.Registry, error)
+	// initCheckpoint binds the node's state to its checkpointer (nil: none).
+	initCheckpoint() (*fl.Checkpointer, error)
 	// start begins the node after its snapshot of resumed (0: none).
 	start(now time.Time, resumed int) error
 	// deliver hands the node one received message; the node releases it.
@@ -71,19 +70,20 @@ func (b *outbox) push(e effect) {
 // receives until the machine's wake time — in slices of at most
 // interruptSlice while a shutdown channel is set, so an interrupt is noticed
 // within one slice even on a quiet socket. The interrupt is checked before
-// every input, so a leaf notices it between any two iterations. Resumes and
-// saves are mirrored onto sink, the run's (fl.Config.Telemetry).
-func drive(m machine, ep transport.Endpoint, sink *telemetry.Sink, opts Options) error {
+// every input, so a leaf notices it between any two iterations. Resuming
+// loads the node's newest valid generation; a fresh start clears leftover
+// generations from a previous run instead.
+func drive(m machine, ep transport.Endpoint, opts Options) error {
 	id := m.id()
-	reg, err := m.initCheckpoint()
-	if reg != nil {
-		// Every saved byte was fsynced before its save returned, so a close
-		// error loses nothing and is not reported.
-		defer reg.Close()
-	}
+	ck, err := m.initCheckpoint()
+	defer ck.Close()
 	resumed := 0
 	if err == nil {
-		resumed, err = restoreOrClear(reg, opts.Resume, sink, id)
+		if opts.Resume {
+			resumed, err = ck.Restore()
+		} else {
+			err = ck.Clear()
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("cluster: %s: %w", id, err)
@@ -92,7 +92,7 @@ func drive(m machine, ep transport.Endpoint, sink *telemetry.Sink, opts Options)
 	err = m.start(time.Now(), resumed)
 	for {
 		// What the machine queued before an error was sent before it too.
-		if ferr := flush(box, ep, reg, id, sink); ferr != nil {
+		if ferr := flush(box, ep, ck, id); ferr != nil {
 			return ferr
 		}
 		if err != nil || box.done {
@@ -100,7 +100,7 @@ func drive(m machine, ep transport.Endpoint, sink *telemetry.Sink, opts Options)
 		}
 		if interrupted(opts.Interrupt) {
 			m.interrupt()
-			if err := flush(box, ep, reg, id, sink); err != nil {
+			if err := flush(box, ep, ck, id); err != nil {
 				return err
 			}
 			return fmt.Errorf("cluster: %s: %w", id, ErrInterrupted)
@@ -125,23 +125,15 @@ func drive(m machine, ep transport.Endpoint, sink *telemetry.Sink, opts Options)
 
 // flush carries out the outbox in order and empties it: a send or a save
 // that fails ends the node, and what was queued after it never happens. A
-// save without a registry (checkpointing disabled) is a no-op; one that
-// succeeds is mirrored onto the telemetry sink under the node's ID.
-func flush(box *outbox, ep transport.Endpoint, reg *checkpoint.Registry, id string, sink *telemetry.Sink) error {
+// save without a checkpointer (checkpointing disabled) is a no-op.
+func flush(box *outbox, ep transport.Endpoint, ck *fl.Checkpointer, id string) error {
 	for _, e := range box.effects {
-		switch {
-		case e.to != "":
-			if err := ep.Send(e.to, e.msg); err != nil {
-				return fmt.Errorf("cluster: %s send %s to %s: %w", id, e.msg.Kind, e.to, err)
-			}
-		case reg != nil:
-			if err := reg.Save(e.seq); err != nil {
+		if e.to == "" {
+			if err := ck.Save(e.seq); err != nil {
 				return fmt.Errorf("cluster: %s: %w", id, err)
 			}
-			sink.M().CheckpointSaves.Inc()
-			if sink.Tracing() {
-				sink.Emit("checkpoint_save", telemetry.String("node", id), telemetry.Int("t", e.seq))
-			}
+		} else if err := ep.Send(e.to, e.msg); err != nil {
+			return fmt.Errorf("cluster: %s send %s to %s: %w", id, e.msg.Kind, e.to, err)
 		}
 	}
 	box.effects = box.effects[:0]

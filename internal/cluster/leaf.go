@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/core"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/robust"
@@ -119,36 +118,36 @@ func (w *treeLeaf) tau() int        { return w.ts.tau(w.ts.leafParent()) }
 
 // initCheckpoint binds the leaf's complete mid-run state — model, momentum,
 // interval accumulators, batch-sampler stream, and resync cursor — to its
-// snapshot registry.
+// snapshots.
 //
 // A save at a settled boundary (update adopted, accumulators just restarted)
 // persists no interval state: the accumulators' entry is empty while both
 // are all +0, and the velocity reference's while it equals y (leafLayout).
-func (w *treeLeaf) initCheckpoint() (*checkpoint.Registry, error) {
-	reg, err := nodeRegistry(w.cfg, w.opts, w.ts, w.id())
-	if err != nil || reg == nil {
+func (w *treeLeaf) initCheckpoint() (*fl.Checkpointer, error) {
+	ck, err := nodeCheckpointer(w.cfg, w.opts, w.ts, w.id())
+	if err != nil || ck == nil {
 		return nil, err
 	}
-	reg.Vector("x", w.state.X)
-	reg.Vector("y", w.state.Y)
-	reg.Dynamic("interval", w.saveInterval, w.loadInterval)
+	ck.Vector("x", w.state.X)
+	ck.Vector("y", w.state.Y)
+	ck.Dynamic("interval", w.saveInterval, w.loadInterval)
 	if w.yStart != nil {
-		reg.Dynamic("yStart", w.saveYStart, w.loadYStart)
+		ck.Dynamic("yStart", w.saveYStart, w.loadYStart)
 	}
-	reg.RNG("sampler", w.oracle.Sampler)
-	reg.Float("lastLoss", &w.lastLoss)
-	reg.Int("syncedThrough", &w.syncedThrough)
+	ck.RNG("sampler", w.oracle.Sampler)
+	ck.Float("lastLoss", &w.lastLoss)
+	ck.Int("syncedThrough", &w.syncedThrough)
 	if w.att != nil {
 		// The replay stash is the attacker's only mutable state; with it in
 		// the snapshot a resumed Byzantine leaf re-sends exactly the bytes
 		// the uninterrupted run would have (the noise/flip/scale draws are
 		// already pure functions of seed, node, and round).
 		for ci, v := range w.att.PrevVectors() {
-			reg.Vector(fmt.Sprintf("attackPrev%d", ci), v)
+			ck.Vector(fmt.Sprintf("attackPrev%d", ci), v)
 		}
-		reg.Int("attackPrevRound", w.att.PrevRoundPtr())
+		ck.Int("attackPrevRound", w.att.PrevRoundPtr())
 	}
-	return reg, nil
+	return ck, nil
 }
 
 // saveInterval appends the interval accumulators Σ∇F ‖ Σy to dst, or

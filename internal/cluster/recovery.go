@@ -6,10 +6,8 @@ import (
 	"math"
 	"time"
 
-	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/core"
 	"hieradmo/internal/fl"
-	"hieradmo/internal/telemetry"
 	"hieradmo/internal/transport"
 )
 
@@ -36,16 +34,12 @@ func interrupted(ch <-chan struct{}) bool {
 	}
 }
 
-// nodeRegistry builds the checkpoint registry of one cluster node, keyed by
-// its transport ID so every node of a deployment can share one directory.
-// Returns nil (no checkpointing) when no directory is configured.
-func nodeRegistry(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*checkpoint.Registry, error) {
+// nodeCheckpointer opens the snapshots of one cluster node, keyed by its
+// transport ID so every node of a deployment can share one directory; nil
+// (no checkpointing) when no directory is configured.
+func nodeCheckpointer(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*fl.Checkpointer, error) {
 	if opts.CheckpointDir == "" {
 		return nil, nil
-	}
-	mgr, err := checkpoint.NewManager(opts.CheckpointDir, nodeID)
-	if err != nil {
-		return nil, err
 	}
 	// The fingerprint covers everything that shapes the distributed
 	// trajectory: the full run config, the algorithm options, and the tree's
@@ -64,31 +58,7 @@ func nodeRegistry(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string) (*c
 		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s leaf=%s",
 			opts.Adaptive, opts.Signal, core.DefaultClampCeiling, ts.tree, reportLayout, leafLayout) +
 		ts.tree.Scenario()
-	return checkpoint.NewRegistry(mgr, fp), nil
-}
-
-// restoreOrClear applies the Resume option to a node's registry: resuming
-// loads the newest valid generation and returns its sequence number; a
-// fresh start clears leftover generations from a previous run instead. An
-// actual resume (seq > 0) is mirrored onto the telemetry sink under the
-// node's ID.
-func restoreOrClear(reg *checkpoint.Registry, resume bool, sink *telemetry.Sink, node string) (int, error) {
-	if reg == nil {
-		return 0, nil
-	}
-	if !resume {
-		return 0, reg.Clear()
-	}
-	seq, _, err := reg.Restore()
-	if err == nil && seq > 0 {
-		sink.M().CheckpointResumes.Inc()
-		if sink.Tracing() {
-			sink.Emit("checkpoint_resume",
-				telemetry.String("node", node),
-				telemetry.Int("t", seq))
-		}
-	}
-	return seq, err
+	return fl.NewCheckpointer(opts.CheckpointDir, nodeID, fp, nodeID, cfg.Telemetry)
 }
 
 // encodePending appends a ride-ahead report stash to out for snapshotting:

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/core"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
@@ -180,52 +179,30 @@ func (n *tierNode) churning() bool { return n.ts.tree.Membership() != nil && n.l
 
 // initCheckpoint binds the node's aggregation state — both momenta, the
 // model, the per-child loss cache, the substitution ledgers, the ride-ahead
-// stash and, on the root, the accuracy curve — to its snapshot registry.
-func (n *tierNode) initCheckpoint() (*checkpoint.Registry, error) {
-	reg, err := nodeRegistry(n.cfg, n.opts, n.ts, n.id())
-	if err != nil || reg == nil {
+// stash and, on the root, the accuracy curve — to its snapshots.
+func (n *tierNode) initCheckpoint() (*fl.Checkpointer, error) {
+	ck, err := nodeCheckpointer(n.cfg, n.opts, n.ts, n.id())
+	if err != nil || ck == nil {
 		return nil, err
 	}
-	reg.Vector("yMinus", n.tier.YMinus)
-	reg.Vector("yPlus", n.tier.YPlus)
-	reg.Vector("xPlus", n.tier.XPlus)
-	reg.Dynamic("losses", n.encodeLosses, n.decodeLosses)
+	ck.Vector("yMinus", n.tier.YMinus)
+	ck.Vector("yPlus", n.tier.YPlus)
+	ck.Vector("xPlus", n.tier.XPlus)
+	ck.Dynamic("losses", n.encodeLosses, n.decodeLosses)
 	for c := range n.lastYRep {
-		reg.Vector(fmt.Sprintf("lastY/%d", c), n.lastYRep[c])
-		reg.Vector(fmt.Sprintf("lastX/%d", c), n.lastXRep[c])
-		reg.Int(fmt.Sprintf("missStreak/%d", c), &n.missStreak[c])
+		ck.Vector(fmt.Sprintf("lastY/%d", c), n.lastYRep[c])
+		ck.Vector(fmt.Sprintf("lastX/%d", c), n.lastXRep[c])
+		ck.Int(fmt.Sprintf("missStreak/%d", c), &n.missStreak[c])
 	}
 	if n.ts.tree.Membership() != nil {
-		reg.Int("membEpoch", &n.epoch)
+		ck.Int("membEpoch", &n.epoch)
 	}
 	if n.res != nil {
-		res := n.res
-		reg.Float("weightedLoss", &n.weightedLoss)
-		reg.Dynamic("curve",
-			func(flat []float64) []float64 {
-				for _, pt := range res.Curve {
-					flat = append(flat, float64(pt.Iter), pt.TestAcc, pt.TrainLoss)
-				}
-				return flat
-			},
-			func(flat []float64) error {
-				if len(flat)%3 != 0 {
-					return fmt.Errorf("curve holds %d values, not triples", len(flat))
-				}
-				curve := make([]fl.Point, 0, len(flat)/3)
-				for i := 0; i+2 < len(flat); i += 3 {
-					iter := int(flat[i])
-					if float64(iter) != flat[i] {
-						return fmt.Errorf("curve iteration %v is not an integer", flat[i])
-					}
-					curve = append(curve, fl.Point{Iter: iter, TestAcc: flat[i+1], TrainLoss: flat[i+2]})
-				}
-				res.Curve = curve
-				return nil
-			})
+		ck.Float("weightedLoss", &n.weightedLoss)
+		ck.Curve("curve", n.res)
 	}
-	reg.Dynamic("pending", n.stashPending, n.unstashPending)
-	return reg, nil
+	ck.Dynamic("pending", n.stashPending, n.unstashPending)
+	return ck, nil
 }
 
 // stashPending appends the ride-ahead stash to dst for snapshotting, keying
@@ -436,10 +413,7 @@ func (n *tierNode) finish() (*fl.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s final eval: %w", n.id(), err)
 	}
-	n.res.FinalAcc = acc
-	n.res.FinalLoss = n.weightedLoss
-	n.res.Curve = append(n.res.Curve, fl.Point{Iter: n.cfg.T, TestAcc: acc, TrainLoss: n.weightedLoss})
-	n.recordEval(n.cfg.T, acc, n.weightedLoss, true)
+	n.hn.AppendPoint(n.res, n.cfg.T, acc, n.weightedLoss)
 	return n.res, nil
 }
 
@@ -631,8 +605,7 @@ func (n *tierNode) close(now time.Time) error {
 		if err != nil {
 			return fmt.Errorf("eval: %w", err)
 		}
-		n.res.Curve = append(n.res.Curve, fl.Point{Iter: n.want(), TestAcc: acc, TrainLoss: n.weightedLoss})
-		n.recordEval(n.want(), acc, n.weightedLoss, false)
+		n.hn.AppendPoint(n.res, n.want(), acc, n.weightedLoss)
 	}
 	n.settle(now)
 	return nil
@@ -721,22 +694,6 @@ func (n *tierNode) settle(now time.Time) {
 	n.next(now)
 }
 
-// recordEval mirrors one root accuracy measurement onto the telemetry sink.
-func (n *tierNode) recordEval(t int, acc, loss float64, final bool) {
-	sink := n.cfg.Telemetry
-	m := sink.M()
-	m.Evals.Inc()
-	m.TestAccuracy.Set(acc)
-	m.TrainLoss.Set(loss)
-	if sink.Tracing() {
-		sink.Emit("eval",
-			telemetry.Int("t", t),
-			telemetry.Float("acc", acc),
-			telemetry.Float("loss", loss),
-			telemetry.Bool("final", final))
-	}
-}
-
 // admit validates one current-round report and slots it into n.reports;
 // shared by live receives and the ride-ahead stash. It returns whether the
 // report counted as a new distinct reporter.
@@ -807,15 +764,12 @@ func (n *tierNode) vet(msg transport.Message, kids []int) (from, pos int, ok boo
 // (core.Tier.Update: lines 10–13 at momentum levels, the plain average of
 // lines 18–19 otherwise) over the children at cohort positions idx — the
 // leaf-parent's reporters, everyone elsewhere — and publishes what it
-// decided. What stays here is runtime: pointing the tier at the round's
-// reports, γℓ migration across a cohort change, and the round's metrics,
-// trace and ledger facts.
+// decided (core.Rule.Publish, then its tier_aggregate event and its robust
+// verdicts). What stays here is runtime: pointing the tier at the round's
+// reports and γℓ migration across a cohort change.
 func (n *tierNode) update(idx []int) error {
 	sink := n.cfg.Telemetry
-	var aggStart time.Time
-	if sink != nil {
-		aggStart = time.Now()
-	}
+	started := core.Stopwatch(sink)
 	k, t := n.k, n.want()
 	kids, full := n.ts.tree.Children(n.lvl, n.idx, k)
 	if n.leafParent() {
@@ -841,38 +795,7 @@ func (n *tierNode) update(idx []int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: %s aggregation at round %d: %w", n.id(), k, err)
 	}
-	m := sink.M()
-	adaptive := n.tier.Level().Adapt
-	if adaptive {
-		if out.Gamma == 0 {
-			m.GammaZeroed.Inc()
-		}
-		m.EdgeCosine.Set(out.Cos)
-	}
-	if migrated {
-		n.ts.ledger.GammaMigration(n.id(), t, n.ts.tree.Membership().Policy.String(), out.Applied)
-	}
-	// The root's rounds are cloud syncs and the leaf parents' edge
-	// aggregations, as in the simulation; a middle tier's show as its
-	// tier_aggregate events.
-	var seconds *telemetry.Histogram
-	switch {
-	case n.lvl == 0:
-		m.CloudSyncs.Inc()
-		m.Round.Set(float64(t))
-		if sched := n.ts.tree.Membership(); sched != nil {
-			r := t / n.ts.tau(n.ts.leafParent())
-			m.MembershipEpoch.Set(float64(sched.EpochIndex(r)))
-			m.LiveWorkers.Set(float64(sched.LiveCount(r)))
-		}
-		seconds = m.CloudSyncSeconds
-	case n.leafParent():
-		m.EdgeAggregations.Inc()
-		seconds = m.EdgeAggSeconds
-	}
-	if n.leafParent() {
-		m.GammaEdge.Set(out.Applied)
-	}
+	n.ts.rule.Publish(&n.ts.ledger, n.ts.tree, n.lvl, n.idx, t, n.tier, out, migrated, started)
 	if sink.Tracing() {
 		fields := []telemetry.Field{
 			telemetry.Int("t", t),
@@ -882,7 +805,7 @@ func (n *tierNode) update(idx []int) error {
 			telemetry.Int("participants", len(idx)),
 			telemetry.Float("gamma", out.Applied),
 		}
-		if adaptive {
+		if n.tier.Level().Adapt {
 			fields = append(fields, telemetry.Float("cos", out.Cos))
 		}
 		sink.Emit("tier_aggregate", fields...)
@@ -893,9 +816,6 @@ func (n *tierNode) update(idx []int) error {
 	n.weightedLoss = 0
 	for pos, c := range kids {
 		n.weightedLoss += full[pos] * n.losses[c]
-	}
-	if seconds != nil {
-		seconds.Observe(time.Since(aggStart).Seconds())
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
+	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
 )
 
@@ -192,6 +193,40 @@ func TestAdaptedGammaWithinClamp(t *testing.T) {
 		if g < 0 || g > DefaultClampCeiling {
 			t.Errorf("adapted γℓ = %v outside [0, %v]", g, DefaultClampCeiling)
 		}
+	}
+}
+
+// TestGammaObserverAtDepth2: on a depth-2 tree the root is the leaf parent,
+// so its every round adapts γℓ and reports it — to the observer, once per
+// root round, and to the γℓ gauge — while it counts as a cloud sync, not an
+// edge aggregation.
+func TestGammaObserverAtDepth2(t *testing.T) {
+	cfg := buildConfig(t, []int{2, 2}, 2, 31)
+	cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
+	tree := specTree(t, cfg, "cloud:tau=4/worker*4")
+	var observed []float64
+	alg := New(WithGammaObserver(func(edge int, g float64) {
+		if edge != 0 {
+			t.Errorf("γℓ observed at node %d of a one-node leaf-parent level", edge)
+		}
+		observed = append(observed, g)
+	}))
+	if _, err := alg.RunTree(cfg, tree); err != nil {
+		t.Fatal(err)
+	}
+	rounds := cfg.T / 4
+	if len(observed) != rounds {
+		t.Fatalf("observer fired %d times over %d root rounds", len(observed), rounds)
+	}
+	m := cfg.Telemetry.M()
+	if got := m.CloudSyncs.Value(); got != int64(rounds) {
+		t.Errorf("fl_cloud_syncs_total = %d, want %d", got, rounds)
+	}
+	if got := m.EdgeAggregations.Value(); got != 0 {
+		t.Errorf("fl_edge_aggregations_total = %d, want 0: the root is no edge", got)
+	}
+	if got, want := m.GammaEdge.Value(), observed[len(observed)-1]; got != want {
+		t.Errorf("fl_gamma_edge = %v, want the last observed γℓ %v", got, want)
 	}
 }
 

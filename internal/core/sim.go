@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"hieradmo/internal/fl"
 	"hieradmo/internal/parallel"
@@ -140,9 +140,6 @@ type simLevel struct {
 	// level is the tree level the nodes sit at.
 	level  int
 	period int
-	// seconds times one round of a node at this level (nil in the middle of
-	// a deeper tree).
-	seconds *telemetry.Histogram
 }
 
 // sim is the state of one Run.
@@ -175,26 +172,10 @@ type sim struct {
 	quantBuf []tensor.Vector //flvet:allow ckptstate -- per-round scratch, refilled from the workers' state before it is read
 }
 
-// stopwatch starts timing a phase for a latency histogram; without a sink the
-// clock is not read at all.
-func stopwatch(sink *telemetry.Sink) time.Time {
-	if sink == nil {
-		return time.Time{}
-	}
-	return time.Now() //flvet:allow detwall -- wall-clock feeds the timing histograms only, never the trace or training state
-}
-
-// lap records the time since a stopwatch reading.
-func lap(h *telemetry.Histogram, start time.Time) {
-	if !start.IsZero() {
-		h.Observe(time.Since(start).Seconds()) //flvet:allow detwall -- wall-clock feeds the timing histograms only, never the trace or training state
-	}
-}
-
 // stack lays out a run bottom-up from its tree — cohorts, data weights and
 // periods, no state yet. Level 0 is the tier the leaves report to, the
 // tree's leaf parents.
-func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, error) {
+func (r *Rule) stack(tree *topology.Tree) ([]simLevel, error) {
 	if err := r.runs(tree); err != nil {
 		return nil, err
 	}
@@ -209,12 +190,6 @@ func (r *Rule) stack(tree *topology.Tree, m *telemetry.RunMetrics) ([]simLevel, 
 		i := lp - k
 		lev := &levels[k]
 		lev.level, lev.period = i, tree.Levels[i].Tau
-		switch {
-		case i == 0:
-			lev.seconds = m.CloudSyncSeconds
-		case k == 0:
-			lev.seconds = m.EdgeAggSeconds
-		}
 		lev.nodes, nodes = nodes[:len(tree.Kids[i])], nodes[len(tree.Kids[i]):]
 		for n, kids := range tree.Kids[i] {
 			lev.nodes[n] = simNode{weights: tree.Weights[i][n], kids: kids}
@@ -310,7 +285,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	sink := hn.Sink()
 	m := sink.M()
 
-	levels, err := r.stack(tree, m)
+	levels, err := r.stack(tree)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +414,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		}
 		variant += tree.Scenario()
 	}
-	ck, err := fl.NewCheckpointer(hn, r.Algorithm, variant, res)
+	ck, err := hn.Checkpointer(r.Algorithm, variant, res)
 	if err != nil {
 		return nil, err
 	}
@@ -493,6 +468,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 	pool := parallel.WithWorkers(hn.Workers())
 	roundLen := levels[0].period
+	ckEvery := cmp.Or(cfg.CheckpointEvery, cfg.Tau)
 
 	for t := start + 1; t <= cfg.T; t++ {
 		if sink.Tracing() && (t-1)%roundLen == 0 {
@@ -500,7 +476,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 				telemetry.Int("k", (t-1)/roundLen+1),
 				telemetry.Int("t", t))
 		}
-		iterStart := stopwatch(sink)
+		iterStart := Stopwatch(sink)
 		// Under membership only the epoch's live leaves train: a late
 		// joiner's batch stream stays untouched until it is admitted.
 		if _, live := tree.Live(t); live != nil {
@@ -559,8 +535,13 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 			}
 		}
 
-		if err := ck.MaybeSnapshot(t); err != nil {
-			return nil, err
+		// The final iteration is not snapshotted: the run is about to produce
+		// its final artifact, and a snapshot there would only be re-restored
+		// as a completed run.
+		if t%ckEvery == 0 && t != cfg.T {
+			if err := ck.Save(t); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -635,7 +616,7 @@ func (s *sim) round(t, k, n int) error {
 	lev := &s.levels[k]
 	node := &lev.nodes[n]
 	tier := node.tier
-	started := stopwatch(s.sink)
+	started := Stopwatch(s.sink)
 	kids, weights := node.kids, node.weights
 	if s.churn {
 		kids, weights = s.tree.Children(lev.level, n, t/lev.period)
@@ -666,19 +647,12 @@ func (s *sim) round(t, k, n int) error {
 		}
 	}
 
-	// The root and the leaf parents publish their rounds, the middle tiers
-	// of a deeper tree not yet; every level records its robust verdicts.
+	s.rule.Publish(&s.ledger, s.tree, lev.level, n, t, tier, out, migrated, started)
 	sink := s.sink
-	m := sink.M()
-	if migrated {
-		s.ledger.GammaMigration(s.tree.ID(lev.level, n), t, s.tree.Membership().Policy.String(), out.Applied)
-	}
-	if k == len(s.levels)-1 && s.churn {
-		s.rootMembership(t)
-	}
-	switch k {
-	case len(s.levels) - 1:
-		m.CloudSyncs.Inc()
+	if k == len(s.levels)-1 {
+		if s.churn {
+			s.retier(t)
+		}
 		if sink.Tracing() {
 			// edges counts the reports the cloud averaged: edge nodes, or the
 			// workers themselves in the flat view.
@@ -686,31 +660,17 @@ func (s *sim) round(t, k, n int) error {
 				telemetry.Int("t", t),
 				telemetry.Int("edges", len(idx)))
 		}
-	case 0:
-		adapt := tier.lv.Adapt
-		if adapt {
-			if out.Gamma == 0 {
-				m.GammaZeroed.Inc()
-			}
-			m.EdgeCosine.Set(out.Cos)
+	} else if k == 0 && sink.Tracing() {
+		fields := []telemetry.Field{
+			telemetry.Int("t", t),
+			telemetry.Int("edge", n),
+			telemetry.Int("participants", len(idx)),
+			telemetry.Float("gamma", out.Applied),
 		}
-		if h := s.rule.hier; h != nil && h.gammaStats != nil {
-			h.gammaStats(n, out.Applied)
+		if tier.lv.Adapt {
+			fields = append(fields, telemetry.Float("cos", out.Cos))
 		}
-		m.EdgeAggregations.Inc()
-		m.GammaEdge.Set(out.Applied)
-		if sink.Tracing() {
-			fields := []telemetry.Field{
-				telemetry.Int("t", t),
-				telemetry.Int("edge", n),
-				telemetry.Int("participants", len(idx)),
-				telemetry.Float("gamma", out.Applied),
-			}
-			if adapt {
-				fields = append(fields, telemetry.Float("cos", out.Cos))
-			}
-			sink.Emit("edge_aggregate", fields...)
-		}
+		sink.Emit("edge_aggregate", fields...)
 	}
 	out.RecordVerdicts(&s.ledger, s.tree, lev.level, n, t, kids, idx)
 
@@ -764,37 +724,15 @@ func (s *sim) round(t, k, n int) error {
 			}
 		}
 	}
-	lap(lev.seconds, started)
 	return nil
 }
 
-// RecordVerdicts records on ledger what the robust rule of node n at tree
-// level lvl decided at iteration t, for both engines: report slot j held the
-// node at position idx[j] of the cohort kids, on tree level lvl+1. A round
-// without a verdict reads no ID, so a simulation without one never mints
-// the tree's IDs.
-func (o Outcome) RecordVerdicts(ledger *telemetry.Ledger, tree *topology.Tree, lvl, n, t int, kids, idx []int) {
-	if len(o.Robust.Rejected) == 0 && len(o.Robust.Clipped) == 0 {
-		return
-	}
-	node, level := tree.ID(lvl, n), tree.Levels[lvl].Name
-	for _, j := range o.Robust.Rejected {
-		ledger.RobustReject(node, level, lvl, t, tree.ID(lvl+1, kids[idx[j]]))
-	}
-	for _, j := range o.Robust.Clipped {
-		ledger.RobustClip(node, level, lvl, t, tree.ID(lvl+1, kids[idx[j]]), o.Robust.MaxNorm)
-	}
-}
-
-// rootMembership publishes the membership state at the root's round at
-// iteration t, as the distributed root does: the epoch and live workers of
-// the leaf parents' round then, and a re-tiering that takes effect at their
-// next round, with the number of workers it moves.
-func (s *sim) rootMembership(t int) {
-	sched, m := s.tree.Membership(), s.sink.M()
+// retier records a re-tiering that takes effect at the leaf parents' round
+// after the root's round at iteration t, with the number of workers it
+// moves, as the distributed root announces it.
+func (s *sim) retier(t int) {
+	sched := s.tree.Membership()
 	r := t / s.levels[0].period
-	m.MembershipEpoch.Set(float64(sched.EpochIndex(r)))
-	m.LiveWorkers.Set(float64(sched.LiveCount(r)))
 	if r >= sched.K {
 		return
 	}

@@ -10,83 +10,63 @@ import (
 	"hieradmo/internal/telemetry"
 )
 
-// Checkpointer gives a simulation algorithm crash recovery with three calls:
-// register the algorithm's persistent state after allocating it, Restore
-// once before the training loop (returning the iteration to resume after),
-// and MaybeSnapshot at the end of every iteration. A nil *Checkpointer —
-// what NewCheckpointer returns when no CheckpointDir is configured — is
-// valid and makes every method a no-op, so call sites need no guards.
-//
-// The harness-owned state every algorithm shares (mini-batch sampler
-// positions, per-worker last losses, the recorded curve) is registered
-// automatically; the algorithm registers only its own models, momentum
-// buffers, and auxiliary RNG streams.
+// Checkpointer is the one crash-recovery front end of both engines: a
+// simulation run and every node of a distributed run register their state
+// with one, then Restore (or Clear) once before they start and Save the
+// generations their schedule settles. A nil *Checkpointer — what the
+// constructors return when no checkpoint directory is configured — is valid
+// and makes every method a no-op, so call sites need no guards.
 type Checkpointer struct {
-	reg   *checkpoint.Registry
-	every int
-	t     int // total iterations, to skip the redundant final snapshot
-	sink  *telemetry.Sink
+	reg  *checkpoint.Registry
+	sink *telemetry.Sink
+	// node is the cluster node whose snapshots these are, named in the
+	// events; empty for a simulation run.
+	node string
 }
 
-// NewCheckpointer prepares crash recovery for one Run invocation of the
-// named algorithm over harness h. The variant string folds run options that
-// live outside Config (participation fraction, quantization width) into the
-// config fingerprint so a checkpoint never resumes under different options;
-// pass "" when the algorithm has none. res is the Result whose curve is
-// snapshotted and restored.
-func NewCheckpointer(h *Harness, algorithm, variant string, res *Result) (*Checkpointer, error) {
-	cfg := h.Cfg()
-	if cfg.CheckpointDir == "" {
+// NewCheckpointer opens the snapshot file family base in dir under
+// fingerprint, which a snapshot must match to be restored; nil, nil when dir
+// is empty. node names the cluster node in the resume and save events (""
+// for a simulation run), which go to sink.
+func NewCheckpointer(dir, base, fingerprint, node string, sink *telemetry.Sink) (*Checkpointer, error) {
+	if dir == "" {
 		return nil, nil
 	}
-	fingerprint := cfg.Fingerprint(algorithm)
-	if variant != "" {
-		fingerprint += " " + variant
-	}
-	mgr, err := checkpoint.NewManager(cfg.CheckpointDir, baseName(algorithm))
+	mgr, err := checkpoint.NewManager(dir, base)
 	if err != nil {
 		return nil, err
 	}
-	every := cfg.CheckpointEvery
-	if every == 0 {
-		every = cfg.Tau
+	return &Checkpointer{reg: checkpoint.NewRegistry(mgr, fingerprint), sink: sink, node: node}, nil
+}
+
+// Checkpointer prepares crash recovery for one simulation run of the named
+// algorithm. The variant string folds run options that live outside Config
+// (participation fraction, quantization width) into the config fingerprint
+// so a checkpoint never resumes under different options; res is the Result
+// whose curve is snapshotted and restored.
+//
+// The harness-owned state every algorithm shares (mini-batch sampler
+// positions, per-worker last losses, the recorded curve) is registered here;
+// the algorithm registers only its own models, momentum buffers, and
+// auxiliary RNG streams.
+func (h *Harness) Checkpointer(algorithm, variant string, res *Result) (*Checkpointer, error) {
+	if h.cfg.CheckpointDir == "" {
+		return nil, nil
 	}
-	c := &Checkpointer{
-		reg:   checkpoint.NewRegistry(mgr, fingerprint),
-		every: every,
-		t:     cfg.T,
-		sink:  h.sink,
+	c, err := NewCheckpointer(h.cfg.CheckpointDir, baseName(algorithm), h.cfg.Fingerprint(algorithm)+" "+variant, "", h.sink)
+	if err != nil {
+		return nil, err
 	}
 	// Leaf state is named by natal coordinates: the losses of each leaf
 	// parent's children are one vector, and every sampler is keyed (parent,
 	// position).
 	for p, kids := range h.tree.Kids[h.tree.LeafParent()] {
-		c.reg.Vector(fmt.Sprintf("harness/lastloss/%d", p), h.lastLoss[kids[0]:kids[0]+len(kids)])
+		c.Vector(fmt.Sprintf("harness/lastloss/%d", p), h.lastLoss[kids[0]:kids[0]+len(kids)])
 		for pos, j := range kids {
-			c.reg.RNG(fmt.Sprintf("harness/sampler/%d/%d", p, pos), h.oracles[j].Sampler)
+			c.RNG(fmt.Sprintf("harness/sampler/%d/%d", p, pos), h.oracles[j].Sampler)
 		}
 	}
-	c.reg.Dynamic("harness/curve",
-		func(flat []float64) []float64 {
-			for _, p := range res.Curve {
-				flat = append(flat, float64(p.Iter), p.TestAcc, p.TrainLoss)
-			}
-			return flat
-		},
-		func(flat []float64) error {
-			if len(flat)%3 != 0 {
-				return fmt.Errorf("curve snapshot has %d values, not a multiple of 3", len(flat))
-			}
-			res.Curve = res.Curve[:0]
-			for j := 0; j < len(flat); j += 3 {
-				iter := flat[j]
-				if iter != math.Trunc(iter) {
-					return fmt.Errorf("curve snapshot iteration %v is not an integer", iter)
-				}
-				res.Curve = append(res.Curve, Point{Iter: int(iter), TestAcc: flat[j+1], TrainLoss: flat[j+2]})
-			}
-			return nil
-		})
+	c.Curve("harness/curve", res)
 	return c, nil
 }
 
@@ -142,48 +122,90 @@ func (c *Checkpointer) Dynamic(name string, save func(dst []float64) []float64, 
 	}
 }
 
+// Curve registers res's accuracy curve under name, as (iteration, accuracy,
+// loss) triples.
+func (c *Checkpointer) Curve(name string, res *Result) {
+	c.Dynamic(name,
+		func(flat []float64) []float64 {
+			for _, p := range res.Curve {
+				flat = append(flat, float64(p.Iter), p.TestAcc, p.TrainLoss)
+			}
+			return flat
+		},
+		func(flat []float64) error {
+			if len(flat)%3 != 0 {
+				return fmt.Errorf("curve snapshot has %d values, not a multiple of 3", len(flat))
+			}
+			res.Curve = res.Curve[:0]
+			for j := 0; j < len(flat); j += 3 {
+				iter := flat[j]
+				if iter != math.Trunc(iter) {
+					return fmt.Errorf("curve snapshot iteration %v is not an integer", iter)
+				}
+				res.Curve = append(res.Curve, Point{Iter: int(iter), TestAcc: flat[j+1], TrainLoss: flat[j+2]})
+			}
+			return nil
+		})
+}
+
 // Restore loads the newest valid snapshot into the registered state and
-// returns the last completed iteration; the training loop resumes at
-// startT+1. Without a snapshot (or without checkpointing at all) it returns
-// 0: start from scratch.
-func (c *Checkpointer) Restore() (startT int, err error) {
+// returns its sequence number — for a simulation the last completed
+// iteration, so the training loop resumes at seq+1. Without a snapshot (or
+// without checkpointing at all) it returns 0: start from scratch.
+func (c *Checkpointer) Restore() (seq int, err error) {
 	if c == nil {
 		return 0, nil
 	}
-	seq, _, err := c.reg.Restore()
+	seq, _, err = c.reg.Restore()
 	if err != nil {
 		return 0, fmt.Errorf("fl: resume: %w", err)
 	}
 	if seq > 0 {
 		c.sink.M().CheckpointResumes.Inc()
 		if c.sink.Tracing() {
-			c.sink.Emit("checkpoint_resume", telemetry.Int("t", seq))
+			c.emit("checkpoint_resume", seq)
 		}
 	}
 	return seq, nil
 }
 
-// MaybeSnapshot saves a snapshot when iteration t is on the checkpoint
-// period. The final iteration is skipped: the run is about to produce its
-// final artifact, and a snapshot there would only be re-restored as a
-// completed run.
-func (c *Checkpointer) MaybeSnapshot(t int) error {
-	if c == nil || t%c.every != 0 || t == c.t {
+// Clear removes the snapshot generations a previous run left behind, for a
+// fresh start.
+func (c *Checkpointer) Clear() error {
+	if c == nil {
 		return nil
 	}
-	if err := c.reg.Save(t); err != nil {
+	return c.reg.Clear()
+}
+
+// Save snapshots the registered state as generation seq. Every byte is
+// fsynced before it returns.
+func (c *Checkpointer) Save(seq int) error {
+	if c == nil {
+		return nil
+	}
+	if err := c.reg.Save(seq); err != nil {
 		return err
 	}
 	c.sink.M().CheckpointSaves.Inc()
 	if c.sink.Tracing() {
-		c.sink.Emit("checkpoint_save", telemetry.Int("t", t))
+		c.emit("checkpoint_save", seq)
 	}
 	return nil
 }
 
+// emit traces a resume or save of generation seq, naming a cluster node.
+func (c *Checkpointer) emit(ev string, seq int) {
+	if c.node == "" {
+		c.sink.Emit(ev, telemetry.Int("t", seq))
+	} else {
+		c.sink.Emit(ev, telemetry.String("node", c.node), telemetry.Int("t", seq))
+	}
+}
+
 // Close releases the snapshot files held open between saves. Every saved
-// byte was fsynced before MaybeSnapshot returned, so a close error loses
-// nothing and is not reported.
+// byte was fsynced before Save returned, so a close error loses nothing and
+// is not reported.
 func (c *Checkpointer) Close() {
 	if c != nil {
 		c.reg.Close()

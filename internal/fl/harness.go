@@ -223,15 +223,20 @@ func (h *Harness) RecordPoint(res *Result, t int, params tensor.Vector) error {
 	if err != nil {
 		return fmt.Errorf("fl: eval at t=%d: %w", t, err)
 	}
-	loss := h.weightedLoss(t)
-	res.Curve = append(res.Curve, Point{Iter: t, TestAcc: acc, TrainLoss: loss})
-	h.recordEval(t, acc, loss, false)
+	h.AppendPoint(res, t, acc, h.weightedLoss(t))
 	return nil
 }
 
-// recordEval publishes one curve point to the sink: gauges always, a
-// trace event when tracing is on.
-func (h *Harness) recordEval(t int, acc, loss float64, final bool) {
+// AppendPoint appends the curve point of iteration t to res and publishes
+// it, for both engines: the eval gauges always, an eval event when tracing.
+// The point at T is the run's final one, and its accuracy and loss the
+// result's.
+func (h *Harness) AppendPoint(res *Result, t int, acc, loss float64) {
+	res.Curve = append(res.Curve, Point{Iter: t, TestAcc: acc, TrainLoss: loss})
+	final := t == h.cfg.T
+	if final {
+		res.FinalAcc, res.FinalLoss = acc, loss
+	}
 	m := h.sink.M()
 	m.Evals.Inc()
 	m.TestAccuracy.Set(acc)
@@ -252,9 +257,6 @@ func (h *Harness) Finish(res *Result, params tensor.Vector) error {
 	if err != nil {
 		return fmt.Errorf("fl: final eval: %w", err)
 	}
-	res.FinalAcc = acc
-	res.FinalLoss = h.weightedLoss(h.cfg.T)
-	res.Curve = append(res.Curve, Point{Iter: h.cfg.T, TestAcc: acc, TrainLoss: res.FinalLoss})
-	h.recordEval(h.cfg.T, acc, res.FinalLoss, true)
+	h.AppendPoint(res, h.cfg.T, acc, h.weightedLoss(h.cfg.T))
 	return nil
 }

@@ -100,7 +100,7 @@ func (s Spec) Validate() error {
 	switch s.Kind {
 	case Mean, Median:
 	case Trimmed:
-		if s.Trim < 0 || s.Trim >= 0.5 {
+		if !(s.Trim >= 0 && s.Trim < 0.5) {
 			return fmt.Errorf("robust: trim fraction %g out of [0, 0.5)", s.Trim)
 		}
 	case Clip:
@@ -108,7 +108,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("robust: clip norm must be > 0, got %g", s.Clip)
 		}
 	case Cosine:
-		if s.CosMin < -1 || s.CosMin > 1 {
+		if !(s.CosMin >= -1 && s.CosMin <= 1) {
 			return fmt.Errorf("robust: cosine threshold %g out of [-1, 1]", s.CosMin)
 		}
 	default:

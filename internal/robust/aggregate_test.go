@@ -326,30 +326,43 @@ func TestSpecStringAndParse(t *testing.T) {
 		t.Error("cosine 2 accepted")
 	}
 
-	edge, cloud, err := ParseTierSpecs("edge=median, cloud=trimmed", 0.1, 1, 0)
+	edge, cloud, err := ParseTierSpecs("edge=median, cloud=trimmed(0.1)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if edge.Kind != Median || cloud.Kind != Trimmed || cloud.Trim != 0.1 {
 		t.Fatalf("per-tier parse: edge=%v cloud=%v", edge, cloud)
 	}
-	edge, cloud, err = ParseTierSpecs("clip", 0, 2, 0)
+	edge, cloud, err = ParseTierSpecs("clip(2)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if edge.Kind != Clip || cloud.Clip != 2 {
 		t.Fatalf("single-rule parse: edge=%v cloud=%v", edge, cloud)
 	}
-	if _, _, err := ParseTierSpecs("edge=magic", 0, 0, 0); err == nil || !strings.Contains(err.Error(), "magic") {
+	// A bare rule takes its default parameter.
+	for rule, want := range map[string]Spec{
+		"trimmed": {Kind: Trimmed, Trim: 0.2},
+		"clip":    {Kind: Clip, Clip: 10},
+		"cosine":  {Kind: Cosine},
+		"":        {},
+	} {
+		if edge, cloud, err := ParseTierSpecs(rule); err != nil || edge != want || cloud != want {
+			t.Errorf("ParseTierSpecs(%q) = %v, %v, %v; want %v at both tiers", rule, edge, cloud, err, want)
+		}
+	}
+	if _, _, err := ParseTierSpecs("edge=magic"); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad rule error %v", err)
 	}
-	if _, _, err := ParseTierSpecs("tower=median", 0, 0, 0); err == nil {
+	if _, _, err := ParseTierSpecs("tower=median"); err == nil {
 		t.Fatal("bad tier accepted")
 	}
-	if _, _, err := ParseTierSpecs("edge=median,edge=mean", 0, 0, 0); err == nil || !strings.Contains(err.Error(), `"edge" named twice`) {
+	if _, _, err := ParseTierSpecs("edge=median,edge=mean"); err == nil || !strings.Contains(err.Error(), `"edge" named twice`) {
 		t.Fatalf("a tier named twice: err %v, want a refusal naming it", err)
 	}
-	if _, _, err := ParseTierSpecs("clip", 0, 0, 0); err == nil {
-		t.Fatal("clip with zero bound accepted")
+	for _, rule := range []string{"clip(0)", "trimmed(NaN)", "cosine(NaN)", "median(1)", "clip(1"} {
+		if _, _, err := ParseTierSpecs(rule); err == nil {
+			t.Errorf("ParseTierSpecs(%q) accepted", rule)
+		}
 	}
 }

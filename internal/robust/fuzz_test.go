@@ -176,40 +176,3 @@ func FuzzParsePlan(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseTierSpecs holds the -aggregator parser to its contract on
-// arbitrary selections: a pair of specs or an error, never a panic; every
-// accepted spec validates; and spelling the accepted pair out as
-// "edge=<kind>,cloud=<kind>" under the same parameters parses back to it.
-func FuzzParseTierSpecs(f *testing.F) {
-	for _, sel := range []string{
-		"",
-		"median",
-		"edge=median, cloud=trimmed",
-		"edge=median,edge=mean",
-		"cloud=clip,",
-		"tower=median",
-		"edge=cosine,cloud=",
-	} {
-		f.Add(sel, 0.2, 10.0, 0.0)
-	}
-	f.Fuzz(func(t *testing.T, sel string, trim, clip, cosMin float64) {
-		edge, cloud, err := ParseTierSpecs(sel, trim, clip, cosMin)
-		if err != nil {
-			return
-		}
-		for _, s := range []Spec{edge, cloud} {
-			if err := s.Validate(); err != nil {
-				t.Fatalf("ParseTierSpecs(%q) accepted %v: %v", sel, s, err)
-			}
-		}
-		canonical := "edge=" + edge.Kind.String() + ",cloud=" + cloud.Kind.String()
-		e2, c2, err := ParseTierSpecs(canonical, trim, clip, cosMin)
-		if err != nil {
-			t.Fatalf("canonical form %q of %q: %v", canonical, sel, err)
-		}
-		if e2 != edge || c2 != cloud {
-			t.Fatalf("%q re-parses to %v/%v, want %v/%v", canonical, e2, c2, edge, cloud)
-		}
-	})
-}

@@ -65,6 +65,9 @@ func NewLedger(sink *Sink, depth int) Ledger {
 	return Ledger{sink: sink, depth: depth}
 }
 
+// Sink returns the sink the ledger publishes to (nil: none).
+func (l *Ledger) Sink() *Sink { return l.sink }
+
 // Tally returns a copy of what the ledger has counted so far.
 func (l *Ledger) Tally() Tally {
 	l.mu.Lock()

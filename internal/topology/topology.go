@@ -204,7 +204,7 @@ func parseLevel(part string, li int) (Level, error) {
 			}
 			lv.Tau = n
 		case "agg":
-			spec, err := parseAggRule(val)
+			spec, err := robust.ParseSpec(val)
 			if err != nil {
 				return Level{}, fmt.Errorf("%w: level %q agg %q: %v", ErrAttr, name, val, err)
 			}
@@ -228,45 +228,6 @@ func parseLevel(part string, li int) (Level, error) {
 		}
 	}
 	return lv, nil
-}
-
-// parseAggRule parses an aggregation rule, optionally parameterized:
-// mean | median | trimmed(f) | clip(f) | cosine(f).
-func parseAggRule(val string) (robust.Spec, error) {
-	name, rest, hasParam := strings.Cut(val, "(")
-	var param float64
-	if hasParam {
-		numStr, ok := strings.CutSuffix(rest, ")")
-		if !ok {
-			return robust.Spec{}, fmt.Errorf("unbalanced parameter parens")
-		}
-		p, err := strconv.ParseFloat(numStr, 64)
-		if err != nil {
-			return robust.Spec{}, fmt.Errorf("parameter %q is not a float", numStr)
-		}
-		param = p
-	}
-	kind, err := robust.ParseKind(name)
-	if err != nil {
-		return robust.Spec{}, err
-	}
-	spec := robust.Spec{Kind: kind}
-	switch kind {
-	case robust.Trimmed:
-		spec.Trim = param
-	case robust.Clip:
-		spec.Clip = param
-	case robust.Cosine:
-		spec.CosMin = param
-	default:
-		if hasParam {
-			return robust.Spec{}, fmt.Errorf("rule %q takes no parameter", name)
-		}
-	}
-	if err := spec.Validate(); err != nil {
-		return robust.Spec{}, err
-	}
-	return spec, nil
 }
 
 // checkName vets a level name: a lowercase letter followed by lowercase

@@ -77,10 +77,10 @@ func (p *FaultPlan) reviveRound(id string) (int, bool) {
 
 // FaultyNetwork composes deterministic fault injection over any inner
 // Network (MemoryNetwork and TCPNetwork both work): per-link message drops,
-// per-message delays, and crash-at-round node failures. It generalizes the
-// drop injection that used to be private to MemoryNetwork and works
-// identically over real sockets, so chaos tests run against the same
-// transport code production uses.
+// per-message delays, and crash-at-round node failures. It is the one fault
+// injector of the transports and works identically over the in-process hub
+// and real sockets, so chaos tests run against the same transport code
+// production uses.
 type FaultyNetwork struct {
 	inner Network
 	plan  FaultPlan

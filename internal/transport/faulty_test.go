@@ -263,39 +263,3 @@ func TestFaultyOverTCP(t *testing.T) {
 		t.Errorf("clean reverse link lost the message: %v", err)
 	}
 }
-
-func TestMemoryDropDeterministicSchedule(t *testing.T) {
-	// The hub's own injection must also follow the seed exactly.
-	run := func() []int {
-		net := NewMemoryNetwork(WithDropRate(0.4, 99))
-		defer net.Close()
-		a, _ := net.Endpoint("a")
-		b, _ := net.Endpoint("b")
-		for i := 0; i < 30; i++ {
-			if err := a.Send("b", Message{Round: i}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var got []int
-		for {
-			msg, err := b.RecvTimeout(30 * time.Millisecond)
-			if err != nil {
-				break
-			}
-			got = append(got, msg.Round)
-		}
-		return got
-	}
-	first, second := run(), run()
-	if len(first) == 0 || len(first) == 30 {
-		t.Fatalf("drop rate 0.4 delivered %d/30", len(first))
-	}
-	if len(first) != len(second) {
-		t.Fatalf("delivered %d then %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("schedules differ: %v vs %v", first, second)
-		}
-	}
-}

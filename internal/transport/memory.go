@@ -3,15 +3,12 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"time"
-
-	"hieradmo/internal/rng"
 )
 
 // MemoryNetwork is an in-process hub connecting named endpoints through
-// buffered channels, with optional failure injection (message drops and
-// delivery delays) for protocol robustness tests. Send copies the message
-// once, into a buffer of the directed link it travels (see frameList).
+// buffered channels; FaultyNetwork wraps it for failure injection. Send
+// copies the message once, into a buffer of the directed link it travels
+// (see frameList).
 type MemoryNetwork struct {
 	mu    sync.Mutex
 	boxes map[string]*mailbox
@@ -23,59 +20,16 @@ type MemoryNetwork struct {
 	// endpoint closes, so late joiners cannot shadow a running node.
 	claimed map[string]bool
 	closed  bool
-
-	dropRate float64
-	maxDelay time.Duration
-	faultRNG *rng.RNG
-	stats    FaultStats
-
-	//flvet:allow goexec -- transport-internal lifecycle tracking for injected-delay deliveries; no training data flows through it
-	wg sync.WaitGroup // tracks delayed deliveries
-}
-
-// FaultStats reports how many messages the hub's own injection dropped or
-// delayed.
-func (n *MemoryNetwork) FaultStats() FaultStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
-
-// MemoryOption configures failure injection.
-type MemoryOption func(*MemoryNetwork)
-
-// WithDropRate makes the network silently discard each message with
-// probability p, using the seeded generator for reproducibility.
-func WithDropRate(p float64, seed uint64) MemoryOption {
-	return func(n *MemoryNetwork) {
-		n.dropRate = p
-		n.faultRNG = rng.New(seed)
-	}
-}
-
-// WithDelay delivers each message after a uniform random delay in
-// [0, maxDelay], exercising reordering across sender pairs.
-func WithDelay(maxDelay time.Duration, seed uint64) MemoryOption {
-	return func(n *MemoryNetwork) {
-		n.maxDelay = maxDelay
-		if n.faultRNG == nil {
-			n.faultRNG = rng.New(seed)
-		}
-	}
 }
 
 // NewMemoryNetwork returns an empty hub.
-func NewMemoryNetwork(opts ...MemoryOption) *MemoryNetwork {
-	n := &MemoryNetwork{
+func NewMemoryNetwork() *MemoryNetwork {
+	return &MemoryNetwork{
 		boxes:   make(map[string]*mailbox),
 		links:   make(map[Link]*frameList),
 		done:    make(chan struct{}),
 		claimed: make(map[string]bool),
 	}
-	for _, o := range opts {
-		o(n)
-	}
-	return n
 }
 
 // Endpoint registers the endpoint for a node ID. The ID stays claimed until
@@ -112,7 +66,6 @@ func (n *MemoryNetwork) Close() error {
 	n.closed = true
 	close(n.done)
 	n.mu.Unlock()
-	n.wg.Wait()
 	return nil
 }
 
@@ -135,39 +88,14 @@ func (n *MemoryNetwork) deliver(msg Message) error {
 		frames = new(frameList)
 		n.links[link] = frames
 	}
-	var delay time.Duration
-	if n.faultRNG != nil {
-		if n.dropRate > 0 && n.faultRNG.Float64() < n.dropRate {
-			n.stats.Dropped++
-			n.mu.Unlock()
-			return nil // injected loss: sender sees success, receiver nothing
-		}
-		if n.maxDelay > 0 {
-			delay = time.Duration(n.faultRNG.Float64() * float64(n.maxDelay))
-			n.stats.Delayed++
-		}
-	}
-	if delay > 0 {
-		n.wg.Add(1)
-	}
 	n.mu.Unlock()
 	msg = frames.copyOf(msg)
-	if delay == 0 {
-		select {
-		case inbox <- msg:
-			return nil
-		default:
-			return fmt.Errorf("transport: inbox of %q full", msg.To)
-		}
+	select {
+	case inbox <- msg:
+		return nil
+	default:
+		return fmt.Errorf("transport: inbox of %q full", msg.To)
 	}
-	time.AfterFunc(delay, func() {
-		defer n.wg.Done()
-		select {
-		case inbox <- msg:
-		default:
-		}
-	})
-	return nil
 }
 
 // memoryEndpoint is a node's claim on its hub mailbox, which supplies the

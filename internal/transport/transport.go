@@ -1,8 +1,8 @@
 // Package transport provides the message-passing substrate for the
 // distributed execution of HierAdMo (internal/cluster): a Message format
-// carrying model-sized vectors between named nodes, an in-memory network
-// with failure injection for tests, and a TCP network carrying
-// length-prefixed binary frames (codec.go) over real sockets.
+// carrying model-sized vectors between named nodes, an in-memory network, a
+// TCP network carrying length-prefixed binary frames (codec.go) over real
+// sockets, and one deterministic fault injector over either (FaultyNetwork).
 //
 // A received Message's payload lives in a buffer owned by the directed link
 // that delivered it (frame.go); Message.Release hands the buffer back for

@@ -84,50 +84,6 @@ func TestMemoryCloseUnblocksReceivers(t *testing.T) {
 	}
 }
 
-func TestMemoryDropInjection(t *testing.T) {
-	net := NewMemoryNetwork(WithDropRate(1.0, 1)) // drop everything
-	defer net.Close()
-	a, err := net.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.Endpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("b", Message{Kind: "x"}); err != nil {
-		t.Fatalf("drop should look like success to the sender: %v", err)
-	}
-	if _, err := b.RecvTimeout(30 * time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Errorf("dropped message was delivered: %v", err)
-	}
-}
-
-func TestMemoryDelayInjectionStillDelivers(t *testing.T) {
-	net := NewMemoryNetwork(WithDelay(20*time.Millisecond, 3))
-	defer net.Close()
-	a, err := net.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.Endpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := a.Send("b", Message{Kind: "x", Round: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seen := 0
-	for seen < 10 {
-		if _, err := b.RecvTimeout(time.Second); err != nil {
-			t.Fatalf("delayed message lost after %d: %v", seen, err)
-		}
-		seen++
-	}
-}
-
 func TestMemoryConcurrentSenders(t *testing.T) {
 	net := NewMemoryNetwork()
 	defer net.Close()
