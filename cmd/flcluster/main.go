@@ -106,6 +106,7 @@ import (
 	"os"
 	"os/signal"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -429,12 +430,23 @@ func run(args []string, interrupt <-chan struct{}) error {
 
 // compareRuns holds the distributed result to the simulation's: the same
 // accuracy, the same loss to rounding (fl.LossesAgree: a NaN loss matches
-// only a NaN), the same membership trajectory and the same attack report —
-// injections by kind, rejections and clips by tier, every level's rule.
+// only a NaN), at the end and at every point of the distributed curve, the
+// same membership trajectory and the same attack report — injections by
+// kind, rejections and clips by tier, every level's rule.
 func compareRuns(res, sim *hieradmo.Result) error {
 	if res.FinalAcc != sim.FinalAcc || !fl.LossesAgree(res.FinalLoss, sim.FinalLoss) {
 		return fmt.Errorf("verification failed: distributed accuracy %.6f, loss %v vs simulation %.6f, %v",
 			res.FinalAcc, res.FinalLoss, sim.FinalAcc, sim.FinalLoss)
+	}
+	for _, p := range res.Curve {
+		i := slices.IndexFunc(sim.Curve, func(q fl.Point) bool { return q.Iter == p.Iter })
+		if i < 0 {
+			return fmt.Errorf("verification failed: the distributed curve has a point at t=%d, the simulation's none", p.Iter)
+		}
+		if q := sim.Curve[i]; p.TestAcc != q.TestAcc || !fl.LossesAgree(p.TrainLoss, q.TrainLoss) {
+			return fmt.Errorf("verification failed: at t=%d distributed accuracy %.6f, loss %v vs simulation %.6f, %v",
+				p.Iter, p.TestAcc, p.TrainLoss, q.TestAcc, q.TrainLoss)
+		}
 	}
 	if !reflect.DeepEqual(res.Membership, sim.Membership) || !reflect.DeepEqual(res.AttackReport, sim.AttackReport) {
 		return fmt.Errorf("verification failed: distributed %v\n%v\nvs simulation %v\n%v",

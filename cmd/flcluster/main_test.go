@@ -213,6 +213,28 @@ func TestCompareRuns(t *testing.T) {
 	if err := compareRuns(attacked, &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376, AttackReport: report(5)}); err != nil {
 		t.Errorf("compareRuns on equal attack reports = %v", err)
 	}
+	// And so is the same final model reached along another curve: every
+	// distributed point must be the simulation's at its iteration, the
+	// accuracy exactly and the loss to rounding.
+	curve := func(points ...fl.Point) *hieradmo.Result {
+		return &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376, Curve: points}
+	}
+	sim := curve(fl.Point{Iter: 40, TestAcc: 0.5, TrainLoss: 1}, fl.Point{Iter: 80, TestAcc: 0.9875, TrainLoss: 0.1376})
+	for _, tc := range []struct {
+		name string
+		res  *hieradmo.Result
+		want bool
+	}{
+		{"same-curve", curve(sim.Curve...), true},
+		{"loss-to-rounding", curve(fl.Point{Iter: 40, TestAcc: 0.5, TrainLoss: 1 + 1e-14}, sim.Curve[1]), true},
+		{"other-accuracy", curve(fl.Point{Iter: 40, TestAcc: 0.625, TrainLoss: 1}, sim.Curve[1]), false},
+		{"other-loss", curve(fl.Point{Iter: 40, TestAcc: 0.5, TrainLoss: 1.5}, sim.Curve[1]), false},
+		{"point-the-simulation-lacks", curve(fl.Point{Iter: 20, TestAcc: 0.25, TrainLoss: 2}, sim.Curve[0], sim.Curve[1]), false},
+	} {
+		if err := compareRuns(tc.res, sim); (err == nil) != tc.want {
+			t.Errorf("%s: compareRuns = %v, want match %v", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestHelperProcess is the re-exec target for the signal tests. Mode "1"

@@ -21,6 +21,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -60,11 +61,19 @@ type Program struct {
 // call sites.
 func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
-		Pkgs:      pkgs,
 		fns:       make(map[*types.Func]*FuncInfo),
 		fnByName:  make(map[string]*FuncInfo),
 		implCache: make(map[string][]*types.Func),
 	}
+	p.add(pkgs)
+	return p
+}
+
+// add indexes every function declaration in pkgs and resolves its call
+// sites against the program's packages, pkgs included.
+func (p *Program) add(pkgs []*Package) {
+	p.Pkgs = append(slices.Clip(p.Pkgs), pkgs...)
+	clear(p.implCache) // a new package can implement a cached interface
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -92,7 +101,6 @@ func NewProgram(pkgs []*Package) *Program {
 			}
 		}
 	}
-	return p
 }
 
 // FuncOf returns the record for fn, canonicalizing across the

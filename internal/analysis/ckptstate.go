@@ -11,6 +11,9 @@
 //     methods of the registry types named in Policy.CkptRegistries;
 //     forwarders (same method names, body calls a primitive — e.g.
 //     fl.Checkpointer) are detected by fixpoint and count as primitives;
+//     a module package declaring a called registration-named method the
+//     load did not include is loaded for the fixpoint, so checking one
+//     package sees the forwarders it registers through;
 //   - every function that calls a primitive or forwarder is a registrar;
 //     the argument expressions of each registration call are walked to
 //     mark covered fields, expanding accessor methods, method values,
@@ -30,6 +33,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 var ckptstateChecker = &Checker{
@@ -170,6 +174,7 @@ func (p *Program) ckptFacts(pol Policy) *ckptResult {
 	for _, k := range registrationKinds {
 		isRegName[k] = true
 	}
+	p.loadCallees(func(fn *types.Func) bool { return isRegName[fn.Name()] && !res.prims[fn.FullName()] })
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range p.fnList {
@@ -219,6 +224,48 @@ func (p *Program) ckptFacts(pol Policy) *ckptResult {
 		p.recordMutations(fi, res)
 	}
 	return res
+}
+
+// loadCallees loads, for the facts alone, each module package that declares
+// a method the program calls without holding its body and that want
+// selects, until no such call is left: a one-package run of the cluster
+// calls fl.Checkpointer's Vector without loading internal/fl. A package
+// that fails to load is left out, as if it declared nothing.
+func (p *Program) loadCallees(want func(*types.Func) bool) {
+	if len(p.Pkgs) == 0 {
+		return
+	}
+	root, module, err := ModuleRoot(p.Pkgs[0].Dir)
+	if err != nil {
+		return
+	}
+	tried := map[string]bool{}
+	for {
+		var paths []string
+		for _, fi := range p.fnList {
+			for _, call := range fi.Calls {
+				for _, callee := range call.Callees {
+					if callee.Pkg() == nil || p.FuncOf(callee) != nil || !want(callee) {
+						continue
+					}
+					path := callee.Pkg().Path()
+					if tried[path] || path != module && !strings.HasPrefix(path, module+"/") {
+						continue
+					}
+					tried[path] = true
+					paths = append(paths, path)
+				}
+			}
+		}
+		if len(paths) == 0 {
+			return
+		}
+		for _, path := range paths {
+			if pkgs, err := LoadModule(root, path); err == nil {
+				p.add(pkgs)
+			}
+		}
+	}
 }
 
 // coverWalker marks fields reachable from registration-call arguments,

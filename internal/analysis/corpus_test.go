@@ -134,6 +134,18 @@ func TestCkptstateCorpus(t *testing.T) {
 	runCorpus(t, "ckptstate", pol)
 }
 
+// TestCkptstateRemoteCorpus pins a registry whose forwarder lives in a
+// package the corpus run does not load: the checker must load it on demand.
+func TestCkptstateRemoteCorpus(t *testing.T) {
+	_, module, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := corpusPolicy("ckptstate")
+	pol.CkptRegistries = []string{module + "/internal/analysis/testdata/src/ckptremote/reg.Registry"}
+	runCorpus(t, "ckptremote", pol)
+}
+
 // TestAllowCorpus exercises the directive machinery: suppression in both
 // placements, mandatory reasons, unknown names, unused directives.
 func TestAllowCorpus(t *testing.T) {

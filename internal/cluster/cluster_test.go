@@ -13,6 +13,7 @@ import (
 	"hieradmo/internal/core"
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
+	"hieradmo/internal/membership"
 	"hieradmo/internal/model"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
@@ -195,6 +196,19 @@ func TestClusterMatchesSimulation(t *testing.T) {
 			}
 		}
 	}
+	// Both engines sample the curve at EvalEvery (fl.Harness.ShouldEval) and
+	// at T: the same iterations, the same accuracy, the loss to rounding.
+	sameCurve := func(t *testing.T, res, ref *fl.Result) {
+		t.Helper()
+		same := len(res.Curve) == len(ref.Curve)
+		for i := 0; same && i < len(res.Curve); i++ {
+			p, q := res.Curve[i], ref.Curve[i]
+			same = p.Iter == q.Iter && p.TestAcc == q.TestAcc && fl.LossesAgree(p.TrainLoss, q.TrainLoss)
+		}
+		if !same {
+			t.Errorf("cluster curve %v != simulation %v", res.Curve, ref.Curve)
+		}
+	}
 	for _, tc := range cases {
 		for _, nw := range nets {
 			if nw.name == "tcp" && tc.clip == 0 && tc.plan == "" {
@@ -290,6 +304,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				if !fl.LossesAgree(res.FinalLoss, ref.FinalLoss) {
 					t.Errorf("cluster FinalLoss %v != simulation %v", res.FinalLoss, ref.FinalLoss)
 				}
+				sameCurve(t, res, ref)
 				clips := m.GradClips.Value()
 				if clips != refClips || (tc.clip > 0) != (clips > 0) {
 					t.Errorf("fl_grad_clips_total = %d from the leaves, %d in the simulation (ClipNorm %v)",
@@ -303,6 +318,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 					got, want int64
 				}{
 					{"fl_cloud_syncs_total", m.CloudSyncs.Value(), refM.CloudSyncs.Value()},
+					{"fl_evals_total", m.Evals.Value(), refM.Evals.Value()},
 					{"fl_edge_aggregations_total", m.EdgeAggregations.Value(), refM.EdgeAggregations.Value()},
 					{"fl_gamma_zeroed_total", m.GammaZeroed.Value(), refM.GammaZeroed.Value()},
 					{"fl_membership_gamma_migrations_total", m.GammaMigrations.Value(), refM.GammaMigrations.Value()},
@@ -339,16 +355,25 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	// TestTreeChurn's depth-4 tree: both engines run the tree the options
 	// resolve, membership epochs and attack plans included, the simulation
 	// lands on the final model the recorded runtime did, and the two traces
-	// hold the same membership and injection events.
-	golden := loadGolden(t)
+	// hold the same membership and injection events. In leave-at-point a
+	// worker's last round ends at a root sync that is a curve point (t = 8).
+	golden := loadGolden(t, goldenPath)
 	scenarios := make(map[string]goldenScenario)
 	for _, sc := range goldenScenarios() {
 		scenarios[sc.name] = sc
 	}
 	scenarios["tree4-churn"] = goldenScenario{cfg: treeChurnConfig, opts: plain(Options{Adaptive: true}), scene: treeChurnScenario}
+	scenarios["leave-at-point"] = goldenScenario{cfg: func(t *testing.T) *fl.Config { return buildConfig(t, 51, 2) },
+		opts: plain(Options{Adaptive: true}), scene: func(t *testing.T) scenario {
+			plan, err := membership.ParseSpec("leave:worker-1-0@4")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return scenario{churn: &plan}
+		}}
 	var fired [7]int64 // the seven membership values, summed over the rows
 	for _, name := range []string{"churn/zero", "churn/carry", "churn/rescale", "churn/reduced", "churn/ragged", "byz/churn",
-		"byz/cosine(0)", "byz/clip(0.5)", "tree4-churn"} {
+		"byz/cosine(0)", "byz/clip(0.5)", "tree4-churn", "leave-at-point"} {
 		sc := scenarios[name]
 		for _, nw := range nets {
 			if nw.name == "tcp" && name != "churn/zero" && name != "tree4-churn" && name != "byz/cosine(0)" {
@@ -374,8 +399,8 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				if err := tracer.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				if want := golden[name].Params; name != "tree4-churn" && capture.hash() != want {
-					t.Errorf("simulated final model %s, the recorded runtime's %s", capture.hash(), want)
+				if want, ok := golden[name]; ok && capture.hash() != want.Params {
+					t.Errorf("simulated final model %s, the recorded runtime's %s", capture.hash(), want.Params)
 				}
 				refM := cfg.Telemetry.M()
 
@@ -397,6 +422,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				if !reflect.DeepEqual(res.Membership, ref.Membership) {
 					t.Errorf("membership %v in the cluster, %v in the simulation", res.Membership, ref.Membership)
 				}
+				sameCurve(t, res, ref)
 				sameReports(t, res, ref)
 				events, refEvents := scenarioEvents(t, &trace), scenarioEvents(t, &refTrace)
 				if len(events) == 0 || len(refEvents) == 0 {
@@ -409,6 +435,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 					what         string
 					cluster, sim int64
 				}{
+					{"fl_evals_total", m.Evals.Value(), refM.Evals.Value()},
 					{"fl_attack_injected_total", m.AttackInjected.Value(), refM.AttackInjected.Value()},
 					{"fl_robust_rejected_total", m.RobustRejected.Value(), refM.RobustRejected.Value()},
 					{"fl_robust_clipped_total", m.RobustClipped.Value(), refM.RobustClipped.Value()},

@@ -124,10 +124,11 @@ func wantWake(t *testing.T, h *tierHarness, want time.Duration) {
 
 // TestTierMachine drives an aggregating node's protocol with synthetic
 // times and messages — no network and no sleep — at the leaf parent (edge-0
-// of the 2×2 config's derived tree: τ = 2, a cloud sync every second round)
-// and at a middle tier (region-0 of a depth-4 tree over the same shards:
-// τ = 4 over edges of τ = 2, a root sync every second round). Hour-scale
-// deadlines pass in no real time.
+// of the 2×2 config's derived tree: τ = 2, a cloud sync every second round),
+// at a middle tier (region-0 of a depth-4 tree over the same shards: τ = 4
+// over edges of τ = 2, a root sync every second round) and at the root (the
+// cloud of the derived tree: τ = 4, a curve point every EvalEvery = 8
+// iterations). Hour-scale deadlines pass in no real time.
 func TestTierMachine(t *testing.T) {
 	cfg := buildConfig(t, 61, 0)
 	middle := treeTopo(t, "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker")
@@ -141,9 +142,27 @@ func TestTierMachine(t *testing.T) {
 	joining := tolerant
 	joining.Tree = scenario{churn: &join}.tree(t, cfg)
 	const ms = time.Millisecond
+	// syncRoot feeds the root both edges' reports for its round k.
+	syncRoot := func(t *testing.T, h *tierHarness, k int) {
+		t.Helper()
+		must(t, h.deliver(0, h.report(EdgeID(0), 4*k)))
+		must(t, h.deliver(0, h.report(EdgeID(1), 4*k)))
+	}
+	// wantCurve holds the root's curve to the iterations want.
+	wantCurve := func(t *testing.T, h *tierHarness, want ...int) {
+		t.Helper()
+		var got []int
+		for _, p := range h.n.res.Curve {
+			got = append(got, p.Iter)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("curve at iterations %v, want %v", got, want)
+		}
+	}
 	for _, row := range []struct {
 		name   string
 		middle bool // region-0 of the depth-4 tree, not edge-0
+		root   bool // the cloud, not edge-0
 		opts   Options
 		run    func(t *testing.T, h *tierHarness)
 	}{
@@ -371,14 +390,64 @@ func TestTierMachine(t *testing.T) {
 				}
 			}
 		}},
+		{name: "root close queues the save and the update but no point", root: true, opts: Options{Adaptive: true},
+			run: func(t *testing.T, h *tierHarness) {
+				h.begin(t)
+				for k := 1; k <= 2; k++ {
+					syncRoot(t, h, k)
+					wantLog(t, h, fmt.Sprintf("save %d", k), fmt.Sprintf("%s tier-update@%d", EdgeID(0), 4*k),
+						fmt.Sprintf("%s tier-update@%d", EdgeID(1), 4*k))
+					wantCurve(t, h)
+					// Point k is the next expire's, and only on the
+					// EvalEvery = 8 period: t = 4 records none.
+					must(t, h.expire(0))
+				}
+				wantCurve(t, h, 8)
+				if p := h.n.res.Curve[0]; p.TrainLoss != 1 {
+					t.Errorf("point 8 carries loss %v, want round 2's weighted loss 1", p.TrainLoss)
+				}
+				wantLog(t, h)
+				for k := 3; k <= 4; k++ {
+					syncRoot(t, h, k)
+					must(t, h.expire(0))
+				}
+				wantCurve(t, h, 8, 16)
+			}},
+		{name: "root resume scores the snapshotted round's point", root: true, opts: Options{Adaptive: true},
+			run: func(t *testing.T, h *tierHarness) {
+				// Snapshot 2 ends at the previous point: none.
+				must(t, h.flush(h.n.start(h.t0, 2)))
+				wantLog(t, h, EdgeID(0)+" tier-update@8", EdgeID(1)+" tier-update@8")
+				wantCurve(t, h)
+				must(t, h.expire(0))
+				wantCurve(t, h, 8)
+				syncRoot(t, h, 3)
+				must(t, h.expire(0))
+				wantCurve(t, h, 8)
+			}},
+		{name: "root resume keeps a restored point, drops an off-period one", root: true, opts: Options{Adaptive: true},
+			run: func(t *testing.T, h *tierHarness) {
+				// A snapshot that already holds point 8 is not scored again;
+				// its point off the EvalEvery period is dropped.
+				restored := fl.Point{Iter: 8, TestAcc: 0.125, TrainLoss: 3}
+				h.n.res.Curve = []fl.Point{{Iter: 4, TestAcc: 0.5, TrainLoss: 2}, restored}
+				must(t, h.flush(h.n.start(h.t0, 2)))
+				must(t, h.expire(0))
+				if c := h.n.res.Curve; len(c) != 1 || c[0] != restored {
+					t.Fatalf("curve %v, want the restored point 8 alone", c)
+				}
+			}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			var h *tierHarness
-			if row.middle {
+			switch {
+			case row.middle:
 				opts := row.opts
 				opts.Topology = middle
 				h = newTierHarness(t, cfg, 1, 0, opts)
-			} else {
+			case row.root:
+				h = newTierHarness(t, cfg, 0, 0, row.opts)
+			default:
 				h = newTierHarness(t, cfg, 1, 0, row.opts)
 			}
 			row.run(t, h)

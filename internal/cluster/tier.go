@@ -338,12 +338,17 @@ func (n *tierNode) checkReassign(msg transport.Message) error {
 // start). That snapshot was taken before the round's redistribution, which
 // a crash can have cut short, so a resumed node re-sends the update first:
 // children already past it discard it as stale, children still waiting on
-// it adopt it (directly or via the mid-collect fast-forward).
+// it adopt it (directly or via the mid-collect fast-forward). A restored
+// curve keeps only the run's curve-recording instants: a snapshot written
+// when the root scored every sync holds points off the EvalEvery period.
 func (n *tierNode) start(now time.Time, resumed int) error {
 	if resumed > 0 {
 		if want := n.ts.tree.Epoch(n.lvl, resumed); n.epoch != want {
 			return fmt.Errorf("cluster: %s resume at round %d: snapshot epoch %d, schedule says %d: membership schedule divergence",
 				n.id(), resumed, n.epoch, want)
+		}
+		if n.res != nil {
+			n.res.Curve = slices.DeleteFunc(n.res.Curve, func(p fl.Point) bool { return !n.hn.ShouldEval(p.Iter) })
 		}
 		n.redistribute(resumed, true)
 	}
@@ -421,8 +426,11 @@ func (n *tierNode) finish() (*fl.Result, error) {
 // reports stashed by earlier rounds. A silent cohort may be riding out a
 // lost update for up to a full RecvTimeout of its own, so a tolerant node
 // waits one straggler grace beyond that horizon, not to miss their recovery
-// reports by a hair.
+// reports by a hair. The root first scores round k's curve point.
 func (n *tierNode) begin(now time.Time) error {
+	if err := n.score(); err != nil {
+		return err
+	}
 	n.k++
 	n.kids, _ = n.ts.tree.Children(n.lvl, n.idx, n.k)
 	n.phase, n.quorum, n.got = tierCollect, len(n.kids), 0
@@ -455,6 +463,29 @@ func (n *tierNode) begin(now time.Time) error {
 	}
 	n.pending = keep
 	return n.progress(now)
+}
+
+// score appends round k's curve point on the root when k·τ is a
+// curve-recording instant of the run (fl.Harness.ShouldEval, the
+// simulation's rule; the final point is finish's). It runs when round k+1
+// begins, after the driver has flushed round k's snapshot and update, so
+// the tree trains while the root evaluates: snapshot k ends at the previous
+// point, and a resume at k scores point k here unless the restored curve
+// already ends at k·τ.
+func (n *tierNode) score() error {
+	t := n.want()
+	if n.res == nil || n.k == 0 || !n.hn.ShouldEval(t) {
+		return nil
+	}
+	if c := n.res.Curve; len(c) > 0 && c[len(c)-1].Iter == t {
+		return nil
+	}
+	acc, err := model.Accuracy(n.cfg.Model, n.tier.XPlus, n.hn.EvalSet())
+	if err != nil {
+		return fmt.Errorf("eval: %w", err)
+	}
+	n.hn.AppendPoint(n.res, t, acc, n.weightedLoss)
+	return nil
 }
 
 // count counts one more distinct reporter. Quorum mode grants stragglers a
@@ -571,8 +602,7 @@ func (n *tierNode) stashed(msg transport.Message) bool {
 // means depends on the level. At the leaf-parent the stragglers are
 // forfeited: the tier aggregates the slots of the children that reported.
 // At every other level a missing child's last report is substituted.
-// A boundary round then reports to the parent; any other settles, the
-// root's after an evaluation.
+// A boundary round then reports to the parent; any other settles.
 func (n *tierNode) close(now time.Time) error {
 	idx := n.everyone
 	if n.leafParent() {
@@ -599,13 +629,6 @@ func (n *tierNode) close(now time.Time) error {
 		n.box.send(n.ts.tree.ID(n.lvl-1, n.ts.tree.Parent[n.lvl][n.idx]), report)
 		n.phase, n.deadline, n.box.wake = tierSync, time.Time{}, now
 		return nil
-	}
-	if n.res != nil && n.k < n.rounds() && n.cfg.EvalEvery > 0 {
-		acc, err := model.Accuracy(n.cfg.Model, n.tier.XPlus, n.hn.EvalSet())
-		if err != nil {
-			return fmt.Errorf("eval: %w", err)
-		}
-		n.hn.AppendPoint(n.res, n.want(), acc, n.weightedLoss)
 	}
 	n.settle(now)
 	return nil

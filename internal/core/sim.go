@@ -525,8 +525,12 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 
 		if hn.ShouldEval(t) {
 			// The global data-weighted worker-model average is the evaluation
-			// point between aggregation instants.
-			weights, _ := tree.Live(t)
+			// point between aggregation instants. Under membership it is taken
+			// over the leaves of iteration t+1's epoch: at a leaf-parent
+			// boundary, the next cohort, which adopted the aggregate — a
+			// leaver's final report went into it, but the leaver keeps its own
+			// model.
+			weights, _ := tree.Live(t + 1)
 			if err := tensor.WeightedSum(evalModel, weights, xs); err != nil {
 				return nil, fmt.Errorf("core: evaluation average at t=%d: %w", t, err)
 			}

@@ -44,6 +44,9 @@ func RunChurn(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("churn: %w", err)
 	}
+	// acc@50% reads the curve at T/2, which the root can record only at a
+	// sync: sample the curve at every one, the root period τπ.
+	cfg.EvalEvery = cfg.Tau * cfg.Pi
 	tree, err := cfg.Tree(nil)
 	if err != nil {
 		return nil, fmt.Errorf("churn: %w", err)

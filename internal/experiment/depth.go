@@ -39,6 +39,11 @@ func RunDepth(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("depth: %w", err)
 	}
+	// Time-to-target reads the curve on the simulated timeline, so the curve
+	// is sampled at every root sync: the root period τπ = 20, which every
+	// DepthTopologies spec shares (the cluster root records a point only
+	// where EvalEvery says).
+	cfg.EvalEvery = cfg.Tau * cfg.Pi
 	payload := netsim.ModelPayload(cfg.Model.Dim(), true)
 	tbl := &Table{
 		Title: fmt.Sprintf("Depth — aggregation-tree depth vs simulated time to %.2f accuracy, logistic on MNIST, N=8",

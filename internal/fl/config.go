@@ -79,7 +79,10 @@ type Config struct {
 	Workers int
 
 	// EvalEvery records a curve point every EvalEvery iterations (plus one
-	// final point). Zero disables intermediate evaluation.
+	// final point). Zero disables intermediate evaluation. Both engines
+	// obey it (Harness.ShouldEval); the cluster root sees the model only at
+	// its syncs, so it records the multiples of EvalEvery that are also
+	// multiples of its period.
 	EvalEvery int
 	// EvalSamples caps how many test samples each curve evaluation uses
 	// (0 = full test set). Curve shape is what matters; capping keeps large
