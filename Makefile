@@ -56,14 +56,15 @@ check: build portable lint test recover race benchdiff
 ## race: race-detect the distributed runtime, transport layers, checkpoint
 ## snapshot/restore, telemetry instruments (scraped concurrently with
 ## writers), the parallel training paths (core/baseline worker pools,
-## the nn workspace free list), and the experiments, which run cluster.Run
-## and sweep cells concurrently, with the timing simulation and the δ
-## estimator they call.
+## the nn workspace free list), the resolved tree (every node goroutine of a
+## cluster run reads its lazily minted ID table and its hand-offs), and the
+## experiments, which run cluster.Run and sweep cells concurrently, with the
+## timing simulation and the δ estimator they call.
 race:
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... \
 		./internal/checkpoint/... ./internal/parallel/... ./internal/core/... \
 		./internal/baseline/... ./internal/fl/... ./internal/nn/... \
-		./internal/tensor/... ./internal/robust/... \
+		./internal/tensor/... ./internal/robust/... ./internal/topology/... \
 		./internal/telemetry/... ./internal/membership/... ./cmd/tracecat/... \
 		./internal/experiment/... ./internal/theory/... ./internal/netsim/...
 
@@ -101,9 +102,10 @@ race:
 ## tree keeping every leaf's ID or a typed refusal, and the wire-frame decoder, which
 ## must yield a Message or ErrFrame / a truncation error without allocating
 ## past its caps, every accepted frame re-encoding to the bytes it came from,
-## and the cluster's node machines, which must take any sequence of
-## messages and expiries without a panic, fail only with a typed error or
-## one naming the sender, and answer one sequence with one outbox sequence.
+## and the cluster's node machines, on a static and a churned tree, which
+## must take any sequence of messages and expiries without a panic, fail only
+## with a typed error or one naming the sender, answer one sequence with one
+## outbox sequence, and redistribute every round as the tree's hand-off says.
 ## Every input must yield a decoded value or a wrapped error, never a
 ## panic or an unbounded allocation. Override with FUZZTIME=1m for longer
 ## runs.

@@ -14,6 +14,7 @@ import (
 
 	"hieradmo"
 	"hieradmo/internal/fl"
+	"hieradmo/internal/membership"
 )
 
 func TestRunUnknownTransport(t *testing.T) {
@@ -189,7 +190,7 @@ func TestCompareRuns(t *testing.T) {
 	}
 	// The same model under another membership trajectory is another run.
 	churned := &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376,
-		Membership: &fl.MembershipReport{Joins: 1, Epochs: 2, InitialWorkers: 3, FinalWorkers: 4, MigrationPolicy: "zero"}}
+		Membership: &fl.MembershipReport{Summary: membership.Summary{Joins: 1, Epochs: 2, InitialWorkers: 3, FinalWorkers: 4}, MigrationPolicy: "zero"}}
 	static := &hieradmo.Result{FinalAcc: 0.9875, FinalLoss: 0.1376}
 	if compareRuns(churned, static) == nil || compareRuns(static, churned) == nil {
 		t.Error("compareRuns matched a churn run against a static one")

@@ -357,7 +357,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	// lands on the final model the recorded runtime did, and the two traces
 	// hold the same membership and injection events. In leave-at-point a
 	// worker's last round ends at a root sync that is a curve point (t = 8).
-	golden := loadGolden(t, goldenPath)
+	golden := loadGolden(t)
 	scenarios := make(map[string]goldenScenario)
 	for _, sc := range goldenScenarios() {
 		scenarios[sc.name] = sc

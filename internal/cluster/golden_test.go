@@ -12,8 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,17 +35,12 @@ import (
 // both transports and at every pool size. Regenerating the file is only
 // legitimate when the algorithm itself is meant to change.
 //
-// The file was re-recorded once more when the root began sampling its curve
-// at EvalEvery, as the simulation does, instead of at every root sync;
-// testdata/golden_runtime.v1.json is the file before that, and
-// TestGoldenRuntimeV1Map holds the two to differ by exactly the dropped
-// points.
+// The file was re-recorded once more, as an audited migration, when the
+// root began sampling its curve at EvalEvery, as the simulation does,
+// instead of at every root sync: every number but the dropped points held.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_runtime.json from the current runtime")
 
-const (
-	goldenPath   = "testdata/golden_runtime.json"
-	goldenV1Path = "testdata/golden_runtime.v1.json"
-)
+const goldenPath = "testdata/golden_runtime.json"
 
 // goldenDigest is what one scenario must reproduce bit for bit. Floats are
 // stored as IEEE-754 bit patterns so JSON round-trips cannot blur them.
@@ -371,10 +364,10 @@ func interruptRun(t *testing.T, cfg *fl.Config, opts Options, net Network) {
 	}
 }
 
-// loadGolden reads the digests recorded at path.
-func loadGolden(t *testing.T, path string) map[string]goldenDigest {
+// loadGolden reads the recorded digests.
+func loadGolden(t *testing.T) map[string]goldenDigest {
 	t.Helper()
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +425,7 @@ func TestGoldenRuntime(t *testing.T) {
 		}
 		return
 	}
-	golden := loadGolden(t, goldenPath)
+	golden := loadGolden(t)
 	if len(golden) != len(scenarios) {
 		t.Errorf("golden file holds %d scenarios, the table %d", len(golden), len(scenarios))
 	}
@@ -446,40 +439,5 @@ func TestGoldenRuntime(t *testing.T) {
 			t.Parallel()
 			checkGolden(t, sc, want)
 		})
-	}
-}
-
-// TestGoldenRuntimeV1Map audits the re-record of golden_runtime.json when
-// the root's curve moved to the EvalEvery cadence: each v1 row, its curve
-// kept at the iterations the root records now — multiples of EvalEvery, and
-// T — must equal the current row in every field (model digest, final
-// accuracy and loss, each kept point's bits, the fault, membership and
-// attack reports).
-func TestGoldenRuntimeV1Map(t *testing.T) {
-	v1, cur := loadGolden(t, goldenV1Path), loadGolden(t, goldenPath)
-	if len(v1) != len(cur) {
-		t.Errorf("v1 holds %d rows, the current file %d", len(v1), len(cur))
-	}
-	for _, sc := range goldenScenarios() {
-		old, ok := v1[sc.name]
-		if !ok {
-			t.Errorf("%s: no v1 row", sc.name)
-			continue
-		}
-		cfg := sc.cfg(t)
-		var kept []string
-		for _, p := range old.Curve {
-			iter, err := strconv.Atoi(p[:strings.IndexByte(p, ':')])
-			if err != nil {
-				t.Fatalf("%s: v1 point %q: %v", sc.name, p, err)
-			}
-			if cfg.EvalEvery > 0 && iter%cfg.EvalEvery == 0 || iter == cfg.T {
-				kept = append(kept, p)
-			}
-		}
-		old.Curve = kept
-		if want := cur[sc.name]; !reflect.DeepEqual(old, want) {
-			t.Errorf("%s: v1 mapped to the EvalEvery cadence\n%+v\nis not the current row\n%+v", sc.name, old, want)
-		}
 	}
 }

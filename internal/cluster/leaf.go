@@ -37,10 +37,8 @@ type treeLeaf struct {
 	state    *core.Leaf
 	lastLoss float64
 	// lv is the leaf-parent level's rule, under which the leaf computes its
-	// eq. (6) term, and yStart the momentum the current interval started
-	// from: the velocity signal's reference, kept only under that signal.
-	lv     core.Level
-	yStart tensor.Vector
+	// eq. (6) term.
+	lv core.Level
 	// syncedThrough is the round of the last adopted update. When an update
 	// arrives for a round ahead of this leaf's own iteration count (the
 	// parent fast-forwarded past syncs a quorum completed without it), the
@@ -81,21 +79,16 @@ var awaited = [...]string{leafUpdate: "update", leafRetire: "retire", leafAdmit:
 
 func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, opts Options) *treeLeaf {
 	lv := ts.level(ts.leafParent(), x0)
-	velocity := lv.Adapt && lv.Signal == core.SignalVelocity
-	count := core.LeafVectors
-	if velocity {
-		count++
-	}
-	newVec := nodeVectors(len(x0), count)
+	newVec := nodeVectors(len(x0), lv.LeafVectors())
 	opts.Interrupt = nil // a machine never blocks: the driver polls it
-	w := &treeLeaf{
+	return &treeLeaf{
 		cfg:    cfg,
 		ts:     ts,
 		j:      j,
 		opts:   opts,
 		att:    ts.tree.AttackPlan().Attacker(ts.tree.ID(ts.depth()-1, j), 4, len(x0)),
 		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), cfg.Telemetry),
-		state:  core.NewLeaf(x0, newVec),
+		state:  core.NewLeaf(x0, lv, newVec),
 		lv:     lv,
 
 		report: transport.Message{
@@ -104,11 +97,6 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, opts Opt
 			Scalars: make(map[string]float64, 2),
 		},
 	}
-	if velocity {
-		w.yStart = newVec()
-		copy(w.yStart, x0)
-	}
-	return w
 }
 
 func (w *treeLeaf) id() string      { return w.ts.tree.ID(w.tier(), w.j) }
@@ -131,7 +119,7 @@ func (w *treeLeaf) initCheckpoint() (*fl.Checkpointer, error) {
 	ck.Vector("x", w.state.X)
 	ck.Vector("y", w.state.Y)
 	ck.Dynamic("interval", w.saveInterval, w.loadInterval)
-	if w.yStart != nil {
+	if w.state.YStart != nil {
 		ck.Dynamic("yStart", w.saveYStart, w.loadYStart)
 	}
 	ck.RNG("sampler", w.oracle.Sampler)
@@ -177,9 +165,9 @@ func (w *treeLeaf) loadInterval(flat []float64) error {
 // saveYStart appends the velocity reference to dst, or nothing while it is
 // bitwise y (as adopt leaves it).
 func (w *treeLeaf) saveYStart(dst []float64) []float64 {
-	for i, v := range w.yStart {
+	for i, v := range w.state.YStart {
 		if math.Float64bits(v) != math.Float64bits(w.state.Y[i]) {
-			return append(dst, w.yStart...)
+			return append(dst, w.state.YStart...)
 		}
 	}
 	return dst
@@ -187,13 +175,13 @@ func (w *treeLeaf) saveYStart(dst []float64) []float64 {
 
 // loadYStart runs after y is restored: dynamics load last.
 func (w *treeLeaf) loadYStart(flat []float64) error {
-	switch len(flat) {
+	switch yStart := w.state.YStart; len(flat) {
 	case 0:
-		copy(w.yStart, w.state.Y)
-	case len(w.yStart):
-		copy(w.yStart, flat)
+		copy(yStart, w.state.Y)
+	case len(yStart):
+		copy(yStart, flat)
 	default:
-		return fmt.Errorf("yStart holds %d values, want 0 or %d", len(flat), len(w.yStart))
+		return fmt.Errorf("yStart holds %d values, want 0 or %d", len(flat), len(yStart))
 	}
 	return nil
 }
@@ -366,7 +354,7 @@ func (w *treeLeaf) fillReport(t, k int) error {
 	w.report.Vectors[0], w.report.Vectors[1] = y, x
 	w.report.Round, w.report.Scalars[ScalarLoss] = t, w.lastLoss
 	if w.lv.Adapt {
-		cos, err := w.lv.Term(gradSum, ySum, y, w.yStart)
+		cos, err := w.lv.Term(gradSum, ySum, y, w.state.YStart)
 		if err != nil {
 			return fmt.Errorf("cluster: %s term: %w", w.id(), err)
 		}
@@ -376,19 +364,14 @@ func (w *treeLeaf) fillReport(t, k int) error {
 }
 
 // adopt takes over the [y, x] of an update or ADMIT and starts a new
-// interval: the accumulators restart, and the adopted momentum is the
-// velocity signal's reference.
+// interval: the accumulators restart (core.Leaf.Adopt keeps the velocity
+// reference).
 func (w *treeLeaf) adopt(msg transport.Message) error {
 	if len(msg.Vectors) != 2 {
 		return fmt.Errorf("cluster: %s %s carries %d vectors, want 2", w.id(), msg.Kind, len(msg.Vectors))
 	}
 	if err := w.state.Adopt(msg.Vectors[0], msg.Vectors[1]); err != nil {
 		return err
-	}
-	if w.yStart != nil {
-		if err := w.yStart.CopyFrom(w.state.Y); err != nil {
-			return err
-		}
 	}
 	w.state.Restart()
 	w.syncedThrough = msg.Round

@@ -511,20 +511,49 @@ func TestEdgeRejectsMalformedTerm(t *testing.T) {
 
 // FuzzTierMachine feeds arbitrary message sequences to a leaf-parent machine
 // (edge-0) and a root machine (the cloud) of the 2×2 config's derived tree,
-// in strict or quorum mode, driven as drive drives them: before every input
-// the machine gets each expiry its wake time asks for. Each op is five
-// bytes: how far the clock moves, then the message's kind (0: none, the op
-// only moves the clock), round, sender, and vector count and eq. (6) term
-// (none, in range, out of range, NaN, ±Inf). The machines must never panic,
-// every error must be a typed one (ErrMalformedReport,
+// static or churned (a join, a leave, a re-tiering due every root sync), in
+// strict or quorum mode, driven as drive drives them: before every input the
+// machine gets each expiry its wake time asks for. The first byte picks the
+// mode (bit 0), the machine (bit 1) and the tree (bit 2); each op after it
+// is five bytes: how far the clock moves, then the message's kind (0: none,
+// the op only moves the clock), round, sender, and vector count and eq. (6)
+// term (none, in range, out of range, NaN, ±Inf). The machines must never
+// panic, every error must be a typed one (ErrMalformedReport,
 // transport.ErrTimeout) or name the message's sender, the ride-ahead stash
 // must never hold two reports of one sender for one round or one past T, and
-// one input sequence must always give the same outbox sequence.
+// one input sequence must always give the same outbox sequence. Every
+// redistribution is the tree's hand-off of its round: the update or ADMIT
+// goes to Tree.Handoff's cohort, ADMIT to its newcomers alone, RETIRE to its
+// retirees alone, and the root's REASSIGN carries Tree.Retier's moves
+// exactly when a re-tiering takes effect at the next leaf-parent round.
 func FuzzTierMachine(f *testing.F) {
 	cfg := buildConfig(f, 61, 0)
+	plan, err := membership.ParseSpec("join:" + WorkerID(0, 1) + "@3,leave:" + WorkerID(0, 0) + "@7")
+	if err != nil {
+		f.Fatal(err)
+	}
+	churned, err := scenario{churn: &plan, retier: 1}.resolve(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The churned tree must exercise every control message at edge-0.
+	var admits, retires, moves int
+	for k := 1; k <= cfg.T/cfg.Tau; k++ {
+		h := churned.Handoff(1, 0, k)
+		admits, retires = admits+len(h.Joins), retires+len(h.Retires)
+		m, _ := churned.Retier(k)
+		moves += len(m)
+	}
+	if admits == 0 || retires == 0 || moves == 0 {
+		f.Fatalf("the churned tree admits %d, retires %d and moves %d leaves at edge-0", admits, retires, moves)
+	}
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 1, 2, 1, 1, 0, 1, 4, 0, 1, 1, 1, 4, 1, 1})
 	f.Add([]byte{1, 50, 1, 6, 3, 9, 200, 0, 0, 0, 0, 2, 2, 8, 5, 2})
 	f.Add([]byte{1, 0, 1, 4, 3, 1, 0, 1, 4, 4, 1, 9, 2, 10, 2, 7, 255, 5, 9, 6, 0})
+	// Churned: edge-0 admits worker-0-1 after round 2, and the cloud
+	// announces the re-tiering due at leaf-parent round 3.
+	f.Add([]byte{6, 0, 1, 6, 0, 6, 0, 1, 8, 0, 6, 0, 2, 8, 5, 2, 0, 1, 10, 0, 6, 0, 1, 10, 1, 6})
+	f.Add([]byte{4, 0, 1, 8, 3, 2, 0, 1, 8, 4, 2, 0, 1, 12, 3, 2, 0, 1, 12, 4, 2})
 	cosines := []float64{0.5, -1, 1, math.NaN(), math.Inf(1), math.Inf(-1), 1.5}
 	senders := []string{WorkerID(0, 0), WorkerID(0, 1), WorkerID(1, 0), EdgeID(0), EdgeID(1), CloudID, "nobody"}
 	kinds := []string{"", KindTierReport, KindTierUpdate, KindAdmit, KindRetire, KindReassign, "bogus"}
@@ -537,13 +566,59 @@ func FuzzTierMachine(f *testing.F) {
 			opts.MinQuorum = 0.5
 		}
 		lvl := int(in[0]>>1) & 1
+		if in[0]&4 != 0 {
+			opts.Tree = churned
+		}
 		h := newTierHarness(t, cfg, lvl, 0, opts)
+		tree := h.n.ts.tree
 		var log []string
-		// record logs the outbox after an input and holds the stash to one
-		// report per sender and round, none past the run's last.
+		// record logs the outbox after an input, holds every redistribution
+		// in it to the tree's hand-off of its round, and holds the stash to
+		// one report per sender and round, none past the run's last.
+		ids := func(c []int) []string {
+			out := make([]string, len(c))
+			for i, j := range c {
+				out[i] = tree.ID(lvl+1, j)
+			}
+			return out
+		}
 		record := func() {
+			sent := make(map[int]map[string][]string) // round → kind → recipients
 			for _, e := range h.n.box.effects {
 				log = append(log, fmt.Sprintf("%s %v %v", describe(e), e.msg.Vectors, e.msg.Scalars))
+				if e.to == "" || e.msg.Kind == KindTierReport {
+					continue
+				}
+				if sent[e.msg.Round] == nil {
+					sent[e.msg.Round] = make(map[string][]string)
+				}
+				sent[e.msg.Round][e.msg.Kind] = append(sent[e.msg.Round][e.msg.Kind], e.to)
+				if e.msg.Kind != KindReassign {
+					continue
+				}
+				// The payload: (natal parent, position, new parent) per move.
+				moves, _ := tree.Retier(e.msg.Round/cfg.Tau + 1)
+				var want []float64
+				for _, m := range moves {
+					p, pos := tree.Natal(m.Leaf)
+					want = append(want, float64(p), float64(pos), float64(m.To))
+				}
+				if len(e.msg.Vectors) != 1 || !slices.Equal(e.msg.Vectors[0], want) {
+					t.Fatalf("REASSIGN@%d to %s carries %v, want Tree.Retier's moves %v", e.msg.Round, e.to, e.msg.Vectors, moves)
+				}
+			}
+			for round, kinds := range sent {
+				hand := tree.Handoff(lvl, 0, round/h.n.tau())
+				_, retier := tree.Retier(round/cfg.Tau + 1)
+				var reassign []string
+				if lvl == 0 && retier {
+					reassign = []string{EdgeID(0), EdgeID(1)}
+				}
+				if got := slices.Concat(kinds[KindTierUpdate], kinds[KindAdmit]); !slices.Equal(sortedIDs(got), sortedIDs(ids(hand.Cohort))) ||
+					!slices.Equal(sortedIDs(kinds[KindAdmit]), sortedIDs(ids(hand.Joins))) ||
+					!slices.Equal(kinds[KindRetire], ids(hand.Retires)) || !slices.Equal(kinds[KindReassign], reassign) {
+					t.Fatalf("round %d redistributed %v, want the hand-off %+v (re-tiering: %v)", round, kinds, hand, retier)
+				}
 			}
 			h.n.box.effects = h.n.box.effects[:0]
 			for i, p := range h.n.pending {
@@ -611,4 +686,14 @@ func FuzzTierMachine(f *testing.F) {
 			t.Fatalf("one input, two outbox sequences:\n%q\n%q", first, again)
 		}
 	})
+}
+
+// sortedIDs returns ids sorted, nil for none.
+func sortedIDs(ids []string) []string {
+	if len(ids) == 0 {
+		return nil
+	}
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	return ids
 }

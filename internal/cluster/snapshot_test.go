@@ -359,7 +359,7 @@ func TestIntervalKeepsNegativeZero(t *testing.T) {
 	}
 	negZero := math.Copysign(0, -1)
 	w.state.YSum[3] = negZero
-	w.yStart[2] = negZero // y[2] is +0
+	w.state.YStart[2] = negZero // y[2] is +0
 	interval, yStart := w.saveInterval(nil), w.saveYStart(nil)
 	n := len(x0)
 	if len(interval) != 2*n || len(yStart) != n {
@@ -372,8 +372,8 @@ func TestIntervalKeepsNegativeZero(t *testing.T) {
 	if err := back.loadYStart(yStart); err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(back.state.YSum[3]) != math.Float64bits(negZero) || math.Float64bits(back.yStart[2]) != math.Float64bits(negZero) {
-		t.Errorf("restored Σy[3] = %v, yStart[2] = %v, want −0 both", back.state.YSum[3], back.yStart[2])
+	if math.Float64bits(back.state.YSum[3]) != math.Float64bits(negZero) || math.Float64bits(back.state.YStart[2]) != math.Float64bits(negZero) {
+		t.Errorf("restored Σy[3] = %v, yStart[2] = %v, want −0 both", back.state.YSum[3], back.state.YStart[2])
 	}
 	for _, bad := range []int{1, n, 2*n + 1} {
 		if err := back.loadInterval(make([]float64, bad)); err == nil || !strings.Contains(err.Error(), "interval") {

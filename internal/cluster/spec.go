@@ -88,18 +88,20 @@ func (ts *treeSpec) leafSampler(j int) *rng.RNG {
 	return fl.WorkerSampler(ts.cfg.Seed, p, pos)
 }
 
-// moves lists the workers re-tiering moves at leaf-parent round r as
-// (natal parent, position, new parent) triples, the REASSIGN payload.
-func (ts *treeSpec) moves(r int) []float64 {
-	sched := ts.tree.Membership()
-	moved := sched.ReassignedAt(r)
-	flat := make([]float64, 0, 3*len(moved))
-	for _, j := range moved {
-		to, _ := sched.EdgeOf(r, j)
-		p, pos := ts.tree.Natal(j)
-		flat = append(flat, float64(p), float64(pos), float64(to))
+// moves lists the workers the re-tiering at leaf-parent round r moves
+// (topology.Tree.Retier) as (natal parent, position, new parent) triples,
+// the REASSIGN payload, and whether a re-tiering takes effect there.
+func (ts *treeSpec) moves(r int) ([]float64, bool) {
+	moved, ok := ts.tree.Retier(r)
+	if !ok {
+		return nil, false
 	}
-	return flat
+	flat := make([]float64, 0, 3*len(moved))
+	for _, m := range moved {
+		p, pos := ts.tree.Natal(m.Leaf)
+		flat = append(flat, float64(p), float64(pos), float64(m.To))
+	}
+	return flat, ok
 }
 
 // position returns where child c sits in the ascending cohort kids, or false

@@ -257,41 +257,30 @@ func (n *tierNode) decodeLosses(flat []float64) error {
 // simulation. resend marks a resume's repeat of the snapshotted round:
 // membership transitions are then re-announced but not re-counted.
 //
-// The update goes to the round-k+1 cohort. Under dynamic membership its
-// newcomers — planned joiners and reassigned-in workers — get it as an ADMIT
-// carrying their starting state, planned leavers whose final report was
-// just aggregated get a RETIRE, and the root announces re-tierings.
+// The update goes to the round's hand-off cohort (topology.Tree.Handoff),
+// as in the simulation, which records the same facts (core.RecordHandoff):
+// its newcomers — planned joiners and reassigned-in workers — get it as an
+// ADMIT carrying their starting state, its retirees, whose final report was
+// just aggregated, a RETIRE, and the root announces re-tierings.
 func (n *tierNode) redistribute(k int, resend bool) {
 	t := k * n.tau()
-	update := transport.Message{Kind: KindTierUpdate, Round: t, Vectors: n.out.Vectors}
-	next := min(k+1, n.rounds())
-	prev, _ := n.ts.tree.Children(n.lvl, n.idx, k)
-	cohort, _ := n.ts.tree.Children(n.lvl, n.idx, next)
+	h := n.ts.tree.Handoff(n.lvl, n.idx, k)
+	if !resend {
+		core.RecordHandoff(&n.ts.ledger, n.ts.tree, n.lvl, t, h)
+	}
 	childID := func(c int) string { return n.ts.tree.ID(n.lvl+1, c) }
-	sched := n.ts.tree.Membership()
-	for _, c := range cohort {
+	update := transport.Message{Kind: KindTierUpdate, Round: t, Vectors: n.out.Vectors}
+	for _, c := range h.Cohort {
 		msg := update
-		if _, member := position(prev, c); !member {
+		if h.Joined(c) {
 			msg.Kind = KindAdmit
-			if join, _ := sched.Span(c); !resend {
-				n.ts.ledger.MembershipJoin(childID(c), t, join != next)
-			}
 		}
 		n.box.send(childID(c), msg)
 	}
-	if n.churning() {
-		retire := transport.Message{Kind: KindRetire, Round: t}
-		for _, j := range sched.LeavesAfter(k) {
-			if l, ok := sched.EdgeOf(k, j); !ok || l != n.idx {
-				continue
-			}
-			if !resend {
-				n.ts.ledger.MembershipLeave(childID(j), t)
-			}
-			n.box.send(childID(j), retire)
-		}
+	for _, c := range h.Retires {
+		n.box.send(childID(c), transport.Message{Kind: KindRetire, Round: t})
 	}
-	if n.lvl > 0 || sched == nil {
+	if n.lvl > 0 {
 		return
 	}
 	// A re-tiering that takes effect at the next leaf-parent round follows
@@ -299,19 +288,13 @@ func (n *tierNode) redistribute(k int, resend bool) {
 	// their own schedule, so it can never *cause* a reassignment — only
 	// surface a configuration divergence.
 	lp := n.ts.leafParent()
-	r := t / n.ts.tau(lp)
-	if r >= sched.K {
+	moves, ok := n.ts.moves(t/n.ts.tau(lp) + 1)
+	if !ok {
 		return
 	}
-	if e := sched.EpochAt(r + 1); !e.Retier || e.Start != r+1 {
-		return
-	}
-	reassign := transport.Message{Kind: KindReassign, Round: t, Vectors: [][]float64{n.ts.moves(r + 1)}}
+	reassign := transport.Message{Kind: KindReassign, Round: t, Vectors: [][]float64{moves}}
 	for p := 0; p < n.ts.tree.Width(lp); p++ {
 		n.box.send(n.ts.tree.ID(lp, p), reassign)
-	}
-	if !resend {
-		n.ts.ledger.MembershipRetier(t, len(reassign.Vectors[0])/3)
 	}
 }
 
@@ -327,9 +310,9 @@ func (n *tierNode) checkReassign(msg transport.Message) error {
 		return fmt.Errorf("cluster: %s: malformed reassign payload from %q", n.id(), msg.From)
 	}
 	k := msg.Round / n.tau()
-	if !slices.Equal(msg.Vectors[0], n.ts.moves(k+1)) {
-		return fmt.Errorf("cluster: %s: the reassign at round %d disagrees with the local schedule: membership schedule divergence",
-			n.id(), k+1)
+	if moves, _ := n.ts.moves(k + 1); !slices.Equal(msg.Vectors[0], moves) {
+		return fmt.Errorf("cluster: %s: the reassign from %q at round %d disagrees with the local schedule: membership schedule divergence",
+			n.id(), msg.From, k+1)
 	}
 	return nil
 }

@@ -124,7 +124,7 @@ func buildFlatConfig(t *testing.T, seed uint64, edges []int) *fl.Config {
 // modes and at every cohort size of the golden suite, and churn runs under
 // every migration policy, including an interrupt-resume.
 func TestTreeSpecMatchesGolden(t *testing.T) {
-	golden := loadGolden(t, goldenPath)
+	golden := loadGolden(t)
 	byName := make(map[string]goldenScenario)
 	for _, sc := range goldenScenarios() {
 		byName[sc.name] = sc

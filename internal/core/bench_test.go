@@ -173,7 +173,7 @@ func BenchmarkLeafStep(b *testing.B) {
 	for i := range x0 {
 		x0[i] = r.Norm()
 	}
-	leaf := core.NewLeaf(x0, func() tensor.Vector { return tensor.NewVector(dim) })
+	leaf := core.NewLeaf(x0, core.Level{}, func() tensor.Vector { return tensor.NewVector(dim) })
 	for i := range leaf.Grad {
 		leaf.Grad[i] = 1e-3 * r.Norm()
 	}

@@ -36,18 +36,24 @@ type Leaf struct {
 	GradSum, YSum tensor.Vector
 	// Grad receives the mini-batch gradient at X before every Step.
 	Grad tensor.Vector //flvet:allow ckptstate -- per-step scratch: overwritten by the gradient step before Step reads it
+	// YStart is the momentum the current interval started from, the eq. (6)
+	// reference under SignalVelocity (Level.Term); nil unless the leaf's
+	// parent adapts on that signal. Adopt keeps it equal to the adopted y.
+	YStart tensor.Vector
 }
 
-// LeafVectors is the number of model-sized vectors NewLeaf draws.
-const LeafVectors = 5
-
-// NewLeaf builds a leaf at the shared initialization (y⁰ = x⁰, line 1) from
-// LeafVectors zero vectors drawn from newVec, so a driver chooses where its
-// leaves live (the simulation carves them from the run's slab).
-func NewLeaf(x0 tensor.Vector, newVec func() tensor.Vector) *Leaf {
+// NewLeaf builds a leaf reporting to a level of rule parent at the shared
+// initialization (y⁰ = x⁰, line 1) from parent.LeafVectors() zero vectors
+// drawn from newVec, so a driver chooses where its leaves live (the
+// simulation carves them from the run's slab).
+func NewLeaf(x0 tensor.Vector, parent Level, newVec func() tensor.Vector) *Leaf {
 	l := &Leaf{X: newVec(), Y: newVec(), GradSum: newVec(), YSum: newVec(), Grad: newVec()}
 	copy(l.X, x0)
 	copy(l.Y, x0)
+	if parent.velocity() {
+		l.YStart = newVec()
+		copy(l.YStart, x0)
+	}
 	return l
 }
 
@@ -88,10 +94,16 @@ func leafStep(x, y, gs, ys, grad []float64, negEta, gamma, negGamma float64) {
 }
 
 // Adopt takes over a parent's redistributed momentum and model (lines 14–15
-// after the parent's round, 20–23 after a sync further up).
+// after the parent's round, 20–23 after a sync further up); the adopted
+// momentum is the velocity reference from here on.
 func (l *Leaf) Adopt(y, x tensor.Vector) error {
 	if err := l.Y.CopyFrom(y); err != nil {
 		return err
+	}
+	if l.YStart != nil {
+		if err := l.YStart.CopyFrom(y); err != nil {
+			return err
+		}
 	}
 	return l.X.CopyFrom(x)
 }
@@ -162,6 +174,20 @@ func (lv Level) Term(gradSum, ySum, y, yStart tensor.Vector) (float64, error) {
 		ss += s * s
 	}
 	return tensor.CosineFromDot(-dot, math.Sqrt(gg), math.Sqrt(ss)), nil
+}
+
+// velocity reports whether the level's eq. (6) term reads its reporters'
+// velocity references.
+func (lv Level) velocity() bool { return lv.Adapt && lv.Signal == SignalVelocity }
+
+// LeafVectors is the number of model-sized vectors NewLeaf draws for a leaf
+// reporting to the level: five, and the velocity reference YStart where the
+// level adapts on SignalVelocity.
+func (lv Level) LeafVectors() int {
+	if lv.velocity() {
+		return 6
+	}
+	return 5
 }
 
 // Vectors is the number of model-sized vectors NewTier draws for the level.

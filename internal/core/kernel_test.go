@@ -69,7 +69,7 @@ func seq(n int) []int {
 // TestLeafStepIsNAG checks lines 5–6 on hand-computable numbers, the
 // accumulators, and Adopt/Restart.
 func TestLeafStepIsNAG(t *testing.T) {
-	l := NewLeaf(tensor.Vector{1, 2}, heapVec(2))
+	l := NewLeaf(tensor.Vector{1, 2}, Level{}, heapVec(2))
 	copy(l.Grad, tensor.Vector{10, -20})
 	if err := l.Step(0.1, 0.5); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestLeafStepMatchesVectorComposition(t *testing.T) {
 			x0[i] = r.Norm()
 		}
 		x0[0], x0[1] = negZero, 0
-		got, want := NewLeaf(x0, heapVec(dim)), NewLeaf(x0, heapVec(dim))
+		got, want := NewLeaf(x0, Level{}, heapVec(dim)), NewLeaf(x0, Level{}, heapVec(dim))
 		yPrev := tensor.NewVector(dim)
 		for s := 0; s < steps; s++ {
 			for i := range got.Grad {
@@ -191,7 +191,7 @@ func TestLeafStepRejectsMismatchedVectors(t *testing.T) {
 		func(l *Leaf) { l.Grad = l.Grad[:2] },
 		func(l *Leaf) { l.X = l.X[:2] },
 	} {
-		l := NewLeaf(tensor.Vector{1, 2, 3}, heapVec(3))
+		l := NewLeaf(tensor.Vector{1, 2, 3}, Level{}, heapVec(3))
 		copy(l.Grad, tensor.Vector{1, 1, 1})
 		short(l)
 		before := l.X.Clone()
@@ -754,7 +754,7 @@ func TestKernelAllocFree(t *testing.T) {
 	dim := cfg.Model.Dim()
 	x0 := tensor.NewVector(dim)
 	oracle := fl.NewGradOracle(cfg, cfg.Edges[0][0], fl.WorkerSampler(cfg.Seed, 0, 0), nil)
-	leaf := NewLeaf(x0, heapVec(dim))
+	leaf := NewLeaf(x0, Level{}, heapVec(dim))
 	step := func() {
 		if _, err := oracle.Grad(leaf.X, leaf.Grad); err != nil {
 			t.Fatal(err)

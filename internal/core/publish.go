@@ -68,6 +68,27 @@ func (r *Rule) Publish(ledger *telemetry.Ledger, tree *topology.Tree, lvl, n, t 
 	}
 }
 
+// RecordHandoff records on ledger the membership facts of a node of tree
+// level lvl handing its round at iteration t off as h says (topology.Tree.
+// Handoff), the one place both engines count them: each newcomer a join, or
+// a reassignment when it was live under another parent before, and each
+// retiree a leave; at the root, a re-tiering that takes effect at the leaf
+// parents' next round, with the number of leaves it moves.
+func RecordHandoff(ledger *telemetry.Ledger, tree *topology.Tree, lvl, t int, h topology.Handoff) {
+	for c, j := range h.Joins {
+		ledger.MembershipJoin(tree.ID(lvl+1, j), t, h.Moved[c])
+	}
+	for _, j := range h.Retires {
+		ledger.MembershipLeave(tree.ID(lvl+1, j), t)
+	}
+	if lvl > 0 {
+		return
+	}
+	if moves, ok := tree.Retier(t/tree.Levels[tree.LeafParent()].Tau + 1); ok {
+		ledger.MembershipRetier(t, len(moves))
+	}
+}
+
 // RecordVerdicts records on ledger what the robust rule of node n at tree
 // level lvl decided at iteration t, for both engines: report slot j held the
 // node at position idx[j] of the cohort kids, on tree level lvl+1. A round

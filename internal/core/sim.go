@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"hieradmo/internal/fl"
 	"hieradmo/internal/parallel"
@@ -123,20 +122,11 @@ var ErrTree = errors.New("core: the simulation cannot run this rule on this tree
 // not the per-algorithm vectors the hand-written loops registered.
 const baselineVariant = "layout=leaf-tier"
 
-// simNode is one aggregating node of the run.
-type simNode struct {
-	tier *Tier
-	// kids is the natal cohort, ascending and contiguous — leaves at level
-	// 0, nodes of the level below otherwise — and weights their data weights
-	// by position; a membership epoch's come from the tree each round.
-	kids    []int     //flvet:allow ckptstate -- config-derived constant, rebuilt identically on resume
-	weights []float64 //flvet:allow ckptstate -- config-derived constant, rebuilt identically on resume
-}
-
 // simLevel is one level of the stack, bottom-up: level 0 aggregates the
-// leaves, the last level is the root.
+// leaves, the last level is the root. Its nodes' cohorts and data weights
+// are the tree's (Tree.Children), their hand-offs too (Tree.Handoff).
 type simLevel struct {
-	nodes []simNode
+	tiers []*Tier
 	// level is the tree level the nodes sit at.
 	level  int
 	period int
@@ -150,18 +140,17 @@ type sim struct {
 	hooks  Hooks
 	tree   *topology.Tree
 	levels []simLevel
-	// Leaf state in the tree's leaf order: the leaves and the momentum each
-	// started its current interval from (the velocity-signal reference).
-	leaves []*Leaf
-	yStart []tensor.Vector
+	// leaves is the leaf state in the tree's leaf order, and reported[j]
+	// marks leaf j a reporter of the leaf parents' current round, from its
+	// uplink to the round's hand-off.
+	leaves   []*Leaf
+	reported []bool
 	// attackers[j] mutates leaf j's reports (nil if honest); nil without a plan.
 	attackers []*robust.Attacker
 	// ledger records the run's counted facts, and the run's reports are
 	// built from its tally. Like the cluster's, it covers what this process
 	// ran: a resumed run counts from its resume on.
 	ledger telemetry.Ledger
-	// churn marks a tree with membership epochs.
-	churn bool
 	// fullIdx is the everyone-reported position list, and partIdx the buffer
 	// a partial-participation round draws its cohort into.
 	fullIdx, partIdx []int
@@ -172,7 +161,7 @@ type sim struct {
 	quantBuf []tensor.Vector //flvet:allow ckptstate -- per-round scratch, refilled from the workers' state before it is read
 }
 
-// stack lays out a run bottom-up from its tree — cohorts, data weights and
+// stack lays out a run bottom-up from its tree — the levels and their
 // periods, no state yet. Level 0 is the tier the leaves report to, the
 // tree's leaf parents.
 func (r *Rule) stack(tree *topology.Tree) ([]simLevel, error) {
@@ -185,15 +174,12 @@ func (r *Rule) stack(tree *topology.Tree) ([]simLevel, error) {
 	for i := 0; i <= lp; i++ {
 		count += tree.Width(i)
 	}
-	nodes := make([]simNode, count)
+	tiers := make([]*Tier, count)
 	for k := range levels {
 		i := lp - k
 		lev := &levels[k]
 		lev.level, lev.period = i, tree.Levels[i].Tau
-		lev.nodes, nodes = nodes[:len(tree.Kids[i])], nodes[len(tree.Kids[i]):]
-		for n, kids := range tree.Kids[i] {
-			lev.nodes[n] = simNode{weights: tree.Weights[i][n], kids: kids}
-		}
+		lev.tiers, tiers = tiers[:tree.Width(i):tree.Width(i)], tiers[tree.Width(i):]
 	}
 	return levels, nil
 }
@@ -292,31 +278,28 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	numLeaves := tree.NumLeaves()
 	top := len(levels) - 1
 
-	// All run state — the leaves, a velocity reference per worker, every
-	// tier, the eval model, the quantized-uplink buffers and the rule's own
-	// vectors — lives in one pooled slab, so repeated runs (benchmarks,
-	// sweeps, tests) recycle a single arena instead of re-allocating hundreds
-	// of model-sized vectors, and a worker's vectors stay cache-line aligned
-	// and disjoint from its neighbours'. A node's tier is sized for its
-	// largest cohort, which for a leaf parent can change between membership
+	// All run state — the leaves, every tier, the eval model, the
+	// quantized-uplink buffers and the rule's own vectors — lives in one
+	// pooled slab, so repeated runs (benchmarks, sweeps, tests) recycle a
+	// single arena instead of re-allocating hundreds of model-sized vectors,
+	// and a worker's vectors stay cache-line aligned and disjoint from its
+	// neighbours'. A node's tier is sized for its largest cohort
+	// (Tree.Fanout), which for a leaf parent can change between membership
 	// epochs.
-	churn := tree.Membership() != nil
-	fan := func(k, n int) int {
-		if k == 0 && churn {
-			return tree.Fanout(levels[0].level, n)
-		}
-		return len(levels[k].nodes[n].kids)
+	leafLv, err := r.LevelAt(tree, cfg, levels[0].level)
+	if err != nil {
+		return nil, err
 	}
 	maxFan := 0
-	vecCount := (LeafVectors+1)*numLeaves + 1
-	for k, lev := range levels {
+	vecCount := leafLv.LeafVectors()*numLeaves + 1
+	for _, lev := range levels {
 		lv, err := r.LevelAt(tree, cfg, lev.level)
 		if err != nil {
 			return nil, err
 		}
-		vecCount += len(lev.nodes) * lv.Vectors()
-		for n := range lev.nodes {
-			maxFan = max(maxFan, fan(k, n))
+		vecCount += len(lev.tiers) * lv.Vectors()
+		for n := range lev.tiers {
+			maxFan = max(maxFan, tree.Fanout(lev.level, n))
 		}
 	}
 	quantBits := 0
@@ -327,7 +310,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		vecCount += 4 * maxFan
 	}
 	if r.Extra != nil {
-		vecCount += r.Extra(numLeaves, len(levels[0].nodes))
+		vecCount += r.Extra(numLeaves, len(levels[0].tiers))
 	}
 	slab := tensor.GetSlab(vecCount * tensor.Padded(dim))
 	defer tensor.PutSlab(slab)
@@ -336,32 +319,30 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	// Algorithm 1 lines 1–2: every leaf and tier starts at x⁰. xs lists the
 	// leaves' models (the headers never rebind) for the evaluation average.
 	leaves := make([]*Leaf, numLeaves)
-	yStart := make([]tensor.Vector, numLeaves)
 	xs := make([]tensor.Vector, numLeaves)
+	leafLv.X0 = x0
 	for j := range leaves {
-		leaves[j] = NewLeaf(x0, newVec)
-		yStart[j] = newVec()
-		copy(yStart[j], x0)
+		leaves[j] = NewLeaf(x0, leafLv, newVec)
 		xs[j] = leaves[j].X
 	}
-	for k := range levels {
-		nodes := levels[k].nodes
-		for n := range nodes {
-			lv, err := r.LevelAt(tree, cfg, levels[k].level)
+	for k, lev := range levels {
+		for n := range lev.tiers {
+			lv, err := r.LevelAt(tree, cfg, lev.level)
 			if err != nil {
 				return nil, err
 			}
 			lv.X0 = x0
-			node := &nodes[n]
-			node.tier = NewTier(lv, fan(k, n), newVec)
+			tier := NewTier(lv, tree.Fanout(lev.level, n), newVec)
+			lev.tiers[n] = tier
 			if k == 0 {
 				continue
 			}
 			// A level above the leaves reads its children's aggregates, whose
 			// vector headers are stable for the whole run (every update
 			// rewrites contents in place): its inputs are wired once.
-			for j, child := range levels[k-1].nodes[node.kids[0] : node.kids[0]+len(node.kids)] {
-				node.tier.Y[j], node.tier.X[j] = child.tier.YMinus, child.tier.XPlus
+			for j, c := range tree.Kids[lev.level][n] {
+				child := levels[k-1].tiers[c]
+				tier.Y[j], tier.X[j] = child.YMinus, child.XPlus
 			}
 		}
 	}
@@ -395,9 +376,9 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		}
 	}
 
-	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, attackers: attackers, churn: churn,
-		ledger: telemetry.NewLedger(sink, tree.Depth()),
-		yStart: yStart, fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
+	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, reported: make([]bool, numLeaves),
+		attackers: attackers, ledger: telemetry.NewLedger(sink, tree.Depth()),
+		fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
 
 	// Crash recovery: register the run's state, then resume after the last
 	// snapshotted iteration (start = 0 without a snapshot). The variant folds
@@ -422,7 +403,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	s.register(ck)
 	if r.Hooks != nil {
 		s.hooks = r.Hooks(&Binding{Cfg: cfg, X0: x0, Leaves: numLeaves,
-			Parents: len(levels[0].nodes), NewVec: newVec, Ck: ck})
+			Parents: len(levels[0].tiers), NewVec: newVec, Ck: ck})
 	}
 	start, err := ck.Restore()
 	if err != nil {
@@ -491,29 +472,24 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		m.Round.Set(float64(t))
 
 		// Aggregation, bottom-up: a level's nodes run their round (lines 7–16
-		// at the workers' parents, 17–24 above) every period iterations. The
-		// reductions stay sequential in node-index order: they cost O(L·dim)
-		// against the workers' O(N·batch·model) training phase, and the fixed
-		// order keeps the participation RNG, the quantizer's rounding stream,
-		// and the γℓ observer delivery deterministic.
+		// at the workers' parents, 17–24 above) every period iterations, and
+		// hand it off once every one of them has aggregated — a leaf
+		// re-tiered to another parent reports to its old one. The reductions
+		// stay sequential in node-index order: they cost O(L·dim) against the
+		// workers' O(N·batch·model) training phase, and the fixed order keeps
+		// the participation RNG, the quantizer's rounding stream, and the γℓ
+		// observer delivery deterministic.
 		for k := range levels {
 			if t%levels[k].period != 0 {
 				continue
 			}
-			for n := range levels[k].nodes {
+			for n := range levels[k].tiers {
 				if err := s.round(t, k, n); err != nil {
 					return nil, err
 				}
 			}
-			// A leaf re-tiered to another parent reports to its old one, so
-			// under membership the leaf parents redistribute once every one
-			// of them has aggregated.
-			if k == 0 && churn {
-				for n := range levels[0].nodes {
-					if err := s.admit(t, n); err != nil {
-						return nil, err
-					}
-				}
+			if err := s.handoff(t, k); err != nil {
+				return nil, err
 			}
 		}
 
@@ -550,7 +526,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	}
 
 	// T is a multiple of τπ, so the root's final model is the run's output.
-	if err := hn.Finish(res, levels[top].nodes[0].tier.XPlus); err != nil {
+	if err := hn.Finish(res, levels[top].tiers[0].XPlus); err != nil {
 		return nil, err
 	}
 	res.Report(tree, s.ledger.Tally(), fl.FaultReport{})
@@ -577,7 +553,9 @@ func (s *sim) register(ck *fl.Checkpointer) {
 		ck.Vector(at+"y", w.Y)
 		ck.Vector(at+"gradSum", w.GradSum)
 		ck.Vector(at+"ySum", w.YSum)
-		ck.Vector(at+"yStart", s.yStart[j])
+		if w.YStart != nil {
+			ck.Vector(at+"yStart", w.YStart)
+		}
 		if s.attackers != nil && s.attackers[j] != nil {
 			for c, v := range s.attackers[j].PrevVectors() {
 				ck.Vector(fmt.Sprintf("%sattackPrev%d", at, c), v)
@@ -586,13 +564,13 @@ func (s *sim) register(ck *fl.Checkpointer) {
 		}
 	}
 	for k, lev := range s.levels {
-		for n, node := range lev.nodes {
+		for n, tier := range lev.tiers {
 			if k == len(s.levels)-1 {
-				ck.Vector("cloud/x", node.tier.XPlus)
-				ck.Vector("cloud/y", node.tier.YMinus)
-				if node.tier.lv.Momentum {
+				ck.Vector("cloud/x", tier.XPlus)
+				ck.Vector("cloud/y", tier.YMinus)
+				if tier.lv.Momentum {
 					// Only a momentum level reads its y₊ history back.
-					ck.Vector("cloud/yPlus", node.tier.YPlus)
+					ck.Vector("cloud/yPlus", tier.YPlus)
 				}
 				continue
 			}
@@ -602,9 +580,9 @@ func (s *sim) register(ck *fl.Checkpointer) {
 			if k > 0 {
 				at = fmt.Sprintf("tier/%d/%d/", k, n)
 			}
-			ck.Vector(at+"xPlus", node.tier.XPlus)
-			ck.Vector(at+"yPlus", node.tier.YPlus)
-			ck.Vector(at+"yMinus", node.tier.YMinus)
+			ck.Vector(at+"xPlus", tier.XPlus)
+			ck.Vector(at+"yPlus", tier.YPlus)
+			ck.Vector(at+"yMinus", tier.YMinus)
 		}
 	}
 	ck.RNG("participation", s.partRNG)
@@ -615,17 +593,14 @@ func (s *sim) register(ck *fl.Checkpointer) {
 
 // round drives one aggregation of node n at level k at iteration t: it
 // assembles the reports, hands the round to the kernel and the rule's hook,
-// publishes the outcome, and redistributes.
+// and publishes the outcome; handoff redistributes it.
 func (s *sim) round(t, k, n int) error {
 	lev := &s.levels[k]
-	node := &lev.nodes[n]
-	tier := node.tier
+	tier := lev.tiers[n]
 	started := Stopwatch(s.sink)
-	kids, weights := node.kids, node.weights
-	if s.churn {
-		kids, weights = s.tree.Children(lev.level, n, t/lev.period)
-	}
+	kids, weights := s.tree.Children(lev.level, n, t/lev.period)
 	idx := s.fullIdx[:len(kids)]
+	carry, migrated := 1.0, false
 	if k == 0 {
 		// Full participation includes everyone and draws nothing from the
 		// RNG, so the precomputed index list is used verbatim; partial
@@ -636,9 +611,6 @@ func (s *sim) round(t, k, n int) error {
 		if err := s.uplink(t, tier, kids, idx); err != nil {
 			return err
 		}
-	}
-	carry, migrated := 1.0, false
-	if k == 0 {
 		carry, migrated = s.tree.Carry(n, t/lev.period)
 	}
 	out, err := tier.Update(weights, idx, carry)
@@ -646,24 +618,19 @@ func (s *sim) round(t, k, n int) error {
 		return fmt.Errorf("core: level %d node %d round at t=%d: %w", k, n, t, err)
 	}
 	if s.hooks.After != nil {
-		if err := s.hooks.After(k, n, tier, node.weights); err != nil {
+		if err := s.hooks.After(k, n, tier, weights); err != nil {
 			return fmt.Errorf("core: %s hook at t=%d: %w", s.rule.Algorithm, t, err)
 		}
 	}
 
 	s.rule.Publish(&s.ledger, s.tree, lev.level, n, t, tier, out, migrated, started)
 	sink := s.sink
-	if k == len(s.levels)-1 {
-		if s.churn {
-			s.retier(t)
-		}
-		if sink.Tracing() {
-			// edges counts the reports the cloud averaged: edge nodes, or the
-			// workers themselves in the flat view.
-			sink.Emit("cloud_aggregate",
-				telemetry.Int("t", t),
-				telemetry.Int("edges", len(idx)))
-		}
+	if k == len(s.levels)-1 && sink.Tracing() {
+		// edges counts the reports the cloud averaged: edge nodes, or the
+		// workers themselves in the flat view.
+		sink.Emit("cloud_aggregate",
+			telemetry.Int("t", t),
+			telemetry.Int("edges", len(idx)))
 	} else if k == 0 && sink.Tracing() {
 		fields := []telemetry.Field{
 			telemetry.Int("t", t),
@@ -677,115 +644,68 @@ func (s *sim) round(t, k, n int) error {
 		sink.Emit("edge_aggregate", fields...)
 	}
 	out.RecordVerdicts(&s.ledger, s.tree, lev.level, n, t, kids, idx)
+	return nil
+}
 
-	switch {
-	case k == 0 && s.churn:
-		// admit redistributes once every leaf parent has aggregated.
-	case k == 0:
-		// Redistribution to the participating workers (lines 14–15) and
-		// interval restart; non-participants keep their local state.
-		for _, i := range idx {
-			j := kids[i]
+// handoff redistributes the rounds the nodes of level k ran at iteration t,
+// each to its hand-off cohort (topology.Tree.Handoff), once all of them have
+// aggregated, and records each hand-off's membership facts as the
+// distributed nodes do (RecordHandoff). At the leaf parents (lines 14–15)
+// the cohort's reporters and newcomers adopt the aggregate and restart
+// their interval; a non-participant keeps its local state, and a leaver
+// its own model. Above (lines 20–23) every tier and every leaf of the
+// subtree adopts it, interval accumulators untouched: the leaf parents
+// restarted this round's reporters a moment ago.
+func (s *sim) handoff(t, k int) error {
+	lev := &s.levels[k]
+	for n, tier := range lev.tiers {
+		h := s.tree.Handoff(lev.level, n, t/lev.period)
+		RecordHandoff(&s.ledger, s.tree, lev.level, t, h)
+		if k > 0 {
+			if err := s.adopt(t, k, h.Cohort, tier.YMinus, tier.XPlus); err != nil {
+				return err
+			}
+			continue
+		}
+		for _, j := range h.Cohort {
+			if !s.reported[j] && !h.Joined(j) {
+				continue
+			}
 			w := s.leaves[j]
 			if err := w.Adopt(tier.YMinus, tier.XPlus); err != nil {
 				return err
 			}
 			w.Restart()
-			if err := s.yStart[j].CopyFrom(w.Y); err != nil {
+		}
+	}
+	if k == 0 {
+		clear(s.reported)
+	}
+	return nil
+}
+
+// adopt hands the aggregate [y, x] of a level-k round at iteration t to the
+// cohort it goes to: the leaves themselves below the leaf parents, or tiers
+// of the level below, each handing it on to its own hand-off cohort.
+func (s *sim) adopt(t, k int, cohort []int, y, x tensor.Vector) error {
+	if k == 0 {
+		for _, j := range cohort {
+			if err := s.leaves[j].Adopt(y, x); err != nil {
 				return err
 			}
 		}
-	default:
-		// Lines 20–23: every tier and worker below adopts the aggregate.
-		// Interval accumulators are left alone — this round's participants
-		// were restarted by their parent a moment ago. Under membership the
-		// workers are the leaf parents' cohorts of their next round.
-		lo, hi := node.kids[0], node.kids[0]+len(node.kids)
-		for below := k - 1; below >= 0; below-- {
-			nodes := s.levels[below].nodes[lo:hi]
-			for c := range nodes {
-				if err := nodes[c].tier.Adopt(tier.YMinus, tier.XPlus); err != nil {
-					return err
-				}
-			}
-			if below > 0 {
-				last := nodes[len(nodes)-1].kids
-				lo, hi = nodes[0].kids[0], last[len(last)-1]+1
-			}
-		}
-		for p := lo; p < hi; p++ {
-			leaves := s.levels[0].nodes[p].kids
-			if s.churn {
-				leaves = s.nextCohort(t, p)
-			}
-			for _, j := range leaves {
-				if err := s.leaves[j].Adopt(tier.YMinus, tier.XPlus); err != nil {
-					return err
-				}
-				if err := s.yStart[j].CopyFrom(tier.YMinus); err != nil {
-					return err
-				}
-			}
-		}
+		return nil
 	}
-	return nil
-}
-
-// retier records a re-tiering that takes effect at the leaf parents' round
-// after the root's round at iteration t, with the number of workers it
-// moves, as the distributed root announces it.
-func (s *sim) retier(t int) {
-	sched := s.tree.Membership()
-	r := t / s.levels[0].period
-	if r >= sched.K {
-		return
-	}
-	if next := sched.EpochAt(r + 1); next.Retier && next.Start == r+1 {
-		s.ledger.MembershipRetier(t, len(sched.ReassignedAt(r+1)))
-	}
-}
-
-// admit redistributes leaf parent n's round at iteration t under membership
-// (lines 14–15): the cohort of its next round adopts the aggregate and
-// restarts its interval, newcomers included, leavers not. It records the
-// transitions as the distributed leaf parent does when it redistributes: each
-// newcomer a join, or a reassignment when it was live before, and each of its
-// cohort's workers whose last round this was a leave.
-func (s *sim) admit(t, n int) error {
-	lev := &s.levels[0]
-	k := t / lev.period
-	next := min(k+1, s.hn.Cfg().T/lev.period)
-	prev, _ := s.tree.Children(lev.level, n, k)
-	sched, leaf := s.tree.Membership(), s.tree.Depth()-1
-	for _, j := range sched.LeavesAfter(k) {
-		if l, ok := sched.EdgeOf(k, j); ok && l == n {
-			s.ledger.MembershipLeave(s.tree.ID(leaf, j), t)
-		}
-	}
-	tier := lev.nodes[n].tier
-	for _, j := range s.nextCohort(t, n) {
-		if !slices.Contains(prev, j) {
-			join, _ := sched.Span(j)
-			s.ledger.MembershipJoin(s.tree.ID(leaf, j), t, join != next)
-		}
-		w := s.leaves[j]
-		if err := w.Adopt(tier.YMinus, tier.XPlus); err != nil {
+	below := &s.levels[k-1]
+	for _, c := range cohort {
+		if err := below.tiers[c].Adopt(y, x); err != nil {
 			return err
 		}
-		w.Restart()
-		if err := s.yStart[j].CopyFrom(w.Y); err != nil {
+		if err := s.adopt(t, k-1, s.tree.Handoff(below.level, c, t/below.period).Cohort, y, x); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// nextCohort returns the leaves leaf parent n redistributes to after its
-// round at iteration t: its cohort of the next round, or of the last.
-func (s *sim) nextCohort(t, n int) []int {
-	lev := &s.levels[0]
-	kids, _ := s.tree.Children(lev.level, n, min(t/lev.period+1, s.hn.Cfg().T/lev.period))
-	return kids
 }
 
 // uplink assembles the reports of a leaf-parent round (Alg. 1 line 9) into
@@ -811,6 +731,7 @@ func (s *sim) uplink(t int, e *Tier, kids, idx []int) error {
 	}
 	for j, i := range idx {
 		leaf := kids[i]
+		s.reported[leaf] = true
 		w := s.leaves[leaf]
 		y, x, gradSum, ySum := w.Y, w.X, w.GradSum, w.YSum
 		if s.attackers != nil && s.attackers[leaf] != nil {
@@ -838,7 +759,7 @@ func (s *sim) uplink(t int, e *Tier, kids, idx []int) error {
 		}
 		e.Y[j], e.X[j], e.GradSum[j] = y, x, gradSum
 		if e.lv.Adapt {
-			cos, err := e.lv.Term(gradSum, ySum, y, s.yStart[leaf])
+			cos, err := e.lv.Term(gradSum, ySum, y, w.YStart)
 			if err != nil {
 				parent, pos := s.tree.Natal(leaf)
 				return fmt.Errorf("core: worker %d/%d term: %w", parent, pos, err)

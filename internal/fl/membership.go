@@ -7,28 +7,15 @@ import (
 	"hieradmo/internal/topology"
 )
 
-// MembershipReport summarizes a run's dynamic-membership trajectory: how
-// many workers joined late, left early, or were moved between edges by
-// re-tiering, and how the live population evolved. Both engines fill it from
-// the tree's precomputed membership schedule (NewMembershipReport), so in a
-// fault-free run it always matches the churn trace exactly.
+// MembershipReport summarizes a run's dynamic-membership trajectory: the
+// schedule's totals — workers that joined late, left early, or were moved
+// between edges by re-tiering, and how the live population evolved — and
+// the γℓ migration rule in effect (zero, carry, or rescale). Both engines
+// fill it from the tree's precomputed membership schedule
+// (NewMembershipReport), so in a fault-free run it always matches the churn
+// trace exactly.
 type MembershipReport struct {
-	// Joins counts workers that joined after round 1.
-	Joins int
-	// Leaves counts workers that left before the final round.
-	Leaves int
-	// Reassignments counts worker moves caused by re-tiering.
-	Reassignments int
-	// Retierings counts re-tiering steps that changed the assignment.
-	Retierings int
-	// Epochs is the number of distinct worker→edge assignment intervals.
-	Epochs int
-	// InitialWorkers and FinalWorkers are the live worker counts at the
-	// first and last edge rounds.
-	InitialWorkers int
-	FinalWorkers   int
-	// MigrationPolicy names the γℓ migration rule in effect (zero, carry,
-	// or rescale).
+	membership.Summary
 	MigrationPolicy string
 }
 
@@ -48,17 +35,7 @@ func NewMembershipReport(tree *topology.Tree) *MembershipReport {
 	if m == nil {
 		return nil
 	}
-	s := m.Summarize()
-	return &MembershipReport{
-		Joins:           s.Joins,
-		Leaves:          s.Leaves,
-		Reassignments:   s.Reassignments,
-		Retierings:      s.Retierings,
-		Epochs:          s.Epochs,
-		InitialWorkers:  s.InitialWorkers,
-		FinalWorkers:    s.FinalWorkers,
-		MigrationPolicy: m.Policy.String(),
-	}
+	return &MembershipReport{Summary: m.Summarize(), MigrationPolicy: m.Policy.String()}
 }
 
 // LeafStats returns the workers' re-tiering statistics in leaf order

@@ -186,8 +186,8 @@ func TestScheduleJoinLeaveSpans(t *testing.T) {
 	if got := s.LiveCount(12); got != 5 {
 		t.Errorf("round 12 live = %d, want 5", got)
 	}
-	if l := s.LeavesAfter(7); !slices.Equal(l, []int{4}) {
-		t.Errorf("LeavesAfter(7) = %v", l)
+	if join, last := s.Span(4); join != 1 || last != 7 {
+		t.Errorf("the leaver's span is rounds %d..%d, want 1..7", join, last)
 	}
 	if got := s.Cohort(3, 0); !slices.Equal(got, []int{0, 1, 2}) {
 		t.Errorf("round 3 edge 0 cohort = %v", got)

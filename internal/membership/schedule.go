@@ -248,19 +248,6 @@ func (s *Schedule) Overlap(k, l int) (frac float64, changed bool) {
 	return kept / total, true
 }
 
-// LeavesAfter lists workers whose last live round is k and who leave before
-// the run ends, in leaf order. These are the workers the edge RETIREs after
-// the round-k aggregation.
-func (s *Schedule) LeavesAfter(k int) []int {
-	var out []int
-	for j, sp := range s.spans {
-		if sp.last == k && k < s.K {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // ReassignedAt lists live workers whose edge changed between rounds k-1 and
 // k (excluding fresh joiners), in leaf order.
 func (s *Schedule) ReassignedAt(k int) []int {

@@ -29,6 +29,34 @@ type epoch struct {
 	live    []int
 }
 
+// Handoff is node j of level i's hand-off of its round-k aggregate
+// (Tree.Handoff): the children it goes to, and the membership transitions
+// it carries, which only a leaf parent's can.
+type Handoff struct {
+	// Cohort is the children the aggregate goes to, ascending: Children at
+	// round min(k+1, the last), the cohort of the node's next round.
+	Cohort []int
+	// Joins lists Cohort's newcomers, ascending: children outside round k's
+	// cohort, which take the aggregate as their starting state. Moved[c]
+	// reports whether Joins[c] was live under another parent before, a
+	// re-tiering move rather than a join.
+	Joins []int
+	Moved []bool
+	// Retires lists the round-k members whose last round k was, ascending;
+	// a member whose last round is the run's retires nowhere.
+	Retires []int
+}
+
+// Joined reports whether child c is one of the hand-off's newcomers.
+func (h Handoff) Joined(c int) bool {
+	_, ok := slices.BinarySearch(h.Joins, c)
+	return ok
+}
+
+// Move is one leaf a re-tiering reassigns: from the re-tiering's round on,
+// leaf Leaf reports to leaf parent To.
+type Move struct{ Leaf, To int }
+
 // WithMembership returns the tree a run under the churn plan executes, the
 // one place a plan meets a tree: an entry naming anything but a training
 // leaf is refused, naming the ID and the tree, and the plan, the leaves'
@@ -99,6 +127,53 @@ func (t *Tree) Children(i, j, k int) ([]int, []float64) {
 	}
 	ep := &t.churn.epochs[t.Epoch(i, k)]
 	return ep.kids[i][j], ep.weights[i][j]
+}
+
+// Handoff returns node j of level i's hand-off of its round-k aggregate:
+// the cohort of its next round — of its last, after the last — and, where
+// a leaf parent's cohort changes there, the newcomers it admits and the
+// members it retires. A static tree's is the natal cohort, and only a
+// changing cohort's allocates.
+func (t *Tree) Handoff(i, j, k int) Handoff {
+	if t.churn == nil {
+		return Handoff{Cohort: t.Kids[i][j]}
+	}
+	m, lp := t.churn, t.LeafParent()
+	var h Handoff
+	h.Cohort, _ = t.Children(i, j, min(k+1, m.K*t.Levels[lp].Tau/t.Levels[i].Tau))
+	if i != lp || k >= m.K || m.EpochIndex(k+1) == m.EpochIndex(k) {
+		return h
+	}
+	prev, _ := t.Children(i, j, k)
+	for _, c := range h.Cohort {
+		if join, _ := m.Span(c); !slices.Contains(prev, c) {
+			h.Joins, h.Moved = append(h.Joins, c), append(h.Moved, join <= k)
+		}
+	}
+	for _, c := range prev {
+		if _, last := m.Span(c); last == k {
+			h.Retires = append(h.Retires, c)
+		}
+	}
+	return h
+}
+
+// Retier returns the moves of the re-tiering that takes effect at
+// leaf-parent round r, and whether one does: true only at the first round
+// of an epoch a re-tiering opened. A leaf that joins at r is no move.
+func (t *Tree) Retier(r int) ([]Move, bool) {
+	if t.churn == nil {
+		return nil, false
+	}
+	if e := t.churn.EpochAt(r); !e.Retier || e.Start != r {
+		return nil, false
+	}
+	var moves []Move
+	for _, c := range t.churn.ReassignedAt(r) {
+		to, _ := t.churn.EdgeOf(r, c)
+		moves = append(moves, Move{Leaf: c, To: to})
+	}
+	return moves, true
 }
 
 // Fanout returns the most children node j of level i has in any epoch.

@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -587,5 +588,106 @@ func TestTreeFlat(t *testing.T) {
 	two := resolve("cloud:tau=4/worker*4", 4)
 	if flat, err := two.Flat(); err != nil || flat != two {
 		t.Errorf("a two-level tree flattened to %v, %v; want itself", flat, err)
+	}
+}
+
+// TestTreeHandoff: a node's hand-off of its round-k aggregate goes to the
+// cohort of round k+1 (of the last round, after it). On a static tree that
+// is the natal cohort, with no newcomer or retiree and no allocation; under
+// membership a leaf parent admits a late joiner and a leaf a re-tiering
+// moves in (flagged moved), and retires a planned leaver after its last
+// round, unless that round is the run's. Retier names a re-tiering's moves
+// at its epoch's first round alone. The tree is 2×2 under a root syncing
+// every second leaf-parent round, T = 16: eight leaf-parent rounds.
+func TestTreeHandoff(t *testing.T) {
+	tree, err := Derive(2, 2, []int{2, 2}, []int{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leaves 0 and 2 hold one class, 1 and 3 the other, so a re-tiering
+	// regroups them by class: leaf 1 moves to edge 1, leaf 2 to edge 0.
+	stats := make([]membership.WorkerStat, 4)
+	for j := range stats {
+		stats[j] = membership.WorkerStat{Weight: float64(j + 1), Hist: []float64{float64(1 - j%2), float64(j % 2)}}
+	}
+	churn := func(spec string, retier int) *Tree {
+		t.Helper()
+		var plan membership.Plan
+		if spec != "" {
+			if plan, err = membership.ParseSpec(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		churned, err := tree.WithMembership(plan, stats, 16, retier, membership.MigrateZero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return churned
+	}
+	joined, left, leftLast, retiered := churn("join:worker-0-1@3", 0), churn("leave:worker-1-0@5", 0),
+		churn("leave:worker-1-0@8", 0), churn("", 1)
+	// Leaf 1 joins edge 0 at round 2 and the re-tiering moves it on at 3.
+	joinedMoved := churn("join:worker-0-1@2", 1)
+	for _, row := range []struct {
+		name      string
+		tree      *Tree
+		lvl, j, k int
+		cohort    []int
+		joins     []int
+		moved     []bool
+		retires   []int
+	}{
+		{"static leaf parent", tree, 1, 1, 3, []int{2, 3}, nil, nil, nil},
+		{"static root", tree, 0, 0, 4, []int{0, 1}, nil, nil, nil},
+		{"late join admitted after round 2", joined, 1, 0, 2, []int{0, 1}, []int{1}, []bool{false}, nil},
+		{"late join, the other cohort unchanged", joined, 1, 1, 2, []int{2, 3}, nil, nil, nil},
+		{"late join, before round 2", joined, 1, 0, 1, []int{0}, nil, nil, nil},
+		{"late join, a member after", joined, 1, 0, 3, []int{0, 1}, nil, nil, nil},
+		{"late join, the root's cohort", joined, 0, 0, 1, []int{0, 1}, nil, nil, nil},
+		{"planned leave retired after round 5", left, 1, 1, 5, []int{3}, nil, nil, []int{2}},
+		{"planned leave, before its last round", left, 1, 1, 4, []int{2, 3}, nil, nil, nil},
+		{"leave at the run's last round", leftLast, 1, 1, 8, []int{2, 3}, nil, nil, nil},
+		{"re-tiering moves leaf 2 in", retiered, 1, 0, 2, []int{0, 2}, []int{2}, []bool{true}, nil},
+		{"re-tiering moves leaf 1 in", retiered, 1, 1, 2, []int{1, 3}, []int{1}, []bool{true}, nil},
+		{"re-tiering, the moved cohorts after", retiered, 1, 0, 3, []int{0, 2}, nil, nil, nil},
+		{"joined at round 2, moved at 3", joinedMoved, 1, 1, 2, []int{1, 3}, []int{1}, []bool{true}, nil},
+		{"joined at round 2, admitted after round 1", joinedMoved, 1, 0, 1, []int{0, 1}, []int{1}, []bool{false}, nil},
+		{"the last round hands off to its own cohort", joined, 1, 0, 8, []int{0, 1}, nil, nil, nil},
+		{"the root's last round", retiered, 0, 0, 4, []int{0, 1}, nil, nil, nil},
+	} {
+		h := row.tree.Handoff(row.lvl, row.j, row.k)
+		if !slices.Equal(h.Cohort, row.cohort) || !slices.Equal(h.Joins, row.joins) || !slices.Equal(h.Moved, row.moved) ||
+			!slices.Equal(h.Retires, row.retires) {
+			t.Errorf("%s: Handoff(%d, %d, %d) = %+v, want cohort %v, joins %v moved %v, retires %v",
+				row.name, row.lvl, row.j, row.k, h, row.cohort, row.joins, row.moved, row.retires)
+		}
+		for _, c := range row.cohort {
+			if h.Joined(c) != slices.Contains(row.joins, c) {
+				t.Errorf("%s: Joined(%d) = %v", row.name, c, h.Joined(c))
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for k := 1; k <= 8; k++ {
+			tree.Handoff(1, k%2, k)
+			tree.Handoff(0, 0, k/2)
+		}
+	}); allocs != 0 {
+		t.Errorf("a static tree's hand-offs allocate %v times", allocs)
+	}
+
+	// The re-tiering takes effect at round 3, after the first root sync;
+	// the ones due at rounds 5 and 7 change nothing, so open no epoch.
+	for r := 0; r <= 9; r++ {
+		moves, ok := retiered.Retier(r)
+		want := r == 3
+		if ok != want || want && !slices.Equal(moves, []Move{{Leaf: 1, To: 1}, {Leaf: 2, To: 0}}) || !want && moves != nil {
+			t.Errorf("Retier(%d) = %v, %v; want the two moves at round 3 alone", r, moves, ok)
+		}
+		for _, other := range []*Tree{tree, joined, left} {
+			if moves, ok := other.Retier(r); ok || moves != nil {
+				t.Errorf("%s without re-tiering: Retier(%d) = %v, %v", other.Scenario(), r, moves, ok)
+			}
+		}
 	}
 }
