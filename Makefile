@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build portable test vet lint check race fuzz recover bench benchdiff benchall churn clean
+.PHONY: build portable test vet lint check allocpins race fuzz recover bench benchdiff benchall churn clean
 
 build:
 	$(GO) build ./...
@@ -48,10 +48,19 @@ lint:
 	$(GO) run ./cmd/flvet ./...
 
 ## check: the tier-1 gate — build (and the portable build, see above), lint
-## (gofmt + go vet + flvet), the full test suite, the crash-recovery
-## integration pass, the race-detector sweep, and the perf gate against the
-## committed benchmark baseline.
-check: build portable lint test recover race benchdiff
+## (gofmt + go vet + flvet), the full test suite, the allocation pins
+## repeated, the crash-recovery integration pass, the race-detector sweep,
+## and the perf gate against the committed benchmark baseline.
+check: build portable lint test allocpins recover race benchdiff
+
+## allocpins: the four allocation pins, ten runs each. A received message's
+## buffer comes from its network's one free list, so the frames a run
+## allocates are the most it has leased at once, which goroutine scheduling
+## can move; should that ever exceed a pin's allowance, ten runs make it fail
+## here rather than flake later.
+allocpins:
+	$(GO) test -count=10 -run '^(TestWireSteadyStateAllocs|TestTCPConnectionFootprint)$$' ./internal/transport/
+	$(GO) test -count=10 -run '^(TestClusterRoundAllocs|TestClusterCkptRoundAllocs)$$' ./internal/cluster/
 
 ## race: race-detect the distributed runtime, transport layers, checkpoint
 ## snapshot/restore, telemetry instruments (scraped concurrently with

@@ -379,7 +379,7 @@ func (w *treeLeaf) adopt(msg transport.Message) error {
 }
 
 // deliver handles one message of the leaf's wait; adopt copies what it
-// keeps, so the message's buffer goes back to its link at once. Updates for
+// keeps, so the message's buffer goes back to the network at once. Updates for
 // a round before the one awaited are stale leftovers; one for a later round
 // means a quorum left this leaf behind, and it resynchronizes to the newer
 // state. A late joiner adopts its natal parent's ADMIT — or a plain update,

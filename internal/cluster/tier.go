@@ -68,8 +68,8 @@ type tierNode struct {
 	weightedLoss float64
 
 	// reports and reporters are collect's per-round results, sized once for
-	// the largest cohort. A slotted report keeps its link's buffer until the
-	// aggregation has consumed it.
+	// the largest cohort. A slotted report keeps its buffer from the
+	// network's free list until the aggregation has consumed it.
 	reports   []transport.Message
 	reporters []int
 	// out is the payload of every outgoing update and parent report, built
@@ -423,7 +423,7 @@ func (n *tierNode) begin(now time.Time) error {
 		n.deadline = n.deadline.Add(n.opts.StragglerDeadline)
 	}
 	// Slots left filled by a round that ended early (a fast-forward, an
-	// error) go back to their links first.
+	// error) go back to the network first.
 	releaseReports(n.reports)
 	keep := n.pending[:0]
 	for _, msg := range n.pending {
@@ -521,7 +521,7 @@ func (n *tierNode) progress(now time.Time) error {
 // past.
 func (n *tierNode) collect(now time.Time, msg transport.Message) error {
 	// A message whose buffer this node does not keep — everything but a
-	// slotted or stashed report — goes back to its link once handled.
+	// slotted or stashed report — goes back to the network once handled.
 	keep := false
 	var err error
 	switch {
@@ -795,8 +795,9 @@ func (n *tierNode) update(idx []int) error {
 	}
 	out, err := n.tier.Update(full, idx, carry)
 	// The tier's report slots aliased the leaf reports until here; their
-	// buffers are free for the leaves' next reports before the update that
-	// triggers those goes out.
+	// buffers go back to the network's list before the update goes out, so
+	// the update's deliveries and the next reports reuse them while they are
+	// still warm in cache.
 	releaseReports(n.reports)
 	if err != nil {
 		return fmt.Errorf("cluster: %s aggregation at round %d: %w", n.id(), k, err)
@@ -826,8 +827,8 @@ func (n *tierNode) update(idx []int) error {
 	return nil
 }
 
-// releaseReports hands every collected report's buffer back to its link and
-// empties the slots.
+// releaseReports hands every collected report's buffer back to the network
+// and empties the slots.
 func releaseReports(reports []transport.Message) {
 	for i := range reports {
 		reports[i].Release()

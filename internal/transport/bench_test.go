@@ -48,13 +48,13 @@ func BenchmarkFrameEncode(b *testing.B) {
 }
 
 // BenchmarkFrameDecode, like the round trips below, runs one untimed
-// iteration first, so the link's buffer (and the TCP connections) exist
+// iteration first, so the network's buffer (and the TCP connections) exist
 // before the timer starts: at the gate's fixed -benchtime=200x a one-off
 // 492 kB buffer would otherwise read as 2.5 kB/op against a baseline of zero.
 func BenchmarkFrameDecode(b *testing.B) {
 	raw := encodeToBytes(b, reportMessage())
 	src := bytes.NewReader(raw)
-	dec := newDecoder(src, maxFrameBytes)
+	dec := newDecoder(src, maxFrameBytes, newFrameList(1))
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	for i := -1; i < b.N; i++ {
@@ -97,8 +97,8 @@ func BenchmarkRoundTrip(b *testing.B) {
 						return
 					}
 					// Released before the reply, as the cluster's nodes do: the
-					// buffer is back on its link before the peer can send again,
-					// so the link never needs a second one.
+					// buffer is back on the network's list before the peer can
+					// send again, so the reply reuses it.
 					got.Release()
 					if err := pong.Send("ping", msg); err != nil {
 						done <- err

@@ -199,21 +199,21 @@ func putString(w *bufio.Writer, s string) error {
 	return err
 }
 
-// decoder reads frames from one connection into buffers of that
-// connection's own free list.
+// decoder reads frames from one connection into buffers of its network's
+// free list, which the network's other connections share.
 type decoder struct {
 	r *bufio.Reader
 	// limit caps a frame's declared body size (maxFrameBytes outside tests).
 	limit  int
-	frames frameList
+	frames *frameList
 	// names interns From, To, Kind and scalar keys, which repeat on every
 	// message of a connection.
 	names map[string]string
 	lens  [maxFrameVectors]int
 }
 
-func newDecoder(r io.Reader, limit int) *decoder {
-	return &decoder{r: bufio.NewReaderSize(r, wireBufSize), limit: limit, names: make(map[string]string)}
+func newDecoder(r io.Reader, limit int, frames *frameList) *decoder {
+	return &decoder{r: bufio.NewReaderSize(r, wireBufSize), limit: limit, frames: frames, names: make(map[string]string)}
 }
 
 // decode reads the next frame. It returns io.EOF when the connection ends
@@ -263,7 +263,8 @@ func (d *decoder) decode() (Message, error) {
 		strs[i] = s
 	}
 	// A frame taken here and abandoned on an error below is not put back:
-	// the connection, and its list with it, is dropped after any error.
+	// the connection is dropped after any error, and the network's list
+	// allocates a replacement when it next runs short.
 	f, ls := d.frames.take()
 	prev := ""
 	for i := 0; i < nscalar; i++ {

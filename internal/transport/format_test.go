@@ -92,7 +92,7 @@ func TestDecodeThroughShortReads(t *testing.T) {
 	}
 	for _, r := range readers {
 		t.Run(r.name, func(t *testing.T) {
-			d := newDecoder(r.wrap(bytes.NewReader(stream)), maxFrameBytes)
+			d := newDecoder(r.wrap(bytes.NewReader(stream)), maxFrameBytes, newFrameList(1))
 			for _, want := range []Message{first, second} {
 				got, err := d.decode()
 				if err != nil {
@@ -104,7 +104,7 @@ func TestDecodeThroughShortReads(t *testing.T) {
 				t.Fatalf("after the last frame: err %v, want io.EOF", err)
 			}
 			for _, cut := range []int{len(stream) - 1, len(stream) - 8*reportDim - 5} {
-				d := newDecoder(r.wrap(bytes.NewReader(stream[:cut])), maxFrameBytes)
+				d := newDecoder(r.wrap(bytes.NewReader(stream[:cut])), maxFrameBytes, newFrameList(1))
 				if _, err := d.decode(); err != nil {
 					t.Fatal(err)
 				}

@@ -2,10 +2,11 @@ package transport
 
 import "sync"
 
-// maxFreeFrames bounds the buffers a link keeps for reuse. A fault-free
-// protocol run has at most one message outstanding per link, so one buffer
-// cycles; the bound only stops a burst (the inbox holds 64 messages) from
-// pinning its peak memory for the rest of the run.
+// maxFreeFrames bounds the buffers a network keeps for reuse, per endpoint
+// registered on it. A run allocates as many frames as it has leased at
+// once, a few per endpoint at most in a fault-free run; the bound only stops
+// a burst (an inbox holds 64 messages) from pinning its peak memory for the
+// rest of the run.
 const maxFreeFrames = 4
 
 // frame is the storage of one received message: every vector is carved from
@@ -29,15 +30,32 @@ type lease struct {
 	gen   uint64
 }
 
-// frameList is the free list of one directed link: the memory hub keeps one
-// per (sender, receiver) pair, the TCP transport one per inbound
-// connection. Buffers are owned per link rather than pooled process-wide
-// (or in the sync package's pool, which the collector empties at times the
-// program does not control) so that the number of buffers a run allocates
-// is fixed by its topology and repeats exactly from run to run.
+// frameList is the free list of one network, shared by all its links: the
+// memory hub keeps one, a TCPNetwork one for the decoders of all its
+// endpoints' inbound connections, and a ListenStatic endpoint one for its
+// own. It is last in, first out, so the next message lands in the frame
+// released most recently, still warm in cache, and a run allocates as many
+// frames as it leases at once. Buffers are owned by the network rather than
+// pooled process-wide in the sync package's pool, which the collector
+// empties at times the program does not control, so that a run's buffers
+// neither vanish at a collection nor carry over from an earlier run.
 type frameList struct {
 	mu   sync.Mutex
 	free []*frame
+	// limit caps len(free): maxFreeFrames per registered endpoint.
+	limit int
+}
+
+// newFrameList returns the list of a network of the given endpoints.
+func newFrameList(endpoints int) *frameList {
+	return &frameList{limit: maxFreeFrames * endpoints}
+}
+
+// register raises the cap for one more endpoint on the list's network.
+func (l *frameList) register() {
+	l.mu.Lock()
+	l.limit += maxFreeFrames
+	l.mu.Unlock()
 }
 
 // take returns a buffer with empty scalars and the lease to stamp on the
@@ -62,7 +80,7 @@ func (l *frameList) put(f *frame, gen uint64) {
 	l.mu.Lock()
 	if f.gen == gen {
 		f.gen++
-		if len(l.free) < maxFreeFrames {
+		if len(l.free) < l.limit {
 			l.free = append(l.free, f)
 		}
 	}
@@ -76,7 +94,7 @@ func newFrame(l *frameList) *frame {
 }
 
 // size makes room for nvec vectors totalling nfloat values. A buffer that
-// already served a message of the link's shape is reused as it is.
+// already served a message as large is reused as it is.
 func (f *frame) size(nvec, nfloat int) {
 	if cap(f.data) < nfloat {
 		f.data = make([]float64, nfloat)
@@ -109,7 +127,7 @@ func (f *frame) message(ls lease, from, to, kind string, round int, scalars bool
 }
 
 // copyOf is the memory transport's delivery: the one copy of msg's payload,
-// into a buffer of the link.
+// into a buffer of the hub.
 func (l *frameList) copyOf(msg Message) Message {
 	nfloat := 0
 	for _, v := range msg.Vectors {

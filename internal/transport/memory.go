@@ -7,12 +7,12 @@ import (
 
 // MemoryNetwork is an in-process hub connecting named endpoints through
 // buffered channels; FaultyNetwork wraps it for failure injection. Send
-// copies the message once, into a buffer of the directed link it travels
-// (see frameList).
+// copies the message once, into a buffer of the hub's free list, which every
+// link shares (see frameList).
 type MemoryNetwork struct {
-	mu    sync.Mutex
-	boxes map[string]*mailbox
-	links map[Link]*frameList
+	mu     sync.Mutex
+	boxes  map[string]*mailbox
+	frames frameList
 	// done is every mailbox's shutdown signal, closed by Close.
 	done chan struct{}
 	// claimed tracks node IDs with a live endpoint; a second Endpoint call
@@ -26,7 +26,6 @@ type MemoryNetwork struct {
 func NewMemoryNetwork() *MemoryNetwork {
 	return &MemoryNetwork{
 		boxes:   make(map[string]*mailbox),
-		links:   make(map[Link]*frameList),
 		done:    make(chan struct{}),
 		claimed: make(map[string]bool),
 	}
@@ -51,6 +50,7 @@ func (n *MemoryNetwork) Endpoint(id string) (Endpoint, error) {
 	if !ok {
 		box = newMailbox(id, n.done)
 		n.boxes[id] = box
+		n.frames.register()
 	}
 	return &memoryEndpoint{net: n, mailbox: box}, nil
 }
@@ -69,7 +69,8 @@ func (n *MemoryNetwork) Close() error {
 	return nil
 }
 
-// deliver copies msg into a buffer of its link and queues it for msg.To.
+// deliver copies msg into a buffer of the hub and queues it for msg.To. A
+// message the full inbox refuses gives its buffer straight back.
 func (n *MemoryNetwork) deliver(msg Message) error {
 	n.mu.Lock()
 	if n.closed {
@@ -82,18 +83,13 @@ func (n *MemoryNetwork) deliver(msg Message) error {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, msg.To)
 	}
 	inbox := box.ch
-	link := Link{From: msg.From, To: msg.To}
-	frames := n.links[link]
-	if frames == nil {
-		frames = new(frameList)
-		n.links[link] = frames
-	}
 	n.mu.Unlock()
-	msg = frames.copyOf(msg)
+	msg = n.frames.copyOf(msg)
 	select {
 	case inbox <- msg:
 		return nil
 	default:
+		msg.Release()
 		return fmt.Errorf("transport: inbox of %q full", msg.To)
 	}
 }

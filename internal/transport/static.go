@@ -43,6 +43,9 @@ func ListenStatic(id string, registry map[string]string) (Endpoint, error) {
 		conns:    make(map[string]*tcpConn),
 		accepted: make(map[net.Conn]struct{}),
 		retries:  new(atomic.Int64),
+		// Any node of the registry may connect: its inbound connections
+		// share one list, capped as a network of the registry's endpoints.
+		frames: newFrameList(len(addrs)),
 		resolve: func(peer string) (string, error) {
 			addr, ok := addrs[peer]
 			if !ok {

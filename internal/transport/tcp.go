@@ -24,10 +24,11 @@ const (
 // TCPNetwork runs the transport over real loopback (or LAN) sockets: every
 // node listens on its own address, messages are length-prefixed binary
 // frames (codec.go) written straight from the sender's vectors, and
-// outbound connections are cached per destination. Each inbound connection
-// decodes into buffers of its own free list (see frameList). Node addresses
-// are registered on Listen, so all endpoints must be created before the
-// protocol starts — which matches how the cluster coordinator works.
+// outbound connections are cached per destination. Every inbound connection
+// of every endpoint decodes into buffers of the network's one free list (see
+// frameList). Node addresses are registered on Listen, so all endpoints must
+// be created before the protocol starts — which matches how the cluster
+// coordinator works.
 type TCPNetwork struct {
 	mu     sync.Mutex
 	addrs  map[string]string
@@ -36,6 +37,8 @@ type TCPNetwork struct {
 	retries atomic.Int64
 	// sink, when set, counts send retries live (fl_send_retries_total).
 	sink atomic.Pointer[telemetry.Sink]
+	// frames holds the received messages' buffers of all endpoints.
+	frames frameList
 }
 
 // SetTelemetry mirrors send retries onto sink's counters as they happen.
@@ -71,6 +74,7 @@ func (n *TCPNetwork) Listen(id string) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: listen for %q: %w", id, err)
 	}
 	n.addrs[id] = ln.Addr().String()
+	n.frames.register()
 	ep := &tcpEndpoint{
 		net:      n,
 		mailbox:  newMailbox(id, make(chan struct{})),
@@ -79,6 +83,7 @@ func (n *TCPNetwork) Listen(id string) (Endpoint, error) {
 		accepted: make(map[net.Conn]struct{}),
 		resolve:  n.lookup,
 		retries:  &n.retries,
+		frames:   &n.frames,
 	}
 	ep.sink.Store(n.sink.Load())
 	ep.wg.Add(1)
@@ -137,6 +142,9 @@ type tcpEndpoint struct {
 	// retries counts send attempts repeated after a transient failure
 	// (shared with the owning TCPNetwork, endpoint-local for static nodes).
 	retries *atomic.Int64
+	// frames is the free list every inbound connection decodes into (the
+	// owning TCPNetwork's, endpoint-local for static nodes).
+	frames *frameList
 	// sink, when set, counts retries live on the telemetry sink too.
 	sink atomic.Pointer[telemetry.Sink]
 }
@@ -171,7 +179,7 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		delete(e.accepted, conn)
 		e.connMu.Unlock()
 	}()
-	dec := newDecoder(conn, maxFrameBytes)
+	dec := newDecoder(conn, maxFrameBytes, e.frames)
 	for {
 		msg, err := dec.decode()
 		if err != nil {

@@ -4,10 +4,10 @@
 // TCP network carrying length-prefixed binary frames (codec.go) over real
 // sockets, and one deterministic fault injector over either (FaultyNetwork).
 //
-// A received Message's payload lives in a buffer owned by the directed link
-// that delivered it (frame.go); Message.Release hands the buffer back for
-// the link's next message. DESIGN.md §7.7 has the frame layout and the
-// ownership rules.
+// A received Message's payload lives in a buffer owned by the network that
+// delivered it (frame.go); Message.Release hands the buffer back for the
+// network's next message, on whichever link it travels. DESIGN.md §7.7 has
+// the frame layout and the ownership rules.
 //
 // The in-process simulation in internal/fl is the reference semantics; the
 // cluster runtime built on this package must produce bit-identical results
@@ -103,7 +103,7 @@ type TelemetrySetter interface {
 // Send is synchronous on every transport: once it returns the transport
 // holds no reference to the sender's vectors or scalars, so the sender may
 // overwrite or reuse them at once. A received message's Vectors and Scalars
-// belong to the link that delivered it until Release.
+// belong to the network that delivered it until Release.
 type Message struct {
 	// From and To are node IDs; the sending endpoint fills From.
 	From string `json:"from"`
@@ -119,18 +119,18 @@ type Message struct {
 	// Scalars is small named metadata; nil and empty both arrive as sent.
 	Scalars map[string]float64 `json:"scalars"`
 
-	// lease is the link-owned buffer Vectors and Scalars are carved from;
-	// zero for messages built by the caller.
+	// lease is the network-owned buffer Vectors and Scalars are carved
+	// from; zero for messages built by the caller.
 	lease lease
 }
 
-// Release hands a received message's buffer back to the link that
-// delivered it, which reuses it for a later message: after Release the
-// message's Vectors and Scalars must not be read again. Releasing is an
-// optimisation only — a message that is never released stays valid for
-// ever and the link allocates a replacement buffer. Releasing twice, or
-// releasing a message that was not received from a transport, does
-// nothing.
+// Release hands a received message's buffer back to the network that
+// delivered it, which reuses it for a later message on any of its links:
+// after Release the message's Vectors and Scalars must not be read again.
+// Releasing is an optimisation only — a message that is never released
+// stays valid for ever and the network allocates a replacement buffer.
+// Releasing twice, or releasing a message that was not received from a
+// transport, does nothing.
 func (m Message) Release() {
 	if f := m.lease.frame; f != nil {
 		f.list.put(f, m.lease.gen)

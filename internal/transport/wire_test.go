@@ -293,7 +293,7 @@ func header(magic uint32, version, flags byte, nvec, nscalar, reserved uint16, s
 
 // decodeBytes decodes one frame from raw under a body cap.
 func decodeBytes(raw []byte, limit int) (Message, error) {
-	return newDecoder(bytes.NewReader(raw), limit).decode()
+	return newDecoder(bytes.NewReader(raw), limit, newFrameList(1)).decode()
 }
 
 // TestDecodeRejectsMalformed: every bad header or inconsistent length is an
@@ -400,9 +400,10 @@ func TestTCPTornConnectionsDeliverNothing(t *testing.T) {
 	}
 }
 
-// TestWireSteadyStateAllocs pins the point of the link-owned buffers: a
+// TestWireSteadyStateAllocs pins the point of the network-owned buffers: a
 // report-sized ping-pong that releases what it receives allocates nothing
-// once each link has its buffer, on either transport.
+// once the network has a buffer for each message in flight, on either
+// transport.
 func TestWireSteadyStateAllocs(t *testing.T) {
 	for _, tr := range wireNetworks[:2] {
 		t.Run(tr.name, func(t *testing.T) {
