@@ -108,13 +108,16 @@ race:
 ## the topology.Tree both engines run (children and parents inverting, the
 ## leaf order covering every leaf once, each weight the integer ratio of a
 ## child's subtree size over its node's) whose flat view is a two-level
-## tree keeping every leaf's ID or a typed refusal, and the wire-frame decoder, which
+## tree keeping every leaf's ID or a typed refusal and whose part= draws a
+## sample of its size in every cohort, and the wire-frame decoder, which
 ## must yield a Message or ErrFrame / a truncation error without allocating
 ## past its caps, every accepted frame re-encoding to the bytes it came from,
-## and the cluster's node machines, on a static and a churned tree, which
-## must take any sequence of messages and expiries without a panic, fail only
-## with a typed error or one naming the sender, answer one sequence with one
-## outbox sequence, and redistribute every round as the tree's hand-off says.
+## and the cluster's node machines, on a static, a churned and a sampled
+## (part=) tree, which must take any sequence of messages and expiries
+## without a panic, fail only with a typed error or one naming the sender,
+## answer one sequence with one outbox sequence, redistribute every round as
+## the tree's hand-off and sample say, refuse a report the sample leaves out
+## with ErrNotSampled, and in strict mode aggregate exactly each sample.
 ## Every input must yield a decoded value or a wrapped error, never a
 ## panic or an unbounded allocation. Override with FUZZTIME=1m for longer
 ## runs.

@@ -99,7 +99,8 @@ func TestRunMemoryLogisticWithVerifyAndSave(t *testing.T) {
 // -aggregator defaults on the workload's own tree, every attack kind alone
 // and under robust rules over TCP, and churn with re-tiering on the
 // workload's tree and on a -topology tree, the plan naming leaves by the
-// tree's IDs — and the two engines land on the same final model; message
+// tree's IDs, and a part= tree sampling half of every edge's workers over
+// memory and TCP — and the two engines land on the same final model; message
 // drops and crashes, which the simulation does not model, are refused up
 // front.
 func TestRunTopologyVerify(t *testing.T) {
@@ -121,6 +122,8 @@ func TestRunTopologyVerify(t *testing.T) {
 		{"-transport", "tcp", "-classes", "2", "-churn-plan", "join:worker-0-1@3,leave:worker-1-0@30", "-retier-every", "1", "-migration", "rescale"},
 		{"-classes", "2", "-topology", "cloud:tau=20/edge*2:tau=10/worker*2",
 			"-churn-plan", "join:worker-1@3,leave:worker-2@30", "-retier-every", "1"},
+		{"-topology", "cloud:tau=4/edge*2:tau=2,part=0.5/worker*2"},
+		{"-transport", "tcp", "-topology", "cloud:tau=4/edge*2:tau=2,part=0.5/worker*2"},
 	} {
 		args := append([]string{"-transport", "memory", "-model", "logistic", "-verify"}, extra...)
 		cmd := exec.Command(os.Args[0], "-test.run", "TestHelperProcess")

@@ -85,7 +85,9 @@ func WithAdaptSignal(s AdaptSignal) Option { return core.WithAdaptSignal(s) }
 func WithClampCeiling(c float64) Option { return core.WithClampCeiling(c) }
 
 // WithParticipation samples only that fraction of each edge's workers into
-// every edge aggregation (cross-device extension; default 1).
+// every edge aggregation (cross-device extension; default 1): the run's tree
+// takes it as its edges' part=, and a fraction outside (0, 1] fails the run
+// at its start.
 func WithParticipation(frac float64) Option { return core.WithParticipation(frac) }
 
 // WithUplinkQuantization compresses every worker→edge upload through a

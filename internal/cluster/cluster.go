@@ -40,8 +40,9 @@ type Options struct {
 	// report is required and any loss surfaces as a timeout error. Values
 	// in (0, 1) enable graceful degradation: aggregations proceed with the
 	// survivors once the straggler deadline passes, renormalizing weights
-	// over them exactly like the simulation's partial-participation path,
-	// and nodes ride out lost messages instead of aborting.
+	// over them with the simulation's arithmetic, and nodes ride out lost
+	// messages instead of aborting. Planned partial participation is the
+	// tree's (part=, topology.Tree.Sample), which both modes wait for.
 	MinQuorum float64
 	// StragglerDeadline is the grace period an aggregation grants
 	// stragglers after its quorum is reached before proceeding without them

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"reflect"
@@ -119,8 +120,13 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	// alone over every leaf at the leaves' global weights, each leaf keeping
 	// its (edge, worker) sampler key and ID. On a depth-2 tree the root is
 	// the leaf parent: both engines count its rounds as cloud syncs and
-	// publish its γℓ.
+	// publish its γℓ. The part rows sample half of every edge's workers into
+	// each of its rounds (part=0.5, topology.Tree.Sample), at depth 3 and 4:
+	// both engines aggregate exactly the sample, and the leaves it leaves out
+	// adopt only what comes down from above the edges. They run over tcp
+	// too, and every row's final model is compared bit for bit.
 	const tree4 = "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2"
+	const part3 = "cloud:tau=4/edge*2:tau=2,part=0.5/worker*2"
 	const robust3 = "cloud:tau=4,agg=trimmed(0.25)/edge*2:tau=2,agg=median/worker*2"
 	median := robust.Spec{Kind: robust.Median}
 	trimmed := robust.Spec{Kind: robust.Trimmed, Trim: 0.25}
@@ -129,6 +135,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	type matchCase struct {
 		name          string
 		adaptive      bool
+		signal        core.AdaptSignal
 		clip          float64
 		topology      string
 		zeroGammaEdge bool
@@ -156,6 +163,10 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		{name: "median-trimmed-reduced", edge: median, cloud: trimmed},
 		{name: "cosine-clip", adaptive: true, edge: cosine, cloud: clip},
 		{name: "cosine-clip-reduced", edge: cosine, cloud: clip},
+		{name: "part-adaptive", adaptive: true, topology: part3},
+		{name: "part-velocity", adaptive: true, signal: core.SignalVelocity, topology: part3},
+		{name: "part-reduced", topology: part3},
+		{name: "tree4-part-adaptive", adaptive: true, topology: "cloud:tau=8/region*2:tau=4/edge*2:tau=2,part=0.5/worker*2"},
 	}
 	// Each attack kind alone on the derived tree, under the mean, under the
 	// median defaults (over two reporters the mean itself, so the kinds go
@@ -211,7 +222,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, nw := range nets {
-			if nw.name == "tcp" && tc.clip == 0 && tc.plan == "" {
+			if nw.name == "tcp" && tc.clip == 0 && tc.plan == "" && !strings.Contains(tc.topology, "part=") {
 				continue // TCP ≡ memory is TestClusterOverTCPMatchesMemory's job
 			}
 			t.Run(tc.name+"/"+nw.name, func(t *testing.T) {
@@ -237,8 +248,10 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
 				alg := core.NewReduced()
 				if tc.adaptive {
-					alg = core.New()
+					alg = core.New(core.WithAdaptSignal(cmp.Or(tc.signal, core.SignalYSum)))
 				}
+				capture := &capturingModel{Model: cfg.Model}
+				cfg.Model = capture
 				var plan *robust.AttackPlan
 				if tc.plan != "" {
 					plan = byzPlan(t, tc.plan)
@@ -265,11 +278,15 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				}
 				refM := cfg.Telemetry.M()
 				refClips := refM.GradClips.Value()
+				refParams := capture.hash()
 
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
-				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Tree: attacked})
+				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Signal: tc.signal, Tree: attacked})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if params := capture.hash(); params != refParams {
+					t.Errorf("cluster final model %s != simulation %s", params, refParams)
 				}
 				m := cfg.Telemetry.M()
 				injected := m.AttackInjected.Value()

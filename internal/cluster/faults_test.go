@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -79,9 +80,9 @@ func TestClusterStrictJoinedErrors(t *testing.T) {
 
 // TestClusterQuorumMatchesPartialParticipation is the bit-equivalence
 // acceptance check for graceful degradation: a quorum round whose surviving
-// cohort matches the cohort WithParticipation samples must produce exactly
-// the simulation's model, because the edge renormalizes weights over
-// survivors with the same arithmetic in the same order.
+// cohort matches the cohort a part=0.5 tree samples (topology.Tree.Sample)
+// must produce exactly the simulation's model, because the edge renormalizes
+// weights over survivors with the same arithmetic in the same order.
 func TestClusterQuorumMatchesPartialParticipation(t *testing.T) {
 	cfg := buildConfig(t, 67, 2)
 	// One edge round that is also a cloud round, so the sampled cohort is in
@@ -95,19 +96,18 @@ func TestClusterQuorumMatchesPartialParticipation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	workersPerEdge := make([]int, cfg.NumEdges())
-	for l := range cfg.Edges {
-		workersPerEdge[l] = len(cfg.Edges[l])
+	tree, err := cfg.Tree(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cohorts := core.ParticipationSchedule(cfg.Seed, frac, workersPerEdge, 1)
+	if tree, err = tree.WithParticipation(frac, cfg.Seed, cfg.T); err != nil {
+		t.Fatal(err)
+	}
 	crashes := make(map[string]int)
-	for l, n := range workersPerEdge {
-		part := make(map[int]bool)
-		for _, i := range cohorts[0][l] {
-			part[i] = true
-		}
-		for i := 0; i < n; i++ {
-			if !part[i] {
+	for l := range cfg.Edges {
+		sample := tree.Sample(l, 1)
+		for i := range cfg.Edges[l] {
+			if !slices.Contains(sample, i) {
 				crashes[WorkerID(l, i)] = cfg.Tau
 			}
 		}

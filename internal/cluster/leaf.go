@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"hieradmo/internal/core"
@@ -18,10 +19,10 @@ import (
 // arithmetic is the simulation's — the same fl.GradOracle, core.Leaf and
 // core.Level.Term — so the two cannot drift apart.
 //
-// In quorum mode a leaf whose redistributed update never arrives keeps
-// training on its local state and rejoins at a later aggregation — the
-// distributed counterpart of a non-participant in the simulation's
-// partial-participation path.
+// On a tree that samples participants (part=) a leaf its round's sample
+// leaves out sits the round out (sitOut) as a simulation non-participant
+// does. In quorum mode a leaf whose redistributed update never arrives keeps
+// training on its local state and rejoins at a later aggregation.
 type treeLeaf struct {
 	cfg  *fl.Config
 	ts   *treeSpec
@@ -312,11 +313,16 @@ func (w *treeLeaf) train(now time.Time) error {
 		// local iteration count catches up with the adopted state.
 		w.settle(now)
 	default:
-		parent, err := w.parentAt(t / w.tau())
+		k := t / w.tau()
+		parent, err := w.parentAt(k)
 		if err != nil {
 			return err
 		}
-		if err := w.fillReport(t, t/w.tau()); err != nil {
+		if !w.sampled(k) {
+			w.sitOut(now, parent, t, k)
+			return nil
+		}
+		if err := w.fillReport(t, k); err != nil {
 			return err
 		}
 		w.box.send(parent, w.report)
@@ -329,6 +335,40 @@ func (w *treeLeaf) train(now time.Time) error {
 		}
 	}
 	return nil
+}
+
+// sampled reports whether the leaf reports [y, x] in leaf-parent round k:
+// always, unless the tree samples participants and its parent's round-k
+// sample (topology.Tree.Sample) leaves it out. Membership epochs never run
+// with a sample, so the parent is the natal one.
+func (w *treeLeaf) sampled(k int) bool {
+	parent, pos := w.ts.tree.Natal(w.j)
+	sample := w.ts.tree.Sample(parent, k)
+	if sample == nil {
+		return true
+	}
+	_, in := slices.BinarySearch(sample, pos)
+	return in
+}
+
+// sitOut ends a round, at iteration t, that the parent's sample leaves the
+// leaf out of: it ships no [y, x] and keeps its interval running. At a root sync it
+// reports its loss alone, so the root's loss signal weighs every leaf's
+// current loss, as the simulation's does. Where the parent syncs upward at
+// round k the leaf awaits the update from above, which it adopts without
+// restarting its interval (adopt), as every simulation leaf adopts the
+// levels above; otherwise it trains on.
+func (w *treeLeaf) sitOut(now time.Time, parent string, t, k int) {
+	if w.ts.rootSync(t) {
+		w.report.Scalars[ScalarLoss] = w.lastLoss
+		delete(w.report.Scalars, ScalarCos)
+		w.box.send(parent, transport.Message{Kind: KindTierReport, Round: t, Scalars: w.report.Scalars})
+	}
+	if w.ts.syncsUp(w.ts.leafParent(), k) {
+		w.await(now, leafUpdate)
+		return
+	}
+	w.settle(now)
 }
 
 // fillReport builds the round-k report at iteration t: [y, x], the latest
@@ -363,9 +403,9 @@ func (w *treeLeaf) fillReport(t, k int) error {
 	return nil
 }
 
-// adopt takes over the [y, x] of an update or ADMIT and starts a new
-// interval: the accumulators restart (core.Leaf.Adopt keeps the velocity
-// reference).
+// adopt takes over the [y, x] of an update or ADMIT and, unless the leaf sat
+// the awaited round out (sitOut), starts a new interval: the accumulators
+// restart (core.Leaf.Adopt resets the velocity reference to y).
 func (w *treeLeaf) adopt(msg transport.Message) error {
 	if len(msg.Vectors) != 2 {
 		return fmt.Errorf("cluster: %s %s carries %d vectors, want 2", w.id(), msg.Kind, len(msg.Vectors))
@@ -373,7 +413,9 @@ func (w *treeLeaf) adopt(msg transport.Message) error {
 	if err := w.state.Adopt(msg.Vectors[0], msg.Vectors[1]); err != nil {
 		return err
 	}
-	w.state.Restart()
+	if w.phase == leafAdmit || w.sampled(w.t/w.tau()) {
+		w.state.Restart()
+	}
 	w.syncedThrough = msg.Round
 	return nil
 }

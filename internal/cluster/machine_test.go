@@ -511,21 +511,28 @@ func TestEdgeRejectsMalformedTerm(t *testing.T) {
 
 // FuzzTierMachine feeds arbitrary message sequences to a leaf-parent machine
 // (edge-0) and a root machine (the cloud) of the 2×2 config's derived tree,
-// static or churned (a join, a leave, a re-tiering due every root sync), in
-// strict or quorum mode, driven as drive drives them: before every input the
-// machine gets each expiry its wake time asks for. The first byte picks the
-// mode (bit 0), the machine (bit 1) and the tree (bit 2); each op after it
-// is five bytes: how far the clock moves, then the message's kind (0: none,
-// the op only moves the clock), round, sender, and vector count and eq. (6)
-// term (none, in range, out of range, NaN, ±Inf). The machines must never
-// panic, every error must be a typed one (ErrMalformedReport,
-// transport.ErrTimeout) or name the message's sender, the ride-ahead stash
-// must never hold two reports of one sender for one round or one past T, and
-// one input sequence must always give the same outbox sequence. Every
-// redistribution is the tree's hand-off of its round: the update or ADMIT
-// goes to Tree.Handoff's cohort, ADMIT to its newcomers alone, RETIRE to its
-// retirees alone, and the root's REASSIGN carries Tree.Retier's moves
-// exactly when a re-tiering takes effect at the next leaf-parent round.
+// static, churned (a join, a leave, a re-tiering due every root sync) or
+// sampled (part=0.5 on the edges: one of each edge's two workers per round),
+// in strict or quorum mode, driven as drive drives them: before every input
+// the machine gets each expiry its wake time asks for. The first byte picks
+// the mode (bit 0), the machine (bit 1) and the tree (bit 3 the sampled one,
+// else bit 2 the churned one); each op after it is five bytes: how far the
+// clock moves, then the message's kind (0: none, the op only moves the
+// clock), round, sender, and vector count and eq. (6) term (none, in range,
+// out of range, NaN, ±Inf). The machines must never panic, every error must
+// be a typed one (ErrMalformedReport, ErrNotSampled, transport.ErrTimeout)
+// or name the message's sender, the ride-ahead stash must never hold two
+// reports of one sender for one round or one past T, and one input sequence
+// must always give the same outbox sequence. Every redistribution is the
+// tree's hand-off of its round: the update or ADMIT goes to Tree.Handoff's
+// cohort — on the sampled tree, at an edge round that does not sync with the
+// cloud, to the round's sample alone — ADMIT to its newcomers alone, RETIRE
+// to its retirees alone, and the root's REASSIGN carries Tree.Retier's moves
+// exactly when a re-tiering takes effect at the next leaf-parent round. On
+// the sampled tree a report to edge-0 for the current or a later round from
+// a worker that round's sample leaves out fails with ErrNotSampled, unless
+// it is a loss alone at a cloud sync, and no other delivery does; in strict
+// mode edge-0 aggregates exactly each round's sample.
 func FuzzTierMachine(f *testing.F) {
 	cfg := buildConfig(f, 61, 0)
 	plan, err := membership.ParseSpec("join:" + WorkerID(0, 1) + "@3,leave:" + WorkerID(0, 0) + "@7")
@@ -547,6 +554,13 @@ func FuzzTierMachine(f *testing.F) {
 	if admits == 0 || retires == 0 || moves == 0 {
 		f.Fatalf("the churned tree admits %d, retires %d and moves %d leaves at edge-0", admits, retires, moves)
 	}
+	sampled, err := cfg.Tree(nil)
+	if err == nil {
+		sampled, err = sampled.WithParticipation(0.5, cfg.Seed, cfg.T)
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 1, 2, 1, 1, 0, 1, 4, 0, 1, 1, 1, 4, 1, 1})
 	f.Add([]byte{1, 50, 1, 6, 3, 9, 200, 0, 0, 0, 0, 2, 2, 8, 5, 2})
 	f.Add([]byte{1, 0, 1, 4, 3, 1, 0, 1, 4, 4, 1, 9, 2, 10, 2, 7, 255, 5, 9, 6, 0})
@@ -554,6 +568,11 @@ func FuzzTierMachine(f *testing.F) {
 	// announces the re-tiering due at leaf-parent round 3.
 	f.Add([]byte{6, 0, 1, 6, 0, 6, 0, 1, 8, 0, 6, 0, 2, 8, 5, 2, 0, 1, 10, 0, 6, 0, 1, 10, 1, 6})
 	f.Add([]byte{4, 0, 1, 8, 3, 2, 0, 1, 8, 4, 2, 0, 1, 12, 3, 2, 0, 1, 12, 4, 2})
+	// Sampled, strict: edge-0's round-1 sample reports, a worker left out
+	// reports too, and at the cloud sync (t = 4) one sends its loss alone.
+	f.Add([]byte{10, 0, 1, 6, 1, 6, 0, 1, 6, 0, 6, 0, 1, 8, 0, 4, 0, 1, 8, 1, 4, 0, 1, 8, 0, 6})
+	// Sampled, quorum, the cloud: edge reports and updates run their course.
+	f.Add([]byte{9, 0, 1, 8, 3, 2, 0, 1, 8, 4, 2, 0, 1, 12, 3, 2, 50, 0, 0, 0, 0})
 	cosines := []float64{0.5, -1, 1, math.NaN(), math.Inf(1), math.Inf(-1), 1.5}
 	senders := []string{WorkerID(0, 0), WorkerID(0, 1), WorkerID(1, 0), EdgeID(0), EdgeID(1), CloudID, "nobody"}
 	kinds := []string{"", KindTierReport, KindTierUpdate, KindAdmit, KindRetire, KindReassign, "bogus"}
@@ -566,11 +585,19 @@ func FuzzTierMachine(f *testing.F) {
 			opts.MinQuorum = 0.5
 		}
 		lvl := int(in[0]>>1) & 1
-		if in[0]&4 != 0 {
+		switch {
+		case in[0]&8 != 0:
+			opts.Tree = sampled
+		case in[0]&4 != 0:
 			opts.Tree = churned
 		}
 		h := newTierHarness(t, cfg, lvl, 0, opts)
 		tree := h.n.ts.tree
+		// strictSample: edge-0 of the sampled tree in strict mode, which
+		// aggregates exactly each round's sample; ffK is the round the last
+		// fast-forward jumped to, whose reporters are an earlier round's.
+		strictSample := lvl == 1 && opts.MinQuorum == 0 && tree.Participation() != 1
+		fastForwards, ffK := 0, -1
 		var log []string
 		// record logs the outbox after an input, holds every redistribution
 		// in it to the tree's hand-off of its round, and holds the stash to
@@ -609,6 +636,13 @@ func FuzzTierMachine(f *testing.F) {
 			}
 			for round, kinds := range sent {
 				hand := tree.Handoff(lvl, 0, round/h.n.tau())
+				if k := round / h.n.tau(); lvl == 1 && !h.n.ts.syncsUp(lvl, k) && tree.Sample(0, k) != nil {
+					var picked []int
+					for _, pos := range tree.Sample(0, k) {
+						picked = append(picked, hand.Cohort[pos])
+					}
+					hand.Cohort = picked
+				}
 				_, retier := tree.Retier(round/cfg.Tau + 1)
 				var reassign []string
 				if lvl == 0 && retier {
@@ -621,6 +655,14 @@ func FuzzTierMachine(f *testing.F) {
 				}
 			}
 			h.n.box.effects = h.n.box.effects[:0]
+			if strictSample {
+				if ff := h.tally().Total(telemetry.FastForwarded); ff != fastForwards {
+					fastForwards, ffK = ff, h.n.k
+				}
+				if k := h.n.k; k >= 1 && k != ffK && h.n.phase != tierCollect && !slices.Equal(h.n.reporters, tree.Sample(0, k)) {
+					t.Fatalf("round %d aggregated positions %v, the sample is %v", k, h.n.reporters, tree.Sample(0, k))
+				}
+			}
 			for i, p := range h.n.pending {
 				if p.Round > cfg.T {
 					t.Fatalf("a report for round %d stashed past T = %d", p.Round, cfg.T)
@@ -637,7 +679,7 @@ func FuzzTierMachine(f *testing.F) {
 				return true
 			}
 			named := slices.ContainsFunc(from, func(id string) bool { return strings.Contains(err.Error(), fmt.Sprintf("%q", id)) })
-			if !named && !errors.Is(err, ErrMalformedReport) && !errors.Is(err, transport.ErrTimeout) {
+			if !named && !errors.Is(err, ErrMalformedReport) && !errors.Is(err, ErrNotSampled) && !errors.Is(err, transport.ErrTimeout) {
 				t.Fatalf("untyped error naming no sender of %q: %v", from, err)
 			}
 			log = append(log, "error "+err.Error())
@@ -672,8 +714,24 @@ func FuzzTierMachine(f *testing.F) {
 			if c := int(op[4]>>2) % (len(cosines) + 1); c > 0 {
 				msg.Scalars = map[string]float64{ScalarLoss: 1, ScalarCos: cosines[c-1]}
 			}
+			// A report for the current or a later round from an edge-0 worker
+			// that round's sample leaves out is refused as such, unless it is
+			// a loss alone at a cloud sync.
+			left := false
+			if r := msg.Round; lvl == 1 && h.n.phase == tierCollect && kind == KindTierReport && tree.Participation() != 1 &&
+				r >= h.n.want() && r <= cfg.T && r%cfg.Tau == 0 {
+				if l, c, ok := tree.Lookup(msg.From); ok && l == 2 {
+					if pos, in := position(h.n.kids, c); in {
+						_, sampledIn := slices.BinarySearch(tree.Sample(0, r/cfg.Tau), pos)
+						left = !sampledIn && !(len(msg.Vectors) == 0 && r%(cfg.Tau*cfg.Pi) == 0)
+					}
+				}
+			}
 			err := h.n.deliver(now, msg)
 			record()
+			if errors.Is(err, ErrNotSampled) != left {
+				t.Fatalf("report from %s for round %d (sample %v) failed with %v", msg.From, msg.Round, tree.Sample(0, max(h.n.k, 1)), err)
+			}
 			if !check(err, msg.From) {
 				return log
 			}

@@ -39,7 +39,10 @@ const (
 	// their momentum and model and their latest mini-batch loss at t = kτ —
 	// plus, when the parent adapts, their own eq. (6) term as ScalarCos, so
 	// the interval accumulators Σ∇F and Σy never leave the leaf; aggregating
-	// levels send [y_ℓ−, x_ℓ+] and their weighted loss.
+	// levels send [y_ℓ−, x_ℓ+] and their weighted loss. A leaf its round's
+	// participant sample leaves out sends none, except at a root sync: there
+	// it reports its loss alone, no vectors, so the root's loss signal
+	// weighs every leaf's current loss, as the simulation's does.
 	KindTierReport = "tier-report"
 	// KindTierUpdate is parent → child after an aggregation, carrying the
 	// level's [y_ℓ−, x_ℓ+].
@@ -69,6 +72,12 @@ const (
 // reportVectors, or, at an adaptive leaf-parent, a missing or non-finite
 // eq. (6) term or one outside [-1, 1]. The message names the sender.
 var ErrMalformedReport = errors.New("cluster: malformed report")
+
+// ErrNotSampled is wrapped by the error a leaf parent fails with when a
+// child its round's participant sample (topology.Tree.Sample) leaves out
+// reports [y, x] — or, at any round but a root sync, reports at all. The
+// message names the sender.
+var ErrNotSampled = errors.New("cluster: report from a child the round's sample leaves out")
 
 // reportVectors is the vector count of every KindTierReport: [y, x].
 const reportVectors = 2

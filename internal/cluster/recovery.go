@@ -51,13 +51,16 @@ func nodeCheckpointer(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string)
 	// rather than misread. Timeouts and quorum are operational knobs a
 	// restarted deployment may legitimately change, so they stay out.
 	// The tree's scenario — its levels' robust rules, the attack plan and
-	// the membership epochs — shapes the trajectory just like the algorithm
-	// options, so resuming under a different one is refused
-	// (checkpoint.ErrMismatch).
+	// the membership epochs — and its participant sample shape the
+	// trajectory just like the algorithm options, so resuming under a
+	// different one is refused (checkpoint.ErrMismatch).
 	fp := cfg.Fingerprint("cluster/tier") +
 		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s leaf=%s",
 			opts.Adaptive, opts.Signal, core.DefaultClampCeiling, ts.tree, reportLayout, leafLayout) +
 		ts.tree.Scenario()
+	if part := ts.tree.Participation(); part != 1 {
+		fp += fmt.Sprintf(" part=%g", part)
+	}
 	return fl.NewCheckpointer(opts.CheckpointDir, nodeID, fp, nodeID, cfg.Telemetry)
 }
 
@@ -66,8 +69,9 @@ func nodeCheckpointer(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string)
 // where sender is the reporting child's index in its level as resolved by
 // index and cos is NaN when the report carried no term (admission refuses a
 // NaN term and a missing one alike). Messages that do not carry
-// reportVectors model-sized vectors or a resolvable sender are dropped here —
-// admission would reject them after the resume anyway.
+// reportVectors model-sized vectors or a resolvable sender are dropped here:
+// admission would reject them after the resume anyway, and a quorum round
+// closes without a dropped loss-only report at its grace.
 func encodePending(out []float64, msgs []transport.Message, dim int, index func(from string) (int, bool)) []float64 {
 	for _, msg := range msgs {
 		i, ok := index(msg.From)

@@ -160,7 +160,9 @@ func TestFourVectorSnapshotRefused(t *testing.T) {
 // per-round state and replay the tail interval deterministically — a resumed
 // run must finish with results bit-identical to a never-interrupted run. The
 // rows reach the state only some runs keep: the velocity signal's
-// start-of-interval momentum, and a replaying attacker's stash.
+// start-of-interval momentum, a replaying attacker's stash, and on a part=
+// tree the interval a leaf left out keeps running and the reports stashed
+// from leaves that sat a round out.
 func TestClusterInterruptResume(t *testing.T) {
 	for _, row := range []struct {
 		name  string
@@ -170,6 +172,7 @@ func TestClusterInterruptResume(t *testing.T) {
 		{"adaptive", Options{Adaptive: true}, scenario{}},
 		{"velocity", Options{Adaptive: true, Signal: core.SignalVelocity}, scenario{}},
 		{"replay", Options{Adaptive: true}, scenario{attack: byzPlan(t, "replay:worker-0-1@2-12")}},
+		{"part", Options{Adaptive: true}, scenario{topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2,part=0.5/worker*2")}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := buildConfig(t, 101, 0)
@@ -368,7 +371,8 @@ func buildRecoveryConfig(t *testing.T, seed uint64) *fl.Config {
 // bit-equivalence acceptance test: a worker that crashes before its first
 // report and revives exactly at the final redistribution leaves the same
 // surviving cohort in force for the whole run as the matched
-// WithParticipation simulation, so the final model must be bit-identical.
+// WithParticipation simulation, whose tree samples it (topology.Tree.Sample),
+// so the final model must be bit-identical.
 // The revival is pinned to the last round deliberately — a worker that
 // rejoins mid-run re-enters from adopted cloud state while a simulation
 // non-participant trains through the outage, so earlier revivals cannot be
@@ -378,10 +382,15 @@ func TestClusterCrashRestartMatchesParticipation(t *testing.T) {
 	// worker 1 as the simulation's non-participant and our crash target.
 	cfg := buildRecoveryConfig(t, 3)
 	const frac = 2.0 / 3
-	sched := core.ParticipationSchedule(cfg.Seed, frac, []int{3}, 2)
-	for k := range sched {
-		c := sched[k][0]
-		if len(c) != 2 || c[0] != 0 || c[1] != 2 {
+	tree, err := cfg.Tree(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree, err = tree.WithParticipation(frac, cfg.Seed, cfg.T); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= cfg.T/cfg.Tau; k++ {
+		if c := tree.Sample(0, k); len(c) != 2 || c[0] != 0 || c[1] != 2 {
 			t.Fatalf("round %d cohort = %v, want [0 2]; the seed no longer matches the RNG", k, c)
 		}
 	}

@@ -80,6 +80,13 @@ func (ts *treeSpec) tau(i int) int   { return ts.tree.Levels[i].Tau }
 // (τ_{i-1}/τ_i), the tree analogue of π.
 func (ts *treeSpec) syncsPerParent(i int) int { return ts.tau(i-1) / ts.tau(i) }
 
+// syncsUp reports whether level i's round k ends in a sync with its parent,
+// every syncsPerParent(i) rounds; the root has none.
+func (ts *treeSpec) syncsUp(i, k int) bool { return i > 0 && k%ts.syncsPerParent(i) == 0 }
+
+// rootSync reports whether iteration t ends a round of the root.
+func (ts *treeSpec) rootSync(t int) bool { return t%ts.tau(0) == 0 }
+
 // leafSampler is a training leaf's mini-batch stream, keyed by its natal
 // coordinates as the simulation's harness keys it: the same tree draws the
 // same batch sequences in both engines.

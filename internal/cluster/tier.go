@@ -21,10 +21,10 @@ import (
 // run Result.
 //
 // What varies by level is what the children are. The leaf-parent level
-// collects training-leaf reports, renormalizes data weights over the
-// survivors of a partial round exactly like the simulation's
-// partial-participation path (a matched cohort is bit-identical to
-// core.WithParticipation), adapts γℓ (eq. (6)–(7)), and — under dynamic
+// collects training-leaf reports — on a tree that samples participants
+// (part=), exactly each round's sample (topology.Tree.Sample) — and
+// renormalizes data weights over the reporters of a partial round with the
+// simulation's arithmetic, adapts γℓ (eq. (6)–(7)), and — under dynamic
 // membership — admits, retires and migrates across cohort changes. Every
 // other level's children are aggregators with durable state, so a missing
 // child's last report is substituted for at most one consecutive round
@@ -47,8 +47,8 @@ type tierNode struct {
 	// loss well-defined when stragglers miss a round.
 	losses map[int]float64
 	// pending stashes reports from children running ahead of this node (a
-	// child that rode out a lost update keeps going) until the node's own
-	// round catches up with them.
+	// child that rode out a lost update or sat a sampled round out keeps
+	// going) until the node's own round catches up with them.
 	pending []transport.Message
 
 	// lastYRep/lastXRep/missStreak implement the substitution semantics at
@@ -68,10 +68,11 @@ type tierNode struct {
 	weightedLoss float64
 
 	// reports and reporters are collect's per-round results, sized once for
-	// the largest cohort. A slotted report keeps its buffer from the
-	// network's free list until the aggregation has consumed it.
+	// the largest cohort: the slots, and the positions close aggregates. A
+	// slotted report keeps its buffer from the network's free list until the
+	// aggregation has consumed it.
 	reports   []transport.Message
-	reporters []int
+	reporters []int //flvet:allow ckptstate -- a collect's, which never spans a snapshot
 	// out is the payload of every outgoing update and parent report, built
 	// once: Vectors is [y_ℓ−, x_ℓ+] (the tier never rebinds them), Scalars
 	// the loss slot a parent report fills in. The driver sends what the
@@ -85,12 +86,16 @@ type tierNode struct {
 	box   outbox
 	phase tierPhase //flvet:allow ckptstate -- start derives it from the snapshot's round
 	k     int       //flvet:allow ckptstate -- the snapshot's sequence number
-	// kids, quorum and got are round k's cohort, the reporters it needs and
-	// those slotted so far. deadline ends the collect — from quorum on, the
-	// straggler grace — or the parent sync, zero until its report is out.
-	kids        []int //flvet:allow ckptstate -- a collect's, which never spans a snapshot
-	quorum, got int   //flvet:allow ckptstate -- a collect's, which never spans a snapshot
-	deadline    time.Time
+	// kids, expect, quorum and got are round k's cohort, the [y, x] reports
+	// it awaits, the reporters it needs and those slotted so far; lossWant
+	// and lossGot count the losses it awaits alone — from the children a
+	// sampled round leaves out, at a root sync — and those slotted. deadline
+	// ends the collect — from quorum on, the straggler grace — or the parent
+	// sync, zero until its report is out.
+	kids                []int //flvet:allow ckptstate -- a collect's, which never spans a snapshot
+	expect, quorum, got int   //flvet:allow ckptstate -- a collect's, which never spans a snapshot
+	lossWant, lossGot   int   //flvet:allow ckptstate -- a collect's, which never spans a snapshot
+	deadline            time.Time
 }
 
 // tierPhase is what a tierNode awaits: the start of round k+1 (once the
@@ -261,16 +266,28 @@ func (n *tierNode) decodeLosses(flat []float64) error {
 // as in the simulation, which records the same facts (core.RecordHandoff):
 // its newcomers — planned joiners and reassigned-in workers — get it as an
 // ADMIT carrying their starting state, its retirees, whose final report was
-// just aggregated, a RETIRE, and the root announces re-tierings.
+// just aggregated, a RETIRE, and the root announces re-tierings. A round of
+// a sampled leaf parent that does not sync upward goes back to its sample
+// alone: the rest train on, keeping their local state, as the simulation's
+// non-participants do; after an upward sync every child adopts the update.
 func (n *tierNode) redistribute(k int, resend bool) {
 	t := k * n.tau()
 	h := n.ts.tree.Handoff(n.lvl, n.idx, k)
 	if !resend {
 		core.RecordHandoff(&n.ts.ledger, n.ts.tree, n.lvl, t, h)
 	}
+	var sample []int
+	if !n.ts.syncsUp(n.lvl, k) {
+		sample = n.sample(k)
+	}
 	childID := func(c int) string { return n.ts.tree.ID(n.lvl+1, c) }
 	update := transport.Message{Kind: KindTierUpdate, Round: t, Vectors: n.out.Vectors}
-	for _, c := range h.Cohort {
+	for pos, c := range h.Cohort {
+		if sample != nil {
+			if _, in := slices.BinarySearch(sample, pos); !in {
+				continue
+			}
+		}
 		msg := update
 		if h.Joined(c) {
 			msg.Kind = KindAdmit
@@ -416,10 +433,17 @@ func (n *tierNode) begin(now time.Time) error {
 	}
 	n.k++
 	n.kids, _ = n.ts.tree.Children(n.lvl, n.idx, n.k)
-	n.phase, n.quorum, n.got = tierCollect, len(n.kids), 0
+	n.expect, n.lossWant, n.lossGot = len(n.kids), 0, 0
+	if sample := n.sample(n.k); sample != nil {
+		n.expect = len(sample)
+		if n.ts.rootSync(n.want()) {
+			n.lossWant = len(n.kids) - len(sample)
+		}
+	}
+	n.phase, n.quorum, n.got = tierCollect, n.expect, 0
 	n.deadline = now.Add(n.opts.RecvTimeout)
 	if n.opts.tolerant() {
-		n.quorum = quorumCount(n.opts.MinQuorum, len(n.kids))
+		n.quorum = quorumCount(n.opts.MinQuorum, n.expect)
 		n.deadline = n.deadline.Add(n.opts.StragglerDeadline)
 	}
 	// Slots left filled by a round that ended early (a fast-forward, an
@@ -438,7 +462,7 @@ func (n *tierNode) begin(now time.Time) error {
 			case err != nil:
 				return err
 			case ok:
-				n.count(now)
+				n.count(now, msg)
 			default:
 				msg.Release()
 			}
@@ -471,11 +495,15 @@ func (n *tierNode) score() error {
 	return nil
 }
 
-// count counts one more distinct reporter. Quorum mode grants stragglers a
-// grace period measured from the moment the quorum-th report arrives:
-// anchored there rather than at the collect's start, the window cannot be
-// consumed by upstream tiers' own waits.
-func (n *tierNode) count(now time.Time) {
+// count counts one more distinct reporter, or a loss reported alone. Quorum
+// mode grants stragglers a grace period measured from the moment the
+// quorum-th report arrives: anchored there rather than at the collect's
+// start, the window cannot be consumed by upstream tiers' own waits.
+func (n *tierNode) count(now time.Time, msg transport.Message) {
+	if len(msg.Vectors) == 0 {
+		n.lossGot++
+		return
+	}
 	if n.got++; n.got == n.quorum {
 		n.deadline = now.Add(n.grace())
 	}
@@ -492,29 +520,32 @@ func (n *tierNode) grace() time.Duration {
 	return n.opts.StragglerDeadline * time.Duration(n.tau()/n.ts.tau(n.lvl+1)+1)
 }
 
-// progress closes round k's collect once the full cohort has reported
-// (strict mode, MinQuorum == 1, needs it by the deadline) or, at quorum,
+// progress closes round k's collect once every expected report is in
+// (strict mode, MinQuorum == 1, needs them by the deadline) or, at quorum,
 // once the grace has passed; below quorum the deadline fails it. Under
-// dynamic membership the denominator is the round's live cohort.
+// dynamic membership the denominator is the round's live cohort, and on a
+// tree that samples participants the round's sample; at a root sync such a
+// round also awaits the losses the rest report alone.
 func (n *tierNode) progress(now time.Time) error {
 	switch {
-	case n.got >= len(n.kids) || n.got >= n.quorum && !now.Before(n.deadline):
+	case n.got >= n.expect && n.lossGot >= n.lossWant || n.got >= n.quorum && !now.Before(n.deadline):
 		return n.close(now) // stragglers forfeited this round
 	case now.Before(n.deadline):
 		n.box.wake = n.deadline
 		return nil
 	}
-	return fmt.Errorf("%d/%d reports (quorum %d): %w", n.got, len(n.kids), n.quorum, transport.ErrTimeout)
+	return fmt.Errorf("%d/%d reports (quorum %d): %w", n.got, n.expect, n.quorum, transport.ErrTimeout)
 }
 
 // collect handles one message of round k's collect. Reports are slotted by
 // the sender's position in the cohort, so arrival order never reaches the
 // floating-point results; duplicates and stale rounds are rejected (and
 // counted). A report for a future round — a child that rode out a lost
-// update and ran ahead — is vetted against that round's cohort and stashed
-// for it in quorum mode, a second copy counted a duplicate at once, and is a
-// protocol error in strict mode (strict children never ride out); a round
-// past the run's last or off the node's period is malformed. In
+// update and ran ahead, or one that sat a sampled round out and trained on
+// (treeLeaf.sitOut) — is vetted against that round's cohort and stashed for
+// it in quorum mode or on a sampled tree, a second copy counted a duplicate
+// at once, and is a protocol error otherwise (strict children never ride
+// out); a round past the run's last or off the node's period is malformed. In
 // quorum mode a parent update for this round or later means the parent
 // completed a sync without this node: it is adopted on the spot and the
 // node fast-forwards instead of timing out on a round the protocol moved
@@ -529,13 +560,15 @@ func (n *tierNode) collect(now time.Time, msg transport.Message) error {
 		err = n.checkReassign(msg)
 	case msg.Kind == KindTierUpdate:
 		if n.lvl > 0 && n.opts.tolerant() && msg.Round >= n.want() && len(msg.Vectors) == 2 {
-			if err = n.tier.Adopt(msg.Vectors[0], msg.Vectors[1]); err != nil {
-				err = fmt.Errorf("cluster: update from %q: %w", msg.From, err)
-			} else {
-				n.fastForward(now, msg.Round)
+			defer msg.Release()
+			if err := n.pastRun(msg); err != nil {
+				return err
 			}
-			msg.Release()
-			return err
+			if err := n.tier.Adopt(msg.Vectors[0], msg.Vectors[1]); err != nil {
+				return fmt.Errorf("cluster: update from %q: %w", msg.From, err)
+			}
+			n.fastForward(now, msg.Round)
+			return nil
 		}
 		// A parent update from a sync this node already gave up on.
 		n.ts.ledger.StaleMessage(n.id(), n.lvl)
@@ -543,7 +576,7 @@ func (n *tierNode) collect(now time.Time, msg transport.Message) error {
 		err = expectKind(msg, KindTierReport)
 	case msg.Round < n.want():
 		n.ts.ledger.StaleMessage(n.id(), n.lvl)
-	case !n.opts.tolerant() && msg.Round > n.want():
+	case !n.opts.tolerant() && msg.Round > n.want() && n.sample(n.k) == nil:
 		err = fmt.Errorf("cluster: report from %q for future round %d (want %d)", msg.From, msg.Round, n.want())
 	case msg.Round > n.cfg.T || msg.Round%n.tau() != 0:
 		err = fmt.Errorf("cluster: report from %q for round %d, not a round of %s (every %d iterations through %d): %w",
@@ -552,8 +585,7 @@ func (n *tierNode) collect(now time.Time, msg transport.Message) error {
 		// Vetted now, against the cohort of its own round, so the stash
 		// and every snapshot of it hold only reports that round may take,
 		// one per sender.
-		kids, _ := n.ts.tree.Children(n.lvl, n.idx, msg.Round/n.tau())
-		if _, _, keep, err = n.vet(msg, kids); keep && n.stashed(msg) {
+		if _, _, keep, err = n.vet(msg, msg.Round/n.tau()); keep && n.stashed(msg) {
 			n.ts.ledger.DuplicateReport(n.id(), n.lvl)
 			keep = false
 		} else if keep {
@@ -561,7 +593,7 @@ func (n *tierNode) collect(now time.Time, msg transport.Message) error {
 		}
 	default:
 		if keep, err = n.admit(msg); keep {
-			n.count(now)
+			n.count(now, msg)
 		}
 	}
 	if !keep {
@@ -583,28 +615,30 @@ func (n *tierNode) stashed(msg transport.Message) bool {
 
 // close ends round k's collect and aggregates it. What a partial round
 // means depends on the level. At the leaf-parent the stragglers are
-// forfeited: the tier aggregates the slots of the children that reported.
+// forfeited: the tier aggregates the slots of the children that reported
+// [y, x].
 // At every other level a missing child's last report is substituted.
 // A boundary round then reports to the parent; any other settles.
 func (n *tierNode) close(now time.Time) error {
 	idx := n.everyone
 	if n.leafParent() {
-		idx = n.reporters[:0]
+		n.reporters = n.reporters[:0]
 		for pos := range n.kids {
-			if n.reports[pos].Vectors != nil {
-				idx = append(idx, pos)
+			if len(n.reports[pos].Vectors) != 0 {
+				n.reporters = append(n.reporters, pos)
 			}
 		}
+		idx = n.reporters
 	} else if err := n.substitute(); err != nil {
 		return err
 	}
-	if missing := len(n.kids) - n.got; missing > 0 {
+	if missing := n.expect - n.got; missing > 0 {
 		n.ts.ledger.QuorumMiss(n.ts.tree.Levels[n.lvl].Name, n.lvl, n.want(), missing)
 	}
 	if err := n.update(idx); err != nil {
 		return err
 	}
-	if n.lvl > 0 && n.k%n.ts.syncsPerParent(n.lvl) == 0 {
+	if n.ts.syncsUp(n.lvl, n.k) {
 		// Report [y_ℓ−, x_ℓ+] and the level's weighted loss to the parent,
 		// then await its update (lines 17–23, child side).
 		report := n.out
@@ -666,6 +700,9 @@ func (n *tierNode) syncReply(now time.Time, msg transport.Message) error {
 		n.ts.ledger.StaleMessage(n.id(), n.lvl)
 		return nil
 	}
+	if err := n.pastRun(msg); err != nil {
+		return err
+	}
 	if len(msg.Vectors) != 2 {
 		return fmt.Errorf("cluster: update from %q carries %d vectors, want 2", msg.From, len(msg.Vectors))
 	}
@@ -676,6 +713,15 @@ func (n *tierNode) syncReply(now time.Time, msg transport.Message) error {
 		n.fastForward(now, msg.Round)
 	} else {
 		n.settle(now)
+	}
+	return nil
+}
+
+// pastRun refuses a parent update for a round past the run's last: no round
+// of this node is there to fast-forward to.
+func (n *tierNode) pastRun(msg transport.Message) error {
+	if msg.Round > n.cfg.T {
+		return fmt.Errorf("cluster: update from %q for round %d, past the run's last (%d)", msg.From, msg.Round, n.cfg.T)
 	}
 	return nil
 }
@@ -704,11 +750,11 @@ func (n *tierNode) settle(now time.Time) {
 // shared by live receives and the ride-ahead stash. It returns whether the
 // report counted as a new distinct reporter.
 func (n *tierNode) admit(msg transport.Message) (bool, error) {
-	from, pos, ok, err := n.vet(msg, n.kids)
+	from, pos, ok, err := n.vet(msg, n.k)
 	if !ok {
 		return false, err
 	}
-	if n.reports[pos].Vectors != nil {
+	if n.reports[pos].Kind != "" {
 		// A duplicate must not overwrite the slot twice while inflating the
 		// reporter count: reject it and keep counting distinct reporters only.
 		n.ts.ledger.DuplicateReport(n.id(), n.lvl)
@@ -719,17 +765,19 @@ func (n *tierNode) admit(msg transport.Message) (bool, error) {
 	return true, nil
 }
 
-// vet applies the report rules against kids, the cohort of the report's
-// round: the sender must be one of them, and the report must carry [y, x]
-// at the model's dimension and, where the level adapts, an eq. (6) term in
+// vet applies the report rules against round k's cohort: the sender must be
+// one of them — on a sampled tree, one of the round's sample, or send its
+// loss alone at a root sync — and the report must carry [y, x] at the
+// model's dimension and, where the level adapts, an eq. (6) term in
 // [-1, 1]. It returns the sender's index in its level and its position in
-// kids, and ok false for a report to drop: under dynamic membership a
+// the cohort, and ok false for a report to drop: under dynamic membership a
 // sender outside the cohort is counted stale, not refused.
-func (n *tierNode) vet(msg transport.Message, kids []int) (from, pos int, ok bool, err error) {
+func (n *tierNode) vet(msg transport.Message, k int) (from, pos int, ok bool, err error) {
 	lvl, from, ok := n.ts.tree.Lookup(msg.From)
 	if !ok || lvl != n.lvl+1 {
 		return 0, 0, false, fmt.Errorf("cluster: %s got a report from %q, not a level-%d node", n.id(), msg.From, n.lvl+1)
 	}
+	kids, _ := n.ts.tree.Children(n.lvl, n.idx, k)
 	pos, ok = position(kids, from)
 	if !ok {
 		if n.churning() {
@@ -740,6 +788,15 @@ func (n *tierNode) vet(msg transport.Message, kids []int) (from, pos int, ok boo
 			return 0, 0, false, nil
 		}
 		return 0, 0, false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
+	}
+	if sample := n.sample(k); sample != nil {
+		if _, in := slices.BinarySearch(sample, pos); !in {
+			if len(msg.Vectors) == 0 && n.ts.rootSync(k*n.tau()) {
+				return from, pos, true, nil
+			}
+			return 0, 0, false, fmt.Errorf("cluster: %s got a report from %q, which the sample of round %d leaves out: %w",
+				n.id(), msg.From, k, ErrNotSampled)
+		}
 	}
 	if len(msg.Vectors) != reportVectors {
 		return 0, 0, false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d: %w",
@@ -825,6 +882,16 @@ func (n *tierNode) update(idx []int) error {
 		n.weightedLoss += full[pos] * n.losses[c]
 	}
 	return nil
+}
+
+// sample returns the participant sample of the node's round k
+// (topology.Tree.Sample): nil where every child reports, and at every level
+// but the leaf parents'.
+func (n *tierNode) sample(k int) []int {
+	if !n.leafParent() {
+		return nil
+	}
+	return n.ts.tree.Sample(n.idx, k)
 }
 
 // releaseReports hands every collected report's buffer back to the network

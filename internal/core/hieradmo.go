@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"hieradmo/internal/fl"
-	"hieradmo/internal/rng"
 	"hieradmo/internal/topology"
 )
 
@@ -34,8 +33,8 @@ type HierAdMo struct {
 	// participation is the fraction of each edge's workers sampled into
 	// every edge aggregation (1 = the paper's full cross-silo
 	// participation; smaller values model the cross-device regime the
-	// paper leaves as future work). Non-participants keep training locally
-	// and re-join at a later aggregation.
+	// paper leaves as future work), written onto the run's tree as its
+	// leaf parents' part= (Rule.RunTree).
 	participation float64
 	// quantBits > 0 simulates a lossy uplink: every vector a worker ships
 	// to its edge passes through a QSGD-style stochastic quantizer of that
@@ -68,14 +67,13 @@ func WithGammaObserver(fn func(edge int, gamma float64)) Option {
 }
 
 // WithParticipation sets the fraction of each edge's workers sampled into
-// every edge aggregation (default 1, full participation). Values are
-// clamped to (0, 1]; each aggregation always includes at least one worker.
+// every edge aggregation (default 1, full participation): the run's tree
+// takes it as its leaf parents' part= (topology.Tree.WithParticipation),
+// which validates it, so a fraction outside (0, 1] fails the run at its
+// start with topology.ErrAttr. Each aggregation includes at least one
+// worker.
 func WithParticipation(frac float64) Option {
-	return func(h *HierAdMo) {
-		if frac > 0 && frac <= 1 {
-			h.participation = frac
-		}
-	}
+	return func(h *HierAdMo) { h.participation = frac }
 }
 
 // WithUplinkQuantization compresses every worker→edge upload through a
@@ -149,34 +147,4 @@ func (h *HierAdMo) Run(cfg *fl.Config) (*fl.Result, error) { return h.Row().Run(
 // RunTree runs Algorithm 1 over a tree cfg.Tree resolved (Rule.RunTree).
 func (h *HierAdMo) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) {
 	return h.Row().RunTree(cfg, tree)
-}
-
-// sampleParticipants returns the sorted indices of the len(perm) workers
-// taking part in an edge aggregation, written into perm: all of them at full
-// participation, otherwise a uniform sample of max(1, round(frac·C)) workers.
-// The draws are exactly rng.Perm's: the identity shuffled in place.
-func (h *HierAdMo) sampleParticipants(r *rng.RNG, perm []int) []int {
-	numWorkers := len(perm)
-	for i := range perm {
-		perm[i] = i
-	}
-	if h.participation >= 1 {
-		return perm
-	}
-	k := int(h.participation*float64(numWorkers) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	if k > numWorkers {
-		k = numWorkers
-	}
-	r.Shuffle(numWorkers, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	perm = perm[:k]
-	// Sort for deterministic aggregation order.
-	for i := 1; i < len(perm); i++ {
-		for j := i; j > 0 && perm[j] < perm[j-1]; j-- {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-		}
-	}
-	return perm
 }

@@ -8,7 +8,6 @@ import (
 	"hieradmo/internal/fl"
 	"hieradmo/internal/parallel"
 	"hieradmo/internal/quant"
-	"hieradmo/internal/rng"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
@@ -47,8 +46,9 @@ type Rule struct {
 	Hooks func(*Binding) Hooks
 	Extra func(leaves, parents int) int
 
-	// hier carries the run options that stay HierAdMo's: participation
-	// sampling, uplink quantization, the γℓ observer.
+	// hier carries the run options that stay HierAdMo's: the participation
+	// fraction RunTree writes onto the tree, uplink quantization, the γℓ
+	// observer.
 	hier *HierAdMo
 }
 
@@ -151,11 +151,10 @@ type sim struct {
 	// built from its tally. Like the cluster's, it covers what this process
 	// ran: a resumed run counts from its resume on.
 	ledger telemetry.Ledger
-	// fullIdx is the everyone-reported position list, and partIdx the buffer
-	// a partial-participation round draws its cohort into.
-	fullIdx, partIdx []int
+	// fullIdx is the everyone-reported position list; a sampled round's is
+	// the tree's (topology.Tree.Sample).
+	fullIdx []int
 
-	partRNG   *rng.RNG
 	quantizer *quant.Quantizer
 	// quantBuf holds the four quantized uplink copies per participant.
 	quantBuf []tensor.Vector //flvet:allow ckptstate -- per-round scratch, refilled from the workers' state before it is read
@@ -225,14 +224,13 @@ func (r *Rule) LevelAt(tree *topology.Tree, cfg *fl.Config, i int) (Level, error
 // A spec's tree refuses, with ErrTree, a hooked row (its hooks are written
 // against the client–edge–cloud and flat views), and any tree γ / adapt
 // attributes of its leaf parents when the rule has no momentum level there.
-// Membership epochs run only under unhooked rows at full participation, as
-// the cluster runs them.
+// Membership epochs run only under unhooked rows, as the cluster runs them.
 func (r *Rule) runs(tree *topology.Tree) error {
 	if r.Hooks != nil && tree.Spec != nil {
 		return fmt.Errorf("%w: %s hooks rules of its own into the client–edge–cloud and flat views, not into %s",
 			ErrTree, r.Algorithm, tree)
 	}
-	if tree.Membership() != nil && (r.Hooks != nil || (r.hier != nil && r.hier.participation < 1)) {
+	if tree.Membership() != nil && r.Hooks != nil {
 		return fmt.Errorf("%w: %s does not run the membership epochs of %s", ErrTree, r.Algorithm, tree)
 	}
 	if lv := tree.Levels[tree.LeafParent()]; (lv.HasGamma || lv.HasAdapt) && !r.Level.Momentum {
@@ -255,8 +253,17 @@ func (r *Rule) Run(cfg *fl.Config) (*fl.Result, error) {
 // RunTree is the simulation loop every rule shares, over a tree cfg.Tree
 // resolved — the configuration's own, or a topology spec's, which is the
 // tree the distributed runtime runs for the same spec — or over its flat
-// view for a Flat row (TreeOf).
+// view for a Flat row (TreeOf). HierAdMo's participation fraction is
+// written onto the tree first (topology.Tree.WithParticipation): every
+// round's participants are the tree's.
 func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) {
+	if r.hier != nil {
+		sampled, err := tree.WithParticipation(r.hier.participation, cfg.Seed, cfg.T)
+		if err != nil {
+			return nil, err
+		}
+		tree = sampled
+	}
 	tree, err := r.TreeOf(tree)
 	if err != nil {
 		return nil, err
@@ -356,11 +363,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		}
 	}
 	evalModel := newVec()
-	partRNG := rng.New(cfg.Seed).Split(0x9a47)
-	// One block holds both position lists: the run allocates no more for
-	// partial participation than without it.
-	idxBlock := make([]int, 2*maxFan)
-	fullIdx, partIdx := idxBlock[:maxFan:maxFan], idxBlock[maxFan:]
+	fullIdx := make([]int, maxFan)
 	for i := range fullIdx {
 		fullIdx[i] = i
 	}
@@ -378,7 +381,7 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 
 	s := &sim{rule: r, hn: hn, sink: sink, tree: tree, levels: levels, leaves: leaves, reported: make([]bool, numLeaves),
 		attackers: attackers, ledger: telemetry.NewLedger(sink, tree.Depth()),
-		fullIdx: fullIdx, partIdx: partIdx, partRNG: partRNG, quantizer: quantizer, quantBuf: quantBuf}
+		fullIdx: fullIdx, quantizer: quantizer, quantBuf: quantBuf}
 
 	// Crash recovery: register the run's state, then resume after the last
 	// snapshotted iteration (start = 0 without a snapshot). The variant folds
@@ -477,8 +480,8 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 		// re-tiered to another parent reports to its old one. The reductions
 		// stay sequential in node-index order: they cost O(L·dim) against the
 		// workers' O(N·batch·model) training phase, and the fixed order keeps
-		// the participation RNG, the quantizer's rounding stream, and the γℓ
-		// observer delivery deterministic.
+		// the quantizer's rounding stream and the γℓ observer delivery
+		// deterministic.
 		for k := range levels {
 			if t%levels[k].period != 0 {
 				continue
@@ -585,7 +588,6 @@ func (s *sim) register(ck *fl.Checkpointer) {
 			ck.Vector(at+"yMinus", tier.YMinus)
 		}
 	}
-	ck.RNG("participation", s.partRNG)
 	if s.quantizer != nil {
 		ck.RNG("quantizer", s.quantizer.RNG())
 	}
@@ -602,11 +604,10 @@ func (s *sim) round(t, k, n int) error {
 	idx := s.fullIdx[:len(kids)]
 	carry, migrated := 1.0, false
 	if k == 0 {
-		// Full participation includes everyone and draws nothing from the
-		// RNG, so the precomputed index list is used verbatim; partial
-		// participation draws the cohort into the run's reused buffer.
-		if h := s.rule.hier; h != nil && h.participation < 1 {
-			idx = h.sampleParticipants(s.partRNG, s.partIdx[:len(idx)])
+		// A sampled round's reporters are the tree's sample, the same one the
+		// cluster's leaf parents wait for.
+		if sample := s.tree.Sample(n, t/lev.period); sample != nil {
+			idx = sample
 		}
 		if err := s.uplink(t, tier, kids, idx); err != nil {
 			return err

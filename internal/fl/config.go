@@ -183,8 +183,10 @@ func (c *Config) Fingerprint(algorithm string) string {
 
 // Tree resolves the run's aggregation tree over the shards in leaf order
 // (Shards): topo's, or — when topo is nil — the cloud / edge / worker tree
-// Edges describes. It is the one tree both execution engines run for the
-// pair; NewHarness holds it to the horizon T.
+// Edges describes. A spec's part= draws its participant sample here, from
+// the run's seed over its T iterations (topology.Tree.WithParticipation).
+// It is the one tree both execution engines run for the pair; NewHarness
+// holds it to the horizon T.
 func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -204,8 +206,10 @@ func (c *Config) Tree(topo *topology.Topology) (*topology.Tree, error) {
 			counts = append(counts, len(edge))
 		}
 		tree, err = topology.Derive(c.Tau, c.Pi, counts[n:], sizes)
-	} else {
-		tree, err = topo.Resolve(sizes)
+	} else if tree, err = topo.Resolve(sizes); err == nil {
+		if part := tree.Levels[tree.LeafParent()].Part; part != 0 {
+			tree, err = tree.WithParticipation(part, c.Seed, c.T)
+		}
 	}
 	if err != nil {
 		// A tree that does not fit the config is the config's fault, as

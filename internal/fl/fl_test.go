@@ -307,13 +307,6 @@ func TestResultHelpers(t *testing.T) {
 	if got := res.AccuracyAt(5); got != 0 {
 		t.Errorf("AccuracyAt(5) = %v", got)
 	}
-	it, ok := res.IterToReach(0.5)
-	if !ok || it != 20 {
-		t.Errorf("IterToReach(0.5) = %d,%v", it, ok)
-	}
-	if _, ok := res.IterToReach(0.95); ok {
-		t.Error("IterToReach(0.95) should fail")
-	}
 	if res.String() == "" {
 		t.Error("empty String()")
 	}

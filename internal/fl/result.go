@@ -56,17 +56,6 @@ func (r *Result) AccuracyAt(t int) float64 {
 	return acc
 }
 
-// IterToReach returns the first recorded iteration whose accuracy meets
-// target, and whether the run ever reached it.
-func (r *Result) IterToReach(target float64) (int, bool) {
-	for _, p := range r.Curve {
-		if p.TestAcc >= target {
-			return p.Iter, true
-		}
-	}
-	return 0, false
-}
-
 // String summarizes the result on one line.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s: acc=%.4f loss=%.4f (T=%d, %d curve points)",

@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"hieradmo/internal/robust"
@@ -16,8 +17,9 @@ import (
 // the property the checkpoint fingerprint relies on). Every accepted spec
 // also resolves into a Tree that holds checkTree's invariants, and so does
 // that tree with a run's default aggregation rules merged in, its spec
-// untouched; and its flat view (Tree.Flat) is a two-level tree keeping every
-// leaf's ID, or ErrFlat.
+// untouched; a part= draws a sample of its size inside every cohort; and
+// its flat view (Tree.Flat) is a two-level tree keeping every leaf's ID, or
+// ErrFlat.
 func FuzzParseTopology(f *testing.F) {
 	for _, seed := range []string{
 		"cloud:tau=20/region:tau=5,agg=median/edge:tau=1/worker*8",
@@ -30,6 +32,10 @@ func FuzzParseTopology(f *testing.F) {
 		"x*9999999999999999999/y",
 		"cloud:tau=4,agg=trimmed(0.2/worker",
 		"//:=,*",
+		"cloud:tau=4/edge*2:tau=2,part=0.5/worker*2",
+		"cloud:tau=8/region*2:tau=4/edge*3:tau=2,adapt=true,part=0.34/worker*3",
+		"cloud:tau=4,part=1e-300/worker*2",
+		"cloud:tau=4,part=0x1p-1/worker*2",
 	} {
 		f.Add(seed)
 	}
@@ -108,6 +114,29 @@ func FuzzParseTopology(f *testing.F) {
 			for j := 0; j < tree.Width(i); j++ {
 				if merged.ID(i, j) != tree.ID(i, j) {
 					t.Fatalf("%q: node (%d, %d) is %q merged, %q before", canon, i, j, merged.ID(i, j), tree.ID(i, j))
+				}
+			}
+		}
+		// A part= draws a sample of its size, ascending, inside every cohort.
+		if lp := tree.LeafParent(); topo.Levels[lp].Part != 0 {
+			tau := topo.Levels[lp].Tau
+			sampled, err := tree.WithParticipation(topo.Levels[lp].Part, uint64(len(s)), 2*tau)
+			if err != nil {
+				t.Fatalf("sampling %q: %v", canon, err)
+			}
+			for k := 1; k <= 2; k++ {
+				for j, kids := range tree.Kids[lp] {
+					got := sampled.Sample(j, k)
+					if topo.Levels[lp].Part == 1 {
+						if got != nil {
+							t.Fatalf("%q: part=1 samples %v", canon, got)
+						}
+						continue
+					}
+					if len(got) != sampleSize(topo.Levels[lp].Part, len(kids)) || !slices.IsSorted(got) ||
+						len(got) > 0 && (got[0] < 0 || got[len(got)-1] >= len(kids)) {
+						t.Fatalf("%q: round %d node %d samples %v of %d children", canon, k, j, got, len(kids))
+					}
 				}
 			}
 		}

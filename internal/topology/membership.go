@@ -62,14 +62,20 @@ type Move struct{ Leaf, To int }
 // leaf is refused, naming the ID and the tree, and the plan, the leaves'
 // clustering statistics (in leaf order), the horizon T and the re-tiering
 // cadence in root syncs build the schedule of the leaf-parent level, whose
-// rounds are that level's. An unknown migration policy is refused. Neither
-// t nor the plan changes; an empty plan without re-tiering returns t itself.
+// rounds are that level's. An unknown migration policy is refused, and so,
+// with ErrAttr, is a tree that samples participants (WithParticipation).
+// Neither t nor the plan changes; an empty plan without re-tiering returns t
+// itself.
 func (t *Tree) WithMembership(plan membership.Plan, stats []membership.WorkerStat, T, retierEvery int, policy membership.MigrationPolicy) (*Tree, error) {
 	if policy < membership.MigrateZero || policy > membership.MigrateRescale {
 		return nil, fmt.Errorf("topology: unknown migration policy %d", policy)
 	}
 	if plan.Empty() && retierEvery == 0 {
 		return t, nil
+	}
+	if t.part != nil {
+		return nil, fmt.Errorf("%w: the tree %s samples part=%g of its leaf parents' children, which membership epochs do not run with",
+			ErrAttr, t, t.Participation())
 	}
 	leaves := make([]int, len(plan.Events))
 	for e, ev := range plan.Events {

@@ -13,10 +13,12 @@
 // the last level is the training tier and always runs with an implicit τ of
 // one iteration. Remaining attributes: `agg=<rule>` selects the level's
 // robust aggregation rule (mean|median|trimmed(f)|clip(f)|cosine(f)),
-// `gamma=<float>` sets a fixed momentum factor γℓ, and `adapt=<bool>`
-// toggles the adaptive-γℓ rule — the latter two only at the leaf-parent
-// level, the only tier that receives the gradient and momentum accumulators
-// the adaptation signals need.
+// `gamma=<float>` sets a fixed momentum factor γℓ, `adapt=<bool>` toggles
+// the adaptive-γℓ rule — the latter two only at the leaf-parent level, the
+// only tier that receives the gradient and momentum accumulators the
+// adaptation signals need — and `part=<f>`, f in (0, 1], samples that
+// fraction of every leaf parent's children into each of its rounds (leaf
+// parents only; Tree.WithParticipation draws the sample).
 //
 // The canonical String form feeds checkpoint fingerprints, so equal
 // topologies must render equally; Parse(t.String()) round-trips exactly.
@@ -64,8 +66,8 @@ var (
 	// its level.
 	ErrAttr = errors.New("topology: invalid attribute")
 	// ErrFlat is a tree whose flat view (Tree.Flat) would drop part of it:
-	// membership epochs, a robust rule below the root, or a γ / adapt
-	// attribute.
+	// membership epochs, a robust rule below the root, or a γ / adapt /
+	// part attribute.
 	ErrFlat = errors.New("topology: the tree has no flat view")
 )
 
@@ -94,6 +96,10 @@ type Level struct {
 	// explicit attribute the leaf-parent level follows the run options.
 	Adapt    bool
 	HasAdapt bool
+	// Part is the fraction of each node's children sampled into every round
+	// of the leaf-parent level, in (0, 1]; 0 when none is set, which is full
+	// participation.
+	Part float64
 }
 
 // Topology is a parsed, validated tree spec: Levels[0] is the root,
@@ -128,6 +134,9 @@ func (t *Topology) String() string {
 		}
 		if lv.HasAdapt {
 			attrs = append(attrs, "adapt="+strconv.FormatBool(lv.Adapt))
+		}
+		if lv.Part != 0 {
+			attrs = append(attrs, "part="+strconv.FormatFloat(lv.Part, 'g', -1, 64))
 		}
 		if len(attrs) > 0 {
 			b.WriteByte(':')
@@ -223,6 +232,15 @@ func parseLevel(part string, li int) (Level, error) {
 			}
 			lv.Adapt = b
 			lv.HasAdapt = true
+		case "part":
+			f, err := strconv.ParseFloat(val, 64)
+			if err == nil {
+				err = checkPart(f)
+			}
+			if err != nil {
+				return Level{}, fmt.Errorf("%w: level %q part %q: want a fraction in (0, 1]", ErrAttr, name, val)
+			}
+			lv.Part = f
 		default:
 			return Level{}, fmt.Errorf("%w: level %q has unknown attribute %q", ErrAttr, name, key)
 		}
@@ -252,7 +270,8 @@ func checkName(name string) error {
 
 // Validate checks a topology's structure: at least two levels (one
 // aggregator over the training tier), unique names, the τℓ tiling rule, the
-// leaf-parent-only momentum attributes, and the node-count bounds.
+// leaf-parent-only momentum and participation attributes, and the
+// node-count bounds.
 func (t *Topology) Validate() error {
 	if t == nil || len(t.Levels) < 2 {
 		return fmt.Errorf("%w: a topology needs at least two levels (aggregator over training tier)", ErrSyntax)
@@ -298,10 +317,20 @@ func (t *Topology) Validate() error {
 		}
 	}
 	lp := len(t.Levels) - 2
-	for i, lv := range t.Levels[:len(t.Levels)-1] {
+	for i, lv := range t.Levels {
 		if i != lp && lv.HasAdapt && lv.Adapt {
 			return fmt.Errorf("%w: level %q cannot adapt γ: only the leaf-parent level %q receives the gradient and momentum accumulators",
 				ErrAttr, lv.Name, t.Levels[lp].Name)
+		}
+		if lv.Part == 0 {
+			continue
+		}
+		if i != lp {
+			return fmt.Errorf("%w: level %q cannot sample its children: part= belongs to the leaf-parent level %q",
+				ErrAttr, lv.Name, t.Levels[lp].Name)
+		}
+		if err := checkPart(lv.Part); err != nil {
+			return fmt.Errorf("level %q: %w", lv.Name, err)
 		}
 	}
 	// Bound the total node count without materializing anything. The width

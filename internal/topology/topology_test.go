@@ -64,6 +64,9 @@ func TestParseRoundTrip(t *testing.T) {
 		"root:tau=8,gamma=0.25/mid*3:tau=4,agg=clip(1.5)/leaf*4",
 		"cloud:tau=6,agg=cosine(0.5)/edge*2:tau=3,adapt=true/worker*5",
 		"a:tau=2,gamma=0/b*7",
+		"cloud:tau=4/edge*2:tau=2,part=0.5/worker*2",
+		"cloud:tau=8/region*2:tau=4/edge*2:tau=2,adapt=false,part=0.25/worker*4",
+		"cloud:tau=4,part=1/worker*3",
 	} {
 		topo := mustParse(t, spec)
 		out := topo.String()
@@ -136,9 +139,16 @@ func TestParseErrors(t *testing.T) {
 		{"cloud:tau=4/worker*2:agg=median", ErrAttr},                             // leaf agg
 		{"cloud:tau=4/worker*2:gamma=0.5", ErrAttr},                              // leaf gamma
 		{"cloud:tau=8/region*2:tau=4,adapt=true/edge*2:tau=2/worker*2", ErrAttr}, // adapt off leaf-parent
-		{"a:tau=1/b/c/d/e/f/g/h/i*2", ErrBounds},                                 // depth > MaxDepth
-		{"cloud:tau=4/worker*100000", ErrBounds},                                 // fanout > MaxFanout
-		{"cloud:tau=4/mid*4096:tau=2/worker*4096", ErrBounds},                    // nodes > MaxNodes
+		{"cloud:tau=8,part=0.5/edge*2:tau=2/worker*2", ErrAttr},                  // part above the leaf parent
+		{"cloud:tau=4/worker*2:part=0.5", ErrAttr},                               // part at the leaf level
+		{"cloud:tau=4,part=0/worker*2", ErrAttr},
+		{"cloud:tau=4,part=-0.5/worker*2", ErrAttr},
+		{"cloud:tau=4,part=1.5/worker*2", ErrAttr},
+		{"cloud:tau=4,part=NaN/worker*2", ErrAttr},
+		{"cloud:tau=4,part=half/worker*2", ErrAttr},
+		{"a:tau=1/b/c/d/e/f/g/h/i*2", ErrBounds},              // depth > MaxDepth
+		{"cloud:tau=4/worker*100000", ErrBounds},              // fanout > MaxFanout
+		{"cloud:tau=4/mid*4096:tau=2/worker*4096", ErrBounds}, // nodes > MaxNodes
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.spec)

@@ -15,7 +15,8 @@ import (
 // training leaves, keys each leaf by its natal (parent, position)
 // coordinates, weighs every node's children by their integer subtree
 // sample counts, names every node with its transport ID, and holds each
-// level's aggregation rule, and a run's attack plan and membership epochs.
+// level's aggregation rule, and a run's attack plan, participant sample and
+// membership epochs.
 // The in-process simulation (internal/core) and the distributed runtime
 // (internal/cluster) both build their levels from it, so the two engines
 // cannot disagree on the shape.
@@ -48,9 +49,12 @@ type Tree struct {
 	// three-level tree.
 	Global []float64
 
-	// attack is the run's attack plan (WithAttackPlan), nil for none, and
-	// churn its membership trajectory (WithMembership), nil for static.
+	// attack is the run's attack plan (WithAttackPlan), nil for none, part
+	// its participant sample (WithParticipation), nil when every child
+	// reports, and churn its membership trajectory (WithMembership), nil for
+	// static.
 	attack *robust.AttackPlan
+	part   *participation
 	churn  *Membership
 	// from is the tree a flat view (Flat) flattens, nil for any other tree:
 	// its leaves keep their natal coordinates there.
@@ -257,7 +261,7 @@ func (t *Tree) WithAttackPlan(plan *robust.AttackPlan) (*Tree, error) {
 // out.
 func (t *Tree) clone() *Tree {
 	return &Tree{Levels: t.Levels, Spec: t.Spec, Kids: t.Kids, Parent: t.Parent, Sizes: t.Sizes,
-		Weights: t.Weights, Global: t.Global, attack: t.attack, churn: t.churn, from: t.from}
+		Weights: t.Weights, Global: t.Global, attack: t.attack, part: t.part, churn: t.churn, from: t.from}
 }
 
 // Flat returns the tree's flat view, the one place the two-level shape the
@@ -267,8 +271,9 @@ func (t *Tree) clone() *Tree {
 // its natal coordinates, which key its mini-batch stream, and the attack
 // plan; String names the flat view of t, so no snapshot crosses between
 // the two. A tree with membership epochs, a robust agg= below the root or a
-// gamma= / adapt= attribute is refused with ErrFlat: the flat view has no
-// level to run them at. A two-level tree is its own flat view.
+// gamma= / adapt= / part= attribute (a participant sample) is refused with
+// ErrFlat: the flat view has no level to run them at. A two-level tree is
+// its own flat view.
 func (t *Tree) Flat() (*Tree, error) {
 	if t.churn != nil {
 		return nil, fmt.Errorf("%w: the flat view of %s does not run its membership epochs", ErrFlat, t)
@@ -280,6 +285,9 @@ func (t *Tree) Flat() (*Tree, error) {
 		if lv.HasGamma || lv.HasAdapt {
 			return nil, fmt.Errorf("%w: the flat view of %s has no momentum level for the gamma/adapt attributes of level %q",
 				ErrFlat, t, lv.Name)
+		}
+		if lv.Part != 0 {
+			return nil, fmt.Errorf("%w: the flat view of %s has no leaf-parent level to sample part=%g at", ErrFlat, t, lv.Part)
 		}
 	}
 	if t.Depth() == 2 {
@@ -362,14 +370,25 @@ func (t *Tree) Scenario() string {
 }
 
 // AlignsWith checks that the tree is one a run of T iterations can execute:
-// T lands on a whole number of root periods, and a membership schedule
-// covers exactly T iterations of its leaf-parent rounds.
+// T lands on a whole number of root periods, and a membership schedule and a
+// part= sample (WithParticipation) cover exactly T iterations of the
+// leaf-parent rounds.
 func (t *Tree) AlignsWith(T int) error {
 	if root := t.Levels[0].Tau; T%root != 0 {
 		return fmt.Errorf("%w: T=%d is not a multiple of the root period τ=%d", ErrMisaligned, T, root)
 	}
-	if m, tau := t.churn, t.Levels[t.LeafParent()].Tau; m != nil && m.K*tau != T {
-		return fmt.Errorf("%w: the membership epochs of %s cover T=%d, not T=%d", ErrMisaligned, t, m.K*tau, T)
+	lv := t.Levels[t.LeafParent()]
+	if m := t.churn; m != nil && m.K*lv.Tau != T {
+		return fmt.Errorf("%w: the membership epochs of %s cover T=%d, not T=%d", ErrMisaligned, t, m.K*lv.Tau, T)
+	}
+	if lv.Part != 0 && lv.Part != 1 {
+		covered := 0
+		if t.part != nil {
+			covered = t.part.rounds * lv.Tau
+		}
+		if covered != T {
+			return fmt.Errorf("%w: the participant sample of %s covers T=%d, not T=%d", ErrMisaligned, t, covered, T)
+		}
 	}
 	return nil
 }
