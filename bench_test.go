@@ -154,11 +154,11 @@ func BenchmarkFig2k_AdaptiveGamma09(b *testing.B) {
 	}, experiment.BenchScale())
 }
 
-// BenchmarkAblationAdaptSignal compares the eq. (6) adaptation statistic
-// against the velocity variant and no adaptation (design-choice ablation
-// from DESIGN.md §4).
-func BenchmarkAblationAdaptSignal(b *testing.B) {
-	runExperimentBench(b, experiment.RunAblationAdaptSignal, experiment.BenchScale())
+// BenchmarkAblationSignal compares the eq. (6) adaptation of γℓ against no
+// adaptation, HierAdMo-R's fixed factor (design-choice ablation from
+// DESIGN.md §4).
+func BenchmarkAblationSignal(b *testing.B) {
+	runExperimentBench(b, experiment.RunAblationSignal, experiment.BenchScale())
 }
 
 // BenchmarkAblationClampCeiling sweeps the eq. (7) γℓ clamp ceiling.

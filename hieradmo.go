@@ -55,21 +55,9 @@ type (
 	Table = experiment.Table
 )
 
-// HierAdMo construction options, re-exported from the core package.
-type (
-	// Option customizes the HierAdMo algorithm.
-	Option = core.Option
-	// AdaptSignal selects the γℓ adaptation statistic.
-	AdaptSignal = core.AdaptSignal
-)
-
-// Adaptation signal variants.
-const (
-	// SignalYSum is the paper's eq. (6) statistic.
-	SignalYSum = core.SignalYSum
-	// SignalVelocity is the interval-displacement ablation variant.
-	SignalVelocity = core.SignalVelocity
-)
+// Option customizes the HierAdMo algorithm, re-exported from the core
+// package.
+type Option = core.Option
 
 // New returns the adaptive HierAdMo algorithm (the paper's contribution).
 func New(opts ...Option) Algorithm { return core.New(opts...) }
@@ -77,9 +65,6 @@ func New(opts ...Option) Algorithm { return core.New(opts...) }
 // NewReduced returns HierAdMo-R, the fixed-γℓ variant the paper compares
 // against in Theorem 5 and Fig. 2(i)–(k).
 func NewReduced(opts ...Option) Algorithm { return core.NewReduced(opts...) }
-
-// WithAdaptSignal selects the adaptation statistic.
-func WithAdaptSignal(s AdaptSignal) Option { return core.WithAdaptSignal(s) }
 
 // WithClampCeiling overrides the γℓ clamp of eq. (7) (default 0.99).
 func WithClampCeiling(c float64) Option { return core.WithClampCeiling(c) }

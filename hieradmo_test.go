@@ -39,7 +39,7 @@ func TestFacadeReducedAndOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg := NewReduced(WithAdaptSignal(SignalVelocity), WithClampCeiling(0.9))
+	alg := NewReduced(WithClampCeiling(0.9))
 	res, err := alg.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

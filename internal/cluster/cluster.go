@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"hieradmo/internal/core"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/topology"
@@ -27,11 +26,9 @@ const DefaultRecvTimeout = 60 * time.Second
 // Options tune the distributed run.
 type Options struct {
 	// Adaptive enables the γℓ adaptation of eq. (6)–(7); false runs
-	// HierAdMo-R with the config's fixed GammaEdge.
+	// HierAdMo-R with the config's fixed GammaEdge. The γℓ clamp is
+	// core.DefaultClampCeiling.
 	Adaptive bool
-	// Signal selects the adaptation statistic (default core.SignalYSum); the
-	// γℓ clamp is core.DefaultClampCeiling.
-	Signal core.AdaptSignal
 	// RecvTimeout bounds every blocking receive (default
 	// DefaultRecvTimeout).
 	RecvTimeout time.Duration
@@ -83,9 +80,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Signal == 0 {
-		o.Signal = core.SignalYSum
-	}
 	if o.RecvTimeout == 0 {
 		o.RecvTimeout = DefaultRecvTimeout
 	}

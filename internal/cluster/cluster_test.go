@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"reflect"
@@ -135,7 +134,6 @@ func TestClusterMatchesSimulation(t *testing.T) {
 	type matchCase struct {
 		name          string
 		adaptive      bool
-		signal        core.AdaptSignal
 		clip          float64
 		topology      string
 		zeroGammaEdge bool
@@ -164,7 +162,6 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		{name: "cosine-clip", adaptive: true, edge: cosine, cloud: clip},
 		{name: "cosine-clip-reduced", edge: cosine, cloud: clip},
 		{name: "part-adaptive", adaptive: true, topology: part3},
-		{name: "part-velocity", adaptive: true, signal: core.SignalVelocity, topology: part3},
 		{name: "part-reduced", topology: part3},
 		{name: "tree4-part-adaptive", adaptive: true, topology: "cloud:tau=8/region*2:tau=4/edge*2:tau=2,part=0.5/worker*2"},
 	}
@@ -248,7 +245,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
 				alg := core.NewReduced()
 				if tc.adaptive {
-					alg = core.New(core.WithAdaptSignal(cmp.Or(tc.signal, core.SignalYSum)))
+					alg = core.New()
 				}
 				capture := &capturingModel{Model: cfg.Model}
 				cfg.Model = capture
@@ -281,7 +278,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 				refParams := capture.hash()
 
 				cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
-				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Signal: tc.signal, Tree: attacked})
+				res, err := Run(cfg, nw.new(), Options{Adaptive: tc.adaptive, Tree: attacked})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -593,23 +590,6 @@ func TestClusterCurveRecorded(t *testing.T) {
 	}
 	if red.Algorithm != "HierAdMo-R/cluster" {
 		t.Errorf("reduced algorithm = %q", red.Algorithm)
-	}
-}
-
-func TestClusterVelocitySignal(t *testing.T) {
-	cfg := buildConfig(t, 59, 2)
-	refCore := core.New(core.WithAdaptSignal(core.SignalVelocity))
-	ref, err := refCore.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(cfg, transport.NewMemoryNetwork(),
-		Options{Adaptive: true, Signal: core.SignalVelocity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAcc != ref.FinalAcc {
-		t.Errorf("velocity cluster %v != simulation %v", res.FinalAcc, ref.FinalAcc)
 	}
 }
 

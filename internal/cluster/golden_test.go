@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"hieradmo/internal/core"
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
@@ -157,7 +156,6 @@ func goldenScenarios() []goldenScenario {
 	s := []goldenScenario{
 		{name: "static/adaptive", cfg: std(31, 2), opts: adaptive},
 		{name: "static/reduced", cfg: std(31, 2), opts: plain(Options{})},
-		{name: "static/velocity", cfg: std(59, 2), opts: plain(Options{Adaptive: true, Signal: core.SignalVelocity})},
 		{name: "static/ragged", cfg: ragged, opts: adaptive},
 		{name: "static/workers=1", cfg: flat(1), opts: adaptive},
 		{name: "static/workers=2", cfg: flat(2), opts: adaptive},

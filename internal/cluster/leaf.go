@@ -80,7 +80,7 @@ var awaited = [...]string{leafUpdate: "update", leafRetire: "retire", leafAdmit:
 
 func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, opts Options) *treeLeaf {
 	lv := ts.level(ts.leafParent(), x0)
-	newVec := nodeVectors(len(x0), lv.LeafVectors())
+	newVec := nodeVectors(len(x0), core.LeafVecs)
 	opts.Interrupt = nil // a machine never blocks: the driver polls it
 	return &treeLeaf{
 		cfg:    cfg,
@@ -89,7 +89,7 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, opts Opt
 		opts:   opts,
 		att:    ts.tree.AttackPlan().Attacker(ts.tree.ID(ts.depth()-1, j), 4, len(x0)),
 		oracle: fl.NewGradOracle(cfg, ts.shards[j], ts.leafSampler(j), cfg.Telemetry),
-		state:  core.NewLeaf(x0, lv, newVec),
+		state:  core.NewLeaf(x0, newVec),
 		lv:     lv,
 
 		report: transport.Message{
@@ -111,7 +111,7 @@ func (w *treeLeaf) tau() int        { return w.ts.tau(w.ts.leafParent()) }
 //
 // A save at a settled boundary (update adopted, accumulators just restarted)
 // persists no interval state: the accumulators' entry is empty while both
-// are all +0, and the velocity reference's while it equals y (leafLayout).
+// are all +0 (leafLayout).
 func (w *treeLeaf) initCheckpoint() (*fl.Checkpointer, error) {
 	ck, err := nodeCheckpointer(w.cfg, w.opts, w.ts, w.id())
 	if err != nil || ck == nil {
@@ -120,9 +120,6 @@ func (w *treeLeaf) initCheckpoint() (*fl.Checkpointer, error) {
 	ck.Vector("x", w.state.X)
 	ck.Vector("y", w.state.Y)
 	ck.Dynamic("interval", w.saveInterval, w.loadInterval)
-	if w.state.YStart != nil {
-		ck.Dynamic("yStart", w.saveYStart, w.loadYStart)
-	}
 	ck.RNG("sampler", w.oracle.Sampler)
 	ck.Float("lastLoss", &w.lastLoss)
 	ck.Int("syncedThrough", &w.syncedThrough)
@@ -159,30 +156,6 @@ func (w *treeLeaf) loadInterval(flat []float64) error {
 		copy(w.state.YSum, flat[n:])
 	default:
 		return fmt.Errorf("interval holds %d values, want 0 or %d", len(flat), 2*n)
-	}
-	return nil
-}
-
-// saveYStart appends the velocity reference to dst, or nothing while it is
-// bitwise y (as adopt leaves it).
-func (w *treeLeaf) saveYStart(dst []float64) []float64 {
-	for i, v := range w.state.YStart {
-		if math.Float64bits(v) != math.Float64bits(w.state.Y[i]) {
-			return append(dst, w.state.YStart...)
-		}
-	}
-	return dst
-}
-
-// loadYStart runs after y is restored: dynamics load last.
-func (w *treeLeaf) loadYStart(flat []float64) error {
-	switch yStart := w.state.YStart; len(flat) {
-	case 0:
-		copy(yStart, w.state.Y)
-	case len(yStart):
-		copy(yStart, flat)
-	default:
-		return fmt.Errorf("yStart holds %d values, want 0 or %d", len(flat), len(yStart))
 	}
 	return nil
 }
@@ -394,7 +367,7 @@ func (w *treeLeaf) fillReport(t, k int) error {
 	w.report.Vectors[0], w.report.Vectors[1] = y, x
 	w.report.Round, w.report.Scalars[ScalarLoss] = t, w.lastLoss
 	if w.lv.Adapt {
-		cos, err := w.lv.Term(gradSum, ySum, y, w.state.YStart)
+		cos, err := w.lv.Term(gradSum, ySum)
 		if err != nil {
 			return fmt.Errorf("cluster: %s term: %w", w.id(), err)
 		}
@@ -405,7 +378,7 @@ func (w *treeLeaf) fillReport(t, k int) error {
 
 // adopt takes over the [y, x] of an update or ADMIT and, unless the leaf sat
 // the awaited round out (sitOut), starts a new interval: the accumulators
-// restart (core.Leaf.Adopt resets the velocity reference to y).
+// restart.
 func (w *treeLeaf) adopt(msg transport.Message) error {
 	if len(msg.Vectors) != 2 {
 		return fmt.Errorf("cluster: %s %s carries %d vectors, want 2", w.id(), msg.Kind, len(msg.Vectors))

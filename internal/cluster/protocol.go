@@ -87,10 +87,11 @@ const reportVectors = 2
 const reportLayout = "y,x,loss,cos"
 
 // leafLayout names how a leaf snapshot holds its interval state, for the
-// checkpoint fingerprint: Σ∇F ‖ Σy as one entry, empty while both are +0,
-// and the velocity reference elided while it equals y. A snapshot family
-// from a build that stored them as separate vectors is refused as a
-// mismatch, not misread.
+// checkpoint fingerprint: Σ∇F ‖ Σy as one entry, empty while both are +0. A
+// snapshot family from a build that stored them as separate vectors is
+// refused as a mismatch, not misread. The second token names a reference
+// vector only the deleted velocity statistic kept; it stays, frozen, so
+// snapshots written while it existed still resume.
 const leafLayout = "interval,yStart=elided"
 
 // Scalar keys used in messages.

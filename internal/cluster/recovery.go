@@ -53,10 +53,12 @@ func nodeCheckpointer(cfg *fl.Config, opts Options, ts *treeSpec, nodeID string)
 	// The tree's scenario — its levels' robust rules, the attack plan and
 	// the membership epochs — and its participant sample shape the
 	// trajectory just like the algorithm options, so resuming under a
-	// different one is refused (checkpoint.ErrMismatch).
+	// different one is refused (checkpoint.ErrMismatch). "signal=1" names
+	// the eq. (6) statistic, the only one left; it stays so snapshots
+	// written while a second statistic existed still resume.
 	fp := cfg.Fingerprint("cluster/tier") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s leaf=%s",
-			opts.Adaptive, opts.Signal, core.DefaultClampCeiling, ts.tree, reportLayout, leafLayout) +
+		fmt.Sprintf(" adaptive=%v signal=1 ceiling=%g topology=%s report=%s leaf=%s",
+			opts.Adaptive, core.DefaultClampCeiling, ts.tree, reportLayout, leafLayout) +
 		ts.tree.Scenario()
 	if part := ts.tree.Participation(); part != 1 {
 		fp += fmt.Sprintf(" part=%g", part)

@@ -112,7 +112,7 @@ func TestFourVectorSnapshotRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldFP := cfg.Fingerprint("cluster/tier") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s", opts.Adaptive, opts.Signal, core.DefaultClampCeiling, ts.tree)
+		fmt.Sprintf(" adaptive=%v signal=1 ceiling=%g topology=%s", opts.Adaptive, core.DefaultClampCeiling, ts.tree)
 	dim := cfg.Model.Dim()
 	fabricate := func(node string, seq int, vectors []string, stash []float64) {
 		t.Helper()
@@ -159,10 +159,9 @@ func TestFourVectorSnapshotRefused(t *testing.T) {
 // resumable snapshots behind, and — because nodes snapshot only settled
 // per-round state and replay the tail interval deterministically — a resumed
 // run must finish with results bit-identical to a never-interrupted run. The
-// rows reach the state only some runs keep: the velocity signal's
-// start-of-interval momentum, a replaying attacker's stash, and on a part=
-// tree the interval a leaf left out keeps running and the reports stashed
-// from leaves that sat a round out.
+// rows reach the state only some runs keep: a replaying attacker's stash,
+// and on a part= tree the interval a leaf left out keeps running and the
+// reports stashed from leaves that sat a round out.
 func TestClusterInterruptResume(t *testing.T) {
 	for _, row := range []struct {
 		name  string
@@ -170,7 +169,6 @@ func TestClusterInterruptResume(t *testing.T) {
 		scene scenario
 	}{
 		{"adaptive", Options{Adaptive: true}, scenario{}},
-		{"velocity", Options{Adaptive: true, Signal: core.SignalVelocity}, scenario{}},
 		{"replay", Options{Adaptive: true}, scenario{attack: byzPlan(t, "replay:worker-0-1@2-12")}},
 		{"part", Options{Adaptive: true}, scenario{topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2,part=0.5/worker*2")}},
 	} {
@@ -224,7 +222,7 @@ func TestClusterInterruptResume(t *testing.T) {
 			// the refusal propagates.
 			wrong := opts
 			wrong.Resume = true
-			wrong.Signal = core.SignalVelocity
+			wrong.Adaptive = false
 			wrong.RecvTimeout = deadlineScale * 500 * time.Millisecond
 			if _, err := Run(cfg, transport.NewMemoryNetwork(), wrong); !errors.Is(err, checkpoint.ErrMismatch) {
 				t.Fatalf("resume under changed options = %v, want wrapped checkpoint.ErrMismatch", err)

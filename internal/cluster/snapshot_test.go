@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -171,32 +172,61 @@ func sameReport(a, b scriptedReport) bool {
 
 // TestSettledLeafSnapshotHoldsNoInterval: a leaf's save after an adopted
 // update persists no interval state. Read back with checkpoint.Read, the
-// accumulator entry is empty and the velocity reference has no payload,
-// while the model and momentum are there in full.
+// accumulator entry is empty, while the model and momentum are there in
+// full.
 func TestSettledLeafSnapshotHoldsNoInterval(t *testing.T) {
 	dir := t.TempDir()
 	script := leafScript{respond: func(round int) (int, bool) { return round, false }}
-	if _, err := script.run(t, Options{Adaptive: true, Signal: core.SignalVelocity, CheckpointDir: dir}); err != nil {
+	if _, err := script.run(t, Options{Adaptive: true, CheckpointDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	st := newestLeafSlot(t, dir)
 	if st.Seq != 16 {
 		t.Fatalf("newest snapshot is of t=%d, want the final boundary 16", st.Seq)
 	}
-	for _, name := range []string{"dyn/interval", "dyn/yStart"} {
-		v, ok := st.Vectors[name]
-		if !ok || len(v) != 0 {
-			t.Errorf("settled snapshot: %s present=%v with %d values, want present and empty", name, ok, len(v))
-		}
+	if v, ok := st.Vectors["dyn/interval"]; !ok || len(v) != 0 {
+		t.Errorf("settled snapshot: dyn/interval present=%v with %d values, want present and empty", ok, len(v))
 	}
 	for _, name := range []string{"x", "y"} {
 		if len(st.Vectors[name]) == 0 {
 			t.Errorf("settled snapshot lacks %s", name)
 		}
 	}
-	for _, name := range []string{"gradSum", "ySum", "yStart"} {
+	for _, name := range []string{"gradSum", "ySum"} {
 		if _, ok := st.Vectors[name]; ok {
 			t.Errorf("settled snapshot still carries the separate vector %s", name)
+		}
+	}
+}
+
+// TestFingerprintPinned holds a leaf snapshot's fingerprint to the text
+// every snapshot family on disk was written with: the algorithm segment in
+// clear ("signal=1" names the eq. (6) statistic and stays although no other
+// is left), and the whole string, layout tokens included, by its SHA-256.
+func TestFingerprintPinned(t *testing.T) {
+	for _, row := range []struct {
+		adaptive bool
+		segment  string
+		digest   string
+	}{
+		{true, " adaptive=true signal=1 ceiling=0.99 topology=",
+			"01c2df64d5fae7d04e8b1beb37afaab8be853a4f1071f563483e79a15242831b"},
+		{false, " adaptive=false signal=1 ceiling=0.99 topology=",
+			"23521a6629b91951b3073549864f6bbfd01d248a950508b8b0505608f458015e"},
+	} {
+		dir := t.TempDir()
+		script := leafScript{respond: func(round int) (int, bool) { return round, false }}
+		if _, err := script.run(t, Options{Adaptive: row.adaptive, CheckpointDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		fp := newestLeafSlot(t, dir).Fingerprint
+		cfg := buildConfig(t, 101, 0)
+		cfg.T = 16
+		if !strings.HasPrefix(fp, cfg.Fingerprint("cluster/tier")+row.segment) {
+			t.Errorf("fingerprint %q does not continue the config's with %q", fp, row.segment)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != row.digest {
+			t.Errorf("adaptive=%v: fingerprint %q has SHA-256 %s, want %s", row.adaptive, fp, got, row.digest)
 		}
 	}
 }
@@ -205,9 +235,8 @@ func TestSettledLeafSnapshotHoldsNoInterval(t *testing.T) {
 // interrupt mid-interval, a boundary the leaf trains through because an
 // adopted update already covers it (t ≤ syncedThrough), and a boundary
 // ridden out in quorum mode after the update was dropped — resume to the
-// uninterrupted leaf bit for bit: every report after the snapshot, and the
-// eq. (6) term under the velocity signal, whose reference is in the
-// snapshot too.
+// uninterrupted leaf bit for bit: every report after the snapshot, its
+// eq. (6) term included.
 func TestUnsettledLeafResume(t *testing.T) {
 	normal := func(round int) (int, bool) { return round, false }
 	for _, row := range []struct {
@@ -220,7 +249,7 @@ func TestUnsettledLeafResume(t *testing.T) {
 	}{
 		{
 			name: "mid-interval",
-			opts: Options{Adaptive: true, Signal: core.SignalVelocity},
+			opts: Options{Adaptive: true},
 			ref:  leafScript{respond: normal},
 			cut:  leafScript{respond: normal, trapStep: 5},
 			seq:  5,
@@ -229,7 +258,7 @@ func TestUnsettledLeafResume(t *testing.T) {
 			// The round-4 report is answered with round 6's update: the leaf
 			// fast-forwards, and trains through boundary 6 without reporting.
 			name: "synced-ahead",
-			opts: Options{Adaptive: true, Signal: core.SignalVelocity},
+			opts: Options{Adaptive: true},
 			ref: leafScript{respond: func(round int) (int, bool) {
 				if round == 4 {
 					return 6, false
@@ -250,7 +279,7 @@ func TestUnsettledLeafResume(t *testing.T) {
 		{
 			// The round-4 update never comes: the leaf rides it out.
 			name: "ride-out",
-			opts: Options{Adaptive: true, Signal: core.SignalVelocity, MinQuorum: 0.5,
+			opts: Options{Adaptive: true, MinQuorum: 0.5,
 				RecvTimeout: deadlineScale * 300 * time.Millisecond},
 			ref: leafScript{respond: func(round int) (int, bool) {
 				if round == 4 {
@@ -282,9 +311,9 @@ func TestUnsettledLeafResume(t *testing.T) {
 			}
 			st := newestLeafSlot(t, opts.CheckpointDir)
 			dim := len(st.Vectors["y"])
-			if st.Seq != row.seq || len(st.Vectors["dyn/interval"]) != 2*dim || len(st.Vectors["dyn/yStart"]) != dim {
-				t.Fatalf("newest snapshot: t=%d with %d interval and %d yStart values, want t=%d with %d and %d",
-					st.Seq, len(st.Vectors["dyn/interval"]), len(st.Vectors["dyn/yStart"]), row.seq, 2*dim, dim)
+			if st.Seq != row.seq || len(st.Vectors["dyn/interval"]) != 2*dim {
+				t.Fatalf("newest snapshot: t=%d with %d interval values, want t=%d with %d",
+					st.Seq, len(st.Vectors["dyn/interval"]), row.seq, 2*dim)
 			}
 
 			opts.Resume = true
@@ -341,11 +370,10 @@ func TestAllPositiveZeroMatchesPerElement(t *testing.T) {
 }
 
 // TestIntervalKeepsNegativeZero: only bit pattern +0 is elided. A −0
-// accumulator, or a velocity reference that differs from y only in a zero's
-// sign, is stored and restored to the bit.
+// accumulator is stored and restored to the bit.
 func TestIntervalKeepsNegativeZero(t *testing.T) {
 	cfg := buildConfig(t, 101, 0)
-	opts, _, ts, err := prepare(cfg, Options{Adaptive: true, Signal: core.SignalVelocity})
+	opts, _, ts, err := prepare(cfg, Options{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,54 +382,41 @@ func TestIntervalKeepsNegativeZero(t *testing.T) {
 	if got := w.saveInterval(nil); len(got) != 0 {
 		t.Fatalf("fresh accumulators encode to %d values, want none", len(got))
 	}
-	if got := w.saveYStart(nil); len(got) != 0 {
-		t.Fatalf("yStart equal to y encodes to %d values, want none", len(got))
-	}
 	negZero := math.Copysign(0, -1)
 	w.state.YSum[3] = negZero
-	w.state.YStart[2] = negZero // y[2] is +0
-	interval, yStart := w.saveInterval(nil), w.saveYStart(nil)
+	interval := w.saveInterval(nil)
 	n := len(x0)
-	if len(interval) != 2*n || len(yStart) != n {
-		t.Fatalf("with a −0 the entries hold %d and %d values, want %d and %d", len(interval), len(yStart), 2*n, n)
+	if len(interval) != 2*n {
+		t.Fatalf("with a −0 the entry holds %d values, want %d", len(interval), 2*n)
 	}
 	back := newTreeLeaf(cfg, ts, 0, x0, opts)
 	if err := back.loadInterval(interval); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.loadYStart(yStart); err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(back.state.YSum[3]) != math.Float64bits(negZero) || math.Float64bits(back.state.YStart[2]) != math.Float64bits(negZero) {
-		t.Errorf("restored Σy[3] = %v, yStart[2] = %v, want −0 both", back.state.YSum[3], back.state.YStart[2])
+	if math.Float64bits(back.state.YSum[3]) != math.Float64bits(negZero) {
+		t.Errorf("restored Σy[3] = %v, want −0", back.state.YSum[3])
 	}
 	for _, bad := range []int{1, n, 2*n + 1} {
 		if err := back.loadInterval(make([]float64, bad)); err == nil || !strings.Contains(err.Error(), "interval") {
 			t.Errorf("an interval entry of %d values: err = %v, want one naming the entry", bad, err)
 		}
-		if bad == n {
-			continue
-		}
-		if err := back.loadYStart(make([]float64, bad)); err == nil || !strings.Contains(err.Error(), "yStart") {
-			t.Errorf("a yStart entry of %d values: err = %v, want one naming the entry", bad, err)
-		}
 	}
 }
 
 // TestSeparateAccumulatorSnapshotRefused: a snapshot family from the build
-// that stored a leaf's Σ∇F, Σy and velocity reference as separate vectors —
+// that stored a leaf's Σ∇F and Σy as separate vectors —
 // that build's fingerprint, node IDs and entry names — carries no leaf
 // layout token. Every node refuses it up front with ErrMismatch instead of
 // failing on a missing entry.
 func TestSeparateAccumulatorSnapshotRefused(t *testing.T) {
 	cfg := buildConfig(t, 101, 0)
 	dir := t.TempDir()
-	opts, _, ts, err := prepare(cfg, Options{Adaptive: true, Signal: core.SignalVelocity, CheckpointDir: dir, Resume: true})
+	opts, _, ts, err := prepare(cfg, Options{Adaptive: true, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldFP := cfg.Fingerprint("cluster/tier") + fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s report=%s",
-		opts.Adaptive, opts.Signal, core.DefaultClampCeiling, ts.tree, reportLayout)
+	oldFP := cfg.Fingerprint("cluster/tier") + fmt.Sprintf(" adaptive=%v signal=1 ceiling=%g topology=%s report=%s",
+		opts.Adaptive, core.DefaultClampCeiling, ts.tree, reportLayout)
 	dim := cfg.Model.Dim()
 	// Each node's entries as that build registered them; only the leaves'
 	// differ from this build's.
@@ -446,7 +461,7 @@ func TestSeparateAccumulatorSnapshotRefused(t *testing.T) {
 		fabricate(EdgeID(l), 2, tier)
 		for i := range cfg.Edges[l] {
 			fabricate(WorkerID(l, i), 4, layout{
-				vectors: []string{"x", "y", "gradSum", "ySum", "yStart"},
+				vectors: []string{"x", "y", "gradSum", "ySum"},
 				rngs:    []string{"sampler"},
 				ints:    []string{"syncedThrough"},
 				floats:  []string{"lastLoss"},

@@ -49,7 +49,7 @@ func newTreeSpec(cfg *fl.Config, tree *topology.Tree, opts Options) (*treeSpec, 
 		hier = core.New
 	}
 	ts := &treeSpec{cfg: cfg, tree: tree, shards: cfg.Shards(),
-		rule:   hier(core.WithAdaptSignal(opts.Signal)).Row(),
+		rule:   hier().Row(),
 		ledger: telemetry.NewLedger(cfg.Telemetry, tree.Depth())}
 	// A level whose rule cannot be built fails here, before any node starts.
 	for i := range tree.Levels[:tree.Depth()-1] {

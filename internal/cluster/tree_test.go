@@ -347,7 +347,7 @@ func TestLegacySnapshotRefused(t *testing.T) {
 	opts := Options{Adaptive: true, CheckpointDir: dir, Resume: true}.withDefaults()
 	// The fingerprint and entry names of the deleted cloud/edge/worker nodes.
 	legacyFP := cfg.Fingerprint("cluster/hieradmo") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g", opts.Adaptive, opts.Signal, core.DefaultClampCeiling)
+		fmt.Sprintf(" adaptive=%v signal=1 ceiling=%g", opts.Adaptive, core.DefaultClampCeiling)
 	dim := cfg.Model.Dim()
 	fabricate := func(node string, seq int, vectors ...string) {
 		t.Helper()

@@ -6,32 +6,6 @@ import (
 	"hieradmo/internal/tensor"
 )
 
-// AdaptSignal selects which per-worker interval statistic the edge momentum
-// adaptation compares against the accumulated gradient direction.
-type AdaptSignal int
-
-const (
-	// SignalYSum is the paper's eq. (6): the angle between −Σₜ∇F(i,ℓ)(xᵗ)
-	// and Σₜ yᵗ over the edge interval. With the common zero-centred
-	// initialization, Σy tracks the accumulated update direction.
-	SignalYSum AdaptSignal = iota + 1
-	// SignalVelocity is an ablation variant that uses the interval momentum
-	// displacement y^{kτ} − y^{(k−1)τ} instead of Σy.
-	SignalVelocity
-)
-
-// String implements fmt.Stringer for reports.
-func (s AdaptSignal) String() string {
-	switch s {
-	case SignalYSum:
-		return "ysum"
-	case SignalVelocity:
-		return "velocity"
-	default:
-		return fmt.Sprintf("AdaptSignal(%d)", int(s))
-	}
-}
-
 // DefaultClampCeiling is the paper's upper clamp on γℓ in eq. (7); values at
 // or above 1 would risk divergence, so the paper caps at 0.99.
 const DefaultClampCeiling = 0.99
@@ -51,11 +25,12 @@ func ClampGamma(cos, ceiling float64) float64 {
 }
 
 // EdgeCosine computes eq. (6): the Dᵢ/Dℓ-weighted average over the edge's
-// workers of the cosine between the negated accumulated gradient and the
-// chosen momentum signal. The negation is folded into the reduction
-// (tensor.NegCosine), so no worker's gradient sum is ever cloned. Tier.Update
-// performs the same sum over terms its reporters computed with Level.Term,
-// so this whole-cohort form is the reference the kernel is tested against.
+// workers of the cosine between the negated accumulated gradient and each
+// worker's momentum signal, which Level.Term forms as Σy − τ·x⁰. The
+// negation is folded into the reduction (tensor.NegCosine), so no worker's
+// gradient sum is ever cloned. Tier.Update performs the same sum over terms
+// its reporters computed with Level.Term, so this whole-cohort form is the
+// reference the kernel is tested against.
 func EdgeCosine(weights []float64, gradSums, signals []tensor.Vector) (float64, error) {
 	if len(weights) != len(gradSums) || len(weights) != len(signals) {
 		return 0, fmt.Errorf("core: cosine over %d/%d/%d entries: %w",

@@ -173,7 +173,7 @@ func BenchmarkLeafStep(b *testing.B) {
 	for i := range x0 {
 		x0[i] = r.Norm()
 	}
-	leaf := core.NewLeaf(x0, core.Level{}, func() tensor.Vector { return tensor.NewVector(dim) })
+	leaf := core.NewLeaf(x0, func() tensor.Vector { return tensor.NewVector(dim) })
 	for i := range leaf.Grad {
 		leaf.Grad[i] = 1e-3 * r.Norm()
 	}
@@ -189,9 +189,8 @@ func BenchmarkLeafStep(b *testing.B) {
 // BenchmarkLeafParentRound times one leaf-parent round's kernel arithmetic at
 // the sync workload's shape (dim 15 380, four reporters): every reporter's
 // eq. (6) term, which the leaves compute in a run, and Tier.Update, with the
-// reports already in memory. The rows are the adaptive level on either
-// signal, HierAdMo-R's fixed factor, and the adaptive level under the robust
-// median.
+// reports already in memory. The rows are the adaptive level, HierAdMo-R's
+// fixed factor, and the adaptive level under the robust median.
 func BenchmarkLeafParentRound(b *testing.B) {
 	const dim, fan = 15380, 4
 	r := rng.New(41)
@@ -211,11 +210,9 @@ func BenchmarkLeafParentRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	adaptive := func(signal core.AdaptSignal) core.Level {
-		return core.Level{Momentum: true, Adapt: true, Gamma: 0.5, Signal: signal,
-			Ceiling: core.DefaultClampCeiling, Tau: 2, X0: x0}
-	}
-	withMedian := adaptive(core.SignalYSum)
+	adaptive := core.Level{Momentum: true, Adapt: true, Gamma: 0.5,
+		Ceiling: core.DefaultClampCeiling, Tau: 2, X0: x0}
+	withMedian := adaptive
 	withMedian.Agg = median
 	full := []float64{0.25, 0.25, 0.25, 0.25}
 	idx := []int{0, 1, 2, 3}
@@ -223,8 +220,7 @@ func BenchmarkLeafParentRound(b *testing.B) {
 		name string
 		lv   core.Level
 	}{
-		{"ysum", adaptive(core.SignalYSum)},
-		{"velocity", adaptive(core.SignalVelocity)},
+		{"ysum", adaptive},
 		{"reduced", core.Level{Momentum: true, Gamma: 0.5, X0: x0}},
 		{"median", withMedian},
 	} {
@@ -236,7 +232,7 @@ func BenchmarkLeafParentRound(b *testing.B) {
 					if !row.lv.Adapt {
 						continue
 					}
-					c, err := row.lv.Term(gradSums[j], ySums[j], ys[j], x0)
+					c, err := row.lv.Term(gradSums[j], ySums[j])
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -111,17 +111,13 @@ func goldenScenarios() []goldenScenario {
 	}{{"adaptive", New}, {"reduced", NewReduced}} {
 		for _, part := range []float64{1, 0.5} {
 			for _, quantBits := range []int{0, 4} {
-				for _, sig := range []AdaptSignal{SignalYSum, SignalVelocity} {
-					if alg.name == "reduced" && sig != SignalYSum {
-						continue // a fixed γℓ reads no signal
-					}
-					s = append(s, goldenScenario{
-						name:  fmt.Sprintf("%s/part=%g/quant=%d/%s", alg.name, part, quantBits, sig),
-						build: alg.build,
-						opts: []Option{WithParticipation(part), WithUplinkQuantization(quantBits),
-							WithAdaptSignal(sig)},
-					})
-				}
+				// "ysum" names the eq. (6) statistic; the key predates the
+				// removal of the second statistic and stays.
+				s = append(s, goldenScenario{
+					name:  fmt.Sprintf("%s/part=%g/quant=%d/ysum", alg.name, part, quantBits),
+					build: alg.build,
+					opts:  []Option{WithParticipation(part), WithUplinkQuantization(quantBits)},
+				})
 			}
 		}
 	}

@@ -28,7 +28,6 @@ import (
 // with New or NewReduced.
 type HierAdMo struct {
 	adaptive bool
-	signal   AdaptSignal
 	ceiling  float64
 	// participation is the fraction of each edge's workers sampled into
 	// every edge aggregation (1 = the paper's full cross-silo
@@ -49,12 +48,6 @@ var _ fl.Algorithm = (*HierAdMo)(nil)
 
 // Option customizes a HierAdMo instance.
 type Option func(*HierAdMo)
-
-// WithAdaptSignal selects the adaptation statistic (default SignalYSum, the
-// paper's eq. (6)).
-func WithAdaptSignal(s AdaptSignal) Option {
-	return func(h *HierAdMo) { h.signal = s }
-}
 
 // WithClampCeiling overrides the γℓ upper clamp (default 0.99, eq. (7)).
 func WithClampCeiling(c float64) Option {
@@ -87,7 +80,6 @@ func WithUplinkQuantization(bits int) Option {
 func New(opts ...Option) *HierAdMo {
 	h := &HierAdMo{
 		adaptive:      true,
-		signal:        SignalYSum,
 		ceiling:       DefaultClampCeiling,
 		participation: 1,
 	}
@@ -102,7 +94,6 @@ func New(opts ...Option) *HierAdMo {
 func NewReduced(opts ...Option) *HierAdMo {
 	h := &HierAdMo{
 		adaptive:      false,
-		signal:        SignalYSum,
 		ceiling:       DefaultClampCeiling,
 		participation: 1,
 	}
@@ -122,10 +113,12 @@ func (h *HierAdMo) Name() string {
 
 // variant folds the run options living outside fl.Config into the
 // checkpoint fingerprint, so a snapshot never resumes under different
-// adaptation, participation, or quantization settings.
+// adaptation, participation, or quantization settings. "signal=1" names
+// the eq. (6) statistic, the only one left; it stays in the string so
+// snapshots written while a second statistic existed still resume.
 func (h *HierAdMo) variant() string {
-	return fmt.Sprintf("adaptive=%v signal=%d ceiling=%g participation=%g quantBits=%d",
-		h.adaptive, h.signal, h.ceiling, h.participation, h.quantBits)
+	return fmt.Sprintf("adaptive=%v signal=1 ceiling=%g participation=%g quantBits=%d",
+		h.adaptive, h.ceiling, h.participation, h.quantBits)
 }
 
 // Row is HierAdMo's line of the algorithm table: kernel NAG leaves under
@@ -136,7 +129,7 @@ func (h *HierAdMo) Row() *Rule {
 		Algorithm:     h.Name(),
 		ShipsMomentum: true,
 		Nesterov:      true,
-		Level:         Level{Momentum: true, Adapt: h.adaptive, Signal: h.signal, Ceiling: h.ceiling},
+		Level:         Level{Momentum: true, Adapt: h.adaptive, Ceiling: h.ceiling},
 		hier:          h,
 	}
 }

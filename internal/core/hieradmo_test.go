@@ -136,12 +136,23 @@ func TestEdgeCosineErrors(t *testing.T) {
 	}
 }
 
-func TestAdaptSignalString(t *testing.T) {
-	if SignalYSum.String() != "ysum" || SignalVelocity.String() != "velocity" {
-		t.Error("signal names wrong")
-	}
-	if AdaptSignal(99).String() == "" {
-		t.Error("unknown signal produced empty string")
+// TestVariantPinned holds the algorithm segment of the simulation's
+// checkpoint fingerprint to the text every snapshot family on disk was
+// written with. "signal=1" names the eq. (6) statistic; it stays although no
+// other statistic is left, or every existing family would stop resuming.
+func TestVariantPinned(t *testing.T) {
+	for _, tc := range []struct {
+		h    *HierAdMo
+		want string
+	}{
+		{New(), "adaptive=true signal=1 ceiling=0.99 participation=1 quantBits=0"},
+		{NewReduced(), "adaptive=false signal=1 ceiling=0.99 participation=1 quantBits=0"},
+		{New(WithParticipation(0.5), WithUplinkQuantization(4), WithClampCeiling(0.9)),
+			"adaptive=true signal=1 ceiling=0.9 participation=0.5 quantBits=4"},
+	} {
+		if got := tc.h.variant(); got != tc.want {
+			t.Errorf("variant() = %q, want %q", got, tc.want)
+		}
 	}
 }
 
@@ -338,17 +349,6 @@ func TestHierAdMoLearns(t *testing.T) {
 	}
 	if res.FinalAcc < 0.5 { // chance = 0.25
 		t.Errorf("final accuracy %.3f, want >= 0.5", res.FinalAcc)
-	}
-}
-
-func TestVelocitySignalRuns(t *testing.T) {
-	cfg := buildConfig(t, []int{2, 2}, 2, 15)
-	res, err := New(WithAdaptSignal(SignalVelocity)).Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAcc <= 0 {
-		t.Errorf("velocity-signal run accuracy = %v", res.FinalAcc)
 	}
 }
 

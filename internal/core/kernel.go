@@ -36,24 +36,18 @@ type Leaf struct {
 	GradSum, YSum tensor.Vector
 	// Grad receives the mini-batch gradient at X before every Step.
 	Grad tensor.Vector //flvet:allow ckptstate -- per-step scratch: overwritten by the gradient step before Step reads it
-	// YStart is the momentum the current interval started from, the eq. (6)
-	// reference under SignalVelocity (Level.Term); nil unless the leaf's
-	// parent adapts on that signal. Adopt keeps it equal to the adopted y.
-	YStart tensor.Vector
 }
 
-// NewLeaf builds a leaf reporting to a level of rule parent at the shared
-// initialization (y⁰ = x⁰, line 1) from parent.LeafVectors() zero vectors
-// drawn from newVec, so a driver chooses where its leaves live (the
-// simulation carves them from the run's slab).
-func NewLeaf(x0 tensor.Vector, parent Level, newVec func() tensor.Vector) *Leaf {
+// LeafVecs is the number of model-sized vectors NewLeaf draws.
+const LeafVecs = 5
+
+// NewLeaf builds a leaf at the shared initialization (y⁰ = x⁰, line 1) from
+// LeafVecs zero vectors drawn from newVec, so a driver chooses where its
+// leaves live (the simulation carves them from the run's slab).
+func NewLeaf(x0 tensor.Vector, newVec func() tensor.Vector) *Leaf {
 	l := &Leaf{X: newVec(), Y: newVec(), GradSum: newVec(), YSum: newVec(), Grad: newVec()}
 	copy(l.X, x0)
 	copy(l.Y, x0)
-	if parent.velocity() {
-		l.YStart = newVec()
-		copy(l.YStart, x0)
-	}
 	return l
 }
 
@@ -94,16 +88,10 @@ func leafStep(x, y, gs, ys, grad []float64, negEta, gamma, negGamma float64) {
 }
 
 // Adopt takes over a parent's redistributed momentum and model (lines 14–15
-// after the parent's round, 20–23 after a sync further up); the adopted
-// momentum is the velocity reference from here on.
+// after the parent's round, 20–23 after a sync further up).
 func (l *Leaf) Adopt(y, x tensor.Vector) error {
 	if err := l.Y.CopyFrom(y); err != nil {
 		return err
-	}
-	if l.YStart != nil {
-		if err := l.YStart.CopyFrom(y); err != nil {
-			return err
-		}
 	}
 	return l.X.CopyFrom(x)
 }
@@ -126,12 +114,10 @@ type Level struct {
 	// Adapt recomputes γℓ every round from eq. (6)–(7); otherwise γℓ = Gamma.
 	Adapt bool
 	Gamma float64
-	// Signal and Ceiling parameterize the adaptation: the statistic compared
-	// against the accumulated gradient, and the clamp of eq. (7).
-	Signal  AdaptSignal
+	// Ceiling is the adaptation's clamp of eq. (7).
 	Ceiling float64
 	// Tau is the number of leaf iterations between the level's rounds and X0
-	// the shared initialization: SignalYSum is evaluated on Σ(yᵗ − x⁰) =
+	// the shared initialization: eq. (6) is evaluated on Σ(yᵗ − x⁰) =
 	// Σyᵗ − τ·x⁰, the accumulated update direction rather than the arbitrary
 	// initial position (for zero-initialized models exactly eq. (6); see
 	// DESIGN.md §3).
@@ -145,49 +131,28 @@ type Level struct {
 }
 
 // Term is one reporter's eq. (6) term: the cosine between −Σ∇F and the
-// level's signal, Σy − τ·x⁰, or y − yStart under SignalVelocity (yStart being
-// the momentum the reporter started its interval from). Every input is the
-// reporter's own, so each reporter computes its term where its accumulators
-// live and only the scalar reaches the parent (Tier.Cos). It is one pass: the
-// signal is formed in registers, and the dot product and both squared norms
-// run in three accumulators, each in index order — bitwise tensor.NegCosine of
-// Σ∇F against the signal materialized by CopyFrom and AXPY (or Sub).
-func (lv Level) Term(gradSum, ySum, y, yStart tensor.Vector) (float64, error) {
-	a, b, c := ySum, lv.X0, -float64(lv.Tau)
-	if lv.Signal == SignalVelocity {
-		// y + (−1)·yStart is y − yStart to the bit: negation is exact, and
-		// IEEE subtraction is the addition of the negation.
-		a, b, c = y, yStart, -1
-	}
+// signal Σy − τ·x⁰. Both inputs are the reporter's own, so each reporter
+// computes its term where its accumulators live and only the scalar reaches
+// the parent (Tier.Cos). It is one pass: the signal is formed in registers,
+// and the dot product and both squared norms run in three accumulators, each
+// in index order — bitwise tensor.NegCosine of Σ∇F against the signal
+// materialized by CopyFrom and AXPY.
+func (lv Level) Term(gradSum, ySum tensor.Vector) (float64, error) {
 	n := len(gradSum)
-	if len(a) != n || len(b) != n {
-		return 0, fmt.Errorf("core: eq. (6) term over Σ∇F/signal/reference of %d/%d/%d: %w",
-			n, len(a), len(b), tensor.ErrDimMismatch)
+	if len(ySum) != n || len(lv.X0) != n {
+		return 0, fmt.Errorf("core: eq. (6) term over Σ∇F/Σy/x⁰ of %d/%d/%d: %w",
+			n, len(ySum), len(lv.X0), tensor.ErrDimMismatch)
 	}
-	a, b = a[:n], b[:n]
+	ySum, x0, negTau := ySum[:n], lv.X0[:n], -float64(lv.Tau)
 	var dot, gg, ss float64
 	for i, g := range gradSum {
-		s := a[i]
-		s += c * b[i]
+		s := ySum[i]
+		s += negTau * x0[i]
 		dot += g * s
 		gg += g * g
 		ss += s * s
 	}
 	return tensor.CosineFromDot(-dot, math.Sqrt(gg), math.Sqrt(ss)), nil
-}
-
-// velocity reports whether the level's eq. (6) term reads its reporters'
-// velocity references.
-func (lv Level) velocity() bool { return lv.Adapt && lv.Signal == SignalVelocity }
-
-// LeafVectors is the number of model-sized vectors NewLeaf draws for a leaf
-// reporting to the level: five, and the velocity reference YStart where the
-// level adapts on SignalVelocity.
-func (lv Level) LeafVectors() int {
-	if lv.velocity() {
-		return 6
-	}
-	return 5
 }
 
 // Vectors is the number of model-sized vectors NewTier draws for the level.

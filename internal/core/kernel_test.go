@@ -38,10 +38,10 @@ func report(t *Tier, j int, y, x tensor.Vector) {
 }
 
 // adaptReport is report plus the child's own eq. (6) term, computed from its
-// accumulators and interval start as a driver computes it.
-func adaptReport(t *Tier, j int, y, x, gradSum, ySum, yStart tensor.Vector) error {
+// accumulators as a driver computes it.
+func adaptReport(t *Tier, j int, y, x, gradSum, ySum tensor.Vector) error {
 	report(t, j, y, x)
-	c, err := t.lv.Term(gradSum, ySum, y, yStart)
+	c, err := t.lv.Term(gradSum, ySum)
 	t.Cos[j] = c
 	return err
 }
@@ -69,7 +69,7 @@ func seq(n int) []int {
 // TestLeafStepIsNAG checks lines 5–6 on hand-computable numbers, the
 // accumulators, and Adopt/Restart.
 func TestLeafStepIsNAG(t *testing.T) {
-	l := NewLeaf(tensor.Vector{1, 2}, Level{}, heapVec(2))
+	l := NewLeaf(tensor.Vector{1, 2}, heapVec(2))
 	copy(l.Grad, tensor.Vector{10, -20})
 	if err := l.Step(0.1, 0.5); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestLeafStepMatchesVectorComposition(t *testing.T) {
 			x0[i] = r.Norm()
 		}
 		x0[0], x0[1] = negZero, 0
-		got, want := NewLeaf(x0, Level{}, heapVec(dim)), NewLeaf(x0, Level{}, heapVec(dim))
+		got, want := NewLeaf(x0, heapVec(dim)), NewLeaf(x0, heapVec(dim))
 		yPrev := tensor.NewVector(dim)
 		for s := 0; s < steps; s++ {
 			for i := range got.Grad {
@@ -191,7 +191,7 @@ func TestLeafStepRejectsMismatchedVectors(t *testing.T) {
 		func(l *Leaf) { l.Grad = l.Grad[:2] },
 		func(l *Leaf) { l.X = l.X[:2] },
 	} {
-		l := NewLeaf(tensor.Vector{1, 2, 3}, Level{}, heapVec(3))
+		l := NewLeaf(tensor.Vector{1, 2, 3}, heapVec(3))
 		copy(l.Grad, tensor.Vector{1, 1, 1})
 		short(l)
 		before := l.X.Clone()
@@ -227,46 +227,41 @@ func drawSpecial(r *rng.RNG, v tensor.Vector, mode int) {
 // TestLevelTermMatchesNegCosine holds the one-pass term to its definition:
 // tensor.NegCosine of Σ∇F against the signal materialized the way Update
 // built it before the term moved to the reporters — CopyFrom(Σy) then
-// AXPY(−τ, x⁰), or CopyFrom(y) then Sub(yStart) — bit for bit, on both
-// signals, every n mod 4 tail, and inputs with signed zeros, zero vectors,
-// underflowing squares and non-finite values.
+// AXPY(−τ, x⁰) — bit for bit, on every n mod 4 tail, and inputs with signed
+// zeros, zero vectors, underflowing squares and non-finite values.
 func TestLevelTermMatchesNegCosine(t *testing.T) {
 	r := rng.New(43)
-	for _, signal := range []AdaptSignal{SignalYSum, SignalVelocity} {
-		for _, dim := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 37} {
-			for trial := 0; trial < 300; trial++ {
-				// x⁰, Σ∇F, Σy, y, yStart.
-				vs := make([]tensor.Vector, 5)
-				for k := range vs {
-					vs[k] = tensor.NewVector(dim)
-					drawSpecial(r, vs[k], r.Intn(6))
-				}
-				lv := Level{Adapt: true, Signal: signal, Tau: 1 + r.Intn(8), X0: vs[0]}
-				got, err := lv.Term(vs[1], vs[2], vs[3], vs[4])
-				if err != nil {
-					t.Fatal(err)
-				}
-				sig := tensor.NewVector(dim)
-				if signal == SignalVelocity {
-					err = errors.Join(sig.CopyFrom(vs[3]), sig.Sub(vs[4]))
-				} else {
-					err = errors.Join(sig.CopyFrom(vs[2]), sig.AXPY(-float64(lv.Tau), lv.X0))
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := tensor.NegCosine(vs[1], sig)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%v dim %d trial %d: term %v, NegCosine over the materialized signal %v", signal, dim, trial, got, want)
-				}
+	for _, dim := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 37} {
+		for trial := 0; trial < 300; trial++ {
+			// x⁰, Σ∇F, Σy.
+			vs := make([]tensor.Vector, 3)
+			for k := range vs {
+				vs[k] = tensor.NewVector(dim)
+				drawSpecial(r, vs[k], r.Intn(6))
+			}
+			lv := Level{Adapt: true, Tau: 1 + r.Intn(8), X0: vs[0]}
+			got, err := lv.Term(vs[1], vs[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig := tensor.NewVector(dim)
+			if err := errors.Join(sig.CopyFrom(vs[2]), sig.AXPY(-float64(lv.Tau), lv.X0)); err != nil {
+				t.Fatal(err)
+			}
+			want, err := tensor.NegCosine(vs[1], sig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("dim %d trial %d: term %v, NegCosine over the materialized signal %v", dim, trial, got, want)
 			}
 		}
-		lv := Level{Adapt: true, Signal: signal, X0: tensor.NewVector(3)}
-		if _, err := lv.Term(tensor.NewVector(3), tensor.NewVector(2), tensor.NewVector(2), tensor.NewVector(3)); !errors.Is(err, tensor.ErrDimMismatch) {
-			t.Errorf("%v: short signal operand: err = %v, want a wrapped ErrDimMismatch", signal, err)
+	}
+	// Σ∇F has three elements; a short Σy or a short x⁰ is refused.
+	for _, n := range [][2]int{{2, 3}, {3, 2}} {
+		lv := Level{Adapt: true, X0: tensor.NewVector(n[1])}
+		if _, err := lv.Term(tensor.NewVector(3), tensor.NewVector(n[0])); !errors.Is(err, tensor.ErrDimMismatch) {
+			t.Errorf("Σy of %d, x⁰ of %d: err = %v, want a wrapped ErrDimMismatch", n[0], n[1], err)
 		}
 	}
 }
@@ -526,8 +521,8 @@ func TestTierPartialCohortRenormalizes(t *testing.T) {
 
 // adaptCase is one row of the γℓ adaptation table: eq. (6) geometry in,
 // cosine out. The rows run through EdgeCosine directly and through an
-// adaptive Tier (velocity signal against a zero reference, so the signal the
-// kernel derives is exactly the row's), which must clamp per eq. (7).
+// adaptive Tier (x⁰ = 0, so the eq. (6) signal Σy − τ·x⁰ the kernel derives
+// is exactly the row's Σy), which must clamp per eq. (7).
 type adaptCase struct {
 	name     string
 	weights  []float64
@@ -623,12 +618,11 @@ func TestAdaptationTable(t *testing.T) {
 				return // a Tier round needs a reporter
 			}
 			for _, ceiling := range []float64{DefaultClampCeiling, 0.6} {
-				lv := Level{Momentum: true, Adapt: true, Signal: SignalVelocity, Ceiling: ceiling,
-					Gamma: 0.123, X0: tensor.NewVector(2)}
+				lv := Level{Momentum: true, Adapt: true, Ceiling: ceiling,
+					Gamma: 0.123, Tau: 3, X0: tensor.NewVector(2)}
 				tier := NewTier(lv, n, heapVec(2))
-				zero := tensor.NewVector(2)
 				for j := range tc.weights {
-					if err := adaptReport(tier, j, tc.signals[j], tensor.NewVector(2), tc.gradSums[j], tensor.NewVector(2), zero); err != nil {
+					if err := adaptReport(tier, j, tensor.NewVector(2), tensor.NewVector(2), tc.gradSums[j], tc.signals[j]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -653,15 +647,15 @@ func TestAdaptationTable(t *testing.T) {
 	}
 }
 
-// TestTierYSumSignalIsCentred: the default signal is Σy − τ·x⁰, so a leaf
+// TestTierYSumSignalIsCentred: the eq. (6) signal is Σy − τ·x⁰, so a leaf
 // that never moved from x⁰ carries no signal however large x⁰ is.
 func TestTierYSumSignalIsCentred(t *testing.T) {
 	x0 := tensor.Vector{100, -50}
-	lv := Level{Momentum: true, Adapt: true, Signal: SignalYSum, Ceiling: DefaultClampCeiling, Tau: 4, X0: x0}
+	lv := Level{Momentum: true, Adapt: true, Ceiling: DefaultClampCeiling, Tau: 4, X0: x0}
 	tier := NewTier(lv, 1, heapVec(2))
 	grad := tensor.Vector{1, 0}
 	still := tensor.Vector{400, -200} // Σ over τ = 4 steps of y = x⁰
-	if err := adaptReport(tier, 0, x0, x0, grad, still, nil); err != nil {
+	if err := adaptReport(tier, 0, x0, x0, grad, still); err != nil {
 		t.Fatal(err)
 	}
 	out, err := tier.Update([]float64{1}, []int{0}, 1)
@@ -672,7 +666,7 @@ func TestTierYSumSignalIsCentred(t *testing.T) {
 		t.Errorf("stationary leaf: cos %v γℓ %v, want 0", out.Cos, out.Gamma)
 	}
 	moved := tensor.Vector{400 - 8, -200} // drifted along −∇F
-	if err := adaptReport(tier, 0, x0, x0, grad, moved, nil); err != nil {
+	if err := adaptReport(tier, 0, x0, x0, grad, moved); err != nil {
 		t.Fatal(err)
 	}
 	if out, err = tier.Update([]float64{1}, []int{0}, 1); err != nil {
@@ -682,7 +676,7 @@ func TestTierYSumSignalIsCentred(t *testing.T) {
 		t.Errorf("descending leaf: cos %v γℓ %v, want 1 clamped to the ceiling", out.Cos, out.Gamma)
 	}
 	// A term without the accumulators is a shape error, not a panic.
-	if _, err := lv.Term(nil, nil, x0, nil); !errors.Is(err, tensor.ErrDimMismatch) {
+	if _, err := lv.Term(nil, nil); !errors.Is(err, tensor.ErrDimMismatch) {
 		t.Errorf("term without accumulators: err = %v, want a wrapped ErrDimMismatch", err)
 	}
 }
@@ -754,7 +748,7 @@ func TestKernelAllocFree(t *testing.T) {
 	dim := cfg.Model.Dim()
 	x0 := tensor.NewVector(dim)
 	oracle := fl.NewGradOracle(cfg, cfg.Edges[0][0], fl.WorkerSampler(cfg.Seed, 0, 0), nil)
-	leaf := NewLeaf(x0, Level{}, heapVec(dim))
+	leaf := NewLeaf(x0, heapVec(dim))
 	step := func() {
 		if _, err := oracle.Grad(leaf.X, leaf.Grad); err != nil {
 			t.Fatal(err)
@@ -779,11 +773,10 @@ func TestKernelAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, lv := range map[string]Level{
-		"momentum+adapt":  {Momentum: true, Adapt: true, Signal: SignalYSum, Ceiling: DefaultClampCeiling, Tau: 2, X0: x0},
-		"velocity signal": {Momentum: true, Adapt: true, Signal: SignalVelocity, Ceiling: DefaultClampCeiling, X0: x0},
-		"momentum fixed":  {Momentum: true, Gamma: 0.5, X0: x0},
-		"plain average":   {X0: x0},
-		"median":          {Momentum: true, Gamma: 0.5, X0: x0, Agg: median},
+		"momentum+adapt": {Momentum: true, Adapt: true, Ceiling: DefaultClampCeiling, Tau: 2, X0: x0},
+		"momentum fixed": {Momentum: true, Gamma: 0.5, X0: x0},
+		"plain average":  {X0: x0},
+		"median":         {Momentum: true, Gamma: 0.5, X0: x0, Agg: median},
 	} {
 		tier := NewTier(lv, fan, heapVec(dim))
 		round := func() {
@@ -792,7 +785,7 @@ func TestKernelAllocFree(t *testing.T) {
 				if !lv.Adapt {
 					continue
 				}
-				if err := adaptReport(tier, j, ys[j], xs[j], gs[j], ss[j], x0); err != nil {
+				if err := adaptReport(tier, j, ys[j], xs[j], gs[j], ss[j]); err != nil {
 					t.Fatal(err)
 				}
 			}

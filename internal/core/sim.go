@@ -293,12 +293,8 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	// neighbours'. A node's tier is sized for its largest cohort
 	// (Tree.Fanout), which for a leaf parent can change between membership
 	// epochs.
-	leafLv, err := r.LevelAt(tree, cfg, levels[0].level)
-	if err != nil {
-		return nil, err
-	}
 	maxFan := 0
-	vecCount := leafLv.LeafVectors()*numLeaves + 1
+	vecCount := LeafVecs*numLeaves + 1
 	for _, lev := range levels {
 		lv, err := r.LevelAt(tree, cfg, lev.level)
 		if err != nil {
@@ -327,9 +323,8 @@ func (r *Rule) RunTree(cfg *fl.Config, tree *topology.Tree) (*fl.Result, error) 
 	// leaves' models (the headers never rebind) for the evaluation average.
 	leaves := make([]*Leaf, numLeaves)
 	xs := make([]tensor.Vector, numLeaves)
-	leafLv.X0 = x0
 	for j := range leaves {
-		leaves[j] = NewLeaf(x0, leafLv, newVec)
+		leaves[j] = NewLeaf(x0, newVec)
 		xs[j] = leaves[j].X
 	}
 	for k, lev := range levels {
@@ -556,9 +551,6 @@ func (s *sim) register(ck *fl.Checkpointer) {
 		ck.Vector(at+"y", w.Y)
 		ck.Vector(at+"gradSum", w.GradSum)
 		ck.Vector(at+"ySum", w.YSum)
-		if w.YStart != nil {
-			ck.Vector(at+"yStart", w.YStart)
-		}
 		if s.attackers != nil && s.attackers[j] != nil {
 			for c, v := range s.attackers[j].PrevVectors() {
 				ck.Vector(fmt.Sprintf("%sattackPrev%d", at, c), v)
@@ -760,7 +752,7 @@ func (s *sim) uplink(t int, e *Tier, kids, idx []int) error {
 		}
 		e.Y[j], e.X[j], e.GradSum[j] = y, x, gradSum
 		if e.lv.Adapt {
-			cos, err := e.lv.Term(gradSum, ySum, y, w.YStart)
+			cos, err := e.lv.Term(gradSum, ySum)
 			if err != nil {
 				parent, pos := s.tree.Natal(leaf)
 				return fmt.Errorf("core: worker %d/%d term: %w", parent, pos, err)

@@ -80,7 +80,7 @@ func checkStep(t testing.TB, r *rng.RNG, n, off, mode int, eta, gamma float64) {
 	leaf := func(vs []tensor.Vector) *Leaf {
 		return &Leaf{X: vs[0], Y: vs[1], GradSum: vs[2], YSum: vs[3], Grad: vs[4]}
 	}
-	gotVs, wantVs := offsetVecs(Level{}.LeafVectors(), n, off), offsetVecs(Level{}.LeafVectors(), n, off)
+	gotVs, wantVs := offsetVecs(LeafVecs, n, off), offsetVecs(LeafVecs, n, off)
 	for k := range gotVs {
 		fillMode(r, gotVs[k], mode)
 	}

@@ -7,11 +7,11 @@ import (
 	"hieradmo/internal/fl"
 )
 
-// RunAblationAdaptSignal compares the paper's adaptation statistic (the Σy
-// inner-product of eq. (6)) against the interval-velocity variant and
-// against no adaptation at all, on the non-IID workload where adaptation
-// matters most.
-func RunAblationAdaptSignal(s Scale) (*Table, error) {
+// RunAblationSignal compares the paper's adaptation statistic (the Σy
+// inner-product of eq. (6)) against no adaptation at all (HierAdMo-R, the
+// fixed factor of HierMo), on the non-IID workload where adaptation matters
+// most.
+func RunAblationSignal(s Scale) (*Table, error) {
 	cfg, err := BuildConfig(Workload{
 		Dataset: "mnist", Model: "cnn",
 		ClassesPerWorker: 3,
@@ -23,8 +23,7 @@ func RunAblationAdaptSignal(s Scale) (*Table, error) {
 		label string
 		alg   fl.Algorithm
 	}{
-		{label: "ysum (paper eq. 6)", alg: core.New(core.WithAdaptSignal(core.SignalYSum))},
-		{label: "velocity", alg: core.New(core.WithAdaptSignal(core.SignalVelocity))},
+		{label: "ysum (paper eq. 6)", alg: core.New()},
 		{label: "none (HierAdMo-R)", alg: core.NewReduced()},
 	}
 	tbl := &Table{
@@ -86,7 +85,7 @@ func Registry() map[string]Runner {
 		"fig2j":                  func(s Scale) (*Table, error) { return RunFig2AdaptiveGamma(s, 0.6) },
 		"fig2k":                  func(s Scale) (*Table, error) { return RunFig2AdaptiveGamma(s, 0.9) },
 		"fig2l":                  func(s Scale) (*Table, error) { return RunFig2TrainingTime(s, TimingSetting2) },
-		"ablation-signal":        RunAblationAdaptSignal,
+		"ablation-signal":        RunAblationSignal,
 		"ablation-clamp":         RunAblationClampCeiling,
 		"ablation-participation": RunAblationParticipation,
 		"ablation-arch":          RunAblationArchitecture,

@@ -287,11 +287,11 @@ func TestRunFig2TrainingTimeSmall(t *testing.T) {
 }
 
 func TestAblationsSmall(t *testing.T) {
-	tbl, err := RunAblationAdaptSignal(tinyScale())
+	tbl, err := RunAblationSignal(tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 3 {
+	if len(tbl.Rows) != 2 {
 		t.Fatalf("signal ablation rows = %d", len(tbl.Rows))
 	}
 	tbl, err = RunAblationClampCeiling(tinyScale())
